@@ -24,8 +24,9 @@
 //! The bound is sound for both engines: the interpreter charges exactly
 //! one step per node on the executed path (branches and short-circuit
 //! operators only skip nodes), and the JIT charges exactly the same —
-//! its folded constant templates charge every node of the folded
-//! subtree, so the two engines' step counts are byte-identical. The
+//! a basic block at a time, folded constants and fused instructions
+//! charging every node they stand for — so the two engines' step
+//! counts are byte-identical. The
 //! runtime layer cross-checks this claim on every dispatch (the
 //! `cost_bound_exceeded` counter), and the soundness test suite asserts
 //! the counter stays zero across all traced scenarios.

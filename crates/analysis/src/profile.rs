@@ -15,13 +15,16 @@
 //! graphs are acyclic, so the walk terminates). The per-site bound is
 //! sound per dispatch for both engines: branches only *skip* nodes
 //! (an `if` charges one arm, the bound counts both; short-circuit
-//! operators may skip the right operand), and the JIT's folded
-//! constant templates charge exactly the interpreter's nodes. So for
-//! every site, `observed_steps ≤ bound_steps × dispatches` — the
+//! operators may skip the right operand), and the JIT charges, block
+//! by block, exactly the interpreter's nodes (folded constants and
+//! fused instructions included). So for every site,
+//! `observed_steps ≤ bound_steps × dispatches` — the
 //! utilization-heatmap invariant the profiler enforces.
 //!
 //! [`superinstruction_candidates`] additionally detects the adjacent
-//! hot-site shapes ROADMAP item 2 wants fused into superinstructions:
+//! hot-site shapes the bytecode tier (`planp_vm::jit`) fuses into
+//! superinstructions where they take their plainest form — the
+//! condition *is* the compare of a header read, or *is* the lookup:
 //!
 //! * `hdr_compare_branch` — an `if` whose condition loads a packet
 //!   header field and compares it (the classic dispatch shape:
@@ -197,7 +200,7 @@ fn kind_label(e: &TExpr, prog: &TProgram) -> String {
 }
 
 /// An adjacent hot-site sequence worth fusing into a superinstruction
-/// in a future compilation tier (ROADMAP item 2).
+/// (the bytecode tier emits `BrPrimCmp` and `BrPrim` for these).
 #[derive(Debug, Clone)]
 pub struct SuperinstructionCandidate {
     /// Pattern tag: `hdr_compare_branch` or `table_forward`.

@@ -538,6 +538,26 @@ mod tests {
     }
 
     #[test]
+    fn overloaded_interpreted_gateway_repeats_exactly() {
+        // At `interp_slowdown = 6.0` the gateway's CPU queue overflows
+        // and the servers retransmit; the retransmission tick used to
+        // sweep their connections in hash order, so identical seeds gave
+        // 599/598/599/598 completed requests within one process.
+        let cfg = HttpConfig::new(ClusterMode::InterpGateway, 32);
+        let runs: Vec<(u64, u64)> = (0..4)
+            .map(|_| {
+                let (r, _, m) = run_http_traced(&cfg, TraceConfig::default());
+                (r.completed, m.counters["sim.events_processed"])
+            })
+            .collect();
+        assert!(runs[0].0 > 0);
+        assert!(
+            runs.iter().all(|r| *r == runs[0]),
+            "same seed, different runs: {runs:?}"
+        );
+    }
+
+    #[test]
     fn interpreted_gateway_is_slower() {
         let jit = quick(ClusterMode::AspGateway, 16);
         let interp = quick(ClusterMode::InterpGateway, 16);

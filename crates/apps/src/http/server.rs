@@ -17,7 +17,7 @@ use super::trace::Trace;
 use netsim::packet::Packet;
 use netsim::tcp::{ConnKey, TcpConfig, TcpEvents, TcpSocket};
 use netsim::{App, NodeApi};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -70,7 +70,9 @@ struct Conn {
 pub struct HttpServerApp {
     cfg: ServerCfg,
     trace: Rc<Trace>,
-    conns: HashMap<ConnKey, Conn>,
+    /// Ordered: the retransmission tick sweeps it, and the order in
+    /// which that flushes segments must not depend on the hasher.
+    conns: BTreeMap<ConnKey, Conn>,
     backlog: VecDeque<ConnKey>,
     active: usize,
     next_token: u64,
@@ -89,7 +91,7 @@ impl HttpServerApp {
         HttpServerApp {
             cfg,
             trace,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             backlog: VecDeque::new(),
             active: 0,
             next_token: 0,

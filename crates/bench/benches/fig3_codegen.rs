@@ -2,7 +2,7 @@
 //!
 //! The paper measures the Tempo-generated run-time specializer
 //! assembling machine-code templates on a 1998 SPARC (6–34 ms). We
-//! measure our closure-threading JIT on the equivalent five programs;
+//! measure our register-bytecode JIT on the equivalent five programs;
 //! absolute numbers are microseconds on modern hardware, and the shape
 //! to check is that generation time scales with program size in the
 //! same order as the paper's table.

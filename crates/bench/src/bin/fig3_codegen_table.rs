@@ -22,7 +22,7 @@ fn median(mut samples: Vec<f64>) -> f64 {
 fn main() {
     let opts = BenchOpts::from_args();
     println!("Figure 3 — code generation time for PLAN-P programs");
-    println!("(paper: Tempo template assembly on a 1998 SPARC; ours: closure-threading JIT)\n");
+    println!("(paper: Tempo template assembly on a 1998 SPARC; ours: register-bytecode JIT)\n");
 
     let mut rows = Vec::new();
     let mut ours = Vec::new();

@@ -157,7 +157,7 @@ fn scenario_lines(s: &ScenarioProfile) -> Vec<String> {
                 sc.key(),
                 sc.dispatches,
                 sc.steps,
-                sc.sites.len(),
+                sc.sites().len(),
                 util.get(&sc.key()).copied().unwrap_or(0)
             )
         })

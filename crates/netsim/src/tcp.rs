@@ -415,8 +415,10 @@ fn seq_ge(a: u32, b: u32) -> bool {
     a.wrapping_sub(b) < 0x8000_0000
 }
 
-/// Demultiplexing key for a connection table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Demultiplexing key for a connection table. Ordered, so a table that
+/// is swept (retransmission ticks) can be a `BTreeMap` and the sweep
+/// deterministic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnKey {
     /// Remote address.
     pub raddr: u32,

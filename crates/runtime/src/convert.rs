@@ -42,25 +42,29 @@ pub fn value_to_packet(v: &Value, tag: Option<ChannelTag>) -> Result<Packet, VmE
             "sent value is not a packet tuple: {v:?}"
         )));
     };
-    let mut it = parts.iter();
-    let ip = match it.next() {
-        Some(Value::Ip(h)) => *h,
-        other => {
+    let (ip, mut rest) = match parts.split_first() {
+        Some((Value::Ip(h), rest)) => (*h, rest),
+        _ => {
             return Err(VmError::trap(format!(
-                "packet tuple must start with an ip header, got {other:?}"
+                "packet tuple must start with an ip header, got {:?}",
+                parts.first()
             )))
         }
     };
-    let mut rest: Vec<Value> = Vec::new();
-    let mut transport = Transport::None;
-    for (i, part) in it.enumerate() {
-        match part {
-            Value::Tcp(h) if i == 0 => transport = Transport::Tcp(*h),
-            Value::Udp(h) if i == 0 => transport = Transport::Udp(*h),
-            other => rest.push(other.clone()),
-        }
+    let transport = match rest.first() {
+        Some(Value::Tcp(h)) => Transport::Tcp(*h),
+        Some(Value::Udp(h)) => Transport::Udp(*h),
+        _ => Transport::None,
+    };
+    if transport != Transport::None {
+        rest = &rest[1..];
     }
-    let payload = encode_payload(&rest);
+    // A payload that is one blob is already the wire bytes: hand them
+    // through instead of copying them into a fresh buffer.
+    let payload = match rest {
+        [Value::Blob(bytes)] => bytes.clone(),
+        _ => encode_payload(rest),
+    };
     Ok(Packet {
         ip,
         transport,
@@ -92,6 +96,63 @@ mod tests {
         let v = packet_to_value(&pkt, &shape("ip*udp*blob")).unwrap();
         let back = value_to_packet(&v, None).unwrap();
         assert_eq!(back, pkt);
+    }
+
+    /// The packet the copying path builds: every payload component
+    /// encoded into a fresh buffer.
+    fn encoded(v: &Value) -> Packet {
+        let Value::Tuple(parts) = v else { panic!() };
+        let mut pkt = value_to_packet(v, None).unwrap();
+        pkt.payload = encode_payload(&parts[2..]);
+        pkt
+    }
+
+    #[test]
+    fn blob_payload_is_handed_through_and_equals_the_encoded_path() {
+        let hdrs = || {
+            vec![
+                Value::Ip(IpHdr::new(1, 2, IpHdr::PROTO_UDP)),
+                Value::Udp(UdpHdr::new(5, 6)),
+            ]
+        };
+        let blob = Bytes::from(vec![7u8; 64]);
+        let with = |payload: Vec<Value>| {
+            let mut parts = hdrs();
+            parts.extend(payload);
+            Value::tuple(parts)
+        };
+        let mut typed = vec![b'A'];
+        typed.extend_from_slice(&42i64.to_be_bytes());
+        for (v, shape_src, wire) in [
+            // blob only: the bytes go through untouched
+            (
+                with(vec![Value::Blob(blob.clone())]),
+                "ip*udp*blob",
+                blob.to_vec(),
+            ),
+            // typed, then blob: encoded in front of the blob's bytes
+            (
+                with(vec![
+                    Value::Char('A'),
+                    Value::Int(42),
+                    Value::Blob(blob.clone()),
+                ]),
+                "ip*udp*char*int*blob",
+                [&typed[..], &blob[..]].concat(),
+            ),
+            // typed only
+            (
+                with(vec![Value::Char('A'), Value::Int(42)]),
+                "ip*udp*char*int",
+                typed.clone(),
+            ),
+        ] {
+            let pkt = value_to_packet(&v, None).unwrap();
+            assert_eq!(&pkt.payload[..], &wire[..], "{shape_src}: wire bytes");
+            assert_eq!(pkt, encoded(&v), "{shape_src}: equals the encoded path");
+            let back = packet_to_value(&pkt, &shape(shape_src)).unwrap();
+            assert_eq!(back, v, "{shape_src}: round trip");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use netsim::packet::{ChannelTag, Lineage, Packet};
 use netsim::{ArrivalMeta, HookVerdict, NodeApi, PacketHook, Sim};
 use planp_lang::tast::TProgram;
 use planp_telemetry::{CounterId, DispatchOutcome, DropReason, ScopeId, SpanOrigin, Telemetry};
+use planp_vm::cost::STEPS_PER_NODE;
 use planp_vm::env::{NetEnv, SendKind};
 use planp_vm::interp::Interp;
 use planp_vm::jit::CompiledProgram;
@@ -48,8 +49,8 @@ pub struct LayerStats {
     /// anything — the ASP intentionally ate the packet (filters,
     /// discard policies).
     pub dropped: u64,
-    /// Total VM execution steps charged by channel runs (interpreter
-    /// nodes evaluated or JIT templates executed).
+    /// Total VM execution steps charged by channel runs (nodes the
+    /// interpreter evaluated; the JIT charges the same, by block).
     pub vm_steps: u64,
     /// Channel runs whose charged steps exceeded the verifier's static
     /// per-packet bound — a soundness violation of the cost analysis,
@@ -199,14 +200,14 @@ impl PlanpLayer {
         for i in 0..image.prog.channels.len() {
             chan_states.push(compiled.init_channel_state(i, &globals, &mut env)?);
         }
-        // Static per-site step bounds and superinstruction candidates,
-        // declared into the profile registry once per channel overload
-        // (idempotent by scope key, so redeploys keep their profiles).
-        let site_report = planp_analysis::site_bounds(&image.prog, &image.source);
-        let candidates = planp_analysis::superinstruction_candidates(&image.prog, &image.source);
+        // Static per-site step bounds and superinstruction candidates
+        // (computed once per image), declared into the profile registry
+        // once per channel overload (idempotent by scope key, so
+        // redeploys keep their profiles).
+        let (site_report, candidates) = image.profile_meta();
         let metrics = &mut telemetry.metrics;
         let profile = &mut telemetry.profile;
-        let chan_meta = image
+        let chan_meta: Vec<ChanMeta> = image
             .prog
             .channels
             .iter()
@@ -268,6 +269,11 @@ impl PlanpLayer {
                 ),
             })
             .collect();
+        // The bytecode tier charges whole blocks of the compiled
+        // program's site pool; let every scope find them by position.
+        for cm in &chan_meta {
+            profile.bind_blocks(cm.profile_scope, compiled.block_sites());
+        }
         let n_chans = image.prog.channels.len();
         Ok(PlanpLayer {
             prog: image.prog.clone(),
@@ -364,7 +370,6 @@ impl PacketHook for PlanpLayer {
                 return HookVerdict::Handled;
             }
         }
-        self.stats.borrow_mut().matched += 1;
         let cm = &self.chan_meta[idx];
         api.telemetry().metrics.inc_id(cm.c_dispatch);
 
@@ -375,12 +380,11 @@ impl PacketHook for PlanpLayer {
         let profiling = api.telemetry().profile.should_profile(cm.profile_scope);
         let mut env = SimNetEnv {
             api,
-            prog: &self.prog,
+            chans: &self.chan_meta,
             output: &self.output,
             emitted: 0,
             vm_steps: 0,
-            profiling,
-            site_steps: Vec::new(),
+            profiling: profiling.then_some(cm.profile_scope),
             cur_trace: if pkt.lineage.trace != 0 {
                 pkt.lineage.trace
             } else {
@@ -405,35 +409,45 @@ impl PacketHook for PlanpLayer {
         let vm_steps = env.vm_steps;
         let inserts = env.inserts;
         let entries_delta = env.entries_delta;
-        let site_steps = env.site_steps;
-        self.stats.borrow_mut().vm_steps += vm_steps;
+        // One update of the shared counters per dispatch. State
+        // accounting mirrors the step accounting: table mutations
+        // already happened (tables are shared cells), so they count on
+        // error paths too, and the live entry total and per-run inserts
+        // are cross-checked against the static state bounds.
+        let cost_exceeded = vm_steps > cm.static_bound;
+        let (entries, state_exceeded) = {
+            let mut st = self.stats.borrow_mut();
+            st.matched += 1;
+            st.vm_steps += vm_steps;
+            st.state_inserts += inserts;
+            st.state_entries = st.state_entries.saturating_add_signed(entries_delta);
+            let entries = st.state_entries;
+            let state_exceeded =
+                inserts > cm.static_insert_bound || entries > self.static_entry_bound;
+            st.cost_bound_exceeded += u64::from(cost_exceeded);
+            st.state_bound_exceeded += u64::from(state_exceeded);
+            match &result {
+                Ok(_) if emitted == 0 => st.dropped += 1,
+                Ok(_) => {}
+                Err(_) => st.errors += 1,
+            }
+            (entries, state_exceeded)
+        };
         api.telemetry().metrics.add_id(cm.c_vm_steps, vm_steps);
         api.trace_vm_run(&pkt, cm.name.clone(), vm_steps);
-        // Per-site attribution: record the charge vector (VM errors
+        // Per-site attribution went to the profile scope as the engine
+        // charged it; close the dispatch with the aggregate (VM errors
         // included — both engines charge the aggregate on error paths
         // too, so the Σ per-site == aggregate invariant still holds).
         if profiling {
-            api.telemetry()
-                .profile
-                .record(cm.profile_scope, &site_steps, vm_steps);
+            api.telemetry().profile.record(cm.profile_scope, vm_steps);
             api.telemetry().metrics.inc_id(cm.c_profiled);
         } else {
             api.telemetry().metrics.inc_id(cm.c_profile_skipped);
         }
-        if vm_steps > cm.static_bound {
-            self.stats.borrow_mut().cost_bound_exceeded += 1;
+        if cost_exceeded {
             api.telemetry().metrics.inc_id(cm.c_bound_exceeded);
         }
-        // State accounting mirrors the step accounting: table mutations
-        // already happened (tables are shared cells), so they count on
-        // error paths too. The live entry total and per-run inserts are
-        // cross-checked against the static state bounds.
-        let entries = {
-            let mut st = self.stats.borrow_mut();
-            st.state_inserts += inserts;
-            st.state_entries = st.state_entries.saturating_add_signed(entries_delta);
-            st.state_entries
-        };
         api.telemetry().metrics.add_id(cm.c_state_inserts, inserts);
         if entries > self.state_entries_peak {
             api.telemetry()
@@ -441,8 +455,7 @@ impl PacketHook for PlanpLayer {
                 .add_id(self.c_state_entries, entries - self.state_entries_peak);
             self.state_entries_peak = entries;
         }
-        if inserts > cm.static_insert_bound || entries > self.static_entry_bound {
-            self.stats.borrow_mut().state_bound_exceeded += 1;
+        if state_exceeded {
             api.telemetry().metrics.inc_id(cm.c_state_exceeded);
         }
         match result {
@@ -452,7 +465,6 @@ impl PacketHook for PlanpLayer {
                 if emitted == 0 {
                     // The channel ate the packet without re-emitting or
                     // delivering anything: an intentional drop.
-                    self.stats.borrow_mut().dropped += 1;
                     api.telemetry().metrics.inc_id(cm.c_dropped);
                     api.trace_dispatch(&pkt, Some(cm.name.clone()), DispatchOutcome::Consumed);
                 } else {
@@ -461,7 +473,6 @@ impl PacketHook for PlanpLayer {
                 HookVerdict::Handled
             }
             Err(e) => {
-                self.stats.borrow_mut().errors += 1;
                 api.telemetry().metrics.inc_id(cm.c_errors);
                 api.trace_dispatch(&pkt, Some(cm.name.clone()), DispatchOutcome::Error);
                 let exn: Rc<str> = match &e {
@@ -518,7 +529,8 @@ impl PacketHook for PlanpLayer {
 /// node.
 struct SimNetEnv<'a, 'b> {
     api: &'a mut NodeApi<'b>,
-    prog: &'a TProgram,
+    /// The installed channels, for their interned names.
+    chans: &'a [ChanMeta],
     output: &'a Rc<RefCell<String>>,
     /// Sends/deliveries performed by the current channel run (used to
     /// decide whether a failed run may still fall back to standard
@@ -546,15 +558,22 @@ struct SimNetEnv<'a, 'b> {
     /// Net table-entry change of the current channel run (fresh inserts
     /// minus evicted entries).
     entries_delta: i64,
-    /// Whether this dispatch was selected by the profiler's sampler;
-    /// gates `site_steps` collection so skipped runs stay allocation-free.
-    profiling: bool,
-    /// Per-site step charges of the current channel run, in engine
-    /// charge order (only populated when `profiling`).
-    site_steps: Vec<(u32, u64)>,
+    /// The profile scope site charges go to, if the profiler's sampler
+    /// selected this dispatch; skipped runs charge nothing.
+    profiling: Option<ScopeId>,
 }
 
 impl SimNetEnv<'_, '_> {
+    /// The name of channel `chan` as interned at install (a send can
+    /// only name a channel of the installed program, so the fallback
+    /// allocation is never taken).
+    fn intern(&self, chan: &str) -> Rc<str> {
+        match self.chans.iter().find(|m| &*m.name == chan) {
+            Some(m) => m.name.clone(),
+            None => chan.into(),
+        }
+    }
+
     fn tag_for(&self, chan: &str, overload: u32) -> Option<ChannelTag> {
         // `network` traffic stays untagged so PLAN-P routers interoperate
         // with plain IP; user-defined channels tag their packets.
@@ -562,7 +581,7 @@ impl SimNetEnv<'_, '_> {
             None
         } else {
             Some(ChannelTag {
-                chan: chan.into(),
+                chan: self.intern(chan),
                 overload,
             })
         }
@@ -639,7 +658,6 @@ impl NetEnv for SimNetEnv<'_, '_> {
     }
 
     fn send_remote(&mut self, chan: &str, overload: u32, pkt: Value) {
-        let _ = self.prog;
         if let Some(p) = self.outgoing(chan, overload, pkt, SpanOrigin::Remote) {
             self.emitted += 1;
             if p.ip.dst == self.api.addr() {
@@ -678,7 +696,7 @@ impl NetEnv for SimNetEnv<'_, '_> {
             SendKind::Neighbor => SpanOrigin::Neighbor,
             SendKind::Deliver => SpanOrigin::Deliver,
         };
-        self.pending_site = Some((origin, chan.map(Into::into)));
+        self.pending_site = Some((origin, chan.map(|c| self.intern(c))));
     }
 
     fn print(&mut self, text: &str) {
@@ -695,8 +713,15 @@ impl NetEnv for SimNetEnv<'_, '_> {
     }
 
     fn charge_site(&mut self, site: u32, n: u64) {
-        if self.profiling {
-            self.site_steps.push((site, n));
+        if let Some(scope) = self.profiling {
+            self.api.telemetry().profile.charge_site(scope, site, n);
+        }
+    }
+
+    fn charge_block(&mut self, first: usize, sites: &[u32]) {
+        if let Some(scope) = self.profiling {
+            let profile = &mut self.api.telemetry().profile;
+            profile.charge_block(scope, first, sites, STEPS_PER_NODE);
         }
     }
 
@@ -871,7 +896,7 @@ mod tests {
         let scope = reg.scopes().next().expect("one scope declared");
         assert_eq!(scope.key(), "node.r.chan.network#0");
         assert_eq!(scope.dispatches, 5);
-        assert_eq!(scope.steps, scope.sites.values().sum::<u64>());
+        assert_eq!(scope.steps, scope.sites().values().sum::<u64>());
         assert_eq!(scope.unknown_sites(), 0, "all sites have bounds");
         for row in reg.heatmap() {
             assert!(
@@ -888,6 +913,58 @@ mod tests {
         assert!(!snap
             .counters
             .contains_key("node.r.chan.network.profile_skipped"));
+    }
+
+    #[test]
+    fn both_engines_build_the_same_profile_and_counters() {
+        // The bytecode tier charges whole blocks by pool position, the
+        // interpreter one site at a time; a raise in mid-block (every
+        // even payload, which the handler then eats) charges a prefix.
+        // What the node accumulates must not depend on which engine ran.
+        let src = "fun half(n : int) : int = 100 div (n mod 2)\n\
+                   channel network(ps : int, ss : (int, int) hash_table, p : ip*udp*blob)\n\
+                   initstate mkTable(8) is\n\
+                   ((if udpDst(#2 p) = 2000 andalso tblHas(ss, blobByte(#3 p, 0)) then ()\n\
+                     else tblSet(ss, blobByte(#3 p, 0), half(blobByte(#3 p, 0)));\n\
+                     OnRemote(network, p); (ps + 1, ss))\n\
+                    handle Div => (ps, ss))";
+        let run = |engine| {
+            let cfg = LayerConfig {
+                engine,
+                ..LayerConfig::default()
+            };
+            let (mut sim, handle, got) = triangle(src, cfg);
+            sim.run_until(SimTime::from_secs(1));
+            assert_eq!(got.borrow().len(), 2);
+            assert_eq!(sim.telemetry.profile.mismatches(), 0);
+            let stats = format!("{:?}", handle.stats.borrow());
+            let counters = sim.metrics_snapshot().counters;
+            (sim.telemetry.profile.to_json(), stats, counters)
+        };
+        let (jit, interp) = (run(Engine::Jit), run(Engine::Interp));
+        assert_eq!(jit.0, interp.0, "profile");
+        assert_eq!(jit.1, interp.1, "layer stats");
+        assert_eq!(jit.2, interp.2, "metrics");
+        assert!(jit.1.contains("matched: 5") && jit.1.contains("state_inserts: 2"));
+        assert!(jit.1.contains("dropped: 3"));
+        assert!(jit.0.contains("\"dispatches\":5"));
+    }
+
+    #[test]
+    fn sends_on_user_channels_carry_the_interned_name() {
+        let src = "channel mon(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   (OnRemote(network, p); (ps, ss))\n\
+                   channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   (OnRemote(mon, p); (ps + 1, ss))";
+        let (mut sim, _handle, got) = triangle(src, LayerConfig::default());
+        sim.run_until(SimTime::from_secs(1));
+        let got = got.borrow();
+        assert_eq!(got.len(), 5);
+        for p in got.iter() {
+            let tag = p.tag.as_ref().expect("sent on a user channel");
+            assert_eq!((&*tag.chan, tag.overload), ("mon", 0));
+            assert_eq!(p.lineage.chan.as_deref(), Some("mon"));
+        }
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! program arrives: unverifiable programs are rejected unless the
 //! download is authenticated ([`Policy::authenticated`]).
 
-use planp_analysis::{verify, Policy, VerifyReport};
+use planp_analysis::{
+    site_bounds, superinstruction_candidates, verify, Policy, SiteReport,
+    SuperinstructionCandidate, VerifyReport,
+};
 use planp_lang::{compile_front, count_lines, LangError, TProgram};
 use planp_vm::jit::{self, CodegenStats, CompiledProgram};
+use std::cell::OnceCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -61,6 +65,22 @@ pub struct LoadedProgram {
     pub codegen: CodegenStats,
     /// Source lines (the paper's "Number of lines" metric).
     pub lines: usize,
+    /// What the profiler declares per installation, computed on the
+    /// first one (the download path itself never needs it).
+    profile_meta: OnceCell<(SiteReport, Vec<SuperinstructionCandidate>)>,
+}
+
+impl LoadedProgram {
+    /// The static per-site step bounds and superinstruction candidates
+    /// of this program.
+    pub(crate) fn profile_meta(&self) -> &(SiteReport, Vec<SuperinstructionCandidate>) {
+        self.profile_meta.get_or_init(|| {
+            (
+                site_bounds(&self.prog, &self.source),
+                superinstruction_candidates(&self.prog, &self.source),
+            )
+        })
+    }
 }
 
 impl fmt::Debug for LoadedProgram {
@@ -94,6 +114,7 @@ pub fn load(source: &str, policy: Policy) -> Result<LoadedProgram, LoadError> {
         report,
         codegen,
         lines: count_lines(source),
+        profile_meta: OnceCell::new(),
     })
 }
 

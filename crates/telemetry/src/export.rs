@@ -157,12 +157,7 @@ pub fn chrome_profile(reg: &crate::profile::ProfileRegistry) -> String {
         push_str(&mut out, &s.key());
         out.push_str("}}");
         let mut ts = 0u64;
-        for (site, steps) in &s.sites {
-            let label = s
-                .meta
-                .get(site)
-                .map(|m| m.label.as_str())
-                .unwrap_or("unknown");
+        for (site, steps, label, _) in s.site_rows().into_iter().filter(|r| r.1 > 0) {
             sep(&mut out);
             out.push_str("{\"ph\":\"X\",\"name\":");
             push_str(&mut out, label);
@@ -170,10 +165,10 @@ pub fn chrome_profile(reg: &crate::profile::ProfileRegistry) -> String {
                 out,
                 ",\"cat\":\"profile\",\"pid\":{pid},\"tid\":0,\"ts\":{ts},\"dur\":{},\
                  \"args\":{{\"site\":{site},\"steps\":{}}}}}",
-                (*steps).max(1),
+                steps.max(1),
                 steps
             );
-            ts += (*steps).max(1);
+            ts += steps.max(1);
         }
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
@@ -453,7 +448,9 @@ mod tests {
                 [],
             );
             assert!(reg.should_profile(id));
-            reg.record(id, &[(10, 2), (20, 1)], 3);
+            reg.charge_site(id, 10, 2);
+            reg.charge_site(id, 20, 1);
+            reg.record(id, 3);
             reg
         };
         let j = chrome_profile(&build());

@@ -1,13 +1,20 @@
 //! Per-site execution profiles: the always-on VM profiler.
 //!
 //! Both engines attribute every charged VM step to an expression
-//! **site** (`NetEnv::charge_site`; a site id is the node's source
-//! span start offset). The runtime layer feeds those per-dispatch
-//! charge vectors into a [`ProfileRegistry`] scope — one scope per
-//! `node × channel overload` — together with the static per-site step
-//! bounds and superinstruction candidates computed by
-//! `planp-analysis::profile`. Everything downstream is a deterministic
-//! join of the two:
+//! **site** (a site id is the node's source span start offset): the
+//! interpreter one node at a time (`NetEnv::charge_site`), the bytecode
+//! tier one basic block at a time (`NetEnv::charge_block`). The runtime
+//! layer forwards those charges, as they happen, into a
+//! [`ProfileRegistry`] scope — one scope per `node × channel overload`
+//! — which also holds the static per-site step bounds and
+//! superinstruction candidates computed by `planp-analysis::profile`.
+//! Charging touches no map and allocates nothing: a scope counts in a
+//! dense array parallel to its declared sites, and a block charge finds
+//! its counters through a table indexed by position in the compiled
+//! program's site pool ([`ProfileRegistry::bind_blocks`]). The
+//! per-site map view ([`ScopeProfile::sites`]) is built when an export
+//! reads it. Everything downstream is a deterministic join of observed
+//! and static:
 //!
 //! * [`ProfileRegistry::collapsed_flame`] — flamegraph collapsed-stack
 //!   lines (`planp;node;chan#ov;site-label count`);
@@ -16,8 +23,8 @@
 //!   ≥ 80% of their bound (`hot`) and sites with ≥ 10× slack
 //!   (`slack`);
 //! * [`ProfileRegistry::superinstruction_report`] — the static
-//!   candidates ranked by observed steps, the input artifact for the
-//!   future compilation tier (ROADMAP item 2);
+//!   candidates ranked by observed steps: which fused instructions of
+//!   the bytecode tier earn their keep, and which shapes to fuse next;
 //! * [`ProfileRegistry::to_json`] — the whole registry, byte-stable.
 //!
 //! Soundness is checked live: [`ProfileRegistry::record`] verifies
@@ -76,8 +83,6 @@ pub struct ScopeProfile {
     pub skipped: u64,
     /// Aggregate steps over recorded dispatches.
     pub steps: u64,
-    /// Observed steps per site (recorded dispatches only).
-    pub sites: BTreeMap<u32, u64>,
     /// Static per-site metadata (label + per-dispatch bound).
     pub meta: BTreeMap<u32, SiteMeta>,
     /// Static superinstruction candidates in this scope.
@@ -85,6 +90,17 @@ pub struct ScopeProfile {
     /// Recorded dispatches where Σ per-site ≠ aggregate (soundness
     /// violations; must stay zero).
     pub mismatches: u64,
+    /// The declared sites, ascending (the keys of `meta`).
+    ids: Vec<u32>,
+    /// Observed steps per declared site, parallel to `ids`.
+    counts: Vec<u64>,
+    /// Observed steps of sites missing from `meta` (must stay empty).
+    stray: BTreeMap<u32, u64>,
+    /// Per position of the bound site pool, the index into `counts`
+    /// (out of range for a site this scope did not declare).
+    block_index: Vec<u32>,
+    /// Steps charged since the last [`ProfileRegistry::record`].
+    pending: u64,
 }
 
 impl ScopeProfile {
@@ -93,13 +109,61 @@ impl ScopeProfile {
         scope_key(&self.node, &self.chan, self.overload)
     }
 
+    /// Observed steps per site, ascending, observed sites only
+    /// (recorded dispatches only) — the map view of the dense counters.
+    pub fn sites(&self) -> BTreeMap<u32, u64> {
+        let declared = self.ids.iter().copied().zip(self.counts.iter().copied());
+        declared
+            .filter(|&(_, n)| n > 0)
+            .chain(self.stray.iter().map(|(&site, &n)| (site, n)))
+            .collect()
+    }
+
     /// Observed sites missing from the static site table (must stay
     /// zero: every site a dispatch can charge is statically known).
     pub fn unknown_sites(&self) -> u64 {
-        self.sites
-            .keys()
-            .filter(|s| !self.meta.contains_key(s))
-            .count() as u64
+        self.stray.len() as u64
+    }
+
+    /// Replaces the static site table, carrying observations over.
+    fn redeclare(&mut self, meta: BTreeMap<u32, SiteMeta>) {
+        let observed = self.sites();
+        self.ids = meta.keys().copied().collect();
+        self.counts = vec![0; self.ids.len()];
+        self.stray.clear();
+        self.block_index.clear();
+        self.meta = meta;
+        for (site, n) in observed {
+            self.add(site, n);
+        }
+    }
+
+    /// Every site of this scope — declared (observed or not) and
+    /// stray — ascending, as `(site, observed, label, bound)`.
+    pub(crate) fn site_rows(&self) -> Vec<(u32, u64, &str, u64)> {
+        let declared = self.meta.iter().zip(&self.counts);
+        let mut rows: Vec<_> = declared
+            .map(|((&site, m), &n)| (site, n, m.label.as_str(), m.bound))
+            .collect();
+        rows.extend(self.stray.iter().map(|(&site, &n)| (site, n, "unknown", 0)));
+        rows.sort_unstable_by_key(|r| r.0);
+        rows
+    }
+
+    /// Observed steps over the sites of a pattern.
+    fn observed(&self, sites: &[u32]) -> u64 {
+        let of = |site: &u32| match self.ids.binary_search(site) {
+            Ok(i) => self.counts[i],
+            Err(_) => self.stray.get(site).copied().unwrap_or(0),
+        };
+        sites.iter().map(of).sum()
+    }
+
+    fn add(&mut self, site: u32, n: u64) {
+        match self.ids.binary_search(&site) {
+            Ok(i) => self.counts[i] += n,
+            Err(_) => *self.stray.entry(site).or_insert(0) += n,
+        }
     }
 }
 
@@ -188,25 +252,43 @@ impl ProfileRegistry {
             })
             .collect();
         if let Some(&i) = self.index.get(&key) {
-            self.scopes[i].meta = meta;
+            self.scopes[i].redeclare(meta);
             self.scopes[i].patterns = patterns;
             return ScopeId(i);
         }
         let i = self.scopes.len();
-        self.scopes.push(ScopeProfile {
+        let mut scope = ScopeProfile {
             node: node.to_string(),
             chan: chan.to_string(),
             overload,
             dispatches: 0,
             skipped: 0,
             steps: 0,
-            sites: BTreeMap::new(),
-            meta,
+            meta: BTreeMap::new(),
             patterns,
             mismatches: 0,
-        });
+            ids: Vec::new(),
+            counts: Vec::new(),
+            stray: BTreeMap::new(),
+            block_index: Vec::new(),
+            pending: 0,
+        };
+        scope.redeclare(meta);
+        self.scopes.push(scope);
         self.index.insert(key, i);
         ScopeId(i)
+    }
+
+    /// Binds scope `id` to a compiled program's site pool (`pool[p]` is
+    /// the site at position `p`), so [`ProfileRegistry::charge_block`]
+    /// reaches a block's counters by position. Call after `declare`; a
+    /// scope that is not bound still counts, one lookup per site.
+    pub fn bind_blocks(&mut self, id: ScopeId, pool: &[u32]) {
+        let s = &mut self.scopes[id.0];
+        s.block_index = pool
+            .iter()
+            .map(|site| s.ids.binary_search(site).map_or(u32::MAX, |i| i as u32))
+            .collect();
     }
 
     /// Sets the sampling denominator: record 1 of every `n` dispatches
@@ -241,20 +323,41 @@ impl ProfileRegistry {
         }
     }
 
-    /// Records one profiled dispatch: the per-site charge vector and
-    /// the `charge_steps` aggregate. Verifies Σ per-site == aggregate
+    /// Attributes `n` steps to `site` in the dispatch of `id` being
+    /// profiled.
+    pub fn charge_site(&mut self, id: ScopeId, site: u32, n: u64) {
+        let s = &mut self.scopes[id.0];
+        s.pending += n;
+        s.add(site, n);
+    }
+
+    /// Attributes `n` steps to each of `sites`, the slice of the bound
+    /// pool that starts at position `first`.
+    pub fn charge_block(&mut self, id: ScopeId, first: usize, sites: &[u32], n: u64) {
+        let s = &mut self.scopes[id.0];
+        s.pending += n * sites.len() as u64;
+        match s.block_index.get(first..first + sites.len()) {
+            Some(index) => {
+                for (&i, &site) in index.iter().zip(sites) {
+                    match s.counts.get_mut(i as usize) {
+                        Some(count) => *count += n,
+                        None => *s.stray.entry(site).or_insert(0) += n,
+                    }
+                }
+            }
+            None => sites.iter().for_each(|&site| s.add(site, n)),
+        }
+    }
+
+    /// Closes one profiled dispatch with its `charge_steps` aggregate:
+    /// verifies Σ per-site charges since the last call == aggregate
     /// (counting violations in [`ScopeProfile::mismatches`]) and
     /// applies the step-budget downgrade.
-    pub fn record(&mut self, id: ScopeId, site_steps: &[(u32, u64)], steps: u64) {
+    pub fn record(&mut self, id: ScopeId, steps: u64) {
         let s = &mut self.scopes[id.0];
         s.dispatches += 1;
         s.steps += steps;
-        let mut sum = 0u64;
-        for &(site, n) in site_steps {
-            *s.sites.entry(site).or_insert(0) += n;
-            sum += n;
-        }
-        if sum != steps {
+        if std::mem::take(&mut s.pending) != steps {
             s.mismatches += 1;
         }
         self.steps_total += steps;
@@ -295,12 +398,7 @@ impl ProfileRegistry {
     pub fn collapsed_flame(&self) -> String {
         let mut out = String::new();
         for s in self.scopes() {
-            for (site, steps) in &s.sites {
-                let label = s
-                    .meta
-                    .get(site)
-                    .map(|m| m.label.as_str())
-                    .unwrap_or("unknown");
+            for (_, steps, label, _) in s.site_rows().into_iter().filter(|r| r.1 > 0) {
                 let _ = writeln!(
                     out,
                     "planp;{};{}#{};{label} {steps}",
@@ -318,19 +416,7 @@ impl ProfileRegistry {
         for s in self.scopes() {
             // Every statically known site appears, observed or not;
             // observed-but-unknown sites appear with bound 0.
-            let mut sites: Vec<u32> = s.meta.keys().copied().collect();
-            for site in s.sites.keys() {
-                if !s.meta.contains_key(site) {
-                    sites.push(*site);
-                }
-            }
-            sites.sort_unstable();
-            for site in sites {
-                let observed = s.sites.get(&site).copied().unwrap_or(0);
-                let (label, bound) = match s.meta.get(&site) {
-                    Some(m) => (m.label.clone(), m.bound),
-                    None => ("unknown".to_string(), 0),
-                };
+            for (site, observed, label, bound) in s.site_rows() {
                 let denom = bound.saturating_mul(s.dispatches);
                 let permille = observed
                     .saturating_mul(1000)
@@ -339,7 +425,7 @@ impl ProfileRegistry {
                 rows.push(HeatmapRow {
                     scope: s.key(),
                     site,
-                    label,
+                    label: label.to_string(),
                     observed,
                     bound,
                     dispatches: s.dispatches,
@@ -389,11 +475,7 @@ impl ProfileRegistry {
         let mut ranked: Vec<(u64, String, String, String)> = Vec::new();
         for s in self.scopes() {
             for p in &s.patterns {
-                let observed: u64 = p
-                    .sites
-                    .iter()
-                    .map(|site| s.sites.get(site).copied().unwrap_or(0))
-                    .sum();
+                let observed = s.observed(&p.sites);
                 ranked.push((observed, s.key(), p.label.clone(), p.pattern.clone()));
             }
         }
@@ -441,22 +523,10 @@ impl ProfileRegistry {
                 s.dispatches, s.skipped, s.steps, s.mismatches
             );
             out.push_str(",\"sites\":[");
-            let mut sites: Vec<u32> = s.meta.keys().copied().collect();
-            for site in s.sites.keys() {
-                if !s.meta.contains_key(site) {
-                    sites.push(*site);
-                }
-            }
-            sites.sort_unstable();
-            for (j, site) in sites.iter().enumerate() {
+            for (j, (site, observed, label, bound)) in s.site_rows().into_iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let observed = s.sites.get(site).copied().unwrap_or(0);
-                let (label, bound) = match s.meta.get(site) {
-                    Some(m) => (m.label.as_str(), m.bound),
-                    None => ("unknown", 0),
-                };
                 let _ = write!(
                     out,
                     "{{\"site\":{site},\"observed\":{observed},\"bound\":{bound}"
@@ -484,12 +554,7 @@ impl ProfileRegistry {
                     }
                     let _ = write!(out, "{site}");
                 }
-                let observed: u64 = p
-                    .sites
-                    .iter()
-                    .map(|site| s.sites.get(site).copied().unwrap_or(0))
-                    .sum();
-                let _ = write!(out, "],\"observed\":{observed}}}");
+                let _ = write!(out, "],\"observed\":{}}}", s.observed(&p.sites));
             }
             out.push_str("]}");
         }
@@ -501,6 +566,14 @@ impl ProfileRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One profiled dispatch from its per-site charge vector.
+    fn record(reg: &mut ProfileRegistry, id: ScopeId, site_steps: &[(u32, u64)], steps: u64) {
+        for &(site, n) in site_steps {
+            reg.charge_site(id, site, n);
+        }
+        reg.record(id, steps);
+    }
 
     fn declared(reg: &mut ProfileRegistry) -> ScopeId {
         reg.declare(
@@ -524,7 +597,7 @@ mod tests {
         let mut reg = ProfileRegistry::default();
         let a = declared(&mut reg);
         assert!(reg.should_profile(a));
-        reg.record(a, &[(10, 2), (20, 1)], 3);
+        record(&mut reg, a, &[(10, 2), (20, 1)], 3);
         let b = declared(&mut reg);
         assert_eq!(a, b);
         assert_eq!(reg.scope(b).dispatches, 1);
@@ -533,10 +606,73 @@ mod tests {
     }
 
     #[test]
+    fn block_charges_count_like_site_charges() {
+        // The pool of a compiled program: positions 0..5, one site (30)
+        // this scope never declared, site 10 at two positions.
+        let pool = [10, 20, 30, 10, 20];
+        let per_site = |bound: bool| {
+            let mut reg = ProfileRegistry::default();
+            let id = declared(&mut reg);
+            if bound {
+                reg.bind_blocks(id, &pool);
+            }
+            assert!(reg.should_profile(id));
+            reg.charge_block(id, 0, &pool[0..2], 1);
+            reg.charge_block(id, 2, &pool[2..5], 1);
+            reg.record(id, 5);
+            // A prefix of a block (an instruction raised in its middle).
+            assert!(reg.should_profile(id));
+            reg.charge_block(id, 2, &pool[2..4], 1);
+            reg.record(id, 2);
+            reg
+        };
+        let (bound, unbound) = (per_site(true), per_site(false));
+        let want: BTreeMap<u32, u64> = [(10, 3), (20, 2), (30, 2)].into();
+        for reg in [&bound, &unbound] {
+            let s = reg.scopes().next().unwrap();
+            assert_eq!(s.sites(), want);
+            assert_eq!(s.unknown_sites(), 1, "site 30 has no static bound");
+            assert_eq!((s.dispatches, s.steps), (2, 7));
+            assert_eq!(reg.mismatches(), 0);
+        }
+        assert_eq!(bound.to_json(), unbound.to_json());
+        assert_eq!(bound.collapsed_flame(), unbound.collapsed_flame());
+    }
+
+    #[test]
+    fn redeclaring_with_other_sites_keeps_observations() {
+        let mut reg = ProfileRegistry::default();
+        let id = declared(&mut reg);
+        reg.bind_blocks(id, &[10, 20]);
+        assert!(reg.should_profile(id));
+        record(&mut reg, id, &[(10, 2), (20, 1)], 3);
+        // A redeploy of a different program: site 20 is gone, 40 is new,
+        // and the old pool no longer applies.
+        let again = reg.declare(
+            "gw",
+            "network",
+            0,
+            [
+                (10, "1:1:if".to_string(), 2),
+                (40, "4:1:seq".to_string(), 1),
+            ],
+            [],
+        );
+        assert_eq!(again, id);
+        assert!(reg.should_profile(id));
+        reg.charge_block(id, 0, &[40, 10], 1);
+        reg.record(id, 2);
+        let s = reg.scope(id);
+        assert_eq!(s.sites(), [(10, 3), (20, 1), (40, 1)].into());
+        assert_eq!(s.unknown_sites(), 1, "site 20 is now undeclared");
+        assert_eq!(reg.mismatches(), 0);
+    }
+
+    #[test]
     fn record_detects_aggregate_mismatch() {
         let mut reg = ProfileRegistry::default();
         let id = declared(&mut reg);
-        reg.record(id, &[(10, 2)], 3);
+        record(&mut reg, id, &[(10, 2)], 3);
         assert_eq!(reg.mismatches(), 1);
     }
 
@@ -548,7 +684,7 @@ mod tests {
         let mut kept = 0;
         for _ in 0..8 {
             if reg.should_profile(id) {
-                reg.record(id, &[(10, 1)], 1);
+                record(&mut reg, id, &[(10, 1)], 1);
                 kept += 1;
             }
         }
@@ -563,7 +699,7 @@ mod tests {
         reg.set_step_budget(10);
         for _ in 0..4 {
             if reg.should_profile(id) {
-                reg.record(id, &[(10, 5)], 5);
+                record(&mut reg, id, &[(10, 5)], 5);
             }
         }
         let (n, downgrades) = reg.overhead();
@@ -585,10 +721,10 @@ mod tests {
             );
             for _ in 0..3 {
                 assert!(reg.should_profile(id));
-                reg.record(id, &[(10, 2), (20, 1)], 3);
+                record(&mut reg, id, &[(10, 2), (20, 1)], 3);
             }
             assert!(reg.should_profile(other));
-            reg.record(other, &[(30, 1)], 1);
+            record(&mut reg, other, &[(30, 1)], 1);
             reg
         };
         let a = build();
@@ -618,7 +754,7 @@ mod tests {
         );
         assert!(reg.should_profile(id));
         // Site 1 fully used (1000‰, hot); site 2 uses 1 of 50 (20‰, slack).
-        reg.record(id, &[(1, 1), (2, 1)], 2);
+        record(&mut reg, id, &[(1, 1), (2, 1)], 2);
         let rows = reg.heatmap();
         let r1 = rows.iter().find(|r| r.site == 1).unwrap();
         let r2 = rows.iter().find(|r| r.site == 2).unwrap();
@@ -636,9 +772,9 @@ mod tests {
         for id in [a, b, c] {
             assert!(reg.should_profile(id));
         }
-        reg.record(a, &[(1, 1)], 1);
-        reg.record(b, &[(2, 2)], 2);
-        reg.record(c, &[(3, 3)], 3);
+        record(&mut reg, a, &[(1, 1)], 1);
+        record(&mut reg, b, &[(2, 2)], 2);
+        record(&mut reg, c, &[(3, 3)], 3);
         assert_eq!(
             reg.node_rollup(),
             vec![("n0".to_string(), 2, 3), ("n1".to_string(), 1, 3)]

@@ -67,6 +67,19 @@ pub trait NetEnv {
     /// runtime's telemetry) consume it; the default discards the
     /// charge.
     fn charge_site(&mut self, _site: u32, _n: u64) {}
+    /// Attributes one node's worth of steps to each of `sites`, in
+    /// order: a whole basic block of the bytecode tier, charged once.
+    /// `sites` is a slice of the compiled program's site pool
+    /// ([`crate::jit::CompiledProgram::block_sites`]) and `first` the
+    /// position of `sites[0]` in it, so an environment can count in a
+    /// dense array indexed by position instead of looking sites up.
+    /// The default is the per-site loop, which leaves exactly the
+    /// trail the interpreter leaves.
+    fn charge_block(&mut self, _first: usize, sites: &[u32]) {
+        for &site in sites {
+            self.charge_site(site, crate::cost::STEPS_PER_NODE);
+        }
+    }
     /// Announces the send primitive about to run (both engines call
     /// this right before `send_remote`/`send_neighbor`/`deliver`), with
     /// the target channel when the primitive names one. Environments
@@ -259,6 +272,11 @@ impl NetEnv for MockEnv {
 
     fn charge_site(&mut self, site: u32, n: u64) {
         self.site_steps.push((site, n));
+    }
+
+    fn charge_block(&mut self, _first: usize, sites: &[u32]) {
+        let n = crate::cost::STEPS_PER_NODE;
+        self.site_steps.extend(sites.iter().map(|&site| (site, n)));
     }
 
     fn note_send_site(&mut self, kind: SendKind, chan: Option<&str>) {

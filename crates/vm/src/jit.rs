@@ -2,78 +2,263 @@
 //! portable interpreter (paper section 2.2).
 //!
 //! Tempo turned the PLAN-P C interpreter into a run-time specializer that
-//! assembles and patches pre-compiled machine-code templates. The honest
-//! Rust analog is closure threading — the first Futamura projection
-//! applied by hand: for each AST node we *specialize* the interpreter's
-//! evaluation case with respect to the program, producing a closure
-//! ("template") with its immediates patched in:
+//! assembles pre-compiled machine-code templates. The analog here lowers
+//! the typed AST to a flat **register bytecode** run by one `match` loop
+//! ([`CompiledProgram::run_channel`]): everything the interpreter decides
+//! per packet that depends only on the program is decided once, at
+//! compile time, and the per-packet work is "match and act":
 //!
-//! * variable references become direct slot loads (no name lookup);
-//! * primitive calls become pre-resolved function pointers;
-//! * constant subexpressions are folded at compile time (the folded
-//!   template still charges every node of the subtree, so step counts
-//!   and per-site profiles stay byte-identical with the interpreter);
-//! * user-function calls bind directly to the callee's compiled body
-//!   (call graphs are acyclic, so callees are always compiled first).
+//! * operands are resolved — a local slot, a temporary, a constant, a
+//!   global, or a *field of a tuple in a slot*, so `udpDst(#2 p)` reads
+//!   the header in place instead of cloning the packet tuple;
+//! * `let`s that only rename an operand (`val iph : ip = #1 p`) bind at
+//!   compile time and emit nothing;
+//! * primitive calls are pre-resolved function pointers;
+//! * constant subexpressions are folded;
+//! * conditions compile to branches (`andalso`/`orelse`/`not` never
+//!   materialize a boolean), with two fused forms — the superinstructions
+//!   the profiler ranked: **`hdr_compare_branch`** (`if tcpDst(h) = 80`:
+//!   header read, compare and branch in one instruction) and
+//!   **`table_forward`** (`if tblHas(t, k)`: lookup and branch in one);
+//! * results return in registers: a channel body leaves `(ps', ss')` in
+//!   registers 0 and 1, so a literal pair in tail position is never
+//!   allocated and a `(ps, ss)` tail moves nothing at all;
+//! * the register file is owned by the program and reused across
+//!   dispatches, and user-function frames are windows of it.
 //!
-//! The semantics is shared with the interpreter — both dispatch operators
-//! through [`crate::ops`] and primitives through [`crate::prims`] — so a
-//! change to the interpreter *is* a change to the JIT, which is the
-//! maintainability property the paper's framework is about.
+//! The semantics stays the interpreter's: operators dispatch through
+//! [`crate::ops`] and primitives through [`crate::prims`], so a change to
+//! the interpreter *is* a change to this tier.
+//!
+//! # Step and site accounting
+//!
+//! The interpreter charges one step and one [`NetEnv::charge_site`] per
+//! node, on entry — so along any execution path the charges are the
+//! pre-order listing of the nodes evaluated. The compiler appends every
+//! node's site to a program-wide pool in that same order
+//! ([`CompiledProgram::block_sites`]); control flow cuts the pool into
+//! **blocks**, and each instruction records the pool range
+//! `(its block's start, sites charged once this instruction has run)`.
+//! Code that falls through from one block into the next reads
+//! consecutive pool positions, so the engine only remembers where its
+//! uncharged sites begin and charges them — one `steps +=` and one
+//! [`NetEnv::charge_block`] for the whole slice — when it leaves the
+//! straight line: at a taken jump, a return, or before a call (the
+//! callee charges its own blocks in between). An instruction that
+//! raises charges up to its own range's end instead, which is exactly
+//! what the interpreter had charged when the same node raised. Totals,
+//! per-site sums and charge *order* are therefore identical to the
+//! interpreter's on normal, `handle`d and uncaught-exception paths
+//! alike (pinned by the differential tests).
 //!
 //! [`compile`] also reports [`CodegenStats`], the "code generation time"
 //! metric of the paper's figure 3.
 
-use crate::env::NetEnv;
+use crate::cost::STEPS_PER_NODE;
+use crate::env::{NetEnv, SendKind};
 use crate::ops::{eval_binop, eval_unop};
 use crate::prims::{self, PrimFn};
 use crate::value::{Value, VmError};
-use planp_lang::ast::BinOp;
-use planp_lang::tast::{TExpr, TExprKind, TProgram};
-use std::cell::Cell;
+use planp_lang::ast::{BinOp, UnOp};
+use planp_lang::tast::{ExnId, TExpr, TExprKind, TProgram};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-/// The execution frame a compiled closure runs against.
-pub struct Frame<'a> {
-    /// Local slots (parameters + lets), sized by the owner's `nlocals`.
-    pub slots: &'a mut [Value],
-    /// The program's evaluated `val` globals.
-    pub globals: &'a [Value],
-    /// The node environment.
-    pub net: &'a mut (dyn NetEnv + 'a),
+/// A register of the current frame: local slots first, temporaries after.
+type Reg = u32;
+
+/// Where an instruction reads an operand from.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// A local slot (parameter or `let`); read by reference or clone.
+    Reg(Reg),
+    /// A temporary: written by one instruction, read by one, so an
+    /// owning read moves the value out.
+    Tmp(Reg),
+    /// Field `.1` of the tuple in register `.0`, read in place.
+    Field(Reg, u32),
+    /// Entry of the program's constant pool.
+    Const(u32),
+    /// A `val` global.
+    Global(u32),
 }
 
-/// A compiled expression: a specialized closure.
-pub type Code = Rc<dyn for<'a> Fn(&mut Frame<'a>) -> Result<Value, VmError>>;
+/// One bytecode instruction. `to` fields are instruction indices.
+enum Ins {
+    Move {
+        dst: Reg,
+        src: Src,
+    },
+    Tuple {
+        dst: Reg,
+        items: Box<[Src]>,
+    },
+    List {
+        dst: Reg,
+        items: Box<[Src]>,
+    },
+    /// Strict binary operator (never `andalso`/`orelse`).
+    Binop {
+        dst: Reg,
+        op: BinOp,
+        a: Src,
+        b: Src,
+    },
+    Unop {
+        dst: Reg,
+        op: UnOp,
+        a: Src,
+    },
+    /// One-argument primitive; the argument is passed in place.
+    Prim1 {
+        dst: Reg,
+        f: PrimFn,
+        a: Src,
+    },
+    Prim2 {
+        dst: Reg,
+        f: PrimFn,
+        a: Src,
+        b: Src,
+    },
+    Prim3 {
+        dst: Reg,
+        f: PrimFn,
+        a: Src,
+        b: Src,
+        c: Src,
+    },
+    /// Any other arity (including none).
+    PrimN {
+        dst: Reg,
+        f: PrimFn,
+        args: Box<[Src]>,
+    },
+    /// User-function call; the callee's frame is the window of the
+    /// register file right after the caller's.
+    Call {
+        dst: Reg,
+        fun: u32,
+        args: Box<[Src]>,
+    },
+    Raise(ExnId),
+    SendRemote {
+        chan: Rc<str>,
+        overload: u32,
+        pkt: Src,
+    },
+    SendNeighbor {
+        chan: Rc<str>,
+        overload: u32,
+        host: Src,
+        pkt: Src,
+    },
+    /// Charges what is pending, before a call.
+    Flush,
+    Jump {
+        to: u32,
+    },
+    /// Jumps when the boolean `cond` equals `when`.
+    Br {
+        cond: Src,
+        to: u32,
+        when: bool,
+    },
+    /// Compare and branch.
+    BrCmp {
+        op: BinOp,
+        a: Src,
+        b: Src,
+        to: u32,
+        when: bool,
+    },
+    /// `hdr_compare_branch`: exception-free one-argument primitive,
+    /// compare against an operand, branch.
+    BrPrimCmp {
+        f: PrimFn,
+        arg: Src,
+        op: BinOp,
+        rhs: Src,
+        to: u32,
+        when: bool,
+    },
+    /// `table_forward`: boolean primitive of one or two arguments
+    /// (`tblHas(t, k)`) and branch.
+    BrPrim {
+        f: PrimFn,
+        a: Src,
+        b: Option<Src>,
+        to: u32,
+        when: bool,
+    },
+    /// Returns `src` in register 0.
+    Ret {
+        src: Src,
+    },
+    /// Channel body: returns the halves of the pair `src` in registers
+    /// 0 and 1.
+    RetPair {
+        src: Src,
+    },
+    /// Channel body: returns `(a, b)` in registers 0 and 1 without
+    /// building the pair. A `(ps, ss)` tail finds both in place.
+    Ret2 {
+        a: Src,
+        b: Src,
+    },
+}
 
-/// A compiled user function.
-struct CompiledFun {
-    nlocals: u32,
-    arity: usize,
-    code: Code,
+/// A `handle` region: exceptions raised by instructions `start..end`
+/// that match `pat` resume at `target`.
+struct Handler {
+    start: u32,
+    end: u32,
+    pat: Option<ExnId>,
+    target: u32,
+}
+
+/// The compiled form of one expression: a channel body, a function
+/// body, or an initializer.
+struct Unit {
+    code: Vec<Ins>,
+    /// Per instruction: where its block starts in the site pool (read
+    /// when the instruction is jumped to) and how far the pool is
+    /// charged once it has run (read when it jumps, returns or raises).
+    charge: Vec<(u32, u32)>,
+    /// Innermost region first.
+    handlers: Vec<Handler>,
+    /// Registers of this unit's own frame (at least the one or two
+    /// the result is returned in).
+    nregs: u32,
+    /// `nregs` plus the deepest chain of callee frames.
+    depth: u32,
 }
 
 /// A compiled channel overload.
 pub struct CompiledChannel {
     /// Channel name.
     pub name: String,
-    nlocals: u32,
-    code: Code,
-    initstate: Option<(u32, Code)>,
+    body: Unit,
+    initstate: Option<Unit>,
 }
 
 /// A fully compiled program, ready to be installed on a node.
 pub struct CompiledProgram {
-    global_inits: Vec<(u32, Code)>,
-    proto_init: Option<(u32, Code)>,
+    global_inits: Vec<Unit>,
+    proto_init: Option<Unit>,
+    funs: Vec<Unit>,
     /// Compiled channels, parallel to [`TProgram::channels`].
     pub channels: Vec<CompiledChannel>,
     /// The typed program (kept for state types and dispatch metadata).
     pub prog: Rc<TProgram>,
-    /// Step counter shared with every compiled closure (each executed
-    /// template bumps it once).
-    steps: Rc<Cell<u64>>,
+    consts: Vec<Value>,
+    sites: Vec<u32>,
+    fused: [usize; 2],
+    /// The register file, taken for the duration of a run and put back
+    /// (a re-entrant run finds it empty and grows its own).
+    regs: RefCell<Vec<Value>>,
+    steps: Cell<u64>,
 }
 
 /// Statistics from one compilation — the figure 3 measurement.
@@ -88,44 +273,44 @@ pub struct CodegenStats {
 /// Compiles a typed program.
 pub fn compile(prog: Rc<TProgram>) -> (CompiledProgram, CodegenStats) {
     let start = Instant::now();
-    let steps = Rc::new(Cell::new(0u64));
     let mut cx = Cx {
-        funs: Vec::new(),
+        consts: Vec::new(),
+        sites: Vec::new(),
+        fun_depth: Vec::with_capacity(prog.funs.len()),
         nodes: 0,
-        steps: steps.clone(),
+        fused: [0; 2],
     };
 
-    let global_inits: Vec<(u32, Code)> = prog
+    let global_inits = prog
         .globals
         .iter()
-        .map(|g| (count_let_depth(&g.init), cx.compile(&g.init)))
+        .map(|g| cx.unit(&g.init, count_let_depth(&g.init), false))
         .collect();
 
+    // Bodies may call only earlier functions, so callee frame depths are
+    // known by the time a call is compiled.
+    let mut funs = Vec::with_capacity(prog.funs.len());
     for f in &prog.funs {
-        let code = cx.compile(&f.body);
-        cx.funs.push(Rc::new(CompiledFun {
-            nlocals: f.nlocals,
-            arity: f.params.len(),
-            code,
-        }));
+        let unit = cx.unit(&f.body, f.nlocals, false);
+        cx.fun_depth.push(unit.depth);
+        funs.push(unit);
     }
 
     let proto_init = prog
         .proto_init
         .as_ref()
-        .map(|e| (count_let_depth(e), cx.compile(e)));
+        .map(|e| cx.unit(e, count_let_depth(e), false));
 
     let channels = prog
         .channels
         .iter()
         .map(|ch| CompiledChannel {
             name: ch.name.clone(),
-            nlocals: ch.nlocals,
-            code: cx.compile(&ch.body),
+            body: cx.unit(&ch.body, ch.nlocals, true),
             initstate: ch
                 .initstate
                 .as_ref()
-                .map(|e| (count_let_depth(e), cx.compile(e))),
+                .map(|e| cx.unit(e, count_let_depth(e), false)),
         })
         .collect();
 
@@ -137,29 +322,17 @@ pub fn compile(prog: Rc<TProgram>) -> (CompiledProgram, CodegenStats) {
         CompiledProgram {
             global_inits,
             proto_init,
+            funs,
             channels,
             prog,
-            steps,
+            consts: cx.consts,
+            sites: cx.sites,
+            fused: cx.fused,
+            regs: RefCell::new(Vec::new()),
+            steps: Cell::new(0),
         },
         stats,
     )
-}
-
-/// The sites of a constant-foldable subtree in the interpreter's
-/// evaluation order (pre-order: a node charges on eval entry, then its
-/// operands left to right). Only the shapes [`Cx::const_of`] accepts
-/// appear here — leaves, strict `Binop`, and `Unop` — all branch-free,
-/// so this order is exactly what the interpreter charges.
-fn collect_const_sites(e: &TExpr, out: &mut Vec<u32>) {
-    out.push(e.span.start);
-    match &e.kind {
-        TExprKind::Binop(_, a, b) => {
-            collect_const_sites(a, out);
-            collect_const_sites(b, out);
-        }
-        TExprKind::Unop(_, a) => collect_const_sites(a, out),
-        _ => {}
-    }
 }
 
 /// Number of local slots an initializer expression needs (initializers
@@ -182,16 +355,8 @@ impl CompiledProgram {
     /// Propagates load-time evaluation failures.
     pub fn eval_globals(&self, net: &mut dyn NetEnv) -> Result<Vec<Value>, VmError> {
         let mut globals: Vec<Value> = Vec::with_capacity(self.global_inits.len());
-        for (nlocals, code) in &self.global_inits {
-            let mut slots = vec![Value::Unit; *nlocals as usize];
-            let v = {
-                let mut frame = Frame {
-                    slots: &mut slots,
-                    globals: &globals,
-                    net,
-                };
-                code(&mut frame)?
-            };
+        for unit in &self.global_inits {
+            let v = self.init(unit, &globals, net)?;
             globals.push(v);
         }
         Ok(globals)
@@ -200,15 +365,7 @@ impl CompiledProgram {
     /// Evaluates the initial protocol state.
     pub fn init_proto(&self, globals: &[Value], net: &mut dyn NetEnv) -> Result<Value, VmError> {
         match &self.proto_init {
-            Some((nlocals, code)) => {
-                let mut slots = vec![Value::Unit; *nlocals as usize];
-                let mut frame = Frame {
-                    slots: &mut slots,
-                    globals,
-                    net,
-                };
-                code(&mut frame)
-            }
+            Some(unit) => self.init(unit, globals, net),
             None => Ok(Value::default_of(&self.prog.proto_ty)),
         }
     }
@@ -221,15 +378,7 @@ impl CompiledProgram {
         net: &mut dyn NetEnv,
     ) -> Result<Value, VmError> {
         match &self.channels[idx].initstate {
-            Some((nlocals, code)) => {
-                let mut slots = vec![Value::Unit; *nlocals as usize];
-                let mut frame = Frame {
-                    slots: &mut slots,
-                    globals,
-                    net,
-                };
-                code(&mut frame)
-            }
+            Some(unit) => self.init(unit, globals, net),
             None => Ok(Value::default_of(&self.prog.channels[idx].ss_ty)),
         }
     }
@@ -248,321 +397,648 @@ impl CompiledProgram {
         pkt: Value,
         net: &mut dyn NetEnv,
     ) -> Result<(Value, Value), VmError> {
-        let ch = &self.channels[idx];
-        let mut slots = vec![Value::Unit; ch.nlocals as usize];
-        slots[0] = ps;
-        slots[1] = ss;
-        slots[2] = pkt;
-        let before = self.steps.get();
-        let out = {
-            let mut frame = Frame {
-                slots: &mut slots,
-                globals,
-                net,
-            };
-            (ch.code)(&mut frame)
-        };
-        net.charge_steps(self.steps.get() - before);
-        let out = out?;
-        match out {
-            Value::Tuple(pair) if pair.len() == 2 => Ok((pair[0].clone(), pair[1].clone())),
-            other => Err(VmError::trap(format!(
-                "channel body returned non-pair {other:?}"
-            ))),
-        }
+        let unit = &self.channels[idx].body;
+        let mut regs = self.take_regs(unit);
+        regs[0] = ps;
+        regs[1] = ss;
+        regs[2] = pkt;
+        let (out, steps) = self.exec(unit, globals, &mut regs, net);
+        net.charge_steps(steps);
+        let out = out.map(|()| {
+            let ps = std::mem::replace(&mut regs[0], Value::Unit);
+            (ps, std::mem::replace(&mut regs[1], Value::Unit))
+        });
+        self.regs.replace(regs);
+        out
     }
 
-    /// Total templates executed by this program (the VM profiling step
-    /// count).
+    /// Runs an initializer.
+    fn init(&self, unit: &Unit, globals: &[Value], net: &mut dyn NetEnv) -> Result<Value, VmError> {
+        let mut regs = self.take_regs(unit);
+        let (out, _) = self.exec(unit, globals, &mut regs, net);
+        let out = out.map(|()| std::mem::replace(&mut regs[0], Value::Unit));
+        self.regs.replace(regs);
+        out
+    }
+
+    /// Takes the register file, grown to fit `unit` and its callees.
+    fn take_regs(&self, unit: &Unit) -> Vec<Value> {
+        let mut regs = self.regs.take();
+        if regs.len() < unit.depth as usize {
+            regs.resize(unit.depth as usize, Value::Unit);
+        }
+        regs
+    }
+
+    /// Runs `unit` in `regs`; returns the outcome and the steps charged.
+    fn exec(
+        &self,
+        unit: &Unit,
+        globals: &[Value],
+        regs: &mut [Value],
+        net: &mut dyn NetEnv,
+    ) -> (Result<(), VmError>, u64) {
+        let mut vm = Vm {
+            prog: self,
+            globals,
+            net,
+            steps: 0,
+        };
+        let out = vm.exec(unit, regs);
+        self.steps.set(self.steps.get() + vm.steps);
+        (out, vm.steps)
+    }
+
+    /// Total steps charged by this program (the VM profiling step count;
+    /// equal to the nodes the interpreter would have evaluated).
     pub fn steps(&self) -> u64 {
         self.steps.get()
     }
+
+    /// The site pool: every compiled node's site in the interpreter's
+    /// charge order. [`NetEnv::charge_block`] hands out slices of it
+    /// together with their position, so an environment can keep dense
+    /// per-position counters.
+    pub fn block_sites(&self) -> &[u32] {
+        &self.sites
+    }
+
+    /// How many `(hdr_compare_branch, table_forward)` superinstructions
+    /// the compiler emitted.
+    pub fn superinstructions(&self) -> (usize, usize) {
+        (self.fused[0], self.fused[1])
+    }
 }
 
+// ---- execution ------------------------------------------------------------
+
+/// The state of one run: everything but the register file, which is
+/// passed down frame by frame.
+struct Vm<'a> {
+    prog: &'a CompiledProgram,
+    globals: &'a [Value],
+    net: &'a mut dyn NetEnv,
+    steps: u64,
+}
+
+/// Reads an operand in place.
+#[inline(always)]
+fn read<'v>(
+    frame: &'v [Value],
+    globals: &'v [Value],
+    consts: &'v [Value],
+    s: &Src,
+) -> Result<&'v Value, VmError> {
+    match *s {
+        Src::Reg(r) | Src::Tmp(r) => Ok(&frame[r as usize]),
+        Src::Const(i) => Ok(&consts[i as usize]),
+        Src::Global(i) => globals
+            .get(i as usize)
+            .ok_or_else(|| VmError::trap("global index out of range")),
+        Src::Field(r, i) => match &frame[r as usize] {
+            Value::Tuple(items) => items
+                .get(i as usize)
+                .ok_or_else(|| VmError::trap("projection out of range")),
+            other => Err(VmError::trap(format!("projection on {other:?}"))),
+        },
+    }
+}
+
+/// Reads an operand by value: temporaries move, everything else clones.
+#[inline(always)]
+fn own(
+    frame: &mut [Value],
+    globals: &[Value],
+    consts: &[Value],
+    s: &Src,
+) -> Result<Value, VmError> {
+    match *s {
+        Src::Tmp(r) => Ok(std::mem::replace(&mut frame[r as usize], Value::Unit)),
+        _ => read(frame, globals, consts, s).cloned(),
+    }
+}
+
+/// [`own`] for the last read of a frame (a return): slots move too.
+#[inline(always)]
+fn own_last(
+    frame: &mut [Value],
+    globals: &[Value],
+    consts: &[Value],
+    s: &Src,
+) -> Result<Value, VmError> {
+    match *s {
+        Src::Reg(r) => own(frame, globals, consts, &Src::Tmp(r)),
+        _ => own(frame, globals, consts, s),
+    }
+}
+
+fn want_bool(v: &Value, what: &str) -> Result<bool, VmError> {
+    match v {
+        Value::Bool(b) => Ok(*b),
+        other => Err(VmError::trap(format!("{what} {other:?}"))),
+    }
+}
+
+impl Vm<'_> {
+    /// Charges the sites `start..end` of the pool.
+    #[inline(always)]
+    fn charge(&mut self, start: u32, end: u32) {
+        if end > start {
+            self.steps += u64::from(end - start) * STEPS_PER_NODE;
+            self.net.charge_block(
+                start as usize,
+                &self.prog.sites[start as usize..end as usize],
+            );
+        }
+    }
+
+    /// Runs `unit` in the first `unit.nregs` registers of `regs` and
+    /// leaves its result in the first one (two for a channel body).
+    fn exec(&mut self, unit: &Unit, regs: &mut [Value]) -> Result<(), VmError> {
+        let (frame, rest) = regs.split_at_mut(unit.nregs as usize);
+        let prog = self.prog;
+        let globals = self.globals;
+        let consts = &prog.consts[..];
+        let mut pc = 0usize;
+        // Where the sites not charged yet begin.
+        let mut from = unit.charge[0].0;
+        'run: loop {
+            let at = pc;
+            pc += 1;
+            // Every arm ends in `continue` or `return`; a failing
+            // instruction breaks out with its error instead.
+            let err: VmError = 'ins: {
+                macro_rules! tri {
+                    ($e:expr) => {
+                        match $e {
+                            Ok(v) => v,
+                            Err(e) => break 'ins e,
+                        }
+                    };
+                }
+                macro_rules! rd {
+                    ($s:expr) => {
+                        tri!(read(frame, globals, consts, $s))
+                    };
+                }
+                macro_rules! own {
+                    ($s:expr) => {
+                        tri!(own(frame, globals, consts, $s))
+                    };
+                }
+                // Falling through reads on in the pool; a jump leaves
+                // the straight line, so it charges first.
+                macro_rules! branch {
+                    ($taken:expr, $to:expr) => {{
+                        if $taken {
+                            self.charge(from, unit.charge[at].1);
+                            pc = *$to as usize;
+                            from = unit.charge[pc].0;
+                        }
+                        continue 'run;
+                    }};
+                }
+                match &unit.code[at] {
+                    Ins::Move { dst, src } => {
+                        frame[*dst as usize] = own!(src);
+                        continue 'run;
+                    }
+                    Ins::Tuple { dst, items } => {
+                        let items: Rc<[Value]> = match &items[..] {
+                            [a, b] => Rc::from([own!(a), own!(b)]),
+                            [a, b, c] => Rc::from([own!(a), own!(b), own!(c)]),
+                            [a, b, c, d] => Rc::from([own!(a), own!(b), own!(c), own!(d)]),
+                            many => {
+                                let mut out = Vec::with_capacity(many.len());
+                                for s in many {
+                                    out.push(own!(s));
+                                }
+                                out.into()
+                            }
+                        };
+                        frame[*dst as usize] = Value::Tuple(items);
+                        continue 'run;
+                    }
+                    Ins::List { dst, items } => {
+                        let mut out = Vec::with_capacity(items.len());
+                        for s in items.iter() {
+                            out.push(own!(s));
+                        }
+                        frame[*dst as usize] = Value::List(Rc::new(out));
+                        continue 'run;
+                    }
+                    Ins::Binop { dst, op, a, b } => {
+                        frame[*dst as usize] = tri!(eval_binop(*op, rd!(a), rd!(b)));
+                        continue 'run;
+                    }
+                    Ins::Unop { dst, op, a } => {
+                        frame[*dst as usize] = tri!(eval_unop(*op, rd!(a)));
+                        continue 'run;
+                    }
+                    Ins::Prim1 { dst, f, a } => {
+                        frame[*dst as usize] = tri!(f(std::slice::from_ref(rd!(a)), self.net));
+                        continue 'run;
+                    }
+                    Ins::Prim2 { dst, f, a, b } => {
+                        let args = [own!(a), own!(b)];
+                        frame[*dst as usize] = tri!(f(&args, self.net));
+                        continue 'run;
+                    }
+                    Ins::Prim3 { dst, f, a, b, c } => {
+                        let args = [own!(a), own!(b), own!(c)];
+                        frame[*dst as usize] = tri!(f(&args, self.net));
+                        continue 'run;
+                    }
+                    Ins::PrimN { dst, f, args } => {
+                        let mut vals = Vec::with_capacity(args.len());
+                        for s in args.iter() {
+                            vals.push(own!(s));
+                        }
+                        frame[*dst as usize] = tri!(f(&vals, self.net));
+                        continue 'run;
+                    }
+                    Ins::Call { dst, fun, args } => {
+                        for (slot, s) in rest.iter_mut().zip(args.iter()) {
+                            *slot = own!(s);
+                        }
+                        tri!(self.exec(&prog.funs[*fun as usize], rest));
+                        frame[*dst as usize] = std::mem::replace(&mut rest[0], Value::Unit);
+                        continue 'run;
+                    }
+                    Ins::Raise(id) => break 'ins VmError::Exn(*id),
+                    Ins::SendRemote {
+                        chan,
+                        overload,
+                        pkt,
+                    } => {
+                        let v = own!(pkt);
+                        self.net.note_send_site(SendKind::Remote, Some(chan));
+                        self.net.send_remote(chan, *overload, v);
+                        continue 'run;
+                    }
+                    Ins::SendNeighbor {
+                        chan,
+                        overload,
+                        host,
+                        pkt,
+                    } => {
+                        let h = match rd!(host) {
+                            Value::Host(h) => *h,
+                            other => {
+                                break 'ins VmError::trap(format!("OnNeighbor host {other:?}"))
+                            }
+                        };
+                        let v = own!(pkt);
+                        self.net.note_send_site(SendKind::Neighbor, Some(chan));
+                        self.net.send_neighbor(chan, *overload, h, v);
+                        continue 'run;
+                    }
+                    Ins::Flush => {
+                        self.charge(from, unit.charge[at].1);
+                        from = unit.charge[at].1;
+                        continue 'run;
+                    }
+                    Ins::Jump { to } => branch!(true, to),
+                    Ins::Br { cond, to, when } => {
+                        branch!(tri!(want_bool(rd!(cond), "if condition")) == *when, to)
+                    }
+                    Ins::BrCmp { op, a, b, to, when } => {
+                        let v = tri!(eval_binop(*op, rd!(a), rd!(b)));
+                        branch!(tri!(want_bool(&v, "comparison gave")) == *when, to)
+                    }
+                    Ins::BrPrimCmp {
+                        f,
+                        arg,
+                        op,
+                        rhs,
+                        to,
+                        when,
+                    } => {
+                        let field = tri!(f(std::slice::from_ref(rd!(arg)), self.net));
+                        let v = tri!(eval_binop(*op, &field, rd!(rhs)));
+                        branch!(tri!(want_bool(&v, "comparison gave")) == *when, to)
+                    }
+                    Ins::BrPrim { f, a, b, to, when } => {
+                        let v = match b {
+                            None => tri!(f(std::slice::from_ref(rd!(a)), self.net)),
+                            Some(b) => {
+                                let args = [own!(a), own!(b)];
+                                tri!(f(&args, self.net))
+                            }
+                        };
+                        branch!(tri!(want_bool(&v, "if condition")) == *when, to)
+                    }
+                    Ins::Ret { src } => {
+                        frame[0] = tri!(own_last(frame, globals, consts, src));
+                        self.charge(from, unit.charge[at].1);
+                        return Ok(());
+                    }
+                    Ins::RetPair { src } => {
+                        let (ps, ss) = match rd!(src) {
+                            Value::Tuple(pair) if pair.len() == 2 => {
+                                (pair[0].clone(), pair[1].clone())
+                            }
+                            other => {
+                                break 'ins VmError::trap(format!(
+                                    "channel body returned non-pair {other:?}"
+                                ))
+                            }
+                        };
+                        frame[0] = ps;
+                        frame[1] = ss;
+                        self.charge(from, unit.charge[at].1);
+                        return Ok(());
+                    }
+                    Ins::Ret2 { a, b } => {
+                        if !matches!((a, b), (Src::Reg(0), Src::Reg(1))) {
+                            let ps = own!(a);
+                            frame[1] = tri!(own_last(frame, globals, consts, b));
+                            frame[0] = ps;
+                        }
+                        self.charge(from, unit.charge[at].1);
+                        return Ok(());
+                    }
+                }
+            };
+            // The instruction raised: charge what the interpreter had
+            // charged by then, then unwind to the innermost handler.
+            self.charge(from, unit.charge[at].1);
+            if let VmError::Exn(id) = err {
+                let at = at as u32;
+                if let Some(h) = unit
+                    .handlers
+                    .iter()
+                    .find(|h| h.start <= at && at < h.end && (h.pat.is_none() || h.pat == Some(id)))
+                {
+                    pc = h.target as usize;
+                    from = unit.charge[pc].0;
+                    continue 'run;
+                }
+            }
+            return Err(err);
+        }
+    }
+}
+
+// ---- compilation ----------------------------------------------------------
+
+/// Program-wide compiler state.
 struct Cx {
-    funs: Vec<Rc<CompiledFun>>,
+    consts: Vec<Value>,
+    sites: Vec<u32>,
+    /// Frame depth of each compiled function, for callers' `depth`.
+    fun_depth: Vec<u32>,
     nodes: usize,
-    steps: Rc<Cell<u64>>,
+    fused: [usize; 2],
+}
+
+/// The instructions waiting for a jump target.
+#[derive(Default)]
+struct Label(Vec<usize>);
+
+/// Compile-time evaluation of a constant expression. Only leaves,
+/// strict `Binop` and `Unop` fold — all branch-free, so the interpreter
+/// always evaluates every node of a folded subtree — and a subtree
+/// whose folding would raise (`1 div 0`) does not fold.
+fn const_of(e: &TExpr) -> Option<Value> {
+    match &e.kind {
+        TExprKind::Int(n) => Some(Value::Int(*n)),
+        TExprKind::Bool(b) => Some(Value::Bool(*b)),
+        TExprKind::Str(s) => Some(Value::Str(s.as_str().into())),
+        TExprKind::Char(c) => Some(Value::Char(*c)),
+        TExprKind::Unit => Some(Value::Unit),
+        TExprKind::Host(a) => Some(Value::Host(*a)),
+        TExprKind::Binop(op, a, b) if !matches!(op, BinOp::And | BinOp::Or) => {
+            eval_binop(*op, &const_of(a)?, &const_of(b)?).ok()
+        }
+        TExprKind::Unop(op, a) => eval_unop(*op, &const_of(a)?).ok(),
+        _ => None,
+    }
+}
+
+fn is_comparison(op: BinOp) -> bool {
+    use BinOp::*;
+    matches!(op, Eq | Ne | Lt | Le | Gt | Ge)
 }
 
 impl Cx {
-    /// Attempts compile-time evaluation of a constant expression.
-    fn const_of(&self, e: &TExpr) -> Option<Value> {
-        match &e.kind {
-            TExprKind::Int(n) => Some(Value::Int(*n)),
-            TExprKind::Bool(b) => Some(Value::Bool(*b)),
-            TExprKind::Str(s) => Some(Value::Str(s.as_str().into())),
-            TExprKind::Char(c) => Some(Value::Char(*c)),
-            TExprKind::Unit => Some(Value::Unit),
-            TExprKind::Host(a) => Some(Value::Host(*a)),
-            TExprKind::Binop(op, a, b) if !matches!(op, BinOp::And | BinOp::Or) => {
-                let va = self.const_of(a)?;
-                let vb = self.const_of(b)?;
-                eval_binop(*op, &va, &vb).ok()
+    /// Compiles one expression into a unit with `nlocals` local slots.
+    /// `pair` units (channel bodies) return two values.
+    fn unit(&mut self, e: &TExpr, nlocals: u32, pair: bool) -> Unit {
+        let block = self.sites.len() as u32;
+        let mut g = Gen {
+            cx: self,
+            code: Vec::new(),
+            charge: Vec::new(),
+            handlers: Vec::new(),
+            block,
+            next: nlocals,
+            nregs: nlocals.max(1 + u32::from(pair)),
+            aliases: vec![None; nlocals as usize],
+            callees: 0,
+            pair,
+        };
+        g.tail(e);
+        Unit {
+            code: g.code,
+            charge: g.charge,
+            handlers: g.handlers,
+            nregs: g.nregs,
+            depth: g.nregs + g.callees,
+        }
+    }
+}
+
+/// Code generator for one unit.
+struct Gen<'c> {
+    cx: &'c mut Cx,
+    code: Vec<Ins>,
+    charge: Vec<(u32, u32)>,
+    handlers: Vec<Handler>,
+    /// Pool position where the current block starts.
+    block: u32,
+    /// Next free temporary (stack discipline).
+    next: Reg,
+    /// High-water mark of `next`.
+    nregs: u32,
+    /// Per local slot: the operand a `let` renamed, if it bound one.
+    aliases: Vec<Option<Src>>,
+    /// Deepest callee frame chain.
+    callees: u32,
+    pair: bool,
+}
+
+impl Gen<'_> {
+    fn pc(&self) -> u32 {
+        self.code.len() as u32
+    }
+
+    /// Counts `e` as compiled and appends its site to the current block.
+    fn visit(&mut self, e: &TExpr) {
+        self.cx.nodes += 1;
+        self.cx.sites.push(e.span.start);
+    }
+
+    fn emit(&mut self, ins: Ins) {
+        self.code.push(ins);
+        self.charge.push((self.block, self.cx.sites.len() as u32));
+    }
+
+    /// The next instruction is a jump target: its block starts at the
+    /// sites compiled from here on.
+    fn start_block(&mut self) -> u32 {
+        self.block = self.cx.sites.len() as u32;
+        self.pc()
+    }
+
+    /// Emits a branch-family instruction whose target is `label`.
+    fn emit_to(&mut self, label: &mut Label, ins: Ins) {
+        label.0.push(self.code.len());
+        self.emit(ins);
+    }
+
+    /// Binds `label` to the next instruction.
+    fn bind(&mut self, label: Label) {
+        let here = self.start_block();
+        for at in label.0 {
+            match &mut self.code[at] {
+                Ins::Jump { to }
+                | Ins::Br { to, .. }
+                | Ins::BrCmp { to, .. }
+                | Ins::BrPrimCmp { to, .. }
+                | Ins::BrPrim { to, .. } => *to = here,
+                _ => unreachable!("labels collect only branch instructions"),
             }
-            TExprKind::Unop(op, a) => {
-                let va = self.const_of(a)?;
-                eval_unop(*op, &va).ok()
-            }
-            _ => None,
         }
     }
 
-    /// Compiles one node and wraps its template with the step-count
-    /// bump — a `Cell` increment per evaluated node, the hook the
-    /// telemetry layer reads through [`NetEnv::charge_steps`] — plus
-    /// the per-site attribution via [`NetEnv::charge_site`].
-    ///
-    /// A constant-foldable subtree becomes a single template, but it
-    /// still charges every node of the folded subtree (in the
-    /// interpreter's evaluation order), so both the aggregate step
-    /// count and the per-site profile are byte-identical between
-    /// engines. That is safe because foldable subtrees are branch-free
-    /// (no `andalso`/`orelse`, no `if`) — the interpreter always
-    /// evaluates all of their nodes — and a subtree whose folding
-    /// would trap (e.g. `1 div 0`) fails [`Cx::const_of`] and compiles
-    /// normally, preserving the error path's charge order.
-    fn compile(&mut self, e: &TExpr) -> Code {
-        if let Some(v) = self.const_of(e) {
-            self.nodes += 1;
-            let mut sites = Vec::new();
-            collect_const_sites(e, &mut sites);
-            let total = sites.len() as u64 * crate::cost::STEPS_PER_NODE;
-            let steps = self.steps.clone();
-            return Rc::new(move |f| {
-                steps.set(steps.get() + total);
-                for &s in &sites {
-                    f.net.charge_site(s, crate::cost::STEPS_PER_NODE);
+    fn tmp(&mut self) -> Reg {
+        let r = self.next;
+        self.next += 1;
+        self.nregs = self.nregs.max(self.next);
+        r
+    }
+
+    fn konst(&mut self, v: Value) -> Src {
+        self.cx.consts.push(v);
+        Src::Const(self.cx.consts.len() as u32 - 1)
+    }
+
+    /// Folds a constant subtree: one compiled node, every site of the
+    /// subtree charged in the interpreter's (pre-)order.
+    fn folded(&mut self, e: &TExpr, v: Value) -> Src {
+        self.cx.nodes += 1;
+        let sites = &mut self.cx.sites;
+        e.walk(&mut |n| sites.push(n.span.start));
+        self.konst(v)
+    }
+
+    /// True if `e` compiles to an operand without emitting code.
+    fn is_operand(&self, e: &TExpr) -> bool {
+        match &e.kind {
+            TExprKind::Local { .. } | TExprKind::Global { .. } => true,
+            TExprKind::Proj(_, inner) => match &inner.kind {
+                TExprKind::Local { slot, .. } => {
+                    matches!(self.aliases[*slot as usize], None | Some(Src::Reg(_)))
                 }
-                Ok(v.clone())
-            });
+                _ => false,
+            },
+            _ => const_of(e).is_some(),
         }
-        let inner = self.compile_node(e);
-        let steps = self.steps.clone();
-        let site = e.span.start;
-        Rc::new(move |f| {
-            steps.set(steps.get() + crate::cost::STEPS_PER_NODE);
-            f.net.charge_site(site, crate::cost::STEPS_PER_NODE);
-            inner(f)
-        })
     }
 
-    fn compile_node(&mut self, e: &TExpr) -> Code {
-        self.nodes += 1;
+    /// Delivers operand `s` as the result of a node: into `dst` if the
+    /// caller named one.
+    fn deliver(&mut self, s: Src, dst: Option<Reg>) -> Src {
+        match dst {
+            Some(dst) => {
+                if !matches!(s, Src::Reg(r) if r == dst) {
+                    self.emit(Ins::Move { dst, src: s });
+                }
+                Src::Reg(dst)
+            }
+            None => s,
+        }
+    }
+
+    /// Binds a `let`: an initializer that is a plain operand is renamed
+    /// (no code); anything else is computed straight into the slot.
+    fn bind_let(&mut self, slot: u32, init: &TExpr) {
+        if self.is_operand(init) {
+            let s = self.gen(init, None);
+            self.aliases[slot as usize] = Some(s);
+        } else {
+            self.gen(init, Some(slot));
+        }
+    }
+
+    /// Compiles `e`; returns where its value is. With `dst`, the value
+    /// is in `dst` (written only once every read of `e` is done, so
+    /// `dst` may be a slot `e` itself binds).
+    fn gen(&mut self, e: &TExpr, dst: Option<Reg>) -> Src {
+        if let Some(v) = const_of(e) {
+            let s = self.folded(e, v);
+            return self.deliver(s, dst);
+        }
+        self.visit(e);
         match &e.kind {
-            TExprKind::Int(n) => {
-                let n = *n;
-                Rc::new(move |_| Ok(Value::Int(n)))
-            }
-            TExprKind::Bool(b) => {
-                let b = *b;
-                Rc::new(move |_| Ok(Value::Bool(b)))
-            }
-            TExprKind::Str(s) => {
-                let v = Value::Str(s.as_str().into());
-                Rc::new(move |_| Ok(v.clone()))
-            }
-            TExprKind::Char(c) => {
-                let c = *c;
-                Rc::new(move |_| Ok(Value::Char(c)))
-            }
-            TExprKind::Unit => Rc::new(|_| Ok(Value::Unit)),
-            TExprKind::Host(a) => {
-                let a = *a;
-                Rc::new(move |_| Ok(Value::Host(a)))
-            }
             TExprKind::Local { slot, .. } => {
-                let slot = *slot as usize;
-                Rc::new(move |f| Ok(f.slots[slot].clone()))
+                let s = self.aliases[*slot as usize].unwrap_or(Src::Reg(*slot));
+                self.deliver(s, dst)
             }
-            TExprKind::Global { index, .. } => {
-                let index = *index as usize;
-                Rc::new(move |f| Ok(f.globals[index].clone()))
-            }
-            TExprKind::Tuple(items) => {
-                let codes: Vec<Code> = items.iter().map(|i| self.compile(i)).collect();
-                Rc::new(move |f| {
-                    let mut out = Vec::with_capacity(codes.len());
-                    for c in &codes {
-                        out.push(c(f)?);
-                    }
-                    Ok(Value::tuple(out))
-                })
-            }
+            TExprKind::Global { index, .. } => self.deliver(Src::Global(*index), dst),
             TExprKind::Proj(i, inner) => {
-                let i = *i as usize;
-                let inner = self.compile(inner);
-                Rc::new(move |f| match inner(f)? {
-                    Value::Tuple(items) => items
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| VmError::trap("projection out of range")),
-                    other => Err(VmError::trap(format!("projection on {other:?}"))),
-                })
-            }
-            TExprKind::CallFun { index, args } => {
-                let callee = self.funs[*index as usize].clone();
-                let arg_codes: Vec<Code> = args.iter().map(|a| self.compile(a)).collect();
-                debug_assert_eq!(callee.arity, arg_codes.len());
-                Rc::new(move |f| {
-                    let mut slots = vec![Value::Unit; callee.nlocals as usize];
-                    for (i, c) in arg_codes.iter().enumerate() {
-                        slots[i] = c(f)?;
+                let s = match self.gen(inner, None) {
+                    Src::Reg(r) | Src::Tmp(r) => Src::Field(r, *i),
+                    other => {
+                        let t = self.tmp();
+                        self.emit(Ins::Move { dst: t, src: other });
+                        Src::Field(t, *i)
                     }
-                    let mut frame = Frame {
-                        slots: &mut slots,
-                        globals: f.globals,
-                        net: &mut *f.net,
-                    };
-                    (callee.code)(&mut frame)
-                })
-            }
-            TExprKind::CallPrim { prim, args } => {
-                // Pre-resolved dispatch: the template is patched with the
-                // primitive's function pointer at compile time. Small
-                // arities get allocation-free templates.
-                let pf: PrimFn = prims::impls()[prim.0 as usize];
-                let mut arg_codes: Vec<Code> = args.iter().map(|a| self.compile(a)).collect();
-                match arg_codes.len() {
-                    0 => Rc::new(move |f| pf(&[], f.net)),
-                    1 => {
-                        let a = arg_codes.pop().expect("arity 1");
-                        Rc::new(move |f| {
-                            let va = a(f)?;
-                            pf(&[va], f.net)
-                        })
-                    }
-                    2 => {
-                        let b = arg_codes.pop().expect("arity 2");
-                        let a = arg_codes.pop().expect("arity 2");
-                        Rc::new(move |f| {
-                            let va = a(f)?;
-                            let vb = b(f)?;
-                            pf(&[va, vb], f.net)
-                        })
-                    }
-                    3 => {
-                        let c3 = arg_codes.pop().expect("arity 3");
-                        let b = arg_codes.pop().expect("arity 3");
-                        let a = arg_codes.pop().expect("arity 3");
-                        Rc::new(move |f| {
-                            let va = a(f)?;
-                            let vb = b(f)?;
-                            let vc = c3(f)?;
-                            pf(&[va, vb, vc], f.net)
-                        })
-                    }
-                    _ => Rc::new(move |f| {
-                        let mut vals = Vec::with_capacity(arg_codes.len());
-                        for c in &arg_codes {
-                            vals.push(c(f)?);
-                        }
-                        pf(&vals, f.net)
-                    }),
-                }
-            }
-            TExprKind::If(c, t, els) => {
-                let c = self.compile(c);
-                let t = self.compile(t);
-                let e2 = self.compile(els);
-                Rc::new(move |f| match c(f)? {
-                    Value::Bool(true) => t(f),
-                    Value::Bool(false) => e2(f),
-                    other => Err(VmError::trap(format!("if condition {other:?}"))),
-                })
+                };
+                self.deliver(s, dst)
             }
             TExprKind::Let {
                 slot, init, body, ..
             } => {
-                let slot = *slot as usize;
-                let init = self.compile(init);
-                let body = self.compile(body);
-                Rc::new(move |f| {
-                    let v = init(f)?;
-                    f.slots[slot] = v;
-                    body(f)
-                })
-            }
-            TExprKind::Seq(items) => {
-                let codes: Vec<Code> = items.iter().map(|i| self.compile(i)).collect();
-                Rc::new(move |f| {
-                    let mut last = Value::Unit;
-                    for c in &codes {
-                        last = c(f)?;
-                    }
-                    Ok(last)
-                })
-            }
-            TExprKind::Binop(op, a, b) => {
-                let a = self.compile(a);
-                let b = self.compile(b);
-                match op {
-                    BinOp::And => Rc::new(move |f| match a(f)? {
-                        Value::Bool(false) => Ok(Value::Bool(false)),
-                        Value::Bool(true) => b(f),
-                        other => Err(VmError::trap(format!("andalso on {other:?}"))),
-                    }),
-                    BinOp::Or => Rc::new(move |f| match a(f)? {
-                        Value::Bool(true) => Ok(Value::Bool(true)),
-                        Value::Bool(false) => b(f),
-                        other => Err(VmError::trap(format!("orelse on {other:?}"))),
-                    }),
-                    strict => {
-                        let op = *strict;
-                        Rc::new(move |f| {
-                            let va = a(f)?;
-                            let vb = b(f)?;
-                            eval_binop(op, &va, &vb)
-                        })
+                self.bind_let(*slot, init);
+                let mut s = self.gen(body, dst);
+                self.aliases[*slot as usize] = None;
+                // The slot may be rebound before the value is read.
+                if let Src::Reg(r) | Src::Field(r, _) = s {
+                    if dst.is_none() && r >= *slot && (r as usize) < self.aliases.len() {
+                        let t = self.tmp();
+                        self.emit(Ins::Move { dst: t, src: s });
+                        s = Src::Tmp(t);
                     }
                 }
+                s
             }
-            TExprKind::Unop(op, a) => {
-                let op = *op;
-                let a = self.compile(a);
-                Rc::new(move |f| {
-                    let v = a(f)?;
-                    eval_unop(op, &v)
-                })
-            }
-            TExprKind::Raise(id) => {
-                let id = *id;
-                Rc::new(move |_| Err(VmError::Exn(id)))
-            }
-            TExprKind::Handle(body, pat, handler) => {
-                let body = self.compile(body);
-                let handler = self.compile(handler);
-                let pat = *pat;
-                Rc::new(move |f| match body(f) {
-                    Err(VmError::Exn(id)) if pat.is_none() || pat == Some(id) => handler(f),
-                    other => other,
-                })
-            }
-            TExprKind::List(items) => {
-                let codes: Vec<Code> = items.iter().map(|i| self.compile(i)).collect();
-                Rc::new(move |f| {
-                    let mut out = Vec::with_capacity(codes.len());
-                    for c in &codes {
-                        out.push(c(f)?);
-                    }
-                    Ok(Value::List(Rc::new(out)))
-                })
-            }
+            TExprKind::Seq(items) => match items.split_last() {
+                Some((last, init)) => {
+                    self.effects(init);
+                    self.gen(last, dst)
+                }
+                None => {
+                    let unit = self.konst(Value::Unit);
+                    self.deliver(unit, dst)
+                }
+            },
             TExprKind::OnRemote {
                 chan,
                 overload,
                 pkt,
             } => {
-                let chan = chan.clone();
-                let overload = *overload;
-                let pkt = self.compile(pkt);
-                Rc::new(move |f| {
-                    let v = pkt(f)?;
-                    f.net
-                        .note_send_site(crate::env::SendKind::Remote, Some(&chan));
-                    f.net.send_remote(&chan, overload, v);
-                    Ok(Value::Unit)
-                })
+                let mark = self.next;
+                let pkt = self.gen(pkt, None);
+                self.emit(Ins::SendRemote {
+                    chan: chan.as_str().into(),
+                    overload: *overload,
+                    pkt,
+                });
+                self.next = mark;
+                let unit = self.konst(Value::Unit);
+                self.deliver(unit, dst)
             }
             TExprKind::OnNeighbor {
                 chan,
@@ -570,21 +1046,284 @@ impl Cx {
                 host,
                 pkt,
             } => {
-                let chan = chan.clone();
-                let overload = *overload;
-                let host = self.compile(host);
-                let pkt = self.compile(pkt);
-                Rc::new(move |f| {
-                    let h = match host(f)? {
-                        Value::Host(h) => h,
-                        other => return Err(VmError::trap(format!("OnNeighbor host {other:?}"))),
+                let mark = self.next;
+                let host = self.gen(host, None);
+                let pkt = self.gen(pkt, None);
+                self.emit(Ins::SendNeighbor {
+                    chan: chan.as_str().into(),
+                    overload: *overload,
+                    host,
+                    pkt,
+                });
+                self.next = mark;
+                let unit = self.konst(Value::Unit);
+                self.deliver(unit, dst)
+            }
+            _ => {
+                let (d, out) = match dst {
+                    Some(d) => (d, Src::Reg(d)),
+                    None => {
+                        let t = self.tmp();
+                        (t, Src::Tmp(t))
+                    }
+                };
+                let mark = self.next;
+                self.compute(e, d);
+                self.next = mark;
+                out
+            }
+        }
+    }
+
+    /// Compiles expressions evaluated for effect only.
+    fn effects(&mut self, items: &[TExpr]) {
+        for item in items {
+            let mark = self.next;
+            self.gen(item, None);
+            self.next = mark;
+        }
+    }
+
+    fn operands(&mut self, items: &[TExpr]) -> Box<[Src]> {
+        items.iter().map(|i| self.gen(i, None)).collect()
+    }
+
+    /// The node kinds whose value an instruction (or a join of two
+    /// paths) writes into `dst`. `e` is already visited.
+    fn compute(&mut self, e: &TExpr, dst: Reg) {
+        match &e.kind {
+            TExprKind::Tuple(items) => {
+                let items = self.operands(items);
+                self.emit(Ins::Tuple { dst, items });
+            }
+            TExprKind::List(items) => {
+                let items = self.operands(items);
+                self.emit(Ins::List { dst, items });
+            }
+            TExprKind::CallPrim { prim, args } => {
+                let f: PrimFn = prims::impls()[prim.0 as usize];
+                let args = self.operands(args);
+                self.emit(match args.len() {
+                    1 => Ins::Prim1 { dst, f, a: args[0] },
+                    2 => Ins::Prim2 {
+                        dst,
+                        f,
+                        a: args[0],
+                        b: args[1],
+                    },
+                    3 => Ins::Prim3 {
+                        dst,
+                        f,
+                        a: args[0],
+                        b: args[1],
+                        c: args[2],
+                    },
+                    _ => Ins::PrimN { dst, f, args },
+                });
+            }
+            TExprKind::CallFun { index, args } => {
+                let args = self.operands(args);
+                // The callee charges its own blocks in between.
+                self.emit(Ins::Flush);
+                self.callees = self.callees.max(self.cx.fun_depth[*index as usize]);
+                self.emit(Ins::Call {
+                    dst,
+                    fun: *index,
+                    args,
+                });
+            }
+            TExprKind::Binop(op @ (BinOp::And | BinOp::Or), a, b) => {
+                // `a andalso b`: b's value if a, else false (and dually).
+                let short = *op == BinOp::Or;
+                let (mut skip, mut end) = (Label::default(), Label::default());
+                self.branch(a, &mut skip, short);
+                self.gen(b, Some(dst));
+                self.emit_to(&mut end, Ins::Jump { to: 0 });
+                self.bind(skip);
+                let v = self.konst(Value::Bool(short));
+                self.emit(Ins::Move { dst, src: v });
+                self.bind(end);
+            }
+            TExprKind::Binop(op, a, b) => {
+                let a = self.gen(a, None);
+                let b = self.gen(b, None);
+                self.emit(Ins::Binop { dst, op: *op, a, b });
+            }
+            TExprKind::Unop(op, a) => {
+                let a = self.gen(a, None);
+                self.emit(Ins::Unop { dst, op: *op, a });
+            }
+            TExprKind::If(c, t, f) => {
+                let (mut els, mut end) = (Label::default(), Label::default());
+                self.branch(c, &mut els, false);
+                self.gen(t, Some(dst));
+                self.emit_to(&mut end, Ins::Jump { to: 0 });
+                self.bind(els);
+                self.gen(f, Some(dst));
+                self.bind(end);
+            }
+            TExprKind::Handle(body, pat, handler) => {
+                let mut end = Label::default();
+                let start = self.pc();
+                self.gen(body, Some(dst));
+                self.emit_to(&mut end, Ins::Jump { to: 0 });
+                self.handler(start, *pat);
+                self.gen(handler, Some(dst));
+                self.bind(end);
+            }
+            TExprKind::Raise(id) => self.emit(Ins::Raise(*id)),
+            _ => unreachable!("operand-like nodes are compiled by `gen`"),
+        }
+    }
+
+    /// Closes the `handle` region that began at `start`; the handler's
+    /// code comes next. (Inner regions close first, so the table lists
+    /// the innermost first.)
+    fn handler(&mut self, start: u32, pat: Option<ExnId>) {
+        let here = self.start_block();
+        self.handlers.push(Handler {
+            start,
+            end: here,
+            pat,
+            target: here,
+        });
+    }
+
+    /// Compiles condition `e` as control flow: jumps to `to` when it
+    /// evaluates to `when`, falls through otherwise.
+    fn branch(&mut self, e: &TExpr, to: &mut Label, when: bool) {
+        if const_of(e).is_none() {
+            match &e.kind {
+                TExprKind::Binop(op @ (BinOp::And | BinOp::Or), a, b) => {
+                    self.visit(e);
+                    // `a andalso b` is false as soon as a is; `a orelse
+                    // b` true as soon as a is.
+                    let decided_by_a = *op == BinOp::Or;
+                    if when == decided_by_a {
+                        self.branch(a, to, when);
+                        self.branch(b, to, when);
+                    } else {
+                        let mut skip = Label::default();
+                        self.branch(a, &mut skip, !when);
+                        self.branch(b, to, when);
+                        self.bind(skip);
+                    }
+                    return;
+                }
+                TExprKind::Unop(UnOp::Not, a) => {
+                    self.visit(e);
+                    return self.branch(a, to, !when);
+                }
+                TExprKind::Binop(op, a, b) if is_comparison(*op) => {
+                    self.visit(e);
+                    let mark = self.next;
+                    let ins = match &a.kind {
+                        // hdr_compare_branch. The primitive must not
+                        // raise and the right side must emit no code,
+                        // or the fused form would reorder them.
+                        TExprKind::CallPrim { prim, args }
+                            if args.len() == 1
+                                && self.is_operand(b)
+                                && planp_lang::prims::table().sig(*prim).raises.is_empty() =>
+                        {
+                            self.visit(a);
+                            self.cx.fused[0] += 1;
+                            Ins::BrPrimCmp {
+                                f: prims::impls()[prim.0 as usize],
+                                arg: self.gen(&args[0], None),
+                                op: *op,
+                                rhs: self.gen(b, None),
+                                to: 0,
+                                when,
+                            }
+                        }
+                        _ => Ins::BrCmp {
+                            op: *op,
+                            a: self.gen(a, None),
+                            b: self.gen(b, None),
+                            to: 0,
+                            when,
+                        },
                     };
-                    let v = pkt(f)?;
-                    f.net
-                        .note_send_site(crate::env::SendKind::Neighbor, Some(&chan));
-                    f.net.send_neighbor(&chan, overload, h, v);
-                    Ok(Value::Unit)
-                })
+                    self.emit_to(to, ins);
+                    self.next = mark;
+                    return;
+                }
+                // table_forward.
+                TExprKind::CallPrim { prim, args } if matches!(args.len(), 1 | 2) => {
+                    self.visit(e);
+                    self.cx.fused[1] += 1;
+                    let mark = self.next;
+                    let ins = Ins::BrPrim {
+                        f: prims::impls()[prim.0 as usize],
+                        a: self.gen(&args[0], None),
+                        b: args.get(1).map(|b| self.gen(b, None)),
+                        to: 0,
+                        when,
+                    };
+                    self.emit_to(to, ins);
+                    self.next = mark;
+                    return;
+                }
+                _ => {}
+            }
+        }
+        let mark = self.next;
+        let cond = self.gen(e, None);
+        self.emit_to(to, Ins::Br { cond, to: 0, when });
+        self.next = mark;
+    }
+
+    /// Compiles `e` in tail position: every path ends in a return (or a
+    /// raise), so no path joins and a literal pair needs no tuple.
+    fn tail(&mut self, e: &TExpr) {
+        match &e.kind {
+            TExprKind::Let {
+                slot, init, body, ..
+            } => {
+                self.visit(e);
+                self.bind_let(*slot, init);
+                self.tail(body);
+                self.aliases[*slot as usize] = None;
+            }
+            TExprKind::Seq(items) if !items.is_empty() => {
+                self.visit(e);
+                let (last, init) = items.split_last().expect("non-empty");
+                self.effects(init);
+                self.tail(last);
+            }
+            TExprKind::If(c, t, f) => {
+                self.visit(e);
+                let mut els = Label::default();
+                self.branch(c, &mut els, false);
+                self.tail(t);
+                self.bind(els);
+                self.tail(f);
+            }
+            TExprKind::Handle(body, pat, handler) => {
+                self.visit(e);
+                let start = self.pc();
+                self.tail(body);
+                self.handler(start, *pat);
+                self.tail(handler);
+            }
+            TExprKind::Tuple(items) if self.pair && items.len() == 2 => {
+                self.visit(e);
+                let mark = self.next;
+                let a = self.gen(&items[0], None);
+                let b = self.gen(&items[1], None);
+                self.emit(Ins::Ret2 { a, b });
+                self.next = mark;
+            }
+            _ => {
+                let mark = self.next;
+                let src = self.gen(e, None);
+                self.emit(if self.pair {
+                    Ins::RetPair { src }
+                } else {
+                    Ins::Ret { src }
+                });
+                self.next = mark;
             }
         }
     }
@@ -615,8 +1354,10 @@ mod tests {
     }
 
     /// Runs channel 0 through both evaluators and checks they agree on
-    /// the new protocol state (displayed) and the effect count.
-    fn differential(src: &str, ps: Value) {
+    /// the outcome (new states displayed, or the error), the effects,
+    /// and every accounting trail, order included. Returns the
+    /// compiled tier's environment and outcome for further pinning.
+    fn differential(src: &str, ps: Value) -> Ran {
         let (tp, cp) = both(src);
         let interp = Interp::new(&tp);
 
@@ -630,16 +1371,17 @@ mod tests {
         let ssj = cp.init_channel_state(0, &gj, &mut env_j).unwrap();
         let pkt = udp_packet(addr(1, 1, 1, 1), addr(2, 2, 2, 2), b"payload");
 
-        let ri = interp.run_channel(0, &gi, ps.clone(), ssi, pkt.clone(), &mut env_i);
-        let rj = cp.run_channel(0, &gj, ps, ssj, pkt, &mut env_j);
-        match (ri, rj) {
-            (Ok((pi, _)), Ok((pj, _))) => {
-                assert_eq!(pi.display(), pj.display(), "state mismatch in {src}")
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b),
-            (a, b) => panic!("interp={a:?} jit={b:?} for {src}"),
-        }
-        assert_eq!(env_i.effects.len(), env_j.effects.len());
+        let shown = |r: Result<(Value, Value), VmError>| {
+            r.map(|(ps, ss)| format!("{} {}", ps.display(), ss.display()))
+        };
+        let ri = shown(interp.run_channel(0, &gi, ps.clone(), ssi, pkt.clone(), &mut env_i));
+        let rj = shown(cp.run_channel(0, &gj, ps, ssj, pkt, &mut env_j));
+        assert_eq!(ri, rj, "outcome of {src}");
+        assert_eq!(
+            format!("{:?}", env_i.effects),
+            format!("{:?}", env_j.effects),
+            "effects of {src}"
+        );
         assert_eq!(env_i.output, env_j.output);
         assert_eq!(env_i.send_sites, env_j.send_sites, "send sites in {src}");
         assert_eq!(
@@ -651,6 +1393,25 @@ mod tests {
             "site charge trail in {src}"
         );
         assert_eq!(env_i.steps, env_j.steps, "aggregate steps in {src}");
+        Ran {
+            env: env_j,
+            out: rj,
+        }
+    }
+
+    /// What [`differential`] saw on the compiled tier.
+    struct Ran {
+        env: MockEnv,
+        out: Result<String, VmError>,
+    }
+
+    /// The site of the first node that starts at `needle` in `src`.
+    fn site_of(src: &str, needle: &str) -> u32 {
+        src.find(needle).unwrap_or_else(|| panic!("{needle}?")) as u32
+    }
+
+    fn charged(env: &MockEnv, site: u32) -> bool {
+        env.site_steps.iter().any(|&(s, _)| s == site)
     }
 
     #[test]
@@ -858,5 +1619,188 @@ mod tests {
             .run_channel(1, &[], Value::Int(0), Value::Unit, tcp_pkt, &mut env)
             .unwrap();
         assert_eq!(ps.display(), "100");
+    }
+
+    // ---- raises in the middle of a block --------------------------------
+    //
+    // A block is charged when it ends; an instruction that raises before
+    // that charges the prefix the interpreter had charged by then. Each
+    // case runs through `differential` (identical trails, node for node)
+    // and pins, by site, that nothing past the raise was charged.
+
+    #[test]
+    fn div_inside_nested_arithmetic_charges_the_prefix() {
+        // Caught: the right operand of `+` (blobLen…) is never reached.
+        let src = "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   ((ps * (7 + (40 div (ps - ps))) + blobLen(#3 p), ss)\n\
+                    handle Div => (0 - 1, ss))";
+        let Ran { env, out } = differential(src, Value::Int(5));
+        assert_eq!(out.unwrap(), "-1 ()");
+        assert!(charged(&env, site_of(src, "40 div")), "the raising node");
+        assert!(charged(&env, site_of(src, "ps - ps")), "its operands");
+        assert!(!charged(&env, site_of(src, "blobLen")), "nothing past it");
+        assert!(charged(&env, site_of(src, "0 - 1")), "the handler");
+        let attributed: u64 = env.site_steps.iter().map(|(_, n)| n).sum();
+        assert_eq!(attributed, env.steps);
+
+        // Uncaught: same prefix, and the error surfaces.
+        let src = "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   (ps * (7 + (40 div (ps - ps))) + blobLen(#3 p), ss)";
+        let Ran { env, out } = differential(src, Value::Int(5));
+        assert_eq!(out, Err(VmError::Exn(crate::value::exn::DIV)));
+        assert!(!charged(&env, site_of(src, "blobLen")));
+        let attributed: u64 = env.site_steps.iter().map(|(_, n)| n).sum();
+        assert_eq!(attributed, env.steps);
+
+        // No raise: the whole block, once.
+        let Ran { env, out } = differential(
+            "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+             ((ps * (7 + (40 div (ps + 1))) + blobLen(#3 p), ss)\n\
+              handle Div => (0 - 1, ss))",
+            Value::Int(4),
+        );
+        assert_eq!(out.unwrap(), "67 ()");
+        assert_eq!(env.steps, env.site_steps.len() as u64);
+    }
+
+    #[test]
+    fn table_miss_caught_and_uncaught_charges_the_prefix() {
+        let caught = "channel network(ps : int, ss : (host, int) hash_table, p : ip*udp*blob)\n\
+                      initstate mkTable(8) is\n\
+                      ((tblGet(ss, ipSrc(#1 p)) + blobLen(#3 p), ss)\n\
+                       handle NotFound => (ps + 100, ss))";
+        let Ran { env, out } = differential(caught, Value::Int(1));
+        assert!(out.unwrap().starts_with("101 "));
+        assert!(charged(&env, site_of(caught, "ipSrc")));
+        assert!(!charged(&env, site_of(caught, "blobLen")));
+        assert!(charged(&env, site_of(caught, "ps + 100")));
+
+        // A handler for another exception does not catch it.
+        let uncaught = "channel network(ps : int, ss : (host, int) hash_table, p : ip*udp*blob)\n\
+                        initstate mkTable(8) is\n\
+                        ((tblGet(ss, ipSrc(#1 p)) + blobLen(#3 p), ss)\n\
+                         handle Div => (ps + 100, ss))";
+        let Ran { env, out } = differential(uncaught, Value::Int(1));
+        assert_eq!(out, Err(VmError::Exn(crate::value::exn::NOT_FOUND)));
+        assert!(!charged(&env, site_of(uncaught, "blobLen")));
+        assert!(!charged(&env, site_of(uncaught, "ps + 100")));
+
+        // Inside a condition compiled to branches, and in a `let` whose
+        // handler supplies the default.
+        differential(
+            "channel network(ps : int, ss : (host, int) hash_table, p : ip*udp*blob)\n\
+             initstate mkTable(8) is\n\
+             (if (tblGet(ss, ipSrc(#1 p)) > 0 handle NotFound => tblHas(ss, ipDst(#1 p)))\n\
+                 orelse ps > 3\n\
+              then (OnRemote(network, p); (ps, ss)) else (ps + 1, ss))",
+            Value::Int(9),
+        );
+    }
+
+    #[test]
+    fn raise_in_an_argument_list_charges_the_prefix() {
+        // The second argument raises: the first was evaluated, the
+        // callee's body never runs.
+        let src = "fun add(a : int, b : int) : int = a + b * 2\n\
+                   channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   ((add(ps + 1, 9 mod (ps - ps)) + blobLen(#3 p), ss)\n\
+                    handle Div => (0 - 7, ss))";
+        let Ran { env, out } = differential(src, Value::Int(3));
+        assert_eq!(out.unwrap(), "-7 ()");
+        assert!(charged(&env, site_of(src, "ps + 1")), "first argument");
+        assert!(charged(&env, site_of(src, "9 mod")), "the raising argument");
+        assert!(!charged(&env, site_of(src, "a + b")), "not the callee");
+        assert!(!charged(&env, site_of(src, "blobLen")));
+
+        // The callee raises after the caller flushed its block; the
+        // caller's handler catches, and nothing is charged twice.
+        let src = "exception Busy\n\
+                   fun risky(a : int) : int = if a > 2 then raise Busy else a\n\
+                   fun twice(a : int) : int = risky(a) + risky(a + 1)\n\
+                   channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   ((twice(ps) + blobLen(#3 p), ss) handle Busy => (0 - 2, ss))";
+        for ps in [0, 2, 5] {
+            let Ran { env, .. } = differential(src, Value::Int(ps));
+            let attributed: u64 = env.site_steps.iter().map(|(_, n)| n).sum();
+            assert_eq!(attributed, env.steps, "ps={ps}");
+        }
+        let Ran { env, out } = differential(src, Value::Int(2));
+        assert_eq!(out.unwrap(), "-2 ()");
+        assert!(!charged(&env, site_of(src, "blobLen")));
+        // Uncaught, through two frames.
+        let uncaught = src.replace(" handle Busy => (0 - 2, ss)", "");
+        let Ran { out, .. } = differential(&uncaught, Value::Int(5));
+        assert!(matches!(out, Err(VmError::Exn(_))));
+    }
+
+    #[test]
+    fn slots_shared_by_sibling_lets_do_not_alias() {
+        // Both `let`s use the same slot; each value must be read before
+        // the other binding overwrites it.
+        let Ran { out, .. } = differential(
+            "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+             ((let val x : int = ps + 1 in x end) * 100\n\
+               + (let val y : int = ps + 2 in y end), ss)",
+            Value::Int(1),
+        );
+        assert_eq!(out.unwrap(), "203 ()");
+        // A renamed operand escaping its `let`, and a nested projection.
+        let Ran { out, .. } = differential(
+            "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+             let val q : (int*(int*int)) = (ps, (ps + 1, ps + 2)) in\n\
+               ((let val h : int*int = #2 q in #2 h end)\n\
+                 + (let val u : udp = #2 p in udpDst(u) end), ss)\n\
+             end",
+            Value::Int(10),
+        );
+        assert_eq!(out.unwrap(), "2012 ()");
+    }
+
+    #[test]
+    fn returns_through_registers_in_every_shape() {
+        for (body, want) in [
+            ("(ps, ss)", "5 ()"),
+            ("(ps + 1, ss)", "6 ()"),
+            ("(#1 (ps, ss), #2 (ps, ss))", "5 ()"),
+            ("let val r : int*unit = (ps * 2, ss) in r end", "10 ()"),
+            (
+                "if ps > 3 then (ps, ss) else let val r : int*unit = (0, ss) in r end",
+                "5 ()",
+            ),
+        ] {
+            let src = format!("channel network(ps : int, ss : unit, p : ip*udp*blob) is\n{body}");
+            let Ran { out, .. } = differential(&src, Value::Int(5));
+            assert_eq!(out.unwrap(), want, "{body}");
+        }
+        // Swapped halves must not clobber each other on the way out.
+        let Ran { out, .. } = differential(
+            "channel network(ps : int, ss : int, p : ip*udp*blob) is (ss, ps)",
+            Value::Int(5),
+        );
+        assert_eq!(out.unwrap(), "0 5");
+    }
+
+    #[test]
+    fn superinstructions_are_emitted_for_the_ranked_shapes() {
+        let (_, cp) = both(
+            "channel network(ps : int, ss : (host, host) hash_table, p : ip*udp*blob) is\n\
+             (if udpDst(#2 p) = 80 andalso not (blobLen(#3 p) < 8) then\n\
+                (if tblHas(ss, ipDst(#1 p)) then OnRemote(network, p) else (); (ps, ss))\n\
+              else (ps, ss))",
+        );
+        assert_eq!(cp.superinstructions(), (2, 1));
+        // A primitive that can raise is not fused with the compare (its
+        // raise would charge the right operand too early) …
+        let (_, cp) = both(
+            "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+             (if strToInt(\"7\") = ps then (ps, ss) else (ps + 1, ss))",
+        );
+        assert_eq!(cp.superinstructions(), (0, 0));
+        // … nor one whose right operand has code of its own to run.
+        let (_, cp) = both(
+            "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+             (if ipDst(#1 p) = thisHost() then (ps, ss) else (ps + 1, ss))",
+        );
+        assert_eq!(cp.superinstructions(), (0, 0));
     }
 }

@@ -6,9 +6,13 @@
 //!   environment-passing tree walker with name-based variable lookup,
 //!   playing the role of the paper's C interpreter;
 //! * [`jit`] — the **JIT specializer**: the interpreter specialized with
-//!   respect to the program (closure threading with slot-resolved
-//!   variables, pre-dispatched primitives, and constant folding), playing
-//!   the role of the Tempo-generated run-time specializer of section 2.2.
+//!   respect to the program — a compiler from the typed AST to a flat
+//!   register bytecode (operands resolved to slots and tuple fields,
+//!   pre-dispatched primitives, constant folding, conditions as
+//!   branches, two fused superinstructions) run by one `match` loop,
+//!   playing the role of the Tempo-generated run-time specializer of
+//!   section 2.2. It charges steps and sites per basic block, and the
+//!   charges are the interpreter's, node for node.
 //!
 //! Both engines share one semantic core — [`ops`] for operators and
 //! [`prims`] for the primitive library (whose *signatures* live in

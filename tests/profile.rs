@@ -4,7 +4,7 @@
 //! The profiler claims that every charged VM step is attributed to
 //! exactly one source site, identically on both engines, and that no
 //! site ever observes more steps than its static per-site bound allows.
-//! Three independent checks:
+//! Four independent checks:
 //!
 //! * **Attribution identity** — on every dispatch of a seeded
 //!   200-packet run, the per-site charges recorded through
@@ -13,6 +13,12 @@
 //! * **Engine agreement** — the interpreter's and the JIT's per-site
 //!   charge trails are identical per dispatch (order included), so the
 //!   merged site profiles of the two engines are byte-identical.
+//! * **Corpus agreement** — every bundled ASP (`asps/*.planp`,
+//!   `asps/buggy/*.planp`), every channel overload, 200 seeded packets
+//!   each with state threaded from packet to packet: outcome, effects,
+//!   step totals, per-site trails in order, send-site and table-write
+//!   trails, timers and output are identical between the interpreter
+//!   and the bytecode tier, errors included.
 //! * **Scenario utilization** — across the three traced paper
 //!   scenarios, every observed site stays at or under `static bound ×
 //!   dispatches` (utilization ≤ 1000‰), no dispatch miscounts
@@ -208,6 +214,267 @@ fn http_gateway_attribution_is_exact_and_engine_identical() {
     });
 }
 
+// ---- the whole bundled corpus, both engines -------------------------------
+
+use planp::lang::tast::{TExprKind, TProgram};
+use planp::lang::types::{PacketShape, TransportKind, Type};
+
+/// Integer and host literals of a program: drawing header fields from
+/// them steers generated packets into the branches that test for them.
+fn literal_pool(prog: &TProgram) -> (Vec<i64>, Vec<u32>) {
+    let (mut ints, mut hosts) = (vec![0, 1, 80], vec![addr(10, 0, 0, 1)]);
+    let bodies = prog.globals.iter().map(|g| &g.init);
+    let bodies = bodies.chain(prog.funs.iter().map(|f| &f.body));
+    let bodies = bodies.chain(prog.channels.iter().map(|c| &c.body));
+    for body in bodies {
+        body.walk(&mut |e| match &e.kind {
+            TExprKind::Int(n) => ints.push(*n),
+            TExprKind::Host(h) => hosts.push(*h),
+            _ => {}
+        });
+    }
+    (ints, hosts)
+}
+
+/// A packet value of `shape`, fields drawn half from `pool`.
+fn shaped_packet(shape: &PacketShape, pool: &(Vec<i64>, Vec<u32>), rng: &mut SplitMix64) -> Value {
+    let (ints, hosts) = pool;
+    let int = |rng: &mut SplitMix64| match rng.next() % 2 {
+        0 => ints[(rng.next() % ints.len() as u64) as usize],
+        _ => (rng.next() % 70_000) as i64 - 100,
+    };
+    let host = |rng: &mut SplitMix64| match rng.next() % 2 {
+        0 => hosts[(rng.next() % hosts.len() as u64) as usize],
+        _ => addr(10, 0, (rng.next() % 4) as u8, (rng.next() % 250) as u8 + 1),
+    };
+    // Ports mostly from the literals that look like ports.
+    let ports: Vec<u16> = ints
+        .iter()
+        .filter(|n| (2..65_536).contains(*n))
+        .map(|n| *n as u16)
+        .collect();
+    let port = |rng: &mut SplitMix64| match rng.next() % 4 {
+        0 => rng.next() as u16,
+        _ => ports[(rng.next() % ports.len() as u64) as usize],
+    };
+    let (src, dst) = (host(rng), host(rng));
+    let (sport, dport) = (port(rng), port(rng));
+    let mut parts = Vec::new();
+    match shape.transport {
+        TransportKind::Tcp => {
+            parts.push(Value::Ip(IpHdr::new(src, dst, IpHdr::PROTO_TCP)));
+            parts.push(Value::Tcp(TcpHdr::data(sport, dport, rng.next() as u32)));
+        }
+        TransportKind::Udp => {
+            parts.push(Value::Ip(IpHdr::new(src, dst, IpHdr::PROTO_UDP)));
+            parts.push(Value::Udp(UdpHdr::new(sport, dport)));
+        }
+        TransportKind::None => parts.push(Value::Ip(IpHdr::new(src, dst, 0))),
+    }
+    for ty in &shape.payload {
+        parts.push(match ty {
+            Type::Int => Value::Int(int(rng)),
+            Type::Bool => Value::Bool(rng.next() & 1 == 1),
+            Type::Char => Value::Char((b'A' + (rng.next() % 26) as u8) as char),
+            Type::Host => Value::Host(host(rng)),
+            Type::Str => Value::str(["", "GET /doc/7", "x"][(rng.next() % 3) as usize]),
+            Type::Blob => {
+                // Audio and relay framing: a marker byte, then a body.
+                let len = (rng.next() % 40) as usize;
+                let mut bytes = vec![(int(rng) & 0xff) as u8; len];
+                bytes.extend((0..len).map(|i| (i * 37) as u8));
+                Value::Blob(bytes::Bytes::from(bytes))
+            }
+            other => panic!("{other} is not a payload type"),
+        });
+    }
+    Value::tuple(parts)
+}
+
+/// One engine's installed state.
+struct Installed {
+    env: MockEnv,
+    globals: Vec<Value>,
+    ps: Value,
+    ss: Vec<Value>,
+}
+
+#[test]
+fn every_bundled_asp_is_engine_identical_on_200_seeded_packets() {
+    let mut files: Vec<std::path::PathBuf> = ["asps", "asps/buggy"]
+        .iter()
+        .flat_map(|dir| std::fs::read_dir(dir).expect("asp directory"))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|x| x == "planp"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 20, "the corpus shrank: {files:?}");
+
+    let (mut dispatches, mut failed, mut sent, mut written) = (0u64, 0u64, 0usize, 0usize);
+    for file in &files {
+        let name = file.display();
+        let src = std::fs::read_to_string(file).expect("asp source");
+        let prog = std::rc::Rc::new(compile_front(&src).expect("front end"));
+        let (compiled, _) = jit::compile(prog.clone());
+        let interp = Interp::new(&prog);
+        let pool = literal_pool(&prog);
+        let me = pool.1[pool.1.len() / 2];
+
+        let install = |jit: bool| {
+            let mut env = MockEnv::new(me);
+            let globals = if jit {
+                compiled.eval_globals(&mut env)
+            } else {
+                interp.eval_globals(&mut env)
+            }
+            .expect("globals");
+            let ps = if jit {
+                compiled.init_proto(&globals, &mut env)
+            } else {
+                interp.init_proto(&globals, &mut env)
+            }
+            .expect("proto state");
+            let ss = (0..prog.channels.len())
+                .map(|i| {
+                    if jit {
+                        compiled.init_channel_state(i, &globals, &mut env)
+                    } else {
+                        interp.init_channel_state(i, &globals, &mut env)
+                    }
+                    .expect("channel state")
+                })
+                .collect();
+            Installed {
+                env,
+                globals,
+                ps,
+                ss,
+            }
+        };
+        let (mut i, mut j) = (install(false), install(true));
+        assert_eq!(i.env.site_steps, j.env.site_steps, "{name}: initializers");
+
+        let mut rng = SplitMix64(0xA5B_C0DE);
+        for n in 0..200 * prog.channels.len() {
+            let idx = n % prog.channels.len();
+            let pkt = shaped_packet(&prog.channels[idx].shape, &pool, &mut rng);
+            // What the node observes moves too, identically for both.
+            let (load, queue) = ((rng.next() % 12_000) as i64, (rng.next() % 40) as i64);
+            for env in [&mut i.env, &mut j.env] {
+                env.now_ms += 20;
+                env.load = load;
+                env.queue = queue;
+                env.steps = 0;
+                env.site_steps.clear();
+                env.send_sites.clear();
+                env.table_writes.clear();
+                env.effects.clear();
+                env.timers.clear();
+                env.output.clear();
+            }
+            let ri = interp.run_channel(
+                idx,
+                &i.globals,
+                i.ps.clone(),
+                i.ss[idx].clone(),
+                pkt.clone(),
+                &mut i.env,
+            );
+            let rj = compiled.run_channel(
+                idx,
+                &j.globals,
+                j.ps.clone(),
+                j.ss[idx].clone(),
+                pkt,
+                &mut j.env,
+            );
+            let ctx = format!("{name} channel {idx} packet {n}");
+            match (ri, rj) {
+                (Ok((pi, si)), Ok((pj, sj))) => {
+                    assert_eq!(pi.display(), pj.display(), "{ctx}: protocol state");
+                    assert_eq!(si.display(), sj.display(), "{ctx}: channel state");
+                    (i.ps, i.ss[idx], j.ps, j.ss[idx]) = (pi, si, pj, sj);
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b, "{ctx}: error");
+                    failed += 1;
+                }
+                (a, b) => panic!("{ctx}: interp={a:?} jit={b:?}"),
+            }
+            assert_eq!(i.env.steps, j.env.steps, "{ctx}: step total");
+            assert_eq!(i.env.site_steps, j.env.site_steps, "{ctx}: site trail");
+            assert_eq!(i.env.send_sites, j.env.send_sites, "{ctx}: send sites");
+            assert_eq!(
+                i.env.table_writes, j.env.table_writes,
+                "{ctx}: table writes"
+            );
+            assert_eq!(i.env.timers, j.env.timers, "{ctx}: timers");
+            assert_eq!(i.env.output, j.env.output, "{ctx}: output");
+            assert_eq!(
+                format!("{:?}", i.env.effects),
+                format!("{:?}", j.env.effects),
+                "{ctx}: effects"
+            );
+            assert_eq!(
+                j.env.site_steps.iter().map(|(_, n)| n).sum::<u64>(),
+                j.env.steps,
+                "{ctx}: Σ per-site == aggregate"
+            );
+            dispatches += 1;
+            sent += j.env.effects.len();
+            written += j.env.table_writes.len();
+        }
+    }
+    // The corpus did real work: sends, table writes, and error paths.
+    assert!(dispatches >= 200 * files.len() as u64);
+    assert!(sent as u64 > dispatches / 2, "{sent} effects");
+    assert!(written > 200, "{written} table writes");
+    assert!(failed < dispatches / 4, "{failed} of {dispatches} failed");
+}
+
+/// The bytecode tier fuses the two shapes `superinstruction_candidates`
+/// ranks where they take their plainest form. Over the corpus: it
+/// fuses header compares only in programs where the analysis sees a
+/// candidate, and the two programs the benchmark runs get the
+/// instructions the profiler's ranking asked for.
+#[test]
+fn superinstructions_follow_the_static_candidates() {
+    use planp::analysis::superinstruction_candidates;
+    let fused_and_found = |path: &str| {
+        let src = std::fs::read_to_string(path).expect("asp source");
+        let prog = std::rc::Rc::new(compile_front(&src).expect("front end"));
+        let found = superinstruction_candidates(&prog, &src);
+        let count = |p: &str| found.iter().filter(|c| c.pattern == p).count();
+        let (compiled, _) = jit::compile(prog.clone());
+        (
+            compiled.superinstructions(),
+            (count("hdr_compare_branch"), count("table_forward")),
+        )
+    };
+    for dir in ["asps", "asps/buggy"] {
+        for entry in std::fs::read_dir(dir).expect("asp directory") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_some_and(|x| x == "planp") {
+                let path = path.to_str().expect("utf-8 path");
+                let ((cmp, _), (hdr, _)) = fused_and_found(path);
+                // The analysis ranks one candidate per `if`, the
+                // compiler fuses every compare in its condition. (A
+                // fused boolean-primitive branch need not be ranked:
+                // the analysis only counts lookups that feed a send.)
+                assert!(cmp == 0 || hdr > 0, "{path}: {cmp} fused, no candidate");
+            }
+        }
+    }
+    // The relay: port and length tests fuse; `ipDst(…) = thisHost()`
+    // has a call on the right and stays a plain compare-and-branch.
+    assert_eq!(fused_and_found("asps/buggy/fragile_relay.planp").0, (2, 0));
+    // The gateway: five header compares, and the `tblHas` lookup that
+    // decides between the two forwarding arms.
+    let (fused, found) = fused_and_found("asps/http_gateway.planp");
+    assert_eq!(fused, (5, 1));
+    assert!(found.1 >= 1, "the analysis ranks the lookup too");
+}
+
 /// Asserts a whole run's profile registry honored the profiler's
 /// soundness invariants.
 fn assert_profile_sound(reg: &ProfileRegistry, scenario: &str) {
@@ -226,7 +493,7 @@ fn assert_profile_sound(reg: &ProfileRegistry, scenario: &str) {
         );
         assert_eq!(
             sc.steps,
-            sc.sites.values().sum::<u64>(),
+            sc.sites().values().sum::<u64>(),
             "{scenario}: scope {} totals drifted from its site profile",
             sc.key()
         );

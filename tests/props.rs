@@ -3,8 +3,12 @@
 //!
 //! The central property is **interpreter ≡ JIT**: for generated
 //! well-typed programs, the portable interpreter and its specialization
-//! must agree on results, printed output, and emitted effects — the
-//! paper's whole implementation story rests on this equivalence.
+//! must agree on results, printed output, emitted effects, and every
+//! accounting trail (steps, per-site charges in order, send sites,
+//! table writes) — the paper's whole implementation story rests on
+//! this equivalence, and the bytecode tier charges by block where the
+//! interpreter charges by node, so raises in mid-block are generated
+//! on purpose.
 //!
 //! Generation uses the workspace's own deterministic RNG
 //! (`netsim::rng::SplitMix64`) instead of an external property-testing
@@ -108,6 +112,22 @@ fn gen_fuzz_string(rng: &mut SplitMix64) -> String {
         .collect()
 }
 
+/// Both engines left the same trails, in the same order.
+fn assert_same_accounting(interp: &MockEnv, jit: &MockEnv, ctx: &str) {
+    assert_eq!(interp.output, jit.output, "{ctx}: output");
+    assert_eq!(interp.steps, jit.steps, "{ctx}: step totals");
+    assert_eq!(interp.site_steps, jit.site_steps, "{ctx}: per-site trail");
+    assert_eq!(interp.send_sites, jit.send_sites, "{ctx}: send sites");
+    assert_eq!(interp.table_writes, jit.table_writes, "{ctx}: table writes");
+    assert_eq!(
+        format!("{:?}", interp.effects),
+        format!("{:?}", jit.effects),
+        "{ctx}: effects"
+    );
+    let attributed: u64 = jit.site_steps.iter().map(|(_, n)| n).sum();
+    assert_eq!(attributed, jit.steps, "{ctx}: Σ per-site == aggregate");
+}
+
 // ---- properties --------------------------------------------------------
 
 /// The lexer and parser never panic, whatever the input.
@@ -174,8 +194,72 @@ fn interp_equals_jit() {
             (Err(a), Err(b)) => assert_eq!(a, b, "case {case}"),
             (a, b) => panic!("divergence: interp={a:?} jit={b:?} for {e}"),
         }
-        assert_eq!(env_i.output, env_j.output, "case {case}");
+        assert_same_accounting(&env_i, &env_j, &format!("case {case}: {e}"));
     }
+}
+
+/// The same with raises where a block-charging engine could get them
+/// wrong: inside a user function's argument list, inside the callee
+/// with the handler in the caller, under nested handlers, and uncaught
+/// (no outer catch-all), over a send so effects are compared too.
+#[test]
+fn interp_equals_jit_when_raises_cross_blocks_and_frames() {
+    let mut caught = 0;
+    let mut uncaught = 0;
+    for case in 0..128u64 {
+        let mut rng = SplitMix64::new(0x5EED_7000 + case);
+        let [a, b, c, d] = [0; 4].map(|_| gen_int_expr(&mut rng, 3));
+        let ps = rng.next_below(40) as i64 - 20;
+        let handler = match rng.next_below(3) {
+            0 => " handle Div => (0 - 1, ss)",
+            1 => " handle OutOfRange => (0 - 2, ss)",
+            _ => "",
+        };
+        let src = format!(
+            "fun ratio(a : int, b : int) : int = (a * 3) div (b mod 4)\n\
+             fun pick(a : int, b : int, c : int) : int =\n\
+               if a < b then ratio(b, c) else (ratio(c, a) handle Div => blobByte(mkBlob(2, 0), b))\n\
+             channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+             ((OnRemote(network, p);\n\
+               (pick({a}, ratio({b}, {c}), {d}) + pick(ps, {a}, {b}), ss)){handler})"
+        );
+        let prog = Rc::new(
+            planp::lang::compile_front(&src)
+                .unwrap_or_else(|err| panic!("front end rejected {src}: {err}")),
+        );
+        let (compiled, _) = planp::vm::jit::compile(prog.clone());
+        let interp = Interp::new(&prog);
+        let mut env_i = MockEnv::new(7);
+        let mut env_j = MockEnv::new(7);
+        let shown = |r: Result<(Value, Value), _>| r.map(|(ps, ss)| (ps.display(), ss.display()));
+        let ri = shown(interp.run_channel(
+            0,
+            &[],
+            Value::Int(ps),
+            Value::Unit,
+            udp_packet(),
+            &mut env_i,
+        ));
+        let rj = shown(compiled.run_channel(
+            0,
+            &[],
+            Value::Int(ps),
+            Value::Unit,
+            udp_packet(),
+            &mut env_j,
+        ));
+        assert_eq!(ri, rj, "case {case}: {src}");
+        assert_same_accounting(&env_i, &env_j, &format!("case {case}: {src}"));
+        match ri {
+            Ok((ps, _)) if ps == "-1" || ps == "-2" => caught += 1,
+            Err(_) => uncaught += 1,
+            Ok(_) => {}
+        }
+    }
+    assert!(
+        caught > 8 && uncaught > 8,
+        "{caught} caught, {uncaught} uncaught"
+    );
 }
 
 /// Generated single-channel programs without sends never upset the
@@ -230,6 +314,10 @@ fn interp_equals_jit_stateful() {
         let mut ss_j = interp
             .init_channel_state(0, &[], &mut env_j)
             .expect("state");
+        // Initializers charge their sites but no dispatch aggregate.
+        assert_eq!(env_i.site_steps, env_j.site_steps, "case {case}: init");
+        env_i.site_steps.clear();
+        env_j.site_steps.clear();
         for &src_host in &srcs {
             let pkt = |h: u32| {
                 Value::tuple(vec![
@@ -269,7 +357,7 @@ fn interp_equals_jit_stateful() {
                 (a, b) => panic!("divergence: {a:?} vs {b:?}"),
             }
         }
-        assert_eq!(env_i.output, env_j.output, "case {case}");
+        assert_same_accounting(&env_i, &env_j, &format!("case {case}: {e}"));
     }
 }
 
