@@ -230,7 +230,9 @@ impl ClusterGateway {
         let backends: Vec<BackendState> = backends
             .into_iter()
             .map(|spec| {
-                let c_sent = tel.metrics.register_counter(&format!("gw.{}.sent", spec.name));
+                let c_sent = tel
+                    .metrics
+                    .register_counter(&format!("gw.{}.sent", spec.name));
                 BackendState {
                     name: Rc::from(spec.name.as_str()),
                     spec,
@@ -363,8 +365,7 @@ impl ClusterGateway {
                     self.transition(api, p.backend, BreakerState::Open);
                 }
             } else if self.backends[p.backend as usize].state == BreakerState::Closed
-                && self.backends[p.backend as usize].consec_fails
-                    >= self.cfg.breaker.fail_threshold
+                && self.backends[p.backend as usize].consec_fails >= self.cfg.breaker.fail_threshold
             {
                 self.transition(api, p.backend, BreakerState::Open);
             }

@@ -296,7 +296,9 @@ struct ClusterBackend;
 
 impl App for ClusterBackend {
     fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: Packet) {
-        let Some(hdr) = pkt.udp_hdr().copied() else { return };
+        let Some(hdr) = pkt.udp_hdr().copied() else {
+            return;
+        };
         if hdr.dport != CLUSTER_PORT || pkt.payload.len() < 25 {
             return;
         }

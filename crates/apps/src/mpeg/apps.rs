@@ -15,7 +15,7 @@ use netsim::packet::{Packet, UdpHdr};
 use netsim::tcp::{ConnKey, TcpConfig, TcpEvents, TcpSocket};
 use netsim::{App, NodeApi, SimTime};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -49,7 +49,7 @@ struct StreamState {
 pub struct MpegServerApp {
     stats: Rc<RefCell<MpegServerStats>>,
     stream_len: Duration,
-    conns: HashMap<ConnKey, (TcpSocket, Vec<u8>)>,
+    conns: BTreeMap<ConnKey, (TcpSocket, Vec<u8>)>,
     streams: Vec<StreamState>,
     ticking: bool,
 }
@@ -63,7 +63,7 @@ impl MpegServerApp {
         MpegServerApp {
             stats,
             stream_len,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             streams: Vec::new(),
             ticking: false,
         }

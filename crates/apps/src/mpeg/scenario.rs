@@ -230,6 +230,28 @@ mod tests {
     }
 
     #[test]
+    fn lossy_concurrent_viewers_repeat_exactly() {
+        // Heavy loss on the viewers' segment keeps several control
+        // connections retransmitting at once; the server's 50 ms tick
+        // used to flush them in hash order, so packet ids — and with
+        // them the trace — differed between runs of one process.
+        let mut cfg = MpegConfig::new(6, false);
+        cfg.segment_faults = Some((0.0, LinkFaults::loss(0.5)));
+        let runs: Vec<(u64, String)> = (0..4)
+            .map(|_| {
+                let (r, t, m) = run_mpeg_traced(&cfg, TraceConfig::all());
+                assert!(r.server.streams >= 3, "streams {}", r.server.streams);
+                (m.counters["sim.events_processed"], t.trace.to_jsonl())
+            })
+            .collect();
+        let events: Vec<u64> = runs.iter().map(|r| r.0).collect();
+        assert!(
+            runs.iter().all(|r| *r == runs[0]),
+            "same seed, different runs (events {events:?})"
+        );
+    }
+
+    #[test]
     fn single_client_behaves_identically_either_way() {
         let a = run_mpeg(&MpegConfig::new(1, true));
         let b = run_mpeg(&MpegConfig::new(1, false));

@@ -111,7 +111,13 @@ fn run_mini(seed: u64) -> (String, u64, u64, u64, u64) {
     let stats = gateway.stats.clone();
     sim.install_hook(gw, Box::new(gateway));
 
-    sim.add_app(client, Box::new(MiniClient { gw: addr(10, 0, 0, 253), sent: 0 }));
+    sim.add_app(
+        client,
+        Box::new(MiniClient {
+            gw: addr(10, 0, 0, 253),
+            sent: 0,
+        }),
+    );
     sim.add_app(b0, Box::new(MiniBackend));
     sim.add_app(b1, Box::new(MiniBackend));
 
@@ -135,8 +141,14 @@ fn breaker_lifecycle_over_200_requests_is_byte_stable() {
     for seed in [5u64, 23] {
         let (log, opens, probes, responses, sent_while_broken) = run_mini(seed);
         assert_eq!(opens, 1, "seed {seed}: exactly one open:\n{log}");
-        assert!(log.contains("backend=b0 closed -> open"), "seed {seed}:\n{log}");
-        assert!(log.contains("backend=b0 open -> half_open"), "seed {seed}:\n{log}");
+        assert!(
+            log.contains("backend=b0 closed -> open"),
+            "seed {seed}:\n{log}"
+        );
+        assert!(
+            log.contains("backend=b0 open -> half_open"),
+            "seed {seed}:\n{log}"
+        );
         assert!(
             log.contains("backend=b0 half_open -> closed"),
             "seed {seed}: probe must re-close:\n{log}"
@@ -146,7 +158,10 @@ fn breaker_lifecycle_over_200_requests_is_byte_stable() {
             sent_while_broken, probes,
             "seed {seed}: corpse traffic is probe-only"
         );
-        assert!(responses > REQUESTS / 2, "seed {seed}: the cluster still serves");
+        assert!(
+            responses > REQUESTS / 2,
+            "seed {seed}: the cluster still serves"
+        );
 
         let rerun = run_mini(seed);
         assert_eq!(log, rerun.0, "seed {seed}: transition log drifted");

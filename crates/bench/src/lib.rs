@@ -170,8 +170,7 @@ impl BenchOpts {
     /// the bin's `flags`). `PLANP_BENCH_JSON=1` still enables `json`.
     pub fn from_cli(args: &cli::CliArgs) -> Self {
         BenchOpts {
-            json: args.json
-                || std::env::var("PLANP_BENCH_JSON").as_deref() == Ok("1"),
+            json: args.json || std::env::var("PLANP_BENCH_JSON").as_deref() == Ok("1"),
             report: args.flag("--report"),
         }
     }

@@ -11,7 +11,9 @@
 //! Key pieces:
 //!
 //! * [`sim::Sim`] — the event engine: topology building, BFS routing,
-//!   multicast groups/routes, deterministic execution from a seed;
+//!   multicast groups/routes, deterministic execution from a seed
+//!   (its event queue and the slab packets rest in between nodes live
+//!   in the private `sched` module);
 //! * [`node::App`] — local applications (servers, clients, load
 //!   generators) driven by packet and timer callbacks;
 //! * [`node::PacketHook`] — the extension point at the IP layer where
@@ -56,6 +58,7 @@ pub mod link;
 pub mod node;
 pub mod packet;
 pub mod rng;
+mod sched;
 pub mod sim;
 pub mod stats;
 pub mod tcp;

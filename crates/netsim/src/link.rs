@@ -12,7 +12,7 @@
 //! PLAN-P `linkLoad` primitive reports to router programs (the paper's
 //! "monitoring the bandwidth of outgoing links", section 3.1).
 
-use crate::packet::Packet;
+use crate::sched::PktRef;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -56,10 +56,13 @@ impl LinkSpec {
     }
 }
 
-/// A packet queued for transmission.
-#[derive(Debug, Clone)]
+/// A packet queued for transmission: its handle and what the link
+/// needs without looking at it.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Queued {
-    pub pkt: Packet,
+    pub pkt: PktRef,
+    /// The packet's wire size, for `tx_time` and the byte counters.
+    pub bytes: u32,
     /// Sending node.
     pub from: NodeId,
     /// Addressed receiver; `None` broadcasts to every other attached node
@@ -69,6 +72,8 @@ pub(crate) struct Queued {
     /// histogram observes `tx_done - enq_ns` per transmitted packet.
     pub enq_ns: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<Queued>() <= 40);
 
 /// Throughput measurement window.
 const WINDOW: Duration = Duration::from_millis(500);

@@ -4,6 +4,7 @@
 use crate::link::{LinkId, NodeId};
 use crate::packet::Packet;
 use crate::rng::SplitMix64;
+use crate::sched::PktRef;
 use crate::sim::NodeApi;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Duration;
@@ -43,7 +44,9 @@ pub struct Node {
     /// True while the node is failed: it neither receives nor processes
     /// anything (used for fault-injection experiments).
     pub(crate) down: bool,
-    pub(crate) cpu_queue: VecDeque<(Packet, Option<LinkId>, bool)>,
+    /// Packets waiting for the CPU (never overheard ones) and the link
+    /// each arrived on.
+    pub(crate) cpu_queue: VecDeque<(PktRef, Option<LinkId>)>,
     pub(crate) cpu_busy: bool,
     /// Bumped on crash so CPU-completion events scheduled before the
     /// crash cannot touch work queued after the restart.

@@ -8,6 +8,7 @@ use crate::link::{Link, LinkId, LinkSpec, NodeId, Queued};
 use crate::node::{App, ArrivalMeta, HookVerdict, Node, PacketHook};
 use crate::packet::Packet;
 use crate::rng::SplitMix64;
+use crate::sched::{EvKind, PktRef, Scheduler};
 use crate::stats::SeriesStore;
 use crate::time::SimTime;
 use bytes::Bytes;
@@ -15,74 +16,15 @@ use planp_telemetry::{
     BrownoutController, Category, DispatchOutcome, DropReason, FlightEvent, FlightKind,
     HealthMonitor, Histogram, MetricsSnapshot, ShardedCounterSet, Telemetry, TraceEvent,
 };
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
-
-/// A pending event.
-#[derive(Debug)]
-struct Ev {
-    at: SimTime,
-    seq: u64,
-    kind: EvKind,
-}
-
-#[derive(Debug)]
-enum EvKind {
-    Arrive {
-        node: NodeId,
-        pkt: Packet,
-        via: Option<LinkId>,
-        overheard: bool,
-    },
-    TxDone {
-        link: LinkId,
-    },
-    Timer {
-        node: NodeId,
-        app: usize,
-        key: u64,
-    },
-    HookTimer {
-        node: NodeId,
-        key: u64,
-    },
-    CpuDone {
-        node: NodeId,
-        epoch: u64,
-    },
-    Fault {
-        action: FaultAction,
-    },
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// The simulator: nodes, links, the event queue, and measurement series.
 pub struct Sim {
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Ev>,
+    /// The event queue and the packets its events refer to.
+    sched: Scheduler,
     pub(crate) nodes: Vec<Node>,
     pub(crate) links: Vec<Link>,
     addr_map: HashMap<u32, NodeId>,
@@ -145,8 +87,7 @@ impl Sim {
     pub fn new(seed: u64) -> Self {
         Sim {
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            sched: Scheduler::default(),
             nodes: Vec::new(),
             links: Vec::new(),
             addr_map: HashMap::new(),
@@ -247,7 +188,13 @@ impl Sim {
     /// bumps the `sim.node_drops_total` aggregate, and records the
     /// flight/trace events. Every node-level drop site goes through
     /// here so the drop-accounting identity holds by construction.
-    pub(crate) fn drop_at_node(&mut self, node: NodeId, pkt: u64, sampled: bool, reason: DropReason) {
+    pub(crate) fn drop_at_node(
+        &mut self,
+        node: NodeId,
+        pkt: u64,
+        sampled: bool,
+        reason: DropReason,
+    ) {
         let n = &mut self.nodes[node.0];
         match reason {
             DropReason::CpuOverflow => n.cpu_drops += 1,
@@ -281,6 +228,8 @@ impl Sim {
             "duplicate node address {}",
             crate::packet::addr_to_string(addr)
         );
+        // Events and trace records carry node and link ids as `u32`.
+        assert!(self.nodes.len() < u32::MAX as usize, "too many nodes");
         let id = NodeId(self.nodes.len());
         let seed = self.seed ^ (0xA5A5_0000_0000_0000 | id.0 as u64);
         self.nodes
@@ -298,6 +247,7 @@ impl Sim {
     /// Panics if fewer than two nodes are given.
     pub fn add_link(&mut self, spec: LinkSpec, nodes: &[NodeId]) -> LinkId {
         assert!(nodes.len() >= 2, "a link needs at least two endpoints");
+        assert!(self.links.len() < u32::MAX as usize, "too many links");
         let id = LinkId(self.links.len());
         self.links.push(Link::new(spec, nodes.to_vec()));
         self.link_qdepth.push(Histogram::new());
@@ -457,20 +407,10 @@ impl Sim {
 
     // ---- event engine ----------------------------------------------------
 
-    fn push_event(&mut self, at: SimTime, kind: EvKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Ev { at, seq, kind });
-    }
-
     /// Runs until simulated time `t` (events at exactly `t` included).
     pub fn run_until(&mut self, t: SimTime) {
         self.ensure_started();
-        while let Some(ev) = self.queue.peek() {
-            if ev.at > t {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked");
+        while let Some(ev) = self.sched.pop_due(t) {
             self.now = ev.at;
             self.process(ev.kind);
             self.monitor_tick();
@@ -491,13 +431,22 @@ impl Sim {
         self.ensure_started();
         let mut n = 0;
         while n < max_events {
-            let Some(ev) = self.queue.pop() else { break };
+            let Some(ev) = self.sched.pop_due(SimTime(u64::MAX)) else {
+                break;
+            };
             self.now = ev.at;
             self.process(ev.kind);
             self.monitor_tick();
             n += 1;
         }
         n
+    }
+
+    /// Packets at rest between nodes right now: queued on a link, being
+    /// transmitted, in flight toward a node, or waiting for a node's
+    /// CPU. Zero once the simulation has drained.
+    pub fn packets_at_rest(&self) -> usize {
+        self.sched.packets.live()
     }
 
     /// Evaluates the health monitor at every boundary `now` has
@@ -604,11 +553,17 @@ impl Sim {
                 pkt,
                 via,
                 overheard,
-            } => self.arrive(node, pkt, via, overheard),
-            EvKind::CpuDone { node, epoch } => self.cpu_done(node, epoch),
-            EvKind::TxDone { link } => self.tx_done(link),
-            EvKind::Fault { action } => self.apply_fault_action(action),
+            } => self.arrive(
+                NodeId(node as usize),
+                pkt,
+                via.map(|l| LinkId(l as usize)),
+                overheard,
+            ),
+            EvKind::CpuDone { node, epoch } => self.cpu_done(NodeId(node as usize), epoch),
+            EvKind::TxDone { link } => self.tx_done(LinkId(link as usize)),
+            EvKind::Fault(action) => self.apply_fault_action(*action),
             EvKind::HookTimer { node, key } => {
+                let node = NodeId(node as usize);
                 if self.nodes[node.0].down {
                     return;
                 }
@@ -623,6 +578,7 @@ impl Sim {
                 }
             }
             EvKind::Timer { node, app, key } => {
+                let (node, app) = (NodeId(node as usize), app as usize);
                 if self.nodes[node.0].down {
                     return;
                 }
@@ -647,18 +603,23 @@ impl Sim {
         }
     }
 
-    fn arrive(&mut self, node: NodeId, pkt: Packet, via: Option<LinkId>, overheard: bool) {
+    /// Releases the slot of a packet that dies at `node`'s ingress and
+    /// counts the drop.
+    fn drop_arriving(&mut self, node: NodeId, pkt: PktRef, reason: DropReason) {
+        let pkt = self.sched.packets.take(pkt);
+        self.drop_at_node(node, pkt.id, pkt.lineage.sampled, reason);
+    }
+
+    fn arrive(&mut self, node: NodeId, pkt: PktRef, via: Option<LinkId>, overheard: bool) {
         if self.nodes[node.0].down {
-            self.drop_at_node(node, pkt.id, pkt.lineage.sampled, DropReason::NodeDown);
+            self.drop_arriving(node, pkt, DropReason::NodeDown);
             return;
         }
         // Deadline propagation: an already-expired packet is dropped at
         // ingress — before it costs CPU-queue slots or further hops.
-        if !overheard
-            && pkt.lineage.deadline_ns != 0
-            && self.now.as_nanos() > pkt.lineage.deadline_ns
-        {
-            self.drop_at_node(node, pkt.id, pkt.lineage.sampled, DropReason::DeadlineExpired);
+        let deadline_ns = self.sched.packets.get(pkt).lineage.deadline_ns;
+        if !overheard && deadline_ns != 0 && self.now.as_nanos() > deadline_ns {
+            self.drop_arriving(node, pkt, DropReason::DeadlineExpired);
             return;
         }
         // CPU model: non-overheard packets queue for processing time.
@@ -667,19 +628,19 @@ impl Sim {
             if !overheard {
                 let n = &mut self.nodes[node.0];
                 if n.cpu_queue.len() >= cpu.queue_cap {
-                    let (pkt_id, sampled) = (pkt.id, pkt.lineage.sampled);
-                    self.drop_at_node(node, pkt_id, sampled, DropReason::CpuOverflow);
+                    self.drop_arriving(node, pkt, DropReason::CpuOverflow);
                     return;
                 }
-                n.cpu_queue.push_back((pkt, via, overheard));
+                n.cpu_queue.push_back((pkt, via));
                 if !n.cpu_busy {
                     n.cpu_busy = true;
                     let epoch = n.cpu_epoch;
-                    self.push_event(self.now + cpu.per_packet, EvKind::CpuDone { node, epoch });
+                    self.sched.cpu_done(self.now + cpu.per_packet, node, epoch);
                 }
                 return;
             }
         }
+        let pkt = self.sched.packets.take(pkt);
         self.process_arrival(node, pkt, via, overheard);
     }
 
@@ -689,7 +650,7 @@ impl Sim {
         if epoch != self.nodes[node.0].cpu_epoch {
             return;
         }
-        let Some((pkt, via, overheard)) = self.nodes[node.0].cpu_queue.pop_front() else {
+        let Some((pkt, via)) = self.nodes[node.0].cpu_queue.pop_front() else {
             self.nodes[node.0].cpu_busy = false;
             return;
         };
@@ -697,9 +658,10 @@ impl Sim {
             self.nodes[node.0].cpu_busy = false;
         } else {
             let cpu = self.nodes[node.0].cpu.expect("cpu_done without cpu");
-            self.push_event(self.now + cpu.per_packet, EvKind::CpuDone { node, epoch });
+            self.sched.cpu_done(self.now + cpu.per_packet, node, epoch);
         }
-        self.process_arrival(node, pkt, via, overheard);
+        let pkt = self.sched.packets.take(pkt);
+        self.process_arrival(node, pkt, via, false);
     }
 
     fn process_arrival(&mut self, node: NodeId, pkt: Packet, via: Option<LinkId>, overheard: bool) {
@@ -728,29 +690,23 @@ impl Sim {
 
         // 3. Standard IP processing.
         if pkt.ip.is_multicast() {
-            let group = pkt.ip.dst;
-            if self.nodes[node.0].subscriptions.contains(&group) {
+            let subscribed = self.nodes[node.0].subscriptions.contains(&pkt.ip.dst);
+            if !self.nodes[node.0].forwarding {
+                if subscribed {
+                    self.deliver_local(node, pkt);
+                }
+                return;
+            }
+            if subscribed {
                 self.deliver_local(node, pkt.clone());
             }
-            if self.nodes[node.0].forwarding {
-                let mut fwd = pkt;
-                if fwd.ip.ttl <= 1 {
-                    self.drop_at_node(node, fwd.id, fwd.lineage.sampled, DropReason::TtlExpired);
-                    return;
-                }
-                fwd.ip.ttl -= 1;
-                let links = self.nodes[node.0]
-                    .mcast_routes
-                    .get(&group)
-                    .cloned()
-                    .unwrap_or_default();
-                for l in links {
-                    if Some(l) != via {
-                        self.trace_forward(node, &fwd, l);
-                        self.enqueue_on_link(l, node, None, fwd.clone());
-                    }
-                }
+            let mut fwd = pkt;
+            if fwd.ip.ttl <= 1 {
+                self.drop_at_node(node, fwd.id, fwd.lineage.sampled, DropReason::TtlExpired);
+                return;
             }
+            fwd.ip.ttl -= 1;
+            self.mcast_fan_out(node, fwd, via, true);
             return;
         }
 
@@ -777,41 +733,90 @@ impl Sim {
         }
     }
 
+    /// Puts `pkt` on each of `node`'s multicast links for its group
+    /// except `skip`, in route order; the last link gets the packet
+    /// itself, the ones before it a clone. Returns whether any link
+    /// took it.
+    fn mcast_fan_out(
+        &mut self,
+        node: NodeId,
+        pkt: Packet,
+        skip: Option<LinkId>,
+        forwarded: bool,
+    ) -> bool {
+        let group = pkt.ip.dst;
+        let n_links = self.nodes[node.0]
+            .mcast_routes
+            .get(&group)
+            .map_or(0, Vec::len);
+        let mut held: Option<LinkId> = None;
+        for i in 0..n_links {
+            let link = self.nodes[node.0].mcast_routes[&group][i];
+            if Some(link) == skip {
+                continue;
+            }
+            if let Some(prev) = held.replace(link) {
+                self.mcast_out(node, prev, pkt.clone(), forwarded);
+            }
+        }
+        let Some(link) = held else { return false };
+        self.mcast_out(node, link, pkt, forwarded);
+        true
+    }
+
+    fn mcast_out(&mut self, node: NodeId, link: LinkId, pkt: Packet, forwarded: bool) {
+        if forwarded {
+            self.trace_forward(node, &pkt, link);
+        }
+        self.enqueue_on_link(link, node, None, pkt);
+    }
+
     pub(crate) fn deliver_local(&mut self, node: NodeId, mut pkt: Packet) {
         self.stamp(node, &mut pkt);
         self.nodes[node.0].delivered += 1;
-        for app in 0..self.nodes[node.0].apps.len() {
-            if let Some(mut a) = self.nodes[node.0].apps[app].take() {
-                self.telemetry.flight.record(
-                    node.0 as u32,
-                    FlightEvent {
-                        t_ns: self.now.as_nanos(),
-                        kind: FlightKind::Deliver,
-                        pkt: pkt.id,
-                        detail: app as u32,
-                    },
-                );
-                if self
-                    .telemetry
-                    .trace
-                    .wants_pkt(Category::DELIVER, pkt.lineage.sampled)
-                {
-                    self.telemetry.trace.push(TraceEvent::Deliver {
-                        t_ns: self.now.as_nanos(),
-                        node: node.0 as u32,
-                        pkt: pkt.id,
-                        app: app as u32,
-                    });
-                }
-                let mut api = NodeApi {
-                    sim: self,
-                    node,
-                    app: Some(app),
-                };
-                a.on_packet(&mut api, pkt.clone());
-                self.nodes[node.0].apps[app] = Some(a);
-            }
+        // Every application sees the packet; the last one gets the
+        // packet itself, the ones before it a clone.
+        let Some(last) = self.nodes[node.0].apps.len().checked_sub(1) else {
+            return;
+        };
+        for app in 0..last {
+            self.deliver_to_app(node, app, pkt.clone());
         }
+        self.deliver_to_app(node, last, pkt);
+    }
+
+    fn deliver_to_app(&mut self, node: NodeId, app: usize, pkt: Packet) {
+        let Some(mut a) = self.nodes[node.0].apps[app].take() else {
+            return;
+        };
+        self.telemetry.flight.record(
+            node.0 as u32,
+            FlightEvent {
+                t_ns: self.now.as_nanos(),
+                kind: FlightKind::Deliver,
+                pkt: pkt.id,
+                detail: app as u32,
+            },
+        );
+        if self
+            .telemetry
+            .trace
+            .wants_pkt(Category::DELIVER, pkt.lineage.sampled)
+        {
+            self.telemetry.trace.push(TraceEvent::Deliver {
+                t_ns: self.now.as_nanos(),
+                node: node.0 as u32,
+                pkt: pkt.id,
+                app: app as u32,
+            });
+        }
+        let mut api = NodeApi {
+            sim: self,
+            node,
+            app: Some(app),
+        };
+        a.on_packet(&mut api, pkt);
+        self.nodes[node.0].apps[app] = Some(a);
     }
 
     #[inline]
@@ -839,30 +844,16 @@ impl Sim {
             return;
         }
         if pkt.ip.is_multicast() {
-            let links = self.nodes[node.0]
-                .mcast_routes
-                .get(&pkt.ip.dst)
-                .cloned()
-                .unwrap_or_default();
-            if links.is_empty() {
-                self.drop_at_node(node, pkt.id, pkt.lineage.sampled, DropReason::NoRoute);
-            }
-            for l in links {
-                self.enqueue_on_link(l, node, None, pkt.clone());
+            let (pid, sampled) = (pkt.id, pkt.lineage.sampled);
+            if !self.mcast_fan_out(node, pkt, None, false) {
+                self.drop_at_node(node, pid, sampled, DropReason::NoRoute);
             }
             return;
         }
         if pkt.ip.dst == self.nodes[node.0].addr {
             // Self-send: loop back locally.
-            self.push_event(
-                self.now,
-                EvKind::Arrive {
-                    node,
-                    pkt,
-                    via: None,
-                    overheard: false,
-                },
-            );
+            let pkt = self.sched.packets.put(pkt);
+            self.sched.arrive(self.now, node, pkt, None, false);
             return;
         }
         match self.nodes[node.0].routes.get(&pkt.ip.dst).copied() {
@@ -895,6 +886,8 @@ impl Sim {
             .find(|l| self.links[l.0].nodes.contains(&b))
     }
 
+    /// Hands `pkt` to the link: this is where a packet comes to rest in
+    /// the slab, unless the link is down or its queue is full.
     fn enqueue_on_link(
         &mut self,
         link_id: LinkId,
@@ -913,25 +906,28 @@ impl Sim {
             self.trace_fault("link_down_drop", Some(from), Some(link_id), pid);
             return;
         }
-        let q = Queued {
-            pkt,
-            from,
-            next_hop,
-            enq_ns: self.now.as_nanos(),
-        };
         let now = self.now;
         let link = &mut self.links[link_id.0];
-        let mut link_dropped = false;
-        if link.transmitting.is_none() {
-            let dur = link.tx_time(q.pkt.wire_size());
-            link.transmitting = Some(q);
-            self.push_event(now + dur, EvKind::TxDone { link: link_id });
-        } else if link.queue.len() < link.spec.queue_pkts {
-            link.queue.push_back(q);
-        } else {
+        let idle = link.transmitting.is_none();
+        let link_dropped = !idle && link.queue.len() >= link.spec.queue_pkts;
+        if link_dropped {
             link.drops += 1;
             self.total_link_drops += 1;
-            link_dropped = true;
+        } else {
+            let q = Queued {
+                pkt: self.sched.packets.put(pkt),
+                bytes,
+                from,
+                next_hop,
+                enq_ns: now.as_nanos(),
+            };
+            if idle {
+                link.transmitting = Some(q);
+                let dur = link.tx_time(bytes as usize);
+                self.sched.tx_done(now + dur, link_id);
+            } else {
+                link.queue.push_back(q);
+            }
         }
         let qlen = self.links[link_id.0].queue_len() as u64;
         self.link_qdepth[link_id.0].observe(qlen);
@@ -963,131 +959,128 @@ impl Sim {
             .transmitting
             .take()
             .expect("TxDone without transmission");
-        link.account(now, q.pkt.wire_size());
+        link.account(now, q.bytes as usize);
         self.hop_latency
             .observe(now.as_nanos().saturating_sub(q.enq_ns));
-        let link = &mut self.links[link_id.0];
-        let delay = link.spec.delay;
-        let receivers: Vec<(NodeId, bool)> = match q.next_hop {
-            Some(nh) => {
-                if link.is_segment() {
-                    link.nodes
-                        .iter()
-                        .copied()
-                        .filter(|&n| n != q.from)
-                        .map(|n| (n, n != nh))
-                        .collect()
-                } else {
-                    vec![(nh, false)]
-                }
-            }
-            // Broadcast (multicast on a segment): all other nodes receive
-            // it for real; subscription filtering happens at arrival.
-            None => link
-                .nodes
-                .iter()
-                .copied()
-                .filter(|&n| n != q.from)
-                .map(|n| (n, false))
-                .collect(),
-        };
         // Start the next queued transmission.
         if let Some(next) = link.queue.pop_front() {
-            let dur = link.tx_time(next.pkt.wire_size());
             link.transmitting = Some(next);
-            self.push_event(now + dur, EvKind::TxDone { link: link_id });
+            let dur = link.tx_time(next.bytes as usize);
+            self.sched.tx_done(now + dur, link_id);
         }
-        if self
-            .telemetry
-            .trace
-            .wants_pkt(Category::LINK, q.pkt.lineage.sampled)
-        {
-            self.telemetry.trace.push(TraceEvent::LinkTx {
-                t_ns: now.as_nanos(),
-                link: link_id.0 as u32,
-                from: q.from.0 as u32,
-                pkt: q.pkt.id,
-                bytes: q.pkt.wire_size() as u32,
-            });
+        if self.telemetry.trace.wants(Category::LINK) {
+            let pkt = self.sched.packets.get(q.pkt);
+            let (pid, sampled) = (pkt.id, pkt.lineage.sampled);
+            if self.telemetry.trace.wants_pkt(Category::LINK, sampled) {
+                self.telemetry.trace.push(TraceEvent::LinkTx {
+                    t_ns: now.as_nanos(),
+                    link: link_id.0 as u32,
+                    from: q.from.0 as u32,
+                    pkt: pid,
+                    bytes: q.bytes,
+                });
+            }
         }
-        let faults = self.links[link_id.0].faults;
-        for (n, overheard) in receivers {
-            let mut pkt = q.pkt.clone();
-            let mut extra = Duration::ZERO;
-            let mut dup = false;
-            // Receiver-side fault pipeline, fixed order: partition →
-            // loss → corruption → duplication → jitter. Skipped entirely
-            // (no rng draws) until faults are configured.
-            if self.faults_enabled {
-                if self.partition_blocks(q.from, n) {
-                    self.fault_stats.partition_drops += 1;
-                    self.fault_copy_drop(
-                        link_id,
-                        n,
-                        pkt.id,
-                        pkt.lineage.sampled,
-                        DropReason::Partitioned,
-                        "partition",
-                    );
-                    continue;
-                }
-                if !faults.is_clean() {
-                    if faults.loss > 0.0 && self.fault_rng.next_f64() < faults.loss {
-                        self.fault_stats.loss_drops += 1;
-                        self.fault_copy_drop(
-                            link_id,
-                            n,
-                            pkt.id,
-                            pkt.lineage.sampled,
-                            DropReason::FaultLoss,
-                            "loss",
-                        );
-                        continue;
-                    }
-                    if faults.corrupt > 0.0
-                        && self.fault_rng.next_f64() < faults.corrupt
-                        && !pkt.payload.is_empty()
-                    {
-                        let mut bytes = pkt.payload.to_vec();
-                        let i = self.fault_rng.next_below(bytes.len() as u64) as usize;
-                        bytes[i] ^= 0xFF;
-                        pkt.payload = Bytes::from(bytes);
-                        self.fault_stats.corrupted += 1;
-                        self.trace_fault("corrupt", Some(n), Some(link_id), pkt.id);
-                    }
-                    if faults.duplicate > 0.0 && self.fault_rng.next_f64() < faults.duplicate {
-                        dup = true;
-                        self.fault_stats.duplicated += 1;
-                        self.trace_fault("duplicate", Some(n), Some(link_id), pkt.id);
-                    }
-                    if faults.jitter_ms > 0.0 {
-                        let ms = self.fault_rng.next_exp(faults.jitter_ms);
-                        extra = Duration::from_nanos((ms * 1e6) as u64);
-                        self.fault_stats.jittered += 1;
+        let link = &self.links[link_id.0];
+        match q.next_hop {
+            // Point-to-point: the handle goes to the addressed node.
+            Some(nh) if !link.is_segment() => self.deliver_copy(link_id, &q, nh, false, true),
+            // Otherwise every other attached node gets it, in
+            // attachment order: on a segment all but the addressed one
+            // overhear; a broadcast (multicast, no `next_hop`) is
+            // received for real by all, subscription filtering happens
+            // at arrival. The last receiver gets the handle, the ones
+            // before it a clone.
+            next_hop => {
+                let Some(last) = link.nodes.iter().rposition(|&n| n != q.from) else {
+                    self.sched.packets.take(q.pkt);
+                    return;
+                };
+                for i in 0..=last {
+                    let n = self.links[link_id.0].nodes[i];
+                    if n != q.from {
+                        let overheard = next_hop.is_some_and(|nh| n != nh);
+                        self.deliver_copy(link_id, &q, n, overheard, i == last);
                     }
                 }
             }
-            if dup {
-                self.push_event(
-                    now + delay + extra,
-                    EvKind::Arrive {
-                        node: n,
-                        pkt: pkt.clone(),
-                        via: Some(link_id),
-                        overheard,
-                    },
-                );
-            }
-            self.push_event(
-                now + delay + extra,
-                EvKind::Arrive {
-                    node: n,
-                    pkt,
-                    via: Some(link_id),
-                    overheard,
-                },
-            );
         }
+    }
+
+    /// Schedules the arrival at `to` of the packet `q` just put on the
+    /// wire — the handle itself when `to` is the `last` receiver, a
+    /// clone otherwise — after the receiver-side fault pipeline.
+    fn deliver_copy(
+        &mut self,
+        link_id: LinkId,
+        q: &Queued,
+        to: NodeId,
+        overheard: bool,
+        last: bool,
+    ) {
+        let mut at = self.now + self.links[link_id.0].spec.delay;
+        let mut corrupt_at = None;
+        let mut dup = false;
+        // Receiver-side fault pipeline, fixed order: partition →
+        // loss → corruption → duplication → jitter. Skipped entirely
+        // (no rng draws) until faults are configured.
+        if self.faults_enabled {
+            let faults = self.links[link_id.0].faults;
+            let pkt = self.sched.packets.get(q.pkt);
+            let (pid, sampled, len) = (pkt.id, pkt.lineage.sampled, pkt.payload.len());
+            let lost = if self.partition_blocks(q.from, to) {
+                self.fault_stats.partition_drops += 1;
+                Some((DropReason::Partitioned, "partition"))
+            } else if faults.loss > 0.0 && self.fault_rng.next_f64() < faults.loss {
+                self.fault_stats.loss_drops += 1;
+                Some((DropReason::FaultLoss, "loss"))
+            } else {
+                None
+            };
+            if let Some((reason, kind)) = lost {
+                if last {
+                    self.sched.packets.take(q.pkt);
+                }
+                self.fault_copy_drop(link_id, to, pid, sampled, reason, kind);
+                return;
+            }
+            if !faults.is_clean() {
+                if faults.corrupt > 0.0 && self.fault_rng.next_f64() < faults.corrupt && len > 0 {
+                    corrupt_at = Some(self.fault_rng.next_below(len as u64) as usize);
+                    self.fault_stats.corrupted += 1;
+                    self.trace_fault("corrupt", Some(to), Some(link_id), pid);
+                }
+                if faults.duplicate > 0.0 && self.fault_rng.next_f64() < faults.duplicate {
+                    dup = true;
+                    self.fault_stats.duplicated += 1;
+                    self.trace_fault("duplicate", Some(to), Some(link_id), pid);
+                }
+                if faults.jitter_ms > 0.0 {
+                    let ms = self.fault_rng.next_exp(faults.jitter_ms);
+                    at += Duration::from_nanos((ms * 1e6) as u64);
+                    self.fault_stats.jittered += 1;
+                }
+            }
+        }
+        let slab = &mut self.sched.packets;
+        let pkt = if last {
+            q.pkt
+        } else {
+            let copy = slab.get(q.pkt).clone();
+            slab.put(copy)
+        };
+        if let Some(i) = corrupt_at {
+            let p = slab.get_mut(pkt);
+            let mut bytes = p.payload.to_vec();
+            bytes[i] ^= 0xFF;
+            p.payload = Bytes::from(bytes);
+        }
+        if dup {
+            let copy = slab.get(pkt).clone();
+            let copy = slab.put(copy);
+            self.sched.arrive(at, to, copy, Some(link_id), overheard);
+        }
+        self.sched.arrive(at, to, pkt, Some(link_id), overheard);
     }
 
     // ---- fault injection -------------------------------------------------
@@ -1098,7 +1091,7 @@ impl Sim {
     pub fn apply_fault_plan(&mut self, plan: FaultPlan) {
         self.faults_enabled = true;
         for ev in plan.events {
-            self.push_event(ev.at, EvKind::Fault { action: ev.action });
+            self.sched.fault(ev.at, ev.action);
         }
     }
 
@@ -1174,7 +1167,9 @@ impl Sim {
             n.state_lost += 1;
         }
         let lost = n.cpu_queue.len() as u64;
-        n.cpu_queue.clear();
+        for (pkt, _) in n.cpu_queue.drain(..) {
+            self.sched.packets.take(pkt);
+        }
         n.cpu_busy = false;
         n.dropped += lost;
         self.total_node_drops += lost;
@@ -1442,7 +1437,7 @@ impl NodeApi<'_> {
     pub fn trace_dispatch(
         &mut self,
         pkt: &Packet,
-        chan: Option<Rc<str>>,
+        chan: Option<&Rc<str>>,
         outcome: DispatchOutcome,
     ) {
         if self
@@ -1455,7 +1450,7 @@ impl NodeApi<'_> {
                 t_ns: self.sim.now.as_nanos(),
                 node: self.node.0 as u32,
                 pkt: pkt.id,
-                chan,
+                chan: chan.cloned(),
                 outcome,
             };
             self.sim.telemetry.trace.push(ev);
@@ -1464,7 +1459,7 @@ impl NodeApi<'_> {
 
     /// Emits a [`TraceEvent::Exception`] for this node (cheap no-op when
     /// the `exception` category is disabled).
-    pub fn trace_exception(&mut self, pkt: &Packet, chan: Rc<str>, exn: Rc<str>) {
+    pub fn trace_exception(&mut self, pkt: &Packet, chan: &Rc<str>, exn: Rc<str>) {
         self.sim.telemetry.flight.record(
             self.node.0 as u32,
             FlightEvent {
@@ -1484,7 +1479,7 @@ impl NodeApi<'_> {
                 t_ns: self.sim.now.as_nanos(),
                 node: self.node.0 as u32,
                 pkt: pkt.id,
-                chan,
+                chan: chan.clone(),
                 exn,
             };
             self.sim.telemetry.trace.push(ev);
@@ -1494,7 +1489,7 @@ impl NodeApi<'_> {
     /// Emits a [`TraceEvent::VmRun`] attributing `steps` VM steps to
     /// the channel run dispatched on `pkt` (cheap no-op when the `vm`
     /// category is disabled).
-    pub fn trace_vm_run(&mut self, pkt: &Packet, chan: Rc<str>, steps: u64) {
+    pub fn trace_vm_run(&mut self, pkt: &Packet, chan: &Rc<str>, steps: u64) {
         if self
             .sim
             .telemetry
@@ -1505,7 +1500,7 @@ impl NodeApi<'_> {
                 t_ns: self.sim.now.as_nanos(),
                 node: self.node.0 as u32,
                 pkt: pkt.id,
-                chan,
+                chan: chan.clone(),
                 steps,
             };
             self.sim.telemetry.trace.push(ev);
@@ -1536,14 +1531,7 @@ impl NodeApi<'_> {
     pub fn set_timer(&mut self, delay: Duration, key: u64) {
         let app = self.app.expect("set_timer requires an application context");
         let at = self.sim.now + delay;
-        self.sim.push_event(
-            at,
-            EvKind::Timer {
-                node: self.node,
-                app,
-                key,
-            },
-        );
+        self.sim.sched.timer(at, self.node, app, key);
     }
 
     /// Arms a timer for this node's packet hook;
@@ -1552,13 +1540,7 @@ impl NodeApi<'_> {
     /// it is how an installed protocol schedules retransmissions.
     pub fn set_hook_timer(&mut self, delay: Duration, key: u64) {
         let at = self.sim.now + delay;
-        self.sim.push_event(
-            at,
-            EvKind::HookTimer {
-                node: self.node,
-                key,
-            },
-        );
+        self.sim.sched.hook_timer(at, self.node, key);
     }
 
     /// Assigns the packet a telemetry identity (rooting a span) as if
@@ -1650,9 +1632,7 @@ impl NodeApi<'_> {
 
     /// Capacity of this node's CPU queue (0 without a CPU model).
     pub fn cpu_queue_cap(&self) -> usize {
-        self.sim.nodes[self.node.0]
-            .cpu
-            .map_or(0, |c| c.queue_cap)
+        self.sim.nodes[self.node.0].cpu.map_or(0, |c| c.queue_cap)
     }
 
     /// Counts and traces a node-level drop decided by a hook or

@@ -434,7 +434,7 @@ impl PacketHook for PlanpLayer {
             (entries, state_exceeded)
         };
         api.telemetry().metrics.add_id(cm.c_vm_steps, vm_steps);
-        api.trace_vm_run(&pkt, cm.name.clone(), vm_steps);
+        api.trace_vm_run(&pkt, &cm.name, vm_steps);
         // Per-site attribution went to the profile scope as the engine
         // charged it; close the dispatch with the aggregate (VM errors
         // included — both engines charge the aggregate on error paths
@@ -466,15 +466,15 @@ impl PacketHook for PlanpLayer {
                     // The channel ate the packet without re-emitting or
                     // delivering anything: an intentional drop.
                     api.telemetry().metrics.inc_id(cm.c_dropped);
-                    api.trace_dispatch(&pkt, Some(cm.name.clone()), DispatchOutcome::Consumed);
+                    api.trace_dispatch(&pkt, Some(&cm.name), DispatchOutcome::Consumed);
                 } else {
-                    api.trace_dispatch(&pkt, Some(cm.name.clone()), DispatchOutcome::Matched);
+                    api.trace_dispatch(&pkt, Some(&cm.name), DispatchOutcome::Matched);
                 }
                 HookVerdict::Handled
             }
             Err(e) => {
                 api.telemetry().metrics.inc_id(cm.c_errors);
-                api.trace_dispatch(&pkt, Some(cm.name.clone()), DispatchOutcome::Error);
+                api.trace_dispatch(&pkt, Some(&cm.name), DispatchOutcome::Error);
                 let exn: Rc<str> = match &e {
                     VmError::Exn(id) => match self.prog.exns.get(id.0 as usize) {
                         Some(name) => name.as_str().into(),
@@ -482,7 +482,7 @@ impl PacketHook for PlanpLayer {
                     },
                     VmError::Trap(m) => format!("trap: {m}").into(),
                 };
-                api.trace_exception(&pkt, cm.name.clone(), exn);
+                api.trace_exception(&pkt, &cm.name, exn);
                 if emitted > 0 {
                     // The program already re-sent or delivered something;
                     // passing the original through as well would duplicate

@@ -142,7 +142,10 @@ fn expired_packets_never_reach_the_vm() {
         // Unmeetable deadlines died at ingress, before the layer; the
         // layer's own gate caught exactly the queue-expired remainder.
         assert_eq!(router_shed - expired, cats[0], "seed {seed}");
-        assert!(expired >= 1, "seed {seed}: some tight deadline must age out");
+        assert!(
+            expired >= 1,
+            "seed {seed}: some tight deadline must age out"
+        );
         // A dispatched forwarder run is a delivery: the VM never saw an
         // expired packet, so deliveries and dispatches agree exactly.
         assert_eq!(delivered, matched, "seed {seed}");

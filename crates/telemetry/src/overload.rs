@@ -111,7 +111,11 @@ impl BrownoutController {
     /// rule, or `None` for a clean window. Returns the transition taken
     /// (`(from, to, rule)`) if the level changed; step-downs carry the
     /// rule label `"recovered"`.
-    pub fn observe_window(&mut self, t_ns: u64, breached: Option<&str>) -> Option<(u32, u32, String)> {
+    pub fn observe_window(
+        &mut self,
+        t_ns: u64,
+        breached: Option<&str>,
+    ) -> Option<(u32, u32, String)> {
         match breached {
             Some(rule) => {
                 self.clean_streak = 0;
@@ -155,8 +159,14 @@ mod tests {
             max_level: 2,
             step_down_windows: 3,
         });
-        assert_eq!(b.observe_window(10, Some("p99")), Some((0, 1, "p99".into())));
-        assert_eq!(b.observe_window(20, Some("p99")), Some((1, 2, "p99".into())));
+        assert_eq!(
+            b.observe_window(10, Some("p99")),
+            Some((0, 1, "p99".into()))
+        );
+        assert_eq!(
+            b.observe_window(20, Some("p99")),
+            Some((1, 2, "p99".into()))
+        );
         assert_eq!(b.observe_window(30, Some("p99")), None, "capped at max");
         assert_eq!(b.level(), 2);
         assert_eq!(b.transitions().len(), 2);
@@ -169,7 +179,11 @@ mod tests {
             step_down_windows: 2,
         });
         b.observe_window(1, Some("err"));
-        assert_eq!(b.observe_window(2, None), None, "one clean window is not enough");
+        assert_eq!(
+            b.observe_window(2, None),
+            None,
+            "one clean window is not enough"
+        );
         assert_eq!(b.observe_window(3, None), Some((1, 0, "recovered".into())));
         assert_eq!(b.level(), 0);
         assert_eq!(b.observe_window(4, None), None, "already at full service");
