@@ -171,6 +171,14 @@ pub struct PacketShape {
     pub payload: Vec<Type>,
 }
 
+impl PacketShape {
+    /// Number of components of the packet tuple: the `ip` header, the
+    /// transport header if the shape names one, and the payload parts.
+    pub fn components(&self) -> usize {
+        1 + usize::from(self.transport != TransportKind::None) + self.payload.len()
+    }
+}
+
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

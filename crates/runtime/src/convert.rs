@@ -1,47 +1,65 @@
 //! Conversions between simulator packets and PLAN-P packet values.
 //!
 //! A channel whose packet parameter has shape `ip * tcp * c1 * … * cn`
-//! receives the tuple `(ip-header, tcp-header, v1, …, vn)` where the
+//! receives the components `ip-header, tcp-header, v1, …, vn` where the
 //! `vi` are decoded from the payload bytes per the wire encodings in
 //! [`planp_vm::pkthdr`]. Overload dispatch (section 2.3) works by trying
 //! these decodes in declaration order.
+//!
+//! The layer moves components, not tuples: [`packet_to_parts`] decodes
+//! into the bytecode engine's registers and [`parts_to_packet`] builds
+//! the outgoing packet from the slice a send names. The tuple forms
+//! ([`packet_to_value`], [`value_to_packet`]) wrap them, for the
+//! interpreter and for callers that hold a `Value`.
 
 use netsim::packet::{ChannelTag, Packet, Transport};
 use planp_lang::types::{PacketShape, TransportKind};
-use planp_vm::pkthdr::{decode_payload, encode_payload};
+use planp_vm::env::packet_parts;
+use planp_vm::pkthdr::{decode_payload_into, encode_payload};
 use planp_vm::value::{Value, VmError};
+
+/// Decodes an arriving packet into `out`, one slot per component of
+/// `shape` ([`PacketShape::components`]). `false` if the transport or
+/// payload does not match (the overload does not apply); `out` then
+/// holds whichever components decoded before the mismatch.
+///
+/// # Panics
+///
+/// Panics if `out` has fewer slots than `shape` has components.
+pub fn packet_to_parts(pkt: &Packet, shape: &PacketShape, out: &mut [Value]) -> bool {
+    let transport = match (shape.transport, &pkt.transport) {
+        (TransportKind::Tcp, Transport::Tcp(h)) => Some(Value::Tcp(*h)),
+        (TransportKind::Udp, Transport::Udp(h)) => Some(Value::Udp(*h)),
+        (TransportKind::None, Transport::None) => None,
+        _ => return false,
+    };
+    out[0] = Value::Ip(pkt.ip);
+    let payload = match transport {
+        Some(h) => {
+            out[1] = h;
+            &mut out[2..]
+        }
+        None => &mut out[1..],
+    };
+    decode_payload_into(&shape.payload, &pkt.payload, payload)
+}
 
 /// Converts an arriving packet into the tuple value a channel of the
 /// given shape expects. `None` if the transport or payload does not
 /// match (the overload does not apply).
 pub fn packet_to_value(pkt: &Packet, shape: &PacketShape) -> Option<Value> {
-    let mut parts: Vec<Value> = Vec::with_capacity(2 + shape.payload.len());
-    parts.push(Value::Ip(pkt.ip));
-    match (shape.transport, &pkt.transport) {
-        (TransportKind::Tcp, Transport::Tcp(h)) => parts.push(Value::Tcp(*h)),
-        (TransportKind::Udp, Transport::Udp(h)) => parts.push(Value::Udp(*h)),
-        (TransportKind::None, Transport::None) => {}
-        _ => return None,
-    }
-    let decoded = decode_payload(&shape.payload, &pkt.payload)?;
-    parts.extend(decoded);
-    Some(Value::tuple(parts))
+    let mut parts = vec![Value::Unit; shape.components()];
+    packet_to_parts(pkt, shape, &mut parts).then(|| Value::tuple(parts))
 }
 
-/// Converts a packet value produced by a PLAN-P program back into a
-/// simulator packet, carrying `tag` if the send targeted a user-defined
-/// channel.
+/// Builds the simulator packet a PLAN-P program sent as the components
+/// `parts`, carrying `tag` if the send targeted a user-defined channel.
 ///
 /// # Errors
 ///
-/// Traps on values that are not packet tuples (unreachable for checked
-/// programs).
-pub fn value_to_packet(v: &Value, tag: Option<ChannelTag>) -> Result<Packet, VmError> {
-    let Value::Tuple(parts) = v else {
-        return Err(VmError::trap(format!(
-            "sent value is not a packet tuple: {v:?}"
-        )));
-    };
+/// Traps on components that do not start with an `ip` header
+/// (unreachable for checked programs).
+pub fn parts_to_packet(parts: &[Value], tag: Option<ChannelTag>) -> Result<Packet, VmError> {
     let (ip, mut rest) = match parts.split_first() {
         Some((Value::Ip(h), rest)) => (*h, rest),
         _ => {
@@ -73,6 +91,16 @@ pub fn value_to_packet(v: &Value, tag: Option<ChannelTag>) -> Result<Packet, VmE
         id: 0,
         lineage: Default::default(),
     })
+}
+
+/// [`parts_to_packet`] on a packet held as a tuple value.
+///
+/// # Errors
+///
+/// Traps on values that are not packet tuples (unreachable for checked
+/// programs).
+pub fn value_to_packet(v: &Value, tag: Option<ChannelTag>) -> Result<Packet, VmError> {
+    parts_to_packet(packet_parts(v)?, tag)
 }
 
 #[cfg(test)]

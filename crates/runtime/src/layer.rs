@@ -8,9 +8,17 @@
 //! and the first whose packet type matches (transport layer + payload
 //! decode) runs. If nothing matches, standard IP processing continues —
 //! a PLAN-P router "operates seamlessly within existing networks".
+//!
+//! Which overloads a packet can match is worked out at install
+//! ([`crate::dispatch`]); per packet the layer decodes the components of
+//! the first that fits straight into the engine's registers, the engine
+//! sends from its registers, and [`SimNetEnv`] builds the outgoing
+//! packet from that slice — no tuple, no allocation and no name lookup
+//! in between.
 
 use crate::admission::{Admission, AdmissionGate};
-use crate::convert::{packet_to_value, value_to_packet};
+use crate::convert::parts_to_packet;
+use crate::dispatch::{decode, Decoded, DispatchTable};
 use crate::loader::LoadedProgram;
 use bytes::Bytes;
 use netsim::packet::{ChannelTag, Lineage, Packet};
@@ -18,7 +26,7 @@ use netsim::{ArrivalMeta, HookVerdict, NodeApi, PacketHook, Sim};
 use planp_lang::tast::TProgram;
 use planp_telemetry::{CounterId, DispatchOutcome, DropReason, ScopeId, SpanOrigin, Telemetry};
 use planp_vm::cost::STEPS_PER_NODE;
-use planp_vm::env::{NetEnv, SendKind};
+use planp_vm::env::{ChanRef, NetEnv};
 use planp_vm::interp::Interp;
 use planp_vm::jit::CompiledProgram;
 use planp_vm::value::{Value, VmError};
@@ -124,7 +132,11 @@ pub struct PlanpHandle {
 /// array add through a [`CounterId`]. Channel overloads sharing a name
 /// share the same metric keys (per-channel = per channel *name*).
 struct ChanMeta {
+    /// The image's shared name string ([`LoadedProgram::chan_names`]).
     name: Rc<str>,
+    /// Sends to this channel carry its tag. `network` traffic stays
+    /// untagged so PLAN-P routers interoperate with plain IP.
+    tagged: bool,
     c_dispatch: CounterId,
     c_errors: CounterId,
     c_dropped: CounterId,
@@ -154,6 +166,10 @@ struct ChanMeta {
 pub struct PlanpLayer {
     prog: Rc<TProgram>,
     compiled: Rc<CompiledProgram>,
+    table: DispatchTable,
+    /// The tag of a fired `setTimer`'s synthetic packet, if the program
+    /// declares a `timer` channel.
+    timer_tag: Option<ChannelTag>,
     config: LayerConfig,
     globals: Vec<Value>,
     proto: Value,
@@ -213,7 +229,8 @@ impl PlanpLayer {
             .iter()
             .enumerate()
             .map(|(i, ch)| ChanMeta {
-                name: ch.name.as_str().into(),
+                name: image.chan_names[i].clone(),
+                tagged: ch.name != "network",
                 c_dispatch: metrics
                     .register_counter(&format!("node.{node_name}.chan.{}.dispatch", ch.name)),
                 c_errors: metrics
@@ -275,9 +292,18 @@ impl PlanpLayer {
             profile.bind_blocks(cm.profile_scope, compiled.block_sites());
         }
         let n_chans = image.prog.channels.len();
+        let timer_tag = chan_meta
+            .iter()
+            .find(|cm| &*cm.name == "timer")
+            .map(|cm| ChannelTag {
+                chan: cm.name.clone(),
+                overload: 0,
+            });
         Ok(PlanpLayer {
             prog: image.prog.clone(),
             compiled,
+            table: DispatchTable::new(image),
+            timer_tag,
             config,
             globals,
             proto,
@@ -305,28 +331,6 @@ impl PlanpLayer {
             output: self.output.clone(),
         }
     }
-
-    /// Finds the channel that should process `pkt`, with its decoded
-    /// packet value.
-    fn dispatch(&self, pkt: &Packet) -> Option<(usize, Value)> {
-        match &pkt.tag {
-            Some(tag) => {
-                let group = self.prog.chan_groups.get(tag.chan.as_ref())?;
-                let &idx = group.get(tag.overload as usize)?;
-                let v = packet_to_value(pkt, &self.prog.channels[idx].shape)?;
-                Some((idx, v))
-            }
-            None => {
-                let group = self.prog.chan_groups.get("network")?;
-                for &idx in group {
-                    if let Some(v) = packet_to_value(pkt, &self.prog.channels[idx].shape) {
-                        return Some((idx, v));
-                    }
-                }
-                None
-            }
-        }
-    }
 }
 
 impl PacketHook for PlanpLayer {
@@ -340,7 +344,9 @@ impl PacketHook for PlanpLayer {
             api.trace_dispatch(&pkt, None, DispatchOutcome::Bypass);
             return HookVerdict::Pass(pkt);
         }
-        let Some((idx, value)) = self.dispatch(&pkt) else {
+        let engine = self.config.engine;
+        let Some((idx, decoded)) = decode(&self.table, &self.prog, &self.compiled, engine, &pkt)
+        else {
             self.stats.borrow_mut().passed += 1;
             api.trace_dispatch(&pkt, None, DispatchOutcome::NoMatch);
             api.telemetry().metrics.inc_id(self.c_fallback);
@@ -393,15 +399,12 @@ impl PacketHook for PlanpLayer {
             cur_span: pkt.id,
             cur_sampled: pkt.lineage.sampled,
             cur_deadline: pkt.lineage.deadline_ns,
-            pending_site: None,
             inserts: 0,
             entries_delta: 0,
         };
-        let result = match self.config.engine {
-            Engine::Jit => self
-                .compiled
-                .run_channel(idx, &self.globals, ps, ss, value, &mut env),
-            Engine::Interp => {
+        let result = match decoded {
+            Decoded::Frame(frame) => frame.run(&self.globals, ps, ss, &mut env),
+            Decoded::Tuple(value) => {
                 Interp::new(&self.prog).run_channel(idx, &self.globals, ps, ss, value, &mut env)
             }
         };
@@ -503,16 +506,13 @@ impl PacketHook for PlanpLayer {
         // on the `timer` channel: UDP self→self whose payload is the key
         // as an 8-byte big-endian integer (readable with `blobInt`).
         // Programs that declare no `timer` channel ignore the wake-up.
-        if !self.prog.chan_groups.contains_key("timer") {
+        let Some(tag) = &self.timer_tag else {
             return;
-        }
+        };
         let me = api.addr();
-        let payload = Bytes::from((key as i64).to_be_bytes().to_vec());
+        let payload = Bytes::copy_from_slice(&(key as i64).to_be_bytes());
         let mut pkt = Packet::udp(me, me, 0, 0, payload);
-        pkt.tag = Some(ChannelTag {
-            chan: "timer".into(),
-            overload: 0,
-        });
+        pkt.tag = Some(tag.clone());
         api.stamp(&mut pkt);
         // Run the ordinary dispatch path. A `Pass` verdict means the
         // program declined the synthetic packet; it has nowhere to go,
@@ -529,7 +529,8 @@ impl PacketHook for PlanpLayer {
 /// node.
 struct SimNetEnv<'a, 'b> {
     api: &'a mut NodeApi<'b>,
-    /// The installed channels, for their interned names.
+    /// The installed channels, indexed like the program's: a send's
+    /// tag and lineage name come from here.
     chans: &'a [ChanMeta],
     output: &'a Rc<RefCell<String>>,
     /// Sends/deliveries performed by the current channel run (used to
@@ -550,9 +551,6 @@ struct SimNetEnv<'a, 'b> {
     /// every packet this run emits, so expiry is enforceable at any
     /// later hop.
     cur_deadline: u64,
-    /// The send site the VM announced via `note_send_site`, consumed by
-    /// the next outgoing packet so its lineage records how it was born.
-    pending_site: Option<(SpanOrigin, Option<Rc<str>>)>,
     /// Fresh-key `tblSet` inserts performed by the current channel run.
     inserts: u64,
     /// Net table-entry change of the current channel run (fresh inserts
@@ -564,35 +562,9 @@ struct SimNetEnv<'a, 'b> {
 }
 
 impl SimNetEnv<'_, '_> {
-    /// The name of channel `chan` as interned at install (a send can
-    /// only name a channel of the installed program, so the fallback
-    /// allocation is never taken).
-    fn intern(&self, chan: &str) -> Rc<str> {
-        match self.chans.iter().find(|m| &*m.name == chan) {
-            Some(m) => m.name.clone(),
-            None => chan.into(),
-        }
-    }
-
-    fn tag_for(&self, chan: &str, overload: u32) -> Option<ChannelTag> {
-        // `network` traffic stays untagged so PLAN-P routers interoperate
-        // with plain IP; user-defined channels tag their packets.
-        if chan == "network" {
-            None
-        } else {
-            Some(ChannelTag {
-                chan: self.intern(chan),
-                overload,
-            })
-        }
-    }
-
-    /// Lineage for the next child packet: the send site the VM just
-    /// announced (falling back to `origin` when running under an
-    /// environment path that never announced one), parented on the
-    /// packet being processed.
-    fn child_lineage(&mut self, origin: SpanOrigin) -> Lineage {
-        let (origin, chan) = self.pending_site.take().unwrap_or((origin, None));
+    /// Lineage for a child packet born at a send of kind `origin` on
+    /// channel `chan`, parented on the packet being processed.
+    fn child_lineage(&self, origin: SpanOrigin, chan: Option<Rc<str>>) -> Lineage {
         Lineage {
             trace: self.cur_trace,
             parent: self.cur_span,
@@ -603,28 +575,23 @@ impl SimNetEnv<'_, '_> {
         }
     }
 
-    fn outgoing(
-        &mut self,
-        chan: &str,
-        overload: u32,
-        pkt: Value,
-        origin: SpanOrigin,
-    ) -> Option<Packet> {
-        let tag = self.tag_for(chan, overload);
-        let lineage = self.child_lineage(origin);
-        match value_to_packet(&pkt, tag) {
-            Ok(mut p) => {
-                // Run-time safety net mirroring IP's TTL, as discussed in
-                // section 2.1 (the static proof makes this a backstop).
-                if p.ip.ttl == 0 {
-                    return None;
-                }
-                p.ip.ttl -= 1;
-                p.lineage = lineage;
-                Some(p)
-            }
-            Err(_) => None,
+    /// The packet a send to channel `to` puts on the wire, built from
+    /// the components the engine named.
+    fn outgoing(&self, to: ChanRef<'_>, parts: &[Value], origin: SpanOrigin) -> Option<Packet> {
+        let cm = &self.chans[to.index as usize];
+        let tag = cm.tagged.then(|| ChannelTag {
+            chan: cm.name.clone(),
+            overload: to.overload,
+        });
+        let mut p = parts_to_packet(parts, tag).ok()?;
+        // Run-time safety net mirroring IP's TTL, as discussed in
+        // section 2.1 (the static proof makes this a backstop).
+        if p.ip.ttl == 0 {
+            return None;
         }
+        p.ip.ttl -= 1;
+        p.lineage = self.child_lineage(origin, Some(cm.name.clone()));
+        Some(p)
     }
 }
 
@@ -657,8 +624,8 @@ impl NetEnv for SimNetEnv<'_, '_> {
         }
     }
 
-    fn send_remote(&mut self, chan: &str, overload: u32, pkt: Value) {
-        if let Some(p) = self.outgoing(chan, overload, pkt, SpanOrigin::Remote) {
+    fn send_remote(&mut self, to: ChanRef<'_>, parts: &[Value]) {
+        if let Some(p) = self.outgoing(to, parts, SpanOrigin::Remote) {
             self.emitted += 1;
             if p.ip.dst == self.api.addr() {
                 // Arrived: OnRemote at the destination delivers locally
@@ -670,8 +637,8 @@ impl NetEnv for SimNetEnv<'_, '_> {
         }
     }
 
-    fn send_neighbor(&mut self, chan: &str, overload: u32, host: u32, pkt: Value) {
-        if let Some(p) = self.outgoing(chan, overload, pkt, SpanOrigin::Neighbor) {
+    fn send_neighbor(&mut self, to: ChanRef<'_>, host: u32, parts: &[Value]) {
+        if let Some(p) = self.outgoing(to, parts, SpanOrigin::Neighbor) {
             self.emitted += 1;
             if host == self.api.addr() {
                 self.api.deliver_local(p);
@@ -681,22 +648,12 @@ impl NetEnv for SimNetEnv<'_, '_> {
         }
     }
 
-    fn deliver(&mut self, pkt: Value) {
-        let lineage = self.child_lineage(SpanOrigin::Deliver);
-        if let Ok(mut p) = value_to_packet(&pkt, None) {
-            p.lineage = lineage;
+    fn deliver(&mut self, parts: &[Value]) {
+        if let Ok(mut p) = parts_to_packet(parts, None) {
+            p.lineage = self.child_lineage(SpanOrigin::Deliver, None);
             self.emitted += 1;
             self.api.deliver_local(p);
         }
-    }
-
-    fn note_send_site(&mut self, kind: SendKind, chan: Option<&str>) {
-        let origin = match kind {
-            SendKind::Remote => SpanOrigin::Remote,
-            SendKind::Neighbor => SpanOrigin::Neighbor,
-            SendKind::Deliver => SpanOrigin::Deliver,
-        };
-        self.pending_site = Some((origin, chan.map(|c| self.intern(c))));
     }
 
     fn print(&mut self, text: &str) {

@@ -12,7 +12,9 @@
 //! * [`admission`] — per-channel admission control: deterministic
 //!   bounded in-flight, brownout priority shedding, and deadline
 //!   enforcement at the layer's ingress;
-//! * [`convert`] — packet ↔ PLAN-P value conversions;
+//! * `dispatch` — which channel overloads an arriving packet is offered
+//!   to, worked out from the program at install;
+//! * [`convert`] — packet ↔ PLAN-P packet components (and tuples);
 //! * [`recovery`] — crash recovery: re-verify and reinstall a node's
 //!   ASP after a fault-injected restart;
 //! * [`replay`] — runs a model-checker counterexample as concrete
@@ -50,6 +52,7 @@
 pub mod admission;
 pub mod convert;
 pub mod deploy;
+mod dispatch;
 pub mod layer;
 pub mod loader;
 pub mod plan;

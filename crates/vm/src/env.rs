@@ -6,12 +6,10 @@
 //! `planp-runtime`, backed by a simulated node; [`MockEnv`] here supports
 //! unit tests and micro-benchmarks.
 
-use crate::value::Value;
+use crate::value::{Value, VmError};
 
-/// Which send primitive an ASP is about to execute. Both engines report
-/// this via [`NetEnv::note_send_site`] immediately before the effect
-/// call, so environments that tag causal lineage (the runtime's span
-/// tracing) know how the child packet came to exist.
+/// Which send primitive an ASP executed — how [`MockEnv`] labels the
+/// entries of its send-site trail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendKind {
     /// `OnRemote(chan, pkt)` — route by the packet's destination.
@@ -22,7 +20,41 @@ pub enum SendKind {
     Deliver,
 }
 
+/// The channel overload a send targets, resolved by the engine: its
+/// position in [`planp_lang::tast::TProgram::channels`], so an
+/// environment that keeps per-channel data finds it by index, plus the
+/// name and overload number for one that records them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChanRef<'a> {
+    /// Channel name.
+    pub name: &'a str,
+    /// Index of the overload in the program's channel list.
+    pub index: u32,
+    /// Index of the overload within its name group.
+    pub overload: u32,
+}
+
+/// The components of a packet held as a tuple value, the form the send
+/// effects take it in.
+///
+/// # Errors
+///
+/// Traps on a value that is not a tuple (unreachable for checked
+/// programs).
+pub fn packet_parts(v: &Value) -> Result<&[Value], VmError> {
+    match v {
+        Value::Tuple(parts) => Ok(parts),
+        other => Err(VmError::trap(format!(
+            "sent value is not a packet tuple: {other:?}"
+        ))),
+    }
+}
+
 /// What a PLAN-P program can observe and effect on its node.
+///
+/// The three output effects take the packet as its components
+/// (`ip`, transport header, payload parts) side by side: the bytecode
+/// tier sends straight from its registers and never builds the tuple.
 pub trait NetEnv {
     /// The address of the node the program runs on.
     fn this_host(&self) -> u32;
@@ -39,12 +71,12 @@ pub trait NetEnv {
     /// A uniform random integer in `0..bound` (`0` when `bound <= 0`).
     fn rand_int(&mut self, bound: i64) -> i64;
     /// Effect of `OnRemote(chan, pkt)`.
-    fn send_remote(&mut self, chan: &str, overload: u32, pkt: Value);
+    fn send_remote(&mut self, to: ChanRef<'_>, parts: &[Value]);
     /// Effect of `OnNeighbor(chan, host, pkt)`.
-    fn send_neighbor(&mut self, chan: &str, overload: u32, host: u32, pkt: Value);
+    fn send_neighbor(&mut self, to: ChanRef<'_>, host: u32, parts: &[Value]);
     /// Effect of `deliver(pkt)` — hand the packet to the local
     /// application above the PLAN-P layer.
-    fn deliver(&mut self, pkt: Value);
+    fn deliver(&mut self, parts: &[Value]);
     /// Effect of `print`/`println`.
     fn print(&mut self, text: &str);
     /// Effect of `setTimer(delay_ms, key)`: schedule a synthetic
@@ -80,12 +112,6 @@ pub trait NetEnv {
             self.charge_site(site, crate::cost::STEPS_PER_NODE);
         }
     }
-    /// Announces the send primitive about to run (both engines call
-    /// this right before `send_remote`/`send_neighbor`/`deliver`), with
-    /// the target channel when the primitive names one. Environments
-    /// that track packet lineage use it to tag the child packet's
-    /// origin; the default discards the note.
-    fn note_send_site(&mut self, _kind: SendKind, _chan: Option<&str>) {}
     /// Accounts a table mutation (both engines call this from the
     /// `tblSet`/`tblDel`/`tblClear` primitives). `inserted` is `1` when
     /// a `tblSet` created a new key, `0` on an overwrite, and `-n` when
@@ -145,7 +171,8 @@ pub struct MockEnv {
     /// Per-site step charges via [`NetEnv::charge_site`], in charge
     /// order (one entry per charged node — raw trail, not aggregated).
     pub site_steps: Vec<(u32, u64)>,
-    /// Send sites announced via [`NetEnv::note_send_site`], in order.
+    /// The send primitives executed, in order, with the channel each
+    /// named.
     pub send_sites: Vec<(SendKind, Option<String>)>,
     /// Timers requested via [`NetEnv::set_timer`], as `(delay_ms, key)`.
     pub timers: Vec<(i64, i64)>,
@@ -241,25 +268,31 @@ impl NetEnv for MockEnv {
         (z % bound as u64) as i64
     }
 
-    fn send_remote(&mut self, chan: &str, overload: u32, pkt: Value) {
+    fn send_remote(&mut self, to: ChanRef<'_>, parts: &[Value]) {
+        self.send_sites
+            .push((SendKind::Remote, Some(to.name.to_string())));
         self.effects.push(Effect::Remote {
-            chan: chan.to_string(),
-            overload,
-            pkt,
+            chan: to.name.to_string(),
+            overload: to.overload,
+            pkt: Value::Tuple(parts.into()),
         });
     }
 
-    fn send_neighbor(&mut self, chan: &str, overload: u32, host: u32, pkt: Value) {
+    fn send_neighbor(&mut self, to: ChanRef<'_>, host: u32, parts: &[Value]) {
+        self.send_sites
+            .push((SendKind::Neighbor, Some(to.name.to_string())));
         self.effects.push(Effect::Neighbor {
-            chan: chan.to_string(),
-            overload,
+            chan: to.name.to_string(),
+            overload: to.overload,
             host,
-            pkt,
+            pkt: Value::Tuple(parts.into()),
         });
     }
 
-    fn deliver(&mut self, pkt: Value) {
-        self.effects.push(Effect::Deliver(pkt));
+    fn deliver(&mut self, parts: &[Value]) {
+        self.send_sites.push((SendKind::Deliver, None));
+        self.effects
+            .push(Effect::Deliver(Value::Tuple(parts.into())));
     }
 
     fn print(&mut self, text: &str) {
@@ -279,10 +312,6 @@ impl NetEnv for MockEnv {
         self.site_steps.extend(sites.iter().map(|&site| (site, n)));
     }
 
-    fn note_send_site(&mut self, kind: SendKind, chan: Option<&str>) {
-        self.send_sites.push((kind, chan.map(str::to_string)));
-    }
-
     fn set_timer(&mut self, delay_ms: i64, key: i64) {
         self.timers.push((delay_ms, key));
     }
@@ -299,11 +328,28 @@ mod tests {
     #[test]
     fn mock_records_effects() {
         let mut env = MockEnv::new(7);
-        env.send_remote("network", 0, Value::Unit);
-        env.deliver(Value::Int(1));
+        let network = ChanRef {
+            name: "network",
+            index: 0,
+            overload: 0,
+        };
+        env.send_remote(network, &[Value::Int(1), Value::Int(2)]);
+        env.deliver(&[Value::Int(1)]);
         env.print("hi");
         assert_eq!(env.remote_count(), 1);
         assert_eq!(env.deliver_count(), 1);
+        // The effect holds the tuple the parts stand for, and the trail
+        // names each send.
+        assert!(
+            matches!(&env.effects[0], Effect::Remote { pkt: Value::Tuple(t), .. } if t.len() == 2)
+        );
+        assert_eq!(
+            env.send_sites,
+            vec![
+                (SendKind::Remote, Some("network".to_string())),
+                (SendKind::Deliver, None)
+            ]
+        );
         assert_eq!(env.output, "hi");
         assert_eq!(env.this_host(), 7);
     }

@@ -7,7 +7,7 @@
 //! [`crate::jit`] is its specialization, and the two are differential-
 //! tested against each other.
 
-use crate::env::NetEnv;
+use crate::env::{packet_parts, ChanRef, NetEnv};
 use crate::ops::{eval_binop, eval_unop};
 use crate::prims;
 use crate::value::{Value, VmError};
@@ -147,6 +147,21 @@ impl<'p> Interp<'p> {
         }
     }
 
+    /// Resolves a send's target by name, like every other name here.
+    fn chan_ref<'a>(&self, chan: &'a str, overload: u32) -> Result<ChanRef<'a>, VmError> {
+        let index = self
+            .prog
+            .channels
+            .iter()
+            .position(|c| c.name == chan && c.overload == overload)
+            .ok_or_else(|| VmError::trap(format!("send to unknown channel `{chan}`#{overload}")))?;
+        Ok(ChanRef {
+            name: chan,
+            index: index as u32,
+            overload,
+        })
+    }
+
     /// Evaluates one expression.
     ///
     /// # Errors
@@ -275,8 +290,7 @@ impl<'p> Interp<'p> {
                 pkt,
             } => {
                 let v = self.eval(pkt, globals, names, net)?;
-                net.note_send_site(crate::env::SendKind::Remote, Some(chan));
-                net.send_remote(chan, *overload, v);
+                net.send_remote(self.chan_ref(chan, *overload)?, packet_parts(&v)?);
                 Ok(Value::Unit)
             }
             TExprKind::OnNeighbor {
@@ -290,8 +304,7 @@ impl<'p> Interp<'p> {
                     return Err(VmError::trap("OnNeighbor host not a host"));
                 };
                 let v = self.eval(pkt, globals, names, net)?;
-                net.note_send_site(crate::env::SendKind::Neighbor, Some(chan));
-                net.send_neighbor(chan, *overload, h, v);
+                net.send_neighbor(self.chan_ref(chan, *overload)?, h, packet_parts(&v)?);
                 Ok(Value::Unit)
             }
         }

@@ -9,8 +9,15 @@
 //! compile time, and the per-packet work is "match and act":
 //!
 //! * operands are resolved — a local slot, a temporary, a constant, a
-//!   global, or a *field of a tuple in a slot*, so `udpDst(#2 p)` reads
-//!   the header in place instead of cloning the packet tuple;
+//!   global, or a field of a tuple in a slot;
+//! * a channel's packet parameter is **one register per component** of
+//!   its shape (`ip`, transport header, payload parts), filled by the
+//!   caller ([`CompiledProgram::load_packet`]): `udpDst(#2 p)` reads a
+//!   register, `OnRemote(c, p)` and `deliver(p)` send straight from the
+//!   registers, a literal tuple in a send is computed side by side and
+//!   sent from there, and the tuple itself is built only where `p` is
+//!   used whole for anything else (passed to a function, stored,
+//!   returned) — at that point, as any tuple is;
 //! * `let`s that only rename an operand (`val iph : ip = #1 p`) bind at
 //!   compile time and emit nothing;
 //! * primitive calls are pre-resolved function pointers;
@@ -23,6 +30,8 @@
 //! * results return in registers: a channel body leaves `(ps', ss')` in
 //!   registers 0 and 1, so a literal pair in tail position is never
 //!   allocated and a `(ps, ss)` tail moves nothing at all;
+//! * sends name their channel by its index in the program, resolved at
+//!   compile time;
 //! * the register file is owned by the program and reused across
 //!   dispatches, and user-function frames are windows of it.
 //!
@@ -55,11 +64,12 @@
 //! metric of the paper's figure 3.
 
 use crate::cost::STEPS_PER_NODE;
-use crate::env::{NetEnv, SendKind};
+use crate::env::{packet_parts, ChanRef, NetEnv};
 use crate::ops::{eval_binop, eval_unop};
 use crate::prims::{self, PrimFn};
 use crate::value::{Value, VmError};
 use planp_lang::ast::{BinOp, UnOp};
+use planp_lang::prims::PrimId;
 use planp_lang::tast::{ExnId, TExpr, TExprKind, TProgram};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -82,6 +92,17 @@ enum Src {
     Const(u32),
     /// A `val` global.
     Global(u32),
+}
+
+/// The packet a send instruction names. No send builds a tuple.
+#[derive(Debug, Clone, Copy)]
+enum Parts {
+    /// `len` registers from `at`, one per component: the channel's own
+    /// packet parameter, or the items of a literal tuple computed side
+    /// by side.
+    Regs { at: Reg, len: u32 },
+    /// A tuple value (a function's result, a table entry).
+    Tuple(Src),
 }
 
 /// One bytecode instruction. `to` fields are instruction indices.
@@ -143,16 +164,18 @@ enum Ins {
         args: Box<[Src]>,
     },
     Raise(ExnId),
+    /// `chan` indexes the program's channels.
     SendRemote {
-        chan: Rc<str>,
-        overload: u32,
-        pkt: Src,
+        chan: u32,
+        pkt: Parts,
     },
     SendNeighbor {
-        chan: Rc<str>,
-        overload: u32,
+        chan: u32,
         host: Src,
-        pkt: Src,
+        pkt: Parts,
+    },
+    Deliver {
+        pkt: Parts,
     },
     /// Charges what is pending, before a call.
     Flush,
@@ -240,6 +263,9 @@ pub struct CompiledChannel {
     /// Channel name.
     pub name: String,
     body: Unit,
+    /// The registers of `body`'s frame that hold the packet, one per
+    /// component of the channel's shape: `(first, count)`.
+    pkt: (Reg, u32),
     initstate: Option<Unit>,
 }
 
@@ -274,6 +300,11 @@ pub struct CodegenStats {
 pub fn compile(prog: Rc<TProgram>) -> (CompiledProgram, CodegenStats) {
     let start = Instant::now();
     let mut cx = Cx {
+        prog: &prog,
+        deliver: planp_lang::prims::table()
+            .lookup("deliver")
+            .expect("`deliver` is a primitive")
+            .0,
         consts: Vec::new(),
         sites: Vec::new(),
         fun_depth: Vec::with_capacity(prog.funs.len()),
@@ -284,14 +315,14 @@ pub fn compile(prog: Rc<TProgram>) -> (CompiledProgram, CodegenStats) {
     let global_inits = prog
         .globals
         .iter()
-        .map(|g| cx.unit(&g.init, count_let_depth(&g.init), false))
+        .map(|g| cx.unit(&g.init, count_let_depth(&g.init), None))
         .collect();
 
     // Bodies may call only earlier functions, so callee frame depths are
     // known by the time a call is compiled.
     let mut funs = Vec::with_capacity(prog.funs.len());
     for f in &prog.funs {
-        let unit = cx.unit(&f.body, f.nlocals, false);
+        let unit = cx.unit(&f.body, f.nlocals, None);
         cx.fun_depth.push(unit.depth);
         funs.push(unit);
     }
@@ -299,23 +330,35 @@ pub fn compile(prog: Rc<TProgram>) -> (CompiledProgram, CodegenStats) {
     let proto_init = prog
         .proto_init
         .as_ref()
-        .map(|e| cx.unit(e, count_let_depth(e), false));
+        .map(|e| cx.unit(e, count_let_depth(e), None));
 
     let channels = prog
         .channels
         .iter()
-        .map(|ch| CompiledChannel {
-            name: ch.name.clone(),
-            body: cx.unit(&ch.body, ch.nlocals, true),
-            initstate: ch
-                .initstate
-                .as_ref()
-                .map(|e| cx.unit(e, count_let_depth(e), false)),
+        .map(|ch| {
+            // The packet's registers come right after the local slots.
+            let pkt = (ch.nlocals, ch.shape.components() as u32);
+            CompiledChannel {
+                name: ch.name.clone(),
+                body: cx.unit(&ch.body, ch.nlocals, Some(pkt)),
+                pkt,
+                initstate: ch
+                    .initstate
+                    .as_ref()
+                    .map(|e| cx.unit(e, count_let_depth(e), None)),
+            }
         })
         .collect();
 
+    let Cx {
+        consts,
+        sites,
+        nodes,
+        fused,
+        ..
+    } = cx;
     let stats = CodegenStats {
-        nodes: cx.nodes,
+        nodes,
         elapsed: start.elapsed(),
     };
     (
@@ -325,9 +368,9 @@ pub fn compile(prog: Rc<TProgram>) -> (CompiledProgram, CodegenStats) {
             funs,
             channels,
             prog,
-            consts: cx.consts,
-            sites: cx.sites,
-            fused: cx.fused,
+            consts,
+            sites,
+            fused,
             regs: RefCell::new(Vec::new()),
             steps: Cell::new(0),
         },
@@ -383,7 +426,9 @@ impl CompiledProgram {
         }
     }
 
-    /// Runs channel `idx` on a packet, returning `(ps', ss')`.
+    /// Runs channel `idx` on a packet tuple, returning `(ps', ss')`:
+    /// [`load_packet`](Self::load_packet) fed with the tuple's
+    /// components, then [`PacketFrame::run`].
     ///
     /// # Errors
     ///
@@ -397,19 +442,42 @@ impl CompiledProgram {
         pkt: Value,
         net: &mut dyn NetEnv,
     ) -> Result<(Value, Value), VmError> {
-        let unit = &self.channels[idx].body;
-        let mut regs = self.take_regs(unit);
-        regs[0] = ps;
-        regs[1] = ss;
-        regs[2] = pkt;
-        let (out, steps) = self.exec(unit, globals, &mut regs, net);
-        net.charge_steps(steps);
-        let out = out.map(|()| {
-            let ps = std::mem::replace(&mut regs[0], Value::Unit);
-            (ps, std::mem::replace(&mut regs[1], Value::Unit))
-        });
-        self.regs.replace(regs);
-        out
+        let parts = packet_parts(&pkt)?;
+        self.load_packet(idx, |regs| {
+            let fits = regs.len() == parts.len();
+            if fits {
+                regs.clone_from_slice(parts);
+            }
+            fits
+        })
+        .ok_or_else(|| {
+            VmError::trap(format!(
+                "channel {idx} takes {} packet components, got {}",
+                self.channels[idx].pkt.1,
+                parts.len()
+            ))
+        })?
+        .run(globals, ps, ss, net)
+    }
+
+    /// Opens channel `idx`'s frame and lets `fill` write the packet
+    /// straight into its registers — one slot per component of the
+    /// channel's [`planp_lang::types::PacketShape`], in tuple order.
+    /// `None` when `fill` declines (the packet does not match): nothing
+    /// ran and nothing was charged.
+    pub fn load_packet(
+        &self,
+        idx: usize,
+        fill: impl FnOnce(&mut [Value]) -> bool,
+    ) -> Option<PacketFrame<'_>> {
+        let ch = &self.channels[idx];
+        let mut frame = PacketFrame {
+            prog: self,
+            idx,
+            regs: self.take_regs(&ch.body),
+        };
+        let (at, len) = (ch.pkt.0 as usize, ch.pkt.1 as usize);
+        fill(&mut frame.regs[at..at + len]).then_some(frame)
     }
 
     /// Runs an initializer.
@@ -449,6 +517,16 @@ impl CompiledProgram {
         (out, vm.steps)
     }
 
+    /// What a send instruction hands the environment for channel `chan`.
+    fn chan_ref(&self, chan: u32) -> ChanRef<'_> {
+        let ch = &self.prog.channels[chan as usize];
+        ChanRef {
+            name: &ch.name,
+            index: chan,
+            overload: ch.overload,
+        }
+    }
+
     /// Total steps charged by this program (the VM profiling step count;
     /// equal to the nodes the interpreter would have evaluated).
     pub fn steps(&self) -> u64 {
@@ -467,6 +545,52 @@ impl CompiledProgram {
     /// the compiler emitted.
     pub fn superinstructions(&self) -> (usize, usize) {
         (self.fused[0], self.fused[1])
+    }
+}
+
+/// Channel `idx`'s frame with a packet in its registers, ready to run;
+/// see [`CompiledProgram::load_packet`]. Holds the program's register
+/// file and hands it back when dropped, run or not.
+pub struct PacketFrame<'p> {
+    prog: &'p CompiledProgram,
+    idx: usize,
+    regs: Vec<Value>,
+}
+
+impl PacketFrame<'_> {
+    /// The loaded packet's components, in tuple order.
+    pub fn packet(&self) -> &[Value] {
+        let (at, len) = self.prog.channels[self.idx].pkt;
+        &self.regs[at as usize..(at + len) as usize]
+    }
+
+    /// Runs the channel on the loaded packet, returning `(ps', ss')`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates uncaught PLAN-P exceptions and traps.
+    pub fn run(
+        mut self,
+        globals: &[Value],
+        ps: Value,
+        ss: Value,
+        net: &mut dyn NetEnv,
+    ) -> Result<(Value, Value), VmError> {
+        let unit = &self.prog.channels[self.idx].body;
+        self.regs[0] = ps;
+        self.regs[1] = ss;
+        let (out, steps) = self.prog.exec(unit, globals, &mut self.regs, net);
+        net.charge_steps(steps);
+        out.map(|()| {
+            let ps = std::mem::replace(&mut self.regs[0], Value::Unit);
+            (ps, std::mem::replace(&mut self.regs[1], Value::Unit))
+        })
+    }
+}
+
+impl Drop for PacketFrame<'_> {
+    fn drop(&mut self) {
+        self.prog.regs.replace(std::mem::take(&mut self.regs));
     }
 }
 
@@ -586,6 +710,14 @@ impl Vm<'_> {
                         tri!(own(frame, globals, consts, $s))
                     };
                 }
+                macro_rules! parts {
+                    ($p:expr) => {
+                        match $p {
+                            Parts::Regs { at, len } => &frame[*at as usize..(*at + *len) as usize],
+                            Parts::Tuple(s) => tri!(packet_parts(rd!(s))),
+                        }
+                    };
+                }
                 // Falling through reads on in the pool; a jump leaves
                 // the straight line, so it charges first.
                 macro_rules! branch {
@@ -666,31 +798,22 @@ impl Vm<'_> {
                         continue 'run;
                     }
                     Ins::Raise(id) => break 'ins VmError::Exn(*id),
-                    Ins::SendRemote {
-                        chan,
-                        overload,
-                        pkt,
-                    } => {
-                        let v = own!(pkt);
-                        self.net.note_send_site(SendKind::Remote, Some(chan));
-                        self.net.send_remote(chan, *overload, v);
+                    Ins::SendRemote { chan, pkt } => {
+                        self.net.send_remote(prog.chan_ref(*chan), parts!(pkt));
                         continue 'run;
                     }
-                    Ins::SendNeighbor {
-                        chan,
-                        overload,
-                        host,
-                        pkt,
-                    } => {
+                    Ins::SendNeighbor { chan, host, pkt } => {
                         let h = match rd!(host) {
                             Value::Host(h) => *h,
                             other => {
                                 break 'ins VmError::trap(format!("OnNeighbor host {other:?}"))
                             }
                         };
-                        let v = own!(pkt);
-                        self.net.note_send_site(SendKind::Neighbor, Some(chan));
-                        self.net.send_neighbor(chan, *overload, h, v);
+                        self.net.send_neighbor(prog.chan_ref(*chan), h, parts!(pkt));
+                        continue 'run;
+                    }
+                    Ins::Deliver { pkt } => {
+                        self.net.deliver(parts!(pkt));
                         continue 'run;
                     }
                     Ins::Flush => {
@@ -783,7 +906,10 @@ impl Vm<'_> {
 // ---- compilation ----------------------------------------------------------
 
 /// Program-wide compiler state.
-struct Cx {
+struct Cx<'p> {
+    prog: &'p TProgram,
+    /// The `deliver` primitive, compiled to a send.
+    deliver: PrimId,
     consts: Vec<Value>,
     sites: Vec<u32>,
     /// Frame depth of each compiled function, for callers' `depth`.
@@ -821,22 +947,24 @@ fn is_comparison(op: BinOp) -> bool {
     matches!(op, Eq | Ne | Lt | Le | Gt | Ge)
 }
 
-impl Cx {
+impl Cx<'_> {
     /// Compiles one expression into a unit with `nlocals` local slots.
-    /// `pair` units (channel bodies) return two values.
-    fn unit(&mut self, e: &TExpr, nlocals: u32, pair: bool) -> Unit {
+    /// A unit with packet registers `pkt` (`(first, count)`, right after
+    /// the slots) is a channel body: it returns two values.
+    fn unit(&mut self, e: &TExpr, nlocals: u32, pkt: Option<(Reg, u32)>) -> Unit {
         let block = self.sites.len() as u32;
+        let next = nlocals + pkt.map_or(0, |(_, len)| len);
         let mut g = Gen {
             cx: self,
             code: Vec::new(),
             charge: Vec::new(),
             handlers: Vec::new(),
             block,
-            next: nlocals,
-            nregs: nlocals.max(1 + u32::from(pair)),
+            next,
+            nregs: next.max(1 + u32::from(pkt.is_some())),
             aliases: vec![None; nlocals as usize],
             callees: 0,
-            pair,
+            pkt,
         };
         g.tail(e);
         Unit {
@@ -849,9 +977,14 @@ impl Cx {
     }
 }
 
+/// The slot a channel's packet parameter has in the typed program. The
+/// bytecode keeps nothing there: as an operand, `Src::Reg(PKT_SLOT)`
+/// stands for the packet in its component registers.
+const PKT_SLOT: Reg = 2;
+
 /// Code generator for one unit.
-struct Gen<'c> {
-    cx: &'c mut Cx,
+struct Gen<'c, 'p> {
+    cx: &'c mut Cx<'p>,
     code: Vec<Ins>,
     charge: Vec<(u32, u32)>,
     handlers: Vec<Handler>,
@@ -865,10 +998,11 @@ struct Gen<'c> {
     aliases: Vec<Option<Src>>,
     /// Deepest callee frame chain.
     callees: u32,
-    pair: bool,
+    /// A channel body's packet registers, `(first, count)`.
+    pkt: Option<(Reg, u32)>,
 }
 
-impl Gen<'_> {
+impl Gen<'_, '_> {
     fn pc(&self) -> u32 {
         self.code.len() as u32
     }
@@ -933,10 +1067,47 @@ impl Gen<'_> {
         self.konst(v)
     }
 
+    /// The registers of the packet parameter, if `e` names it — directly
+    /// or through `let`s that rename it.
+    fn packet(&self, e: &TExpr) -> Option<(Reg, u32)> {
+        let TExprKind::Local { slot, .. } = &e.kind else {
+            return None;
+        };
+        let named = self.aliases[*slot as usize].unwrap_or(Src::Reg(*slot));
+        self.pkt.filter(|_| matches!(named, Src::Reg(PKT_SLOT)))
+    }
+
+    /// The packet of a send: its components where they already are (the
+    /// packet parameter) or computed side by side (a literal tuple);
+    /// only a tuple some other expression built is read as one.
+    fn parts(&mut self, e: &TExpr) -> Parts {
+        if let Some((at, len)) = self.packet(e) {
+            self.visit(e);
+            return Parts::Regs { at, len };
+        }
+        let TExprKind::Tuple(items) = &e.kind else {
+            return Parts::Tuple(self.gen(e, None));
+        };
+        self.visit(e);
+        let at = self.next;
+        for _ in items {
+            self.tmp();
+        }
+        for (dst, item) in (at..).zip(items) {
+            self.gen(item, Some(dst));
+        }
+        Parts::Regs {
+            at,
+            len: items.len() as u32,
+        }
+    }
+
     /// True if `e` compiles to an operand without emitting code.
     fn is_operand(&self, e: &TExpr) -> bool {
         match &e.kind {
-            TExprKind::Local { .. } | TExprKind::Global { .. } => true,
+            // Used whole, the packet is a tuple to build.
+            TExprKind::Local { .. } => self.packet(e).is_none(),
+            TExprKind::Global { .. } => true,
             TExprKind::Proj(_, inner) => match &inner.kind {
                 TExprKind::Local { slot, .. } => {
                     matches!(self.aliases[*slot as usize], None | Some(Src::Reg(_)))
@@ -961,10 +1132,33 @@ impl Gen<'_> {
         }
     }
 
+    /// Where a computed value goes: the register the caller named, or
+    /// a fresh temporary.
+    fn dest(&mut self, dst: Option<Reg>) -> (Reg, Src) {
+        match dst {
+            Some(d) => (d, Src::Reg(d)),
+            None => {
+                let t = self.tmp();
+                (t, Src::Tmp(t))
+            }
+        }
+    }
+
+    /// Ends a send: its temporaries (from `mark`) are free again and
+    /// its value is unit.
+    fn sent(&mut self, mark: Reg, dst: Option<Reg>) -> Src {
+        self.next = mark;
+        let unit = self.konst(Value::Unit);
+        self.deliver(unit, dst)
+    }
+
     /// Binds a `let`: an initializer that is a plain operand is renamed
     /// (no code); anything else is computed straight into the slot.
     fn bind_let(&mut self, slot: u32, init: &TExpr) {
-        if self.is_operand(init) {
+        if self.packet(init).is_some() {
+            self.visit(init);
+            self.aliases[slot as usize] = Some(Src::Reg(PKT_SLOT));
+        } else if self.is_operand(init) {
             let s = self.gen(init, None);
             self.aliases[slot as usize] = Some(s);
         } else {
@@ -982,12 +1176,27 @@ impl Gen<'_> {
         }
         self.visit(e);
         match &e.kind {
-            TExprKind::Local { slot, .. } => {
-                let s = self.aliases[*slot as usize].unwrap_or(Src::Reg(*slot));
-                self.deliver(s, dst)
-            }
+            TExprKind::Local { slot, .. } => match self.packet(e) {
+                // The packet used whole: this is where its tuple is built.
+                Some((at, len)) => {
+                    let (d, out) = self.dest(dst);
+                    self.emit(Ins::Tuple {
+                        dst: d,
+                        items: (at..at + len).map(Src::Reg).collect(),
+                    });
+                    out
+                }
+                None => {
+                    let s = self.aliases[*slot as usize].unwrap_or(Src::Reg(*slot));
+                    self.deliver(s, dst)
+                }
+            },
             TExprKind::Global { index, .. } => self.deliver(Src::Global(*index), dst),
             TExprKind::Proj(i, inner) => {
+                if let Some((at, _)) = self.packet(inner) {
+                    self.visit(inner);
+                    return self.deliver(Src::Reg(at + *i), dst);
+                }
                 let s = match self.gen(inner, None) {
                     Src::Reg(r) | Src::Tmp(r) => Src::Field(r, *i),
                     other => {
@@ -1030,15 +1239,10 @@ impl Gen<'_> {
                 pkt,
             } => {
                 let mark = self.next;
-                let pkt = self.gen(pkt, None);
-                self.emit(Ins::SendRemote {
-                    chan: chan.as_str().into(),
-                    overload: *overload,
-                    pkt,
-                });
-                self.next = mark;
-                let unit = self.konst(Value::Unit);
-                self.deliver(unit, dst)
+                let pkt = self.parts(pkt);
+                let chan = self.chan_index(chan, *overload);
+                self.emit(Ins::SendRemote { chan, pkt });
+                self.sent(mark, dst)
             }
             TExprKind::OnNeighbor {
                 chan,
@@ -1048,31 +1252,31 @@ impl Gen<'_> {
             } => {
                 let mark = self.next;
                 let host = self.gen(host, None);
-                let pkt = self.gen(pkt, None);
-                self.emit(Ins::SendNeighbor {
-                    chan: chan.as_str().into(),
-                    overload: *overload,
-                    host,
-                    pkt,
-                });
-                self.next = mark;
-                let unit = self.konst(Value::Unit);
-                self.deliver(unit, dst)
+                let pkt = self.parts(pkt);
+                let chan = self.chan_index(chan, *overload);
+                self.emit(Ins::SendNeighbor { chan, host, pkt });
+                self.sent(mark, dst)
+            }
+            TExprKind::CallPrim { prim, args } if *prim == self.cx.deliver => {
+                let mark = self.next;
+                let pkt = self.parts(&args[0]);
+                self.emit(Ins::Deliver { pkt });
+                self.sent(mark, dst)
             }
             _ => {
-                let (d, out) = match dst {
-                    Some(d) => (d, Src::Reg(d)),
-                    None => {
-                        let t = self.tmp();
-                        (t, Src::Tmp(t))
-                    }
-                };
+                let (d, out) = self.dest(dst);
                 let mark = self.next;
                 self.compute(e, d);
                 self.next = mark;
                 out
             }
         }
+    }
+
+    /// The position in the program's channel list of the overload a
+    /// send names (the checker resolved both parts).
+    fn chan_index(&self, chan: &str, overload: u32) -> u32 {
+        self.cx.prog.chan_groups[chan][overload as usize] as u32
     }
 
     /// Compiles expressions evaluated for effect only.
@@ -1307,7 +1511,7 @@ impl Gen<'_> {
                 self.handler(start, *pat);
                 self.tail(handler);
             }
-            TExprKind::Tuple(items) if self.pair && items.len() == 2 => {
+            TExprKind::Tuple(items) if self.pkt.is_some() && items.len() == 2 => {
                 self.visit(e);
                 let mark = self.next;
                 let a = self.gen(&items[0], None);
@@ -1318,7 +1522,7 @@ impl Gen<'_> {
             _ => {
                 let mark = self.next;
                 let src = self.gen(e, None);
-                self.emit(if self.pair {
+                self.emit(if self.pkt.is_some() {
                     Ins::RetPair { src }
                 } else {
                     Ins::Ret { src }
@@ -1754,6 +1958,123 @@ mod tests {
             Value::Int(10),
         );
         assert_eq!(out.unwrap(), "2012 ()");
+    }
+
+    /// How many tuples channel 0's body builds.
+    fn tuples_built(src: &str) -> usize {
+        let (_, cp) = both(src);
+        let code = &cp.channels[0].body.code;
+        code.iter()
+            .filter(|i| matches!(i, Ins::Tuple { .. }))
+            .count()
+    }
+
+    #[test]
+    fn packet_is_sent_from_its_registers_without_a_tuple() {
+        // The parameter itself, renamed, sent twice, sent and delivered,
+        // to a neighbor; and a literal tuple, whose items are computed
+        // side by side (a rewritten header next to plain components).
+        for body in [
+            "(OnRemote(network, p); (ps, ss))",
+            "(OnRemote(network, p); OnRemote(network, p); (ps + 1, ss))",
+            "(OnRemote(network, p); deliver(p); (ps, ss))",
+            "(OnNeighbor(network, ipDst(#1 p), p); (udpDst(#2 p), ss))",
+            "let val q : ip*udp*blob = p val r : ip*udp*blob = q in\n\
+               (deliver(r); OnRemote(network, q); (udpDst(#2 r) + blobLen(#3 q), ss)) end",
+            "(OnRemote(network, (ipDestSet(#1 p, thisHost()), #2 p, #3 p)); (ps, ss))",
+            "let val h : udp = #2 p in\n\
+               (deliver((ipSrcSet(#1 p, ipDst(#1 p)), udpDstSet(h, ps), blobSub(#3 p, 1, 3)));\n\
+                (ps, ss)) end",
+        ] {
+            let src = format!("channel network(ps : int, ss : unit, p : ip*udp*blob) is\n{body}");
+            let Ran { env, .. } = differential(&src, Value::Int(7));
+            assert!(!env.effects.is_empty(), "{body}");
+            assert_eq!(tuples_built(&src), 0, "{body}");
+        }
+        // A literal tuple whose item raises half way: the items before
+        // it were charged, the send never happens.
+        let src = "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   ((OnRemote(network, (#1 p, #2 p, blobSub(#3 p, 0, ps))); (ps, ss))\n\
+                    handle OutOfRange => (0 - 1, ss))";
+        let Ran { env, out } = differential(src, Value::Int(100));
+        assert_eq!(out.unwrap(), "-1 ()");
+        assert!(env.effects.is_empty());
+        assert!(charged(&env, site_of(src, "#2 p")));
+        let Ran { env, .. } = differential(src, Value::Int(3));
+        assert_eq!(env.remote_count(), 1);
+    }
+
+    #[test]
+    fn packet_used_whole_is_built_where_it_is_used() {
+        // Passed to a user function (and still readable in place after).
+        let src = "fun port(q : ip*udp*blob) : int = udpDst(#2 q)\n\
+                   channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   (port(p) + blobLen(#3 p) + ps, ss)";
+        let Ran { out, .. } = differential(src, Value::Int(1));
+        assert_eq!(out.unwrap(), "2008 ()");
+        assert_eq!(tuples_built(src), 1);
+
+        // Stored in a table, read back and sent: a tuple some other
+        // expression built is sent as one.
+        let src =
+            "channel network(ps : int, ss : (int, ip*udp*blob) hash_table, p : ip*udp*blob)\n\
+                   initstate mkTable(4) is\n\
+                   (tblSet(ss, ps, p); OnRemote(network, tblGet(ss, ps)); deliver(p);\n\
+                    (ps + 1, ss))";
+        let Ran { env, .. } = differential(src, Value::Int(0));
+        assert_eq!((env.remote_count(), env.deliver_count()), (1, 1));
+        assert_eq!(tuples_built(src), 1);
+
+        // The value of a conditional, a component of another tuple, and
+        // a renaming `let` whose body uses it whole.
+        let src = "fun same(q : ip*udp*blob) : ip*udp*blob = q\n\
+                   channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   let\n\
+                     val r : ip*udp*blob = if ps > 3 then p else same(p)\n\
+                     val both : (ip*udp*blob)*int = (p, ps)\n\
+                     val q : ip*udp*blob = p\n\
+                   in\n\
+                     (OnRemote(network, r); OnRemote(network, #1 both); OnRemote(network, same(q));\n\
+                      (udpSrc(#2 r) + udpDst(#2 (#1 both)) + blobLen(#3 q), ss))\n\
+                   end";
+        for ps in [0, 9] {
+            let Ran { env, out } = differential(src, Value::Int(ps));
+            assert_eq!(out.unwrap(), "3007 ()");
+            assert_eq!(env.remote_count(), 3);
+            // Every effect carries the packet that came in.
+            let shown: Vec<String> = env.effects.iter().map(|e| format!("{e:?}")).collect();
+            assert!(shown.windows(2).all(|w| w[0] == w[1]), "{shown:?}");
+        }
+    }
+
+    #[test]
+    fn register_entry_rejects_a_packet_of_another_shape() {
+        let (_, cp) = both("channel network(ps : int, ss : unit, p : ip*udp*blob) is (ps, ss)");
+        let mut env = MockEnv::new(0);
+        // Declined by the filler: nothing ran, nothing was charged.
+        assert!(cp.load_packet(0, |regs| regs.len() != 3).is_none());
+        let short = Value::tuple(vec![Value::Ip(IpHdr::new(1, 2, IpHdr::PROTO_UDP))]);
+        for bad in [short, Value::Int(1)] {
+            let r = cp.run_channel(0, &[], Value::Int(0), Value::Unit, bad, &mut env);
+            assert!(matches!(r, Err(VmError::Trap(_))), "{r:?}");
+        }
+        assert_eq!((env.steps, cp.steps()), (0, 0));
+        // Filled in place, it runs like the tuple-fed entry.
+        let frame = cp
+            .load_packet(0, |regs| {
+                let Value::Tuple(parts) = udp_packet(1, 2, b"x") else {
+                    unreachable!()
+                };
+                regs.clone_from_slice(&parts);
+                true
+            })
+            .expect("three components");
+        assert_eq!(frame.packet().len(), 3);
+        let (ps, _) = frame
+            .run(&[], Value::Int(4), Value::Unit, &mut env)
+            .unwrap();
+        assert_eq!(ps.display(), "4");
+        assert!(env.steps > 0);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod pkthdr;
 pub mod prims;
 pub mod value;
 
-pub use env::{Effect, MockEnv, NetEnv, SendKind};
+pub use env::{ChanRef, Effect, MockEnv, NetEnv, SendKind};
 pub use interp::Interp;
 pub use jit::{compile, CodegenStats, CompiledProgram};
 pub use value::{Value, VmError};

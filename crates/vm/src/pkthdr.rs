@@ -26,20 +26,44 @@ pub use netsim::packet::{addr, addr_to_string, tcp_flags, IpHdr, TcpHdr, UdpHdr}
 /// shape. Returns `None` if the payload does not match (wrong length,
 /// bad bool, bad UTF-8…). The decoded values are in component order.
 pub fn decode_payload(types: &[Type], payload: &Bytes) -> Option<Vec<super::value::Value>> {
+    let mut out = vec![super::value::Value::Unit; types.len()];
+    decode_payload_into(types, payload, &mut out).then_some(out)
+}
+
+/// [`decode_payload`] into a caller's slots, one per component of
+/// `types` — registers of the bytecode engine, when the runtime decodes
+/// an arriving packet. Returns `false` if the payload does not match;
+/// the slots then hold whichever components decoded before the mismatch.
+///
+/// # Panics
+///
+/// Panics if `out` has fewer slots than `types` has components.
+pub fn decode_payload_into(
+    types: &[Type],
+    payload: &Bytes,
+    out: &mut [super::value::Value],
+) -> bool {
+    decode_components(types, payload, &mut out[..types.len()]).is_some()
+}
+
+fn decode_components(
+    types: &[Type],
+    payload: &Bytes,
+    out: &mut [super::value::Value],
+) -> Option<()> {
     use super::value::Value;
-    let mut out = Vec::with_capacity(types.len());
     let mut off = 0usize;
-    for (i, t) in types.iter().enumerate() {
+    for (i, (t, slot)) in types.iter().zip(out).enumerate() {
         let last = i + 1 == types.len();
         match t {
             Type::Blob => {
                 debug_assert!(last, "blob is only valid as the final component");
-                out.push(Value::Blob(payload.slice(off..)));
+                *slot = Value::Blob(payload.slice(off..));
                 off = payload.len();
             }
             Type::Char => {
                 let b = *payload.get(off)?;
-                out.push(Value::Char(b as char));
+                *slot = Value::Char(b as char);
                 off += 1;
             }
             Type::Bool => {
@@ -47,17 +71,17 @@ pub fn decode_payload(types: &[Type], payload: &Bytes) -> Option<Vec<super::valu
                 if b > 1 {
                     return None;
                 }
-                out.push(Value::Bool(b == 1));
+                *slot = Value::Bool(b == 1);
                 off += 1;
             }
             Type::Int => {
                 let bytes = payload.get(off..off + 8)?;
-                out.push(Value::Int(i64::from_be_bytes(bytes.try_into().ok()?)));
+                *slot = Value::Int(i64::from_be_bytes(bytes.try_into().ok()?));
                 off += 8;
             }
             Type::Host => {
                 let bytes = payload.get(off..off + 4)?;
-                out.push(Value::Host(u32::from_be_bytes(bytes.try_into().ok()?)));
+                *slot = Value::Host(u32::from_be_bytes(bytes.try_into().ok()?));
                 off += 4;
             }
             Type::Str => {
@@ -65,7 +89,7 @@ pub fn decode_payload(types: &[Type], payload: &Bytes) -> Option<Vec<super::valu
                 let len = u16::from_be_bytes(lb.try_into().ok()?) as usize;
                 let bytes = payload.get(off + 2..off + 2 + len)?;
                 let s = std::str::from_utf8(bytes).ok()?;
-                out.push(Value::Str(s.into()));
+                *slot = Value::Str(s.into());
                 off += 2 + len;
             }
             other => {
@@ -76,10 +100,7 @@ pub fn decode_payload(types: &[Type], payload: &Bytes) -> Option<Vec<super::valu
     }
     // Unless a trailing blob consumed the rest, require an exact fit so
     // that overload dispatch is unambiguous.
-    if off != payload.len() {
-        return None;
-    }
-    Some(out)
+    (off == payload.len()).then_some(())
 }
 
 /// Encodes payload component values back into wire bytes. The inverse of

@@ -417,8 +417,7 @@ fn impl_for(name: &'static str) -> PrimFn {
             Ok(Value::Unit)
         },
         "deliver" => |a, env| {
-            env.note_send_site(crate::env::SendKind::Deliver, None);
-            env.deliver(a[0].clone());
+            env.deliver(crate::env::packet_parts(&a[0])?);
             Ok(Value::Unit)
         },
         other => panic!("primitive `{other}` has a signature but no implementation"),
@@ -596,8 +595,13 @@ mod tests {
         );
         eval(print_id, &[Value::Int(5)], &mut env).unwrap();
         assert_eq!(env.output, "5\n");
-        eval(deliver_id, &[Value::Unit], &mut env).unwrap();
+        let pkt = Value::tuple(vec![
+            Value::Ip(IpHdr::new(1, 2, IpHdr::PROTO_UDP)),
+            Value::Blob(Bytes::new()),
+        ]);
+        eval(deliver_id, &[pkt], &mut env).unwrap();
         assert_eq!(env.deliver_count(), 1);
+        assert!(eval(deliver_id, &[Value::Unit], &mut env).is_err());
     }
 
     #[test]

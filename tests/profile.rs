@@ -17,8 +17,10 @@
 //!   `asps/buggy/*.planp`), every channel overload, 200 seeded packets
 //!   each with state threaded from packet to packet: outcome, effects,
 //!   step totals, per-site trails in order, send-site and table-write
-//!   trails, timers and output are identical between the interpreter
-//!   and the bytecode tier, errors included.
+//!   trails, timers and output are identical between the interpreter,
+//!   the bytecode tier fed the packet as a tuple, and the bytecode tier
+//!   with the packet decoded from its wire form straight into its
+//!   registers (the runtime's entry), errors included.
 //! * **Scenario utilization** — across the three traced paper
 //!   scenarios, every observed site stays at or under `static bound ×
 //!   dispatches` (utilization ≤ 1000‰), no dispatch miscounts
@@ -29,6 +31,7 @@ use std::collections::BTreeMap;
 
 use planp::analysis::site_bounds;
 use planp::lang::compile_front;
+use planp::runtime::convert::{packet_to_parts, value_to_packet};
 use planp::telemetry::ProfileRegistry;
 use planp::vm::env::MockEnv;
 use planp::vm::interp::Interp;
@@ -351,7 +354,8 @@ fn every_bundled_asp_is_engine_identical_on_200_seeded_packets() {
                 ss,
             }
         };
-        let (mut i, mut j) = (install(false), install(true));
+        // Interpreter, tuple-fed bytecode, register-fed bytecode.
+        let (mut i, mut j, mut r) = (install(false), install(true), install(true));
         assert_eq!(i.env.site_steps, j.env.site_steps, "{name}: initializers");
 
         let mut rng = SplitMix64(0xA5B_C0DE);
@@ -360,7 +364,7 @@ fn every_bundled_asp_is_engine_identical_on_200_seeded_packets() {
             let pkt = shaped_packet(&prog.channels[idx].shape, &pool, &mut rng);
             // What the node observes moves too, identically for both.
             let (load, queue) = ((rng.next() % 12_000) as i64, (rng.next() % 40) as i64);
-            for env in [&mut i.env, &mut j.env] {
+            for env in [&mut i.env, &mut j.env, &mut r.env] {
                 env.now_ms += 20;
                 env.load = load;
                 env.queue = queue;
@@ -372,6 +376,8 @@ fn every_bundled_asp_is_engine_identical_on_200_seeded_packets() {
                 env.timers.clear();
                 env.output.clear();
             }
+            let wire = value_to_packet(&pkt, None).expect("generated packets are packets");
+            let shape = &prog.channels[idx].shape;
             let ri = interp.run_channel(
                 idx,
                 &i.globals,
@@ -388,38 +394,43 @@ fn every_bundled_asp_is_engine_identical_on_200_seeded_packets() {
                 pkt,
                 &mut j.env,
             );
-            let ctx = format!("{name} channel {idx} packet {n}");
-            match (ri, rj) {
-                (Ok((pi, si)), Ok((pj, sj))) => {
-                    assert_eq!(pi.display(), pj.display(), "{ctx}: protocol state");
-                    assert_eq!(si.display(), sj.display(), "{ctx}: channel state");
-                    (i.ps, i.ss[idx], j.ps, j.ss[idx]) = (pi, si, pj, sj);
+            let rr = compiled
+                .load_packet(idx, |regs| packet_to_parts(&wire, shape, regs))
+                .expect("a packet's wire form decodes against its own shape")
+                .run(&r.globals, r.ps.clone(), r.ss[idx].clone(), &mut r.env);
+            failed += u64::from(ri.is_err());
+            for (tier, got, engine) in [("tuple-fed", rj, &mut j), ("register-fed", rr, &mut r)] {
+                let ctx = format!("{name} channel {idx} packet {n}, {tier}");
+                match (&ri, got) {
+                    (Ok((pi, si)), Ok((pj, sj))) => {
+                        assert_eq!(pi.display(), pj.display(), "{ctx}: protocol state");
+                        assert_eq!(si.display(), sj.display(), "{ctx}: channel state");
+                        (engine.ps, engine.ss[idx]) = (pj, sj);
+                    }
+                    (Err(a), Err(b)) => assert_eq!(*a, b, "{ctx}: error"),
+                    (a, b) => panic!("{ctx}: interp={a:?} bytecode={b:?}"),
                 }
-                (Err(a), Err(b)) => {
-                    assert_eq!(a, b, "{ctx}: error");
-                    failed += 1;
-                }
-                (a, b) => panic!("{ctx}: interp={a:?} jit={b:?}"),
+                let e = &engine.env;
+                assert_eq!(i.env.steps, e.steps, "{ctx}: step total");
+                assert_eq!(i.env.site_steps, e.site_steps, "{ctx}: site trail");
+                assert_eq!(i.env.send_sites, e.send_sites, "{ctx}: send sites");
+                assert_eq!(i.env.table_writes, e.table_writes, "{ctx}: table writes");
+                assert_eq!(i.env.timers, e.timers, "{ctx}: timers");
+                assert_eq!(i.env.output, e.output, "{ctx}: output");
+                assert_eq!(
+                    format!("{:?}", i.env.effects),
+                    format!("{:?}", e.effects),
+                    "{ctx}: effects"
+                );
+                assert_eq!(
+                    e.site_steps.iter().map(|(_, n)| n).sum::<u64>(),
+                    e.steps,
+                    "{ctx}: Σ per-site == aggregate"
+                );
             }
-            assert_eq!(i.env.steps, j.env.steps, "{ctx}: step total");
-            assert_eq!(i.env.site_steps, j.env.site_steps, "{ctx}: site trail");
-            assert_eq!(i.env.send_sites, j.env.send_sites, "{ctx}: send sites");
-            assert_eq!(
-                i.env.table_writes, j.env.table_writes,
-                "{ctx}: table writes"
-            );
-            assert_eq!(i.env.timers, j.env.timers, "{ctx}: timers");
-            assert_eq!(i.env.output, j.env.output, "{ctx}: output");
-            assert_eq!(
-                format!("{:?}", i.env.effects),
-                format!("{:?}", j.env.effects),
-                "{ctx}: effects"
-            );
-            assert_eq!(
-                j.env.site_steps.iter().map(|(_, n)| n).sum::<u64>(),
-                j.env.steps,
-                "{ctx}: Σ per-site == aggregate"
-            );
+            if let Ok((pi, si)) = ri {
+                (i.ps, i.ss[idx]) = (pi, si);
+            }
             dispatches += 1;
             sent += j.env.effects.len();
             written += j.env.table_writes.len();
