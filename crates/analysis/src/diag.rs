@@ -6,7 +6,7 @@
 //! [`Diagnostic`]: a stable code, a severity, a source [`Span`], a
 //! message, and optional notes. Tooling renders diagnostics either as
 //! human text with line/column carets (the `planpc --lint` and
-//! `planp_lint` output) or as deterministic JSON (the `--json` machine
+//! `planp lint` output) or as deterministic JSON (the `--json` machine
 //! form, byte-identical for identical input).
 
 use planp_lang::span::{line_col, Span};

@@ -80,7 +80,7 @@ pub struct Policy {
 
 impl Policy {
     /// The strictest policy: all three properties.
-    pub fn strict() -> Self {
+    pub const fn strict() -> Self {
         Policy {
             require_termination: true,
             require_delivery: true,
@@ -95,7 +95,7 @@ impl Policy {
 
     /// Termination and linear duplication, but programs may drop packets
     /// intentionally (e.g. filters and monitors).
-    pub fn no_delivery() -> Self {
+    pub const fn no_delivery() -> Self {
         Policy {
             require_termination: true,
             require_delivery: false,
@@ -110,7 +110,7 @@ impl Policy {
 
     /// An authenticated (privileged) download: nothing is required, the
     /// report is informational.
-    pub fn authenticated() -> Self {
+    pub const fn authenticated() -> Self {
         Policy {
             require_termination: false,
             require_delivery: false,

@@ -29,187 +29,26 @@ pub mod format {
 /// degrades 16-bit-stereo frames to 16-bit or 8-bit mono (three quality
 /// levels, as in the paper). Every path forwards, so the program passes
 /// the strict verification policy.
-pub const AUDIO_ROUTER_ASP: &str = r#"
--- Audio bandwidth adaptation in the router (paper section 3.1).
-val audioPort : int = 7777
-val hiThresh : int = 80   -- % utilization above which we send 8-bit mono
-val loThresh : int = 50   -- % utilization above which we send 16-bit mono
-
-fun targetQuality(util : int) : int =
-  if util > hiThresh then 2
-  else if util > loThresh then 1
-  else 0
-
-fun degrade(pcm : blob, q : int) : blob =
-  if q = 2 then audio16to8(audioStereoToMono(pcm))
-  else if q = 1 then audioStereoToMono(pcm)
-  else pcm
-
-channel network(ps : int, ss : unit, p : ip*udp*blob) is
-  let
-    val iph : ip = #1 p
-    val udph : udp = #2 p
-    val body : blob = #3 p
-    -- Compute the (possibly degraded) outgoing packet; any failure
-    -- falls back to the original. Keeping all the work inside this
-    -- binding leaves exactly one send on every path, which is what the
-    -- duplication analysis demands.
-    val out : ip*udp*blob =
-      (if udpDst(udph) = audioPort
-          andalso blobLen(body) > 9
-          andalso blobByte(body, 0) = 0 then
-         let
-           val util : int =
-             (linkLoad(ipDst(iph)) * 100) div (linkCapacity(ipDst(iph)) + 1)
-           val q : int = targetQuality(util)
-           val hdr : blob = blobSetByte(blobSub(body, 0, 9), 0, q)
-           val pcm : blob = degrade(blobSub(body, 9, blobLen(body) - 9), q)
-         in
-           if q = 0 then p else (iph, udph, blobCat(hdr, pcm))
-         end
-       else p)
-      handle _ => p
-  in
-    (OnRemote(network, out); (ps, ss))
-  end
-"#;
+pub const AUDIO_ROUTER_ASP: &str = asp_file!("audio_router");
 
 /// The client program: transforms degraded frames back into the
 /// original 16-bit-stereo format before delivery, so the audio
 /// application does not need to change. The header's format byte keeps
 /// the *wire* format so measurement tools can see what the link carried;
 /// the PCM samples are always restored to 16-bit stereo.
-pub const AUDIO_CLIENT_ASP: &str = r#"
--- Audio format restoration at the client (paper section 3.1).
-val audioPort : int = 7777
-
-channel network(ps : unit, ss : unit, p : ip*udp*blob) is
-  (let
-    val udph : udp = #2 p
-    val body : blob = #3 p
-  in
-    if udpDst(udph) = audioPort andalso blobLen(body) > 9 then
-      let
-        val fmt : int = blobByte(body, 0)
-        val hdr : blob = blobSub(body, 0, 9)
-        val pcm : blob = blobSub(body, 9, blobLen(body) - 9)
-        val full : blob =
-          if fmt = 2 then audioMonoToStereo(audio8to16(pcm))
-          else if fmt = 1 then audioMonoToStereo(pcm)
-          else pcm
-      in
-        (deliver((#1 p, udph, blobCat(hdr, full))); (ps, ss))
-      end
-    else
-      (deliver(p); (ps, ss))
-  end)
-  handle _ => (deliver(p); (ps, ss))
-"#;
+pub const AUDIO_CLIENT_ASP: &str = asp_file!("audio_client");
 
 /// An alternative router policy: adapt on the outgoing queue length
 /// instead of measured bandwidth — reacts to congestion *pressure*
 /// rather than utilization. One of the "many other strategies" section
 /// 3.1 invites; swapping it in is a one-line change for the operator.
-pub const AUDIO_ROUTER_QUEUE_ASP: &str = r#"
--- Queue-length-driven audio adaptation.
-val audioPort : int = 7777
-val hiQueue : int = 24
-val loQueue : int = 8
-
-fun targetQuality(q : int) : int =
-  if q > hiQueue then 2
-  else if q > loQueue then 1
-  else 0
-
-fun degrade(pcm : blob, q : int) : blob =
-  if q = 2 then audio16to8(audioStereoToMono(pcm))
-  else if q = 1 then audioStereoToMono(pcm)
-  else pcm
-
-channel network(ps : int, ss : unit, p : ip*udp*blob) is
-  let
-    val iph : ip = #1 p
-    val udph : udp = #2 p
-    val body : blob = #3 p
-    val out : ip*udp*blob =
-      (if udpDst(udph) = audioPort
-          andalso blobLen(body) > 9
-          andalso blobByte(body, 0) = 0 then
-         let
-           val q : int = targetQuality(queueLen(ipDst(iph)))
-           val hdr : blob = blobSetByte(blobSub(body, 0, 9), 0, q)
-           val pcm : blob = degrade(blobSub(body, 9, blobLen(body) - 9), q)
-         in
-           if q = 0 then p else (iph, udph, blobCat(hdr, pcm))
-         end
-       else p)
-      handle _ => p
-  in
-    (OnRemote(network, out); (ps, ss))
-  end
-"#;
+pub const AUDIO_ROUTER_QUEUE_ASP: &str = asp_file!("audio_router_queue");
 
 /// A hysteresis policy: quality only *improves* when utilization falls
 /// well below the degradation threshold, held in the protocol state.
 /// Trades some bandwidth for stability — it suppresses the medium-load
 /// format flapping visible in figure 6.
-pub const AUDIO_ROUTER_HYSTERESIS_ASP: &str = r#"
--- Hysteresis audio adaptation: sticky quality transitions.
-val audioPort : int = 7777
-val hiThresh : int = 80
-val loThresh : int = 50
-val slack : int = 12      -- improve only when util < threshold - slack
-
-fun rawQuality(util : int) : int =
-  if util > hiThresh then 2
-  else if util > loThresh then 1
-  else 0
-
-fun sticky(util : int, prev : int) : int =
-  let val raw : int = rawQuality(util) in
-    if raw >= prev then raw
-    else
-      -- improving: require the utilization to clear the band by `slack`
-      if prev = 2 andalso util > hiThresh - slack then 2
-      else if prev >= 1 andalso util > loThresh - slack then
-        (if raw > 1 then raw else 1)
-      else raw
-  end
-
-fun degrade(pcm : blob, q : int) : blob =
-  if q = 2 then audio16to8(audioStereoToMono(pcm))
-  else if q = 1 then audioStereoToMono(pcm)
-  else pcm
-
-channel network(ps : int, ss : unit, p : ip*udp*blob) is
-  let
-    val iph : ip = #1 p
-    val udph : udp = #2 p
-    val body : blob = #3 p
-  in
-    if udpDst(udph) = audioPort
-       andalso blobLen(body) > 9
-       andalso (blobByte(body, 0) handle _ => 1) = 0 then
-      let
-        val util : int =
-          ((linkLoad(ipDst(iph)) * 100) div (linkCapacity(ipDst(iph)) + 1))
-          handle _ => 0
-        val q : int = sticky(util, ps)
-        val out : ip*udp*blob =
-          (if q = 0 then p
-           else
-             let
-               val hdr : blob = blobSetByte(blobSub(body, 0, 9), 0, q)
-               val pcm : blob = degrade(blobSub(body, 9, blobLen(body) - 9), q)
-             in (iph, udph, blobCat(hdr, pcm)) end)
-          handle _ => p
-      in
-        (OnRemote(network, out); (q, ss))
-      end
-    else
-      (OnRemote(network, p); (ps, ss))
-  end
-"#;
+pub const AUDIO_ROUTER_HYSTERESIS_ASP: &str = asp_file!("audio_router_hysteresis");
 
 #[cfg(test)]
 mod tests {

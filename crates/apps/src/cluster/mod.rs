@@ -17,7 +17,7 @@
 //!
 //! Everything is deterministic: the whole run — breaker transitions,
 //! brownout steps, shed sets, the final snapshot — is byte-identical
-//! across repeated runs with the same seed (asserted by `planp_cluster`
+//! across repeated runs with the same seed (asserted by `planp check`
 //! and CI).
 
 pub mod gateway;

@@ -22,50 +22,7 @@ pub const SERVER1_ADDR: u32 = addr(10, 0, 3, 1);
 /// The load-balancing gateway program. Strategy: "modulo on the number
 /// of requests" (the paper's), keyed per connection so all packets of
 /// one TCP connection reach the same physical server.
-pub const HTTP_GATEWAY_ASP: &str = r#"
--- Load-balancing gateway for a virtual HTTP server (paper section 3.2).
-val virt : host = 10.9.9.9
-val srv0 : host = 10.0.2.1
-val srv1 : host = 10.0.3.1
-
--- Rewritten requests travel on their own channel: it only ever forwards
--- toward the (already rewritten) destination, which keeps the
--- destination-changing send out of any cycle and makes the
--- global-termination proof go through.
-channel relay(ps : int, ss : unit, p : ip*tcp*blob) is
-  (OnRemote(relay, p); (ps, ss))
-
-channel network(ps : int, ss : ((host*int), host) hash_table, p : ip*tcp*blob)
-initstate mkTable(256) is
-  let
-    val iph : ip = #1 p
-    val tcph : tcp = #2 p
-    val body : blob = #3 p
-  in
-    if tcpDst(tcph) = 80 andalso ipDst(iph) = virt then
-      -- incoming HTTP traffic for the virtual server
-      let val con : host*int = (ipSrc(iph), tcpSrc(tcph)) in
-        if tblHas(ss, con) then
-          let val chosen : host = tblGet(ss, con) handle NotFound => srv0 in
-            (OnRemote(relay, (ipDestSet(iph, chosen), tcph, body)); (ps, ss))
-          end
-        else
-          -- new connection: modulo on the number of connections
-          let val chosen : host = if ps mod 2 = 0 then srv0 else srv1 in
-            (tblSet(ss, con, chosen);
-             OnRemote(relay, (ipDestSet(iph, chosen), tcph, body));
-             (ps + 1, ss))
-          end
-      end
-    else
-      if tcpSrc(tcph) = 80
-         andalso (ipSrc(iph) = srv0 orelse ipSrc(iph) = srv1) then
-        -- result traffic: replace the physical server by the virtual one
-        (OnRemote(network, (ipSrcSet(iph, virt), tcph, body)); (ps, ss))
-      else
-        (OnRemote(network, p); (ps, ss))
-  end
-"#;
+pub const HTTP_GATEWAY_ASP: &str = asp_file!("http_gateway");
 
 /// Physical server 2, used by [`HTTP_GATEWAY_3SRV_ASP`] when the
 /// cluster is grown at run time (section 3.2: "ASPs can be easily
@@ -75,150 +32,22 @@ pub const SERVER2_ADDR: u32 = addr(10, 0, 4, 1);
 /// Round-robin over **three** servers — the reconfiguration target for
 /// the grow-the-cluster demo: deploy this over a running two-server
 /// gateway and the third machine starts taking connections.
-pub const HTTP_GATEWAY_3SRV_ASP: &str = r#"
--- Load-balancing gateway, grown to three physical servers.
-val virt : host = 10.9.9.9
-val srv0 : host = 10.0.2.1
-val srv1 : host = 10.0.3.1
-val srv2 : host = 10.0.4.1
-
-channel relay(ps : int, ss : unit, p : ip*tcp*blob) is
-  (OnRemote(relay, p); (ps, ss))
-
-channel network(ps : int, ss : ((host*int), host) hash_table, p : ip*tcp*blob)
-initstate mkTable(256) is
-  let
-    val iph : ip = #1 p
-    val tcph : tcp = #2 p
-    val body : blob = #3 p
-  in
-    if tcpDst(tcph) = 80 andalso ipDst(iph) = virt then
-      let val con : host*int = (ipSrc(iph), tcpSrc(tcph)) in
-        if tblHas(ss, con) then
-          let val chosen : host = tblGet(ss, con) handle NotFound => srv0 in
-            (OnRemote(relay, (ipDestSet(iph, chosen), tcph, body)); (ps, ss))
-          end
-        else
-          let
-            val chosen : host =
-              if ps mod 3 = 0 then srv0
-              else if ps mod 3 = 1 then srv1
-              else srv2
-          in
-            (tblSet(ss, con, chosen);
-             OnRemote(relay, (ipDestSet(iph, chosen), tcph, body));
-             (ps + 1, ss))
-          end
-      end
-    else
-      if tcpSrc(tcph) = 80
-         andalso (ipSrc(iph) = srv0 orelse ipSrc(iph) = srv1 orelse ipSrc(iph) = srv2) then
-        (OnRemote(network, (ipSrcSet(iph, virt), tcph, body)); (ps, ss))
-      else
-        (OnRemote(network, p); (ps, ss))
-  end
-"#;
+pub const HTTP_GATEWAY_3SRV_ASP: &str = asp_file!("http_gateway_3srv");
 
 /// Random per-connection assignment (sticky via the connection table) —
 /// one of the alternative strategies section 3.2 says the administrator
 /// can evaluate by just swapping the gateway ASP.
-pub const HTTP_GATEWAY_RANDOM_ASP: &str = r#"
--- Load-balancing gateway: random sticky assignment.
-val virt : host = 10.9.9.9
-val srv0 : host = 10.0.2.1
-val srv1 : host = 10.0.3.1
-
-channel relay(ps : int, ss : unit, p : ip*tcp*blob) is
-  (OnRemote(relay, p); (ps, ss))
-
-channel network(ps : int, ss : ((host*int), host) hash_table, p : ip*tcp*blob)
-initstate mkTable(256) is
-  let
-    val iph : ip = #1 p
-    val tcph : tcp = #2 p
-    val body : blob = #3 p
-  in
-    if tcpDst(tcph) = 80 andalso ipDst(iph) = virt then
-      let val con : host*int = (ipSrc(iph), tcpSrc(tcph)) in
-        if tblHas(ss, con) then
-          let val chosen : host = tblGet(ss, con) handle NotFound => srv0 in
-            (OnRemote(relay, (ipDestSet(iph, chosen), tcph, body)); (ps, ss))
-          end
-        else
-          let val chosen : host = if randInt(2) = 0 then srv0 else srv1 in
-            (tblSet(ss, con, chosen);
-             OnRemote(relay, (ipDestSet(iph, chosen), tcph, body));
-             (ps + 1, ss))
-          end
-      end
-    else
-      if tcpSrc(tcph) = 80
-         andalso (ipSrc(iph) = srv0 orelse ipSrc(iph) = srv1) then
-        (OnRemote(network, (ipSrcSet(iph, virt), tcph, body)); (ps, ss))
-      else
-        (OnRemote(network, p); (ps, ss))
-  end
-"#;
+pub const HTTP_GATEWAY_RANDOM_ASP: &str = asp_file!("http_gateway_random");
 
 /// Stateless port-parity assignment — no connection table at all: a
 /// connection's client port decides its server, so stickiness is free.
-pub const HTTP_GATEWAY_PORTHASH_ASP: &str = r#"
--- Load-balancing gateway: stateless port-parity assignment.
-val virt : host = 10.9.9.9
-val srv0 : host = 10.0.2.1
-val srv1 : host = 10.0.3.1
-
-channel relay(ps : int, ss : unit, p : ip*tcp*blob) is
-  (OnRemote(relay, p); (ps, ss))
-
-channel network(ps : int, ss : unit, p : ip*tcp*blob) is
-  let
-    val iph : ip = #1 p
-    val tcph : tcp = #2 p
-    val body : blob = #3 p
-  in
-    if tcpDst(tcph) = 80 andalso ipDst(iph) = virt then
-      let val chosen : host = if tcpSrc(tcph) mod 2 = 0 then srv0 else srv1 in
-        (OnRemote(relay, (ipDestSet(iph, chosen), tcph, body)); (ps + 1, ss))
-      end
-    else
-      if tcpSrc(tcph) = 80
-         andalso (ipSrc(iph) = srv0 orelse ipSrc(iph) = srv1) then
-        (OnRemote(network, (ipSrcSet(iph, virt), tcph, body)); (ps, ss))
-      else
-        (OnRemote(network, p); (ps, ss))
-  end
-"#;
+pub const HTTP_GATEWAY_PORTHASH_ASP: &str = asp_file!("http_gateway_porthash");
 
 /// Emergency failover gateway: pins every virtual-server connection to
 /// server 0. Deployed in band when server 1 fails — the fault-tolerance
 /// direction the paper lists as future work for the cluster (§5),
 /// realized with nothing but an ASP swap.
-pub const HTTP_GATEWAY_FAILOVER_ASP: &str = r#"
--- Failover gateway: all traffic to the surviving server.
-val virt : host = 10.9.9.9
-val srv0 : host = 10.0.2.1
-val srv1 : host = 10.0.3.1
-
-channel relay(ps : int, ss : unit, p : ip*tcp*blob) is
-  (OnRemote(relay, p); (ps, ss))
-
-channel network(ps : int, ss : unit, p : ip*tcp*blob) is
-  let
-    val iph : ip = #1 p
-    val tcph : tcp = #2 p
-    val body : blob = #3 p
-  in
-    if tcpDst(tcph) = 80 andalso ipDst(iph) = virt then
-      (OnRemote(relay, (ipDestSet(iph, srv0), tcph, body)); (ps + 1, ss))
-    else
-      if tcpSrc(tcph) = 80
-         andalso (ipSrc(iph) = srv0 orelse ipSrc(iph) = srv1) then
-        (OnRemote(network, (ipSrcSet(iph, virt), tcph, body)); (ps, ss))
-      else
-        (OnRemote(network, p); (ps, ss))
-  end
-"#;
+pub const HTTP_GATEWAY_FAILOVER_ASP: &str = asp_file!("http_gateway_failover");
 
 #[cfg(test)]
 mod tests {

@@ -21,13 +21,29 @@
 //! * [`obs`] — a ≥1k-node grid of parallel relay chains for measuring
 //!   telemetry overhead under deterministic trace sampling and budgets;
 //! * [`plans`] — the bundled deployment plans (`asps/plans/`) plus the
-//!   ASP resolver mapping plan-level names onto the embedded sources.
+//!   ASP resolver mapping plan-level names onto the corpus;
+//! * [`corpus`] — the one table of every PLAN-P program under `asps/`.
 
 #![warn(missing_docs)]
+
+/// The PLAN-P file `asps/<name>.planp` as the `*_ASP` constants of the
+/// application modules carry it: behind the leading newline they had as
+/// raw strings, so spans, site ids and `line:col` labels did not move
+/// when the text moved out of Rust. (The path is relative to the
+/// `src/<app>/asp.rs` that invokes this.)
+macro_rules! asp_file {
+    ($name:literal) => {
+        concat!(
+            "\n",
+            include_str!(concat!("../../../../asps/", $name, ".planp"))
+        )
+    };
+}
 
 pub mod audio;
 pub mod chaos;
 pub mod cluster;
+pub mod corpus;
 pub mod http;
 pub mod mpeg;
 pub mod obs;

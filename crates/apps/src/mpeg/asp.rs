@@ -24,120 +24,13 @@ pub const CAPTURE_CTL_PORT: u16 = 5557;
 /// one machine of the segment in promiscuous mode, watching the control
 /// dialogue between clients and the server, and answers "is someone
 /// already receiving file F?" queries from new clients.
-pub const MPEG_MONITOR_ASP: &str = r#"
--- Connection monitor for the multipoint MPEG service (section 3.3).
-val ctlPort : int = 5555
-val queryPort : int = 5556
-
--- Protocol state: file -> (client host, video port, setup info).
--- The TCP channel's own state: client host -> (file, port) awaiting OK.
-
-channel network(ps : (int, host*int*string) hash_table,
-                ss : (host, int*int) hash_table,
-                p : ip*tcp*blob)
-initstate mkTable(64) is
-  (let
-    val iph : ip = #1 p
-    val tcph : tcp = #2 p
-    val s : string = blobToString(#3 p)
-  in
-    if tcpDst(tcph) = ctlPort andalso strFind(s, "PLAY ") = 0 then
-      -- request: "PLAY <file> <port>\n" — remember who asked for what
-      let
-        val rest : string = strSub(s, 5, strLen(s) - 5)
-        val sp : int = strFind(rest, " ")
-        val nl : int = strFind(rest, "\n")
-        val f : int = strToInt(strSub(rest, 0, sp))
-        val port : int = strToInt(strSub(rest, sp + 1, nl - sp - 1))
-      in
-        (tblSet(ss, ipSrc(iph), (f, port)); (ps, ss))
-      end
-    else if tcpSrc(tcph) = ctlPort andalso strFind(s, "OK ") = 0 then
-      -- response: "OK <setup>\n" — the connection is now live
-      let
-        val nl : int = strFind(s, "\n")
-        val setup : string = strSub(s, 3, nl - 3)
-        val fp : int*int = tblGet(ss, ipDst(iph))
-      in
-        (tblSet(ps, #1 fp, (ipDst(iph), #2 fp, setup)); (ps, ss))
-      end
-    else
-      (ps, ss)
-  end)
-  handle _ => (ps, ss)
-
--- Queries: "Q <file>\n" on UDP 5556; the reply is a typed packet.
-channel network(ps : (int, host*int*string) hash_table,
-                ss : unit,
-                p : ip*udp*blob) is
-  (let
-    val iph : ip = #1 p
-    val udph : udp = #2 p
-    val s : string = blobToString(#3 p)
-  in
-    if udpDst(udph) = queryPort andalso strFind(s, "Q ") = 0 then
-      let
-        val nl : int = strFind(s, "\n")
-        val f : int = strToInt(strSub(s, 2, nl - 2))
-        val riph : ip = ipDestSet(ipSrcSet(iph, thisHost()), ipSrc(iph))
-        val rudp : udp = udpDstSet(udpSrcSet(udph, queryPort), udpSrc(udph))
-      in
-        if tblHas(ps, f) then
-          let val e : host*int*string = tblGet(ps, f) in
-            (OnRemote(reply, (riph, rudp, #1 e, #2 e, #3 e)); (ps, ss))
-          end
-        else
-          (OnRemote(reply, (riph, rudp, 0.0.0.0, 0, "")); (ps, ss))
-      end
-    else
-      if ipDst(iph) = thisHost() then (deliver(p); (ps, ss)) else (ps, ss)
-  end)
-  handle _ => (ps, ss)
-
--- Replies travel on their own channel and are simply delivered at the
--- querying client (keeping the reply send out of any cycle).
-channel reply(ps : (int, host*int*string) hash_table,
-              ss : unit,
-              p : ip*udp*host*int*string) is
-  (deliver(p); (ps, ss))
-"#;
+pub const MPEG_MONITOR_ASP: &str = asp_file!("mpeg_monitor");
 
 /// The capture program installed on every client: a local control
 /// packet (UDP 5557 to self, typed `host*int`) registers a stream to
 /// capture; overheard packets of registered streams are delivered to
 /// the local application.
-pub const MPEG_CAPTURE_ASP: &str = r#"
--- Segment capture of a shared video stream (section 3.3).
-val capPort : int = 5557
-
--- Protocol state: (stream host, stream port) -> 1 when captured.
-
-channel network(ps : ((host*int), int) hash_table,
-                ss : unit,
-                p : ip*udp*host*int) is
-  if udpDst(#2 p) = capPort andalso ipDst(#1 p) = thisHost() then
-    -- local configuration: start capturing (host, port)
-    (tblSet(ps, (#3 p, #4 p), 1); (ps, ss))
-  else
-    if ipDst(#1 p) = thisHost() then (deliver(p); (ps, ss)) else (ps, ss)
-
-channel network(ps : ((host*int), int) hash_table,
-                ss : unit,
-                p : ip*udp*blob) is
-  let
-    val iph : ip = #1 p
-    val udph : udp = #2 p
-  in
-    if ipDst(iph) = thisHost() then
-      (deliver(p); (ps, ss))
-    else
-      if tblHas(ps, (ipDst(iph), udpDst(udph))) then
-        -- a neighbor's stream we subscribed to: hand it to our client
-        (deliver(p); (ps, ss))
-      else
-        (ps, ss)
-  end
-"#;
+pub const MPEG_CAPTURE_ASP: &str = asp_file!("mpeg_capture");
 
 #[cfg(test)]
 mod tests {

@@ -3,15 +3,12 @@
 //!
 //! Plans under `asps/plans/` name their ASPs abstractly (`forwarder`,
 //! `reliable_relay`, `http_gateway`, …); [`resolve_asp`] maps each name
-//! to its PLAN-P source and default download policy, drawing on the
-//! checked-in `asps/` sources and the application crates' embedded
-//! programs. [`load_bundled_plan`] ties the two together, and
-//! [`verify_http_gateway`] lets the HTTP scenario statically verify
+//! to its PLAN-P source and default download policy through the one
+//! corpus table ([`crate::corpus`]). [`load_bundled_plan`] ties the two
+//! together, and [`verify_http_gateway`] lets the HTTP scenario statically verify
 //! whichever gateway variant it is about to install — against the
 //! canonical `http_cluster` topology — before the download happens.
 
-use crate::chaos::{FRAGILE_RELAY_ASP, RELIABLE_RELAY_ASP};
-use crate::http::HTTP_GATEWAY_ASP;
 use planp_analysis::Policy;
 use planp_runtime::{load_plan, PlanError, PlanImage};
 
@@ -32,12 +29,6 @@ pub const BUGGY_BOUNCE_PLAN: &str = include_str!("../../../asps/plans/buggy_boun
 /// `asps/plans/buggy_shuttle.plan` — rejected: cross-channel shuttle.
 pub const BUGGY_SHUTTLE_PLAN: &str = include_str!("../../../asps/plans/buggy_shuttle.plan");
 
-const FORWARDER_ASP: &str = include_str!("../../../asps/forwarder.planp");
-const BOUNCE_A_ASP: &str = include_str!("../../../asps/buggy/bounce_a.planp");
-const BOUNCE_B_ASP: &str = include_str!("../../../asps/buggy/bounce_b.planp");
-const SHUTTLE_A_ASP: &str = include_str!("../../../asps/buggy/shuttle_a.planp");
-const SHUTTLE_B_ASP: &str = include_str!("../../../asps/buggy/shuttle_b.planp");
-
 /// Every bundled plan as `(name, source)`, in a fixed report order.
 pub fn bundled_plans() -> Vec<(&'static str, &'static str)> {
     vec![
@@ -52,20 +43,10 @@ pub fn bundled_plans() -> Vec<(&'static str, &'static str)> {
 }
 
 /// Maps a `deploy` line's ASP name to its source and default download
-/// policy. Returns `None` for names no bundled plan uses.
+/// policy: the [`corpus`](crate::corpus) entry of that name. Returns
+/// `None` for names the corpus does not hold.
 pub fn resolve_asp(name: &str) -> Option<(String, Policy)> {
-    let (src, policy) = match name {
-        "forwarder" => (FORWARDER_ASP, Policy::strict()),
-        "fragile_relay" => (FRAGILE_RELAY_ASP, Policy::no_delivery()),
-        "reliable_relay" => (RELIABLE_RELAY_ASP, Policy::authenticated()),
-        "http_gateway" => (HTTP_GATEWAY_ASP, Policy::strict()),
-        "bounce_a" => (BOUNCE_A_ASP, Policy::strict()),
-        "bounce_b" => (BOUNCE_B_ASP, Policy::strict()),
-        "shuttle_a" => (SHUTTLE_A_ASP, Policy::strict()),
-        "shuttle_b" => (SHUTTLE_B_ASP, Policy::strict()),
-        _ => return None,
-    };
-    Some((src.to_string(), policy))
+    crate::corpus::asp(name).map(|a| (a.src.to_string(), a.policy))
 }
 
 /// Loads and statically verifies one bundled plan by name.
@@ -117,8 +98,8 @@ pub fn verify_http_gateway(gateway_src: &str) -> Result<PlanImage, String> {
 mod tests {
     use super::*;
     use crate::http::{
-        HTTP_GATEWAY_3SRV_ASP, HTTP_GATEWAY_FAILOVER_ASP, HTTP_GATEWAY_PORTHASH_ASP,
-        HTTP_GATEWAY_RANDOM_ASP,
+        HTTP_GATEWAY_3SRV_ASP, HTTP_GATEWAY_ASP, HTTP_GATEWAY_FAILOVER_ASP,
+        HTTP_GATEWAY_PORTHASH_ASP, HTTP_GATEWAY_RANDOM_ASP,
     };
     use planp_runtime::replay_plan;
 

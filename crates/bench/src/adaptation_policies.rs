@@ -3,17 +3,17 @@
 //! PLAN-P program in the experiment was written in one day).
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin adaptation_policies_table
+//! planp adaptation-policies
 //! ```
 
+use crate::{push_bench, render_table, CliArgs, Report};
 use planp_apps::audio::{
     run_audio_traced, Adaptation, AudioConfig, LoadPhase, AUDIO_ROUTER_ASP,
     AUDIO_ROUTER_HYSTERESIS_ASP, AUDIO_ROUTER_QUEUE_ASP,
 };
-use planp_bench::{emit_bench, render_table, BenchOpts};
 use planp_telemetry::{MetricsSnapshot, TraceConfig};
 
-fn run(
+fn run_policy(
     router_src: Option<&'static str>,
     kbps: u64,
 ) -> (planp_apps::audio::AudioResult, MetricsSnapshot) {
@@ -37,9 +37,13 @@ fn run(
     (r, metrics)
 }
 
-fn main() {
-    let opts = BenchOpts::from_args();
-    println!("Audio adaptation policies under medium (7750 kb/s) and large (9560 kb/s) load\n");
+pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
+    let mut report = Report::default();
+    let out = &mut report.stdout;
+    outln!(
+        out,
+        "Audio adaptation policies under medium (7750 kb/s) and large (9560 kb/s) load\n"
+    );
 
     let policies: [(&str, Option<&'static str>); 3] = [
         ("utilization (paper's)", None),
@@ -52,7 +56,7 @@ fn main() {
     for (label, kbps) in [("medium", 7750u64), ("large", 9560)] {
         let mut rows = Vec::new();
         for (name, src) in policies {
-            let (r, metrics) = run(src, kbps);
+            let (r, metrics) = run_policy(src, kbps);
             let key = name.split_whitespace().next().unwrap_or(name);
             scalars.push((format!("{key}_{label}_kbps"), r.avg_kbps(10.0, 90.0)));
             scalars.push((
@@ -70,8 +74,9 @@ fn main() {
                 r.segment_drops.to_string(),
             ]);
         }
-        println!("{label} load:");
-        println!(
+        outln!(out, "{label} load:");
+        outln!(
+            out,
             "{}",
             render_table(
                 &["policy", "audio kb/s", "format flaps", "gaps", "drops"],
@@ -79,8 +84,14 @@ fn main() {
             )
         );
     }
-    println!("expected shape: hysteresis trades a little bandwidth for far fewer format");
-    println!("flaps at medium load; all policies protect playback under large load.");
+    outln!(
+        out,
+        "expected shape: hysteresis trades a little bandwidth for far fewer format"
+    );
+    outln!(
+        out,
+        "flaps at medium load; all policies protect playback under large load."
+    );
 
     // Line counts: writing a new policy is a ~40-line affair (the
     // paper's one-day-turnaround claim).
@@ -89,14 +100,19 @@ fn main() {
         ("hysteresis", AUDIO_ROUTER_HYSTERESIS_ASP),
         ("queue", AUDIO_ROUTER_QUEUE_ASP),
     ] {
-        println!("  {name}: {} lines of PLAN-P", planp_lang::count_lines(src));
+        outln!(
+            out,
+            "  {name}: {} lines of PLAN-P",
+            planp_lang::count_lines(src)
+        );
     }
 
-    let scalar_refs: Vec<(&str, f64)> = scalars.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    emit_bench(
-        opts,
+    push_bench(
+        &mut report,
+        args,
         "adaptation_policies_table",
-        &scalar_refs,
+        &scalars,
         &paper_metrics,
     );
+    Ok(report)
 }

@@ -2,11 +2,11 @@
 //! chain, run under seeded fault injection.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin planp_chaos -- --json
+//! planp chaos --json
 //! ```
 //!
-//! Four stages, all derived from fixed seeds so two runs of this binary
-//! produce byte-identical JSON (CI runs it twice and diffs):
+//! Four stages, all derived from fixed seeds so two runs produce
+//! byte-identical output (`planp check` runs it twice and compares):
 //!
 //! 1. **Relay loss sweep** — per-link Bernoulli loss 0–20% across the
 //!    five-hop chain, reliable (NACK-repaired) vs fragile (verified but
@@ -21,23 +21,23 @@
 //!
 //! Every stage also asserts the run's invariants (delivery thresholds,
 //! the drop-accounting identity, the static duplicate-amplification
-//! bound, recovery counts); a violated invariant aborts the binary.
+//! bound, recovery counts); a violated invariant panics.
 //!
 //! `--sample 1/N` turns on causal tracing with deterministic head
 //! sampling across every stage (default: tracing off). Sampling never
 //! perturbs the runs — the invariants hold at any rate.
 
+use crate::{push_bench, render_table, Cli, CliArgs, Report, Sub};
 use netsim::LinkFaults;
 use planp_apps::audio::{run_audio, Adaptation, AudioConfig};
 use planp_apps::chaos::{run_relay_chaos, RelayChaosConfig, RelayChaosResult, RelayKind};
 use planp_apps::http::{run_http_traced, ClusterMode, HttpConfig, HTTP_GATEWAY_FAILOVER_ASP};
 use planp_apps::mpeg::{run_mpeg, MpegConfig};
-use planp_bench::{emit_bench, render_table, sample_from_cli, BenchOpts, Cli};
 use planp_telemetry::TraceConfig;
 
-const HELP: &str = "planp-chaos: seeded fault-injection sweep over the section 3 apps
+const HELP: &str = "planp chaos: seeded fault-injection sweep over the section 3 apps
 
-usage: planp_chaos [--json] [--report] [--sample 1/N]
+usage: planp chaos [--json] [--report] [--sample 1/N]
 
   --json        write BENCH_planp_chaos.json
   --report      print the final metrics table
@@ -45,11 +45,17 @@ usage: planp_chaos [--json] [--report] [--sample 1/N]
   -h, --help    this text
 ";
 
-const CLI: Cli = Cli {
-    bin: "planp-chaos",
-    help: HELP,
-    flags: &["--report"],
-    value_flags: &["--sample"],
+/// `planp chaos`.
+pub(crate) const SUB: Sub = Sub {
+    name: "chaos",
+    about: "seeded fault-injection sweep over the section 3 apps",
+    cli: Cli {
+        help: HELP,
+        flags: &["--json", "--report"],
+        value_flags: &["--sample"],
+        operands: false,
+    },
+    run,
 };
 
 /// The invariants every relay run must satisfy, whatever its config.
@@ -81,14 +87,10 @@ fn check_common(label: &str, res: &RelayChaosResult) {
     );
 }
 
-fn main() {
-    let args = CLI.parse_or_exit();
-    if args.baseline.is_some() || args.write_baseline.is_some() {
-        eprintln!("planp-chaos: no baseline gate; CI diffs two runs instead");
-        std::process::exit(2);
-    }
-    let opts = BenchOpts::from_cli(&args);
-    let sample_n = sample_from_cli("planp-chaos", &args);
+fn run(args: &CliArgs) -> Result<Report, String> {
+    let sample_n = args.sample()?;
+    let mut report = Report::default();
+    let out = &mut report.stdout;
     let trace = if sample_n > 1 {
         TraceConfig::sampled(sample_n)
     } else {
@@ -101,7 +103,10 @@ fn main() {
     let mut scalars: Vec<(String, f64)> = Vec::new();
 
     // --- 1. relay loss sweep -------------------------------------------
-    println!("Relay chain under per-link Bernoulli loss (5 hops, seeded)");
+    outln!(
+        out,
+        "Relay chain under per-link Bernoulli loss (5 hops, seeded)"
+    );
     let mut rows = Vec::new();
     for loss in [0.0, 0.05, 0.10, 0.20] {
         let mut row = vec![format!("{:.0}%", loss * 100.0)];
@@ -123,7 +128,8 @@ fn main() {
         }
         rows.push(row);
     }
-    println!(
+    outln!(
+        out,
         "{}",
         render_table(
             &[
@@ -152,7 +158,7 @@ fn main() {
         .unwrap();
     assert!(reliable5 >= 0.99, "reliable relay at 5% loss: {reliable5}");
     assert!(fragile10 < 0.7, "fragile relay at 10% loss: {fragile10}");
-    println!("invariants: reliable@5% = {reliable5:.3} (>= 0.99), fragile@10% = {fragile10:.3} (< 0.7)\n");
+    outln!(out, "invariants: reliable@5% = {reliable5:.3} (>= 0.99), fragile@10% = {fragile10:.3} (< 0.7)\n");
 
     // Duplication: amplification stays under the static send bound.
     for kind in [RelayKind::Reliable, RelayKind::Fragile] {
@@ -175,7 +181,8 @@ fn main() {
             format!("relay_{}_dup_injected", kind.name()),
             res.fault.duplicated as f64,
         ));
-        println!(
+        outln!(
+            out,
             "duplication ({}): {} injected -> {} at the app (bound {} per event)",
             kind.name(),
             res.fault.duplicated,
@@ -195,7 +202,7 @@ fn main() {
         "outage not repaired: {}",
         crash.delivery_ratio
     );
-    println!(
+    outln!(out,
         "\ncrash schedule: middle relay down 0.25-0.55 s; crashes={} state_lost={} redeploys={} delivery={:.3}",
         crash.crashes, crash.state_lost, crash.redeploys, crash.delivery_ratio
     );
@@ -212,7 +219,7 @@ fn main() {
     let (http, _t, snap) = run_http_traced(&cfg, trace);
     let corpse_drops = snap.counters["node.server1.dropped"];
     assert_eq!(corpse_drops, 0, "failover gateway leaked to dead backend");
-    println!(
+    outln!(out,
         "\nhttp failover: backend crashed at 6 s under the failover gateway; {:.0} req/s, {} drops at the corpse",
         http.req_per_sec, corpse_drops
     );
@@ -225,7 +232,8 @@ fn main() {
     audio_cfg.segment_faults = Some((1.0, LinkFaults::loss(0.10)));
     let audio_lossy = run_audio(&audio_cfg);
     assert!(audio_lossy.stats.gaps > audio_clean.stats.gaps);
-    println!(
+    outln!(
+        out,
         "\naudio, 10% segment loss: gaps {} -> {}, frames {} -> {}",
         audio_clean.stats.gaps,
         audio_lossy.stats.gaps,
@@ -240,7 +248,8 @@ fn main() {
     let mpeg = run_mpeg(&mpeg_cfg);
     let shared_frames: u64 = mpeg.clients.iter().map(|c| c.frames).sum();
     assert_eq!(mpeg.server.streams, 1, "sharing survives segment loss");
-    println!(
+    outln!(
+        out,
         "mpeg, 5% segment loss: 1 server stream still feeds {} viewers ({} frames total)",
         mpeg.clients.len(),
         shared_frames
@@ -248,9 +257,9 @@ fn main() {
     scalars.push(("mpeg_loss5_frames".into(), shared_frames as f64));
     scalars.push(("mpeg_loss5_streams".into(), mpeg.server.streams as f64));
 
-    println!("\nall chaos invariants hold");
-    let scalar_refs: Vec<(&str, f64)> = scalars.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    outln!(out, "\nall chaos invariants hold");
     // The crash run's snapshot is the richest: fault counters, recovery
     // metrics, per-node crash/state-loss counts.
-    emit_bench(opts, "planp_chaos", &scalar_refs, &crash.snapshot);
+    push_bench(&mut report, args, "planp_chaos", &scalars, &crash.snapshot);
+    Ok(report)
 }

@@ -1,50 +1,48 @@
-//! Shared command-line plumbing for the baseline-gated bench bins.
+//! The one command line of the harness: `planp <subcommand> [args]`.
 //!
-//! `planp_state`, `planp_plan`, and `planp_profile` all follow the same
-//! conventions: `--json` for byte-stable machine output, `--baseline
-//! FILE` to gate CI on a checked-in verdict file, `--write-baseline
-//! FILE` to regenerate it, exit status 2 on usage or I/O errors and 1
-//! on a baseline mismatch. This module holds the argument parser and
-//! the baseline compare/write logic once, so the bins only declare
-//! their extra flags and their verdict text.
+//! Every subcommand declares its vocabulary as a [`Cli`] and its work as
+//! a function from the parsed [`CliArgs`] to a [`Report`]; [`main`] does
+//! the rest the same way for all of them — an unknown flag or a missing
+//! value exits 2 with a one-line `planp <sub>: …`, the report's stdout
+//! and named artefacts are written out, and `--baseline FILE` /
+//! `--write-baseline FILE` (for the subcommands that declare them)
+//! compare or regenerate a checked-in verdict file. Exit status: 0 on
+//! success, 1 on a baseline mismatch or a failed report, 2 on usage or
+//! I/O errors.
 
-/// A bin's argument vocabulary: the shared flags plus its extras.
+use crate::Report;
+
+/// A subcommand's argument vocabulary. Nothing is implied: a flag the
+/// subcommand does not list is an error.
 pub struct Cli {
-    /// Bin name used as the prefix of error messages (`planp-state:`).
-    pub bin: &'static str,
     /// Full `--help` text, printed verbatim.
     pub help: &'static str,
-    /// Extra boolean flags beyond `--json` (e.g. `--replay`).
+    /// Boolean flags (e.g. `--json`, `--replay`).
     pub flags: &'static [&'static str],
-    /// Extra value-taking flags beyond `--baseline` /
-    /// `--write-baseline` (e.g. `--flame`).
+    /// Value-taking flags (e.g. `--baseline`, `--flame`).
     pub value_flags: &'static [&'static str],
+    /// Whether bare operands (file names, plan names) are accepted.
+    pub operands: bool,
 }
 
 /// A parsed command line.
 #[derive(Debug, Default)]
 pub struct CliArgs {
-    /// `--json`: byte-stable machine output.
-    pub json: bool,
-    /// `--baseline FILE`: compare verdicts, exit 1 on difference.
-    pub baseline: Option<String>,
-    /// `--write-baseline FILE`: regenerate the baseline instead.
-    pub write_baseline: Option<String>,
-    /// Extra boolean flags that were present.
+    /// Boolean flags that were present.
     flags: Vec<&'static str>,
-    /// Extra value flags with their values.
+    /// Value flags with their values.
     values: Vec<(&'static str, String)>,
     /// Everything that was not a flag, in order.
     pub positionals: Vec<String>,
 }
 
 impl CliArgs {
-    /// Was the extra boolean flag present?
+    /// Was the boolean flag present?
     pub fn flag(&self, name: &str) -> bool {
         self.flags.contains(&name)
     }
 
-    /// The extra value flag's value, if given (last occurrence wins).
+    /// The value flag's value, if given (last occurrence wins).
     pub fn value(&self, name: &str) -> Option<&str> {
         self.values
             .iter()
@@ -52,93 +50,86 @@ impl CliArgs {
             .find(|(f, _)| *f == name)
             .map(|(_, v)| v.as_str())
     }
+
+    /// The value flag's value parsed as a number; `what` names it in
+    /// the error (`bad seed "x"`).
+    pub fn number<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        what: &str,
+    ) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("bad {what} {v:?}")))
+            .transpose()
+    }
+
+    /// The `--sample 1/N` rate; 1 (keep everything) when absent.
+    pub fn sample(&self) -> Result<u32, String> {
+        self.value("--sample")
+            .map_or(Ok(1), planp_telemetry::TraceConfig::parse_sample)
+    }
 }
 
 impl Cli {
-    /// Parses the process arguments; prints `--help` and exits 0, or
-    /// prints the parse error and exits 2.
-    pub fn parse_or_exit(&self) -> CliArgs {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        if argv.iter().any(|a| a == "--help" || a == "-h") {
-            print!("{}", self.help);
-            std::process::exit(0);
-        }
-        match self.parse_from(&argv) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{}: {e}", self.bin);
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The pure parse (no process exit), for the bins' own tests.
+    /// Parses `argv` (the arguments after the subcommand's name).
     pub fn parse_from(&self, argv: &[String]) -> Result<CliArgs, String> {
         let mut args = CliArgs::default();
-        let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-            argv.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = argv[i].as_str();
-            if arg == "--json" {
-                args.json = true;
-            } else if arg == "--baseline" {
-                args.baseline = Some(value(argv, i, "--baseline")?);
-                i += 1;
-            } else if arg == "--write-baseline" {
-                args.write_baseline = Some(value(argv, i, "--write-baseline")?);
-                i += 1;
-            } else if let Some(f) = self.flags.iter().find(|f| **f == arg) {
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            let arg = arg.as_str();
+            if let Some(f) = self.flags.iter().find(|f| **f == arg) {
                 args.flags.push(f);
             } else if let Some(f) = self.value_flags.iter().find(|f| **f == arg) {
-                args.values.push((f, value(argv, i, f)?));
-                i += 1;
-            } else if arg.starts_with("--") {
+                let v = it.next().ok_or_else(|| format!("{f} needs a value"))?;
+                args.values.push((f, v.clone()));
+            } else if arg.starts_with("--") || !self.operands {
                 return Err(format!("unknown argument {arg:?} (try --help)"));
             } else {
                 args.positionals.push(arg.to_string());
             }
-            i += 1;
         }
         Ok(args)
     }
 }
 
-/// Applies the `--write-baseline` / `--baseline` convention to the
-/// byte-stable verdict text `actual`. Returns `true` when the compare
-/// failed (the caller exits 1 after its summary line); exits 2 on I/O
-/// errors.
-pub fn baseline_gate(bin: &str, args: &CliArgs, actual: &str) -> bool {
-    if let Some(path) = &args.write_baseline {
-        if let Err(e) = std::fs::write(path, actual) {
-            eprintln!("{bin}: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("wrote {path}");
-        return false;
-    }
-    let Some(path) = &args.baseline else {
-        return false;
-    };
-    let expected = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{bin}: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    if expected == actual {
-        return false;
-    }
-    eprintln!("{bin}: verdicts differ from {path}:");
-    eprint!("{}", render_diff(&expected, actual));
-    true
+/// One subcommand of `planp`.
+pub struct Sub {
+    /// The word after `planp`.
+    pub name: &'static str,
+    /// One line for `planp --help`.
+    pub about: &'static str,
+    /// Its argument vocabulary.
+    pub cli: Cli,
+    /// Its work. `Err` is a usage or I/O error (exit 2).
+    pub run: fn(&CliArgs) -> Result<Report, String>,
 }
 
-/// The pairwise line diff the baseline gate prints on a mismatch.
+impl Sub {
+    /// A figure or table subcommand: `--json`, `--report`, nothing else.
+    pub const fn figure(
+        name: &'static str,
+        about: &'static str,
+        run: fn(&CliArgs) -> Result<Report, String>,
+    ) -> Sub {
+        let cli = Cli {
+            help: "usage: planp <figure or table> [--json] [--report]
+  --json    write BENCH_<name>.json (headline scalars + metrics snapshot)
+  --report  print the run's metrics table after the figure
+",
+            flags: &["--json", "--report"],
+            value_flags: &[],
+            operands: false,
+        };
+        Sub {
+            name,
+            about,
+            cli,
+            run,
+        }
+    }
+}
+
+/// The pairwise line diff printed on a baseline mismatch.
 pub fn render_diff(expected: &str, actual: &str) -> String {
     let mut out = String::new();
     for (e, a) in expected.lines().zip(actual.lines()) {
@@ -153,20 +144,70 @@ pub fn render_diff(expected: &str, actual: &str) -> String {
     out
 }
 
-/// Resolves a parsed `--sample 1/N` value flag (declared in the bin's
-/// [`Cli::value_flags`]); returns 1 when absent and exits 2 on a
-/// malformed rate.
-pub fn sample_from_cli(bin: &str, args: &CliArgs) -> u32 {
-    let Some(spec) = args.value("--sample") else {
-        return 1;
-    };
-    match planp_telemetry::TraceConfig::parse_sample(spec) {
-        Ok(n) => n,
+/// Runs `planp` on the process arguments and exits with its status.
+pub fn main(subs: &[Sub]) -> ! {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(match dispatch(subs, &argv) {
+        Ok(failed) => i32::from(failed),
         Err(e) => {
-            eprintln!("{bin}: {e}");
-            std::process::exit(2);
+            eprintln!("{e}");
+            2
+        }
+    })
+}
+
+/// Parses, runs and emits one subcommand. `Ok(true)` is exit status 1,
+/// `Err` the one-line message of exit status 2.
+fn dispatch(subs: &[Sub], argv: &[String]) -> Result<bool, String> {
+    let Some(sub) = argv.first().and_then(|n| subs.iter().find(|s| s.name == n)) else {
+        let mut help =
+            String::from("usage: planp <subcommand> [options]   (planp <subcommand> --help)\n");
+        for s in subs {
+            help.push_str(&format!("  {:<20} {}\n", s.name, s.about));
+        }
+        return match argv.first().map(String::as_str) {
+            Some("--help" | "-h") => {
+                print!("{help}");
+                Ok(false)
+            }
+            Some(name) => Err(format!("planp: unknown subcommand {name:?} (try --help)")),
+            None => Err(help.trim_end().to_string()),
+        };
+    };
+    if argv[1..].iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", sub.cli.help);
+        return Ok(false);
+    }
+    let named = |e: String| format!("planp {}: {e}", sub.name);
+    let args = sub.cli.parse_from(&argv[1..]).map_err(named)?;
+    let report = (sub.run)(&args).map_err(named)?;
+
+    print!("{}", report.stdout);
+    eprint!("{}", report.stderr);
+    let write = |path: &str, body: &str| -> Result<(), String> {
+        let dir = std::path::Path::new(path).parent();
+        dir.map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(path, body))
+            .map_err(|e| named(format!("cannot write {path}: {e}")))?;
+        eprintln!("wrote {path}");
+        Ok(())
+    };
+    for (path, body) in &report.files {
+        write(path, body)?;
+    }
+    let mut failed = report.failed;
+    if let (Some(actual), Some(path)) = (&report.baseline, args.value("--write-baseline")) {
+        write(path, actual)?;
+    } else if let (Some(actual), Some(path)) = (&report.baseline, args.value("--baseline")) {
+        let expected =
+            std::fs::read_to_string(path).map_err(|e| named(format!("cannot read {path}: {e}")))?;
+        if expected != *actual {
+            eprintln!("planp {}: verdicts differ from {path}:", sub.name);
+            eprint!("{}", render_diff(&expected, actual));
+            failed = true;
         }
     }
+    Ok(failed)
 }
 
 #[cfg(test)]
@@ -178,14 +219,14 @@ mod tests {
     }
 
     const CLI: Cli = Cli {
-        bin: "planp-test",
         help: "help\n",
-        flags: &["--replay"],
-        value_flags: &["--flame"],
+        flags: &["--json", "--replay"],
+        value_flags: &["--baseline", "--flame"],
+        operands: true,
     };
 
     #[test]
-    fn parses_shared_and_extra_flags() {
+    fn parses_flags_values_and_operands() {
         let a = CLI
             .parse_from(&argv(&[
                 "--json",
@@ -197,11 +238,10 @@ mod tests {
                 "x.planp",
             ]))
             .unwrap();
-        assert!(a.json);
-        assert!(a.flag("--replay"));
+        assert!(a.flag("--json") && a.flag("--replay"));
         assert_eq!(a.value("--flame"), Some("out.txt"));
-        assert_eq!(a.baseline.as_deref(), Some("B"));
-        assert!(a.write_baseline.is_none());
+        assert_eq!(a.value("--baseline"), Some("B"));
+        assert_eq!(a.value("--write-baseline"), None);
         assert_eq!(a.positionals, vec!["x.planp"]);
     }
 
@@ -210,6 +250,53 @@ mod tests {
         assert!(CLI.parse_from(&argv(&["--bogus"])).is_err());
         assert!(CLI.parse_from(&argv(&["--baseline"])).is_err());
         assert!(CLI.parse_from(&argv(&["--flame"])).is_err());
+        let figure = &crate::SUBCOMMANDS[0].cli;
+        assert!(figure.parse_from(&argv(&["stray"])).is_err());
+    }
+
+    /// `fig7_audio_gaps --jsno` used to run its two minutes and write
+    /// nothing; every subcommand now refuses what it does not declare,
+    /// before doing any work.
+    #[test]
+    fn a_mistyped_flag_on_a_figure_subcommand_is_a_usage_error() {
+        for sub in crate::SUBCOMMANDS {
+            let e = dispatch(crate::SUBCOMMANDS, &argv(&[sub.name, "--jsno"])).unwrap_err();
+            assert_eq!(
+                e,
+                format!(
+                    "planp {}: unknown argument \"--jsno\" (try --help)",
+                    sub.name
+                )
+            );
+        }
+        let fig7 = crate::SUBCOMMANDS
+            .iter()
+            .find(|s| s.name == "fig7")
+            .unwrap();
+        let ok = fig7.cli.parse_from(&argv(&["--json", "--report"])).unwrap();
+        assert!(ok.flag("--json") && ok.flag("--report"));
+        assert!(dispatch(crate::SUBCOMMANDS, &argv(&["fig9"])).is_err());
+    }
+
+    #[test]
+    fn numbers_and_sample_rates_parse_or_explain() {
+        let cli = Cli {
+            help: "",
+            flags: &[],
+            value_flags: &["--seed", "--sample"],
+            operands: false,
+        };
+        let a = cli
+            .parse_from(&argv(&["--seed", "7", "--sample", "1/8"]))
+            .unwrap();
+        assert_eq!(a.number::<u64>("--seed", "seed"), Ok(Some(7)));
+        assert_eq!(a.sample(), Ok(8));
+        let a = cli.parse_from(&argv(&["--seed", "x"])).unwrap();
+        assert_eq!(
+            a.number::<u64>("--seed", "seed"),
+            Err("bad seed \"x\"".into())
+        );
+        assert_eq!(a.sample(), Ok(1));
     }
 
     #[test]

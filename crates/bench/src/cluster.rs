@@ -1,19 +1,19 @@
-//! `planp-cluster` — the overload-robustness headline: a Zipf flash
+//! `planp cluster` — the overload-robustness headline: a Zipf flash
 //! crowd (1M requests) over 24 heterogeneous backends with rolling
 //! crashes, defended by admission control, a bounded-load
 //! consistent-hash gateway with per-backend circuit breakers, and the
 //! monitor-driven brownout controller.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin planp_cluster -- --json
+//! planp cluster --json
 //! ```
 //!
 //! One seeded run of [`ClusterConfig::standard`]; everything printed —
 //! the verdict block, the breaker transition log, the brownout log —
-//! is byte-stable, so CI runs the binary twice and diffs, and gates on
-//! the pinned `asps/CLUSTER_BASELINE.txt`.
+//! is byte-stable, so `planp check` runs it twice and compares, and
+//! gates on the pinned `asps/CLUSTER_BASELINE.txt`.
 //!
-//! Asserted invariants (a violation aborts the binary):
+//! Asserted invariants (a violation panics):
 //!
 //! * ≥ 99% of *admitted* requests complete, through the flash crowd
 //!   and six rolling backend crashes (shed requests were refused at
@@ -25,20 +25,19 @@
 //!   restores service (level 0) by the end of the run;
 //! * both drop-accounting identities (link- and node-level) hold.
 //!
-//! Flags: `--json` (or `PLANP_BENCH_JSON=1`) writes
-//! `BENCH_planp_cluster.json`; `--report` prints the metrics table;
+//! Flags: `--json` writes `BENCH_planp_cluster.json`; `--report` prints the metrics table;
 //! `--baseline FILE` gates on a pinned verdict file (exit 1 on drift);
 //! `--write-baseline FILE` regenerates it; `--sample 1/N` enables
 //! head-sampled causal tracing (the verdict does not depend on it).
 
+use crate::{push_bench, Cli, CliArgs, Report, Sub};
 use planp_apps::cluster::{run_cluster, ClusterConfig};
-use planp_bench::{baseline_gate, emit_bench, sample_from_cli, BenchOpts, Cli};
 use planp_telemetry::TraceConfig;
 use std::fmt::Write as _;
 
-const HELP: &str = "planp-cluster: flash-crowd overload robustness bench
+const HELP: &str = "planp cluster: flash-crowd overload robustness bench
 
-usage: planp_cluster [--json] [--report] [--sample 1/N]
+usage: planp cluster [--json] [--report] [--sample 1/N]
                      [--baseline FILE | --write-baseline FILE]
 
   --json                write BENCH_planp_cluster.json
@@ -49,11 +48,17 @@ usage: planp_cluster [--json] [--report] [--sample 1/N]
   -h, --help            this text
 ";
 
-const CLI: Cli = Cli {
-    bin: "planp-cluster",
-    help: HELP,
-    flags: &["--report"],
-    value_flags: &["--sample"],
+/// `planp cluster`.
+pub(crate) const SUB: Sub = Sub {
+    name: "cluster",
+    about: "flash-crowd overload robustness of the HTTP cluster",
+    cli: Cli {
+        help: HELP,
+        flags: &["--json", "--report"],
+        value_flags: &["--sample", "--baseline", "--write-baseline"],
+        operands: false,
+    },
+    run,
 };
 
 /// Client p99 ceiling (ns). The latency histogram has power-of-two
@@ -62,10 +67,10 @@ const CLI: Cli = Cli {
 /// peak during the flash crowd.
 const P99_CEILING_NS: u64 = 67_108_864; // 2^26 ≈ 67 ms
 
-fn main() {
-    let args = CLI.parse_or_exit();
-    let opts = BenchOpts::from_cli(&args);
-    let sample_n = sample_from_cli("planp-cluster", &args);
+fn run(args: &CliArgs) -> Result<Report, String> {
+    let sample_n = args.sample()?;
+    let mut report = Report::default();
+    let out = &mut report.stdout;
 
     let mut cfg = ClusterConfig::standard();
     if sample_n > 1 {
@@ -136,10 +141,10 @@ fn main() {
     verdict.push_str(&res.transitions_log);
     verdict.push_str("--- brownout transitions ---\n");
     verdict.push_str(&res.brownout_log);
-    print!("{verdict}");
+    out.push_str(&verdict);
     if !res.flight.is_empty() {
-        println!("--- flight dumps ---");
-        print!("{}", res.flight);
+        outln!(out, "--- flight dumps ---");
+        out.push_str(&res.flight);
     }
 
     // --- invariants -----------------------------------------------------
@@ -193,7 +198,7 @@ fn main() {
         res.sum_link_drops,
         res.sum_fault_drops
     );
-    println!("all cluster invariants hold");
+    outln!(out, "all cluster invariants hold");
 
     let scalars = [
         ("sent", res.sent as f64),
@@ -215,9 +220,7 @@ fn main() {
         ("max_brownout", f64::from(res.max_brownout)),
         ("breaches", res.breaches as f64),
     ];
-    emit_bench(opts, "planp_cluster", &scalars, &res.snapshot);
-
-    if baseline_gate("planp-cluster", &args, &verdict) {
-        std::process::exit(1);
-    }
+    push_bench(&mut report, args, "planp_cluster", &scalars, &res.snapshot);
+    report.baseline = Some(verdict);
+    Ok(report)
 }

@@ -2,11 +2,11 @@
 //! five PLAN-P programs, side by side with the paper's 1998 numbers.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin fig3_codegen_table
+//! planp fig3
 //! ```
 
-use planp_bench::{
-    emit_bench, paper_programs, render_analysis_report, render_table, BenchOpts, PAPER_FIG3,
+use crate::{
+    paper_programs, push_bench, render_analysis_report, render_table, CliArgs, Report, PAPER_FIG3,
 };
 use planp_lang::{compile_front, count_lines};
 use planp_telemetry::MetricsSnapshot;
@@ -19,10 +19,14 @@ fn median(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn main() {
-    let opts = BenchOpts::from_args();
-    println!("Figure 3 — code generation time for PLAN-P programs");
-    println!("(paper: Tempo template assembly on a 1998 SPARC; ours: register-bytecode JIT)\n");
+pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
+    let mut report = Report::default();
+    let out = &mut report.stdout;
+    outln!(out, "Figure 3 — code generation time for PLAN-P programs");
+    outln!(
+        out,
+        "(paper: Tempo template assembly on a 1998 SPARC; ours: register-bytecode JIT)\n"
+    );
 
     let mut rows = Vec::new();
     let mut ours = Vec::new();
@@ -55,13 +59,13 @@ fn main() {
                 })
                 .collect(),
         );
-        if opts.report {
+        if args.flag("--report") {
             analyses.push(render_analysis_report(
                 name,
                 &planp_analysis::verify(&prog, policy.with_exhaustive_check()),
             ));
         }
-        let (_, paper_lines, paper_ms) = PAPER_FIG3[i];
+        let (_, _, paper_lines, paper_ms) = PAPER_FIG3[i];
         let lines = count_lines(src);
         ours.push((lines as f64, codegen_us));
         rows.push(vec![
@@ -73,7 +77,8 @@ fn main() {
             format!("{paper_ms:.1}"),
         ]);
     }
-    println!(
+    outln!(
+        out,
         "{}",
         render_table(
             &[
@@ -99,22 +104,26 @@ fn main() {
     let vx: f64 = ours.iter().map(|&(x, _)| (x - mx) * (x - mx)).sum();
     let vy: f64 = ours.iter().map(|&(_, y)| (y - my) * (y - my)).sum();
     let corr = cov / (vx.sqrt() * vy.sqrt());
-    println!("lines-vs-time correlation: {corr:.2} (paper's table implies strong positive)");
+    outln!(
+        out,
+        "lines-vs-time correlation: {corr:.2} (paper's table implies strong positive)"
+    );
 
     for a in &analyses {
-        print!("{a}");
+        out.push_str(a);
     }
 
     // `--report` also sweeps the exhaustive model checker over every
     // bundled ASP, printing each one's verdicts and explored-state
     // counts (the paper's `r·d·2^d` made concrete per program).
-    if opts.report {
-        println!("--- exhaustive model check: bundled ASPs ---");
-        for (name, src, policy) in planp_bench::bundled_asps() {
+    if args.flag("--report") {
+        outln!(out, "--- exhaustive model check: bundled ASPs ---");
+        for (name, src, policy) in crate::bundled_asps() {
             let prog = compile_front(src).expect("bundled ASP compiles");
             let report = planp_analysis::verify(&prog, policy.with_exhaustive_check());
             let mc = report.exhaustive.as_ref().expect("exhaustive tier ran");
-            println!(
+            outln!(
+                out,
                 "{name}: termination {}, delivery {} ({} state(s), {} transition(s))",
                 mc.termination.as_str(),
                 mc.delivery.as_str(),
@@ -136,11 +145,12 @@ fn main() {
             (format!("{key}_codegen_us"), us)
         })
         .collect();
-    let scalar_refs: Vec<(&str, f64)> = scalars.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    emit_bench(
-        opts,
+    push_bench(
+        &mut report,
+        args,
         "fig3_codegen_table",
-        &scalar_refs,
+        &scalars,
         &MetricsSnapshot::default(),
     );
+    Ok(report)
 }

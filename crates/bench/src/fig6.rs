@@ -3,17 +3,24 @@
 //! at 220 s → small at 340 s).
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin fig6_audio_bandwidth
+//! planp fig6
 //! ```
 
+use crate::{push_bench, render_table, CliArgs, Report};
 use planp_apps::audio::{run_audio, run_audio_traced, Adaptation, AudioConfig, LoadPhase};
-use planp_bench::{emit_bench, render_table, BenchOpts};
 use planp_telemetry::TraceConfig;
 
-fn main() {
-    let opts = BenchOpts::from_args();
-    println!("Figure 6 — measured audio bandwidth vs time (ASP adaptation in the router)");
-    println!("paper: 176 kb/s -> 44 kb/s at t=100s -> 44-88 kb/s at t=220s -> 88 kb/s at t=340s\n");
+pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
+    let mut report = Report::default();
+    let out = &mut report.stdout;
+    outln!(
+        out,
+        "Figure 6 — measured audio bandwidth vs time (ASP adaptation in the router)"
+    );
+    outln!(
+        out,
+        "paper: 176 kb/s -> 44 kb/s at t=100s -> 44-88 kb/s at t=220s -> 88 kb/s at t=340s\n"
+    );
 
     let cfg = AudioConfig::figure6(Adaptation::AspJit);
     let (r, _telemetry, metrics) = run_audio_traced(&cfg, TraceConfig::default());
@@ -36,7 +43,8 @@ fn main() {
             bar,
         ]);
     }
-    println!(
+    outln!(
+        out,
         "{}",
         render_table(&["t (s)", "audio kb/s", "phase", ""], &rows)
     );
@@ -47,15 +55,25 @@ fn main() {
         ("medium load (220-340s)", r.avg_kbps(230.0, 340.0), 66.0),
         ("small load (340-460s)", r.avg_kbps(350.0, 460.0), 88.0),
     ];
-    println!("phase averages (paper's nominal rates shown for reference):");
-    for (name, got, paper) in phases {
-        println!("  {name:>24}: {got:6.1} kb/s   (paper: ~{paper:.0} kb/s)");
-    }
-    println!(
-        "\nclient frames: {}   gaps: {}   segment drops: {}",
-        r.stats.frames, r.stats.gaps, r.segment_drops
+    outln!(
+        out,
+        "phase averages (paper's nominal rates shown for reference):"
     );
-    println!(
+    for (name, got, paper) in phases {
+        outln!(
+            out,
+            "  {name:>24}: {got:6.1} kb/s   (paper: ~{paper:.0} kb/s)"
+        );
+    }
+    outln!(
+        out,
+        "\nclient frames: {}   gaps: {}   segment drops: {}",
+        r.stats.frames,
+        r.stats.gaps,
+        r.segment_drops
+    );
+    outln!(
+        out,
         "frames by wire format [16-bit stereo, 16-bit mono, 8-bit mono]: {:?}",
         r.stats.by_format
     );
@@ -65,7 +83,7 @@ fn main() {
     // its audio degraded, a quiet segment behind another router keeps
     // full quality ("audio clients in IRISA may still receive
     // high-quality audio").
-    println!("\nper-segment adaptation (figure 5):");
+    outln!(out, "\nper-segment adaptation (figure 5):");
     let r = run_audio(&AudioConfig {
         adaptation: Adaptation::AspJit,
         phases: vec![LoadPhase {
@@ -87,17 +105,20 @@ fn main() {
         .map(|&(_, v)| v)
         .collect();
     let quiet_avg = quiet.iter().sum::<f64>() / quiet.len().max(1) as f64;
-    println!(
+    outln!(
+        out,
         "  loaded segment client: {:>5.0} kb/s   (degraded to 8-bit mono)",
         r.avg_kbps(15.0, 60.0)
     );
-    println!(
+    outln!(
+        out,
         "  quiet segment client : {:>5.0} kb/s   (untouched 16-bit stereo)",
         quiet_avg
     );
 
-    emit_bench(
-        opts,
+    push_bench(
+        &mut report,
+        args,
         "fig6_audio_bandwidth",
         &[
             ("no_load_kbps", phases[0].1),
@@ -110,4 +131,5 @@ fn main() {
         ],
         &metrics,
     );
+    Ok(report)
 }

@@ -2,14 +2,14 @@
 //! in audio playback, with and without adaptation, across load levels.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin fig7_audio_gaps
+//! planp fig7
 //! ```
 
+use crate::{push_bench, render_table, CliArgs, Report};
 use planp_apps::audio::{run_audio_traced, Adaptation, AudioConfig, LoadPhase};
-use planp_bench::{emit_bench, render_table, BenchOpts};
 use planp_telemetry::{MetricsSnapshot, TraceConfig};
 
-fn run(adaptation: Adaptation, kbps: u64) -> (u64, u64, f64, MetricsSnapshot) {
+fn run_load(adaptation: Adaptation, kbps: u64) -> (u64, u64, f64, MetricsSnapshot) {
     let cfg = AudioConfig {
         adaptation,
         phases: if kbps == 0 {
@@ -37,10 +37,11 @@ fn run(adaptation: Adaptation, kbps: u64) -> (u64, u64, f64, MetricsSnapshot) {
     )
 }
 
-fn main() {
-    let opts = BenchOpts::from_args();
-    println!("Figure 7 — silent periods during 120 s of playback");
-    println!("(paper: adaptation greatly reduces gaps under load)\n");
+pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
+    let mut report = Report::default();
+    let out = &mut report.stdout;
+    outln!(out, "Figure 7 — silent periods during 120 s of playback");
+    outln!(out, "(paper: adaptation greatly reduces gaps under load)\n");
 
     // Load levels paralleling the paper's configurations. The \"large\"
     // level oversubscribes the segment once full-quality audio is added,
@@ -56,9 +57,9 @@ fn main() {
     let mut scalars: Vec<(String, f64)> = Vec::new();
     let mut large_load_metrics = MetricsSnapshot::default();
     for (name, kbps) in levels {
-        let (gaps_on, drops_on, bw_on, metrics) = run(Adaptation::AspJit, kbps);
-        let (gaps_native, _, _, _) = run(Adaptation::Native, kbps);
-        let (gaps_off, drops_off, bw_off, _) = run(Adaptation::Off, kbps);
+        let (gaps_on, drops_on, bw_on, metrics) = run_load(Adaptation::AspJit, kbps);
+        let (gaps_native, _, _, _) = run_load(Adaptation::Native, kbps);
+        let (gaps_off, drops_off, bw_off, _) = run_load(Adaptation::Off, kbps);
         let key = name.replace(' ', "_");
         scalars.push((format!("{key}_gaps_asp"), gaps_on as f64));
         scalars.push((format!("{key}_gaps_native"), gaps_native as f64));
@@ -77,7 +78,8 @@ fn main() {
             drops_off.to_string(),
         ]);
     }
-    println!(
+    outln!(
+        out,
         "{}",
         render_table(
             &[
@@ -93,11 +95,21 @@ fn main() {
             &rows
         )
     );
-    println!("expected shape: gaps(ASP) ≈ gaps(native) << gaps(off) at large load;");
-    println!(
+    outln!(
+        out,
+        "expected shape: gaps(ASP) ≈ gaps(native) << gaps(off) at large load;"
+    );
+    outln!(
+        out,
         "ASP bandwidth drops to the degraded rate under load, no-adaptation stays at ~177 kb/s."
     );
 
-    let scalar_refs: Vec<(&str, f64)> = scalars.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    emit_bench(opts, "fig7_audio_gaps", &scalar_refs, &large_load_metrics);
+    push_bench(
+        &mut report,
+        args,
+        "fig7_audio_gaps",
+        &scalars,
+        &large_load_metrics,
+    );
+    Ok(report)
 }

@@ -5,17 +5,21 @@
 //! interpreter-run gateway as an ablation.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin fig8_http_perf
+//! planp fig8
 //! ```
 
+use crate::{push_bench, render_table, CliArgs, Report};
 use planp_apps::http::{run_http, run_http_traced, ClusterMode, HttpConfig};
-use planp_bench::{emit_bench, render_table, BenchOpts};
 use planp_telemetry::TraceConfig;
 
-fn main() {
-    let opts = BenchOpts::from_args();
-    println!("Figure 8 — HTTP server performance (requests/second)");
-    println!("(paper: ASP == built-in C; cluster = 1.75 x single server = 85% of two servers)\n");
+pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
+    let mut report = Report::default();
+    let out = &mut report.stdout;
+    outln!(out, "Figure 8 — HTTP server performance (requests/second)");
+    outln!(
+        out,
+        "(paper: ASP == built-in C; cluster = 1.75 x single server = 85% of two servers)\n"
+    );
 
     let modes = [
         ("a: single server", ClusterMode::Single),
@@ -43,11 +47,11 @@ fn main() {
     let headers: Vec<&str> = std::iter::once("clients")
         .chain(modes.iter().map(|(n, _)| *n))
         .collect();
-    println!("{}", render_table(&headers, &rows));
+    outln!(out, "{}", render_table(&headers, &rows));
 
     // Latency distribution at the 16-client point (the knee). The ASP
     // gateway run also supplies the metrics snapshot for --json/--report.
-    println!("latency at 16 clients (ms):");
+    outln!(out, "latency at 16 clients (ms):");
     let mut knee_metrics = None;
     for (name, mode) in modes.iter().take(4) {
         let mut cfg = HttpConfig::new(*mode, 16);
@@ -57,31 +61,41 @@ fn main() {
         if *mode == ClusterMode::AspGateway {
             knee_metrics = Some(metrics);
         }
-        println!(
+        outln!(
+            out,
             "  {name:>20}: mean {:>4.0}  p50 {:>4.0}  p95 {:>4.0}",
-            r.mean_latency_ms, r.p50_latency_ms, r.p95_latency_ms
+            r.mean_latency_ms,
+            r.p50_latency_ms,
+            r.p95_latency_ms
         );
     }
-    println!();
+    outln!(out);
 
     let peak = |i: usize| -> f64 { results[i].iter().cloned().fold(0.0, f64::max) };
     let (a, b, c, d) = (peak(0), peak(1), peak(2), peak(3));
-    println!("peak throughput: single {a:.0}, ASP gw {b:.0}, C gw {c:.0}, disjoint {d:.0} req/s");
-    println!(
+    outln!(
+        out,
+        "peak throughput: single {a:.0}, ASP gw {b:.0}, C gw {c:.0}, disjoint {d:.0} req/s"
+    );
+    outln!(
+        out,
         "  ASP vs built-in C gateway : {:+.1}%  (paper: ~0%)",
         (b - c) / c * 100.0
     );
-    println!(
+    outln!(
+        out,
         "  cluster vs single server  : {:.2}x   (paper: 1.75x)",
         b / a
     );
-    println!(
+    outln!(
+        out,
         "  cluster vs two servers    : {:.0}%   (paper: 85%)",
         b / d * 100.0
     );
 
-    emit_bench(
-        opts,
+    push_bench(
+        &mut report,
+        args,
         "fig8_http_perf",
         &[
             ("peak_single_rps", a),
@@ -93,4 +107,5 @@ fn main() {
         ],
         &knee_metrics.unwrap_or_default(),
     );
+    Ok(report)
 }

@@ -1,14 +1,14 @@
-//! `planp-health` — the live SLO health monitor over the chaos relay
+//! `planp health` — the live SLO health monitor over the chaos relay
 //! chain: windowed delivery-floor / latency / queue / fault-burst
 //! rules, with flight-recorder dumps frozen at crashes and at the
 //! first breached window.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin planp_health -- --json
+//! planp health --json
 //! ```
 //!
-//! Three monitored stages, all seeded (two runs of this binary produce
-//! byte-identical output; CI runs it twice and diffs):
+//! Three monitored stages, all seeded (two runs produce byte-identical
+//! output; `planp check` runs it twice and compares):
 //!
 //! 1. **Fragile relay at 10% loss** — the delivery floor (95% per
 //!    window) breaches; the monitor freezes the middle relay's flight
@@ -20,17 +20,16 @@
 //!    post-restart windows recover, and the report carries the crashed
 //!    node's flight-recorder window (cause `crash`).
 //!
-//! Each stage asserts its verdict; a violated invariant aborts the
-//! binary. `--sample 1/N` turns on head-sampled causal tracing for
+//! Each stage asserts its verdict; a violated invariant panics. `--sample 1/N` turns on head-sampled causal tracing for
 //! every stage (the monitor's verdicts do not depend on the rate).
 
+use crate::{push_bench, Cli, CliArgs, Report, Sub};
 use planp_apps::chaos::{run_relay_chaos, RelayChaosConfig, RelayChaosResult, RelayKind};
-use planp_bench::{emit_bench, sample_from_cli, BenchOpts, Cli};
 use planp_telemetry::TraceConfig;
 
-const HELP: &str = "planp-health: live SLO monitor over the chaos relay chain
+const HELP: &str = "planp health: live SLO monitor over the chaos relay chain
 
-usage: planp_health [--json] [--report] [--sample 1/N]
+usage: planp health [--json] [--report] [--sample 1/N]
 
   --json        write BENCH_planp_health.json
   --report      print the final metrics table
@@ -38,11 +37,17 @@ usage: planp_health [--json] [--report] [--sample 1/N]
   -h, --help    this text
 ";
 
-const CLI: Cli = Cli {
-    bin: "planp-health",
-    help: HELP,
-    flags: &["--report"],
-    value_flags: &["--sample"],
+/// `planp health`.
+pub(crate) const SUB: Sub = Sub {
+    name: "health",
+    about: "live SLO monitor over the chaos relay chain",
+    cli: Cli {
+        help: HELP,
+        flags: &["--json", "--report"],
+        value_flags: &["--sample"],
+        operands: false,
+    },
+    run,
 };
 
 /// Monitor window used by every stage (milliseconds of sim time).
@@ -58,16 +63,17 @@ fn monitored(mut cfg: RelayChaosConfig, sample_n: u32) -> RelayChaosConfig {
     cfg
 }
 
-fn print_stage(title: &str, res: &RelayChaosResult) {
+fn print_stage(out: &mut String, title: &str, res: &RelayChaosResult) {
     let health = res.health.as_ref().expect("monitored run");
-    println!("=== {title} ===");
-    print!("{}", health.report);
+    outln!(out, "=== {title} ===");
+    out.push_str(&health.report);
     if health.flight.is_empty() {
-        println!("flight dumps: none");
+        outln!(out, "flight dumps: none");
     } else {
-        print!("{}", health.flight);
+        out.push_str(&health.flight);
     }
-    println!(
+    outln!(
+        out,
         "delivery {:.3}  breaches={} (delivery={})  recovered={}",
         res.delivery_ratio,
         health.breaches,
@@ -78,17 +84,13 @@ fn print_stage(title: &str, res: &RelayChaosResult) {
             None => "n/a",
         }
     );
-    println!();
+    outln!(out);
 }
 
-fn main() {
-    let args = CLI.parse_or_exit();
-    if args.baseline.is_some() || args.write_baseline.is_some() {
-        eprintln!("planp-health: no baseline gate; CI diffs two runs instead");
-        std::process::exit(2);
-    }
-    let opts = BenchOpts::from_cli(&args);
-    let sample_n = sample_from_cli("planp-health", &args);
+fn run(args: &CliArgs) -> Result<Report, String> {
+    let sample_n = args.sample()?;
+    let mut report = Report::default();
+    let out = &mut report.stdout;
     let mut scalars: Vec<(String, f64)> = Vec::new();
 
     // --- 1. fragile relay: the floor must breach ------------------------
@@ -96,7 +98,7 @@ fn main() {
         RelayChaosConfig::loss(RelayKind::Fragile, 0.10),
         sample_n,
     ));
-    print_stage("fragile relay, 10% per-link loss", &fragile);
+    print_stage(out, "fragile relay, 10% per-link loss", &fragile);
     let fh = fragile.health.as_ref().unwrap();
     assert!(
         fh.delivery_breaches >= 1,
@@ -119,7 +121,7 @@ fn main() {
         RelayChaosConfig::loss(RelayKind::Reliable, 0.05),
         sample_n,
     ));
-    print_stage("reliable relay, 5% per-link loss", &reliable);
+    print_stage(out, "reliable relay, 5% per-link loss", &reliable);
     let rh = reliable.health.as_ref().unwrap();
     assert_eq!(
         rh.delivery_breaches, 0,
@@ -136,7 +138,11 @@ fn main() {
     let mut cfg = RelayChaosConfig::loss(RelayKind::Reliable, 0.02);
     cfg.crash_relay = Some((0.25, 0.55));
     let crash = run_relay_chaos(&monitored(cfg, sample_n));
-    print_stage("crash schedule (middle relay down 0.25-0.55 s)", &crash);
+    print_stage(
+        out,
+        "crash schedule (middle relay down 0.25-0.55 s)",
+        &crash,
+    );
     let ch = crash.health.as_ref().unwrap();
     assert!(
         ch.delivery_breaches >= 1,
@@ -162,7 +168,7 @@ fn main() {
     scalars.push(("crash_breaches".into(), ch.breaches as f64));
     scalars.push(("crash_delivery".into(), crash.delivery_ratio));
 
-    println!("all health invariants hold");
-    let scalar_refs: Vec<(&str, f64)> = scalars.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    emit_bench(opts, "planp_health", &scalar_refs, &crash.snapshot);
+    outln!(out, "all health invariants hold");
+    push_bench(&mut report, args, "planp_health", &scalars, &crash.snapshot);
+    Ok(report)
 }

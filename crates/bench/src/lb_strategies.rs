@@ -3,19 +3,23 @@
 //! evaluated by changing the gateway ASP").
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin lb_strategies_table
+//! planp lb-strategies
 //! ```
 
+use crate::{push_bench, render_table, CliArgs, Report};
 use planp_apps::http::{
     run_http_traced, ClusterMode, HttpConfig, HTTP_GATEWAY_ASP, HTTP_GATEWAY_PORTHASH_ASP,
     HTTP_GATEWAY_RANDOM_ASP,
 };
-use planp_bench::{emit_bench, render_table, BenchOpts};
 use planp_telemetry::{MetricsSnapshot, TraceConfig};
 
-fn main() {
-    let opts = BenchOpts::from_args();
-    println!("Load-balancing strategies (swap the gateway ASP, nothing else changes)\n");
+pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
+    let mut report = Report::default();
+    let out = &mut report.stdout;
+    outln!(
+        out,
+        "Load-balancing strategies (swap the gateway ASP, nothing else changes)\n"
+    );
 
     let strategies = [
         ("modulo (paper's)", HTTP_GATEWAY_ASP),
@@ -32,7 +36,7 @@ fn main() {
         cfg.warmup_s = 5.0;
         cfg.gateway_src = Some(src);
         let (r, _telemetry, metrics) = run_http_traced(&cfg, TraceConfig::default());
-        if std::ptr::eq(src, HTTP_GATEWAY_ASP) {
+        if src == HTTP_GATEWAY_ASP {
             modulo_metrics = metrics;
         }
         scalars.push((
@@ -55,7 +59,8 @@ fn main() {
             format!("{skew:.1}%"),
         ]);
     }
-    println!(
+    outln!(
+        out,
         "{}",
         render_table(
             &[
@@ -69,9 +74,21 @@ fn main() {
             &rows
         )
     );
-    println!("expected shape: all strategies reach the same gateway-bound throughput;");
-    println!("modulo splits connections most evenly, random shows mild skew.");
+    outln!(
+        out,
+        "expected shape: all strategies reach the same gateway-bound throughput;"
+    );
+    outln!(
+        out,
+        "modulo splits connections most evenly, random shows mild skew."
+    );
 
-    let scalar_refs: Vec<(&str, f64)> = scalars.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    emit_bench(opts, "lb_strategies_table", &scalar_refs, &modulo_metrics);
+    push_bench(
+        &mut report,
+        args,
+        "lb_strategies_table",
+        &scalars,
+        &modulo_metrics,
+    );
+    Ok(report)
 }

@@ -1,214 +1,222 @@
 //! # planp-bench — the evaluation harness
 //!
-//! One target per table/figure of the paper's evaluation:
+//! One binary, `planp`, with one subcommand per table or figure of the
+//! paper's evaluation and per analysis or robustness report of the
+//! reproduction:
 //!
-//! | paper | target |
+//! | paper | subcommand |
 //! |---|---|
-//! | Fig. 3 (code generation time) | `benches/fig3_codegen.rs`, `bin/fig3_codegen_table` |
-//! | §2.4 / bridge claim: "ASP as fast as built-in C" | `benches/jit_vs_native.rs` |
-//! | Fig. 6 (audio bandwidth adaptation) | `bin/fig6_audio_bandwidth` |
-//! | Fig. 7 (silent periods) | `bin/fig7_audio_gaps` |
-//! | Fig. 8 (HTTP cluster throughput) | `bin/fig8_http_perf` |
-//! | §3.3 (multipoint MPEG) | `bin/mpeg_sharing_table` |
+//! | Fig. 3 (code generation time) | `planp fig3` |
+//! | Fig. 6 (audio bandwidth adaptation) | `planp fig6` |
+//! | Fig. 7 (silent periods) | `planp fig7` |
+//! | Fig. 8 (HTTP cluster throughput) | `planp fig8` |
+//! | §3.3 (multipoint MPEG) | `planp mpeg-sharing` |
+//! | §3.2 / §3.1 ablations | `planp lb-strategies`, `planp adaptation-policies` |
+//! | §2.1 download-time verification | `planp lint`, `modelcheck`, `plan`, `state` |
+//! | beyond the paper | `planp profile`, `chaos`, `cluster`, `health`, `obs`, `trace` |
+//!
+//! Each subcommand is a library function from its parsed arguments to a
+//! [`Report`] — the text for stdout, the named artefacts, and (where a
+//! checked-in baseline pins it) the baseline text — so the driver
+//! ([`cli::main`]), the `planp check` gate ([`check`]) and the tier-1
+//! tests all run the same code. Wall-clock numbers are `planp_perf`'s
+//! business (`perf/`); only `fig3` reads a clock here.
 
 #![warn(missing_docs)]
 
-pub mod cli;
+/// `println!` into a report's stdout text.
+macro_rules! outln {
+    ($out:expr) => {
+        $out.push('\n')
+    };
+    ($out:expr, $($fmt:tt)*) => {{
+        use std::fmt::Write as _;
+        let _ = writeln!($out, $($fmt)*);
+    }};
+}
 
-pub use cli::{baseline_gate, sample_from_cli, Cli, CliArgs};
+mod adaptation_policies;
+mod chaos;
+pub mod check;
+pub mod cli;
+mod cluster;
+mod fig3;
+mod fig6;
+mod fig7;
+mod fig8;
+mod health;
+mod lb_strategies;
+mod lint;
+mod modelcheck;
+mod mpeg_sharing;
+mod obs;
+mod plan;
+mod profile;
+mod state;
+mod trace;
+
+pub use cli::{render_diff, Cli, CliArgs, Sub};
 
 use planp_analysis::Policy;
+use planp_apps::corpus::{self, CorpusAsp};
 use planp_telemetry::MetricsSnapshot;
+
+/// Every subcommand of `planp`, in `--help` order.
+pub const SUBCOMMANDS: &[Sub] = &[
+    Sub::figure("fig3", "Fig. 3: code generation time", fig3::run),
+    Sub::figure("fig6", "Fig. 6: audio bandwidth over time", fig6::run),
+    Sub::figure("fig7", "Fig. 7: silent periods vs adaptation", fig7::run),
+    Sub::figure("fig8", "Fig. 8: HTTP cluster throughput", fig8::run),
+    Sub::figure(
+        "mpeg-sharing",
+        "Sec. 3.3: one server stream, many MPEG viewers",
+        mpeg_sharing::run,
+    ),
+    Sub::figure(
+        "lb-strategies",
+        "Sec. 3.2 ablation: gateway load-balancing strategies",
+        lb_strategies::run,
+    ),
+    Sub::figure(
+        "adaptation-policies",
+        "Sec. 3.1 ablation: audio adaptation policies",
+        adaptation_policies::run,
+    ),
+    lint::SUB,
+    modelcheck::SUB,
+    plan::SUB,
+    state::SUB,
+    profile::SUB,
+    chaos::SUB,
+    cluster::SUB,
+    health::SUB,
+    obs::SUB,
+    trace::SUB,
+    check::SUB,
+];
+
+/// What one run of a subcommand produced. Nothing in it depends on the
+/// clock or on hash order (outside `fig3`), so two runs compare equal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Report {
+    /// The text for stdout.
+    pub stdout: String,
+    /// Notes and the closing summary line, for stderr.
+    pub stderr: String,
+    /// Named artefacts as `(path, contents)`: `BENCH_<name>.json` for
+    /// `--json`, and whatever `--flame`, `--heatmap`, `--chrome-json`
+    /// or `--prom` named.
+    pub files: Vec<(String, String)>,
+    /// The byte-stable verdict text a checked-in `asps/*_BASELINE.txt`
+    /// pins, for the subcommands that are gated on one.
+    pub baseline: Option<String>,
+    /// The report itself found a failure (a rejected file, a predicted
+    /// violation that did not replay): exit status 1.
+    pub failed: bool,
+}
+
+fn corpus_asp(name: &str) -> &'static CorpusAsp {
+    corpus::asp(name).unwrap_or_else(|| panic!("{name} is not in the ASP corpus"))
+}
+
+/// The paper's figure 3: (program, its name in the corpus, lines,
+/// codegen milliseconds on a 1998 SPARC with Tempo's template
+/// assembler).
+pub const PAPER_FIG3: [(&str, &str, u32, f64); 5] = [
+    ("Audio Broadcasting (router)", "audio_router", 68, 11.0),
+    ("Audio Broadcasting (client)", "audio_client", 28, 6.2),
+    ("Extensible Web Server", "http_gateway", 91, 15.3),
+    ("MPEG (monitor)", "mpeg_monitor", 161, 33.9),
+    ("MPEG (client)", "mpeg_capture", 53, 6.1),
+];
 
 /// The five PLAN-P programs measured by the paper's figure 3, with the
 /// verification policy each loads under.
 pub fn paper_programs() -> Vec<(&'static str, &'static str, Policy)> {
-    vec![
-        (
-            "Audio Broadcasting (router)",
-            planp_apps::audio::AUDIO_ROUTER_ASP,
-            Policy::strict(),
-        ),
-        (
-            "Audio Broadcasting (client)",
-            planp_apps::audio::AUDIO_CLIENT_ASP,
-            Policy::strict(),
-        ),
-        (
-            "Extensible Web Server",
-            planp_apps::http::HTTP_GATEWAY_ASP,
-            Policy::strict(),
-        ),
-        (
-            "MPEG (monitor)",
-            planp_apps::mpeg::MPEG_MONITOR_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "MPEG (client)",
-            planp_apps::mpeg::MPEG_CAPTURE_ASP,
-            Policy::no_delivery(),
-        ),
-    ]
+    let program = |&(title, name, _, _)| (title, corpus_asp(name).src, corpus_asp(name).policy);
+    PAPER_FIG3.iter().map(program).collect()
 }
 
-/// Every bundled ASP — the eleven embedded application programs plus
-/// the standalone forwarder — with the weakest policy each satisfies.
-/// This is the corpus the model-checking harness (`planp_modelcheck`)
-/// and the figure-3 `--report` sweep run over.
+/// Every bundled ASP — the eleven application programs plus the
+/// standalone forwarder — under `no_delivery`, the weakest policy all
+/// of them satisfy. This is the corpus `planp modelcheck` and `planp
+/// profile` default to, the figure-3 `--report` sweep runs over, and
+/// `planp_perf --workload download` loads.
 pub fn bundled_asps() -> Vec<(&'static str, &'static str, Policy)> {
-    vec![
-        (
-            "audio_router",
-            planp_apps::audio::AUDIO_ROUTER_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "audio_client",
-            planp_apps::audio::AUDIO_CLIENT_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "audio_router_hysteresis",
-            planp_apps::audio::AUDIO_ROUTER_HYSTERESIS_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "audio_router_queue",
-            planp_apps::audio::AUDIO_ROUTER_QUEUE_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "http_gateway",
-            planp_apps::http::HTTP_GATEWAY_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "http_gateway_3srv",
-            planp_apps::http::HTTP_GATEWAY_3SRV_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "http_gateway_random",
-            planp_apps::http::HTTP_GATEWAY_RANDOM_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "http_gateway_porthash",
-            planp_apps::http::HTTP_GATEWAY_PORTHASH_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "http_gateway_failover",
-            planp_apps::http::HTTP_GATEWAY_FAILOVER_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "mpeg_monitor",
-            planp_apps::mpeg::MPEG_MONITOR_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "mpeg_capture",
-            planp_apps::mpeg::MPEG_CAPTURE_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "forwarder",
-            include_str!("../../../asps/forwarder.planp"),
-            Policy::no_delivery(),
-        ),
+    [
+        "audio_router",
+        "audio_client",
+        "audio_router_hysteresis",
+        "audio_router_queue",
+        "http_gateway",
+        "http_gateway_3srv",
+        "http_gateway_random",
+        "http_gateway_porthash",
+        "http_gateway_failover",
+        "mpeg_monitor",
+        "mpeg_capture",
+        "forwarder",
     ]
+    .into_iter()
+    .map(|name| (name, corpus_asp(name).src, Policy::no_delivery()))
+    .collect()
 }
 
-/// The paper's figure 3 reference values: (lines, codegen milliseconds)
-/// on a 1998 SPARC with Tempo's template assembler.
-pub const PAPER_FIG3: [(&str, u32, f64); 5] = [
-    ("Audio Broadcasting (router)", 68, 11.0),
-    ("Audio Broadcasting (client)", 28, 6.2),
-    ("Extensible Web Server", 91, 15.3),
-    ("MPEG (monitor)", 161, 33.9),
-    ("MPEG (client)", 53, 6.1),
-];
+/// A PLAN-P source to analyse: the name reports print it under, and its
+/// text.
+pub(crate) type Source = (String, String);
 
-/// Telemetry output options shared by every bench bin.
-///
-/// * `--report` prints the run's metrics snapshot as a table after the
-///   figure itself.
-/// * `--json` (or `PLANP_BENCH_JSON=1`) writes a deterministic
-///   `BENCH_<name>.json` file — headline scalars plus the full metrics
-///   snapshot — in the current directory, for machine consumption (the
-///   CI workflow uploads these as artifacts).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BenchOpts {
-    /// Write `BENCH_<name>.json`.
-    pub json: bool,
-    /// Print the metrics table on stdout.
-    pub report: bool,
+/// Reads the files named on a command line.
+pub(crate) fn read_sources(paths: &[String]) -> Result<Vec<Source>, String> {
+    paths
+        .iter()
+        .map(|path| match std::fs::read_to_string(path) {
+            Ok(text) => Ok((path.clone(), text)),
+            Err(e) => Err(format!("cannot read {path}: {e}")),
+        })
+        .collect()
 }
 
-impl BenchOpts {
-    /// Parses `--json` / `--report` from the process arguments; the
-    /// `PLANP_BENCH_JSON=1` environment variable also enables `json`.
-    pub fn from_args() -> Self {
-        let mut opts = BenchOpts::default();
-        for arg in std::env::args().skip(1) {
-            match arg.as_str() {
-                "--json" => opts.json = true,
-                "--report" => opts.report = true,
-                _ => {}
-            }
-        }
-        if std::env::var("PLANP_BENCH_JSON").as_deref() == Ok("1") {
-            opts.json = true;
-        }
-        opts
-    }
-
-    /// Builds the options from an already-parsed shared [`cli::Cli`]
-    /// command line (`--json` is a shared flag; `--report` must be in
-    /// the bin's `flags`). `PLANP_BENCH_JSON=1` still enables `json`.
-    pub fn from_cli(args: &cli::CliArgs) -> Self {
-        BenchOpts {
-            json: args.json || std::env::var("PLANP_BENCH_JSON").as_deref() == Ok("1"),
-            report: args.flag("--report"),
-        }
-    }
+/// The whole corpus as sources named by their `asps/` paths, without
+/// touching the file system: what `planp check` feeds the analyses.
+pub(crate) fn corpus_sources() -> Vec<Source> {
+    let source = |a: &CorpusAsp| (a.path.to_string(), a.file_text().to_string());
+    corpus::CORPUS.iter().map(source).collect()
 }
 
-/// Emits a bench bin's telemetry per `opts`: the metrics table on
-/// stdout (`--report`) and/or a `BENCH_<name>.json` snapshot in the
-/// current directory (`--json`). Returns the path written, if any.
-pub fn emit_bench(
-    opts: BenchOpts,
+/// Baseline text: one verdict line per entry, sorted, so the file never
+/// depends on the order the entries were analysed in.
+pub(crate) fn sorted_lines(mut lines: Vec<String>) -> String {
+    lines.sort();
+    lines.into_iter().map(|line| line + "\n").collect()
+}
+
+/// Appends a figure's telemetry to its report: the metrics table on
+/// stdout under `--report`, and under `--json` a deterministic
+/// `BENCH_<name>.json` artefact — headline scalars plus the full
+/// metrics snapshot — written to the current directory (CI uploads
+/// these).
+pub(crate) fn push_bench(
+    report: &mut Report,
+    args: &CliArgs,
     name: &str,
-    scalars: &[(&str, f64)],
+    scalars: &[(impl AsRef<str>, f64)],
     metrics: &MetricsSnapshot,
-) -> Option<std::path::PathBuf> {
-    if opts.report {
-        println!("--- metrics: {name} ---");
-        print!("{}", metrics.render_table());
+) {
+    if args.flag("--report") {
+        outln!(report.stdout, "--- metrics: {name} ---");
+        report.stdout.push_str(&metrics.render_table());
     }
-    if !opts.json {
-        return None;
-    }
-    let path = std::path::PathBuf::from(format!("BENCH_{name}.json"));
-    let body = planp_telemetry::metrics::bench_json(name, scalars, metrics);
-    match std::fs::write(&path, body) {
-        Ok(()) => {
-            eprintln!("wrote {}", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("could not write {}: {e}", path.display());
-            None
-        }
+    if args.flag("--json") {
+        let scalars: Vec<(&str, f64)> = scalars.iter().map(|(k, v)| (k.as_ref(), *v)).collect();
+        let body = planp_telemetry::metrics::bench_json(name, &scalars, metrics);
+        report.files.push((format!("BENCH_{name}.json"), body));
     }
 }
 
 /// Renders a program's static-analysis summary — problem-size stats
 /// plus the verifier's per-channel worst-case cost bounds — for the
-/// `--report` output of the bench bins.
+/// `--report` output of `planp fig3`.
 pub fn render_analysis_report(name: &str, report: &planp_analysis::VerifyReport) -> String {
     let mut out = format!("--- analysis: {name} ---\n");
     out.push_str(&format!("problem size: {}\n", report.stats));
@@ -280,6 +288,17 @@ mod tests {
         assert!(s.contains("problem size:"), "{s}");
         assert!(s.contains("channel network#0: <="), "{s}");
         assert!(s.contains("send site(s)"), "{s}");
+    }
+
+    #[test]
+    fn baseline_lines_sort_whatever_order_they_arrive_in() {
+        let lines = |names: &[&str]| names.iter().map(|n| format!("{n} v=1")).collect();
+        let sorted = "asps/a.planp v=1\nasps/a_b.planp v=1\nasps/buggy/k.planp v=1\nz v=1\n";
+        let names = ["z", "asps/a_b.planp", "asps/buggy/k.planp", "asps/a.planp"];
+        assert_eq!(sorted_lines(lines(&names)), sorted);
+        let mut reversed = names;
+        reversed.reverse();
+        assert_eq!(sorted_lines(lines(&reversed)), sorted);
     }
 
     #[test]

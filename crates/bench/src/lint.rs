@@ -1,9 +1,8 @@
-//! `planp-lint` — verify PLAN-P source files and report structured
+//! `planp lint` — verify PLAN-P source files and report structured
 //! diagnostics, per-channel cost bounds, and the accept/reject verdict.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin planp_lint -- \
-//!     --policy no-delivery --deny-warnings asps/*.planp
+//! planp lint --policy no-delivery --deny-warnings asps/*.planp
 //! ```
 //!
 //! Options:
@@ -16,91 +15,68 @@
 //! * `--exhaustive` — run the model-checking precision tier on top of
 //!   the screening analyses ([`Policy::with_exhaustive_check`]).
 //! * `--json` — machine form: one byte-stable JSON document on stdout.
-//! * `--deny-warnings` — exit nonzero when any warning is reported
-//!   (the CI gate).
+//! * `--deny-warnings` — exit nonzero when any warning is reported.
+//!
+//! `planp check` lints every clean program of the corpus under its own
+//! policy from the corpus table instead of one `--policy` for all.
 //!
 //! Exit status: 0 when every file is accepted (and warning-free under
 //! `--deny-warnings`), 1 when any file is rejected or has denied
 //! warnings, 2 on usage or I/O errors.
 
+use crate::{Cli, CliArgs, Report, Sub};
 use planp_analysis::diag::push_json_str;
 use planp_analysis::{verify, Policy, VerifyReport};
 
-struct Args {
-    policy: Policy,
-    json: bool,
-    deny_warnings: bool,
-    files: Vec<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        policy: Policy::no_delivery(),
-        json: false,
-        deny_warnings: false,
-        files: Vec::new(),
-    };
-    let mut max_steps: Option<u64> = None;
-    let mut exhaustive = false;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |argv: &[String], i: usize, flag: &str| -> Result<String, String> {
-        argv.get(i + 1)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--policy" => {
-                let v = value(&argv, i, "--policy")?;
-                args.policy = match v.as_str() {
-                    "strict" => Policy::strict(),
-                    "no-delivery" => Policy::no_delivery(),
-                    "authenticated" => Policy::authenticated(),
-                    other => return Err(format!("unknown policy {other:?}")),
-                };
-                i += 1;
-            }
-            "--max-steps" => {
-                let v = value(&argv, i, "--max-steps")?;
-                max_steps = Some(v.parse().map_err(|_| format!("bad step budget {v:?}"))?);
-                i += 1;
-            }
-            "--json" => args.json = true,
-            "--deny-warnings" => args.deny_warnings = true,
-            "--exhaustive" => exhaustive = true,
-            "--help" | "-h" => {
-                print!("{HELP}");
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown argument {flag:?} (try --help)"));
-            }
-            file => args.files.push(file.to_string()),
-        }
-        i += 1;
-    }
-    if let Some(n) = max_steps {
-        args.policy = args.policy.with_step_budget(n);
-    }
-    if exhaustive {
-        args.policy = args.policy.with_exhaustive_check();
-    }
-    if args.files.is_empty() {
-        return Err("no input files (try --help)".to_string());
-    }
-    Ok(args)
-}
+/// `planp lint`.
+pub(crate) const SUB: Sub = Sub {
+    name: "lint",
+    about: "verify PLAN-P files: diagnostics, cost bounds, accept/reject",
+    cli: Cli {
+        help: HELP,
+        flags: &["--json", "--deny-warnings", "--exhaustive"],
+        value_flags: &["--policy", "--max-steps"],
+        operands: true,
+    },
+    run,
+};
 
 const HELP: &str = "\
-planp-lint: verify PLAN-P files and report diagnostics and cost bounds
-usage: planp_lint [options] <file.planp>...
+planp lint: verify PLAN-P files and report diagnostics and cost bounds
+usage: planp lint [options] <file.planp>...
   --policy strict|no-delivery|authenticated  download policy (default no-delivery)
   --max-steps N                              reject bounds over N steps/packet
   --exhaustive                               run the model-checking precision tier
   --json                                     byte-stable machine output
   --deny-warnings                            exit 1 when any warning fires
 ";
+
+fn run(args: &CliArgs) -> Result<Report, String> {
+    let mut policy = match args.value("--policy") {
+        None | Some("no-delivery") => Policy::no_delivery(),
+        Some("strict") => Policy::strict(),
+        Some("authenticated") => Policy::authenticated(),
+        Some(other) => return Err(format!("unknown policy {other:?}")),
+    };
+    if let Some(n) = args.number("--max-steps", "step budget")? {
+        policy = policy.with_step_budget(n);
+    }
+    if args.flag("--exhaustive") {
+        policy = policy.with_exhaustive_check();
+    }
+    if args.positionals.is_empty() {
+        return Err("no input files (try --help)".to_string());
+    }
+    let files = crate::read_sources(&args.positionals)?
+        .into_iter()
+        .map(|(path, src)| (path, src, policy))
+        .collect();
+    Ok(report(
+        files,
+        args.flag("--json"),
+        args.flag("--deny-warnings"),
+    ))
+}
 
 /// What linting one file produced.
 struct FileResult {
@@ -123,21 +99,17 @@ impl FileResult {
     }
 }
 
-fn lint_file(path: &str, policy: Policy) -> Result<FileResult, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn lint_source(path: String, src: String, policy: Policy) -> FileResult {
     let report = match planp_lang::compile_front(&src) {
         Ok(prog) => Ok(verify(&prog, policy)),
         Err(e) => Err(vec![e]),
     };
-    Ok(FileResult {
-        path: path.to_string(),
-        src,
-        report,
-    })
+    FileResult { path, src, report }
 }
 
-fn print_human(r: &FileResult) {
-    println!(
+fn print_human(r: &FileResult, out: &mut String) {
+    outln!(
+        out,
         "{}: {}",
         r.path,
         if r.accepted() { "ACCEPTED" } else { "REJECTED" }
@@ -145,17 +117,17 @@ fn print_human(r: &FileResult) {
     match &r.report {
         Ok(report) => {
             for c in &report.cost.channels {
-                println!("  channel {}#{}: {}", c.name, c.overload, c.bound);
+                outln!(out, "  channel {}#{}: {}", c.name, c.overload, c.bound);
             }
             for d in &report.diagnostics {
                 for line in d.render(&r.src).lines() {
-                    println!("  {line}");
+                    outln!(out, "  {line}");
                 }
             }
         }
         Err(errs) => {
             for e in errs {
-                println!("  {}", e.render(&r.src));
+                outln!(out, "  {}", e.render(&r.src));
             }
         }
     }
@@ -191,42 +163,34 @@ fn write_json(results: &[FileResult], out: &mut String) {
     out.push_str("]}");
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("planp-lint: {e}");
-            std::process::exit(2);
-        }
-    };
-    let mut results = Vec::new();
-    for path in &args.files {
-        match lint_file(path, args.policy) {
-            Ok(r) => results.push(r),
-            Err(e) => {
-                eprintln!("planp-lint: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.json {
-        let mut out = String::new();
-        write_json(&results, &mut out);
-        println!("{out}");
+/// Lints `files`, each `(path, source, policy)`.
+pub(crate) fn report(
+    files: Vec<(String, String, Policy)>,
+    json: bool,
+    deny_warnings: bool,
+) -> Report {
+    let results: Vec<FileResult> = files
+        .into_iter()
+        .map(|(path, src, policy)| lint_source(path, src, policy))
+        .collect();
+    let mut report = Report::default();
+    if json {
+        write_json(&results, &mut report.stdout);
+        report.stdout.push('\n');
     } else {
         for r in &results {
-            print_human(r);
+            print_human(r, &mut report.stdout);
         }
     }
     let rejected = results.iter().filter(|r| !r.accepted()).count();
     let warnings: usize = results.iter().map(|r| r.warning_count()).sum();
-    eprintln!(
+    outln!(
+        report.stderr,
         "{} file(s), {} rejected, {} warning(s)",
         results.len(),
         rejected,
         warnings
     );
-    if rejected > 0 || (args.deny_warnings && warnings > 0) {
-        std::process::exit(1);
-    }
+    report.failed = rejected > 0 || (deny_warnings && warnings > 0);
+    report
 }

@@ -4,16 +4,20 @@
 //! video.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin mpeg_sharing_table
+//! planp mpeg-sharing
 //! ```
 
+use crate::{push_bench, render_table, CliArgs, Report};
 use planp_apps::mpeg::{run_mpeg_traced, MpegConfig};
-use planp_bench::{emit_bench, render_table, BenchOpts};
 use planp_telemetry::{MetricsSnapshot, TraceConfig};
 
-fn main() {
-    let opts = BenchOpts::from_args();
-    println!("Section 3.3 — multipoint MPEG delivery from a point-to-point server\n");
+pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
+    let mut report = Report::default();
+    let out = &mut report.stdout;
+    outln!(
+        out,
+        "Section 3.3 — multipoint MPEG delivery from a point-to-point server\n"
+    );
 
     let mut rows = Vec::new();
     let mut scalars: Vec<(String, f64)> = Vec::new();
@@ -44,7 +48,8 @@ fn main() {
             ]);
         }
     }
-    println!(
+    outln!(
+        out,
         "{}",
         render_table(
             &[
@@ -59,9 +64,21 @@ fn main() {
             &rows
         )
     );
-    println!("expected shape: with ASPs the server always opens exactly 1 stream and its");
-    println!("egress is flat in the number of viewers; direct mode scales linearly.");
+    outln!(
+        out,
+        "expected shape: with ASPs the server always opens exactly 1 stream and its"
+    );
+    outln!(
+        out,
+        "egress is flat in the number of viewers; direct mode scales linearly."
+    );
 
-    let scalar_refs: Vec<(&str, f64)> = scalars.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    emit_bench(opts, "mpeg_sharing_table", &scalar_refs, &last_asp_metrics);
+    push_bench(
+        &mut report,
+        args,
+        "mpeg_sharing_table",
+        &scalars,
+        &last_asp_metrics,
+    );
+    Ok(report)
 }

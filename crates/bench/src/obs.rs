@@ -1,8 +1,8 @@
-//! `planp-obs` — telemetry overhead at scale: deterministic trace
+//! `planp obs` — telemetry overhead at scale: deterministic trace
 //! sampling swept over a 1024-node grid of relay chains.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin planp_obs -- --json
+//! planp obs --json
 //! ```
 //!
 //! Four seeded runs of the same grid (128 chains × 6 JIT relays):
@@ -13,7 +13,7 @@
 //! span forest — every kept trace must form a *complete* tree (no
 //! orphan spans), whatever the rate.
 //!
-//! Asserted invariants (a violation aborts the binary):
+//! Asserted invariants (a violation panics):
 //!
 //! * sampling never perturbs the simulation — all four runs deliver
 //!   every datagram;
@@ -22,18 +22,18 @@
 //! * the budget run downgrades its rate at least once, and a second
 //!   budget run reproduces the identical JSONL byte-for-byte.
 //!
-//! Two runs of this binary produce byte-identical output; CI runs it
-//! twice and diffs. `--sample 1/N` appends a user-chosen head-sampling
+//! Two runs produce byte-identical output; `planp check` runs it twice
+//! and compares. `--sample 1/N` appends a user-chosen head-sampling
 //! rate to the sweep (the default rows are unchanged, so the flagless
 //! output stays byte-identical).
 
+use crate::{push_bench, render_table, Cli, CliArgs, Report, Sub};
 use planp_apps::obs::{run_obs_grid, ObsGridConfig, ObsGridResult};
-use planp_bench::{emit_bench, render_table, sample_from_cli, BenchOpts, Cli};
 use planp_telemetry::TraceConfig;
 
-const HELP: &str = "planp-obs: telemetry overhead sweep on the 1024-node grid
+const HELP: &str = "planp obs: telemetry overhead sweep on the 1024-node grid
 
-usage: planp_obs [--json] [--report] [--sample 1/N]
+usage: planp obs [--json] [--report] [--sample 1/N]
 
   --json        write BENCH_planp_obs.json
   --report      print the final metrics table
@@ -41,11 +41,17 @@ usage: planp_obs [--json] [--report] [--sample 1/N]
   -h, --help    this text
 ";
 
-const CLI: Cli = Cli {
-    bin: "planp-obs",
-    help: HELP,
-    flags: &["--report"],
-    value_flags: &["--sample"],
+/// `planp obs`.
+pub(crate) const SUB: Sub = Sub {
+    name: "obs",
+    about: "telemetry overhead sweep on the 1024-node grid",
+    cli: Cli {
+        help: HELP,
+        flags: &["--json", "--report"],
+        value_flags: &["--sample"],
+        operands: false,
+    },
+    run,
 };
 
 /// Ring capacity for the sweep: the full-tracing run of the 1024-node
@@ -62,14 +68,10 @@ fn grid(trace: TraceConfig) -> ObsGridResult {
     }))
 }
 
-fn main() {
-    let args = CLI.parse_or_exit();
-    if args.baseline.is_some() || args.write_baseline.is_some() {
-        eprintln!("planp-obs: no baseline gate; CI diffs two runs instead");
-        std::process::exit(2);
-    }
-    let opts = BenchOpts::from_cli(&args);
-    let sample_n = sample_from_cli("planp-obs", &args);
+fn run(args: &CliArgs) -> Result<Report, String> {
+    let sample_n = args.sample()?;
+    let mut report = Report::default();
+    let out = &mut report.stdout;
 
     let full = grid(TraceConfig::all());
     let s4 = grid(TraceConfig::sampled(4));
@@ -82,9 +84,11 @@ fn main() {
     // default output stays byte-identical when the flag is absent.
     let extra = (sample_n > 1).then(|| grid(TraceConfig::sampled(sample_n)));
 
-    println!(
+    outln!(
+        out,
         "Trace sampling on the {}-node grid ({} datagrams end-to-end)",
-        full.nodes, full.expected
+        full.nodes,
+        full.expected
     );
     let row = |label: &str, r: &ObsGridResult| -> Vec<String> {
         let oh = &r.overhead;
@@ -109,7 +113,8 @@ fn main() {
     if let Some(r) = &extra {
         rows.push(row(&format!("1/{sample_n} (--sample)"), r));
     }
-    println!(
+    outln!(
+        out,
         "{}",
         render_table(
             &[
@@ -168,7 +173,7 @@ fn main() {
         budget2.telemetry.trace.to_jsonl(),
         "budget-degraded trace must be byte-stable"
     );
-    println!(
+    outln!(out,
         "invariants: 1/16 reduction {reduction:.1}x (>= 8x), 0 orphans everywhere, budget run downgraded {} time(s) to 1/{} deterministically",
         budget.overhead.downgrades, budget.overhead.sample_n
     );
@@ -185,5 +190,6 @@ fn main() {
         ("budget_downgrades", budget.overhead.downgrades as f64),
         ("budget_final_sample_n", budget.overhead.sample_n as f64),
     ];
-    emit_bench(opts, "planp_obs", &scalars, &s16.snapshot);
+    push_bench(&mut report, args, "planp_obs", &scalars, &s16.snapshot);
+    Ok(report)
 }

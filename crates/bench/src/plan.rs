@@ -1,11 +1,10 @@
-//! `planp-plan` — verify the bundled deployment plans, render their
+//! `planp plan` — verify the bundled deployment plans, render their
 //! reports (joint product verdicts, composed path budgets, plan lints),
 //! optionally replay plan-level witnesses over each plan's own
-//! topology, and gate CI on a verdict baseline.
+//! topology, and gate on a verdict baseline.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin planp_plan -- \
-//!     --replay --baseline asps/PLAN_BASELINE.txt
+//! planp plan --replay --baseline asps/PLAN_BASELINE.txt
 //! ```
 //!
 //! With no names, every bundled plan (`asps/plans/`) is verified.
@@ -19,7 +18,7 @@
 //!   policy (`relay_chain_reliable` — its NACK cycle only recurs under
 //!   loss), and clean replay traffic cannot confirm those.
 //! * `--baseline FILE` — compare each plan's verdict line against the
-//!   checked-in baseline; exit 1 on any difference (the CI gate).
+//!   checked-in baseline; exit 1 on any difference.
 //! * `--write-baseline FILE` — regenerate the baseline (sorted by plan
 //!   name) instead.
 //!
@@ -29,21 +28,27 @@
 //! Exit status: 0 on success, 1 on baseline mismatch or a rejecting
 //! witness that fails to replay, 2 on usage or I/O errors.
 
+use crate::{Cli, CliArgs, Report, Sub};
 use planp_analysis::diag::push_json_str;
 use planp_apps::plans::{bundled_plans, resolve_asp};
-use planp_bench::{baseline_gate, Cli};
 use planp_runtime::{load_plan, replay_plan, PlanImage, ReplayReport};
 
-const CLI: Cli = Cli {
-    bin: "planp-plan",
-    help: HELP,
-    flags: &["--replay"],
-    value_flags: &[],
+/// `planp plan`.
+pub(crate) const SUB: Sub = Sub {
+    name: "plan",
+    about: "statically verify the bundled deployment plans",
+    cli: Cli {
+        help: HELP,
+        flags: &["--json", "--replay"],
+        value_flags: &["--baseline", "--write-baseline"],
+        operands: true,
+    },
+    run,
 };
 
 const HELP: &str = "\
-planp-plan: statically verify the bundled deployment plans
-usage: planp_plan [options] [<plan name>...]
+planp plan: statically verify the bundled deployment plans
+usage: planp plan [options] [<plan name>...]
   (no names: verify every bundled plan)
   --json                 byte-stable machine output
   --replay               replay rejected plans over their own topology
@@ -75,11 +80,7 @@ impl PlanResult {
 
 /// Baseline text: one verdict line per plan, sorted by name.
 fn baseline_text(results: &[PlanResult]) -> String {
-    let mut lines: Vec<String> = results.iter().map(PlanResult::verdict_line).collect();
-    lines.sort();
-    let mut s = lines.join("\n");
-    s.push('\n');
-    s
+    crate::sorted_lines(results.iter().map(PlanResult::verdict_line).collect())
 }
 
 fn write_json(results: &[PlanResult], out: &mut String) {
@@ -115,18 +116,23 @@ fn write_json(results: &[PlanResult], out: &mut String) {
     out.push_str("]}");
 }
 
-fn print_human(r: &PlanResult) {
-    print!("{}", r.image.report.render(r.src));
+fn print_human(r: &PlanResult, out: &mut String) {
+    out.push_str(&r.image.report.render(r.src));
     if let Some(rep) = &r.replay {
-        println!(
+        outln!(
+            out,
             "  replay: sent {} dispatched {} delivered {} dropped {} errors {} (loop {})",
-            rep.sent, rep.dispatches, rep.delivered, rep.dropped, rep.errors, rep.confirmed_loop
+            rep.sent,
+            rep.dispatches,
+            rep.delivered,
+            rep.dropped,
+            rep.errors,
+            rep.confirmed_loop
         );
     }
 }
 
-fn main() {
-    let args = CLI.parse_or_exit();
+fn run(args: &CliArgs) -> Result<Report, String> {
     let replay_rejected = args.flag("--replay");
 
     let all = bundled_plans();
@@ -137,41 +143,28 @@ fn main() {
         for want in &args.positionals {
             match all.iter().find(|(n, _)| n == want) {
                 Some(&p) => sel.push(p),
-                None => {
-                    eprintln!("planp-plan: no bundled plan {want:?}");
-                    std::process::exit(2);
-                }
+                None => return Err(format!("no bundled plan {want:?}")),
             }
         }
         sel
     };
 
-    let mut failed = false;
+    let mut report = Report::default();
     let mut results = Vec::new();
     for (name, src) in selected {
-        let image = match load_plan(src, &resolve_asp) {
-            Ok(i) => i,
-            Err(e) => {
-                eprintln!("planp-plan: {name}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let image = load_plan(src, &resolve_asp).map_err(|e| format!("{name}: {e}"))?;
         // Rejected plans carry witnesses that must reproduce concretely;
         // accepted ones are never replayed (see module docs).
         let replay = if replay_rejected && !image.report.accepted() {
-            match replay_plan(&image) {
-                Ok(rep) => {
-                    if !rep.confirmed_loop {
-                        eprintln!("planp-plan: {name}: predicted joint loop did not replay");
-                        failed = true;
-                    }
-                    Some(rep)
-                }
-                Err(e) => {
-                    eprintln!("planp-plan: {name}: replay failed: {e}");
-                    std::process::exit(2);
-                }
+            let rep = replay_plan(&image).map_err(|e| format!("{name}: replay failed: {e}"))?;
+            if !rep.confirmed_loop {
+                outln!(
+                    report.stderr,
+                    "planp plan: {name}: predicted joint loop did not replay"
+                );
+                report.failed = true;
             }
+            Some(rep)
         } else {
             None
         };
@@ -183,56 +176,24 @@ fn main() {
         });
     }
 
-    if args.json {
-        let mut out = String::new();
-        write_json(&results, &mut out);
-        println!("{out}");
+    if args.flag("--json") {
+        write_json(&results, &mut report.stdout);
+        report.stdout.push('\n');
     } else {
         for r in &results {
-            print_human(r);
+            print_human(r, &mut report.stdout);
         }
     }
-
-    failed |= baseline_gate("planp-plan", &args, &baseline_text(&results));
-
     let rejected = results
         .iter()
         .filter(|r| !r.image.report.accepted())
         .count();
-    eprintln!("{} plan(s), {} rejected", results.len(), rejected);
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn baseline_text_is_sorted_and_stable() {
-        let mut results: Vec<PlanResult> = bundled_plans()
-            .into_iter()
-            .map(|(name, src)| PlanResult {
-                name,
-                src,
-                image: load_plan(src, &resolve_asp).expect("bundled plan loads"),
-                replay: None,
-            })
-            .collect();
-        let sorted = baseline_text(&results);
-        results.reverse();
-        assert_eq!(
-            sorted,
-            baseline_text(&results),
-            "baseline order must not depend on verification order"
-        );
-        let names: Vec<&str> = sorted
-            .lines()
-            .filter_map(|l| l.split_whitespace().next())
-            .collect();
-        let mut expect = names.clone();
-        expect.sort_unstable();
-        assert_eq!(names, expect);
-    }
+    outln!(
+        report.stderr,
+        "{} plan(s), {} rejected",
+        results.len(),
+        rejected
+    );
+    report.baseline = Some(baseline_text(&results));
+    Ok(report)
 }

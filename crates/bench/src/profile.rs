@@ -1,14 +1,13 @@
-//! `planp-profile` — the always-on VM profiler over the bundled ASP
-//! corpus and the traced scenarios, with byte-stable exports and a CI
+//! `planp profile` — the always-on VM profiler over the bundled ASP
+//! corpus and the traced scenarios, with byte-stable exports and a
 //! verdict baseline.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin planp_profile -- \
-//!     --baseline asps/PROFILE_BASELINE.txt
+//! planp profile --baseline asps/PROFILE_BASELINE.txt
 //! ```
 //!
-//! Two sections, both deterministic (two runs of this binary produce
-//! byte-identical output; CI runs it twice and diffs):
+//! Two sections, both deterministic (two runs produce byte-identical
+//! output; `planp check` runs it twice and compares):
 //!
 //! 1. **Static corpus** — every bundled ASP's per-site cost bounds and
 //!    superinstruction candidates (header-field load + compare +
@@ -19,7 +18,7 @@
 //!    against the static bounds, and rendered as a utilization heatmap
 //!    plus a ranked superinstruction-candidate report.
 //!
-//! Asserted invariants (a violation aborts the binary):
+//! Asserted invariants (a violation panics):
 //!
 //! * Σ per-site steps == the aggregate `vm_steps` charge, on every
 //!   dispatch of every scope (`mismatches=0`);
@@ -36,7 +35,7 @@
 //!   `flamegraph.pl` or speedscope.
 //! * `--heatmap FILE` — write the utilization heatmap rows as JSON.
 //! * `--baseline FILE` — compare each profile line against the
-//!   checked-in baseline; exit 1 on any difference (the CI gate).
+//!   checked-in baseline; exit 1 on any difference.
 //! * `--write-baseline FILE` — regenerate the baseline (sorted).
 //!
 //! Baseline lines read `asp <name> chans=<n> sites=<n> bound=<steps>
@@ -47,23 +46,26 @@
 //! Exit status: 0 on success, 1 on baseline mismatch, 2 on usage or
 //! I/O errors.
 
+use crate::{bundled_asps, Cli, CliArgs, Report, Sub};
 use planp_analysis::diag::push_json_str;
-use planp_apps::audio::{run_audio_traced, Adaptation, AudioConfig};
-use planp_apps::http::{run_http_traced, ClusterMode, HttpConfig};
-use planp_apps::mpeg::{run_mpeg_traced, MpegConfig};
-use planp_bench::{baseline_gate, bundled_asps, Cli};
 use planp_telemetry::{ProfileRegistry, TraceConfig};
 
-const CLI: Cli = Cli {
-    bin: "planp-profile",
-    help: HELP,
-    flags: &[],
-    value_flags: &["--flame", "--heatmap"],
+/// `planp profile`.
+pub(crate) const SUB: Sub = Sub {
+    name: "profile",
+    about: "per-site VM step profiles for the corpus and the traced scenarios",
+    cli: Cli {
+        help: HELP,
+        flags: &["--json"],
+        value_flags: &["--flame", "--heatmap", "--baseline", "--write-baseline"],
+        operands: false,
+    },
+    run,
 };
 
 const HELP: &str = "\
-planp-profile: per-site VM step profiles for the corpus and scenarios
-usage: planp_profile [options]
+planp profile: per-site VM step profiles for the corpus and scenarios
+usage: planp profile [options]
   --json                 byte-stable machine output
   --flame FILE           write collapsed-stack flamegraph lines
   --heatmap FILE         write the utilization heatmap rows as JSON
@@ -113,31 +115,18 @@ struct ScenarioProfile {
     profile: ProfileRegistry,
 }
 
+/// The three traced scenarios of `planp trace`, five simulated seconds
+/// each at their default seeds, tracing off (the profiler is always on).
 fn run_scenarios() -> Vec<ScenarioProfile> {
-    let audio = {
-        let cfg = AudioConfig::constant_load(Adaptation::AspJit, 9450, 5);
-        run_audio_traced(&cfg, TraceConfig::default()).1
+    let run = |name| {
+        let (telemetry, _) = crate::trace::replay(name, None, 5, TraceConfig::default())
+            .expect("a scenario of planp trace");
+        ScenarioProfile {
+            name,
+            profile: telemetry.profile,
+        }
     };
-    let http = {
-        let mut cfg = HttpConfig::new(ClusterMode::AspGateway, 8);
-        cfg.duration_s = 5;
-        run_http_traced(&cfg, TraceConfig::default()).1
-    };
-    let mpeg = run_mpeg_traced(&MpegConfig::new(3, true), TraceConfig::default()).1;
-    vec![
-        ScenarioProfile {
-            name: "audio",
-            profile: audio.profile,
-        },
-        ScenarioProfile {
-            name: "http",
-            profile: http.profile,
-        },
-        ScenarioProfile {
-            name: "mpeg",
-            profile: mpeg.profile,
-        },
-    ]
+    ["audio", "http", "mpeg"].map(run).into()
 }
 
 /// `scenario <name> scope=<key> ...` lines, one per declared scope.
@@ -167,13 +156,8 @@ fn scenario_lines(s: &ScenarioProfile) -> Vec<String> {
 /// Baseline text: the static and dynamic profile lines, sorted.
 fn baseline_text(asps: &[AspProfile], scenarios: &[ScenarioProfile]) -> String {
     let mut lines: Vec<String> = asps.iter().map(AspProfile::verdict_line).collect();
-    for s in scenarios {
-        lines.extend(scenario_lines(s));
-    }
-    lines.sort();
-    let mut s = lines.join("\n");
-    s.push('\n');
-    s
+    lines.extend(scenarios.iter().flat_map(scenario_lines));
+    crate::sorted_lines(lines)
 }
 
 /// Collapsed flamegraph lines with the scenario as the second frame.
@@ -246,7 +230,7 @@ fn write_json(asps: &[AspProfile], scenarios: &[ScenarioProfile], out: &mut Stri
     out.push_str("]}");
 }
 
-/// Aborts on any violated profiler invariant (see the module docs).
+/// Panics on any violated profiler invariant (see the module docs).
 fn assert_invariants(scenarios: &[ScenarioProfile]) {
     let mut ranked = 0usize;
     for s in scenarios {
@@ -281,62 +265,56 @@ fn assert_invariants(scenarios: &[ScenarioProfile]) {
     assert!(ranked > 0, "no ranked superinstruction candidates observed");
 }
 
-fn main() {
-    let args = CLI.parse_or_exit();
-
+fn run(args: &CliArgs) -> Result<Report, String> {
     let asps = analyze_corpus();
     let scenarios = run_scenarios();
     assert_invariants(&scenarios);
 
-    if args.json {
-        let mut out = String::new();
-        write_json(&asps, &scenarios, &mut out);
-        println!("{out}");
+    let mut report = Report::default();
+    let out = &mut report.stdout;
+    if args.flag("--json") {
+        write_json(&asps, &scenarios, out);
+        out.push('\n');
     } else {
         for a in &asps {
-            println!("{}", a.verdict_line());
+            outln!(out, "{}", a.verdict_line());
         }
         for s in &scenarios {
-            println!("--- scenario {} ---", s.name);
-            print!("{}", s.profile.render_heatmap());
-            let report = s.profile.superinstruction_report();
-            if report.is_empty() {
-                println!("superinstruction candidates: none observed");
+            outln!(out, "--- scenario {} ---", s.name);
+            out.push_str(&s.profile.render_heatmap());
+            let ranked = s.profile.superinstruction_report();
+            if ranked.is_empty() {
+                outln!(out, "superinstruction candidates: none observed");
             } else {
-                print!("{report}");
+                out.push_str(&ranked);
             }
         }
     }
 
-    for (flag, text) in [
-        ("--flame", flame_text(&scenarios)),
-        ("--heatmap", heatmap_json(&scenarios)),
-    ] {
-        if let Some(path) = args.value(flag) {
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("planp-profile: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("wrote {path}");
-        }
+    if let Some(path) = args.value("--flame") {
+        report
+            .files
+            .push((path.to_string(), flame_text(&scenarios)));
     }
-
-    let failed = baseline_gate("planp-profile", &args, &baseline_text(&asps, &scenarios));
+    if let Some(path) = args.value("--heatmap") {
+        let rows = heatmap_json(&scenarios);
+        report.files.push((path.to_string(), rows));
+    }
 
     let dispatched: u64 = scenarios
         .iter()
         .flat_map(|s| s.profile.scopes())
         .map(|sc| sc.dispatches)
         .sum();
-    eprintln!(
+    outln!(
+        report.stderr,
         "{} ASP(s), {} scenario(s), {} profiled dispatch(es)",
         asps.len(),
         scenarios.len(),
         dispatched
     );
-    if failed {
-        std::process::exit(1);
-    }
+    report.baseline = Some(baseline_text(&asps, &scenarios));
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -354,17 +332,5 @@ mod tests {
         // machines: the candidate scan must see them.
         let gw = asps.iter().find(|a| a.name == "http_gateway").unwrap();
         assert!(gw.candidates > 0, "gateway has no superinstruction shapes");
-    }
-
-    #[test]
-    fn static_lines_are_sorted_and_stable() {
-        let mut asps = analyze_corpus();
-        let sorted = baseline_text(&asps, &[]);
-        asps.reverse();
-        assert_eq!(sorted, baseline_text(&asps, &[]));
-        let lines: Vec<&str> = sorted.lines().collect();
-        let mut expect = lines.clone();
-        expect.sort_unstable();
-        assert_eq!(lines, expect);
     }
 }

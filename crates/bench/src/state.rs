@@ -1,10 +1,9 @@
-//! `planp-state` — run the state-effect analysis over the checked-in
+//! `planp state` — run the state-effect analysis over the checked-in
 //! ASP corpus and the bundled deployment plans, render per-table
-//! growth bounds, and gate CI on a verdict baseline.
+//! growth bounds, and gate on a verdict baseline.
 //!
 //! ```text
-//! cargo run --release -p planp-bench --bin planp_state -- \
-//!     --baseline asps/STATE_BASELINE.txt asps/*.planp asps/buggy/*.planp
+//! planp state --baseline asps/STATE_BASELINE.txt asps/*.planp asps/buggy/*.planp
 //! ```
 //!
 //! Every ASP file named on the command line is compiled and summarized;
@@ -13,7 +12,7 @@
 //!
 //! * `--json` — one byte-stable JSON document on stdout.
 //! * `--baseline FILE` — compare each verdict line against the
-//!   checked-in baseline; exit 1 on any difference (the CI gate).
+//!   checked-in baseline; exit 1 on any difference.
 //! * `--write-baseline FILE` — regenerate the baseline (sorted) instead.
 //!
 //! ASP lines read `<path> tables=<t> inserts=<i> bound=<n|unbounded>
@@ -26,27 +25,37 @@
 //! Exit status: 0 on success, 1 on baseline mismatch, 2 on usage or
 //! I/O errors.
 
+use crate::{Cli, CliArgs, Report, Source, Sub};
 use planp_analysis::diag::push_json_str;
 use planp_analysis::summarize;
 use planp_apps::plans::{bundled_plans, resolve_asp};
-use planp_bench::{baseline_gate, Cli};
 use planp_runtime::{load_plan, PlanImage};
 
-const CLI: Cli = Cli {
-    bin: "planp-state",
-    help: HELP,
-    flags: &[],
-    value_flags: &[],
+/// `planp state`.
+pub(crate) const SUB: Sub = Sub {
+    name: "state",
+    about: "state-effect bounds for ASP files and the bundled plans",
+    cli: Cli {
+        help: HELP,
+        flags: &["--json"],
+        value_flags: &["--baseline", "--write-baseline"],
+        operands: true,
+    },
+    run,
 };
 
 const HELP: &str = "\
-planp-state: state-effect bounds for the ASP corpus and bundled plans
-usage: planp_state [options] <file.planp>...
+planp state: state-effect bounds for the ASP corpus and bundled plans
+usage: planp state [options] <file.planp>...
   (the bundled plans are always verified in addition to the files)
   --json                 byte-stable machine output
   --baseline FILE        fail if verdict lines differ from FILE
   --write-baseline FILE  regenerate FILE (sorted)
 ";
+
+fn run(args: &CliArgs) -> Result<Report, String> {
+    report(crate::read_sources(&args.positionals)?, args.flag("--json"))
+}
 
 /// The state analysis of one ASP file.
 struct AspResult {
@@ -116,10 +125,7 @@ impl PlanStateResult {
 fn baseline_text(asps: &[AspResult], plans: &[PlanStateResult]) -> String {
     let mut lines: Vec<String> = asps.iter().map(AspResult::verdict_line).collect();
     lines.extend(plans.iter().map(PlanStateResult::verdict_line));
-    lines.sort();
-    let mut s = lines.join("\n");
-    s.push('\n');
-    s
+    crate::sorted_lines(lines)
 }
 
 fn write_json(asps: &[AspResult], plans: &[PlanStateResult], out: &mut String) {
@@ -169,69 +175,58 @@ fn write_json(asps: &[AspResult], plans: &[PlanStateResult], out: &mut String) {
     out.push_str("]}");
 }
 
-fn analyze_asp(path: &str) -> Result<AspResult, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+fn analyze_asp((path, src): Source) -> Result<AspResult, String> {
     let prog =
         planp_lang::compile_front(&src).map_err(|e| format!("{path}: {}", e.render(&src)))?;
     let sum = summarize(&prog);
     Ok(AspResult {
-        path: path.to_string(),
+        path,
         tables: sum.state.tables.len(),
         max_inserts: sum.state.max_inserts(),
         bound: sum.state.entry_bound(),
     })
 }
 
-fn main() {
-    let args = CLI.parse_or_exit();
+fn analyze_plans() -> Result<Vec<PlanStateResult>, String> {
+    bundled_plans()
+        .into_iter()
+        .map(|(name, src)| match load_plan(src, &resolve_asp) {
+            Ok(image) => Ok(PlanStateResult { name, image }),
+            Err(e) => Err(format!("{name}: {e}")),
+        })
+        .collect()
+}
 
-    let mut asps = Vec::new();
-    for path in &args.positionals {
-        match analyze_asp(path) {
-            Ok(a) => asps.push(a),
-            Err(e) => {
-                eprintln!("planp-state: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+/// Analyses `sources` and, always, the bundled plans.
+pub(crate) fn report(sources: Vec<Source>, json: bool) -> Result<Report, String> {
+    let asps = sources
+        .into_iter()
+        .map(analyze_asp)
+        .collect::<Result<Vec<_>, _>>()?;
+    let plans = analyze_plans()?;
 
-    let mut plans = Vec::new();
-    for (name, src) in bundled_plans() {
-        match load_plan(src, &resolve_asp) {
-            Ok(image) => plans.push(PlanStateResult { name, image }),
-            Err(e) => {
-                eprintln!("planp-state: {name}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if args.json {
-        let mut out = String::new();
-        write_json(&asps, &plans, &mut out);
-        println!("{out}");
+    let mut report = Report::default();
+    if json {
+        write_json(&asps, &plans, &mut report.stdout);
+        report.stdout.push('\n');
     } else {
         for a in &asps {
-            println!("{}", a.verdict_line());
+            outln!(report.stdout, "{}", a.verdict_line());
         }
         for p in &plans {
-            println!("{}", p.verdict_line());
+            outln!(report.stdout, "{}", p.verdict_line());
         }
     }
-
-    let failed = baseline_gate("planp-state", &args, &baseline_text(&asps, &plans));
-
     let unbounded = asps.iter().filter(|a| a.bound.is_none()).count();
-    eprintln!(
+    outln!(
+        report.stderr,
         "{} ASP(s) ({} waived unbounded), {} plan(s)",
         asps.len(),
         unbounded,
         plans.len()
     );
-    if failed {
-        std::process::exit(1);
-    }
+    report.baseline = Some(baseline_text(&asps, &plans));
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -239,45 +234,10 @@ mod tests {
     use super::*;
 
     fn corpus() -> Vec<AspResult> {
-        let root = std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../asps"));
-        let mut out = Vec::new();
-        for dir in [root.clone(), root.join("buggy")] {
-            for entry in std::fs::read_dir(&dir).expect("asps dir") {
-                let path = entry.unwrap().path();
-                if path.extension().and_then(|e| e.to_str()) != Some("planp") {
-                    continue;
-                }
-                let rel = format!("asps/{}", path.strip_prefix(&root).unwrap().display());
-                let mut a = analyze_asp(path.to_str().unwrap()).expect("corpus ASP analyzes");
-                a.path = rel;
-                out.push(a);
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn baseline_text_is_sorted_and_stable() {
-        let mut asps = corpus();
-        let mut plans: Vec<PlanStateResult> = bundled_plans()
+        crate::corpus_sources()
             .into_iter()
-            .map(|(name, src)| PlanStateResult {
-                name,
-                image: load_plan(src, &resolve_asp).expect("bundled plan loads"),
-            })
-            .collect();
-        let sorted = baseline_text(&asps, &plans);
-        asps.reverse();
-        plans.reverse();
-        assert_eq!(
-            sorted,
-            baseline_text(&asps, &plans),
-            "baseline order must not depend on analysis order"
-        );
-        let keys: Vec<&str> = sorted.lines().collect();
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        assert_eq!(keys, expect);
+            .map(|s| analyze_asp(s).expect("corpus ASP analyzes"))
+            .collect()
     }
 
     #[test]

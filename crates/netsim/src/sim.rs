@@ -75,12 +75,12 @@ pub struct Sim {
     /// `dump_on_breach` flight windows — only the first breach dumps,
     /// keeping post-mortem reports bounded under sustained outages.
     breach_dumped: bool,
-    /// Above this many nodes `metrics_snapshot` folds per-node and
-    /// per-link counters into aggregate `nodes.*` / `links.*` totals
-    /// instead of one key per node, keeping snapshots O(1) at 100k+
-    /// nodes.
-    compact_metrics_threshold: usize,
 }
+
+/// Above this many nodes [`Sim::metrics_snapshot`] folds per-node and
+/// per-link counters into aggregate `nodes.*` / `links.*` totals
+/// instead of one key per node, keeping snapshots O(1) at 100k+ nodes.
+const COMPACT_METRICS_THRESHOLD: usize = 512;
 
 impl Sim {
     /// A fresh simulator with the given randomness seed.
@@ -108,14 +108,7 @@ impl Sim {
             monitor: None,
             brownout: None,
             breach_dumped: false,
-            compact_metrics_threshold: 512,
         }
-    }
-
-    /// Sets the node count above which [`Sim::metrics_snapshot`]
-    /// switches to the compact aggregate layout (default 512).
-    pub fn set_compact_metrics_threshold(&mut self, n: usize) {
-        self.compact_metrics_threshold = n;
     }
 
     /// The engine-wide hop-latency histogram (link enqueue → transmit
@@ -1283,7 +1276,7 @@ impl Sim {
     ///   been configured (so clean runs keep their key set)
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.telemetry.metrics.snapshot();
-        if self.nodes.len() > self.compact_metrics_threshold {
+        if self.nodes.len() > COMPACT_METRICS_THRESHOLD {
             self.compact_counters(&mut snap);
         } else {
             for node in &self.nodes {

@@ -89,32 +89,17 @@ pub struct LayerStats {
 pub const MANAGEMENT_PORT: u16 = 99;
 
 /// Installation options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LayerConfig {
     /// Evaluator choice.
     pub engine: Engine,
     /// Offer *overheard* segment traffic to channels (promiscuous mode;
     /// needed by the MPEG capture ASP of section 3.3).
     pub process_overheard: bool,
-    /// Pass UDP traffic on [`MANAGEMENT_PORT`] straight to standard
-    /// processing, keeping the deployment plane out of the program's
-    /// reach (default: true).
-    pub bypass_management: bool,
     /// Per-channel admission control (deadline enforcement, brownout
     /// priority shedding, bounded in-flight). `None` (the default)
     /// admits everything.
     pub admission: Option<Admission>,
-}
-
-impl Default for LayerConfig {
-    fn default() -> Self {
-        LayerConfig {
-            engine: Engine::default(),
-            process_overheard: false,
-            bypass_management: true,
-            admission: None,
-        }
-    }
 }
 
 /// Handle returned by [`install_planp`]: shared views of the layer's
@@ -338,9 +323,10 @@ impl PacketHook for PlanpLayer {
         if meta.overheard && !self.config.process_overheard {
             return HookVerdict::Pass(pkt);
         }
-        if self.config.bypass_management
-            && pkt.udp_hdr().is_some_and(|u| u.dport == MANAGEMENT_PORT)
-        {
+        // UDP traffic on the management port goes straight to standard
+        // processing: the deployment plane stays out of the program's
+        // reach.
+        if pkt.udp_hdr().is_some_and(|u| u.dport == MANAGEMENT_PORT) {
             api.trace_dispatch(&pkt, None, DispatchOutcome::Bypass);
             return HookVerdict::Pass(pkt);
         }

@@ -22,7 +22,7 @@
 //! * Exporters — [`MetricsSnapshot::to_json`] / [`TraceLog::to_jsonl`]
 //!   produce byte-stable JSON (same seed ⇒ identical bytes, asserted by
 //!   the workspace determinism tests), and [`MetricsSnapshot::render_table`]
-//!   produces the human `--report` form used by the bench bins.
+//!   produces the human `--report` form used by the `planp` subcommands.
 //!
 //! Everything here is simulation-clock based; no wall-clock reads, no
 //! hashing with randomized state, no platform-dependent formatting.

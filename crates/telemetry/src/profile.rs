@@ -30,7 +30,7 @@
 //! Soundness is checked live: [`ProfileRegistry::record`] verifies
 //! Σ per-site == aggregate on every recorded dispatch and counts
 //! violations in [`ScopeProfile::mismatches`] (asserted zero by the
-//! test suite and the `planp_profile` baseline).
+//! test suite and the `planp profile` baseline).
 //!
 //! Scale degradation mirrors the trace sampler (PR 6): a registry-wide
 //! `1/N` dispatch sampling rate ([`ProfileRegistry::set_sample`], the

@@ -162,30 +162,15 @@ fn exhaustive_agrees_with_every_screen_accept() {
 }
 
 /// The baseline file in the repository matches what the checker
-/// produces today (same check CI runs, without spawning the binary).
+/// produces today: the `modelcheck` gate of `planp check`, called
+/// through the registry CI runs (two runs byte-identical, replays
+/// confirmed, verdict text equal to the file).
 #[test]
 fn modelcheck_baseline_is_current() {
-    let baseline = read_asp("MODELCHECK_BASELINE.txt");
-    for line in baseline.lines() {
-        let mut parts = line.split_whitespace();
-        let path = parts.next().expect("baseline line has a path");
-        let want_term = parts
-            .next()
-            .and_then(|s| s.strip_prefix("termination="))
-            .expect("termination field");
-        let want_del = parts
-            .next()
-            .and_then(|s| s.strip_prefix("delivery="))
-            .expect("delivery field");
-        let src = std::fs::read_to_string(
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(path),
-        )
-        .unwrap_or_else(|e| panic!("read {path}: {e}"));
-        let prog = planp::lang::compile_front(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let sum = summarize(&prog);
-        let mc = model_check(&prog, &sum, DEFAULT_STATE_BUDGET);
-        assert_eq!(mc.termination.as_str(), want_term, "{path}");
-        assert_eq!(mc.delivery.as_str(), want_del, "{path}");
-    }
-    assert_eq!(baseline.lines().count(), 25, "one line per checked ASP");
+    let gate = planp_bench::check::GATES
+        .iter()
+        .find(|g| g.name == "modelcheck")
+        .expect("the registry gates the model checker");
+    let report = planp_bench::check::check([gate], &asp_dir(), false, None).expect("gate runs");
+    assert!(!report.failed, "{}{}", report.stdout, report.stderr);
 }

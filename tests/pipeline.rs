@@ -3,49 +3,32 @@
 
 use bytes::Bytes;
 use planp::analysis::Policy;
+use planp::apps::corpus::CORPUS;
 use planp::netsim::packet::{addr, Packet};
 use planp::netsim::{App, LinkSpec, NodeApi, Sim, SimTime};
 use planp::runtime::{install_planp, load, Engine, LayerConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Every ASP shipped with the three applications loads, verifies under
-/// its documented policy, and compiles.
+/// Every clean program of the corpus loads, verifies under the policy
+/// the corpus table gives it, and compiles.
 #[test]
 fn all_shipped_asps_load_and_verify() {
-    let programs: Vec<(&str, &str, Policy)> = vec![
-        (
-            "audio router",
-            planp::apps::audio::AUDIO_ROUTER_ASP,
-            Policy::strict(),
-        ),
-        (
-            "audio client",
-            planp::apps::audio::AUDIO_CLIENT_ASP,
-            Policy::strict(),
-        ),
-        (
-            "http gateway",
-            planp::apps::http::HTTP_GATEWAY_ASP,
-            Policy::strict(),
-        ),
-        (
-            "mpeg monitor",
-            planp::apps::mpeg::MPEG_MONITOR_ASP,
-            Policy::no_delivery(),
-        ),
-        (
-            "mpeg capture",
-            planp::apps::mpeg::MPEG_CAPTURE_ASP,
-            Policy::no_delivery(),
-        ),
-    ];
-    for (name, src, policy) in programs {
-        let lp = load(src, policy).unwrap_or_else(|e| panic!("{name} failed to load: {e}"));
+    for asp in CORPUS.iter().filter(|a| !a.buggy) {
+        let name = asp.name;
+        let lp = load(asp.src, asp.policy.with_exhaustive_check())
+            .unwrap_or_else(|e| panic!("{name} failed to load: {e}"));
         assert!(lp.report.accepted(), "{name} not accepted");
+        assert!(lp.codegen.nodes > 5, "{name} produced too little code");
+        if asp.policy.require_termination {
+            assert!(lp.report.termination.is_proved(), "{name}: termination");
+            assert!(lp.report.duplication.is_proved(), "{name}: duplication");
+        }
+    }
+    // The five programs of the paper's figure 3 are real programs.
+    for (name, src, policy) in planp_bench::paper_programs() {
+        let lp = load(src, policy).expect("loads without the exhaustive tier");
         assert!(lp.codegen.nodes > 20, "{name} produced too little code");
-        assert!(lp.report.termination.is_proved(), "{name}: termination");
-        assert!(lp.report.duplication.is_proved(), "{name}: duplication");
     }
 }
 
@@ -284,20 +267,7 @@ channel network(ps : unit, ss : unit, p : ip*udp*char*bool) is
 /// reparses, type checks, and produces the same channel signatures.
 #[test]
 fn shipped_asps_round_trip_through_the_pretty_printer() {
-    let sources = [
-        planp::apps::audio::AUDIO_ROUTER_ASP,
-        planp::apps::audio::AUDIO_CLIENT_ASP,
-        planp::apps::audio::AUDIO_ROUTER_HYSTERESIS_ASP,
-        planp::apps::audio::AUDIO_ROUTER_QUEUE_ASP,
-        planp::apps::http::HTTP_GATEWAY_ASP,
-        planp::apps::http::HTTP_GATEWAY_3SRV_ASP,
-        planp::apps::http::HTTP_GATEWAY_RANDOM_ASP,
-        planp::apps::http::HTTP_GATEWAY_PORTHASH_ASP,
-        planp::apps::http::HTTP_GATEWAY_FAILOVER_ASP,
-        planp::apps::mpeg::MPEG_MONITOR_ASP,
-        planp::apps::mpeg::MPEG_CAPTURE_ASP,
-    ];
-    for src in sources {
+    for src in CORPUS.iter().map(|a| a.src) {
         let ast = planp::lang::parse_program(src).expect("parses");
         let printed = planp::lang::pretty::program(&ast);
         let reparsed = planp::lang::parse_program(&printed)
@@ -372,57 +342,31 @@ fn in_band_deployment_end_to_end() {
     assert_eq!(handle.stats.borrow().matched, 7);
 }
 
-/// The `.planp` files shipped in `asps/` stay in sync with the embedded
-/// sources (regenerate with `cargo run --example dump_asps`).
+/// Corpus ⇔ disk parity: every `asps/**/*.planp` is in the corpus
+/// table, and every table entry's file exists and equals its constant
+/// after the leading newline. An unlisted or drifted file fails.
 #[test]
 fn asp_files_match_embedded_sources() {
-    let progs: &[(&str, &str)] = &[
-        ("audio_router", planp::apps::audio::AUDIO_ROUTER_ASP),
-        ("audio_client", planp::apps::audio::AUDIO_CLIENT_ASP),
-        (
-            "audio_router_hysteresis",
-            planp::apps::audio::AUDIO_ROUTER_HYSTERESIS_ASP,
-        ),
-        (
-            "audio_router_queue",
-            planp::apps::audio::AUDIO_ROUTER_QUEUE_ASP,
-        ),
-        ("http_gateway", planp::apps::http::HTTP_GATEWAY_ASP),
-        (
-            "http_gateway_3srv",
-            planp::apps::http::HTTP_GATEWAY_3SRV_ASP,
-        ),
-        (
-            "http_gateway_random",
-            planp::apps::http::HTTP_GATEWAY_RANDOM_ASP,
-        ),
-        (
-            "http_gateway_porthash",
-            planp::apps::http::HTTP_GATEWAY_PORTHASH_ASP,
-        ),
-        (
-            "http_gateway_failover",
-            planp::apps::http::HTTP_GATEWAY_FAILOVER_ASP,
-        ),
-        ("mpeg_monitor", planp::apps::mpeg::MPEG_MONITOR_ASP),
-        ("mpeg_capture", planp::apps::mpeg::MPEG_CAPTURE_ASP),
-        ("reliable_relay", planp::apps::chaos::RELIABLE_RELAY_ASP),
-        ("buggy/fragile_relay", planp::apps::chaos::FRAGILE_RELAY_ASP),
-        (
-            "audio_router_chaos",
-            planp::apps::chaos::AUDIO_ROUTER_CHAOS_ASP,
-        ),
-    ];
-    let root = env!("CARGO_MANIFEST_DIR");
-    for (name, src) in progs {
-        let path = format!("{root}/asps/{name}.planp");
-        let on_disk = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{path}: {e} (run `cargo run --example dump_asps`)"));
-        assert_eq!(
-            on_disk,
-            src.trim_start(),
-            "{path} out of sync; run `cargo run --example dump_asps`"
-        );
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut on_disk = Vec::new();
+    for dir in ["asps", "asps/buggy"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("asp directory") {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if name.ends_with(".planp") {
+                on_disk.push(format!("{dir}/{name}"));
+            }
+        }
+    }
+    on_disk.sort_by_key(|p| (p.starts_with("asps/buggy/"), p.clone()));
+    let listed: Vec<&str> = CORPUS.iter().map(|a| a.path).collect();
+    assert_eq!(
+        on_disk, listed,
+        "asps/ and the corpus table list different files"
+    );
+
+    for asp in CORPUS {
+        let file = std::fs::read_to_string(root.join(asp.path)).expect(asp.path);
+        assert_eq!(file, asp.file_text(), "{} drifted", asp.path);
     }
 }
 

@@ -304,20 +304,13 @@ struct Installed {
 
 #[test]
 fn every_bundled_asp_is_engine_identical_on_200_seeded_packets() {
-    let mut files: Vec<std::path::PathBuf> = ["asps", "asps/buggy"]
-        .iter()
-        .flat_map(|dir| std::fs::read_dir(dir).expect("asp directory"))
-        .map(|entry| entry.expect("directory entry").path())
-        .filter(|path| path.extension().is_some_and(|x| x == "planp"))
-        .collect();
-    files.sort();
-    assert!(files.len() >= 20, "the corpus shrank: {files:?}");
+    let files = planp::apps::corpus::CORPUS;
+    assert!(files.len() >= 20, "the corpus shrank: {}", files.len());
 
     let (mut dispatches, mut failed, mut sent, mut written) = (0u64, 0u64, 0usize, 0usize);
-    for file in &files {
-        let name = file.display();
-        let src = std::fs::read_to_string(file).expect("asp source");
-        let prog = std::rc::Rc::new(compile_front(&src).expect("front end"));
+    for file in files {
+        let name = file.path;
+        let prog = std::rc::Rc::new(compile_front(file.src).expect("front end"));
         let (compiled, _) = jit::compile(prog.clone());
         let interp = Interp::new(&prog);
         let pool = literal_pool(&prog);
@@ -451,10 +444,10 @@ fn every_bundled_asp_is_engine_identical_on_200_seeded_packets() {
 #[test]
 fn superinstructions_follow_the_static_candidates() {
     use planp::analysis::superinstruction_candidates;
-    let fused_and_found = |path: &str| {
-        let src = std::fs::read_to_string(path).expect("asp source");
-        let prog = std::rc::Rc::new(compile_front(&src).expect("front end"));
-        let found = superinstruction_candidates(&prog, &src);
+    let fused_and_found = |name: &str| {
+        let src = planp::apps::corpus::asp(name).expect("in the corpus").src;
+        let prog = std::rc::Rc::new(compile_front(src).expect("front end"));
+        let found = superinstruction_candidates(&prog, src);
         let count = |p: &str| found.iter().filter(|c| c.pattern == p).count();
         let (compiled, _) = jit::compile(prog.clone());
         (
@@ -462,26 +455,21 @@ fn superinstructions_follow_the_static_candidates() {
             (count("hdr_compare_branch"), count("table_forward")),
         )
     };
-    for dir in ["asps", "asps/buggy"] {
-        for entry in std::fs::read_dir(dir).expect("asp directory") {
-            let path = entry.expect("directory entry").path();
-            if path.extension().is_some_and(|x| x == "planp") {
-                let path = path.to_str().expect("utf-8 path");
-                let ((cmp, _), (hdr, _)) = fused_and_found(path);
-                // The analysis ranks one candidate per `if`, the
-                // compiler fuses every compare in its condition. (A
-                // fused boolean-primitive branch need not be ranked:
-                // the analysis only counts lookups that feed a send.)
-                assert!(cmp == 0 || hdr > 0, "{path}: {cmp} fused, no candidate");
-            }
-        }
+    for asp in planp::apps::corpus::CORPUS {
+        let ((cmp, _), (hdr, _)) = fused_and_found(asp.name);
+        // The analysis ranks one candidate per `if`, the compiler fuses
+        // every compare in its condition. (A fused boolean-primitive
+        // branch need not be ranked: the analysis only counts lookups
+        // that feed a send.)
+        let path = asp.path;
+        assert!(cmp == 0 || hdr > 0, "{path}: {cmp} fused, no candidate");
     }
     // The relay: port and length tests fuse; `ipDst(…) = thisHost()`
     // has a call on the right and stays a plain compare-and-branch.
-    assert_eq!(fused_and_found("asps/buggy/fragile_relay.planp").0, (2, 0));
+    assert_eq!(fused_and_found("fragile_relay").0, (2, 0));
     // The gateway: five header compares, and the `tblHas` lookup that
     // decides between the two forwarding arms.
-    let (fused, found) = fused_and_found("asps/http_gateway.planp");
+    let (fused, found) = fused_and_found("http_gateway");
     assert_eq!(fused, (5, 1));
     assert!(found.1 >= 1, "the analysis ranks the lookup too");
 }
