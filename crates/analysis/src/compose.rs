@@ -25,19 +25,20 @@
 //! transit always makes progress.
 //!
 //! A joint loop is a reachable state-graph cycle containing a
-//! non-progress hop (SCC test, as in the single checker); the minimal
-//! counterexample is reconstructed the same way and reported as an
-//! `E007` [`Witness`] whose hops name nodes as well as channels
-//! (`r1/network#0`) and whose spans point at the responsible `deploy`
-//! lines of the plan source.
+//! non-progress hop; the cycle test and the minimal counterexample are
+//! the single checker's (both run the one explorer, `explore.rs`), and
+//! the loop is reported as an `E007` [`Witness`] whose hops name nodes
+//! as well as channels (`r1/network#0`) and whose spans point at the
+//! responsible `deploy` lines of the plan source.
 
-use crate::modelcheck::Verdict;
+use crate::explore::explore;
+use crate::modelcheck::{Verdict, DEFAULT_STATE_BUDGET};
 use crate::plan::{Install, PlanAsp, PlanTopology};
 use crate::summary::{DestAbs, SendKind};
-use crate::termination::scc;
-use crate::witness::{Witness, WitnessHop, WitnessKind};
+use crate::witness::{Witness, WitnessHop};
 use planp_lang::span::Span;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::net::Ipv4Addr;
 
 /// Concrete-or-unknown value of an in-flight packet's address field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,13 +52,7 @@ enum PVal {
 impl PVal {
     fn describe(self) -> String {
         match self {
-            PVal::Addr(a) => format!(
-                "{}.{}.{}.{}",
-                (a >> 24) & 255,
-                (a >> 16) & 255,
-                (a >> 8) & 255,
-                a & 255
-            ),
+            PVal::Addr(a) => Ipv4Addr::from(a).to_string(),
             PVal::Unknown => "an unknown address".to_string(),
         }
     }
@@ -84,14 +79,6 @@ enum EdgeLabel {
     Transit,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PEdge {
-    from: usize,
-    to: usize,
-    label: EdgeLabel,
-    progress: bool,
-}
-
 /// What the product exploration found.
 #[derive(Debug, Clone)]
 pub struct ComposeResult {
@@ -108,15 +95,14 @@ pub struct ComposeResult {
 }
 
 /// Runs the product exploration of `asps` installed per `installs`
-/// over `topo`, seeded from the topology's plan paths.
-/// `install_spans` (parallel to `installs`) anchor witness hops at the
-/// responsible plan-source `deploy` lines.
+/// over `topo` under [`DEFAULT_STATE_BUDGET`], seeded from the
+/// topology's plan paths. `install_spans` (parallel to `installs`)
+/// anchor witness hops at the responsible plan-source `deploy` lines.
 pub fn product_check(
     topo: &PlanTopology,
     asps: &[PlanAsp],
     installs: &[Install],
     install_spans: &[Span],
-    budget: usize,
 ) -> ComposeResult {
     let n_nodes = topo.nodes.len();
     let mut tags: Vec<String> = vec!["network".to_string()];
@@ -136,43 +122,25 @@ pub fn product_check(
             .or_insert_with(|| topo.toward(target))[from]
     };
 
-    let mut states: Vec<PState> = Vec::new();
-    let mut index: HashMap<PState, usize> = HashMap::new();
-    let mut edges: Vec<PEdge> = Vec::new();
-    let mut exhausted = false;
-
     // One in-flight packet per plan path, entering at the ingress's
     // next hop with the path endpoints as concrete dest/src.
-    for &(ingress, egress) in &topo.paths {
-        if states.len() >= budget {
-            exhausted = true;
-            break;
-        }
-        let Some(entry) = hop_toward(ingress, egress) else {
-            continue;
-        };
-        let s = PState {
-            node: entry,
-            tag: 0,
-            dest: PVal::Addr(topo.nodes[egress].addr),
-            src: PVal::Addr(topo.nodes[ingress].addr),
-        };
-        if let std::collections::hash_map::Entry::Vacant(e) = index.entry(s) {
-            e.insert(states.len());
-            states.push(s);
-        }
-    }
+    let entries: Vec<PState> = topo
+        .paths
+        .iter()
+        .filter_map(|&(ingress, egress)| {
+            Some(PState {
+                node: hop_toward(ingress, egress)?,
+                tag: 0,
+                dest: PVal::Addr(topo.nodes[egress].addr),
+                src: PVal::Addr(topo.nodes[ingress].addr),
+            })
+        })
+        .collect();
 
-    let mut head = 0;
-    while head < states.len() && !exhausted {
-        let u = head;
-        head += 1;
-        let s = states[u];
+    let graph = explore(entries, DEFAULT_STATE_BUDGET, |s: PState, succs| {
         let node_addr = topo.nodes[s.node].addr;
         let tag_name = tags[s.tag as usize].clone();
 
-        // Successor states this state steps to, with edge labels.
-        let mut succs: Vec<(PState, EdgeLabel, bool)> = Vec::new();
         let mut dispatched = false;
         for &ii in &at_node[s.node] {
             let asp = &asps[installs[ii].deploy];
@@ -260,172 +228,18 @@ pub fn product_check(
                 }
             }
         }
+    });
 
-        for (t, label, progress) in succs {
-            let v = match index.get(&t) {
-                Some(&v) => v,
-                None => {
-                    if states.len() >= budget {
-                        exhausted = true;
-                        break;
-                    }
-                    index.insert(t, states.len());
-                    states.push(t);
-                    states.len() - 1
-                }
-            };
-            edges.push(PEdge {
-                from: u,
-                to: v,
-                label,
-                progress,
-            });
-        }
-    }
-
-    let mut witnesses = Vec::new();
-    let verdict = if exhausted {
-        Verdict::Inconclusive
-    } else {
-        let mut adj = vec![Vec::new(); states.len()];
-        for e in &edges {
-            adj[e.from].push(e.to);
-        }
-        let comp = scc(&adj);
-        let violating: Vec<usize> = (0..edges.len())
-            .filter(|&i| !edges[i].progress && comp[edges[i].from] == comp[edges[i].to])
-            .collect();
-        if violating.is_empty() {
-            Verdict::Proved
-        } else {
-            witnesses.push(joint_loop_witness(
-                topo,
-                asps,
-                installs,
-                install_spans,
-                &tags,
-                &states,
-                &edges,
-                &violating,
-            ));
-            Verdict::Violated
-        }
-    };
-
-    ComposeResult {
-        verdict,
-        states: states.len(),
-        transitions: edges.len(),
-        exhausted,
-        witnesses,
-    }
-}
-
-/// BFS over the explored graph from `sources`, following edges in
-/// insertion order (deterministic minimal witnesses).
-fn bfs(
-    n_states: usize,
-    edges: &[PEdge],
-    out_edges: &[Vec<usize>],
-    sources: &[usize],
-) -> (Vec<usize>, Vec<usize>) {
-    let mut dist = vec![usize::MAX; n_states];
-    let mut parent = vec![usize::MAX; n_states];
-    let mut q = VecDeque::new();
-    for &s in sources {
-        if dist[s] == usize::MAX {
-            dist[s] = 0;
-            q.push_back(s);
-        }
-    }
-    while let Some(u) = q.pop_front() {
-        for &ei in &out_edges[u] {
-            let v = edges[ei].to;
-            if dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                parent[v] = ei;
-                q.push_back(v);
-            }
-        }
-    }
-    (dist, parent)
-}
-
-fn path_to(parent: &[usize], edges: &[PEdge], target: usize) -> Vec<usize> {
-    let mut path = Vec::new();
-    let mut at = target;
-    while parent[at] != usize::MAX {
-        let ei = parent[at];
-        path.push(ei);
-        at = edges[ei].from;
-    }
-    path.reverse();
-    path
-}
-
-/// Minimal `E007` witness: over all violating edges, the one
-/// minimizing (entry prefix) + 1 + (cycle back), mirroring the
-/// single-program checker's reconstruction.
-#[allow(clippy::too_many_arguments)]
-fn joint_loop_witness(
-    topo: &PlanTopology,
-    asps: &[PlanAsp],
-    installs: &[Install],
-    install_spans: &[Span],
-    tags: &[String],
-    states: &[PState],
-    edges: &[PEdge],
-    violating: &[usize],
-) -> Witness {
-    let mut out_edges = vec![Vec::new(); states.len()];
-    for (i, e) in edges.iter().enumerate() {
-        out_edges[e.from].push(i);
-    }
-    // Entry states are the first-interned ones: every state with no
-    // incoming BFS need is seeded; using all path entries (distance 0)
-    // reproduces the single checker's "shortest prefix from an entry".
-    let entries: Vec<usize> = {
-        let mut has_in = vec![false; states.len()];
-        for e in edges {
-            has_in[e.to] = true;
-        }
-        let roots: Vec<usize> = (0..states.len()).filter(|&i| !has_in[i]).collect();
-        if roots.is_empty() {
-            vec![0]
-        } else {
-            roots
-        }
-    };
-    let (dist0, parent0) = bfs(states.len(), edges, &out_edges, &entries);
-
-    let mut best: Option<(usize, usize, Vec<usize>, Vec<usize>)> = None;
-    for &ei in violating {
-        let e = edges[ei];
-        if dist0[e.from] == usize::MAX {
-            continue;
-        }
-        let (db, pb) = bfs(states.len(), edges, &out_edges, &[e.to]);
-        if db[e.from] == usize::MAX {
-            continue;
-        }
-        let score = dist0[e.from] + 1 + db[e.from];
-        if best.as_ref().is_none_or(|(s, _, _, _)| score < *s) {
-            let prefix = path_to(&parent0, edges, e.from);
-            let back = path_to(&pb, edges, e.from);
-            best = Some((score, ei, prefix, back));
-        }
-    }
-    let (_, chosen, prefix, back) = best.expect("a violating edge is always reachable");
-
+    let states = &graph.states;
     let state_label = |i: usize| {
         format!(
             "{}/{}",
             topo.nodes[states[i].node].name, tags[states[i].tag as usize]
         )
     };
-    let hop = |ei: usize| -> WitnessHop {
-        let e = &edges[ei];
-        match e.label {
+    let (verdict, witness) = graph.termination(
+        "E007",
+        |e| match e.label {
             EdgeLabel::Dispatch {
                 install,
                 chan,
@@ -451,25 +265,22 @@ fn joint_loop_witness(
                 progress: e.progress,
                 span: Span::dummy(),
             },
-        }
-    };
-    let cycle_start = prefix.len();
-    let mut hops: Vec<WitnessHop> = prefix.iter().copied().map(hop).collect();
-    hops.push(hop(chosen));
-    hops.extend(back.iter().copied().map(hop));
-    let cycle_len = hops.len() - cycle_start;
-    let head = edges[chosen].from;
-    let message = format!(
-        "possible cross-ASP packet loop: {cycle_len} hop(s) return the packet to `{}` with destination {} and no net progress",
-        state_label(head),
-        states[head].dest.describe()
+        },
+        |head, cycle_len| {
+            let label = state_label(head);
+            let message = format!(
+                "possible cross-ASP packet loop: {cycle_len} hop(s) return the packet to `{label}` with destination {} and no net progress",
+                states[head].dest.describe()
+            );
+            (label, message)
+        },
     );
-    Witness {
-        code: "E007",
-        kind: WitnessKind::Loop { cycle_start },
-        channel: state_label(head),
-        message,
-        span: hops[cycle_start].span,
-        hops,
+
+    ComposeResult {
+        verdict,
+        states: states.len(),
+        transitions: graph.edges.len(),
+        exhausted: graph.exhausted,
+        witnesses: witness.into_iter().collect(),
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::diag::Diagnostic;
 use crate::summary::{max_path_weight, DestAbs, ProgramSummary};
-use crate::termination::Outcome;
+use crate::verifier::Outcome;
 use planp_lang::tast::TProgram;
 
 /// Result of the fix-point: which channels may produce more than one

@@ -5,11 +5,14 @@
 //!
 //! * **local termination** — holds by construction (the front end rules
 //!   out recursion and unbounded loops);
-//! * **[global termination](termination)** — packets cannot cycle through
-//!   the network, proved by state exploration over channels × abstract
-//!   destinations, under the assumption that IP routing is acyclic;
-//! * **[guaranteed delivery](delivery)** — no cycles, no escaping
-//!   exceptions, and every path forwards or delivers;
+//! * **[global termination](modelcheck)** — packets cannot cycle through
+//!   the network, proved by an explicit-state exploration of (channel ×
+//!   destination value × source-intact) states, under the assumption
+//!   that IP routing is acyclic; a violation comes with a minimal
+//!   counterexample [witness] (code `E005`), replayable through the
+//!   simulator;
+//! * **[guaranteed delivery](modelcheck)** — no cycles, no escaping
+//!   exceptions, and every path forwards or delivers (`E006`);
 //! * **[linear duplication](duplication)** — a fix-point proof that
 //!   packet copies do not compound exponentially;
 //! * **[per-packet cost bounds](cost)** — a worst-case bound on VM steps
@@ -29,15 +32,10 @@
 //!   entry bounds. Feeds the `E009`/`E010` state-safety verdicts
 //!   ([`Policy::with_state_budget`]), the plan-level `budget state`
 //!   composition, and the `S001`–`S004` state lints;
-//! * **[exhaustive model checking](modelcheck)** — an explicit-state
-//!   exploration of (channel × destination value × source-intact)
-//!   states that refines the SCC screen's termination/delivery
-//!   verdicts and reconstructs minimal counterexample
-//!   [witnesses](witness) (codes `E005`/`E006`), replayable through
-//!   the simulator;
 //! * **[deployment plans](plan)** — placement of ASPs over named
 //!   topologies with compositional guarantees: a [product model
-//!   check](compose) of co-deployed ASPs catching joint forwarding
+//!   check](compose) of co-deployed ASPs — the same explorer over
+//!   (node × channel × addresses) states — catching joint forwarding
 //!   loops no single-program check sees (`E007`), composed per-path
 //!   CPU budgets (`E008`), and plan-scope lints (`P001`–`P004`,
 //!   `L008`).
@@ -63,16 +61,15 @@
 
 pub mod compose;
 pub mod cost;
-pub mod delivery;
 pub mod diag;
 pub mod duplication;
+mod explore;
 pub mod lint;
 pub mod modelcheck;
 pub mod plan;
 pub mod profile;
 pub mod state;
 pub mod summary;
-pub mod termination;
 pub mod verifier;
 pub mod witness;
 
@@ -95,6 +92,5 @@ pub use state::{
     TableState,
 };
 pub use summary::{summarize, DestAbs, ProgramSummary, SendKind, SendSite};
-pub use termination::Outcome;
-pub use verifier::{verify, verify_with_summary, AnalysisStats, Policy, VerifyReport};
+pub use verifier::{verify, verify_with_summary, AnalysisStats, Outcome, Policy, VerifyReport};
 pub use witness::{Witness, WitnessHop, WitnessKind};

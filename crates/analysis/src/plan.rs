@@ -149,8 +149,6 @@ pub struct PlanPolicy {
     /// Reject any node whose co-resident ASPs compose a table-entry
     /// bound over this (`E010`). Set by the plan's `budget state` line.
     pub max_node_state_entries: Option<u64>,
-    /// Product-state exploration budget.
-    pub product_budget: usize,
 }
 
 impl PlanPolicy {
@@ -160,7 +158,6 @@ impl PlanPolicy {
             require_joint_termination: true,
             max_path_steps: None,
             max_node_state_entries: None,
-            product_budget: DEFAULT_STATE_BUDGET,
         }
     }
 
@@ -381,13 +378,7 @@ impl PlanCheck {
             .iter()
             .map(|i| self.plan.deploys[i.deploy].span)
             .collect();
-        let compose = product_check(
-            &self.topo,
-            &self.asps,
-            &self.installs,
-            &spans,
-            self.policy.product_budget,
-        );
+        let compose = product_check(&self.topo, &self.asps, &self.installs, &spans);
 
         let mut diagnostics = Vec::new();
 
@@ -529,9 +520,8 @@ impl PlanCheck {
                     "E007",
                     Span::dummy(),
                     format!(
-                        "joint exploration exhausted its {}-state budget before proving \
-                         termination",
-                        self.policy.product_budget
+                        "joint exploration exhausted its {DEFAULT_STATE_BUDGET}-state budget before \
+                         proving termination"
                     ),
                 ));
             }
@@ -548,7 +538,7 @@ impl PlanCheck {
             joint: compose.verdict,
             states: compose.states,
             transitions: compose.transitions,
-            budget: self.policy.product_budget,
+            budget: DEFAULT_STATE_BUDGET,
             exhausted: compose.exhausted,
             witnesses: compose.witnesses,
             budgets,
@@ -969,7 +959,7 @@ mod tests {
         for src in [BOUNCE_A, BOUNCE_B] {
             let prog = compile_front(src).unwrap();
             let sum = summarize(&prog);
-            let r = model_check(&prog, &sum, DEFAULT_STATE_BUDGET);
+            let r = model_check(&prog, &sum);
             assert!(r.termination.is_proved(), "single-program termination");
             assert!(r.delivery.is_proved(), "single-program delivery");
         }

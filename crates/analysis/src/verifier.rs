@@ -8,15 +8,32 @@
 //! the conservative analyses cannot prove.
 
 use crate::cost::{cost_bounds, CostReport};
-use crate::delivery::check_delivery;
 use crate::diag::Diagnostic;
 use crate::duplication::{check_duplication, compute_may_copy};
 use crate::lint::lint;
-use crate::modelcheck::{model_check, ModelCheckReport, Verdict, DEFAULT_STATE_BUDGET};
+use crate::modelcheck::{model_check, ModelCheckReport, Verdict};
 use crate::summary::{summarize, ProgramSummary};
-use crate::termination::{check_termination, Outcome};
+use crate::witness::Witness;
+use planp_lang::span::Span;
 use planp_lang::tast::TProgram;
 use std::fmt;
+
+/// Outcome of one analysis.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// The property is proved.
+    Proved,
+    /// The property could not be proved; structured diagnostics (codes
+    /// `E003`–`E010`) explain why.
+    Rejected(Vec<Diagnostic>),
+}
+
+impl Outcome {
+    /// True if the property was proved.
+    pub fn is_proved(&self) -> bool {
+        matches!(self, Outcome::Proved)
+    }
+}
 
 /// Size of the analysis problem — the paper's back-of-envelope
 /// `r·d·2^d` discussion made concrete (section 2.1).
@@ -59,14 +76,6 @@ pub struct Policy {
     /// cost exceeds this many VM steps on any channel (`None` disables
     /// the budget). See [`crate::cost`].
     pub max_steps_per_packet: Option<u64>,
-    /// Run the [explicit-state model checker](crate::modelcheck) as a
-    /// precision tier: the SCC screen stays the fast path, and the
-    /// exhaustive exploration re-judges its rejections (proving some of
-    /// them) and attaches counterexample witnesses to real violations.
-    pub exhaustive: bool,
-    /// State budget for the exhaustive exploration; exceeding it falls
-    /// back to the screening verdicts.
-    pub exhaustive_budget: usize,
     /// Reject programs with a table whose growth the [state
     /// analysis](crate::state) cannot bound: a packet-derived key with
     /// no eviction on any path (`E009`).
@@ -86,8 +95,6 @@ impl Policy {
             require_delivery: true,
             require_linear_duplication: true,
             max_steps_per_packet: None,
-            exhaustive: false,
-            exhaustive_budget: DEFAULT_STATE_BUDGET,
             require_bounded_state: false,
             max_state_entries: None,
         }
@@ -97,14 +104,8 @@ impl Policy {
     /// intentionally (e.g. filters and monitors).
     pub const fn no_delivery() -> Self {
         Policy {
-            require_termination: true,
             require_delivery: false,
-            require_linear_duplication: true,
-            max_steps_per_packet: None,
-            exhaustive: false,
-            exhaustive_budget: DEFAULT_STATE_BUDGET,
-            require_bounded_state: false,
-            max_state_entries: None,
+            ..Policy::strict()
         }
     }
 
@@ -115,11 +116,7 @@ impl Policy {
             require_termination: false,
             require_delivery: false,
             require_linear_duplication: false,
-            max_steps_per_packet: None,
-            exhaustive: false,
-            exhaustive_budget: DEFAULT_STATE_BUDGET,
-            require_bounded_state: false,
-            max_state_entries: None,
+            ..Policy::strict()
         }
     }
 
@@ -129,17 +126,10 @@ impl Policy {
         self
     }
 
-    /// Enables the exhaustive model-checking tier (builder style).
-    pub fn with_exhaustive_check(mut self) -> Self {
-        self.exhaustive = true;
-        self
-    }
-
-    /// Enables the exhaustive tier with an explicit state budget
-    /// (builder style).
-    pub fn with_exhaustive_budget(mut self, states: usize) -> Self {
-        self.exhaustive = true;
-        self.exhaustive_budget = states;
+    /// The identity: every policy runs the model checker. Kept only
+    /// because the frozen `perf/src/download.rs` calls it; a
+    /// `benchmark`-archetype PR may drop it.
+    pub fn with_exhaustive_check(self) -> Self {
         self
     }
 
@@ -200,13 +190,14 @@ pub struct VerifyReport {
     pub policy: Policy,
     /// Problem-size statistics.
     pub stats: AnalysisStats,
-    /// The exhaustive model-checking report, when the policy enabled it
-    /// ([`Policy::with_exhaustive_check`]). Its verdicts have already
-    /// been folded into [`VerifyReport::termination`] and
-    /// [`VerifyReport::delivery`]: a proof overrides a screen
-    /// rejection, a violation replaces the screen findings with
-    /// counterexample witnesses (codes `E005`/`E006`), and an
-    /// inconclusive (budget-exhausted) run keeps the screen verdicts.
+    /// The [model checker](crate::modelcheck)'s report, which
+    /// [`VerifyReport::termination`] and [`VerifyReport::delivery`] are
+    /// derived from: a violation rejects with its counterexample
+    /// witnesses (codes `E005`/`E006`), an inconclusive
+    /// (budget-exhausted) run rejects with an `E005` saying so. Always
+    /// `Some`; an `Option` only because the frozen
+    /// `perf/src/download.rs` reads it as one — a `benchmark`-archetype
+    /// PR may drop the wrapper.
     pub exhaustive: Option<ModelCheckReport>,
 }
 
@@ -220,13 +211,16 @@ impl VerifyReport {
             && self.state.is_proved()
     }
 
-    /// All diagnostics from analyses the policy requires.
+    /// All diagnostics from analyses the policy requires, each once
+    /// (delivery embeds the termination findings).
     pub fn errors(&self) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
+        let mut out: Vec<Diagnostic> = Vec::new();
         let mut push = |required: bool, outcome: &Outcome| {
-            if required {
-                if let Outcome::Rejected(errs) = outcome {
-                    out.extend(errs.iter().cloned());
+            if let (true, Outcome::Rejected(errs)) = (required, outcome) {
+                for d in errs {
+                    if !out.contains(d) {
+                        out.push(d.clone());
+                    }
                 }
             }
         };
@@ -235,8 +229,6 @@ impl VerifyReport {
         push(self.policy.require_linear_duplication, &self.duplication);
         push(true, &self.budget);
         push(true, &self.state);
-        // Delivery subsumes termination diagnostics; dedup.
-        out.dedup_by(|a, b| a == b);
         out
     }
 
@@ -251,7 +243,7 @@ impl VerifyReport {
     /// `{"accepted":…,"verdicts":{"termination","delivery",
     /// "duplication","budget","state"},"state_bound":n|null,
     /// "channels":[{"name","overload","steps","sends"}…],
-    /// "diagnostics":[…],"exhaustive":null|{…}}`. `src` resolves
+    /// "diagnostics":[…],"exhaustive":{…}}`. `src` resolves
     /// diagnostic spans to line/column positions.
     pub fn write_json(&self, src: &str, out: &mut String) {
         use std::fmt::Write as _;
@@ -397,6 +389,17 @@ pub fn verify(prog: &TProgram, policy: Policy) -> VerifyReport {
 
 /// Like [`verify`], reusing a precomputed summary.
 pub fn verify_with_summary(prog: &TProgram, sum: &ProgramSummary, policy: Policy) -> VerifyReport {
+    report_from(prog, sum, policy, model_check(prog, sum))
+}
+
+/// Evaluates every analysis under `policy`, deriving termination and
+/// delivery from the model checker's report `mc`.
+fn report_from(
+    prog: &TProgram,
+    sum: &ProgramSummary,
+    policy: Policy,
+    mc: ModelCheckReport,
+) -> VerifyReport {
     let send_sites: usize = sum.channels.iter().map(|s| s.sites.len()).sum();
     let restart_sites: usize = sum
         .channels
@@ -414,66 +417,10 @@ pub fn verify_with_summary(prog: &TProgram, sum: &ProgramSummary, policy: Policy
     let budget = check_budget(prog, &cost, policy.max_steps_per_packet);
     let state = check_state(prog, sum, policy);
     let state_bound = sum.state.entry_bound();
-    let mut termination = check_termination(prog, sum);
-    let mut delivery = check_delivery(prog, sum);
     let duplication = check_duplication(prog, sum);
-    // Precision tier: the SCC screen above stays the fast path; when the
-    // policy asks for it, the exhaustive exploration re-judges screen
-    // rejections (destination-value tracking proves some of them) and
-    // replaces confirmed violations with minimal counterexample
-    // witnesses. By construction the checker refines the screen — a
-    // screen accept is never overturned — so only the reject-side
-    // verdicts can change.
-    let exhaustive = if policy.exhaustive {
-        let mc = model_check(prog, sum, policy.exhaustive_budget);
-        let fold =
-            |verdict: Verdict, screen: &mut Outcome, witnesses: &[&crate::Witness]| match verdict {
-                Verdict::Proved => *screen = Outcome::Proved,
-                Verdict::Violated => {
-                    *screen =
-                        Outcome::Rejected(witnesses.iter().map(|w| w.to_diagnostic()).collect())
-                }
-                Verdict::Inconclusive => {}
-            };
-        let loops: Vec<&crate::Witness> = mc.loop_witnesses().collect();
-        let all: Vec<&crate::Witness> = mc.witnesses.iter().collect();
-        fold(mc.termination, &mut termination, &loops);
-        fold(mc.delivery, &mut delivery, &all);
-        Some(mc)
-    } else {
-        None
-    };
-    let mut diagnostics = lint(prog, sum, policy);
-    let mut seen: Vec<(u32, u32, String)> = Vec::new();
-    // The analyses emit coded diagnostics directly (E001 termination,
-    // E002 delivery, E003 duplication, E004 budget); delivery embeds the
-    // termination findings, so dedup by position + message.
-    let mut push_errs = |required: bool, outcome: &Outcome, out: &mut Vec<Diagnostic>| {
-        if !required {
-            return;
-        }
-        if let Outcome::Rejected(errs) = outcome {
-            for d in errs {
-                let key = (d.span.start, d.span.end, d.message.clone());
-                if seen.contains(&key) {
-                    continue;
-                }
-                seen.push(key);
-                out.push(d.clone());
-            }
-        }
-    };
-    push_errs(policy.require_termination, &termination, &mut diagnostics);
-    push_errs(policy.require_delivery, &delivery, &mut diagnostics);
-    push_errs(
-        policy.require_linear_duplication,
-        &duplication,
-        &mut diagnostics,
-    );
-    push_errs(true, &budget, &mut diagnostics);
-    push_errs(true, &state, &mut diagnostics);
-    diagnostics.sort_by_key(|d| (d.span.start, d.span.end, d.code));
-    VerifyReport {
+    let termination = outcome_of(&mc, mc.termination, mc.loop_witnesses());
+    let delivery = outcome_of(&mc, mc.delivery, mc.witnesses.iter());
+    let mut report = VerifyReport {
         termination,
         delivery,
         duplication,
@@ -482,11 +429,44 @@ pub fn verify_with_summary(prog: &TProgram, sum: &ProgramSummary, policy: Policy
         state_bound,
         state_effects: sum.state.clone(),
         cost,
-        diagnostics,
+        diagnostics: lint(prog, sum, policy),
         policy,
         stats,
-        exhaustive,
+        exhaustive: Some(mc),
+    };
+    // The lint findings plus every rejection the policy acts on.
+    let errors = report.errors();
+    report.diagnostics.extend(errors);
+    report
+        .diagnostics
+        .sort_by_key(|d| (d.span.start, d.span.end, d.code));
+    report
+}
+
+/// Folds one of `mc`'s verdicts into an outcome, failing closed: only
+/// `Proved` proves. A violation rejects with its `witnesses`; a run the
+/// state budget cut short proved nothing, so it rejects too and says
+/// why.
+fn outcome_of<'a>(
+    mc: &ModelCheckReport,
+    verdict: Verdict,
+    witnesses: impl Iterator<Item = &'a Witness>,
+) -> Outcome {
+    if verdict.is_proved() {
+        return Outcome::Proved;
     }
+    let mut errs: Vec<Diagnostic> = witnesses.map(Witness::to_diagnostic).collect();
+    if mc.exhausted {
+        errs.push(Diagnostic::error(
+            "E005",
+            Span::dummy(),
+            format!(
+                "state exploration exhausted its {}-state budget before proving termination",
+                mc.budget
+            ),
+        ));
+    }
+    Outcome::Rejected(errs)
 }
 
 /// Evaluates state safety: `E009` for tables the analysis cannot bound,
@@ -618,9 +598,7 @@ mod tests {
 
     #[test]
     fn authenticated_accepts_anything() {
-        let bouncer = "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
-                       (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))";
-        let r = report(bouncer, Policy::authenticated());
+        let r = report(PING_PONG, Policy::authenticated());
         assert!(r.accepted());
         // The analyses still ran and report the problem informationally.
         assert!(!r.termination.is_proved());
@@ -716,7 +694,7 @@ mod tests {
     fn rejections_become_error_diagnostics() {
         let r = report(DROPPER, Policy::strict());
         assert!(!r.accepted());
-        assert!(r.diagnostics.iter().any(|d| d.code == "E002"));
+        assert!(r.diagnostics.iter().any(|d| d.code == "E006"));
         // The same rejection is not duplicated across codes.
         let msgs: Vec<_> = r
             .diagnostics
@@ -739,10 +717,10 @@ mod tests {
          (OnRemote(a, (ipDestSet(#1 p, 10.0.0.1), #2 p, #3 p)); (ps, ss))";
 
     #[test]
-    fn exhaustive_tier_overturns_screen_rejection() {
-        let screened = report(PINNED_RELAY, Policy::strict());
-        assert!(!screened.accepted(), "screen alone rejects the re-pin");
-        let r = report(PINNED_RELAY, Policy::strict().with_exhaustive_check());
+    fn repinning_relay_accepted_under_strict() {
+        // A destination-changing send on a cycle, but every hop
+        // re-asserts the same constant: the checker tracks the value.
+        let r = report(PINNED_RELAY, Policy::strict());
         assert!(r.accepted(), "{r}");
         assert!(r.errors().is_empty());
         let mc = r.exhaustive.as_ref().unwrap();
@@ -751,8 +729,8 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_tier_attaches_witness_diagnostics() {
-        let r = report(PING_PONG, Policy::strict().with_exhaustive_check());
+    fn violations_attach_witness_diagnostics() {
+        let r = report(PING_PONG, Policy::strict());
         assert!(!r.accepted());
         let errs = r.errors();
         assert!(errs.iter().any(|e| e.code == "E005"), "{errs:?}");
@@ -763,11 +741,33 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_budget_keeps_screen_verdicts() {
-        let r = report(PINNED_RELAY, Policy::strict().with_exhaustive_budget(1));
-        assert!(!r.accepted(), "fallback to the screen rejection");
-        assert!(r.exhaustive.as_ref().unwrap().exhausted);
-        assert!(r.errors().iter().any(|e| e.code == "E001"));
+    fn inconclusive_exploration_fails_closed() {
+        // A report as the explorer leaves it when the state budget runs
+        // out on a program with no definite delivery violation.
+        let tp = compile_front(PINNED_RELAY).unwrap();
+        let sum = summarize(&tp);
+        let cut_short = || ModelCheckReport {
+            termination: Verdict::Inconclusive,
+            delivery: Verdict::Inconclusive,
+            exhausted: true,
+            ..model_check(&tp, &sum)
+        };
+        for policy in [Policy::strict(), Policy::no_delivery()] {
+            let r = report_from(&tp, &sum, policy, cut_short());
+            assert!(!r.accepted(), "{r}");
+            let errs = r.errors();
+            assert!(
+                errs.iter()
+                    .any(|e| e.code == "E005" && e.message.contains("exhausted its 65536-state")),
+                "{errs:?}"
+            );
+            assert!(r.diagnostics.iter().any(|d| d.code == "E005"));
+        }
+        let r = report_from(&tp, &sum, Policy::authenticated(), cut_short());
+        assert!(r.accepted(), "{r}");
+        assert!(!r.termination.is_proved());
+        assert!(!r.delivery.is_proved());
+        assert!(r.to_string().contains("budget exhausted"), "{r}");
     }
 
     #[test]
@@ -780,10 +780,6 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("\"state_bound\":0"), "{out}");
-        assert!(out.ends_with("\"exhaustive\":null}"), "{out}");
-        let r = report(GOOD, Policy::strict().with_exhaustive_check());
-        let mut out = String::new();
-        r.write_json(GOOD, &mut out);
         assert!(
             out.contains("\"exhaustive\":{\"termination\":\"proved\""),
             "{out}"

@@ -31,9 +31,8 @@ pub struct CorpusAsp {
     /// (so spans, site ids and `line:col` labels did not move), the rest
     /// are the file verbatim.
     pub src: &'static str,
-    /// The strongest download policy the program is accepted under with
-    /// the exhaustive tier on — what plans, figure 3 and the lint gate
-    /// load it with. `authenticated` marks a program whose violation
+    /// The strongest download policy the program is accepted under —
+    /// what plans, figure 3 and the lint gate load it with. `authenticated` marks a program whose violation
     /// verdict is a known conservative over-approximation.
     pub policy: Policy,
     /// Lives under `asps/buggy/`: deficient on purpose (a negative

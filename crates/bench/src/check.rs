@@ -29,7 +29,6 @@
 
 use crate::{chaos, cluster, health, lint, modelcheck, obs, plan, profile, state, trace};
 use crate::{corpus_sources, render_diff, Cli, CliArgs, Report, Sub};
-use planp_analysis::modelcheck::DEFAULT_STATE_BUDGET;
 use planp_apps::corpus::{CorpusAsp, CORPUS};
 use std::path::Path;
 
@@ -110,10 +109,7 @@ pub const GATES: &[Gate] = &[
     // warnings denied.
     gate("lint", "lint-report.json", || {
         let clean = CORPUS.iter().filter(|a| !a.buggy);
-        let file = |a: &CorpusAsp| {
-            let policy = a.policy.with_exhaustive_check();
-            (a.path.to_string(), a.file_text().to_string(), policy)
-        };
+        let file = |a: &CorpusAsp| (a.path.to_string(), a.file_text().to_string(), a.policy);
         Ok(lint::report(clean.map(file).collect(), true, true))
     }),
     pinned(
@@ -122,7 +118,7 @@ pub const GATES: &[Gate] = &[
         "MODELCHECK_BASELINE.txt",
         || {
             let corpus = corpus_sources();
-            Ok(modelcheck::report(corpus, DEFAULT_STATE_BUDGET, true, true))
+            Ok(modelcheck::report(corpus, true, true))
         },
     ),
     pinned("plan", "plan-report.json", "PLAN_BASELINE.txt", || {

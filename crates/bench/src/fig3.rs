@@ -62,7 +62,7 @@ pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
         if args.flag("--report") {
             analyses.push(render_analysis_report(
                 name,
-                &planp_analysis::verify(&prog, policy.with_exhaustive_check()),
+                &planp_analysis::verify(&prog, policy),
             ));
         }
         let (_, _, paper_lines, paper_ms) = PAPER_FIG3[i];
@@ -120,8 +120,8 @@ pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
         outln!(out, "--- exhaustive model check: bundled ASPs ---");
         for (name, src, policy) in crate::bundled_asps() {
             let prog = compile_front(src).expect("bundled ASP compiles");
-            let report = planp_analysis::verify(&prog, policy.with_exhaustive_check());
-            let mc = report.exhaustive.as_ref().expect("exhaustive tier ran");
+            let report = planp_analysis::verify(&prog, policy);
+            let mc = report.exhaustive.as_ref().expect("always Some");
             outln!(
                 out,
                 "{name}: termination {}, delivery {} ({} state(s), {} transition(s))",

@@ -12,8 +12,6 @@
 //!   bundled ASPs satisfy).
 //! * `--max-steps N` — add a per-packet step budget to the policy;
 //!   programs whose static worst-case bound exceeds it are rejected.
-//! * `--exhaustive` — run the model-checking precision tier on top of
-//!   the screening analyses ([`Policy::with_exhaustive_check`]).
 //! * `--json` — machine form: one byte-stable JSON document on stdout.
 //! * `--deny-warnings` — exit nonzero when any warning is reported.
 //!
@@ -34,7 +32,7 @@ pub(crate) const SUB: Sub = Sub {
     about: "verify PLAN-P files: diagnostics, cost bounds, accept/reject",
     cli: Cli {
         help: HELP,
-        flags: &["--json", "--deny-warnings", "--exhaustive"],
+        flags: &["--json", "--deny-warnings"],
         value_flags: &["--policy", "--max-steps"],
         operands: true,
     },
@@ -46,7 +44,6 @@ planp lint: verify PLAN-P files and report diagnostics and cost bounds
 usage: planp lint [options] <file.planp>...
   --policy strict|no-delivery|authenticated  download policy (default no-delivery)
   --max-steps N                              reject bounds over N steps/packet
-  --exhaustive                               run the model-checking precision tier
   --json                                     byte-stable machine output
   --deny-warnings                            exit 1 when any warning fires
 ";
@@ -60,9 +57,6 @@ fn run(args: &CliArgs) -> Result<Report, String> {
     };
     if let Some(n) = args.number("--max-steps", "step budget")? {
         policy = policy.with_step_budget(n);
-    }
-    if args.flag("--exhaustive") {
-        policy = policy.with_exhaustive_check();
     }
     if args.positionals.is_empty() {
         return Err("no input files (try --help)".to_string());

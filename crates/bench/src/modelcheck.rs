@@ -9,7 +9,6 @@
 //!
 //! With no files, the twelve bundled ASPs are checked. Options:
 //!
-//! * `--budget N` — state budget for the exploration (default 65536).
 //! * `--json` — one byte-stable JSON document on stdout.
 //! * `--replay` — replay each file with a violated property through
 //!   the two-router simulator and report whether the concrete traffic
@@ -33,7 +32,7 @@
 
 use crate::{Cli, CliArgs, Report, Source, Sub};
 use planp_analysis::diag::push_json_str;
-use planp_analysis::modelcheck::{model_check, ModelCheckReport, DEFAULT_STATE_BUDGET};
+use planp_analysis::modelcheck::{model_check, ModelCheckReport};
 use planp_analysis::summary::summarize;
 use planp_runtime::replay_asp_traced;
 
@@ -44,7 +43,7 @@ pub(crate) const SUB: Sub = Sub {
     cli: Cli {
         help: HELP,
         flags: &["--json", "--replay"],
-        value_flags: &["--budget", "--baseline", "--write-baseline"],
+        value_flags: &["--baseline", "--write-baseline"],
         operands: true,
     },
     run,
@@ -54,7 +53,6 @@ const HELP: &str = "\
 planp modelcheck: exhaustively model-check PLAN-P files, render witnesses
 usage: planp modelcheck [options] [<file.planp>...]
   (no files: check the twelve bundled ASPs)
-  --budget N             state budget (default 65536)
   --json                 byte-stable machine output
   --replay               replay violations through the simulator
   --baseline FILE        fail if verdict lines differ from FILE
@@ -70,13 +68,7 @@ fn run(args: &CliArgs) -> Result<Report, String> {
     } else {
         crate::read_sources(&args.positionals)?
     };
-    let budget = args.number("--budget", "budget")?;
-    Ok(report(
-        sources,
-        budget.unwrap_or(DEFAULT_STATE_BUDGET),
-        args.flag("--json"),
-        args.flag("--replay"),
-    ))
+    Ok(report(sources, args.flag("--json"), args.flag("--replay")))
 }
 
 /// Model-checking one source produced this.
@@ -108,11 +100,11 @@ impl FileResult {
     }
 }
 
-fn check_source(name: String, src: String, budget: usize, replay: bool) -> FileResult {
+fn check_source(name: String, src: String, replay: bool) -> FileResult {
     let report = match planp_lang::compile_front(&src) {
         Ok(prog) => {
             let sum = summarize(&prog);
-            Ok(model_check(&prog, &sum, budget))
+            Ok(model_check(&prog, &sum))
         }
         Err(e) => Err(e),
     };
@@ -256,10 +248,10 @@ fn baseline_text(results: &[FileResult]) -> String {
 }
 
 /// Model-checks `sources` (and replays predicted violations).
-pub(crate) fn report(sources: Vec<Source>, budget: usize, json: bool, replay: bool) -> Report {
+pub(crate) fn report(sources: Vec<Source>, json: bool, replay: bool) -> Report {
     let results: Vec<FileResult> = sources
         .into_iter()
-        .map(|(name, src)| check_source(name, src, budget, replay))
+        .map(|(name, src)| check_source(name, src, replay))
         .collect();
     let mut report = Report::default();
     if json {
@@ -319,7 +311,7 @@ mod tests {
         let results: Vec<FileResult> =
             ["z.planp", "asps/reliable_relay.planp", "asps/buggy/k.planp"]
                 .iter()
-                .map(|n| check_source(n.to_string(), FWD.to_string(), 1024, false))
+                .map(|n| check_source(n.to_string(), FWD.to_string(), false))
                 .collect();
         // The marker comes from the corpus table (the `authenticated`
         // entry), not from the text under check.

@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn rejected_program_reports_and_leaves_node_clean() {
         let bouncer = "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
-                       (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))";
+                       (OnNeighbor(network, 10.0.0.2, p); (ps, ss))";
         let (mut sim, op, r, b, log) = setup(Policy::strict());
         let replies = Rc::new(RefCell::new(Vec::new()));
         let packets = deploy_packets(addr(10, 0, 0, 1), addr(10, 0, 0, 254), 3, bouncer);

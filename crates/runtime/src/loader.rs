@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn authenticated_download_skips_requirements() {
         let bouncer = "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
-                       (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))";
+                       (OnNeighbor(network, 10.0.0.2, p); (ps, ss))";
         assert!(load(bouncer, Policy::strict()).is_err());
         assert!(load(bouncer, Policy::authenticated()).is_ok());
     }

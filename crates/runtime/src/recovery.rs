@@ -186,7 +186,7 @@ mod tests {
         // if the node's policy tightened while it was down, recovery
         // must refuse to reinstall and count a failure.
         let bouncer = "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
-                       (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))";
+                       (OnNeighbor(network, 10.0.0.2, p); (ps, ss))";
         let mut sim = Sim::new(11);
         let a = sim.add_host("a", addr(10, 0, 0, 1));
         let r = sim.add_router("r", addr(10, 0, 0, 254));

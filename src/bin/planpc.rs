@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! planpc check <file.planp> [--policy strict|no-delivery|authenticated]
-//!                           [--max-steps N] [--state] [--exhaustive]
+//!                           [--max-steps N] [--state]
 //!                           [--lint] [--json] [--witness-json]
 //! planpc fmt   <file.planp>        # pretty-print to stdout
 //! planpc info  <file.planp>        # channels, state types, line counts
@@ -15,11 +15,11 @@
 //! machine form; `check --max-steps N` adds a per-packet step budget to
 //! the policy; `check --state` additionally requires every table's
 //! growth to be statically bounded (rejecting unbounded state with
-//! `E009`); `check --exhaustive` runs the model-checking precision
-//! tier, and `check --witness-json` prints its counterexample witnesses
-//! as one byte-stable JSON array (implies `--exhaustive`). Exit status:
+//! `E009`); `check --witness-json` prints the model checker's
+//! counterexample witnesses as one byte-stable JSON array. Exit status:
 //! 0 on success/accepted, 1 on rejection or error — so `planpc check`
-//! works as a CI gate.
+//! works as a CI gate — and 2 on a `--flag` it does not know, so that a
+//! typo never runs a different check than the one asked for.
 
 use planp::analysis::{verify, Policy};
 use planp::lang::{self, count_lines};
@@ -28,11 +28,20 @@ use std::process::ExitCode;
 use std::rc::Rc;
 use std::time::Instant;
 
+const FLAGS: [&str; 6] = [
+    "--policy",
+    "--max-steps",
+    "--state",
+    "--lint",
+    "--json",
+    "--witness-json",
+];
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: planpc <check|fmt|info|bench|run> <file.planp> \
          [--policy strict|no-delivery|authenticated] [--max-steps N] \
-         [--state] [--exhaustive] [--lint] [--json] [--witness-json]"
+         [--state] [--lint] [--json] [--witness-json]"
     );
     ExitCode::FAILURE
 }
@@ -57,17 +66,17 @@ fn parse_policy(args: &[String]) -> Result<Policy, String> {
     if args.iter().any(|a| a == "--state") {
         policy = policy.with_bounded_state();
     }
-    if args
-        .iter()
-        .any(|a| a == "--exhaustive" || a == "--witness-json")
-    {
-        policy = policy.with_exhaustive_check();
-    }
     Ok(policy)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let known = |a: &&String| !a.starts_with("--") || FLAGS.contains(&a.as_str());
+    if let Some(flag) = args.iter().find(|a| !known(a)) {
+        eprintln!("planpc: unknown option {flag}");
+        usage();
+        return ExitCode::from(2);
+    }
     let (Some(cmd), Some(path)) = (args.first(), args.get(1)) else {
         return usage();
     };
@@ -100,12 +109,8 @@ fn main() -> ExitCode {
             let report = verify(&prog, policy);
             if args.iter().any(|a| a == "--witness-json") {
                 let mut out = String::from("[");
-                let witnesses = report
-                    .exhaustive
-                    .as_ref()
-                    .map(|mc| mc.witnesses.as_slice())
-                    .unwrap_or(&[]);
-                for (i, w) in witnesses.iter().enumerate() {
+                let witnesses = report.exhaustive.iter().flat_map(|mc| &mc.witnesses);
+                for (i, w) in witnesses.enumerate() {
                     if i > 0 {
                         out.push(',');
                     }

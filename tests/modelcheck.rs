@@ -1,10 +1,9 @@
-//! Integration tests for the explicit-state model checker: the
-//! two-tier verifier, witness determinism, and simulator replay of
+//! Integration tests for the explicit-state model checker: its
+//! precision, witness determinism, and simulator replay of
 //! counterexamples.
 
-use planp::analysis::modelcheck::{model_check, Verdict, DEFAULT_STATE_BUDGET};
+use planp::analysis::modelcheck::{model_check, Verdict};
 use planp::analysis::summary::summarize;
-use planp::analysis::termination::check_termination;
 use planp::analysis::{verify, Policy};
 use planp::runtime::replay_asp;
 
@@ -17,26 +16,23 @@ fn read_asp(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// The checked-in precision regression: the SCC screen rejects the
-/// destination-re-pinning relay, the exhaustive tier proves it. Both
-/// verdicts are pinned so neither tier silently changes.
+/// The checked-in precision regression: a destination-changing send
+/// sits on the relay → relay cycle, yet every hop re-pins the *same*
+/// server address. A checker that tracked only "the destination
+/// changed" would reject; tracking the value proves it, and the default
+/// download accepts.
 #[test]
-fn relay_pin_screen_rejects_exhaustive_proves() {
+fn default_download_accepts_relay_pin() {
     let src = read_asp("relay_pin.planp");
     let prog = planp::lang::compile_front(&src).expect("relay_pin compiles");
     let sum = summarize(&prog);
 
-    let screen = check_termination(&prog, &sum);
-    assert!(!screen.is_proved(), "the SCC screen must keep rejecting");
-
-    let mc = model_check(&prog, &sum, DEFAULT_STATE_BUDGET);
+    let mc = model_check(&prog, &sum);
     assert_eq!(mc.termination, Verdict::Proved);
     assert_eq!(mc.delivery, Verdict::Proved);
     assert!(mc.witnesses.is_empty());
 
-    // End to end through the two-tier verifier.
-    assert!(!verify(&prog, Policy::no_delivery()).accepted());
-    assert!(verify(&prog, Policy::no_delivery().with_exhaustive_check()).accepted());
+    assert!(verify(&prog, Policy::no_delivery()).accepted());
 }
 
 /// Witness JSON is byte-identical across two independent runs
@@ -53,7 +49,7 @@ fn witness_json_is_deterministic_across_runs() {
         let render = || {
             let prog = planp::lang::compile_front(&src).expect("buggy ASP compiles");
             let sum = summarize(&prog);
-            let mc = model_check(&prog, &sum, DEFAULT_STATE_BUDGET);
+            let mc = model_check(&prog, &sum);
             assert!(!mc.witnesses.is_empty(), "{name} must have witnesses");
             let mut out = String::new();
             mc.write_json(&src, &mut out);
@@ -77,7 +73,7 @@ fn buggy_asp_witnesses_replay_in_simulator() {
         let src = read_asp(name);
         let prog = planp::lang::compile_front(&src).expect("buggy ASP compiles");
         let sum = summarize(&prog);
-        let mc = model_check(&prog, &sum, DEFAULT_STATE_BUDGET);
+        let mc = model_check(&prog, &sum);
         let rep = replay_asp(&src).expect("buggy ASP replays");
         for w in &mc.witnesses {
             assert!(
@@ -105,7 +101,7 @@ fn reliable_relay_witness_is_abstract() {
     let src = read_asp("reliable_relay.planp");
     let prog = planp::lang::compile_front(&src).expect("reliable_relay compiles");
     let sum = summarize(&prog);
-    let mc = model_check(&prog, &sum, DEFAULT_STATE_BUDGET);
+    let mc = model_check(&prog, &sum);
     assert_eq!(mc.termination, Verdict::Violated);
     assert!(!mc.witnesses.is_empty());
 
@@ -124,41 +120,6 @@ fn reliable_relay_witness_is_abstract() {
         line.ends_with("witness=abstract"),
         "baseline must waive replay confirmation: {line}"
     );
-}
-
-/// Refinement, cross-validated: on every bundled ASP, a screen accept
-/// implies an exhaustive accept — the model checker never overturns an
-/// acceptance, only rejections.
-#[test]
-fn exhaustive_agrees_with_every_screen_accept() {
-    let mut checked = 0;
-    for entry in std::fs::read_dir(asp_dir()).expect("asps/ exists") {
-        let path = entry.unwrap().path();
-        if path.extension().and_then(|e| e.to_str()) != Some("planp") {
-            continue;
-        }
-        let src = std::fs::read_to_string(&path).unwrap();
-        let prog =
-            planp::lang::compile_front(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let sum = summarize(&prog);
-        let screen = check_termination(&prog, &sum);
-        let mc = model_check(&prog, &sum, DEFAULT_STATE_BUDGET);
-        assert!(
-            !mc.exhausted,
-            "{}: bundled ASPs fit the budget",
-            path.display()
-        );
-        if screen.is_proved() {
-            assert_eq!(
-                mc.termination,
-                Verdict::Proved,
-                "{}: screen accepted but the checker did not",
-                path.display()
-            );
-        }
-        checked += 1;
-    }
-    assert!(checked >= 13, "expected the bundled corpus, saw {checked}");
 }
 
 /// The baseline file in the repository matches what the checker

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use planp::analysis::Policy;
-use planp::apps::corpus::CORPUS;
+use planp::apps::corpus::{self, CORPUS};
 use planp::netsim::packet::{addr, Packet};
 use planp::netsim::{App, LinkSpec, NodeApi, Sim, SimTime};
 use planp::runtime::{install_planp, load, Engine, LayerConfig};
@@ -16,19 +16,13 @@ use std::rc::Rc;
 fn all_shipped_asps_load_and_verify() {
     for asp in CORPUS.iter().filter(|a| !a.buggy) {
         let name = asp.name;
-        let lp = load(asp.src, asp.policy.with_exhaustive_check())
-            .unwrap_or_else(|e| panic!("{name} failed to load: {e}"));
+        let lp = load(asp.src, asp.policy).unwrap_or_else(|e| panic!("{name} failed to load: {e}"));
         assert!(lp.report.accepted(), "{name} not accepted");
         assert!(lp.codegen.nodes > 5, "{name} produced too little code");
         if asp.policy.require_termination {
             assert!(lp.report.termination.is_proved(), "{name}: termination");
             assert!(lp.report.duplication.is_proved(), "{name}: duplication");
         }
-    }
-    // The five programs of the paper's figure 3 are real programs.
-    for (name, src, policy) in planp_bench::paper_programs() {
-        let lp = load(src, policy).expect("loads without the exhaustive tier");
-        assert!(lp.codegen.nodes > 20, "{name} produced too little code");
     }
 }
 
@@ -173,8 +167,7 @@ channel network(ps : unit, ss : unit, p : ip*udp*blob) is
 /// Rejected programs never reach the network.
 #[test]
 fn rejected_program_cannot_be_installed() {
-    let bouncer = "channel network(ps : unit, ss : unit, p : ip*udp*blob) is\n\
-                   (OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p)); (ps, ss))";
+    let bouncer = corpus::asp("bounce_pingpong").expect("in the corpus").src;
     assert!(load(bouncer, Policy::strict()).is_err());
     // …but an authenticated download is the operator's responsibility.
     assert!(load(bouncer, Policy::authenticated()).is_ok());
@@ -460,34 +453,27 @@ fn asp_bridge_equivalent_to_builtin_forwarding() {
 }
 
 /// The run-time backstop behind the static proof (§2.1): a verified
-/// program never needs the TTL safety net, while an authenticated
-/// bouncer ping-pongs until the TTL kills the packet — the network
-/// survives, the packet does not.
+/// program never needs the TTL safety net, while a pair of bouncers
+/// that only an authenticated plan could deploy ping-pongs until the TTL
+/// kills the packet — the network survives, the packet does not.
 #[test]
 fn ttl_backstop_catches_authenticated_bouncers() {
-    // Two routers, each redirecting every UDP packet at the *other*
-    // end's host: the packet ping-pongs between them forever — except
-    // for the TTL.
-    let to_b = "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
-                (OnRemote(network, (ipDestSet(#1 p, 10.0.1.1), #2 p, #3 p)); (ps + 1, ss))";
-    let to_a = "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
-                (OnRemote(network, (ipDestSet(#1 p, 10.0.0.1), #2 p, #3 p)); (ps + 1, ss))";
-    let img_b = load(to_b, Policy::authenticated()).expect("authenticated download");
-    let img_a = load(to_a, Policy::authenticated()).expect("authenticated download");
-    assert!(
-        !img_b.report.termination.is_proved(),
-        "correctly unprovable"
-    );
+    // Two routers, each re-pinning every transit packet at the host on
+    // the *other* side: alone each heads for one fixed address and
+    // proves; together they ping-pong the packet forever — except for
+    // the TTL — which only the plan-scope product check sees.
+    let pin_b = corpus::asp("bounce_a").expect("in the corpus").src;
+    let pin_a = corpus::asp("bounce_b").expect("in the corpus").src;
+    let img_b = load(pin_b, Policy::strict()).expect("proves alone");
+    let img_a = load(pin_a, Policy::strict()).expect("proves alone");
+    let plan = planp::apps::plans::load_bundled_plan("buggy_bounce").expect("the plan loads");
+    assert!(!plan.report.accepted(), "correctly unprovable as a pair");
+    assert!(plan.report.diagnostics.iter().any(|d| d.code == "E007"));
 
+    // ha (10.0.0.1) — r1 — r2 — hb (10.0.3.1), as the plan deploys it.
     let mut sim = Sim::new(2);
-    let a = sim.add_host("a", addr(10, 0, 0, 1));
-    let r1 = sim.add_router("r1", addr(10, 0, 0, 254));
-    let r2 = sim.add_router("r2", addr(10, 0, 2, 254));
-    let b = sim.add_host("b", addr(10, 0, 1, 1));
-    sim.add_link(LinkSpec::ethernet_10(), &[a, r1]);
-    sim.add_link(LinkSpec::ethernet_10(), &[r1, r2]);
-    sim.add_link(LinkSpec::ethernet_10(), &[r2, b]);
-    sim.compute_routes();
+    let ids = plan.topo.build(&mut sim);
+    let (a, r1, r2, b) = (ids[0], ids[1], ids[2], ids[3]);
     let h1 = install_planp(&mut sim, r1, &img_b, LayerConfig::default()).unwrap();
     let h2 = install_planp(&mut sim, r2, &img_a, LayerConfig::default()).unwrap();
 
@@ -496,7 +482,7 @@ fn ttl_backstop_catches_authenticated_bouncers() {
     sim.add_app(
         a,
         Box::new(Burst {
-            dst: addr(10, 0, 1, 1),
+            dst: addr(10, 0, 3, 1),
             n: 1,
         }),
     );
@@ -542,4 +528,25 @@ fn ttl_backstop_catches_authenticated_bouncers() {
         got.borrow()[0].ip.ttl > 60,
         "one hop consumed, TTL nearly full"
     );
+}
+
+/// `planpc` refuses a `--flag` it does not know (exit status 2, usage
+/// on stderr, nothing checked) instead of silently running a different
+/// check than the one asked for.
+#[test]
+fn planpc_rejects_unknown_flags() {
+    let forwarder = concat!(env!("CARGO_MANIFEST_DIR"), "/asps/forwarder.planp");
+    let planpc = |flag: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_planpc"))
+            .args(["check", forwarder, "--max-steps", "500", flag])
+            .output()
+            .expect("planpc runs")
+    };
+    let typo = planpc("--jsno");
+    assert_eq!(typo.status.code(), Some(2));
+    assert!(typo.stdout.is_empty(), "no check ran");
+    let stderr = String::from_utf8_lossy(&typo.stderr);
+    assert!(stderr.contains("unknown option --jsno"), "{stderr}");
+    assert!(stderr.contains("usage: planpc"), "{stderr}");
+    assert_eq!(planpc("--json").status.code(), Some(0));
 }

@@ -362,31 +362,34 @@ fn interp_equals_jit_stateful() {
 }
 
 /// The verifier never panics on generated programs *with sends*, and its
-/// easy implications hold: a program whose only sends keep the
-/// destination unchanged always proves termination; a program with a
-/// self-directed destination-changing send never does.
+/// easy implications hold: a program whose self-sends keep the
+/// destination, or re-assert one constant, always proves termination; a
+/// program that can alternate between two pinned constants never does.
 #[test]
 fn verifier_fuzz_with_sends() {
     for case in 0..96u64 {
         let mut rng = SplitMix64::new(0x5EED_5000 + case);
         let e = gen_int_expr(&mut rng, 4);
         let pattern = rng.next_below(4) as u8;
-        let send = match pattern {
-            0 => "OnRemote(network, p)",
-            1 => "OnRemote(network, (ipSrcSet(#1 p, 10.0.0.9), #2 p, #3 p))",
-            2 => "OnRemote(network, (ipDestSet(#1 p, 10.0.0.9), #2 p, #3 p))",
-            _ => "OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p))",
+        let pin = |host: &str| format!("OnRemote(network, (ipDestSet(#1 p, {host}), #2 p, #3 p))");
+        let keep = "OnRemote(network, p)".to_string();
+        let mask = "OnRemote(network, (ipSrcSet(#1 p, 10.0.0.9), #2 p, #3 p))".to_string();
+        let (then_send, else_send) = match pattern {
+            0 => (keep.clone(), keep),
+            1 => (mask.clone(), mask),
+            2 => (pin("10.0.0.9"), pin("10.0.0.9")),
+            _ => (pin("10.0.0.9"), pin("10.0.0.8")),
         };
         let src = format!(
             "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
-             (if (({e}) handle _ => 0) > 0 then {send} else {send}; (ps, ss))"
+             (if (({e}) handle _ => 0) > 0 then {then_send} else {else_send}; (ps, ss))"
         );
         let prog = planp::lang::compile_front(&src).expect("front end");
         let report = verify(&prog, Policy::strict());
-        let dest_preserving = pattern <= 1;
+        let one_destination = pattern <= 2;
         assert_eq!(
             report.termination.is_proved(),
-            dest_preserving,
+            one_destination,
             "pattern {pattern} gave {:?}",
             report.termination
         );
@@ -394,6 +397,44 @@ fn verifier_fuzz_with_sends() {
         assert!(report.duplication.is_proved(), "case {case}");
         assert!(report.stats.send_sites >= 2, "case {case}");
     }
+}
+
+/// A download sized to stress the explorer — 48 channels, each
+/// forwarding unchanged, pinning its own constant and rewriting the
+/// source toward seeded targets, so every (channel × constant ×
+/// source-intact) combination is reachable — verifies without a panic,
+/// well inside the state budget, and to the same graph on a second run.
+#[test]
+fn verifier_handles_a_hostile_state_space() {
+    const CHANNELS: u64 = 48;
+    let mut rng = SplitMix64::new(0x5EED_5800);
+    let mut src = String::new();
+    for i in 0..CHANNELS {
+        let mut target = || rng.next_below(CHANNELS);
+        let (keep, pin, mask) = (target(), target(), target());
+        src.push_str(&format!(
+            "channel c{i}(ps : int, ss : unit, p : ip*udp*blob) is\n\
+             if ps = 0 then (OnRemote(c{keep}, p); (ps, ss))\n\
+             else if ps = 1 then\n\
+             (OnRemote(c{pin}, (ipDestSet(#1 p, 10.9.0.{}), #2 p, #3 p)); (ps, ss))\n\
+             else (OnRemote(c{mask}, (ipSrcSet(#1 p, 10.0.0.9), #2 p, #3 p)); (ps, ss))\n",
+            i + 1
+        ));
+    }
+    let prog = planp::lang::compile_front(&src).expect("front end");
+    let explore = || {
+        let report = verify(&prog, Policy::strict());
+        let mc = report.exhaustive.expect("every download is model-checked");
+        assert!(!mc.exhausted, "{} states", mc.states);
+        // Two constants pinned in turn around a cycle: a real loop.
+        assert!(!report.termination.is_proved());
+        assert_eq!(mc.loop_witnesses().count(), 1);
+        (mc.states, mc.transitions)
+    };
+    let (states, transitions) = explore();
+    assert!(states >= 2_000, "only {states} states");
+    assert!(states < planp::analysis::DEFAULT_STATE_BUDGET);
+    assert_eq!((states, transitions), explore());
 }
 
 /// Payload codec round-trips for arbitrary scalar payloads.
