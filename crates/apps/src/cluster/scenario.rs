@@ -385,6 +385,10 @@ pub struct ClusterResult {
     pub flight: String,
     /// Final metrics snapshot (byte-stable for a given seed).
     pub snapshot: MetricsSnapshot,
+    /// How many of the snapshot's `sim.events_processed` were link
+    /// completions the simulator never queued ([`Sim::events_elided`]).
+    /// A cost figure, not behaviour: no report prints it.
+    pub events_elided: u64,
 }
 
 impl ClusterResult {
@@ -587,12 +591,14 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
         health_report: mon.render_report(),
         flight: sim.telemetry.flight.render_dumps(&sim.telemetry.nodes),
         snapshot: sim.metrics_snapshot(),
+        events_elided: sim.events_elided(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use planp_telemetry::Category;
 
     #[test]
     fn smoke_cluster_protects_admitted_work() {
@@ -645,5 +651,31 @@ mod tests {
         assert_eq!(a.brownout_log, b.brownout_log);
         assert_eq!(a.latency_p99_ns, b.latency_p99_ns);
         assert_eq!(a.flight, b.flight);
+    }
+
+    /// Where the simulator's saving comes from: with link tracing off a
+    /// third of the run's events are completions nothing waits behind,
+    /// and they never enter the event queue; with it on every completion
+    /// owes a `link_tx` event and none is elided. Same run either way.
+    #[test]
+    fn smoke_cluster_elides_a_third_of_its_events_unless_links_are_traced() {
+        let plain = run_cluster(&ClusterConfig::smoke());
+        let events = plain.snapshot.counters["sim.events_processed"];
+        assert!(
+            plain.events_elided * 10 > events * 3,
+            "{} of {events} events elided",
+            plain.events_elided
+        );
+        let traced = run_cluster(&ClusterConfig {
+            trace: TraceConfig {
+                categories: Category::LINK,
+                capacity: 1 << 20,
+                ..TraceConfig::default()
+            },
+            ..ClusterConfig::smoke()
+        });
+        assert_eq!(traced.events_elided, 0);
+        assert_eq!(traced.snapshot.counters["sim.events_processed"], events);
+        assert_eq!(traced.completed, plain.completed);
     }
 }

@@ -1,0 +1,325 @@
+//! The link datapath: a packet is handed to a link, waits in its queue,
+//! occupies the medium, and arrives at the far end.
+//!
+//! **One event per hop.** A transmission that nothing can observe
+//! completing — see [`Sim::start_tx`] for the conditions — pushes its
+//! `Arrive` when it starts and no `TxDone` at all. The link remembers
+//! the completion's key, and the bookkeeping the `TxDone` would have
+//! done is *settled* the next time anything can see it: compare that key
+//! with the key of the event being processed, and if the completion lies
+//! behind it, do the bookkeeping at the completion's own time. If a
+//! packet is queued behind a completion still ahead, the `TxDone` is
+//! *materialised* under the key it would always have had, to start the
+//! next transmission on time.
+//!
+//! The rule for any code that reads a link's `transmitting`, queue
+//! length, `tx_*` counters, measurement window or the hop-latency
+//! histogram: **settle the link first**.
+
+use crate::link::{Completion, LinkId, NodeId, Queued, Transmission};
+use crate::packet::Packet;
+use crate::sim::Sim;
+use crate::time::SimTime;
+use bytes::Bytes;
+use planp_telemetry::{Category, DropReason, TraceEvent};
+use std::time::Duration;
+
+impl Sim {
+    /// Hands `pkt` to the link: this is where a packet comes to rest in
+    /// the slab, unless the link is down or its queue is full.
+    pub(crate) fn enqueue_on_link(
+        &mut self,
+        link_id: LinkId,
+        from: NodeId,
+        next_hop: Option<NodeId>,
+        pkt: Packet,
+    ) {
+        let bytes = pkt.wire_size() as u32;
+        let pid = pkt.id;
+        let sampled = pkt.lineage.sampled;
+        if self.links[link_id.0].fault_down {
+            self.links[link_id.0].fault_drops += 1;
+            self.total_link_drops += 1;
+            self.fault_stats.link_down_drops += 1;
+            self.trace_node_drop(from, pid, sampled, DropReason::LinkFaultDown);
+            self.trace_fault("link_down_drop", Some(from), Some(link_id), pid);
+            return;
+        }
+        self.settle(link_id);
+        let now = self.now;
+        let link = &self.links[link_id.0];
+        let idle = link.transmitting.is_none();
+        let link_dropped = !idle && link.queue.len() >= link.spec.queue_pkts;
+        if link_dropped {
+            self.links[link_id.0].drops += 1;
+            self.total_link_drops += 1;
+        } else {
+            let q = Queued {
+                pkt: self.sched.packets.put(pkt),
+                bytes,
+                from,
+                next_hop,
+                enq_ns: now.as_nanos(),
+            };
+            if idle {
+                self.start_tx(link_id, q);
+            } else {
+                self.materialise(link_id);
+                self.links[link_id.0].queue.push_back(q);
+            }
+        }
+        let qlen = self.links[link_id.0].queue_len() as u64;
+        self.link_qdepth[link_id.0].observe(qlen);
+        if link_dropped {
+            if self.telemetry.trace.wants_pkt(Category::DROP, sampled) {
+                self.telemetry.trace.push(TraceEvent::LinkDrop {
+                    t_ns: now.as_nanos(),
+                    link: link_id.0 as u32,
+                    from: from.0 as u32,
+                    pkt: pid,
+                });
+            }
+        } else if self.telemetry.trace.wants_pkt(Category::LINK, sampled) {
+            self.telemetry.trace.push(TraceEvent::LinkEnqueue {
+                t_ns: now.as_nanos(),
+                link: link_id.0 as u32,
+                from: from.0 as u32,
+                pkt: pid,
+                bytes,
+                qlen: qlen as u32,
+            });
+        }
+    }
+
+    /// Puts `q` on the idle medium of `link_id`, now. The completion is
+    /// elided when nothing can tell, which is decided here from state the
+    /// simulator already holds: an addressed packet on a two-node link
+    /// with nothing queued behind it; no impairment on the link and no
+    /// partition (the receiver-side fault pipeline would do nothing); no
+    /// `LinkTx` event to emit at the completion time; and a completion
+    /// that falls within the running `run_until` and strictly before the
+    /// next scheduled fault, so none of that can change while it is in
+    /// flight, and strictly before the health monitor's next boundary,
+    /// so the first event past a boundary — the one the monitor
+    /// evaluates after — is always a queued one.
+    fn start_tx(&mut self, link_id: LinkId, q: Queued) {
+        let seq = self.sched.draw_tx();
+        let link = &mut self.links[link_id.0];
+        let dur = link.tx_time(q.bytes as usize);
+        let done_at = self.now + dur;
+        // Cheapest tests first; `start_tx`'s doc gives the reasons.
+        let to = q.next_hop.filter(|_| {
+            !dur.is_zero()
+                && !self.telemetry.trace.wants(Category::LINK)
+                && done_at <= self.horizon
+                && !link.is_segment()
+                && link.queue.is_empty()
+                && self.partition.is_empty()
+                && link.faults.is_clean()
+                && done_at < self.sched.next_fault_at()
+                && (self.monitor.as_ref()).is_none_or(|m| done_at.as_nanos() < m.next_ns())
+        });
+        let mut tx = Transmission {
+            q,
+            done_at,
+            seq,
+            completion: Completion::Queued,
+        };
+        match to {
+            Some(to) => {
+                tx.completion = Completion::Elided;
+                let at = done_at + link.spec.delay;
+                self.sched
+                    .arrive(at, Some(seq + 1), to, q.pkt, Some(link_id), false);
+            }
+            None => self.sched.tx_done(done_at, seq, link_id),
+        }
+        link.transmitting = Some(tx);
+    }
+
+    /// What every completion does, queued or not, at its own time `at`:
+    /// frees the medium and accounts the transmission.
+    fn finish_tx(&mut self, link_id: LinkId, at: SimTime) -> Transmission {
+        let link = &mut self.links[link_id.0];
+        let tx = link
+            .transmitting
+            .take()
+            .expect("completion without transmission");
+        link.account(at, tx.q.bytes as usize);
+        self.hop_latency
+            .observe(at.as_nanos().saturating_sub(tx.q.enq_ns));
+        tx
+    }
+
+    /// Settles `link_id`'s elided completion if it lies behind the event
+    /// being processed, i.e. if its `TxDone` would have fired by now.
+    pub(crate) fn settle(&mut self, link_id: LinkId) {
+        let Some(tx) = &self.links[link_id.0].transmitting else {
+            return;
+        };
+        if tx.completion != Completion::Elided || (tx.done_at, tx.seq) >= (self.now, self.now_seq) {
+            return;
+        }
+        let at = tx.done_at;
+        self.finish_tx(link_id, at);
+        self.events_processed += 1;
+        self.events_elided += 1;
+    }
+
+    /// Queues the `TxDone` of an elided completion still ahead, under
+    /// the key it drew when the transmission started.
+    fn materialise(&mut self, link_id: LinkId) {
+        if let Some(tx) = &mut self.links[link_id.0].transmitting {
+            if tx.completion == Completion::Elided {
+                tx.completion = Completion::Materialised;
+                self.sched.tx_done(tx.done_at, tx.seq, link_id);
+            }
+        }
+    }
+
+    /// Leaves no completion elided on any link: those behind the event
+    /// being processed are settled, those ahead materialised. Run before
+    /// anything reads link state wholesale (the health monitor, the end
+    /// of a run).
+    pub(crate) fn settle_all(&mut self) {
+        for i in 0..self.links.len() {
+            self.settle(LinkId(i));
+            self.materialise(LinkId(i));
+        }
+    }
+
+    pub(crate) fn tx_done(&mut self, link_id: LinkId) {
+        let now = self.now;
+        let tx = self.finish_tx(link_id, now);
+        let q = tx.q;
+        // Start the next queued transmission.
+        if let Some(next) = self.links[link_id.0].queue.pop_front() {
+            self.start_tx(link_id, next);
+        }
+        if tx.completion == Completion::Materialised {
+            // The arrival was scheduled when the transmission started.
+            return;
+        }
+        if self.telemetry.trace.wants(Category::LINK) {
+            let pkt = self.sched.packets.get(q.pkt);
+            let (pid, sampled) = (pkt.id, pkt.lineage.sampled);
+            if self.telemetry.trace.wants_pkt(Category::LINK, sampled) {
+                self.telemetry.trace.push(TraceEvent::LinkTx {
+                    t_ns: now.as_nanos(),
+                    link: link_id.0 as u32,
+                    from: q.from.0 as u32,
+                    pkt: pid,
+                    bytes: q.bytes,
+                });
+            }
+        }
+        let link = &self.links[link_id.0];
+        match q.next_hop {
+            // Point-to-point: the handle goes to the addressed node,
+            // under the transmission's arrival number.
+            Some(nh) if !link.is_segment() => {
+                self.deliver_copy(link_id, &q, nh, false, true, Some(tx.seq + 1))
+            }
+            // Otherwise every other attached node gets it, in
+            // attachment order: on a segment all but the addressed one
+            // overhear; a broadcast (multicast, no `next_hop`) is
+            // received for real by all, subscription filtering happens
+            // at arrival. The last receiver gets the handle, the ones
+            // before it a clone.
+            next_hop => {
+                let Some(last) = link.nodes.iter().rposition(|&n| n != q.from) else {
+                    self.sched.packets.take(q.pkt);
+                    return;
+                };
+                for i in 0..=last {
+                    let n = self.links[link_id.0].nodes[i];
+                    if n != q.from {
+                        let overheard = next_hop.is_some_and(|nh| n != nh);
+                        self.deliver_copy(link_id, &q, n, overheard, i == last, None);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Schedules the arrival at `to` of the packet `q` just put on the
+    /// wire — the handle itself when `to` is the `last` receiver, a
+    /// clone otherwise — after the receiver-side fault pipeline. `seq`
+    /// keys the arrival (see `Scheduler::arrive`); a fault duplicate
+    /// always sorts by push order.
+    fn deliver_copy(
+        &mut self,
+        link_id: LinkId,
+        q: &Queued,
+        to: NodeId,
+        overheard: bool,
+        last: bool,
+        seq: Option<u64>,
+    ) {
+        let mut at = self.now + self.links[link_id.0].spec.delay;
+        let mut corrupt_at = None;
+        let mut dup = false;
+        // Receiver-side fault pipeline, fixed order: partition →
+        // loss → corruption → duplication → jitter. Skipped entirely
+        // (no rng draws) until faults are configured.
+        if self.faults_enabled {
+            let faults = self.links[link_id.0].faults;
+            let pkt = self.sched.packets.get(q.pkt);
+            let (pid, sampled, len) = (pkt.id, pkt.lineage.sampled, pkt.payload.len());
+            let lost = if self.partition_blocks(q.from, to) {
+                self.fault_stats.partition_drops += 1;
+                Some((DropReason::Partitioned, "partition"))
+            } else if faults.loss > 0.0 && self.fault_rng.next_f64() < faults.loss {
+                self.fault_stats.loss_drops += 1;
+                Some((DropReason::FaultLoss, "loss"))
+            } else {
+                None
+            };
+            if let Some((reason, kind)) = lost {
+                if last {
+                    self.sched.packets.take(q.pkt);
+                }
+                self.fault_copy_drop(link_id, to, pid, sampled, reason, kind);
+                return;
+            }
+            if !faults.is_clean() {
+                if faults.corrupt > 0.0 && self.fault_rng.next_f64() < faults.corrupt && len > 0 {
+                    corrupt_at = Some(self.fault_rng.next_below(len as u64) as usize);
+                    self.fault_stats.corrupted += 1;
+                    self.trace_fault("corrupt", Some(to), Some(link_id), pid);
+                }
+                if faults.duplicate > 0.0 && self.fault_rng.next_f64() < faults.duplicate {
+                    dup = true;
+                    self.fault_stats.duplicated += 1;
+                    self.trace_fault("duplicate", Some(to), Some(link_id), pid);
+                }
+                if faults.jitter_ms > 0.0 {
+                    let ms = self.fault_rng.next_exp(faults.jitter_ms);
+                    at += Duration::from_nanos((ms * 1e6) as u64);
+                    self.fault_stats.jittered += 1;
+                }
+            }
+        }
+        let slab = &mut self.sched.packets;
+        let pkt = if last {
+            q.pkt
+        } else {
+            let copy = slab.get(q.pkt).clone();
+            slab.put(copy)
+        };
+        if let Some(i) = corrupt_at {
+            let p = slab.get_mut(pkt);
+            let mut bytes = p.payload.to_vec();
+            bytes[i] ^= 0xFF;
+            p.payload = Bytes::from(bytes);
+        }
+        if dup {
+            let copy = slab.get(pkt).clone();
+            let copy = slab.put(copy);
+            self.sched
+                .arrive(at, None, to, copy, Some(link_id), overheard);
+        }
+        self.sched
+            .arrive(at, seq, to, pkt, Some(link_id), overheard);
+    }
+}

@@ -13,7 +13,8 @@
 //! * [`sim::Sim`] — the event engine: topology building, BFS routing,
 //!   multicast groups/routes, deterministic execution from a seed
 //!   (its event queue and the slab packets rest in between nodes live
-//!   in the private `sched` module);
+//!   in the private `sched` module, the link datapath — one event per
+//!   hop — in `datapath`);
 //! * [`node::App`] — local applications (servers, clients, load
 //!   generators) driven by packet and timer callbacks;
 //! * [`node::PacketHook`] — the extension point at the IP layer where
@@ -53,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+mod datapath;
 pub mod fault;
 pub mod link;
 pub mod node;

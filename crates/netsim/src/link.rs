@@ -75,6 +75,31 @@ pub(crate) struct Queued {
 
 const _: () = assert!(std::mem::size_of::<Queued>() <= 40);
 
+/// The packet on the medium and the key `(done_at, seq)` of its
+/// completion, drawn when the transmission started; its arrival on a
+/// point-to-point link is keyed `seq + 1`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Transmission {
+    pub q: Queued,
+    pub done_at: SimTime,
+    pub seq: u64,
+    pub completion: Completion,
+}
+
+/// Where a transmission's completion stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Completion {
+    /// A `TxDone` is queued and will schedule the arrival.
+    Queued,
+    /// No event: the arrival was scheduled at the start, and the
+    /// bookkeeping waits for `Sim::settle`. `q.pkt` belongs to that
+    /// arrival and must not be read.
+    Elided,
+    /// Elided, then queued as a `TxDone` after all because a packet
+    /// waits behind it: it must not schedule the arrival again.
+    Materialised,
+}
+
 /// Throughput measurement window.
 const WINDOW: Duration = Duration::from_millis(500);
 
@@ -86,7 +111,7 @@ pub struct Link {
     /// Attached nodes.
     pub nodes: Vec<NodeId>,
     pub(crate) queue: VecDeque<Queued>,
-    pub(crate) transmitting: Option<Queued>,
+    pub(crate) transmitting: Option<Transmission>,
     /// True while fault injection has flapped the link down: packets
     /// offered to it are dropped at enqueue.
     pub(crate) fault_down: bool,

@@ -11,13 +11,23 @@
 //! [`PacketSlab::take`] (to process or drop the packet) or by handing
 //! the handle on; [`PacketSlab::live`] counts the slots still owned.
 //! Slot numbers never reach a trace, a metric or an ordering decision:
-//! events pop by `(at, seq)` alone, with `seq` assigned at push.
+//! events pop by `(at, seq)` alone.
+//!
+//! Events at equal times fire in the order they were *caused*. For
+//! every event but two that is the order they were pushed in: `seq` is
+//! drawn at push. A transmission instead draws two consecutive numbers
+//! when it *starts* ([`Scheduler::draw_tx`]): the first keys its
+//! completion, the second the arrival on a point-to-point link — an
+//! arrival is caused when its transmission starts. That is what lets
+//! the datapath push the `Arrive` at the start and keep the `TxDone`
+//! out of the heap (see `datapath`): whether or not the completion was
+//! ever queued, both events have the keys they would have had.
 
 use crate::fault::FaultAction;
 use crate::link::{LinkId, NodeId};
 use crate::packet::Packet;
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Handle to a packet at rest in the [`PacketSlab`].
@@ -79,12 +89,14 @@ impl PacketSlab {
 #[derive(Debug)]
 pub(crate) struct Ev {
     pub(crate) at: SimTime,
-    seq: u64,
+    pub(crate) seq: u64,
     pub(crate) kind: EvKind,
 }
 
 // A fat event is what this module exists to prevent: every heap sift
-// level moves one `Ev`.
+// level moves one `Ev` and compares two fields. A three-part key (`at`,
+// completion time, `seq`) follows the old push order in more
+// coincidences, but its 48-byte event measured -6.8% on `http_gateway`.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 40);
 
 #[derive(Debug)]
@@ -141,6 +153,8 @@ impl Ord for Ev {
 pub(crate) struct Scheduler {
     queue: BinaryHeap<Ev>,
     seq: u64,
+    /// Times of the `Fault` events still queued, earliest first.
+    fault_times: BinaryHeap<Reverse<SimTime>>,
     pub(crate) packets: PacketSlab,
 }
 
@@ -153,31 +167,47 @@ impl Scheduler {
         self.queue.push(Ev { at, seq, kind });
     }
 
-    /// `pkt` reaches `node` over `via` (`None` for a self-send).
+    /// The two numbers of a transmission starting now: the one
+    /// returned keys its completion, the next one its point-to-point
+    /// arrival.
+    pub(crate) fn draw_tx(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 2;
+        seq
+    }
+
+    /// `pkt` reaches `node` over `via` (`None` for a self-send). `seq`
+    /// is the arrival number of the transmission that carried it over a
+    /// point-to-point link; anything else sorts by push order.
     pub(crate) fn arrive(
         &mut self,
         at: SimTime,
+        seq: Option<u64>,
         node: NodeId,
         pkt: PktRef,
         via: Option<LinkId>,
         overheard: bool,
     ) {
         let (node, via) = (node.0 as u32, via.map(|l| l.0 as u32));
-        self.push(
-            at,
-            EvKind::Arrive {
-                node,
-                pkt,
-                via,
-                overheard,
-            },
-        );
+        let kind = EvKind::Arrive {
+            node,
+            pkt,
+            via,
+            overheard,
+        };
+        match seq {
+            Some(seq) => self.queue.push(Ev { at, seq, kind }),
+            None => self.push(at, kind),
+        }
     }
 
-    /// The transmission occupying `link` completes.
-    pub(crate) fn tx_done(&mut self, at: SimTime, link: LinkId) {
-        let link = link.0 as u32;
-        self.push(at, EvKind::TxDone { link });
+    /// The transmission occupying `link` completes; `seq` is the number
+    /// it drew when it started.
+    pub(crate) fn tx_done(&mut self, at: SimTime, seq: u64, link: LinkId) {
+        let kind = EvKind::TxDone {
+            link: link.0 as u32,
+        };
+        self.queue.push(Ev { at, seq, kind });
     }
 
     /// An application timer fires.
@@ -200,7 +230,15 @@ impl Scheduler {
 
     /// A fault-plan action takes effect.
     pub(crate) fn fault(&mut self, at: SimTime, action: FaultAction) {
+        self.fault_times.push(Reverse(at));
         self.push(at, EvKind::Fault(Box::new(action)));
+    }
+
+    /// When the earliest `Fault` still queued fires (never, if none).
+    pub(crate) fn next_fault_at(&self) -> SimTime {
+        self.fault_times
+            .peek()
+            .map_or(SimTime(u64::MAX), |&Reverse(at)| at)
     }
 
     /// Pops the earliest event if it is due at or before `t`.
@@ -210,6 +248,12 @@ impl Scheduler {
         }
         self.queue.pop()
     }
+
+    /// The `Fault` event just popped is off the queue. Faults fire in
+    /// time order, so it was the earliest.
+    pub(crate) fn fault_fired(&mut self) {
+        self.fault_times.pop();
+    }
 }
 
 #[cfg(test)]
@@ -218,21 +262,42 @@ mod tests {
     use bytes::Bytes;
 
     #[test]
-    fn equal_times_pop_in_push_order_and_freed_slots_are_reused() {
+    fn equal_times_pop_in_causal_order_and_freed_slots_are_reused() {
         let mut s = Scheduler::default();
         let t = SimTime::from_ms(5);
-        for link in [3, 1, 2] {
-            s.tx_done(t, LinkId(link));
+        // A transmission starts: two numbers, completion then arrival.
+        let tx = s.draw_tx();
+        for key in [3, 1, 2] {
+            s.hook_timer(t, NodeId(0), key);
         }
-        s.tx_done(SimTime::from_ms(1), LinkId(9));
+        assert_eq!(s.draw_tx(), tx + 5, "two draws per transmission");
+        // Pushed last, but keyed by when the transmission started: both
+        // sort ahead of the timers, whichever is pushed first.
+        s.arrive(t, Some(tx + 1), NodeId(7), PktRef(0), None, false);
+        s.tx_done(t, tx, LinkId(8));
+        s.hook_timer(SimTime::from_ms(1), NodeId(0), 9);
         assert!(s.pop_due(SimTime::ZERO).is_none());
-        let order: Vec<u32> = std::iter::from_fn(|| s.pop_due(t))
+        let order: Vec<u64> = std::iter::from_fn(|| s.pop_due(t))
             .map(|ev| match ev.kind {
-                EvKind::TxDone { link } => link,
+                EvKind::HookTimer { key, .. } => key,
+                EvKind::TxDone { link } => u64::from(link),
+                EvKind::Arrive { node, .. } => u64::from(node),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(order, [9, 3, 1, 2]);
+        assert_eq!(order, [9, 8, 7, 3, 1, 2]);
+
+        // The earliest pending fault is known until it fires.
+        assert_eq!(s.next_fault_at(), SimTime(u64::MAX));
+        s.fault(SimTime::from_ms(9), FaultAction::HealPartition);
+        s.fault(SimTime::from_ms(7), FaultAction::HealPartition);
+        assert_eq!(s.next_fault_at(), SimTime::from_ms(7));
+        assert!(s.pop_due(SimTime::from_ms(8)).is_some());
+        s.fault_fired();
+        assert_eq!(s.next_fault_at(), SimTime::from_ms(9));
+        assert!(s.pop_due(SimTime::from_ms(9)).is_some());
+        s.fault_fired();
+        assert_eq!(s.next_fault_at(), SimTime(u64::MAX));
 
         let pkt = |port| Packet::udp(1, 2, port, 0, Bytes::new());
         let slab = &mut s.packets;

@@ -4,14 +4,13 @@
 //! all randomness flows from the seed given to [`Sim::new`].
 
 use crate::fault::{FaultAction, FaultPlan, FaultStats, LinkFaults};
-use crate::link::{Link, LinkId, LinkSpec, NodeId, Queued};
+use crate::link::{Link, LinkId, LinkSpec, NodeId};
 use crate::node::{App, ArrivalMeta, HookVerdict, Node, PacketHook};
 use crate::packet::Packet;
 use crate::rng::SplitMix64;
 use crate::sched::{EvKind, PktRef, Scheduler};
 use crate::stats::SeriesStore;
 use crate::time::SimTime;
-use bytes::Bytes;
 use planp_telemetry::{
     BrownoutController, Category, DispatchOutcome, DropReason, FlightEvent, FlightKind,
     HealthMonitor, Histogram, MetricsSnapshot, ShardedCounterSet, Telemetry, TraceEvent,
@@ -22,9 +21,13 @@ use std::time::Duration;
 
 /// The simulator: nodes, links, the event queue, and measurement series.
 pub struct Sim {
-    now: SimTime,
+    pub(crate) now: SimTime,
+    /// Where the running `run_until` / `run_to_idle` stops. A
+    /// completion is elided only if it falls at or before it, so none
+    /// is in flight while a caller can change faults or tracing.
+    pub(crate) horizon: SimTime,
     /// The event queue and the packets its events refer to.
-    sched: Scheduler,
+    pub(crate) sched: Scheduler,
     pub(crate) nodes: Vec<Node>,
     pub(crate) links: Vec<Link>,
     addr_map: HashMap<u32, NodeId>,
@@ -42,27 +45,37 @@ pub struct Sim {
     pub telemetry: Telemetry,
     /// Last assigned packet id (ids start at 1; 0 = unassigned).
     next_pkt_id: u64,
-    /// Events popped from the queue so far.
-    events_processed: u64,
+    /// Sequence number of the event being processed; `(now, now_seq)`
+    /// is the key an elided completion is compared against. `u64::MAX`
+    /// once `run_until` has fired every event at `now`. Declared apart
+    /// from `now` on purpose: side by side, the run loop copies both
+    /// with one 16-byte load across the two 8-byte stores that wrote
+    /// them, which cannot be store-forwarded — a stall per event.
+    pub(crate) now_seq: u64,
+    /// Logical events so far: those popped from the queue plus the
+    /// elided completions settled.
+    pub(crate) events_processed: u64,
+    /// Of `events_processed`, the completions that were never queued.
+    pub(crate) events_elided: u64,
     /// Per-link queue-depth samples (indexed like `links`), taken at
     /// every enqueue. Kept out of the registry so the hot path never
     /// formats a metric name.
-    link_qdepth: Vec<Histogram>,
+    pub(crate) link_qdepth: Vec<Histogram>,
     /// Dedicated randomness stream for fault injection, so configuring
     /// faults never perturbs node or workload randomness.
-    fault_rng: SplitMix64,
+    pub(crate) fault_rng: SplitMix64,
     /// Active partition: group id per node (`None` = unrestricted).
     /// Empty when no partition is in force.
-    partition: Vec<Option<u32>>,
+    pub(crate) partition: Vec<Option<u32>>,
     /// True once any fault has been configured; clean runs skip the
     /// per-copy fault pipeline (and its rng) entirely.
-    faults_enabled: bool,
+    pub(crate) faults_enabled: bool,
     /// Aggregate fault-injection counters.
     pub fault_stats: FaultStats,
     /// Hop latency (link enqueue → transmit complete) in nanoseconds,
     /// across every link. Kept out of the registry so the hot path
     /// never formats a metric name; exported as `sim.hop_latency_ns`.
-    hop_latency: Histogram,
+    pub(crate) hop_latency: Histogram,
     /// Live SLO monitor, evaluated at its sim-time boundaries inside
     /// `run_until` / `run_to_idle`. `None` (the default) costs one
     /// branch per event.
@@ -87,6 +100,7 @@ impl Sim {
     pub fn new(seed: u64) -> Self {
         Sim {
             now: SimTime::ZERO,
+            horizon: SimTime::ZERO,
             sched: Scheduler::default(),
             nodes: Vec::new(),
             links: Vec::new(),
@@ -98,7 +112,9 @@ impl Sim {
             total_node_drops: 0,
             telemetry: Telemetry::default(),
             next_pkt_id: 0,
+            now_seq: u64::MAX,
             events_processed: 0,
+            events_elided: 0,
             link_qdepth: Vec::new(),
             fault_rng: SplitMix64::new(seed ^ 0xFA01_7000_0000_0000),
             partition: Vec::new(),
@@ -153,7 +169,13 @@ impl Sim {
     }
 
     #[inline]
-    fn trace_node_drop(&mut self, node: NodeId, pkt: u64, sampled: bool, reason: DropReason) {
+    pub(crate) fn trace_node_drop(
+        &mut self,
+        node: NodeId,
+        pkt: u64,
+        sampled: bool,
+        reason: DropReason,
+    ) {
         // The flight recorder is always on: a drop lands in the node's
         // post-mortem ring even when tracing is off or sampled out.
         self.telemetry.flight.record(
@@ -402,13 +424,15 @@ impl Sim {
 
     /// Runs until simulated time `t` (events at exactly `t` included).
     pub fn run_until(&mut self, t: SimTime) {
+        self.horizon = t;
         self.ensure_started();
         while let Some(ev) = self.sched.pop_due(t) {
-            self.now = ev.at;
+            (self.now, self.now_seq) = (ev.at, ev.seq);
             self.process(ev.kind);
             self.monitor_tick();
         }
-        self.now = self.now.max(t);
+        (self.now, self.now_seq) = (self.now.max(t), u64::MAX);
+        self.settle_all();
         self.monitor_tick();
     }
 
@@ -419,20 +443,27 @@ impl Sim {
     }
 
     /// Drains every remaining event (use with care — load generators that
-    /// re-arm forever will never drain).
+    /// re-arm forever will never drain) and returns how many it ran. The
+    /// count is logical, like `sim.events_processed`: a completion that
+    /// was never queued is counted when it is settled, so a run stopped
+    /// by `max_events` may overshoot it by the completions its last
+    /// event settled, and a transmission then in flight has its arrival
+    /// scheduled already: faults set before the next call miss it.
     pub fn run_to_idle(&mut self, max_events: u64) -> u64 {
+        self.horizon = SimTime(u64::MAX);
         self.ensure_started();
-        let mut n = 0;
-        while n < max_events {
+        let start = self.events_processed;
+        while self.events_processed - start < max_events {
             let Some(ev) = self.sched.pop_due(SimTime(u64::MAX)) else {
                 break;
             };
-            self.now = ev.at;
+            (self.now, self.now_seq) = (ev.at, ev.seq);
             self.process(ev.kind);
             self.monitor_tick();
-            n += 1;
         }
-        n
+        self.horizon = self.now;
+        self.settle_all();
+        self.events_processed - start
     }
 
     /// Packets at rest between nodes right now: queued on a link, being
@@ -440,6 +471,13 @@ impl Sim {
     /// CPU. Zero once the simulation has drained.
     pub fn packets_at_rest(&self) -> usize {
         self.sched.packets.live()
+    }
+
+    /// How many of `sim.events_processed` were transmission completions
+    /// that never entered the event queue (see `datapath`). A cost
+    /// figure, not behaviour: no key of [`Sim::metrics_snapshot`].
+    pub fn events_elided(&self) -> u64 {
+        self.events_elided
     }
 
     /// Evaluates the health monitor at every boundary `now` has
@@ -457,6 +495,7 @@ impl Sim {
         let Some(mut mon) = self.monitor.take() else {
             return;
         };
+        self.settle_all();
         while mon.due(self.now.as_nanos()) {
             let snap = self.metrics_snapshot();
             let mut qdepth = Histogram::new();
@@ -554,7 +593,10 @@ impl Sim {
             ),
             EvKind::CpuDone { node, epoch } => self.cpu_done(NodeId(node as usize), epoch),
             EvKind::TxDone { link } => self.tx_done(LinkId(link as usize)),
-            EvKind::Fault(action) => self.apply_fault_action(*action),
+            EvKind::Fault(action) => {
+                self.sched.fault_fired();
+                self.apply_fault_action(*action)
+            }
             EvKind::HookTimer { node, key } => {
                 let node = NodeId(node as usize);
                 if self.nodes[node.0].down {
@@ -846,7 +888,7 @@ impl Sim {
         if pkt.ip.dst == self.nodes[node.0].addr {
             // Self-send: loop back locally.
             let pkt = self.sched.packets.put(pkt);
-            self.sched.arrive(self.now, node, pkt, None, false);
+            self.sched.arrive(self.now, None, node, pkt, None, false);
             return;
         }
         match self.nodes[node.0].routes.get(&pkt.ip.dst).copied() {
@@ -879,212 +921,16 @@ impl Sim {
             .find(|l| self.links[l.0].nodes.contains(&b))
     }
 
-    /// Hands `pkt` to the link: this is where a packet comes to rest in
-    /// the slab, unless the link is down or its queue is full.
-    fn enqueue_on_link(
-        &mut self,
-        link_id: LinkId,
-        from: NodeId,
-        next_hop: Option<NodeId>,
-        pkt: Packet,
-    ) {
-        let bytes = pkt.wire_size() as u32;
-        let pid = pkt.id;
-        let sampled = pkt.lineage.sampled;
-        if self.links[link_id.0].fault_down {
-            self.links[link_id.0].fault_drops += 1;
-            self.total_link_drops += 1;
-            self.fault_stats.link_down_drops += 1;
-            self.trace_node_drop(from, pid, sampled, DropReason::LinkFaultDown);
-            self.trace_fault("link_down_drop", Some(from), Some(link_id), pid);
-            return;
-        }
-        let now = self.now;
-        let link = &mut self.links[link_id.0];
-        let idle = link.transmitting.is_none();
-        let link_dropped = !idle && link.queue.len() >= link.spec.queue_pkts;
-        if link_dropped {
-            link.drops += 1;
-            self.total_link_drops += 1;
-        } else {
-            let q = Queued {
-                pkt: self.sched.packets.put(pkt),
-                bytes,
-                from,
-                next_hop,
-                enq_ns: now.as_nanos(),
-            };
-            if idle {
-                link.transmitting = Some(q);
-                let dur = link.tx_time(bytes as usize);
-                self.sched.tx_done(now + dur, link_id);
-            } else {
-                link.queue.push_back(q);
-            }
-        }
-        let qlen = self.links[link_id.0].queue_len() as u64;
-        self.link_qdepth[link_id.0].observe(qlen);
-        if link_dropped {
-            if self.telemetry.trace.wants_pkt(Category::DROP, sampled) {
-                self.telemetry.trace.push(TraceEvent::LinkDrop {
-                    t_ns: now.as_nanos(),
-                    link: link_id.0 as u32,
-                    from: from.0 as u32,
-                    pkt: pid,
-                });
-            }
-        } else if self.telemetry.trace.wants_pkt(Category::LINK, sampled) {
-            self.telemetry.trace.push(TraceEvent::LinkEnqueue {
-                t_ns: now.as_nanos(),
-                link: link_id.0 as u32,
-                from: from.0 as u32,
-                pkt: pid,
-                bytes,
-                qlen: qlen as u32,
-            });
-        }
-    }
-
-    fn tx_done(&mut self, link_id: LinkId) {
-        let now = self.now;
-        let link = &mut self.links[link_id.0];
-        let q = link
-            .transmitting
-            .take()
-            .expect("TxDone without transmission");
-        link.account(now, q.bytes as usize);
-        self.hop_latency
-            .observe(now.as_nanos().saturating_sub(q.enq_ns));
-        // Start the next queued transmission.
-        if let Some(next) = link.queue.pop_front() {
-            link.transmitting = Some(next);
-            let dur = link.tx_time(next.bytes as usize);
-            self.sched.tx_done(now + dur, link_id);
-        }
-        if self.telemetry.trace.wants(Category::LINK) {
-            let pkt = self.sched.packets.get(q.pkt);
-            let (pid, sampled) = (pkt.id, pkt.lineage.sampled);
-            if self.telemetry.trace.wants_pkt(Category::LINK, sampled) {
-                self.telemetry.trace.push(TraceEvent::LinkTx {
-                    t_ns: now.as_nanos(),
-                    link: link_id.0 as u32,
-                    from: q.from.0 as u32,
-                    pkt: pid,
-                    bytes: q.bytes,
-                });
-            }
-        }
-        let link = &self.links[link_id.0];
-        match q.next_hop {
-            // Point-to-point: the handle goes to the addressed node.
-            Some(nh) if !link.is_segment() => self.deliver_copy(link_id, &q, nh, false, true),
-            // Otherwise every other attached node gets it, in
-            // attachment order: on a segment all but the addressed one
-            // overhear; a broadcast (multicast, no `next_hop`) is
-            // received for real by all, subscription filtering happens
-            // at arrival. The last receiver gets the handle, the ones
-            // before it a clone.
-            next_hop => {
-                let Some(last) = link.nodes.iter().rposition(|&n| n != q.from) else {
-                    self.sched.packets.take(q.pkt);
-                    return;
-                };
-                for i in 0..=last {
-                    let n = self.links[link_id.0].nodes[i];
-                    if n != q.from {
-                        let overheard = next_hop.is_some_and(|nh| n != nh);
-                        self.deliver_copy(link_id, &q, n, overheard, i == last);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Schedules the arrival at `to` of the packet `q` just put on the
-    /// wire — the handle itself when `to` is the `last` receiver, a
-    /// clone otherwise — after the receiver-side fault pipeline.
-    fn deliver_copy(
-        &mut self,
-        link_id: LinkId,
-        q: &Queued,
-        to: NodeId,
-        overheard: bool,
-        last: bool,
-    ) {
-        let mut at = self.now + self.links[link_id.0].spec.delay;
-        let mut corrupt_at = None;
-        let mut dup = false;
-        // Receiver-side fault pipeline, fixed order: partition →
-        // loss → corruption → duplication → jitter. Skipped entirely
-        // (no rng draws) until faults are configured.
-        if self.faults_enabled {
-            let faults = self.links[link_id.0].faults;
-            let pkt = self.sched.packets.get(q.pkt);
-            let (pid, sampled, len) = (pkt.id, pkt.lineage.sampled, pkt.payload.len());
-            let lost = if self.partition_blocks(q.from, to) {
-                self.fault_stats.partition_drops += 1;
-                Some((DropReason::Partitioned, "partition"))
-            } else if faults.loss > 0.0 && self.fault_rng.next_f64() < faults.loss {
-                self.fault_stats.loss_drops += 1;
-                Some((DropReason::FaultLoss, "loss"))
-            } else {
-                None
-            };
-            if let Some((reason, kind)) = lost {
-                if last {
-                    self.sched.packets.take(q.pkt);
-                }
-                self.fault_copy_drop(link_id, to, pid, sampled, reason, kind);
-                return;
-            }
-            if !faults.is_clean() {
-                if faults.corrupt > 0.0 && self.fault_rng.next_f64() < faults.corrupt && len > 0 {
-                    corrupt_at = Some(self.fault_rng.next_below(len as u64) as usize);
-                    self.fault_stats.corrupted += 1;
-                    self.trace_fault("corrupt", Some(to), Some(link_id), pid);
-                }
-                if faults.duplicate > 0.0 && self.fault_rng.next_f64() < faults.duplicate {
-                    dup = true;
-                    self.fault_stats.duplicated += 1;
-                    self.trace_fault("duplicate", Some(to), Some(link_id), pid);
-                }
-                if faults.jitter_ms > 0.0 {
-                    let ms = self.fault_rng.next_exp(faults.jitter_ms);
-                    at += Duration::from_nanos((ms * 1e6) as u64);
-                    self.fault_stats.jittered += 1;
-                }
-            }
-        }
-        let slab = &mut self.sched.packets;
-        let pkt = if last {
-            q.pkt
-        } else {
-            let copy = slab.get(q.pkt).clone();
-            slab.put(copy)
-        };
-        if let Some(i) = corrupt_at {
-            let p = slab.get_mut(pkt);
-            let mut bytes = p.payload.to_vec();
-            bytes[i] ^= 0xFF;
-            p.payload = Bytes::from(bytes);
-        }
-        if dup {
-            let copy = slab.get(pkt).clone();
-            let copy = slab.put(copy);
-            self.sched.arrive(at, to, copy, Some(link_id), overheard);
-        }
-        self.sched.arrive(at, to, pkt, Some(link_id), overheard);
-    }
-
     // ---- fault injection -------------------------------------------------
 
     /// Schedules every action in `plan` as ordinary simulation events.
     /// Call any time (typically before the run); actions fire at their
-    /// scheduled times in plan order.
+    /// scheduled times in plan order. Time never runs backwards: an
+    /// action dated before `now` fires at `now`.
     pub fn apply_fault_plan(&mut self, plan: FaultPlan) {
         self.faults_enabled = true;
         for ev in plan.events {
-            self.sched.fault(ev.at, ev.action);
+            self.sched.fault(ev.at.max(self.now), ev.action);
         }
     }
 
@@ -1136,7 +982,7 @@ impl Sim {
         self.trace_fault("heal", None, None, 0);
     }
 
-    fn partition_blocks(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn partition_blocks(&self, a: NodeId, b: NodeId) -> bool {
         match (
             self.partition.get(a.0).copied().flatten(),
             self.partition.get(b.0).copied().flatten(),
@@ -1201,7 +1047,7 @@ impl Sim {
     /// Accounts one fault-induced in-flight copy loss: per-link
     /// `fault_drops` (never `drops`), the engine-wide total, and both a
     /// drop and a fault trace event at the would-be receiver.
-    fn fault_copy_drop(
+    pub(crate) fn fault_copy_drop(
         &mut self,
         link: LinkId,
         to: NodeId,
@@ -1216,7 +1062,7 @@ impl Sim {
         self.trace_fault(kind, Some(to), Some(link), pkt);
     }
 
-    fn trace_fault(
+    pub(crate) fn trace_fault(
         &mut self,
         kind: &'static str,
         node: Option<NodeId>,
@@ -1270,7 +1116,8 @@ impl Sim {
     /// - `link<i>.fault_drops` — when nonzero
     /// - `link<i>.queue_depth` — histogram of queue length at enqueue
     /// - `sim.link_drops_total`, `sim.node_drops_total`,
-    ///   `sim.events_processed`, `sim.packets`
+    ///   `sim.events_processed` (logical: a transmission completion
+    ///   counts whether or not it was ever queued), `sim.packets`
     /// - `sim.trace_recorded`, `sim.trace_evicted`
     /// - `sim.fault_*` — the [`FaultStats`] counters, once any fault has
     ///   been configured (so clean runs keep their key set)
@@ -1563,7 +1410,10 @@ impl NodeApi<'_> {
     pub fn measured_kbps_toward(&mut self, dst: u32) -> i64 {
         let now = self.sim.now;
         match self.route_link(dst) {
-            Some(l) => self.sim.links[l.0].measured_kbps(now),
+            Some(l) => {
+                self.sim.settle(l);
+                self.sim.links[l.0].measured_kbps(now)
+            }
             None => 0,
         }
     }
@@ -1579,7 +1429,10 @@ impl NodeApi<'_> {
     /// Queue length of the outgoing link toward `dst`.
     pub fn queue_len_toward(&mut self, dst: u32) -> i64 {
         match self.route_link(dst) {
-            Some(l) => self.sim.links[l.0].queue_len() as i64,
+            Some(l) => {
+                self.sim.settle(l);
+                self.sim.links[l.0].queue_len() as i64
+            }
             None => 0,
         }
     }
