@@ -13,13 +13,10 @@
 //! * the number of **send sites** (`OnRemote`/`OnNeighbor`) one packet
 //!   can execute.
 //!
-//! The recurrence charges [`STEPS_PER_NODE`] for every node on a path,
-//! sums sequential composition (`let`, tuples, arguments, sequencing),
-//! takes the maximum over `if` arms, and — because a `handle` body may
-//! run to its deepest `raise` before the handler runs — sums body and
-//! handler for `handle`. Function-call bounds are precomputed in
-//! declaration order, which terminates because bodies may call only
-//! earlier functions.
+//! Every node on a path charges [`STEPS_PER_NODE`] and a send node is
+//! one send; the crate's `paths` module composes those over the worst
+//! path (sequence adds, `if` takes the worse arm, `handle` adds body
+//! and handler, a call adds the callee's bound).
 //!
 //! The bound is sound for both engines: the interpreter charges exactly
 //! one step per node on the executed path (branches and short-circuit
@@ -31,7 +28,8 @@
 //! `cost_bound_exceeded` counter), and the soundness test suite asserts
 //! the counter stays zero across all traced scenarios.
 
-use planp_lang::tast::{TExpr, TExprKind, TProgram};
+use crate::paths::{is_send, program_bounds, Bound};
+use planp_lang::tast::TProgram;
 use planp_vm::cost::STEPS_PER_NODE;
 use std::fmt;
 
@@ -45,8 +43,7 @@ pub struct CostBound {
     pub sends: u64,
 }
 
-impl CostBound {
-    /// Sequential composition: both costs accrue.
+impl Bound for CostBound {
     fn then(self, other: CostBound) -> CostBound {
         CostBound {
             steps: self.steps.saturating_add(other.steps),
@@ -54,20 +51,12 @@ impl CostBound {
         }
     }
 
-    /// Branch merge: component-wise maximum (a sound upper bound even
-    /// when the step-heaviest and send-heaviest paths differ).
+    /// Component-wise maximum (a sound upper bound even when the
+    /// step-heaviest and send-heaviest paths differ).
     fn or(self, other: CostBound) -> CostBound {
         CostBound {
             steps: self.steps.max(other.steps),
             sends: self.sends.max(other.sends),
-        }
-    }
-
-    /// The cost of evaluating one AST node, by itself.
-    fn node() -> CostBound {
-        CostBound {
-            steps: STEPS_PER_NODE,
-            sends: 0,
         }
     }
 }
@@ -121,76 +110,21 @@ impl CostReport {
 /// Computes worst-case per-packet cost bounds for every function and
 /// channel of `prog`.
 pub fn cost_bounds(prog: &TProgram) -> CostReport {
-    let mut funs: Vec<CostBound> = Vec::with_capacity(prog.funs.len());
-    for f in &prog.funs {
-        let b = bound_expr(&f.body, &funs);
-        funs.push(b);
-    }
+    let (funs, channels) = program_bounds(prog, |e| CostBound {
+        steps: STEPS_PER_NODE,
+        sends: is_send(&e.kind) as u64,
+    });
     let channels = prog
         .channels
         .iter()
-        .map(|ch| ChannelCost {
+        .zip(channels)
+        .map(|(ch, bound)| ChannelCost {
             name: ch.name.clone(),
             overload: ch.overload,
-            bound: bound_expr(&ch.body, &funs),
+            bound,
         })
         .collect();
     CostReport { funs, channels }
-}
-
-/// Structural worst-case bound of one expression; `funs` holds the
-/// precomputed bounds of all earlier function declarations.
-fn bound_expr(e: &TExpr, funs: &[CostBound]) -> CostBound {
-    use TExprKind::*;
-    let node = CostBound::node();
-    match &e.kind {
-        Int(_)
-        | Bool(_)
-        | Str(_)
-        | Char(_)
-        | Unit
-        | Host(_)
-        | Local { .. }
-        | Global { .. }
-        | Raise(_) => node,
-        Tuple(items) | Seq(items) | List(items) => items
-            .iter()
-            .fold(node, |acc, item| acc.then(bound_expr(item, funs))),
-        Proj(_, inner) | Unop(_, inner) => node.then(bound_expr(inner, funs)),
-        CallFun { index, args } => args
-            .iter()
-            .fold(node, |acc, a| acc.then(bound_expr(a, funs)))
-            .then(funs.get(*index as usize).copied().unwrap_or_default()),
-        CallPrim { args, .. } => args
-            .iter()
-            .fold(node, |acc, a| acc.then(bound_expr(a, funs))),
-        If(c, t, f) => node
-            .then(bound_expr(c, funs))
-            .then(bound_expr(t, funs).or(bound_expr(f, funs))),
-        Let { init, body, .. } => node
-            .then(bound_expr(init, funs))
-            .then(bound_expr(body, funs)),
-        // `andalso`/`orelse` may skip the right operand; the sum is a
-        // sound upper bound for the worst case.
-        Binop(_, a, b) => node.then(bound_expr(a, funs)).then(bound_expr(b, funs)),
-        // The body may run all the way to its deepest raise, and then
-        // the handler runs too.
-        Handle(body, _, handler) => node
-            .then(bound_expr(body, funs))
-            .then(bound_expr(handler, funs)),
-        OnRemote { pkt, .. } => {
-            let mut b = node.then(bound_expr(pkt, funs));
-            b.sends = b.sends.saturating_add(1);
-            b
-        }
-        OnNeighbor { host, pkt, .. } => {
-            let mut b = node
-                .then(bound_expr(host, funs))
-                .then(bound_expr(pkt, funs));
-            b.sends = b.sends.saturating_add(1);
-            b
-        }
-    }
 }
 
 #[cfg(test)]

@@ -20,13 +20,14 @@
 //! the vector directly).
 
 use crate::diag::Diagnostic;
-use crate::summary::{max_path_weight, DestAbs, ProgramSummary};
+use crate::paths::{is_send, program_bounds, Bound};
+use crate::summary::{ProgramSummary, SendSite};
 use crate::verifier::Outcome;
 use planp_lang::tast::TProgram;
 
 /// Result of the fix-point: which channels may produce more than one
 /// downstream packet per input packet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DuplicationInfo {
     /// `may_copy[c]` for each channel index.
     pub may_copy: Vec<bool>,
@@ -34,37 +35,67 @@ pub struct DuplicationInfo {
     pub iterations: usize,
 }
 
-/// Runs the may-copy fix-point.
-pub fn compute_may_copy(prog: &TProgram, _sum: &ProgramSummary) -> DuplicationInfo {
+/// Total weight of the sends on a path, saturating at [`Weight::CAP`].
+#[derive(Clone, Copy)]
+struct Weight(u32);
+
+impl Weight {
+    /// 3 is enough to distinguish 0, 1, and "2 or more".
+    const CAP: u32 = 3;
+}
+
+impl Bound for Weight {
+    fn then(self, next: Weight) -> Weight {
+        Weight((self.0 + next.0).min(Weight::CAP))
+    }
+
+    fn or(self, other: Weight) -> Weight {
+        Weight(self.0.max(other.0))
+    }
+}
+
+/// Per channel, the maximum over all execution paths of the summed
+/// weight of the executed sends, where `weigh` prices the [`SendSite`]
+/// `sum` recorded for a send node. The lookup is a linear scan, at send
+/// nodes only; a send `sum` does not know weighs the cap.
+fn path_weights(
+    prog: &TProgram,
+    sum: &ProgramSummary,
+    weigh: impl Fn(&SendSite) -> u32,
+) -> Vec<Weight> {
+    let (_, channels) = program_bounds(prog, |e| {
+        if is_send(&e.kind) {
+            Weight(sum.site_at(e.span).map_or(Weight::CAP, &weigh))
+        } else {
+            Weight(0)
+        }
+    });
+    channels
+}
+
+/// True if a send to `site` may reach more than one receiver, given the
+/// channels known to copy.
+fn copies(site: &SendSite, may_copy: &[bool]) -> bool {
+    may_copy[site.target] || site.dest.is_multicast_const()
+}
+
+/// Runs the may-copy fix-point over the send sites of `sum`.
+/// [`summarize`](crate::summary::summarize) runs it once and keeps the
+/// result in [`ProgramSummary::duplication`].
+pub fn compute_may_copy(prog: &TProgram, sum: &ProgramSummary) -> DuplicationInfo {
     let n = prog.channels.len();
     let mut may_copy = vec![false; n];
     let mut iterations = 0;
 
     loop {
         iterations += 1;
+        // Weight of a send: 2 if it copies, else 1. A path of weight
+        // >= 2 means the channel can turn one packet into more than one.
+        let weights = path_weights(prog, sum, |s| 1 + copies(s, &may_copy) as u32);
         let mut changed = false;
-        // Weight of a send: 2 if the target may copy or the destination is
-        // a multicast group, else 1. A path of weight >= 2 means the
-        // channel can turn one packet into more than one.
-        let snapshot = may_copy.clone();
-        let weigh = |target: usize, dest: DestAbs| -> u32 {
-            if snapshot[target] || dest.is_multicast_const() {
-                2
-            } else {
-                1
-            }
-        };
-        // Function bodies first (ordered, non-recursive).
-        let mut fun_weights = Vec::with_capacity(prog.funs.len());
-        for f in &prog.funs {
-            let w = max_path_weight(prog, &f.body, &fun_weights, &weigh);
-            fun_weights.push(w);
-        }
-        for (c, ch) in prog.channels.iter().enumerate() {
-            let w = max_path_weight(prog, &ch.body, &fun_weights, &weigh);
-            let copies = w >= 2;
-            if copies && !may_copy[c] {
-                may_copy[c] = true;
+        for (copy, w) in may_copy.iter_mut().zip(weights) {
+            if w.0 >= 2 && !*copy {
+                *copy = true;
                 changed = true;
             }
         }
@@ -85,44 +116,30 @@ pub fn compute_may_copy(prog: &TProgram, _sum: &ProgramSummary) -> DuplicationIn
 }
 
 /// Checks linear duplication: at most one *copying* send per execution
-/// path, in every channel.
+/// path, in every channel. (A copying channel inside a cycle with itself
+/// would compound, but the model checker already rejects
+/// destination-changing cycles and progress-only cycles deliver, so
+/// per-path linearity plus termination gives global linearity.)
 pub fn check_duplication(prog: &TProgram, sum: &ProgramSummary) -> Outcome {
-    let info = compute_may_copy(prog, sum);
-
+    let may_copy = &sum.duplication.may_copy;
     // Weight counts only copying sends.
-    let weigh = |target: usize, dest: DestAbs| -> u32 {
-        if info.may_copy[target] || dest.is_multicast_const() {
-            1
-        } else {
-            0
-        }
-    };
-    let mut fun_weights = Vec::with_capacity(prog.funs.len());
-    for f in &prog.funs {
-        let w = max_path_weight(prog, &f.body, &fun_weights, &weigh);
-        fun_weights.push(w);
-    }
-
-    let mut errors = Vec::new();
-    for (c, ch) in prog.channels.iter().enumerate() {
-        let copying_sends = max_path_weight(prog, &ch.body, &fun_weights, &weigh);
-        if copying_sends >= 2 {
-            errors.push(Diagnostic::error(
+    let weights = path_weights(prog, sum, |s| copies(s, may_copy) as u32);
+    let errors: Vec<Diagnostic> = prog
+        .channels
+        .iter()
+        .zip(weights)
+        .filter(|(_, w)| w.0 >= 2)
+        .map(|(ch, Weight(copying_sends))| {
+            Diagnostic::error(
                 "E003",
                 ch.span,
                 format!(
                     "channel `{}` can execute {copying_sends} sends to copying channels on one path — packet duplication may be exponential",
                     ch.name
                 ),
-            ));
-        }
-        // A copying channel inside a cycle with itself compounds; the
-        // termination analysis already rejects destination-changing
-        // cycles, and progress-only cycles deliver, so per-path linearity
-        // plus termination gives global linearity.
-        let _ = c;
-    }
-
+            )
+        })
+        .collect();
     if errors.is_empty() {
         Outcome::Proved
     } else {

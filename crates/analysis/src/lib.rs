@@ -17,7 +17,10 @@
 //!   packet copies do not compound exponentially;
 //! * **[per-packet cost bounds](cost)** — a worst-case bound on VM steps
 //!   and send effects per packet, per channel overload, enforceable
-//!   against a step budget ([`Policy::with_step_budget`]);
+//!   against a step budget ([`Policy::with_step_budget`]); it, the
+//!   per-dispatch insert/evict bound and the duplication weights are
+//!   three *atoms* over the one worst-path recurrence of the private
+//!   `paths` module;
 //! * **[per-site bounds](profile)** — the cost bound refined to
 //!   individual expression sites, joined by the telemetry profiler
 //!   against observed per-site steps (the utilization heatmap), plus
@@ -66,6 +69,7 @@ pub mod duplication;
 mod explore;
 pub mod lint;
 pub mod modelcheck;
+mod paths;
 pub mod plan;
 pub mod profile;
 pub mod state;

@@ -239,9 +239,8 @@ fn shadowed_bindings(prog: &TProgram, out: &mut Vec<Diagnostic>) {
 }
 
 fn shadow_walk<'p>(e: &'p TExpr, scope: &mut Vec<&'p str>, out: &mut Vec<Diagnostic>) {
-    use TExprKind::*;
     match &e.kind {
-        Let {
+        TExprKind::Let {
             name, init, body, ..
         } => {
             shadow_walk(init, scope, out);
@@ -259,44 +258,11 @@ fn shadow_walk<'p>(e: &'p TExpr, scope: &mut Vec<&'p str>, out: &mut Vec<Diagnos
             shadow_walk(body, scope, out);
             scope.pop();
         }
-        Tuple(items) | Seq(items) | List(items) => {
-            for item in items {
-                shadow_walk(item, scope, out);
+        _ => {
+            for c in e.children() {
+                shadow_walk(c, scope, out);
             }
         }
-        Proj(_, inner) | Unop(_, inner) => shadow_walk(inner, scope, out),
-        CallFun { args, .. } | CallPrim { args, .. } => {
-            for a in args {
-                shadow_walk(a, scope, out);
-            }
-        }
-        If(c, t, f) => {
-            shadow_walk(c, scope, out);
-            shadow_walk(t, scope, out);
-            shadow_walk(f, scope, out);
-        }
-        Binop(_, a, b) => {
-            shadow_walk(a, scope, out);
-            shadow_walk(b, scope, out);
-        }
-        Handle(body, _, handler) => {
-            shadow_walk(body, scope, out);
-            shadow_walk(handler, scope, out);
-        }
-        OnRemote { pkt, .. } => shadow_walk(pkt, scope, out),
-        OnNeighbor { host, pkt, .. } => {
-            shadow_walk(host, scope, out);
-            shadow_walk(pkt, scope, out);
-        }
-        Int(_)
-        | Bool(_)
-        | Str(_)
-        | Char(_)
-        | Unit
-        | Host(_)
-        | Local { .. }
-        | Global { .. }
-        | Raise(_) => {}
     }
 }
 

@@ -8,11 +8,11 @@
 //! through `NetEnv::charge_site`, stable across engines, runs, and
 //! recompiles of the same source.
 //!
-//! For each channel overload, [`site_bounds`] walks the body with a
-//! call-path **multiplicity**: every node contributes
-//! `multiplicity × STEPS_PER_NODE` at its site, and a `CallFun`
-//! recurses into the callee body with its own multiplicity (call
-//! graphs are acyclic, so the walk terminates). The per-site bound is
+//! For each channel overload, [`site_bounds`] walks the body: every
+//! node contributes `STEPS_PER_NODE` at its site, and a `CallFun`
+//! re-walks the callee body once per call site, which is where a
+//! callee site's call-path **multiplicity** comes from (call graphs
+//! are acyclic, so the walk terminates). The per-site bound is
 //! sound per dispatch for both engines: branches only *skip* nodes
 //! (an `if` charges one arm, the bound counts both; short-circuit
 //! operators may skip the right operand), and the JIT charges, block
@@ -34,6 +34,7 @@
 //!
 //! Candidates are static; the profiler ranks them by observed steps.
 
+use crate::paths::is_send;
 use planp_lang::span::line_col;
 use planp_lang::tast::{TExpr, TExprKind, TProgram};
 use planp_vm::cost::STEPS_PER_NODE;
@@ -87,7 +88,7 @@ pub fn site_bounds(prog: &TProgram, src: &str) -> SiteReport {
         .iter()
         .map(|ch| {
             let mut acc: BTreeMap<u32, (u64, String)> = BTreeMap::new();
-            walk_sites(&ch.body, prog, src, 1, &mut acc);
+            walk_sites(&ch.body, prog, src, &mut acc);
             ChannelSites {
                 name: ch.name.clone(),
                 overload: ch.overload,
@@ -105,16 +106,10 @@ pub fn site_bounds(prog: &TProgram, src: &str) -> SiteReport {
     SiteReport { channels }
 }
 
-/// Adds `mult` invocations of every node under `e` to `acc`, keyed by
+/// Adds one invocation of every node under `e` to `acc`, keyed by
 /// site. Distinct nodes desugared onto the same span merge by summing
 /// (still sound: the merged bound covers the merged observation).
-fn walk_sites(
-    e: &TExpr,
-    prog: &TProgram,
-    src: &str,
-    mult: u64,
-    acc: &mut BTreeMap<u32, (u64, String)>,
-) {
+fn walk_sites(e: &TExpr, prog: &TProgram, src: &str, acc: &mut BTreeMap<u32, (u64, String)>) {
     let site = e.span.start;
     let entry = acc.entry(site).or_insert_with(|| {
         (
@@ -122,48 +117,14 @@ fn walk_sites(
             format!("{}:{}", line_col(src, site), kind_label(e, prog)),
         )
     });
-    entry.0 = entry.0.saturating_add(mult.saturating_mul(STEPS_PER_NODE));
-    match &e.kind {
-        TExprKind::CallFun { index, args } => {
-            for a in args {
-                walk_sites(a, prog, src, mult, acc);
-            }
-            if let Some(f) = prog.funs.get(*index as usize) {
-                walk_sites(&f.body, prog, src, mult, acc);
-            }
-        }
-        _ => {
-            let mut children = Vec::new();
-            collect_children(e, &mut children);
-            for c in children {
-                walk_sites(c, prog, src, mult, acc);
-            }
-        }
+    entry.0 = entry.0.saturating_add(STEPS_PER_NODE);
+    for c in e.children() {
+        walk_sites(c, prog, src, acc);
     }
-}
-
-/// The direct subexpressions of `e`, in evaluation order.
-fn collect_children<'a>(e: &'a TExpr, out: &mut Vec<&'a TExpr>) {
-    use TExprKind::*;
-    match &e.kind {
-        Int(_)
-        | Bool(_)
-        | Str(_)
-        | Char(_)
-        | Unit
-        | Host(_)
-        | Local { .. }
-        | Global { .. }
-        | Raise(_) => {}
-        Tuple(items) | Seq(items) | List(items) => out.extend(items.iter()),
-        Proj(_, inner) | Unop(_, inner) => out.push(inner),
-        CallFun { args, .. } | CallPrim { args, .. } => out.extend(args.iter()),
-        If(c, t, f) => out.extend([c.as_ref(), t.as_ref(), f.as_ref()]),
-        Let { init, body, .. } => out.extend([init.as_ref(), body.as_ref()]),
-        Binop(_, a, b) => out.extend([a.as_ref(), b.as_ref()]),
-        Handle(body, _, handler) => out.extend([body.as_ref(), handler.as_ref()]),
-        OnRemote { pkt, .. } => out.push(pkt),
-        OnNeighbor { host, pkt, .. } => out.extend([host.as_ref(), pkt.as_ref()]),
+    if let TExprKind::CallFun { index, .. } = &e.kind {
+        if let Some(f) = prog.funs.get(*index as usize) {
+            walk_sites(&f.body, prog, src, acc);
+        }
     }
 }
 
@@ -237,24 +198,18 @@ fn is_header_read(name: &str) -> bool {
     )
 }
 
-/// True if any node under `e` satisfies `pred`; when it does, the
-/// first matching site (pre-order) is appended to `sites`.
+/// The site of the first node under `e` (pre-order) that satisfies
+/// `pred`, if any does.
 fn find_site(e: &TExpr, pred: &dyn Fn(&TExprKind) -> bool) -> Option<u32> {
     if pred(&e.kind) {
         return Some(e.span.start);
     }
-    let mut children = Vec::new();
-    collect_children(e, &mut children);
-    children.iter().find_map(|c| find_site(c, pred))
+    e.children().find_map(|c| find_site(c, pred))
 }
 
 fn is_table_read(k: &TExprKind) -> bool {
     matches!(k, TExprKind::CallPrim { prim, .. }
         if matches!(planp_lang::prims::table().sig(*prim).name, "tblGet" | "tblHas"))
-}
-
-fn is_send(k: &TExprKind) -> bool {
-    matches!(k, TExprKind::OnRemote { .. } | TExprKind::OnNeighbor { .. })
 }
 
 /// Detects superinstruction candidates in every channel overload of
@@ -329,9 +284,7 @@ fn scan(
         }
         _ => {}
     }
-    let mut children = Vec::new();
-    collect_children(e, &mut children);
-    for c in children {
+    for c in e.children() {
         scan(c, prog, src, chan, overload, out);
     }
 }

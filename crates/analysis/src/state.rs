@@ -14,8 +14,9 @@
 //!   that can differ across dispatches: packet fields, clock, RNG,
 //!   table reads);
 //! * the worst-case number of inserts and evictions per dispatch
-//!   (composed like the [cost bounds](crate::cost): sequence = sum,
-//!   branch = max, handler = sum).
+//!   (composed like the [cost bounds](crate::cost), by the same
+//!   recurrence: a `tblSet` is one insert, a `tblDel`/`tblClear` one
+//!   evict).
 //!
 //! Per table, the entry bound is three-tiered ([`EntryBound`]):
 //!
@@ -35,7 +36,7 @@
 //! lints `S001`–`S004` ([`state_lints`]) ride on the same facts.
 
 use crate::diag::Diagnostic;
-use crate::duplication::compute_may_copy;
+use crate::paths::{program_bounds, Bound};
 use crate::summary::ProgramSummary;
 use planp_lang::prims::{self, PrimClass};
 use planp_lang::span::Span;
@@ -138,7 +139,7 @@ pub struct StateCounts {
     pub evicts: u64,
 }
 
-impl StateCounts {
+impl Bound for StateCounts {
     fn then(self, o: StateCounts) -> StateCounts {
         StateCounts {
             inserts: self.inserts.saturating_add(o.inserts),
@@ -340,7 +341,6 @@ struct TableAcc {
 /// Per-function precomputed facts.
 #[derive(Debug, Clone, Copy, Default)]
 struct FunInfo {
-    counts: StateCounts,
     state_dep_write: bool,
     unhandled_get: bool,
 }
@@ -364,115 +364,78 @@ impl Cx {
         self.tables.entry(id).or_default()
     }
 
-    /// Walks `e`, returning its abstract value and per-dispatch counts.
-    /// `handled` counts enclosing handlers that catch `NotFound`.
+    /// Walks `e`, returning its abstract value. `handled` counts
+    /// enclosing handlers that catch `NotFound`.
     fn walk(
         &mut self,
         e: &TExpr,
         env: &mut HashMap<u32, SVal>,
         acc: &mut BodyAcc,
         handled: u32,
-    ) -> (SVal, StateCounts) {
+    ) -> SVal {
         use TExprKind::*;
-        let zero = StateCounts::default();
         match &e.kind {
-            Int(_) | Bool(_) | Str(_) | Char(_) | Unit | Host(_) => (SVal::Finite(1), zero),
-            Global { .. } => (SVal::Finite(1), zero),
-            Local { slot, .. } => (env.get(slot).cloned().unwrap_or(SVal::Opaque), zero),
-            Tuple(items) => {
-                let mut vals = Vec::with_capacity(items.len());
-                let mut c = zero;
+            Int(_) | Bool(_) | Str(_) | Char(_) | Unit | Host(_) | Global { .. } => SVal::Finite(1),
+            Local { slot, .. } => env.get(slot).cloned().unwrap_or(SVal::Opaque),
+            Tuple(items) => SVal::Tup(
+                items
+                    .iter()
+                    .map(|it| self.walk(it, env, acc, handled))
+                    .collect(),
+            ),
+            List(items) => {
                 for it in items {
-                    let (v, ic) = self.walk(it, env, acc, handled);
-                    vals.push(v);
-                    c = c.then(ic);
+                    self.walk(it, env, acc, handled);
                 }
-                (SVal::Tup(vals), c)
+                SVal::Opaque
             }
-            List(items) | Seq(items) => {
-                let mut c = zero;
-                let mut last = SVal::Finite(1);
-                for it in items {
-                    let (v, ic) = self.walk(it, env, acc, handled);
-                    last = v;
-                    c = c.then(ic);
+            Seq(items) => items
+                .iter()
+                .fold(SVal::Finite(1), |_, it| self.walk(it, env, acc, handled)),
+            Proj(i, inner) => match self.walk(inner, env, acc, handled) {
+                SVal::Pkt => SVal::Varying,
+                SVal::State(root, mut path) => {
+                    path.push(*i);
+                    SVal::State(root, path)
                 }
-                let v = if matches!(&e.kind, Seq(_)) {
-                    last
-                } else {
-                    SVal::Opaque
-                };
-                (v, c)
-            }
-            Proj(i, inner) => {
-                let (v, c) = self.walk(inner, env, acc, handled);
-                let v = match v {
-                    SVal::Pkt => SVal::Varying,
-                    SVal::State(root, mut path) => {
-                        path.push(*i);
-                        SVal::State(root, path)
-                    }
-                    SVal::Tup(items) => items.get(*i as usize).cloned().unwrap_or(SVal::Opaque),
-                    other => other,
-                };
-                (v, c)
-            }
+                SVal::Tup(items) => items.get(*i as usize).cloned().unwrap_or(SVal::Opaque),
+                other => other,
+            },
             Let {
                 slot, init, body, ..
             } => {
-                let (iv, ic) = self.walk(init, env, acc, handled);
-                let prev = env.insert(*slot, iv);
-                let (bv, bc) = self.walk(body, env, acc, handled);
-                match prev {
-                    Some(p) => {
-                        env.insert(*slot, p);
-                    }
-                    None => {
-                        env.remove(slot);
-                    }
-                }
-                (bv, ic.then(bc))
+                // Slots are a stack (see `summary::Cx::walk`): no restore.
+                let iv = self.walk(init, env, acc, handled);
+                env.insert(*slot, iv);
+                self.walk(body, env, acc, handled)
             }
             If(c, t, f) => {
-                let (_, cc) = self.walk(c, env, acc, handled);
-                let (tv, tc) = self.walk(t, env, acc, handled);
-                let (fv, fc) = self.walk(f, env, acc, handled);
-                (tv.join(fv), cc.then(tc.or(fc)))
+                self.walk(c, env, acc, handled);
+                let tv = self.walk(t, env, acc, handled);
+                tv.join(self.walk(f, env, acc, handled))
             }
             Binop(_, a, b) => {
-                let (av, ac) = self.walk(a, env, acc, handled);
-                let (bv, bc) = self.walk(b, env, acc, handled);
-                (mix(&[av, bv]), ac.then(bc))
+                let av = self.walk(a, env, acc, handled);
+                mix(&[av, self.walk(b, env, acc, handled)])
             }
-            Unop(_, a) => {
-                let (av, ac) = self.walk(a, env, acc, handled);
-                (mix(&[av]), ac)
-            }
-            Raise(_) => (SVal::Opaque, zero),
+            Unop(_, a) => mix(&[self.walk(a, env, acc, handled)]),
+            Raise(_) => SVal::Opaque,
             Handle(body, exn, handler) => {
                 // A wildcard or NotFound handler shields `tblGet`s in the
-                // body; counts sum conservatively (body may run up to the
-                // raise, then the handler).
+                // body.
                 let shields = exn.is_none() || *exn == self.notfound;
-                let inner = if shields { handled + 1 } else { handled };
-                let (bv, bc) = self.walk(body, env, acc, inner);
-                let (hv, hc) = self.walk(handler, env, acc, handled);
-                (bv.join(hv), bc.then(hc))
+                let bv = self.walk(body, env, acc, handled + shields as u32);
+                bv.join(self.walk(handler, env, acc, handled))
             }
-            OnRemote { pkt, .. } => {
-                let (_, c) = self.walk(pkt, env, acc, handled);
-                (SVal::Finite(1), c)
-            }
-            OnNeighbor { host, pkt, .. } => {
-                let (_, hc) = self.walk(host, env, acc, handled);
-                let (_, pc) = self.walk(pkt, env, acc, handled);
-                (SVal::Finite(1), hc.then(pc))
+            OnRemote { .. } | OnNeighbor { .. } => {
+                for c in e.children() {
+                    self.walk(c, env, acc, handled);
+                }
+                SVal::Finite(1)
             }
             CallFun { index, args, .. } => {
-                let mut c = zero;
                 for a in args {
-                    let (_, ac) = self.walk(a, env, acc, handled);
-                    c = c.then(ac);
+                    self.walk(a, env, acc, handled);
                 }
                 let info = self
                     .fun_infos
@@ -485,16 +448,13 @@ impl Cx {
                 if info.unhandled_get && handled == 0 {
                     acc.unhandled_gets.push((None, e.span));
                 }
-                (SVal::Opaque, c.then(info.counts))
+                SVal::Opaque
             }
             CallPrim { prim, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                let mut c = zero;
-                for a in args {
-                    let (v, ac) = self.walk(a, env, acc, handled);
-                    vals.push(v);
-                    c = c.then(ac);
-                }
+                let vals: Vec<SVal> = args
+                    .iter()
+                    .map(|a| self.walk(a, env, acc, handled))
+                    .collect();
                 let sig = prims::table().sig(*prim);
                 match sig.name {
                     "tblSet" => {
@@ -518,23 +478,11 @@ impl Cx {
                         if value_reads_state && acc.state_dep_write.is_none() {
                             acc.state_dep_write = Some(e.span);
                         }
-                        (
-                            SVal::Finite(1),
-                            c.then(StateCounts {
-                                inserts: 1,
-                                evicts: 0,
-                            }),
-                        )
+                        SVal::Finite(1)
                     }
                     "tblDel" | "tblClear" => {
                         self.table(target_of(&vals[0])).eviction = true;
-                        (
-                            SVal::Finite(1),
-                            c.then(StateCounts {
-                                inserts: 0,
-                                evicts: 1,
-                            }),
-                        )
+                        SVal::Finite(1)
                     }
                     "tblGet" => {
                         let id = target_of(&vals[0]);
@@ -547,26 +495,37 @@ impl Cx {
                         if handled == 0 {
                             acc.unhandled_gets.push((Some(id), e.span));
                         }
-                        (SVal::StateRead, c)
+                        SVal::StateRead
                     }
                     "tblHas" | "tblSize" => {
                         self.table(target_of(&vals[0])).reads += 1;
-                        (SVal::StateRead, c)
+                        SVal::StateRead
                     }
-                    "mkTable" => (SVal::State(StateRoot::Unknown, Vec::new()), c),
-                    "thisHost" => (SVal::Finite(1), c),
-                    _ => {
-                        let v = match sig.class {
-                            PrimClass::Pure | PrimClass::Alloc => mix(&vals),
-                            PrimClass::Env => SVal::Varying,
-                            PrimClass::Io | PrimClass::StateWrite => SVal::Finite(1),
-                        };
-                        (v, c)
-                    }
+                    "mkTable" => SVal::State(StateRoot::Unknown, Vec::new()),
+                    "thisHost" => SVal::Finite(1),
+                    _ => match sig.class {
+                        PrimClass::Pure | PrimClass::Alloc => mix(&vals),
+                        PrimClass::Env => SVal::Varying,
+                        PrimClass::Io | PrimClass::StateWrite => SVal::Finite(1),
+                    },
                 }
             }
         }
     }
+}
+
+/// What one node adds to the per-dispatch counts: a `tblSet` is one
+/// insert, a `tblDel`/`tblClear` one evict.
+fn count_atom(e: &TExpr) -> StateCounts {
+    let mut counts = StateCounts::default();
+    if let TExprKind::CallPrim { prim, .. } = &e.kind {
+        match prims::table().sig(*prim).name {
+            "tblSet" => counts.inserts = 1,
+            "tblDel" | "tblClear" => counts.evicts = 1,
+            _ => {}
+        }
+    }
+    counts
 }
 
 /// The table a `tbl*` primitive operates on.
@@ -678,29 +637,26 @@ pub fn state_effects(prog: &TProgram) -> StateReport {
         tables: BTreeMap::new(),
     };
     // Functions first, in declaration order (PLAN-P has no recursion);
-    // parameters are opaque, so tables passed into functions degrade to
-    // the unknown root.
+    // parameters are opaque (what an unbound slot reads as), so tables
+    // passed into functions degrade to the unknown root.
     for f in &prog.funs {
         let mut env = HashMap::new();
-        for (slot, _) in f.params.iter().enumerate() {
-            env.insert(slot as u32, SVal::Opaque);
-        }
         let mut acc = BodyAcc::default();
-        let (_, counts) = cx.walk(&f.body, &mut env, &mut acc, 0);
+        cx.walk(&f.body, &mut env, &mut acc, 0);
         cx.fun_infos.push(FunInfo {
-            counts,
             state_dep_write: acc.state_dep_write.is_some(),
             unhandled_get: !acc.unhandled_gets.is_empty(),
         });
     }
+    let (_, counts) = program_bounds(prog, count_atom);
     let mut channels = Vec::with_capacity(prog.channels.len());
-    for (i, ch) in prog.channels.iter().enumerate() {
+    for (i, (ch, counts)) in prog.channels.iter().zip(counts).enumerate() {
         let mut env = HashMap::new();
         env.insert(0, SVal::State(StateRoot::Proto, Vec::new()));
         env.insert(1, SVal::State(StateRoot::Chan(i), Vec::new()));
         env.insert(2, SVal::Pkt);
         let mut acc = BodyAcc::default();
-        let (_, counts) = cx.walk(&ch.body, &mut env, &mut acc, 0);
+        cx.walk(&ch.body, &mut env, &mut acc, 0);
         channels.push((
             ChannelState {
                 name: ch.name.clone(),
@@ -810,7 +766,7 @@ pub fn state_lints(prog: &TProgram, sum: &ProgramSummary) -> Vec<Diagnostic> {
     // (it is the target of a send from a may-copy channel) must keep its
     // state writes idempotent — a value derived from mutable state is
     // re-derived differently on the copy.
-    let dup = compute_may_copy(prog, sum);
+    let dup = &sum.duplication;
     let mut exposed = vec![false; prog.channels.len()];
     for (i, es) in sum.channels.iter().enumerate() {
         if !dup.may_copy.get(i).copied().unwrap_or(false) {

@@ -8,15 +8,16 @@
 //!   execute, with an abstraction of the packet's destination address;
 //! * `min_out` — the minimum number of outputs (sends **or** `deliver`
 //!   calls) over all execution paths (for the guaranteed-delivery check);
-//! * `max_sends` — the maximum number of network sends over all paths
-//!   (for the duplication fix-point), saturating at 3;
 //! * the set of exceptions that may **escape** (for the all-exceptions-
 //!   handled check).
 //!
 //! The destination abstraction mirrors the paper's observation that for
 //! most protocols the only addresses available are the source and
 //! destination of the IP header plus program constants (section 2.1).
+//! It is derived here and nowhere else: an analysis that needs a send's
+//! destination looks its [`SendSite`] up by span.
 
+use crate::duplication::{compute_may_copy, DuplicationInfo};
 use planp_lang::ast::BinOp;
 use planp_lang::prims::{self, PrimId};
 use planp_lang::span::Span;
@@ -111,8 +112,6 @@ pub struct ExprSummary {
     pub sites: Vec<SendSite>,
     /// Minimum number of outputs (sends + delivers) over all paths.
     pub min_out: u32,
-    /// Maximum number of network sends over all paths (saturating at 3).
-    pub max_sends: u32,
     /// Exceptions ([`ExnId`] indices) that may escape.
     pub raises: BTreeSet<u32>,
 }
@@ -127,6 +126,19 @@ pub struct ProgramSummary {
     /// The state-effect analysis: tables written, key-domain finiteness,
     /// per-dispatch insert bounds (see [`crate::state`]).
     pub state: crate::state::StateReport,
+    /// The may-copy fix-point over the send sites above (see
+    /// [`crate::duplication`]).
+    pub duplication: DuplicationInfo,
+}
+
+impl ProgramSummary {
+    /// The site recorded for the send node at `span`. A function's sites
+    /// are cloned into every caller's list, so all entries for one span
+    /// are equal and the first is as good as any.
+    pub(crate) fn site_at(&self, span: Span) -> Option<&SendSite> {
+        let bodies = self.channels.iter().chain(&self.funs);
+        bodies.flat_map(|b| &b.sites).find(|s| s.span == span)
+    }
 }
 
 /// Computes summaries for every function and channel of `prog`.
@@ -134,12 +146,8 @@ pub fn summarize(prog: &TProgram) -> ProgramSummary {
     let mut cx = Cx::new(prog);
     let mut funs = Vec::with_capacity(prog.funs.len());
     for f in &prog.funs {
-        // Parameters are opaque.
-        let mut env = HashMap::new();
-        for (slot, _) in f.params.iter().enumerate() {
-            env.insert(slot as u32, AbsVal::Opaque);
-        }
-        let sum = cx.walk_root(&f.body, env);
+        // Parameters are opaque, which is what an unbound slot reads as.
+        let sum = cx.walk_root(&f.body, HashMap::new());
         cx.fun_sums.push(sum.clone());
         funs.push(sum);
     }
@@ -151,16 +159,15 @@ pub fn summarize(prog: &TProgram) -> ProgramSummary {
         env.insert(2, AbsVal::Pkt); // the packet parameter
         channels.push(cx.walk_root(&ch.body, env));
     }
-    ProgramSummary {
+    let mut sum = ProgramSummary {
         funs,
         channels,
         state: crate::state::state_effects(prog),
-    }
+        duplication: DuplicationInfo::default(),
+    };
+    sum.duplication = compute_may_copy(prog, &sum);
+    sum
 }
-
-/// Saturating cap for send counts; 3 is enough to distinguish 0, 1, and
-/// "2 or more".
-const CAP: u32 = 3;
 
 /// Abstract values tracked by the destination analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,7 +234,6 @@ impl AbsVal {
 /// Result of walking one expression.
 struct Node {
     min_out: u32,
-    max_sends: u32,
     raises: BTreeSet<u32>,
     abs: AbsVal,
 }
@@ -236,7 +242,6 @@ impl Node {
     fn pure(abs: AbsVal) -> Node {
         Node {
             min_out: 0,
-            max_sends: 0,
             raises: BTreeSet::new(),
             abs,
         }
@@ -244,9 +249,16 @@ impl Node {
 
     fn then(mut self, next: Node) -> Node {
         self.min_out += next.min_out;
-        self.max_sends = (self.max_sends + next.max_sends).min(CAP);
         self.raises.extend(next.raises);
         self.abs = next.abs;
+        self
+    }
+
+    /// Either of two alternatives runs.
+    fn or(mut self, other: Node) -> Node {
+        self.min_out = self.min_out.min(other.min_out);
+        self.raises.extend(other.raises);
+        self.abs = self.abs.join(other.abs);
         self
     }
 }
@@ -271,14 +283,12 @@ impl<'p> Cx<'p> {
         }
     }
 
-    fn walk_root(&mut self, body: &TExpr, env: HashMap<u32, AbsVal>) -> ExprSummary {
+    fn walk_root(&mut self, body: &TExpr, mut env: HashMap<u32, AbsVal>) -> ExprSummary {
         self.sites.clear();
-        let mut env = env;
         let node = self.walk(body, &mut env);
         ExprSummary {
             sites: std::mem::take(&mut self.sites),
             min_out: node.min_out,
-            max_sends: node.max_sends,
             raises: node.raises,
         }
     }
@@ -299,6 +309,13 @@ impl<'p> Cx<'p> {
 
     fn resolve_target(&self, chan: &str, overload: u32) -> usize {
         self.prog.chan_groups[chan][overload as usize]
+    }
+
+    /// Walks the children of `e` in order; the value is the last one's.
+    fn seq(&mut self, e: &TExpr, env: &mut HashMap<u32, AbsVal>) -> Node {
+        e.children().fold(Node::pure(AbsVal::Opaque), |node, c| {
+            node.then(self.walk(c, env))
+        })
     }
 
     fn walk(&mut self, e: &TExpr, env: &mut HashMap<u32, AbsVal>) -> Node {
@@ -343,14 +360,10 @@ impl<'p> Cx<'p> {
                 };
                 Node { abs, ..n }
             }
-            CallFun { index, args } => {
-                let mut node = Node::pure(AbsVal::Opaque);
-                for a in args {
-                    node = node.then(self.walk(a, env));
-                }
+            CallFun { index, .. } => {
+                let mut node = self.seq(e, env);
                 let fs = self.fun_sums[*index as usize].clone();
                 node.min_out += fs.min_out;
-                node.max_sends = (node.max_sends + fs.max_sends).min(CAP);
                 node.raises.extend(fs.raises.iter().copied());
                 self.sites.extend(fs.sites.iter().cloned());
                 node.abs = AbsVal::Opaque;
@@ -377,53 +390,25 @@ impl<'p> Cx<'p> {
             If(c, t, f) => {
                 let cn = self.walk(c, env);
                 let tn = self.walk(t, env);
-                let fn_ = self.walk(f, env);
-                Node {
-                    min_out: cn.min_out + tn.min_out.min(fn_.min_out),
-                    max_sends: (cn.max_sends + tn.max_sends.max(fn_.max_sends)).min(CAP),
-                    raises: {
-                        let mut r = cn.raises;
-                        r.extend(tn.raises);
-                        r.extend(fn_.raises);
-                        r
-                    },
-                    abs: tn.abs.join(fn_.abs),
-                }
+                cn.then(tn.or(self.walk(f, env)))
             }
             Let {
                 slot, init, body, ..
             } => {
+                // The checker allocates slots as a stack, so a slot is
+                // never re-bound while its binding is live: nothing to
+                // restore afterwards.
                 let init_n = self.walk(init, env);
-                let saved = env.insert(*slot, init_n.abs.clone());
-                let body_n = self.walk(body, env);
-                match saved {
-                    Some(v) => {
-                        env.insert(*slot, v);
-                    }
-                    None => {
-                        env.remove(slot);
-                    }
-                }
-                Node {
-                    min_out: init_n.min_out + body_n.min_out,
-                    max_sends: (init_n.max_sends + body_n.max_sends).min(CAP),
-                    raises: {
-                        let mut r = init_n.raises;
-                        r.extend(body_n.raises);
-                        r
-                    },
-                    abs: body_n.abs,
-                }
+                env.insert(*slot, init_n.abs.clone());
+                init_n.then(self.walk(body, env))
             }
-            Seq(items) => {
-                let mut node = Node::pure(AbsVal::Opaque);
-                for item in items {
-                    node = node.then(self.walk(item, env));
-                }
-                node
-            }
-            Binop(op, a, b) => {
-                let mut node = self.walk(a, env).then(self.walk(b, env));
+            Seq(_) => self.seq(e, env),
+            List(_) | Unop(..) => Node {
+                abs: AbsVal::Opaque,
+                ..self.seq(e, env)
+            },
+            Binop(op, _, b) => {
+                let mut node = self.seq(e, env);
                 // Division by a nonzero constant cannot raise `Div`.
                 let const_nonzero = matches!(b.kind, TExprKind::Int(n) if n != 0);
                 if matches!(op, BinOp::Div | BinOp::Mod) && !const_nonzero {
@@ -432,54 +417,30 @@ impl<'p> Cx<'p> {
                 node.abs = AbsVal::Opaque;
                 node
             }
-            Unop(_, a) => {
-                let mut node = self.walk(a, env);
-                node.abs = AbsVal::Opaque;
-                node
-            }
             Raise(id) => {
-                let mut raises = BTreeSet::new();
-                raises.insert(id.0);
-                Node {
-                    min_out: 0,
-                    max_sends: 0,
-                    raises,
-                    abs: AbsVal::Opaque,
-                }
+                let mut node = Node::pure(AbsVal::Opaque);
+                node.raises.insert(id.0);
+                node
             }
             Handle(body, pat, handler) => {
-                let bn = self.walk(body, env);
+                let mut bn = self.walk(body, env);
                 let hn = self.walk(handler, env);
-                let mut caught = bn.raises.clone();
+                // If the body cannot raise, the handler is dead code.
+                let min_out = if bn.raises.is_empty() {
+                    bn.min_out
+                } else {
+                    bn.min_out.min(hn.min_out)
+                };
                 match pat {
-                    None => caught.clear(),
+                    None => bn.raises.clear(),
                     Some(exn) => {
-                        caught.remove(&exn.0);
+                        bn.raises.remove(&exn.0);
                     }
                 }
-                let body_may_raise = !bn.raises.is_empty();
-                let mut raises = caught;
-                raises.extend(hn.raises.clone());
                 Node {
-                    // If the body cannot raise, the handler is dead code.
-                    min_out: if body_may_raise {
-                        bn.min_out.min(hn.min_out)
-                    } else {
-                        bn.min_out
-                    },
-                    max_sends: (bn.max_sends + if body_may_raise { hn.max_sends } else { 0 })
-                        .min(CAP),
-                    raises,
-                    abs: bn.abs.join(hn.abs),
+                    min_out,
+                    ..bn.or(hn)
                 }
-            }
-            List(items) => {
-                let mut node = Node::pure(AbsVal::Opaque);
-                for item in items {
-                    node = node.then(self.walk(item, env));
-                }
-                node.abs = AbsVal::Opaque;
-                node
             }
             OnRemote {
                 chan,
@@ -499,9 +460,8 @@ impl<'p> Cx<'p> {
                 });
                 Node {
                     min_out: pn.min_out + 1,
-                    max_sends: (pn.max_sends + 1).min(CAP),
-                    raises: pn.raises,
                     abs: AbsVal::Opaque,
+                    ..pn
                 }
             }
             OnNeighbor {
@@ -525,16 +485,10 @@ impl<'p> Cx<'p> {
                     kind: SendKind::Neighbor,
                     span: e.span,
                 });
-                Node {
-                    min_out: hn.min_out + pn.min_out + 1,
-                    max_sends: (hn.max_sends + pn.max_sends + 1).min(CAP),
-                    raises: {
-                        let mut r = hn.raises;
-                        r.extend(pn.raises);
-                        r
-                    },
-                    abs: AbsVal::Opaque,
-                }
+                let mut node = hn.then(pn);
+                node.min_out += 1;
+                node.abs = AbsVal::Opaque;
+                node
             }
         }
     }
@@ -598,174 +552,6 @@ fn prim_abs(name: &str, args: &[AbsVal]) -> AbsVal {
     }
 }
 
-/// Computes the maximum, over all execution paths of `body`, of the total
-/// *weight* of executed send sites, where `weigh` assigns each send site a
-/// weight. Function calls contribute `fun_weights[f]`. Saturates at `CAP`.
-///
-/// This is the workhorse of the duplication fix-point: with weight 1 for
-/// every send it computes the plain maximum send count; with weight 2 for
-/// sends targeting duplicating channels it computes the paper's "at most
-/// one copying send per path" measure.
-pub fn max_path_weight(
-    prog: &TProgram,
-    body: &TExpr,
-    fun_weights: &[u32],
-    weigh: &dyn Fn(usize, DestAbs) -> u32,
-) -> u32 {
-    // Destination abstractions depend on the environment; rather than
-    // re-threading the abstract env, we reuse `summarize`-style analysis
-    // conservatively: recompute locally with a fresh env each call.
-    let mut env: HashMap<u32, AbsVal> = HashMap::new();
-    env.insert(2, AbsVal::Pkt);
-    wmax(prog, body, fun_weights, weigh, &mut env).min(CAP)
-}
-
-fn wmax(
-    prog: &TProgram,
-    e: &TExpr,
-    fw: &[u32],
-    weigh: &dyn Fn(usize, DestAbs) -> u32,
-    env: &mut HashMap<u32, AbsVal>,
-) -> u32 {
-    use TExprKind::*;
-    match &e.kind {
-        Int(_)
-        | Bool(_)
-        | Str(_)
-        | Char(_)
-        | Unit
-        | Host(_)
-        | Local { .. }
-        | Global { .. }
-        | Raise(_) => 0,
-        Tuple(items) | Seq(items) | List(items) => items
-            .iter()
-            .map(|i| wmax(prog, i, fw, weigh, env))
-            .sum::<u32>()
-            .min(CAP),
-        Proj(_, inner) | Unop(_, inner) => wmax(prog, inner, fw, weigh, env),
-        CallFun { index, args } => {
-            let argw: u32 = args.iter().map(|a| wmax(prog, a, fw, weigh, env)).sum();
-            (argw + fw[*index as usize]).min(CAP)
-        }
-        CallPrim { args, .. } => args
-            .iter()
-            .map(|a| wmax(prog, a, fw, weigh, env))
-            .sum::<u32>()
-            .min(CAP),
-        If(c, t, f) => {
-            let cw = wmax(prog, c, fw, weigh, env);
-            let tw = wmax(prog, t, fw, weigh, env);
-            let fw_ = wmax(prog, f, fw, weigh, env);
-            (cw + tw.max(fw_)).min(CAP)
-        }
-        Let {
-            slot, init, body, ..
-        } => {
-            let iw = wmax(prog, init, fw, weigh, env);
-            // Track the abstract value for destination resolution.
-            let abs = abs_only(prog, init, env);
-            let saved = env.insert(*slot, abs);
-            let bw = wmax(prog, body, fw, weigh, env);
-            match saved {
-                Some(v) => {
-                    env.insert(*slot, v);
-                }
-                None => {
-                    env.remove(slot);
-                }
-            }
-            (iw + bw).min(CAP)
-        }
-        Binop(_, a, b) => (wmax(prog, a, fw, weigh, env) + wmax(prog, b, fw, weigh, env)).min(CAP),
-        Handle(body, _, handler) => {
-            (wmax(prog, body, fw, weigh, env) + wmax(prog, handler, fw, weigh, env)).min(CAP)
-        }
-        OnRemote {
-            chan,
-            overload,
-            pkt,
-        } => {
-            let pw = wmax(prog, pkt, fw, weigh, env);
-            let abs = abs_only(prog, pkt, env);
-            let dest = dest_of(&abs);
-            let target = prog.chan_groups[chan][*overload as usize];
-            (pw + weigh(target, dest)).min(CAP)
-        }
-        OnNeighbor {
-            chan,
-            overload,
-            host,
-            pkt,
-        } => {
-            let hw = wmax(prog, host, fw, weigh, env);
-            let pw = wmax(prog, pkt, fw, weigh, env);
-            let abs = abs_only(prog, host, env);
-            let dest = match abs {
-                AbsVal::HostA(d) => d,
-                _ => DestAbs::Unknown,
-            };
-            let target = prog.chan_groups[chan][*overload as usize];
-            (hw + pw + weigh(target, dest)).min(CAP)
-        }
-    }
-}
-
-/// Effect-free abstract evaluation (destination tracking only).
-fn abs_only(prog: &TProgram, e: &TExpr, env: &mut HashMap<u32, AbsVal>) -> AbsVal {
-    use TExprKind::*;
-    match &e.kind {
-        Host(a) => AbsVal::HostA(DestAbs::Const(*a)),
-        Local { slot, .. } => env.get(slot).cloned().unwrap_or(AbsVal::Opaque),
-        Global { index, .. } => {
-            let g = &prog.globals[*index as usize];
-            if g.ty == Type::Host {
-                if let TExprKind::Host(a) = g.init.kind {
-                    return AbsVal::HostA(DestAbs::Const(a));
-                }
-                return AbsVal::HostA(DestAbs::Unknown);
-            }
-            AbsVal::Opaque
-        }
-        Tuple(items) => AbsVal::Tup(items.iter().map(|i| abs_only(prog, i, env)).collect()),
-        Proj(i, inner) => match abs_only(prog, inner, env) {
-            AbsVal::Pkt if *i == 0 => AbsVal::Ip {
-                dest: DestAbs::Unchanged,
-                src_orig: true,
-            },
-            AbsVal::Tup(parts) => parts.get(*i as usize).cloned().unwrap_or(AbsVal::Opaque),
-            _ => AbsVal::Opaque,
-        },
-        CallPrim { prim, args } => {
-            let arg_abs: Vec<AbsVal> = args.iter().map(|a| abs_only(prog, a, env)).collect();
-            prim_abs(prims::table().sig(*prim).name, &arg_abs)
-        }
-        If(_, t, f) => abs_only(prog, t, env).join(abs_only(prog, f, env)),
-        Let {
-            slot, init, body, ..
-        } => {
-            let abs = abs_only(prog, init, env);
-            let saved = env.insert(*slot, abs);
-            let out = abs_only(prog, body, env);
-            match saved {
-                Some(v) => {
-                    env.insert(*slot, v);
-                }
-                None => {
-                    env.remove(slot);
-                }
-            }
-            out
-        }
-        Seq(items) => items
-            .last()
-            .map(|l| abs_only(prog, l, env))
-            .unwrap_or(AbsVal::Opaque),
-        Handle(body, _, handler) => abs_only(prog, body, env).join(abs_only(prog, handler, env)),
-        _ => AbsVal::Opaque,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -787,7 +573,6 @@ mod tests {
         assert_eq!(s.sites.len(), 1);
         assert!(s.sites[0].is_progress());
         assert_eq!(s.min_out, 1);
-        assert_eq!(s.max_sends, 1);
         assert!(s.raises.is_empty());
     }
 
@@ -851,7 +636,6 @@ mod tests {
         );
         let s = &sum.channels[0];
         assert_eq!(s.min_out, 0);
-        assert_eq!(s.max_sends, 1);
     }
 
     #[test]
@@ -862,7 +646,6 @@ mod tests {
         );
         let s = &sum.channels[0];
         assert_eq!(s.min_out, 1);
-        assert_eq!(s.max_sends, 0);
     }
 
     #[test]
@@ -914,7 +697,6 @@ mod tests {
         // find the network channel summary (index 1)
         let s = &sum.channels[1];
         assert_eq!(s.sites.len(), 2);
-        assert_eq!(s.max_sends, 2);
         assert_eq!(s.min_out, 2);
     }
 
@@ -923,17 +705,6 @@ mod tests {
         let d = DestAbs::Const((224u32 << 24) | 5);
         assert!(d.is_multicast_const());
         assert!(!DestAbs::Const(10 << 24).is_multicast_const());
-    }
-
-    #[test]
-    fn max_path_weight_counts_sends() {
-        let (tp, _) = summarize_src(
-            "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
-             (if ps > 0 then OnRemote(network, p) else (OnRemote(network, p); OnRemote(network, p));\n\
-              (ps, ss))",
-        );
-        let w = max_path_weight(&tp, &tp.channels[0].body, &[], &|_, _| 1);
-        assert_eq!(w, 2);
     }
 
     #[test]
@@ -997,6 +768,33 @@ mod tests {
         let s = &sum.channels[1];
         assert_eq!(s.sites.len(), 1);
         assert_eq!(s.sites[0].dest, DestAbs::Unknown);
+    }
+
+    #[test]
+    fn a_packet_in_a_function_parameter_is_not_the_arriving_packet() {
+        // Slot 2 is the packet parameter of a *channel*; in a function
+        // it is an ordinary (opaque) parameter, whatever its type.
+        let (_, sum) = summarize_src(
+            "fun f(a : int, b : int, q : ip*udp*blob) : unit = OnRemote(network, q)
+             channel network(ps : int, ss : unit, p : ip*udp*blob) is
+             (f(ps, ps, p); (ps, ss))",
+        );
+        assert_eq!(sum.funs[0].sites[0].dest, DestAbs::Unknown);
+        assert_eq!(sum.channels[0].sites[0].dest, DestAbs::Unknown);
+        assert_eq!(sum.duplication.may_copy, vec![false]);
+    }
+
+    #[test]
+    fn multicast_rebuilt_from_a_function_parameter_still_copies() {
+        let (tp, sum) = summarize_src(
+            "fun mc(a : int, b : int, q : ip*udp*blob) : unit =
+               OnRemote(network, (ipDestSet(#1 q, 224.0.0.5), #2 q, #3 q))
+             channel network(ps : int, ss : unit, p : ip*udp*blob) is
+             (mc(ps, ps, p); mc(ps, ps, p); (ps, ss))",
+        );
+        assert!(sum.funs[0].sites[0].dest.is_multicast_const());
+        assert_eq!(sum.duplication.may_copy, vec![true]);
+        assert!(!crate::duplication::check_duplication(&tp, &sum).is_proved());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::cost::{cost_bounds, CostReport};
 use crate::diag::Diagnostic;
-use crate::duplication::{check_duplication, compute_may_copy};
+use crate::duplication::check_duplication;
 use crate::lint::lint;
 use crate::modelcheck::{model_check, ModelCheckReport, Verdict};
 use crate::summary::{summarize, ProgramSummary};
@@ -411,7 +411,7 @@ fn report_from(
         channels: prog.channels.len(),
         send_sites,
         restart_sites,
-        dup_iterations: compute_may_copy(prog, sum).iterations,
+        dup_iterations: sum.duplication.iterations,
     };
     let cost = cost_bounds(prog);
     let budget = check_budget(prog, &cost, policy.max_steps_per_packet);

@@ -219,52 +219,49 @@ pub enum TExprKind {
 }
 
 impl TExpr {
+    /// The direct subexpressions, in evaluation order (`init` before
+    /// `body`, `host` before `pkt`). The one enumeration of
+    /// [`TExprKind`]'s shape for read-only traversals: anything that does
+    /// not give a form its own meaning iterates this.
+    pub fn children(&self) -> impl Iterator<Item = &TExpr> {
+        use TExprKind::*;
+        let (items, boxed): (&[TExpr], [Option<&TExpr>; 3]) = match &self.kind {
+            Int(_)
+            | Bool(_)
+            | Str(_)
+            | Char(_)
+            | Unit
+            | Host(_)
+            | Local { .. }
+            | Global { .. }
+            | Raise(_) => (&[], [None; 3]),
+            Tuple(items)
+            | Seq(items)
+            | List(items)
+            | CallFun { args: items, .. }
+            | CallPrim { args: items, .. } => (items, [None; 3]),
+            Proj(_, a) | Unop(_, a) | OnRemote { pkt: a, .. } => (&[], [Some(a), None, None]),
+            Let {
+                init: a, body: b, ..
+            }
+            | Binop(_, a, b)
+            | Handle(a, _, b)
+            | OnNeighbor {
+                host: a, pkt: b, ..
+            } => (&[], [Some(a), Some(b), None]),
+            If(c, t, f) => (&[], [Some(c), Some(t), Some(f)]),
+        };
+        // Every analysis's inner loop: `chain(..).flatten()` here measured
+        // `cost_bounds` over the corpus at 21 us against 13 us for this.
+        let (mut items, mut boxed) = (items.iter(), boxed.into_iter());
+        std::iter::from_fn(move || items.next().or_else(|| boxed.next().flatten()))
+    }
+
     /// Visits this expression and all sub-expressions, pre-order.
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a TExpr)) {
         f(self);
-        match &self.kind {
-            TExprKind::Int(_)
-            | TExprKind::Bool(_)
-            | TExprKind::Str(_)
-            | TExprKind::Char(_)
-            | TExprKind::Unit
-            | TExprKind::Host(_)
-            | TExprKind::Local { .. }
-            | TExprKind::Global { .. }
-            | TExprKind::Raise(_) => {}
-            TExprKind::Tuple(items) | TExprKind::Seq(items) | TExprKind::List(items) => {
-                for e in items {
-                    e.walk(f);
-                }
-            }
-            TExprKind::Proj(_, e) | TExprKind::Unop(_, e) => e.walk(f),
-            TExprKind::CallFun { args, .. } | TExprKind::CallPrim { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            TExprKind::If(c, t, e) => {
-                c.walk(f);
-                t.walk(f);
-                e.walk(f);
-            }
-            TExprKind::Let { init, body, .. } => {
-                init.walk(f);
-                body.walk(f);
-            }
-            TExprKind::Binop(_, a, b) => {
-                a.walk(f);
-                b.walk(f);
-            }
-            TExprKind::Handle(e, _, h) => {
-                e.walk(f);
-                h.walk(f);
-            }
-            TExprKind::OnRemote { pkt, .. } => pkt.walk(f),
-            TExprKind::OnNeighbor { host, pkt, .. } => {
-                host.walk(f);
-                pkt.walk(f);
-            }
+        for c in self.children() {
+            c.walk(f);
         }
     }
 }
@@ -273,34 +270,107 @@ impl TExpr {
 mod tests {
     use super::*;
 
-    fn leaf(kind: TExprKind, ty: Type) -> TExpr {
-        TExpr {
-            kind,
-            ty,
-            span: Span::dummy(),
+    /// One program text that uses all 22 expression forms.
+    const ALL_FORMS: &str = "val g : int = 4
+exception Boom
+fun inc(x : int) : int = x + 1
+channel mon(ps : int, ss : unit, p : ip*udp*blob) is (ps, ss)
+channel network(ps : int, ss : unit, p : ip*udp*blob) is
+  let val n : int = inc(g) in
+    (OnNeighbor(mon, 10.0.0.3, p);
+     OnRemote(network, p);
+     println(\"s\");
+     [strChar(\"ab\", 0), #\"c\"];
+     ();
+     (if not true then -n else raise Boom) handle Boom => udpDst(#2 p);
+     (n, ss))
+  end";
+
+    fn form(k: &TExprKind) -> &'static str {
+        use TExprKind::*;
+        match k {
+            Int(_) => "int",
+            Bool(_) => "bool",
+            Str(_) => "str",
+            Char(_) => "char",
+            Unit => "unit",
+            Host(_) => "host",
+            Local { .. } => "local",
+            Global { .. } => "global",
+            Tuple(_) => "tuple",
+            Proj(..) => "proj",
+            CallFun { .. } => "callfun",
+            CallPrim { .. } => "callprim",
+            If(..) => "if",
+            Let { .. } => "let",
+            Seq(_) => "seq",
+            Binop(..) => "binop",
+            Unop(..) => "unop",
+            Raise(_) => "raise",
+            Handle(..) => "handle",
+            List(_) => "list",
+            OnRemote { .. } => "onremote",
+            OnNeighbor { .. } => "onneighbor",
+        }
+    }
+
+    /// The children written out form by form: the oracle `children()` is
+    /// held to, node for node and in order.
+    fn expected_children(e: &TExpr) -> Vec<&TExpr> {
+        use TExprKind::*;
+        match &e.kind {
+            Int(_)
+            | Bool(_)
+            | Str(_)
+            | Char(_)
+            | Unit
+            | Host(_)
+            | Local { .. }
+            | Global { .. }
+            | Raise(_) => vec![],
+            Tuple(items) | Seq(items) | List(items) => items.iter().collect(),
+            CallFun { args, .. } | CallPrim { args, .. } => args.iter().collect(),
+            Proj(_, a) | Unop(_, a) => vec![a],
+            If(c, t, f) => vec![c, t, f],
+            Let { init, body, .. } => vec![init, body],
+            Binop(_, a, b) => vec![a, b],
+            Handle(body, _, handler) => vec![body, handler],
+            OnRemote { pkt, .. } => vec![pkt],
+            OnNeighbor { host, pkt, .. } => vec![host, pkt],
         }
     }
 
     #[test]
-    fn walk_visits_all_nodes() {
-        let e = TExpr {
-            kind: TExprKind::If(
-                Box::new(leaf(TExprKind::Bool(true), Type::Bool)),
-                Box::new(leaf(TExprKind::Int(1), Type::Int)),
-                Box::new(TExpr {
-                    kind: TExprKind::Tuple(vec![
-                        leaf(TExprKind::Int(2), Type::Int),
-                        leaf(TExprKind::Int(3), Type::Int),
-                    ]),
-                    ty: Type::Tuple(vec![Type::Int, Type::Int]),
-                    span: Span::dummy(),
-                }),
-            ),
-            ty: Type::Int,
-            span: Span::dummy(),
-        };
-        let mut n = 0;
-        e.walk(&mut |_| n += 1);
-        assert_eq!(n, 6);
+    fn children_of_every_form_in_evaluation_order() {
+        let tp = crate::compile_front(ALL_FORMS).unwrap();
+        let roots = [
+            &tp.globals[0].init,
+            &tp.funs[0].body,
+            &tp.channels[0].body,
+            &tp.channels[1].body,
+        ];
+        let mut forms = std::collections::BTreeSet::new();
+        for root in roots {
+            let (mut nodes, mut edges) = (0, 0);
+            root.walk(&mut |e| {
+                nodes += 1;
+                let name = form(&e.kind);
+                forms.insert(name);
+                let got: Vec<&TExpr> = e.children().collect();
+                let want = expected_children(e);
+                assert_eq!(got.len(), want.len(), "{name}: child count");
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(std::ptr::eq(*g, *w), "{name}: child order");
+                }
+                edges += got.len();
+                // Source order is evaluation order for these forms.
+                if matches!(name, "onneighbor" | "let" | "if" | "handle" | "binop") {
+                    let starts: Vec<u32> = got.iter().map(|c| c.span.start).collect();
+                    assert!(starts.windows(2).all(|w| w[0] < w[1]), "{name}: {starts:?}");
+                }
+            });
+            assert_eq!(nodes, 1 + edges, "walk visits each child exactly once");
+        }
+        assert_eq!(forms.len(), 22, "forms exercised: {forms:?}");
     }
 }

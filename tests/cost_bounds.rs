@@ -14,8 +14,13 @@
 //!   the JIT, must each stay within the per-packet bound for steps *and*
 //!   send effects, and the JIT (which constant-folds) must never charge
 //!   more than the interpreter.
+//!
+//! And one pin: the bounds themselves, for the whole corpus, against the
+//! values computed before the analyses moved onto the shared worst-path
+//! recurrence — sound-but-different would otherwise pass everything
+//! above.
 
-use planp::analysis::cost_bounds;
+use planp::analysis::{compute_may_copy, cost_bounds, summarize, verify, Outcome, Policy};
 use planp::lang::compile_front;
 use planp::vm::env::{Effect, MockEnv};
 use planp::vm::interp::Interp;
@@ -23,6 +28,7 @@ use planp::vm::jit;
 use planp::vm::pkthdr::{addr, IpHdr, TcpHdr, UdpHdr};
 use planp::vm::value::Value;
 use planp_apps::audio::{run_audio_traced, Adaptation, AudioConfig};
+use planp_apps::corpus::CORPUS;
 use planp_apps::http::{run_http_traced, ClusterMode, HttpConfig};
 use planp_apps::mpeg::{run_mpeg_traced, MpegConfig};
 use planp_telemetry::{MetricsSnapshot, TraceConfig};
@@ -239,4 +245,144 @@ fn http_gateway_random_packets_within_bound() {
             blob,
         ])
     });
+}
+
+/// Per corpus entry, in `CORPUS` order: per channel overload `(steps,
+/// sends, inserts, evicts)`, the may-copy vector and the fix-point's
+/// iteration count — computed at commit 25d2510, the parent of the PR
+/// that replaced `cost::bound_expr`, the count plumbing of
+/// `state::Cx::walk` and `summary::max_path_weight` with atoms over
+/// `paths::worst_path`.
+type Pinned = (
+    &'static str,
+    &'static [(u64, u64, u64, u64)],
+    &'static [bool],
+    usize,
+);
+const PINNED_BOUNDS: &[Pinned] = &[
+    ("audio_client", &[(63, 0, 0, 0)], &[false], 1),
+    ("audio_router", &[(96, 1, 0, 0)], &[false], 1),
+    ("audio_router_chaos", &[(119, 1, 0, 0)], &[false], 1),
+    ("audio_router_hysteresis", &[(133, 1, 0, 0)], &[false], 1),
+    ("audio_router_queue", &[(86, 1, 0, 0)], &[false], 1),
+    ("forwarder", &[(8, 1, 0, 0)], &[false], 1),
+    (
+        "http_gateway",
+        &[(6, 1, 0, 0), (54, 1, 1, 0)],
+        &[false, false],
+        1,
+    ),
+    (
+        "http_gateway_3srv",
+        &[(6, 1, 0, 0), (60, 1, 1, 0)],
+        &[false, false],
+        1,
+    ),
+    (
+        "http_gateway_bounded",
+        &[(6, 1, 0, 0), (55, 1, 1, 1)],
+        &[false, false],
+        1,
+    ),
+    (
+        "http_gateway_failover",
+        &[(6, 1, 0, 0), (45, 1, 0, 0)],
+        &[false, false],
+        1,
+    ),
+    (
+        "http_gateway_porthash",
+        &[(6, 1, 0, 0), (45, 1, 0, 0)],
+        &[false, false],
+        1,
+    ),
+    (
+        "http_gateway_random",
+        &[(6, 1, 0, 0), (53, 1, 1, 0)],
+        &[false, false],
+        1,
+    ),
+    (
+        "mpeg_capture",
+        &[(24, 0, 1, 0), (25, 0, 0, 0)],
+        &[false, false],
+        1,
+    ),
+    (
+        "mpeg_monitor",
+        &[(70, 0, 1, 0), (73, 1, 0, 0), (6, 0, 0, 0)],
+        &[false, false, false],
+        1,
+    ),
+    (
+        "relay_pin",
+        &[(16, 1, 0, 0), (16, 1, 0, 0)],
+        &[false, false],
+        1,
+    ),
+    (
+        "reliable_relay",
+        &[(109, 1, 1, 0), (31, 2, 0, 0), (52, 1, 0, 0)],
+        &[true, true, true],
+        3,
+    ),
+    ("bounce_a", &[(22, 1, 0, 0)], &[false], 1),
+    ("bounce_b", &[(22, 1, 0, 0)], &[false], 1),
+    ("bounce_pingpong", &[(20, 1, 0, 0)], &[false], 1),
+    ("fragile_relay", &[(26, 1, 0, 0)], &[false], 1),
+    ("neighbor_pingpong", &[(13, 1, 0, 0)], &[false], 1),
+    (
+        "shuttle_a",
+        &[(8, 1, 0, 0), (22, 1, 0, 0)],
+        &[false, false],
+        1,
+    ),
+    (
+        "shuttle_b",
+        &[(8, 1, 0, 0), (22, 1, 0, 0)],
+        &[false, false],
+        1,
+    ),
+    ("silent_drop", &[(17, 1, 0, 0)], &[false], 1),
+    ("state_leak", &[(22, 1, 1, 0)], &[false], 1),
+];
+
+/// The files whose strict verdict rejects duplication with `E003`, at
+/// the same commit.
+const PINNED_E003: &[&str] = &["asps/reliable_relay.planp"];
+
+#[test]
+fn corpus_bounds_equal_the_values_pinned_before_the_shared_recurrence() {
+    assert_eq!(PINNED_BOUNDS.len(), CORPUS.len());
+    let mut e003 = Vec::new();
+    for (asp, (name, channels, may_copy, iterations)) in CORPUS.iter().zip(PINNED_BOUNDS) {
+        assert_eq!(asp.name, *name, "table is in CORPUS order");
+        let tp = compile_front(asp.src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let sum = summarize(&tp);
+        let got: Vec<(u64, u64, u64, u64)> = cost_bounds(&tp)
+            .channels
+            .iter()
+            .zip(&sum.state.channels)
+            .map(|(c, s)| {
+                (
+                    c.bound.steps,
+                    c.bound.sends,
+                    s.counts.inserts,
+                    s.counts.evicts,
+                )
+            })
+            .collect();
+        assert_eq!(got, *channels, "{name}: (steps, sends, inserts, evicts)");
+        let dup = compute_may_copy(&tp, &sum);
+        assert_eq!(dup.may_copy, *may_copy, "{name}: may_copy");
+        assert_eq!(dup.iterations, *iterations, "{name}: fix-point iterations");
+        let report = verify(&tp, Policy::strict());
+        assert_eq!(report.stats.dup_iterations, *iterations, "{name}");
+        if let Outcome::Rejected(errs) = &report.duplication {
+            if errs.iter().any(|d| d.code == "E003") {
+                e003.push(asp.path);
+            }
+        }
+    }
+    assert_eq!(e003, PINNED_E003);
 }
