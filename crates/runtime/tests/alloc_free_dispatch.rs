@@ -21,42 +21,14 @@ use netsim::packet::{addr, Packet, TcpHdr};
 use netsim::{App, ArrivalMeta, HookVerdict, LinkSpec, NodeApi, PacketHook, Sim, SimTime};
 use planp_analysis::Policy;
 use planp_runtime::{load, LayerConfig, LoadedProgram, PlanpLayer};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
-thread_local! {
-    /// Allocator calls made by this thread (tests run on threads of
-    /// their own, so one test's count never sees another's).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a thread-local
-// counter with a const initializer and no destructor, so touching it
-// neither allocates nor runs after thread teardown.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `dealloc`; the size is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+mod counting_alloc;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 const WARMUP: u64 = 300;
 const MEASURED: u64 = 1000;
@@ -84,9 +56,9 @@ struct Counted {
 impl PacketHook for Counted {
     fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: Packet, meta: &ArrivalMeta) -> HookVerdict {
         let class = (self.class)(&pkt);
-        let before = ALLOCS.with(Cell::get);
+        let before = counting_alloc::calls();
         let verdict = self.layer.on_packet(api, pkt, meta);
-        let allocs = ALLOCS.with(Cell::get) - before;
+        let allocs = counting_alloc::calls() - before;
         assert!(matches!(verdict, HookVerdict::Handled), "a channel ran");
         let mut tallies = self.tallies.borrow_mut();
         let t = &mut tallies[class];

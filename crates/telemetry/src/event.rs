@@ -5,7 +5,7 @@
 //! [`TraceLog::wants`], so when a category is disabled no event value is
 //! ever constructed — tracing off costs one branch per site.
 
-use crate::json::{push_key, push_str, Seq};
+use crate::json::{push_key, push_str, push_u64, Seq};
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
@@ -512,7 +512,7 @@ impl TraceEvent {
         let field = |out: &mut String, seq: &mut Seq, k: &str, v: u64| {
             seq.sep(out);
             push_key(out, k);
-            out.push_str(&v.to_string());
+            push_u64(out, v);
         };
         let tag = |out: &mut String, seq: &mut Seq, ty: &str| {
             seq.sep(out);
@@ -709,13 +709,13 @@ impl TraceEvent {
                 seq.sep(out);
                 push_key(out, "node");
                 match node {
-                    Some(n) => out.push_str(&n.to_string()),
+                    Some(n) => push_u64(out, u64::from(*n)),
                     None => out.push_str("null"),
                 }
                 seq.sep(out);
                 push_key(out, "link");
                 match link {
-                    Some(l) => out.push_str(&l.to_string()),
+                    Some(l) => push_u64(out, u64::from(*l)),
                     None => out.push_str("null"),
                 }
                 field(out, &mut seq, "pkt", *pkt);
@@ -1039,7 +1039,7 @@ impl TraceConfig {
 /// decision — the same mix the simulator's RNG uses, so the sampler
 /// inherits its avalanche quality without depending on the netsim
 /// crate.
-fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -1060,10 +1060,6 @@ pub struct TraceOverhead {
     pub evicted: u64,
     /// Estimated serialized bytes of the kept events.
     pub est_bytes: u64,
-    /// Estimated record cost of the kept events, in nanoseconds
-    /// (`kept × EST_RECORD_NS` — a fixed per-event estimate, not a
-    /// wall-clock measurement, so it is deterministic).
-    pub est_cost_ns: u64,
     /// Budget downgrades applied so far.
     pub downgrades: u32,
     /// The current (possibly budget-degraded) sampling denominator.
@@ -1103,11 +1099,6 @@ impl Default for TraceLog {
         TraceLog::new(TraceConfig::default())
     }
 }
-
-/// Estimated cost of recording one kept event, in nanoseconds. A fixed
-/// constant (construct + ring push + amortized serialization), so the
-/// overhead meter stays deterministic.
-pub const EST_RECORD_NS: u64 = 120;
 
 impl TraceLog {
     /// A log with the given configuration.
@@ -1299,7 +1290,6 @@ impl TraceLog {
             rate_limited: self.rate_limited,
             evicted: self.evicted,
             est_bytes: self.est_bytes,
-            est_cost_ns: self.recorded * EST_RECORD_NS,
             downgrades: self.downgrades,
             sample_n: self.sample_n,
         }
@@ -1460,7 +1450,7 @@ mod tests {
             })
             .collect();
         assert_eq!(downs, vec![(1, 2), (2, 4)]);
-        assert!(oh.est_bytes > 0 && oh.est_cost_ns == oh.kept * EST_RECORD_NS);
+        assert!(oh.est_bytes > 0);
     }
 
     #[test]

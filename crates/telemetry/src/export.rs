@@ -16,22 +16,38 @@
 //!   quantiles (p50/p90/p99/p99.9) with `_sum`/`_count`, plus `_min` /
 //!   `_max` gauges.
 
-use crate::json::push_str;
+use crate::json::{push_escaped, push_str, push_u64, Seq};
 use crate::metrics::MetricsSnapshot;
-use crate::span::TraceForest;
+use crate::span::{Span, TraceForest};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Nanoseconds rendered as microseconds with three decimals — Chrome's
-/// `ts`/`dur` unit — without going through floating point.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
+/// Appends `key` (punctuation included) and then `v` in decimal.
+fn num(out: &mut String, key: &str, v: u64) {
+    out.push_str(key);
+    push_u64(out, v);
 }
 
-fn node_name(nodes: &[String], i: u32) -> String {
-    nodes
-        .get(i as usize)
-        .cloned()
-        .unwrap_or_else(|| format!("n{i}"))
+/// Appends `key` and then nanoseconds as microseconds with three
+/// decimals — Chrome's `ts`/`dur` unit — without going through floating
+/// point.
+fn micros(out: &mut String, key: &str, ns: u64) {
+    num(out, key, ns / 1000);
+    let frac = ns % 1000;
+    out.push('.');
+    for digit in [frac / 100, frac / 10 % 10, frac % 10] {
+        out.push(char::from(b'0' + digit as u8));
+    }
+}
+
+/// One end of a lineage flow arrow (`head` opens the event up to its
+/// `id`), on the row of node `tid`.
+fn flow(out: &mut String, head: &str, s: &Span, tid: u32) {
+    num(out, head, s.id);
+    num(out, ",\"pid\":", s.trace);
+    num(out, ",\"tid\":", u64::from(tid));
+    micros(out, ",\"ts\":", s.start_ns);
+    out.push('}');
 }
 
 /// Renders a span forest as a Chrome `trace_event` JSON document
@@ -39,92 +55,99 @@ fn node_name(nodes: &[String], i: u32) -> String {
 /// arrows, and process/thread name metadata. `nodes` supplies thread
 /// names by node index.
 pub fn chrome_trace(forest: &TraceForest, nodes: &[String]) -> String {
+    // Grown by doubling, not reserved from the span count: a 25 MB
+    // reservation is a block glibc serves from the heap once its mmap
+    // threshold has adapted, where a freed one can strand the next
+    // (DESIGN.md, "Reading a trace": peak RSS 56 → 78 MB in 2 of 18
+    // benchmark runs, for 2 ms of a 22 ms export).
     let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-    };
+    let mut seq = Seq::new();
 
-    // Metadata: one process row per trace, one thread row per node that
-    // appears in it.
-    let mut meta: Vec<(u64, Vec<u32>)> = Vec::new();
+    // Metadata: one process row per trace, in the order traces first
+    // appear among the spans (not ascending: a trace whose root was
+    // evicted appears at its first surviving child), and one thread row
+    // per node that appears in it. `slot_of` is looked up, never
+    // iterated.
+    let mut traces: Vec<u64> = Vec::new();
+    let mut slot_of: HashMap<u64, usize> = HashMap::new();
+    let mut threads: Vec<(usize, u32)> = Vec::with_capacity(forest.spans().count());
     for s in forest.spans() {
-        match meta.iter_mut().find(|(t, _)| *t == s.trace) {
-            Some((_, ns)) => {
-                if !ns.contains(&s.node) {
-                    ns.push(s.node);
+        let slot = *slot_of.entry(s.trace).or_insert_with(|| {
+            traces.push(s.trace);
+            traces.len() - 1
+        });
+        threads.push((slot, s.node));
+    }
+    threads.sort_unstable();
+    threads.dedup();
+    let mut threads = threads.into_iter().peekable();
+    for (slot, &trace) in traces.iter().enumerate() {
+        seq.sep(&mut out);
+        num(
+            &mut out,
+            "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":",
+            trace,
+        );
+        num(&mut out, ",\"tid\":0,\"args\":{\"name\":\"trace ", trace);
+        out.push_str("\"}}");
+        while let Some((_, n)) = threads.next_if(|(of, _)| *of == slot) {
+            seq.sep(&mut out);
+            num(
+                &mut out,
+                "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":",
+                trace,
+            );
+            num(&mut out, ",\"tid\":", u64::from(n));
+            out.push_str(",\"args\":{\"name\":");
+            match nodes.get(n as usize) {
+                Some(name) => push_str(&mut out, name),
+                None => {
+                    num(&mut out, "\"n", u64::from(n));
+                    out.push('"');
                 }
             }
-            None => meta.push((s.trace, vec![s.node])),
-        }
-    }
-    for (trace, ns) in &mut meta {
-        ns.sort_unstable();
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{trace},\"tid\":0,\
-             \"args\":{{\"name\":\"trace {trace}\"}}}}"
-        );
-        for n in ns.iter() {
-            sep(&mut out);
-            out.push_str(&format!(
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{trace},\"tid\":{n},\"args\":{{\"name\":"
-            ));
-            push_str(&mut out, &node_name(nodes, *n));
             out.push_str("}}");
         }
     }
 
     for s in forest.spans() {
         let dur = s.end_ns.saturating_sub(s.start_ns).max(1);
-        sep(&mut out);
-        out.push_str("{\"ph\":\"X\",\"name\":");
-        match &s.chan {
-            Some(c) => push_str(&mut out, &format!("{}:{c}", s.origin.name())),
-            None => push_str(&mut out, s.origin.name()),
+        seq.sep(&mut out);
+        out.push_str("{\"ph\":\"X\",\"name\":\"");
+        push_escaped(&mut out, s.origin.name());
+        if let Some(c) = &s.chan {
+            out.push(':');
+            push_escaped(&mut out, c);
         }
-        let _ = write!(
-            out,
-            ",\"cat\":\"span\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
-             \"args\":{{\"span\":{},\"parent\":{},\"vm_steps\":{},\"hops\":{},\
-             \"delivered\":{},\"drops\":{}}}}}",
-            s.trace,
-            s.node,
-            micros(s.start_ns),
-            micros(dur),
-            s.id,
-            s.parent,
-            s.vm_steps,
-            s.hops,
-            s.deliveries.len(),
-            s.drops
-        );
+        num(&mut out, "\",\"cat\":\"span\",\"pid\":", s.trace);
+        num(&mut out, ",\"tid\":", u64::from(s.node));
+        micros(&mut out, ",\"ts\":", s.start_ns);
+        micros(&mut out, ",\"dur\":", dur);
+        num(&mut out, ",\"args\":{\"span\":", s.id);
+        num(&mut out, ",\"parent\":", s.parent);
+        num(&mut out, ",\"vm_steps\":", s.vm_steps);
+        num(&mut out, ",\"hops\":", u64::from(s.hops));
+        num(&mut out, ",\"delivered\":", s.deliveries.len() as u64);
+        num(&mut out, ",\"drops\":", u64::from(s.drops));
+        out.push_str("}}");
         // Lineage flow arrow from the parent's row to this span's row.
-        if s.parent != 0 && forest.span(s.parent).is_some() {
-            let parent = forest.span(s.parent).unwrap();
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"s\",\"name\":\"lineage\",\"cat\":\"lineage\",\"id\":{},\
-                 \"pid\":{},\"tid\":{},\"ts\":{}}}",
-                s.id,
-                s.trace,
+        if s.parent == 0 {
+            continue;
+        }
+        if let Some(parent) = forest.span(s.parent) {
+            seq.sep(&mut out);
+            flow(
+                &mut out,
+                "{\"ph\":\"s\",\"name\":\"lineage\",\"cat\":\"lineage\",\"id\":",
+                s,
                 parent.node,
-                micros(s.start_ns)
             );
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"lineage\",\"cat\":\"lineage\",\
-                 \"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                s.id,
-                s.trace,
+            seq.sep(&mut out);
+            flow(
+                &mut out,
+                "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"lineage\",\"cat\":\"lineage\",\"id\":",
+                s,
                 s.node,
-                micros(s.start_ns)
             );
         }
     }

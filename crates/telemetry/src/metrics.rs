@@ -7,8 +7,9 @@
 //! a human table. `BTreeMap` keys make iteration order — and therefore
 //! export bytes — independent of insertion order.
 
-use crate::json::{push_key, push_str, Seq};
+use crate::json::{push_key, push_str, push_u64, Seq};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A power-of-two-bucket histogram over `u64` samples.
 ///
@@ -191,10 +192,11 @@ pub struct HistogramSummary {
 
 impl HistogramSummary {
     fn write_json(&self, out: &mut String) {
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
             self.count, self.sum, self.min, self.max, self.p50, self.p90, self.p99, self.p999
-        ));
+        );
     }
 
     /// Field-wise merge used by [`MetricsSnapshot::merge`]: counts and
@@ -451,7 +453,7 @@ impl MetricsSnapshot {
         for (k, v) in &self.counters {
             seq.sep(&mut out);
             push_key(&mut out, k);
-            out.push_str(&v.to_string());
+            push_u64(&mut out, *v);
         }
         out.push_str("},\"histograms\":{");
         let mut seq = Seq::new();
@@ -471,21 +473,23 @@ impl MetricsSnapshot {
             let w = self.counters.keys().map(|k| k.len()).max().unwrap_or(0);
             out.push_str("counters\n");
             for (k, v) in &self.counters {
-                out.push_str(&format!("  {k:<w$}  {v}\n"));
+                let _ = writeln!(out, "  {k:<w$}  {v}");
             }
         }
         if !self.histograms.is_empty() {
             let w = self.histograms.keys().map(|k| k.len()).max().unwrap_or(0);
             out.push_str("histograms\n");
-            out.push_str(&format!(
-                "  {:<w$}  {:>10} {:>12} {:>8} {:>8} {:>8} {:>8}\n",
+            let _ = writeln!(
+                out,
+                "  {:<w$}  {:>10} {:>12} {:>8} {:>8} {:>8} {:>8}",
                 "name", "count", "sum", "min", "p50", "p99", "max"
-            ));
+            );
             for (k, h) in &self.histograms {
-                out.push_str(&format!(
-                    "  {k:<w$}  {:>10} {:>12} {:>8} {:>8} {:>8} {:>8}\n",
+                let _ = writeln!(
+                    out,
+                    "  {k:<w$}  {:>10} {:>12} {:>8} {:>8} {:>8} {:>8}",
                     h.count, h.sum, h.min, h.p50, h.p99, h.max
-                ));
+                );
             }
         }
         if out.is_empty() {
@@ -514,9 +518,9 @@ pub fn bench_json(bench: &str, scalars: &[(&str, f64)], metrics: &MetricsSnapsho
         // Fixed-precision decimal keeps the bytes stable and readable;
         // six places is plenty for kbps / req/s / ms scalars.
         if v.fract() == 0.0 && v.abs() < 1e15 {
-            out.push_str(&format!("{}", *v as i64));
+            let _ = write!(out, "{}", *v as i64);
         } else {
-            out.push_str(&format!("{v:.6}"));
+            let _ = write!(out, "{v:.6}");
         }
     }
     out.push_str("},");

@@ -16,13 +16,15 @@
 //! Reconstruction requires the `span` category to have been enabled
 //! while recording; `deliver`, `link`, `hop` and `vm` enrich the trees
 //! with delivery times, hop latency and step counts when present.
-//! Everything is deterministic: spans are keyed by packet id in
-//! `BTreeMap`s and ties are broken by id, so renderings are byte-stable
-//! for identical logs.
+//! Everything is deterministic: spans are held in one vector ascending
+//! by packet id, every walk is in that order and ties are broken by id,
+//! so renderings are byte-stable for identical logs. The two hash maps
+//! of [`TraceForest::from_events`] are looked up, never iterated.
 
 use crate::event::{SpanOrigin, TraceEvent, TraceLog};
 use crate::metrics::Histogram;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -77,7 +79,8 @@ pub struct CriticalHop {
 /// All span trees reconstructed from one merged event log.
 #[derive(Debug, Default)]
 pub struct TraceForest {
-    spans: BTreeMap<u64, Span>,
+    /// Every span, ascending by id.
+    spans: Vec<Span>,
     roots: Vec<u64>,
     /// Spans whose parent never appeared in the log (e.g. evicted from
     /// the ring buffer). Rendered as extra roots.
@@ -96,51 +99,73 @@ impl TraceForest {
     /// Rebuilds span trees from any event sequence in time order.
     pub fn from_events<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> TraceForest {
         let mut f = TraceForest::default();
+        // The simulator stamps packet ids in ascending order, so spans
+        // appended as their `SpanStart` arrives are sorted and a packet's
+        // span is found by position. The first id out of turn (a caller's
+        // merged log) moves the lookups to this map of id → position, and
+        // the vector is sorted once at the end.
+        let mut unsorted: Option<HashMap<u64, usize>> = None;
         // FIFO of enqueue times per (link, pkt): a retransmitting pkt
         // matches its link_tx events in order.
-        let mut pending: BTreeMap<(u32, u64), Vec<u64>> = BTreeMap::new();
+        let mut pending: HashMap<(u32, u64), VecDeque<u64>> = HashMap::new();
         for ev in events {
-            if let TraceEvent::SpanStart {
-                t_ns,
-                node,
-                pkt,
-                trace,
-                parent,
-                origin,
-                chan,
-            } = ev
-            {
-                f.spans.entry(*pkt).or_insert(Span {
-                    id: *pkt,
-                    trace: *trace,
-                    parent: *parent,
-                    origin: *origin,
-                    chan: chan.clone(),
-                    node: *node,
-                    start_ns: *t_ns,
-                    end_ns: *t_ns,
-                    hops: 0,
-                    deliveries: Vec::new(),
-                    drops: 0,
-                    vm_steps: 0,
-                    children: Vec::new(),
-                });
-            }
             let Some(pkt) = ev.pkt() else { continue };
+            let mut at = match &unsorted {
+                None => position(&f.spans, pkt, f.spans.len()),
+                Some(by_id) => by_id.get(&pkt).copied(),
+            };
             match ev {
+                // A repeated `SpanStart` is an ordinary mention: the first wins.
+                TraceEvent::SpanStart {
+                    t_ns,
+                    node,
+                    trace,
+                    parent,
+                    origin,
+                    chan,
+                    ..
+                } if at.is_none() => {
+                    if f.spans.last().is_some_and(|last| last.id > pkt) {
+                        unsorted.get_or_insert_with(|| {
+                            f.spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect()
+                        });
+                    }
+                    if let Some(by_id) = &mut unsorted {
+                        by_id.insert(pkt, f.spans.len());
+                    }
+                    at = Some(f.spans.len());
+                    f.spans.push(Span {
+                        id: pkt,
+                        trace: *trace,
+                        parent: *parent,
+                        origin: *origin,
+                        chan: chan.clone(),
+                        node: *node,
+                        start_ns: *t_ns,
+                        end_ns: *t_ns,
+                        hops: 0,
+                        deliveries: Vec::new(),
+                        drops: 0,
+                        vm_steps: 0,
+                        children: Vec::new(),
+                    });
+                }
                 TraceEvent::LinkEnqueue { t_ns, link, .. } => {
-                    pending.entry((*link, pkt)).or_default().push(*t_ns);
+                    pending.entry((*link, pkt)).or_default().push_back(*t_ns);
                 }
                 TraceEvent::LinkTx { t_ns, link, .. } => {
-                    if let Some(q) = pending.get_mut(&(*link, pkt)) {
-                        if !q.is_empty() {
-                            f.hop_latency.observe(t_ns - q.remove(0));
+                    if let Entry::Occupied(mut q) = pending.entry((*link, pkt)) {
+                        if let Some(enqueued) = q.get_mut().pop_front() {
+                            f.hop_latency.observe(t_ns - enqueued);
+                        }
+                        if q.get().is_empty() {
+                            q.remove();
                         }
                     }
                 }
                 _ => {}
             }
-            let Some(s) = f.spans.get_mut(&pkt) else {
+            let Some(s) = at.map(|i| &mut f.spans[i]) else {
                 continue;
             };
             s.end_ns = s.end_ns.max(ev.t_ns());
@@ -152,31 +177,30 @@ impl TraceForest {
                 _ => {}
             }
         }
-        // Link children (BTreeMap order keeps them ascending) and
-        // classify roots.
-        let ids: Vec<u64> = f.spans.keys().copied().collect();
-        for id in &ids {
-            let parent = f.spans[id].parent;
-            if parent == 0 {
-                f.roots.push(*id);
-            } else if f.spans.contains_key(&parent) {
-                f.spans.get_mut(&parent).unwrap().children.push(*id);
-            } else {
-                f.orphans.push(*id);
-            }
+        if unsorted.is_some() {
+            f.spans.sort_unstable_by_key(|s| s.id);
         }
-        // End-to-end latency: every delivery, measured from the root
-        // span's open.
-        for id in &ids {
-            let s = &f.spans[id];
-            if s.deliveries.is_empty() {
+        // Ascending by id: link children (so they ascend too), classify
+        // roots, and measure every delivery from the root span's open.
+        for i in 0..f.spans.len() {
+            let Span {
+                id, parent, trace, ..
+            } = f.spans[i];
+            if parent == 0 {
+                f.roots.push(id);
+            } else if let Some(p) = position(&f.spans, parent, i) {
+                f.spans[p].children.push(id);
+            } else {
+                f.orphans.push(id);
+            }
+            if f.spans[i].deliveries.is_empty() {
                 continue;
             }
-            let Some(root) = f.spans.get(&s.trace) else {
+            let Some(root) = position(&f.spans, trace, i) else {
                 continue;
             };
-            let root_start = root.start_ns;
-            for (t, _) in f.spans[id].deliveries.clone() {
+            let root_start = f.spans[root].start_ns;
+            for (t, _) in &f.spans[i].deliveries {
                 f.end_to_end.observe(t.saturating_sub(root_start));
             }
         }
@@ -185,12 +209,13 @@ impl TraceForest {
 
     /// The span for a packet id, if it appeared in the log.
     pub fn span(&self, id: u64) -> Option<&Span> {
-        self.spans.get(&id)
+        let i = self.spans.binary_search_by_key(&id, |s| s.id).ok()?;
+        Some(&self.spans[i])
     }
 
     /// All spans, ascending by id.
     pub fn spans(&self) -> impl Iterator<Item = &Span> {
-        self.spans.values()
+        self.spans.iter()
     }
 
     /// Root span ids (ingress packets), ascending.
@@ -206,19 +231,19 @@ impl TraceForest {
     /// Walks parents up to the tree root. Returns `None` if the chain
     /// leaves the log (orphan) or a lineage cycle is detected.
     pub fn root_of(&self, id: u64) -> Option<&Span> {
-        let mut cur = self.spans.get(&id)?;
+        let mut cur = self.span(id)?;
         for _ in 0..self.spans.len() + 1 {
             if cur.parent == 0 {
                 return Some(cur);
             }
-            cur = self.spans.get(&cur.parent)?;
+            cur = self.span(cur.parent)?;
         }
         None
     }
 
     /// Number of spans in the subtree rooted at `id` (including it).
     pub fn subtree_size(&self, id: u64) -> usize {
-        let Some(s) = self.spans.get(&id) else {
+        let Some(s) = self.span(id) else {
             return 0;
         };
         1 + s
@@ -230,7 +255,7 @@ impl TraceForest {
 
     /// Latest span close time in the subtree rooted at `id`.
     pub fn subtree_end(&self, id: u64) -> u64 {
-        let Some(s) = self.spans.get(&id) else {
+        let Some(s) = self.span(id) else {
             return 0;
         };
         s.children
@@ -242,7 +267,7 @@ impl TraceForest {
     /// Largest VM cost along the chain rooted at `id`: the maximum over
     /// its root-to-leaf span chains of the summed per-span `vm_steps`.
     pub fn chain_vm_steps(&self, id: u64) -> u64 {
-        let Some(s) = self.spans.get(&id) else {
+        let Some(s) = self.span(id) else {
             return 0;
         };
         s.vm_steps
@@ -281,7 +306,7 @@ impl TraceForest {
     /// Fan-out (child count) of every span, as a histogram.
     pub fn fanout(&self) -> Histogram {
         let mut h = Histogram::new();
-        for s in self.spans.values() {
+        for s in &self.spans {
             h.observe(s.children.len() as u64);
         }
         h
@@ -293,7 +318,7 @@ impl TraceForest {
     pub fn critical_path(&self, root: u64) -> Vec<CriticalHop> {
         let mut path = Vec::new();
         let mut cur = root;
-        while let Some(s) = self.spans.get(&cur) {
+        while let Some(s) = self.span(cur) {
             path.push(CriticalHop {
                 span: s.id,
                 node: s.node,
@@ -340,7 +365,7 @@ impl TraceForest {
 
     /// Renders the single tree rooted at `root`.
     pub fn render_tree(&self, root: u64, nodes: &[String], out: &mut String) {
-        let Some(s) = self.spans.get(&root) else {
+        let Some(s) = self.span(root) else {
             return;
         };
         let e2e = self.subtree_end(root).saturating_sub(s.start_ns);
@@ -369,7 +394,7 @@ impl TraceForest {
         critical: &[u64],
         out: &mut String,
     ) {
-        let s = &self.spans[&id];
+        let s = self.span(id).expect("rendered ids come from the forest");
         let (head, tail) = if is_root {
             (String::new(), String::new())
         } else if is_last {
@@ -409,6 +434,34 @@ impl TraceForest {
         }
     }
 }
+
+/// Position of span `id` in `spans` (ascending by id), searched
+/// outward from `from`: an event mentions a packet still in flight and
+/// a child its parent, so the span sits a few places below `from` and a
+/// gallop finds it in the cache lines just touched.
+fn position(spans: &[Span], id: u64, from: usize) -> Option<usize> {
+    let (mut lo, mut hi) = (0, from);
+    if spans.get(from).is_some_and(|s| s.id <= id) {
+        (lo, hi) = (from, spans.len());
+    } else {
+        // Everything in `hi..from` is above `id`.
+        let mut step = 1;
+        while hi > 0 {
+            let probe = hi.saturating_sub(step);
+            if spans[probe].id <= id {
+                lo = probe;
+                break;
+            }
+            hi = probe;
+            step *= 2;
+        }
+    }
+    let i = spans[lo..hi].binary_search_by_key(&id, |s| s.id).ok()?;
+    Some(lo + i)
+}
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

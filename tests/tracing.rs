@@ -2,13 +2,17 @@
 //! delivered packet belongs to exactly one span tree rooted at an
 //! application ingress, the observed fan-out never exceeds (and, for
 //! the audio router, exactly matches) the static duplication bound,
-//! and both exporters are byte-stable across same-seed runs.
+//! both exporters are byte-stable across same-seed runs, and every
+//! export is byte-for-byte what commit 181a903 wrote.
 
 use planp_apps::audio::{run_audio_traced, Adaptation, AudioConfig, AUDIO_ROUTER_ASP};
 use planp_apps::http::{run_http_traced, ClusterMode, HttpConfig};
 use planp_apps::mpeg::{run_mpeg_traced, MpegConfig};
+use planp_apps::obs::{run_obs_grid, ObsGridConfig};
 use planp_runtime::load;
-use planp_telemetry::{chrome_trace, prometheus, SpanOrigin, Telemetry, TraceConfig, TraceForest};
+use planp_telemetry::{
+    chrome_trace, prometheus, MetricsSnapshot, SpanOrigin, Telemetry, TraceConfig, TraceForest,
+};
 
 fn audio_cfg() -> AudioConfig {
     AudioConfig::constant_load(Adaptation::AspJit, 9450, 15)
@@ -127,4 +131,85 @@ fn exports_are_byte_stable_across_same_seed_runs() {
     assert!(prom1.contains("planp_"));
     assert_eq!(chrome1, chrome2, "Chrome export must be byte-stable");
     assert_eq!(prom1, prom2, "Prometheus export must be byte-stable");
+}
+
+/// `(len, FNV-1a)` of `chrome_trace`, `TraceForest::render`,
+/// `to_jsonl` and `prometheus`, in that order, for the audio, HTTP and
+/// MPEG scenarios of this file and the 1/16-sampled observability grid.
+/// Computed at commit 181a903, the last one whose forest was a
+/// `BTreeMap` and whose exporters formatted numbers through temporary
+/// `String`s, so the readers that replaced them are held to those
+/// bytes and not only to themselves.
+const EXPORT_PINS: [(&str, [(usize, u64); 4]); 4] = [
+    (
+        "audio",
+        [
+            (3_617_382, 0x87DC_81F8_92D3_1E87),
+            (1_197_896, 0x0811_5F8C_DFAD_AEF9),
+            (3_962_658, 0xBC81_C743_714D_1229),
+            (3_659, 0x60FE_4420_174A_7068),
+        ],
+    ),
+    (
+        "http",
+        [
+            (15_184_711, 0xE98E_A79F_7D8D_A5AD),
+            (3_714_071, 0x9B66_A94E_B3B5_0AE3),
+            (16_366_942, 0xFF55_1A1F_1548_1313),
+            (4_950, 0x9730_8AB2_6F06_2F9B),
+        ],
+    ),
+    (
+        "mpeg",
+        [
+            (583_567, 0x1A80_49E0_DBDF_57B8),
+            (122_990, 0xCF5B_60CA_8C50_A0DA),
+            (859_770, 0x594F_9603_7F1E_3C48),
+            (4_541, 0x1203_9270_D080_6BBF),
+        ],
+    ),
+    (
+        "grid 1/16",
+        [
+            (292_074, 0x2652_F889_1D78_0A09),
+            (56_497, 0x1601_9A66_CA0F_880D),
+            (419_701, 0xFA00_3908_C325_160D),
+            (259_648, 0xA003_7EC5_8C09_04DB),
+        ],
+    ),
+];
+
+fn len_and_fnv1a(s: &str) -> (usize, u64) {
+    let digest = s.bytes().fold(0xCBF2_9CE4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    (s.len(), digest)
+}
+
+#[test]
+fn exports_match_the_bytes_of_commit_181a903() {
+    let (_, audio, audio_m) = run_audio_traced(&audio_cfg(), roomy());
+    let (_, http, http_m) = run_http_traced(&http_cfg(), roomy());
+    let (_, mpeg, mpeg_m) = run_mpeg_traced(&MpegConfig::new(2, true), roomy());
+    let grid = run_obs_grid(&ObsGridConfig::new(TraceConfig {
+        capacity: 1 << 17,
+        ..TraceConfig::sampled(16)
+    }));
+    let runs: [(Telemetry, MetricsSnapshot); 4] = [
+        (audio, audio_m),
+        (http, http_m),
+        (mpeg, mpeg_m),
+        (grid.telemetry, grid.snapshot),
+    ];
+    for ((t, m), (name, pins)) in runs.iter().zip(EXPORT_PINS) {
+        let forest = TraceForest::from_log(&t.trace);
+        let got = [
+            chrome_trace(&forest, &t.nodes),
+            forest.render(&t.nodes),
+            t.trace.to_jsonl(),
+            prometheus(m),
+        ]
+        .map(|export| len_and_fnv1a(&export));
+        assert_eq!(got, pins, "{name} (chrome, render, jsonl, prom): {got:#X?}");
+    }
 }
