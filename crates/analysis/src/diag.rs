@@ -1,7 +1,7 @@
 //! Structured diagnostics with source-snippet rendering and byte-stable
 //! JSON output.
 //!
-//! Every finding of the lint passes ([`crate::lint`]) and every
+//! Every finding of the lint passes ([`mod@crate::lint`]) and every
 //! policy-required verifier rejection is representable as a
 //! [`Diagnostic`]: a stable code, a severity, a source [`Span`], a
 //! message, and optional notes. Tooling renders diagnostics either as

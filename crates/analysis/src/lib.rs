@@ -26,7 +26,7 @@
 //!   against observed per-site steps (the utilization heatmap), plus
 //!   static superinstruction-candidate detection for the future
 //!   compilation tier;
-//! * **[lints](lint)** — advisory [diagnostics](diag) (unused bindings,
+//! * **[lints](mod@lint)** — advisory [diagnostics](diag) (unused bindings,
 //!   constant conditions, escaping exceptions, unreachable channels,
 //!   shadowing) with caret rendering and byte-stable JSON;
 //! * **[state effects](state)** — an abstract interpretation bounding

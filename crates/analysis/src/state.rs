@@ -175,7 +175,7 @@ pub struct ChannelState {
 }
 
 /// The program-wide state effect: the analysis result folded into
-/// [`ProgramSummary`](crate::summary::ProgramSummary).
+/// [`ProgramSummary`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StateReport {
     /// Parallel to `TProgram::channels`.
@@ -728,7 +728,7 @@ pub fn state_effects(prog: &TProgram) -> StateReport {
 /// | S004 | a state read whose `NotFound` escapes the channel (fails after crash recovery) |
 ///
 /// Findings are sorted by source position then code, like
-/// [`crate::lint`].
+/// [`crate::lint()`].
 pub fn state_lints(prog: &TProgram, sum: &ProgramSummary) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let st = &sum.state;

@@ -4,18 +4,18 @@
 //! to prove that every trace the sampler keeps still reconstructs a
 //! *complete* span tree.
 //!
-//! Topology: `chains` disjoint chains, each `source ── r0 … r(H-1) ──
-//! dst` on 100 Mb/s links. Every relay runs the fragile (plain
-//! forwarding) relay ASP through the JIT, so a sampled run exercises
-//! the full event surface: spans, hops, link events, dispatches, VM
-//! accounting, and deliveries. The default 128 × 6-relay grid is 1024
-//! nodes — past the simulator's compact-metrics threshold, so the
-//! snapshot also exercises the sharded `nodes.*`/`links.*` fold.
+//! Topology: the registry's `obs_grid` [`TopoSpec`] — `chains` disjoint
+//! chains, each `source ── r0 … r(H-1) ── dst` on 100 Mb/s links. Every
+//! relay runs the fragile (plain forwarding) relay ASP through the JIT,
+//! so a sampled run exercises the full event surface: spans, hops, link
+//! events, dispatches, VM accounting, and deliveries. The default
+//! 128 × 6-relay grid is 1024 nodes — past the simulator's
+//! compact-metrics threshold, so the snapshot also exercises the
+//! `nodes.*`/`links.*` sums.
 
 use crate::chaos::apps::{SeqCollector, SeqSource};
 use crate::chaos::FRAGILE_RELAY_ASP;
-use netsim::packet::addr;
-use netsim::{LinkSpec, Sim, SimTime};
+use netsim::{Sim, SimTime, TopoSpec};
 use planp_analysis::Policy;
 use planp_runtime::{install_planp, load, LayerConfig};
 use planp_telemetry::{MetricsSnapshot, Telemetry, TraceConfig, TraceForest, TraceOverhead};
@@ -97,38 +97,23 @@ pub fn run_obs_grid(cfg: &ObsGridConfig) -> ObsGridResult {
     sim.telemetry.trace.configure(cfg.trace);
 
     let image = load(FRAGILE_RELAY_ASP, Policy::no_delivery()).expect("fragile relay verifies");
-    let mut relays = Vec::new();
-    let mut endpoints = Vec::new();
-    for c in 0..cfg.chains {
-        let src = sim.add_host(&format!("s{c}"), addr(10, c as u8, 0, 1));
-        let mut prev = src;
-        for h in 0..cfg.hops {
-            let r = sim.add_router(&format!("c{c}r{h}"), addr(10, c as u8, h as u8 + 1, 254));
-            sim.add_link(LinkSpec::ethernet_100(), &[prev, r]);
-            relays.push(r);
-            prev = r;
-        }
-        let dst_addr = addr(10, c as u8, cfg.hops as u8 + 1, 1);
-        let dst = sim.add_host(&format!("d{c}"), dst_addr);
-        sim.add_link(LinkSpec::ethernet_100(), &[prev, dst]);
-        endpoints.push((src, dst, dst_addr));
-    }
-    sim.compute_routes();
+    let topo = TopoSpec::obs_grid(cfg.chains, cfg.hops);
+    let ids = topo.build(&mut sim);
 
-    for &r in &relays {
-        install_planp(&mut sim, r, &image, LayerConfig::default()).expect("install relay ASP");
+    for r in topo.slice("relays") {
+        install_planp(&mut sim, ids[r], &image, LayerConfig::default()).expect("install relay ASP");
     }
     let mut collectors = Vec::with_capacity(cfg.chains);
-    for &(src, dst, dst_addr) in &endpoints {
+    for &(src, dst) in &topo.paths {
         let src_app = SeqSource::new(
-            dst_addr,
+            topo.nodes[dst].addr,
             cfg.packets,
             Duration::from_millis(cfg.interval_ms),
         );
-        sim.add_app(src, Box::new(src_app));
+        sim.add_app(ids[src], Box::new(src_app));
         let col = SeqCollector::new();
         collectors.push(col.stats.clone());
-        sim.add_app(dst, Box::new(col));
+        sim.add_app(ids[dst], Box::new(col));
     }
 
     sim.run_until(SimTime::from_secs(cfg.duration_s));

@@ -89,8 +89,8 @@ pub enum FaultAction {
         node: NodeId,
     },
     /// Restarts a crashed node. Applications survive (they model the
-    /// host's software stack) and get [`App::on_restart`]
-    /// (crate::App::on_restart) to re-arm timers and trigger recovery;
+    /// host's software stack) and get [`App::on_restart`](crate::App::on_restart)
+    /// to re-arm timers and trigger recovery;
     /// the packet hook stays lost until something reinstalls it.
     RestartNode {
         /// Target node.

@@ -13,7 +13,7 @@ use crate::stats::SeriesStore;
 use crate::time::SimTime;
 use planp_telemetry::{
     BrownoutController, Category, DispatchOutcome, DropReason, FlightEvent, FlightKind,
-    HealthMonitor, Histogram, MetricsSnapshot, ShardedCounterSet, Telemetry, TraceEvent,
+    HealthMonitor, Histogram, MetricsSnapshot, Telemetry, TraceEvent,
 };
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -1185,9 +1185,9 @@ impl Sim {
     }
 
     /// The compact snapshot layout used past the node-count threshold:
-    /// per-node and per-link counters fold — via a deterministic
-    /// sharded merge — into `nodes.*` / `links.*` aggregates, so a
-    /// 100k-node snapshot stays a handful of keys instead of 500k.
+    /// per-node and per-link counters fold into saturating `nodes.*` /
+    /// `links.*` sums, so a 100k-node snapshot stays a handful of keys
+    /// instead of 500k.
     fn compact_counters(&self, snap: &mut MetricsSnapshot) {
         const NODE_KEYS: [&str; 6] = [
             "delivered",
@@ -1197,17 +1197,22 @@ impl Sim {
             "state_lost",
             "shed",
         ];
-        let mut nodes = ShardedCounterSet::new(16, NODE_KEYS.len());
-        for (i, node) in self.nodes.iter().enumerate() {
-            nodes.add(i, 0, node.delivered);
-            nodes.add(i, 1, node.dropped);
-            nodes.add(i, 2, node.cpu_drops);
-            nodes.add(i, 3, node.crashes);
-            nodes.add(i, 4, node.state_lost);
-            nodes.add(i, 5, node.shed);
+        let mut nodes = [0u64; NODE_KEYS.len()];
+        for n in &self.nodes {
+            let row = [
+                n.delivered,
+                n.dropped,
+                n.cpu_drops,
+                n.crashes,
+                n.state_lost,
+                n.shed,
+            ];
+            for (sum, v) in nodes.iter_mut().zip(row) {
+                *sum = sum.saturating_add(v);
+            }
         }
         snap.set_counter("nodes.count", self.nodes.len() as u64);
-        for (k, v) in NODE_KEYS.iter().zip(nodes.merged()) {
+        for (k, v) in NODE_KEYS.iter().zip(nodes) {
             // Rare-event totals keep the sparse convention: present
             // only when nonzero, like their per-node counterparts.
             if v > 0 || matches!(*k, "delivered" | "dropped" | "cpu_drops") {
@@ -1215,17 +1220,17 @@ impl Sim {
             }
         }
         const LINK_KEYS: [&str; 4] = ["tx_packets", "tx_bytes", "drops", "fault_drops"];
-        let mut links = ShardedCounterSet::new(16, LINK_KEYS.len());
+        let mut links = [0u64; LINK_KEYS.len()];
         let mut qdepth = Histogram::new();
         for (i, link) in self.links.iter().enumerate() {
-            links.add(i, 0, link.tx_packets);
-            links.add(i, 1, link.tx_bytes);
-            links.add(i, 2, link.drops);
-            links.add(i, 3, link.fault_drops);
+            let row = [link.tx_packets, link.tx_bytes, link.drops, link.fault_drops];
+            for (sum, v) in links.iter_mut().zip(row) {
+                *sum = sum.saturating_add(v);
+            }
             qdepth.merge(&self.link_qdepth[i]);
         }
         snap.set_counter("links.count", self.links.len() as u64);
-        for (k, v) in LINK_KEYS.iter().zip(links.merged()) {
+        for (k, v) in LINK_KEYS.iter().zip(links) {
             if v > 0 || *k != "fault_drops" {
                 snap.set_counter(format!("links.{k}"), v);
             }

@@ -26,8 +26,7 @@
 //! The reply (UDP, same port, to the sender) is `OK <lines>\n` or
 //! `ERR <message>\n`.
 
-use crate::layer::{LayerConfig, PlanpHandle, PlanpLayer};
-use crate::loader::load;
+use crate::layer::{install_in_node, LayerConfig, PlanpHandle};
 use bytes::{BufMut, Bytes, BytesMut};
 use netsim::packet::Packet;
 use netsim::{App, NodeApi};
@@ -134,15 +133,9 @@ impl DeployService {
     }
 
     fn try_install(&mut self, api: &mut NodeApi<'_>, source: &str) -> Result<usize, String> {
-        let image = load(source, self.policy).map_err(|e| e.to_string())?;
-        let name = api.node_name().to_string();
-        let addr = api.addr();
-        let layer = PlanpLayer::new(&image, self.config, addr, &name, api.telemetry())
-            .map_err(|e| e.to_string())?;
-        let handle = layer.handle();
-        api.install_hook(Box::new(layer));
+        let (handle, lines) = install_in_node(api, source, self.policy, self.config)?;
         self.log.borrow_mut().handle = Some(handle);
-        Ok(image.lines)
+        Ok(lines)
     }
 }
 

@@ -10,19 +10,20 @@
 //! a PLAN-P router "operates seamlessly within existing networks".
 //!
 //! Which overloads a packet can match is worked out at install
-//! ([`crate::dispatch`]); per packet the layer decodes the components of
+//! (`crate::dispatch`); per packet the layer decodes the components of
 //! the first that fits straight into the engine's registers, the engine
-//! sends from its registers, and [`SimNetEnv`] builds the outgoing
+//! sends from its registers, and `SimNetEnv` builds the outgoing
 //! packet from that slice — no tuple, no allocation and no name lookup
 //! in between.
 
 use crate::admission::{Admission, AdmissionGate};
 use crate::convert::parts_to_packet;
 use crate::dispatch::{decode, Decoded, DispatchTable};
-use crate::loader::LoadedProgram;
+use crate::loader::{load, LoadedProgram};
 use bytes::Bytes;
 use netsim::packet::{ChannelTag, Lineage, Packet};
 use netsim::{ArrivalMeta, HookVerdict, NodeApi, PacketHook, Sim};
+use planp_analysis::Policy;
 use planp_lang::tast::TProgram;
 use planp_telemetry::{CounterId, DispatchOutcome, DropReason, ScopeId, SpanOrigin, Telemetry};
 use planp_vm::cost::STEPS_PER_NODE;
@@ -674,6 +675,26 @@ impl NetEnv for SimNetEnv<'_, '_> {
         }
         self.entries_delta += inserted;
     }
+}
+
+/// Verifies `source` under `policy` and installs it as the hook of the
+/// node `api` belongs to — the in-band counterpart of [`install_planp`],
+/// shared by the deploy and recovery services. Returns the layer's
+/// handle and the program's line count.
+pub(crate) fn install_in_node(
+    api: &mut NodeApi<'_>,
+    source: &str,
+    policy: Policy,
+    config: LayerConfig,
+) -> Result<(PlanpHandle, usize), String> {
+    let image = load(source, policy).map_err(|e| e.to_string())?;
+    let name = api.node_name().to_string();
+    let addr = api.addr();
+    let layer =
+        PlanpLayer::new(&image, config, addr, &name, api.telemetry()).map_err(|e| e.to_string())?;
+    let handle = layer.handle();
+    api.install_hook(Box::new(layer));
+    Ok((handle, image.lines))
 }
 
 /// Loads an already-verified program onto a node of the simulator.

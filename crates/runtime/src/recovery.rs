@@ -16,8 +16,7 @@
 //! shared [`RecoveryLog`] records the same counts plus the fresh layer
 //! handle for tests and operators.
 
-use crate::layer::{LayerConfig, PlanpHandle, PlanpLayer};
-use crate::loader::load;
+use crate::layer::{install_in_node, LayerConfig, PlanpHandle};
 use netsim::packet::Packet;
 use netsim::{App, NodeApi};
 use planp_analysis::Policy;
@@ -75,13 +74,7 @@ impl RecoveryService {
         if let Some(preflight) = &self.preflight {
             preflight()?;
         }
-        let image = load(&self.source, self.policy).map_err(|e| e.to_string())?;
-        let name = api.node_name().to_string();
-        let addr = api.addr();
-        let layer = PlanpLayer::new(&image, self.config, addr, &name, api.telemetry())
-            .map_err(|e| e.to_string())?;
-        let handle = layer.handle();
-        api.install_hook(Box::new(layer));
+        let (handle, _) = install_in_node(api, &self.source, self.policy, self.config)?;
         self.log.borrow_mut().handle = Some(handle);
         Ok(())
     }

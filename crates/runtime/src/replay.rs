@@ -25,8 +25,8 @@
 use crate::layer::{install_planp, LayerConfig};
 use crate::loader::{load, LoadError};
 use bytes::Bytes;
-use netsim::packet::{addr, Packet};
-use netsim::{App, LinkSpec, NodeApi, Sim, SimTime};
+use netsim::packet::Packet;
+use netsim::{App, NodeApi, Sim, SimTime, TopoSpec};
 use planp_analysis::{Policy, WitnessKind};
 use planp_telemetry::{Category, TraceConfig, TraceForest};
 use std::cell::RefCell;
@@ -128,36 +128,38 @@ pub fn replay_asp_traced(source: &str) -> Result<(ReplayReport, String), LoadErr
             .union(Category::DROP),
         ..TraceConfig::default()
     });
-    let ha = sim.add_host("ha", addr(10, 0, 0, 1));
-    let r1 = sim.add_router("r1", addr(10, 0, 0, 254));
-    let r2 = sim.add_router("r2", addr(10, 0, 3, 254));
-    let hb = sim.add_host("hb", addr(10, 0, 3, 1));
-    sim.add_link(LinkSpec::ethernet_10(), &[ha, r1]);
-    sim.add_link(LinkSpec::ethernet_10(), &[r1, r2]);
-    sim.add_link(LinkSpec::ethernet_10(), &[r2, hb]);
-    sim.compute_routes();
+    // The registry's `relay_pair`: the structure the witness was found on.
+    let topo = TopoSpec::relay_pair();
+    let ids = topo.build(&mut sim);
+    let (ha, hb) = topo.paths[0];
 
     // `load` already compiled the image, so installation cannot fail.
-    let h1 = install_planp(&mut sim, r1, &image, LayerConfig::default())
-        .expect("verified image installs");
-    let h2 = install_planp(&mut sim, r2, &image, LayerConfig::default())
-        .expect("verified image installs");
+    let handles: Vec<_> = topo
+        .slice("relays")
+        .into_iter()
+        .map(|r| {
+            install_planp(&mut sim, ids[r], &image, LayerConfig::default())
+                .expect("verified image installs")
+        })
+        .collect();
 
     let got = Rc::new(RefCell::new(0u64));
-    sim.add_app(hb, Box::new(Count { got: got.clone() }));
+    sim.add_app(ids[hb], Box::new(Count { got: got.clone() }));
     sim.add_app(
-        ha,
+        ids[ha],
         Box::new(Probe {
-            dst: addr(10, 0, 3, 1),
+            dst: topo.nodes[hb].addr,
         }),
     );
     sim.run_until(SimTime::from_secs(5));
 
-    let s1 = h1.stats.borrow();
-    let s2 = h2.stats.borrow();
-    let dispatches = s1.matched + s2.matched;
-    let dropped = s1.dropped + s2.dropped;
-    let errors = s1.errors + s2.errors;
+    let (mut dispatches, mut dropped, mut errors) = (0, 0, 0);
+    for h in &handles {
+        let s = h.stats.borrow();
+        dispatches += s.matched;
+        dropped += s.dropped;
+        errors += s.errors;
+    }
     let delivered = *got.borrow();
     let forest = TraceForest::from_log(&sim.telemetry.trace);
     let tree = forest.render(&sim.telemetry.nodes);

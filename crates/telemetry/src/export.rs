@@ -155,49 +155,6 @@ pub fn chrome_trace(forest: &TraceForest, nodes: &[String]) -> String {
     out
 }
 
-/// Renders a [`ProfileRegistry`] as a Chrome `trace_event` JSON
-/// document: one process row per profile scope, one complete (`"X"`)
-/// event per observed site laid out back-to-back along a synthetic
-/// step timeline (`ts`/`dur` are recorded VM steps, not wall time).
-/// Deterministic and byte-stable — scopes in key order, sites
-/// ascending. Load in Perfetto next to [`chrome_trace`] output to see
-/// where each channel's budget goes.
-pub fn chrome_profile(reg: &crate::profile::ProfileRegistry) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-    };
-    for (pid, s) in reg.scopes().enumerate() {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":"
-        );
-        push_str(&mut out, &s.key());
-        out.push_str("}}");
-        let mut ts = 0u64;
-        for (site, steps, label, _) in s.site_rows().into_iter().filter(|r| r.1 > 0) {
-            sep(&mut out);
-            out.push_str("{\"ph\":\"X\",\"name\":");
-            push_str(&mut out, label);
-            let _ = write!(
-                out,
-                ",\"cat\":\"profile\",\"pid\":{pid},\"tid\":0,\"ts\":{ts},\"dur\":{},\
-                 \"args\":{{\"site\":{site},\"steps\":{}}}}}",
-                steps.max(1),
-                steps
-            );
-            ts += steps.max(1);
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
 /// Maps a raw segment to the Prometheus metric-name charset
 /// `[a-zA-Z0-9_:]` (dots and anything else become underscores).
 fn sanitize(name: &str) -> String {
@@ -288,7 +245,7 @@ fn render_labels(labels: &[(&'static str, String)], extra: Option<(&str, &str)>)
 ///
 /// Series are grouped into metric families (one `# TYPE` line per
 /// family, series sorted by label set) and every name is mapped through
-/// [`prom_series`], so the output is scrape-valid: metric names match
+/// `prom_series`, so the output is scrape-valid: metric names match
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*` and per-node / per-link / per-channel
 /// identity lives in labels. Byte-stable for identical snapshots.
 pub fn prometheus(snap: &MetricsSnapshot) -> String {
@@ -454,36 +411,6 @@ mod tests {
         // Lineage flow pair for the child span.
         assert!(j.contains("\"ph\":\"s\"") && j.contains("\"ph\":\"f\""));
         assert_eq!(j, chrome_trace(&forest(), &nodes));
-    }
-
-    #[test]
-    fn chrome_profile_lays_sites_on_a_step_timeline() {
-        let build = || {
-            let mut reg = crate::profile::ProfileRegistry::default();
-            let id = reg.declare(
-                "gw",
-                "network",
-                0,
-                [
-                    (10, "1:1:if".to_string(), 2),
-                    (20, "2:3:prim.tcpDst".to_string(), 1),
-                ],
-                [],
-            );
-            assert!(reg.should_profile(id));
-            reg.charge_site(id, 10, 2);
-            reg.charge_site(id, 20, 1);
-            reg.record(id, 3);
-            reg
-        };
-        let j = chrome_profile(&build());
-        assert!(j.starts_with("{\"traceEvents\":["));
-        assert!(j.contains("\"name\":\"node.gw.chan.network#0\""));
-        assert!(j.contains("\"name\":\"1:1:if\""));
-        // Sites are laid back-to-back: site 10 spans [0,2), site 20 [2,3).
-        assert!(j.contains("\"ts\":0,\"dur\":2"), "{j}");
-        assert!(j.contains("\"ts\":2,\"dur\":1"), "{j}");
-        assert_eq!(j, chrome_profile(&build()), "byte-stable");
     }
 
     #[test]

@@ -90,45 +90,17 @@ pub struct FlightDump {
 /// Per-node rings plus the dumps taken so far.
 ///
 /// Rings grow lazily with the highest node index seen; capacity is
-/// fixed per node (default 32 events) so total memory is
-/// `nodes × capacity × 32 B` — 100 MB at 100k nodes and the default
-/// capacity, linear and bounded.
-#[derive(Debug)]
+/// fixed per node so total memory is `nodes × capacity × 32 B` —
+/// 100 MB at 100k nodes, linear and bounded.
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    cap: usize,
     rings: Vec<VecDeque<FlightEvent>>,
     dumps: Vec<FlightDump>,
 }
 
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new()
-    }
-}
-
 impl FlightRecorder {
-    /// Default per-node window of 32 events.
+    /// The per-node window: 32 events.
     pub const DEFAULT_CAPACITY: usize = 32;
-
-    /// A recorder with the default per-node capacity.
-    pub fn new() -> Self {
-        FlightRecorder {
-            cap: Self::DEFAULT_CAPACITY,
-            rings: Vec::new(),
-            dumps: Vec::new(),
-        }
-    }
-
-    /// Changes the per-node ring capacity (existing rings are trimmed
-    /// to the new bound, oldest first).
-    pub fn set_capacity(&mut self, cap: usize) {
-        self.cap = cap.max(1);
-        for r in &mut self.rings {
-            while r.len() > self.cap {
-                r.pop_front();
-            }
-        }
-    }
 
     /// Appends one entry to `node`'s ring, evicting the oldest when
     /// full.
@@ -139,7 +111,7 @@ impl FlightRecorder {
             self.rings.resize_with(i + 1, VecDeque::new);
         }
         let r = &mut self.rings[i];
-        if r.len() == self.cap {
+        if r.len() == Self::DEFAULT_CAPACITY {
             r.pop_front();
         }
         r.push_back(ev);
@@ -151,11 +123,6 @@ impl FlightRecorder {
             .get(node as usize)
             .into_iter()
             .flat_map(|r| r.iter())
-    }
-
-    /// Freezes `node`'s current window into a dump.
-    pub fn dump(&mut self, node: u32, t_ns: u64, cause: &str) {
-        self.dump_with_state(node, t_ns, cause, "");
     }
 
     /// Freezes `node`'s current window into a dump stamped with the
@@ -228,22 +195,21 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_per_node() {
-        let mut f = FlightRecorder::new();
-        f.set_capacity(3);
-        for t in 0..10 {
+        let mut f = FlightRecorder::default();
+        for t in 0..40 {
             f.record(2, ev(t, FlightKind::Deliver));
         }
         let w: Vec<u64> = f.window(2).map(|e| e.t_ns).collect();
-        assert_eq!(w, vec![7, 8, 9]);
+        assert_eq!(w, (8..40).collect::<Vec<u64>>());
         assert_eq!(f.window(0).count(), 0, "untouched node has empty window");
     }
 
     #[test]
     fn dump_freezes_the_window() {
-        let mut f = FlightRecorder::new();
+        let mut f = FlightRecorder::default();
         f.record(1, ev(5, FlightKind::Drop));
         f.record(1, ev(6, FlightKind::Crash));
-        f.dump(1, 7, "crash");
+        f.dump_with_state(1, 7, "crash", "");
         // Later traffic doesn't alter the frozen dump.
         f.record(1, ev(8, FlightKind::Restart));
         assert_eq!(f.dumps().len(), 1);
@@ -257,10 +223,10 @@ mod tests {
 
     #[test]
     fn state_stamp_renders_only_when_present() {
-        let mut f = FlightRecorder::new();
+        let mut f = FlightRecorder::default();
         f.record(0, ev(1, FlightKind::Crash));
         f.dump_with_state(0, 2, "crash", "brownout=2 breakers=b1:open");
-        f.dump(0, 3, "slo");
+        f.dump_with_state(0, 3, "slo", "");
         let text = f.render_dumps(&["gw".into()]);
         assert!(text.contains("cause=crash events=1 state=brownout=2 breakers=b1:open"));
         assert!(text.contains("cause=slo events=1\n"));

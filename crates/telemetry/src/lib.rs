@@ -2,8 +2,7 @@
 //!
 //! The paper's evaluation (Figures 6–8) is entirely measurement-driven:
 //! bandwidth observed at the IP layer, gap counts, request latency. This
-//! crate gives the reproduction a first-class measurement substrate with
-//! three pieces:
+//! crate gives the reproduction a first-class measurement substrate:
 //!
 //! * [`TraceLog`] — a bounded ring buffer of typed [`TraceEvent`]s
 //!   (link enqueue/tx/drop, hop-by-hop forwards, deliveries, channel
@@ -11,14 +10,17 @@
 //!   simulation time in nanoseconds, a node index, and a monotonically
 //!   assigned packet id. Per-[`Category`] enable flags keep the packet
 //!   hot path allocation-free when tracing is off: call sites guard with
-//!   [`TraceLog::wants`] before constructing an event.
-//! * [`MetricsRegistry`] — named counters and power-of-two-bucket
-//!   [`Histogram`]s, keyed by `BTreeMap` so every export is
-//!   deterministically ordered.
+//!   [`TraceLog::wants`] before constructing an event. A variant's
+//!   wire form is stated once, as a row of one table in `event.rs`,
+//!   which `write_json`, `pkt` and `est_bytes` all read.
+//! * [`MetricsRegistry`] — named counters (one slot each, bumped by
+//!   name or through a pre-resolved [`CounterId`]) and
+//!   power-of-two-bucket [`Histogram`]s, keyed by `BTreeMap` so every
+//!   export is deterministically ordered.
 //! * [`ProfileRegistry`] — per-site VM step profiles joined against the
-//!   static per-site cost bounds: collapsed-flame, utilization-heatmap,
-//!   Chrome-trace, and superinstruction-candidate exports, with `1/N`
-//!   sampling and a step budget for graceful degradation at scale.
+//!   static per-site cost bounds: collapsed-flame, utilization-heatmap
+//!   and superinstruction-candidate exports, with `1/N` sampling and a
+//!   step budget for graceful degradation at scale.
 //! * Exporters — [`MetricsSnapshot::to_json`] / [`TraceLog::to_jsonl`]
 //!   produce byte-stable JSON (same seed ⇒ identical bytes, asserted by
 //!   the workspace determinism tests), and [`MetricsSnapshot::render_table`]
@@ -41,11 +43,9 @@ pub use event::{
     BreakerState, Category, DispatchOutcome, DropReason, SpanOrigin, TraceConfig, TraceEvent,
     TraceLog, TraceOverhead,
 };
-pub use export::{chrome_profile, chrome_trace, prometheus};
+pub use export::{chrome_trace, prometheus};
 pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRecorder};
-pub use metrics::{
-    CounterId, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot, ShardedCounterSet,
-};
+pub use metrics::{CounterId, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use monitor::{CounterSel, HealthMonitor, HealthSample, SloRule};
 pub use overload::{BrownoutConfig, BrownoutController, OverloadState};
 pub use profile::{HeatmapRow, PatternMeta, ProfileRegistry, ScopeId, ScopeProfile, SiteMeta};
@@ -69,13 +69,4 @@ pub struct Telemetry {
     pub profile: ProfileRegistry,
     /// Current overload posture: brownout level + breaker states.
     pub overload: OverloadState,
-}
-
-impl Telemetry {
-    /// A bundle with the given trace configuration.
-    pub fn with_trace(cfg: TraceConfig) -> Self {
-        let mut t = Telemetry::default();
-        t.trace.configure(cfg);
-        t
-    }
 }

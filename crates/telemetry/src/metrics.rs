@@ -5,7 +5,9 @@
 //! `node.<name>.chan.<channel>.<what>`, `link<i>.<what>`), and a
 //! [`MetricsSnapshot`] serializes the whole thing as byte-stable JSON or
 //! a human table. `BTreeMap` keys make iteration order — and therefore
-//! export bytes — independent of insertion order.
+//! export bytes — independent of insertion order. A counter is one slot
+//! of one vector whether it is bumped by name ([`MetricsRegistry::add`])
+//! or through a handle resolved once ([`MetricsRegistry::add_id`]).
 
 use crate::json::{push_key, push_str, push_u64, Seq};
 use std::collections::BTreeMap;
@@ -198,51 +200,34 @@ impl HistogramSummary {
             self.count, self.sum, self.min, self.max, self.p50, self.p90, self.p99, self.p999
         );
     }
-
-    /// Field-wise merge used by [`MetricsSnapshot::merge`]: counts and
-    /// sums add, `min`/`max` widen, and each percentile takes the larger
-    /// of the two — a documented upper-bound approximation (the exact
-    /// quantile of the union is unrecoverable from two summaries).
-    pub fn absorb(&mut self, other: &HistogramSummary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.p50 = self.p50.max(other.p50);
-        self.p90 = self.p90.max(other.p90);
-        self.p99 = self.p99.max(other.p99);
-        self.p999 = self.p999.max(other.p999);
-    }
 }
 
 /// A pre-registered counter handle: the name → slot resolution happens
 /// once at registration, so hot-path increments are a bounds-checked
-/// array add with **no per-event string hashing** — the property that
-/// lets the registry scale to 100k+ nodes.
+/// array add with **no per-event string lookup**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CounterId(u32);
 
+/// Where a counter lives, and whether an export shows it at zero.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    at: u32,
+    /// Set by [`MetricsRegistry::add`]: a counter somebody wrote by name
+    /// is exported even at 0, a slot that was only registered is not.
+    shown: bool,
+}
+
 /// Named counters and histograms.
 ///
-/// Two counter stores share one namespace: ad-hoc string-keyed counters
-/// (`add`/`inc`) and pre-registered integer-id slots
-/// (`register_counter`/`add_id`). [`MetricsRegistry::counter`] and
-/// [`MetricsRegistry::snapshot`] present the merged view; a name that
-/// exists in both stores sums.
+/// Every counter is one slot of one value vector, found by name through
+/// one index. `add`/`inc` look the name up on every call;
+/// `register_counter` does it once and `add_id` goes straight to the
+/// slot. Both ways write the same slot.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
+    slots: BTreeMap<String, Slot>,
+    values: Vec<u64>,
     histograms: BTreeMap<String, Histogram>,
-    id_names: Vec<String>,
-    id_values: Vec<u64>,
-    id_index: BTreeMap<String, u32>,
 }
 
 impl MetricsRegistry {
@@ -251,24 +236,28 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// A new slot for `name`, at 0.
+    fn new_slot(&mut self, name: &str, shown: bool) -> u32 {
+        let at = self.values.len() as u32;
+        self.values.push(0);
+        self.slots.insert(name.to_string(), Slot { at, shown });
+        at
+    }
+
     /// Resolves `name` to a stable integer handle, registering it at 0
     /// on first use. Call once at install time; increment through the
     /// handle on the hot path.
     pub fn register_counter(&mut self, name: &str) -> CounterId {
-        if let Some(&i) = self.id_index.get(name) {
-            return CounterId(i);
-        }
-        let i = self.id_names.len() as u32;
-        self.id_names.push(name.to_string());
-        self.id_values.push(0);
-        self.id_index.insert(name.to_string(), i);
-        CounterId(i)
+        CounterId(match self.slots.get(name) {
+            Some(slot) => slot.at,
+            None => self.new_slot(name, false),
+        })
     }
 
     /// Adds `n` to a pre-registered counter (saturating).
     #[inline]
     pub fn add_id(&mut self, id: CounterId, n: u64) {
-        let v = &mut self.id_values[id.0 as usize];
+        let v = &mut self.values[id.0 as usize];
         *v = v.saturating_add(n);
     }
 
@@ -278,13 +267,16 @@ impl MetricsRegistry {
         self.add_id(id, 1);
     }
 
-    /// Adds `n` to the named counter (creating it at 0).
+    /// Adds `n` to the named counter (creating it at 0), saturating.
     pub fn add(&mut self, name: &str, n: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += n;
-        } else {
-            self.counters.insert(name.to_string(), n);
-        }
+        let at = match self.slots.get_mut(name) {
+            Some(slot) => {
+                slot.shown = true;
+                slot.at
+            }
+            None => self.new_slot(name, true),
+        };
+        self.add_id(CounterId(at), n);
     }
 
     /// Increments the named counter by one.
@@ -292,15 +284,11 @@ impl MetricsRegistry {
         self.add(name, 1);
     }
 
-    /// Current value of a counter (0 if never touched). Sees both the
-    /// string-keyed and the id-registered stores.
+    /// Current value of a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        let s = self.counters.get(name).copied().unwrap_or(0);
-        let i = self
-            .id_index
+        self.slots
             .get(name)
-            .map_or(0, |&i| self.id_values[i as usize]);
-        s.saturating_add(i)
+            .map_or(0, |slot| self.values[slot.at as usize])
     }
 
     /// Records a histogram sample under `name`.
@@ -319,87 +307,22 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Iterates counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Freezes the registry contents into a snapshot. Id-registered
-    /// counters fold into the name-keyed map (zero-valued slots are
-    /// skipped so unexercised registrations don't widen the export).
+    /// Freezes the registry contents into a snapshot. A slot that was
+    /// only registered and never bumped is left out, so unexercised
+    /// registrations don't widen the export.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters = self.counters.clone();
-        for (name, &i) in &self.id_index {
-            let v = self.id_values[i as usize];
-            if v > 0 {
-                let c = counters.entry(name.clone()).or_insert(0);
-                *c = c.saturating_add(v);
-            }
-        }
+        let counters = self.slots.iter().filter_map(|(name, slot)| {
+            let v = self.values[slot.at as usize];
+            (slot.shown || v > 0).then(|| (name.clone(), v))
+        });
         MetricsSnapshot {
-            counters,
+            counters: counters.collect(),
             histograms: self
                 .histograms
                 .iter()
                 .map(|(k, h)| (k.clone(), h.summary()))
                 .collect(),
         }
-    }
-}
-
-/// Striped counters: `shards × width` lanes of saturating `u64`.
-///
-/// Saturating addition of non-negative values computes
-/// `min(u64::MAX, Σ)` regardless of association order, so merging the
-/// shards is **order-independent** — any merge schedule (sequential,
-/// tree, reversed) produces the same totals. This is what makes a
-/// sharded layout safe for deterministic exports: the simulator can
-/// stripe writes by node index and still emit byte-stable totals.
-#[derive(Debug, Clone)]
-pub struct ShardedCounterSet {
-    shards: Vec<Vec<u64>>,
-}
-
-impl ShardedCounterSet {
-    /// `n_shards` stripes of `width` counters, all zero.
-    pub fn new(n_shards: usize, width: usize) -> Self {
-        ShardedCounterSet {
-            shards: vec![vec![0; width]; n_shards.max(1)],
-        }
-    }
-
-    /// Number of stripes.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of counters per stripe.
-    pub fn width(&self) -> usize {
-        self.shards[0].len()
-    }
-
-    /// Adds `v` (saturating) to counter `c` of stripe `shard`.
-    #[inline]
-    pub fn add(&mut self, shard: usize, c: usize, v: u64) {
-        let n = self.shards.len();
-        let s = &mut self.shards[shard % n][c];
-        *s = s.saturating_add(v);
-    }
-
-    /// One stripe's lanes.
-    pub fn shard_totals(&self, shard: usize) -> &[u64] {
-        &self.shards[shard]
-    }
-
-    /// Folds every stripe into per-counter totals (saturating).
-    pub fn merged(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.width()];
-        for s in &self.shards {
-            for (o, v) in out.iter_mut().zip(s.iter()) {
-                *o = o.saturating_add(*v);
-            }
-        }
-        out
     }
 }
 
@@ -422,27 +345,6 @@ impl MetricsSnapshot {
     /// Inserts a histogram summary.
     pub fn set_histogram(&mut self, name: impl Into<String>, h: &Histogram) {
         self.histograms.insert(name.into(), h.summary());
-    }
-
-    /// Merges `other` into `self`. **Contract:** on a name collision
-    /// nothing is silently overwritten — counters **sum, saturating at
-    /// `u64::MAX`** (so merging per-node snapshots yields fleet totals
-    /// and overflow pins to the ceiling instead of wrapping or
-    /// panicking; saturating addition of non-negative values is
-    /// associative and commutative, so any merge order agrees), and
-    /// histogram summaries merge field-wise via
-    /// [`HistogramSummary::absorb`]: `count`/`sum` add, `min`/`max`
-    /// widen, and each percentile takes the larger of the two (a
-    /// documented upper bound on the true union quantile). Names
-    /// present in only one side are carried over unchanged.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            let c = self.counters.entry(k.clone()).or_insert(0);
-            *c = c.saturating_add(*v);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().absorb(v);
-        }
     }
 
     /// Byte-stable JSON export:
@@ -609,69 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_adds_counters() {
-        let mut a = MetricsSnapshot::default();
-        a.set_counter("x", 1);
-        let mut b = MetricsSnapshot::default();
-        b.set_counter("x", 2);
-        b.set_counter("y", 3);
-        a.merge(&b);
-        assert_eq!(a.counters["x"], 3);
-        assert_eq!(a.counters["y"], 3);
-    }
-
-    #[test]
-    fn snapshot_merge_combines_histogram_summaries() {
-        let mut ha = Histogram::new();
-        for v in [1u64, 2, 3] {
-            ha.observe(v);
-        }
-        let mut hb = Histogram::new();
-        for v in [500u64, 600] {
-            hb.observe(v);
-        }
-        let mut a = MetricsSnapshot::default();
-        a.set_histogram("lat", &ha);
-        let mut b = MetricsSnapshot::default();
-        b.set_histogram("lat", &hb);
-        b.set_histogram("only_b", &hb);
-        a.merge(&b);
-        let m = a.histograms["lat"];
-        // Counts and sums add; min/max widen; percentiles take the
-        // larger side (upper-bound approximation).
-        assert_eq!(m.count, 5);
-        assert_eq!(m.sum, 6 + 1100);
-        assert_eq!(m.min, 1);
-        assert_eq!(m.max, 600);
-        assert_eq!(m.p99, hb.summary().p99);
-        // Names unique to one side carry over unchanged.
-        assert_eq!(a.histograms["only_b"], hb.summary());
-        // Merging an empty snapshot is a no-op.
-        let before = a.clone();
-        a.merge(&MetricsSnapshot::default());
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    fn snapshot_merge_counters_saturate() {
-        // Overflow pins to u64::MAX — never wraps, never panics — and
-        // the result is independent of merge order.
-        let mut a = MetricsSnapshot::default();
-        a.set_counter("x", u64::MAX - 5);
-        let mut b = MetricsSnapshot::default();
-        b.set_counter("x", 10);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        assert_eq!(ab.counters["x"], u64::MAX);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ba.counters["x"], u64::MAX);
-        // Merging more on top stays pinned.
-        ab.merge(&b);
-        assert_eq!(ab.counters["x"], u64::MAX);
-    }
-
-    #[test]
     fn counter_ids_resolve_once_and_fold_into_snapshots() {
         let mut r = MetricsRegistry::new();
         let a = r.register_counter("node.a.delivered");
@@ -681,58 +520,28 @@ mod tests {
         r.inc_id(a);
         r.add_id(a, 4);
         r.inc_id(b);
-        // Merged view through both accessors.
         assert_eq!(r.counter("node.a.delivered"), 5);
         let snap = r.snapshot();
         assert_eq!(snap.counters["node.a.delivered"], 5);
         assert_eq!(snap.counters["node.b.delivered"], 1);
-        // A name used by both stores sums.
+        // A write by name lands in the same slot.
         r.add("node.a.delivered", 2);
         assert_eq!(r.counter("node.a.delivered"), 7);
         assert_eq!(r.snapshot().counters["node.a.delivered"], 7);
-        // Registered-but-untouched slots don't widen the export.
-        r.register_counter("node.c.delivered");
-        assert!(!r.snapshot().counters.contains_key("node.c.delivered"));
+        // Registered-but-untouched slots don't widen the export; a
+        // counter written by name shows even at zero, also when the
+        // write came after the registration.
+        let c = r.register_counter("node.c.delivered");
+        r.add("node.d.bound", 0);
+        let snap = r.snapshot();
+        assert!(!snap.counters.contains_key("node.c.delivered"));
+        assert_eq!(snap.counters["node.d.bound"], 0);
+        r.add("node.c.delivered", 0);
+        assert_eq!(r.register_counter("node.c.delivered"), c);
+        assert_eq!(r.snapshot().counters["node.c.delivered"], 0);
         // Saturation at the slot level.
         r.add_id(a, u64::MAX);
         assert_eq!(r.counter("node.a.delivered"), u64::MAX);
-    }
-
-    #[test]
-    fn sharded_counter_merge_is_order_independent() {
-        // Seeded pseudo-random fills, folded in three different shard
-        // orders: totals must agree bit-for-bit (associativity +
-        // commutativity of saturating add).
-        let mut set = ShardedCounterSet::new(8, 4);
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..500 {
-            let r = next();
-            set.add(
-                (r >> 8) as usize % 8,
-                (r >> 3) as usize % 4,
-                // Large addends so saturation actually occurs.
-                if r % 10 == 0 { u64::MAX / 2 } else { r % 1000 },
-            );
-        }
-        let forward = set.merged();
-        let fold = |order: &[usize]| {
-            let mut out = vec![0u64; set.width()];
-            for &s in order {
-                for (o, v) in out.iter_mut().zip(set.shard_totals(s)) {
-                    *o = o.saturating_add(*v);
-                }
-            }
-            out
-        };
-        assert_eq!(forward, fold(&[0, 1, 2, 3, 4, 5, 6, 7]));
-        assert_eq!(forward, fold(&[7, 6, 5, 4, 3, 2, 1, 0]));
-        assert_eq!(forward, fold(&[3, 0, 7, 1, 6, 2, 5, 4]));
     }
 
     #[test]

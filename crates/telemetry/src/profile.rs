@@ -140,7 +140,7 @@ impl ScopeProfile {
 
     /// Every site of this scope — declared (observed or not) and
     /// stray — ascending, as `(site, observed, label, bound)`.
-    pub(crate) fn site_rows(&self) -> Vec<(u32, u64, &str, u64)> {
+    fn site_rows(&self) -> Vec<(u32, u64, &str, u64)> {
         let declared = self.meta.iter().zip(&self.counts);
         let mut rows: Vec<_> = declared
             .map(|((&site, m), &n)| (site, n, m.label.as_str(), m.bound))
@@ -491,18 +491,6 @@ impl ProfileRegistry {
         out
     }
 
-    /// Per-node rollup next to the plan layer's `node_state`:
-    /// `(node, recorded dispatches, recorded steps)`, sorted by node.
-    pub fn node_rollup(&self) -> Vec<(String, u64, u64)> {
-        let mut by_node: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for s in self.scopes.iter() {
-            let e = by_node.entry(s.node.clone()).or_insert((0, 0));
-            e.0 += s.dispatches;
-            e.1 += s.steps;
-        }
-        by_node.into_iter().map(|(n, (d, st))| (n, d, st)).collect()
-    }
-
     /// The whole registry as one byte-stable JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"sample_n\":");
@@ -761,23 +749,5 @@ mod tests {
         assert!(r1.hot && !r1.slack && r1.permille == 1000);
         assert!(r2.slack && !r2.hot && r2.permille == 20);
         assert!(rows.iter().all(|r| r.permille <= 1000), "soundness");
-    }
-
-    #[test]
-    fn node_rollup_aggregates_per_node() {
-        let mut reg = ProfileRegistry::default();
-        let a = reg.declare("n0", "c", 0, [(1, "l".to_string(), 1)], []);
-        let b = reg.declare("n0", "d", 0, [(2, "l".to_string(), 1)], []);
-        let c = reg.declare("n1", "c", 0, [(3, "l".to_string(), 1)], []);
-        for id in [a, b, c] {
-            assert!(reg.should_profile(id));
-        }
-        record(&mut reg, a, &[(1, 1)], 1);
-        record(&mut reg, b, &[(2, 2)], 2);
-        record(&mut reg, c, &[(3, 3)], 3);
-        assert_eq!(
-            reg.node_rollup(),
-            vec![("n0".to_string(), 2, 3), ("n1".to_string(), 1, 3)]
-        );
     }
 }
