@@ -161,7 +161,7 @@ fn kind_label(e: &TExpr, prog: &TProgram) -> String {
 }
 
 /// An adjacent hot-site sequence worth fusing into a superinstruction
-/// (the bytecode tier emits `BrPrimCmp` and `BrPrim` for these).
+/// (the bytecode tier emits `BrScalarCmp` and `BrPrim` for these).
 #[derive(Debug, Clone)]
 pub struct SuperinstructionCandidate {
     /// Pattern tag: `hdr_compare_branch` or `table_forward`.
@@ -174,28 +174,6 @@ pub struct SuperinstructionCandidate {
     pub sites: Vec<u32>,
     /// `line:col` of the anchoring node.
     pub label: String,
-}
-
-/// Header-field read primitives (the "load" of the dispatch shape).
-fn is_header_read(name: &str) -> bool {
-    matches!(
-        name,
-        "ipSrc"
-            | "ipDst"
-            | "ipTtl"
-            | "ipProto"
-            | "tcpSrc"
-            | "tcpDst"
-            | "tcpSeq"
-            | "tcpAck"
-            | "tcpIsSyn"
-            | "tcpIsFin"
-            | "tcpIsAck"
-            | "tcpIsRst"
-            | "udpSrc"
-            | "udpDst"
-            | "blobLen"
-    )
 }
 
 /// The site of the first node under `e` (pre-order) that satisfies
@@ -244,9 +222,11 @@ fn scan(
     match &e.kind {
         // `if <hdr-read … compare …> then … else …` — the dispatch shape.
         TExprKind::If(c, t, f) => {
+            // The "load" of the dispatch shape: a scalar accessor.
             let hdr = find_site(c, &|k| {
+                use planp_lang::prims::{table, Access};
                 matches!(k, TExprKind::CallPrim { prim, .. }
-                    if is_header_read(planp_lang::prims::table().sig(*prim).name))
+                    if matches!(table().sig(*prim).access, Some(Access::Get(_))))
             });
             let cmp = find_site(c, &|k| {
                 use planp_lang::ast::BinOp::*;

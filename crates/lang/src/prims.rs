@@ -50,6 +50,79 @@ impl PrimClass {
     }
 }
 
+/// A scalar a primitive reads out of, or writes into, one value: a
+/// field of a packet header, or the length of a blob.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field {
+    /// `ip` source address.
+    IpSrc,
+    /// `ip` destination address.
+    IpDst,
+    /// `ip` time to live.
+    IpTtl,
+    /// `ip` protocol number.
+    IpProto,
+    /// `tcp` source port.
+    TcpSrc,
+    /// `tcp` destination port.
+    TcpDst,
+    /// `tcp` sequence number.
+    TcpSeq,
+    /// `tcp` acknowledgement number.
+    TcpAck,
+    /// `tcp` SYN flag.
+    TcpIsSyn,
+    /// `tcp` FIN flag.
+    TcpIsFin,
+    /// `tcp` ACK flag.
+    TcpIsAck,
+    /// `tcp` RST flag.
+    TcpIsRst,
+    /// `udp` source port.
+    UdpSrc,
+    /// `udp` destination port.
+    UdpDst,
+    /// Length of a `blob`.
+    BlobLen,
+}
+
+impl Field {
+    /// The type of the value the field sits in.
+    pub fn holder(self) -> Type {
+        use Field::*;
+        match self {
+            IpSrc | IpDst | IpTtl | IpProto => Type::Ip,
+            TcpSrc | TcpDst | TcpSeq | TcpAck | TcpIsSyn | TcpIsFin | TcpIsAck | TcpIsRst => {
+                Type::Tcp
+            }
+            UdpSrc | UdpDst => Type::Udp,
+            BlobLen => Type::Blob,
+        }
+    }
+
+    /// The field's own type: `host`, `bool` or `int`.
+    pub fn ty(self) -> Type {
+        use Field::*;
+        match self {
+            IpSrc | IpDst => Type::Host,
+            TcpIsSyn | TcpIsFin | TcpIsAck | TcpIsRst => Type::Bool,
+            _ => Type::Int,
+        }
+    }
+}
+
+/// What a primitive that only touches one [`Field`] does with it. An
+/// engine that knows its operands' types can run such a call as a load
+/// or a store instead of a call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// `f(v)`: reads the field; cannot raise.
+    Get(Field),
+    /// `f(v, x)`: `v` with the field set to `x` (`OutOfRange` for a
+    /// port outside `0..65536`).
+    Set(Field),
+}
+
 /// The type rule of a primitive.
 #[derive(Debug, Clone)]
 enum Sig {
@@ -70,6 +143,9 @@ pub struct PrimSig {
     pub raises: &'static [&'static str],
     /// Number of arguments.
     pub arity: usize,
+    /// Set for a scalar accessor or a header-field setter: the whole of
+    /// what the primitive does.
+    pub access: Option<Access>,
     sig: Sig,
 }
 
@@ -280,6 +356,7 @@ fn build_table() -> PrimTable {
         class,
         raises,
         arity: params.len(),
+        access: None,
         sig: Sig::Fixed(params, ret),
     };
     let special = |name, class, raises: &'static [&'static str], arity| PrimSig {
@@ -287,37 +364,47 @@ fn build_table() -> PrimTable {
         class,
         raises,
         arity,
+        access: None,
         sig: Sig::Special,
     };
     const NONE: &[&str] = &[];
+    // The type rule of an accessor or a setter is its field's.
+    let get = |name, f: Field| PrimSig {
+        access: Some(Access::Get(f)),
+        ..fixed(name, Pure, NONE, vec![f.holder()], f.ty())
+    };
+    let set = |name, f: Field| PrimSig {
+        access: Some(Access::Set(f)),
+        ..fixed(name, Pure, NONE, vec![f.holder(), f.ty()], f.holder())
+    };
     const OOR: &[&str] = &["OutOfRange"];
 
     let prims = vec![
         // --- IP header -------------------------------------------------
-        fixed("ipSrc", Pure, NONE, vec![Ip], Host),
-        fixed("ipDst", Pure, NONE, vec![Ip], Host),
-        fixed("ipSrcSet", Pure, NONE, vec![Ip, Host], Ip),
-        fixed("ipDestSet", Pure, NONE, vec![Ip, Host], Ip),
-        fixed("ipTtl", Pure, NONE, vec![Ip], Int),
-        fixed("ipProto", Pure, NONE, vec![Ip], Int),
+        get("ipSrc", Field::IpSrc),
+        get("ipDst", Field::IpDst),
+        set("ipSrcSet", Field::IpSrc),
+        set("ipDestSet", Field::IpDst),
+        get("ipTtl", Field::IpTtl),
+        get("ipProto", Field::IpProto),
         // --- TCP header ------------------------------------------------
-        fixed("tcpSrc", Pure, NONE, vec![Tcp], Int),
-        fixed("tcpDst", Pure, NONE, vec![Tcp], Int),
-        fixed("tcpSrcSet", Pure, NONE, vec![Tcp, Int], Tcp),
-        fixed("tcpDstSet", Pure, NONE, vec![Tcp, Int], Tcp),
-        fixed("tcpSeq", Pure, NONE, vec![Tcp], Int),
-        fixed("tcpAck", Pure, NONE, vec![Tcp], Int),
-        fixed("tcpIsSyn", Pure, NONE, vec![Tcp], Bool),
-        fixed("tcpIsFin", Pure, NONE, vec![Tcp], Bool),
-        fixed("tcpIsAck", Pure, NONE, vec![Tcp], Bool),
-        fixed("tcpIsRst", Pure, NONE, vec![Tcp], Bool),
+        get("tcpSrc", Field::TcpSrc),
+        get("tcpDst", Field::TcpDst),
+        set("tcpSrcSet", Field::TcpSrc),
+        set("tcpDstSet", Field::TcpDst),
+        get("tcpSeq", Field::TcpSeq),
+        get("tcpAck", Field::TcpAck),
+        get("tcpIsSyn", Field::TcpIsSyn),
+        get("tcpIsFin", Field::TcpIsFin),
+        get("tcpIsAck", Field::TcpIsAck),
+        get("tcpIsRst", Field::TcpIsRst),
         // --- UDP header ------------------------------------------------
-        fixed("udpSrc", Pure, NONE, vec![Udp], Int),
-        fixed("udpDst", Pure, NONE, vec![Udp], Int),
-        fixed("udpSrcSet", Pure, NONE, vec![Udp, Int], Udp),
-        fixed("udpDstSet", Pure, NONE, vec![Udp, Int], Udp),
+        get("udpSrc", Field::UdpSrc),
+        get("udpDst", Field::UdpDst),
+        set("udpSrcSet", Field::UdpSrc),
+        set("udpDstSet", Field::UdpDst),
         // --- blobs -----------------------------------------------------
-        fixed("blobLen", Pure, NONE, vec![Blob], Int),
+        get("blobLen", Field::BlobLen),
         fixed("blobSub", Pure, OOR, vec![Blob, Int, Int], Blob),
         fixed("blobCat", Pure, NONE, vec![Blob, Blob], Blob),
         fixed("blobByte", Pure, OOR, vec![Blob, Int], Int),
@@ -463,6 +550,54 @@ mod tests {
         let pkt = Tuple(vec![Ip, Tcp, Blob]);
         assert_eq!(d.check(&[pkt], None).unwrap(), Unit);
         assert!(d.check(&[Int], None).is_err());
+    }
+
+    #[test]
+    fn accessors_and_setters_are_marked_and_typed_by_their_field() {
+        let marked = |want: fn(Access) -> bool| -> Vec<&str> {
+            let prims = table().iter();
+            let of_kind = prims.filter(|(_, s)| s.access.is_some_and(want));
+            of_kind.map(|(_, s)| s.name).collect()
+        };
+        assert_eq!(
+            marked(|a| matches!(a, Access::Get(_))),
+            [
+                "ipSrc", "ipDst", "ipTtl", "ipProto", "tcpSrc", "tcpDst", "tcpSeq", "tcpAck",
+                "tcpIsSyn", "tcpIsFin", "tcpIsAck", "tcpIsRst", "udpSrc", "udpDst", "blobLen"
+            ]
+        );
+        assert_eq!(
+            marked(|a| matches!(a, Access::Set(_))),
+            [
+                "ipSrcSet",
+                "ipDestSet",
+                "tcpSrcSet",
+                "tcpDstSet",
+                "udpSrcSet",
+                "udpDstSet"
+            ]
+        );
+        for (_, sig) in table().iter() {
+            match sig.access {
+                Some(Access::Get(f)) => {
+                    assert!(sig.raises.is_empty(), "{}", sig.name);
+                    assert_eq!(sig.check(&[f.holder()], None), Ok(f.ty()), "{}", sig.name);
+                }
+                Some(Access::Set(f)) => {
+                    let hdr = f.holder();
+                    assert_eq!(
+                        sig.check(&[hdr.clone(), f.ty()], None),
+                        Ok(hdr),
+                        "{}",
+                        sig.name
+                    );
+                }
+                None => {}
+            }
+        }
+        let (_, dst) = table().lookup("tcpDst").unwrap();
+        assert_eq!(dst.access, Some(Access::Get(Field::TcpDst)));
+        assert_eq!(table().lookup("blobSub").unwrap().1.access, None);
     }
 
     #[test]

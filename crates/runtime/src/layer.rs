@@ -378,14 +378,7 @@ impl PacketHook for PlanpLayer {
             emitted: 0,
             vm_steps: 0,
             profiling: profiling.then_some(cm.profile_scope),
-            cur_trace: if pkt.lineage.trace != 0 {
-                pkt.lineage.trace
-            } else {
-                pkt.id
-            },
-            cur_span: pkt.id,
-            cur_sampled: pkt.lineage.sampled,
-            cur_deadline: pkt.lineage.deadline_ns,
+            cur: &pkt,
             inserts: 0,
             entries_delta: 0,
         };
@@ -526,18 +519,11 @@ struct SimNetEnv<'a, 'b> {
     emitted: u32,
     /// VM steps charged by the current channel run.
     vm_steps: u64,
-    /// Trace id of the packet being processed (causal lineage root).
-    cur_trace: u64,
-    /// Span (= packet) id of the packet being processed; children of
-    /// this run point back at it.
-    cur_span: u64,
-    /// Head-sampling decision of the packet being processed; inherited
-    /// by every packet this run emits, so sampled traces stay complete.
-    cur_sampled: bool,
-    /// Deadline of the packet being processed (0 = none); inherited by
-    /// every packet this run emits, so expiry is enforceable at any
-    /// later hop.
-    cur_deadline: u64,
+    /// The packet being processed. Every packet this run emits is its
+    /// child: same trace, same head-sampling decision (so sampled
+    /// traces stay complete), same deadline (so expiry is enforceable
+    /// at any later hop).
+    cur: &'a Packet,
     /// Fresh-key `tblSet` inserts performed by the current channel run.
     inserts: u64,
     /// Net table-entry change of the current channel run (fresh inserts
@@ -552,19 +538,25 @@ impl SimNetEnv<'_, '_> {
     /// Lineage for a child packet born at a send of kind `origin` on
     /// channel `chan`, parented on the packet being processed.
     fn child_lineage(&self, origin: SpanOrigin, chan: Option<Rc<str>>) -> Lineage {
+        let cur = &self.cur.lineage;
         Lineage {
-            trace: self.cur_trace,
-            parent: self.cur_span,
+            // An unstamped root is its own trace.
+            trace: if cur.trace != 0 {
+                cur.trace
+            } else {
+                self.cur.id
+            },
+            parent: self.cur.id,
             origin,
             chan,
-            sampled: self.cur_sampled,
-            deadline_ns: self.cur_deadline,
+            sampled: cur.sampled,
+            deadline_ns: cur.deadline_ns,
         }
     }
 
     /// The packet a send to channel `to` puts on the wire, built from
     /// the components the engine named.
-    fn outgoing(&self, to: ChanRef<'_>, parts: &[Value], origin: SpanOrigin) -> Option<Packet> {
+    fn outgoing(&mut self, to: ChanRef<'_>, parts: &[Value], origin: SpanOrigin) -> Option<Packet> {
         let cm = &self.chans[to.index as usize];
         let tag = cm.tagged.then(|| ChannelTag {
             chan: cm.name.clone(),
@@ -572,8 +564,11 @@ impl SimNetEnv<'_, '_> {
         });
         let mut p = parts_to_packet(parts, tag).ok()?;
         // Run-time safety net mirroring IP's TTL, as discussed in
-        // section 2.1 (the static proof makes this a backstop).
+        // section 2.1 (the static proof makes this a backstop). The
+        // packet being processed ends here, as it would in standard
+        // forwarding: the drop is its terminal event.
         if p.ip.ttl == 0 {
+            self.api.node_drop(self.cur, DropReason::TtlExpired);
             return None;
         }
         p.ip.ttl -= 1;
@@ -1065,6 +1060,75 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(handle.stats.borrow().errors, 2);
         assert_eq!(got.borrow().len(), 2, "fail-open forwarding");
+    }
+
+    #[test]
+    fn send_suppressed_by_the_ttl_backstop_is_a_recorded_drop() {
+        use planp_telemetry::{TraceConfig, TraceEvent};
+        // a — r1 — r2 — b, the forwarder on both relays. A datagram
+        // whose TTL has already run out reaches r1 (a neighbor send
+        // checks no TTL): its `OnRemote` is suppressed, and the packet
+        // must end there as one counted, traced `TtlExpired` drop —
+        // as it would under standard forwarding — on either engine.
+        struct Spent {
+            via: u32,
+            dst: u32,
+        }
+        impl netsim::App for Spent {
+            fn on_start(&mut self, api: &mut NodeApi<'_>) {
+                let mut pkt = Packet::udp(api.addr(), self.dst, 1, 2, Bytes::from_static(b"x"));
+                pkt.ip.ttl = 0;
+                api.send_to_neighbor(self.via, pkt);
+            }
+            fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {}
+        }
+        let src = "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   (OnRemote(network, p); (ps + 1, ss))";
+        let image = load(src, Policy::no_delivery()).expect("program loads");
+        for engine in [Engine::Jit, Engine::Interp] {
+            let mut sim = Sim::new(3);
+            sim.telemetry.trace.configure(TraceConfig::all());
+            let a = sim.add_host("a", addr(10, 0, 0, 1));
+            let r1 = sim.add_router("r1", addr(10, 0, 0, 254));
+            let r2 = sim.add_router("r2", addr(10, 0, 1, 254));
+            let b = sim.add_host("b", addr(10, 0, 2, 1));
+            sim.add_link(LinkSpec::ethernet_10(), &[a, r1]);
+            sim.add_link(LinkSpec::ethernet_10(), &[r1, r2]);
+            sim.add_link(LinkSpec::ethernet_10(), &[r2, b]);
+            sim.compute_routes();
+            let cfg = LayerConfig {
+                engine,
+                ..LayerConfig::default()
+            };
+            let h1 = install_planp(&mut sim, r1, &image, cfg).expect("install");
+            let h2 = install_planp(&mut sim, r2, &image, cfg).expect("install");
+            let got = Rc::new(RefCell::new(Vec::new()));
+            sim.add_app(b, Box::new(Sink { got: got.clone() }));
+            let (via, dst) = (addr(10, 0, 0, 254), addr(10, 0, 2, 1));
+            sim.add_app(a, Box::new(Spent { via, dst }));
+            sim.run_until(SimTime::from_secs(1));
+
+            assert!(got.borrow().is_empty(), "{engine:?}: nothing arrives");
+            assert_eq!(
+                h1.stats.borrow().matched,
+                1,
+                "{engine:?}: r1 ran the channel"
+            );
+            assert_eq!(h2.stats.borrow().matched, 0, "{engine:?}: r2 saw nothing");
+            let drops: Vec<_> = sim
+                .telemetry
+                .trace
+                .events()
+                .filter_map(|e| match e {
+                    TraceEvent::NodeDrop { node, reason, .. } => Some((*node, *reason)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(drops, [(r1.0 as u32, DropReason::TtlExpired)], "{engine:?}");
+            assert_eq!(sim.node(r1).dropped, 1, "{engine:?}");
+            let counted: u64 = sim.nodes().map(|n| n.dropped + n.cpu_drops + n.shed).sum();
+            assert_eq!((sim.total_node_drops, counted), (1, 1), "{engine:?}");
+        }
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! — which also holds the static per-site step bounds and
 //! superinstruction candidates computed by `planp-analysis::profile`.
 //! Charging touches no map and allocates nothing: a scope counts in a
-//! dense array parallel to its declared sites, and a block charge finds
-//! its counters through a table indexed by position in the compiled
-//! program's site pool ([`ProfileRegistry::bind_blocks`]). The
-//! per-site map view ([`ScopeProfile::sites`]) is built when an export
-//! reads it. Everything downstream is a deterministic join of observed
+//! dense array parallel to its declared sites, and a block charge —
+//! a run of consecutive positions of the compiled program's site pool
+//! ([`ProfileRegistry::bind_blocks`]) — is two adds into a difference
+//! array over those positions, whatever the block's length. The
+//! prefix sums are taken, and the per-site map view
+//! ([`ScopeProfile::sites`]) built, when an export reads them. Everything downstream is a deterministic join of observed
 //! and static:
 //!
 //! * [`ProfileRegistry::collapsed_flame`] — flamegraph collapsed-stack
@@ -96,9 +97,14 @@ pub struct ScopeProfile {
     counts: Vec<u64>,
     /// Observed steps of sites missing from `meta` (must stay empty).
     stray: BTreeMap<u32, u64>,
-    /// Per position of the bound site pool, the index into `counts`
-    /// (out of range for a site this scope did not declare).
-    block_index: Vec<u32>,
+    /// Per position of the bound site pool, where a charge there is
+    /// counted: the index into `counts`, or (`Err`) the site itself if
+    /// this scope did not declare it.
+    block_index: Vec<Result<u32, u32>>,
+    /// Block charges not yet in `counts`/`stray`, as a difference array
+    /// over pool positions: `+n` where a charged run begins, `-n` just
+    /// past its end (so one slot longer than the pool).
+    diff: Vec<i64>,
     /// Steps charged since the last [`ProfileRegistry::record`].
     pending: u64,
 }
@@ -112,17 +118,33 @@ impl ScopeProfile {
     /// Observed steps per site, ascending, observed sites only
     /// (recorded dispatches only) — the map view of the dense counters.
     pub fn sites(&self) -> BTreeMap<u32, u64> {
-        let declared = self.ids.iter().copied().zip(self.counts.iter().copied());
-        declared
-            .filter(|&(_, n)| n > 0)
-            .chain(self.stray.iter().map(|(&site, &n)| (site, n)))
-            .collect()
+        let (counts, stray) = self.totals();
+        let declared = self.ids.iter().copied().zip(counts);
+        declared.filter(|&(_, n)| n > 0).chain(stray).collect()
     }
 
     /// Observed sites missing from the static site table (must stay
     /// zero: every site a dispatch can charge is statically known).
     pub fn unknown_sites(&self) -> u64 {
-        self.stray.len() as u64
+        self.totals().1.len() as u64
+    }
+
+    /// `counts` and `stray` with the block charges still in `diff`
+    /// added in: the running sum of `diff` at a position is what the
+    /// blocks charged there.
+    fn totals(&self) -> (Vec<u64>, BTreeMap<u32, u64>) {
+        let (mut counts, mut stray) = (self.counts.clone(), self.stray.clone());
+        let mut here = 0i64;
+        for (slot, d) in self.block_index.iter().zip(&self.diff) {
+            here += d;
+            if here != 0 {
+                match *slot {
+                    Ok(i) => counts[i as usize] += here as u64,
+                    Err(site) => *stray.entry(site).or_insert(0) += here as u64,
+                }
+            }
+        }
+        (counts, stray)
     }
 
     /// Replaces the static site table, carrying observations over.
@@ -132,6 +154,7 @@ impl ScopeProfile {
         self.counts = vec![0; self.ids.len()];
         self.stray.clear();
         self.block_index.clear();
+        self.diff.clear();
         self.meta = meta;
         for (site, n) in observed {
             self.add(site, n);
@@ -141,20 +164,22 @@ impl ScopeProfile {
     /// Every site of this scope — declared (observed or not) and
     /// stray — ascending, as `(site, observed, label, bound)`.
     fn site_rows(&self) -> Vec<(u32, u64, &str, u64)> {
-        let declared = self.meta.iter().zip(&self.counts);
+        let (counts, stray) = self.totals();
+        let declared = self.meta.iter().zip(counts);
         let mut rows: Vec<_> = declared
-            .map(|((&site, m), &n)| (site, n, m.label.as_str(), m.bound))
+            .map(|((&site, m), n)| (site, n, m.label.as_str(), m.bound))
             .collect();
-        rows.extend(self.stray.iter().map(|(&site, &n)| (site, n, "unknown", 0)));
+        rows.extend(stray.into_iter().map(|(site, n)| (site, n, "unknown", 0)));
         rows.sort_unstable_by_key(|r| r.0);
         rows
     }
 
     /// Observed steps over the sites of a pattern.
     fn observed(&self, sites: &[u32]) -> u64 {
+        let (counts, stray) = self.totals();
         let of = |site: &u32| match self.ids.binary_search(site) {
-            Ok(i) => self.counts[i],
-            Err(_) => self.stray.get(site).copied().unwrap_or(0),
+            Ok(i) => counts[i],
+            Err(_) => stray.get(site).copied().unwrap_or(0),
         };
         sites.iter().map(of).sum()
     }
@@ -271,6 +296,7 @@ impl ProfileRegistry {
             counts: Vec::new(),
             stray: BTreeMap::new(),
             block_index: Vec::new(),
+            diff: Vec::new(),
             pending: 0,
         };
         scope.redeclare(meta);
@@ -285,10 +311,14 @@ impl ProfileRegistry {
     /// scope that is not bound still counts, one lookup per site.
     pub fn bind_blocks(&mut self, id: ScopeId, pool: &[u32]) {
         let s = &mut self.scopes[id.0];
-        s.block_index = pool
-            .iter()
-            .map(|site| s.ids.binary_search(site).map_or(u32::MAX, |i| i as u32))
-            .collect();
+        // What the blocks of the pool bound before have charged stays.
+        (s.counts, s.stray) = s.totals();
+        let slot = |site: &u32| match s.ids.binary_search(site) {
+            Ok(i) => Ok(i as u32),
+            Err(_) => Err(*site),
+        };
+        s.block_index = pool.iter().map(slot).collect();
+        s.diff = vec![0; pool.len() + 1];
     }
 
     /// Sets the sampling denominator: record 1 of every `n` dispatches
@@ -336,16 +366,12 @@ impl ProfileRegistry {
     pub fn charge_block(&mut self, id: ScopeId, first: usize, sites: &[u32], n: u64) {
         let s = &mut self.scopes[id.0];
         s.pending += n * sites.len() as u64;
-        match s.block_index.get(first..first + sites.len()) {
-            Some(index) => {
-                for (&i, &site) in index.iter().zip(sites) {
-                    match s.counts.get_mut(i as usize) {
-                        Some(count) => *count += n,
-                        None => *s.stray.entry(site).or_insert(0) += n,
-                    }
-                }
-            }
-            None => sites.iter().for_each(|&site| s.add(site, n)),
+        let end = first + sites.len();
+        if end < s.diff.len() {
+            s.diff[first] += n as i64;
+            s.diff[end] -= n as i64;
+        } else {
+            sites.iter().for_each(|&site| s.add(site, n));
         }
     }
 
@@ -625,6 +651,27 @@ mod tests {
         }
         assert_eq!(bound.to_json(), unbound.to_json());
         assert_eq!(bound.collapsed_flame(), unbound.collapsed_flame());
+    }
+
+    #[test]
+    fn rebinding_to_another_pool_keeps_what_the_old_blocks_charged() {
+        let mut reg = ProfileRegistry::default();
+        let id = declared(&mut reg);
+        reg.bind_blocks(id, &[10, 20, 30]);
+        assert!(reg.should_profile(id));
+        reg.charge_block(id, 0, &[10, 20, 30], 1);
+        reg.charge_block(id, 1, &[20], 1);
+        reg.record(id, 4);
+        // Same sites at other positions: a charge still pending in the
+        // old positions must not be read through the new table.
+        let pool = [30, 20, 20, 10];
+        reg.bind_blocks(id, &pool);
+        assert!(reg.should_profile(id));
+        reg.charge_block(id, 1, &pool[1..4], 2);
+        reg.record(id, 6);
+        let s = reg.scope(id);
+        assert_eq!(s.sites(), [(10, 3), (20, 6), (30, 1)].into());
+        assert_eq!((s.unknown_sites(), reg.mismatches()), (1, 0));
     }
 
     #[test]

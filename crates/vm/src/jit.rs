@@ -22,11 +22,24 @@
 //!   compile time and emit nothing;
 //! * primitive calls are pre-resolved function pointers;
 //! * constant subexpressions are folded;
+//! * the checker's types select **typed instructions**: where both
+//!   operands of an operator are `int`, `host`, `char` or `bool`
+//!   ([`ScalarTy`]), the instruction reads them unwrapped — from an
+//!   operand, as an immediate, as a scalar accessor (`udpDst(h)`,
+//!   `blobLen(b)`: the signature table's [`Access::Get`]) applied to an
+//!   operand in place, or as `thisHost()` asked of the environment — and
+//!   computes on `i64`s: no call, no `Value` built to be taken apart
+//!   again. A header-field setter ([`Access::Set`]) reads its header in
+//!   place and its scalar the same way. Everything else (strings,
+//!   blobs, tuples, tables, the other primitives) takes the generic
+//!   instructions, through [`crate::ops`] and the function pointers;
 //! * conditions compile to branches (`andalso`/`orelse`/`not` never
 //!   materialize a boolean), with two fused forms — the superinstructions
-//!   the profiler ranked: **`hdr_compare_branch`** (`if tcpDst(h) = 80`:
-//!   header read, compare and branch in one instruction) and
-//!   **`table_forward`** (`if tblHas(t, k)`: lookup and branch in one);
+//!   the profiler ranked: **`hdr_compare_branch`** (`if tcpDst(h) = 80`,
+//!   `if ipDst(h) = thisHost()`: the scalar compare-and-branch with an
+//!   accessor for an operand — header read, compare and branch in one
+//!   instruction) and **`table_forward`** (`if tblHas(t, k)`: lookup and
+//!   branch in one);
 //! * results return in registers: a channel body leaves `(ps', ss')` in
 //!   registers 0 and 1, so a literal pair in tail position is never
 //!   allocated and a `(ps, ss)` tail moves nothing at all;
@@ -36,8 +49,10 @@
 //!   dispatches, and user-function frames are windows of it.
 //!
 //! The semantics stays the interpreter's: operators dispatch through
-//! [`crate::ops`] and primitives through [`crate::prims`], so a change to
-//! the interpreter *is* a change to this tier.
+//! [`crate::ops`] and primitives through [`crate::prims`] — the typed
+//! instructions through the scalar forms the generic ones are written
+//! in terms of ([`scalar_binop`], [`prims::get`], [`prims::set`]) — so
+//! a change to the interpreter *is* a change to this tier.
 //!
 //! # Step and site accounting
 //!
@@ -65,11 +80,11 @@
 
 use crate::cost::STEPS_PER_NODE;
 use crate::env::{packet_parts, ChanRef, NetEnv};
-use crate::ops::{eval_binop, eval_unop};
+use crate::ops::{eval_binop, eval_unop, holds, scalar_binop, scalar_unop, unop_operand};
 use crate::prims::{self, PrimFn};
-use crate::value::{Value, VmError};
+use crate::value::{ScalarTy, Value, VmError};
 use planp_lang::ast::{BinOp, UnOp};
-use planp_lang::prims::PrimId;
+use planp_lang::prims::{Access, Field, PrimId};
 use planp_lang::tast::{ExnId, TExpr, TExprKind, TProgram};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -92,6 +107,22 @@ enum Src {
     Const(u32),
     /// A `val` global.
     Global(u32),
+}
+
+/// Where a typed instruction reads a scalar from — an `int`, `bool`,
+/// `char` or `host`, unwrapped (see [`ScalarTy`]).
+#[derive(Debug, Clone, Copy)]
+enum Scalar {
+    /// An operand holding a value of type `.1`.
+    Val(Src, ScalarTy),
+    /// A compile-time constant.
+    Imm(i64),
+    /// Field `.0` of the header (or the length of the blob) in an
+    /// operand, read in place.
+    Get(Field, Src),
+    /// `thisHost()`, asked of the environment: one image serves every
+    /// node.
+    ThisHost,
 }
 
 /// The packet a send instruction names. No send builds a tuple.
@@ -119,17 +150,41 @@ enum Ins {
         dst: Reg,
         items: Box<[Src]>,
     },
-    /// Strict binary operator (never `andalso`/`orelse`).
+    /// Strict binary operator on two scalars of one type: `int`
+    /// arithmetic, or a comparison whose value is wanted.
+    ScalarOp {
+        dst: Reg,
+        op: BinOp,
+        a: Scalar,
+        b: Scalar,
+    },
+    /// Any other strict binary operator: `^`, and comparisons of
+    /// strings, blobs, tuples and lists.
     Binop {
         dst: Reg,
         op: BinOp,
         a: Src,
         b: Src,
     },
+    /// `not` of a `bool`, negation of an `int`.
     Unop {
         dst: Reg,
         op: UnOp,
+        a: Scalar,
+    },
+    /// A scalar accessor (`udpDst(h)`, `blobLen(b)`) used as a value.
+    Get {
+        dst: Reg,
+        f: Field,
         a: Src,
+    },
+    /// A header-field setter (`ipDestSet(h, x)`): the header is read
+    /// in place.
+    Set {
+        dst: Reg,
+        f: Field,
+        hdr: Src,
+        x: Scalar,
     },
     /// One-argument primitive; the argument is passed in place.
     Prim1 {
@@ -184,25 +239,25 @@ enum Ins {
     },
     /// Jumps when the boolean `cond` equals `when`.
     Br {
-        cond: Src,
+        cond: Scalar,
         to: u32,
         when: bool,
     },
-    /// Compare and branch.
+    /// Compare two scalars of one type and branch. With an accessor on
+    /// either side this is `hdr_compare_branch`: header read, compare
+    /// and branch in one instruction.
+    BrScalarCmp {
+        op: BinOp,
+        a: Scalar,
+        b: Scalar,
+        to: u32,
+        when: bool,
+    },
+    /// Compare anything else (strings, blobs, tuples, lists) and branch.
     BrCmp {
         op: BinOp,
         a: Src,
         b: Src,
-        to: u32,
-        when: bool,
-    },
-    /// `hdr_compare_branch`: exception-free one-argument primitive,
-    /// compare against an operand, branch.
-    BrPrimCmp {
-        f: PrimFn,
-        arg: Src,
-        op: BinOp,
-        rhs: Src,
         to: u32,
         when: bool,
     },
@@ -230,6 +285,40 @@ enum Ins {
         a: Src,
         b: Src,
     },
+}
+
+impl Ins {
+    /// The variant's name.
+    fn kind(&self) -> &'static str {
+        match self {
+            Ins::Move { .. } => "Move",
+            Ins::Tuple { .. } => "Tuple",
+            Ins::List { .. } => "List",
+            Ins::ScalarOp { .. } => "ScalarOp",
+            Ins::Binop { .. } => "Binop",
+            Ins::Unop { .. } => "Unop",
+            Ins::Get { .. } => "Get",
+            Ins::Set { .. } => "Set",
+            Ins::Prim1 { .. } => "Prim1",
+            Ins::Prim2 { .. } => "Prim2",
+            Ins::Prim3 { .. } => "Prim3",
+            Ins::PrimN { .. } => "PrimN",
+            Ins::Call { .. } => "Call",
+            Ins::Raise(_) => "Raise",
+            Ins::SendRemote { .. } => "SendRemote",
+            Ins::SendNeighbor { .. } => "SendNeighbor",
+            Ins::Deliver { .. } => "Deliver",
+            Ins::Flush => "Flush",
+            Ins::Jump { .. } => "Jump",
+            Ins::Br { .. } => "Br",
+            Ins::BrScalarCmp { .. } => "BrScalarCmp",
+            Ins::BrCmp { .. } => "BrCmp",
+            Ins::BrPrim { .. } => "BrPrim",
+            Ins::Ret { .. } => "Ret",
+            Ins::RetPair { .. } => "RetPair",
+            Ins::Ret2 { .. } => "Ret2",
+        }
+    }
 }
 
 /// A `handle` region: exceptions raised by instructions `start..end`
@@ -299,12 +388,14 @@ pub struct CodegenStats {
 /// Compiles a typed program.
 pub fn compile(prog: Rc<TProgram>) -> (CompiledProgram, CodegenStats) {
     let start = Instant::now();
+    let prim = |name| {
+        let found = planp_lang::prims::table().lookup(name);
+        found.expect("named in the signature table").0
+    };
     let mut cx = Cx {
         prog: &prog,
-        deliver: planp_lang::prims::table()
-            .lookup("deliver")
-            .expect("`deliver` is a primitive")
-            .0,
+        deliver: prim("deliver"),
+        this_host: prim("thisHost"),
         consts: Vec::new(),
         sites: Vec::new(),
         fun_depth: Vec::with_capacity(prog.funs.len()),
@@ -546,6 +637,23 @@ impl CompiledProgram {
     pub fn superinstructions(&self) -> (usize, usize) {
         (self.fused[0], self.fused[1])
     }
+
+    /// How many instructions of each kind the program compiled to, by
+    /// kind name, ascending — what a test reads to know that the
+    /// programs it ran covered the instruction set.
+    pub fn instruction_census(&self) -> Vec<(&'static str, usize)> {
+        let chans = self.channels.iter();
+        let units = chans
+            .flat_map(|c| std::iter::once(&c.body).chain(&c.initstate))
+            .chain(&self.global_inits)
+            .chain(&self.proto_init)
+            .chain(&self.funs);
+        let mut census = std::collections::BTreeMap::new();
+        for ins in units.flat_map(|u| &u.code) {
+            *census.entry(ins.kind()).or_insert(0) += 1;
+        }
+        census.into_iter().collect()
+    }
 }
 
 /// Channel `idx`'s frame with a packet in its registers, ready to run;
@@ -710,6 +818,16 @@ impl Vm<'_> {
                         tri!(own(frame, globals, consts, $s))
                     };
                 }
+                macro_rules! sc {
+                    ($s:expr) => {
+                        match $s {
+                            Scalar::Val(s, ty) => tri!(ty.read(rd!(s))),
+                            Scalar::Imm(x) => *x,
+                            Scalar::Get(f, s) => tri!(prims::get(*f, rd!(s))),
+                            Scalar::ThisHost => i64::from(self.net.this_host()),
+                        }
+                    };
+                }
                 macro_rules! parts {
                     ($p:expr) => {
                         match $p {
@@ -759,12 +877,24 @@ impl Vm<'_> {
                         frame[*dst as usize] = Value::List(Rc::new(out));
                         continue 'run;
                     }
+                    Ins::ScalarOp { dst, op, a, b } => {
+                        frame[*dst as usize] = tri!(scalar_binop(*op, sc!(a), sc!(b)));
+                        continue 'run;
+                    }
                     Ins::Binop { dst, op, a, b } => {
                         frame[*dst as usize] = tri!(eval_binop(*op, rd!(a), rd!(b)));
                         continue 'run;
                     }
                     Ins::Unop { dst, op, a } => {
-                        frame[*dst as usize] = tri!(eval_unop(*op, rd!(a)));
+                        frame[*dst as usize] = scalar_unop(*op, sc!(a));
+                        continue 'run;
+                    }
+                    Ins::Get { dst, f, a } => {
+                        frame[*dst as usize] = prims::wrap(*f, tri!(prims::get(*f, rd!(a))));
+                        continue 'run;
+                    }
+                    Ins::Set { dst, f, hdr, x } => {
+                        frame[*dst as usize] = tri!(prims::set(*f, rd!(hdr), sc!(x)));
                         continue 'run;
                     }
                     Ins::Prim1 { dst, f, a } => {
@@ -822,23 +952,13 @@ impl Vm<'_> {
                         continue 'run;
                     }
                     Ins::Jump { to } => branch!(true, to),
-                    Ins::Br { cond, to, when } => {
-                        branch!(tri!(want_bool(rd!(cond), "if condition")) == *when, to)
+                    Ins::Br { cond, to, when } => branch!((sc!(cond) != 0) == *when, to),
+                    Ins::BrScalarCmp { op, a, b, to, when } => {
+                        let (x, y) = (sc!(a), sc!(b));
+                        branch!(tri!(holds(*op, x.cmp(&y))) == *when, to)
                     }
                     Ins::BrCmp { op, a, b, to, when } => {
                         let v = tri!(eval_binop(*op, rd!(a), rd!(b)));
-                        branch!(tri!(want_bool(&v, "comparison gave")) == *when, to)
-                    }
-                    Ins::BrPrimCmp {
-                        f,
-                        arg,
-                        op,
-                        rhs,
-                        to,
-                        when,
-                    } => {
-                        let field = tri!(f(std::slice::from_ref(rd!(arg)), self.net));
-                        let v = tri!(eval_binop(*op, &field, rd!(rhs)));
                         branch!(tri!(want_bool(&v, "comparison gave")) == *when, to)
                     }
                     Ins::BrPrim { f, a, b, to, when } => {
@@ -910,6 +1030,8 @@ struct Cx<'p> {
     prog: &'p TProgram,
     /// The `deliver` primitive, compiled to a send.
     deliver: PrimId,
+    /// The `thisHost` primitive, a scalar operand.
+    this_host: PrimId,
     consts: Vec<Value>,
     sites: Vec<u32>,
     /// Frame depth of each compiled function, for callers' `depth`.
@@ -940,6 +1062,12 @@ fn const_of(e: &TExpr) -> Option<Value> {
         TExprKind::Unop(op, a) => eval_unop(*op, &const_of(a)?).ok(),
         _ => None,
     }
+}
+
+/// What the signature table says `prim` does with one field, if that
+/// is all it does.
+fn access(prim: PrimId) -> Option<Access> {
+    planp_lang::prims::table().sig(prim).access
 }
 
 fn is_comparison(op: BinOp) -> bool {
@@ -1038,8 +1166,8 @@ impl Gen<'_, '_> {
             match &mut self.code[at] {
                 Ins::Jump { to }
                 | Ins::Br { to, .. }
+                | Ins::BrScalarCmp { to, .. }
                 | Ins::BrCmp { to, .. }
-                | Ins::BrPrimCmp { to, .. }
                 | Ins::BrPrim { to, .. } => *to = here,
                 _ => unreachable!("labels collect only branch instructions"),
             }
@@ -1058,13 +1186,36 @@ impl Gen<'_, '_> {
         Src::Const(self.cx.consts.len() as u32 - 1)
     }
 
-    /// Folds a constant subtree: one compiled node, every site of the
-    /// subtree charged in the interpreter's (pre-)order.
-    fn folded(&mut self, e: &TExpr, v: Value) -> Src {
+    /// Counts a folded constant subtree: one compiled node, every site
+    /// of the subtree charged in the interpreter's (pre-)order.
+    fn visit_folded(&mut self, e: &TExpr) {
         self.cx.nodes += 1;
         let sites = &mut self.cx.sites;
         e.walk(&mut |n| sites.push(n.span.start));
-        self.konst(v)
+    }
+
+    /// Compiles `e`, of scalar type `ty`, to a scalar operand. A
+    /// constant, an accessor and `thisHost()` emit nothing of their
+    /// own: the instruction that takes the operand reads them.
+    fn scalar(&mut self, e: &TExpr, ty: ScalarTy) -> Scalar {
+        if let Some(v) = const_of(e) {
+            self.visit_folded(e);
+            return match ty.read(&v) {
+                Ok(x) => Scalar::Imm(x),
+                Err(_) => Scalar::Val(self.konst(v), ty),
+            };
+        }
+        if let TExprKind::CallPrim { prim, args } = &e.kind {
+            if let Some(Access::Get(f)) = access(*prim) {
+                self.visit(e);
+                return Scalar::Get(f, self.gen(&args[0], None));
+            }
+            if *prim == self.cx.this_host {
+                self.visit(e);
+                return Scalar::ThisHost;
+            }
+        }
+        Scalar::Val(self.gen(e, None), ty)
     }
 
     /// The registers of the packet parameter, if `e` names it — directly
@@ -1171,7 +1322,8 @@ impl Gen<'_, '_> {
     /// `dst` may be a slot `e` itself binds).
     fn gen(&mut self, e: &TExpr, dst: Option<Reg>) -> Src {
         if let Some(v) = const_of(e) {
-            let s = self.folded(e, v);
+            self.visit_folded(e);
+            let s = self.konst(v);
             return self.deliver(s, dst);
         }
         self.visit(e);
@@ -1305,6 +1457,20 @@ impl Gen<'_, '_> {
                 self.emit(Ins::List { dst, items });
             }
             TExprKind::CallPrim { prim, args } => {
+                match access(*prim) {
+                    Some(Access::Get(f)) => {
+                        let a = self.gen(&args[0], None);
+                        return self.emit(Ins::Get { dst, f, a });
+                    }
+                    Some(Access::Set(f)) => {
+                        if let Some(ty) = ScalarTy::of(&args[1].ty) {
+                            let hdr = self.gen(&args[0], None);
+                            let x = self.scalar(&args[1], ty);
+                            return self.emit(Ins::Set { dst, f, hdr, x });
+                        }
+                    }
+                    None => {}
+                }
                 let f: PrimFn = prims::impls()[prim.0 as usize];
                 let args = self.operands(args);
                 self.emit(match args.len() {
@@ -1349,12 +1515,24 @@ impl Gen<'_, '_> {
                 self.bind(end);
             }
             TExprKind::Binop(op, a, b) => {
-                let a = self.gen(a, None);
-                let b = self.gen(b, None);
-                self.emit(Ins::Binop { dst, op: *op, a, b });
+                let ins = match (ScalarTy::of(&a.ty), ScalarTy::of(&b.ty)) {
+                    (Some(ta), Some(tb)) => Ins::ScalarOp {
+                        dst,
+                        op: *op,
+                        a: self.scalar(a, ta),
+                        b: self.scalar(b, tb),
+                    },
+                    _ => Ins::Binop {
+                        dst,
+                        op: *op,
+                        a: self.gen(a, None),
+                        b: self.gen(b, None),
+                    },
+                };
+                self.emit(ins);
             }
             TExprKind::Unop(op, a) => {
-                let a = self.gen(a, None);
+                let a = self.scalar(a, unop_operand(*op));
                 self.emit(Ins::Unop { dst, op: *op, a });
             }
             TExprKind::If(c, t, f) => {
@@ -1421,22 +1599,17 @@ impl Gen<'_, '_> {
                 TExprKind::Binop(op, a, b) if is_comparison(*op) => {
                     self.visit(e);
                     let mark = self.next;
-                    let ins = match &a.kind {
-                        // hdr_compare_branch. The primitive must not
-                        // raise and the right side must emit no code,
-                        // or the fused form would reorder them.
-                        TExprKind::CallPrim { prim, args }
-                            if args.len() == 1
-                                && self.is_operand(b)
-                                && planp_lang::prims::table().sig(*prim).raises.is_empty() =>
-                        {
-                            self.visit(a);
-                            self.cx.fused[0] += 1;
-                            Ins::BrPrimCmp {
-                                f: prims::impls()[prim.0 as usize],
-                                arg: self.gen(&args[0], None),
+                    let ins = match (ScalarTy::of(&a.ty), ScalarTy::of(&b.ty)) {
+                        (Some(ta), Some(tb)) => {
+                            let (a, b) = (self.scalar(a, ta), self.scalar(b, tb));
+                            // hdr_compare_branch.
+                            if matches!((a, b), (Scalar::Get(..), _) | (_, Scalar::Get(..))) {
+                                self.cx.fused[0] += 1;
+                            }
+                            Ins::BrScalarCmp {
                                 op: *op,
-                                rhs: self.gen(b, None),
+                                a,
+                                b,
                                 to: 0,
                                 when,
                             }
@@ -1453,8 +1626,10 @@ impl Gen<'_, '_> {
                     self.next = mark;
                     return;
                 }
-                // table_forward.
-                TExprKind::CallPrim { prim, args } if matches!(args.len(), 1 | 2) => {
+                // table_forward. (A boolean accessor is a scalar operand.)
+                TExprKind::CallPrim { prim, args }
+                    if matches!(args.len(), 1 | 2) && access(*prim).is_none() =>
+                {
                     self.visit(e);
                     self.cx.fused[1] += 1;
                     let mark = self.next;
@@ -1473,7 +1648,7 @@ impl Gen<'_, '_> {
             }
         }
         let mark = self.next;
-        let cond = self.gen(e, None);
+        let cond = self.scalar(e, ScalarTy::Bool);
         self.emit_to(to, Ins::Br { cond, to: 0, when });
         self.next = mark;
     }
@@ -2110,18 +2285,63 @@ mod tests {
               else (ps, ss))",
         );
         assert_eq!(cp.superinstructions(), (2, 1));
-        // A primitive that can raise is not fused with the compare (its
-        // raise would charge the right operand too early) …
+        // Only an accessor is read in place: any other call (this one
+        // can raise) runs first, and the compare reads its result.
         let (_, cp) = both(
             "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
              (if strToInt(\"7\") = ps then (ps, ss) else (ps + 1, ss))",
         );
         assert_eq!(cp.superinstructions(), (0, 0));
-        // … nor one whose right operand has code of its own to run.
+        assert_eq!(emitted(&cp, "BrScalarCmp"), 1);
+        // `thisHost()` on the other side is read by the compare too: no
+        // call, and nothing folded in that would tie the image to a node.
         let (_, cp) = both(
             "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
              (if ipDst(#1 p) = thisHost() then (ps, ss) else (ps + 1, ss))",
         );
-        assert_eq!(cp.superinstructions(), (0, 0));
+        assert_eq!(cp.superinstructions(), (1, 0));
+        assert_eq!(emitted(&cp, "PrimN"), 0);
+    }
+
+    /// How many `kind` instructions the whole program compiled to.
+    fn emitted(cp: &CompiledProgram, kind: &str) -> usize {
+        let census = cp.instruction_census();
+        census.iter().find(|(k, _)| *k == kind).map_or(0, |c| c.1)
+    }
+
+    #[test]
+    fn typed_instructions_are_selected_from_the_checked_types() {
+        // Scalar operands on both sides: typed, whatever they are made of.
+        let (_, cp) = both(
+            "val port : int = 80\n\
+             channel network(ps : int, ss : bool, p : ip*tcp*blob) is\n\
+             (if tcpIsSyn(#2 p) andalso tcpDst(#2 p) = port andalso ss then\n\
+                (OnRemote(network, (ipSrcSet(#1 p, thisHost()), tcpSrcSet(#2 p, ps mod 7), #3 p));\n\
+                 (0 - ps, not ss))\n\
+              else (blobLen(#3 p) * 2, tcpSeq(#2 p) < ps))",
+        );
+        for (kind, n) in [
+            ("Br", 2),
+            ("BrScalarCmp", 1),
+            ("Set", 2),
+            ("ScalarOp", 4),
+            ("Unop", 1),
+            ("Get", 0),
+        ] {
+            assert_eq!(emitted(&cp, kind), n, "{kind}");
+        }
+        for generic in ["Binop", "BrCmp", "BrPrim", "Prim1", "Prim2", "PrimN"] {
+            assert_eq!(emitted(&cp, generic), 0, "{generic}");
+        }
+        // Anything else stays on the generic path.
+        let (_, cp) = both(
+            "channel network(ps : string, ss : int*host, p : ip*udp*blob) is\n\
+             (if ps = \"a\" orelse ss <> (1, ipSrc(#1 p)) then (ps ^ \"b\", ss)\n\
+              else (intToString(strLen(ps)), (#1 ss, thisHost())))",
+        );
+        for (kind, n) in [("BrCmp", 2), ("Binop", 1), ("Get", 1), ("PrimN", 1)] {
+            assert_eq!(emitted(&cp, kind), n, "{kind}");
+        }
+        assert_eq!(emitted(&cp, "BrScalarCmp") + emitted(&cp, "ScalarOp"), 0);
     }
 }

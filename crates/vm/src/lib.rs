@@ -8,7 +8,8 @@
 //! * [`jit`] — the **JIT specializer**: the interpreter specialized with
 //!   respect to the program — a compiler from the typed AST to a flat
 //!   register bytecode (operands resolved to slots and tuple fields,
-//!   pre-dispatched primitives, constant folding, conditions as
+//!   pre-dispatched primitives, constant folding, typed scalar
+//!   instructions selected from the checker's types, conditions as
 //!   branches, two fused superinstructions) run by one `match` loop,
 //!   playing the role of the Tempo-generated run-time specializer of
 //!   section 2.2. It charges steps and sites per basic block, and the

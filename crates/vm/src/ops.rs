@@ -4,7 +4,7 @@
 //! discipline: the JIT is a specialization of the interpreter, so the two
 //! must share every semantic definition.
 
-use crate::value::{exn, Value, VmError};
+use crate::value::{exn, ScalarTy, Value, VmError};
 use planp_lang::ast::{BinOp, UnOp};
 
 /// Evaluates a strict binary operator (everything except the
@@ -18,24 +18,8 @@ use planp_lang::ast::{BinOp, UnOp};
 pub fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, VmError> {
     use BinOp::*;
     match op {
-        Add => Ok(Value::Int(int(a)?.wrapping_add(int(b)?))),
-        Sub => Ok(Value::Int(int(a)?.wrapping_sub(int(b)?))),
-        Mul => Ok(Value::Int(int(a)?.wrapping_mul(int(b)?))),
-        Div => {
-            let (x, y) = (int(a)?, int(b)?);
-            if y == 0 {
-                Err(VmError::Exn(exn::DIV))
-            } else {
-                Ok(Value::Int(x.wrapping_div(y)))
-            }
-        }
-        Mod => {
-            let (x, y) = (int(a)?, int(b)?);
-            if y == 0 {
-                Err(VmError::Exn(exn::DIV))
-            } else {
-                Ok(Value::Int(x.wrapping_rem(y)))
-            }
+        Add | Sub | Mul | Div | Mod => {
+            scalar_binop(op, ScalarTy::Int.read(a)?, ScalarTy::Int.read(b)?)
         }
         Concat => match (a, b) {
             (Value::Str(x), Value::Str(y)) => {
@@ -48,29 +32,72 @@ pub fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, VmError> {
         },
         Eq => equality(a, b).map(Value::Bool),
         Ne => equality(a, b).map(|r| Value::Bool(!r)),
-        Lt => ordering(a, b).map(|o| Value::Bool(o.is_lt())),
-        Le => ordering(a, b).map(|o| Value::Bool(o.is_le())),
-        Gt => ordering(a, b).map(|o| Value::Bool(o.is_gt())),
-        Ge => ordering(a, b).map(|o| Value::Bool(o.is_ge())),
+        Lt | Le | Gt | Ge => holds(op, ordering(a, b)?).map(Value::Bool),
         And | Or => Err(VmError::trap("short-circuit operator reached eval_binop")),
+    }
+}
+
+/// [`eval_binop`] on two unwrapped scalars of one type (see
+/// [`crate::value::ScalarTy`]): arithmetic on `int`s, or a comparison.
+///
+/// # Errors
+///
+/// `div`/`mod` raise `Div` on a zero divisor; an operator that takes
+/// no scalars traps.
+#[inline(always)]
+pub fn scalar_binop(op: BinOp, x: i64, y: i64) -> Result<Value, VmError> {
+    use BinOp::*;
+    let n = match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div | Mod if y == 0 => return Err(VmError::Exn(exn::DIV)),
+        Div => x.wrapping_div(y),
+        Mod => x.wrapping_rem(y),
+        _ => return holds(op, x.cmp(&y)).map(Value::Bool),
+    };
+    Ok(Value::Int(n))
+}
+
+/// Whether comparison `op` holds of two operands ordered `ord`.
+///
+/// # Errors
+///
+/// Traps on an operator that is not a comparison.
+#[inline(always)]
+pub fn holds(op: BinOp, ord: std::cmp::Ordering) -> Result<bool, VmError> {
+    use BinOp::*;
+    match op {
+        Eq => Ok(ord.is_eq()),
+        Ne => Ok(ord.is_ne()),
+        Lt => Ok(ord.is_lt()),
+        Le => Ok(ord.is_le()),
+        Gt => Ok(ord.is_gt()),
+        Ge => Ok(ord.is_ge()),
+        _ => Err(VmError::trap(format!("`{op:?}` is not a comparison"))),
     }
 }
 
 /// Evaluates a unary operator.
 pub fn eval_unop(op: UnOp, a: &Value) -> Result<Value, VmError> {
+    unop_operand(op).read(a).map(|x| scalar_unop(op, x))
+}
+
+/// The type of `op`'s operand.
+pub fn unop_operand(op: UnOp) -> ScalarTy {
     match op {
-        UnOp::Not => match a {
-            Value::Bool(b) => Ok(Value::Bool(!b)),
-            _ => Err(VmError::trap("`not` on non-bool")),
-        },
-        UnOp::Neg => Ok(Value::Int(int(a)?.wrapping_neg())),
+        UnOp::Not => ScalarTy::Bool,
+        UnOp::Neg => ScalarTy::Int,
     }
 }
 
-fn int(v: &Value) -> Result<i64, VmError> {
-    match v {
-        Value::Int(n) => Ok(*n),
-        other => Err(VmError::trap(format!("expected int, got {other:?}"))),
+/// [`eval_unop`] on the unwrapped operand: a `bool` (0 or 1) for `not`,
+/// an `int` for negation.
+#[inline(always)]
+pub fn scalar_unop(op: UnOp, x: i64) -> Value {
+    match op {
+        UnOp::Not => Value::Bool(x == 0),
+        UnOp::Neg => Value::Int(x.wrapping_neg()),
     }
 }
 

@@ -6,13 +6,20 @@
 //! JIT dispatch through this table — the "generate the JIT from the
 //! interpreter" architecture of section 2.2: the semantics is written
 //! once, and the JIT merely pre-resolves the dispatch.
+//!
+//! The scalar accessors and header-field setters the signature table
+//! marks ([`Access`]) are written as two plain functions on unwrapped
+//! operands, [`get`] and [`set`]: the bytecode engine calls those from
+//! its typed instructions, and the table entry the interpreter calls
+//! wraps the same two.
 
 use crate::audio;
 use crate::env::NetEnv;
-use crate::pkthdr::{IpHdr, TcpHdr, UdpHdr};
-use crate::value::{exn, new_table, Key, Value, VmError};
+use crate::pkthdr::{tcp_flags, IpHdr, TcpHdr, UdpHdr};
+use crate::value::{exn, new_table, Key, ScalarTy, Value, VmError};
 use bytes::Bytes;
-use planp_lang::prims::{table as sig_table, PrimId};
+use planp_lang::prims::{table as sig_table, Access, Field, PrimId, PrimSig};
+use planp_lang::types::Type;
 use std::rc::Rc;
 use std::sync::OnceLock;
 
@@ -22,12 +29,7 @@ pub type PrimFn = fn(&[Value], &mut dyn NetEnv) -> Result<Value, VmError>;
 /// Returns the evaluation functions, indexed by [`PrimId`].
 pub fn impls() -> &'static [PrimFn] {
     static IMPLS: OnceLock<Vec<PrimFn>> = OnceLock::new();
-    IMPLS.get_or_init(|| {
-        sig_table()
-            .iter()
-            .map(|(_, sig)| impl_for(sig.name))
-            .collect()
-    })
+    IMPLS.get_or_init(|| sig_table().iter().map(|(_, sig)| impl_for(sig)).collect())
 }
 
 /// Evaluates primitive `id` on `args`.
@@ -78,27 +80,6 @@ fn want_blob(v: &Value) -> Result<&Bytes, VmError> {
     }
 }
 
-fn want_ip(v: &Value) -> Result<IpHdr, VmError> {
-    match v {
-        Value::Ip(h) => Ok(*h),
-        other => Err(VmError::trap(format!("expected ip header, got {other:?}"))),
-    }
-}
-
-fn want_tcp(v: &Value) -> Result<TcpHdr, VmError> {
-    match v {
-        Value::Tcp(h) => Ok(*h),
-        other => Err(VmError::trap(format!("expected tcp header, got {other:?}"))),
-    }
-}
-
-fn want_udp(v: &Value) -> Result<UdpHdr, VmError> {
-    match v {
-        Value::Udp(h) => Ok(*h),
-        other => Err(VmError::trap(format!("expected udp header, got {other:?}"))),
-    }
-}
-
 fn want_list(v: &Value) -> Result<&Rc<Vec<Value>>, VmError> {
     match v {
         Value::List(l) => Ok(l),
@@ -131,73 +112,122 @@ fn range(off: i64, len: i64, total: usize) -> Result<(usize, usize), VmError> {
 
 // ---- dispatch -----------------------------------------------------------
 
-fn impl_for(name: &'static str) -> PrimFn {
-    match name {
-        // IP header
-        "ipSrc" => |a, _| Ok(Value::Host(want_ip(&a[0])?.src)),
-        "ipDst" => |a, _| Ok(Value::Host(want_ip(&a[0])?.dst)),
-        "ipSrcSet" => |a, _| {
-            let mut h = want_ip(&a[0])?;
-            h.src = want_host(&a[1])?;
-            Ok(Value::Ip(h))
-        },
-        "ipDestSet" => |a, _| {
-            let mut h = want_ip(&a[0])?;
-            h.dst = want_host(&a[1])?;
-            Ok(Value::Ip(h))
-        },
-        "ipTtl" => |a, _| Ok(Value::Int(want_ip(&a[0])?.ttl as i64)),
-        "ipProto" => |a, _| Ok(Value::Int(want_ip(&a[0])?.proto as i64)),
-        // TCP header
-        "tcpSrc" => |a, _| Ok(Value::Int(want_tcp(&a[0])?.sport as i64)),
-        "tcpDst" => |a, _| Ok(Value::Int(want_tcp(&a[0])?.dport as i64)),
-        "tcpSrcSet" => |a, _| {
-            let mut h = want_tcp(&a[0])?;
-            h.sport = want_port(want_int(&a[1])?)?;
-            Ok(Value::Tcp(h))
-        },
-        "tcpDstSet" => |a, _| {
-            let mut h = want_tcp(&a[0])?;
-            h.dport = want_port(want_int(&a[1])?)?;
-            Ok(Value::Tcp(h))
-        },
-        "tcpSeq" => |a, _| Ok(Value::Int(want_tcp(&a[0])?.seq as i64)),
-        "tcpAck" => |a, _| Ok(Value::Int(want_tcp(&a[0])?.ack as i64)),
-        "tcpIsSyn" => |a, _| {
-            Ok(Value::Bool(
-                want_tcp(&a[0])?.has(crate::pkthdr::tcp_flags::SYN),
-            ))
-        },
-        "tcpIsFin" => |a, _| {
-            Ok(Value::Bool(
-                want_tcp(&a[0])?.has(crate::pkthdr::tcp_flags::FIN),
-            ))
-        },
-        "tcpIsAck" => |a, _| {
-            Ok(Value::Bool(
-                want_tcp(&a[0])?.has(crate::pkthdr::tcp_flags::ACK),
-            ))
-        },
-        "tcpIsRst" => |a, _| {
-            Ok(Value::Bool(
-                want_tcp(&a[0])?.has(crate::pkthdr::tcp_flags::RST),
-            ))
-        },
-        // UDP header
-        "udpSrc" => |a, _| Ok(Value::Int(want_udp(&a[0])?.sport as i64)),
-        "udpDst" => |a, _| Ok(Value::Int(want_udp(&a[0])?.dport as i64)),
-        "udpSrcSet" => |a, _| {
-            let mut h = want_udp(&a[0])?;
-            h.sport = want_port(want_int(&a[1])?)?;
-            Ok(Value::Udp(h))
-        },
-        "udpDstSet" => |a, _| {
-            let mut h = want_udp(&a[0])?;
-            h.dport = want_port(want_int(&a[1])?)?;
-            Ok(Value::Udp(h))
-        },
+/// Reads scalar field `f` of the header (or blob) `v`, as
+/// [`ScalarTy::read`] would unwrap the field's value.
+///
+/// # Errors
+///
+/// Traps on a value the field does not sit in.
+#[inline(always)]
+pub fn get(f: Field, v: &Value) -> Result<i64, VmError> {
+    use Field::*;
+    Ok(match (f, v) {
+        (IpSrc, Value::Ip(h)) => i64::from(h.src),
+        (IpDst, Value::Ip(h)) => i64::from(h.dst),
+        (IpTtl, Value::Ip(h)) => i64::from(h.ttl),
+        (IpProto, Value::Ip(h)) => i64::from(h.proto),
+        (TcpSrc, Value::Tcp(h)) => i64::from(h.sport),
+        (TcpDst, Value::Tcp(h)) => i64::from(h.dport),
+        (TcpSeq, Value::Tcp(h)) => i64::from(h.seq),
+        (TcpAck, Value::Tcp(h)) => i64::from(h.ack),
+        (TcpIsSyn, Value::Tcp(h)) => i64::from(h.has(tcp_flags::SYN)),
+        (TcpIsFin, Value::Tcp(h)) => i64::from(h.has(tcp_flags::FIN)),
+        (TcpIsAck, Value::Tcp(h)) => i64::from(h.has(tcp_flags::ACK)),
+        (TcpIsRst, Value::Tcp(h)) => i64::from(h.has(tcp_flags::RST)),
+        (UdpSrc, Value::Udp(h)) => i64::from(h.sport),
+        (UdpDst, Value::Udp(h)) => i64::from(h.dport),
+        (BlobLen, Value::Blob(b)) => b.len() as i64,
+        _ => return Err(misplaced(f, v)),
+    })
+}
+
+/// What [`get`] read, as the value the accessor returns.
+#[inline(always)]
+pub fn wrap(f: Field, x: i64) -> Value {
+    match f.ty() {
+        Type::Host => Value::Host(x as u32),
+        Type::Bool => Value::Bool(x != 0),
+        _ => Value::Int(x),
+    }
+}
+
+/// The header `v` with field `f` set to `x` (an unwrapped `host` or
+/// `int`).
+///
+/// # Errors
+///
+/// Raises `OutOfRange` for a port outside `0..65536`; traps on a value
+/// the field does not sit in, or a field no primitive writes.
+#[inline(always)]
+pub fn set(f: Field, v: &Value, x: i64) -> Result<Value, VmError> {
+    use Field::*;
+    Ok(match (f, v) {
+        (IpSrc, Value::Ip(h)) => Value::Ip(IpHdr {
+            src: x as u32,
+            ..*h
+        }),
+        (IpDst, Value::Ip(h)) => Value::Ip(IpHdr {
+            dst: x as u32,
+            ..*h
+        }),
+        (TcpSrc, Value::Tcp(h)) => Value::Tcp(TcpHdr {
+            sport: want_port(x)?,
+            ..*h
+        }),
+        (TcpDst, Value::Tcp(h)) => Value::Tcp(TcpHdr {
+            dport: want_port(x)?,
+            ..*h
+        }),
+        (UdpSrc, Value::Udp(h)) => Value::Udp(UdpHdr {
+            sport: want_port(x)?,
+            ..*h
+        }),
+        (UdpDst, Value::Udp(h)) => Value::Udp(UdpHdr {
+            dport: want_port(x)?,
+            ..*h
+        }),
+        _ => return Err(misplaced(f, v)),
+    })
+}
+
+#[cold]
+fn misplaced(f: Field, v: &Value) -> VmError {
+    VmError::trap(format!("field {f:?} of {v:?}"))
+}
+
+/// Unwraps `v`, the new value of field `f`.
+fn operand(f: Field, v: &Value) -> Result<i64, VmError> {
+    let ty = ScalarTy::of(&f.ty()).ok_or_else(|| VmError::trap("field of no scalar type"))?;
+    ty.read(v)
+}
+
+/// The table entries of the accessor and the setter of each field:
+/// [`get`] and [`set`] behind the generic call protocol.
+macro_rules! access_fns {
+    ($($f:ident)*) => {
+        fn getter(f: Field) -> PrimFn {
+            match f {
+                $(Field::$f => |a, _| get(Field::$f, &a[0]).map(|x| wrap(Field::$f, x)),)*
+            }
+        }
+        fn setter(f: Field) -> PrimFn {
+            match f {
+                $(Field::$f => |a, _| set(Field::$f, &a[0], operand(Field::$f, &a[1])?),)*
+            }
+        }
+    };
+}
+access_fns!(IpSrc IpDst IpTtl IpProto TcpSrc TcpDst TcpSeq TcpAck TcpIsSyn TcpIsFin TcpIsAck
+    TcpIsRst UdpSrc UdpDst BlobLen);
+
+fn impl_for(sig: &PrimSig) -> PrimFn {
+    match sig.access {
+        Some(Access::Get(f)) => return getter(f),
+        Some(Access::Set(f)) => return setter(f),
+        None => {}
+    }
+    match sig.name {
         // Blobs
-        "blobLen" => |a, _| Ok(Value::Int(want_blob(&a[0])?.len() as i64)),
         "blobSub" => |a, _| {
             let b = want_blob(&a[0])?;
             let (off, len) = range(want_int(&a[1])?, want_int(&a[2])?, b.len())?;
@@ -616,6 +646,58 @@ mod tests {
         ));
         let u = run("audio8to16", vec![d]).unwrap();
         assert!(matches!(run("blobLen", vec![u]), Ok(Value::Int(400))));
+    }
+
+    #[test]
+    fn table_entries_of_accessors_and_setters_wrap_get_and_set() {
+        let mut tcp = TcpHdr::data(1234, 80, 7);
+        tcp.flags |= tcp_flags::SYN;
+        let holders = [
+            Value::Ip(IpHdr::new(addr(1, 2, 3, 4), addr(5, 6, 7, 8), 17)),
+            Value::Tcp(tcp),
+            Value::Udp(UdpHdr::new(5000, 6000)),
+            Value::Blob(Bytes::from_static(b"abc")),
+        ];
+        let mut env = MockEnv::new(0);
+        for (id, sig) in sig_table().iter() {
+            let Some(access) = sig.access else { continue };
+            for v in &holders {
+                match access {
+                    Access::Get(f) => {
+                        let direct = get(f, v).map(|x| wrap(f, x));
+                        assert_eq!(eval(id, std::slice::from_ref(v), &mut env), direct);
+                        // Of the four holders, exactly the field's own is read.
+                        let own = matches!(
+                            (f.holder(), v),
+                            (Type::Ip, Value::Ip(_))
+                                | (Type::Tcp, Value::Tcp(_))
+                                | (Type::Udp, Value::Udp(_))
+                                | (Type::Blob, Value::Blob(_))
+                        );
+                        assert_eq!(direct.is_ok(), own, "{} of {v:?}", sig.name);
+                    }
+                    Access::Set(f) => {
+                        for x in [Value::Int(8080), Value::Int(70_000), Value::Host(9)] {
+                            let direct = operand(f, &x).and_then(|n| set(f, v, n));
+                            assert_eq!(eval(id, &[v.clone(), x], &mut env), direct, "{}", sig.name);
+                        }
+                    }
+                }
+            }
+        }
+        // What the accessors return is of the field's type.
+        assert_eq!(wrap(Field::IpDst, 9), Value::Host(9));
+        assert_eq!(wrap(Field::TcpIsSyn, 1), Value::Bool(true));
+        assert_eq!(wrap(Field::UdpDst, 6000), Value::Int(6000));
+        // A host where a port goes, and a field nothing writes, trap.
+        assert!(matches!(
+            operand(Field::TcpSrc, &Value::Host(1)),
+            Err(VmError::Trap(_))
+        ));
+        assert!(matches!(
+            set(Field::IpTtl, &holders[0], 3),
+            Err(VmError::Trap(_))
+        ));
     }
 
     #[test]

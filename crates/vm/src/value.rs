@@ -186,6 +186,57 @@ impl fmt::Display for Value {
     }
 }
 
+/// The types whose values are one machine word — `int`, `bool`, `char`
+/// and `host`. Where the checker gave both operands of an operator one
+/// of these, the bytecode engine reads them as plain `i64`s (a `bool`
+/// as 0 or 1, a `char` as its code point) and never builds a [`Value`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScalarTy {
+    /// `int`
+    Int,
+    /// `bool`
+    Bool,
+    /// `char`
+    Char,
+    /// `host`
+    Host,
+}
+
+impl ScalarTy {
+    /// The scalar class of `ty`, if it has one.
+    pub fn of(ty: &Type) -> Option<ScalarTy> {
+        match ty {
+            Type::Int => Some(ScalarTy::Int),
+            Type::Bool => Some(ScalarTy::Bool),
+            Type::Char => Some(ScalarTy::Char),
+            Type::Host => Some(ScalarTy::Host),
+            _ => None,
+        }
+    }
+
+    /// Unwraps a value of this type.
+    ///
+    /// # Errors
+    ///
+    /// Traps on a value of any other type (unreachable for checked
+    /// programs).
+    #[inline(always)]
+    pub fn read(self, v: &Value) -> Result<i64, VmError> {
+        match (self, v) {
+            (ScalarTy::Int, Value::Int(n)) => Ok(*n),
+            (ScalarTy::Bool, Value::Bool(b)) => Ok(i64::from(*b)),
+            (ScalarTy::Char, Value::Char(c)) => Ok(i64::from(u32::from(*c))),
+            (ScalarTy::Host, Value::Host(a)) => Ok(i64::from(*a)),
+            _ => Err(self.confused(v)),
+        }
+    }
+
+    #[cold]
+    fn confused(self, v: &Value) -> VmError {
+        VmError::trap(format!("expected {self:?}, got {v:?}"))
+    }
+}
+
 /// A table key: a value restricted (by the type checker) to equality
 /// types, wrapped so it can implement `Hash`/`Eq`.
 #[derive(Debug, Clone)]

@@ -1,0 +1,684 @@
+//! Generated programs as the oracle of the bytecode engine — the first
+//! slice of ROADMAP item 1 (a definitional interpreter plus a large
+//! generated corpus, Petr4's method).
+//!
+//! A seeded generator writes channel bodies that are well typed by
+//! construction, over every transport a [`PacketShape`] can name, out
+//! of everything the typed instruction selection of `planp_vm::jit`
+//! looks at: accessors and setters on each header, `val` globals,
+//! `thisHost()`, literals, `+ - * div mod` with zero divisors inside
+//! and outside `handle`, the six comparisons on `int` and `char`,
+//! `=`/`<>` on `host`, `bool`, `string` and pairs (the generic
+//! fallback), `andalso`/`orelse`/`not`, nested `if`/`let`, ports out of
+//! range into setters, and `OnRemote`/`OnNeighbor`/`deliver` of `p`, of
+//! a literal tuple and of a computed value. Each program meets eight
+//! packets on the interpreter, on the tuple-fed `run_channel` and on
+//! the register-fed `load_packet` entry; the three must agree on the
+//! result (or the error's identity), the effects, the step total, the
+//! per-site trail *in order* and the send sites.
+//!
+//! A program is a function of `(seed, depth)` alone. A failure is
+//! shrunk by regenerating the same seed at smaller depths and prints
+//! the seed, the depth and the source.
+//!
+//! Not generated yet: tables, user functions, timers, lists, fault
+//! plans (so `List`, `Call` and `Flush` are the instruction kinds the
+//! coverage assertion leaves out).
+
+use netsim::rng::SplitMix64;
+use planp::lang::compile_front;
+use planp::runtime::convert::{packet_to_parts, value_to_packet};
+use planp::vm::env::MockEnv;
+use planp::vm::interp::Interp;
+use planp::vm::jit;
+use planp::vm::pkthdr::{addr, IpHdr, TcpHdr, UdpHdr};
+use planp::vm::value::{Value, VmError};
+use std::collections::BTreeMap;
+use std::fmt::Debug;
+use std::rc::Rc;
+
+// ---- the generator ---------------------------------------------------------
+
+/// The types the generator writes expressions of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ty {
+    Int,
+    Bool,
+    Char,
+    Host,
+    Str,
+    /// `host*int`: an equality type that is not a scalar.
+    Pair,
+    Ip,
+    Tcp,
+    Udp,
+    Blob,
+    Unit,
+}
+
+impl Ty {
+    fn name(self) -> &'static str {
+        match self {
+            Ty::Int => "int",
+            Ty::Bool => "bool",
+            Ty::Char => "char",
+            Ty::Host => "host",
+            Ty::Str => "string",
+            Ty::Pair => "host*int",
+            Ty::Ip => "ip",
+            Ty::Tcp => "tcp",
+            Ty::Udp => "udp",
+            Ty::Blob => "blob",
+            Ty::Unit => "unit",
+        }
+    }
+}
+
+/// The node every program runs on (`thisHost()`); packets are often
+/// addressed to it.
+const HERE: u32 = addr(10, 0, 0, 2);
+
+struct Gen {
+    rng: SplitMix64,
+    /// The packet parameter's components after `ip`: the transport
+    /// header, if any, then the payload.
+    parts: Vec<Ty>,
+    ss: Ty,
+    /// `let`-bound variables in scope.
+    vars: Vec<(String, Ty)>,
+    fresh: u32,
+}
+
+impl Gen {
+    fn below(&mut self, n: u64) -> u64 {
+        self.rng.next_below(n)
+    }
+
+    fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+        from[self.below(from.len() as u64) as usize]
+    }
+
+    fn has(&self, ty: Ty) -> bool {
+        ty == Ty::Ip || self.parts.contains(&ty)
+    }
+
+    fn packet_type(&self) -> String {
+        let parts = self.parts.iter().map(|t| format!("*{}", t.name()));
+        format!("ip{}", parts.collect::<String>())
+    }
+
+    /// A type some expression can be written of here.
+    fn any_type(&mut self) -> Ty {
+        loop {
+            let ty = [
+                Ty::Int,
+                Ty::Int,
+                Ty::Bool,
+                Ty::Char,
+                Ty::Host,
+                Ty::Host,
+                Ty::Str,
+                Ty::Pair,
+                Ty::Ip,
+                Ty::Tcp,
+                Ty::Udp,
+                Ty::Blob,
+            ][self.below(12) as usize];
+            if !matches!(ty, Ty::Tcp | Ty::Udp | Ty::Blob) || self.has(ty) {
+                return ty;
+            }
+        }
+    }
+
+    fn leaf(&mut self, ty: Ty) -> String {
+        let mut from: Vec<String> = Vec::new();
+        from.extend(self.vars.iter().filter(|v| v.1 == ty).map(|v| v.0.clone()));
+        if ty == Ty::Ip {
+            from.push("#1 p".into());
+        }
+        for (i, part) in self.parts.iter().enumerate() {
+            if *part == ty {
+                from.push(format!("#{} p", i + 2));
+            }
+        }
+        let literals: &[&str] = match ty {
+            Ty::Int => &[
+                "ps", "ps", "gi", "gi", "0", "1", "2", "7", "80", "5555", "65535", "65536",
+                "(0 - 3)",
+            ],
+            Ty::Bool => &["true", "false", "gb", "gb"],
+            Ty::Char => &["#\"A\"", "#\"z\"", "gc", "gc"],
+            Ty::Host => &[
+                "10.0.0.1",
+                "10.0.0.2",
+                "gh",
+                "gh",
+                "thisHost()",
+                "thisHost()",
+                "thisHost()",
+            ],
+            Ty::Str => &["\"\"", "\"GET\"", "gs", "gs"],
+            Ty::Unit => &["()"],
+            Ty::Pair | Ty::Ip | Ty::Tcp | Ty::Udp | Ty::Blob => &[],
+        };
+        from.extend(literals.iter().map(|s| s.to_string()));
+        if ty == self.ss {
+            from.push("ss".into());
+        }
+        if from.is_empty() {
+            // Only a pair has neither a literal nor a component.
+            return format!("({}, {})", self.leaf(Ty::Host), self.leaf(Ty::Int));
+        }
+        let i = self.below(from.len() as u64) as usize;
+        from.swap_remove(i)
+    }
+
+    /// `let val x : T = … in <body> end` around whatever `body` writes.
+    fn let_in(&mut self, depth: u32, body: impl FnOnce(&mut Gen) -> String) -> String {
+        let ty = self.any_type();
+        let init = self.expr(ty, depth);
+        let name = format!("x{}", self.fresh);
+        self.fresh += 1;
+        self.vars.push((name.clone(), ty));
+        let body = body(self);
+        self.vars.pop();
+        format!("let val {name} : {} = {init} in {body} end", ty.name())
+    }
+
+    fn expr(&mut self, ty: Ty, depth: u32) -> String {
+        if depth == 0 || self.below(4) == 0 {
+            return self.leaf(ty);
+        }
+        let d = depth - 1;
+        // The forms every type has.
+        match self.below(10) {
+            0 => {
+                let (c, a, b) = (self.expr(Ty::Bool, d), self.expr(ty, d), self.expr(ty, d));
+                return format!("(if {c} then {a} else {b})");
+            }
+            1 => return format!("({})", self.let_in(d, |g| g.expr(ty, d))),
+            _ => {}
+        }
+        match ty {
+            Ty::Int => match self.below(14) {
+                0..=4 => {
+                    let op = self.pick(&["+", "-", "*", "div", "mod"]);
+                    let a = self.expr(Ty::Int, d);
+                    // Zero divisors, written three ways.
+                    let b = match (op, self.below(4)) {
+                        ("div" | "mod", 0) => self.pick(&["0", "(ps - ps)", "(gi mod 1)"]).into(),
+                        _ => self.expr(Ty::Int, d),
+                    };
+                    format!("({a} {op} {b})")
+                }
+                5..=7 => self.accessor(Ty::Int, d),
+                8 => {
+                    let exn = self.pick(&["Div", "OutOfRange", "_"]);
+                    let (a, b) = (self.expr(Ty::Int, d), self.expr(Ty::Int, d));
+                    format!("({a} handle {exn} => {b})")
+                }
+                9 => format!("(- {})", self.expr(Ty::Int, d)),
+                10 => format!("charPos({})", self.expr(Ty::Char, d)),
+                11 => match self.below(2) {
+                    0 => format!("strLen({})", self.expr(Ty::Str, d)),
+                    _ => {
+                        let (a, b) = (self.expr(Ty::Str, d), self.expr(Ty::Str, d));
+                        format!("strFind({a}, {b})")
+                    }
+                },
+                12 => {
+                    let (c, a) = (self.expr(Ty::Bool, d), self.expr(Ty::Int, d));
+                    format!("(if {c} then {a} else raise Div)")
+                }
+                _ => self.leaf(Ty::Int),
+            },
+            Ty::Bool => match self.below(12) {
+                0..=3 => {
+                    let of = [Ty::Int, Ty::Int, Ty::Char][self.below(3) as usize];
+                    let op = self.pick(&["=", "<>", "<", "<=", ">", ">="]);
+                    let (a, b) = (self.expr(of, d), self.expr(of, d));
+                    format!("({a} {op} {b})")
+                }
+                4..=6 => {
+                    let of =
+                        [Ty::Host, Ty::Host, Ty::Bool, Ty::Str, Ty::Pair][self.below(5) as usize];
+                    let op = self.pick(&["=", "<>"]);
+                    let (a, b) = (self.expr(of, d), self.expr(of, d));
+                    format!("({a} {op} {b})")
+                }
+                7 => {
+                    let op = self.pick(&["andalso", "orelse"]);
+                    let (a, b) = (self.expr(Ty::Bool, d), self.expr(Ty::Bool, d));
+                    format!("({a} {op} {b})")
+                }
+                8 => format!("(not {})", self.expr(Ty::Bool, d)),
+                9 => format!("isMulticast({})", self.expr(Ty::Host, d)),
+                _ => self.accessor(Ty::Bool, d),
+            },
+            Ty::Char => match self.below(3) {
+                0 => {
+                    let (n, c) = (self.expr(Ty::Int, d), self.leaf(Ty::Char));
+                    format!("(chr({n}) handle OutOfRange => {c})")
+                }
+                _ => self.leaf(Ty::Char),
+            },
+            Ty::Host => self.accessor(Ty::Host, d),
+            Ty::Str => match self.below(3) {
+                0 => {
+                    let (a, b) = (self.expr(Ty::Str, d), self.expr(Ty::Str, d));
+                    format!("({a} ^ {b})")
+                }
+                1 => format!("intToString({})", self.expr(Ty::Int, d)),
+                _ => self.leaf(Ty::Str),
+            },
+            Ty::Pair => {
+                let (h, n) = (self.expr(Ty::Host, d), self.expr(Ty::Int, d));
+                format!("({h}, {n})")
+            }
+            Ty::Ip => {
+                let set = self.pick(&["ipSrcSet", "ipDestSet"]);
+                let (h, x) = (self.expr(Ty::Ip, d), self.expr(Ty::Host, d));
+                format!("{set}({h}, {x})")
+            }
+            Ty::Tcp | Ty::Udp => {
+                let set = match ty {
+                    Ty::Tcp => self.pick(&["tcpSrcSet", "tcpDstSet"]),
+                    _ => self.pick(&["udpSrcSet", "udpDstSet"]),
+                };
+                // Any int: a port out of range raises `OutOfRange`.
+                let (h, x) = (self.expr(ty, d), self.expr(Ty::Int, d));
+                format!("{set}({h}, {x})")
+            }
+            Ty::Blob => {
+                let b = self.expr(Ty::Blob, d);
+                let (off, len) = (self.pick(&["0", "1", "2"]), self.pick(&["0", "1", "9"]));
+                format!("blobSub({b}, {off}, {len})")
+            }
+            Ty::Unit => self.leaf(Ty::Unit),
+        }
+    }
+
+    /// A scalar accessor of result type `ty` on some header in reach.
+    fn accessor(&mut self, ty: Ty, d: u32) -> String {
+        let mut from: Vec<(&str, Ty)> = match ty {
+            Ty::Int => vec![("ipTtl", Ty::Ip), ("ipProto", Ty::Ip)],
+            Ty::Host => vec![("ipSrc", Ty::Ip), ("ipDst", Ty::Ip)],
+            _ => vec![],
+        };
+        let more: &[(&str, Ty)] = match ty {
+            Ty::Int => &[
+                ("tcpSrc", Ty::Tcp),
+                ("tcpDst", Ty::Tcp),
+                ("tcpSeq", Ty::Tcp),
+                ("tcpAck", Ty::Tcp),
+                ("udpSrc", Ty::Udp),
+                ("udpDst", Ty::Udp),
+                ("blobLen", Ty::Blob),
+            ],
+            Ty::Bool => &[
+                ("tcpIsSyn", Ty::Tcp),
+                ("tcpIsFin", Ty::Tcp),
+                ("tcpIsAck", Ty::Tcp),
+                ("tcpIsRst", Ty::Tcp),
+            ],
+            _ => &[],
+        };
+        from.extend(more.iter().filter(|(_, of)| self.has(*of)));
+        if from.is_empty() {
+            return self.leaf(ty);
+        }
+        let (get, of) = from[self.below(from.len() as u64) as usize];
+        format!("{get}({})", self.expr(of, d))
+    }
+
+    /// The packet of a send: the parameter, a literal tuple, or a value
+    /// some other expression computed.
+    fn packet(&mut self, depth: u32) -> String {
+        match self.below(5) {
+            0 | 1 => "p".into(),
+            2 | 3 => self.literal_packet(depth),
+            _ => {
+                let (c, lit) = (self.expr(Ty::Bool, depth), self.literal_packet(depth));
+                format!("(if {c} then p else {lit})")
+            }
+        }
+    }
+
+    fn literal_packet(&mut self, depth: u32) -> String {
+        let parts = self.parts.clone();
+        let items = std::iter::once(Ty::Ip).chain(parts);
+        let items: Vec<String> = items.map(|ty| self.expr(ty, depth)).collect();
+        format!("({})", items.join(", "))
+    }
+
+    fn effect(&mut self, depth: u32) -> String {
+        let send = match self.below(7) {
+            0 | 1 => format!("OnRemote(network, {})", self.packet(depth)),
+            2 | 3 => {
+                let (h, p) = (self.expr(Ty::Host, depth), self.packet(depth));
+                format!("OnNeighbor(network, {h}, {p})")
+            }
+            4 | 5 => format!("deliver({})", self.packet(depth)),
+            _ => {
+                let ty = [Ty::Int, Ty::Bool, Ty::Host, Ty::Str, Ty::Pair][self.below(5) as usize];
+                return format!("println({})", self.expr(ty, depth));
+            }
+        };
+        match self.below(3) {
+            0 => format!("(if {} then {send} else ())", self.expr(Ty::Bool, depth)),
+            _ => send,
+        }
+    }
+
+    /// A channel body: evaluates to `(ps', ss')`.
+    fn body(&mut self, depth: u32) -> String {
+        let d = depth.saturating_sub(1);
+        match self.below(if depth == 0 { 1 } else { 8 }) {
+            0..=3 => {
+                let effects: Vec<String> = (0..self.below(4)).map(|_| self.effect(d)).collect();
+                let (ps, ss) = (self.expr(Ty::Int, depth), self.expr(self.ss, depth));
+                let seq: String = effects.iter().map(|e| format!("{e}; ")).collect();
+                // One tail in five returns a pair some `let` built.
+                match self.below(5) {
+                    0 => {
+                        let ty = format!("int*{}", self.ss.name());
+                        format!("({seq}let val r : {ty} = ({ps}, {ss}) in r end)")
+                    }
+                    _ => format!("({seq}({ps}, {ss}))"),
+                }
+            }
+            4 | 5 => {
+                let (c, a, b) = (self.expr(Ty::Bool, depth), self.body(d), self.body(d));
+                format!("if {c} then {a} else {b}")
+            }
+            6 => self.let_in(depth, |g| g.body(d)),
+            _ => {
+                let exn = self.pick(&["Div", "OutOfRange", "_"]);
+                let (a, b) = (self.body(d), self.body(0));
+                format!("({a} handle {exn} => {b})")
+            }
+        }
+    }
+}
+
+/// The program of `(seed, depth)`, and its packet parameter's
+/// components after `ip`.
+fn program(seed: u64, depth: u32) -> (String, Vec<Ty>) {
+    let mut rng = SplitMix64::new(0x6E4_D1FF ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut parts = match rng.next_below(3) {
+        0 => vec![Ty::Tcp],
+        1 => vec![Ty::Udp],
+        _ => vec![],
+    };
+    let payloads: [&[Ty]; 6] = [
+        &[Ty::Blob],
+        &[Ty::Blob],
+        &[Ty::Char, Ty::Int],
+        &[Ty::Int, Ty::Bool, Ty::Blob],
+        &[Ty::Host, Ty::Str],
+        &[Ty::Str, Ty::Char, Ty::Host, Ty::Blob],
+    ];
+    parts.extend(payloads[rng.next_below(6) as usize]);
+    let ss = [Ty::Unit, Ty::Int, Ty::Bool][rng.next_below(3) as usize];
+    let gi = ["5555", "80", "0", "7 * 11 + 3", "65535 + 1"][rng.next_below(5) as usize];
+    let gh = ["10.0.0.2", "10.0.0.1", "224.0.0.1"][rng.next_below(3) as usize];
+    let mut gen = Gen {
+        rng,
+        parts,
+        ss,
+        vars: Vec::new(),
+        fresh: 0,
+    };
+    let body = gen.body(depth);
+    let src = format!(
+        "val gi : int = {gi}\nval gh : host = {gh}\nval gc : char = #\"M\"\n\
+         val gb : bool = {}\nval gs : string = \"GET\"\n\
+         channel network(ps : int, ss : {}, p : {}) is\n{body}\n",
+        seed.is_multiple_of(2),
+        ss.name(),
+        gen.packet_type(),
+    );
+    (src, gen.parts)
+}
+
+/// A packet of the shape `parts` names, fields drawn from small pools
+/// so that the programs' equality tests go both ways.
+fn packet(parts: &[Ty], rng: &mut SplitMix64) -> Value {
+    let host = |rng: &mut SplitMix64| {
+        [
+            HERE,
+            addr(10, 0, 0, 1),
+            addr(224, 0, 0, 1),
+            addr(10, 0, 3, 9),
+        ][rng.next_below(4) as usize]
+    };
+    let port = |rng: &mut SplitMix64| match rng.next_below(5) {
+        0 => 0,
+        1 => 80,
+        2 => 5555,
+        3 => 65535,
+        _ => rng.next_u64() as u16,
+    };
+    let proto = match parts.first() {
+        Some(Ty::Tcp) => IpHdr::PROTO_TCP,
+        Some(Ty::Udp) => IpHdr::PROTO_UDP,
+        _ => 0,
+    };
+    let mut ip = IpHdr::new(host(rng), host(rng), proto);
+    ip.ttl = [64, 1, 0, 7][rng.next_below(4) as usize];
+    let mut out = vec![Value::Ip(ip)];
+    for ty in parts {
+        out.push(match ty {
+            Ty::Tcp => {
+                let mut h = TcpHdr::data(port(rng), port(rng), rng.next_below(9) as u32);
+                h.ack = rng.next_below(3) as u32;
+                h.flags = rng.next_u64() as u8 & 0x1f;
+                Value::Tcp(h)
+            }
+            Ty::Udp => Value::Udp(UdpHdr::new(port(rng), port(rng))),
+            Ty::Int => Value::Int(match rng.next_below(6) {
+                0 => 0,
+                1 => -1,
+                2 => 65_536,
+                3 => i64::MIN,
+                4 => 5555,
+                _ => rng.next_below(200) as i64 - 100,
+            }),
+            Ty::Bool => Value::Bool(rng.next_below(2) == 1),
+            Ty::Char => Value::Char(['A', 'M', 'z', '\0'][rng.next_below(4) as usize]),
+            Ty::Host => Value::Host(host(rng)),
+            Ty::Str => Value::str(["", "GET", "GET /doc/7"][rng.next_below(3) as usize]),
+            Ty::Blob => Value::Blob(vec![7u8; rng.next_below(12) as usize].into()),
+            Ty::Pair | Ty::Ip | Ty::Unit => unreachable!("not a packet component"),
+        });
+    }
+    Value::tuple(out)
+}
+
+// ---- the three-column differential -----------------------------------------
+
+/// What one program's eight dispatches exercised.
+struct Seen {
+    /// Instruction kinds the program compiled to.
+    kinds: Vec<&'static str>,
+    dispatches: u64,
+    raised: u64,
+    effects: u64,
+}
+
+fn same<T: PartialEq + Debug>(what: &str, interp: &T, bytecode: &T) -> Result<(), String> {
+    if interp == bytecode {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} differ\n  interpreter: {interp:?}\n  bytecode:    {bytecode:?}"
+    ))
+}
+
+/// Generates the program of `(seed, depth)` and holds the two bytecode
+/// entries to the interpreter on eight packets.
+fn check(seed: u64, depth: u32) -> Result<Seen, String> {
+    let (src, parts) = program(seed, depth);
+    let fail = |why: String| format!("seed {seed} depth {depth}: {why}\n{src}");
+    let prog = compile_front(&src).map_err(|e| fail(format!("not well typed: {e}")))?;
+    let prog = Rc::new(prog);
+    let (compiled, _) = jit::compile(prog.clone());
+    let interp = Interp::new(&prog);
+    let shape = &prog.channels[0].shape;
+
+    // Interpreter, tuple-fed bytecode, register-fed bytecode.
+    let mut envs = [MockEnv::new(HERE), MockEnv::new(HERE), MockEnv::new(HERE)];
+    let gi = interp.eval_globals(&mut envs[0]);
+    let gi = gi.map_err(|e| fail(format!("globals: {e}")))?;
+    let gj = compiled.eval_globals(&mut envs[1]);
+    let gj = gj.map_err(|e| fail(format!("globals: {e}")))?;
+    same(
+        "initializer trails",
+        &envs[0].site_steps,
+        &envs[1].site_steps,
+    )
+    .map_err(&fail)?;
+    let ss0 = interp
+        .init_channel_state(0, &gi, &mut envs[0])
+        .map_err(|e| fail(format!("initstate: {e}")))?;
+    // Each column threads its own state from dispatch to dispatch.
+    let mut states = [(); 3].map(|()| (Value::Int(seed as i64 % 5 - 1), ss0.clone()));
+
+    let mut rng = SplitMix64::new(seed ^ 0xD15_9A7C);
+    let mut seen = Seen {
+        kinds: compiled.instruction_census().iter().map(|c| c.0).collect(),
+        dispatches: 0,
+        raised: 0,
+        effects: 0,
+    };
+    for n in 0..8 {
+        let pkt = packet(&parts, &mut rng);
+        for env in &mut envs {
+            env.steps = 0;
+            env.site_steps.clear();
+            env.send_sites.clear();
+            env.effects.clear();
+            env.output.clear();
+        }
+        let wire = value_to_packet(&pkt, None).map_err(|e| fail(format!("packet: {e}")))?;
+        let [ei, ej, er] = &mut envs;
+        let (ps, ss) = states[0].clone();
+        let ri = interp.run_channel(0, &gi, ps, ss, pkt.clone(), ei);
+        let (ps, ss) = states[1].clone();
+        let rj = compiled.run_channel(0, &gj, ps, ss, pkt, ej);
+        let (ps, ss) = states[2].clone();
+        let rr = compiled
+            .load_packet(0, |regs| packet_to_parts(&wire, shape, regs))
+            .ok_or_else(|| fail(format!("packet {n} does not decode against its own shape")))?
+            .run(&gj, ps, ss, er);
+
+        let shown =
+            |r: &Result<(Value, Value), VmError>| r.clone().map(|(ps, ss)| format!("{ps} {ss}"));
+        for (entry, got, env, col) in [("run_channel", &rj, &*ej, 1), ("load_packet", &rr, &*er, 2)]
+        {
+            let ctx = |what: &str| format!("packet {n}, {entry}: {what}");
+            same(&ctx("results"), &shown(&ri), &shown(got))
+                .and_then(|()| same(&ctx("step totals"), &ei.steps, &env.steps))
+                .and_then(|()| same(&ctx("site trails"), &ei.site_steps, &env.site_steps))
+                .and_then(|()| same(&ctx("send sites"), &ei.send_sites, &env.send_sites))
+                .and_then(|()| same(&ctx("output"), &ei.output, &env.output))
+                .and_then(|()| {
+                    let effects = |e: &MockEnv| format!("{:?}", e.effects);
+                    same(&ctx("effects"), &effects(ei), &effects(env))
+                })
+                .and_then(|()| {
+                    let attributed: u64 = env.site_steps.iter().map(|s| s.1).sum();
+                    same(&ctx("Σ per-site and aggregate"), &env.steps, &attributed)
+                })
+                .map_err(&fail)?;
+            if let Ok(next) = got {
+                states[col] = next.clone();
+            }
+        }
+        seen.dispatches += 1;
+        seen.raised += u64::from(ri.is_err());
+        seen.effects += ei.effects.len() as u64;
+        if let Ok(next) = ri {
+            states[0] = next;
+        }
+    }
+    Ok(seen)
+}
+
+/// [`check`], with a panic in an engine reported like a disagreement.
+fn check_caught(seed: u64, depth: u32) -> Result<Seen, String> {
+    std::panic::catch_unwind(|| check(seed, depth)).unwrap_or_else(|_| {
+        let (src, _) = program(seed, depth);
+        Err(format!(
+            "seed {seed} depth {depth}: an engine panicked\n{src}"
+        ))
+    })
+}
+
+/// Instruction kinds the generated corpus must reach: every typed form
+/// and every generic fallback it can compile to.
+const TYPED: &[&str] = &["ScalarOp", "Unop", "Get", "Set", "Br", "BrScalarCmp"];
+const GENERIC: &[&str] = &[
+    "Binop",
+    "BrCmp",
+    "BrPrim",
+    "Prim1",
+    "Prim3",
+    "PrimN",
+    "Move",
+    "Tuple",
+    "Raise",
+    "Jump",
+    "SendRemote",
+    "SendNeighbor",
+    "Deliver",
+    "Ret",
+    "RetPair",
+    "Ret2",
+    "Prim2",
+];
+
+#[test]
+fn generated_programs_agree_on_all_three_entries() {
+    // The release run (CI) takes ten times the seeds.
+    let programs: u64 = if cfg!(debug_assertions) {
+        1_500
+    } else {
+        15_000
+    };
+    let mut emitted: BTreeMap<&str, u64> = BTreeMap::new();
+    let (mut dispatches, mut raised, mut effects) = (0, 0, 0);
+    for seed in 0..programs {
+        let depth = 1 + (seed % 4) as u32;
+        let seen = check_caught(seed, depth).unwrap_or_else(|why| {
+            // Shrink: the same seed at the smallest depth that still fails.
+            let smaller = (0..depth).find_map(|d| check_caught(seed, d).err());
+            panic!("{}", smaller.unwrap_or(why));
+        });
+        for kind in seen.kinds {
+            *emitted.entry(kind).or_insert(0) += 1;
+        }
+        dispatches += seen.dispatches;
+        raised += seen.raised;
+        effects += seen.effects;
+    }
+    println!("{programs} programs, {dispatches} dispatches: {raised} raised, {effects} effects");
+    println!("programs per instruction kind: {emitted:?}");
+    for kind in TYPED.iter().chain(GENERIC) {
+        let n = emitted.get(kind).copied().unwrap_or(0);
+        assert!(n >= 20, "{kind} emitted by {n} programs: {emitted:?}");
+    }
+    // The corpus took the error paths and did real work.
+    assert_eq!(dispatches, programs * 8);
+    assert!(raised * 20 > dispatches, "{raised} of {dispatches} raised");
+    assert!(raised * 2 < dispatches, "{raised} of {dispatches} raised");
+    assert!(effects > dispatches / 2, "{effects} effects");
+}
+
+#[test]
+fn a_program_is_a_function_of_its_seed_and_depth() {
+    for seed in [0, 1, 17, 1_499] {
+        assert_eq!(program(seed, 3), program(seed, 3));
+        assert_ne!(program(seed, 3).0, program(seed + 1, 3).0);
+    }
+}
