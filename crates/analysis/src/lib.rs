@@ -61,6 +61,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![allow(clippy::disallowed_types)] // not yet audited, ROADMAP item 2
 
 pub mod compose;
 pub mod cost;

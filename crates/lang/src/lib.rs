@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![allow(clippy::disallowed_types)] // not yet audited, ROADMAP item 2
 
 pub mod ast;
 pub mod error;

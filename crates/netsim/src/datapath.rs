@@ -15,9 +15,28 @@
 //! The rule for any code that reads a link's `transmitting`, queue
 //! length, `tx_*` counters, measurement window or the hop-latency
 //! histogram: **settle the link first**.
+//!
+//! **One arrival per transmission.** On a shared segment, or for a
+//! broadcast, every attached node but the sender gets a copy. When the
+//! receiver-side fault pipeline would do nothing to any of them — no
+//! partition in force, no impairment configured on the link —
+//! [`Sim::tx_done`] pushes one `ArriveAll` in place of one `Arrive` per
+//! copy, under the first copy's number with the others' reserved, and
+//! [`Sim::arrive_all`] plays the copies out when it fires: in attachment
+//! order, each counted as the event it replaces (in `events_elided` too,
+//! from the second on). Whether a copy is *made* is decided there, at
+//! arrival time, from the node's state at that moment: an overheard copy
+//! at an up node with no hook is counted and skipped, and the one slab
+//! slot goes to the last node that needs it. A link with an impairment
+//! keeps one event per copy: loss and jitter are drawn per copy.
+//!
+//! The segment's `TxDone` itself stays queued. Its arrivals draw their
+//! numbers when it fires; eliding it would number them at the start of
+//! the transmission and move tie orders that are pinned.
 
 use crate::link::{Completion, LinkId, NodeId, Queued, Transmission};
 use crate::packet::Packet;
+use crate::sched::PktRef;
 use crate::sim::Sim;
 use crate::time::SimTime;
 use bytes::Bytes;
@@ -224,21 +243,91 @@ impl Sim {
             // attachment order: on a segment all but the addressed one
             // overhear; a broadcast (multicast, no `next_hop`) is
             // received for real by all, subscription filtering happens
-            // at arrival. The last receiver gets the handle, the ones
-            // before it a clone.
+            // at arrival.
             next_hop => {
-                let Some(last) = link.nodes.iter().rposition(|&n| n != q.from) else {
+                let mut copies = link.nodes.iter().filter(|&&n| n != q.from).count();
+                if copies == 0 {
                     self.sched.packets.take(q.pkt);
-                    return;
-                };
-                for i in 0..=last {
-                    let n = self.links[link_id.0].nodes[i];
-                    if n != q.from {
-                        let overheard = next_hop.is_some_and(|nh| n != nh);
-                        self.deliver_copy(link_id, &q, n, overheard, i == last, None);
+                } else if self.partition.is_empty() && link.faults.is_clean() {
+                    // The fault pipeline would do nothing to any copy:
+                    // they arrive as one event, see `arrive_all`.
+                    let at = now + link.spec.delay;
+                    self.sched
+                        .arrive_all(at, copies as u64, link_id, q.pkt, q.from, next_hop);
+                } else {
+                    // Loss and jitter are drawn per copy: one event
+                    // each. The last receiver gets the handle, the ones
+                    // before it a clone.
+                    for i in 0..self.links[link_id.0].nodes.len() {
+                        let n = self.links[link_id.0].nodes[i];
+                        if n != q.from {
+                            copies -= 1;
+                            let overheard = next_hop.is_some_and(|nh| n != nh);
+                            self.deliver_copy(link_id, &q, n, overheard, copies == 0, None);
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// The copies of one transmission on `link_id` arrive (see "One
+    /// arrival per transmission" above): for each attached node but
+    /// `from`, in attachment order, what the run loop does for an
+    /// `Arrive` of its own. The event being processed is the first copy;
+    /// every further one has the monitor consulted ahead of it, advances
+    /// `now_seq` to the number reserved for it and is counted. A copy is
+    /// made only where something can observe it: `arrive` would take an
+    /// overheard copy at an up node with no hook out of the slab and
+    /// drop it. The handle goes to the last node that needs a copy, a
+    /// clone to those before it.
+    ///
+    /// Out of line on purpose: inlined into the run loop's `process` it
+    /// costs workloads that have no segment (`cluster_flash` -4%).
+    #[inline(never)]
+    pub(crate) fn arrive_all(
+        &mut self,
+        link_id: LinkId,
+        pkt: PktRef,
+        from: NodeId,
+        to: Option<NodeId>,
+    ) {
+        let overhears = |n: NodeId| to.is_some_and(|nh| n != nh);
+        let needs_copy = |sim: &Sim, n: NodeId| {
+            let node = &sim.nodes[n.0];
+            n != from && (!overhears(n) || node.down || node.hook.is_some())
+        };
+        let attached = self.links[link_id.0].nodes.len();
+        let last = (0..attached).rfind(|&i| needs_copy(self, self.links[link_id.0].nodes[i]));
+        if last.is_none() {
+            self.sched.packets.take(pkt);
+        }
+        let mut first = true;
+        for i in 0..attached {
+            let n = self.links[link_id.0].nodes[i];
+            if n == from {
+                continue;
+            }
+            if first {
+                first = false;
+            } else {
+                self.monitor_tick();
+                self.now_seq += 1;
+                self.events_processed += 1;
+                self.events_elided += 1;
+            }
+            // Only a node's own callbacks can change whether it needs a
+            // copy, so no node past `last` starts to while this runs.
+            let copy = match last {
+                Some(last) if i == last => pkt,
+                Some(last) if i < last && needs_copy(self, n) => {
+                    let slab = &mut self.sched.packets;
+                    let copy = slab.get(pkt).clone();
+                    slab.put(copy)
+                }
+                _ => continue,
+            };
+            self.arrive(n, copy, Some(link_id), overhears(n));
         }
     }
 

@@ -6,7 +6,7 @@ use crate::packet::Packet;
 use crate::rng::SplitMix64;
 use crate::sched::PktRef;
 use crate::sim::NodeApi;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// A single-server CPU model: arriving packets queue for a fixed
@@ -32,13 +32,21 @@ pub struct Node {
     pub forwarding: bool,
     pub(crate) ifaces: Vec<LinkId>,
     /// Unicast routes: destination address → (link, next hop).
-    pub(crate) routes: HashMap<u32, (LinkId, NodeId)>,
+    #[allow(clippy::disallowed_types)] // lookup-only: `get`/`insert`, never iterated
+    pub(crate) routes: std::collections::HashMap<u32, (LinkId, NodeId)>,
     /// Multicast routes: group → outgoing links.
-    pub(crate) mcast_routes: HashMap<u32, Vec<LinkId>>,
+    #[allow(clippy::disallowed_types)] // lookup-only: `get`/`entry`, never iterated
+    pub(crate) mcast_routes: std::collections::HashMap<u32, Vec<LinkId>>,
     /// Multicast groups this node receives.
-    pub(crate) subscriptions: HashSet<u32>,
+    #[allow(clippy::disallowed_types)] // lookup-only: `contains`/`insert`, never iterated
+    pub(crate) subscriptions: std::collections::HashSet<u32>,
     pub(crate) apps: Vec<Option<Box<dyn App>>>,
     pub(crate) hook: Option<Box<dyn PacketHook>>,
+    /// Bumped by every [`Node::set_hook`]. A hook is out of its slot
+    /// while one of its callbacks runs; a number that moved meanwhile
+    /// says the callback installed or removed a hook itself, and the
+    /// slot is left as the callback set it.
+    pub(crate) hook_gen: u64,
     pub(crate) rng: SplitMix64,
     pub(crate) cpu: Option<CpuModel>,
     /// True while the node is failed: it neither receives nor processes
@@ -88,11 +96,12 @@ impl Node {
             addr,
             forwarding,
             ifaces: Vec::new(),
-            routes: HashMap::new(),
-            mcast_routes: HashMap::new(),
-            subscriptions: HashSet::new(),
+            routes: Default::default(),
+            mcast_routes: Default::default(),
+            subscriptions: Default::default(),
             apps: Vec::new(),
             hook: None,
+            hook_gen: 0,
             rng: SplitMix64::new(seed),
             cpu: None,
             down: false,
@@ -106,6 +115,16 @@ impl Node {
             delivered: 0,
             dropped: 0,
         }
+    }
+
+    /// Installs, replaces or (with `None`) removes the packet hook;
+    /// returns the one that was installed.
+    pub(crate) fn set_hook(
+        &mut self,
+        hook: Option<Box<dyn PacketHook>>,
+    ) -> Option<Box<dyn PacketHook>> {
+        self.hook_gen += 1;
+        std::mem::replace(&mut self.hook, hook)
     }
 }
 

@@ -22,6 +22,12 @@
 //! the datapath push the `Arrive` at the start and keep the `TxDone`
 //! out of the heap (see `datapath`): whether or not the completion was
 //! ever queued, both events have the keys they would have had.
+//!
+//! The copies of one transmission on a shared segment arrive at one
+//! time under consecutive numbers, so nothing can fire between them:
+//! they travel as one [`EvKind::ArriveAll`] keyed by the first copy's
+//! number, with the numbers of the others reserved
+//! ([`Scheduler::arrive_all`]) so every later event keeps its key.
 
 use crate::fault::FaultAction;
 use crate::link::{LinkId, NodeId};
@@ -106,6 +112,16 @@ pub(crate) enum EvKind {
         pkt: PktRef,
         via: Option<u32>,
         overheard: bool,
+    },
+    /// Every copy of one transmission on `link`, at every attached
+    /// node but `from`: `to` is the addressed node (the others
+    /// overhear), `None` for a broadcast all receive. One event, one
+    /// slab slot; the copies are made when it fires.
+    ArriveAll {
+        link: u32,
+        pkt: PktRef,
+        from: u32,
+        to: Option<u32>,
     },
     TxDone {
         link: u32,
@@ -199,6 +215,30 @@ impl Scheduler {
             Some(seq) => self.queue.push(Ev { at, seq, kind }),
             None => self.push(at, kind),
         }
+    }
+
+    /// `pkt`, sent by `from` on `link`, reaches the `copies` other
+    /// attached nodes at once. Draws one number per copy, as `copies`
+    /// calls of [`Scheduler::arrive`] would, and keys the event by the
+    /// first.
+    pub(crate) fn arrive_all(
+        &mut self,
+        at: SimTime,
+        copies: u64,
+        link: LinkId,
+        pkt: PktRef,
+        from: NodeId,
+        to: Option<NodeId>,
+    ) {
+        let seq = self.seq;
+        self.seq += copies;
+        let kind = EvKind::ArriveAll {
+            link: link.0 as u32,
+            pkt,
+            from: from.0 as u32,
+            to: to.map(|n| n.0 as u32),
+        };
+        self.queue.push(Ev { at, seq, kind });
     }
 
     /// The transmission occupying `link` completes; `seq` is the number

@@ -9,6 +9,13 @@
 //! and the digests in [`NO_LINK_PINS`] were computed at the commit
 //! before elision existed, so the order is held to the old one and not
 //! only to itself.
+//!
+//! One arrival per transmission (the copies of a shared-segment
+//! transmission travel as one event, and a copy nothing can observe is
+//! never made) is held the same way. The simulator merges the copies
+//! only on a link with no impairment configured, so an impairment too
+//! small ever to fire is that differential's axis; `shared_segment`'s
+//! pin was computed at the commit before the merge existed.
 
 use bytes::Bytes;
 use netsim::packet::{addr, Packet};
@@ -267,11 +274,132 @@ fn slow_burst(cfg: TraceConfig, _monitor: bool) -> Sim {
     sim
 }
 
+/// Counts what a host's NIC hands up on a shared segment, overheard or
+/// not, and reads the segment's load for each packet.
+struct Tap;
+impl PacketHook for Tap {
+    fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: Packet, m: &ArrivalMeta) -> HookVerdict {
+        let kbps = api.measured_kbps_toward(pkt.ip.dst) as u64;
+        let metrics = &mut api.telemetry().metrics;
+        let seen = ["tap.addressed", "tap.overheard"][usize::from(m.overheard)];
+        metrics.add(seen, 1);
+        metrics.add("tap.kbps_sum", kbps);
+        HookVerdict::Pass(pkt)
+    }
+}
+
+/// Puts the tap back after a crash took it with the node.
+struct Retap;
+impl App for Retap {
+    fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {}
+    fn on_restart(&mut self, api: &mut NodeApi<'_>) {
+        api.install_hook(Box::new(Tap));
+    }
+}
+
+const GROUP: u32 = addr(224, 0, 0, 5);
+const SEGMENT: LinkId = LinkId(0);
+
+/// The setting of the paper's two headline experiments: hosts on one
+/// shared Ethernet segment. Seven attached nodes, so every transmission
+/// has six copies; a tapped host in the middle of the attachment order
+/// and two hookless hosts at its end, so the last attached node is
+/// usually one that needs no copy; a flow each way through a
+/// CPU-modelled gateway to a server behind it, a flow between two hosts
+/// of the segment (the receiver CPU-modelled too, with a queue short
+/// enough to overflow), a multicast flow every node receives for real,
+/// and a crash each for the tap and for a receiver.
+fn shared_segment(cfg: TraceConfig, monitor: bool) -> Sim {
+    let mut sim = Sim::new(0xE11D_0004);
+    sim.telemetry.trace.configure(cfg);
+    let h: Vec<NodeId> = (0..5u8)
+        .map(|i| sim.add_host(&format!("h{i}"), addr(10, 0, 0, i + 1)))
+        .collect();
+    let tap = sim.add_host("tap", addr(10, 0, 0, 9));
+    let gw = sim.add_router("gw", addr(10, 0, 0, 254));
+    let server = sim.add_host("server", addr(10, 0, 1, 1));
+    let seg = sim.add_link(
+        LinkSpec::ethernet_10(),
+        &[h[0], h[1], tap, h[2], gw, h[3], h[4]],
+    );
+    assert_eq!(seg, SEGMENT);
+    sim.add_link(LinkSpec::ethernet_100(), &[gw, server]);
+    sim.compute_routes();
+    sim.set_cpu(
+        gw,
+        CpuModel {
+            per_packet: Duration::from_micros(30),
+            queue_cap: 16,
+        },
+    );
+    sim.set_cpu(
+        h[1],
+        CpuModel {
+            per_packet: Duration::from_micros(1_400),
+            queue_cap: 1,
+        },
+    );
+    sim.install_hook(tap, Box::new(Tap));
+    sim.add_app(tap, Box::new(Retap));
+    sim.add_mcast_route(h[3], GROUP, seg);
+    for n in [h[0], h[4]] {
+        sim.subscribe(n, GROUP);
+    }
+    for n in [server, h[1], h[4]] {
+        sim.add_app(n, Box::new(Echo));
+    }
+    for (from, dst, n, size, burst, gap_us) in [
+        (h[0], addr(10, 0, 1, 1), 400, 300, 2, 2_100),
+        (server, addr(10, 0, 0, 5), 150, 100, 1, 5_300),
+        (h[2], addr(10, 0, 0, 2), 300, 700, 2, 4_300),
+        (h[3], GROUP, 200, 500, 1, 3_100),
+    ] {
+        sim.add_app(
+            from,
+            Box::new(Pulse {
+                dsts: vec![dst],
+                n,
+                size,
+                burst,
+                gap_us,
+            }),
+        );
+    }
+    sim.apply_fault_plan(
+        FaultPlan::new()
+            .crash_restart(0.0607, 0.1203, tap)
+            .crash_restart(0.0911, 0.1502, h[1]),
+    );
+    if monitor {
+        sim.monitor = Some(
+            HealthMonitor::new(20_000_000)
+                .rule(SloRule::CounterCeiling {
+                    name: "segment_pkts".into(),
+                    sel: CounterSel::exact("link0.tx_packets"),
+                    ceiling: 60,
+                })
+                .rule(SloRule::CounterCeiling {
+                    name: "events".into(),
+                    sel: CounterSel::exact("sim.events_processed"),
+                    ceiling: 400,
+                })
+                .rule(SloRule::QuantileCeiling {
+                    name: "hop_p99".into(),
+                    hist: "sim.hop_latency_ns".into(),
+                    q_pm: 990,
+                    ceiling: 2_000_000,
+                }),
+        );
+    }
+    sim
+}
+
 type Build = fn(TraceConfig, bool) -> Sim;
-const SCENARIOS: [(&str, Build, u64); 3] = [
+const SCENARIOS: [(&str, Build, u64); 4] = [
     ("relay_chain", relay_chain, 2_000),
     ("cluster_shape", cluster_shape, 400),
     ("slow_burst", slow_burst, 1_500),
+    ("shared_segment", shared_segment, 1_000),
 ];
 const NO_LINK: Category = Category(Category::ALL.0 & !Category::LINK.0);
 
@@ -310,6 +438,16 @@ impl Outcome {
         self.snapshot.counters["sim.events_processed"]
     }
 
+    /// Same trace, same counters — compared line by line, so a failure
+    /// names the first line that differs.
+    fn assert_same(&self, other: &Outcome, name: &str) {
+        for (a, b) in self.jsonl.lines().zip(other.jsonl.lines()) {
+            assert_eq!(a, b, "{name}: first differing trace line");
+        }
+        assert_eq!(self.jsonl.len(), other.jsonl.len(), "{name}: trace length");
+        assert_eq!(self.snapshot, other.snapshot, "{name}");
+    }
+
     fn digest(&self) -> u64 {
         let fnv = |h: u64, bytes: &[u8]| {
             bytes.iter().fold(h, |h, &b| {
@@ -336,22 +474,21 @@ fn link_tracing_on_and_off_agree_on_everything_else() {
     for (name, build, ms) in SCENARIOS {
         let traced = run_whole(build, Category::ALL, true, ms);
         let elided = run_whole(build, NO_LINK, true, ms);
-        assert_eq!(traced.elided, 0, "{name}: a link-traced run elides nothing");
+        // A link-traced run elides no completion. What it still counts
+        // are arrivals that travelled with another: five of the six
+        // copies of every transmission on the seven-node segment.
+        let merged = match name {
+            "shared_segment" => 5 * traced.snapshot.counters["link0.tx_packets"],
+            _ => 0,
+        };
+        assert_eq!(traced.elided, merged, "{name}: a completion elided");
         assert!(
             elided.elided * 10 > elided.events(),
             "{name}: only {} of {} events elided",
             elided.elided,
             elided.events()
         );
-        for (a, b) in traced.jsonl.lines().zip(elided.jsonl.lines()) {
-            assert_eq!(a, b, "{name}: first differing trace line");
-        }
-        assert_eq!(
-            traced.jsonl.len(),
-            elided.jsonl.len(),
-            "{name}: trace length"
-        );
-        assert_eq!(traced.snapshot, elided.snapshot, "{name}");
+        traced.assert_same(&elided, name);
     }
 }
 
@@ -394,11 +531,13 @@ fn sliced_runs_match_one_call() {
 
 /// (c) `(digest, sim.events_processed)` of each scenario with every
 /// category but `link`, monitor on — computed at the parent commit,
-/// where every completion was a queued `TxDone`.
-const NO_LINK_PINS: [(u64, u64); 3] = [
+/// where every completion was a queued `TxDone` (for `shared_segment`,
+/// at f23e358: where every copy was a queued `Arrive`).
+const NO_LINK_PINS: [(u64, u64); 4] = [
     (0xB8D3_C61E_FA7C_656B, 19_700),
     (0x861E_8804_FFDE_FCE3, 53_882),
     (0x3A23_B661_1535_FD49, 3_296),
+    (0xB6D5_CDD4_BCA5_E205, 17_813),
 ];
 
 #[test]
@@ -623,6 +762,127 @@ fn link_state_read_on_both_sides_of_a_completion() {
     assert!(kbps > 0);
     assert_eq!(*seen.borrow(), [(1, 1, 0), (2, 0, kbps)]);
     assert_eq!(sim.events_elided(), 1);
+}
+
+// ---- (f) one arrival per transmission --------------------------------------
+
+/// An impairment configured and never drawn (the fault stream yields a
+/// value below it once in 2^53 draws, and is a stream of its own): the
+/// link is not clean, so every copy is an `Arrive` of its own as at the
+/// parent commit.
+fn never() -> LinkFaults {
+    LinkFaults::loss(f64::MIN_POSITIVE)
+}
+
+/// Merged against per-copy arrivals on `shared_segment`, with the
+/// segment's completions traced and not.
+#[test]
+fn merged_and_per_copy_arrivals_agree_on_everything() {
+    for cats in [Category::ALL, NO_LINK] {
+        let run = |faults: Option<LinkFaults>| {
+            let mut sim = shared_segment(trace(cats), true);
+            if let Some(faults) = faults {
+                sim.set_link_faults(SEGMENT, faults);
+            }
+            sim.run_until(SimTime::from_ms(1_000));
+            assert_eq!(sim.packets_at_rest(), 0);
+            assert_eq!(sim.fault_stats.loss_drops, 0);
+            Outcome::of(&sim)
+        };
+        let (merged, per_copy) = (run(None), run(Some(never())));
+        let segment = merged.snapshot.counters["link0.tx_packets"];
+        assert_eq!(merged.elided - per_copy.elided, 5 * segment);
+        assert!(merged.elided * 2 > merged.events(), "over half merged");
+        merged.assert_same(&per_copy, "shared_segment");
+    }
+}
+
+/// Notes what reaches the node it is installed on.
+struct Heard(Rc<RefCell<Vec<(u64, bool)>>>);
+impl PacketHook for Heard {
+    fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: Packet, m: &ArrivalMeta) -> HookVerdict {
+        self.0
+            .borrow_mut()
+            .push((api.now().as_nanos(), m.overheard));
+        HookVerdict::Pass(pkt)
+    }
+}
+
+/// One datagram from `a` to `b` over a four-node segment, put on the
+/// wire at 1 ms; `mid` gets the simulator halfway through the
+/// propagation delay, when the transmission is over and no copy has
+/// arrived. Returns the simulator drained and the arrival time.
+fn one_transmission_disturbed(
+    faults: LinkFaults,
+    mid: impl Fn(&mut Sim, [NodeId; 4]),
+) -> (Sim, [NodeId; 4], u64) {
+    let mut sim = Sim::new(7);
+    sim.telemetry.trace.configure(trace(Category::ALL));
+    let nodes = [1, 2, 3, 4].map(|i| sim.add_host(&format!("n{i}"), i));
+    let seg = sim.add_link(LinkSpec::ethernet_10(), &nodes);
+    sim.compute_routes();
+    sim.set_link_faults(seg, faults);
+    sim.add_app(nodes[0], Box::new(Metronome { dst: 2, n: 1 }));
+    let wire = Packet::udp(1, 2, 1, 2, Bytes::from(vec![0u8; 1250])).wire_size();
+    let done = SimTime::from_ms(1) + sim.link(seg).tx_time(wire);
+    let delay = LinkSpec::ethernet_10().delay;
+    sim.run_until(done + delay / 2);
+    assert_eq!(sim.link(seg).tx_packets, 1, "the transmission is over");
+    mid(&mut sim, nodes);
+    sim.run_until(SimTime::from_ms(20));
+    // Two timers, the completion, three copies — merged or not.
+    let events = sim.metrics_snapshot().counters["sim.events_processed"];
+    assert_eq!((events, sim.packets_at_rest()), (6, 0));
+    (sim, nodes, (done + delay).as_nanos())
+}
+
+/// Whether a copy exists is decided when it arrives. A hook installed
+/// after the transmission ended still overhears it — and it is the last
+/// node that needs a copy, not the last attached, that gets the slot.
+#[test]
+fn a_hook_installed_in_the_propagation_delay_overhears_the_copy() {
+    for faults in [LinkFaults::default(), never()] {
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let (sim, [_, b, c, d], at) = one_transmission_disturbed(faults, |sim, [_, _, c, _]| {
+            sim.install_hook(c, Box::new(Heard(heard.clone())));
+        });
+        assert_eq!(*heard.borrow(), [(at, true)]);
+        assert_eq!(sim.node(b).delivered, 1);
+        let drops = [b, c, d].map(|n| sim.node(n).dropped);
+        assert_eq!((drops, sim.total_node_drops), ([0, 0, 0], 0));
+        assert_eq!(sim.events_elided(), if faults.is_clean() { 2 } else { 0 });
+    }
+}
+
+/// A node that crashed after the transmission ended drops its copy as
+/// `NodeDown`, one drop per copy, overheard or addressed; the hookless
+/// overhearer still up sees and counts nothing.
+#[test]
+fn a_node_crashed_in_the_propagation_delay_drops_its_copy() {
+    for faults in [LinkFaults::default(), never()] {
+        let (sim, [_, b, c, d], at) = one_transmission_disturbed(faults, |sim, [_, b, c, _]| {
+            sim.crash_node(c);
+            sim.crash_node(b);
+        });
+        let drops = [b, c, d].map(|n| sim.node(n).dropped);
+        assert_eq!((drops, sim.total_node_drops), ([1, 1, 0], 2));
+        assert_eq!(sim.node(b).delivered, 0);
+        let mut jsonl = String::new();
+        for ev in sim.telemetry.trace.events() {
+            if ev.category() == Category::DROP {
+                ev.write_json(&mut jsonl);
+                jsonl.push('\n');
+            }
+        }
+        let down = |n: NodeId| {
+            format!(
+                "{{\"type\":\"node_drop\",\"t_ns\":{at},\"node\":{},\"pkt\":1,\"reason\":\"node_down\"}}\n",
+                n.0
+            )
+        };
+        // In attachment order, as one `Arrive` each would have fired.
+        assert_eq!(jsonl, down(b) + &down(c));
+    }
 }
 
 // ---- the one order that did move ------------------------------------------
