@@ -11,7 +11,7 @@
 //! (node, channel tag, destination value, source value)
 //! ```
 //!
-//! over a concrete [`PlanTopology`], seeded with one in-flight packet
+//! over a concrete [`PlanTopology`](crate::plan::PlanTopology), seeded with one in-flight packet
 //! per plan path (entering at the ingress's first hop — a node's own
 //! hook never sees the traffic it originates). A transition either
 //! *dispatches* the packet into a co-resident ASP channel whose name
@@ -33,16 +33,16 @@
 
 use crate::explore::explore;
 use crate::modelcheck::{Verdict, DEFAULT_STATE_BUDGET};
-use crate::plan::{Install, PlanAsp, PlanTopology};
-use crate::summary::{DestAbs, SendKind};
+use crate::plan::{NextHops, PlanAsp, PlanCheck};
+use crate::summary::{DestAbs, ExprSummary, SendKind};
 use crate::witness::{Witness, WitnessHop};
 use planp_lang::span::Span;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Concrete-or-unknown value of an in-flight packet's address field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PVal {
+pub(crate) enum PVal {
     /// A fixed IPv4 address.
     Addr(u32),
     /// Not statically bounded.
@@ -50,7 +50,7 @@ enum PVal {
 }
 
 impl PVal {
-    fn describe(self) -> String {
+    pub(crate) fn describe(self) -> String {
         match self {
             PVal::Addr(a) => Ipv4Addr::from(a).to_string(),
             PVal::Unknown => "an unknown address".to_string(),
@@ -60,15 +60,15 @@ impl PVal {
 
 /// One explored product state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PState {
-    node: usize,
-    tag: u32,
-    dest: PVal,
-    src: PVal,
+pub(crate) struct PState {
+    pub(crate) node: usize,
+    pub(crate) tag: u32,
+    pub(crate) dest: PVal,
+    pub(crate) src: PVal,
 }
 
 #[derive(Debug, Clone, Copy)]
-enum EdgeLabel {
+pub(crate) enum EdgeLabel {
     /// Send site `site` of channel `chan` of `installs[install]`.
     Dispatch {
         install: usize,
@@ -94,33 +94,64 @@ pub struct ComposeResult {
     pub witnesses: Vec<Witness>,
 }
 
-/// Runs the product exploration of `asps` installed per `installs`
-/// over `topo` under [`DEFAULT_STATE_BUDGET`], seeded from the
-/// topology's plan paths. `install_spans` (parallel to `installs`)
-/// anchor witness hops at the responsible plan-source `deploy` lines.
-pub fn product_check(
-    topo: &PlanTopology,
-    asps: &[PlanAsp],
-    installs: &[Install],
-    install_spans: &[Span],
-) -> ComposeResult {
-    let n_nodes = topo.nodes.len();
-    let mut tags: Vec<String> = vec!["network".to_string()];
-    let mut tag_ix: HashMap<String, u32> = HashMap::new();
-    tag_ix.insert("network".to_string(), 0);
+/// The channel tags of one deployment: every channel name an ASP
+/// defines or sends on, numbered once, so that a state carries a number
+/// and dispatch compares numbers.
+struct Tags<'a> {
+    names: Vec<&'a str>,
+    /// Per ASP, per channel: the tag that dispatches into it.
+    chans: Vec<Vec<u32>>,
+    /// Per ASP, per channel, per send site: the tag the send carries.
+    sites: Vec<Vec<Vec<u32>>>,
+}
 
-    let mut at_node: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-    for (i, ins) in installs.iter().enumerate() {
-        at_node[ins.node].push(i);
+impl<'a> Tags<'a> {
+    /// `network`, the tag every plan path enters with.
+    const NETWORK: u32 = 0;
+
+    fn new(asps: &'a [PlanAsp]) -> Self {
+        let mut names = vec!["network"];
+        // Ordered, so nothing here could depend on a hash seed.
+        let mut ids: BTreeMap<&str, u32> = BTreeMap::from([("network", Self::NETWORK)]);
+        let mut id = |name: &'a str| {
+            *ids.entry(name).or_insert_with(|| {
+                names.push(name);
+                names.len() as u32 - 1
+            })
+        };
+        let chans = asps
+            .iter()
+            .map(|a| a.channels.iter().map(|(n, _)| id(n)).collect())
+            .collect();
+        let sites = asps
+            .iter()
+            .map(|a| {
+                let of = |es: &'a ExprSummary| es.sites.iter().map(|s| id(&s.chan)).collect();
+                a.summary.channels.iter().map(of).collect()
+            })
+            .collect();
+        Tags {
+            names,
+            chans,
+            sites,
+        }
     }
+}
 
-    // Next-hop tables toward each routed-to node, computed on demand.
-    let mut toward_cache: HashMap<usize, Vec<Option<usize>>> = HashMap::new();
-    let mut hop_toward = |from: usize, target: usize| -> Option<usize> {
-        toward_cache
-            .entry(target)
-            .or_insert_with(|| topo.toward(target))[from]
-    };
+/// Runs the product exploration of `check`'s ASPs over its topology as
+/// placed, under [`DEFAULT_STATE_BUDGET`], seeded from the topology's
+/// plan paths. `install_spans` (parallel to `check.installs`) anchor
+/// witness hops at the responsible plan-source `deploy` lines.
+pub fn product_check(check: &PlanCheck, install_spans: &[Span]) -> ComposeResult {
+    let PlanCheck {
+        topo,
+        asps,
+        installs,
+        at_node,
+        ..
+    } = check;
+    let tags = Tags::new(asps);
+    let mut hops = NextHops::new(topo);
 
     // One in-flight packet per plan path, entering at the ingress's
     // next hop with the path endpoints as concrete dest/src.
@@ -129,8 +160,8 @@ pub fn product_check(
         .iter()
         .filter_map(|&(ingress, egress)| {
             Some(PState {
-                node: hop_toward(ingress, egress)?,
-                tag: 0,
+                node: hops.hop(ingress, egress)?,
+                tag: Tags::NETWORK,
                 dest: PVal::Addr(topo.nodes[egress].addr),
                 src: PVal::Addr(topo.nodes[ingress].addr),
             })
@@ -139,15 +170,13 @@ pub fn product_check(
 
     let graph = explore(entries, DEFAULT_STATE_BUDGET, |s: PState, succs| {
         let node_addr = topo.nodes[s.node].addr;
-        let tag_name = tags[s.tag as usize].clone();
+        let neighbors = &topo.adj[s.node];
 
         let mut dispatched = false;
-        for &ii in &at_node[s.node] {
-            let asp = &asps[installs[ii].deploy];
-            for (ci, (cname, _)) in asp.channels.iter().enumerate() {
-                if cname != &tag_name {
-                    continue;
-                }
+        for &ii in at_node.of(s.node) {
+            let di = installs[ii].deploy;
+            let asp = &asps[di];
+            for (ci, _) in tags.chans[di].iter().enumerate().filter(|c| *c.1 == s.tag) {
                 dispatched = true;
                 for (si, site) in asp.summary.channels[ci].sites.iter().enumerate() {
                     let dest2 = match site.pkt_dest {
@@ -162,49 +191,39 @@ pub fn product_check(
                     let progress = site.kind == SendKind::Remote
                         && (site.pkt_dest == DestAbs::Unchanged
                             || (dest2 == s.dest && dest2 != PVal::Unknown));
-                    let tag2 = match tag_ix.get(&site.chan) {
-                        Some(&t) => t,
-                        None => {
-                            let t = tags.len() as u32;
-                            tags.push(site.chan.clone());
-                            tag_ix.insert(site.chan.clone(), t);
-                            t
-                        }
-                    };
                     let label = EdgeLabel::Dispatch {
                         install: ii,
                         chan: ci,
                         site: si,
                     };
-                    let nexts: Vec<usize> = match site.kind {
-                        SendKind::Remote => match dest2 {
-                            // Addressed to this very node: delivered.
-                            PVal::Addr(a) if a == node_addr => Vec::new(),
-                            PVal::Addr(a) => match topo.node_by_addr(a) {
-                                Some(t) => hop_toward(s.node, t).into_iter().collect(),
-                                None => Vec::new(), // undeliverable
-                            },
-                            PVal::Unknown => topo.adj[s.node].clone(),
-                        },
-                        SendKind::Neighbor => match site.dest {
-                            DestAbs::Const(a) => match topo.node_by_addr(a) {
-                                Some(m) if topo.adj[s.node].contains(&m) => vec![m],
-                                _ => topo.adj[s.node].clone(),
-                            },
-                            _ => topo.adj[s.node].clone(),
-                        },
+                    let to = |node: usize| {
+                        let next = PState {
+                            node,
+                            tag: tags.sites[di][ci][si],
+                            dest: dest2,
+                            src: src2,
+                        };
+                        succs.push((next, label, progress));
                     };
-                    for t in nexts {
-                        succs.push((
-                            PState {
-                                node: t,
-                                tag: tag2,
-                                dest: dest2,
-                                src: src2,
-                            },
-                            label,
-                            progress,
-                        ));
+                    // `Some`: the one node the send can reach, if any;
+                    // `None`: it may reach every neighbour.
+                    let only = match (site.kind, dest2, site.dest) {
+                        // Addressed to this very node: delivered.
+                        (SendKind::Remote, PVal::Addr(a), _) if a == node_addr => Some(None),
+                        // Routed one hop, or undeliverable.
+                        (SendKind::Remote, PVal::Addr(a), _) => {
+                            let target = check.node_by_addr(a);
+                            Some(target.and_then(|t| hops.hop(s.node, t)))
+                        }
+                        (SendKind::Neighbor, _, DestAbs::Const(a)) => check
+                            .node_by_addr(a)
+                            .filter(|m| neighbors.contains(m))
+                            .map(Some),
+                        _ => None,
+                    };
+                    match only {
+                        Some(node) => node.into_iter().for_each(to),
+                        None => neighbors.iter().copied().for_each(to),
                     }
                 }
             }
@@ -215,14 +234,13 @@ pub fn product_check(
             match s.dest {
                 PVal::Addr(a) if a == node_addr => {} // delivered
                 PVal::Addr(a) => {
-                    if let Some(t) = topo.node_by_addr(a) {
-                        if let Some(h) = hop_toward(s.node, t) {
-                            succs.push((PState { node: h, ..s }, EdgeLabel::Transit, true));
-                        }
+                    let target = check.node_by_addr(a);
+                    if let Some(h) = target.and_then(|t| hops.hop(s.node, t)) {
+                        succs.push((PState { node: h, ..s }, EdgeLabel::Transit, true));
                     }
                 }
                 PVal::Unknown => {
-                    for &m in &topo.adj[s.node] {
+                    for &m in neighbors {
                         succs.push((PState { node: m, ..s }, EdgeLabel::Transit, true));
                     }
                 }
@@ -234,7 +252,7 @@ pub fn product_check(
     let state_label = |i: usize| {
         format!(
             "{}/{}",
-            topo.nodes[states[i].node].name, tags[states[i].tag as usize]
+            topo.nodes[states[i].node].name, tags.names[states[i].tag as usize]
         )
     };
     let (verdict, witness) = graph.termination(

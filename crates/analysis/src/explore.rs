@@ -60,6 +60,9 @@ pub(crate) fn explore<S: Copy + Eq + Hash, L>(
     mut successors: impl FnMut(S, &mut Vec<(S, L, bool)>),
 ) -> Graph<S, L> {
     let mut states: Vec<S> = Vec::new();
+    // Lookup-only (state -> position in `states`), never iterated: every
+    // walk of the result follows `states`, so discovery order is all a
+    // verdict or a witness can depend on.
     let mut index: HashMap<S, usize> = HashMap::new();
     let mut exhausted = false;
     // Interns `s`; `None` once the budget is spent.
@@ -125,7 +128,18 @@ impl<S, L> Graph<S, L> {
         if self.exhausted {
             return (Verdict::Inconclusive, None);
         }
-        let Some((path, cycle_start)) = self.minimal_loop() else {
+        self.verdict_of(self.minimal_loop(), code, hop, head)
+    }
+
+    /// Words `minimal_loop`'s answer as a verdict and a witness.
+    fn verdict_of(
+        &self,
+        minimal_loop: Option<(Vec<usize>, usize)>,
+        code: &'static str,
+        hop: impl Fn(&Edge<L>) -> WitnessHop,
+        head: impl FnOnce(usize, usize) -> (String, String),
+    ) -> (Verdict, Option<Witness>) {
+        let Some((path, cycle_start)) = minimal_loop else {
             return (Verdict::Proved, None);
         };
         let hops: Vec<WitnessHop> = path.iter().map(|&ei| hop(&self.edges[ei])).collect();
@@ -146,14 +160,13 @@ impl<S, L> Graph<S, L> {
     /// non-progress edge — or `None` if no non-progress edge lies on a
     /// cycle.
     fn minimal_loop(&self) -> Option<(Vec<usize>, usize)> {
-        let n = self.states.len();
-        let mut adj = vec![Vec::new(); n];
-        let mut out_edges = vec![Vec::new(); n];
-        for (i, e) in self.edges.iter().enumerate() {
-            adj[e.from].push(e.to);
-            out_edges[e.from].push(i);
+        // Where every hop makes progress (a plan of forwarders, most
+        // programs) there is no edge to look for a cycle through.
+        if self.edges.iter().all(|e| e.progress) {
+            return None;
         }
-        let comp = scc(&adj);
+        let out_edges = Rows::new(self.states.len(), self.edges.iter().map(|e| e.from));
+        let comp = self.scc(&out_edges);
         let violating = (0..self.edges.len()).filter(|&i| {
             let e = &self.edges[i];
             !e.progress && comp[e.from] == comp[e.to]
@@ -197,7 +210,7 @@ impl<S, L> Graph<S, L> {
     /// sources' absent parents.
     fn bfs(
         &self,
-        out_edges: &[Vec<usize>],
+        out_edges: &Rows,
         sources: &[usize],
         until: Option<(usize, usize)>,
     ) -> (Vec<usize>, Vec<usize>) {
@@ -217,7 +230,7 @@ impl<S, L> Graph<S, L> {
             if u == target || dist[u] == limit {
                 break;
             }
-            for &ei in &out_edges[u] {
+            for &ei in out_edges.of(u) {
                 let v = self.edges[ei].to;
                 if dist[v] == usize::MAX {
                     dist[v] = dist[u] + 1;
@@ -242,64 +255,99 @@ impl<S, L> Graph<S, L> {
         path.reverse();
         path
     }
+
+    /// Kosaraju strongly-connected components; returns the component id
+    /// of each state. A state is in the same component as another iff
+    /// they lie on a common cycle (or are the same state), so a self-loop
+    /// edge passes the `comp[from] == comp[to]` test like any other cycle
+    /// edge.
+    fn scc(&self, out_edges: &Rows) -> Vec<usize> {
+        let n = self.states.len();
+        let mut order = Vec::with_capacity(n);
+        let mut seen = vec![false; n];
+        for s in 0..n {
+            if seen[s] {
+                continue;
+            }
+            // Iterative post-order DFS.
+            let mut stack = vec![(s, 0usize)];
+            seen[s] = true;
+            while let Some(&mut (u, ref mut i)) = stack.last_mut() {
+                if let Some(&ei) = out_edges.of(u).get(*i) {
+                    let v = self.edges[ei].to;
+                    *i += 1;
+                    if !seen[v] {
+                        seen[v] = true;
+                        stack.push((v, 0));
+                    }
+                } else {
+                    order.push(u);
+                    stack.pop();
+                }
+            }
+        }
+        // Transpose.
+        let in_edges = Rows::new(n, self.edges.iter().map(|e| e.to));
+        let mut comp = vec![usize::MAX; n];
+        let mut c = 0;
+        for &s in order.iter().rev() {
+            if comp[s] != usize::MAX {
+                continue;
+            }
+            let mut stack = vec![s];
+            comp[s] = c;
+            while let Some(u) = stack.pop() {
+                for &ei in in_edges.of(u) {
+                    let v = self.edges[ei].from;
+                    if comp[v] == usize::MAX {
+                        comp[v] = c;
+                        stack.push(v);
+                    }
+                }
+            }
+            c += 1;
+        }
+        comp
+    }
 }
 
-/// Kosaraju strongly-connected components; returns the component id of
-/// each node. A node is in the same component as another iff they lie on
-/// a common cycle (or are the same node), so a self-loop edge passes the
-/// `comp[from] == comp[to]` test like any other cycle edge.
-fn scc(adj: &[Vec<usize>]) -> Vec<usize> {
-    let n = adj.len();
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    for s in 0..n {
-        if seen[s] {
-            continue;
-        }
-        // Iterative post-order DFS.
-        let mut stack = vec![(s, 0usize)];
-        seen[s] = true;
-        while let Some(&mut (u, ref mut i)) = stack.last_mut() {
-            if *i < adj[u].len() {
-                let v = adj[u][*i];
-                *i += 1;
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push((v, 0));
-                }
-            } else {
-                order.push(u);
-                stack.pop();
-            }
-        }
-    }
-    // Transpose.
-    let mut radj = vec![Vec::new(); n];
-    for (u, vs) in adj.iter().enumerate() {
-        for &v in vs {
-            radj[v].push(u);
-        }
-    }
-    let mut comp = vec![usize::MAX; n];
-    let mut c = 0;
-    for &s in order.iter().rev() {
-        if comp[s] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![s];
-        comp[s] = c;
-        while let Some(u) = stack.pop() {
-            for &v in &radj[u] {
-                if comp[v] == usize::MAX {
-                    comp[v] = c;
-                    stack.push(v);
-                }
-            }
-        }
-        c += 1;
-    }
-    comp
+/// Items `0..m` grouped by a key below `n`, each group in item order:
+/// the adjacency lists of a graph (or the installs resident on each
+/// node) as two vectors, not one per key.
+#[derive(Debug, Clone)]
+pub(crate) struct Rows {
+    /// Row `k` is `items[start[k]..start[k + 1]]`.
+    start: Vec<usize>,
+    items: Vec<usize>,
 }
+
+impl Rows {
+    /// Groups the positions of `keys` by key.
+    pub(crate) fn new(n: usize, keys: impl Iterator<Item = usize> + Clone) -> Self {
+        let mut start = vec![0; n + 1];
+        for k in keys.clone() {
+            start[k + 1] += 1;
+        }
+        for k in 0..n {
+            start[k + 1] += start[k];
+        }
+        let mut items = vec![0; start[n]];
+        let mut fill = start.clone();
+        for (i, k) in keys.enumerate() {
+            items[fill[k]] = i;
+            fill[k] += 1;
+        }
+        Rows { start, items }
+    }
+
+    /// The items whose key is `k`, in item order.
+    pub(crate) fn of(&self, k: usize) -> &[usize] {
+        &self.items[self.start[k]..self.start[k + 1]]
+    }
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -362,5 +410,36 @@ mod tests {
         assert_eq!(w.channel, "1");
         assert_eq!(w.message, "2 hop(s)");
         assert_eq!(w.hops.len(), 2);
+    }
+
+    #[test]
+    fn loop_search_agrees_with_the_one_it_replaced() {
+        // Random graphs, dense in non-progress edges as plans seldom
+        // are: the minimal loop itself, edge for edge.
+        let mut state = 0x5EED_u64;
+        let mut below = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % n as u64) as usize
+        };
+        let (mut looping, mut all_progress) = (0, 0);
+        for _ in 0..400 {
+            let n = 1 + below(12);
+            let adj: Vec<Vec<(usize, bool)>> = (0..n)
+                .map(|_| (0..below(4)).map(|_| (below(n), below(3) > 0)).collect())
+                .collect();
+            let entries: Vec<usize> = (0..1 + below(2)).map(|_| below(n)).collect();
+            let g: Graph<usize, ()> = explore(entries, usize::MAX, |s, out| {
+                out.extend(adj[s].iter().map(|&(t, p)| (t, (), p)));
+            });
+            assert_eq!(g.minimal_loop(), g.minimal_loop_oracle(), "{adj:?}");
+            looping += usize::from(g.minimal_loop().is_some());
+            all_progress += usize::from(g.edges.iter().all(|e| e.progress));
+        }
+        assert!(
+            looping >= 50 && all_progress >= 50,
+            "{looping} {all_progress}"
+        );
     }
 }

@@ -32,6 +32,7 @@
 use crate::compose::product_check;
 use crate::cost::{cost_bounds, CostReport};
 use crate::diag::{Diagnostic, Severity};
+use crate::explore::Rows;
 use crate::modelcheck::{Verdict, DEFAULT_STATE_BUDGET};
 use crate::summary::{summarize, ProgramSummary};
 use crate::witness::Witness;
@@ -39,16 +40,20 @@ use planp_lang::plan::{PlanAst, SliceMode};
 use planp_lang::span::Span;
 use planp_lang::{LangError, TProgram};
 use std::collections::{BTreeSet, VecDeque};
+use std::ops::Range;
+use std::rc::Rc;
 
-/// One node of the plan-level topology model.
+/// One node of the plan-level topology model. Its name and slice
+/// list are shared with the simulator-side spec they were bridged from
+/// and with every report that names the node.
 #[derive(Debug, Clone)]
 pub struct PlanNode {
     /// Node name.
-    pub name: String,
+    pub name: Rc<str>,
     /// IPv4 address.
     pub addr: u32,
     /// Slice names this node belongs to.
-    pub slices: Vec<String>,
+    pub slices: Rc<[Rc<str>]>,
 }
 
 /// The static topology a plan is verified against: nodes, adjacency,
@@ -57,7 +62,7 @@ pub struct PlanNode {
 #[derive(Debug, Clone)]
 pub struct PlanTopology {
     /// Topology registry name; must match the plan's `topology` line.
-    pub name: String,
+    pub name: Rc<str>,
     /// Nodes in simulator creation order.
     pub nodes: Vec<PlanNode>,
     /// Undirected adjacency over node indices.
@@ -69,7 +74,7 @@ pub struct PlanTopology {
 impl PlanTopology {
     /// Assembles a topology model from parts.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Rc<str>>,
         nodes: Vec<PlanNode>,
         adj: Vec<Vec<usize>>,
         paths: Vec<(usize, usize)>,
@@ -82,55 +87,79 @@ impl PlanTopology {
         }
     }
 
-    /// The node holding address `a`, if any.
-    pub fn node_by_addr(&self, a: u32) -> Option<usize> {
-        self.nodes.iter().position(|n| n.addr == a)
-    }
-
     /// Node indices in slice `slice`; a node's own name doubles as a
     /// singleton slice (matching `TopoSpec::slice`).
     pub fn slice(&self, slice: &str) -> Vec<usize> {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.name == slice || n.slices.iter().any(|s| s == slice))
+            .filter(|(_, n)| *n.name == *slice || n.slices.iter().any(|s| **s == *slice))
             .map(|(i, _)| i)
             .collect()
     }
+}
 
-    /// Per-node next hop toward `target` under shortest-path (BFS)
-    /// routing — `None` for unreachable nodes and for `target` itself.
-    pub fn toward(&self, target: usize) -> Vec<Option<usize>> {
-        let mut next = vec![None; self.nodes.len()];
-        let mut seen = vec![false; self.nodes.len()];
-        let mut q = VecDeque::new();
-        seen[target] = true;
-        q.push_back(target);
-        while let Some(u) = q.pop_front() {
-            for &v in &self.adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    next[v] = Some(u);
-                    q.push_back(v);
-                }
-            }
+/// Shortest-path (BFS) next hops over a [`PlanTopology`], one search
+/// per routed-to target, each kept as the nodes it reached: a target
+/// in a component of eight nodes costs eight slots, whatever the size
+/// of the topology.
+pub(crate) struct NextHops<'t> {
+    topo: &'t PlanTopology,
+    /// Per target, once searched: `(node, its next hop toward the
+    /// target)` for every node the search reached, sorted by node.
+    toward: Vec<Option<Vec<(usize, usize)>>>,
+    /// Search scratch: `seen[v] == target + 1` once the search from
+    /// `target` has reached `v`.
+    seen: Vec<usize>,
+    queue: VecDeque<usize>,
+}
+
+impl<'t> NextHops<'t> {
+    pub(crate) fn new(topo: &'t PlanTopology) -> Self {
+        NextHops {
+            topo,
+            toward: vec![None; topo.nodes.len()],
+            seen: vec![0; topo.nodes.len()],
+            queue: VecDeque::new(),
         }
-        next
     }
 
-    /// The next hop from `from` toward `to`.
-    pub fn next_hop(&self, from: usize, to: usize) -> Option<usize> {
-        self.toward(to)[from]
+    /// The next hop from `from` toward `target` — `None` when `from`
+    /// cannot reach it, and for `target` itself.
+    pub(crate) fn hop(&mut self, from: usize, target: usize) -> Option<usize> {
+        let NextHops {
+            topo,
+            toward,
+            seen,
+            queue,
+        } = self;
+        let reached = toward[target].get_or_insert_with(|| {
+            let mut reached = Vec::new();
+            seen[target] = target + 1;
+            queue.push_back(target);
+            while let Some(u) = queue.pop_front() {
+                for &v in &topo.adj[u] {
+                    if seen[v] != target + 1 {
+                        seen[v] = target + 1;
+                        reached.push((v, u));
+                        queue.push_back(v);
+                    }
+                }
+            }
+            reached.sort_unstable();
+            reached
+        });
+        let at = reached.binary_search_by_key(&from, |&(v, _)| v).ok()?;
+        Some(reached[at].1)
     }
 
     /// The full route `from → … → to` (inclusive), or `None` if
     /// unreachable.
-    pub fn route(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        let next = self.toward(to);
+    fn route(&mut self, from: usize, to: usize) -> Option<Vec<usize>> {
         let mut route = vec![from];
         let mut at = from;
         while at != to {
-            at = next[at]?;
+            at = self.hop(at, to)?;
             route.push(at);
         }
         Some(route)
@@ -185,7 +214,7 @@ impl PlanPolicy {
 #[derive(Debug, Clone)]
 pub struct PlanAsp {
     /// ASP name (as referenced by the plan's `deploy` lines).
-    pub name: String,
+    pub name: Rc<str>,
     /// `(channel name, overload index)` per channel, parallel to the
     /// summary.
     pub channels: Vec<(String, u32)>,
@@ -197,7 +226,7 @@ pub struct PlanAsp {
 
 impl PlanAsp {
     /// Summarizes a compiled program for plan-level checking.
-    pub fn from_program(name: impl Into<String>, prog: &TProgram) -> Self {
+    pub fn from_program(name: impl Into<Rc<str>>, prog: &TProgram) -> Self {
         PlanAsp {
             name: name.into(),
             channels: prog
@@ -235,9 +264,9 @@ pub struct Install {
 #[derive(Debug, Clone)]
 pub struct PathBudget {
     /// Ingress node name.
-    pub from: String,
+    pub from: Rc<str>,
     /// Egress node name.
-    pub to: String,
+    pub to: Rc<str>,
     /// Route length in links.
     pub hops: usize,
     /// Worst-case VM steps a packet can cost along the route (the
@@ -250,14 +279,16 @@ pub struct PathBudget {
 #[derive(Debug, Clone)]
 pub struct NodeState {
     /// Topology node name.
-    pub node: String,
+    pub node: Rc<str>,
     /// Sum of the co-resident ASPs' composed per-table entry bounds,
     /// or `None` when some resident ASP's state growth is unbounded.
     pub entries: Option<u64>,
 }
 
 /// A placed, verifiable deployment: the output of [`PlanCheck::new`],
-/// ready for (repeatable) [`PlanCheck::verify`] runs.
+/// ready for (repeatable) [`PlanCheck::verify`] runs. The fields are
+/// public to be read; placement derives its indexes from them once, so
+/// a different topology or install list is a new `PlanCheck`.
 #[derive(Debug, Clone)]
 pub struct PlanCheck {
     /// The parsed plan.
@@ -266,10 +297,18 @@ pub struct PlanCheck {
     pub topo: PlanTopology,
     /// Compiled ASPs, aligned with `plan.deploys`.
     pub asps: Vec<PlanAsp>,
-    /// Resolved install points.
+    /// Resolved install points, grouped by deploy in plan order.
     pub installs: Vec<Install>,
     /// Resolved plan policy.
     pub policy: PlanPolicy,
+    /// The route of each plan path, parallel to `topo.paths`; `None`
+    /// where the egress is unreachable.
+    routes: Vec<Option<Vec<usize>>>,
+    /// Per node, the installs resident on it, in install order.
+    pub(crate) at_node: Rows,
+    /// `(address, node)` sorted by address, one entry per address: the
+    /// first node holding it.
+    by_addr: Vec<(u32, usize)>,
 }
 
 impl PlanCheck {
@@ -282,7 +321,7 @@ impl PlanCheck {
     /// Rejects topology/plan name mismatches, misaligned ASP lists,
     /// and unknown policy names.
     pub fn new(plan: PlanAst, topo: PlanTopology, asps: Vec<PlanAsp>) -> Result<Self, LangError> {
-        if topo.name != plan.topology {
+        if *topo.name != *plan.topology {
             return Err(LangError::verify(
                 format!(
                     "plan `{}` targets topology `{}` but was given `{}`",
@@ -303,7 +342,7 @@ impl PlanCheck {
             ));
         }
         for (d, a) in plan.deploys.iter().zip(&asps) {
-            if d.asp != a.name {
+            if *d.asp != *a.name {
                 return Err(LangError::verify(
                     format!("deploy expects ASP `{}` but got `{}`", d.asp, a.name),
                     d.span,
@@ -323,15 +362,17 @@ impl PlanCheck {
             policy.max_node_state_entries = plan.budget_state;
         }
 
+        let mut hops = NextHops::new(&topo);
+        let routes: Vec<Option<Vec<usize>>> =
+            topo.paths.iter().map(|&(a, b)| hops.route(a, b)).collect();
+
         // Route coverage: how many plan paths route *through* each node
         // (ingress excluded — a node's hook never sees the traffic it
         // originates).
         let mut coverage = vec![0usize; topo.nodes.len()];
-        for &(a, b) in &topo.paths {
-            if let Some(route) = topo.route(a, b) {
-                for &n in &route[1..] {
-                    coverage[n] += 1;
-                }
+        for route in routes.iter().flatten() {
+            for &n in &route[1..] {
+                coverage[n] += 1;
             }
         }
 
@@ -361,13 +402,44 @@ impl PlanCheck {
             }
         }
 
+        let at_node = Rows::new(topo.nodes.len(), installs.iter().map(|i| i.node));
+        // A stable sort keeps the nodes of one address in node order, so
+        // the entry `dedup` keeps is the first node.
+        let mut by_addr: Vec<(u32, usize)> = topo.nodes.iter().map(|n| n.addr).zip(0..).collect();
+        by_addr.sort_by_key(|&(addr, _)| addr);
+        by_addr.dedup_by_key(|&mut (addr, _)| addr);
+
         Ok(PlanCheck {
             plan,
             topo,
             asps,
             installs,
             policy,
+            routes,
+            at_node,
+            by_addr,
         })
+    }
+
+    /// The node holding address `a`, if any; the first in node order
+    /// where several do.
+    pub(crate) fn node_by_addr(&self, a: u32) -> Option<usize> {
+        let at = self.by_addr.binary_search_by_key(&a, |&(addr, _)| addr);
+        at.ok().map(|i| self.by_addr[i].1)
+    }
+
+    /// The installs of each deploy as a range of `installs`, which
+    /// placement fills one deploy after the other.
+    fn installs_by_deploy(&self) -> Vec<Range<usize>> {
+        let mut ranges = vec![0..0; self.plan.deploys.len()];
+        for (ii, ins) in self.installs.iter().enumerate() {
+            let r = &mut ranges[ins.deploy];
+            if r.start == r.end {
+                r.start = ii;
+            }
+            r.end = ii + 1;
+        }
+        ranges
     }
 
     /// Runs the plan-level verification: product model check, path
@@ -378,25 +450,26 @@ impl PlanCheck {
             .iter()
             .map(|i| self.plan.deploys[i.deploy].span)
             .collect();
-        let compose = product_check(&self.topo, &self.asps, &self.installs, &spans);
+        let compose = product_check(self, &spans);
+        let name = |n: usize| &self.topo.nodes[n].name;
 
         let mut diagnostics = Vec::new();
 
         // --- path budgets (E008) ---------------------------------
+        let max_steps: Vec<u64> = self.asps.iter().map(PlanAsp::max_steps).collect();
         let mut budgets = Vec::new();
-        for &(a, b) in &self.topo.paths {
-            let Some(route) = self.topo.route(a, b) else {
+        for (&(a, b), route) in self.topo.paths.iter().zip(&self.routes) {
+            let Some(route) = route else {
                 continue;
             };
             let mut steps = 0u64;
             let mut worst: Option<(u64, usize)> = None;
             for &n in &route[1..] {
                 let node_worst = self
-                    .installs
+                    .at_node
+                    .of(n)
                     .iter()
-                    .enumerate()
-                    .filter(|(_, ins)| ins.node == n)
-                    .map(|(ii, ins)| (self.asps[ins.deploy].max_steps(), ii))
+                    .map(|&ii| (max_steps[self.installs[ii].deploy], ii))
                     .max();
                 if let Some((c, ii)) = node_worst {
                     steps = steps.saturating_add(c);
@@ -406,8 +479,8 @@ impl PlanCheck {
                 }
             }
             budgets.push(PathBudget {
-                from: self.topo.nodes[a].name.clone(),
-                to: self.topo.nodes[b].name.clone(),
+                from: name(a).clone(),
+                to: name(b).clone(),
                 hops: route.len() - 1,
                 steps,
             });
@@ -421,7 +494,8 @@ impl PlanCheck {
                             format!(
                                 "path {} -> {} composes a worst-case budget of {steps} steps, \
                                  exceeding the plan budget of {limit}",
-                                self.topo.nodes[a].name, self.topo.nodes[b].name
+                                name(a),
+                                name(b)
                             ),
                         )
                         .note(format!(
@@ -435,19 +509,18 @@ impl PlanCheck {
         }
 
         // --- node state budgets (E010) ----------------------------
+        let entry_bounds: Vec<Option<u64>> = self.asps.iter().map(PlanAsp::entry_bound).collect();
         let mut node_state = Vec::new();
         for (n, nd) in self.topo.nodes.iter().enumerate() {
-            let resident: Vec<usize> = (0..self.installs.len())
-                .filter(|&ii| self.installs[ii].node == n)
-                .collect();
+            let resident = self.at_node.of(n);
             if resident.is_empty() {
                 continue;
             }
             let mut entries = Some(0u64);
             let mut worst: Option<(u64, usize)> = None;
             let mut unbounded: Option<usize> = None;
-            for &ii in &resident {
-                match self.asps[self.installs[ii].deploy].entry_bound() {
+            for &ii in resident {
+                match entry_bounds[self.installs[ii].deploy] {
                     Some(e) => {
                         entries = entries.map(|t| t.saturating_add(e));
                         if worst.is_none_or(|(w, _)| e > w) {
@@ -546,12 +619,7 @@ impl PlanCheck {
             installs: self
                 .installs
                 .iter()
-                .map(|i| {
-                    (
-                        self.topo.nodes[i.node].name.clone(),
-                        self.asps[i.deploy].name.clone(),
-                    )
-                })
+                .map(|i| (name(i.node).clone(), self.asps[i.deploy].name.clone()))
                 .collect(),
             diagnostics,
         }
@@ -563,15 +631,14 @@ impl PlanCheck {
     fn lint_into(&self, diagnostics: &mut Vec<Diagnostic>) {
         let covered: Vec<bool> = {
             let mut c = vec![false; self.topo.nodes.len()];
-            for &(a, b) in &self.topo.paths {
-                if let Some(route) = self.topo.route(a, b) {
-                    for &n in &route[1..] {
-                        c[n] = true;
-                    }
+            for route in self.routes.iter().flatten() {
+                for &n in &route[1..] {
+                    c[n] = true;
                 }
             }
             c
         };
+        let by_deploy = self.installs_by_deploy();
 
         // P002: a class whose match duplicates an earlier one never
         // sees traffic.
@@ -610,8 +677,7 @@ impl PlanCheck {
         }
 
         for (di, d) in self.plan.deploys.iter().enumerate() {
-            let my_installs: Vec<&Install> =
-                self.installs.iter().filter(|i| i.deploy == di).collect();
+            let my_installs = &self.installs[by_deploy[di].clone()];
 
             // P001: the deploy resolves to nothing reachable.
             if my_installs.is_empty() {
@@ -649,7 +715,7 @@ impl PlanCheck {
             let dead: Vec<&str> = my_installs
                 .iter()
                 .filter(|i| !covered[i.node])
-                .map(|i| self.topo.nodes[i.node].name.as_str())
+                .map(|i| &*self.topo.nodes[i.node].name)
                 .collect();
             if !dead.is_empty() {
                 diagnostics.push(
@@ -687,9 +753,9 @@ impl PlanCheck {
                     if t == "network" || t == "timer" || warned.contains(t) {
                         continue;
                     }
-                    let handled = self.installs.iter().any(|ins| {
-                        let defines = self.asps[ins.deploy].channels.iter().any(|(n, _)| n == t);
-                        defines && (ins.deploy != di || my_installs.len() >= 2)
+                    let handled = by_deploy.iter().enumerate().any(|(dj, placed)| {
+                        let defines = self.asps[dj].channels.iter().any(|(n, _)| n == t);
+                        !placed.is_empty() && defines && (dj != di || my_installs.len() >= 2)
                     });
                     if !handled {
                         warned.insert(t);
@@ -722,7 +788,7 @@ pub struct PlanReport {
     /// Plan name.
     pub plan: String,
     /// Topology name.
-    pub topology: String,
+    pub topology: Rc<str>,
     /// The policy the plan was judged under.
     pub policy: PlanPolicy,
     /// Joint-termination verdict from the product check.
@@ -741,8 +807,9 @@ pub struct PlanReport {
     pub budgets: Vec<PathBudget>,
     /// Composed worst-case state footprint per node with installs.
     pub node_state: Vec<NodeState>,
-    /// Resolved `(node, asp)` install points.
-    pub installs: Vec<(String, String)>,
+    /// Resolved `(node, asp)` install points; the names are the
+    /// topology's and the ASP list's own strings, shared.
+    pub installs: Vec<(Rc<str>, Rc<str>)>,
     /// Errors and lint warnings, sorted by span then code.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -896,6 +963,11 @@ impl PlanReport {
 }
 
 #[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::modelcheck::model_check;
@@ -925,9 +997,9 @@ mod tests {
 
     fn node(name: &str, addr: u32, slices: &[&str]) -> PlanNode {
         PlanNode {
-            name: name.to_string(),
+            name: name.into(),
             addr,
-            slices: slices.iter().map(|s| s.to_string()).collect(),
+            slices: slices.iter().map(|&s| Rc::from(s)).collect(),
         }
     }
 

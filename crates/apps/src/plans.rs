@@ -53,16 +53,13 @@ pub fn resolve_asp(name: &str) -> Option<(String, Policy)> {
 ///
 /// # Errors
 ///
-/// Propagates [`load_plan`] errors; unknown plan names surface as
-/// [`PlanError::UnknownAsp`]-style misses only if a plan references
-/// them, so this returns `None`-like failure via `UnknownTopology` for
-/// genuinely unknown plans — callers should pick names from
-/// [`bundled_plans`].
+/// [`PlanError::UnknownPlan`] for a name [`bundled_plans`] does not
+/// list; otherwise whatever [`load_plan`] reports.
 pub fn load_bundled_plan(name: &str) -> Result<PlanImage, PlanError> {
     let (_, src) = bundled_plans()
         .into_iter()
         .find(|(n, _)| *n == name)
-        .ok_or_else(|| PlanError::UnknownTopology(format!("no bundled plan `{name}`")))?;
+        .ok_or_else(|| PlanError::UnknownPlan(name.to_string()))?;
     load_plan(src, &resolve_asp)
 }
 
@@ -132,6 +129,17 @@ mod tests {
                     image.report.render(src)
                 );
             }
+        }
+    }
+
+    #[test]
+    fn an_unlisted_plan_name_is_an_unknown_plan() {
+        match load_bundled_plan("nosuch") {
+            Err(e @ PlanError::UnknownPlan(_)) => {
+                assert_eq!(e.to_string(), "no bundled plan `nosuch`")
+            }
+            Err(e) => panic!("{e}"),
+            Ok(_) => panic!("loaded"),
         }
     }
 

@@ -8,6 +8,7 @@
 use crate::{
     paper_programs, push_bench, render_analysis_report, render_table, CliArgs, Report, PAPER_FIG3,
 };
+use planp_apps::plans::{bundled_plans, load_bundled_plan};
 use planp_lang::{compile_front, count_lines};
 use planp_telemetry::MetricsSnapshot;
 use planp_vm::jit;
@@ -17,6 +18,21 @@ use std::time::Instant;
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Median wall-clock microseconds of `f` over 51 calls.
+fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
+    median(
+        (0..51)
+            .map(|_| {
+                let t = Instant::now();
+                let out = f();
+                let dt = t.elapsed().as_secs_f64() * 1e6;
+                std::hint::black_box(out);
+                dt
+            })
+            .collect(),
+    )
 }
 
 pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
@@ -34,31 +50,12 @@ pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
     for (i, (name, src, policy)) in paper_programs().into_iter().enumerate() {
         let prog = Rc::new(compile_front(src).expect("front end"));
         // Median of repeated compilations.
-        let codegen_us = median(
-            (0..51)
-                .map(|_| {
-                    let t = Instant::now();
-                    let (compiled, _stats) = jit::compile(prog.clone());
-                    let dt = t.elapsed().as_secs_f64() * 1e6;
-                    std::hint::black_box(compiled.channels.len());
-                    dt
-                })
-                .collect(),
-        );
-        // The verifier the paper designed but had not implemented: its
-        // cost is part of the download path, so report it alongside.
-        let verify_us = median(
-            (0..51)
-                .map(|_| {
-                    let t = Instant::now();
-                    let report =
-                        planp_analysis::verify(&prog, planp_analysis::Policy::authenticated());
-                    let dt = t.elapsed().as_secs_f64() * 1e6;
-                    std::hint::black_box(report.termination.is_proved());
-                    dt
-                })
-                .collect(),
-        );
+        let codegen_us = median_us(|| jit::compile(prog.clone()));
+        // The rest of the download path — the front end, and the verifier
+        // the paper designed but had not implemented — alongside.
+        let front_us = median_us(|| compile_front(src));
+        let verify_us =
+            median_us(|| planp_analysis::verify(&prog, planp_analysis::Policy::authenticated()));
         if args.flag("--report") {
             analyses.push(render_analysis_report(
                 name,
@@ -72,6 +69,7 @@ pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
             name.to_string(),
             lines.to_string(),
             format!("{codegen_us:.1}"),
+            format!("{front_us:.1}"),
             format!("{verify_us:.1}"),
             paper_lines.to_string(),
             format!("{paper_ms:.1}"),
@@ -85,6 +83,7 @@ pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
                 "program",
                 "lines",
                 "codegen (us)",
+                "front (us)",
                 "verify (us)",
                 "paper lines",
                 "paper codegen (ms)"
@@ -107,6 +106,37 @@ pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
     outln!(
         out,
         "lines-vs-time correlation: {corr:.2} (paper's table implies strong positive)"
+    );
+
+    // A plan is a download too: its topology, the front end of every ASP
+    // it deploys, placement and the product check, in one call.
+    let plans = bundled_plans()
+        .into_iter()
+        .map(|(name, _)| {
+            let image = load_bundled_plan(name).expect("bundled plan loads");
+            let load_us = median_us(|| load_bundled_plan(name));
+            vec![
+                name.to_string(),
+                image.topo.nodes.len().to_string(),
+                image.placements.len().to_string(),
+                image.report.states.to_string(),
+                format!("{load_us:.1}"),
+            ]
+        })
+        .collect::<Vec<_>>();
+    outln!(
+        out,
+        "\n{}",
+        render_table(
+            &[
+                "plan",
+                "nodes",
+                "installs",
+                "product states",
+                "load_plan (us)"
+            ],
+            &plans
+        )
     );
 
     for a in &analyses {

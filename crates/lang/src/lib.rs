@@ -37,7 +37,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![allow(clippy::disallowed_types)] // not yet audited, ROADMAP item 2
 
 pub mod ast;
 pub mod error;

@@ -26,7 +26,7 @@
 
 use crate::ast::*;
 use crate::error::LangError;
-use crate::lexer::lex;
+use crate::lexer::{lex, unescape};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use crate::types::Type;
@@ -59,22 +59,23 @@ pub fn parse_expr(src: &str) -> Result<Expr, LangError> {
     Ok(e)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// A cursor over the tokens of one source text, which end with `Eof`.
+struct Parser<'s> {
+    tokens: Vec<Token<'s>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Token<'s> {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
         &self.peek().kind == kind
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    fn bump(&mut self) -> Token<'s> {
+        let t = self.peek();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
@@ -90,7 +91,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, LangError> {
+    fn expect(&mut self, kind: TokenKind) -> Result<Token<'s>, LangError> {
         if self.at(&kind) {
             Ok(self.bump())
         } else {
@@ -103,17 +104,17 @@ impl Parser {
         LangError::parse(format!("{what}, found {}", t.kind.describe()), t.span)
     }
 
-    fn ident(&mut self) -> Result<(String, Span), LangError> {
-        match &self.peek().kind {
-            TokenKind::Ident(_) => {
-                let t = self.bump();
-                let TokenKind::Ident(name) = t.kind else {
-                    unreachable!()
-                };
-                Ok((name, t.span))
-            }
+    /// An identifier as the source spells it.
+    fn word(&mut self) -> Result<(&'s str, Span), LangError> {
+        match self.peek().kind {
+            TokenKind::Ident(name) => Ok((name, self.bump().span)),
             _ => Err(self.unexpected("expected identifier")),
         }
+    }
+
+    /// An identifier the tree keeps.
+    fn ident(&mut self) -> Result<(String, Span), LangError> {
+        self.word().map(|(name, span)| (name.to_string(), span))
     }
 
     // ---- declarations -------------------------------------------------
@@ -224,11 +225,15 @@ impl Parser {
     // ---- types ---------------------------------------------------------
 
     fn ty(&mut self) -> Result<Type, LangError> {
-        let mut parts = vec![self.post_ty()?];
+        let first = self.post_ty()?;
+        if !self.at(&TokenKind::Star) {
+            return Ok(first);
+        }
+        let mut parts = vec![first];
         while self.eat(&TokenKind::Star) {
             parts.push(self.post_ty()?);
         }
-        Ok(Type::tuple(parts))
+        Ok(Type::Tuple(parts))
     }
 
     /// A type atom followed by `list` / `hash_table` postfixes.
@@ -236,12 +241,12 @@ impl Parser {
         let span = self.peek().span;
         let mut base = self.atom_ty()?;
         loop {
-            match &self.peek().kind {
-                TokenKind::Ident(w) if w == "list" => {
+            match self.peek().kind {
+                TokenKind::Ident("list") => {
                     self.bump();
                     base = TyAtom::Single(Type::List(Box::new(base.into_single(span)?)));
                 }
-                TokenKind::Ident(w) if w == "hash_table" => {
+                TokenKind::Ident("hash_table") => {
                     self.bump();
                     base = TyAtom::Single(make_table(base, span)?);
                 }
@@ -252,10 +257,10 @@ impl Parser {
     }
 
     fn atom_ty(&mut self) -> Result<TyAtom, LangError> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Ident(_) => {
-                let (name, span) = self.ident()?;
-                let t = match name.as_str() {
+                let (name, span) = self.word()?;
+                let t = match name {
                     "int" => Type::Int,
                     "bool" => Type::Bool,
                     "string" => Type::Str,
@@ -306,7 +311,7 @@ impl Parser {
     fn handle_suffix(&mut self, mut e: Expr) -> Result<Expr, LangError> {
         while self.at(&TokenKind::Handle) {
             self.bump();
-            let pat = match &self.peek().kind {
+            let pat = match self.peek().kind {
                 TokenKind::Underscore => {
                     self.bump();
                     ExnPat::Wild
@@ -479,16 +484,15 @@ impl Parser {
     }
 
     fn atom_expr(&mut self) -> Result<Expr, LangError> {
-        let t = self.peek().clone();
+        let t = self.peek();
         match t.kind {
             TokenKind::Int(n) => {
                 self.bump();
                 Ok(Expr::new(ExprKind::Int(n), t.span))
             }
-            TokenKind::Str(ref s) => {
-                let s = s.clone();
+            TokenKind::Str(body) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::Str(s), t.span))
+                Ok(Expr::new(ExprKind::Str(unescape(body)), t.span))
             }
             TokenKind::Char(c) => {
                 self.bump();
@@ -509,12 +513,12 @@ impl Parser {
             TokenKind::If => self.if_expr(),
             TokenKind::Let => self.let_expr(),
             TokenKind::Raise => self.raise_expr(),
-            TokenKind::Ident(_) => {
-                let (name, span) = self.ident()?;
+            TokenKind::Ident(name) => {
+                self.bump();
                 if self.at(&TokenKind::LParen) {
-                    self.call_expr(name, span)
+                    self.call_expr(name, t.span)
                 } else {
-                    Ok(Expr::new(ExprKind::Var(name), span))
+                    Ok(Expr::new(ExprKind::Var(name.to_string()), t.span))
                 }
             }
             TokenKind::LParen => self.paren_expr(),
@@ -536,7 +540,7 @@ impl Parser {
         }
     }
 
-    fn call_expr(&mut self, name: String, nspan: Span) -> Result<Expr, LangError> {
+    fn call_expr(&mut self, name: &str, nspan: Span) -> Result<Expr, LangError> {
         self.expect(TokenKind::LParen)?;
         // `OnRemote` and `OnNeighbor` take a channel *name* as their first
         // argument; it is not an expression.
@@ -570,7 +574,10 @@ impl Parser {
             }
         }
         let end = self.expect(TokenKind::RParen)?.span;
-        Ok(Expr::new(ExprKind::Call(name, args), nspan.merge(end)))
+        Ok(Expr::new(
+            ExprKind::Call(name.to_string(), args),
+            nspan.merge(end),
+        ))
     }
 
     /// Disambiguates `()`, `(e)`, `(e, e, …)`, and `(e; e; …)`.

@@ -15,7 +15,6 @@
 //! link monitoring).
 
 use crate::types::Type;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Identifies a primitive; an index into [`table()`]'s primitive list.
@@ -299,7 +298,8 @@ impl PrimSig {
 #[derive(Debug)]
 pub struct PrimTable {
     prims: Vec<PrimSig>,
-    by_name: HashMap<&'static str, PrimId>,
+    #[allow(clippy::disallowed_types)] // lookup-only: built once, `get`, never iterated
+    by_name: std::collections::HashMap<&'static str, PrimId>,
 }
 
 impl PrimTable {
@@ -486,6 +486,7 @@ mod tests {
     #[test]
     fn names_are_unique() {
         let t = table();
+        #[allow(clippy::disallowed_types)] // lookup-only: `insert` as a membership test
         let mut seen = std::collections::HashSet::new();
         for (_, sig) in t.iter() {
             assert!(seen.insert(sig.name), "duplicate primitive {}", sig.name);

@@ -11,7 +11,6 @@ use crate::ast::{BinOp, UnOp};
 use crate::prims::PrimId;
 use crate::span::Span;
 use crate::types::{PacketShape, Type};
-use std::collections::HashMap;
 
 /// Identifies an exception: an index into [`TProgram::exns`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,7 +35,8 @@ pub struct TProgram {
     /// Channel overload instances in declaration order.
     pub channels: Vec<TChannel>,
     /// Channel name → indices into `channels`, in declaration order.
-    pub chan_groups: HashMap<String, Vec<usize>>,
+    #[allow(clippy::disallowed_types)] // lookup-only: `get`/index by name, never iterated
+    pub chan_groups: std::collections::HashMap<String, Vec<usize>>,
 }
 
 impl TProgram {

@@ -3,11 +3,13 @@
 use crate::span::Span;
 use std::fmt;
 
-/// A lexical token together with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+/// A lexical token together with its source span. Tokens borrow their
+/// text from the source they were lexed from, so one is a few words to
+/// copy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'s> {
     /// What kind of token this is (and its payload, for literals).
-    pub kind: TokenKind,
+    pub kind: TokenKind<'s>,
     /// Where the token appears in the source.
     pub span: Span,
 }
@@ -17,14 +19,16 @@ pub struct Token {
 /// PLAN-P keeps most of the SML-like surface of PLAN: keywords such as
 /// `val`, `fun`, `channel`, `let … in … end`, `handle`, and operator
 /// spellings like `andalso`, `orelse`, `div`, `mod`, `<>`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'s> {
     /// Identifier: `network`, `getSetS`, `ipSrc`, …
-    Ident(String),
+    Ident(&'s str),
     /// Integer literal.
     Int(i64),
-    /// String literal (escapes already processed).
-    Str(String),
+    /// String literal: what stands between the quotes, as written. The
+    /// lexer has checked its escapes; [`unescape`](crate::lexer::unescape)
+    /// decodes them.
+    Str(&'s str),
     /// Character literal, written `#"c"` as in SML.
     Char(char),
     /// IPv4 host literal, written `131.254.60.81`.
@@ -122,35 +126,42 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Returns the keyword token for `word`, if `word` is a keyword.
-    pub fn keyword(word: &str) -> Option<TokenKind> {
+    pub fn keyword(word: &str) -> Option<TokenKind<'static>> {
         use TokenKind::*;
-        Some(match word {
-            "val" => Val,
-            "fun" => Fun,
-            "channel" => Channel,
-            "initstate" => Initstate,
-            "is" => Is,
-            "let" => Let,
-            "in" => In,
-            "end" => End,
-            "if" => If,
-            "then" => Then,
-            "else" => Else,
-            "raise" => Raise,
-            "handle" => Handle,
-            "exception" => Exception,
-            "proto" => Proto,
-            "true" => True,
-            "false" => False,
-            "not" => Not,
-            "div" => Div,
-            "mod" => Mod,
-            "andalso" => Andalso,
-            "orelse" => Orelse,
+        // Length and first byte (and, twice, the second) leave one
+        // spelling to compare against, where a match on the word would
+        // try up to twenty-two.
+        let bytes = word.as_bytes();
+        let (spelling, kind) = match (bytes.len(), *bytes.first()?) {
+            (2, b'i') => match bytes[1] {
+                b's' => ("is", Is),
+                b'n' => ("in", In),
+                _ => ("if", If),
+            },
+            (3, b'v') => ("val", Val),
+            (3, b'f') => ("fun", Fun),
+            (3, b'l') => ("let", Let),
+            (3, b'e') => ("end", End),
+            (3, b'n') => ("not", Not),
+            (3, b'd') => ("div", Div),
+            (3, b'm') => ("mod", Mod),
+            (4, b't') if bytes[1] == b'h' => ("then", Then),
+            (4, b't') => ("true", True),
+            (4, b'e') => ("else", Else),
+            (5, b'r') => ("raise", Raise),
+            (5, b'p') => ("proto", Proto),
+            (5, b'f') => ("false", False),
+            (6, b'h') => ("handle", Handle),
+            (6, b'o') => ("orelse", Orelse),
+            (7, b'c') => ("channel", Channel),
+            (7, b'a') => ("andalso", Andalso),
+            (9, b'i') => ("initstate", Initstate),
+            (9, b'e') => ("exception", Exception),
             _ => return None,
-        })
+        };
+        (word == spelling).then_some(kind)
     }
 
     /// A short human-readable description used in parse errors.
@@ -215,7 +226,7 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.describe())
     }
@@ -230,6 +241,53 @@ mod tests {
         assert_eq!(TokenKind::keyword("val"), Some(TokenKind::Val));
         assert_eq!(TokenKind::keyword("andalso"), Some(TokenKind::Andalso));
         assert_eq!(TokenKind::keyword("network"), None);
+    }
+
+    #[test]
+    fn keyword_dispatch_knows_the_twenty_two_and_nothing_near_them() {
+        use TokenKind::*;
+        let table = [
+            ("val", Val),
+            ("fun", Fun),
+            ("channel", Channel),
+            ("initstate", Initstate),
+            ("is", Is),
+            ("let", Let),
+            ("in", In),
+            ("end", End),
+            ("if", If),
+            ("then", Then),
+            ("else", Else),
+            ("raise", Raise),
+            ("handle", Handle),
+            ("exception", Exception),
+            ("proto", Proto),
+            ("true", True),
+            ("false", False),
+            ("not", Not),
+            ("div", Div),
+            ("mod", Mod),
+            ("andalso", Andalso),
+            ("orelse", Orelse),
+        ];
+        assert_eq!(TokenKind::keyword(""), None);
+        for (word, kind) in table {
+            assert_eq!(TokenKind::keyword(word), Some(kind), "{word}");
+            // The describe() spelling is the keyword's own.
+            assert_eq!(kind.describe(), format!("`{word}`"));
+            // One byte off anywhere, a prefix, an extension: identifiers.
+            for at in 0..word.len() {
+                let mut near = word.as_bytes().to_vec();
+                near[at] = if near[at] == b'x' { b'y' } else { b'x' };
+                let near = String::from_utf8(near).unwrap();
+                let listed = table.iter().any(|(w, _)| *w == near);
+                assert_eq!(TokenKind::keyword(&near).is_some(), listed, "{near}");
+            }
+            let prefix = &word[..word.len() - 1];
+            let listed = table.iter().any(|(w, _)| *w == prefix);
+            assert_eq!(TokenKind::keyword(prefix).is_some(), listed, "{prefix}");
+            assert_eq!(TokenKind::keyword(&format!("{word}s")), None);
+        }
     }
 
     #[test]

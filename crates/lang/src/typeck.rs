@@ -25,7 +25,6 @@ use crate::prims::{self, PrimTable, PREDECLARED_EXNS};
 use crate::span::Span;
 use crate::tast::*;
 use crate::types::Type;
-use std::collections::HashMap;
 
 /// Type-checks `prog`, producing the typed program.
 ///
@@ -60,11 +59,14 @@ struct Checker<'a> {
     prog: &'a Program,
     prims: &'static PrimTable,
     exns: Vec<String>,
-    chan_sigs: HashMap<String, Vec<ChanSig>>,
+    #[allow(clippy::disallowed_types)] // lookup-only: `entry`/index by name, never iterated
+    chan_sigs: std::collections::HashMap<String, Vec<ChanSig>>,
     globals: Vec<TGlobal>,
-    global_map: HashMap<String, u32>,
+    #[allow(clippy::disallowed_types)] // lookup-only: `insert`/`get`/`contains_key`
+    global_map: std::collections::HashMap<String, u32>,
     funs: Vec<TFun>,
-    fun_map: HashMap<String, u32>,
+    #[allow(clippy::disallowed_types)] // lookup-only: `insert`/`get`/`contains_key`
+    fun_map: std::collections::HashMap<String, u32>,
 }
 
 struct Scope {
@@ -126,7 +128,8 @@ impl<'a> Checker<'a> {
         }
 
         // Pass 1b: channel signatures (visible program-wide).
-        let mut chan_sigs: HashMap<String, Vec<ChanSig>> = HashMap::new();
+        #[allow(clippy::disallowed_types)] // becomes `Checker::chan_sigs`
+        let mut chan_sigs: std::collections::HashMap<String, Vec<ChanSig>> = Default::default();
         let mut proto_ty: Option<(Type, Span)> = None;
         for ch in prog.channels() {
             if ch.pkt.1.packet_shape().is_none() {
@@ -173,15 +176,16 @@ impl<'a> Checker<'a> {
             exns,
             chan_sigs,
             globals: Vec::new(),
-            global_map: HashMap::new(),
+            global_map: Default::default(),
             funs: Vec::new(),
-            fun_map: HashMap::new(),
+            fun_map: Default::default(),
         })
     }
 
     fn run(mut self) -> Result<TProgram, LangError> {
         let mut channels: Vec<TChannel> = Vec::new();
-        let mut chan_groups: HashMap<String, Vec<usize>> = HashMap::new();
+        #[allow(clippy::disallowed_types)] // becomes `TProgram::chan_groups`
+        let mut chan_groups: std::collections::HashMap<String, Vec<usize>> = Default::default();
         let mut proto_init: Option<TExpr> = None;
         let mut proto_span: Option<Span> = None;
 

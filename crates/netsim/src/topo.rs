@@ -19,19 +19,28 @@ use crate::link::LinkSpec;
 use crate::packet::addr;
 use crate::sim::Sim;
 use crate::NodeId;
+use std::rc::Rc;
 use std::time::Duration;
 
-/// One node of a named topology.
+/// One node of a named topology. Names and slice lists are shared, not
+/// copied, by whatever is derived from the spec (the plan verifier's
+/// model, its reports, placements).
 #[derive(Debug, Clone)]
 pub struct TopoNode {
     /// Node name (unique within the topology).
-    pub name: String,
+    pub name: Rc<str>,
     /// IPv4 address.
     pub addr: u32,
     /// Router (true) or host (false).
     pub router: bool,
-    /// Slice names this node belongs to.
-    pub slices: Vec<String>,
+    /// Slice names this node belongs to; nodes of one kind share one
+    /// list.
+    pub slices: Rc<[Rc<str>]>,
+}
+
+/// A slice list to hand to every node of one kind.
+fn slices(names: &[&str]) -> Rc<[Rc<str>]> {
+    names.iter().map(|&s| Rc::from(s)).collect()
 }
 
 /// One link of a named topology; more than two nodes model a shared
@@ -48,7 +57,7 @@ pub struct TopoLink {
 #[derive(Debug, Clone)]
 pub struct TopoSpec {
     /// Registry name (`relay_chain`, `http_cluster`, …).
-    pub name: String,
+    pub name: Rc<str>,
     /// Nodes, in creation order ([`TopoSpec::build`] preserves it, so
     /// index `i` here becomes `NodeId(i)` in the simulator).
     pub nodes: Vec<TopoNode>,
@@ -82,10 +91,11 @@ impl TopoSpec {
     /// Slices: `src`, `relays`, `dst`.
     pub fn relay_pair() -> TopoSpec {
         let mut t = TopoSpec::empty("relay_pair");
-        let ha = t.host("ha", addr(10, 0, 0, 1), &["src"]);
-        let r1 = t.router("r1", addr(10, 0, 0, 254), &["relays"]);
-        let r2 = t.router("r2", addr(10, 0, 3, 254), &["relays"]);
-        let hb = t.host("hb", addr(10, 0, 3, 1), &["dst"]);
+        let relays = slices(&["relays"]);
+        let ha = t.host("ha", addr(10, 0, 0, 1), &slices(&["src"]));
+        let r1 = t.router("r1", addr(10, 0, 0, 254), &relays);
+        let r2 = t.router("r2", addr(10, 0, 3, 254), &relays);
+        let hb = t.host("hb", addr(10, 0, 3, 1), &slices(&["dst"]));
         t.link(LinkSpec::ethernet_10(), &[ha, r1]);
         t.link(LinkSpec::ethernet_10(), &[r1, r2]);
         t.link(LinkSpec::ethernet_10(), &[r2, hb]);
@@ -101,18 +111,15 @@ impl TopoSpec {
     /// relay ASPs on).
     pub fn relay_chain() -> TopoSpec {
         let mut t = TopoSpec::empty("relay_chain");
-        let source = t.host("source", addr(10, 0, 0, 1), &["source"]);
+        let source = t.host("source", addr(10, 0, 0, 1), &slices(&["source"]));
+        let relays = slices(&["relays", "forwarders"]);
         let mut prev = source;
         for i in 1..=4u8 {
-            let r = t.router(
-                &format!("r{i}"),
-                addr(10, 0, i, 254),
-                &["relays", "forwarders"],
-            );
+            let r = t.router(format!("r{i}"), addr(10, 0, i, 254), &relays);
             t.link(LinkSpec::ethernet_10(), &[prev, r]);
             prev = r;
         }
-        let dst = t.host("dst", addr(10, 0, 5, 1), &["dst", "forwarders"]);
+        let dst = t.host("dst", addr(10, 0, 5, 1), &slices(&["dst", "forwarders"]));
         t.link(LinkSpec::ethernet_10(), &[prev, dst]);
         t.paths = vec![(source, dst)];
         t
@@ -125,11 +132,12 @@ impl TopoSpec {
     /// `servers`.
     pub fn http_cluster() -> TopoSpec {
         let mut t = TopoSpec::empty("http_cluster");
-        let client = t.host("client0", addr(10, 0, 1, 10), &["clients"]);
-        let gw = t.router("gateway", addr(10, 0, 1, 254), &["gateway"]);
-        let s0 = t.host("server0", addr(10, 0, 2, 1), &["servers"]);
-        let s1 = t.host("server1", addr(10, 0, 3, 1), &["servers"]);
-        let s2 = t.host("server2", addr(10, 0, 4, 1), &["servers"]);
+        let servers = slices(&["servers"]);
+        let client = t.host("client0", addr(10, 0, 1, 10), &slices(&["clients"]));
+        let gw = t.router("gateway", addr(10, 0, 1, 254), &slices(&["gateway"]));
+        let s0 = t.host("server0", addr(10, 0, 2, 1), &servers);
+        let s1 = t.host("server1", addr(10, 0, 3, 1), &servers);
+        let s2 = t.host("server2", addr(10, 0, 4, 1), &servers);
         t.link(
             LinkSpec {
                 kbps: 10_000,
@@ -159,23 +167,21 @@ impl TopoSpec {
     /// grid). Slices: `sources`, `relays`, `dsts`.
     pub fn obs_grid(chains: usize, hops: usize) -> TopoSpec {
         let mut t = TopoSpec::empty("obs_grid");
+        let (sources, relays, dsts) =
+            (slices(&["sources"]), slices(&["relays"]), slices(&["dsts"]));
         for c in 0..chains {
-            let src = t.host(&format!("s{c}"), addr(10, c as u8, 0, 1), &["sources"]);
+            let src = t.host(format!("s{c}"), addr(10, c as u8, 0, 1), &sources);
             let mut prev = src;
             for h in 0..hops {
                 let r = t.router(
-                    &format!("c{c}r{h}"),
+                    format!("c{c}r{h}"),
                     addr(10, c as u8, h as u8 + 1, 254),
-                    &["relays"],
+                    &relays,
                 );
                 t.link(LinkSpec::ethernet_100(), &[prev, r]);
                 prev = r;
             }
-            let dst = t.host(
-                &format!("d{c}"),
-                addr(10, c as u8, hops as u8 + 1, 1),
-                &["dsts"],
-            );
+            let dst = t.host(format!("d{c}"), addr(10, c as u8, hops as u8 + 1, 1), &dsts);
             t.link(LinkSpec::ethernet_100(), &[prev, dst]);
             t.paths.push((src, dst));
         }
@@ -184,7 +190,7 @@ impl TopoSpec {
 
     fn empty(name: &str) -> TopoSpec {
         TopoSpec {
-            name: name.to_string(),
+            name: name.into(),
             nodes: Vec::new(),
             links: Vec::new(),
             extra_routes: Vec::new(),
@@ -192,20 +198,26 @@ impl TopoSpec {
         }
     }
 
-    fn host(&mut self, name: &str, addr: u32, slices: &[&str]) -> usize {
-        self.push_node(name, addr, false, slices)
+    fn host(&mut self, name: impl Into<Rc<str>>, addr: u32, slices: &Rc<[Rc<str>]>) -> usize {
+        self.push_node(name.into(), addr, false, slices)
     }
 
-    fn router(&mut self, name: &str, addr: u32, slices: &[&str]) -> usize {
-        self.push_node(name, addr, true, slices)
+    fn router(&mut self, name: impl Into<Rc<str>>, addr: u32, slices: &Rc<[Rc<str>]>) -> usize {
+        self.push_node(name.into(), addr, true, slices)
     }
 
-    fn push_node(&mut self, name: &str, addr: u32, router: bool, slices: &[&str]) -> usize {
+    fn push_node(
+        &mut self,
+        name: Rc<str>,
+        addr: u32,
+        router: bool,
+        slices: &Rc<[Rc<str>]>,
+    ) -> usize {
         self.nodes.push(TopoNode {
-            name: name.to_string(),
+            name,
             addr,
             router,
-            slices: slices.iter().map(|s| s.to_string()).collect(),
+            slices: slices.clone(),
         });
         self.nodes.len() - 1
     }
@@ -220,7 +232,7 @@ impl TopoSpec {
 
     /// Index of the node called `name`.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n.name == name)
+        self.nodes.iter().position(|n| *n.name == *name)
     }
 
     /// Node indices belonging to slice `slice`, in node order. A node's
@@ -230,7 +242,7 @@ impl TopoSpec {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.name == slice || n.slices.iter().any(|s| s == slice))
+            .filter(|(_, n)| *n.name == *slice || n.slices.iter().any(|s| **s == *slice))
             .map(|(i, _)| i)
             .collect()
     }
@@ -289,7 +301,7 @@ mod tests {
     fn registry_resolves_all_names() {
         for name in ["relay_pair", "relay_chain", "http_cluster", "obs_grid"] {
             let t = TopoSpec::named(name).unwrap_or_else(|| panic!("{name}"));
-            assert_eq!(t.name, name);
+            assert_eq!(&*t.name, name);
             assert!(!t.paths.is_empty(), "{name} has paths");
         }
         assert!(TopoSpec::named("nope").is_none());
@@ -335,7 +347,7 @@ mod tests {
         let ids = t.build(&mut sim);
         assert_eq!(ids.len(), 4);
         for (i, n) in t.nodes.iter().enumerate() {
-            assert_eq!(sim.node(ids[i]).name, n.name);
+            assert_eq!(sim.node(ids[i]).name, *n.name);
         }
     }
 }

@@ -41,6 +41,8 @@ use std::rc::Rc;
 pub enum PlanError {
     /// The plan source failed to parse.
     Plan(LangError),
+    /// No bundled plan has this name.
+    UnknownPlan(String),
     /// The plan names a topology the registry does not know.
     UnknownTopology(String),
     /// A `deploy` names an ASP the resolver does not know.
@@ -62,6 +64,7 @@ impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanError::Plan(e) => write!(f, "plan: {}", e.message),
+            PlanError::UnknownPlan(p) => write!(f, "no bundled plan `{p}`"),
             PlanError::UnknownTopology(t) => write!(f, "unknown topology `{t}`"),
             PlanError::UnknownAsp(a) => write!(f, "unknown ASP `{a}`"),
             PlanError::UnknownPolicy(p) => write!(f, "unknown policy `{p}`"),
@@ -73,17 +76,18 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// One resolved install point of a loaded plan.
+/// One resolved install point of a loaded plan. Its strings are the
+/// topology's and the deploy's own, shared by every placement of them.
 #[derive(Debug, Clone)]
 pub struct Placement {
     /// Topology node index (parallel to [`TopoSpec::build`]'s ids).
     pub node: usize,
     /// Topology node name.
-    pub node_name: String,
+    pub node_name: Rc<str>,
     /// ASP name.
-    pub asp: String,
+    pub asp: Rc<str>,
     /// ASP source, re-verified on every (re)install.
-    pub source: String,
+    pub source: Rc<str>,
     /// Per-program download policy for this install.
     pub policy: Policy,
 }
@@ -97,8 +101,8 @@ pub struct PlanImage {
     /// The topology spec the plan deploys over.
     pub topo: TopoSpec,
     /// The placed checker — kept so installs can re-verify at plan
-    /// scope.
-    pub check: PlanCheck,
+    /// scope, each through a handle on this one.
+    pub check: Rc<PlanCheck>,
     /// The verification result.
     pub report: PlanReport,
     /// Resolved install points with their sources and policies.
@@ -166,11 +170,11 @@ pub fn load_plan(
             name: d.asp.clone(),
             error,
         })?;
-        asps.push(PlanAsp::from_program(&d.asp, &prog));
-        sources.push((source, policy));
+        asps.push(PlanAsp::from_program(d.asp.as_str(), &prog));
+        sources.push((Rc::<str>::from(source), policy));
     }
 
-    let check = PlanCheck::new(ast, plan_topology(&topo), asps).map_err(PlanError::Check)?;
+    let check = Rc::new(PlanCheck::new(ast, plan_topology(&topo), asps).map_err(PlanError::Check)?);
     let report = check.verify();
     let placements = check
         .installs
@@ -180,7 +184,7 @@ pub fn load_plan(
             Placement {
                 node: i.node,
                 node_name: topo.nodes[i.node].name.clone(),
-                asp: check.plan.deploys[i.deploy].asp.clone(),
+                asp: check.asps[i.deploy].name.clone(),
                 source: source.clone(),
                 policy: *policy,
             }
@@ -230,11 +234,10 @@ pub fn install_plan(
             ));
         }
     }
-    let check = Rc::new(image.check.clone());
-    let plan_name = image.name.clone();
+    let plan_name: Rc<str> = image.name.as_str().into();
     let mut logs = Vec::new();
     for p in &image.placements {
-        let check = check.clone();
+        let check = image.check.clone();
         let plan_name = plan_name.clone();
         let preflight = Rc::new(move || {
             let report = check.verify();
@@ -392,7 +395,7 @@ mod tests {
         let placed: Vec<(&str, &str)> = image
             .placements
             .iter()
-            .map(|p| (p.node_name.as_str(), p.asp.as_str()))
+            .map(|p| (&*p.node_name, &*p.asp))
             .collect();
         assert_eq!(placed, vec![("r1", "forwarder"), ("r2", "forwarder")]);
 

@@ -38,7 +38,7 @@ pub struct RecoveryLog {
 /// Installs an ASP at start-up and re-verifies + reinstalls it whenever
 /// the node restarts after a crash.
 pub struct RecoveryService {
-    source: String,
+    source: Rc<str>,
     policy: Policy,
     config: LayerConfig,
     /// Plan-scope gate run before every (re)install — see
@@ -51,7 +51,7 @@ pub struct RecoveryService {
 impl RecoveryService {
     /// A service that (re)installs `source`, verifying under `policy`
     /// and installing with `config`.
-    pub fn new(source: impl Into<String>, policy: Policy, config: LayerConfig) -> Self {
+    pub fn new(source: impl Into<Rc<str>>, policy: Policy, config: LayerConfig) -> Self {
         RecoveryService {
             source: source.into(),
             policy,
