@@ -179,6 +179,10 @@ pub enum HookVerdict {
     Pass(Packet),
 }
 
+// Every hook returns one by value: `Pass` must ride in `Packet`'s niche
+// (see the pin in `packet.rs` for the 128-byte inline-copy threshold).
+const _: () = assert!(std::mem::size_of::<HookVerdict>() <= 112);
+
 /// The extension point at the IP layer (figure 1 of the paper: the
 /// "IP/PLAN-P" layer). The PLAN-P runtime installs an implementation of
 /// this trait; native (built-in "C") baselines implement it directly in

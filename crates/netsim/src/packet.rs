@@ -133,15 +133,45 @@ impl Transport {
     }
 }
 
-/// The PLAN-P channel tag carried by packets sent on user-defined
-/// channels (the paper: "when packets are sent on a user-defined channel,
-/// the packet is tagged for identification").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelTag {
+/// Which channel a packet was sent on: the record behind a
+/// [`ChannelTag`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct ChanIdent {
     /// Channel name.
     pub chan: Rc<str>,
     /// Overload index within the channel's name group.
     pub overload: u32,
+}
+
+/// The PLAN-P channel tag carried by packets sent on user-defined
+/// channels (the paper: "when packets are sent on a user-defined channel,
+/// the packet is tagged for identification").
+///
+/// A thin shared handle: one pointer to a [`ChanIdent`], which it
+/// derefs to (`tag.chan`, `tag.overload`). The PLAN-P layer builds one
+/// per channel overload when a program is installed and every send
+/// clones it — a count increment, 8 bytes in the packet. Equality is by
+/// content, so a tag built elsewhere from the same name and overload is
+/// the same tag (`Rc`'s comparison tries the pointer first: between
+/// nodes installed from one image it is the same record).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChannelTag(Rc<ChanIdent>);
+
+impl ChannelTag {
+    /// A fresh record for overload `overload` of channel `chan`.
+    pub fn new(chan: impl Into<Rc<str>>, overload: u32) -> Self {
+        ChannelTag(Rc::new(ChanIdent {
+            chan: chan.into(),
+            overload,
+        }))
+    }
+}
+
+impl std::ops::Deref for ChannelTag {
+    type Target = ChanIdent;
+    fn deref(&self) -> &ChanIdent {
+        &self.0
+    }
 }
 
 /// Causal lineage a packet carries for tracing: which trace it belongs
@@ -157,8 +187,10 @@ pub struct Lineage {
     pub parent: u64,
     /// How this packet identity came to exist.
     pub origin: planp_telemetry::SpanOrigin,
-    /// Channel the creating ASP sent it on, if any.
-    pub chan: Option<Rc<str>>,
+    /// Channel the creating ASP sent it on, if any (the sender's
+    /// per-overload handle, shared with [`Packet::tag`] where the
+    /// channel is a tagged one).
+    pub chan: Option<ChannelTag>,
     /// Whether this trace was kept by the head sampler. Decided once at
     /// the root stamp and inherited by every descendant packet, so a
     /// kept trace keeps its *complete* span tree. Defaults to `true`
@@ -202,6 +234,19 @@ pub struct Packet {
     /// Causal lineage for span-tree tracing. Ignored by `PartialEq`.
     pub lineage: Lineage,
 }
+
+// A hop hands the packet over by value about ten times (slab → `arrive`
+// → `process_arrival` → hook → `NodeApi::send` → `enqueue_on_link` →
+// slab). The compiler copies up to 128 bytes inline (eight SSE moves)
+// and calls `memcpy` above that: at 144 bytes those functions held
+// 32 `call memcpy` and libc `memmove` was 15.7% of `relay_grid`
+// samples; at 112 none does (`scripts/memcpy-census.sh`), a hookless
+// hop costs 170 ns where it cost 213, and `relay_grid` runs 20% faster.
+// A 120-byte prototype measured the same as 112: the step is the
+// threshold, not the byte count. The `Option` (a slab slot) must find a
+// niche, not grow a word.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 112);
+const _: () = assert!(std::mem::size_of::<Option<Packet>>() <= 112);
 
 /// Packet equality compares wire content (headers, payload, tag) and
 /// ignores the telemetry id and lineage, so a forwarded clone still

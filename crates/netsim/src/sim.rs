@@ -165,7 +165,7 @@ impl Sim {
                 trace: pkt.lineage.trace,
                 parent: pkt.lineage.parent,
                 origin: pkt.lineage.origin,
-                chan: pkt.lineage.chan.clone(),
+                chan: pkt.lineage.chan.as_ref().map(|c| c.chan.clone()),
             });
         }
     }

@@ -214,10 +214,7 @@ mod tests {
             Value::Udp(UdpHdr::new(5, 6)),
             Value::Blob(Bytes::from_static(b"x")),
         ]);
-        let tag = ChannelTag {
-            chan: "audio".into(),
-            overload: 0,
-        };
+        let tag = ChannelTag::new("audio", 0);
         let pkt = value_to_packet(&v, Some(tag.clone())).unwrap();
         assert_eq!(pkt.tag, Some(tag));
         assert!(matches!(pkt.transport, Transport::Udp(_)));

@@ -32,7 +32,6 @@ use netsim::packet::Packet;
 use netsim::{App, NodeApi};
 use planp_analysis::Policy;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// UDP port the deployment service listens on.
@@ -98,12 +97,22 @@ pub struct DeployLog {
     pub handle: Option<PlanpHandle>,
 }
 
+/// The chunks of one transfer by index.
+#[allow(clippy::disallowed_types)] // lookup-only: `insert`/`contains_key`/`get`, never iterated
+type Chunks = std::collections::HashMap<u16, Vec<u8>>;
+
 /// The deployment application.
 pub struct DeployService {
     policy: Policy,
     config: LayerConfig,
-    transfers: HashMap<(u32, u16), HashMap<u16, Vec<u8>>>,
-    last_chunk: HashMap<(u32, u16), u16>,
+    /// Chunks received so far, per `(sender, transfer id)` and then per
+    /// chunk index. A finished transfer is read out by counting
+    /// `0..=last`, never by walking the map.
+    #[allow(clippy::disallowed_types)] // lookup-only: `entry`/`get`/`remove`, never iterated
+    transfers: std::collections::HashMap<(u32, u16), Chunks>,
+    /// Index of the chunk that carried the last-chunk flag, once seen.
+    #[allow(clippy::disallowed_types)] // lookup-only: `insert`/`get`/`remove`, never iterated
+    last_chunk: std::collections::HashMap<(u32, u16), u16>,
     /// Shared log.
     pub log: Rc<RefCell<DeployLog>>,
 }
@@ -115,8 +124,8 @@ impl DeployService {
         DeployService {
             policy,
             config,
-            transfers: HashMap::new(),
-            last_chunk: HashMap::new(),
+            transfers: Default::default(),
+            last_chunk: Default::default(),
             log: Rc::new(RefCell::new(DeployLog::default())),
         }
     }
@@ -161,10 +170,8 @@ impl App for DeployService {
         }
 
         let key = (sender, transfer);
-        self.transfers
-            .entry(key)
-            .or_default()
-            .insert(index, pkt.payload[6..].to_vec());
+        let chunks = self.transfers.entry(key).or_default();
+        chunks.insert(index, pkt.payload[6..].to_vec());
         if flags & FLAG_LAST != 0 {
             self.last_chunk.insert(key, index);
         }
@@ -173,14 +180,13 @@ impl App for DeployService {
         let Some(&last) = self.last_chunk.get(&key) else {
             return;
         };
-        let chunks = &self.transfers[&key];
-        if (0..=last).any(|i| !chunks.contains_key(&i)) {
+        let Some(parts) = (0..=last)
+            .map(|i| chunks.get(&i).map(Vec::as_slice))
+            .collect::<Option<Vec<_>>>()
+        else {
             return;
-        }
-        let mut source = Vec::new();
-        for i in 0..=last {
-            source.extend_from_slice(&chunks[&i]);
-        }
+        };
+        let source = parts.concat();
         self.transfers.remove(&key);
         self.last_chunk.remove(&key);
 

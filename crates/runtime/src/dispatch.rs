@@ -256,10 +256,7 @@ mod tests {
                 for kind in KINDS {
                     for tag in tags {
                         let mut pkt = with_transport(kind, wire.clone());
-                        pkt.tag = tag.map(|(chan, overload)| ChannelTag {
-                            chan: chan.into(),
-                            overload,
-                        });
+                        pkt.tag = tag.map(|(chan, overload)| ChannelTag::new(chan, overload));
                         assert_agrees(&image, &table, &pkt);
                         matched[n] +=
                             usize::from(by_declaration_order(&image.prog, &pkt).is_some());
@@ -271,6 +268,45 @@ mod tests {
             matched.iter().all(|&m| m > 100),
             "{matched:?} packets matched"
         );
+    }
+
+    #[test]
+    fn a_tag_selects_its_overload_by_pointer_or_by_spelling() {
+        // The four bundled programs whose user channels differ in kind:
+        // TCP `relay`, UDP `relay`, the typed `reply` beside two
+        // `network` overloads, and `nack` + `timer`.
+        for src in [
+            include_str!("../../../asps/http_gateway.planp"),
+            include_str!("../../../asps/relay_pin.planp"),
+            include_str!("../../../asps/mpeg_monitor.planp"),
+            include_str!("../../../asps/reliable_relay.planp"),
+        ] {
+            let image = load(src, Policy::authenticated()).expect("bundled ASP loads");
+            let table = DispatchTable::new(&image);
+            let pkt = |tag| Packet {
+                tag: Some(tag),
+                ..with_transport(TransportKind::Udp, Vec::new())
+            };
+            for (idx, ch) in image.prog.channels.iter().enumerate() {
+                // The image's own string, as a node installed from it
+                // tags its sends; and the same letters from elsewhere.
+                let shared = ChannelTag::new(image.chan_names[idx].clone(), ch.overload);
+                let spelled = ChannelTag::new(ch.name.clone(), ch.overload);
+                assert!(!Rc::ptr_eq(&shared.chan, &spelled.chan));
+                assert_eq!(shared, spelled);
+                assert_eq!(table.candidates(&pkt(shared)), [idx]);
+                assert_eq!(table.candidates(&pkt(spelled)), [idx]);
+                // Past the group's last overload: offered to nothing,
+                // however the name is held.
+                let group = image.prog.chan_groups[&ch.name].len() as u32;
+                for overload in [group, group + 1, u32::MAX] {
+                    let shared = ChannelTag::new(image.chan_names[idx].clone(), overload);
+                    let spelled = ChannelTag::new(ch.name.clone(), overload);
+                    assert!(table.candidates(&pkt(shared)).is_empty());
+                    assert!(table.candidates(&pkt(spelled)).is_empty());
+                }
+            }
+        }
     }
 
     #[test]

@@ -118,8 +118,11 @@ pub struct PlanpHandle {
 /// array add through a [`CounterId`]. Channel overloads sharing a name
 /// share the same metric keys (per-channel = per channel *name*).
 struct ChanMeta {
-    /// The image's shared name string ([`LoadedProgram::chan_names`]).
-    name: Rc<str>,
+    /// This overload's `{name, overload}` record, built here once around
+    /// the image's shared name string ([`LoadedProgram::chan_names`]): a
+    /// send to it clones the handle into the packet's lineage and, for
+    /// a tagged channel, into its tag.
+    ident: ChannelTag,
     /// Sends to this channel carry its tag. `network` traffic stays
     /// untagged so PLAN-P routers interoperate with plain IP.
     tagged: bool,
@@ -148,14 +151,38 @@ struct ChanMeta {
     profile_scope: ScopeId,
 }
 
+impl ChanMeta {
+    /// The tag a send to this channel puts on the packet.
+    fn tag(&self) -> Option<ChannelTag> {
+        self.tagged.then(|| self.ident.clone())
+    }
+}
+
+/// The synthetic packet of a timer wake-up: the `timer` channel's tag,
+/// and the payload of the last key fired — a timer that re-arms itself
+/// with one key (what a periodic ASP does) wakes up without building
+/// the payload again.
+struct TimerWake {
+    tag: ChannelTag,
+    key: u64,
+    payload: Bytes,
+}
+
+impl TimerWake {
+    /// The key as an 8-byte big-endian integer (readable with `blobInt`).
+    fn payload_of(key: u64) -> Bytes {
+        Bytes::copy_from_slice(&(key as i64).to_be_bytes())
+    }
+}
+
 /// The installed PLAN-P layer for one node.
 pub struct PlanpLayer {
     prog: Rc<TProgram>,
     compiled: Rc<CompiledProgram>,
     table: DispatchTable,
-    /// The tag of a fired `setTimer`'s synthetic packet, if the program
-    /// declares a `timer` channel.
-    timer_tag: Option<ChannelTag>,
+    /// What a fired `setTimer` re-enters the program with, if the
+    /// program declares a `timer` channel.
+    timer: Option<TimerWake>,
     config: LayerConfig,
     globals: Vec<Value>,
     proto: Value,
@@ -215,7 +242,7 @@ impl PlanpLayer {
             .iter()
             .enumerate()
             .map(|(i, ch)| ChanMeta {
-                name: image.chan_names[i].clone(),
+                ident: ChannelTag::new(image.chan_names[i].clone(), ch.overload),
                 tagged: ch.name != "network",
                 c_dispatch: metrics
                     .register_counter(&format!("node.{node_name}.chan.{}.dispatch", ch.name)),
@@ -278,18 +305,19 @@ impl PlanpLayer {
             profile.bind_blocks(cm.profile_scope, compiled.block_sites());
         }
         let n_chans = image.prog.channels.len();
-        let timer_tag = chan_meta
+        let timer = chan_meta
             .iter()
-            .find(|cm| &*cm.name == "timer")
-            .map(|cm| ChannelTag {
-                chan: cm.name.clone(),
-                overload: 0,
+            .find(|cm| &*cm.ident.chan == "timer")
+            .map(|cm| TimerWake {
+                tag: cm.ident.clone(),
+                key: 0,
+                payload: TimerWake::payload_of(0),
             });
         Ok(PlanpLayer {
             prog: image.prog.clone(),
             compiled,
             table: DispatchTable::new(image),
-            timer_tag,
+            timer,
             config,
             globals,
             proto,
@@ -417,7 +445,7 @@ impl PacketHook for PlanpLayer {
             (entries, state_exceeded)
         };
         api.telemetry().metrics.add_id(cm.c_vm_steps, vm_steps);
-        api.trace_vm_run(&pkt, &cm.name, vm_steps);
+        api.trace_vm_run(&pkt, &cm.ident.chan, vm_steps);
         // Per-site attribution went to the profile scope as the engine
         // charged it; close the dispatch with the aggregate (VM errors
         // included — both engines charge the aggregate on error paths
@@ -449,15 +477,15 @@ impl PacketHook for PlanpLayer {
                     // The channel ate the packet without re-emitting or
                     // delivering anything: an intentional drop.
                     api.telemetry().metrics.inc_id(cm.c_dropped);
-                    api.trace_dispatch(&pkt, Some(&cm.name), DispatchOutcome::Consumed);
+                    api.trace_dispatch(&pkt, Some(&cm.ident.chan), DispatchOutcome::Consumed);
                 } else {
-                    api.trace_dispatch(&pkt, Some(&cm.name), DispatchOutcome::Matched);
+                    api.trace_dispatch(&pkt, Some(&cm.ident.chan), DispatchOutcome::Matched);
                 }
                 HookVerdict::Handled
             }
             Err(e) => {
                 api.telemetry().metrics.inc_id(cm.c_errors);
-                api.trace_dispatch(&pkt, Some(&cm.name), DispatchOutcome::Error);
+                api.trace_dispatch(&pkt, Some(&cm.ident.chan), DispatchOutcome::Error);
                 let exn: Rc<str> = match &e {
                     VmError::Exn(id) => match self.prog.exns.get(id.0 as usize) {
                         Some(name) => name.as_str().into(),
@@ -465,7 +493,7 @@ impl PacketHook for PlanpLayer {
                     },
                     VmError::Trap(m) => format!("trap: {m}").into(),
                 };
-                api.trace_exception(&pkt, &cm.name, exn);
+                api.trace_exception(&pkt, &cm.ident.chan, exn);
                 if emitted > 0 {
                     // The program already re-sent or delivered something;
                     // passing the original through as well would duplicate
@@ -486,13 +514,16 @@ impl PacketHook for PlanpLayer {
         // on the `timer` channel: UDP self→self whose payload is the key
         // as an 8-byte big-endian integer (readable with `blobInt`).
         // Programs that declare no `timer` channel ignore the wake-up.
-        let Some(tag) = &self.timer_tag else {
+        let Some(timer) = &mut self.timer else {
             return;
         };
+        if timer.key != key {
+            timer.key = key;
+            timer.payload = TimerWake::payload_of(key);
+        }
         let me = api.addr();
-        let payload = Bytes::copy_from_slice(&(key as i64).to_be_bytes());
-        let mut pkt = Packet::udp(me, me, 0, 0, payload);
-        pkt.tag = Some(tag.clone());
+        let mut pkt = Packet::udp(me, me, 0, 0, timer.payload.clone());
+        pkt.tag = Some(timer.tag.clone());
         api.stamp(&mut pkt);
         // Run the ordinary dispatch path. A `Pass` verdict means the
         // program declined the synthetic packet; it has nowhere to go,
@@ -537,7 +568,7 @@ struct SimNetEnv<'a, 'b> {
 impl SimNetEnv<'_, '_> {
     /// Lineage for a child packet born at a send of kind `origin` on
     /// channel `chan`, parented on the packet being processed.
-    fn child_lineage(&self, origin: SpanOrigin, chan: Option<Rc<str>>) -> Lineage {
+    fn child_lineage(&self, origin: SpanOrigin, chan: Option<ChannelTag>) -> Lineage {
         let cur = &self.cur.lineage;
         Lineage {
             // An unstamped root is its own trace.
@@ -558,11 +589,7 @@ impl SimNetEnv<'_, '_> {
     /// the components the engine named.
     fn outgoing(&mut self, to: ChanRef<'_>, parts: &[Value], origin: SpanOrigin) -> Option<Packet> {
         let cm = &self.chans[to.index as usize];
-        let tag = cm.tagged.then(|| ChannelTag {
-            chan: cm.name.clone(),
-            overload: to.overload,
-        });
-        let mut p = parts_to_packet(parts, tag).ok()?;
+        let mut p = parts_to_packet(parts, cm.tag()).ok()?;
         // Run-time safety net mirroring IP's TTL, as discussed in
         // section 2.1 (the static proof makes this a backstop). The
         // packet being processed ends here, as it would in standard
@@ -572,7 +599,7 @@ impl SimNetEnv<'_, '_> {
             return None;
         }
         p.ip.ttl -= 1;
-        p.lineage = self.child_lineage(origin, Some(cm.name.clone()));
+        p.lineage = self.child_lineage(origin, Some(cm.ident.clone()));
         Some(p)
     }
 }
@@ -922,8 +949,147 @@ mod tests {
         for p in got.iter() {
             let tag = p.tag.as_ref().expect("sent on a user channel");
             assert_eq!((&*tag.chan, tag.overload), ("mon", 0));
-            assert_eq!(p.lineage.chan.as_deref(), Some("mon"));
+            assert_eq!(p.lineage.chan.as_ref(), Some(tag));
         }
+    }
+
+    /// Every bundled ASP that declares a channel other than `network`.
+    fn bundled_with_user_channels() -> Vec<(String, LoadedProgram)> {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../asps");
+        let mut paths: Vec<_> = [root.to_string(), format!("{root}/buggy")]
+            .iter()
+            .flat_map(|dir| std::fs::read_dir(dir).expect("the corpus directory"))
+            .map(|entry| entry.expect("a directory entry").path())
+            .filter(|path| path.extension().is_some_and(|e| e == "planp"))
+            .collect();
+        paths.sort();
+        let images: Vec<_> = paths
+            .iter()
+            .map(|path| {
+                let src = std::fs::read_to_string(path).expect("an ASP file");
+                let image = load(&src, Policy::authenticated()).expect("a bundled ASP loads");
+                (path.display().to_string(), image)
+            })
+            .filter(|(_, image)| image.prog.channels.iter().any(|ch| ch.name != "network"))
+            .collect();
+        assert!(
+            images.len() >= 10,
+            "{} ASPs with a user channel",
+            images.len()
+        );
+        images
+    }
+
+    /// Components a channel of `shape` could send.
+    fn parts_of(shape: &planp_lang::types::PacketShape) -> Vec<Value> {
+        use netsim::packet::{IpHdr, TcpHdr, UdpHdr};
+        use planp_lang::types::{TransportKind, Type};
+        let (src, dst) = (addr(10, 0, 0, 1), addr(10, 0, 1, 1));
+        let mut parts = match shape.transport {
+            TransportKind::Tcp => vec![
+                Value::Ip(IpHdr::new(src, dst, IpHdr::PROTO_TCP)),
+                Value::Tcp(TcpHdr::data(4000, 80, 7)),
+            ],
+            TransportKind::Udp => vec![
+                Value::Ip(IpHdr::new(src, dst, IpHdr::PROTO_UDP)),
+                Value::Udp(UdpHdr::new(4000, 5556)),
+            ],
+            TransportKind::None => vec![Value::Ip(IpHdr::new(src, dst, 0))],
+        };
+        parts.extend(shape.payload.iter().map(|t| match t {
+            Type::Int => Value::Int(-42),
+            Type::Bool => Value::Bool(true),
+            Type::Char => Value::Char('Q'),
+            Type::Host => Value::Host(addr(10, 9, 9, 9)),
+            Type::Str => Value::Str("PLAY 7".into()),
+            Type::Blob => Value::Blob(Bytes::from_static(b"\x00\x01payload")),
+            other => panic!("{other} is not a payload type"),
+        }));
+        parts
+    }
+
+    #[test]
+    fn install_time_handles_tag_sends_like_a_record_built_per_send() {
+        // What `outgoing` did before the handle existed: assemble
+        // `{name, overload}` from the program at every send.
+        let per_send = |ch: &planp_lang::tast::TChannel| {
+            (ch.name != "network").then(|| ChannelTag::new(ch.name.as_str(), ch.overload))
+        };
+        let mut tagged_sends = 0;
+        for (path, image) in bundled_with_user_channels() {
+            let mut telemetry = Telemetry::default();
+            let layer = PlanpLayer::new(&image, LayerConfig::default(), 1, "n", &mut telemetry)
+                .unwrap_or_else(|e| panic!("{path}: {e}"));
+            for (idx, (ch, cm)) in image.prog.channels.iter().zip(&layer.chan_meta).enumerate() {
+                let parts = parts_of(&ch.shape);
+                let sent = parts_to_packet(&parts, cm.tag()).expect("a packet");
+                let fresh = parts_to_packet(&parts, per_send(ch)).expect("a packet");
+                assert_eq!(sent, fresh, "{path}: channel {}#{}", ch.name, ch.overload);
+                assert_eq!(
+                    format!("{:?}", sent.tag),
+                    format!("{:?}", fresh.tag),
+                    "{path}: the record reads the same"
+                );
+                // The lineage names the channel whether or not it tags.
+                assert_eq!(
+                    (&*cm.ident.chan, cm.ident.overload),
+                    (&*ch.name, ch.overload)
+                );
+                if let Some(tag) = &sent.tag {
+                    tagged_sends += 1;
+                    // The handle is the image's name, not a copy of it.
+                    assert!(Rc::ptr_eq(&tag.chan, &image.chan_names[idx]));
+                    // Either packet reaches the overload it was sent to,
+                    // on both engines.
+                    for engine in [Engine::Jit, Engine::Interp] {
+                        let at = |pkt| {
+                            decode(&layer.table, &layer.prog, &layer.compiled, engine, pkt)
+                                .map(|(i, _)| i)
+                        };
+                        assert_eq!(at(&sent), Some(idx), "{path}: {engine:?}");
+                        assert_eq!(at(&fresh), Some(idx), "{path}: {engine:?}");
+                    }
+                }
+            }
+        }
+        assert!(
+            tagged_sends >= 10,
+            "{tagged_sends} tagged channels in the corpus"
+        );
+    }
+
+    #[test]
+    fn span_starts_name_the_channel_as_before_the_handle() {
+        // The `span_start` lines of five datagrams a router re-sends on
+        // `mon`, as the parent commit (34ab9c1) wrote them:
+        // `lineage.chan` is now a handle, the event still carries the
+        // name.
+        let src = "channel mon(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   (OnRemote(network, p); (ps, ss))\n\
+                   channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   (OnRemote(mon, p); (ps + 1, ss))";
+        let (mut sim, _handle, got) = triangle(src, LayerConfig::default());
+        sim.telemetry.trace.configure(planp_telemetry::TraceConfig {
+            categories: planp_telemetry::Category::SPAN,
+            ..Default::default()
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(got.borrow().len(), 5);
+        let mut want = String::new();
+        for pkt in 1..=5 {
+            want.push_str(&format!(
+                "{{\"type\":\"span_start\",\"t_ns\":0,\"node\":0,\"pkt\":{pkt},\"trace\":{pkt},\
+                 \"parent\":0,\"origin\":\"ingress\",\"chan\":null}}\n"
+            ));
+        }
+        for (pkt, t_ns) in (1..=5).zip([184_800, 269_600, 354_400, 439_200, 524_000]) {
+            want.push_str(&format!(
+                "{{\"type\":\"span_start\",\"t_ns\":{t_ns},\"node\":1,\"pkt\":{},\"trace\":{pkt},\
+                 \"parent\":{pkt},\"origin\":\"remote\",\"chan\":\"mon\"}}\n",
+                pkt + 5
+            ));
+        }
+        assert_eq!(sim.telemetry.trace.to_jsonl(), want);
     }
 
     #[test]
@@ -1154,10 +1320,7 @@ mod tests {
         impl netsim::App for Tagged {
             fn on_start(&mut self, api: &mut NodeApi<'_>) {
                 let mut pkt = Packet::udp(api.addr(), self.dst, 1, 2, Bytes::from_static(b"x"));
-                pkt.tag = Some(netsim::packet::ChannelTag {
-                    chan: "elsewhere".into(),
-                    overload: 0,
-                });
+                pkt.tag = Some(netsim::packet::ChannelTag::new("elsewhere", 0));
                 api.send(pkt);
             }
             fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {}

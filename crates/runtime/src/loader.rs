@@ -24,6 +24,10 @@ pub enum LoadError {
     /// Boxed: the report carries cost bounds and diagnostics, making it
     /// much larger than the `Ok` path should pay for.
     Rejected(Box<VerifyReport>),
+    /// The program was accepted, but evaluating an initializer (a
+    /// global, the protocol state, a channel's `initstate`) on the node
+    /// raised — `val x : int = 1 div 0` passes every static check.
+    Install(planp_vm::value::VmError),
 }
 
 impl fmt::Display for LoadError {
@@ -37,6 +41,7 @@ impl fmt::Display for LoadError {
                 }
                 Ok(())
             }
+            LoadError::Install(e) => write!(f, "program failed to install: {e}"),
         }
     }
 }

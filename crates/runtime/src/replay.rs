@@ -133,15 +133,14 @@ pub fn replay_asp_traced(source: &str) -> Result<(ReplayReport, String), LoadErr
     let ids = topo.build(&mut sim);
     let (ha, hb) = topo.paths[0];
 
-    // `load` already compiled the image, so installation cannot fail.
-    let handles: Vec<_> = topo
+    // `load` compiled the image; what can still fail is an initializer
+    // that raises when the node evaluates it.
+    let handles = topo
         .slice("relays")
         .into_iter()
-        .map(|r| {
-            install_planp(&mut sim, ids[r], &image, LayerConfig::default())
-                .expect("verified image installs")
-        })
-        .collect();
+        .map(|r| install_planp(&mut sim, ids[r], &image, LayerConfig::default()))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(LoadError::Install)?;
 
     let got = Rc::new(RefCell::new(0u64));
     sim.add_app(ids[hb], Box::new(Count { got: got.clone() }));
@@ -234,6 +233,21 @@ mod tests {
         // Each probe re-emission hops through both routers.
         assert!(tree.contains("@r1") && tree.contains("@r2"), "{tree}");
         assert!(tree.contains("remote"), "{tree}");
+    }
+
+    #[test]
+    fn an_initializer_that_raises_is_an_error_not_a_panic() {
+        // Accepted by every static check; `Div` is raised when a router
+        // evaluates the global at install.
+        let err = replay_asp(
+            "val zero : int = 0
+             val bad : int = 1 div zero
+             channel network(ps : unit, ss : unit, p : ip*udp*blob) is
+             (OnRemote(network, p); (ps, ss))",
+        )
+        .unwrap_err();
+        assert!(matches!(err, LoadError::Install(_)), "{err}");
+        assert!(err.to_string().starts_with("program failed to install: "));
     }
 
     #[test]

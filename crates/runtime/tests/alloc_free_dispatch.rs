@@ -3,13 +3,18 @@
 //! run the channel, build the outgoing packet from the registers, hand
 //! it to the simulator — never calls the allocator. Counted with a
 //! `#[global_allocator]` around the hook call of an installed layer, on
-//! the two programs the benchmark runs:
+//! the two programs the benchmark runs and one that tags and wakes:
 //!
 //! * the fragile relay, forwarding (`OnRemote(network, p)`) and at the
 //!   destination (`deliver(p)`);
 //! * the HTTP gateway on an established connection: the tagged `relay`
 //!   channel downstream of the gateway, and the response path's send
-//!   of a literal tuple with a rewritten header.
+//!   of a literal tuple with a rewritten header;
+//! * a program with a user-defined channel and a `timer` channel: the
+//!   send that *tags* a packet (the `{channel, overload}` record is
+//!   built once per channel at install and cloned per send — an
+//!   `Rc::new` per send would pass every other test and fail here),
+//!   and a timer wake-up that re-arms itself and sends on that channel.
 //!
 //! The gateway's *request* path builds one tuple of its own — the
 //! `(client, port)` key it looks the connection up with — and that
@@ -53,13 +58,8 @@ struct Counted {
     tallies: Tallies,
 }
 
-impl PacketHook for Counted {
-    fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: Packet, meta: &ArrivalMeta) -> HookVerdict {
-        let class = (self.class)(&pkt);
-        let before = counting_alloc::calls();
-        let verdict = self.layer.on_packet(api, pkt, meta);
-        let allocs = counting_alloc::calls() - before;
-        assert!(matches!(verdict, HookVerdict::Handled), "a channel ran");
+impl Counted {
+    fn tally(&self, class: usize, allocs: u64) {
         let mut tallies = self.tallies.borrow_mut();
         let t = &mut tallies[class];
         t.seen += 1;
@@ -67,7 +67,27 @@ impl PacketHook for Counted {
             t.measured += 1;
             t.allocs += allocs;
         }
+    }
+}
+
+impl PacketHook for Counted {
+    fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: Packet, meta: &ArrivalMeta) -> HookVerdict {
+        let class = (self.class)(&pkt);
+        let before = counting_alloc::calls();
+        let verdict = self.layer.on_packet(api, pkt, meta);
+        let allocs = counting_alloc::calls() - before;
+        assert!(matches!(verdict, HookVerdict::Handled), "a channel ran");
+        self.tally(class, allocs);
         verdict
+    }
+
+    /// A timer wake-up is tallied as the last class.
+    fn on_timer(&mut self, api: &mut NodeApi<'_>, key: u64) {
+        let before = counting_alloc::calls();
+        self.layer.on_timer(api, key);
+        let allocs = counting_alloc::calls() - before;
+        let last = self.tallies.borrow().len() - 1;
+        self.tally(last, allocs);
     }
 }
 
@@ -252,4 +272,71 @@ fn gateway_established_connection_allocates_only_the_programs_own_key() {
     // program builds to look the connection up with.
     assert_tally(&at_gw[REQUEST], "gateway, established request", 1);
     assert_eq!(at_mid[REQUEST].seen + at_gw[RELAYED].seen, 0);
+}
+
+/// Arms the first hook timer of its node; the ASP re-arms the rest.
+struct Kick;
+
+impl App for Kick {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        api.set_hook_timer(TICK, 7);
+    }
+    fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {}
+}
+
+#[test]
+fn tagged_sends_and_timer_wakeups_allocate_nothing() {
+    // `network` re-sends every datagram on the user channel `mon`, which
+    // tags it; `timer` counts its firings in `ps`, re-arms itself with
+    // the same key and sends its own packet to `b` on `mon`.
+    let src = format!(
+        "val sink : host = 10.0.1.1\n\
+         channel mon(ps : int, ss : unit, p : ip*udp*blob) is\n\
+         (OnRemote(mon, p); (ps, ss))\n\
+         channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+         (OnRemote(mon, p); (ps, ss))\n\
+         channel timer(ps : int, ss : unit, p : ip*udp*blob) is\n\
+         ((if ps + 1 < {fires} then setTimer(1, 7) else ());\n\
+          OnRemote(mon, (ipDestSet(#1 p, sink), #2 p, #3 p)); (ps + 1, ss))",
+        fires = WARMUP + MEASURED
+    );
+    let image = load(&src, Policy::authenticated()).expect("the program loads");
+    let mut sim = Sim::new(5);
+    let a = sim.add_host("a", addr(10, 0, 0, 1));
+    let r = sim.add_router("r", addr(10, 0, 0, 254));
+    let b = sim.add_host("b", addr(10, 0, 1, 1));
+    sim.add_link(LinkSpec::ethernet_100(), &[a, r]);
+    sim.add_link(LinkSpec::ethernet_100(), &[r, b]);
+    sim.compute_routes();
+    // At `r`: untagged arrivals (class 0) and timer wake-ups (last
+    // class). At `b`: tagged arrivals, delivered by `OnRemote` at the
+    // destination.
+    let at_r = install(&mut sim, r, &image, |_| 0, 2);
+    let at_b = install(&mut sim, b, &image, |pkt| usize::from(pkt.tag.is_none()), 2);
+    sim.add_app(r, Box::new(Kick));
+    let got = Rc::new(Cell::new(0));
+    sim.add_app(b, Box::new(Sink(got.clone())));
+    sim.add_app(
+        a,
+        Box::new(Ticker {
+            make: |src, n| {
+                let dst = addr(10, 0, 1, 1);
+                Packet::udp(src, dst, 4000, 5555, Bytes::from(vec![n as u8; 64]))
+            },
+            sent: 0,
+        }),
+    );
+    sim.run_until(SimTime::from_secs(3));
+    assert_eq!(
+        got.get(),
+        2 * (WARMUP + MEASURED),
+        "datagrams and timer packets"
+    );
+
+    let (at_r, at_b) = (at_r.borrow(), at_b.borrow());
+    assert_tally(&at_r[0], "untagged arrival, tagged send", 0);
+    assert_tally(&at_r[1], "timer wake-up, re-armed, tagged send", 0);
+    assert_eq!(at_b[0].seen, 2 * (WARMUP + MEASURED), "all arrived tagged");
+    assert_eq!(at_b[0].allocs, 0, "tagged arrival, delivered");
+    assert_eq!(at_b[1].seen, 0, "nothing reached `b` untagged");
 }

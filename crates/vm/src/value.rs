@@ -46,6 +46,12 @@ pub enum Value {
     Udp(UdpHdr),
 }
 
+// A register, a tuple slot, a table key and a table entry are each one
+// of these: 8 bytes of discriminant and the 24-byte `Bytes` of a blob
+// (40 while `Bytes` kept `usize` offsets). The bytecode engine moves
+// them by value on every load, store and send.
+const _: () = assert!(std::mem::size_of::<Value>() <= 32);
+
 impl PartialEq for Value {
     /// Structural equality where the language defines it; headers compare
     /// by fields and tables by identity (sharing), mirroring run-time
