@@ -11,19 +11,30 @@
 //! `=`/`<>` on `host`, `bool`, `string` and pairs (the generic
 //! fallback), `andalso`/`orelse`/`not`, nested `if`/`let`, ports out of
 //! range into setters, and `OnRemote`/`OnNeighbor`/`deliver` of `p`, of
-//! a literal tuple and of a computed value. Each program meets eight
-//! packets on the interpreter, on the tuple-fed `run_channel` and on
-//! the register-fed `load_packet` entry; the three must agree on the
-//! result (or the error's identity), the effects, the step total, the
-//! per-site trail *in order* and the send sites.
+//! a literal tuple and of a computed value. A quarter of the programs
+//! keep a `(k, v) hash_table` as channel state, keyed by `int`, `host`,
+//! `host*int`, `host*int*int` or `string`, and use every table
+//! primitive on it (`tblGet` with and without a `NotFound` handler);
+//! their keys are scalars, literal tuples, computed tuples, `let`-bound
+//! tuples used only as keys and projected, and `let`-bound tuples that
+//! are also used whole (which must stay built).
+//!
+//! Each program meets eight packets on the interpreter, on the
+//! tuple-fed `run_channel` and on the register-fed `load_packet` entry;
+//! the three must agree on the result (or the error's identity), the
+//! effects, the step total, the per-site trail *in order*, the send
+//! sites, the table writes (`(inserted, entries)`, what the runtime's
+//! `state_inserts`/`state_entries` counters are fed) and, after every
+//! packet, the table's contents: its size and a lookup of every probe
+//! key through the primitives, and its entries.
 //!
 //! A program is a function of `(seed, depth)` alone. A failure is
 //! shrunk by regenerating the same seed at smaller depths and prints
 //! the seed, the depth and the source.
 //!
-//! Not generated yet: tables, user functions, timers, lists, fault
-//! plans (so `List`, `Call` and `Flush` are the instruction kinds the
-//! coverage assertion leaves out).
+//! Not generated yet: user functions, timers, lists, fault plans (so
+//! `List`, `Call` and `Flush` are the instruction kinds the coverage
+//! assertion leaves out).
 
 use netsim::rng::SplitMix64;
 use planp::lang::compile_front;
@@ -32,6 +43,7 @@ use planp::vm::env::MockEnv;
 use planp::vm::interp::Interp;
 use planp::vm::jit;
 use planp::vm::pkthdr::{addr, IpHdr, TcpHdr, UdpHdr};
+use planp::vm::prims::eval;
 use planp::vm::value::{Value, VmError};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -49,11 +61,15 @@ enum Ty {
     Str,
     /// `host*int`: an equality type that is not a scalar.
     Pair,
+    /// `host*int*int`: the widest key held inline.
+    Triple,
     Ip,
     Tcp,
     Udp,
     Blob,
     Unit,
+    /// The channel state's `hash_table` ([`Gen::table`] says of what).
+    Table,
 }
 
 impl Ty {
@@ -65,11 +81,24 @@ impl Ty {
             Ty::Host => "host",
             Ty::Str => "string",
             Ty::Pair => "host*int",
+            Ty::Triple => "host*int*int",
             Ty::Ip => "ip",
             Ty::Tcp => "tcp",
             Ty::Udp => "udp",
             Ty::Blob => "blob",
             Ty::Unit => "unit",
+            Ty::Table => "hash_table",
+        }
+    }
+
+    /// `#i` of a value of this type, for `i` in `1..`, if it is a key
+    /// tuple's component of type `of`.
+    fn projections(self, of: Ty) -> &'static [u32] {
+        match (self, of) {
+            (Ty::Pair | Ty::Triple, Ty::Host) => &[1],
+            (Ty::Pair, Ty::Int) => &[2],
+            (Ty::Triple, Ty::Int) => &[2, 3],
+            _ => &[],
         }
     }
 }
@@ -84,8 +113,13 @@ struct Gen {
     /// header, if any, then the payload.
     parts: Vec<Ty>,
     ss: Ty,
+    /// When `ss` is a table: its key and value types.
+    table: Option<(Ty, Ty)>,
     /// `let`-bound variables in scope.
     vars: Vec<(String, Ty)>,
+    /// `let`-bound key tuples in scope that are only ever used as a
+    /// table key or projected.
+    keys: Vec<(String, Ty)>,
     fresh: u32,
 }
 
@@ -105,6 +139,14 @@ impl Gen {
     fn packet_type(&self) -> String {
         let parts = self.parts.iter().map(|t| format!("*{}", t.name()));
         format!("ip{}", parts.collect::<String>())
+    }
+
+    /// The channel state's type as written in the source.
+    fn ss_type(&self) -> String {
+        match self.table {
+            Some((k, v)) => format!("({}, {}) hash_table", k.name(), v.name()),
+            None => self.ss.name().into(),
+        }
     }
 
     /// A type some expression can be written of here.
@@ -133,6 +175,9 @@ impl Gen {
     fn leaf(&mut self, ty: Ty) -> String {
         let mut from: Vec<String> = Vec::new();
         from.extend(self.vars.iter().filter(|v| v.1 == ty).map(|v| v.0.clone()));
+        for (name, of) in self.vars.iter().chain(&self.keys) {
+            from.extend(of.projections(ty).iter().map(|i| format!("#{i} {name}")));
+        }
         if ty == Ty::Ip {
             from.push("#1 p".into());
         }
@@ -159,15 +204,21 @@ impl Gen {
             ],
             Ty::Str => &["\"\"", "\"GET\"", "gs", "gs"],
             Ty::Unit => &["()"],
-            Ty::Pair | Ty::Ip | Ty::Tcp | Ty::Udp | Ty::Blob => &[],
+            Ty::Pair | Ty::Triple | Ty::Ip | Ty::Tcp | Ty::Udp | Ty::Blob | Ty::Table => &[],
         };
         from.extend(literals.iter().map(|s| s.to_string()));
         if ty == self.ss {
             from.push("ss".into());
         }
         if from.is_empty() {
-            // Only a pair has neither a literal nor a component.
-            return format!("({}, {})", self.leaf(Ty::Host), self.leaf(Ty::Int));
+            // Only a key tuple has neither a literal nor a component.
+            return match ty {
+                Ty::Triple => {
+                    let (h, n, m) = (self.leaf(Ty::Host), self.leaf(Ty::Int), self.leaf(Ty::Int));
+                    format!("({h}, {n}, {m})")
+                }
+                _ => format!("({}, {})", self.leaf(Ty::Host), self.leaf(Ty::Int)),
+            };
         }
         let i = self.below(from.len() as u64) as usize;
         from.swap_remove(i)
@@ -185,6 +236,73 @@ impl Gen {
         format!("let val {name} : {} = {init} in {body} end", ty.name())
     }
 
+    /// [`Gen::let_in`], or — where the table is keyed by a tuple — half
+    /// the time a `let` of a literal key tuple: two times in three one
+    /// that `body` may only use as a key or project, else one it may
+    /// also use whole.
+    fn some_let(&mut self, depth: u32, body: impl FnOnce(&mut Gen) -> String) -> String {
+        let key = match self.table {
+            Some((k @ (Ty::Pair | Ty::Triple), _)) if self.rng.next_below(2) == 0 => k,
+            _ => return self.let_in(depth, body),
+        };
+        let mut items = vec![self.expr(Ty::Host, depth), self.expr(Ty::Int, depth)];
+        if key == Ty::Triple {
+            items.push(self.expr(Ty::Int, depth));
+        }
+        let name = format!("k{}", self.fresh);
+        self.fresh += 1;
+        let keys_only = self.below(3) != 0;
+        let scope = if keys_only {
+            &mut self.keys
+        } else {
+            &mut self.vars
+        };
+        scope.push((name.clone(), key));
+        let body = body(self);
+        if keys_only {
+            self.keys.pop();
+        } else {
+            self.vars.pop();
+        }
+        let init = items.join(", ");
+        format!("let val {name} : {} = ({init}) in {body} end", key.name())
+    }
+
+    /// A table key: a key tuple bound by [`Gen::some_let`] half the time
+    /// there is one, else any expression of the key type.
+    fn key(&mut self, d: u32) -> String {
+        let (k, _) = self.table.expect("a table in scope");
+        let bound: Vec<String> = self
+            .keys
+            .iter()
+            .filter(|x| x.1 == k)
+            .map(|x| x.0.clone())
+            .collect();
+        if !bound.is_empty() && self.below(2) == 0 {
+            let i = self.below(bound.len() as u64) as usize;
+            return bound[i].clone();
+        }
+        self.expr(k, d)
+    }
+
+    /// A read of the table, if one has type `ty`.
+    fn table_read(&mut self, ty: Ty, d: u32) -> Option<String> {
+        let (_, v) = self.table?;
+        Some(match ty {
+            Ty::Bool => format!("tblHas(ss, {})", self.key(d)),
+            Ty::Int if self.below(3) == 0 => "tblSize(ss)".into(),
+            _ if ty == v => {
+                let key = self.key(d);
+                match self.below(4) {
+                    // A miss raises out of the channel.
+                    0 => format!("tblGet(ss, {key})"),
+                    _ => format!("(tblGet(ss, {key}) handle NotFound => {})", self.leaf(v)),
+                }
+            }
+            _ => return None,
+        })
+    }
+
     fn expr(&mut self, ty: Ty, depth: u32) -> String {
         if depth == 0 || self.below(4) == 0 {
             return self.leaf(ty);
@@ -196,7 +314,12 @@ impl Gen {
                 let (c, a, b) = (self.expr(Ty::Bool, d), self.expr(ty, d), self.expr(ty, d));
                 return format!("(if {c} then {a} else {b})");
             }
-            1 => return format!("({})", self.let_in(d, |g| g.expr(ty, d))),
+            1 => return format!("({})", self.some_let(d, |g| g.expr(ty, d))),
+            2 if self.table.is_some() => {
+                if let Some(read) = self.table_read(ty, d) {
+                    return read;
+                }
+            }
             _ => {}
         }
         match ty {
@@ -240,8 +363,8 @@ impl Gen {
                     format!("({a} {op} {b})")
                 }
                 4..=6 => {
-                    let of =
-                        [Ty::Host, Ty::Host, Ty::Bool, Ty::Str, Ty::Pair][self.below(5) as usize];
+                    let of = [Ty::Host, Ty::Host, Ty::Bool, Ty::Str, Ty::Pair, Ty::Triple]
+                        [self.below(6) as usize];
                     let op = self.pick(&["=", "<>"]);
                     let (a, b) = (self.expr(of, d), self.expr(of, d));
                     format!("({a} {op} {b})")
@@ -275,6 +398,14 @@ impl Gen {
                 let (h, n) = (self.expr(Ty::Host, d), self.expr(Ty::Int, d));
                 format!("({h}, {n})")
             }
+            Ty::Triple => {
+                let (h, n, m) = (
+                    self.expr(Ty::Host, d),
+                    self.expr(Ty::Int, d),
+                    self.expr(Ty::Int, d),
+                );
+                format!("({h}, {n}, {m})")
+            }
             Ty::Ip => {
                 let set = self.pick(&["ipSrcSet", "ipDestSet"]);
                 let (h, x) = (self.expr(Ty::Ip, d), self.expr(Ty::Host, d));
@@ -294,7 +425,7 @@ impl Gen {
                 let (off, len) = (self.pick(&["0", "1", "2"]), self.pick(&["0", "1", "9"]));
                 format!("blobSub({b}, {off}, {len})")
             }
-            Ty::Unit => self.leaf(Ty::Unit),
+            Ty::Unit | Ty::Table => self.leaf(ty),
         }
     }
 
@@ -352,6 +483,20 @@ impl Gen {
     }
 
     fn effect(&mut self, depth: u32) -> String {
+        if let Some((_, v)) = self.table.filter(|_| self.below(2) == 0) {
+            let write = match self.below(9) {
+                0..=4 => {
+                    let (k, x) = (self.key(depth), self.expr(v, depth));
+                    format!("tblSet(ss, {k}, {x})")
+                }
+                5..=7 => format!("tblDel(ss, {})", self.key(depth)),
+                _ => "tblClear(ss)".into(),
+            };
+            return match self.below(4) {
+                0 => format!("(if {} then {write} else ())", self.expr(Ty::Bool, depth)),
+                _ => write,
+            };
+        }
         let send = match self.below(7) {
             0 | 1 => format!("OnRemote(network, {})", self.packet(depth)),
             2 | 3 => {
@@ -360,7 +505,8 @@ impl Gen {
             }
             4 | 5 => format!("deliver({})", self.packet(depth)),
             _ => {
-                let ty = [Ty::Int, Ty::Bool, Ty::Host, Ty::Str, Ty::Pair][self.below(5) as usize];
+                let ty = [Ty::Int, Ty::Bool, Ty::Host, Ty::Str, Ty::Pair, Ty::Triple]
+                    [self.below(6) as usize];
                 return format!("println({})", self.expr(ty, depth));
             }
         };
@@ -381,7 +527,7 @@ impl Gen {
                 // One tail in five returns a pair some `let` built.
                 match self.below(5) {
                     0 => {
-                        let ty = format!("int*{}", self.ss.name());
+                        let ty = format!("int*{}", self.ss_type());
                         format!("({seq}let val r : {ty} = ({ps}, {ss}) in r end)")
                     }
                     _ => format!("({seq}({ps}, {ss}))"),
@@ -391,7 +537,7 @@ impl Gen {
                 let (c, a, b) = (self.expr(Ty::Bool, depth), self.body(d), self.body(d));
                 format!("if {c} then {a} else {b}")
             }
-            6 => self.let_in(depth, |g| g.body(d)),
+            6 => self.some_let(depth, |g| g.body(d)),
             _ => {
                 let exn = self.pick(&["Div", "OutOfRange", "_"]);
                 let (a, b) = (self.body(d), self.body(0));
@@ -419,26 +565,99 @@ fn program(seed: u64, depth: u32) -> (String, Vec<Ty>) {
         &[Ty::Str, Ty::Char, Ty::Host, Ty::Blob],
     ];
     parts.extend(payloads[rng.next_below(6) as usize]);
-    let ss = [Ty::Unit, Ty::Int, Ty::Bool][rng.next_below(3) as usize];
+    let ss = [Ty::Unit, Ty::Int, Ty::Bool, Ty::Table][rng.next_below(4) as usize];
+    let table = (ss == Ty::Table).then(|| {
+        let k = [Ty::Int, Ty::Host, Ty::Pair, Ty::Triple, Ty::Str][rng.next_below(5) as usize];
+        (k, [Ty::Int, Ty::Host][rng.next_below(2) as usize])
+    });
     let gi = ["5555", "80", "0", "7 * 11 + 3", "65535 + 1"][rng.next_below(5) as usize];
     let gh = ["10.0.0.2", "10.0.0.1", "224.0.0.1"][rng.next_below(3) as usize];
     let mut gen = Gen {
         rng,
         parts,
         ss,
+        table,
         vars: Vec::new(),
+        keys: Vec::new(),
         fresh: 0,
     };
     let body = gen.body(depth);
     let src = format!(
         "val gi : int = {gi}\nval gh : host = {gh}\nval gc : char = #\"M\"\n\
          val gb : bool = {}\nval gs : string = \"GET\"\n\
-         channel network(ps : int, ss : {}, p : {}) is\n{body}\n",
+         channel network(ps : int, ss : {}, p : {}){} is\n{body}\n",
         seed.is_multiple_of(2),
-        ss.name(),
+        gen.ss_type(),
         gen.packet_type(),
+        if table.is_some() {
+            " initstate mkTable(8)"
+        } else {
+            ""
+        },
     );
     (src, gen.parts)
+}
+
+/// Keys every table is probed with after each packet: values of every
+/// key type, drawn from the pools the packets and the programs' literals
+/// draw from, so that some of them hit.
+fn probe_keys() -> Vec<Value> {
+    let hosts = [
+        HERE,
+        addr(10, 0, 0, 1),
+        addr(224, 0, 0, 1),
+        addr(10, 0, 3, 9),
+    ];
+    let ints = [0, 1, 7, 80, 5555, 65535];
+    let mut keys: Vec<Value> = ["", "GET", "GETGET"].map(Value::str).into();
+    for &h in &hosts {
+        keys.push(Value::Host(h));
+        for &n in &ints {
+            keys.push(Value::tuple(vec![Value::Host(h), Value::Int(n)]));
+            keys.push(Value::tuple(vec![
+                Value::Host(h),
+                Value::Int(n),
+                Value::Int(n),
+            ]));
+            keys.push(Value::tuple(vec![
+                Value::Host(h),
+                Value::Int(n),
+                Value::Int(0),
+            ]));
+        }
+    }
+    keys.extend(ints.map(Value::Int));
+    keys
+}
+
+/// What a table holds, read back through the primitives — its size and
+/// what `tblHas` and `tblGet` say of each probe key — followed by its
+/// entries, sorted. `None` for state that is not a table.
+fn table_view(ss: &Value, probes: &[Value]) -> Option<Vec<String>> {
+    let Value::Table(t) = ss else { return None };
+    let prim = |name| {
+        planp::lang::prims::table()
+            .lookup(name)
+            .expect("a table primitive")
+            .0
+    };
+    let mut env = MockEnv::new(HERE);
+    let size = eval(prim("tblSize"), std::slice::from_ref(ss), &mut env);
+    let mut view = vec![format!("{size:?}")];
+    for k in probes {
+        let args = [ss.clone(), k.clone()];
+        let has = eval(prim("tblHas"), &args, &mut env);
+        let got = eval(prim("tblGet"), &args, &mut env);
+        view.push(format!("{k}: {has:?} {got:?}"));
+    }
+    let mut entries: Vec<String> = t
+        .borrow()
+        .iter()
+        .map(|(k, v)| format!("{k:?} = {v}"))
+        .collect();
+    entries.sort();
+    view.extend(entries);
+    Some(view)
 }
 
 /// A packet of the shape `parts` names, fields drawn from small pools
@@ -489,7 +708,9 @@ fn packet(parts: &[Ty], rng: &mut SplitMix64) -> Value {
             Ty::Host => Value::Host(host(rng)),
             Ty::Str => Value::str(["", "GET", "GET /doc/7"][rng.next_below(3) as usize]),
             Ty::Blob => Value::Blob(vec![7u8; rng.next_below(12) as usize].into()),
-            Ty::Pair | Ty::Ip | Ty::Unit => unreachable!("not a packet component"),
+            Ty::Pair | Ty::Triple | Ty::Ip | Ty::Unit | Ty::Table => {
+                unreachable!("not a packet component")
+            }
         });
     }
     Value::tuple(out)
@@ -504,6 +725,7 @@ struct Seen {
     dispatches: u64,
     raised: u64,
     effects: u64,
+    table_writes: u64,
 }
 
 fn same<T: PartialEq + Debug>(what: &str, interp: &T, bytecode: &T) -> Result<(), String> {
@@ -532,17 +754,24 @@ fn check(seed: u64, depth: u32) -> Result<Seen, String> {
     let gi = gi.map_err(|e| fail(format!("globals: {e}")))?;
     let gj = compiled.eval_globals(&mut envs[1]);
     let gj = gj.map_err(|e| fail(format!("globals: {e}")))?;
+    // Each column threads its own state — its own table — from
+    // dispatch to dispatch.
+    let ps0 = Value::Int(seed as i64 % 5 - 1);
+    let ssi = interp.init_channel_state(0, &gi, &mut envs[0]);
+    let ssj = compiled.init_channel_state(0, &gj, &mut envs[1]);
+    let ssr = compiled.init_channel_state(0, &gj, &mut envs[2]);
     same(
         "initializer trails",
         &envs[0].site_steps,
         &envs[1].site_steps,
     )
     .map_err(&fail)?;
-    let ss0 = interp
-        .init_channel_state(0, &gi, &mut envs[0])
-        .map_err(|e| fail(format!("initstate: {e}")))?;
-    // Each column threads its own state from dispatch to dispatch.
-    let mut states = [(); 3].map(|()| (Value::Int(seed as i64 % 5 - 1), ss0.clone()));
+    let init = |ss: Result<Value, VmError>| {
+        let ss = ss.map_err(|e| fail(format!("initstate: {e}")))?;
+        Ok::<_, String>((ps0.clone(), ss))
+    };
+    let mut states = [init(ssi)?, init(ssj)?, init(ssr)?];
+    let probes = probe_keys();
 
     let mut rng = SplitMix64::new(seed ^ 0xD15_9A7C);
     let mut seen = Seen {
@@ -550,6 +779,7 @@ fn check(seed: u64, depth: u32) -> Result<Seen, String> {
         dispatches: 0,
         raised: 0,
         effects: 0,
+        table_writes: 0,
     };
     for n in 0..8 {
         let pkt = packet(&parts, &mut rng);
@@ -559,6 +789,7 @@ fn check(seed: u64, depth: u32) -> Result<Seen, String> {
             env.send_sites.clear();
             env.effects.clear();
             env.output.clear();
+            env.table_writes.clear();
         }
         let wire = value_to_packet(&pkt, None).map_err(|e| fail(format!("packet: {e}")))?;
         let [ei, ej, er] = &mut envs;
@@ -598,8 +829,18 @@ fn check(seed: u64, depth: u32) -> Result<Seen, String> {
         seen.dispatches += 1;
         seen.raised += u64::from(ri.is_err());
         seen.effects += ei.effects.len() as u64;
+        seen.table_writes += ei.table_writes.len() as u64;
         if let Ok(next) = ri {
             states[0] = next;
+        }
+        // What a table holds after the packet, whether the dispatch
+        // raised or not (a write before a raise stays written).
+        let view = table_view(&states[0].1, &probes);
+        for (entry, env, col) in [("run_channel", &*ej, 1), ("load_packet", &*er, 2)] {
+            let ctx = |what: &str| format!("packet {n}, {entry}: {what}");
+            same(&ctx("table writes"), &ei.table_writes, &env.table_writes)
+                .and_then(|()| same(&ctx("tables"), &view, &table_view(&states[col].1, &probes)))
+                .map_err(&fail)?;
         }
     }
     Ok(seen)
@@ -647,7 +888,7 @@ fn generated_programs_agree_on_all_three_entries() {
         15_000
     };
     let mut emitted: BTreeMap<&str, u64> = BTreeMap::new();
-    let (mut dispatches, mut raised, mut effects) = (0, 0, 0);
+    let (mut dispatches, mut raised, mut effects, mut writes) = (0, 0, 0, 0);
     for seed in 0..programs {
         let depth = 1 + (seed % 4) as u32;
         let seen = check_caught(seed, depth).unwrap_or_else(|why| {
@@ -661,8 +902,12 @@ fn generated_programs_agree_on_all_three_entries() {
         dispatches += seen.dispatches;
         raised += seen.raised;
         effects += seen.effects;
+        writes += seen.table_writes;
     }
-    println!("{programs} programs, {dispatches} dispatches: {raised} raised, {effects} effects");
+    println!(
+        "{programs} programs, {dispatches} dispatches: {raised} raised, {effects} effects, \
+         {writes} table writes"
+    );
     println!("programs per instruction kind: {emitted:?}");
     for kind in TYPED.iter().chain(GENERIC) {
         let n = emitted.get(kind).copied().unwrap_or(0);
@@ -673,6 +918,7 @@ fn generated_programs_agree_on_all_three_entries() {
     assert!(raised * 20 > dispatches, "{raised} of {dispatches} raised");
     assert!(raised * 2 < dispatches, "{raised} of {dispatches} raised");
     assert!(effects > dispatches / 2, "{effects} effects");
+    assert!(writes > dispatches / 10, "{writes} table writes");
 }
 
 #[test]
