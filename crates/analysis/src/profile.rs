@@ -161,7 +161,7 @@ fn kind_label(e: &TExpr, prog: &TProgram) -> String {
 }
 
 /// An adjacent hot-site sequence worth fusing into a superinstruction
-/// (the bytecode tier emits `BrScalarCmp` and `BrPrim` for these).
+/// (the bytecode tier emits `BrScalarCmp` and `BrTblHas` for these).
 #[derive(Debug, Clone)]
 pub struct SuperinstructionCandidate {
     /// Pattern tag: `hdr_compare_branch` or `table_forward`.

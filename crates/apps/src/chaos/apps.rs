@@ -11,10 +11,10 @@
 use super::asp::{DATA_PORT, NACK_PORT};
 use bytes::Bytes;
 use netsim::packet::Packet;
+use netsim::rng::Seedless;
 use netsim::{App, NodeApi};
 use planp_telemetry::CounterId;
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -136,7 +136,8 @@ pub struct SeqCollectorStats {
 /// Receives sequence-stamped datagrams and tallies unique deliveries,
 /// duplicates, and corrupted payloads.
 pub struct SeqCollector {
-    seen: HashSet<u64>,
+    #[allow(clippy::disallowed_types)] // lookup-only: `insert`, never iterated
+    seen: std::collections::HashSet<u64, Seedless>,
     c_unique: Option<CounterId>,
     /// Shared counters.
     pub stats: Rc<RefCell<SeqCollectorStats>>,
@@ -146,7 +147,7 @@ impl SeqCollector {
     /// An empty collector.
     pub fn new() -> Self {
         SeqCollector {
-            seen: HashSet::new(),
+            seen: Default::default(),
             c_unique: None,
             stats: Rc::new(RefCell::new(SeqCollectorStats::default())),
         }

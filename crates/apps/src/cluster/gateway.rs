@@ -197,6 +197,43 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The backends a ring walk from a key tries, in order: clockwise from
+/// the key's position, each backend at its first point. The walk ends
+/// once every backend has been tried — the rest of the ring holds only
+/// backends already tried — or after one lap.
+struct RingWalk {
+    at: usize,
+    left: usize,
+    tried: u64,
+    all: u64,
+}
+
+impl RingWalk {
+    fn new(ring: &[(u64, u32)], backends: usize, key: u64) -> Self {
+        let h = mix(key);
+        RingWalk {
+            at: ring.partition_point(|&(p, _)| p < h) % ring.len(),
+            left: ring.len(),
+            tried: 0,
+            all: u64::MAX >> (64 - backends),
+        }
+    }
+
+    /// The next backend not tried yet.
+    fn next(&mut self, ring: &[(u64, u32)]) -> Option<u32> {
+        while self.left > 0 && self.tried != self.all {
+            let (_, b) = ring[self.at];
+            self.at = (self.at + 1) % ring.len();
+            self.left -= 1;
+            if self.tried & (1 << b) == 0 {
+                self.tried |= 1 << b;
+                return Some(b);
+            }
+        }
+        None
+    }
+}
+
 /// The gateway hook. Install on the router fronting the backends.
 pub struct ClusterGateway {
     cfg: GatewayConfig,
@@ -326,15 +363,8 @@ impl ClusterGateway {
     /// Bounded-load consistent-hash pick: walk the ring clockwise from
     /// the key's position, skipping full and broken backends.
     fn pick(&mut self, api: &mut NodeApi<'_>, key: u64, now_ns: u64) -> Option<u32> {
-        let h = mix(key);
-        let start = self.ring.partition_point(|&(p, _)| p < h) % self.ring.len();
-        let mut tried = 0u64;
-        for i in 0..self.ring.len() {
-            let (_, b) = self.ring[(start + i) % self.ring.len()];
-            if tried & (1 << b) != 0 {
-                continue;
-            }
-            tried |= 1 << b;
+        let mut walk = RingWalk::new(&self.ring, self.backends.len(), key);
+        while let Some(b) = walk.next(&self.ring) {
             if self.eligible(api, b, now_ns) {
                 return Some(b);
             }
@@ -548,6 +578,36 @@ mod tests {
         let spread: std::collections::BTreeSet<u32> = (0..200u64).map(pos).collect();
         assert_eq!(pos(42), pos(42), "deterministic placement");
         assert!(spread.len() >= 8, "keys spread across backends: {spread:?}");
+    }
+
+    #[test]
+    fn ring_walk_tries_each_backend_once_and_stops_when_all_are_tried() {
+        let mut tel = Telemetry::default();
+        let gw = ClusterGateway::new(GatewayConfig::default(), specs(6), &mut tel);
+        let (ring, n) = (&gw.ring, gw.backends.len());
+        for key in 0..500u64 {
+            let mut walk = RingWalk::new(ring, n, key);
+            let start = walk.at;
+            let order: Vec<u32> = std::iter::from_fn(|| walk.next(ring)).collect();
+            // The old walk: one lap, first appearance of each backend.
+            let mut lap = Vec::new();
+            for i in 0..ring.len() {
+                let b = ring[(start + i) % ring.len()].1;
+                if !lap.contains(&b) {
+                    lap.push(b);
+                }
+            }
+            assert_eq!(order, lap, "key {key}");
+            // It stopped at the last backend's first point, not a lap later.
+            let last = (0..ring.len())
+                .find(|i| ring[(start + i) % ring.len()].1 == lap[n - 1])
+                .expect("every backend is on the ring");
+            assert_eq!(ring.len() - walk.left, last + 1, "key {key}");
+        }
+        // Past the first point of the last backend, nothing else is read.
+        let mut walk = RingWalk::new(ring, n, 7);
+        while walk.next(ring).is_some() {}
+        assert!(walk.left > 0 && walk.tried == walk.all);
     }
 
     #[test]

@@ -3,15 +3,17 @@
 
 use super::asp::{SERVER0_ADDR, SERVER1_ADDR, VIRTUAL_ADDR};
 use netsim::packet::Packet;
+use netsim::rng::Seedless;
 use netsim::{ArrivalMeta, HookVerdict, NodeApi, PacketHook};
-use std::collections::HashMap;
 
 /// Native gateway hook: identical balancing logic, hand-written.
 #[derive(Debug)]
 pub struct NativeHttpGateway {
     virt: u32,
     servers: [u32; 2],
-    conns: HashMap<(u32, u16), u32>,
+    /// Hashed as the ASP's connection table is.
+    #[allow(clippy::disallowed_types)] // lookup-only: `entry`, never iterated
+    conns: std::collections::HashMap<(u32, u16), u32, Seedless>,
     next: u64,
     /// Connections assigned so far.
     pub assigned: u64,
@@ -29,7 +31,7 @@ impl NativeHttpGateway {
         NativeHttpGateway {
             virt: VIRTUAL_ADDR,
             servers: [SERVER0_ADDR, SERVER1_ADDR],
-            conns: HashMap::new(),
+            conns: Default::default(),
             next: 0,
             assigned: 0,
         }

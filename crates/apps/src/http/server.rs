@@ -15,9 +15,10 @@
 
 use super::trace::Trace;
 use netsim::packet::Packet;
+use netsim::rng::Seedless;
 use netsim::tcp::{ConnKey, TcpConfig, TcpEvents, TcpSocket};
 use netsim::{App, NodeApi};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -76,7 +77,8 @@ pub struct HttpServerApp {
     backlog: VecDeque<ConnKey>,
     active: usize,
     next_token: u64,
-    tokens: HashMap<u64, ConnKey>,
+    #[allow(clippy::disallowed_types)] // lookup-only: `insert`/`remove`, never iterated
+    tokens: std::collections::HashMap<u64, ConnKey, Seedless>,
     /// Requests fully served (diagnostics).
     pub served: u64,
 }
@@ -95,7 +97,7 @@ impl HttpServerApp {
             backlog: VecDeque::new(),
             active: 0,
             next_token: 0,
-            tokens: HashMap::new(),
+            tokens: Default::default(),
             served: 0,
         }
     }

@@ -25,7 +25,6 @@
 //! * [`corpus`] — the one table of every PLAN-P program under `asps/`.
 
 #![warn(missing_docs)]
-#![allow(clippy::disallowed_types)] // not yet audited, ROADMAP item 2
 
 /// The PLAN-P file `asps/<name>.planp` as the `*_ASP` constants of the
 /// application modules carry it: behind the leading newline they had as

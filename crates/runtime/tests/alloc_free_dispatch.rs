@@ -7,19 +7,17 @@
 //!
 //! * the fragile relay, forwarding (`OnRemote(network, p)`) and at the
 //!   destination (`deliver(p)`);
-//! * the HTTP gateway on an established connection: the tagged `relay`
-//!   channel downstream of the gateway, and the response path's send
-//!   of a literal tuple with a rewritten header;
+//! * the HTTP gateway on an established connection: the request path
+//!   (the `(client, port)` connection key is a `let`-bound tuple used
+//!   only as a table key, so it is never built: the lookups hash it
+//!   from registers), the tagged `relay` channel downstream of the
+//!   gateway, and the response path's send of a literal tuple with a
+//!   rewritten header;
 //! * a program with a user-defined channel and a `timer` channel: the
 //!   send that *tags* a packet (the `{channel, overload}` record is
 //!   built once per channel at install and cloned per send — an
 //!   `Rc::new` per send would pass every other test and fail here),
 //!   and a timer wake-up that re-arms itself and sends on that channel.
-//!
-//! The gateway's *request* path builds one tuple of its own — the
-//! `(client, port)` key it looks the connection up with — and that
-//! single allocation per dispatch is pinned too: it is the program's,
-//! not the dispatch's.
 
 use bytes::Bytes;
 use netsim::packet::{addr, Packet, TcpHdr};
@@ -224,7 +222,7 @@ impl App for Responder {
 }
 
 #[test]
-fn gateway_established_connection_allocates_only_the_programs_own_key() {
+fn gateway_established_connection_allocates_nothing() {
     let src = include_str!("../../../asps/http_gateway.planp");
     let image = load(src, Policy::strict()).expect("the gateway loads");
     // client — gw — mid — srv0; `gw` and `mid` run the same image, so
@@ -267,10 +265,9 @@ fn gateway_established_connection_allocates_only_the_programs_own_key() {
     assert_tally(&at_mid[RESPONSE], "gateway, rewritten-header send", 0);
     // Downstream of the rewrite the response is plainly forwarded.
     assert_tally(&at_gw[RESPONSE], "gateway, plain forward", 0);
-    // The request path sends a rewritten literal tuple on `relay` too;
-    // its one allocation is the connection key `(ipSrc, tcpSrc)` the
-    // program builds to look the connection up with.
-    assert_tally(&at_gw[REQUEST], "gateway, established request", 1);
+    // The request path looks the connection `(ipSrc, tcpSrc)` up twice
+    // and sends a rewritten literal tuple on `relay`.
+    assert_tally(&at_gw[REQUEST], "gateway, established request", 0);
     assert_eq!(at_mid[REQUEST].seen + at_gw[RELAYED].seen, 0);
 }
 

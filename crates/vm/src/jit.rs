@@ -30,9 +30,16 @@
 //!   operand in place, or as `thisHost()` asked of the environment — and
 //!   computes on `i64`s: no call, no `Value` built to be taken apart
 //!   again. A header-field setter ([`Access::Set`]) reads its header in
-//!   place and its scalar the same way. Everything else (strings,
-//!   blobs, tuples, tables, the other primitives) takes the generic
-//!   instructions, through [`crate::ops`] and the function pointers;
+//!   place and its scalar the same way. `tblGet`/`tblHas`/`tblSet`/
+//!   `tblDel` are table instructions that read the table in place and,
+//!   where the key's type is a scalar or a tuple of up to three
+//!   ([`KeyShape`]), the key as scalar operands made into an inline
+//!   [`Key`] on the stack: a scalar key, a literal tuple, or a `let`-bound
+//!   tuple whose every use is a key or a projection — that tuple is never
+//!   built. Any other key is read as a value ([`Key::of`]). Everything
+//!   else (strings, blobs, tuples, the other primitives) takes the
+//!   generic instructions, through [`crate::ops`] and the function
+//!   pointers;
 //! * conditions compile to branches (`andalso`/`orelse`/`not` never
 //!   materialize a boolean), with two fused forms — the superinstructions
 //!   the profiler ranked: **`hdr_compare_branch`** (`if tcpDst(h) = 80`,
@@ -50,9 +57,10 @@
 //!
 //! The semantics stays the interpreter's: operators dispatch through
 //! [`crate::ops`] and primitives through [`crate::prims`] — the typed
-//! instructions through the scalar forms the generic ones are written
-//! in terms of ([`scalar_binop`], [`prims::get`], [`prims::set`]) — so
-//! a change to the interpreter *is* a change to this tier.
+//! instructions through the forms the generic ones are written in terms
+//! of ([`scalar_binop`], [`prims::get`], [`prims::set`],
+//! [`prims::tbl_get`] and its three siblings) — so a change to the
+//! interpreter *is* a change to this tier.
 //!
 //! # Step and site accounting
 //!
@@ -82,7 +90,7 @@ use crate::cost::STEPS_PER_NODE;
 use crate::env::{packet_parts, ChanRef, NetEnv};
 use crate::ops::{eval_binop, eval_unop, holds, scalar_binop, scalar_unop, unop_operand};
 use crate::prims::{self, PrimFn};
-use crate::value::{ScalarTy, Value, VmError};
+use crate::value::{Key, KeyShape, ScalarTy, Value, VmError};
 use planp_lang::ast::{BinOp, UnOp};
 use planp_lang::prims::{Access, Field, PrimId};
 use planp_lang::tast::{ExnId, TExpr, TExprKind, TProgram};
@@ -123,6 +131,18 @@ enum Scalar {
     /// `thisHost()`, asked of the environment: one image serves every
     /// node.
     ThisHost,
+}
+
+/// The key a table instruction looks up.
+#[derive(Debug, Clone)]
+enum KeyOp {
+    /// A key of an inline shape (a scalar, or a tuple of up to three):
+    /// one scalar operand per component, made into a [`Key`] on the
+    /// stack. No tuple is built, whether the key was written as a
+    /// scalar, as a literal tuple or as a `let`-bound tuple.
+    Inline(KeyShape, Box<[Scalar]>),
+    /// Any other key: a value, made into a key by [`Key::of`].
+    Boxed(Src),
 }
 
 /// The packet a send instruction names. No send builds a tuple.
@@ -211,6 +231,31 @@ enum Ins {
         f: PrimFn,
         args: Box<[Src]>,
     },
+    /// `tblGet(t, key)`: the table is read in place, and so is the key.
+    TblGet {
+        dst: Reg,
+        t: Src,
+        key: KeyOp,
+    },
+    /// `tblHas(t, key)` as a value.
+    TblHas {
+        dst: Reg,
+        t: Src,
+        key: KeyOp,
+    },
+    /// `tblSet(t, key, v)`.
+    TblSet {
+        dst: Reg,
+        t: Src,
+        key: KeyOp,
+        v: Src,
+    },
+    /// `tblDel(t, key)`.
+    TblDel {
+        dst: Reg,
+        t: Src,
+        key: KeyOp,
+    },
     /// User-function call; the callee's frame is the window of the
     /// register file right after the caller's.
     Call {
@@ -261,8 +306,16 @@ enum Ins {
         to: u32,
         when: bool,
     },
-    /// `table_forward`: boolean primitive of one or two arguments
-    /// (`tblHas(t, k)`) and branch.
+    /// `table_forward`: `tblHas(t, key)` and branch — the lookup and
+    /// the branch in one instruction.
+    BrTblHas {
+        t: Src,
+        key: KeyOp,
+        to: u32,
+        when: bool,
+    },
+    /// Any other boolean primitive of one or two arguments
+    /// (`isMulticast(h)`) and branch.
     BrPrim {
         f: PrimFn,
         a: Src,
@@ -303,6 +356,10 @@ impl Ins {
             Ins::Prim2 { .. } => "Prim2",
             Ins::Prim3 { .. } => "Prim3",
             Ins::PrimN { .. } => "PrimN",
+            Ins::TblGet { key, .. } => key.route("TblGet", "TblGetBoxed"),
+            Ins::TblHas { key, .. } => key.route("TblHas", "TblHasBoxed"),
+            Ins::TblSet { key, .. } => key.route("TblSet", "TblSetBoxed"),
+            Ins::TblDel { key, .. } => key.route("TblDel", "TblDelBoxed"),
             Ins::Call { .. } => "Call",
             Ins::Raise(_) => "Raise",
             Ins::SendRemote { .. } => "SendRemote",
@@ -313,10 +370,21 @@ impl Ins {
             Ins::Br { .. } => "Br",
             Ins::BrScalarCmp { .. } => "BrScalarCmp",
             Ins::BrCmp { .. } => "BrCmp",
+            Ins::BrTblHas { key, .. } => key.route("BrTblHas", "BrTblHasBoxed"),
             Ins::BrPrim { .. } => "BrPrim",
             Ins::Ret { .. } => "Ret",
             Ins::RetPair { .. } => "RetPair",
             Ins::Ret2 { .. } => "Ret2",
+        }
+    }
+}
+
+impl KeyOp {
+    /// `inline` or `boxed`, by the route this key takes.
+    fn route(&self, inline: &'static str, boxed: &'static str) -> &'static str {
+        match self {
+            KeyOp::Inline(..) => inline,
+            KeyOp::Boxed(_) => boxed,
         }
     }
 }
@@ -396,6 +464,7 @@ pub fn compile(prog: Rc<TProgram>) -> (CompiledProgram, CodegenStats) {
         prog: &prog,
         deliver: prim("deliver"),
         this_host: prim("thisHost"),
+        tables: TblOp::NAMES.map(prim),
         consts: Vec::new(),
         sites: Vec::new(),
         fun_depth: Vec::with_capacity(prog.funs.len()),
@@ -836,6 +905,20 @@ impl Vm<'_> {
                         }
                     };
                 }
+                macro_rules! key {
+                    ($k:expr) => {
+                        match $k {
+                            KeyOp::Inline(shape, parts) => {
+                                let mut words = [0; 3];
+                                for (w, part) in words.iter_mut().zip(parts.iter()) {
+                                    *w = sc!(part) as u64;
+                                }
+                                Key::Inline(*shape, words)
+                            }
+                            KeyOp::Boxed(s) => Key::of(rd!(s)),
+                        }
+                    };
+                }
                 // Falling through reads on in the pool; a jump leaves
                 // the straight line, so it charges first.
                 macro_rules! branch {
@@ -919,6 +1002,28 @@ impl Vm<'_> {
                         frame[*dst as usize] = tri!(f(&vals, self.net));
                         continue 'run;
                     }
+                    Ins::TblGet { dst, t, key } => {
+                        let key = key!(key);
+                        frame[*dst as usize] = tri!(prims::tbl_get(rd!(t), &key));
+                        continue 'run;
+                    }
+                    Ins::TblHas { dst, t, key } => {
+                        let key = key!(key);
+                        frame[*dst as usize] = Value::Bool(tri!(prims::tbl_has(rd!(t), &key)));
+                        continue 'run;
+                    }
+                    Ins::TblSet { dst, t, key, v } => {
+                        let (key, v) = (key!(key), own!(v));
+                        tri!(prims::tbl_set(rd!(t), key, v, self.net));
+                        frame[*dst as usize] = Value::Unit;
+                        continue 'run;
+                    }
+                    Ins::TblDel { dst, t, key } => {
+                        let key = key!(key);
+                        tri!(prims::tbl_del(rd!(t), &key, self.net));
+                        frame[*dst as usize] = Value::Unit;
+                        continue 'run;
+                    }
                     Ins::Call { dst, fun, args } => {
                         for (slot, s) in rest.iter_mut().zip(args.iter()) {
                             *slot = own!(s);
@@ -960,6 +1065,10 @@ impl Vm<'_> {
                     Ins::BrCmp { op, a, b, to, when } => {
                         let v = tri!(eval_binop(*op, rd!(a), rd!(b)));
                         branch!(tri!(want_bool(&v, "comparison gave")) == *when, to)
+                    }
+                    Ins::BrTblHas { t, key, to, when } => {
+                        let key = key!(key);
+                        branch!(tri!(prims::tbl_has(rd!(t), &key)) == *when, to)
                     }
                     Ins::BrPrim { f, a, b, to, when } => {
                         let v = match b {
@@ -1032,6 +1141,8 @@ struct Cx<'p> {
     deliver: PrimId,
     /// The `thisHost` primitive, a scalar operand.
     this_host: PrimId,
+    /// The keyed table primitives, in [`TblOp::NAMES`] order.
+    tables: [PrimId; 4],
     consts: Vec<Value>,
     sites: Vec<u32>,
     /// Frame depth of each compiled function, for callers' `depth`.
@@ -1043,6 +1154,36 @@ struct Cx<'p> {
 /// The instructions waiting for a jump target.
 #[derive(Default)]
 struct Label(Vec<usize>);
+
+/// A keyed table primitive: each compiles to its table instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TblOp {
+    Get,
+    Has,
+    Set,
+    Del,
+}
+
+impl TblOp {
+    const NAMES: [&'static str; 4] = ["tblGet", "tblHas", "tblSet", "tblDel"];
+    const ALL: [TblOp; 4] = [TblOp::Get, TblOp::Has, TblOp::Set, TblOp::Del];
+}
+
+/// True if every read of local `slot` in `e` is the key of a keyed
+/// table primitive (`tables`) or the tuple of a projection: then the
+/// tuple bound there is never needed whole.
+fn keys_only(e: &TExpr, slot: u32, tables: &[PrimId; 4]) -> bool {
+    let is_slot = |e: &TExpr| matches!(e.kind, TExprKind::Local { slot: s, .. } if s == slot);
+    match &e.kind {
+        TExprKind::Local { .. } => !is_slot(e),
+        TExprKind::Proj(_, inner) if is_slot(inner) => true,
+        TExprKind::CallPrim { prim, args } if tables.contains(prim) => args
+            .iter()
+            .enumerate()
+            .all(|(i, a)| (i == 1 && is_slot(a)) || keys_only(a, slot, tables)),
+        _ => e.children().all(|c| keys_only(c, slot, tables)),
+    }
+}
 
 /// Compile-time evaluation of a constant expression. Only leaves,
 /// strict `Binop` and `Unop` fold — all branch-free, so the interpreter
@@ -1076,6 +1217,13 @@ fn is_comparison(op: BinOp) -> bool {
 }
 
 impl Cx<'_> {
+    /// The table instruction `prim` compiles to, if it is a keyed table
+    /// primitive.
+    fn tbl_op(&self, prim: PrimId) -> Option<TblOp> {
+        let at = self.tables.iter().position(|&p| p == prim)?;
+        Some(TblOp::ALL[at])
+    }
+
     /// Compiles one expression into a unit with `nlocals` local slots.
     /// A unit with packet registers `pkt` (`(first, count)`, right after
     /// the slots) is a channel body: it returns two values.
@@ -1091,6 +1239,7 @@ impl Cx<'_> {
             next,
             nregs: next.max(1 + u32::from(pkt.is_some())),
             aliases: vec![None; nlocals as usize],
+            unbuilt: vec![None; nlocals as usize],
             callees: 0,
             pkt,
         };
@@ -1124,6 +1273,10 @@ struct Gen<'c, 'p> {
     nregs: u32,
     /// Per local slot: the operand a `let` renamed, if it bound one.
     aliases: Vec<Option<Src>>,
+    /// Per local slot: where the items are, if a `let` bound a tuple
+    /// of scalars that is only ever a table key or projected, and so
+    /// was never built.
+    unbuilt: Vec<Option<Box<[Src]>>>,
     /// Deepest callee frame chain.
     callees: u32,
     /// A channel body's packet registers, `(first, count)`.
@@ -1168,6 +1321,7 @@ impl Gen<'_, '_> {
                 | Ins::Br { to, .. }
                 | Ins::BrScalarCmp { to, .. }
                 | Ins::BrCmp { to, .. }
+                | Ins::BrTblHas { to, .. }
                 | Ins::BrPrim { to, .. } => *to = here,
                 _ => unreachable!("labels collect only branch instructions"),
             }
@@ -1253,11 +1407,51 @@ impl Gen<'_, '_> {
         }
     }
 
+    /// The registers of the items of a tuple a `let` bound without
+    /// building it, if `e` names one.
+    fn unbuilt(&self, e: &TExpr) -> Option<&[Src]> {
+        let TExprKind::Local { slot, .. } = &e.kind else {
+            return None;
+        };
+        self.unbuilt[*slot as usize].as_deref()
+    }
+
+    /// Compiles table key `e`. A key of an inline shape is read as
+    /// scalar operands — a scalar in place, the items of a literal
+    /// tuple side by side, the items of a tuple a `let` never built
+    /// where they are — and no tuple is built; any other key is read as
+    /// a value.
+    fn key(&mut self, e: &TExpr) -> KeyOp {
+        let Some(shape) = KeyShape::of(&e.ty) else {
+            return KeyOp::Boxed(self.gen(e, None));
+        };
+        let tys = shape.tys();
+        let parts: Box<[Scalar]> = if !shape.is_tuple() {
+            Box::new([self.scalar(e, tys[0])])
+        } else if let Some(items) = self.unbuilt(e) {
+            let parts = items.iter().zip(tys).map(|(&s, &ty)| Scalar::Val(s, ty));
+            let parts = parts.collect();
+            self.visit(e);
+            parts
+        } else if let TExprKind::Tuple(items) = &e.kind {
+            self.visit(e);
+            let mut parts = Vec::with_capacity(items.len());
+            for (item, &ty) in items.iter().zip(tys) {
+                parts.push(self.scalar(item, ty));
+            }
+            parts.into()
+        } else {
+            return KeyOp::Boxed(self.gen(e, None));
+        };
+        KeyOp::Inline(shape, parts)
+    }
+
     /// True if `e` compiles to an operand without emitting code.
     fn is_operand(&self, e: &TExpr) -> bool {
         match &e.kind {
-            // Used whole, the packet is a tuple to build.
-            TExprKind::Local { .. } => self.packet(e).is_none(),
+            // Used whole, the packet and a tuple never built are tuples
+            // to build.
+            TExprKind::Local { .. } => self.packet(e).is_none() && self.unbuilt(e).is_none(),
             TExprKind::Global { .. } => true,
             TExprKind::Proj(_, inner) => match &inner.kind {
                 TExprKind::Local { slot, .. } => {
@@ -1303,18 +1497,52 @@ impl Gen<'_, '_> {
         self.deliver(unit, dst)
     }
 
-    /// Binds a `let`: an initializer that is a plain operand is renamed
-    /// (no code); anything else is computed straight into the slot.
-    fn bind_let(&mut self, slot: u32, init: &TExpr) {
+    /// Binds a `let` whose scope is `body`: an initializer that is a
+    /// plain operand is renamed (no code); a literal tuple of up to
+    /// three scalars that `body` only uses as a table key or projects is
+    /// never built — its items stay where they are if they are
+    /// operands, and are computed into registers of their own (live for
+    /// the whole scope) otherwise; anything else is computed straight
+    /// into the slot.
+    fn bind_let(&mut self, slot: u32, init: &TExpr, body: &TExpr) {
         if self.packet(init).is_some() {
             self.visit(init);
             self.aliases[slot as usize] = Some(Src::Reg(PKT_SLOT));
         } else if self.is_operand(init) {
             let s = self.gen(init, None);
             self.aliases[slot as usize] = Some(s);
+        } else if let Some(items) = self.keys_only_tuple(slot, init, body) {
+            self.visit(init);
+            let mut at = Vec::with_capacity(items.len());
+            for item in items {
+                at.push(if self.is_operand(item) {
+                    self.gen(item, None)
+                } else {
+                    let r = self.tmp();
+                    self.gen(item, Some(r))
+                });
+            }
+            self.unbuilt[slot as usize] = Some(at.into());
         } else {
             self.gen(init, Some(slot));
         }
+    }
+
+    /// The items of `init`, if it is a literal tuple of up to three
+    /// scalars that `body`, the scope of `slot`, only uses as a table
+    /// key or projects.
+    fn keys_only_tuple<'e>(&self, slot: u32, init: &'e TExpr, body: &TExpr) -> Option<&'e [TExpr]> {
+        let TExprKind::Tuple(items) = &init.kind else {
+            return None;
+        };
+        let inline = KeyShape::of(&init.ty).is_some_and(KeyShape::is_tuple);
+        (inline && keys_only(body, slot, &self.cx.tables)).then_some(items)
+    }
+
+    /// Ends the scope of the `let` that bound `slot`.
+    fn unbind(&mut self, slot: u32) {
+        self.aliases[slot as usize] = None;
+        self.unbuilt[slot as usize] = None;
     }
 
     /// Compiles `e`; returns where its value is. With `dst`, the value
@@ -1328,26 +1556,36 @@ impl Gen<'_, '_> {
         }
         self.visit(e);
         match &e.kind {
-            TExprKind::Local { slot, .. } => match self.packet(e) {
-                // The packet used whole: this is where its tuple is built.
-                Some((at, len)) => {
-                    let (d, out) = self.dest(dst);
-                    self.emit(Ins::Tuple {
-                        dst: d,
-                        items: (at..at + len).map(Src::Reg).collect(),
-                    });
-                    out
+            TExprKind::Local { slot, .. } => {
+                // The packet (or a tuple a `let` never built) used whole:
+                // this is where its tuple is built.
+                let items: Option<Box<[Src]>> = match self.packet(e) {
+                    Some((at, len)) => Some((at..at + len).map(Src::Reg).collect()),
+                    None => self.unbuilt(e).map(Box::from),
+                };
+                match items {
+                    Some(items) => {
+                        let (d, out) = self.dest(dst);
+                        self.emit(Ins::Tuple { dst: d, items });
+                        out
+                    }
+                    None => {
+                        let s = self.aliases[*slot as usize].unwrap_or(Src::Reg(*slot));
+                        self.deliver(s, dst)
+                    }
                 }
-                None => {
-                    let s = self.aliases[*slot as usize].unwrap_or(Src::Reg(*slot));
-                    self.deliver(s, dst)
-                }
-            },
+            }
             TExprKind::Global { index, .. } => self.deliver(Src::Global(*index), dst),
             TExprKind::Proj(i, inner) => {
-                if let Some((at, _)) = self.packet(inner) {
+                let part = match self.packet(inner) {
+                    Some((at, _)) => Some(Src::Reg(at + *i)),
+                    None => self
+                        .unbuilt(inner)
+                        .and_then(|items| items.get(*i as usize).copied()),
+                };
+                if let Some(s) = part {
                     self.visit(inner);
-                    return self.deliver(Src::Reg(at + *i), dst);
+                    return self.deliver(s, dst);
                 }
                 let s = match self.gen(inner, None) {
                     Src::Reg(r) | Src::Tmp(r) => Src::Field(r, *i),
@@ -1362,9 +1600,9 @@ impl Gen<'_, '_> {
             TExprKind::Let {
                 slot, init, body, ..
             } => {
-                self.bind_let(*slot, init);
+                self.bind_let(*slot, init, body);
                 let mut s = self.gen(body, dst);
-                self.aliases[*slot as usize] = None;
+                self.unbind(*slot);
                 // The slot may be rebound before the value is read.
                 if let Src::Reg(r) | Src::Field(r, _) = s {
                     if dst.is_none() && r >= *slot && (r as usize) < self.aliases.len() {
@@ -1457,6 +1695,20 @@ impl Gen<'_, '_> {
                 self.emit(Ins::List { dst, items });
             }
             TExprKind::CallPrim { prim, args } => {
+                if let Some(op) = self.cx.tbl_op(*prim) {
+                    let t = self.gen(&args[0], None);
+                    let key = self.key(&args[1]);
+                    let ins = match op {
+                        TblOp::Get => Ins::TblGet { dst, t, key },
+                        TblOp::Has => Ins::TblHas { dst, t, key },
+                        TblOp::Set => {
+                            let v = self.gen(&args[2], None);
+                            Ins::TblSet { dst, t, key, v }
+                        }
+                        TblOp::Del => Ins::TblDel { dst, t, key },
+                    };
+                    return self.emit(ins);
+                }
                 match access(*prim) {
                     Some(Access::Get(f)) => {
                         let a = self.gen(&args[0], None);
@@ -1626,12 +1878,33 @@ impl Gen<'_, '_> {
                     self.next = mark;
                     return;
                 }
-                // table_forward. (A boolean accessor is a scalar operand.)
-                TExprKind::CallPrim { prim, args }
-                    if matches!(args.len(), 1 | 2) && access(*prim).is_none() =>
-                {
+                // table_forward.
+                TExprKind::CallPrim { prim, args } if self.cx.tbl_op(*prim) == Some(TblOp::Has) => {
                     self.visit(e);
                     self.cx.fused[1] += 1;
+                    let mark = self.next;
+                    let t = self.gen(&args[0], None);
+                    let key = self.key(&args[1]);
+                    self.emit_to(
+                        to,
+                        Ins::BrTblHas {
+                            t,
+                            key,
+                            to: 0,
+                            when,
+                        },
+                    );
+                    self.next = mark;
+                    return;
+                }
+                // (A boolean accessor is a scalar operand, and `tblGet`
+                // of a boolean a table instruction.)
+                TExprKind::CallPrim { prim, args }
+                    if matches!(args.len(), 1 | 2)
+                        && access(*prim).is_none()
+                        && self.cx.tbl_op(*prim).is_none() =>
+                {
+                    self.visit(e);
                     let mark = self.next;
                     let ins = Ins::BrPrim {
                         f: prims::impls()[prim.0 as usize],
@@ -1661,9 +1934,9 @@ impl Gen<'_, '_> {
                 slot, init, body, ..
             } => {
                 self.visit(e);
-                self.bind_let(*slot, init);
+                self.bind_let(*slot, init, body);
                 self.tail(body);
-                self.aliases[*slot as usize] = None;
+                self.unbind(*slot);
             }
             TExprKind::Seq(items) if !items.is_empty() => {
                 self.visit(e);
@@ -2274,6 +2547,82 @@ mod tests {
             Value::Int(5),
         );
         assert_eq!(out.unwrap(), "0 5");
+    }
+
+    #[test]
+    fn table_keys_of_scalars_are_read_in_place_and_never_built() {
+        let src = |ss: &str, body: &str| {
+            format!(
+                "channel network(ps : int, ss : {ss}, p : ip*udp*blob) initstate mkTable(4) is\n{body}"
+            )
+        };
+        let pairs = "((host*int), int) hash_table";
+        for (ss, body, tuples, boxed) in [
+            // A scalar key, and a literal tuple of scalars.
+            (
+                "(host, int) hash_table",
+                "(tblSet(ss, ipSrc(#1 p), ps); (tblGet(ss, ipSrc(#1 p)), ss))",
+                0,
+                0,
+            ),
+            (
+                pairs,
+                "(tblSet(ss, (ipSrc(#1 p), udpSrc(#2 p)), ps + 1);\n\
+                 (if tblHas(ss, (ipSrc(#1 p), udpSrc(#2 p))) then tblDel(ss, (thisHost(), ps)) else ();\n\
+                 (tblSize(ss), ss)))",
+                0,
+                0,
+            ),
+            // The gateway's shape: a `let`-bound key, used as a key and
+            // projected (an item computed into a register of its own).
+            (
+                pairs,
+                "let val con : host*int = (ipSrc(#1 p), ps div (udpDst(#2 p) - 2000)) in\n\
+                 (if tblHas(ss, con) then () else tblSet(ss, con, #2 con);\n\
+                  ((tblGet(ss, con) handle NotFound => 0) + #2 con, ss)) end\n\
+                 handle Div => (0 - 1, ss)",
+                0,
+                0,
+            ),
+            // Used whole as well: built, once, and looked up as a value.
+            (
+                pairs,
+                "let val con : host*int = (ipSrc(#1 p), ps) in\n\
+                 (tblSet(ss, con, 1); println(con); (tblGet(ss, con), ss)) end",
+                1,
+                2,
+            ),
+            // A key computed by another expression, and a string key:
+            // the boxed route.
+            (
+                pairs,
+                "(tblSet(ss, if ps > 0 then (ipSrc(#1 p), ps) else (ipDst(#1 p), 0), 7);\n\
+                 (tblGet(ss, (ipSrc(#1 p), ps)) handle NotFound => 0, ss))",
+                2,
+                1,
+            ),
+            (
+                "(string, int) hash_table",
+                "(tblSet(ss, \"GET\", ps); (tblGet(ss, \"GET\"), ss))",
+                0,
+                2,
+            ),
+        ] {
+            let src = src(ss, body);
+            for ps in [-3, 0, 5] {
+                let Ran { out, .. } = differential(&src, Value::Int(ps));
+                assert!(!matches!(out, Err(VmError::Trap(_))), "{out:?}\n{src}");
+            }
+            assert_eq!(tuples_built(&src), tuples, "{src}");
+            let (_, cp) = both(&src);
+            let census = cp.instruction_census();
+            let routed = |boxed: bool| {
+                let of = census.iter().filter(|c| c.0.starts_with("Tbl") || c.0 == "BrTblHas");
+                of.filter(|c| c.0.ends_with("Boxed") == boxed).map(|c| c.1).sum::<usize>()
+            };
+            assert_eq!(routed(true), boxed, "{census:?}\n{src}");
+            assert!(emitted(&cp, "Prim2") + emitted(&cp, "Prim3") == 0, "{src}");
+        }
     }
 
     #[test]

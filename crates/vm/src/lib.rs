@@ -48,7 +48,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![allow(clippy::disallowed_types)] // not yet audited, ROADMAP item 2
 
 pub mod audio;
 pub mod cost;

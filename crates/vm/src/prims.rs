@@ -9,14 +9,16 @@
 //!
 //! The scalar accessors and header-field setters the signature table
 //! marks ([`Access`]) are written as two plain functions on unwrapped
-//! operands, [`get`] and [`set`]: the bytecode engine calls those from
-//! its typed instructions, and the table entry the interpreter calls
-//! wraps the same two.
+//! operands, [`get`] and [`set`], and the four keyed table primitives as
+//! four on a [`Key`], [`tbl_get`], [`tbl_has`], [`tbl_set`] and
+//! [`tbl_del`]: the bytecode engine calls those from its typed
+//! instructions, and the table entries the interpreter calls wrap the
+//! same functions.
 
 use crate::audio;
 use crate::env::NetEnv;
 use crate::pkthdr::{tcp_flags, IpHdr, TcpHdr, UdpHdr};
-use crate::value::{exn, new_table, Key, ScalarTy, Value, VmError};
+use crate::value::{exn, new_table, Key, ScalarTy, TableRef, Value, VmError};
 use bytes::Bytes;
 use planp_lang::prims::{table as sig_table, Access, Field, PrimId, PrimSig};
 use planp_lang::types::Type;
@@ -195,6 +197,65 @@ fn misplaced(f: Field, v: &Value) -> VmError {
     VmError::trap(format!("field {f:?} of {v:?}"))
 }
 
+fn want_table(v: &Value) -> Result<&TableRef, VmError> {
+    match v {
+        Value::Table(t) => Ok(t),
+        other => Err(VmError::trap(format!("expected table, got {other:?}"))),
+    }
+}
+
+/// `tblGet(t, k)`: the entry under `k`.
+///
+/// # Errors
+///
+/// Raises `NotFound` for a key `t` does not hold; traps if `t` is not a
+/// table.
+#[inline]
+pub fn tbl_get(t: &Value, k: &Key) -> Result<Value, VmError> {
+    let entry = want_table(t)?.borrow().get(k).cloned();
+    entry.ok_or(VmError::Exn(exn::NOT_FOUND))
+}
+
+/// `tblHas(t, k)`.
+///
+/// # Errors
+///
+/// Traps if `t` is not a table.
+#[inline]
+pub fn tbl_has(t: &Value, k: &Key) -> Result<bool, VmError> {
+    Ok(want_table(t)?.borrow().contains_key(k))
+}
+
+/// `tblSet(t, k, v)`, noted to `env` as an insert when `k` is new.
+///
+/// # Errors
+///
+/// Traps if `t` is not a table.
+#[inline]
+pub fn tbl_set(t: &Value, k: Key, v: Value, env: &mut dyn NetEnv) -> Result<(), VmError> {
+    let mut m = want_table(t)?.borrow_mut();
+    let fresh = m.insert(k, v).is_none();
+    let entries = m.len() as u64;
+    drop(m);
+    env.note_table_write(i64::from(fresh), entries);
+    Ok(())
+}
+
+/// `tblDel(t, k)`, noted to `env` as an eviction when `k` was there.
+///
+/// # Errors
+///
+/// Traps if `t` is not a table.
+#[inline]
+pub fn tbl_del(t: &Value, k: &Key, env: &mut dyn NetEnv) -> Result<(), VmError> {
+    let mut m = want_table(t)?.borrow_mut();
+    let removed = m.remove(k).is_some();
+    let entries = m.len() as u64;
+    drop(m);
+    env.note_table_write(-i64::from(removed), entries);
+    Ok(())
+}
+
 /// Unwraps `v`, the new value of field `f`.
 fn operand(f: Field, v: &Value) -> Result<i64, VmError> {
     let ty = ScalarTy::of(&f.ty()).ok_or_else(|| VmError::trap("field of no scalar type"))?;
@@ -356,60 +417,21 @@ fn impl_for(sig: &PrimSig) -> PrimFn {
             let hint = want_int(&a[0])?.clamp(0, 1 << 20) as usize;
             Ok(Value::Table(new_table(hint)))
         },
-        "tblGet" => |a, _| {
-            let Value::Table(t) = &a[0] else {
-                return Err(VmError::trap("tblGet on non-table"));
-            };
-            t.borrow()
-                .get(&Key(a[1].clone()))
-                .cloned()
-                .ok_or(VmError::Exn(exn::NOT_FOUND))
-        },
-        "tblSet" => |a, env| {
-            let Value::Table(t) = &a[0] else {
-                return Err(VmError::trap("tblSet on non-table"));
-            };
-            let mut m = t.borrow_mut();
-            let fresh = m.insert(Key(a[1].clone()), a[2].clone()).is_none();
-            let entries = m.len() as u64;
-            drop(m);
-            env.note_table_write(i64::from(fresh), entries);
-            Ok(Value::Unit)
-        },
-        "tblHas" => |a, _| {
-            let Value::Table(t) = &a[0] else {
-                return Err(VmError::trap("tblHas on non-table"));
-            };
-            Ok(Value::Bool(t.borrow().contains_key(&Key(a[1].clone()))))
-        },
-        "tblDel" => |a, env| {
-            let Value::Table(t) = &a[0] else {
-                return Err(VmError::trap("tblDel on non-table"));
-            };
-            let mut m = t.borrow_mut();
-            let removed = m.remove(&Key(a[1].clone())).is_some();
-            let entries = m.len() as u64;
-            drop(m);
-            env.note_table_write(-i64::from(removed), entries);
-            Ok(Value::Unit)
-        },
+        "tblGet" => |a, _| tbl_get(&a[0], &Key::of(&a[1])),
+        "tblSet" => {
+            |a, env| tbl_set(&a[0], Key::of(&a[1]), a[2].clone(), env).map(|()| Value::Unit)
+        }
+        "tblHas" => |a, _| tbl_has(&a[0], &Key::of(&a[1])).map(Value::Bool),
+        "tblDel" => |a, env| tbl_del(&a[0], &Key::of(&a[1]), env).map(|()| Value::Unit),
         "tblClear" => |a, env| {
-            let Value::Table(t) = &a[0] else {
-                return Err(VmError::trap("tblClear on non-table"));
-            };
-            let mut m = t.borrow_mut();
+            let mut m = want_table(&a[0])?.borrow_mut();
             let dropped = m.len() as i64;
             m.clear();
             drop(m);
             env.note_table_write(-dropped, 0);
             Ok(Value::Unit)
         },
-        "tblSize" => |a, _| {
-            let Value::Table(t) = &a[0] else {
-                return Err(VmError::trap("tblSize on non-table"));
-            };
-            Ok(Value::Int(t.borrow().len() as i64))
-        },
+        "tblSize" => |a, _| Ok(Value::Int(want_table(&a[0])?.borrow().len() as i64)),
         // Lists
         "listLen" => |a, _| Ok(Value::Int(want_list(&a[0])?.len() as i64)),
         "listGet" => |a, _| {

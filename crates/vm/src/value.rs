@@ -2,10 +2,10 @@
 
 use crate::pkthdr::{addr_to_string, IpHdr, TcpHdr, UdpHdr};
 use bytes::Bytes;
+use netsim::rng::Seedless;
 use planp_lang::tast::ExnId;
 use planp_lang::types::Type;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -70,12 +70,21 @@ impl PartialEq for Value {
     }
 }
 
+/// The map behind a [`TableRef`]. The engines look it up and write it
+/// but never iterate it (`<table:N entries>` is the only read of the
+/// whole), so its [`Seedless`] hash cannot move an output — it makes a
+/// lookup a few multiplies instead of a SipHash round.
+#[allow(clippy::disallowed_types)] // lookup-only: `get`/`insert`/`remove`/`len`/`clear`, never iterated
+pub type TableMap = std::collections::HashMap<Key, Value, Seedless>;
+
 /// Shared, mutable hash table used for channel and protocol state.
-pub type TableRef = Rc<RefCell<HashMap<Key, Value>>>;
+pub type TableRef = Rc<RefCell<TableMap>>;
 
 /// Creates an empty state table.
 pub fn new_table(capacity: usize) -> TableRef {
-    Rc::new(RefCell::new(HashMap::with_capacity(capacity)))
+    Rc::new(RefCell::new(TableMap::with_capacity_and_hasher(
+        capacity, Seedless,
+    )))
 }
 
 impl Value {
@@ -241,24 +250,131 @@ impl ScalarTy {
     fn confused(self, v: &Value) -> VmError {
         VmError::trap(format!("expected {self:?}, got {v:?}"))
     }
+
+    /// The scalar class of `v` and its word, as [`ScalarTy::read`]
+    /// unwraps it.
+    fn word(v: &Value) -> Option<(ScalarTy, u64)> {
+        let ty = match v {
+            Value::Int(_) => ScalarTy::Int,
+            Value::Bool(_) => ScalarTy::Bool,
+            Value::Char(_) => ScalarTy::Char,
+            Value::Host(_) => ScalarTy::Host,
+            _ => return None,
+        };
+        Some((ty, ty.read(v).ok()? as u64))
+    }
 }
 
-/// A table key: a value restricted (by the type checker) to equality
-/// types, wrapped so it can implement `Hash`/`Eq`.
+/// A table key. A scalar, or a tuple of at most three scalars, is held
+/// inline: one word per component, [`ScalarTy::read`]'s unwrapping, and
+/// the types in a [`KeyShape`]. It compares as words and hashes as one
+/// `write_u64` per component, and building one from registers (the
+/// bytecode engine's table instructions) or from a value ([`Key::of`])
+/// allocates nothing. Anything else — strings, blobs, `unit`, lists,
+/// longer or nested tuples — is boxed: the value itself, compared by
+/// [`Value::struct_eq`].
+///
+/// [`Key::of`] is the one way from a value to a key, so a value always
+/// gets the same variant and two keys are equal exactly when their
+/// values are.
 #[derive(Debug, Clone)]
-pub struct Key(pub Value);
+pub enum Key {
+    /// The components' words; those past the shape's length are 0.
+    Inline(KeyShape, [u64; 3]),
+    /// Any key that is not held inline.
+    Boxed(Value),
+}
+
+/// What an inline [`Key`] is: a bare scalar, or a tuple of two or three
+/// scalars, and the type of each component.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyShape {
+    /// 0 for a bare scalar, else the tuple's arity.
+    arity: u8,
+    /// Component types; those past the length are `Int`.
+    tys: [ScalarTy; 3],
+}
+
+impl KeyShape {
+    const SCALAR: KeyShape = KeyShape {
+        arity: 0,
+        tys: [ScalarTy::Int; 3],
+    };
+
+    /// The shape of the keys of type `ty`, if they are held inline.
+    pub fn of(ty: &Type) -> Option<KeyShape> {
+        let mut shape = KeyShape::SCALAR;
+        let parts = match ty {
+            Type::Tuple(parts) if (1..=3).contains(&parts.len()) => {
+                shape.arity = parts.len() as u8;
+                &parts[..]
+            }
+            _ => std::slice::from_ref(ty),
+        };
+        for (t, part) in shape.tys.iter_mut().zip(parts) {
+            *t = ScalarTy::of(part)?;
+        }
+        Some(shape)
+    }
+
+    /// True for a tuple, false for a bare scalar.
+    pub fn is_tuple(self) -> bool {
+        self.arity > 0
+    }
+
+    /// The component types, in order.
+    pub fn tys(&self) -> &[ScalarTy] {
+        &self.tys[..usize::from(self.arity.max(1))]
+    }
+}
+
+impl Key {
+    /// The key of `v`: inline where `v` has an inline shape (nothing
+    /// allocated, nothing shared), boxed otherwise (an `Rc` shared).
+    pub fn of(v: &Value) -> Key {
+        Key::inline(v).unwrap_or_else(|| Key::Boxed(v.clone()))
+    }
+
+    fn inline(v: &Value) -> Option<Key> {
+        let mut shape = KeyShape::SCALAR;
+        let mut words = [0; 3];
+        let items = match v {
+            Value::Tuple(items) if (1..=3).contains(&items.len()) => {
+                shape.arity = items.len() as u8;
+                &items[..]
+            }
+            _ => std::slice::from_ref(v),
+        };
+        for (i, item) in items.iter().enumerate() {
+            (shape.tys[i], words[i]) = ScalarTy::word(item)?;
+        }
+        Some(Key::Inline(shape, words))
+    }
+}
 
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        self.0.struct_eq(&other.0).unwrap_or(false)
+        match (self, other) {
+            (Key::Inline(s, a), Key::Inline(t, b)) => s == t && a == b,
+            (Key::Boxed(a), Key::Boxed(b)) => a.struct_eq(b).unwrap_or(false),
+            _ => false,
+        }
     }
 }
 
 impl Eq for Key {}
 
 impl Hash for Key {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        hash_value(&self.0, state);
+        match self {
+            Key::Inline(shape, words) => {
+                for &w in &words[..shape.tys().len()] {
+                    state.write_u64(w);
+                }
+            }
+            Key::Boxed(v) => hash_value(v, state),
+        }
     }
 }
 
@@ -358,6 +474,8 @@ pub mod exn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::rng::SplitMix64;
+    use std::hash::BuildHasher;
 
     #[test]
     fn predeclared_exn_ids_match_lang_table() {
@@ -403,16 +521,118 @@ mod tests {
         );
     }
 
+    /// A value of an equality type, from small pools so that equal
+    /// pairs are common: scalars whose words collide across types
+    /// (`80`, `'P'`, host 80), strings, blobs, `unit`, and tuples of up
+    /// to four items, nested.
+    fn arb(rng: &mut SplitMix64, depth: u32) -> Value {
+        let pick = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64) as usize;
+        match rng.next_below(if depth == 0 { 7 } else { 10 }) {
+            0 => Value::Int([0, 1, 80, -1, i64::MIN][pick(rng, 5)]),
+            1 => Value::Bool(rng.next_below(2) == 1),
+            2 => Value::Char(['\0', '\u{1}', 'P'][pick(rng, 3)]),
+            3 => Value::Host([0, 1, 80, u32::MAX][pick(rng, 4)]),
+            4 => Value::Unit,
+            5 => Value::str(["", "P", "GET"][pick(rng, 3)]),
+            6 => Value::Blob(Bytes::from_static([&b""[..], b"P"][pick(rng, 2)])),
+            _ => {
+                let len = pick(rng, 5);
+                Value::tuple((0..len).map(|_| arb(rng, depth - 1)).collect())
+            }
+        }
+    }
+
     #[test]
-    #[allow(clippy::mutable_key_type)] // keys are equality types; tables never nest as keys
-    fn keys_hash_and_compare_structurally() {
-        let mut map: HashMap<Key, i32> = HashMap::new();
-        let k1 = Key(Value::tuple(vec![Value::Host(7), Value::Int(80)]));
-        let k2 = Key(Value::tuple(vec![Value::Host(7), Value::Int(80)]));
-        map.insert(k1, 1);
-        assert_eq!(map.get(&k2), Some(&1));
-        let k3 = Key(Value::tuple(vec![Value::Host(8), Value::Int(80)]));
-        assert_eq!(map.get(&k3), None);
+    fn keys_are_equal_exactly_when_their_values_are_and_then_hash_equal() {
+        let hash = |k: &Key| Seedless.hash_one(k);
+        let check = |a: &Value, b: &Value| {
+            let (ka, kb) = (Key::of(a), Key::of(b));
+            let equal = a.struct_eq(b) == Some(true);
+            assert_eq!(ka == kb, equal, "{a:?} vs {b:?}: {ka:?} vs {kb:?}");
+            if equal {
+                assert_eq!(hash(&ka), hash(&kb), "{a:?}");
+            }
+        };
+        let mut rng = SplitMix64::new(26);
+        let (mut equal, mut inline) = (0, 0);
+        for _ in 0..20_000 {
+            let depth = rng.next_below(3) as u32;
+            let (a, b) = (arb(&mut rng, depth), arb(&mut rng, depth));
+            check(&a, &b);
+            check(&a, &a.clone());
+            equal += u32::from(a.struct_eq(&b) == Some(true));
+            inline += u32::from(matches!(Key::of(&a), Key::Inline(..)));
+        }
+        assert!(
+            equal > 500 && inline > 5_000,
+            "{equal} equal, {inline} inline"
+        );
+
+        // The edges, by name.
+        let t = |items: &[Value]| Value::tuple(items.to_vec());
+        let (h, n) = (Value::Host(7), Value::Int(80));
+        let edges = [
+            // A 3-tuple against the 4-tuple it begins: inline against boxed.
+            (
+                t(&[h.clone(), n.clone(), n.clone()]),
+                t(&[h.clone(), n.clone(), n.clone(), n.clone()]),
+            ),
+            // A tuple holding a string is boxed, and still compares by value.
+            (
+                t(&[h.clone(), Value::str("a")]),
+                t(&[h.clone(), Value::str("a")]),
+            ),
+            (
+                t(&[h.clone(), Value::str("a")]),
+                t(&[h.clone(), Value::str("b")]),
+            ),
+            // Equal words of different types differ.
+            (Value::Int(7), Value::Host(7)),
+            (Value::Int(80), Value::Char('P')),
+            (Value::Int(1), Value::Bool(true)),
+            (t(&[h.clone(), n.clone()]), t(&[Value::Int(7), n.clone()])),
+            // A bare scalar is not the one-tuple of it.
+            (n.clone(), t(std::slice::from_ref(&n))),
+        ];
+        for (a, b) in &edges {
+            check(a, b);
+            check(a, a);
+        }
+        assert!(matches!(Key::of(&edges[0].0), Key::Inline(..)));
+        assert!(matches!(Key::of(&edges[0].1), Key::Boxed(_)));
+        assert!(matches!(Key::of(&edges[1].0), Key::Boxed(_)));
+        assert_ne!(Key::of(&edges[3].0), Key::of(&edges[3].1));
+    }
+
+    #[test]
+    fn connection_keys_fill_the_control_byte() {
+        // hashbrown files an entry under the hash's top 7 bits; 65 536
+        // sequential `(host, port)` keys must spread over them.
+        let mut seen = [false; 128];
+        for i in 0..65_536u32 {
+            let key = Value::tuple(vec![
+                Value::Host(0x0A00_0000 + (i >> 8)),
+                Value::Int(i64::from(1024 + (i & 0xFF))),
+            ]);
+            seen[(Seedless.hash_one(Key::of(&key)) >> 57) as usize] = true;
+        }
+        let filled = seen.iter().filter(|&&s| s).count();
+        assert!(filled >= 120, "{filled} of 128 control-byte values");
+    }
+
+    #[test]
+    fn tables_look_up_inline_and_boxed_keys() {
+        let t = new_table(4);
+        let pair = Value::tuple(vec![Value::Host(7), Value::Int(80)]);
+        t.borrow_mut().insert(Key::of(&pair), Value::Int(1));
+        t.borrow_mut()
+            .insert(Key::of(&Value::str("GET")), Value::Int(2));
+        let m = t.borrow();
+        assert_eq!(m.get(&Key::of(&pair)), Some(&Value::Int(1)));
+        assert_eq!(m.get(&Key::of(&Value::str("GET"))), Some(&Value::Int(2)));
+        let other = Value::tuple(vec![Value::Host(8), Value::Int(80)]);
+        assert_eq!(m.get(&Key::of(&other)), None);
+        assert_eq!(Value::Table(t.clone()).display(), "<table:2 entries>");
     }
 
     #[test]

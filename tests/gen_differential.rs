@@ -11,7 +11,7 @@
 //! `=`/`<>` on `host`, `bool`, `string` and pairs (the generic
 //! fallback), `andalso`/`orelse`/`not`, nested `if`/`let`, ports out of
 //! range into setters, and `OnRemote`/`OnNeighbor`/`deliver` of `p`, of
-//! a literal tuple and of a computed value. A quarter of the programs
+//! a literal tuple and of a computed value. Two programs in five
 //! keep a `(k, v) hash_table` as channel state, keyed by `int`, `host`,
 //! `host*int`, `host*int*int` or `string`, and use every table
 //! primitive on it (`tblGet` with and without a `NotFound` handler);
@@ -289,7 +289,14 @@ impl Gen {
     fn table_read(&mut self, ty: Ty, d: u32) -> Option<String> {
         let (_, v) = self.table?;
         Some(match ty {
-            Ty::Bool => format!("tblHas(ss, {})", self.key(d)),
+            Ty::Bool => {
+                let has = format!("tblHas(ss, {})", self.key(d));
+                match self.below(2) {
+                    // Its value wanted, not just branched on.
+                    0 => format!("({has} = {})", self.leaf(Ty::Bool)),
+                    _ => has,
+                }
+            }
             Ty::Int if self.below(3) == 0 => "tblSize(ss)".into(),
             _ if ty == v => {
                 let key = self.key(d);
@@ -315,7 +322,7 @@ impl Gen {
                 return format!("(if {c} then {a} else {b})");
             }
             1 => return format!("({})", self.some_let(d, |g| g.expr(ty, d))),
-            2 if self.table.is_some() => {
+            2..=4 if self.table.is_some() => {
                 if let Some(read) = self.table_read(ty, d) {
                     return read;
                 }
@@ -565,9 +572,10 @@ fn program(seed: u64, depth: u32) -> (String, Vec<Ty>) {
         &[Ty::Str, Ty::Char, Ty::Host, Ty::Blob],
     ];
     parts.extend(payloads[rng.next_below(6) as usize]);
-    let ss = [Ty::Unit, Ty::Int, Ty::Bool, Ty::Table][rng.next_below(4) as usize];
+    let ss = [Ty::Unit, Ty::Int, Ty::Bool, Ty::Table, Ty::Table][rng.next_below(5) as usize];
     let table = (ss == Ty::Table).then(|| {
-        let k = [Ty::Int, Ty::Host, Ty::Pair, Ty::Triple, Ty::Str][rng.next_below(5) as usize];
+        let k =
+            [Ty::Int, Ty::Host, Ty::Pair, Ty::Triple, Ty::Str, Ty::Str][rng.next_below(6) as usize];
         (k, [Ty::Int, Ty::Host][rng.next_below(2) as usize])
     });
     let gi = ["5555", "80", "0", "7 * 11 + 3", "65535 + 1"][rng.next_below(5) as usize];
@@ -858,8 +866,25 @@ fn check_caught(seed: u64, depth: u32) -> Result<Seen, String> {
 
 /// Instruction kinds the generated corpus must reach: every typed form
 /// and every generic fallback it can compile to.
-const TYPED: &[&str] = &["ScalarOp", "Unop", "Get", "Set", "Br", "BrScalarCmp"];
+const TYPED: &[&str] = &[
+    "ScalarOp",
+    "Unop",
+    "Get",
+    "Set",
+    "Br",
+    "BrScalarCmp",
+    "TblGet",
+    "TblHas",
+    "TblSet",
+    "TblDel",
+    "BrTblHas",
+];
 const GENERIC: &[&str] = &[
+    "TblGetBoxed",
+    "TblHasBoxed",
+    "TblSetBoxed",
+    "TblDelBoxed",
+    "BrTblHasBoxed",
     "Binop",
     "BrCmp",
     "BrPrim",

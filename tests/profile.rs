@@ -474,6 +474,42 @@ fn superinstructions_follow_the_static_candidates() {
     assert!(found.1 >= 1, "the analysis ranks the lookup too");
 }
 
+/// Every gateway variant with a connection table looks its `(client,
+/// port)` key up in registers: the table operations are the typed
+/// instructions with an inline key, and the key tuple is never built.
+#[test]
+fn gateway_tables_take_their_keys_from_registers() {
+    let mut with_tables = Vec::new();
+    for asp in planp::apps::corpus::CORPUS {
+        let prog = std::rc::Rc::new(compile_front(asp.src).expect("front end"));
+        let census = jit::compile(prog).0.instruction_census();
+        let count = |kind: &str| census.iter().find(|c| c.0 == kind).map_or(0, |c| c.1);
+        if !asp.name.starts_with("http_gateway") || count("TblSet") == 0 {
+            continue;
+        }
+        with_tables.push(asp.name);
+        for kind in ["TblGet", "TblSet", "BrTblHas"] {
+            assert!(count(kind) > 0, "{}: no {kind} in {census:?}", asp.name);
+        }
+        assert!(
+            census
+                .iter()
+                .all(|c| !c.0.ends_with("Boxed") && c.0 != "Tuple"),
+            "{}: {census:?}",
+            asp.name
+        );
+    }
+    assert_eq!(
+        with_tables,
+        [
+            "http_gateway",
+            "http_gateway_3srv",
+            "http_gateway_bounded",
+            "http_gateway_random"
+        ]
+    );
+}
+
 /// Asserts a whole run's profile registry honored the profiler's
 /// soundness invariants.
 fn assert_profile_sound(reg: &ProfileRegistry, scenario: &str) {
