@@ -621,21 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn tables_look_up_inline_and_boxed_keys() {
-        let t = new_table(4);
-        let pair = Value::tuple(vec![Value::Host(7), Value::Int(80)]);
-        t.borrow_mut().insert(Key::of(&pair), Value::Int(1));
-        t.borrow_mut()
-            .insert(Key::of(&Value::str("GET")), Value::Int(2));
-        let m = t.borrow();
-        assert_eq!(m.get(&Key::of(&pair)), Some(&Value::Int(1)));
-        assert_eq!(m.get(&Key::of(&Value::str("GET"))), Some(&Value::Int(2)));
-        let other = Value::tuple(vec![Value::Host(8), Value::Int(80)]);
-        assert_eq!(m.get(&Key::of(&other)), None);
-        assert_eq!(Value::Table(t.clone()).display(), "<table:2 entries>");
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(
             Value::Host(crate::pkthdr::addr(10, 0, 0, 1)).display(),
