@@ -37,7 +37,10 @@
 //! assertion leaves out).
 
 use netsim::rng::SplitMix64;
-use planp::lang::compile_front;
+use planp::apps::corpus::CORPUS;
+use planp::apps::plans::{bundled_plans, resolve_asp};
+use planp::lang::tast::TProgram;
+use planp::lang::{compile_front, parse_plan};
 use planp::runtime::convert::{packet_to_parts, value_to_packet};
 use planp::vm::env::MockEnv;
 use planp::vm::interp::Interp;
@@ -944,6 +947,51 @@ fn generated_programs_agree_on_all_three_entries() {
     assert!(raised * 2 < dispatches, "{raised} of {dispatches} raised");
     assert!(effects > dispatches / 2, "{effects} effects");
     assert!(writes > dispatches / 10, "{writes} table writes");
+}
+
+/// FNV-1a over the typed tree of every corpus ASP, every ASP a bundled
+/// plan deploys and the 1 500 generated programs of the debug run, as
+/// computed at commit 0c62d6f: how the front end represents a type or a
+/// name may change, what it builds may not.
+const TYPED_TREE_DIGEST: u64 = 0xb8f2_6c83_c9b4_f8da;
+
+/// The `{:?}` of the typed program of `src`, `chan_groups` written as a
+/// sorted list (it is a hash map).
+fn typed_tree(src: &str) -> String {
+    let TProgram {
+        globals,
+        funs,
+        exns,
+        proto_ty,
+        proto_init,
+        channels,
+        chan_groups,
+    } = compile_front(src).unwrap_or_else(|e| panic!("not well typed: {e}\n{src}"));
+    let mut groups: Vec<_> = chan_groups.iter().collect();
+    groups.sort();
+    format!("{globals:?}{funs:?}{exns:?}{proto_ty:?}{proto_init:?}{channels:?}{groups:?}")
+}
+
+#[test]
+fn typed_trees_are_those_of_the_pinned_commit() {
+    let mut texts: Vec<String> = CORPUS.iter().map(|a| a.src.to_string()).collect();
+    for (name, plan) in bundled_plans() {
+        let plan = parse_plan(plan).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for d in &plan.deploys {
+            texts.push(resolve_asp(&d.asp).expect("a corpus ASP").0);
+        }
+    }
+    texts.extend((0..1_500).map(|seed| program(seed, 1 + (seed % 4) as u32).0));
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    for src in &texts {
+        for b in typed_tree(src).bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        digest, TYPED_TREE_DIGEST,
+        "a typed tree moved: {digest:#018x}"
+    );
 }
 
 #[test]
