@@ -29,6 +29,7 @@
 //! the counter stays zero across all traced scenarios.
 
 use crate::paths::{is_send, program_bounds, Bound};
+use planp_lang::ast::Name;
 use planp_lang::tast::TProgram;
 use planp_vm::cost::STEPS_PER_NODE;
 use std::fmt;
@@ -71,7 +72,7 @@ impl fmt::Display for CostBound {
 #[derive(Debug, Clone)]
 pub struct ChannelCost {
     /// Channel name.
-    pub name: String,
+    pub name: Name,
     /// Overload index within the name group.
     pub overload: u32,
     /// Worst-case per-packet cost of the body.
@@ -240,8 +241,8 @@ mod tests {
                    (OnRemote(relay, p); (ps, ss))";
         let (_, report) = bounds(src);
         assert_eq!(report.channels.len(), 2);
-        assert_eq!(report.channels[0].name, "relay");
-        assert_eq!(report.channels[1].name, "network");
+        assert_eq!(&*report.channels[0].name, "relay");
+        assert_eq!(&*report.channels[1].name, "network");
         assert_eq!(
             report.max_steps(),
             report.bound_for(1).steps,

@@ -25,7 +25,8 @@
 
 use crate::modelcheck::Verdict;
 use crate::witness::{Witness, WitnessHop, WitnessKind};
-use std::collections::{HashMap, VecDeque};
+use netsim::rng::Seedless;
+use std::collections::VecDeque;
 use std::hash::Hash;
 
 /// One explored transition; `label` is the instantiation's record of
@@ -62,8 +63,12 @@ pub(crate) fn explore<S: Copy + Eq + Hash, L>(
     let mut states: Vec<S> = Vec::new();
     // Lookup-only (state -> position in `states`), never iterated: every
     // walk of the result follows `states`, so discovery order is all a
-    // verdict or a witness can depend on.
-    let mut index: HashMap<S, usize> = HashMap::new();
+    // verdict or a witness can depend on. Keyless: hashing a state is a
+    // few multiplies. A program can pick constants whose states collide;
+    // a lookup then scans up to `budget` states, no more than stepping a
+    // state can intern (one state per send site of its channel).
+    #[allow(clippy::disallowed_types)] // lookup-only: `get`/`insert`, never iterated
+    let mut index: std::collections::HashMap<S, usize, Seedless> = Default::default();
     let mut exhausted = false;
     // Interns `s`; `None` once the budget is spent.
     let mut intern = |s: S, states: &mut Vec<S>| -> Option<usize> {

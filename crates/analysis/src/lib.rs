@@ -61,7 +61,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![allow(clippy::disallowed_types)] // not yet audited, ROADMAP item 2
 
 pub mod compose;
 pub mod cost;

@@ -24,6 +24,7 @@
 use crate::diag::Diagnostic;
 use crate::summary::ProgramSummary;
 use crate::verifier::Policy;
+use planp_lang::ast::Name;
 use planp_lang::tast::{TExpr, TExprKind, TProgram};
 use std::collections::BTreeSet;
 
@@ -161,7 +162,7 @@ fn unhandled_exceptions(
         let names: Vec<&str> = s
             .raises
             .iter()
-            .filter_map(|id| prog.exns.get(*id as usize).map(String::as_str))
+            .filter_map(|id| prog.exns.get(*id as usize).map(|n| &**n))
             .collect();
         out.push(
             Diagnostic::warning(
@@ -192,7 +193,7 @@ fn unreachable_channels(prog: &TProgram, sum: &ProgramSummary, out: &mut Vec<Dia
         }
     }
     for (i, ch) in prog.channels.iter().enumerate() {
-        if ch.name != "network" && ch.name != "timer" && !targeted.contains(&i) {
+        if !matches!(&*ch.name, "network" | "timer") && !targeted.contains(&i) {
             out.push(
                 Diagnostic::warning(
                     "L006",
@@ -210,19 +211,19 @@ fn unreachable_channels(prog: &TProgram, sum: &ProgramSummary, out: &mut Vec<Dia
 /// L007: `let` bindings that shadow an enclosing binding (a parameter,
 /// an outer `let`, or a top-level `val`/`fun` name).
 fn shadowed_bindings(prog: &TProgram, out: &mut Vec<Diagnostic>) {
-    let top: Vec<&str> = prog
+    let top: Vec<&Name> = prog
         .globals
         .iter()
-        .map(|g| g.name.as_str())
-        .chain(prog.funs.iter().map(|f| f.name.as_str()))
+        .map(|g| &g.name)
+        .chain(prog.funs.iter().map(|f| &f.name))
         .collect();
     for f in &prog.funs {
-        let mut scope: Vec<&str> = top.clone();
-        scope.extend(f.params.iter().map(|(n, _)| n.as_str()));
+        let mut scope = top.clone();
+        scope.extend(f.params.iter().map(|(n, _)| n));
         shadow_walk(&f.body, &mut scope, out);
     }
     for ch in &prog.channels {
-        let mut scope: Vec<&str> = top.clone();
+        let mut scope = top.clone();
         scope.push(&ch.ps_name);
         scope.push(&ch.ss_name);
         scope.push(&ch.pkt_name);
@@ -238,13 +239,13 @@ fn shadowed_bindings(prog: &TProgram, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn shadow_walk<'p>(e: &'p TExpr, scope: &mut Vec<&'p str>, out: &mut Vec<Diagnostic>) {
+fn shadow_walk<'p>(e: &'p TExpr, scope: &mut Vec<&'p Name>, out: &mut Vec<Diagnostic>) {
     match &e.kind {
         TExprKind::Let {
             name, init, body, ..
         } => {
             shadow_walk(init, scope, out);
-            if scope.iter().any(|n| n == name) && !exempt(name) {
+            if scope.contains(&name) && !exempt(name) {
                 out.push(
                     Diagnostic::warning(
                         "L007",

@@ -251,11 +251,7 @@ pub fn model_check(prog: &TProgram, sum: &ProgramSummary) -> ModelCheckReport {
     for (c, s) in sum.channels.iter().enumerate() {
         let ch = &prog.channels[c];
         if !s.raises.is_empty() {
-            let names: Vec<&str> = s
-                .raises
-                .iter()
-                .map(|&i| prog.exns[i as usize].as_str())
-                .collect();
+            let names: Vec<&str> = s.raises.iter().map(|&i| &*prog.exns[i as usize]).collect();
             definite_delivery_violation = true;
             witnesses.push(Witness {
                 code: "E006",

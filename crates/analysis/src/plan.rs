@@ -36,6 +36,7 @@ use crate::explore::Rows;
 use crate::modelcheck::{Verdict, DEFAULT_STATE_BUDGET};
 use crate::summary::{summarize, ProgramSummary};
 use crate::witness::Witness;
+use planp_lang::ast::Name;
 use planp_lang::plan::{PlanAst, SliceMode};
 use planp_lang::span::Span;
 use planp_lang::{LangError, TProgram};
@@ -217,7 +218,7 @@ pub struct PlanAsp {
     pub name: Rc<str>,
     /// `(channel name, overload index)` per channel, parallel to the
     /// summary.
-    pub channels: Vec<(String, u32)>,
+    pub channels: Vec<(Name, u32)>,
     /// Send-site abstraction per channel.
     pub summary: ProgramSummary,
     /// Worst-case step/send bounds per channel.
@@ -749,12 +750,12 @@ impl PlanCheck {
             let mut warned: BTreeSet<&str> = BTreeSet::new();
             for es in &self.asps[di].summary.channels {
                 for site in &es.sites {
-                    let t = site.chan.as_str();
+                    let t = &*site.chan;
                     if t == "network" || t == "timer" || warned.contains(t) {
                         continue;
                     }
                     let handled = by_deploy.iter().enumerate().any(|(dj, placed)| {
-                        let defines = self.asps[dj].channels.iter().any(|(n, _)| n == t);
+                        let defines = self.asps[dj].channels.iter().any(|(n, _)| &**n == t);
                         !placed.is_empty() && defines && (dj != di || my_installs.len() >= 2)
                     });
                     if !handled {

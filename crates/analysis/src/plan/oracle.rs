@@ -11,7 +11,6 @@ use crate::compose::{ComposeResult, EdgeLabel, PState, PVal};
 use crate::explore::explore;
 use crate::summary::{DestAbs, SendKind};
 use crate::witness::WitnessHop;
-use std::collections::HashMap;
 
 impl PlanTopology {
     /// The node holding address `a`, if any.
@@ -410,12 +409,15 @@ impl PlanCheck {
             let mut warned: BTreeSet<&str> = BTreeSet::new();
             for es in &self.asps[di].summary.channels {
                 for site in &es.sites {
-                    let t = site.chan.as_str();
+                    let t = &*site.chan;
                     if t == "network" || t == "timer" || warned.contains(t) {
                         continue;
                     }
                     let handled = self.installs.iter().any(|ins| {
-                        let defines = self.asps[ins.deploy].channels.iter().any(|(n, _)| n == t);
+                        let defines = self.asps[ins.deploy]
+                            .channels
+                            .iter()
+                            .any(|(n, _)| &**n == t);
                         defines && (ins.deploy != di || my_installs.len() >= 2)
                     });
                     if !handled {
@@ -455,7 +457,8 @@ fn product_check_oracle(
 ) -> ComposeResult {
     let n_nodes = topo.nodes.len();
     let mut tags: Vec<String> = vec!["network".to_string()];
-    let mut tag_ix: HashMap<String, u32> = HashMap::new();
+    #[allow(clippy::disallowed_types)] // lookup-only: `get`/`insert` by tag name, never iterated
+    let mut tag_ix: std::collections::HashMap<String, u32> = Default::default();
     tag_ix.insert("network".to_string(), 0);
 
     let mut at_node: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
@@ -464,7 +467,8 @@ fn product_check_oracle(
     }
 
     // Next-hop tables toward each routed-to node, computed on demand.
-    let mut toward_cache: HashMap<usize, Vec<Option<usize>>> = HashMap::new();
+    #[allow(clippy::disallowed_types)] // lookup-only: `entry` by target node, never iterated
+    let mut toward_cache: std::collections::HashMap<usize, Vec<Option<usize>>> = Default::default();
     let mut hop_toward = |from: usize, target: usize| -> Option<usize> {
         toward_cache
             .entry(target)
@@ -494,7 +498,7 @@ fn product_check_oracle(
         for &ii in &at_node[s.node] {
             let asp = &asps[installs[ii].deploy];
             for (ci, (cname, _)) in asp.channels.iter().enumerate() {
-                if cname != &tag_name {
+                if **cname != *tag_name {
                     continue;
                 }
                 dispatched = true;
@@ -511,12 +515,12 @@ fn product_check_oracle(
                     let progress = site.kind == SendKind::Remote
                         && (site.pkt_dest == DestAbs::Unchanged
                             || (dest2 == s.dest && dest2 != PVal::Unknown));
-                    let tag2 = match tag_ix.get(&site.chan) {
+                    let tag2 = match tag_ix.get(&*site.chan) {
                         Some(&t) => t,
                         None => {
                             let t = tags.len() as u32;
-                            tags.push(site.chan.clone());
-                            tag_ix.insert(site.chan.clone(), t);
+                            tags.push(site.chan.to_string());
+                            tag_ix.insert(site.chan.to_string(), t);
                             t
                         }
                     };

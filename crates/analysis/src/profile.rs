@@ -35,6 +35,7 @@
 //! Candidates are static; the profiler ranks them by observed steps.
 
 use crate::paths::is_send;
+use planp_lang::ast::Name;
 use planp_lang::span::line_col;
 use planp_lang::tast::{TExpr, TExprKind, TProgram};
 use planp_vm::cost::STEPS_PER_NODE;
@@ -57,7 +58,7 @@ pub struct SiteInfo {
 #[derive(Debug, Clone)]
 pub struct ChannelSites {
     /// Channel name.
-    pub name: String,
+    pub name: Name,
     /// Overload index within the name group.
     pub overload: u32,
     /// All sites reachable from the body, ordered by site id.
@@ -167,7 +168,7 @@ pub struct SuperinstructionCandidate {
     /// Pattern tag: `hdr_compare_branch` or `table_forward`.
     pub pattern: &'static str,
     /// Channel the sequence executes under.
-    pub chan: String,
+    pub chan: Name,
     /// Overload index of that channel.
     pub overload: u32,
     /// Participating site ids, ascending.
@@ -204,7 +205,7 @@ fn scan(
     e: &TExpr,
     prog: &TProgram,
     src: &str,
-    chan: &str,
+    chan: &Name,
     overload: u32,
     out: &mut Vec<SuperinstructionCandidate>,
 ) {
@@ -213,7 +214,7 @@ fn scan(
         sites.dedup();
         out.push(SuperinstructionCandidate {
             pattern,
-            chan: chan.to_string(),
+            chan: chan.clone(),
             overload,
             sites,
             label: line_col(src, anchor).to_string(),
@@ -381,7 +382,7 @@ mod tests {
         assert!(cands.iter().any(|c| c.pattern == "hdr_compare_branch"));
         assert!(cands.iter().any(|c| c.pattern == "table_forward"));
         for c in &cands {
-            assert_eq!(c.chan, "network");
+            assert_eq!(&*c.chan, "network");
             assert!(c.sites.len() >= 2);
             assert!(c.sites.windows(2).all(|w| w[0] < w[1]));
         }

@@ -38,11 +38,12 @@
 use crate::diag::Diagnostic;
 use crate::paths::{program_bounds, Bound};
 use crate::summary::ProgramSummary;
+use planp_lang::ast::Name;
 use planp_lang::prims::{self, PrimClass};
 use planp_lang::span::Span;
 use planp_lang::tast::{ExnId, TExpr, TExprKind, TProgram};
 use planp_lang::types::Type;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Capacity a default-initialized table gets (mirrors the VM's
 /// `Value::default_of` for `hash_table` types).
@@ -159,7 +160,7 @@ impl Bound for StateCounts {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelState {
     /// Channel name.
-    pub name: String,
+    pub name: Name,
     /// Overload index within the name group.
     pub overload: u32,
     /// Worst-case inserts/evicts per dispatch.
@@ -366,17 +367,11 @@ impl Cx {
 
     /// Walks `e`, returning its abstract value. `handled` counts
     /// enclosing handlers that catch `NotFound`.
-    fn walk(
-        &mut self,
-        e: &TExpr,
-        env: &mut HashMap<u32, SVal>,
-        acc: &mut BodyAcc,
-        handled: u32,
-    ) -> SVal {
+    fn walk(&mut self, e: &TExpr, env: &mut [SVal], acc: &mut BodyAcc, handled: u32) -> SVal {
         use TExprKind::*;
         match &e.kind {
             Int(_) | Bool(_) | Str(_) | Char(_) | Unit | Host(_) | Global { .. } => SVal::Finite(1),
-            Local { slot, .. } => env.get(slot).cloned().unwrap_or(SVal::Opaque),
+            Local { slot, .. } => env[*slot as usize].clone(),
             Tuple(items) => SVal::Tup(
                 items
                     .iter()
@@ -405,8 +400,7 @@ impl Cx {
                 slot, init, body, ..
             } => {
                 // Slots are a stack (see `summary::Cx::walk`): no restore.
-                let iv = self.walk(init, env, acc, handled);
-                env.insert(*slot, iv);
+                env[*slot as usize] = self.walk(init, env, acc, handled);
                 self.walk(body, env, acc, handled)
             }
             If(c, t, f) => {
@@ -615,8 +609,7 @@ fn display_name(prog: &TProgram, root: StateRoot, path: &[u32]) -> String {
         StateRoot::Proto => prog
             .channels
             .first()
-            .map(|c| c.ps_name.clone())
-            .unwrap_or_else(|| "ps".to_string()),
+            .map_or_else(|| "ps".to_string(), |c| c.ps_name.to_string()),
         StateRoot::Chan(i) => {
             let ch = &prog.channels[i];
             format!("{}#{}:{}", ch.name, ch.overload, ch.ss_name)
@@ -637,10 +630,12 @@ pub fn state_effects(prog: &TProgram) -> StateReport {
         tables: BTreeMap::new(),
     };
     // Functions first, in declaration order (PLAN-P has no recursion);
-    // parameters are opaque (what an unbound slot reads as), so tables
-    // passed into functions degrade to the unknown root.
+    // parameters are opaque, what every slot starts as, so tables passed
+    // into functions degrade to the unknown root.
+    let mut env = Vec::new();
     for f in &prog.funs {
-        let mut env = HashMap::new();
+        env.clear();
+        env.resize(f.nlocals as usize, SVal::Opaque);
         let mut acc = BodyAcc::default();
         cx.walk(&f.body, &mut env, &mut acc, 0);
         cx.fun_infos.push(FunInfo {
@@ -651,10 +646,13 @@ pub fn state_effects(prog: &TProgram) -> StateReport {
     let (_, counts) = program_bounds(prog, count_atom);
     let mut channels = Vec::with_capacity(prog.channels.len());
     for (i, (ch, counts)) in prog.channels.iter().zip(counts).enumerate() {
-        let mut env = HashMap::new();
-        env.insert(0, SVal::State(StateRoot::Proto, Vec::new()));
-        env.insert(1, SVal::State(StateRoot::Chan(i), Vec::new()));
-        env.insert(2, SVal::Pkt);
+        env.clear();
+        env.extend([
+            SVal::State(StateRoot::Proto, Vec::new()),
+            SVal::State(StateRoot::Chan(i), Vec::new()),
+            SVal::Pkt,
+        ]);
+        env.resize(ch.nlocals as usize, SVal::Opaque);
         let mut acc = BodyAcc::default();
         cx.walk(&ch.body, &mut env, &mut acc, 0);
         channels.push((

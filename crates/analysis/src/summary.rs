@@ -18,12 +18,12 @@
 //! destination looks its [`SendSite`] up by span.
 
 use crate::duplication::{compute_may_copy, DuplicationInfo};
-use planp_lang::ast::BinOp;
+use planp_lang::ast::{BinOp, Name};
 use planp_lang::prims::{self, PrimId};
 use planp_lang::span::Span;
 use planp_lang::tast::*;
 use planp_lang::types::Type;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Abstraction of a packet's destination address at a send site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +72,7 @@ pub enum SendKind {
 #[derive(Debug, Clone)]
 pub struct SendSite {
     /// Target channel name.
-    pub chan: String,
+    pub chan: Name,
     /// Resolved index of the target channel in [`TProgram::channels`].
     pub target: usize,
     /// Destination abstraction (for `Neighbor` sends this abstracts the
@@ -144,20 +144,23 @@ impl ProgramSummary {
 /// Computes summaries for every function and channel of `prog`.
 pub fn summarize(prog: &TProgram) -> ProgramSummary {
     let mut cx = Cx::new(prog);
+    // One slot per local of the body walked; every slot starts opaque,
+    // which is what a function's parameters and the states stay.
+    let mut env = Vec::new();
     let mut funs = Vec::with_capacity(prog.funs.len());
     for f in &prog.funs {
-        // Parameters are opaque, which is what an unbound slot reads as.
-        let sum = cx.walk_root(&f.body, HashMap::new());
+        env.clear();
+        env.resize(f.nlocals as usize, AbsVal::Opaque);
+        let sum = cx.walk_root(&f.body, &mut env);
         cx.fun_sums.push(sum.clone());
         funs.push(sum);
     }
     let mut channels = Vec::with_capacity(prog.channels.len());
     for ch in &prog.channels {
-        let mut env = HashMap::new();
-        env.insert(0, AbsVal::Opaque); // protocol state
-        env.insert(1, AbsVal::Opaque); // channel state
-        env.insert(2, AbsVal::Pkt); // the packet parameter
-        channels.push(cx.walk_root(&ch.body, env));
+        env.clear();
+        env.resize(ch.nlocals as usize, AbsVal::Opaque);
+        env[2] = AbsVal::Pkt; // the packet parameter
+        channels.push(cx.walk_root(&ch.body, &mut env));
     }
     let mut sum = ProgramSummary {
         funs,
@@ -268,7 +271,8 @@ struct Cx<'p> {
     fun_sums: Vec<ExprSummary>,
     sites: Vec<SendSite>,
     div_exn: u32,
-    prim_raise_cache: HashMap<PrimId, Vec<u32>>,
+    #[allow(clippy::disallowed_types)] // lookup-only: `entry` by primitive, never iterated
+    prim_raise_cache: std::collections::HashMap<PrimId, Vec<u32>>,
 }
 
 impl<'p> Cx<'p> {
@@ -279,13 +283,13 @@ impl<'p> Cx<'p> {
             fun_sums: Vec::new(),
             sites: Vec::new(),
             div_exn,
-            prim_raise_cache: HashMap::new(),
+            prim_raise_cache: Default::default(),
         }
     }
 
-    fn walk_root(&mut self, body: &TExpr, mut env: HashMap<u32, AbsVal>) -> ExprSummary {
+    fn walk_root(&mut self, body: &TExpr, env: &mut [AbsVal]) -> ExprSummary {
         self.sites.clear();
-        let node = self.walk(body, &mut env);
+        let node = self.walk(body, env);
         ExprSummary {
             sites: std::mem::take(&mut self.sites),
             min_out: node.min_out,
@@ -293,37 +297,31 @@ impl<'p> Cx<'p> {
         }
     }
 
-    fn prim_raises(&mut self, id: PrimId) -> Vec<u32> {
-        if let Some(v) = self.prim_raise_cache.get(&id) {
-            return v.clone();
-        }
-        let sig = prims::table().sig(id);
-        let v: Vec<u32> = sig
-            .raises
-            .iter()
-            .filter_map(|n| self.prog.exn_id(n).map(|e| e.0))
-            .collect();
-        self.prim_raise_cache.insert(id, v.clone());
-        v
+    fn prim_raises(&mut self, id: PrimId) -> &[u32] {
+        let prog = self.prog;
+        self.prim_raise_cache.entry(id).or_insert_with(|| {
+            let raises = prims::table().sig(id).raises.iter();
+            raises.filter_map(|n| prog.exn_id(n).map(|e| e.0)).collect()
+        })
     }
 
-    fn resolve_target(&self, chan: &str, overload: u32) -> usize {
+    fn resolve_target(&self, chan: &Name, overload: u32) -> usize {
         self.prog.chan_groups[chan][overload as usize]
     }
 
     /// Walks the children of `e` in order; the value is the last one's.
-    fn seq(&mut self, e: &TExpr, env: &mut HashMap<u32, AbsVal>) -> Node {
+    fn seq(&mut self, e: &TExpr, env: &mut [AbsVal]) -> Node {
         e.children().fold(Node::pure(AbsVal::Opaque), |node, c| {
             node.then(self.walk(c, env))
         })
     }
 
-    fn walk(&mut self, e: &TExpr, env: &mut HashMap<u32, AbsVal>) -> Node {
+    fn walk(&mut self, e: &TExpr, env: &mut [AbsVal]) -> Node {
         use TExprKind::*;
         match &e.kind {
             Int(_) | Bool(_) | Str(_) | Char(_) | Unit => Node::pure(AbsVal::Opaque),
             Host(a) => Node::pure(AbsVal::HostA(DestAbs::Const(*a))),
-            Local { slot, .. } => Node::pure(env.get(slot).cloned().unwrap_or(AbsVal::Opaque)),
+            Local { slot, .. } => Node::pure(env[*slot as usize].clone()),
             Global { index, .. } => {
                 let g = &self.prog.globals[*index as usize];
                 let abs = if g.ty == Type::Host {
@@ -377,9 +375,7 @@ impl<'p> Cx<'p> {
                     arg_abs.push(n.abs.clone());
                     node = node.then(n);
                 }
-                for r in self.prim_raises(*prim) {
-                    node.raises.insert(r);
-                }
+                node.raises.extend(self.prim_raises(*prim));
                 let name = prims::table().sig(*prim).name;
                 if name == "deliver" {
                     node.min_out += 1;
@@ -399,7 +395,7 @@ impl<'p> Cx<'p> {
                 // never re-bound while its binding is live: nothing to
                 // restore afterwards.
                 let init_n = self.walk(init, env);
-                env.insert(*slot, init_n.abs.clone());
+                env[*slot as usize] = init_n.abs.clone();
                 init_n.then(self.walk(body, env))
             }
             Seq(_) => self.seq(e, env),

@@ -380,7 +380,7 @@ pub fn run_relay_chaos(cfg: &RelayChaosConfig) -> RelayChaosResult {
     let sends_bound = costs
         .channels
         .iter()
-        .filter(|c| c.name == "network")
+        .filter(|c| &*c.name == "network")
         .map(|c| c.bound.sends)
         .max()
         .unwrap_or(0);

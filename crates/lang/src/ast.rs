@@ -2,6 +2,13 @@
 
 use crate::span::Span;
 use crate::types::Type;
+use std::rc::Rc;
+
+/// An identifier. The parser makes one handle per distinct spelling in a
+/// program and every occurrence shares it, so a copy is a count
+/// increment and two names of one program are the same name exactly
+/// when they are the same handle.
+pub type Name = Rc<str>;
 
 /// A parsed PLAN-P program: an ordered sequence of top-level declarations.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +62,7 @@ impl Decl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValDecl {
     /// Bound name.
-    pub name: String,
+    pub name: Name,
     /// Declared type.
     pub ty: Type,
     /// Initializer (must be evaluable at load time; checked by the type
@@ -69,9 +76,9 @@ pub struct ValDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunDecl {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Parameters with declared types.
-    pub params: Vec<(String, Type)>,
+    pub params: Vec<(Name, Type)>,
     /// Declared return type.
     pub ret: Type,
     /// Function body.
@@ -84,7 +91,7 @@ pub struct FunDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExnDecl {
     /// Exception name.
-    pub name: String,
+    pub name: Name,
     /// Whole-declaration span.
     pub span: Span,
 }
@@ -106,14 +113,14 @@ pub struct ProtoDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelDecl {
     /// Channel name; `network` is distinguished (matches untagged traffic).
-    pub name: String,
+    pub name: Name,
     /// Protocol-state parameter `(name, type)` — shared across channels.
-    pub ps: (String, Type),
+    pub ps: (Name, Type),
     /// Channel-state parameter `(name, type)` — local to this overload.
-    pub ss: (String, Type),
+    pub ss: (Name, Type),
     /// Packet parameter `(name, type)`; the type selects which packets the
     /// channel applies to.
-    pub pkt: (String, Type),
+    pub pkt: (Name, Type),
     /// Optional initial channel state (`initstate e`); required unless the
     /// state type is defaultable.
     pub initstate: Option<Expr>,
@@ -155,13 +162,13 @@ pub enum ExprKind {
     /// Host literal `a.b.c.d`.
     Host(u32),
     /// Variable reference.
-    Var(String),
+    Var(Name),
     /// Tuple construction `(e1, e2, …)` (at least two components).
     Tuple(Vec<Expr>),
     /// Tuple projection `#n e` (1-based).
     Proj(u32, Box<Expr>),
     /// Call of a user function or primitive: `f(args)`.
-    Call(String, Vec<Expr>),
+    Call(Name, Vec<Expr>),
     /// `if c then t else e`
     If(Box<Expr>, Box<Expr>, Box<Expr>),
     /// `let val x : t = e … in body end`
@@ -173,7 +180,7 @@ pub enum ExprKind {
     /// Unary operator application.
     Unop(UnOp, Box<Expr>),
     /// `raise Exn`
-    Raise(String),
+    Raise(Name),
     /// `e handle pat => h`
     Handle(Box<Expr>, ExnPat, Box<Expr>),
     /// List literal `[e1, e2, …]`.
@@ -181,17 +188,17 @@ pub enum ExprKind {
     /// `OnRemote(chan, pkt)` — re-send `pkt` into the network toward its IP
     /// destination, to be processed by channel `chan` at the next PLAN-P
     /// node (and delivered on arrival).
-    OnRemote(String, Box<Expr>),
+    OnRemote(Name, Box<Expr>),
     /// `OnNeighbor(chan, host, pkt)` — send `pkt` directly to a neighboring
     /// `host` for processing by channel `chan` there.
-    OnNeighbor(String, Box<Expr>, Box<Expr>),
+    OnNeighbor(Name, Box<Expr>, Box<Expr>),
 }
 
 /// One `val x : t = e` binding inside a `let`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LetBind {
     /// Bound name.
-    pub name: String,
+    pub name: Name,
     /// Declared type.
     pub ty: Type,
     /// Initializer.
@@ -204,7 +211,7 @@ pub struct LetBind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExnPat {
     /// `handle Name => …` — catches exactly that exception.
-    Name(String),
+    Name(Name),
     /// `handle _ => …` — catches every exception.
     Wild,
 }
@@ -295,7 +302,7 @@ mod tests {
             ss: ("ss".into(), Type::Unit),
             pkt: (
                 "p".into(),
-                Type::Tuple(vec![Type::Ip, Type::Tcp, Type::Blob]),
+                Type::Tuple([Type::Ip, Type::Tcp, Type::Blob].into()),
             ),
             initstate: None,
             body: Expr::new(ExprKind::Unit, Span::dummy()),
@@ -311,7 +318,7 @@ mod tests {
             ],
         };
         assert_eq!(prog.channels().count(), 1);
-        assert_eq!(prog.channels().next().unwrap().name, "network");
+        assert_eq!(&*prog.channels().next().unwrap().name, "network");
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //!
 //! Operator precedence, loosest to tightest: `handle`, `orelse`, `andalso`,
 //! comparisons (non-associative), `+ - ^`, `* div mod`, unary `not`/`-`,
-//! projection `#n`, atoms.
+//! projection `#n`, atoms. The five infix levels are one loop over a
+//! table of binding powers.
+//!
+//! Every identifier the tree keeps is interned: one [`Name`] per distinct
+//! spelling in the source, shared by all its occurrences.
 
 use crate::ast::*;
 use crate::error::LangError;
@@ -37,8 +41,7 @@ use crate::types::Type;
 ///
 /// Returns the first lexical or syntactic error encountered.
 pub fn parse_program(src: &str) -> Result<Program, LangError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let mut decls = Vec::new();
     while !p.at(&TokenKind::Eof) {
         decls.push(p.decl()?);
@@ -52,8 +55,7 @@ pub fn parse_program(src: &str) -> Result<Program, LangError> {
 ///
 /// Returns an error if the input is not exactly one expression.
 pub fn parse_expr(src: &str) -> Result<Expr, LangError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let e = p.expr()?;
     p.expect(TokenKind::Eof)?;
     Ok(e)
@@ -63,9 +65,57 @@ pub fn parse_expr(src: &str) -> Result<Expr, LangError> {
 struct Parser<'s> {
     tokens: Vec<Token<'s>>,
     pos: usize,
+    /// The names made so far, by spelling. The spellings come from the
+    /// network, so the map keeps std's keyed hash.
+    #[allow(clippy::disallowed_types)] // lookup-only: `entry` by spelling, never iterated
+    names: std::collections::HashMap<&'s str, Name>,
 }
 
+/// The infix operator a token spells and its binding power: `orelse` 1,
+/// `andalso` 2, the comparisons 3, `+ - ^` 4, `* div mod` 5.
+fn infix(kind: TokenKind<'_>) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::Orelse => (BinOp::Or, 1),
+        TokenKind::Andalso => (BinOp::And, 2),
+        TokenKind::Eq => (BinOp::Eq, CMP),
+        TokenKind::Ne => (BinOp::Ne, CMP),
+        TokenKind::Lt => (BinOp::Lt, CMP),
+        TokenKind::Le => (BinOp::Le, CMP),
+        TokenKind::Gt => (BinOp::Gt, CMP),
+        TokenKind::Ge => (BinOp::Ge, CMP),
+        TokenKind::Plus => (BinOp::Add, 4),
+        TokenKind::Minus => (BinOp::Sub, 4),
+        TokenKind::Caret => (BinOp::Concat, 4),
+        TokenKind::Star => (BinOp::Mul, 5),
+        TokenKind::Div => (BinOp::Div, 5),
+        TokenKind::Mod => (BinOp::Mod, 5),
+        _ => return None,
+    })
+}
+
+/// The binding power of the comparisons, the one non-associative level.
+const CMP: u8 = 3;
+
 impl<'s> Parser<'s> {
+    fn new(src: &'s str) -> Result<Self, LangError> {
+        let mut p = Parser {
+            tokens: lex(src)?,
+            pos: 0,
+            names: Default::default(),
+        };
+        // Room for the names of any corpus program without a rehash.
+        p.names.reserve(64);
+        Ok(p)
+    }
+
+    /// The one [`Name`] of `spelling` in this source.
+    fn intern(&mut self, spelling: &'s str) -> Name {
+        self.names
+            .entry(spelling)
+            .or_insert_with(|| Name::from(spelling))
+            .clone()
+    }
+
     fn peek(&self) -> Token<'s> {
         self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -113,8 +163,9 @@ impl<'s> Parser<'s> {
     }
 
     /// An identifier the tree keeps.
-    fn ident(&mut self) -> Result<(String, Span), LangError> {
-        self.word().map(|(name, span)| (name.to_string(), span))
+    fn ident(&mut self) -> Result<(Name, Span), LangError> {
+        let (name, span) = self.word()?;
+        Ok((self.intern(name), span))
     }
 
     // ---- declarations -------------------------------------------------
@@ -215,7 +266,7 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn typed_param(&mut self) -> Result<(String, Type), LangError> {
+    fn typed_param(&mut self) -> Result<(Name, Type), LangError> {
         let (name, _) = self.ident()?;
         self.expect(TokenKind::Colon)?;
         let ty = self.ty()?;
@@ -233,7 +284,7 @@ impl<'s> Parser<'s> {
         while self.eat(&TokenKind::Star) {
             parts.push(self.post_ty()?);
         }
-        Ok(Type::Tuple(parts))
+        Ok(Type::Tuple(parts.into()))
     }
 
     /// A type atom followed by `list` / `hash_table` postfixes.
@@ -244,7 +295,7 @@ impl<'s> Parser<'s> {
             match self.peek().kind {
                 TokenKind::Ident("list") => {
                     self.bump();
-                    base = TyAtom::Single(Type::List(Box::new(base.into_single(span)?)));
+                    base = TyAtom::Single(Type::List(base.into_single(span)?.into()));
                 }
                 TokenKind::Ident("hash_table") => {
                     self.bump();
@@ -303,7 +354,7 @@ impl<'s> Parser<'s> {
             TokenKind::If => self.if_expr()?,
             TokenKind::Let => self.let_expr()?,
             TokenKind::Raise => self.raise_expr()?,
-            _ => self.or_expr()?,
+            _ => self.infix_expr(1)?,
         };
         self.handle_suffix(head)
     }
@@ -380,81 +431,24 @@ impl<'s> Parser<'s> {
         Ok(Expr::new(ExprKind::Raise(name), start.merge(nspan)))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
-        let mut e = self.and_expr()?;
-        while self.at(&TokenKind::Orelse) {
-            self.bump();
-            let rhs = self.and_expr()?;
-            let span = e.span.merge(rhs.span);
-            e = Expr::new(ExprKind::Binop(BinOp::Or, Box::new(e), Box::new(rhs)), span);
-        }
-        Ok(e)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
-        let mut e = self.cmp_expr()?;
-        while self.at(&TokenKind::Andalso) {
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            let span = e.span.merge(rhs.span);
-            e = Expr::new(
-                ExprKind::Binop(BinOp::And, Box::new(e), Box::new(rhs)),
-                span,
-            );
-        }
-        Ok(e)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, LangError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek().kind {
-            TokenKind::Eq => BinOp::Eq,
-            TokenKind::Ne => BinOp::Ne,
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.add_expr()?;
-        let span = lhs.span.merge(rhs.span);
-        Ok(Expr::new(
-            ExprKind::Binop(op, Box::new(lhs), Box::new(rhs)),
-            span,
-        ))
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let mut e = self.mul_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                TokenKind::Caret => BinOp::Concat,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            let span = e.span.merge(rhs.span);
-            e = Expr::new(ExprKind::Binop(op, Box::new(e), Box::new(rhs)), span);
-        }
-        Ok(e)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
+    /// Infix operators binding at least as tightly as `min`, each level
+    /// left-associative but the comparisons, of which an operand holds
+    /// at most one unparenthesized.
+    fn infix_expr(&mut self, min: u8) -> Result<Expr, LangError> {
         let mut e = self.unary_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Div => BinOp::Div,
-                TokenKind::Mod => BinOp::Mod,
-                _ => break,
-            };
+        // An operator binding tighter than the last one taken was taken
+        // by its right operand already, unless that operand stopped at a
+        // second comparison: the expression ends there.
+        let mut max = u8::MAX;
+        while let Some((op, power)) = infix(self.peek().kind) {
+            if power < min || power > max {
+                break;
+            }
             self.bump();
-            let rhs = self.unary_expr()?;
+            let rhs = self.infix_expr(power + 1)?;
             let span = e.span.merge(rhs.span);
             e = Expr::new(ExprKind::Binop(op, Box::new(e), Box::new(rhs)), span);
+            max = if power == CMP { CMP - 1 } else { power };
         }
         Ok(e)
     }
@@ -518,7 +512,7 @@ impl<'s> Parser<'s> {
                 if self.at(&TokenKind::LParen) {
                     self.call_expr(name, t.span)
                 } else {
-                    Ok(Expr::new(ExprKind::Var(name.to_string()), t.span))
+                    Ok(Expr::new(ExprKind::Var(self.intern(name)), t.span))
                 }
             }
             TokenKind::LParen => self.paren_expr(),
@@ -540,7 +534,7 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn call_expr(&mut self, name: &str, nspan: Span) -> Result<Expr, LangError> {
+    fn call_expr(&mut self, name: &'s str, nspan: Span) -> Result<Expr, LangError> {
         self.expect(TokenKind::LParen)?;
         // `OnRemote` and `OnNeighbor` take a channel *name* as their first
         // argument; it is not an expression.
@@ -575,7 +569,7 @@ impl<'s> Parser<'s> {
         }
         let end = self.expect(TokenKind::RParen)?.span;
         Ok(Expr::new(
-            ExprKind::Call(name.to_string(), args),
+            ExprKind::Call(self.intern(name), args),
             nspan.merge(end),
         ))
     }
@@ -632,14 +626,12 @@ impl TyAtom {
 
 fn make_table(atom: TyAtom, span: Span) -> Result<Type, LangError> {
     match atom {
-        TyAtom::Pair(k, v) => Ok(Type::Table(Box::new(k), Box::new(v))),
+        TyAtom::Pair(k, v) => Ok(Type::Table(k.into(), v.into())),
         // Paper sugar: `(v * k1 * … * kn) hash_table` stores `v` values
         // keyed by `(k1, …, kn)`.
         TyAtom::Single(Type::Tuple(parts)) if parts.len() >= 2 => {
-            let mut it = parts.into_iter();
-            let value = it.next().expect("len >= 2");
-            let key = Type::tuple(it.collect());
-            Ok(Type::Table(Box::new(key), Box::new(value)))
+            let key = Type::tuple(parts[1..].to_vec());
+            Ok(Type::Table(key.into(), parts[0].clone().into()))
         }
         TyAtom::Single(_) => Err(LangError::parse(
             "hash_table needs `(key, value) hash_table` or the product sugar `(v*k…) hash_table`",
@@ -668,6 +660,7 @@ mod tests {
     #[test]
     fn comparison_is_non_associative() {
         assert!(parse_expr("1 < 2 < 3").is_err());
+        assert!(parse_expr("a andalso 1 < 2 + 3 = 4").is_err());
     }
 
     #[test]
@@ -699,11 +692,11 @@ mod tests {
 
     #[test]
     fn call_and_var() {
-        assert!(matches!(expr("f(1, 2)").kind, ExprKind::Call(n, a) if n == "f" && a.len() == 2));
+        assert!(matches!(expr("f(1, 2)").kind, ExprKind::Call(n, a) if &*n == "f" && a.len() == 2));
         assert!(
-            matches!(expr("thisHost()").kind, ExprKind::Call(n, a) if n == "thisHost" && a.is_empty())
+            matches!(expr("thisHost()").kind, ExprKind::Call(n, a) if &*n == "thisHost" && a.is_empty())
         );
-        assert!(matches!(expr("x").kind, ExprKind::Var(n) if n == "x"));
+        assert!(matches!(expr("x").kind, ExprKind::Var(n) if &*n == "x"));
     }
 
     #[test]
@@ -712,7 +705,7 @@ mod tests {
         let ExprKind::OnRemote(chan, pkt) = e.kind else {
             panic!("{e:?}")
         };
-        assert_eq!(chan, "network");
+        assert_eq!(&*chan, "network");
         assert!(matches!(pkt.kind, ExprKind::Tuple(_)));
     }
 
@@ -722,7 +715,7 @@ mod tests {
         let ExprKind::OnNeighbor(chan, host, _) = e.kind else {
             panic!()
         };
-        assert_eq!(chan, "audio");
+        assert_eq!(&*chan, "audio");
         assert!(matches!(host.kind, ExprKind::Host(_)));
     }
 
@@ -733,7 +726,7 @@ mod tests {
             panic!()
         };
         assert_eq!(binds.len(), 2);
-        assert_eq!(binds[0].name, "x");
+        assert_eq!(&*binds[0].name, "x");
         assert_eq!(binds[1].ty, Type::Int);
     }
 
@@ -779,7 +772,7 @@ mod tests {
 
     #[test]
     fn raise_parses() {
-        assert!(matches!(expr("raise NotFound").kind, ExprKind::Raise(n) if n == "NotFound"));
+        assert!(matches!(expr("raise NotFound").kind, ExprKind::Raise(n) if &*n == "NotFound"));
     }
 
     #[test]
@@ -798,11 +791,14 @@ mod tests {
         assert_eq!(
             ch.ss.1,
             Type::Table(
-                Box::new(Type::Tuple(vec![Type::Host, Type::Host])),
-                Box::new(Type::Int)
+                Type::Tuple([Type::Host, Type::Host].into()).into(),
+                Type::Int.into()
             )
         );
-        assert_eq!(ch.pkt.1, Type::Tuple(vec![Type::Ip, Type::Tcp, Type::Blob]));
+        assert_eq!(
+            ch.pkt.1,
+            Type::Tuple([Type::Ip, Type::Tcp, Type::Blob].into())
+        );
     }
 
     #[test]
@@ -812,7 +808,7 @@ mod tests {
         let Decl::Val(v) = &prog.decls[0] else {
             panic!()
         };
-        assert_eq!(v.ty, Type::Table(Box::new(Type::Host), Box::new(Type::Int)));
+        assert_eq!(v.ty, Type::Table(Type::Host.into(), Type::Int.into()));
     }
 
     #[test]
@@ -831,7 +827,7 @@ mod tests {
         let Decl::Val(v) = &prog.decls[0] else {
             panic!()
         };
-        assert_eq!(v.ty, Type::List(Box::new(Type::Int)));
+        assert_eq!(v.ty, Type::List(Type::Int.into()));
     }
 
     #[test]
@@ -841,7 +837,7 @@ mod tests {
         let Decl::Fun(f) = &prog.decls[0] else {
             panic!()
         };
-        assert_eq!(f.name, "add");
+        assert_eq!(&*f.name, "add");
         assert_eq!(f.params.len(), 2);
         assert_eq!(f.ret, Type::Int);
     }

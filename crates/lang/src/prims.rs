@@ -504,16 +504,16 @@ mod tests {
     fn mktable_requires_expected_type() {
         let (_, sig) = table().lookup("mkTable").unwrap();
         assert!(sig.check(&[Int], None).is_err());
-        let want = Table(Box::new(Host), Box::new(Int));
+        let want = Table(Host.into(), Int.into());
         assert_eq!(sig.check(&[Int], Some(&want)).unwrap(), want);
         // Non-equality key type rejected.
-        let bad = Table(Box::new(Ip), Box::new(Int));
+        let bad = Table(Ip.into(), Int.into());
         assert!(sig.check(&[Int], Some(&bad)).is_err());
     }
 
     #[test]
     fn table_ops_type_rules() {
-        let tbl = Table(Box::new(Host), Box::new(Int));
+        let tbl = Table(Host.into(), Int.into());
         let (_, get) = table().lookup("tblGet").unwrap();
         assert_eq!(get.check(&[tbl.clone(), Host], None).unwrap(), Int);
         assert!(get.check(&[tbl.clone(), Int], None).is_err());
@@ -526,7 +526,7 @@ mod tests {
 
     #[test]
     fn list_ops_type_rules() {
-        let l = List(Box::new(Int));
+        let l = List(Int.into());
         let (_, consp) = table().lookup("cons").unwrap();
         assert_eq!(consp.check(&[Int, l.clone()], None).unwrap(), l);
         assert!(consp.check(&[Bool, l.clone()], None).is_err());
@@ -539,16 +539,14 @@ mod tests {
     #[test]
     fn print_rejects_tables() {
         let (_, p) = table().lookup("print").unwrap();
-        assert!(p
-            .check(&[Table(Box::new(Int), Box::new(Int))], None)
-            .is_err());
+        assert!(p.check(&[Table(Int.into(), Int.into())], None).is_err());
         assert_eq!(p.check(&[Str], None).unwrap(), Unit);
     }
 
     #[test]
     fn deliver_requires_packet_type() {
         let (_, d) = table().lookup("deliver").unwrap();
-        let pkt = Tuple(vec![Ip, Tcp, Blob]);
+        let pkt = Tuple([Ip, Tcp, Blob].into());
         assert_eq!(d.check(&[pkt], None).unwrap(), Unit);
         assert!(d.check(&[Int], None).is_err());
     }

@@ -7,7 +7,7 @@
 //! `let`s are desugared into nested single bindings, and `OnRemote`
 //! targets are resolved to a specific channel overload.
 
-use crate::ast::{BinOp, UnOp};
+use crate::ast::{BinOp, Name, UnOp};
 use crate::prims::PrimId;
 use crate::span::Span;
 use crate::types::{PacketShape, Type};
@@ -26,7 +26,7 @@ pub struct TProgram {
     pub funs: Vec<TFun>,
     /// Exception names; predeclared exceptions first, then user
     /// declarations. Index = [`ExnId`].
-    pub exns: Vec<String>,
+    pub exns: Vec<Name>,
     /// The protocol-state type shared by all channels.
     pub proto_ty: Type,
     /// Initial protocol state; `None` means default-initialize from
@@ -36,7 +36,7 @@ pub struct TProgram {
     pub channels: Vec<TChannel>,
     /// Channel name → indices into `channels`, in declaration order.
     #[allow(clippy::disallowed_types)] // lookup-only: `get`/index by name, never iterated
-    pub chan_groups: std::collections::HashMap<String, Vec<usize>>,
+    pub chan_groups: std::collections::HashMap<Name, Vec<usize>>,
 }
 
 impl TProgram {
@@ -49,7 +49,7 @@ impl TProgram {
     pub fn exn_id(&self, name: &str) -> Option<ExnId> {
         self.exns
             .iter()
-            .position(|n| n == name)
+            .position(|n| &**n == name)
             .map(|i| ExnId(i as u32))
     }
 }
@@ -58,7 +58,7 @@ impl TProgram {
 #[derive(Debug, Clone)]
 pub struct TGlobal {
     /// Name.
-    pub name: String,
+    pub name: Name,
     /// Declared type.
     pub ty: Type,
     /// Load-time initializer (pure).
@@ -71,9 +71,9 @@ pub struct TGlobal {
 #[derive(Debug, Clone)]
 pub struct TFun {
     /// Name.
-    pub name: String,
+    pub name: Name,
     /// Parameter names and types; parameters occupy local slots `0..n`.
-    pub params: Vec<(String, Type)>,
+    pub params: Vec<(Name, Type)>,
     /// Declared return type.
     pub ret: Type,
     /// Body.
@@ -88,15 +88,15 @@ pub struct TFun {
 #[derive(Debug, Clone)]
 pub struct TChannel {
     /// Channel name (`network` matches untagged traffic).
-    pub name: String,
+    pub name: Name,
     /// Index of this overload within its name group (declaration order).
     pub overload: u32,
     /// Protocol-state parameter name (slot 0).
-    pub ps_name: String,
+    pub ps_name: Name,
     /// Channel-state parameter name (slot 1).
-    pub ss_name: String,
+    pub ss_name: Name,
     /// Packet parameter name (slot 2).
-    pub pkt_name: String,
+    pub pkt_name: Name,
     /// Channel-state type.
     pub ss_ty: Type,
     /// Packet type this overload matches.
@@ -142,14 +142,14 @@ pub enum TExprKind {
     /// Local variable (parameter or `let` binding).
     Local {
         /// Surface name (used by the portable interpreter's named lookup).
-        name: String,
+        name: Name,
         /// Pre-resolved frame slot (used by the JIT).
         slot: u32,
     },
     /// `val` global.
     Global {
         /// Surface name.
-        name: String,
+        name: Name,
         /// Index into [`TProgram::globals`].
         index: u32,
     },
@@ -176,7 +176,7 @@ pub enum TExprKind {
     /// Single `let` binding (multi-binding lets are desugared to nesting).
     Let {
         /// Bound name.
-        name: String,
+        name: Name,
         /// Frame slot.
         slot: u32,
         /// Initializer.
@@ -199,7 +199,7 @@ pub enum TExprKind {
     /// `OnRemote(chan, pkt)` resolved to a channel overload.
     OnRemote {
         /// Target channel name.
-        chan: String,
+        chan: Name,
         /// Resolved overload index within the name group.
         overload: u32,
         /// Packet expression.
@@ -208,7 +208,7 @@ pub enum TExprKind {
     /// `OnNeighbor(chan, host, pkt)` resolved to a channel overload.
     OnNeighbor {
         /// Target channel name.
-        chan: String,
+        chan: Name,
         /// Resolved overload index within the name group.
         overload: u32,
         /// Destination neighbor.

@@ -18,6 +18,9 @@
 //! Checking is *bidirectional*: `check(e, expected)` pushes the context
 //! type into `e`, which is how `mkTable(256)` and `[]` receive their
 //! types without general inference.
+//!
+//! The checker compares and files the parser's [`Name`]s by handle, and
+//! the typed tree holds the same handles: no name is copied on the way.
 
 use crate::ast::*;
 use crate::error::LangError;
@@ -25,14 +28,28 @@ use crate::prims::{self, PrimTable, PREDECLARED_EXNS};
 use crate::span::Span;
 use crate::tast::*;
 use crate::types::Type;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Type-checks `prog`, producing the typed program.
+///
+/// `prog`'s names must be those of one parse — every occurrence of a
+/// spelling one handle, as [`parse_program`](crate::parse_program) makes
+/// them — since a name is looked up by its handle.
 ///
 /// # Errors
 ///
 /// Returns the first type error found.
 pub fn typecheck(prog: &Program) -> Result<TProgram, LangError> {
     Checker::new(prog)?.run()
+}
+
+/// What a name is filed under in the checker's maps: the address of its
+/// handle, which within one parse stands for the spelling.
+type Key = *const u8;
+
+fn key(name: &Name) -> Key {
+    Rc::as_ptr(name).cast()
 }
 
 /// Signature of one channel overload, collected before bodies are checked
@@ -58,26 +75,24 @@ enum Ctx {
 struct Checker<'a> {
     prog: &'a Program,
     prims: &'static PrimTable,
-    exns: Vec<String>,
-    #[allow(clippy::disallowed_types)] // lookup-only: `entry`/index by name, never iterated
-    chan_sigs: std::collections::HashMap<String, Vec<ChanSig>>,
+    exns: Vec<Name>,
+    chan_sigs: BTreeMap<Key, Vec<ChanSig>>,
     globals: Vec<TGlobal>,
-    #[allow(clippy::disallowed_types)] // lookup-only: `insert`/`get`/`contains_key`
-    global_map: std::collections::HashMap<String, u32>,
+    global_map: BTreeMap<Key, u32>,
     funs: Vec<TFun>,
-    #[allow(clippy::disallowed_types)] // lookup-only: `insert`/`get`/`contains_key`
-    fun_map: std::collections::HashMap<String, u32>,
+    fun_map: BTreeMap<Key, u32>,
 }
 
-struct Scope {
+/// The locals in scope; names and types are the declarations' own.
+struct Scope<'a> {
     /// `(name, type, slot)` — innermost binding last.
-    locals: Vec<(String, Type, u32)>,
+    locals: Vec<(&'a Name, &'a Type, u32)>,
     next: u32,
     max: u32,
     ctx: Ctx,
 }
 
-impl Scope {
+impl<'a> Scope<'a> {
     fn new(ctx: Ctx) -> Self {
         Scope {
             locals: Vec::new(),
@@ -87,11 +102,11 @@ impl Scope {
         }
     }
 
-    fn push(&mut self, name: &str, ty: Type) -> u32 {
+    fn push(&mut self, name: &'a Name, ty: &'a Type) -> u32 {
         let slot = self.next;
         self.next += 1;
         self.max = self.max.max(self.next);
-        self.locals.push((name.to_string(), ty, slot));
+        self.locals.push((name, ty, slot));
         slot
     }
 
@@ -100,12 +115,12 @@ impl Scope {
         self.next -= 1;
     }
 
-    fn lookup(&self, name: &str) -> Option<(Type, u32)> {
+    fn lookup(&self, name: &Name) -> Option<(&'a Type, u32)> {
         self.locals
             .iter()
             .rev()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, t, s)| (t.clone(), *s))
+            .find(|(n, _, _)| Rc::ptr_eq(n, name))
+            .map(|&(_, t, s)| (t, s))
     }
 }
 
@@ -114,7 +129,7 @@ impl<'a> Checker<'a> {
         let prims = prims::table();
 
         // Pass 1a: exceptions.
-        let mut exns: Vec<String> = PREDECLARED_EXNS.iter().map(|s| s.to_string()).collect();
+        let mut exns: Vec<Name> = PREDECLARED_EXNS.iter().map(|&s| Name::from(s)).collect();
         for d in &prog.decls {
             if let Decl::Exception(e) = d {
                 if exns.iter().any(|n| n == &e.name) {
@@ -128,8 +143,7 @@ impl<'a> Checker<'a> {
         }
 
         // Pass 1b: channel signatures (visible program-wide).
-        #[allow(clippy::disallowed_types)] // becomes `Checker::chan_sigs`
-        let mut chan_sigs: std::collections::HashMap<String, Vec<ChanSig>> = Default::default();
+        let mut chan_sigs: BTreeMap<Key, Vec<ChanSig>> = BTreeMap::new();
         let mut proto_ty: Option<(Type, Span)> = None;
         for ch in prog.channels() {
             if ch.pkt.1.packet_shape().is_none() {
@@ -154,7 +168,7 @@ impl<'a> Checker<'a> {
                 }
                 Some(_) => {}
             }
-            let group = chan_sigs.entry(ch.name.clone()).or_default();
+            let group = chan_sigs.entry(key(&ch.name)).or_default();
             if group.iter().any(|s| s.pkt_ty == ch.pkt.1) {
                 return Err(LangError::ty(
                     format!(
@@ -176,16 +190,16 @@ impl<'a> Checker<'a> {
             exns,
             chan_sigs,
             globals: Vec::new(),
-            global_map: Default::default(),
+            global_map: BTreeMap::new(),
             funs: Vec::new(),
-            fun_map: Default::default(),
+            fun_map: BTreeMap::new(),
         })
     }
 
     fn run(mut self) -> Result<TProgram, LangError> {
         let mut channels: Vec<TChannel> = Vec::new();
         #[allow(clippy::disallowed_types)] // becomes `TProgram::chan_groups`
-        let mut chan_groups: std::collections::HashMap<String, Vec<usize>> = Default::default();
+        let mut chan_groups: std::collections::HashMap<Name, Vec<usize>> = Default::default();
         let mut proto_init: Option<TExpr> = None;
         let mut proto_span: Option<Span> = None;
 
@@ -206,7 +220,7 @@ impl<'a> Checker<'a> {
                     let mut scope = Scope::new(Ctx::ValInit);
                     let init = self.check(&v.init, &v.ty, &mut scope)?;
                     self.global_map
-                        .insert(v.name.clone(), self.globals.len() as u32);
+                        .insert(key(&v.name), self.globals.len() as u32);
                     self.globals.push(TGlobal {
                         name: v.name.clone(),
                         ty: v.ty.clone(),
@@ -226,10 +240,10 @@ impl<'a> Checker<'a> {
                             ));
                         }
                         seen.push(pname);
-                        scope.push(pname, pty.clone());
+                        scope.push(pname, pty);
                     }
                     let body = self.check(&f.body, &f.ret, &mut scope)?;
-                    self.fun_map.insert(f.name.clone(), self.funs.len() as u32);
+                    self.fun_map.insert(key(&f.name), self.funs.len() as u32);
                     self.funs.push(TFun {
                         name: f.name.clone(),
                         params: f.params.clone(),
@@ -248,7 +262,7 @@ impl<'a> Checker<'a> {
                     proto_span = Some(p.span);
                 }
                 Decl::Channel(ch) => {
-                    let group = &self.chan_sigs[&ch.name];
+                    let group = &self.chan_sigs[&key(&ch.name)];
                     let overload = group
                         .iter()
                         .position(|s| s.span == ch.span)
@@ -275,10 +289,10 @@ impl<'a> Checker<'a> {
                     };
 
                     let mut scope = Scope::new(Ctx::Body);
-                    scope.push(&ch.ps.0, ch.ps.1.clone());
-                    scope.push(&ch.ss.0, ch.ss.1.clone());
-                    scope.push(&ch.pkt.0, ch.pkt.1.clone());
-                    let want = Type::Tuple(vec![ch.ps.1.clone(), ch.ss.1.clone()]);
+                    scope.push(&ch.ps.0, &ch.ps.1);
+                    scope.push(&ch.ss.0, &ch.ss.1);
+                    scope.push(&ch.pkt.0, &ch.pkt.1);
+                    let want = Type::Tuple([ch.ps.1.clone(), ch.ss.1.clone()].into());
                     let body = self.check(&ch.body, &want, &mut scope)?;
 
                     let index = channels.len();
@@ -321,8 +335,8 @@ impl<'a> Checker<'a> {
         })
     }
 
-    fn check_fresh_global(&self, name: &str, span: Span) -> Result<(), LangError> {
-        if self.global_map.contains_key(name) || self.fun_map.contains_key(name) {
+    fn check_fresh_global(&self, name: &Name, span: Span) -> Result<(), LangError> {
+        if self.global_map.contains_key(&key(name)) || self.fun_map.contains_key(&key(name)) {
             return Err(LangError::ty(format!("`{name}` is already declared"), span));
         }
         if self.prims.lookup(name).is_some() {
@@ -337,7 +351,7 @@ impl<'a> Checker<'a> {
     fn exn_id(&self, name: &str, span: Span) -> Result<ExnId, LangError> {
         self.exns
             .iter()
-            .position(|n| n == name)
+            .position(|n| &**n == name)
             .map(|i| ExnId(i as u32))
             .ok_or_else(|| LangError::ty(format!("unknown exception `{name}`"), span))
     }
@@ -345,7 +359,7 @@ impl<'a> Checker<'a> {
     // ---- bidirectional checking ----------------------------------------
 
     /// Checks `e` against the expected type `want`.
-    fn check(&self, e: &Expr, want: &Type, scope: &mut Scope) -> Result<TExpr, LangError> {
+    fn check(&self, e: &'a Expr, want: &Type, scope: &mut Scope<'a>) -> Result<TExpr, LangError> {
         match &e.kind {
             ExprKind::If(c, t, f) => {
                 let c = self.check(c, &Type::Bool, scope)?;
@@ -403,7 +417,7 @@ impl<'a> Checker<'a> {
                     if parts.len() == items.len() {
                         let out = items
                             .iter()
-                            .zip(parts)
+                            .zip(parts.iter())
                             .map(|(i, p)| self.check(i, p, scope))
                             .collect::<Result<Vec<_>, _>>()?;
                         return Ok(TExpr {
@@ -446,9 +460,9 @@ impl<'a> Checker<'a> {
 
     fn check_via_synth(
         &self,
-        e: &Expr,
+        e: &'a Expr,
         want: &Type,
-        scope: &mut Scope,
+        scope: &mut Scope<'a>,
     ) -> Result<TExpr, LangError> {
         let t = self.synth(e, scope)?;
         if &t.ty != want {
@@ -461,7 +475,7 @@ impl<'a> Checker<'a> {
     }
 
     /// Synthesizes the type of `e`.
-    fn synth(&self, e: &Expr, scope: &mut Scope) -> Result<TExpr, LangError> {
+    fn synth(&self, e: &'a Expr, scope: &mut Scope<'a>) -> Result<TExpr, LangError> {
         let span = e.span;
         match &e.kind {
             ExprKind::Int(n) => Ok(TExpr { kind: TExprKind::Int(*n), ty: Type::Int, span }),
@@ -478,11 +492,11 @@ impl<'a> Checker<'a> {
                 if let Some((ty, slot)) = scope.lookup(name) {
                     return Ok(TExpr {
                         kind: TExprKind::Local { name: name.clone(), slot },
-                        ty,
+                        ty: ty.clone(),
                         span,
                     });
                 }
-                if let Some(&index) = self.global_map.get(name) {
+                if let Some(&index) = self.global_map.get(&key(name)) {
                     let g = &self.globals[index as usize];
                     return Ok(TExpr {
                         kind: TExprKind::Global { name: name.clone(), index },
@@ -490,7 +504,7 @@ impl<'a> Checker<'a> {
                         span,
                     });
                 }
-                if self.fun_map.contains_key(name) {
+                if self.fun_map.contains_key(&key(name)) {
                     return Err(LangError::ty(
                         format!("`{name}` is a function; functions are not values in PLAN-P"),
                         span,
@@ -604,7 +618,7 @@ impl<'a> Checker<'a> {
                 }
                 Ok(TExpr {
                     kind: TExprKind::List(out),
-                    ty: Type::List(Box::new(elem)),
+                    ty: Type::List(elem.into()),
                     span,
                 })
             }
@@ -651,8 +665,8 @@ impl<'a> Checker<'a> {
         Ok(())
     }
 
-    fn resolve_send(&self, chan: &str, pkt_ty: &Type, span: Span) -> Result<u32, LangError> {
-        let Some(group) = self.chan_sigs.get(chan) else {
+    fn resolve_send(&self, chan: &Name, pkt_ty: &Type, span: Span) -> Result<u32, LangError> {
+        let Some(group) = self.chan_sigs.get(&key(chan)) else {
             return Err(LangError::ty(format!("unknown channel `{chan}`"), span));
         };
         if pkt_ty.packet_shape().is_none() {
@@ -675,11 +689,11 @@ impl<'a> Checker<'a> {
 
     fn check_let(
         &self,
-        binds: &[LetBind],
-        body: &Expr,
+        binds: &'a [LetBind],
+        body: &'a Expr,
         want: Option<&Type>,
         span: Span,
-        scope: &mut Scope,
+        scope: &mut Scope<'a>,
     ) -> Result<TExpr, LangError> {
         let Some((first, rest)) = binds.split_first() else {
             // No bindings left: check the body.
@@ -689,7 +703,7 @@ impl<'a> Checker<'a> {
             };
         };
         let init = self.check(&first.init, &first.ty, scope)?;
-        let slot = scope.push(&first.name, first.ty.clone());
+        let slot = scope.push(&first.name, &first.ty);
         let inner = self.check_let(rest, body, want, span, scope);
         scope.pop();
         let inner = inner?;
@@ -708,11 +722,11 @@ impl<'a> Checker<'a> {
 
     fn check_call(
         &self,
-        name: &str,
-        args: &[Expr],
+        name: &Name,
+        args: &'a [Expr],
         expected: Option<&Type>,
         span: Span,
-        scope: &mut Scope,
+        scope: &mut Scope<'a>,
     ) -> Result<TExpr, LangError> {
         // Shadowing check: a local with this name is not callable.
         if scope.lookup(name).is_some() {
@@ -721,7 +735,7 @@ impl<'a> Checker<'a> {
                 span,
             ));
         }
-        if let Some(&index) = self.fun_map.get(name) {
+        if let Some(&index) = self.fun_map.get(&key(name)) {
             if scope.ctx != Ctx::Body {
                 return Err(LangError::ty(
                     "user functions may not be called in initializers",
@@ -739,16 +753,14 @@ impl<'a> Checker<'a> {
                     span,
                 ));
             }
-            let params: Vec<Type> = f.params.iter().map(|(_, t)| t.clone()).collect();
-            let ret = f.ret.clone();
             let targs = args
                 .iter()
-                .zip(&params)
-                .map(|(a, p)| self.check(a, p, scope))
+                .zip(&f.params)
+                .map(|(a, (_, p))| self.check(a, p, scope))
                 .collect::<Result<Vec<_>, _>>()?;
             return Ok(TExpr {
                 kind: TExprKind::CallFun { index, args: targs },
-                ty: ret,
+                ty: f.ret.clone(),
                 span,
             });
         }
@@ -804,10 +816,10 @@ impl<'a> Checker<'a> {
     fn synth_binop(
         &self,
         op: BinOp,
-        a: &Expr,
-        b: &Expr,
+        a: &'a Expr,
+        b: &'a Expr,
         span: Span,
-        scope: &mut Scope,
+        scope: &mut Scope<'a>,
     ) -> Result<TExpr, LangError> {
         use BinOp::*;
         let (ta, tb, ty) = match op {
@@ -959,7 +971,7 @@ mod tests {
         );
         assert_eq!(
             tp.channels[0].ss_ty,
-            Type::Table(Box::new(Type::Host), Box::new(Type::Int))
+            Type::Table(Type::Host.into(), Type::Int.into())
         );
     }
 
@@ -987,7 +999,7 @@ mod tests {
         let mut found = false;
         body.walk(&mut |e| {
             if let TExprKind::OnRemote { chan, overload, .. } = &e.kind {
-                assert_eq!(chan, "network");
+                assert_eq!(&**chan, "network");
                 assert_eq!(*overload, 0);
                 found = true;
             }

@@ -3,8 +3,14 @@
 //! PLAN-P is monomorphic. Base types cover the network domain (`host`,
 //! `blob`, and the protocol-header types `ip`, `tcp`, `udp`); compound types
 //! are products, homogeneous lists, and hash tables.
+//!
+//! A compound type shares its components: cloning one — which the type
+//! checker does for every typed node — is a reference-count increment,
+//! not a copy of the tree. The components are `Arc`s, not `Rc`s, because
+//! the primitive table that holds types is one process-wide value.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A PLAN-P type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -30,9 +36,9 @@ pub enum Type {
     /// A UDP header (`udp`).
     Udp,
     /// A product type `t1 * t2 * …` (at least two components).
-    Tuple(Vec<Type>),
+    Tuple(Arc<[Type]>),
     /// A homogeneous list `t list`.
-    List(Box<Type>),
+    List(Arc<Type>),
     /// A hash table from keys of the first type to values of the second,
     /// written `(k, v) hash_table`.
     ///
@@ -40,7 +46,7 @@ pub enum Type {
     /// that product form as sugar for `((host*host), int) hash_table` —
     /// the *first* component is the stored value and the remaining
     /// components form the key, matching how `getSetS` uses the table.
-    Table(Box<Type>, Box<Type>),
+    Table(Arc<Type>, Arc<Type>),
 }
 
 impl Type {
@@ -54,7 +60,7 @@ impl Type {
         if parts.len() == 1 {
             parts.pop().expect("len checked")
         } else {
-            Type::Tuple(parts)
+            Type::Tuple(parts.into())
         }
     }
 
@@ -223,33 +229,33 @@ mod tests {
 
     #[test]
     fn display_round_trips_common_types() {
-        let t = Type::Tuple(vec![Type::Ip, Type::Tcp, Type::Blob]);
+        let t = Type::Tuple([Type::Ip, Type::Tcp, Type::Blob].into());
         assert_eq!(t.to_string(), "ip*tcp*blob");
         let tbl = Type::Table(
-            Box::new(Type::Tuple(vec![Type::Host, Type::Host])),
-            Box::new(Type::Int),
+            Arc::new(Type::Tuple([Type::Host, Type::Host].into())),
+            Arc::new(Type::Int),
         );
         assert_eq!(tbl.to_string(), "(host*host, int) hash_table");
     }
 
     #[test]
     fn nested_tuple_display_parenthesizes() {
-        let t = Type::Tuple(vec![Type::Int, Type::Tuple(vec![Type::Bool, Type::Char])]);
+        let t = Type::Tuple([Type::Int, Type::Tuple([Type::Bool, Type::Char].into())].into());
         assert_eq!(t.to_string(), "int*(bool*char)");
     }
 
     #[test]
     fn equality_types() {
         assert!(Type::Int.is_equality());
-        assert!(Type::Tuple(vec![Type::Host, Type::Int]).is_equality());
+        assert!(Type::Tuple([Type::Host, Type::Int].into()).is_equality());
         assert!(!Type::Ip.is_equality());
-        assert!(!Type::Table(Box::new(Type::Int), Box::new(Type::Int)).is_equality());
-        assert!(!Type::Tuple(vec![Type::Int, Type::Tcp]).is_equality());
+        assert!(!Type::Table(Arc::new(Type::Int), Arc::new(Type::Int)).is_equality());
+        assert!(!Type::Tuple([Type::Int, Type::Tcp].into()).is_equality());
     }
 
     #[test]
     fn packet_shape_tcp_blob() {
-        let t = Type::Tuple(vec![Type::Ip, Type::Tcp, Type::Blob]);
+        let t = Type::Tuple([Type::Ip, Type::Tcp, Type::Blob].into());
         let s = t.packet_shape().unwrap();
         assert_eq!(s.transport, TransportKind::Tcp);
         assert_eq!(s.payload, vec![Type::Blob]);
@@ -257,7 +263,7 @@ mod tests {
 
     #[test]
     fn packet_shape_typed_payload() {
-        let t = Type::Tuple(vec![Type::Ip, Type::Tcp, Type::Char, Type::Int]);
+        let t = Type::Tuple([Type::Ip, Type::Tcp, Type::Char, Type::Int].into());
         let s = t.packet_shape().unwrap();
         assert_eq!(s.transport, TransportKind::Tcp);
         assert_eq!(s.payload, vec![Type::Char, Type::Int]);
@@ -266,20 +272,20 @@ mod tests {
     #[test]
     fn packet_shape_rejects_non_packets() {
         assert!(Type::Int.packet_shape().is_none());
-        assert!(Type::Tuple(vec![Type::Tcp, Type::Blob])
+        assert!(Type::Tuple([Type::Tcp, Type::Blob].into())
             .packet_shape()
             .is_none());
         // blob must come last
-        let t = Type::Tuple(vec![Type::Ip, Type::Udp, Type::Blob, Type::Int]);
+        let t = Type::Tuple([Type::Ip, Type::Udp, Type::Blob, Type::Int].into());
         assert!(t.packet_shape().is_none());
         // header types cannot appear in the payload
-        let t = Type::Tuple(vec![Type::Ip, Type::Tcp, Type::Ip]);
+        let t = Type::Tuple([Type::Ip, Type::Tcp, Type::Ip].into());
         assert!(t.packet_shape().is_none());
     }
 
     #[test]
     fn packet_shape_raw_ip() {
-        let t = Type::Tuple(vec![Type::Ip, Type::Blob]);
+        let t = Type::Tuple([Type::Ip, Type::Blob].into());
         let s = t.packet_shape().unwrap();
         assert_eq!(s.transport, TransportKind::None);
     }
@@ -289,14 +295,14 @@ mod tests {
         assert_eq!(Type::tuple(vec![Type::Int]), Type::Int);
         assert_eq!(
             Type::tuple(vec![Type::Int, Type::Bool]),
-            Type::Tuple(vec![Type::Int, Type::Bool])
+            Type::Tuple([Type::Int, Type::Bool].into())
         );
     }
 
     #[test]
     fn defaultable_types() {
         assert!(Type::Int.is_defaultable());
-        assert!(Type::Table(Box::new(Type::Int), Box::new(Type::Int)).is_defaultable());
+        assert!(Type::Table(Arc::new(Type::Int), Arc::new(Type::Int)).is_defaultable());
         assert!(!Type::Ip.is_defaultable());
     }
 }

@@ -25,6 +25,11 @@
 //!
 //! The reply (UDP, same port, to the sender) is `OK <lines>\n` or
 //! `ERR <message>\n`.
+//!
+//! A node holds at most [`MAX_TRANSFERS`] unfinished transfers: the
+//! first chunk of one more drops the transfer whose first chunk arrived
+//! earliest, so a sender that opens transfers and never finishes them
+//! costs a bounded amount of memory.
 
 use crate::layer::{install_in_node, LayerConfig, PlanpHandle};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -32,10 +37,14 @@ use netsim::packet::Packet;
 use netsim::{App, NodeApi};
 use planp_analysis::Policy;
 use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 /// UDP port the deployment service listens on.
 pub const DEPLOY_PORT: u16 = 99;
+
+/// Unfinished transfers a node holds at once.
+pub const MAX_TRANSFERS: usize = 16;
 
 const MAGIC: u8 = 0xD7;
 const FLAG_LAST: u8 = 0x01;
@@ -91,28 +100,33 @@ pub struct DeployLog {
     pub rejected: u64,
     /// Uninstall requests honored.
     pub uninstalled: u64,
+    /// Unfinished transfers held now (at most [`MAX_TRANSFERS`]).
+    pub held: usize,
+    /// Unfinished transfers dropped to make room for a newer one.
+    pub dropped: u64,
     /// Last error message, if any.
     pub last_error: Option<String>,
     /// Handle of the most recently installed layer.
     pub handle: Option<PlanpHandle>,
 }
 
-/// The chunks of one transfer by index.
-#[allow(clippy::disallowed_types)] // lookup-only: `insert`/`contains_key`/`get`, never iterated
-type Chunks = std::collections::HashMap<u16, Vec<u8>>;
+/// One unfinished transfer.
+struct Transfer {
+    /// `(sender, transfer id)`.
+    key: (u32, u16),
+    /// The chunks received so far, by index.
+    chunks: BTreeMap<u16, Vec<u8>>,
+    /// Index of the chunk that carried the last-chunk flag, once seen.
+    last: Option<u16>,
+}
 
 /// The deployment application.
 pub struct DeployService {
     policy: Policy,
     config: LayerConfig,
-    /// Chunks received so far, per `(sender, transfer id)` and then per
-    /// chunk index. A finished transfer is read out by counting
-    /// `0..=last`, never by walking the map.
-    #[allow(clippy::disallowed_types)] // lookup-only: `entry`/`get`/`remove`, never iterated
-    transfers: std::collections::HashMap<(u32, u16), Chunks>,
-    /// Index of the chunk that carried the last-chunk flag, once seen.
-    #[allow(clippy::disallowed_types)] // lookup-only: `insert`/`get`/`remove`, never iterated
-    last_chunk: std::collections::HashMap<(u32, u16), u16>,
+    /// Unfinished transfers in the order their first chunk arrived;
+    /// never more than [`MAX_TRANSFERS`], so a lookup is a short scan.
+    transfers: VecDeque<Transfer>,
     /// Shared log.
     pub log: Rc<RefCell<DeployLog>>,
 }
@@ -124,8 +138,7 @@ impl DeployService {
         DeployService {
             policy,
             config,
-            transfers: Default::default(),
-            last_chunk: Default::default(),
+            transfers: VecDeque::new(),
             log: Rc::new(RefCell::new(DeployLog::default())),
         }
     }
@@ -170,25 +183,39 @@ impl App for DeployService {
         }
 
         let key = (sender, transfer);
-        let chunks = self.transfers.entry(key).or_default();
-        chunks.insert(index, pkt.payload[6..].to_vec());
+        let at = match self.transfers.iter().position(|t| t.key == key) {
+            Some(at) => at,
+            None => {
+                if self.transfers.len() == MAX_TRANSFERS {
+                    self.transfers.pop_front();
+                    self.log.borrow_mut().dropped += 1;
+                }
+                self.transfers.push_back(Transfer {
+                    key,
+                    chunks: BTreeMap::new(),
+                    last: None,
+                });
+                self.transfers.len() - 1
+            }
+        };
+        let t = &mut self.transfers[at];
+        t.chunks.insert(index, pkt.payload[6..].to_vec());
         if flags & FLAG_LAST != 0 {
-            self.last_chunk.insert(key, index);
+            t.last = Some(index);
         }
 
         // Complete when the final chunk is known and all indices are in.
-        let Some(&last) = self.last_chunk.get(&key) else {
-            return;
-        };
-        let Some(parts) = (0..=last)
-            .map(|i| chunks.get(&i).map(Vec::as_slice))
-            .collect::<Option<Vec<_>>>()
-        else {
-            return;
-        };
-        let source = parts.concat();
-        self.transfers.remove(&key);
-        self.last_chunk.remove(&key);
+        let source = t.last.and_then(|last| {
+            let parts = (0..=last).map(|i| t.chunks.get(&i).map(Vec::as_slice));
+            parts
+                .collect::<Option<Vec<_>>>()
+                .map(|parts| parts.concat())
+        });
+        if source.is_some() {
+            self.transfers.remove(at);
+        }
+        self.log.borrow_mut().held = self.transfers.len();
+        let Some(source) = source else { return };
 
         let text = String::from_utf8_lossy(&source).into_owned();
         match self.try_install(api, &text) {

@@ -49,18 +49,16 @@ impl DispatchTable {
             untagged: Default::default(),
             tagged: Vec::new(),
         };
-        for (idx, (ch, name)) in image
-            .prog
-            .channels
-            .iter()
-            .zip(&image.chan_names)
-            .enumerate()
-        {
-            match table.tagged.iter_mut().find(|(n, _)| Rc::ptr_eq(n, name)) {
+        for (idx, ch) in image.prog.channels.iter().enumerate() {
+            match table
+                .tagged
+                .iter_mut()
+                .find(|(n, _)| Rc::ptr_eq(n, &ch.name))
+            {
                 Some((_, group)) => group.push(idx),
-                None => table.tagged.push((name.clone(), vec![idx])),
+                None => table.tagged.push((ch.name.clone(), vec![idx])),
             }
-            if ch.name == "network" {
+            if &*ch.name == "network" {
                 table.untagged[transport_slot(ch.shape.transport)].push(idx);
             }
         }
@@ -290,8 +288,8 @@ mod tests {
             for (idx, ch) in image.prog.channels.iter().enumerate() {
                 // The image's own string, as a node installed from it
                 // tags its sends; and the same letters from elsewhere.
-                let shared = ChannelTag::new(image.chan_names[idx].clone(), ch.overload);
-                let spelled = ChannelTag::new(ch.name.clone(), ch.overload);
+                let shared = ChannelTag::new(ch.name.clone(), ch.overload);
+                let spelled = ChannelTag::new(&*ch.name, ch.overload);
                 assert!(!Rc::ptr_eq(&shared.chan, &spelled.chan));
                 assert_eq!(shared, spelled);
                 assert_eq!(table.candidates(&pkt(shared)), [idx]);
@@ -300,8 +298,8 @@ mod tests {
                 // however the name is held.
                 let group = image.prog.chan_groups[&ch.name].len() as u32;
                 for overload in [group, group + 1, u32::MAX] {
-                    let shared = ChannelTag::new(image.chan_names[idx].clone(), overload);
-                    let spelled = ChannelTag::new(ch.name.clone(), overload);
+                    let shared = ChannelTag::new(ch.name.clone(), overload);
+                    let spelled = ChannelTag::new(&*ch.name, overload);
                     assert!(table.candidates(&pkt(shared)).is_empty());
                     assert!(table.candidates(&pkt(spelled)).is_empty());
                 }

@@ -119,9 +119,9 @@ pub struct PlanpHandle {
 /// share the same metric keys (per-channel = per channel *name*).
 struct ChanMeta {
     /// This overload's `{name, overload}` record, built here once around
-    /// the image's shared name string ([`LoadedProgram::chan_names`]): a
-    /// send to it clones the handle into the packet's lineage and, for
-    /// a tagged channel, into its tag.
+    /// the program's one handle of the name (`TChannel::name`): a send
+    /// to it clones the handle into the packet's lineage and, for a
+    /// tagged channel, into its tag.
     ident: ChannelTag,
     /// Sends to this channel carry its tag. `network` traffic stays
     /// untagged so PLAN-P routers interoperate with plain IP.
@@ -242,8 +242,8 @@ impl PlanpLayer {
             .iter()
             .enumerate()
             .map(|(i, ch)| ChanMeta {
-                ident: ChannelTag::new(image.chan_names[i].clone(), ch.overload),
-                tagged: ch.name != "network",
+                ident: ChannelTag::new(ch.name.clone(), ch.overload),
+                tagged: &*ch.name != "network",
                 c_dispatch: metrics
                     .register_counter(&format!("node.{node_name}.chan.{}.dispatch", ch.name)),
                 c_errors: metrics
@@ -488,7 +488,7 @@ impl PacketHook for PlanpLayer {
                 api.trace_dispatch(&pkt, Some(&cm.ident.chan), DispatchOutcome::Error);
                 let exn: Rc<str> = match &e {
                     VmError::Exn(id) => match self.prog.exns.get(id.0 as usize) {
-                        Some(name) => name.as_str().into(),
+                        Some(name) => name.clone(),
                         None => format!("exn#{}", id.0).into(),
                     },
                     VmError::Trap(m) => format!("trap: {m}").into(),
@@ -741,7 +741,7 @@ pub fn install_planp(
     let mut bounds: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
     for (i, ch) in image.prog.channels.iter().enumerate() {
         let steps = image.report.cost.bound_for(i).steps;
-        let e = bounds.entry(ch.name.as_str()).or_insert(0);
+        let e = bounds.entry(&*ch.name).or_insert(0);
         *e = (*e).max(steps);
     }
     for (chan, steps) in bounds {
@@ -757,7 +757,7 @@ pub fn install_planp(
         std::collections::BTreeMap::new();
     for (i, ch) in image.prog.channels.iter().enumerate() {
         let n = image.report.state_effects.inserts_for(i);
-        let e = insert_bounds.entry(ch.name.as_str()).or_insert(0);
+        let e = insert_bounds.entry(&*ch.name).or_insert(0);
         *e = (*e).max(n);
     }
     for (chan, n) in insert_bounds {
@@ -970,7 +970,7 @@ mod tests {
                 let image = load(&src, Policy::authenticated()).expect("a bundled ASP loads");
                 (path.display().to_string(), image)
             })
-            .filter(|(_, image)| image.prog.channels.iter().any(|ch| ch.name != "network"))
+            .filter(|(_, image)| image.prog.channels.iter().any(|ch| &*ch.name != "network"))
             .collect();
         assert!(
             images.len() >= 10,
@@ -1013,7 +1013,7 @@ mod tests {
         // What `outgoing` did before the handle existed: assemble
         // `{name, overload}` from the program at every send.
         let per_send = |ch: &planp_lang::tast::TChannel| {
-            (ch.name != "network").then(|| ChannelTag::new(ch.name.as_str(), ch.overload))
+            (&*ch.name != "network").then(|| ChannelTag::new(&*ch.name, ch.overload))
         };
         let mut tagged_sends = 0;
         for (path, image) in bundled_with_user_channels() {
@@ -1038,7 +1038,7 @@ mod tests {
                 if let Some(tag) = &sent.tag {
                     tagged_sends += 1;
                     // The handle is the image's name, not a copy of it.
-                    assert!(Rc::ptr_eq(&tag.chan, &image.chan_names[idx]));
+                    assert!(Rc::ptr_eq(&tag.chan, &ch.name));
                     // Either packet reaches the overload it was sent to,
                     // on both engines.
                     for engine in [Engine::Jit, Engine::Interp] {

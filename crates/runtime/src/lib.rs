@@ -60,7 +60,9 @@ pub mod recovery;
 pub mod replay;
 
 pub use admission::{Admission, AdmissionGate, PRIORITY_MAX, PRIORITY_MIN};
-pub use deploy::{deploy_packets, uninstall_packet, DeployLog, DeployService, DEPLOY_PORT};
+pub use deploy::{
+    deploy_packets, uninstall_packet, DeployLog, DeployService, DEPLOY_PORT, MAX_TRANSFERS,
+};
 pub use layer::{
     install_planp, Engine, LayerConfig, LayerStats, PlanpHandle, PlanpLayer, MANAGEMENT_PORT,
 };

@@ -64,11 +64,6 @@ pub struct LoadedProgram {
     pub prog: Rc<TProgram>,
     /// The JIT-compiled program (shareable; state lives per node).
     pub compiled: Rc<CompiledProgram>,
-    /// Each channel's name, parallel to `prog.channels`, as one shared
-    /// string per name: what every node installed from this image tags
-    /// its sends with, so a tag from one of them matches another's
-    /// channels by pointer.
-    pub chan_names: Vec<Rc<str>>,
     /// The verifier's findings.
     pub report: VerifyReport,
     /// Code-generation statistics (the figure 3 measurement).
@@ -117,16 +112,10 @@ pub fn load(source: &str, policy: Policy) -> Result<LoadedProgram, LoadError> {
         return Err(LoadError::Rejected(Box::new(report)));
     }
     let (compiled, codegen) = jit::compile(prog.clone());
-    let mut chan_names: Vec<Rc<str>> = Vec::with_capacity(prog.channels.len());
-    for ch in &prog.channels {
-        let shared = chan_names.iter().find(|n| n.as_ref() == ch.name).cloned();
-        chan_names.push(shared.unwrap_or_else(|| ch.name.as_str().into()));
-    }
     Ok(LoadedProgram {
         source: source.to_string(),
         prog,
         compiled: Rc::new(compiled),
-        chan_names,
         report,
         codegen,
         lines: count_lines(source),

@@ -11,7 +11,7 @@ use crate::env::{packet_parts, ChanRef, NetEnv};
 use crate::ops::{eval_binop, eval_unop};
 use crate::prims;
 use crate::value::{Value, VmError};
-use planp_lang::ast::BinOp;
+use planp_lang::ast::{BinOp, Name};
 use planp_lang::tast::{TExpr, TExprKind, TProgram};
 use std::cell::Cell;
 
@@ -19,7 +19,7 @@ use std::cell::Cell;
 /// portable C interpreter would).
 #[derive(Debug, Default)]
 pub struct NameEnv {
-    bindings: Vec<(String, Value)>,
+    bindings: Vec<(Name, Value)>,
 }
 
 impl NameEnv {
@@ -31,8 +31,8 @@ impl NameEnv {
     }
 
     /// Pushes a binding.
-    pub fn push(&mut self, name: &str, v: Value) {
-        self.bindings.push((name.to_string(), v));
+    pub fn push(&mut self, name: &Name, v: Value) {
+        self.bindings.push((name.clone(), v));
     }
 
     /// Pops the innermost binding.
@@ -44,7 +44,7 @@ impl NameEnv {
         self.bindings
             .iter()
             .rev()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| &**n == name)
             .map(|(_, v)| v)
     }
 }
@@ -153,7 +153,7 @@ impl<'p> Interp<'p> {
             .prog
             .channels
             .iter()
-            .position(|c| c.name == chan && c.overload == overload)
+            .position(|c| &*c.name == chan && c.overload == overload)
             .ok_or_else(|| VmError::trap(format!("send to unknown channel `{chan}`#{overload}")))?;
         Ok(ChanRef {
             name: chan,

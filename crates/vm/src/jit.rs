@@ -91,7 +91,7 @@ use crate::env::{packet_parts, ChanRef, NetEnv};
 use crate::ops::{eval_binop, eval_unop, holds, scalar_binop, scalar_unop, unop_operand};
 use crate::prims::{self, PrimFn};
 use crate::value::{Key, KeyShape, ScalarTy, Value, VmError};
-use planp_lang::ast::{BinOp, UnOp};
+use planp_lang::ast::{BinOp, Name, UnOp};
 use planp_lang::prims::{Access, Field, PrimId};
 use planp_lang::tast::{ExnId, TExpr, TExprKind, TProgram};
 use std::cell::{Cell, RefCell};
@@ -418,7 +418,7 @@ struct Unit {
 /// A compiled channel overload.
 pub struct CompiledChannel {
     /// Channel name.
-    pub name: String,
+    pub name: Name,
     body: Unit,
     /// The registers of `body`'s frame that hold the packet, one per
     /// component of the channel's shape: `(first, count)`.

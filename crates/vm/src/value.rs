@@ -490,13 +490,13 @@ mod tests {
     #[test]
     fn default_values() {
         assert!(matches!(Value::default_of(&Type::Int), Value::Int(0)));
-        let t = Type::Tuple(vec![Type::Int, Type::Bool]);
+        let t = Type::Tuple([Type::Int, Type::Bool].into());
         let Value::Tuple(items) = Value::default_of(&t) else {
             panic!()
         };
         assert_eq!(items.len(), 2);
         assert!(matches!(
-            Value::default_of(&Type::Table(Box::new(Type::Int), Box::new(Type::Int))),
+            Value::default_of(&Type::Table(Type::Int.into(), Type::Int.into())),
             Value::Table(_)
         ));
     }

@@ -13,7 +13,9 @@
 //!   magic, stray flags, a chunk index past `last`, duplicate chunks,
 //!   transfers that never finish, two transfers under one id, and the
 //!   mutated source itself, which a completed transfer downloads,
-//!   verifies, installs — and then runs on live traffic.
+//!   verifies, installs — and then runs on live traffic; and ten
+//!   thousand transfers opened and never finished, which the service
+//!   holds no more than `MAX_TRANSFERS` of.
 //!
 //! Every run is a function of its seed; a failure names the seed.
 
@@ -25,7 +27,7 @@ use planp::netsim::rng::SplitMix64;
 use planp::netsim::{App, LinkSpec, NodeApi, Sim, SimTime};
 use planp::runtime::{
     deploy_packets, install_planp, load, uninstall_packet, DeployService, Engine, LayerConfig,
-    DEPLOY_PORT,
+    DEPLOY_PORT, MAX_TRANSFERS,
 };
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -177,9 +179,9 @@ fn no_payload_panics_an_installed_asp() {
             for (name, group) in groups {
                 let n = group.len() as u32;
                 for past in [n, n + 1, u32::MAX] {
-                    unanswered.push(ChannelTag::new(name.as_str(), past));
+                    unanswered.push(ChannelTag::new(&**name, past));
                 }
-                answered.extend((0..n).map(|i| ChannelTag::new(name.as_str(), i)));
+                answered.extend((0..n).map(|i| ChannelTag::new(&**name, i)));
             }
 
             // First the unanswerable tags on well-formed payloads of
@@ -431,4 +433,40 @@ fn no_deploy_message_panics_the_service() {
         installed >= 50 && rejected >= 50,
         "{installed} installed, {rejected} rejected"
     );
+}
+
+#[test]
+fn unfinished_transfers_are_bounded_and_a_later_one_installs() {
+    const OPENED: usize = 10_000;
+    // The first chunk of a transfer that never sends its last.
+    let mut packets: Vec<Packet> = (0..OPENED as u16)
+        .map(|id| {
+            let [hi, lo] = id.to_be_bytes();
+            let chunk = vec![0xD7, 0, hi, lo, 0, 0, b'-', b'-'];
+            packet(TransportKind::Udp, R, DEPLOY_PORT, chunk)
+        })
+        .collect();
+    let forwarder = CORPUS.iter().find(|a| a.name == "forwarder").unwrap().src;
+    packets.extend(deploy_packets(A, R, OPENED as u16, forwarder));
+    packets.extend((0..5).map(|_| packet(TransportKind::Udp, B, 5555, vec![7; 8])));
+    let n = packets.len() as u32;
+
+    let service = DeployService::new(Policy::strict(), LayerConfig::default());
+    let log = service.log.clone();
+    let (mut sim, [a, r, b]) = line(0xDE_F00D);
+    sim.add_app(r, Box::new(service));
+    sim.add_app(a, Feeder::new(packets));
+    sim.run_until(SimTime::ZERO + TICK * OPENED as u32 + TICK / 2);
+    assert_eq!(log.borrow().held, MAX_TRANSFERS);
+    assert_eq!(log.borrow().dropped, (OPENED - MAX_TRANSFERS) as u64);
+    assert_eq!(log.borrow().installed, 0);
+
+    sim.run_until(SimTime::ZERO + TICK * (n + 40));
+    let log = log.borrow();
+    assert_eq!(log.installed, 1, "{:?}", log.last_error);
+    assert_eq!(log.held, MAX_TRANSFERS - 1);
+    assert_eq!(log.dropped, (OPENED - MAX_TRANSFERS + 1) as u64);
+    let handle = log.handle.as_ref().expect("installed");
+    assert_eq!(handle.stats.borrow().matched, 5);
+    assert_eq!(sim.node(b).delivered, 5);
 }
