@@ -5,9 +5,9 @@
 //! policy-required verifier rejection is representable as a
 //! [`Diagnostic`]: a stable code, a severity, a source [`Span`], a
 //! message, and optional notes. Tooling renders diagnostics either as
-//! human text with line/column carets (the `planpc --lint` and
-//! `planp lint` output) or as deterministic JSON (the `--json` machine
-//! form, byte-identical for identical input).
+//! human text with line/column carets (the `planp lint` output) or as
+//! deterministic JSON (the `--json` machine form, byte-identical for
+//! identical input).
 
 use planp_lang::span::{line_col, Span};
 use std::fmt;

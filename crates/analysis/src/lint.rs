@@ -2,8 +2,8 @@
 //!
 //! Run by [`crate::verify`] on every download alongside the safety
 //! analyses, so a `VerifyReport` always carries them. All findings are
-//! [`Severity::Warning`](crate::diag::Severity); the `planp lint` and
-//! `planpc --lint` drivers can escalate them with `--deny-warnings`.
+//! [`Severity::Warning`](crate::diag::Severity); the `planp lint`
+//! driver can escalate them with `--deny-warnings`.
 //!
 //! | code | finding |
 //! |------|---------|

@@ -144,11 +144,6 @@ impl ModelCheckReport {
         self.witnesses.iter().filter(|w| w.code == "E005")
     }
 
-    /// The delivery-only (`E006`) witnesses.
-    pub fn delivery_witnesses(&self) -> impl Iterator<Item = &Witness> {
-        self.witnesses.iter().filter(|w| w.code == "E006")
-    }
-
     /// Appends the byte-stable JSON form to `out`: fixed key order
     /// `termination`, `delivery`, `states`, `transitions`, `budget`,
     /// `exhausted`, `witnesses`.
@@ -456,7 +451,7 @@ mod tests {
         let r = run(src);
         assert!(r.termination.is_proved());
         assert_eq!(r.delivery, Verdict::Violated);
-        let w = r.delivery_witnesses().next().unwrap();
+        let w = r.witnesses.iter().find(|w| w.code == "E006").unwrap();
         assert_eq!(w.kind, WitnessKind::Drop);
         // The witness anchors on the else arm, not the whole channel.
         let arm = &src[w.span.start as usize..w.span.end as usize];
@@ -470,7 +465,7 @@ mod tests {
              (print(tblGet(ss, ipSrc(#1 p))); OnRemote(network, p); (ps, ss))",
         );
         assert_eq!(r.delivery, Verdict::Violated);
-        let w = r.delivery_witnesses().next().unwrap();
+        let w = r.witnesses.iter().find(|w| w.code == "E006").unwrap();
         assert_eq!(w.kind, WitnessKind::Exception);
         assert!(w.message.contains("NotFound"), "{}", w.message);
     }

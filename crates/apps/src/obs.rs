@@ -1,6 +1,6 @@
 //! The observability-at-scale experiment: a ≥1k-node grid of parallel
-//! relay chains used to measure what deterministic head sampling,
-//! rate limits, and kept-event budgets do to telemetry overhead — and
+//! relay chains used to measure what deterministic head sampling and
+//! kept-event budgets do to telemetry overhead — and
 //! to prove that every trace the sampler keeps still reconstructs a
 //! *complete* span tree.
 //!
@@ -37,7 +37,7 @@ pub struct ObsGridConfig {
     /// Simulation seed.
     pub seed: u64,
     /// Trace configuration under test (categories, sampling rate,
-    /// rate limit, budget).
+    /// budget).
     pub trace: TraceConfig,
 }
 

@@ -5,9 +5,7 @@
 //! planp fig3
 //! ```
 
-use crate::{
-    paper_programs, push_bench, render_analysis_report, render_table, CliArgs, Report, PAPER_FIG3,
-};
+use crate::{paper_programs, push_bench, render_table, CliArgs, Report, PAPER_FIG3};
 use planp_apps::plans::{bundled_plans, load_bundled_plan};
 use planp_lang::{compile_front, count_lines};
 use planp_telemetry::MetricsSnapshot;
@@ -57,10 +55,8 @@ pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
         let verify_us =
             median_us(|| planp_analysis::verify(&prog, planp_analysis::Policy::authenticated()));
         if args.flag("--report") {
-            analyses.push(render_analysis_report(
-                name,
-                &planp_analysis::verify(&prog, policy),
-            ));
+            let report = planp_analysis::verify(&prog, policy);
+            analyses.push(format!("--- analysis: {name} ---\n{report}\n"));
         }
         let (_, _, paper_lines, paper_ms) = PAPER_FIG3[i];
         let lines = count_lines(src);

@@ -13,6 +13,7 @@
 //! | §3.3 (multipoint MPEG) | `planp mpeg-sharing` |
 //! | §3.2 / §3.1 ablations | `planp lb-strategies`, `planp adaptation-policies` |
 //! | §2.1 download-time verification | `planp lint`, `modelcheck`, `plan`, `state` |
+//! | §2.2 the front end on one file | `planp fmt`, `info` |
 //! | beyond the paper | `planp profile`, `chaos`, `cluster`, `health`, `obs`, `trace` |
 //!
 //! Each subcommand is a library function from its parsed arguments to a
@@ -45,6 +46,7 @@ mod fig3;
 mod fig6;
 mod fig7;
 mod fig8;
+mod front;
 mod health;
 mod lb_strategies;
 mod lint;
@@ -84,6 +86,8 @@ pub const SUBCOMMANDS: &[Sub] = &[
         adaptation_policies::run,
     ),
     lint::SUB,
+    front::FMT,
+    front::INFO,
     modelcheck::SUB,
     plan::SUB,
     state::SUB,
@@ -215,27 +219,6 @@ pub(crate) fn push_bench(
     }
 }
 
-/// Renders a program's static-analysis summary — problem-size stats
-/// plus the verifier's per-channel worst-case cost bounds — for the
-/// `--report` output of `planp fig3`.
-pub fn render_analysis_report(name: &str, report: &planp_analysis::VerifyReport) -> String {
-    let mut out = format!("--- analysis: {name} ---\n");
-    out.push_str(&format!("problem size: {}\n", report.stats));
-    if let Some(mc) = &report.exhaustive {
-        out.push_str(&format!(
-            "exhaustive:   termination {}, delivery {} ({} state(s), {} transition(s))\n",
-            mc.termination.as_str(),
-            mc.delivery.as_str(),
-            mc.states,
-            mc.transitions
-        ));
-    }
-    for c in &report.cost.channels {
-        out.push_str(&format!("channel {}#{}: {}\n", c.name, c.overload, c.bound));
-    }
-    out
-}
-
 /// Renders an aligned text table (simple two-space separation).
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -278,17 +261,6 @@ mod tests {
             let lp = load(src, policy).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(lp.lines > 10, "{name} suspiciously short");
         }
-    }
-
-    #[test]
-    fn analysis_report_shows_stats_and_bounds() {
-        let (name, src, policy) = paper_programs().remove(0);
-        let prog = planp_lang::compile_front(src).unwrap();
-        let report = planp_analysis::verify(&prog, policy);
-        let s = render_analysis_report(name, &report);
-        assert!(s.contains("problem size:"), "{s}");
-        assert!(s.contains("channel network#0: <="), "{s}");
-        assert!(s.contains("send site(s)"), "{s}");
     }
 
     #[test]

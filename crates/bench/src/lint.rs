@@ -12,8 +12,15 @@
 //!   bundled ASPs satisfy).
 //! * `--max-steps N` — add a per-packet step budget to the policy;
 //!   programs whose static worst-case bound exceeds it are rejected.
+//! * `--state` — also require every table's growth to be statically
+//!   bounded (unbounded state is rejected with `E009`).
 //! * `--json` — machine form: one byte-stable JSON document on stdout.
 //! * `--deny-warnings` — exit nonzero when any warning is reported.
+//!
+//! Each file prints as `{path}:` followed by the indented verification
+//! report (verdicts, per-channel cost bounds, problem size) and every
+//! diagnostic rendered with a source snippet. The model checker's
+//! counterexample witnesses as JSON are `planp modelcheck --json`.
 //!
 //! `planp check` lints every clean program of the corpus under its own
 //! policy from the corpus table instead of one `--policy` for all.
@@ -32,7 +39,7 @@ pub(crate) const SUB: Sub = Sub {
     about: "verify PLAN-P files: diagnostics, cost bounds, accept/reject",
     cli: Cli {
         help: HELP,
-        flags: &["--json", "--deny-warnings"],
+        flags: &["--json", "--deny-warnings", "--state"],
         value_flags: &["--policy", "--max-steps"],
         operands: true,
     },
@@ -44,6 +51,7 @@ planp lint: verify PLAN-P files and report diagnostics and cost bounds
 usage: planp lint [options] <file.planp>...
   --policy strict|no-delivery|authenticated  download policy (default no-delivery)
   --max-steps N                              reject bounds over N steps/packet
+  --state                                    reject statically unbounded tables (E009)
   --json                                     byte-stable machine output
   --deny-warnings                            exit 1 when any warning fires
 ";
@@ -57,6 +65,9 @@ fn run(args: &CliArgs) -> Result<Report, String> {
     };
     if let Some(n) = args.number("--max-steps", "step budget")? {
         policy = policy.with_step_budget(n);
+    }
+    if args.flag("--state") {
+        policy = policy.with_bounded_state();
     }
     if args.positionals.is_empty() {
         return Err("no input files (try --help)".to_string());
@@ -101,29 +112,20 @@ fn lint_source(path: String, src: String, policy: Policy) -> FileResult {
     FileResult { path, src, report }
 }
 
-fn print_human(r: &FileResult, out: &mut String) {
-    outln!(
-        out,
-        "{}: {}",
-        r.path,
-        if r.accepted() { "ACCEPTED" } else { "REJECTED" }
-    );
-    match &r.report {
-        Ok(report) => {
-            for c in &report.cost.channels {
-                outln!(out, "  channel {}#{}: {}", c.name, c.overload, c.bound);
-            }
-            for d in &report.diagnostics {
-                for line in d.render(&r.src).lines() {
-                    outln!(out, "  {line}");
-                }
-            }
-        }
-        Err(errs) => {
-            for e in errs {
-                outln!(out, "  {}", e.render(&r.src));
-            }
-        }
+/// `{path}:`, then the report's `Display` and the rendered diagnostics
+/// (or the front-end errors), indented under it.
+fn write_human(r: &FileResult, out: &mut String) {
+    outln!(out, "{}:", r.path);
+    let blocks: Vec<String> = match &r.report {
+        Ok(report) => std::iter::once(report.to_string())
+            .chain(report.diagnostics.iter().map(|d| d.render(&r.src)))
+            .collect(),
+        Err(errs) => std::iter::once("verdict:      REJECTED".to_string())
+            .chain(errs.iter().map(|e| e.render(&r.src)))
+            .collect(),
+    };
+    for line in blocks.iter().flat_map(|b| b.lines()) {
+        outln!(out, "  {line}");
     }
 }
 
@@ -173,7 +175,7 @@ pub(crate) fn report(
         report.stdout.push('\n');
     } else {
         for r in &results {
-            print_human(r, &mut report.stdout);
+            write_human(r, &mut report.stdout);
         }
     }
     let rejected = results.iter().filter(|r| !r.accepted()).count();
@@ -187,4 +189,47 @@ pub(crate) fn report(
     );
     report.failed = rejected > 0 || (deny_warnings && warnings > 0);
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lint(argv: &[&str]) -> Report {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        run(&SUB.cli.parse_from(&argv).unwrap()).unwrap()
+    }
+
+    /// `state_leak` counts packets in a table keyed on the packet's
+    /// source and never evicts an entry.
+    #[test]
+    fn state_flag_rejects_a_packet_keyed_never_evicted_table_with_e009() {
+        let leak = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../asps/buggy/state_leak.planp"
+        );
+        let lax = lint(&[leak]);
+        assert!(!lax.failed, "{}", lax.stdout);
+        assert!(
+            lax.stdout.contains("verdict:      ACCEPTED"),
+            "{}",
+            lax.stdout
+        );
+        let bounded = lint(&["--state", leak]);
+        assert!(bounded.failed, "{}", bounded.stdout);
+        assert!(bounded.stdout.contains("verdict:      REJECTED"));
+        assert!(bounded.stdout.contains("error[E009]"), "{}", bounded.stdout);
+    }
+
+    #[test]
+    fn human_output_is_the_path_then_the_indented_report() {
+        let fwd = concat!(env!("CARGO_MANIFEST_DIR"), "/../../asps/forwarder.planp");
+        let r = lint(&["--policy", "strict", "--state", "--max-steps", "500", fwd]);
+        assert!(!r.failed);
+        let src = std::fs::read_to_string(fwd).unwrap();
+        let prog = planp_lang::compile_front(&src).unwrap();
+        let policy = Policy::strict().with_step_budget(500).with_bounded_state();
+        let shown = verify(&prog, policy).to_string().replace('\n', "\n  ");
+        assert_eq!(r.stdout, format!("{fwd}:\n  {shown}\n"));
+    }
 }

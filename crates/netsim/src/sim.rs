@@ -330,20 +330,6 @@ impl Sim {
         self.nodes[node.0].routes.insert(dst_addr, (link, toward));
     }
 
-    /// Routes `alias` exactly like traffic toward `target`'s address, at
-    /// every node except `target` itself. Used for virtual-server
-    /// addresses that a gateway rewrites (section 3.2).
-    pub fn alias_route_all(&mut self, alias: u32, target: NodeId) {
-        let target_addr = self.nodes[target.0].addr;
-        for i in 0..self.nodes.len() {
-            if i != target.0 {
-                if let Some(&hop) = self.nodes[i].routes.get(&target_addr) {
-                    self.nodes[i].routes.insert(alias, hop);
-                }
-            }
-        }
-    }
-
     /// Subscribes a node to a multicast group.
     pub fn subscribe(&mut self, node: NodeId, group: u32) {
         self.nodes[node.0].subscriptions.insert(group);
@@ -436,12 +422,6 @@ impl Sim {
         (self.now, self.now_seq) = (self.now.max(t), u64::MAX);
         self.settle_all();
         self.monitor_tick();
-    }
-
-    /// Runs for `d` more simulated time.
-    pub fn run_for(&mut self, d: Duration) {
-        let t = self.now + d;
-        self.run_until(t);
     }
 
     /// Drains every remaining event (use with care — load generators that
@@ -1212,9 +1192,8 @@ impl Sim {
             snap.set_histogram("sim.hop_latency_ns", &self.hop_latency);
         }
         let oh = self.telemetry.trace.overhead();
-        if oh.sample_n > 1 || oh.sampled_out > 0 || oh.rate_limited > 0 || oh.downgrades > 0 {
+        if oh.sample_n > 1 || oh.sampled_out > 0 || oh.downgrades > 0 {
             snap.set_counter("sim.trace_sampled_out", oh.sampled_out);
-            snap.set_counter("sim.trace_rate_limited", oh.rate_limited);
             snap.set_counter("sim.trace_downgrades", u64::from(oh.downgrades));
             snap.set_counter("sim.trace_sample_n", u64::from(oh.sample_n));
             snap.set_counter("sim.trace_est_bytes", oh.est_bytes);
@@ -1442,11 +1421,6 @@ impl NodeApi<'_> {
     /// PLAN-P layer fabricates, such as timer dispatches.
     pub fn stamp(&mut self, pkt: &mut Packet) {
         self.sim.stamp(self.node, pkt);
-    }
-
-    /// Deterministic per-node randomness.
-    pub fn rand_u64(&mut self) -> u64 {
-        self.sim.nodes[self.node.0].rng.next_u64()
     }
 
     /// Uniform integer in `0..bound`.
@@ -1968,11 +1942,13 @@ mod tests {
 
     #[test]
     fn alias_routes_follow_their_target() {
-        // Traffic to the alias address takes the same path as traffic
-        // to the target node, at every node except the target.
-        let (mut sim, a, _r, b) = two_hosts_one_router();
+        // Explicit routes send traffic for an alias address along the
+        // path toward the target node, as a gateway's virtual-server
+        // address is routed (section 3.2).
+        let (mut sim, a, r, b) = two_hosts_one_router();
         let alias = addr(99, 9, 9, 9);
-        sim.alias_route_all(alias, b);
+        sim.add_route(a, alias, r);
+        sim.add_route(r, alias, b);
         let got = Rc::new(RefCell::new(Vec::new()));
         sim.add_app(b, Box::new(Sink { got: got.clone() }));
         sim.add_app(

@@ -82,23 +82,6 @@ impl TimeSeries {
         let idx = ((vals.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
         Some(vals[idx])
     }
-
-    /// Buckets the series into fixed-width intervals of `width` seconds
-    /// over `[0, horizon)`, summing values per bucket. Useful for
-    /// bandwidth-over-time plots (figure 6).
-    pub fn bucket_sums(&self, width: f64, horizon: f64) -> Vec<(f64, f64)> {
-        let n = (horizon / width).ceil() as usize;
-        let mut out = vec![0.0; n];
-        for &(t, v) in &self.points {
-            if t < horizon && t >= 0.0 {
-                out[(t / width) as usize] += v;
-            }
-        }
-        out.into_iter()
-            .enumerate()
-            .map(|(i, v)| (i as f64 * width, v))
-            .collect()
-    }
 }
 
 /// A named collection of series (owned by the simulator).
@@ -158,21 +141,6 @@ mod tests {
         assert_eq!(s.percentile_between(0.0, 1.0, 0.0), Some(0.0));
         assert_eq!(s.percentile_between(0.0, 1.0, 1.0), Some(99.0));
         assert_eq!(s.percentile_between(5.0, 6.0, 0.5), None);
-    }
-
-    #[test]
-    fn bucket_sums_bins_correctly() {
-        let mut s = TimeSeries::new();
-        s.push(0.1, 1.0);
-        s.push(0.9, 2.0);
-        s.push(1.5, 4.0);
-        s.push(9.9, 8.0);
-        s.push(10.5, 100.0); // beyond horizon
-        let b = s.bucket_sums(1.0, 10.0);
-        assert_eq!(b.len(), 10);
-        assert_eq!(b[0], (0.0, 3.0));
-        assert_eq!(b[1], (1.0, 4.0));
-        assert_eq!(b[9], (9.0, 8.0));
     }
 
     #[test]

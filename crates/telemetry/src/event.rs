@@ -774,10 +774,6 @@ pub struct TraceConfig {
     /// Seed mixed into the trace-id hash for the keep decision. Two
     /// logs with the same seed and rate keep the same traces.
     pub sample_seed: u64,
-    /// Per-category rate limit: at most this many kept events per
-    /// category per simulated second (0 = unlimited). Suppressed events
-    /// are counted in [`TraceLog::rate_limited`].
-    pub category_rate_limit: u64,
     /// Kept-event budget (0 = unlimited): every time the number of kept
     /// events crosses another multiple of the budget, the sampling rate
     /// deterministically doubles (`sample_n *= 2`, capped at 2^20) and
@@ -792,7 +788,6 @@ impl Default for TraceConfig {
             capacity: 65_536,
             sample_n: 1,
             sample_seed: 0,
-            category_rate_limit: 0,
             budget: 0,
         }
     }
@@ -838,15 +833,13 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 }
 
 /// The telemetry overhead meter: what tracing kept, what the sampler
-/// and rate limiter suppressed, and what the kept events cost.
+/// suppressed, and what the kept events cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceOverhead {
     /// Events kept (recorded into the ring, including later-evicted).
     pub kept: u64,
     /// Events suppressed by the trace sampler.
     pub sampled_out: u64,
-    /// Events suppressed by the per-category rate limit.
-    pub rate_limited: u64,
     /// Kept events later evicted by the ring.
     pub evicted: u64,
     /// Estimated serialized bytes of the kept events.
@@ -872,17 +865,11 @@ pub struct TraceLog {
     /// Current sampling denominator (doubles on budget downgrades).
     sample_n: u32,
     sample_seed: u64,
-    category_rate_limit: u64,
     budget: u64,
     next_budget_mark: u64,
     sampled_out: u64,
-    rate_limited: u64,
     est_bytes: u64,
     downgrades: u32,
-    /// Kept-event counts per category for the current sim-second
-    /// window (rate limiting). Indexed by the category's bit position.
-    cat_window: [u64; 16],
-    window: u64,
 }
 
 impl Default for TraceLog {
@@ -902,15 +889,11 @@ impl TraceLog {
             evicted: 0,
             sample_n: cfg.sample_n.max(1),
             sample_seed: cfg.sample_seed,
-            category_rate_limit: cfg.category_rate_limit,
             budget: cfg.budget,
             next_budget_mark: cfg.budget,
             sampled_out: 0,
-            rate_limited: 0,
             est_bytes: 0,
             downgrades: 0,
-            cat_window: [0; 16],
-            window: 0,
         }
     }
 
@@ -921,7 +904,6 @@ impl TraceLog {
         self.capacity = cfg.capacity.max(1);
         self.sample_n = cfg.sample_n.max(1);
         self.sample_seed = cfg.sample_seed;
-        self.category_rate_limit = cfg.category_rate_limit;
         self.budget = cfg.budget;
         self.next_budget_mark = self.recorded + cfg.budget;
         while self.buf.len() > self.capacity {
@@ -973,25 +955,12 @@ impl TraceLog {
         mix64(self.sample_seed ^ trace) <= u64::MAX / n
     }
 
-    /// Records an event (if its category is enabled and the per-category
-    /// rate limit has headroom). Sampling decisions happen upstream via
-    /// [`TraceLog::keep_trace`] / [`TraceLog::wants_pkt`].
+    /// Records an event if its category is enabled. Sampling decisions
+    /// happen upstream via [`TraceLog::keep_trace`] /
+    /// [`TraceLog::wants_pkt`].
     pub fn push(&mut self, ev: TraceEvent) {
         if !self.wants(ev.category()) {
             return;
-        }
-        if self.category_rate_limit > 0 {
-            let w = ev.t_ns() / 1_000_000_000;
-            if w != self.window {
-                self.window = w;
-                self.cat_window = [0; 16];
-            }
-            let idx = (ev.category().0.trailing_zeros() as usize).min(15);
-            if self.cat_window[idx] >= self.category_rate_limit {
-                self.rate_limited += 1;
-                return;
-            }
-            self.cat_window[idx] += 1;
         }
         let t_ns = ev.t_ns();
         self.record(ev);
@@ -1057,11 +1026,6 @@ impl TraceLog {
         self.sampled_out
     }
 
-    /// Events suppressed by the per-category rate limit.
-    pub fn rate_limited(&self) -> u64 {
-        self.rate_limited
-    }
-
     /// The current sampling denominator (1 = keep everything); grows
     /// when budget downgrades fire.
     pub fn sample_n(&self) -> u32 {
@@ -1078,7 +1042,6 @@ impl TraceLog {
         TraceOverhead {
             kept: self.recorded,
             sampled_out: self.sampled_out,
-            rate_limited: self.rate_limited,
             evicted: self.evicted,
             est_bytes: self.est_bytes,
             downgrades: self.downgrades,
@@ -1242,23 +1205,6 @@ mod tests {
             .collect();
         assert_eq!(downs, vec![(1, 2), (2, 4)]);
         assert!(oh.est_bytes > 0);
-    }
-
-    #[test]
-    fn category_rate_limit_caps_events_per_sim_second() {
-        let mut log = TraceLog::new(TraceConfig {
-            category_rate_limit: 3,
-            ..TraceConfig::all()
-        });
-        // 5 delivers in second 0: only 3 kept.
-        for t in 0..5 {
-            log.push(ev(t));
-        }
-        assert_eq!(log.recorded(), 3);
-        assert_eq!(log.rate_limited(), 2);
-        // The window resets at the next sim-second.
-        log.push(ev(1_000_000_001));
-        assert_eq!(log.recorded(), 4);
     }
 
     #[test]
