@@ -96,5 +96,5 @@ pub use state::{
     TableState,
 };
 pub use summary::{summarize, DestAbs, ProgramSummary, SendKind, SendSite};
-pub use verifier::{verify, verify_with_summary, AnalysisStats, Outcome, Policy, VerifyReport};
+pub use verifier::{verify, AnalysisStats, Outcome, Policy, VerifyReport};
 pub use witness::{Witness, WitnessHop, WitnessKind};

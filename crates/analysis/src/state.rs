@@ -203,7 +203,7 @@ impl StateReport {
     }
 
     /// Tables with no finite bound (the `E009` witnesses).
-    pub fn unbounded_tables(&self) -> impl Iterator<Item = &TableState> {
+    pub(crate) fn unbounded_tables(&self) -> impl Iterator<Item = &TableState> {
         self.tables.iter().filter(|t| !t.bound.is_finite())
     }
 

@@ -384,12 +384,7 @@ impl fmt::Display for VerifyReport {
 /// Runs all analyses against `prog` and evaluates them under `policy`.
 pub fn verify(prog: &TProgram, policy: Policy) -> VerifyReport {
     let sum = summarize(prog);
-    verify_with_summary(prog, &sum, policy)
-}
-
-/// Like [`verify`], reusing a precomputed summary.
-pub fn verify_with_summary(prog: &TProgram, sum: &ProgramSummary, policy: Policy) -> VerifyReport {
-    report_from(prog, sum, policy, model_check(prog, sum))
+    report_from(prog, &sum, policy, model_check(prog, &sum))
 }
 
 /// Evaluates every analysis under `policy`, deriving termination and

@@ -108,7 +108,7 @@ impl AudioClient {
 
     /// Like [`AudioClient::new`], recording bandwidth under a custom
     /// series name (for multi-client topologies).
-    pub fn with_series(
+    pub(crate) fn with_series(
         stats: Rc<RefCell<AudioClientStats>>,
         expect_restored: bool,
         series: &'static str,

@@ -115,37 +115,30 @@ impl Default for GatewayConfig {
     }
 }
 
-/// What the gateway did, shared out via `Rc<RefCell<…>>`.
+/// What the gateway did that no `gw.*` counter holds, shared out via
+/// `Rc<RefCell<…>>`. The counts — `gw.admitted`, `gw.responses`,
+/// `gw.shed_{brownout,saturated,queue}`, `gw.expired`, `gw.timeouts`,
+/// `gw.probes`, `gw.<backend>.sent` — live in the metrics registry.
 #[derive(Debug, Default)]
 pub struct GatewayStats {
-    /// Requests forwarded to a backend (the denominator of the
-    /// admitted-delivery floor). Includes half-open probes.
-    pub admitted: u64,
-    /// Responses observed flowing back through the gateway.
-    pub responses: u64,
-    /// Requests shed because their class is below the brownout level.
-    pub shed_brownout: u64,
-    /// Requests shed because every backend was full or broken.
-    pub shed_saturated: u64,
-    /// Requests shed by gateway CPU-queue backpressure.
-    pub shed_queue: u64,
-    /// Requests dropped at the gateway with an already-expired deadline.
-    pub expired: u64,
-    /// Outstanding requests that timed out (crashed or absent backend).
-    pub timeouts: u64,
-    /// Half-open probe requests sent.
-    pub probes: u64,
     /// Requests forwarded to a backend whose breaker was not closed —
     /// by construction exactly the half-open probes, which is the
     /// bench's "no corpse traffic" invariant.
     pub sent_while_broken: u64,
-    /// Breaker transitions to [`BreakerState::Open`].
-    pub opens: u64,
     /// Every breaker transition: `(t_ns, backend, from, to)`.
     pub transitions: Vec<(u64, Rc<str>, BreakerState, BreakerState)>,
 }
 
 impl GatewayStats {
+    /// Breaker transitions to [`BreakerState::Open`].
+    pub fn opens(&self) -> u64 {
+        let opened = self
+            .transitions
+            .iter()
+            .filter(|(.., to)| *to == BreakerState::Open);
+        opened.count() as u64
+    }
+
     /// The transition history as byte-stable text — one line per
     /// transition — for cross-run and cross-engine equality checks.
     pub fn transitions_log(&self) -> String {
@@ -333,11 +326,10 @@ impl ClusterGateway {
                 to,
             });
         }
-        let mut stats = self.stats.borrow_mut();
-        if to == BreakerState::Open {
-            stats.opens += 1;
-        }
-        stats.transitions.push((t_ns, name, from, to));
+        self.stats
+            .borrow_mut()
+            .transitions
+            .push((t_ns, name, from, to));
     }
 
     /// Whether backend `b` can take one more request right now —
@@ -384,7 +376,6 @@ impl ClusterGateway {
             .collect();
         for (id, p) in timed_out {
             self.pending.remove(&id);
-            self.stats.borrow_mut().timeouts += 1;
             api.telemetry().metrics.inc_id(self.c_timeouts);
             let st = &mut self.backends[p.backend as usize];
             st.outstanding = st.outstanding.saturating_sub(1);
@@ -430,7 +421,6 @@ impl PacketHook for ClusterGateway {
         if hdr.sport == self.cfg.port {
             if let Some(id) = req_id_of(&pkt.payload) {
                 if let Some(p) = self.pending.remove(&id) {
-                    self.stats.borrow_mut().responses += 1;
                     api.telemetry().metrics.inc_id(self.c_responses);
                     let st = &mut self.backends[p.backend as usize];
                     st.outstanding = st.outstanding.saturating_sub(1);
@@ -465,27 +455,23 @@ impl PacketHook for ClusterGateway {
         // Ingress guards, cheapest first: expired deadline, brownout
         // class shed, own-queue backpressure.
         if pkt.lineage.deadline_ns != 0 && now_ns > pkt.lineage.deadline_ns {
-            self.stats.borrow_mut().expired += 1;
             api.telemetry().metrics.inc_id(self.c_expired);
             api.node_drop(&pkt, DropReason::DeadlineExpired);
             return HookVerdict::Handled;
         }
         if u32::from(prio) < api.telemetry().overload.brownout_level {
-            self.stats.borrow_mut().shed_brownout += 1;
             api.telemetry().metrics.inc_id(self.c_shed_brownout);
             api.node_drop(&pkt, DropReason::Shed);
             return HookVerdict::Handled;
         }
         let qcap = api.cpu_queue_cap();
         if qcap > 0 && api.cpu_queue_len() * 4 >= qcap * 3 && prio < self.cfg.queue_shed_below {
-            self.stats.borrow_mut().shed_queue += 1;
             api.telemetry().metrics.inc_id(self.c_shed_queue);
             api.node_drop(&pkt, DropReason::Shed);
             return HookVerdict::Handled;
         }
 
         let Some(b) = self.pick(api, key, now_ns) else {
-            self.stats.borrow_mut().shed_saturated += 1;
             api.telemetry().metrics.inc_id(self.c_shed_saturated);
             api.node_drop(&pkt, DropReason::Shed);
             return HookVerdict::Handled;
@@ -500,15 +486,8 @@ impl PacketHook for ClusterGateway {
         let dst = st.spec.addr;
         let c_sent = st.c_sent;
         let broken = st.state != BreakerState::Closed;
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.admitted += 1;
-            if probe {
-                stats.probes += 1;
-            }
-            if broken {
-                stats.sent_while_broken += 1;
-            }
+        if broken {
+            self.stats.borrow_mut().sent_while_broken += 1;
         }
         let tel = api.telemetry();
         tel.metrics.inc_id(self.c_admitted);

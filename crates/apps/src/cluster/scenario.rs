@@ -173,7 +173,7 @@ impl ClusterConfig {
 /// The cluster SLO rules: the saturation rule drives the brownout
 /// controller; the hop-latency ceiling is the "network itself is
 /// healthy" control.
-pub fn cluster_slo_rules(saturation_ceiling: u64) -> Vec<SloRule> {
+fn cluster_slo_rules(saturation_ceiling: u64) -> Vec<SloRule> {
     vec![
         SloRule::CounterCeiling {
             name: "saturation".into(),
@@ -556,22 +556,24 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
 
     let g = gw_stats.borrow();
     let c = client_stats.borrow();
-    let layer = handle.stats.borrow();
+    let layer = handle.stats(&sim.telemetry);
+    let gw_count = |what: &str| sim.telemetry.metrics.counter(&format!("gw.{what}"));
+    let admitted = gw_count("admitted");
     ClusterResult {
         sent: c.sent,
-        admitted: g.admitted,
+        admitted,
         completed: c.completed,
         completed_by_class: c.completed_by_class,
-        delivery_admitted: c.completed as f64 / g.admitted.max(1) as f64,
+        delivery_admitted: c.completed as f64 / admitted.max(1) as f64,
         agg_shed: layer.shed,
         agg_expired: layer.deadline_expired,
-        shed_brownout: g.shed_brownout,
-        shed_saturated: g.shed_saturated,
-        shed_queue: g.shed_queue,
-        gw_expired: g.expired,
-        timeouts: g.timeouts,
-        probes: g.probes,
-        opens: g.opens,
+        shed_brownout: gw_count("shed_brownout"),
+        shed_saturated: gw_count("shed_saturated"),
+        shed_queue: gw_count("shed_queue"),
+        gw_expired: gw_count("expired"),
+        timeouts: gw_count("timeouts"),
+        probes: gw_count("probes"),
+        opens: g.opens(),
         sent_while_broken: g.sent_while_broken,
         transitions_log: g.transitions_log(),
         brownout_log,

@@ -77,12 +77,9 @@ pub struct HttpConfig {
     /// this gateway source over the running one (section 3.2
     /// reconfigurability; section 5 "ASP deployment").
     pub redeploy_at: Option<(f64, &'static str)>,
-    /// Crash server 1 at this time (fault injection).
-    pub fail_server1_at_s: Option<f64>,
     /// Crash server 1 at this time through the seeded fault plan
-    /// ([`netsim::FaultAction::CrashNode`]): unlike `fail_server1_at_s`
-    /// the crash also flushes the server's CPU queue and is counted in
-    /// the `sim.fault_*` / `node.server1.crashes` telemetry.
+    /// ([`netsim::FaultAction::CrashNode`]); the crash is counted in the
+    /// `sim.fault_*` / `node.server1.crashes` telemetry.
     pub crash_server1_at_s: Option<f64>,
 }
 
@@ -102,7 +99,6 @@ impl HttpConfig {
             trace: TraceSpec::default(),
             gateway_src: None,
             redeploy_at: None,
-            fail_server1_at_s: None,
             crash_server1_at_s: None,
         }
     }
@@ -294,14 +290,7 @@ pub fn run_http_traced(
         sim.apply_fault_plan(FaultPlan::new().at(at, FaultAction::CrashNode { node: s1 }));
     }
 
-    match cfg.fail_server1_at_s {
-        Some(at) => {
-            sim.run_until(SimTime::ZERO + Duration::from_secs_f64(at));
-            sim.set_down(s1, true);
-            sim.run_until(SimTime::from_secs(cfg.duration_s));
-        }
-        None => sim.run_until(SimTime::from_secs(cfg.duration_s)),
-    }
+    sim.run_until(SimTime::from_secs(cfg.duration_s));
 
     let horizon = cfg.duration_s as f64;
     let window = horizon - cfg.warmup_s;
@@ -476,14 +465,14 @@ mod tests {
         let mut repaired = HttpConfig::new(ClusterMode::AspGateway, 16);
         repaired.duration_s = 26;
         repaired.warmup_s = 4.0;
-        repaired.fail_server1_at_s = Some(6.0);
+        repaired.crash_server1_at_s = Some(6.0);
         repaired.redeploy_at = Some((10.0, crate::http::HTTP_GATEWAY_FAILOVER_ASP));
         let r = run_http(&repaired);
 
         let mut abandoned = HttpConfig::new(ClusterMode::AspGateway, 16);
         abandoned.duration_s = 26;
         abandoned.warmup_s = 4.0;
-        abandoned.fail_server1_at_s = Some(6.0);
+        abandoned.crash_server1_at_s = Some(6.0);
         let a = run_http(&abandoned);
 
         assert!(

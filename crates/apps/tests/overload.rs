@@ -127,11 +127,12 @@ fn run_mini(seed: u64) -> (String, u64, u64, u64, u64) {
     sim.run_until(SimTime::from_ms(600));
 
     let s = stats.borrow();
+    let count = |name| sim.telemetry.metrics.counter(name);
     (
         s.transitions_log(),
-        s.opens,
-        s.probes,
-        s.responses,
+        s.opens(),
+        count("gw.probes"),
+        count("gw.responses"),
         s.sent_while_broken,
     )
 }

@@ -50,7 +50,7 @@ impl SplitMix64 {
     }
 
     /// An exponentially distributed sample with the given mean.
-    pub fn next_exp(&mut self, mean: f64) -> f64 {
+    pub(crate) fn next_exp(&mut self, mean: f64) -> f64 {
         let u = self.next_f64().max(1e-12);
         -mean * u.ln()
     }

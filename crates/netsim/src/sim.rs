@@ -376,13 +376,6 @@ impl Sim {
         self.nodes[node.0].cpu = Some(cpu);
     }
 
-    /// Fails or revives a node. A failed node drops every arriving
-    /// packet and its applications' timers do not fire (fault
-    /// injection; crash-stop semantics).
-    pub fn set_down(&mut self, node: NodeId, down: bool) {
-        self.nodes[node.0].down = down;
-    }
-
     /// Immutable access to a node.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0]
@@ -1998,12 +1991,12 @@ mod tests {
                 size: 50,
             }),
         );
-        sim.set_down(r, true);
+        sim.apply_fault_plan(crate::fault::FaultPlan::new().crash_restart(0.0, 0.1, r));
         sim.run_until(SimTime::from_ms(100));
         assert_eq!(got.borrow().len(), 0, "router down: nothing arrives");
         assert_eq!(sim.node(r).dropped, 3);
-        // Revive and send again.
-        sim.set_down(r, false);
+        assert!(!sim.node(r).down, "restarted at 100 ms");
+        // Send again.
         sim.add_app(
             a,
             Box::new(Source {

@@ -230,11 +230,6 @@ impl TopoSpec {
         self.links.len() - 1
     }
 
-    /// Index of the node called `name`.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| *n.name == *name)
-    }
-
     /// Node indices belonging to slice `slice`, in node order. A node's
     /// own name doubles as a singleton slice, so plans can pin a deploy
     /// to one node (`deploy bounce_a for data on r1`).
@@ -334,9 +329,10 @@ mod tests {
     fn segment_link_produces_clique_adjacency() {
         let t = TopoSpec::http_cluster();
         let adj = t.adjacency();
-        let gw = t.index_of("gateway").unwrap();
+        let index_of = |name: &str| t.nodes.iter().position(|n| *n.name == *name).unwrap();
+        let gw = index_of("gateway");
         assert_eq!(adj[gw].len(), 4, "gateway touches client + 3 servers");
-        let c = t.index_of("client0").unwrap();
+        let c = index_of("client0");
         assert_eq!(adj[c], vec![gw]);
     }
 

@@ -7,11 +7,12 @@
 //!
 //! A [`DeployService`] runs on every manageable node. The operator (or
 //! another program) sends the PLAN-P source over UDP port
-//! [`DEPLOY_PORT`], chunked into numbered datagrams; on receipt of the
-//! final chunk the node runs the full download path — parse, type
-//! check, **verify under the node's policy**, JIT — and atomically
-//! swaps its IP-layer program. Rejected programs leave the previous
-//! program running and report the reason back to the sender.
+//! [`MANAGEMENT_PORT`] (which the installed layer passes by untouched),
+//! chunked into numbered datagrams; on receipt of the final chunk the
+//! node runs the full download path — parse, type check, **verify
+//! under the node's policy**, JIT — and atomically swaps its IP-layer
+//! program. Rejected programs leave the previous program running and
+//! report the reason back to the sender.
 //!
 //! Chunk wire format (UDP payload):
 //!
@@ -31,7 +32,7 @@
 //! earliest, so a sender that opens transfers and never finishes them
 //! costs a bounded amount of memory.
 
-use crate::layer::{install_in_node, LayerConfig, PlanpHandle};
+use crate::layer::{install_in_node, LayerConfig, PlanpHandle, MANAGEMENT_PORT};
 use bytes::{BufMut, Bytes, BytesMut};
 use netsim::packet::Packet;
 use netsim::{App, NodeApi};
@@ -39,9 +40,6 @@ use planp_analysis::Policy;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
-
-/// UDP port the deployment service listens on.
-pub const DEPLOY_PORT: u16 = 99;
 
 /// Unfinished transfers a node holds at once.
 pub const MAX_TRANSFERS: usize = 16;
@@ -52,6 +50,11 @@ const FLAG_UNINSTALL: u8 = 0x02;
 
 /// Maximum source bytes per chunk (fits comfortably in one datagram).
 pub const CHUNK_BYTES: usize = 1000;
+
+/// A management-plane datagram, port to port.
+fn datagram(src: u32, dst: u32, payload: Bytes) -> Packet {
+    Packet::udp(src, dst, MANAGEMENT_PORT, MANAGEMENT_PORT, payload)
+}
 
 /// Builds the datagrams that deploy `source` to `target`.
 ///
@@ -76,7 +79,7 @@ pub fn deploy_packets(src_addr: u32, target: u32, transfer_id: u16, source: &str
             buf.put_u16(transfer_id);
             buf.put_u16(i as u16);
             buf.put_slice(c);
-            Packet::udp(src_addr, target, DEPLOY_PORT, DEPLOY_PORT, buf.freeze())
+            datagram(src_addr, target, buf.freeze())
         })
         .collect()
 }
@@ -88,7 +91,7 @@ pub fn uninstall_packet(src_addr: u32, target: u32) -> Packet {
     buf.put_u8(FLAG_LAST | FLAG_UNINSTALL);
     buf.put_u16(0);
     buf.put_u16(0);
-    Packet::udp(src_addr, target, DEPLOY_PORT, DEPLOY_PORT, buf.freeze())
+    datagram(src_addr, target, buf.freeze())
 }
 
 /// What the service did, observable by tests and operators.
@@ -144,14 +147,7 @@ impl DeployService {
     }
 
     fn reply(api: &mut NodeApi<'_>, to: u32, text: String) {
-        let pkt = Packet::udp(
-            api.addr(),
-            to,
-            DEPLOY_PORT,
-            DEPLOY_PORT,
-            Bytes::from(text.into_bytes()),
-        );
-        api.send(pkt);
+        api.send(datagram(api.addr(), to, Bytes::from(text.into_bytes())));
     }
 
     fn try_install(&mut self, api: &mut NodeApi<'_>, source: &str) -> Result<usize, String> {
@@ -164,7 +160,7 @@ impl DeployService {
 impl App for DeployService {
     fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: Packet) {
         let Some(udp) = pkt.udp_hdr() else { return };
-        if udp.dport != DEPLOY_PORT || pkt.payload.len() < 6 || pkt.payload[0] != MAGIC {
+        if udp.dport != MANAGEMENT_PORT || pkt.payload.len() < 6 || pkt.payload[0] != MAGIC {
             return;
         }
         let flags = pkt.payload[1];
@@ -260,7 +256,7 @@ mod tests {
             }
         }
         fn on_packet(&mut self, _api: &mut NodeApi<'_>, pkt: Packet) {
-            if pkt.udp_hdr().is_some_and(|u| u.dport == DEPLOY_PORT) {
+            if pkt.udp_hdr().is_some_and(|u| u.dport == MANAGEMENT_PORT) {
                 self.replies
                     .borrow_mut()
                     .push(String::from_utf8_lossy(&pkt.payload).into_owned());
@@ -342,7 +338,7 @@ mod tests {
         assert_eq!(log.borrow().installed, 1);
         assert_eq!(replies.borrow().as_slice(), ["OK 2\n"]);
         let handle = log.borrow().handle.clone().expect("handle");
-        assert_eq!(handle.stats.borrow().matched, 5);
+        assert_eq!(handle.stats(&sim.telemetry).matched, 5);
         assert!(sim.node(r).name.contains("router"));
     }
 

@@ -25,7 +25,9 @@ use netsim::packet::{ChannelTag, Lineage, Packet};
 use netsim::{ArrivalMeta, HookVerdict, NodeApi, PacketHook, Sim};
 use planp_analysis::Policy;
 use planp_lang::tast::TProgram;
-use planp_telemetry::{CounterId, DispatchOutcome, DropReason, ScopeId, SpanOrigin, Telemetry};
+use planp_telemetry::{
+    CounterId, DispatchOutcome, DropReason, MetricsRegistry, ScopeId, SpanOrigin, Telemetry,
+};
 use planp_vm::cost::STEPS_PER_NODE;
 use planp_vm::env::{ChanRef, NetEnv};
 use planp_vm::interp::Interp;
@@ -44,15 +46,18 @@ pub enum Engine {
     Interp,
 }
 
-/// Counters exposed by an installed layer.
+/// An installed layer's statistics, summed from its counters in the
+/// metrics registry when read ([`PlanpHandle::stats`]): the dispatch
+/// path counts each event once, there.
 #[derive(Debug, Default, Clone)]
 pub struct LayerStats {
-    /// Packets handled by a channel.
+    /// Packets handled by a channel (`chan.<c>.dispatch`).
     pub matched: u64,
-    /// Packets passed through to standard IP processing.
+    /// Packets given standard IP processing (`planp.fallback_ip`): no
+    /// channel matched, or the channel failed before it sent or
+    /// delivered anything.
     pub passed: u64,
-    /// Channel executions that failed (uncaught exception or trap);
-    /// the packet falls back to standard processing.
+    /// Channel executions that failed (uncaught exception or trap).
     pub errors: u64,
     /// Packets a channel consumed without forwarding or delivering
     /// anything — the ASP intentionally ate the packet (filters,
@@ -67,9 +72,6 @@ pub struct LayerStats {
     pub cost_bound_exceeded: u64,
     /// `tblSet` calls that created a new key, across all channel runs.
     pub state_inserts: u64,
-    /// Live total table entries across the program's tables (fresh
-    /// inserts minus evictions, tracked through every channel run).
-    pub state_entries: u64,
     /// Soundness violations of the state analysis: channel runs whose
     /// fresh inserts exceeded the static per-dispatch bound, or that
     /// pushed the live entry total past the static entry bound.
@@ -83,10 +85,10 @@ pub struct LayerStats {
     pub deadline_expired: u64,
 }
 
-/// UDP port reserved for the management plane (program deployment);
-/// traffic on it bypasses the installed program so that a buggy or
-/// packet-dropping ASP can always be replaced (see
-/// [`crate::deploy`]).
+/// UDP port of the management plane: the deploy service
+/// ([`crate::deploy`]) listens on it, and traffic on it bypasses the
+/// installed program so that a buggy or packet-dropping ASP can always
+/// be replaced.
 pub const MANAGEMENT_PORT: u16 = 99;
 
 /// Installation options.
@@ -103,20 +105,86 @@ pub struct LayerConfig {
     pub admission: Option<Admission>,
 }
 
-/// Handle returned by [`install_planp`]: shared views of the layer's
-/// counters and `print` output.
+/// Handle returned by [`install_planp`]: the layer's counters and its
+/// `print` output.
 #[derive(Debug, Clone)]
 pub struct PlanpHandle {
-    /// Dispatch counters.
-    pub stats: Rc<RefCell<LayerStats>>,
+    /// Each channel name's counters, once.
+    chans: Vec<ChanCounters>,
+    fallback: CounterId,
     /// Accumulated `print`/`println` output.
     pub output: Rc<RefCell<String>>,
 }
 
-/// Per-channel telemetry handles, resolved once at install time so the
-/// packet path never formats or hashes a metric name — each count is an
-/// array add through a [`CounterId`]. Channel overloads sharing a name
-/// share the same metric keys (per-channel = per channel *name*).
+impl PlanpHandle {
+    /// The layer's statistics, read from `telemetry`'s registry (the
+    /// one the layer was installed with). A layer reinstalled on the
+    /// same node counts on from its predecessor's totals, as the
+    /// exported metrics do.
+    pub fn stats(&self, telemetry: &Telemetry) -> LayerStats {
+        let m = &telemetry.metrics;
+        let mut s = LayerStats {
+            passed: m.get_id(self.fallback),
+            ..LayerStats::default()
+        };
+        for c in &self.chans {
+            s.matched += m.get_id(c.dispatch);
+            s.errors += m.get_id(c.errors);
+            s.dropped += m.get_id(c.dropped);
+            s.vm_steps += m.get_id(c.vm_steps);
+            s.cost_bound_exceeded += m.get_id(c.cost_bound_exceeded);
+            s.state_inserts += m.get_id(c.state_inserts);
+            s.state_bound_exceeded += m.get_id(c.state_bound_exceeded);
+            s.shed += m.get_id(c.shed);
+            s.deadline_expired += m.get_id(c.deadline_expired);
+        }
+        s
+    }
+}
+
+/// The registry slots of one channel name's counters
+/// (`node.<n>.chan.<c>.<what>`), resolved once at install so the packet
+/// path never formats or hashes a metric name — each count is an array
+/// add. Overloads sharing a name resolve to the same slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChanCounters {
+    dispatch: CounterId,
+    errors: CounterId,
+    dropped: CounterId,
+    vm_steps: CounterId,
+    cost_bound_exceeded: CounterId,
+    shed: CounterId,
+    deadline_expired: CounterId,
+    state_inserts: CounterId,
+    state_bound_exceeded: CounterId,
+    /// Dispatches whose per-site charge vector was recorded into the
+    /// profile registry / skipped by its sampling.
+    profiled: CounterId,
+    profile_skipped: CounterId,
+}
+
+impl ChanCounters {
+    fn register(metrics: &mut MetricsRegistry, node: &str, chan: &str) -> Self {
+        let mut id =
+            |what: &str| metrics.register_counter(&format!("node.{node}.chan.{chan}.{what}"));
+        ChanCounters {
+            dispatch: id("dispatch"),
+            errors: id("errors"),
+            dropped: id("dropped"),
+            vm_steps: id("vm_steps"),
+            cost_bound_exceeded: id("cost_bound_exceeded"),
+            shed: id("shed"),
+            deadline_expired: id("deadline_expired"),
+            state_inserts: id("state_inserts"),
+            state_bound_exceeded: id("state_bound_exceeded"),
+            profiled: id("profiled"),
+            profile_skipped: id("profile_skipped"),
+        }
+    }
+}
+
+/// What the packet path needs of one channel overload, resolved once at
+/// install time.
 struct ChanMeta {
     /// This overload's `{name, overload}` record, built here once around
     /// the program's one handle of the name (`TChannel::name`): a send
@@ -126,27 +194,15 @@ struct ChanMeta {
     /// Sends to this channel carry its tag. `network` traffic stays
     /// untagged so PLAN-P routers interoperate with plain IP.
     tagged: bool,
-    c_dispatch: CounterId,
-    c_errors: CounterId,
-    c_dropped: CounterId,
-    c_vm_steps: CounterId,
-    c_bound_exceeded: CounterId,
+    c: ChanCounters,
     /// Static worst-case step bound of this overload's body, from the
     /// verifier's cost analysis (u64::MAX when the image carries no
     /// bound, disabling the cross-check).
     static_bound: u64,
-    c_shed: CounterId,
-    c_expired: CounterId,
-    c_state_inserts: CounterId,
-    c_state_exceeded: CounterId,
     /// Static worst-case fresh inserts per dispatch of this overload,
     /// from the verifier's state analysis (u64::MAX when the image
     /// carries no state report, disabling the cross-check).
     static_insert_bound: u64,
-    /// Dispatches whose per-site charge vector was recorded into the
-    /// profile registry / skipped by its sampling.
-    c_profiled: CounterId,
-    c_profile_skipped: CounterId,
     /// This overload's scope in the telemetry profile registry.
     profile_scope: ScopeId,
 }
@@ -187,7 +243,6 @@ pub struct PlanpLayer {
     globals: Vec<Value>,
     proto: Value,
     chan_states: Vec<Value>,
-    stats: Rc<RefCell<LayerStats>>,
     output: Rc<RefCell<String>>,
     chan_meta: Vec<ChanMeta>,
     /// Per-channel sliding-window admission state (indexed like
@@ -195,6 +250,10 @@ pub struct PlanpLayer {
     gates: Vec<AdmissionGate>,
     /// Handle for packets falling back to standard IP processing.
     c_fallback: CounterId,
+    /// Live total table entries across the program's tables (fresh
+    /// inserts minus evictions, tracked through every channel run),
+    /// checked against `static_entry_bound`.
+    state_entries: u64,
     /// High-water mark of the live entry total already published to the
     /// `state_entries` metric (counters are monotonic, so the metric
     /// tracks the peak).
@@ -244,46 +303,17 @@ impl PlanpLayer {
             .map(|(i, ch)| ChanMeta {
                 ident: ChannelTag::new(ch.name.clone(), ch.overload),
                 tagged: &*ch.name != "network",
-                c_dispatch: metrics
-                    .register_counter(&format!("node.{node_name}.chan.{}.dispatch", ch.name)),
-                c_errors: metrics
-                    .register_counter(&format!("node.{node_name}.chan.{}.errors", ch.name)),
-                c_dropped: metrics
-                    .register_counter(&format!("node.{node_name}.chan.{}.dropped", ch.name)),
-                c_vm_steps: metrics
-                    .register_counter(&format!("node.{node_name}.chan.{}.vm_steps", ch.name)),
-                c_bound_exceeded: metrics.register_counter(&format!(
-                    "node.{node_name}.chan.{}.cost_bound_exceeded",
-                    ch.name
-                )),
+                c: ChanCounters::register(metrics, node_name, &ch.name),
                 static_bound: if image.report.cost.channels.is_empty() {
                     u64::MAX
                 } else {
                     image.report.cost.bound_for(i).steps
                 },
-                c_shed: metrics
-                    .register_counter(&format!("node.{node_name}.chan.{}.shed", ch.name)),
-                c_expired: metrics.register_counter(&format!(
-                    "node.{node_name}.chan.{}.deadline_expired",
-                    ch.name
-                )),
-                c_state_inserts: metrics
-                    .register_counter(&format!("node.{node_name}.chan.{}.state_inserts", ch.name)),
-                c_state_exceeded: metrics.register_counter(&format!(
-                    "node.{node_name}.chan.{}.state_bound_exceeded",
-                    ch.name
-                )),
                 static_insert_bound: if image.report.state_effects.channels.is_empty() {
                     u64::MAX
                 } else {
                     image.report.state_effects.inserts_for(i)
                 },
-                c_profiled: metrics
-                    .register_counter(&format!("node.{node_name}.chan.{}.profiled", ch.name)),
-                c_profile_skipped: metrics.register_counter(&format!(
-                    "node.{node_name}.chan.{}.profile_skipped",
-                    ch.name
-                )),
                 profile_scope: profile.declare(
                     node_name,
                     &ch.name,
@@ -322,11 +352,11 @@ impl PlanpLayer {
             globals,
             proto,
             chan_states,
-            stats: Rc::new(RefCell::new(LayerStats::default())),
             output: Rc::new(RefCell::new(String::new())),
             chan_meta,
             gates: (0..n_chans).map(|_| AdmissionGate::default()).collect(),
             c_fallback: metrics.register_counter(&format!("node.{node_name}.planp.fallback_ip")),
+            state_entries: 0,
             state_entries_peak: 0,
             c_state_entries: metrics
                 .register_counter(&format!("node.{node_name}.planp.state_entries")),
@@ -340,8 +370,15 @@ impl PlanpLayer {
 
     /// The shared handle (counters + print output).
     pub fn handle(&self) -> PlanpHandle {
+        let mut chans: Vec<ChanCounters> = Vec::new();
+        for cm in &self.chan_meta {
+            if !chans.contains(&cm.c) {
+                chans.push(cm.c);
+            }
+        }
         PlanpHandle {
-            stats: self.stats.clone(),
+            chans,
+            fallback: self.c_fallback,
             output: self.output.clone(),
         }
     }
@@ -362,7 +399,6 @@ impl PacketHook for PlanpLayer {
         let engine = self.config.engine;
         let Some((idx, decoded)) = decode(&self.table, &self.prog, &self.compiled, engine, &pkt)
         else {
-            self.stats.borrow_mut().passed += 1;
             api.trace_dispatch(&pkt, None, DispatchOutcome::NoMatch);
             api.telemetry().metrics.inc_id(self.c_fallback);
             return HookVerdict::Pass(pkt);
@@ -377,22 +413,20 @@ impl PacketHook for PlanpLayer {
                 && pkt.lineage.deadline_ns != 0
                 && now_ns > pkt.lineage.deadline_ns
             {
-                self.stats.borrow_mut().deadline_expired += 1;
-                api.telemetry().metrics.inc_id(cm.c_expired);
+                api.telemetry().metrics.inc_id(cm.c.deadline_expired);
                 api.node_drop(&pkt, DropReason::DeadlineExpired);
                 return HookVerdict::Handled;
             }
             let priority = adm.priority_of(&pkt);
             let browned_out = u32::from(priority) < api.telemetry().overload.brownout_level;
             if browned_out || !self.gates[idx].admit(now_ns, adm.max_in_flight, adm.window_ns) {
-                self.stats.borrow_mut().shed += 1;
-                api.telemetry().metrics.inc_id(cm.c_shed);
+                api.telemetry().metrics.inc_id(cm.c.shed);
                 api.node_drop(&pkt, DropReason::Shed);
                 return HookVerdict::Handled;
             }
         }
         let cm = &self.chan_meta[idx];
-        api.telemetry().metrics.inc_id(cm.c_dispatch);
+        api.telemetry().metrics.inc_id(cm.c.dispatch);
 
         let ps = self.proto.clone();
         let ss = self.chan_states[idx].clone();
@@ -420,31 +454,7 @@ impl PacketHook for PlanpLayer {
         let vm_steps = env.vm_steps;
         let inserts = env.inserts;
         let entries_delta = env.entries_delta;
-        // One update of the shared counters per dispatch. State
-        // accounting mirrors the step accounting: table mutations
-        // already happened (tables are shared cells), so they count on
-        // error paths too, and the live entry total and per-run inserts
-        // are cross-checked against the static state bounds.
-        let cost_exceeded = vm_steps > cm.static_bound;
-        let (entries, state_exceeded) = {
-            let mut st = self.stats.borrow_mut();
-            st.matched += 1;
-            st.vm_steps += vm_steps;
-            st.state_inserts += inserts;
-            st.state_entries = st.state_entries.saturating_add_signed(entries_delta);
-            let entries = st.state_entries;
-            let state_exceeded =
-                inserts > cm.static_insert_bound || entries > self.static_entry_bound;
-            st.cost_bound_exceeded += u64::from(cost_exceeded);
-            st.state_bound_exceeded += u64::from(state_exceeded);
-            match &result {
-                Ok(_) if emitted == 0 => st.dropped += 1,
-                Ok(_) => {}
-                Err(_) => st.errors += 1,
-            }
-            (entries, state_exceeded)
-        };
-        api.telemetry().metrics.add_id(cm.c_vm_steps, vm_steps);
+        api.telemetry().metrics.add_id(cm.c.vm_steps, vm_steps);
         api.trace_vm_run(&pkt, &cm.ident.chan, vm_steps);
         // Per-site attribution went to the profile scope as the engine
         // charged it; close the dispatch with the aggregate (VM errors
@@ -452,22 +462,26 @@ impl PacketHook for PlanpLayer {
         // too, so the Σ per-site == aggregate invariant still holds).
         if profiling {
             api.telemetry().profile.record(cm.profile_scope, vm_steps);
-            api.telemetry().metrics.inc_id(cm.c_profiled);
+            api.telemetry().metrics.inc_id(cm.c.profiled);
         } else {
-            api.telemetry().metrics.inc_id(cm.c_profile_skipped);
+            api.telemetry().metrics.inc_id(cm.c.profile_skipped);
         }
-        if cost_exceeded {
-            api.telemetry().metrics.inc_id(cm.c_bound_exceeded);
+        if vm_steps > cm.static_bound {
+            api.telemetry().metrics.inc_id(cm.c.cost_bound_exceeded);
         }
-        api.telemetry().metrics.add_id(cm.c_state_inserts, inserts);
-        if entries > self.state_entries_peak {
-            api.telemetry()
-                .metrics
-                .add_id(self.c_state_entries, entries - self.state_entries_peak);
-            self.state_entries_peak = entries;
+        // State accounting mirrors the step accounting: table mutations
+        // already happened (tables are shared cells), so they count on
+        // error paths too, and the live entry total and per-run inserts
+        // are cross-checked against the static state bounds.
+        api.telemetry().metrics.add_id(cm.c.state_inserts, inserts);
+        self.state_entries = self.state_entries.saturating_add_signed(entries_delta);
+        if self.state_entries > self.state_entries_peak {
+            let rise = self.state_entries - self.state_entries_peak;
+            api.telemetry().metrics.add_id(self.c_state_entries, rise);
+            self.state_entries_peak = self.state_entries;
         }
-        if state_exceeded {
-            api.telemetry().metrics.inc_id(cm.c_state_exceeded);
+        if inserts > cm.static_insert_bound || self.state_entries > self.static_entry_bound {
+            api.telemetry().metrics.inc_id(cm.c.state_bound_exceeded);
         }
         match result {
             Ok((ps, ss)) => {
@@ -476,7 +490,7 @@ impl PacketHook for PlanpLayer {
                 if emitted == 0 {
                     // The channel ate the packet without re-emitting or
                     // delivering anything: an intentional drop.
-                    api.telemetry().metrics.inc_id(cm.c_dropped);
+                    api.telemetry().metrics.inc_id(cm.c.dropped);
                     api.trace_dispatch(&pkt, Some(&cm.ident.chan), DispatchOutcome::Consumed);
                 } else {
                     api.trace_dispatch(&pkt, Some(&cm.ident.chan), DispatchOutcome::Matched);
@@ -484,7 +498,7 @@ impl PacketHook for PlanpLayer {
                 HookVerdict::Handled
             }
             Err(e) => {
-                api.telemetry().metrics.inc_id(cm.c_errors);
+                api.telemetry().metrics.inc_id(cm.c.errors);
                 api.trace_dispatch(&pkt, Some(&cm.ident.chan), DispatchOutcome::Error);
                 let exn: Rc<str> = match &e {
                     VmError::Exn(id) => match self.prog.exns.get(id.0 as usize) {
@@ -844,8 +858,8 @@ mod tests {
         let (mut sim, handle, got) = triangle(src, LayerConfig::default());
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(got.borrow().len(), 5);
-        assert_eq!(handle.stats.borrow().matched, 5);
-        assert_eq!(handle.stats.borrow().errors, 0);
+        assert_eq!(handle.stats(&sim.telemetry).matched, 5);
+        assert_eq!(handle.stats(&sim.telemetry).errors, 0);
     }
 
     #[test]
@@ -854,7 +868,7 @@ mod tests {
                    (OnRemote(network, p); (ps + 1, ss))";
         let (mut sim, handle, _got) = triangle(src, LayerConfig::default());
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(handle.stats.borrow().cost_bound_exceeded, 0);
+        assert_eq!(handle.stats(&sim.telemetry).cost_bound_exceeded, 0);
         let snap = sim.telemetry.metrics.snapshot();
         let bound = snap.counters["node.r.chan.network.static_bound_steps"];
         let dispatch = snap.counters["node.r.chan.network.dispatch"];
@@ -876,7 +890,7 @@ mod tests {
                     (ps + 1, ss))";
         let (mut sim, handle, _got) = triangle(src, LayerConfig::default());
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(handle.stats.borrow().matched, 5);
+        assert_eq!(handle.stats(&sim.telemetry).matched, 5);
         let reg = &sim.telemetry.profile;
         assert_eq!(reg.mismatches(), 0, "Σ per-site == aggregate per dispatch");
         let scope = reg.scopes().next().expect("one scope declared");
@@ -923,7 +937,7 @@ mod tests {
             sim.run_until(SimTime::from_secs(1));
             assert_eq!(got.borrow().len(), 2);
             assert_eq!(sim.telemetry.profile.mismatches(), 0);
-            let stats = format!("{:?}", handle.stats.borrow());
+            let stats = format!("{:?}", handle.stats(&sim.telemetry));
             let counters = sim.metrics_snapshot().counters;
             (sim.telemetry.profile.to_json(), stats, counters)
         };
@@ -1104,11 +1118,10 @@ mod tests {
                     OnRemote(network, p); (ps + 1, ss))";
         let (mut sim, handle, _got) = triangle(src, LayerConfig::default());
         sim.run_until(SimTime::from_secs(1));
-        let st = handle.stats.borrow();
+        let st = handle.stats(&sim.telemetry);
         // One source, five packets: the first insert is fresh, the rest
         // overwrite the same key.
         assert_eq!(st.state_inserts, 1);
-        assert_eq!(st.state_entries, 1);
         assert_eq!(st.state_bound_exceeded, 0, "state analysis is sound");
         let snap = sim.telemetry.metrics.snapshot();
         assert_eq!(snap.counters["node.r.chan.network.static_state_bound"], 1);
@@ -1131,7 +1144,7 @@ mod tests {
         let (mut sim, handle, got) = triangle(src, cfg);
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(got.borrow().len(), 5);
-        assert_eq!(handle.stats.borrow().matched, 5);
+        assert_eq!(handle.stats(&sim.telemetry).matched, 5);
     }
 
     #[test]
@@ -1148,8 +1161,8 @@ mod tests {
         assert_eq!(got.borrow().len(), 5, "data traffic still forwarded");
         assert_eq!(&*handle.output.borrow(), "40\n41\n42\n43\n44\n");
         // Timer dispatches count as matched channel runs.
-        assert_eq!(handle.stats.borrow().matched, 10);
-        assert_eq!(handle.stats.borrow().errors, 0);
+        assert_eq!(handle.stats(&sim.telemetry).matched, 10);
+        assert_eq!(handle.stats(&sim.telemetry).errors, 0);
     }
 
     #[test]
@@ -1161,9 +1174,9 @@ mod tests {
         let (mut sim, handle, got) = triangle(src, LayerConfig::default());
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(got.borrow().len(), 5);
-        assert_eq!(handle.stats.borrow().matched, 5);
-        assert_eq!(handle.stats.borrow().passed, 0);
-        assert_eq!(handle.stats.borrow().errors, 0);
+        assert_eq!(handle.stats(&sim.telemetry).matched, 5);
+        assert_eq!(handle.stats(&sim.telemetry).passed, 0);
+        assert_eq!(handle.stats(&sim.telemetry).errors, 0);
     }
 
     #[test]
@@ -1196,8 +1209,8 @@ mod tests {
         let (mut sim, handle, got) = triangle(src, LayerConfig::default());
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(got.borrow().len(), 5, "UDP forwarded by plain IP");
-        assert_eq!(handle.stats.borrow().matched, 0);
-        assert_eq!(handle.stats.borrow().passed, 5);
+        assert_eq!(handle.stats(&sim.telemetry).matched, 0);
+        assert_eq!(handle.stats(&sim.telemetry).passed, 5);
     }
 
     #[test]
@@ -1224,8 +1237,29 @@ mod tests {
             }),
         );
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(handle.stats.borrow().errors, 2);
+        assert_eq!(handle.stats(&sim.telemetry).errors, 2);
         assert_eq!(got.borrow().len(), 2, "fail-open forwarding");
+    }
+
+    #[test]
+    fn a_run_that_raises_before_it_sends_is_passed_through() {
+        // Odd payload bytes divide by zero before the send: those runs
+        // fail with nothing emitted, so their packets fall back to
+        // standard forwarding — and are counted where every fallback
+        // is, in `planp.fallback_ip`, which is what `passed` reads.
+        let src = "channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+                   let val k : int = 1 div (1 - blobByte(#3 p, 0) mod 2) in\n\
+                     (OnRemote(network, p); (ps + k, ss))\n\
+                   end";
+        let (mut sim, handle, got) = triangle(src, LayerConfig::default());
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(got.borrow().len(), 5, "payloads 1 and 3 fail open");
+        let st = handle.stats(&sim.telemetry);
+        assert_eq!((st.matched, st.errors, st.passed), (5, 2, 2));
+        assert_eq!(
+            st.passed,
+            sim.telemetry.metrics.counter("node.r.planp.fallback_ip")
+        );
     }
 
     #[test]
@@ -1276,11 +1310,15 @@ mod tests {
 
             assert!(got.borrow().is_empty(), "{engine:?}: nothing arrives");
             assert_eq!(
-                h1.stats.borrow().matched,
+                h1.stats(&sim.telemetry).matched,
                 1,
                 "{engine:?}: r1 ran the channel"
             );
-            assert_eq!(h2.stats.borrow().matched, 0, "{engine:?}: r2 saw nothing");
+            assert_eq!(
+                h2.stats(&sim.telemetry).matched,
+                0,
+                "{engine:?}: r2 saw nothing"
+            );
             let drops: Vec<_> = sim
                 .telemetry
                 .trace
@@ -1333,8 +1371,8 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(got.borrow().len(), 1, "tagged packet forwarded normally");
-        assert_eq!(handle.stats.borrow().matched, 0);
-        assert_eq!(handle.stats.borrow().passed, 1);
+        assert_eq!(handle.stats(&sim.telemetry).matched, 0);
+        assert_eq!(handle.stats(&sim.telemetry).passed, 1);
     }
 
     #[test]
@@ -1383,7 +1421,7 @@ channel network(ps : unit, ss : unit, p : ip*udp*char*bool) is
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(&*handle.output.borrow(), "int:7bool:true");
         assert_eq!(got.borrow().len(), 2);
-        assert_eq!(handle.stats.borrow().matched, 2);
+        assert_eq!(handle.stats(&sim.telemetry).matched, 2);
     }
 
     #[test]

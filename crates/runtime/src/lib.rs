@@ -44,7 +44,7 @@
 //! sim.add_link(LinkSpec::ethernet_10(), &[host, router]);
 //! sim.compute_routes();
 //! let handle = install_planp(&mut sim, router, &image, LayerConfig::default()).unwrap();
-//! assert_eq!(handle.stats.borrow().matched, 0);
+//! assert_eq!(handle.stats(&sim.telemetry).matched, 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -60,15 +60,11 @@ pub mod recovery;
 pub mod replay;
 
 pub use admission::{Admission, AdmissionGate, PRIORITY_MAX, PRIORITY_MIN};
-pub use deploy::{
-    deploy_packets, uninstall_packet, DeployLog, DeployService, DEPLOY_PORT, MAX_TRANSFERS,
-};
+pub use deploy::{deploy_packets, uninstall_packet, DeployLog, DeployService, MAX_TRANSFERS};
 pub use layer::{
     install_planp, Engine, LayerConfig, LayerStats, PlanpHandle, PlanpLayer, MANAGEMENT_PORT,
 };
 pub use loader::{load, LoadError, LoadedProgram};
-pub use plan::{
-    install_plan, load_plan, plan_topology, replay_plan, Placement, PlanError, PlanImage,
-};
+pub use plan::{install_plan, load_plan, replay_plan, Placement, PlanError, PlanImage};
 pub use recovery::{RecoveryLog, RecoveryService};
 pub use replay::{replay_asp, replay_asp_traced, ReplayReport, LOOP_FACTOR, REPLAY_PACKETS};

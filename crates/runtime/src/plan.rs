@@ -110,7 +110,7 @@ pub struct PlanImage {
 }
 
 /// Bridges a simulator topology spec into the analysis-side model.
-pub fn plan_topology(spec: &TopoSpec) -> PlanTopology {
+pub(crate) fn plan_topology(spec: &TopoSpec) -> PlanTopology {
     PlanTopology::new(
         spec.name.clone(),
         spec.nodes
@@ -333,7 +333,7 @@ pub fn replay_plan(image: &PlanImage) -> Result<ReplayReport, String> {
     let mut dropped = 0;
     let mut errors = 0;
     for h in &handles {
-        let s = h.stats.borrow();
+        let s = h.stats(&sim.telemetry);
         dispatches += s.matched;
         dropped += s.dropped;
         errors += s.errors;

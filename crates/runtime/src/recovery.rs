@@ -162,7 +162,10 @@ mod tests {
         // The reinstalled layer is fresh: its proto state restarted from
         // zero, and it processed the post-restart traffic.
         let handle = log.handle.as_ref().expect("handle");
-        assert!(handle.stats.borrow().matched > 0, "traffic after recovery");
+        assert!(
+            handle.stats(&sim.telemetry).matched > 0,
+            "traffic after recovery"
+        );
         assert_eq!(sim.node(r).crashes, 1);
         assert_eq!(sim.node(r).state_lost, 1, "crash discarded the hook");
         let snap = sim.metrics_snapshot();

@@ -154,7 +154,7 @@ pub fn replay_asp_traced(source: &str) -> Result<(ReplayReport, String), LoadErr
 
     let (mut dispatches, mut dropped, mut errors) = (0, 0, 0);
     for h in &handles {
-        let s = h.stats.borrow();
+        let s = h.stats(&sim.telemetry);
         dispatches += s.matched;
         dropped += s.dropped;
         errors += s.errors;

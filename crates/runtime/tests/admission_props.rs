@@ -116,18 +116,16 @@ fn run(engine: Engine, seed: u64) -> (u64, u64, u64, u64, u64, [u64; 3]) {
     );
     sim.run_until(SimTime::from_secs(2));
 
-    let stats = handle.stats.borrow();
-    let cats = *by_cat.borrow();
-    let out = (
+    let stats = handle.stats(&sim.telemetry);
+    let (delivered, cats) = (*got.borrow(), *by_cat.borrow());
+    (
         stats.matched,
         stats.deadline_expired,
         stats.shed,
         sim.node(r).shed,
-        *got.borrow(),
+        delivered,
         cats,
-    );
-    drop(stats);
-    out
+    )
 }
 
 #[test]

@@ -76,7 +76,7 @@ impl Category {
     ];
 
     /// Parses a single category name.
-    pub fn from_name(name: &str) -> Option<Category> {
+    fn from_name(name: &str) -> Option<Category> {
         match name {
             "all" => return Some(Category::ALL),
             "none" => return Some(Category::NONE),

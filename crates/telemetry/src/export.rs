@@ -306,66 +306,66 @@ pub fn prometheus(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// One parsed exposition sample: metric name, sorted `(key, value)`
-/// labels, value.
-pub type PromSample = (String, Vec<(String, String)>, u64);
-
-/// Parses exposition-format text back into
-/// `(metric, sorted labels, value)` triples — the round-trip half of
-/// the exporter contract, used by tests and CI to prove the output is
-/// scrape-valid. Rejects names and label keys outside the Prometheus
-/// charset and unparsable values.
-pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
-    let name_ok = |s: &str| {
-        !s.is_empty()
-            && !s.starts_with(|c: char| c.is_ascii_digit())
-            && s.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    };
-    let mut out = Vec::new();
-    for (lno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what}: {line:?}", lno + 1);
-        let (series, value) = line.rsplit_once(' ').ok_or_else(|| err("missing value"))?;
-        let value: u64 = value.parse().map_err(|_| err("bad value"))?;
-        let (metric, labels) = match series.split_once('{') {
-            None => (series.to_string(), Vec::new()),
-            Some((m, rest)) => {
-                let body = rest
-                    .strip_suffix('}')
-                    .ok_or_else(|| err("unclosed labels"))?;
-                let mut labels = Vec::new();
-                for pair in body.split(',').filter(|p| !p.is_empty()) {
-                    let (k, v) = pair.split_once('=').ok_or_else(|| err("bad label"))?;
-                    if !name_ok(k) {
-                        return Err(err("bad label key"));
-                    }
-                    let v = v
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .ok_or_else(|| err("unquoted label value"))?;
-                    labels.push((k.to_string(), v.replace("\\\"", "\"").replace("\\\\", "\\")));
-                }
-                labels.sort();
-                (m.to_string(), labels)
-            }
-        };
-        if !name_ok(&metric) {
-            return Err(err("metric name outside [a-zA-Z0-9_:]"));
-        }
-        out.push((metric, labels, value));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{SpanOrigin, TraceConfig, TraceEvent, TraceLog};
     use crate::metrics::{Histogram, MetricsSnapshot};
+
+    /// One parsed exposition sample: metric name, sorted `(key, value)`
+    /// labels, value.
+    type PromSample = (String, Vec<(String, String)>, u64);
+
+    /// Parses exposition-format text back into
+    /// `(metric, sorted labels, value)` triples — the round-trip half of
+    /// the exporter contract, proving the output is scrape-valid.
+    /// Rejects names and label keys outside the Prometheus charset and
+    /// unparsable values.
+    fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
+        let name_ok = |s: &str| {
+            !s.is_empty()
+                && !s.starts_with(|c: char| c.is_ascii_digit())
+                && s.chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+        };
+        let mut out = Vec::new();
+        for (lno, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let err = |what: &str| format!("line {}: {what}: {line:?}", lno + 1);
+            let (series, value) = line.rsplit_once(' ').ok_or_else(|| err("missing value"))?;
+            let value: u64 = value.parse().map_err(|_| err("bad value"))?;
+            let (metric, labels) = match series.split_once('{') {
+                None => (series.to_string(), Vec::new()),
+                Some((m, rest)) => {
+                    let body = rest
+                        .strip_suffix('}')
+                        .ok_or_else(|| err("unclosed labels"))?;
+                    let mut labels = Vec::new();
+                    for pair in body.split(',').filter(|p| !p.is_empty()) {
+                        let (k, v) = pair.split_once('=').ok_or_else(|| err("bad label"))?;
+                        if !name_ok(k) {
+                            return Err(err("bad label key"));
+                        }
+                        let v = v
+                            .strip_prefix('"')
+                            .and_then(|v| v.strip_suffix('"'))
+                            .ok_or_else(|| err("unquoted label value"))?;
+                        labels.push((k.to_string(), v.replace("\\\"", "\"").replace("\\\\", "\\")));
+                    }
+                    labels.sort();
+                    (m.to_string(), labels)
+                }
+            };
+            if !name_ok(&metric) {
+                return Err(err("metric name outside [a-zA-Z0-9_:]"));
+            }
+            out.push((metric, labels, value));
+        }
+        Ok(out)
+    }
 
     fn forest() -> TraceForest {
         let mut log = TraceLog::new(TraceConfig::all());

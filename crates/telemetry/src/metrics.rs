@@ -288,7 +288,13 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str) -> u64 {
         self.slots
             .get(name)
-            .map_or(0, |slot| self.values[slot.at as usize])
+            .map_or(0, |slot| self.get_id(CounterId(slot.at)))
+    }
+
+    /// Current value of a pre-registered counter.
+    #[inline]
+    pub fn get_id(&self, id: CounterId) -> u64 {
+        self.values[id.0 as usize]
     }
 
     /// Records a histogram sample under `name`.
@@ -521,6 +527,7 @@ mod tests {
         r.add_id(a, 4);
         r.inc_id(b);
         assert_eq!(r.counter("node.a.delivered"), 5);
+        assert_eq!((r.get_id(a), r.get_id(b)), (5, 1));
         let snap = r.snapshot();
         assert_eq!(snap.counters["node.a.delivered"], 5);
         assert_eq!(snap.counters["node.b.delivered"], 1);

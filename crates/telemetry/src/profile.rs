@@ -33,13 +33,10 @@
 //! violations in [`ScopeProfile::mismatches`] (asserted zero by the
 //! test suite and the `planp profile` baseline).
 //!
-//! Scale degradation mirrors the trace sampler (PR 6): a registry-wide
-//! `1/N` dispatch sampling rate ([`ProfileRegistry::set_sample`], the
-//! same dialect as `TraceConfig::parse_sample`), plus an optional
-//! recorded-step budget that deterministically doubles the sampling
-//! denominator each time it is crossed
-//! ([`ProfileRegistry::set_step_budget`]). Skipped dispatches are
-//! counted, never silently dropped.
+//! At scale the profiler samples like the trace log: a registry-wide
+//! `1/N` dispatch rate ([`ProfileRegistry::set_sample`], the same
+//! dialect as `TraceConfig::parse_sample`), deterministic per scope.
+//! Skipped dispatches are counted, never silently dropped.
 
 use crate::json::{push_key, push_str};
 use std::collections::BTreeMap;
@@ -226,13 +223,8 @@ pub struct HeatmapRow {
 pub struct ProfileRegistry {
     scopes: Vec<ScopeProfile>,
     index: BTreeMap<String, usize>,
-    /// Current sampling denominator (1 = record every dispatch).
+    /// Sampling denominator (1 = record every dispatch).
     sample_n: u32,
-    /// Recorded-step budget (0 = unlimited).
-    step_budget: u64,
-    next_budget_mark: u64,
-    downgrades: u32,
-    steps_total: u64,
 }
 
 impl Default for ProfileRegistry {
@@ -241,10 +233,6 @@ impl Default for ProfileRegistry {
             scopes: Vec::new(),
             index: BTreeMap::new(),
             sample_n: 1,
-            step_budget: 0,
-            next_budget_mark: 0,
-            downgrades: 0,
-            steps_total: 0,
         }
     }
 }
@@ -328,16 +316,6 @@ impl ProfileRegistry {
         self.sample_n = n.max(1);
     }
 
-    /// Sets a recorded-step budget: each time the total recorded steps
-    /// cross another multiple of `budget`, the sampling denominator
-    /// deterministically doubles (capped at 2^20), so profiling
-    /// degrades gracefully instead of growing without bound. 0 removes
-    /// the budget.
-    pub fn set_step_budget(&mut self, budget: u64) {
-        self.step_budget = budget;
-        self.next_budget_mark = budget;
-    }
-
     /// Decides (and counts) whether the next dispatch of `id` is
     /// profiled: deterministic per-scope `1/N` — the first dispatch is
     /// always kept, then every `N`th.
@@ -376,23 +354,14 @@ impl ProfileRegistry {
     }
 
     /// Closes one profiled dispatch with its `charge_steps` aggregate:
-    /// verifies Σ per-site charges since the last call == aggregate
-    /// (counting violations in [`ScopeProfile::mismatches`]) and
-    /// applies the step-budget downgrade.
+    /// verifies Σ per-site charges since the last call == aggregate,
+    /// counting violations in [`ScopeProfile::mismatches`].
     pub fn record(&mut self, id: ScopeId, steps: u64) {
         let s = &mut self.scopes[id.0];
         s.dispatches += 1;
         s.steps += steps;
         if std::mem::take(&mut s.pending) != steps {
             s.mismatches += 1;
-        }
-        self.steps_total += steps;
-        if self.step_budget > 0 {
-            while self.steps_total >= self.next_budget_mark {
-                self.sample_n = (self.sample_n.saturating_mul(2)).min(1 << 20);
-                self.downgrades += 1;
-                self.next_budget_mark += self.step_budget;
-            }
         }
     }
 
@@ -409,12 +378,6 @@ impl ProfileRegistry {
     /// Total soundness violations across all scopes (must stay zero).
     pub fn mismatches(&self) -> u64 {
         self.scopes.iter().map(|s| s.mismatches).sum()
-    }
-
-    /// `(current sample_n, budget downgrades applied)` — the profiler's
-    /// self-accounting.
-    pub fn overhead(&self) -> (u32, u32) {
-        (self.sample_n, self.downgrades)
     }
 
     /// Flamegraph collapsed-stack lines, one per observed site:
@@ -521,7 +484,6 @@ impl ProfileRegistry {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"sample_n\":");
         let _ = write!(out, "{}", self.sample_n);
-        let _ = write!(out, ",\"downgrades\":{}", self.downgrades);
         let _ = write!(out, ",\"mismatches\":{}", self.mismatches());
         out.push_str(",\"scopes\":[");
         for (i, s) in self.scopes().enumerate() {
@@ -725,21 +687,6 @@ mod tests {
         }
         assert_eq!(kept, 2, "1/4 sampling keeps dispatches 0 and 4");
         assert_eq!(reg.scope(id).skipped, 6);
-    }
-
-    #[test]
-    fn step_budget_downgrades_deterministically() {
-        let mut reg = ProfileRegistry::default();
-        let id = declared(&mut reg);
-        reg.set_step_budget(10);
-        for _ in 0..4 {
-            if reg.should_profile(id) {
-                record(&mut reg, id, &[(10, 5)], 5);
-            }
-        }
-        let (n, downgrades) = reg.overhead();
-        assert!(downgrades >= 1, "budget crossing must downgrade");
-        assert!(n > 1, "sample_n doubled");
     }
 
     #[test]

@@ -266,7 +266,7 @@ impl TraceForest {
 
     /// Largest VM cost along the chain rooted at `id`: the maximum over
     /// its root-to-leaf span chains of the summed per-span `vm_steps`.
-    pub fn chain_vm_steps(&self, id: u64) -> u64 {
+    fn chain_vm_steps(&self, id: u64) -> u64 {
         let Some(s) = self.span(id) else {
             return 0;
         };
@@ -364,7 +364,7 @@ impl TraceForest {
     }
 
     /// Renders the single tree rooted at `root`.
-    pub fn render_tree(&self, root: u64, nodes: &[String], out: &mut String) {
+    fn render_tree(&self, root: u64, nodes: &[String], out: &mut String) {
         let Some(s) = self.span(root) else {
             return;
         };

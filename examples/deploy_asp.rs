@@ -31,7 +31,7 @@ impl App for Operator {
     fn on_packet(&mut self, _api: &mut NodeApi<'_>, pkt: Packet) {
         if pkt
             .udp_hdr()
-            .is_some_and(|u| u.dport == planp::runtime::DEPLOY_PORT)
+            .is_some_and(|u| u.dport == planp::runtime::MANAGEMENT_PORT)
         {
             println!(
                 "operator: router replied {:?}",
@@ -113,7 +113,7 @@ fn main() {
     let handle = log.handle.clone().expect("counter installed");
     println!(
         "counter ASP saw {} packets; its output: {:?}",
-        handle.stats.borrow().matched,
+        handle.stats(&sim.telemetry).matched,
         handle.output.borrow().trim()
     );
     println!(

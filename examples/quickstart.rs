@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sim.add_app(b, Box::new(Receiver));
     sim.run_until(SimTime::from_secs(1));
 
-    let stats = handle.stats.borrow();
+    let stats = handle.stats(&sim.telemetry);
     let stamped = sim.series.get("stamped").map(|s| s.len()).unwrap_or(0);
     println!(
         "router processed {} packets ({} errors)",

@@ -40,7 +40,7 @@
 //! sim.compute_routes();
 //! let handle = install_planp(&mut sim, router, &image, LayerConfig::default()).unwrap();
 //! sim.run_until(SimTime::from_secs(1));
-//! assert_eq!(handle.stats.borrow().errors, 0);
+//! assert_eq!(handle.stats(&sim.telemetry).errors, 0);
 //! ```
 
 pub use netsim;

@@ -20,11 +20,11 @@ use planp_runtime::PlanpHandle;
 /// state_inserts, state_bound_exceeded, shed, deadline_expired)`.
 type Row = [u64; 9];
 
-fn rows(layers: &[PlanpHandle], _t: &Telemetry) -> Vec<Row> {
+fn rows(layers: &[PlanpHandle], t: &Telemetry) -> Vec<Row> {
     layers
         .iter()
         .map(|h| {
-            let s = h.stats.borrow();
+            let s = h.stats(t);
             [
                 s.matched,
                 s.errors,

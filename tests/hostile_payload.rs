@@ -27,7 +27,7 @@ use planp::netsim::rng::SplitMix64;
 use planp::netsim::{App, LinkSpec, NodeApi, Sim, SimTime};
 use planp::runtime::{
     deploy_packets, install_planp, load, uninstall_packet, DeployService, Engine, LayerConfig,
-    DEPLOY_PORT, MAX_TRANSFERS,
+    MANAGEMENT_PORT, MAX_TRANSFERS,
 };
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -237,9 +237,9 @@ fn no_payload_panics_an_installed_asp() {
                 strays.extend(mutants);
                 sim.add_app(a, Feeder::new(strays));
                 sim.run_until(SimTime::ZERO + TICK * (n_strays as u32 + 1));
-                let after_strays = handle.stats.borrow().clone();
+                let after_strays = handle.stats(&sim.telemetry);
                 sim.run_until(SimTime::ZERO + TICK * (n_strays + n_mutants + 40) as u32);
-                let stats = handle.stats.borrow().clone();
+                let stats = handle.stats(&sim.telemetry);
                 (after_strays, stats)
             }));
             let Ok((after_strays, stats)) = run else {
@@ -278,7 +278,7 @@ struct Replies {
 
 impl App for Replies {
     fn on_packet(&mut self, _api: &mut NodeApi<'_>, pkt: Packet) {
-        if pkt.udp_hdr().is_some_and(|u| u.dport == DEPLOY_PORT) {
+        if pkt.udp_hdr().is_some_and(|u| u.dport == MANAGEMENT_PORT) {
             let tally = if pkt.payload.starts_with(b"OK ") {
                 &self.ok
             } else {
@@ -389,13 +389,13 @@ fn no_deploy_message_panics_the_service() {
             packets.push(packet(
                 TransportKind::Udp,
                 R,
-                DEPLOY_PORT,
+                MANAGEMENT_PORT,
                 vec![0xD7; rng.next_below(6) as usize],
             ));
             packets.push(packet(
                 TransportKind::Tcp,
                 R,
-                DEPLOY_PORT,
+                MANAGEMENT_PORT,
                 vec![0xD7, 1, 0, 0, 0, 0],
             ));
         }
@@ -443,7 +443,7 @@ fn unfinished_transfers_are_bounded_and_a_later_one_installs() {
         .map(|id| {
             let [hi, lo] = id.to_be_bytes();
             let chunk = vec![0xD7, 0, hi, lo, 0, 0, b'-', b'-'];
-            packet(TransportKind::Udp, R, DEPLOY_PORT, chunk)
+            packet(TransportKind::Udp, R, MANAGEMENT_PORT, chunk)
         })
         .collect();
     let forwarder = CORPUS.iter().find(|a| a.name == "forwarder").unwrap().src;
@@ -467,6 +467,6 @@ fn unfinished_transfers_are_bounded_and_a_later_one_installs() {
     assert_eq!(log.held, MAX_TRANSFERS - 1);
     assert_eq!(log.dropped, (OPENED - MAX_TRANSFERS + 1) as u64);
     let handle = log.handle.as_ref().expect("installed");
-    assert_eq!(handle.stats.borrow().matched, 5);
+    assert_eq!(handle.stats(&sim.telemetry).matched, 5);
     assert_eq!(sim.node(b).delivered, 5);
 }

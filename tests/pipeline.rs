@@ -332,7 +332,7 @@ fn in_band_deployment_end_to_end() {
     sim.run_until(SimTime::from_secs(1));
     assert_eq!(got.borrow().len(), 7);
     let handle = log.borrow().handle.clone().expect("handle");
-    assert_eq!(handle.stats.borrow().matched, 7);
+    assert_eq!(handle.stats(&sim.telemetry).matched, 7);
 }
 
 /// Corpus ⇔ disk parity: every `asps/**/*.planp` is in the corpus
@@ -395,8 +395,8 @@ fn shared_image_has_independent_state_per_node() {
     // Each layer counted its own packets from its own zero.
     assert_eq!(&*h1.output.borrow(), "0\n1\n2\n");
     assert_eq!(&*h2.output.borrow(), "0\n1\n2\n");
-    assert_eq!(h1.stats.borrow().matched, 3);
-    assert_eq!(h2.stats.borrow().matched, 3);
+    assert_eq!(h1.stats(&sim.telemetry).matched, 3);
+    assert_eq!(h2.stats(&sim.telemetry).matched, 3);
 }
 
 /// The [36] bridge claim at system level: a node running a forwarder
@@ -494,7 +494,7 @@ fn ttl_backstop_catches_authenticated_bouncers() {
         0,
         "the packet died of TTL, not delivery"
     );
-    let bounces = h1.stats.borrow().matched + h2.stats.borrow().matched;
+    let bounces = h1.stats(&sim.telemetry).matched + h2.stats(&sim.telemetry).matched;
     assert!(
         (30..=64).contains(&bounces),
         "the packet should bounce ~TTL times, got {bounces}"
