@@ -18,7 +18,7 @@ use super::native::{NativeAudioClient, NativeAudioRouter};
 use netsim::packet::addr;
 use netsim::{FaultAction, FaultPlan, LinkFaults, LinkSpec, Sim, SimTime};
 use planp_analysis::Policy;
-use planp_runtime::{install_planp, load, Engine, LayerConfig, PlanpHandle};
+use planp_runtime::{install_planp, load, Engine, LayerConfig};
 use planp_telemetry::{MetricsSnapshot, Telemetry, TraceConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -129,9 +129,6 @@ pub struct AudioResult {
     pub stats_b: Option<AudioClientStats>,
     /// Its bandwidth series (kb/s per second).
     pub rx_kbps_b: Vec<(f64, f64)>,
-    /// The installed PLAN-P layers (router, client, then the quiet
-    /// segment's pair), empty for the native and unadapted runs.
-    pub layers: Vec<PlanpHandle>,
 }
 
 impl AudioResult {
@@ -223,7 +220,6 @@ pub fn run_audio_traced(
         None
     };
 
-    let mut layers = Vec::new();
     match cfg.adaptation {
         Adaptation::AspJit | Adaptation::AspInterp => {
             let engine = if cfg.adaptation == Adaptation::AspJit {
@@ -238,12 +234,11 @@ pub fn run_audio_traced(
                 engine,
                 ..LayerConfig::default()
             };
-            let mut hosts = vec![(router, &router_asp), (client, &client_asp)];
+            install_planp(&mut sim, router, &router_asp, lc).expect("install router ASP");
+            install_planp(&mut sim, client, &client_asp, lc).expect("install client ASP");
             if let Some((router_b, client_b)) = quiet {
-                hosts.extend([(router_b, &router_asp), (client_b, &client_asp)]);
-            }
-            for (node, asp) in hosts {
-                layers.push(install_planp(&mut sim, node, asp, lc).expect("ASP installs"));
+                install_planp(&mut sim, router_b, &router_asp, lc).expect("install router_b ASP");
+                install_planp(&mut sim, client_b, &client_asp, lc).expect("install client_b ASP");
             }
         }
         Adaptation::Native => {
@@ -320,7 +315,6 @@ pub fn run_audio_traced(
             segment_drops,
             stats_b,
             rx_kbps_b,
-            layers,
         },
         telemetry,
         metrics,

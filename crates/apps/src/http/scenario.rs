@@ -27,7 +27,7 @@ use super::trace::{Trace, TraceSpec};
 use netsim::packet::addr;
 use netsim::{CpuModel, FaultAction, FaultPlan, LinkSpec, Sim, SimTime};
 use planp_analysis::Policy;
-use planp_runtime::{install_planp, load, Engine, LayerConfig, PlanpHandle};
+use planp_runtime::{install_planp, load, Engine, LayerConfig};
 use planp_telemetry::{MetricsSnapshot, Telemetry, TraceConfig};
 use std::time::Duration;
 
@@ -123,8 +123,6 @@ pub struct HttpResult {
     pub gw_cpu_drops: u64,
     /// Requests served per physical server (measurement window).
     pub per_server: Vec<(String, f64)>,
-    /// The gateway's PLAN-P layer as first installed (ASP modes only).
-    pub layers: Vec<PlanpHandle>,
 }
 
 /// Runs the cluster experiment.
@@ -194,7 +192,6 @@ pub fn run_http_traced(
         },
     );
 
-    let mut layers = Vec::new();
     match cfg.mode {
         ClusterMode::AspGateway | ClusterMode::InterpGateway => {
             let src = cfg.gateway_src.unwrap_or(HTTP_GATEWAY_ASP);
@@ -209,11 +206,16 @@ pub fn run_http_traced(
             } else {
                 Engine::Interp
             };
-            let config = LayerConfig {
-                engine,
-                ..LayerConfig::default()
-            };
-            layers.push(install_planp(&mut sim, gw, &image, config).expect("gateway ASP installs"));
+            install_planp(
+                &mut sim,
+                gw,
+                &image,
+                LayerConfig {
+                    engine,
+                    ..LayerConfig::default()
+                },
+            )
+            .expect("install gateway ASP");
         }
         ClusterMode::NativeGateway => {
             sim.install_hook(gw, Box::new(NativeHttpGateway::new()));
@@ -332,7 +334,6 @@ pub fn run_http_traced(
             failed: 0,
             gw_cpu_drops: sim.node(gw).cpu_drops,
             per_server,
-            layers,
         },
         telemetry,
         metrics,

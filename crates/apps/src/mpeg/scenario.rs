@@ -16,7 +16,7 @@ use super::asp::{MPEG_CAPTURE_ASP, MPEG_MONITOR_ASP};
 use netsim::packet::addr;
 use netsim::{FaultAction, FaultPlan, LinkFaults, LinkSpec, Sim, SimTime};
 use planp_analysis::Policy;
-use planp_runtime::{install_planp, load, LayerConfig, PlanpHandle};
+use planp_runtime::{install_planp, load, LayerConfig};
 use planp_telemetry::{MetricsSnapshot, Telemetry, TraceConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -67,9 +67,6 @@ pub struct MpegResult {
     pub clients: Vec<MpegClientStats>,
     /// Bytes that crossed the server's uplink.
     pub uplink_bytes: u64,
-    /// The installed PLAN-P layers (monitor, then the viewers), empty
-    /// without ASPs.
-    pub layers: Vec<PlanpHandle>,
 }
 
 /// Runs the multipoint experiment.
@@ -112,7 +109,6 @@ pub fn run_mpeg_traced(
     );
     sim.compute_routes();
 
-    let mut layers = Vec::new();
     if cfg.use_asps {
         let monitor_asp =
             load(MPEG_MONITOR_ASP, Policy::no_delivery()).expect("monitor ASP verifies");
@@ -122,10 +118,9 @@ pub fn run_mpeg_traced(
             process_overheard: true,
             ..LayerConfig::default()
         };
-        let hosts = std::iter::once((monitor, &monitor_asp))
-            .chain(clients.iter().map(|&c| (c, &capture_asp)));
-        for (node, asp) in hosts {
-            layers.push(install_planp(&mut sim, node, asp, promiscuous).expect("ASP installs"));
+        install_planp(&mut sim, monitor, &monitor_asp, promiscuous).expect("install monitor");
+        for &c in &clients {
+            install_planp(&mut sim, c, &capture_asp, promiscuous).expect("install capture");
         }
     }
 
@@ -170,7 +165,6 @@ pub fn run_mpeg_traced(
         server: server_stats.borrow().clone(),
         clients: client_stats.iter().map(|s| s.borrow().clone()).collect(),
         uplink_bytes: sim.link(uplink).tx_bytes,
-        layers,
     };
     let metrics = sim.metrics_snapshot();
     let telemetry = std::mem::take(&mut sim.telemetry);

@@ -294,13 +294,17 @@ pub fn replay_plan(image: &PlanImage) -> Result<ReplayReport, String> {
     let mut sim = Sim::new(7);
     let ids = image.topo.build(&mut sim);
 
-    let mut handles: Vec<PlanpHandle> = Vec::new();
+    // A later placement on a node replaces the earlier one's hook, and
+    // one node's layers share its counters: read each node once, through
+    // the layer that runs there.
+    let mut handles: Vec<(usize, PlanpHandle)> = Vec::new();
     for p in &image.placements {
         let loaded = load(&p.source, Policy::authenticated())
             .map_err(|e| format!("ASP `{}`: {e}", p.asp))?;
         let handle = install_planp(&mut sim, ids[p.node], &loaded, LayerConfig::default())
             .map_err(|e| format!("install `{}` on `{}`: {e}", p.asp, p.node_name))?;
-        handles.push(handle);
+        handles.retain(|(node, _)| *node != p.node);
+        handles.push((p.node, handle));
     }
 
     // One endpoint app per node that originates or terminates a path.
@@ -332,7 +336,7 @@ pub fn replay_plan(image: &PlanImage) -> Result<ReplayReport, String> {
     let mut dispatches = 0;
     let mut dropped = 0;
     let mut errors = 0;
-    for h in &handles {
+    for (_, h) in &handles {
         let s = h.stats(&sim.telemetry);
         dispatches += s.matched;
         dropped += s.dropped;
@@ -431,6 +435,20 @@ mod tests {
             rep.confirmed_loop,
             "predicted joint loop reproduces: {rep:?}"
         );
+    }
+
+    #[test]
+    fn replay_counts_a_shared_node_once() {
+        // A second placement on r1 replaces the first one's hook, and
+        // both name their channel `network`, so they share r1's counters.
+        let stacked = format!("{PAIR_PLAN}deploy forwarder for data on r1\n");
+        let image = load_plan(&stacked, &resolver).expect("loads");
+        assert_eq!(image.placements.len(), 3);
+        let single = replay_plan(&load_plan(PAIR_PLAN, &resolver).expect("loads")).expect("runs");
+        let rep = replay_plan(&image).expect("runs");
+        assert!(single.dispatches > 0);
+        assert_eq!(rep.dispatches, single.dispatches, "{rep:?}");
+        assert!(!rep.confirmed_loop);
     }
 
     fn load_err(src: &str) -> PlanError {

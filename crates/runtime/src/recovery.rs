@@ -154,6 +154,15 @@ mod tests {
             }),
         );
         sim.apply_fault_plan(FaultPlan::new().crash_restart(0.4, 0.6, r));
+        // Inside the outage: what the first install dispatched. The
+        // reinstalled layer counts on from these totals.
+        sim.run_until(SimTime::from_ms(500));
+        let before = {
+            let log = log.borrow();
+            let handle = log.handle.as_ref().expect("initial handle");
+            handle.stats(&sim.telemetry).matched
+        };
+        assert!(before > 0, "traffic before the crash");
         sim.run_until(SimTime::from_secs(2));
 
         let log = log.borrow();
@@ -163,7 +172,7 @@ mod tests {
         // zero, and it processed the post-restart traffic.
         let handle = log.handle.as_ref().expect("handle");
         assert!(
-            handle.stats(&sim.telemetry).matched > 0,
+            handle.stats(&sim.telemetry).matched > before,
             "traffic after recovery"
         );
         assert_eq!(sim.node(r).crashes, 1);

@@ -2,40 +2,56 @@
 //! to the values of commit d110b18 — the last commit at which each kept
 //! a struct of counters beside the metrics registry.
 //!
-//! Per installed layer of the traced audio, http and mpeg scenarios
-//! (both engines where the scenario offers a choice; the mpeg scenario
-//! always runs the bytecode engine), every `LayerStats` field but
-//! `passed` and `state_entries`; and for `ClusterConfig::smoke()`, every
-//! gateway counter, the breaker opens and the agg tier's admission
-//! drops. A statistic read from another store must read the same.
+//! Per node with an installed layer in the traced audio, http and mpeg
+//! scenarios (both engines where the scenario offers a choice; the mpeg
+//! scenario always runs the bytecode engine), every `LayerStats` field
+//! but `passed` and `state_entries`, summed over the node's
+//! `node.<n>.chan.<c>.*` counters as `PlanpHandle::stats` sums them; and
+//! for `ClusterConfig::smoke()`, every gateway counter, the breaker opens
+//! and the agg tier's admission drops. A statistic read from another
+//! store must read the same.
 
-use planp::telemetry::{Telemetry, TraceConfig};
+use planp::telemetry::{MetricsSnapshot, TraceConfig};
 use planp_apps::audio::{run_audio_traced, Adaptation, AudioConfig};
 use planp_apps::cluster::{run_cluster, ClusterConfig};
 use planp_apps::http::{run_http_traced, ClusterMode, HttpConfig};
 use planp_apps::mpeg::{run_mpeg_traced, MpegConfig};
-use planp_runtime::PlanpHandle;
 
 /// `(matched, errors, dropped, vm_steps, cost_bound_exceeded,
-/// state_inserts, state_bound_exceeded, shed, deadline_expired)`.
+/// state_inserts, state_bound_exceeded, shed, deadline_expired)`, each
+/// field the per-channel counter of that name (`matched` reads
+/// `dispatch`).
 type Row = [u64; 9];
+const FIELDS: [&str; 9] = [
+    "dispatch",
+    "errors",
+    "dropped",
+    "vm_steps",
+    "cost_bound_exceeded",
+    "state_inserts",
+    "state_bound_exceeded",
+    "shed",
+    "deadline_expired",
+];
 
-fn rows(layers: &[PlanpHandle], t: &Telemetry) -> Vec<Row> {
-    layers
+fn rows(nodes: &[&str], snap: &MetricsSnapshot) -> Vec<Row> {
+    nodes
         .iter()
-        .map(|h| {
-            let s = h.stats(t);
-            [
-                s.matched,
-                s.errors,
-                s.dropped,
-                s.vm_steps,
-                s.cost_bound_exceeded,
-                s.state_inserts,
-                s.state_bound_exceeded,
-                s.shed,
-                s.deadline_expired,
-            ]
+        .map(|node| {
+            let prefix = format!("node.{node}.chan.");
+            let mut row = [0; 9];
+            for (key, &v) in &snap.counters {
+                let Some((_chan, what)) = key
+                    .strip_prefix(&prefix)
+                    .and_then(|rest| rest.rsplit_once('.'))
+                else {
+                    continue;
+                };
+                if let Some(i) = FIELDS.iter().position(|f| *f == what) {
+                    row[i] += v;
+                }
+            }
+            row
         })
         .collect()
 }
@@ -45,8 +61,8 @@ fn audio_layer_stats_are_those_of_the_pinned_commit() {
     // Engine choice moves no simulated time here, so both read alike.
     for adaptation in [Adaptation::AspJit, Adaptation::AspInterp] {
         let cfg = AudioConfig::constant_load(adaptation, 9450, 10);
-        let (res, t, _) = run_audio_traced(&cfg, TraceConfig::default());
-        assert_eq!(rows(&res.layers, &t), AUDIO, "{adaptation:?}");
+        let (_, _, snap) = run_audio_traced(&cfg, TraceConfig::default());
+        assert_eq!(rows(&["router", "client"], &snap), AUDIO, "{adaptation:?}");
     }
 }
 
@@ -60,15 +76,15 @@ fn http_layer_stats_are_those_of_the_pinned_commit() {
     ] {
         let mut cfg = HttpConfig::new(mode, 8);
         cfg.duration_s = 10;
-        let (res, t, _) = run_http_traced(&cfg, TraceConfig::default());
-        assert_eq!(rows(&res.layers, &t), want, "{mode:?}");
+        let (_, _, snap) = run_http_traced(&cfg, TraceConfig::default());
+        assert_eq!(rows(&["gateway"], &snap), want, "{mode:?}");
     }
 }
 
 #[test]
 fn mpeg_layer_stats_are_those_of_the_pinned_commit() {
-    let (res, t, _) = run_mpeg_traced(&MpegConfig::new(2, true), TraceConfig::default());
-    assert_eq!(rows(&res.layers, &t), MPEG_JIT);
+    let (_, _, snap) = run_mpeg_traced(&MpegConfig::new(2, true), TraceConfig::default());
+    assert_eq!(rows(&["monitor", "viewer0", "viewer1"], &snap), MPEG_JIT);
 }
 
 #[test]
