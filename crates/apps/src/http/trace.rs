@@ -117,6 +117,55 @@ impl Trace {
 mod tests {
     use super::*;
 
+    /// One replay pass of `t`, from a fresh cursor.
+    fn pass(t: &Trace) -> Vec<u32> {
+        (0..t.len()).map(|_| t.next_request()).collect()
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Digests of every document size and of `len() + 3` requests
+    /// (which crosses the wrap).
+    fn digests(spec: &TraceSpec, seed: u64) -> (u64, u64) {
+        let t = Trace::generate(spec, seed);
+        let sizes = fnv1a((0..t.n_docs() as u32).map(|id| t.doc_size(id) as u64));
+        let requests = fnv1a((0..t.len() + 3).map(|_| u64::from(t.next_request())));
+        (sizes, requests)
+    }
+
+    #[test]
+    fn sequences_hold_the_digests_of_commit_2bb10f4() {
+        let spec = TraceSpec::default();
+        let three = TraceSpec {
+            n_requests: 3,
+            ..spec
+        };
+        let got = [
+            digests(&spec, 1),
+            digests(&spec, 7),
+            digests(&spec, 11),
+            digests(&spec, 42),
+            digests(&three, 1),
+        ];
+        let want = [
+            (3_359_403_233_503_758_131, 9_308_531_272_458_698_067),
+            (8_517_866_126_148_333_480, 10_421_424_921_458_245_043),
+            (16_318_563_319_206_062_523, 209_477_015_666_350_842),
+            (13_135_703_431_130_096_370, 9_290_733_493_308_948_819),
+            (3_359_403_233_503_758_131, 3_084_698_263_521_277_637),
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn deterministic_and_sized() {
         let spec = TraceSpec::default();
@@ -124,8 +173,10 @@ mod tests {
         let b = Trace::generate(&spec, 42);
         assert_eq!(a.len(), 80_000);
         assert_eq!(a.n_docs(), 2000);
-        assert_eq!(a.requests, b.requests);
-        assert_eq!(a.sizes, b.sizes);
+        assert_eq!(pass(&a), pass(&b));
+        for id in 0..a.n_docs() as u32 {
+            assert_eq!(a.doc_size(id), b.doc_size(id));
+        }
     }
 
     #[test]
@@ -138,7 +189,7 @@ mod tests {
         }
         // Mean transferred size per request, weighted by how often each
         // document is requested.
-        let total: u64 = t.requests.iter().map(|&r| t.doc_size(r) as u64).sum();
+        let total: u64 = pass(&t).iter().map(|&r| t.doc_size(r) as u64).sum();
         let mean = total as f64 / t.len() as f64;
         assert!(
             (1000.0..6000.0).contains(&mean),
@@ -149,9 +200,10 @@ mod tests {
     #[test]
     fn popularity_is_skewed() {
         let t = Trace::generate(&TraceSpec::default(), 7);
+        let requests = pass(&t);
         // Rank-0 document should be requested far more often than a
         // mid-rank one.
-        let count = |id: u32| t.requests.iter().filter(|&&r| r == id).count();
+        let count = |id: u32| requests.iter().filter(|&&r| r == id).count();
         assert!(count(0) > 10 * count(1000).max(1));
     }
 
