@@ -36,7 +36,7 @@
 
 use crate::paths::is_send;
 use planp_lang::ast::Name;
-use planp_lang::span::line_col;
+use planp_lang::span::{line_col, LineIndex};
 use planp_lang::tast::{TExpr, TExprKind, TProgram};
 use planp_vm::cost::STEPS_PER_NODE;
 use std::collections::BTreeMap;
@@ -84,12 +84,13 @@ pub struct SiteReport {
 /// Computes per-site step bounds for every channel overload of `prog`.
 /// `src` is the program source, used only for `line:col` labels.
 pub fn site_bounds(prog: &TProgram, src: &str) -> SiteReport {
+    let lines = LineIndex::new(src);
     let channels = prog
         .channels
         .iter()
         .map(|ch| {
             let mut acc: BTreeMap<u32, (u64, String)> = BTreeMap::new();
-            walk_sites(&ch.body, prog, src, &mut acc);
+            walk_sites(&ch.body, prog, &lines, &mut acc);
             ChannelSites {
                 name: ch.name.clone(),
                 overload: ch.overload,
@@ -110,21 +111,26 @@ pub fn site_bounds(prog: &TProgram, src: &str) -> SiteReport {
 /// Adds one invocation of every node under `e` to `acc`, keyed by
 /// site. Distinct nodes desugared onto the same span merge by summing
 /// (still sound: the merged bound covers the merged observation).
-fn walk_sites(e: &TExpr, prog: &TProgram, src: &str, acc: &mut BTreeMap<u32, (u64, String)>) {
+fn walk_sites(
+    e: &TExpr,
+    prog: &TProgram,
+    lines: &LineIndex,
+    acc: &mut BTreeMap<u32, (u64, String)>,
+) {
     let site = e.span.start;
     let entry = acc.entry(site).or_insert_with(|| {
         (
             0,
-            format!("{}:{}", line_col(src, site), kind_label(e, prog)),
+            format!("{}:{}", lines.line_col(site), kind_label(e, prog)),
         )
     });
     entry.0 = entry.0.saturating_add(STEPS_PER_NODE);
     for c in e.children() {
-        walk_sites(c, prog, src, acc);
+        walk_sites(c, prog, lines, acc);
     }
     if let TExprKind::CallFun { index, .. } = &e.kind {
         if let Some(f) = prog.funs.get(*index as usize) {
-            walk_sites(&f.body, prog, src, acc);
+            walk_sites(&f.body, prog, lines, acc);
         }
     }
 }

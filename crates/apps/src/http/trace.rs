@@ -11,19 +11,35 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 /// The shared trace: per-document sizes and the request sequence.
+///
+/// Request `i` of a pass is the `i`-th draw after the size draws, so a
+/// request is drawn when the replay reaches it: a run pays for the
+/// requests it replays, and every pass restarts from the generator
+/// state the sizes left.
 #[derive(Debug)]
 pub struct Trace {
     sizes: Vec<usize>,
-    requests: Vec<u32>,
+    /// Zipf CDF over documents (rank = index).
+    cdf: Vec<f64>,
+    /// Requests in one pass.
+    n_requests: usize,
+    /// The generator state request 0 is drawn from.
+    start: SplitMix64,
+    /// The generator state the next request is drawn from.
+    rng: Cell<SplitMix64>,
     cursor: Cell<usize>,
 }
 
 /// Parameters for trace generation.
+///
+/// A trace has at least one document and one request: `generate` reads
+/// an `n_docs` or `n_requests` of 0 as 1.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceSpec {
-    /// Number of distinct documents.
+    /// Number of distinct documents (at least 1).
     pub n_docs: usize,
-    /// Number of requests (the paper replays 80 000).
+    /// Number of requests in one replay pass (at least 1; the paper
+    /// replays 80 000).
     pub n_requests: usize,
     /// Median document size in bytes (log-normal location).
     pub median_size: f64,
@@ -51,10 +67,11 @@ impl Default for TraceSpec {
 impl Trace {
     /// Generates a trace from `spec` with the given seed.
     pub fn generate(spec: &TraceSpec, seed: u64) -> Rc<Trace> {
+        let n_docs = spec.n_docs.max(1);
         let mut rng = SplitMix64::new(seed ^ 0xC0FFEE);
         // Log-normal sizes via Box–Muller.
-        let mut sizes = Vec::with_capacity(spec.n_docs);
-        for _ in 0..spec.n_docs {
+        let mut sizes = Vec::with_capacity(n_docs);
+        for _ in 0..n_docs {
             let u1 = rng.next_f64().max(1e-12);
             let u2 = rng.next_f64();
             let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
@@ -62,25 +79,22 @@ impl Trace {
             sizes.push(size.clamp(128, spec.max_size));
         }
         // Zipf CDF over documents (rank = index).
-        let weights: Vec<f64> = (1..=spec.n_docs)
+        let weights: Vec<f64> = (1..=n_docs)
             .map(|r| 1.0 / (r as f64).powf(spec.zipf_s))
             .collect();
         let total: f64 = weights.iter().sum();
-        let mut cdf = Vec::with_capacity(spec.n_docs);
+        let mut cdf = Vec::with_capacity(n_docs);
         let mut acc = 0.0;
         for w in &weights {
             acc += w / total;
             cdf.push(acc);
         }
-        let mut requests = Vec::with_capacity(spec.n_requests);
-        for _ in 0..spec.n_requests {
-            let u = rng.next_f64();
-            let idx = cdf.partition_point(|&c| c < u).min(spec.n_docs - 1);
-            requests.push(idx as u32);
-        }
         Rc::new(Trace {
             sizes,
-            requests,
+            cdf,
+            n_requests: spec.n_requests.max(1),
+            start: rng,
+            rng: Cell::new(rng),
             cursor: Cell::new(0),
         })
     }
@@ -92,9 +106,21 @@ impl Trace {
 
     /// The next request in the shared replay (wraps around).
     pub fn next_request(&self) -> u32 {
-        let i = self.cursor.get();
-        self.cursor.set((i + 1) % self.requests.len());
-        self.requests[i]
+        let mut rng = self.rng.get();
+        let u = rng.next_f64();
+        let next = self.cursor.get() + 1;
+        if next == self.n_requests {
+            self.cursor.set(0);
+            self.rng.set(self.start);
+        } else {
+            self.cursor.set(next);
+            self.rng.set(rng);
+        }
+        let idx = self
+            .cdf
+            .partition_point(|&c| c < u)
+            .min(self.sizes.len() - 1);
+        idx as u32
     }
 
     /// Number of distinct documents.
@@ -104,12 +130,12 @@ impl Trace {
 
     /// Number of requests in one replay pass.
     pub fn len(&self) -> usize {
-        self.requests.len()
+        self.n_requests
     }
 
-    /// True if the request list is empty (never, for generated traces).
+    /// True if a pass has no requests (never: a pass has at least one).
     pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
+        self.n_requests == 0
     }
 }
 
@@ -205,6 +231,21 @@ mod tests {
         // mid-rank one.
         let count = |id: u32| requests.iter().filter(|&&r| r == id).count();
         assert!(count(0) > 10 * count(1000).max(1));
+    }
+
+    #[test]
+    fn a_zero_spec_is_one_document_and_one_request() {
+        let spec = TraceSpec {
+            n_docs: 0,
+            n_requests: 0,
+            ..TraceSpec::default()
+        };
+        let t = Trace::generate(&spec, 5);
+        assert_eq!((t.n_docs(), t.len()), (1, 1));
+        for _ in 0..3 {
+            assert_eq!(t.next_request(), 0, "the one document");
+        }
+        assert!((128..=spec.max_size).contains(&t.doc_size(0)));
     }
 
     #[test]

@@ -84,6 +84,39 @@ pub fn line_col(src: &str, offset: u32) -> LineCol {
     LineCol { line, col }
 }
 
+/// Where each line of one source starts: a [`LineCol`] lookup in it is
+/// a binary search, where [`line_col`] scans from the start of the text.
+#[derive(Debug, Clone)]
+pub struct LineIndex {
+    /// Byte offset of the first byte of each line, ascending from 0.
+    starts: Vec<usize>,
+    /// Length of the source in bytes.
+    len: usize,
+}
+
+impl LineIndex {
+    /// Indexes the lines of `src`.
+    pub fn new(src: &str) -> Self {
+        let newlines = src.bytes().enumerate().filter(|&(_, b)| b == b'\n');
+        let starts = std::iter::once(0).chain(newlines.map(|(i, _)| i + 1));
+        LineIndex {
+            starts: starts.collect(),
+            len: src.len(),
+        }
+    }
+
+    /// The [`LineCol`] of byte `offset`, as [`line_col`] computes it
+    /// from the indexed source.
+    pub fn line_col(&self, offset: u32) -> LineCol {
+        let offset = (offset as usize).min(self.len);
+        let line = self.starts.partition_point(|&s| s <= offset);
+        LineCol {
+            line: line as u32,
+            col: (offset - self.starts[line - 1]) as u32 + 1,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,5 +156,26 @@ mod tests {
     fn line_col_clamps_past_end() {
         let src = "ab";
         assert_eq!(line_col(src, 100), LineCol { line: 1, col: 3 });
+    }
+
+    #[test]
+    fn the_index_answers_as_the_scan_does() {
+        for src in [
+            "",
+            "\n",
+            "ab",
+            "ab\ncd\nef",
+            "ab\n\ncd\n",
+            "h\u{e9}llo\nw\u{f6}rld\n",
+        ] {
+            let index = LineIndex::new(src);
+            for offset in 0..=src.len() as u32 + 2 {
+                assert_eq!(
+                    index.line_col(offset),
+                    line_col(src, offset),
+                    "{src:?} at {offset}"
+                );
+            }
+        }
     }
 }

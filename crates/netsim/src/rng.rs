@@ -2,9 +2,10 @@
 //! [`Seedless`], the hasher of the maps that must not depend on a
 //! per-process key.
 //!
-//! Workload generators in higher layers use the `rand` crate; the
-//! simulator core keeps this dependency-free generator so that event
-//! processing is bit-for-bit reproducible from a seed.
+//! The simulator core draws from this dependency-free generator, and so
+//! do the workload generators of the higher layers (the HTTP trace, the
+//! per-node draws apps make through `NodeApi`): a run is bit-for-bit
+//! reproducible from its seed.
 
 use std::hash::{BuildHasher, Hasher};
 

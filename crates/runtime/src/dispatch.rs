@@ -22,17 +22,20 @@ use planp_vm::value::Value;
 use std::rc::Rc;
 
 /// Which channel overloads an arriving packet is offered to, in order —
-/// section 2.3's dispatch, decided from the program once at install.
+/// section 2.3's dispatch, decided from the program once at its first
+/// install. Every node installed from the program holds a clone, which
+/// shares the lists and reaches them as directly as an owned `Vec`.
+#[derive(Clone)]
 pub(crate) struct DispatchTable {
     /// Per transport kind of the packet ([`transport_slot`]): the
     /// `network` overloads of that kind, in declaration order. An
     /// overload of another kind never decodes, so skipping it changes
     /// nothing.
-    untagged: [Vec<usize>; 3],
+    untagged: [Rc<[usize]>; 3],
     /// Every channel name with its overloads in declaration order. A
     /// handful of names, compared by pointer first: a tag set by a node
     /// installed from the same image *is* the string stored here.
-    tagged: Vec<(Rc<str>, Vec<usize>)>,
+    tagged: Rc<[(Rc<str>, Vec<usize>)]>,
 }
 
 fn transport_slot(kind: TransportKind) -> usize {
@@ -45,24 +48,21 @@ fn transport_slot(kind: TransportKind) -> usize {
 
 impl DispatchTable {
     pub(crate) fn new(image: &LoadedProgram) -> Self {
-        let mut table = DispatchTable {
-            untagged: Default::default(),
-            tagged: Vec::new(),
-        };
+        let mut untagged: [Vec<usize>; 3] = Default::default();
+        let mut tagged: Vec<(Rc<str>, Vec<usize>)> = Vec::new();
         for (idx, ch) in image.prog.channels.iter().enumerate() {
-            match table
-                .tagged
-                .iter_mut()
-                .find(|(n, _)| Rc::ptr_eq(n, &ch.name))
-            {
+            match tagged.iter_mut().find(|(n, _)| Rc::ptr_eq(n, &ch.name)) {
                 Some((_, group)) => group.push(idx),
-                None => table.tagged.push((ch.name.clone(), vec![idx])),
+                None => tagged.push((ch.name.clone(), vec![idx])),
             }
             if &*ch.name == "network" {
-                table.untagged[transport_slot(ch.shape.transport)].push(idx);
+                untagged[transport_slot(ch.shape.transport)].push(idx);
             }
         }
-        table
+        DispatchTable {
+            untagged: untagged.map(Rc::from),
+            tagged: tagged.into(),
+        }
     }
 
     /// The channels `pkt` is offered to, in order.

@@ -23,10 +23,11 @@ use crate::loader::{load, LoadedProgram};
 use bytes::Bytes;
 use netsim::packet::{ChannelTag, Lineage, Packet};
 use netsim::{ArrivalMeta, HookVerdict, NodeApi, PacketHook, Sim};
-use planp_analysis::Policy;
+use planp_analysis::{site_bounds, superinstruction_candidates, Policy};
 use planp_lang::tast::TProgram;
 use planp_telemetry::{
-    CounterId, DispatchOutcome, DropReason, MetricsRegistry, ScopeId, SpanOrigin, Telemetry,
+    CounterId, DispatchOutcome, DropReason, MetricsRegistry, ScopeId, ScopeShape, SpanOrigin,
+    Telemetry,
 };
 use planp_vm::cost::STEPS_PER_NODE;
 use planp_vm::env::{ChanRef, NetEnv};
@@ -164,9 +165,8 @@ struct ChanCounters {
 }
 
 impl ChanCounters {
-    fn register(metrics: &mut MetricsRegistry, node: &str, chan: &str) -> Self {
-        let mut id =
-            |what: &str| metrics.register_counter(&format!("node.{node}.chan.{chan}.{what}"));
+    fn register(metrics: &mut MetricsRegistry, names: &mut NodeNames, chan: &str) -> Self {
+        let mut id = |what: &str| metrics.register_counter(names.name(&["chan.", chan, ".", what]));
         ChanCounters {
             dispatch: id("dispatch"),
             errors: id("errors"),
@@ -179,6 +179,152 @@ impl ChanCounters {
             state_bound_exceeded: id("state_bound_exceeded"),
             profiled: id("profiled"),
             profile_skipped: id("profile_skipped"),
+        }
+    }
+}
+
+/// The metric names of one node, `node.<n>.…`, written one after the
+/// other into one buffer: a name costs the registry's copy of it.
+struct NodeNames {
+    buf: String,
+    /// Length of the `node.<n>.` prefix.
+    base: usize,
+}
+
+impl NodeNames {
+    fn new(node: &str) -> Self {
+        let mut buf = String::with_capacity(64);
+        buf.push_str("node.");
+        buf.push_str(node);
+        buf.push('.');
+        NodeNames {
+            base: buf.len(),
+            buf,
+        }
+    }
+
+    /// `node.<n>.` followed by `parts`.
+    fn name(&mut self, parts: &[&str]) -> &str {
+        self.buf.truncate(self.base);
+        parts.iter().for_each(|p| self.buf.push_str(p));
+        &self.buf
+    }
+}
+
+/// The half of an installed layer that is the same on every node, built
+/// once per image at its first install ([`LoadedProgram::shape`]) and
+/// never by `load`: what each overload is and may cost, its profile
+/// scope's shape, and the dispatch table. A node clones the handles it
+/// reads per packet into its own [`ChanMeta`], so dispatch reaches them
+/// as directly as before.
+pub(crate) struct ProgramShape {
+    /// Per channel overload, indexed like the program's channels.
+    chans: Vec<ChanShape>,
+    /// Each channel name once, in declaration order.
+    names: Vec<ChanName>,
+    table: DispatchTable,
+    /// The composed entry bound over every table, if the state analysis
+    /// proved one.
+    entry_bound: Option<u64>,
+    /// What the live entry total is checked against (u64::MAX when some
+    /// table is unbounded or the image carries no state report).
+    static_entry_bound: u64,
+}
+
+/// One channel overload of [`ProgramShape`]: the fields of [`ChanMeta`]
+/// that are the same on every node, and the shape of its profile scope.
+struct ChanShape {
+    ident: ChannelTag,
+    tagged: bool,
+    /// Index of the overload's name in [`ProgramShape::names`].
+    name: usize,
+    static_bound: u64,
+    static_insert_bound: u64,
+    scope: Rc<ScopeShape>,
+}
+
+/// One channel name of [`ProgramShape`], with the largest static step
+/// bound and fresh-insert bound of its overloads.
+struct ChanName {
+    name: Rc<str>,
+    steps: u64,
+    inserts: u64,
+}
+
+impl ProgramShape {
+    pub(crate) fn new(image: &LoadedProgram) -> Self {
+        let report = &image.report;
+        // Static per-site step bounds and superinstruction candidates;
+        // the bytecode tier charges whole blocks of the compiled
+        // program's site pool, which each scope finds by position.
+        let site_report = site_bounds(&image.prog, &image.source);
+        let candidates = superinstruction_candidates(&image.prog, &image.source);
+        let pool = image.compiled.block_sites();
+        let mut names: Vec<ChanName> = Vec::new();
+        let mut chans = Vec::with_capacity(image.prog.channels.len());
+        for (i, ch) in image.prog.channels.iter().enumerate() {
+            let (steps, inserts) = (
+                report.cost.bound_for(i).steps,
+                report.state_effects.inserts_for(i),
+            );
+            let name = match names.iter().position(|n| Rc::ptr_eq(&n.name, &ch.name)) {
+                Some(at) => {
+                    let n = &mut names[at];
+                    n.steps = n.steps.max(steps);
+                    n.inserts = n.inserts.max(inserts);
+                    at
+                }
+                None => {
+                    names.push(ChanName {
+                        name: ch.name.clone(),
+                        steps,
+                        inserts,
+                    });
+                    names.len() - 1
+                }
+            };
+            let sites = site_report.channels[i]
+                .sites
+                .iter()
+                .map(|s| (s.site, s.label.clone(), s.bound_steps));
+            let patterns = candidates
+                .iter()
+                .filter(|c| c.chan == ch.name && c.overload == ch.overload)
+                .map(|c| (c.pattern.to_string(), c.sites.clone(), c.label.clone()));
+            chans.push(ChanShape {
+                ident: ChannelTag::new(ch.name.clone(), ch.overload),
+                tagged: &*ch.name != "network",
+                name,
+                static_bound: if report.cost.channels.is_empty() {
+                    u64::MAX
+                } else {
+                    steps
+                },
+                static_insert_bound: if report.state_effects.channels.is_empty() {
+                    u64::MAX
+                } else {
+                    inserts
+                },
+                scope: Rc::new(ScopeShape::new(
+                    &ch.name,
+                    ch.overload,
+                    sites,
+                    patterns,
+                    pool,
+                )),
+            });
+        }
+        let entry_bound = report.state_effects.entry_bound();
+        ProgramShape {
+            chans,
+            names,
+            table: DispatchTable::new(image),
+            entry_bound,
+            static_entry_bound: if report.state_effects.channels.is_empty() {
+                u64::MAX
+            } else {
+                entry_bound.unwrap_or(u64::MAX)
+            },
         }
     }
 }
@@ -284,57 +430,36 @@ impl PlanpLayer {
         let compiled = image.compiled.clone();
         let globals = compiled.eval_globals(&mut env)?;
         let proto = compiled.init_proto(&globals, &mut env)?;
-        let mut chan_states = Vec::with_capacity(image.prog.channels.len());
-        for i in 0..image.prog.channels.len() {
+        let n_chans = image.prog.channels.len();
+        let mut chan_states = Vec::with_capacity(n_chans);
+        for i in 0..n_chans {
             chan_states.push(compiled.init_channel_state(i, &globals, &mut env)?);
         }
-        // Static per-site step bounds and superinstruction candidates
-        // (computed once per image), declared into the profile registry
-        // once per channel overload (idempotent by scope key, so
-        // redeploys keep their profiles).
-        let (site_report, candidates) = image.profile_meta();
+        // The node's own counters, one set per channel name, and its
+        // profile scopes, one per overload over the program's shared
+        // shapes (idempotent by scope key, so redeploys keep their
+        // profiles).
+        let shape = image.shape();
         let metrics = &mut telemetry.metrics;
         let profile = &mut telemetry.profile;
-        let chan_meta: Vec<ChanMeta> = image
-            .prog
-            .channels
+        let mut names = NodeNames::new(node_name);
+        let counters: Vec<ChanCounters> = shape
+            .names
             .iter()
-            .enumerate()
-            .map(|(i, ch)| ChanMeta {
-                ident: ChannelTag::new(ch.name.clone(), ch.overload),
-                tagged: &*ch.name != "network",
-                c: ChanCounters::register(metrics, node_name, &ch.name),
-                static_bound: if image.report.cost.channels.is_empty() {
-                    u64::MAX
-                } else {
-                    image.report.cost.bound_for(i).steps
-                },
-                static_insert_bound: if image.report.state_effects.channels.is_empty() {
-                    u64::MAX
-                } else {
-                    image.report.state_effects.inserts_for(i)
-                },
-                profile_scope: profile.declare(
-                    node_name,
-                    &ch.name,
-                    ch.overload,
-                    site_report.channels[i]
-                        .sites
-                        .iter()
-                        .map(|s| (s.site, s.label.clone(), s.bound_steps)),
-                    candidates
-                        .iter()
-                        .filter(|c| c.chan == ch.name && c.overload == ch.overload)
-                        .map(|c| (c.pattern.to_string(), c.sites.clone(), c.label.clone())),
-                ),
+            .map(|n| ChanCounters::register(metrics, &mut names, &n.name))
+            .collect();
+        let chan_meta: Vec<ChanMeta> = shape
+            .chans
+            .iter()
+            .map(|ch| ChanMeta {
+                ident: ch.ident.clone(),
+                tagged: ch.tagged,
+                c: counters[ch.name],
+                static_bound: ch.static_bound,
+                static_insert_bound: ch.static_insert_bound,
+                profile_scope: profile.declare(node_name, &ch.scope),
             })
             .collect();
-        // The bytecode tier charges whole blocks of the compiled
-        // program's site pool; let every scope find them by position.
-        for cm in &chan_meta {
-            profile.bind_blocks(cm.profile_scope, compiled.block_sites());
-        }
-        let n_chans = image.prog.channels.len();
         let timer = chan_meta
             .iter()
             .find(|cm| &*cm.ident.chan == "timer")
@@ -343,10 +468,14 @@ impl PlanpLayer {
                 key: 0,
                 payload: TimerWake::payload_of(0),
             });
+        let gates = match config.admission {
+            Some(_) => (0..n_chans).map(|_| AdmissionGate::default()).collect(),
+            None => Vec::new(),
+        };
         Ok(PlanpLayer {
             prog: image.prog.clone(),
             compiled,
-            table: DispatchTable::new(image),
+            table: shape.table.clone(),
             timer,
             config,
             globals,
@@ -354,17 +483,12 @@ impl PlanpLayer {
             chan_states,
             output: Rc::new(RefCell::new(String::new())),
             chan_meta,
-            gates: (0..n_chans).map(|_| AdmissionGate::default()).collect(),
-            c_fallback: metrics.register_counter(&format!("node.{node_name}.planp.fallback_ip")),
+            gates,
+            c_fallback: metrics.register_counter(names.name(&["planp.fallback_ip"])),
             state_entries: 0,
             state_entries_peak: 0,
-            c_state_entries: metrics
-                .register_counter(&format!("node.{node_name}.planp.state_entries")),
-            static_entry_bound: if image.report.state_effects.channels.is_empty() {
-                u64::MAX
-            } else {
-                image.report.state_effects.entry_bound().unwrap_or(u64::MAX)
-            },
+            c_state_entries: metrics.register_counter(names.name(&["planp.state_entries"])),
+            static_entry_bound: shape.static_entry_bound,
         })
     }
 
@@ -749,40 +873,25 @@ pub fn install_planp(
     let name = sim.node(node).name.clone();
     let layer = PlanpLayer::new(image, config, addr, &name, &mut sim.telemetry)?;
     let handle = layer.handle();
-    // Record the verifier's static per-packet step bound once per
-    // channel name (overloads share keys, so take the group maximum), so
-    // reports can compare it against the dynamic `vm_steps` counter.
-    let mut bounds: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    for (i, ch) in image.prog.channels.iter().enumerate() {
-        let steps = image.report.cost.bound_for(i).steps;
-        let e = bounds.entry(&*ch.name).or_insert(0);
-        *e = (*e).max(steps);
-    }
-    for (chan, steps) in bounds {
-        sim.telemetry.metrics.add(
-            &format!("node.{name}.chan.{chan}.static_bound_steps"),
-            steps,
+    // Record the verifier's static bounds per channel name (overloads
+    // share keys, so the group maximum), so reports can compare them
+    // against the dynamic counters: the per-packet step bound against
+    // `vm_steps`, the per-dispatch fresh-insert bound against
+    // `state_inserts`, and the composed entry bound for the whole
+    // program (omitted when some table is unbounded).
+    let shape = image.shape();
+    let metrics = &mut sim.telemetry.metrics;
+    let mut names = NodeNames::new(&name);
+    for n in &shape.names {
+        let chan = &*n.name;
+        metrics.add(names.name(&["chan.", chan, ".static_bound_steps"]), n.steps);
+        metrics.add(
+            names.name(&["chan.", chan, ".static_state_bound"]),
+            n.inserts,
         );
     }
-    // Likewise for the state analysis: the per-dispatch fresh-insert
-    // bound per channel name, and the composed entry bound for the whole
-    // program (omitted when some table is unbounded).
-    let mut insert_bounds: std::collections::BTreeMap<&str, u64> =
-        std::collections::BTreeMap::new();
-    for (i, ch) in image.prog.channels.iter().enumerate() {
-        let n = image.report.state_effects.inserts_for(i);
-        let e = insert_bounds.entry(&*ch.name).or_insert(0);
-        *e = (*e).max(n);
-    }
-    for (chan, n) in insert_bounds {
-        sim.telemetry
-            .metrics
-            .add(&format!("node.{name}.chan.{chan}.static_state_bound"), n);
-    }
-    if let Some(bound) = image.report.state_effects.entry_bound() {
-        sim.telemetry
-            .metrics
-            .add(&format!("node.{name}.planp.static_state_entries"), bound);
+    if let Some(bound) = shape.entry_bound {
+        metrics.add(names.name(&["planp.static_state_entries"]), bound);
     }
     sim.install_hook(node, Box::new(layer));
     Ok(handle)

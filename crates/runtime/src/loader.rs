@@ -5,10 +5,8 @@
 //! program arrives: unverifiable programs are rejected unless the
 //! download is authenticated ([`Policy::authenticated`]).
 
-use planp_analysis::{
-    site_bounds, superinstruction_candidates, verify, Policy, SiteReport,
-    SuperinstructionCandidate, VerifyReport,
-};
+use crate::layer::ProgramShape;
+use planp_analysis::{verify, Policy, VerifyReport};
 use planp_lang::{compile_front, count_lines, LangError, TProgram};
 use planp_vm::jit::{self, CodegenStats, CompiledProgram};
 use std::cell::OnceCell;
@@ -70,21 +68,15 @@ pub struct LoadedProgram {
     pub codegen: CodegenStats,
     /// Source lines (the paper's "Number of lines" metric).
     pub lines: usize,
-    /// What the profiler declares per installation, computed on the
-    /// first one (the download path itself never needs it).
-    profile_meta: OnceCell<(SiteReport, Vec<SuperinstructionCandidate>)>,
+    /// What every node installed from this program shares, built at
+    /// the first install (the download path itself never needs it).
+    shape: OnceCell<ProgramShape>,
 }
 
 impl LoadedProgram {
-    /// The static per-site step bounds and superinstruction candidates
-    /// of this program.
-    pub(crate) fn profile_meta(&self) -> &(SiteReport, Vec<SuperinstructionCandidate>) {
-        self.profile_meta.get_or_init(|| {
-            (
-                site_bounds(&self.prog, &self.source),
-                superinstruction_candidates(&self.prog, &self.source),
-            )
-        })
+    /// The half of an installed layer that is the same on every node.
+    pub(crate) fn shape(&self) -> &ProgramShape {
+        self.shape.get_or_init(|| ProgramShape::new(self))
     }
 }
 
@@ -119,7 +111,7 @@ pub fn load(source: &str, policy: Policy) -> Result<LoadedProgram, LoadError> {
         report,
         codegen,
         lines: count_lines(source),
-        profile_meta: OnceCell::new(),
+        shape: OnceCell::new(),
     })
 }
 

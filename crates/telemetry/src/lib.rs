@@ -50,7 +50,7 @@ pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRecorder};
 pub use metrics::{CounterId, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use monitor::{CounterSel, HealthMonitor, HealthSample, SloRule};
 pub use overload::{BrownoutConfig, BrownoutController, OverloadState};
-pub use profile::{HeatmapRow, PatternMeta, ProfileRegistry, ScopeId, ScopeProfile, SiteMeta};
+pub use profile::{HeatmapRow, ProfileRegistry, ScopeId, ScopeProfile, ScopeShape};
 pub use span::{CriticalHop, Span, TraceForest};
 
 /// The telemetry bundle a simulator instance carries: one event log,

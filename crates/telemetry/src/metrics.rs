@@ -248,10 +248,18 @@ impl MetricsRegistry {
     /// on first use. Call once at install time; increment through the
     /// handle on the hot path.
     pub fn register_counter(&mut self, name: &str) -> CounterId {
-        CounterId(match self.slots.get(name) {
-            Some(slot) => slot.at,
-            None => self.new_slot(name, false),
-        })
+        // One descent of the index: registration is mostly of names not
+        // seen yet (a node's counters at install), whose key is copied
+        // either way.
+        let at = self.values.len() as u32;
+        let slot = *self
+            .slots
+            .entry(name.to_string())
+            .or_insert(Slot { at, shown: false });
+        if slot.at == at {
+            self.values.push(0);
+        }
+        CounterId(slot.at)
     }
 
     /// Adds `n` to a pre-registered counter (saturating).

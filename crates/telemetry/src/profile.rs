@@ -8,14 +8,16 @@
 //! [`ProfileRegistry`] scope — one scope per `node × channel overload`
 //! — which also holds the static per-site step bounds and
 //! superinstruction candidates computed by `planp-analysis::profile`.
+//! What a scope knows statically is a [`ScopeShape`], built once per
+//! program and channel overload and shared by every node that runs it.
 //! Charging touches no map and allocates nothing: a scope counts in a
 //! dense array parallel to its declared sites, and a block charge —
 //! a run of consecutive positions of the compiled program's site pool
-//! ([`ProfileRegistry::bind_blocks`]) — is two adds into a difference
-//! array over those positions, whatever the block's length. The
-//! prefix sums are taken, and the per-site map view
-//! ([`ScopeProfile::sites`]) built, when an export reads them. Everything downstream is a deterministic join of observed
-//! and static:
+//! the shape indexes — is two adds into a difference array over those
+//! positions, whatever the block's length. The prefix sums are taken,
+//! and the per-site map view ([`ScopeProfile::sites`]) built, when an
+//! export reads them. Everything downstream is a deterministic join of
+//! observed and static:
 //!
 //! * [`ProfileRegistry::collapsed_flame`] — flamegraph collapsed-stack
 //!   lines (`planp;node;chan#ov;site-label count`);
@@ -41,63 +43,119 @@
 use crate::json::{push_key, push_str};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Static metadata of one site within a scope.
 #[derive(Debug, Clone)]
-pub struct SiteMeta {
+struct SiteMeta {
     /// Human label, `line:col:kind` (flame-frame safe).
-    pub label: String,
+    label: String,
     /// Static step bound per dispatch.
-    pub bound: u64,
+    bound: u64,
 }
 
 /// A static superinstruction candidate attached to a scope.
 #[derive(Debug, Clone)]
-pub struct PatternMeta {
+struct PatternMeta {
     /// Pattern tag (`hdr_compare_branch`, `table_forward`).
-    pub pattern: String,
+    pattern: String,
     /// Participating site ids, ascending.
-    pub sites: Vec<u32>,
+    sites: Vec<u32>,
     /// `line:col` of the anchoring node.
-    pub label: String,
+    label: String,
 }
 
 /// Handle to a declared profile scope (pre-resolved, cheap to copy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScopeId(usize);
 
+/// What a scope knows before it counts anything: one channel overload
+/// of one program, its sites' labels and static bounds, its
+/// superinstruction candidates, and where a charge at each position of
+/// the compiled program's site pool is counted. Built once per program
+/// and shared, by `Rc`, by the scope of every node that runs it.
+#[derive(Debug)]
+pub struct ScopeShape {
+    /// Channel name.
+    chan: String,
+    /// Overload index.
+    overload: u32,
+    /// Static per-site metadata (label + per-dispatch bound).
+    meta: BTreeMap<u32, SiteMeta>,
+    /// The declared sites, ascending (the keys of `meta`).
+    ids: Vec<u32>,
+    /// Static superinstruction candidates in this scope.
+    patterns: Vec<PatternMeta>,
+    /// Per position of the site pool, where a charge there is counted:
+    /// the index into a scope's counts, or (`Err`) the site itself if
+    /// this shape does not declare it.
+    block_index: Vec<Result<u32, u32>>,
+}
+
+impl ScopeShape {
+    /// The shape of overload `overload` of channel `chan`: its sites as
+    /// `(site, label, bound)`, its candidates as `(pattern, sites,
+    /// label)`, and the compiled program's site pool (`pool[p]` is the
+    /// site at position `p`), so [`ProfileRegistry::charge_block`]
+    /// reaches a block's counters by position. Under an empty pool
+    /// every block charge is counted one site at a time.
+    pub fn new(
+        chan: &str,
+        overload: u32,
+        sites: impl IntoIterator<Item = (u32, String, u64)>,
+        patterns: impl IntoIterator<Item = (String, Vec<u32>, String)>,
+        pool: &[u32],
+    ) -> Self {
+        let meta: BTreeMap<u32, SiteMeta> = sites
+            .into_iter()
+            .map(|(site, label, bound)| (site, SiteMeta { label, bound }))
+            .collect();
+        let ids: Vec<u32> = meta.keys().copied().collect();
+        let slot = |site: &u32| match ids.binary_search(site) {
+            Ok(i) => Ok(i as u32),
+            Err(_) => Err(*site),
+        };
+        let block_index = pool.iter().map(slot).collect();
+        let patterns = patterns
+            .into_iter()
+            .map(|(pattern, sites, label)| PatternMeta {
+                pattern,
+                sites,
+                label,
+            })
+            .collect();
+        ScopeShape {
+            chan: chan.to_string(),
+            overload,
+            meta,
+            ids,
+            patterns,
+            block_index,
+        }
+    }
+}
+
 /// The accumulated profile of one `node × channel overload`.
 #[derive(Debug, Clone)]
 pub struct ScopeProfile {
     /// Node display name.
     pub node: String,
-    /// Channel name.
-    pub chan: String,
-    /// Overload index.
-    pub overload: u32,
     /// Dispatches recorded into this profile.
     pub dispatches: u64,
     /// Dispatches skipped by sampling.
     pub skipped: u64,
     /// Aggregate steps over recorded dispatches.
     pub steps: u64,
-    /// Static per-site metadata (label + per-dispatch bound).
-    pub meta: BTreeMap<u32, SiteMeta>,
-    /// Static superinstruction candidates in this scope.
-    pub patterns: Vec<PatternMeta>,
     /// Recorded dispatches where Σ per-site ≠ aggregate (soundness
     /// violations; must stay zero).
     pub mismatches: u64,
-    /// The declared sites, ascending (the keys of `meta`).
-    ids: Vec<u32>,
-    /// Observed steps per declared site, parallel to `ids`.
+    /// The channel overload, its static sites and candidates.
+    shape: Rc<ScopeShape>,
+    /// Observed steps per declared site, parallel to `shape.ids`.
     counts: Vec<u64>,
-    /// Observed steps of sites missing from `meta` (must stay empty).
+    /// Observed steps of sites missing from `shape.meta` (must stay
+    /// empty).
     stray: BTreeMap<u32, u64>,
-    /// Per position of the bound site pool, where a charge there is
-    /// counted: the index into `counts`, or (`Err`) the site itself if
-    /// this scope did not declare it.
-    block_index: Vec<Result<u32, u32>>,
     /// Block charges not yet in `counts`/`stray`, as a difference array
     /// over pool positions: `+n` where a charged run begins, `-n` just
     /// past its end (so one slot longer than the pool).
@@ -109,14 +167,14 @@ pub struct ScopeProfile {
 impl ScopeProfile {
     /// The registry key of this scope.
     pub fn key(&self) -> String {
-        scope_key(&self.node, &self.chan, self.overload)
+        scope_key(&self.node, &self.shape.chan, self.shape.overload)
     }
 
     /// Observed steps per site, ascending, observed sites only
     /// (recorded dispatches only) — the map view of the dense counters.
     pub fn sites(&self) -> BTreeMap<u32, u64> {
         let (counts, stray) = self.totals();
-        let declared = self.ids.iter().copied().zip(counts);
+        let declared = self.shape.ids.iter().copied().zip(counts);
         declared.filter(|&(_, n)| n > 0).chain(stray).collect()
     }
 
@@ -132,7 +190,7 @@ impl ScopeProfile {
     fn totals(&self) -> (Vec<u64>, BTreeMap<u32, u64>) {
         let (mut counts, mut stray) = (self.counts.clone(), self.stray.clone());
         let mut here = 0i64;
-        for (slot, d) in self.block_index.iter().zip(&self.diff) {
+        for (slot, d) in self.shape.block_index.iter().zip(&self.diff) {
             here += d;
             if here != 0 {
                 match *slot {
@@ -144,15 +202,14 @@ impl ScopeProfile {
         (counts, stray)
     }
 
-    /// Replaces the static site table, carrying observations over.
-    fn redeclare(&mut self, meta: BTreeMap<u32, SiteMeta>) {
+    /// Replaces the shape, carrying observations over: what the blocks
+    /// of the old pool charged stays.
+    fn redeclare(&mut self, shape: &Rc<ScopeShape>) {
         let observed = self.sites();
-        self.ids = meta.keys().copied().collect();
-        self.counts = vec![0; self.ids.len()];
+        self.shape = shape.clone();
+        self.counts = vec![0; shape.ids.len()];
         self.stray.clear();
-        self.block_index.clear();
-        self.diff.clear();
-        self.meta = meta;
+        self.diff = vec![0; shape.block_index.len() + 1];
         for (site, n) in observed {
             self.add(site, n);
         }
@@ -162,7 +219,7 @@ impl ScopeProfile {
     /// stray — ascending, as `(site, observed, label, bound)`.
     fn site_rows(&self) -> Vec<(u32, u64, &str, u64)> {
         let (counts, stray) = self.totals();
-        let declared = self.meta.iter().zip(counts);
+        let declared = self.shape.meta.iter().zip(counts);
         let mut rows: Vec<_> = declared
             .map(|((&site, m), n)| (site, n, m.label.as_str(), m.bound))
             .collect();
@@ -174,7 +231,7 @@ impl ScopeProfile {
     /// Observed steps over the sites of a pattern.
     fn observed(&self, sites: &[u32]) -> u64 {
         let (counts, stray) = self.totals();
-        let of = |site: &u32| match self.ids.binary_search(site) {
+        let of = |site: &u32| match self.shape.ids.binary_search(site) {
             Ok(i) => counts[i],
             Err(_) => stray.get(site).copied().unwrap_or(0),
         };
@@ -182,7 +239,7 @@ impl ScopeProfile {
     }
 
     fn add(&mut self, site: u32, n: u64) {
-        match self.ids.binary_search(&site) {
+        match self.shape.ids.binary_search(&site) {
             Ok(i) => self.counts[i] += n,
             Err(_) => *self.stray.entry(site).or_insert(0) += n,
         }
@@ -238,75 +295,32 @@ impl Default for ProfileRegistry {
 }
 
 impl ProfileRegistry {
-    /// Declares (or re-resolves) the scope `node.<node>.chan.<chan>#<ov>`.
+    /// Declares (or re-resolves) the scope of `shape` on `node`,
+    /// `node.<node>.chan.<chan>#<ov>`.
     ///
     /// Idempotent by key: a redeploy or crash-restart re-declares the
-    /// same scope and keeps the accumulated profile — static metadata
-    /// is refreshed from the (identical) analysis.
-    pub fn declare(
-        &mut self,
-        node: &str,
-        chan: &str,
-        overload: u32,
-        sites: impl IntoIterator<Item = (u32, String, u64)>,
-        patterns: impl IntoIterator<Item = (String, Vec<u32>, String)>,
-    ) -> ScopeId {
-        let key = scope_key(node, chan, overload);
-        let meta: BTreeMap<u32, SiteMeta> = sites
-            .into_iter()
-            .map(|(site, label, bound)| (site, SiteMeta { label, bound }))
-            .collect();
-        let patterns: Vec<PatternMeta> = patterns
-            .into_iter()
-            .map(|(pattern, sites, label)| PatternMeta {
-                pattern,
-                sites,
-                label,
-            })
-            .collect();
-        if let Some(&i) = self.index.get(&key) {
-            self.scopes[i].redeclare(meta);
-            self.scopes[i].patterns = patterns;
+    /// same scope and keeps the accumulated profile under the new shape.
+    pub fn declare(&mut self, node: &str, shape: &Rc<ScopeShape>) -> ScopeId {
+        let next = self.scopes.len();
+        let key = scope_key(node, &shape.chan, shape.overload);
+        let i = *self.index.entry(key).or_insert(next);
+        if i < next {
+            self.scopes[i].redeclare(shape);
             return ScopeId(i);
         }
-        let i = self.scopes.len();
-        let mut scope = ScopeProfile {
+        self.scopes.push(ScopeProfile {
             node: node.to_string(),
-            chan: chan.to_string(),
-            overload,
             dispatches: 0,
             skipped: 0,
             steps: 0,
-            meta: BTreeMap::new(),
-            patterns,
             mismatches: 0,
-            ids: Vec::new(),
-            counts: Vec::new(),
+            shape: shape.clone(),
+            counts: vec![0; shape.ids.len()],
             stray: BTreeMap::new(),
-            block_index: Vec::new(),
-            diff: Vec::new(),
+            diff: vec![0; shape.block_index.len() + 1],
             pending: 0,
-        };
-        scope.redeclare(meta);
-        self.scopes.push(scope);
-        self.index.insert(key, i);
+        });
         ScopeId(i)
-    }
-
-    /// Binds scope `id` to a compiled program's site pool (`pool[p]` is
-    /// the site at position `p`), so [`ProfileRegistry::charge_block`]
-    /// reaches a block's counters by position. Call after `declare`; a
-    /// scope that is not bound still counts, one lookup per site.
-    pub fn bind_blocks(&mut self, id: ScopeId, pool: &[u32]) {
-        let s = &mut self.scopes[id.0];
-        // What the blocks of the pool bound before have charged stays.
-        (s.counts, s.stray) = s.totals();
-        let slot = |site: &u32| match s.ids.binary_search(site) {
-            Ok(i) => Ok(i as u32),
-            Err(_) => Err(*site),
-        };
-        s.block_index = pool.iter().map(slot).collect();
-        s.diff = vec![0; pool.len() + 1];
     }
 
     /// Sets the sampling denominator: record 1 of every `n` dispatches
@@ -391,7 +405,7 @@ impl ProfileRegistry {
                 let _ = writeln!(
                     out,
                     "planp;{};{}#{};{label} {steps}",
-                    s.node, s.chan, s.overload
+                    s.node, s.shape.chan, s.shape.overload
                 );
             }
         }
@@ -463,7 +477,7 @@ impl ProfileRegistry {
     pub fn superinstruction_report(&self) -> String {
         let mut ranked: Vec<(u64, String, String, String)> = Vec::new();
         for s in self.scopes() {
-            for p in &s.patterns {
+            for p in &s.shape.patterns {
                 let observed = s.observed(&p.sites);
                 ranked.push((observed, s.key(), p.label.clone(), p.pattern.clone()));
             }
@@ -513,7 +527,7 @@ impl ProfileRegistry {
                 out.push('}');
             }
             out.push_str("],\"patterns\":[");
-            for (j, p) in s.patterns.iter().enumerate() {
+            for (j, p) in s.shape.patterns.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
@@ -551,9 +565,9 @@ mod tests {
         reg.record(id, steps);
     }
 
-    fn declared(reg: &mut ProfileRegistry) -> ScopeId {
-        reg.declare(
-            "gw",
+    /// The shape of `gw`'s scope over the site pool `pool`.
+    fn gw_shape(pool: &[u32]) -> Rc<ScopeShape> {
+        Rc::new(ScopeShape::new(
             "network",
             0,
             [
@@ -565,7 +579,12 @@ mod tests {
                 vec![10, 20],
                 "1:1".to_string(),
             )],
-        )
+            pool,
+        ))
+    }
+
+    fn declared(reg: &mut ProfileRegistry) -> ScopeId {
+        reg.declare("gw", &gw_shape(&[]))
     }
 
     #[test]
@@ -588,10 +607,7 @@ mod tests {
         let pool = [10, 20, 30, 10, 20];
         let per_site = |bound: bool| {
             let mut reg = ProfileRegistry::default();
-            let id = declared(&mut reg);
-            if bound {
-                reg.bind_blocks(id, &pool);
-            }
+            let id = reg.declare("gw", &gw_shape(if bound { &pool } else { &[] }));
             assert!(reg.should_profile(id));
             reg.charge_block(id, 0, &pool[0..2], 1);
             reg.charge_block(id, 2, &pool[2..5], 1);
@@ -616,10 +632,9 @@ mod tests {
     }
 
     #[test]
-    fn rebinding_to_another_pool_keeps_what_the_old_blocks_charged() {
+    fn redeclaring_over_another_pool_keeps_what_the_old_blocks_charged() {
         let mut reg = ProfileRegistry::default();
-        let id = declared(&mut reg);
-        reg.bind_blocks(id, &[10, 20, 30]);
+        let id = reg.declare("gw", &gw_shape(&[10, 20, 30]));
         assert!(reg.should_profile(id));
         reg.charge_block(id, 0, &[10, 20, 30], 1);
         reg.charge_block(id, 1, &[20], 1);
@@ -627,7 +642,7 @@ mod tests {
         // Same sites at other positions: a charge still pending in the
         // old positions must not be read through the new table.
         let pool = [30, 20, 20, 10];
-        reg.bind_blocks(id, &pool);
+        assert_eq!(reg.declare("gw", &gw_shape(&pool)), id);
         assert!(reg.should_profile(id));
         reg.charge_block(id, 1, &pool[1..4], 2);
         reg.record(id, 6);
@@ -639,14 +654,12 @@ mod tests {
     #[test]
     fn redeclaring_with_other_sites_keeps_observations() {
         let mut reg = ProfileRegistry::default();
-        let id = declared(&mut reg);
-        reg.bind_blocks(id, &[10, 20]);
+        let id = reg.declare("gw", &gw_shape(&[10, 20]));
         assert!(reg.should_profile(id));
         record(&mut reg, id, &[(10, 2), (20, 1)], 3);
         // A redeploy of a different program: site 20 is gone, 40 is new,
         // and the old pool no longer applies.
-        let again = reg.declare(
-            "gw",
+        let other = ScopeShape::new(
             "network",
             0,
             [
@@ -654,7 +667,9 @@ mod tests {
                 (40, "4:1:seq".to_string(), 1),
             ],
             [],
+            &[],
         );
+        let again = reg.declare("gw", &Rc::new(other));
         assert_eq!(again, id);
         assert!(reg.should_profile(id));
         reg.charge_block(id, 0, &[40, 10], 1);
@@ -694,13 +709,14 @@ mod tests {
         let build = || {
             let mut reg = ProfileRegistry::default();
             let id = declared(&mut reg);
-            let other = reg.declare(
-                "gw",
+            let mon = ScopeShape::new(
                 "mon",
                 0,
                 [(30, "3:1:seq".to_string(), 5)],
                 [("table_forward".to_string(), vec![30], "3:1".to_string())],
+                &[],
             );
+            let other = reg.declare("gw", &Rc::new(mon));
             for _ in 0..3 {
                 assert!(reg.should_profile(id));
                 record(&mut reg, id, &[(10, 2), (20, 1)], 3);
@@ -727,13 +743,14 @@ mod tests {
     #[test]
     fn heatmap_flags_hot_and_slack() {
         let mut reg = ProfileRegistry::default();
-        let id = reg.declare(
-            "n0",
+        let shape = ScopeShape::new(
             "c",
             0,
             [(1, "1:1:if".to_string(), 1), (2, "1:4:int".to_string(), 50)],
             [],
+            &[],
         );
+        let id = reg.declare("n0", &Rc::new(shape));
         assert!(reg.should_profile(id));
         // Site 1 fully used (1000‰, hot); site 2 uses 1 of 50 (20‰, slack).
         record(&mut reg, id, &[(1, 1), (2, 1)], 2);
