@@ -236,14 +236,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// A new slot for `name`, at 0.
-    fn new_slot(&mut self, name: &str, shown: bool) -> u32 {
-        let at = self.values.len() as u32;
-        self.values.push(0);
-        self.slots.insert(name.to_string(), Slot { at, shown });
-        at
-    }
-
     /// Resolves `name` to a stable integer handle, registering it at 0
     /// on first use. Call once at install time; increment through the
     /// handle on the hot path.
@@ -282,7 +274,13 @@ impl MetricsRegistry {
                 slot.shown = true;
                 slot.at
             }
-            None => self.new_slot(name, true),
+            None => {
+                let at = self.values.len() as u32;
+                self.values.push(0);
+                self.slots
+                    .insert(name.to_string(), Slot { at, shown: true });
+                at
+            }
         };
         self.add_id(CounterId(at), n);
     }
