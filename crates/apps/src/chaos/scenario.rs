@@ -26,7 +26,9 @@
 use super::apps::{SeqCollector, SeqSource};
 use super::asp::{FRAGILE_RELAY_ASP, RELIABLE_RELAY_ASP};
 use crate::plans::{resolve_asp, RELAY_CHAIN_FRAGILE_PLAN, RELAY_CHAIN_RELIABLE_PLAN};
-use netsim::{FaultAction, FaultPlan, FaultStats, LinkFaults, LinkId, Sim, SimTime, TopoSpec};
+use netsim::{
+    FaultAction, FaultPlan, FaultStats, LinkFaults, LinkId, Sim, SimTime, TopoSpec, Watch,
+};
 use planp_analysis::cost::cost_bounds;
 use planp_analysis::Policy;
 use planp_lang::compile_front;
@@ -360,18 +362,22 @@ pub fn run_relay_chaos(cfg: &RelayChaosConfig) -> RelayChaosResult {
         // The crash schedule targets the middle relay; freeze its
         // recent flight-recorder window on the first breached rule.
         mon.dump_on_breach = vec![relays[RELAYS / 2].0 as u32];
-        sim.monitor = Some(mon);
+        sim.instruments.watch = Some(Watch::new(mon, None));
     }
 
     sim.run_until(SimTime::from_secs(cfg.duration_s));
 
-    let health = sim.monitor.take().map(|mon| ChaosHealth {
-        report: mon.render_report(),
-        breaches: mon.breaches(),
-        delivery_breaches: mon.breaches_of("delivery_floor"),
-        delivery_recovered: mon.last_ok("delivery_floor"),
-        flight: sim.telemetry.flight.render_dumps(&sim.telemetry.nodes),
-    });
+    let health = sim
+        .instruments
+        .watch
+        .take()
+        .map(|Watch { monitor: mon, .. }| ChaosHealth {
+            report: mon.render_report(),
+            breaches: mon.breaches(),
+            delivery_breaches: mon.breaches_of("delivery_floor"),
+            delivery_recovered: mon.last_ok("delivery_floor"),
+            flight: sim.telemetry.flight.render_dumps(&sim.telemetry.nodes),
+        });
 
     // Static linearity bound of the data path ("network" channel): the
     // cap on how far an injected duplicate can amplify.
@@ -409,7 +415,7 @@ pub fn run_relay_chaos(cfg: &RelayChaosConfig) -> RelayChaosResult {
         recovery_failures,
         crashes: sim.nodes().map(|n| n.crashes).sum(),
         state_lost: sim.nodes().map(|n| n.state_lost).sum(),
-        fault: sim.fault_stats,
+        fault: sim.faults.stats,
         total_link_drops: sim.total_link_drops,
         sum_link_drops: sim.links().map(|l| l.drops).sum(),
         sum_fault_drops: sim.links().map(|l| l.fault_drops).sum(),

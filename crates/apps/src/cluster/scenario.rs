@@ -32,7 +32,7 @@
 use super::gateway::{BackendSpec, ClusterGateway, GatewayConfig};
 use netsim::node::CpuModel;
 use netsim::packet::{addr, Packet};
-use netsim::{App, FaultPlan, LinkSpec, NodeApi, Sim, SimTime};
+use netsim::{App, FaultPlan, LinkSpec, NodeApi, Sim, SimTime, Watch};
 use planp_analysis::Policy;
 use planp_runtime::{install_planp, load, Admission, Engine, LayerConfig};
 use planp_telemetry::{
@@ -534,19 +534,19 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
         mon = mon.rule(rule);
     }
     mon.dump_on_breach = vec![gw.0 as u32];
-    sim.monitor = Some(mon);
-    sim.brownout = Some(BrownoutController::new(BrownoutConfig::default()));
+    let brownout = BrownoutController::new(BrownoutConfig::default());
+    sim.instruments.watch = Some(Watch::new(mon, Some(brownout)));
 
     sim.run_until(SimTime::from_secs(cfg.duration_s));
 
-    let brownout = sim.brownout.take().expect("installed above");
+    let watch = sim.instruments.watch.take().expect("installed above");
+    let (mon, brownout) = (watch.monitor, watch.brownout.expect("installed above"));
     let mut brownout_log = String::new();
     let mut max_brownout = 0;
     for (t_ns, from, to, rule) in brownout.transitions() {
         max_brownout = max_brownout.max(*to);
         let _ = writeln!(brownout_log, "t_ns={t_ns} {from} -> {to} rule={rule}");
     }
-    let mon = sim.monitor.take().expect("installed above");
     let corpse_drops = sim
         .nodes()
         .enumerate()

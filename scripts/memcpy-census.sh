@@ -28,12 +28,12 @@ function hex(s,    i, c, v) {
     return v
 }
 BEGIN {
-    paths = "Sim::(arrive|process_arrival|deliver_local|deliver_to_app)>:$" \
+    paths = "Sim>?::(arrive|process_arrival|deliver_local|deliver_to_app)>:$" \
         "|NodeApi::send>:$|enqueue_on_link>:$|PacketSlab::(put|take)>:$" \
         "|(PlanpLayer|ClusterGateway|NativeHttpGateway) as netsim::node::PacketHook>::on_packet>:$" \
         "|SimNetEnv::outgoing>:$|SimNetEnv as planp_vm::env::NetEnv>::send_remote>:$"
 }
-# A function header: `00000000001c7010 <netsim::sim::Sim::arrive>:`
+# A function header: `00000000001c7010 <netsim::ip::<impl netsim::sim::Sim>::arrive>:`
 /^[0-9a-f]+ <.*>:$/ {
     inside = ($0 ~ paths)
     sym = $0; sub(/^[0-9a-f]+ </, "", sym); sub(/>:$/, "", sym)
