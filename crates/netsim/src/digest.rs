@@ -1,0 +1,87 @@
+//! [`Sim::state_digest`]: one FNV-1a hash of the state a run carries
+//! forward, so two runs can be compared by where they *are* and not only
+//! by what they printed.
+//!
+//! Each part feeds what it holds into one [`Fnv`]: the clock and the
+//! event queue, the links, the nodes, the fault state, the instruments.
+//! What only observes the run stays out: the trace log,
+//! `events_elided`, whether a completion was elided (a link-traced run
+//! elides none), a packet's head-sampling flag, and slab slot numbers,
+//! which no ordering decision reads. Maps that are looked up and never
+//! iterated are fed in sorted key order. The digest is computed only
+//! when asked and is never written into a byte-stable output.
+
+use crate::packet::Packet;
+use crate::sim::Sim;
+use std::hash::{Hash, Hasher};
+
+/// FNV-1a over every byte it is fed.
+pub(crate) struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Feeds `pkt`'s identity, headers, payload and lineage.
+pub(crate) fn packet(pkt: &Packet, h: &mut Fnv) {
+    let transport = format!("{:?}", pkt.transport);
+    (pkt.id, pkt.ip, transport, &pkt.payload[..]).hash(h);
+    let l = &pkt.lineage;
+    (l.trace, l.parent, l.deadline_ns, format!("{:?}", l.origin)).hash(h);
+    for tag in [&pkt.tag, &l.chan] {
+        tag.as_ref().map(|t| (&*t.chan, t.overload)).hash(h);
+    }
+}
+
+/// Feeds the entries of a lookup-only map in key order.
+pub(crate) fn sorted<K: Ord + Hash, V: Hash>(entries: impl Iterator<Item = (K, V)>, h: &mut Fnv) {
+    let mut entries: Vec<(K, V)> = entries.collect();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries.hash(h);
+}
+
+impl Sim {
+    /// A digest of everything the simulation carries forward: the
+    /// clock, the `(at, seq)` and contents of every queued event, the
+    /// links' queues, transmissions and counters, the nodes' counters,
+    /// routes, rng states, CPU queues and `down` flags, the fault rng,
+    /// partition and counters, and the monitor's and brownout
+    /// controller's state. Two runs of one seed agree on it at every
+    /// point they both reach; the first point where they differ is
+    /// where they diverged. Take it after `run_until` returns: every
+    /// completion that could have been elided is settled by then, so a
+    /// run with `link` tracing on, which elides none, agrees with one
+    /// that has it off.
+    pub fn state_digest(&self) -> u64 {
+        let mut h = Fnv::default();
+        (self.now, self.now_seq, self.horizon, self.started).hash(&mut h);
+        (self.next_pkt_id, self.events_processed).hash(&mut h);
+        (self.total_link_drops, self.total_node_drops).hash(&mut h);
+        sorted(self.addr_map.iter(), &mut h);
+        self.sched.digest(&mut h);
+        for link in &self.links {
+            link.digest(&self.sched.packets, &mut h);
+        }
+        for node in &self.nodes {
+            node.digest(&self.sched.packets, &mut h);
+        }
+        self.faults.digest(&mut h);
+        self.instruments.digest(&mut h);
+        self.telemetry.overload.summary().hash(&mut h);
+        h.finish()
+    }
+}

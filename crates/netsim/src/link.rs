@@ -12,9 +12,11 @@
 //! PLAN-P `linkLoad` primitive reports to router programs (the paper's
 //! "monitoring the bandwidth of outgoing links", section 3.1).
 
-use crate::sched::PktRef;
+use crate::digest::{self, Fnv};
+use crate::sched::{PacketSlab, PktRef};
 use crate::time::SimTime;
 use std::collections::VecDeque;
+use std::hash::Hash;
 use std::time::Duration;
 
 /// Identifies a link within a [`Sim`](crate::sim::Sim).
@@ -202,6 +204,29 @@ impl Link {
             0
         };
         partial.max(self.last_window_kbps)
+    }
+
+    /// Feeds the queue, the transmission on the medium (not whether its
+    /// completion was elided), the fault settings and the counters.
+    pub(crate) fn digest(&self, slab: &PacketSlab, h: &mut Fnv) {
+        let queued = |q: &Queued, h: &mut Fnv| {
+            (q.bytes, q.from, q.next_hop, q.enq_ns).hash(h);
+            digest::packet(slab.get(q.pkt), h);
+        };
+        self.queue.len().hash(h);
+        for q in &self.queue {
+            queued(q, h);
+        }
+        let tx = self.transmitting.as_ref();
+        tx.map(|tx| (tx.done_at, tx.seq)).hash(h);
+        if let Some(tx) = tx {
+            queued(&tx.q, h);
+        }
+        let f = self.faults;
+        let faults = [f.loss, f.corrupt, f.duplicate, f.jitter_ms].map(f64::to_bits);
+        (self.fault_down, faults, self.drops, self.fault_drops).hash(h);
+        (self.tx_packets, self.tx_bytes, self.window_start).hash(h);
+        (self.window_bytes, self.last_window_kbps).hash(h);
     }
 
     /// Current queue length in packets (including the one in flight).

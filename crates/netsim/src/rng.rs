@@ -10,7 +10,7 @@
 use std::hash::{BuildHasher, Hasher};
 
 /// SplitMix64 state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SplitMix64 {
     state: u64,
 }
