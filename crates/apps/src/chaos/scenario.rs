@@ -89,6 +89,13 @@ impl RelayKind {
     }
 }
 
+/// Datagrams the source sends.
+const PACKETS: u64 = 400;
+/// Source pacing between datagrams.
+const INTERVAL: Duration = Duration::from_millis(2);
+/// When the impairments switch on (seconds).
+const FAULT_FROM_S: f64 = 0.01;
+
 /// One chaos run's configuration.
 #[derive(Debug, Clone)]
 pub struct RelayChaosConfig {
@@ -97,14 +104,8 @@ pub struct RelayChaosConfig {
     /// Impairments applied to **every** link of the chain (loss
     /// compounds per hop).
     pub faults: LinkFaults,
-    /// When the impairments switch on (seconds).
-    pub fault_from_s: f64,
     /// Crash/restart schedule for the middle relay (`r2`), if any.
     pub crash_relay: Option<(f64, f64)>,
-    /// Datagrams the source sends.
-    pub packets: u64,
-    /// Source pacing (milliseconds between datagrams).
-    pub interval_ms: u64,
     /// Total simulated time (seconds) — leave room after the last send
     /// for NACK-driven repair to drain.
     pub duration_s: u64,
@@ -130,10 +131,7 @@ impl RelayChaosConfig {
         RelayChaosConfig {
             kind,
             faults,
-            fault_from_s: 0.01,
             crash_relay: None,
-            packets: 400,
-            interval_ms: 2,
             duration_s: 5,
             seed: 7,
             engine: Engine::Jit,
@@ -326,11 +324,7 @@ pub fn run_relay_chaos(cfg: &RelayChaosConfig) -> RelayChaosResult {
     )
     .expect("verified plan installs");
 
-    let src_app = SeqSource::new(
-        dst_addr,
-        cfg.packets,
-        Duration::from_millis(cfg.interval_ms),
-    );
+    let src_app = SeqSource::new(dst_addr, PACKETS, INTERVAL);
     let src_stats = src_app.stats.clone();
     sim.add_app(source, Box::new(src_app));
     let collector = SeqCollector::new();
@@ -341,7 +335,7 @@ pub fn run_relay_chaos(cfg: &RelayChaosConfig) -> RelayChaosResult {
     if !cfg.faults.is_clean() {
         for l in 0..link_count {
             plan = plan.at(
-                cfg.fault_from_s,
+                FAULT_FROM_S,
                 FaultAction::SetLinkFaults {
                     link: LinkId(l),
                     faults: cfg.faults,
@@ -410,7 +404,7 @@ pub fn run_relay_chaos(cfg: &RelayChaosConfig) -> RelayChaosResult {
         unique: col.unique,
         duplicates: col.duplicates,
         mangled: col.mangled,
-        delivery_ratio: col.unique as f64 / cfg.packets.max(1) as f64,
+        delivery_ratio: col.unique as f64 / PACKETS as f64,
         redeploys,
         recovery_failures,
         crashes: sim.nodes().map(|n| n.crashes).sum(),

@@ -37,6 +37,7 @@
 //! [`DropReason::Shed`]: planp_telemetry::DropReason
 //! [`OverloadState::brownout_level`]: planp_telemetry::OverloadState
 
+use super::scenario::CLUSTER_PORT;
 use netsim::packet::Packet;
 use netsim::{ArrivalMeta, HookVerdict, NodeApi, PacketHook};
 use planp_telemetry::{BreakerState, Category, CounterId, DropReason, Telemetry, TraceEvent};
@@ -58,62 +59,30 @@ pub struct BackendSpec {
     pub weight: u32,
 }
 
-/// Per-backend circuit-breaker policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive timeouts that open a closed breaker.
-    pub fail_threshold: u32,
-    /// An outstanding request older than this has timed out.
-    pub timeout_ns: u64,
-    /// How long an open breaker waits before going half-open.
-    pub open_ns: u64,
-    /// Sweep-timer period: how often outstanding requests are checked
-    /// for timeout (detection latency is `timeout_ns + sweep_ns` worst
-    /// case).
-    pub sweep_ns: u64,
-}
+/// Ring vnodes per unit of backend weight.
+const VNODES: u32 = 16;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            fail_threshold: 3,
-            timeout_ns: 100_000_000,
-            open_ns: 400_000_000,
-            sweep_ns: 25_000_000,
-        }
-    }
-}
+/// Outstanding-request cap per unit of backend weight (bounded load):
+/// `4 × 12` stays below a backend's 64-packet CPU queue, so admitted
+/// work is never tail-dropped by a healthy backend.
+const OUTSTANDING_PER_WEIGHT: u32 = 12;
 
-/// Gateway policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatewayConfig {
-    /// UDP port requests arrive on (responses carry it as sport).
-    pub port: u16,
-    /// Ring vnodes per unit of backend weight.
-    pub vnodes: u32,
-    /// Outstanding-request cap per unit of backend weight (bounded
-    /// load). Keep `weight × this` below the backend's CPU queue so
-    /// admitted work is never tail-dropped by a healthy backend.
-    pub outstanding_per_weight: u32,
-    /// Priority classes strictly below this are shed while the
-    /// gateway's own CPU queue is ≥ ¾ full (0 disables backpressure
-    /// shedding).
-    pub queue_shed_below: u8,
-    /// Breaker policy.
-    pub breaker: BreakerConfig,
-}
+/// Priority classes strictly below this are shed while the gateway's
+/// own CPU queue is ≥ ¾ full.
+const QUEUE_SHED_BELOW: u8 = 2;
 
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            port: super::scenario::CLUSTER_PORT,
-            vnodes: 16,
-            outstanding_per_weight: 12,
-            queue_shed_below: 2,
-            breaker: BreakerConfig::default(),
-        }
-    }
-}
+/// Consecutive timeouts that open a closed breaker.
+const FAIL_THRESHOLD: u32 = 3;
+
+/// An outstanding request older than this has timed out.
+const TIMEOUT_NS: u64 = 100_000_000;
+
+/// How long an open breaker waits before going half-open.
+const OPEN_NS: u64 = 400_000_000;
+
+/// Sweep-timer period: how often outstanding requests are checked for
+/// timeout (detection latency is `TIMEOUT_NS + SWEEP` worst case).
+const SWEEP: Duration = Duration::from_millis(25);
 
 /// What the gateway did that no `gw.*` counter holds, shared out via
 /// `Rc<RefCell<…>>`. The counts — `gw.admitted`, `gw.responses`,
@@ -176,8 +145,8 @@ struct BackendState {
 }
 
 impl BackendState {
-    fn cap(&self, per_weight: u32) -> u32 {
-        self.spec.weight.max(1) * per_weight
+    fn cap(&self) -> u32 {
+        self.spec.weight.max(1) * OUTSTANDING_PER_WEIGHT
     }
 }
 
@@ -229,7 +198,6 @@ impl RingWalk {
 
 /// The gateway hook. Install on the router fronting the backends.
 pub struct ClusterGateway {
-    cfg: GatewayConfig,
     backends: Vec<BackendState>,
     /// `(ring position, backend index)`, sorted by position.
     ring: Vec<(u64, u32)>,
@@ -252,7 +220,7 @@ pub struct ClusterGateway {
 impl ClusterGateway {
     /// Builds the gateway and registers its counters. Panics above 64
     /// backends (the ring walk tracks visited backends in a bitmask).
-    pub fn new(cfg: GatewayConfig, backends: Vec<BackendSpec>, tel: &mut Telemetry) -> Self {
+    pub fn new(backends: Vec<BackendSpec>, tel: &mut Telemetry) -> Self {
         assert!(
             !backends.is_empty() && backends.len() <= 64,
             "1..=64 backends"
@@ -277,13 +245,12 @@ impl ClusterGateway {
             .collect();
         let mut ring = Vec::new();
         for (b, st) in backends.iter().enumerate() {
-            for v in 0..cfg.vnodes * st.spec.weight.max(1) {
+            for v in 0..VNODES * st.spec.weight.max(1) {
                 ring.push((mix(mix(b as u64 + 1) ^ u64::from(v)), b as u32));
             }
         }
         ring.sort_unstable();
         ClusterGateway {
-            cfg,
             backends,
             ring,
             pending: BTreeMap::new(),
@@ -340,13 +307,13 @@ impl ClusterGateway {
             && now_ns
                 >= self.backends[b as usize]
                     .opened_at_ns
-                    .saturating_add(self.cfg.breaker.open_ns)
+                    .saturating_add(OPEN_NS)
         {
             self.transition(api, b, BreakerState::HalfOpen);
         }
         let st = &self.backends[b as usize];
         match st.state {
-            BreakerState::Closed => st.outstanding < st.cap(self.cfg.outstanding_per_weight),
+            BreakerState::Closed => st.outstanding < st.cap(),
             BreakerState::Open => false,
             BreakerState::HalfOpen => !st.probe_in_flight,
         }
@@ -371,7 +338,7 @@ impl ClusterGateway {
         let timed_out: Vec<(u64, Pending)> = self
             .pending
             .iter()
-            .filter(|(_, p)| now_ns >= p.sent_ns.saturating_add(self.cfg.breaker.timeout_ns))
+            .filter(|(_, p)| now_ns >= p.sent_ns.saturating_add(TIMEOUT_NS))
             .map(|(&id, &p)| (id, p))
             .collect();
         for (id, p) in timed_out {
@@ -386,7 +353,7 @@ impl ClusterGateway {
                     self.transition(api, p.backend, BreakerState::Open);
                 }
             } else if self.backends[p.backend as usize].state == BreakerState::Closed
-                && self.backends[p.backend as usize].consec_fails >= self.cfg.breaker.fail_threshold
+                && self.backends[p.backend as usize].consec_fails >= FAIL_THRESHOLD
             {
                 self.transition(api, p.backend, BreakerState::Open);
             }
@@ -418,7 +385,7 @@ impl PacketHook for ClusterGateway {
 
         // A response flowing back through: settle the pending entry and
         // let it route on to the client.
-        if hdr.sport == self.cfg.port {
+        if hdr.sport == CLUSTER_PORT {
             if let Some(id) = req_id_of(&pkt.payload) {
                 if let Some(p) = self.pending.remove(&id) {
                     api.telemetry().metrics.inc_id(self.c_responses);
@@ -436,12 +403,12 @@ impl PacketHook for ClusterGateway {
             return HookVerdict::Pass(pkt);
         }
 
-        if hdr.dport != self.cfg.port || pkt.ip.dst != api.addr() {
+        if hdr.dport != CLUSTER_PORT || pkt.ip.dst != api.addr() {
             return HookVerdict::Pass(pkt);
         }
         if !self.sweep_armed {
             self.sweep_armed = true;
-            api.set_hook_timer(Duration::from_nanos(self.cfg.breaker.sweep_ns), 0);
+            api.set_hook_timer(SWEEP, 0);
         }
         let (Some(&prio), Some(id), Some(key_bytes)) = (
             pkt.payload.first(),
@@ -454,18 +421,18 @@ impl PacketHook for ClusterGateway {
 
         // Ingress guards, cheapest first: expired deadline, brownout
         // class shed, own-queue backpressure.
-        if pkt.lineage.deadline_ns != 0 && now_ns > pkt.lineage.deadline_ns {
+        if pkt.lineage.expired(now_ns) {
             api.telemetry().metrics.inc_id(self.c_expired);
             api.node_drop(&pkt, DropReason::DeadlineExpired);
             return HookVerdict::Handled;
         }
-        if u32::from(prio) < api.telemetry().overload.brownout_level {
+        if api.telemetry().overload.sheds(prio) {
             api.telemetry().metrics.inc_id(self.c_shed_brownout);
             api.node_drop(&pkt, DropReason::Shed);
             return HookVerdict::Handled;
         }
         let qcap = api.cpu_queue_cap();
-        if qcap > 0 && api.cpu_queue_len() * 4 >= qcap * 3 && prio < self.cfg.queue_shed_below {
+        if qcap > 0 && api.cpu_queue_len() * 4 >= qcap * 3 && prio < QUEUE_SHED_BELOW {
             api.telemetry().metrics.inc_id(self.c_shed_queue);
             api.node_drop(&pkt, DropReason::Shed);
             return HookVerdict::Handled;
@@ -514,7 +481,7 @@ impl PacketHook for ClusterGateway {
 
     fn on_timer(&mut self, api: &mut NodeApi<'_>, _key: u64) {
         self.sweep(api);
-        api.set_hook_timer(Duration::from_nanos(self.cfg.breaker.sweep_ns), 0);
+        api.set_hook_timer(SWEEP, 0);
     }
 }
 
@@ -535,7 +502,7 @@ mod tests {
     #[test]
     fn ring_covers_every_backend_proportionally() {
         let mut tel = Telemetry::default();
-        let gw = ClusterGateway::new(GatewayConfig::default(), specs(6), &mut tel);
+        let gw = ClusterGateway::new(specs(6), &mut tel);
         let mut owned = vec![0u32; 6];
         for &(_, b) in &gw.ring {
             owned[b as usize] += 1;
@@ -548,7 +515,7 @@ mod tests {
     #[test]
     fn same_key_hashes_to_the_same_backend() {
         let mut tel = Telemetry::default();
-        let gw = ClusterGateway::new(GatewayConfig::default(), specs(12), &mut tel);
+        let gw = ClusterGateway::new(specs(12), &mut tel);
         let pos = |key: u64| {
             let h = mix(key);
             let i = gw.ring.partition_point(|&(p, _)| p < h) % gw.ring.len();
@@ -562,7 +529,7 @@ mod tests {
     #[test]
     fn ring_walk_tries_each_backend_once_and_stops_when_all_are_tried() {
         let mut tel = Telemetry::default();
-        let gw = ClusterGateway::new(GatewayConfig::default(), specs(6), &mut tel);
+        let gw = ClusterGateway::new(specs(6), &mut tel);
         let (ring, n) = (&gw.ring, gw.backends.len());
         for key in 0..500u64 {
             let mut walk = RingWalk::new(ring, n, key);

@@ -23,5 +23,5 @@
 pub mod gateway;
 pub mod scenario;
 
-pub use gateway::{BackendSpec, BreakerConfig, ClusterGateway, GatewayConfig, GatewayStats};
+pub use gateway::{BackendSpec, ClusterGateway, GatewayStats};
 pub use scenario::{run_cluster, ClusterConfig, ClusterResult, CLUSTER_PORT};

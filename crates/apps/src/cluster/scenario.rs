@@ -13,9 +13,10 @@
 //! rolls crash/restart cycles through the backends. Three layers defend
 //! the admitted work:
 //!
-//! 1. the **agg** router runs a PLAN-P forwarder ASP under
-//!    [`Admission`] — expired deadlines and browned-out priority
-//!    classes are dropped at the first hop, before the VM runs;
+//! 1. the **agg** router runs a PLAN-P forwarder ASP under admission
+//!    control ([`LayerConfig::admission`]) — expired deadlines and
+//!    browned-out priority classes are dropped at the first hop, before
+//!    the VM runs;
 //! 2. the **gw** router runs the [`ClusterGateway`]: bounded-load
 //!    consistent hashing, per-backend circuit breakers, and
 //!    backpressure shedding;
@@ -29,15 +30,14 @@
 //! repeated runs (and identical transition logs across the interpreter
 //! and the JIT, since engine choice never shifts simulated time).
 
-use super::gateway::{BackendSpec, ClusterGateway, GatewayConfig};
+use super::gateway::{BackendSpec, ClusterGateway};
 use netsim::node::CpuModel;
 use netsim::packet::{addr, Packet};
 use netsim::{App, FaultPlan, LinkSpec, NodeApi, Sim, SimTime, Watch};
 use planp_analysis::Policy;
-use planp_runtime::{install_planp, load, Admission, Engine, LayerConfig};
+use planp_runtime::{install_planp, load, Engine, LayerConfig};
 use planp_telemetry::{
-    BrownoutConfig, BrownoutController, CounterSel, HealthMonitor, Histogram, MetricsSnapshot,
-    SloRule, TraceConfig,
+    BrownoutController, CounterSel, HealthMonitor, Histogram, MetricsSnapshot, SloRule, TraceConfig,
 };
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -46,6 +46,18 @@ use std::time::Duration;
 
 /// UDP port the cluster serves.
 pub const CLUSTER_PORT: u16 = 8080;
+
+/// Zipf skew exponent of the request keys: at 1.1 the hottest key takes
+/// several percent of all traffic, enough to need bounded-load diverts.
+const ZIPF_S: f64 = 1.1;
+
+/// Per-packet service time of a weight-1 backend (µs); a weight-w
+/// backend serves in `1/w` of this.
+const BACKEND_BASE_US: u64 = 400;
+
+/// Backend CPU queue capacity, above the gateway's outstanding cap of
+/// `12 × weight` for the largest weight (4).
+const BACKEND_QUEUE: usize = 64;
 
 /// The plain PLAN-P forwarder installed on the `agg` tier — admission
 /// control runs in the layer before this dispatches.
@@ -73,9 +85,6 @@ pub struct ClusterConfig {
     pub deadline_ms: u64,
     /// Zipf key universe size.
     pub zipf_keys: u32,
-    /// Zipf skew exponent (≈1.1 ⇒ the hottest key takes several
-    /// percent of all traffic — enough to need bounded-load diverts).
-    pub zipf_s: f64,
     /// Rolling backend crashes (every 4th backend, staggered).
     pub crashes: u32,
     /// First crash time (seconds).
@@ -97,13 +106,6 @@ pub struct ClusterConfig {
     /// Gateway saturation sheds per monitor window that count as a
     /// breach (the brownout controller's step-up signal).
     pub saturation_ceiling: u64,
-    /// Gateway policy.
-    pub gateway: GatewayConfig,
-    /// Per-packet service time of a weight-1 backend (µs); a weight-w
-    /// backend serves in `1/w` of this.
-    pub backend_base_us: u64,
-    /// Backend CPU queue capacity.
-    pub backend_queue: usize,
 }
 
 impl ClusterConfig {
@@ -121,7 +123,6 @@ impl ClusterConfig {
             flash_until_s: 10.0,
             deadline_ms: 200,
             zipf_keys: 1024,
-            zipf_s: 1.1,
             crashes: 6,
             crash_from_s: 6.0,
             crash_every_s: 0.7,
@@ -132,9 +133,6 @@ impl ClusterConfig {
             trace: TraceConfig::default(),
             monitor_ms: 100,
             saturation_ceiling: 50,
-            gateway: GatewayConfig::default(),
-            backend_base_us: 400,
-            backend_queue: 64,
         }
     }
 
@@ -152,7 +150,6 @@ impl ClusterConfig {
             flash_until_s: 0.9,
             deadline_ms: 150,
             zipf_keys: 256,
-            zipf_s: 1.1,
             crashes: 2,
             crash_from_s: 0.35,
             crash_every_s: 0.2,
@@ -163,9 +160,6 @@ impl ClusterConfig {
             trace: TraceConfig::default(),
             monitor_ms: 50,
             saturation_ceiling: 10,
-            gateway: GatewayConfig::default(),
-            backend_base_us: 400,
-            backend_queue: 64,
         }
     }
 }
@@ -441,7 +435,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
     );
 
     let client_stats = Rc::new(RefCell::new(ClientStats::default()));
-    let cdf = Rc::new(zipf_cdf(cfg.zipf_keys.max(1), cfg.zipf_s));
+    let cdf = Rc::new(zipf_cdf(cfg.zipf_keys.max(1), ZIPF_S));
     let mut client_ids = Vec::new();
     for i in 0..cfg.clients {
         let c = sim.add_host(&format!("c{i}"), addr(10, 1, 0, (i + 1) as u8));
@@ -460,8 +454,8 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
         sim.set_cpu(
             b,
             CpuModel {
-                per_packet: Duration::from_nanos(cfg.backend_base_us * 1_000 / u64::from(weight)),
-                queue_cap: cfg.backend_queue,
+                per_packet: Duration::from_nanos(BACKEND_BASE_US * 1_000 / u64::from(weight)),
+                queue_cap: BACKEND_QUEUE,
             },
         );
         sim.add_app(b, Box::new(ClusterBackend));
@@ -483,19 +477,14 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
         &image,
         LayerConfig {
             engine: cfg.engine,
-            admission: Some(Admission {
-                max_in_flight: 0,
-                window_ns: 0,
-                priority_byte: Some(0),
-                enforce_deadline: true,
-            }),
+            admission: true,
             ..LayerConfig::default()
         },
     )
     .expect("forwarder installs");
 
     // Tier 2: the bounded-load consistent-hash gateway with breakers.
-    let gateway = ClusterGateway::new(cfg.gateway, specs, &mut sim.telemetry);
+    let gateway = ClusterGateway::new(specs, &mut sim.telemetry);
     let gw_stats = gateway.stats.clone();
     sim.install_hook(gw, Box::new(gateway));
 
@@ -534,8 +523,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
         mon = mon.rule(rule);
     }
     mon.dump_on_breach = vec![gw.0 as u32];
-    let brownout = BrownoutController::new(BrownoutConfig::default());
-    sim.instruments.watch = Some(Watch::new(mon, Some(brownout)));
+    sim.instruments.watch = Some(Watch::new(mon, Some(BrownoutController::default())));
 
     sim.run_until(SimTime::from_secs(cfg.duration_s));
 

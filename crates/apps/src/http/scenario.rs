@@ -22,7 +22,7 @@
 use super::asp::{HTTP_GATEWAY_ASP, SERVER0_ADDR, SERVER1_ADDR, SERVER2_ADDR, VIRTUAL_ADDR};
 use super::client::HttpClientApp;
 use super::native::NativeHttpGateway;
-use super::server::{HttpServerApp, ServerCfg};
+use super::server::HttpServerApp;
 use super::trace::{Trace, TraceSpec};
 use netsim::packet::addr;
 use netsim::{CpuModel, FaultAction, FaultPlan, LinkSpec, Sim, SimTime};
@@ -30,6 +30,15 @@ use planp_analysis::Policy;
 use planp_runtime::{install_planp, load, Engine, LayerConfig};
 use planp_telemetry::{MetricsSnapshot, Telemetry, TraceConfig};
 use std::time::Duration;
+
+/// Per-packet CPU time of a *rewriting* gateway (µs): the contention
+/// point of Fig. 8, calibrated once so the cluster peaks near the
+/// paper's 85 % of two servers (EXPERIMENTS.md §3.2). The ASP and the
+/// native gateway share it.
+const GW_CPU_US: u64 = 380;
+/// Per-packet CPU time of plain IP forwarding (µs), the gateway
+/// router's cost when it runs no gateway.
+const PLAIN_CPU_US: u64 = 100;
 
 /// Which cluster configuration to run (the figure 8 curves).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,14 +69,8 @@ pub struct HttpConfig {
     pub warmup_s: f64,
     /// Seed.
     pub seed: u64,
-    /// Per-packet CPU time of a *rewriting* gateway (µs).
-    pub gw_cpu_us: u64,
-    /// Per-packet CPU time of plain IP forwarding (µs).
-    pub plain_cpu_us: u64,
     /// CPU multiplier when the gateway ASP runs interpreted.
     pub interp_slowdown: f64,
-    /// Server model.
-    pub server: ServerCfg,
     /// Trace parameters.
     pub trace: TraceSpec,
     /// Alternative gateway ASP source (defaults to the paper's modulo
@@ -92,10 +95,7 @@ impl HttpConfig {
             duration_s: 30,
             warmup_s: 5.0,
             seed: 11,
-            gw_cpu_us: 380,
-            plain_cpu_us: 100,
             interp_slowdown: 6.0,
-            server: ServerCfg::default(),
             trace: TraceSpec::default(),
             gateway_src: None,
             redeploy_at: None,
@@ -179,10 +179,10 @@ pub fn run_http_traced(
     );
     let per_packet = match cfg.mode {
         ClusterMode::InterpGateway => {
-            Duration::from_nanos((cfg.gw_cpu_us as f64 * cfg.interp_slowdown * 1000.0) as u64)
+            Duration::from_nanos((GW_CPU_US as f64 * cfg.interp_slowdown * 1000.0) as u64)
         }
-        _ if hooked => Duration::from_micros(cfg.gw_cpu_us),
-        _ => Duration::from_micros(cfg.plain_cpu_us),
+        _ if hooked => Duration::from_micros(GW_CPU_US),
+        _ => Duration::from_micros(PLAIN_CPU_US),
     };
     sim.set_cpu(
         gw,
@@ -225,10 +225,10 @@ pub fn run_http_traced(
 
     // Servers: the paper replicates the web content on all machines.
     let trace = Trace::generate(&cfg.trace, cfg.seed);
-    sim.add_app(s0, Box::new(HttpServerApp::new(cfg.server, trace.clone())));
+    sim.add_app(s0, Box::new(HttpServerApp::new(trace.clone())));
     if cfg.mode != ClusterMode::Single {
-        sim.add_app(s1, Box::new(HttpServerApp::new(cfg.server, trace.clone())));
-        sim.add_app(s2, Box::new(HttpServerApp::new(cfg.server, trace.clone())));
+        sim.add_app(s1, Box::new(HttpServerApp::new(trace.clone())));
+        sim.add_app(s2, Box::new(HttpServerApp::new(trace.clone())));
     }
 
     // In-band redeployment: a management service on the gateway and a

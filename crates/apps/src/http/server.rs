@@ -1,8 +1,8 @@
 //! The Apache-like HTTP server model.
 //!
 //! The paper runs Apache 1.2.6 with 5–10 child processes; the model is a
-//! finite-capacity queueing station: at most `children` requests are in
-//! service, each holding a child for `base + size/byte_rate` before the
+//! finite-capacity queueing station: at most `CHILDREN` requests are in
+//! service, each holding a child for `BASE + size/BYTE_RATE` before the
 //! response bytes go out over mini-TCP. Requests beyond the child limit
 //! queue (the listen backlog).
 //!
@@ -22,29 +22,17 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::time::Duration;
 
-/// Server tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerCfg {
-    /// Concurrent children (the paper's 5–10 Apache processes).
-    pub children: usize,
-    /// Fixed per-request service time.
-    pub base: Duration,
-    /// Additional service time per response byte (disk/CPU), bytes/sec.
-    pub byte_rate: f64,
-    /// TCP parameters.
-    pub tcp: TcpConfig,
-}
-
-impl Default for ServerCfg {
-    fn default() -> Self {
-        ServerCfg {
-            children: 6,
-            base: Duration::from_millis(40),
-            byte_rate: 1_000_000.0,
-            tcp: TcpConfig::default(),
-        }
-    }
-}
+/// Concurrent children: the paper runs Apache with 5–10 processes. With
+/// [`BASE`], [`BYTE_RATE`] and the trace's document sizes it sets one
+/// server's capacity, the Fig. 8 single-server curve (EXPERIMENTS.md
+/// §3.2).
+const CHILDREN: usize = 6;
+/// Fixed per-request service time, the larger part of a request's cost
+/// in that calibration.
+const BASE: Duration = Duration::from_millis(40);
+/// Additional service time per response byte (disk/CPU), bytes/sec: a
+/// large document holds a child longer.
+const BYTE_RATE: f64 = 1_000_000.0;
 
 /// The server's listening port.
 pub const HTTP_PORT: u16 = 80;
@@ -69,7 +57,6 @@ struct Conn {
 
 /// The HTTP server application.
 pub struct HttpServerApp {
-    cfg: ServerCfg,
     trace: Rc<Trace>,
     /// Ordered: the retransmission tick sweeps it, and the order in
     /// which that flushes segments must not depend on the hasher.
@@ -89,9 +76,8 @@ const TICK: Duration = Duration::from_millis(50);
 
 impl HttpServerApp {
     /// A server using `trace` for document sizes.
-    pub fn new(cfg: ServerCfg, trace: Rc<Trace>) -> Self {
+    pub fn new(trace: Rc<Trace>) -> Self {
         HttpServerApp {
-            cfg,
             trace,
             conns: BTreeMap::new(),
             backlog: VecDeque::new(),
@@ -110,7 +96,7 @@ impl HttpServerApp {
 
     /// Starts queued requests while children are free.
     fn schedule(&mut self, api: &mut NodeApi<'_>) {
-        while self.active < self.cfg.children {
+        while self.active < CHILDREN {
             let Some(key) = self.backlog.pop_front() else {
                 break;
             };
@@ -123,7 +109,7 @@ impl HttpServerApp {
             conn.state = ConnState::Serving;
             self.active += 1;
             let size = self.trace.doc_size(doc);
-            let service = self.cfg.base + Duration::from_secs_f64(size as f64 / self.cfg.byte_rate);
+            let service = BASE + Duration::from_secs_f64(size as f64 / BYTE_RATE);
             let token = self.next_token;
             self.next_token += 1;
             self.tokens.insert(token, key);
@@ -160,7 +146,7 @@ impl App for HttpServerApp {
                 || matches!(self.conns[&key].sock.state, netsim::tcp::TcpState::Closed);
             if fresh {
                 if let Some((sock, synack)) =
-                    TcpSocket::accept(self.cfg.tcp, (api.addr(), HTTP_PORT), &pkt, now)
+                    TcpSocket::accept(TcpConfig::default(), (api.addr(), HTTP_PORT), &pkt, now)
                 {
                     self.conns.insert(
                         key,

@@ -142,6 +142,8 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::digest::Fnv;
+    use std::hash::Hasher;
 
     /// One replay pass of `t`, from a fresh cursor.
     fn pass(t: &Trace) -> Vec<u32> {
@@ -150,13 +152,11 @@ mod tests {
 
     /// FNV-1a over the little-endian bytes of `words`.
     fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv::default();
         for w in words {
-            for b in w.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-            }
+            h.write(&w.to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Digests of every document size and of `len() + 3` requests

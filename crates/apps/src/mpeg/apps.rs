@@ -48,7 +48,6 @@ struct StreamState {
 /// one UDP unicast stream per accepted `PLAY`.
 pub struct MpegServerApp {
     stats: Rc<RefCell<MpegServerStats>>,
-    stream_len: Duration,
     conns: BTreeMap<ConnKey, (TcpSocket, Vec<u8>)>,
     streams: Vec<StreamState>,
     ticking: bool,
@@ -57,12 +56,14 @@ pub struct MpegServerApp {
 const TICK_KEY: u64 = u64::MAX;
 const FRAME_KEY: u64 = u64::MAX - 1;
 
+/// How long each stream runs.
+const STREAM_LEN: Duration = Duration::from_secs(20);
+
 impl MpegServerApp {
-    /// A server whose streams run for `stream_len`.
-    pub fn new(stats: Rc<RefCell<MpegServerStats>>, stream_len: Duration) -> Self {
+    /// A server whose streams each run for 20 s.
+    pub fn new(stats: Rc<RefCell<MpegServerStats>>) -> Self {
         MpegServerApp {
             stats,
-            stream_len,
             conns: BTreeMap::new(),
             streams: Vec::new(),
             ticking: false,
@@ -141,7 +142,7 @@ impl App for MpegServerApp {
                 port,
                 file,
                 seq: 0,
-                until: now + self.stream_len,
+                until: now + STREAM_LEN,
             });
             self.stats.borrow_mut().streams += 1;
             if !self.ticking {

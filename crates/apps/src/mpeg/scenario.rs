@@ -29,8 +29,6 @@ pub struct MpegConfig {
     pub clients: usize,
     /// Install the monitor/capture ASPs (multipoint mode)?
     pub use_asps: bool,
-    /// How long each stream runs.
-    pub stream_len: Duration,
     /// Total run length.
     pub duration: Duration,
     /// Seed.
@@ -49,7 +47,6 @@ impl MpegConfig {
         MpegConfig {
             clients,
             use_asps,
-            stream_len: Duration::from_secs(20),
             duration: Duration::from_secs(22),
             seed: 5,
             files: vec![7],
@@ -125,10 +122,7 @@ pub fn run_mpeg_traced(
     }
 
     let server_stats = Rc::new(RefCell::new(MpegServerStats::default()));
-    sim.add_app(
-        server,
-        Box::new(MpegServerApp::new(server_stats.clone(), cfg.stream_len)),
-    );
+    sim.add_app(server, Box::new(MpegServerApp::new(server_stats.clone())));
 
     let monitor_addr = cfg.use_asps.then_some(addr(10, 0, 1, 100));
     let mut client_stats = Vec::new();

@@ -21,6 +21,9 @@ use planp_runtime::{install_planp, load, LayerConfig};
 use planp_telemetry::{MetricsSnapshot, Telemetry, TraceConfig, TraceForest, TraceOverhead};
 use std::time::Duration;
 
+/// Source pacing between datagrams.
+const INTERVAL: Duration = Duration::from_millis(2);
+
 /// Configuration of one grid run.
 #[derive(Debug, Clone, Copy)]
 pub struct ObsGridConfig {
@@ -30,8 +33,6 @@ pub struct ObsGridConfig {
     pub hops: usize,
     /// Datagrams each chain's source sends.
     pub packets: u64,
-    /// Source pacing (milliseconds between datagrams).
-    pub interval_ms: u64,
     /// Total simulated time (seconds).
     pub duration_s: u64,
     /// Simulation seed.
@@ -49,7 +50,6 @@ impl ObsGridConfig {
             chains: 128,
             hops: 6,
             packets: 8,
-            interval_ms: 2,
             duration_s: 1,
             seed: 7,
             trace,
@@ -105,11 +105,7 @@ pub fn run_obs_grid(cfg: &ObsGridConfig) -> ObsGridResult {
     }
     let mut collectors = Vec::with_capacity(cfg.chains);
     for &(src, dst) in &topo.paths {
-        let src_app = SeqSource::new(
-            topo.nodes[dst].addr,
-            cfg.packets,
-            Duration::from_millis(cfg.interval_ms),
-        );
+        let src_app = SeqSource::new(topo.nodes[dst].addr, cfg.packets, INTERVAL);
         sim.add_app(ids[src], Box::new(src_app));
         let col = SeqCollector::new();
         collectors.push(col.stats.clone());

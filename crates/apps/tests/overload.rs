@@ -1,6 +1,6 @@
 //! Property suites for the overload-protection pipeline.
 //!
-//! 1. A seeded 200-request trace through the bounded-load gateway with
+//! 1. A seeded 400-request trace through the bounded-load gateway with
 //!    one backend crash walks the full breaker lifecycle (closed →
 //!    open → half-open → closed), and the rendered transition log is
 //!    byte-identical across two runs.
@@ -11,14 +11,14 @@
 use bytes::Bytes;
 use netsim::packet::{addr, Packet};
 use netsim::{App, FaultPlan, LinkSpec, NodeApi, Sim, SimTime};
-use planp_apps::cluster::{
-    run_cluster, BackendSpec, BreakerConfig, ClusterConfig, ClusterGateway, GatewayConfig,
-    CLUSTER_PORT,
-};
+use planp_apps::cluster::{run_cluster, BackendSpec, ClusterConfig, ClusterGateway, CLUSTER_PORT};
 use planp_runtime::Engine;
 use std::time::Duration;
 
-const REQUESTS: u64 = 200;
+/// 800 ms of requests: the breaker opens about 130 ms after the crash
+/// and stays open 400 ms, so the trace must still run when it goes
+/// half-open for a probe to re-close it.
+const REQUESTS: u64 = 400;
 
 /// Sends one 25-byte gateway request every 2 ms: priority byte, request
 /// id, a random key (the node RNG keeps it seeded), and the send time.
@@ -100,14 +100,7 @@ fn run_mini(seed: u64) -> (String, u64, u64, u64, u64) {
             weight: 1,
         },
     ];
-    let cfg = GatewayConfig {
-        breaker: BreakerConfig {
-            open_ns: 60_000_000,
-            ..BreakerConfig::default()
-        },
-        ..GatewayConfig::default()
-    };
-    let gateway = ClusterGateway::new(cfg, specs, &mut sim.telemetry);
+    let gateway = ClusterGateway::new(specs, &mut sim.telemetry);
     let stats = gateway.stats.clone();
     sim.install_hook(gw, Box::new(gateway));
 
@@ -124,7 +117,7 @@ fn run_mini(seed: u64) -> (String, u64, u64, u64, u64) {
     // The crash window sits inside the request trace, so the breaker
     // must open on timeouts and later re-close on a successful probe.
     sim.apply_fault_plan(FaultPlan::new().crash_restart(0.05, 0.15, b0));
-    sim.run_until(SimTime::from_ms(600));
+    sim.run_until(SimTime::from_ms(1_200));
 
     let s = stats.borrow();
     let count = |name| sim.telemetry.metrics.counter(name);
@@ -138,7 +131,7 @@ fn run_mini(seed: u64) -> (String, u64, u64, u64, u64) {
 }
 
 #[test]
-fn breaker_lifecycle_over_200_requests_is_byte_stable() {
+fn breaker_lifecycle_over_400_requests_is_byte_stable() {
     for seed in [5u64, 23] {
         let (log, opens, probes, responses, sent_while_broken) = run_mini(seed);
         assert_eq!(opens, 1, "seed {seed}: exactly one open:\n{log}");

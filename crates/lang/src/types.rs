@@ -84,7 +84,7 @@ impl Type {
 
     /// True for types with a total order (`<`, `<=`, …): `int`, `char`,
     /// `string`.
-    pub fn is_ordered(&self) -> bool {
+    pub(crate) fn is_ordered(&self) -> bool {
         matches!(self, Type::Int | Type::Char | Type::Str)
     }
 

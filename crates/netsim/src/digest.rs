@@ -3,8 +3,10 @@
 //! by what they printed.
 //!
 //! Each part feeds what it holds into one [`Fnv`]: the clock and the
-//! event queue, the links, the nodes, the fault state, the instruments.
-//! What only observes the run stays out: the trace log,
+//! event queue, the links, the nodes, the fault state, the instruments
+//! and the metrics registry, which is where the PLAN-P layer and the
+//! cluster gateway count and what the health monitor judges. What only
+//! observes the run stays out: the trace log,
 //! `events_elided`, whether a completion was elided (a link-traced run
 //! elides none), a packet's head-sampling flag, and slab slot numbers,
 //! which no ordering decision reads. Maps that are looked up and never
@@ -15,8 +17,13 @@ use crate::packet::Packet;
 use crate::sim::Sim;
 use std::hash::{Hash, Hasher};
 
-/// FNV-1a over every byte it is fed.
-pub(crate) struct Fnv(u64);
+/// FNV-1a (64-bit) over every byte it is fed: the one hasher behind
+/// [`Sim::state_digest`] and every digest a test pins.
+///
+/// To reproduce a pinned value, feed bytes through [`Hasher::write`]:
+/// `str`'s `Hash` appends a `0xFF` and an integer's `Hash` writes its
+/// native-endian bytes, so `.hash(&mut fnv)` digests different bytes.
+pub struct Fnv(u64);
 
 impl Default for Fnv {
     fn default() -> Self {
@@ -59,13 +66,13 @@ impl Sim {
     /// clock, the `(at, seq)` and contents of every queued event, the
     /// links' queues, transmissions and counters, the nodes' counters,
     /// routes, rng states, CPU queues and `down` flags, the fault rng,
-    /// partition and counters, and the monitor's and brownout
-    /// controller's state. Two runs of one seed agree on it at every
-    /// point they both reach; the first point where they differ is
-    /// where they diverged. Take it after `run_until` returns: every
-    /// completion that could have been elided is settled by then, so a
-    /// run with `link` tracing on, which elides none, agrees with one
-    /// that has it off.
+    /// partition and counters, the monitor's and brownout controller's
+    /// state, and every counter and histogram of the metrics registry.
+    /// Two runs of one seed agree on it at every point they both reach;
+    /// the first point where they differ is where they diverged. Take it
+    /// after `run_until` returns: every completion that could have been
+    /// elided is settled by then, so a run with `link` tracing on, which
+    /// elides none, agrees with one that has it off.
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv::default();
         (self.now, self.now_seq, self.horizon, self.started).hash(&mut h);
@@ -82,6 +89,7 @@ impl Sim {
         self.faults.digest(&mut h);
         self.instruments.digest(&mut h);
         self.telemetry.overload.summary().hash(&mut h);
+        self.telemetry.metrics.digest(&mut h);
         h.finish()
     }
 }

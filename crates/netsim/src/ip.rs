@@ -97,8 +97,8 @@ impl Sim {
         }
         // Deadline propagation: an already-expired packet is dropped at
         // ingress — before it costs CPU-queue slots or further hops.
-        let deadline_ns = self.sched.packets.get(pkt).lineage.deadline_ns;
-        if !overheard && deadline_ns != 0 && self.now.as_nanos() > deadline_ns {
+        let lineage = &self.sched.packets.get(pkt).lineage;
+        if !overheard && lineage.expired(self.now.as_nanos()) {
             self.drop_at_rest(node, pkt, DropReason::DeadlineExpired);
             return;
         }

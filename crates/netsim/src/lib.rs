@@ -28,6 +28,8 @@
 //!   the pipeline that applies it (`sim.faults`);
 //! * [`instrument`] — histograms, the metrics snapshot and the live SLO
 //!   monitor with its brownout controller (`sim.instruments`);
+//! * [`digest`] — `Sim::state_digest` and [`digest::Fnv`], the one
+//!   FNV-1a hasher behind it and behind every pinned digest;
 //! * [`tcp`] — mini-TCP, enough for the HTTP cluster experiment;
 //! * [`stats`] — time series used by the figure-regeneration harnesses.
 //!
@@ -58,7 +60,7 @@
 #![warn(missing_docs)]
 
 mod datapath;
-mod digest;
+pub mod digest;
 pub mod fault;
 pub mod instrument;
 mod ip;

@@ -124,7 +124,7 @@ pub enum Transport {
 
 impl Transport {
     /// Wire bytes this header contributes.
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         match self {
             Transport::Tcp(_) => 20,
             Transport::Udp(_) => 8,
@@ -212,6 +212,17 @@ impl Default for Lineage {
             sampled: true,
             deadline_ns: 0,
         }
+    }
+}
+
+impl Lineage {
+    /// Whether the deadline has passed at `now_ns`: a packet with a
+    /// deadline (non-zero) is still live at its deadline and expired one
+    /// nanosecond later. Node ingress, the PLAN-P layer's admission and
+    /// the cluster gateway all drop by this one rule.
+    #[inline]
+    pub fn expired(&self, now_ns: u64) -> bool {
+        self.deadline_ns != 0 && now_ns > self.deadline_ns
     }
 }
 
@@ -376,6 +387,22 @@ mod tests {
     fn display_is_compact() {
         let p = Packet::udp(addr(10, 0, 0, 1), addr(10, 0, 0, 2), 5, 6, Bytes::new());
         assert_eq!(p.to_string(), "[10.0.0.1 -> 10.0.0.2 udp 5:6 0B]");
+    }
+
+    #[test]
+    fn a_deadline_expires_one_nanosecond_after_it() {
+        let none = Lineage::default();
+        assert!(
+            !none.expired(0) && !none.expired(u64::MAX),
+            "0 = no deadline"
+        );
+        let l = Lineage {
+            deadline_ns: 1_000,
+            ..Lineage::default()
+        };
+        assert!(!l.expired(999));
+        assert!(!l.expired(1_000), "live at its deadline");
+        assert!(l.expired(1_001), "expired one nanosecond later");
     }
 
     #[test]

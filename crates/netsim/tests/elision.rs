@@ -18,6 +18,7 @@
 //! pin was computed at the commit before the merge existed.
 
 use bytes::Bytes;
+use netsim::digest::Fnv;
 use netsim::packet::{addr, Packet};
 use netsim::rng::SplitMix64;
 use netsim::{
@@ -26,6 +27,7 @@ use netsim::{
 };
 use planp_telemetry::{Category, CounterSel, HealthMonitor, MetricsSnapshot, SloRule, TraceConfig};
 use std::cell::RefCell;
+use std::hash::Hasher;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -451,13 +453,10 @@ impl Outcome {
     }
 
     fn digest(&self) -> u64 {
-        let fnv = |h: u64, bytes: &[u8]| {
-            bytes.iter().fold(h, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
-        };
-        let h = fnv(0xCBF2_9CE4_8422_2325, self.jsonl.as_bytes());
-        fnv(h, self.snapshot.to_json().as_bytes())
+        let mut h = Fnv::default();
+        h.write(self.jsonl.as_bytes());
+        h.write(self.snapshot.to_json().as_bytes());
+        h.finish()
     }
 }
 
@@ -1065,4 +1064,34 @@ fn state_digests_tell_a_randomstate_order_apart() {
             "{name}: no slice differs"
         );
     }
+}
+
+/// Adds `n` to one registry counter at start and does nothing else.
+struct Bump {
+    n: u64,
+}
+impl App for Bump {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        api.telemetry().metrics.add("test.bumped", self.n);
+    }
+    fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {}
+}
+
+/// The metrics registry is state a run carries forward (the health
+/// monitor judges its counters): two runs that differ only in one
+/// counter a test app bumps have different digests.
+#[test]
+fn state_digests_cover_the_metrics_registry() {
+    let digest = |n| {
+        let mut sim = relay_chain(trace(NO_LINK), false);
+        sim.add_app(NodeId(0), Box::new(Bump { n }));
+        sim.run_until(SimTime::from_ms(10));
+        sim.state_digest()
+    };
+    assert_eq!(digest(0), digest(0), "same counter, same digest");
+    assert_ne!(
+        digest(0),
+        digest(1),
+        "a bumped counter left the digest unmoved"
+    );
 }

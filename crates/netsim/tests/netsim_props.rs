@@ -5,6 +5,7 @@
 //! deterministic RNG, so a failing case is reproducible from its index.
 
 use bytes::Bytes;
+use netsim::digest::Fnv;
 use netsim::packet::{addr, Packet};
 use netsim::rng::SplitMix64;
 use netsim::tcp::{TcpConfig, TcpSocket};
@@ -14,6 +15,7 @@ use netsim::{
 use planp_telemetry::DropReason;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::hash::Hasher;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -417,12 +419,6 @@ impl PacketHook for Tap {
     }
 }
 
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
-
 /// One seeded run through every way a packet can leave the datapath: a
 /// shared segment with an overhearing tap, multicast fan-out through a
 /// subscribed router, a slow link that tail-drops, a CPU-modelled
@@ -617,11 +613,10 @@ fn chaos_mix_digest(seed: u64) -> u64 {
     );
 
     let events = sim.metrics_snapshot().counters["sim.events_processed"];
-    let h = fnv1a(
-        0xCBF2_9CE4_8422_2325,
-        sim.telemetry.trace.to_jsonl().as_bytes(),
-    );
-    fnv1a(h, &events.to_le_bytes())
+    let mut h = Fnv::default();
+    h.write(sim.telemetry.trace.to_jsonl().as_bytes());
+    h.write(&events.to_le_bytes());
+    h.finish()
 }
 
 /// No packet slot outlives its packet, and no event moves: the digests

@@ -16,7 +16,6 @@
 //! packet from that slice — no tuple, no allocation and no name lookup
 //! in between.
 
-use crate::admission::{Admission, AdmissionGate};
 use crate::convert::parts_to_packet;
 use crate::dispatch::{decode, Decoded, DispatchTable};
 use crate::loader::{load, LoadedProgram};
@@ -78,8 +77,8 @@ pub struct LayerStats {
     /// pushed the live entry total past the static entry bound.
     /// Expected to stay 0 (cross-checked by the test suite).
     pub state_bound_exceeded: u64,
-    /// Packets shed by admission control (in-flight cap or brownout
-    /// priority) before a channel ran.
+    /// Packets shed by admission control (brownout priority) before a
+    /// channel ran.
     pub shed: u64,
     /// Packets dropped at ingress because their lineage deadline had
     /// already passed.
@@ -100,10 +99,25 @@ pub struct LayerConfig {
     /// Offer *overheard* segment traffic to channels (promiscuous mode;
     /// needed by the MPEG capture ASP of section 3.3).
     pub process_overheard: bool,
-    /// Per-channel admission control (deadline enforcement, brownout
-    /// priority shedding, bounded in-flight). `None` (the default)
-    /// admits everything.
-    pub admission: Option<Admission>,
+    /// Admission control: overload protection that is explicit and
+    /// analyzable rather than an emergent property of full queues. When
+    /// on, a packet that matched a channel is shed before the engine
+    /// runs, so it costs no VM dispatch on either engine, if
+    ///
+    /// 1. its lineage deadline has passed ([`Lineage::expired`];
+    ///    [`DropReason::DeadlineExpired`], counted in
+    ///    [`LayerStats::deadline_expired`]), or
+    /// 2. its priority class is below the brownout level
+    ///    ([`OverloadState::sheds`]; [`DropReason::Shed`], counted in
+    ///    [`LayerStats::shed`]). The class is payload byte 0, as at the
+    ///    cluster gateway, so it travels with the packet and survives
+    ///    forwarding; a packet without one is top priority.
+    ///
+    /// Both read only simulation time and packet bytes, so two runs
+    /// shed byte-identical packet sets. Off by default.
+    ///
+    /// [`OverloadState::sheds`]: planp_telemetry::OverloadState::sheds
+    pub admission: bool,
 }
 
 /// Handle returned by [`install_planp`]: the layer's counters and its
@@ -391,9 +405,6 @@ pub struct PlanpLayer {
     chan_states: Vec<Value>,
     output: Rc<RefCell<String>>,
     chan_meta: Vec<ChanMeta>,
-    /// Per-channel sliding-window admission state (indexed like
-    /// `chan_meta`); empty vectors cost nothing when admission is off.
-    gates: Vec<AdmissionGate>,
     /// Handle for packets falling back to standard IP processing.
     c_fallback: CounterId,
     /// Live total table entries across the program's tables (fresh
@@ -468,10 +479,6 @@ impl PlanpLayer {
                 key: 0,
                 payload: TimerWake::payload_of(0),
             });
-        let gates = match config.admission {
-            Some(_) => (0..n_chans).map(|_| AdmissionGate::default()).collect(),
-            None => Vec::new(),
-        };
         Ok(PlanpLayer {
             prog: image.prog.clone(),
             compiled,
@@ -483,7 +490,6 @@ impl PlanpLayer {
             chan_states,
             output: Rc::new(RefCell::new(String::new())),
             chan_meta,
-            gates,
             c_fallback: metrics.register_counter(names.name(&["planp.fallback_ip"])),
             state_entries: 0,
             state_entries_peak: 0,
@@ -528,22 +534,16 @@ impl PacketHook for PlanpLayer {
             return HookVerdict::Pass(pkt);
         };
         // Admission control runs after channel match (so only ASP
-        // traffic is gated) but before the engine dispatch: shed and
-        // expired packets never cost a VM run, on either engine.
-        if let Some(adm) = self.config.admission {
-            let now_ns = api.now().as_nanos();
+        // traffic is gated) but before the engine dispatch.
+        if self.config.admission {
             let cm = &self.chan_meta[idx];
-            if adm.enforce_deadline
-                && pkt.lineage.deadline_ns != 0
-                && now_ns > pkt.lineage.deadline_ns
-            {
+            if pkt.lineage.expired(api.now().as_nanos()) {
                 api.telemetry().metrics.inc_id(cm.c.deadline_expired);
                 api.node_drop(&pkt, DropReason::DeadlineExpired);
                 return HookVerdict::Handled;
             }
-            let priority = adm.priority_of(&pkt);
-            let browned_out = u32::from(priority) < api.telemetry().overload.brownout_level;
-            if browned_out || !self.gates[idx].admit(now_ns, adm.max_in_flight, adm.window_ns) {
+            let prio = pkt.payload.first().copied().unwrap_or(u8::MAX);
+            if api.telemetry().overload.sheds(prio) {
                 api.telemetry().metrics.inc_id(cm.c.shed);
                 api.node_drop(&pkt, DropReason::Shed);
                 return HookVerdict::Handled;

@@ -8,10 +8,9 @@
 //!   (late checking, section 2.1) → JIT compile (section 2.2);
 //! * [`layer`] — the [`netsim::PacketHook`] implementation: channel
 //!   dispatch (including overloaded channels), protocol/channel state,
-//!   and the `OnRemote`/`OnNeighbor`/`deliver` effects;
-//! * [`admission`] — per-channel admission control: deterministic
-//!   bounded in-flight, brownout priority shedding, and deadline
-//!   enforcement at the layer's ingress;
+//!   and the `OnRemote`/`OnNeighbor`/`deliver` effects, with optional
+//!   admission control (deadline and brownout shedding,
+//!   [`LayerConfig::admission`]) at its ingress;
 //! * `dispatch` — which channel overloads an arriving packet is offered
 //!   to, worked out from the program at install;
 //! * [`convert`] — packet ↔ PLAN-P packet components (and tuples);
@@ -49,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod convert;
 pub mod deploy;
 mod dispatch;
@@ -59,7 +57,6 @@ pub mod plan;
 pub mod recovery;
 pub mod replay;
 
-pub use admission::{Admission, AdmissionGate, PRIORITY_MAX, PRIORITY_MIN};
 pub use deploy::{deploy_packets, uninstall_packet, DeployLog, DeployService, MAX_TRANSFERS};
 pub use layer::{
     install_planp, Engine, LayerConfig, LayerStats, PlanpHandle, PlanpLayer, MANAGEMENT_PORT,

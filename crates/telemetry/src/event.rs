@@ -172,7 +172,7 @@ impl DropReason {
     }
 
     /// Inverse of [`DropReason::index`].
-    pub fn from_index(i: u32) -> Option<DropReason> {
+    pub(crate) fn from_index(i: u32) -> Option<DropReason> {
         DropReason::ALL.get(i as usize).copied()
     }
 }
@@ -771,9 +771,6 @@ pub struct TraceConfig {
     /// traces retain their *complete* span trees — children inherit the
     /// root's verdict, never re-roll.
     pub sample_n: u32,
-    /// Seed mixed into the trace-id hash for the keep decision. Two
-    /// logs with the same seed and rate keep the same traces.
-    pub sample_seed: u64,
     /// Kept-event budget (0 = unlimited): every time the number of kept
     /// events crosses another multiple of the budget, the sampling rate
     /// deterministically doubles (`sample_n *= 2`, capped at 2^20) and
@@ -787,7 +784,6 @@ impl Default for TraceConfig {
             categories: Category::NONE,
             capacity: 65_536,
             sample_n: 1,
-            sample_seed: 0,
             budget: 0,
         }
     }
@@ -821,7 +817,7 @@ impl TraceConfig {
     }
 }
 
-/// The SplitMix64 finalizer, applied to `seed ^ trace_id` for the keep
+/// The SplitMix64 finalizer, applied to the trace id for the keep
 /// decision — the same mix the simulator's RNG uses, so the sampler
 /// inherits its avalanche quality without depending on the netsim
 /// crate.
@@ -864,7 +860,6 @@ pub struct TraceLog {
     evicted: u64,
     /// Current sampling denominator (doubles on budget downgrades).
     sample_n: u32,
-    sample_seed: u64,
     budget: u64,
     next_budget_mark: u64,
     sampled_out: u64,
@@ -888,7 +883,6 @@ impl TraceLog {
             recorded: 0,
             evicted: 0,
             sample_n: cfg.sample_n.max(1),
-            sample_seed: cfg.sample_seed,
             budget: cfg.budget,
             next_budget_mark: cfg.budget,
             sampled_out: 0,
@@ -903,7 +897,6 @@ impl TraceLog {
         self.enabled = cfg.categories;
         self.capacity = cfg.capacity.max(1);
         self.sample_n = cfg.sample_n.max(1);
-        self.sample_seed = cfg.sample_seed;
         self.budget = cfg.budget;
         self.next_budget_mark = self.recorded + cfg.budget;
         while self.buf.len() > self.capacity {
@@ -942,7 +935,7 @@ impl TraceLog {
     }
 
     /// The whole-lineage head-sampling decision for a new trace root:
-    /// keep iff the seeded hash of the trace id lands below
+    /// keep iff the hash of the trace id lands below
     /// `u64::MAX / sample_n`. Thresholds nest — every trace kept at
     /// 1/2N is also kept at 1/N — so budget downgrades shrink the kept
     /// set without orphaning already-kept lineages' siblings.
@@ -952,7 +945,7 @@ impl TraceLog {
         if n <= 1 {
             return true;
         }
-        mix64(self.sample_seed ^ trace) <= u64::MAX / n
+        mix64(trace) <= u64::MAX / n
     }
 
     /// Records an event if its category is enabled. Sampling decisions
@@ -1141,16 +1134,10 @@ mod tests {
 
     #[test]
     fn keep_trace_is_deterministic_and_nested() {
-        // Same seed + rate → same verdicts; every trace kept at 1/2N is
-        // kept at 1/N (thresholds nest), so downgrades only shrink the
-        // kept set.
-        let mk = |n: u32| {
-            TraceLog::new(TraceConfig {
-                sample_n: n,
-                sample_seed: 42,
-                ..TraceConfig::all()
-            })
-        };
+        // Same rate → same verdicts; every trace kept at 1/2N is kept
+        // at 1/N (thresholds nest), so downgrades only shrink the kept
+        // set.
+        let mk = |n: u32| TraceLog::new(TraceConfig::sampled(n));
         let (l1, l4, l8) = (mk(1), mk(4), mk(8));
         let mut kept4 = 0u64;
         for trace in 1..4000u64 {
@@ -1163,13 +1150,9 @@ mod tests {
         }
         // ~1/4 of 4k traces, generous tolerance.
         assert!((700..1300).contains(&kept4), "kept4 = {kept4}");
-        // A different seed keeps a different set.
-        let other = TraceLog::new(TraceConfig {
-            sample_n: 4,
-            sample_seed: 43,
-            ..TraceConfig::all()
-        });
-        assert!((1..4000u64).any(|t| l4.keep_trace(t) != other.keep_trace(t)));
+        // The verdict is the trace id's: shifting the ids by a constant
+        // keeps a different set.
+        assert!((1..4000u64).any(|t| l4.keep_trace(t) != l4.keep_trace(t + 4000)));
     }
 
     #[test]

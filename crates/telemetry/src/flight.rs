@@ -8,7 +8,7 @@
 //! Events are deliberately compact (32 bytes, `Copy`, no strings): the
 //! recorder runs on every packet at 100k+ nodes, so the per-event cost
 //! must stay at a ring push. Detail codes are small integers decoded at
-//! render time ([`DropReason::from_index`] for drops).
+//! render time (the inverse of [`DropReason::index`] for drops).
 
 use crate::event::DropReason;
 use std::collections::VecDeque;
@@ -60,7 +60,7 @@ pub struct FlightEvent {
 
 impl FlightEvent {
     /// The human decoding of the detail code.
-    pub fn detail_name(&self) -> String {
+    pub(crate) fn detail_name(&self) -> String {
         match self.kind {
             FlightKind::Drop => DropReason::from_index(self.detail)
                 .map(|r| r.name().to_string())

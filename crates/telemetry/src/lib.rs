@@ -49,7 +49,7 @@ pub use export::{chrome_trace, prometheus};
 pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRecorder};
 pub use metrics::{CounterId, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use monitor::{CounterSel, HealthMonitor, HealthSample, SloRule};
-pub use overload::{BrownoutConfig, BrownoutController, OverloadState};
+pub use overload::{BrownoutController, OverloadState};
 pub use profile::{HeatmapRow, ProfileRegistry, ScopeId, ScopeProfile, ScopeShape};
 pub use span::{CriticalHop, Span, TraceForest};
 

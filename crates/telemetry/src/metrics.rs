@@ -12,13 +12,14 @@
 use crate::json::{push_key, push_str, push_u64, Seq};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 
 /// A power-of-two-bucket histogram over `u64` samples.
 ///
 /// Bucket `0` holds the value 0; bucket `i ≥ 1` holds values in
 /// `[2^(i-1), 2^i)`. 64 buckets cover the full `u64` range, so
 /// `observe` never saturates or allocates.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Histogram {
     count: u64,
     sum: u64,
@@ -317,6 +318,16 @@ impl MetricsRegistry {
     /// The named histogram, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
+    }
+
+    /// Feeds every counter (name, value, whether an export shows it at
+    /// zero) and every histogram into `h`, each in name order: the
+    /// registry's part of a simulation's state digest.
+    pub fn digest(&self, h: &mut impl Hasher) {
+        for (name, slot) in &self.slots {
+            (name, self.values[slot.at as usize], slot.shown).hash(h);
+        }
+        self.histograms.hash(h);
     }
 
     /// Freezes the registry contents into a snapshot. A slot that was

@@ -4,10 +4,10 @@
 //! The controller is a pure state machine over `HealthMonitor`
 //! evaluation windows — no clocks, no randomness — so two runs of the
 //! same scenario step through byte-identical degradation levels. A
-//! breached window steps the level up immediately; recovery is
-//! *hysteretic*: the level steps down only after a configurable run of
-//! consecutive clean windows, so a flapping SLO cannot oscillate the
-//! cluster between full service and shedding.
+//! breached window steps the level up immediately, to at most
+//! [`MAX_LEVEL`]; recovery is *hysteretic*: the level steps down only
+//! after [`STEP_DOWN_WINDOWS`] consecutive clean windows, so a flapping
+//! SLO cannot oscillate the cluster between full service and shedding.
 //!
 //! [`OverloadState`] is the cheap, always-current summary carried by
 //! [`Telemetry`](crate::Telemetry): the current brownout level plus the
@@ -30,6 +30,14 @@ pub struct OverloadState {
 }
 
 impl OverloadState {
+    /// Whether a packet of priority class `prio` is shed at the current
+    /// brownout level: classes strictly below the level are. The PLAN-P
+    /// layer's admission and the cluster gateway both shed by this rule.
+    #[inline]
+    pub fn sheds(&self, prio: u8) -> bool {
+        u32::from(prio) < self.brownout_level
+    }
+
     /// Records `backend`'s breaker state (the gateway calls this on
     /// every transition).
     pub fn set_breaker(&mut self, backend: &str, state: BreakerState) {
@@ -63,30 +71,18 @@ impl OverloadState {
     }
 }
 
-/// Brownout step/restore policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrownoutConfig {
-    /// Highest degradation level the controller will step to.
-    pub max_level: u32,
-    /// Consecutive clean evaluation windows required before stepping
-    /// one level back down (the hysteresis band).
-    pub step_down_windows: u32,
-}
+/// Highest degradation level the controller steps to: one per shed-able
+/// priority class below gold, of the cluster's four.
+pub const MAX_LEVEL: u32 = 3;
 
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            max_level: 3,
-            step_down_windows: 3,
-        }
-    }
-}
+/// Consecutive clean evaluation windows required before stepping one
+/// level back down (the hysteresis band).
+pub const STEP_DOWN_WINDOWS: u32 = 3;
 
 /// The deterministic brownout state machine, fed one observation per
 /// `HealthMonitor` evaluation window by the simulator.
 #[derive(Debug, Default)]
 pub struct BrownoutController {
-    cfg: BrownoutConfig,
     level: u32,
     clean_streak: u32,
     /// Every transition taken: `(t_ns, from_level, to_level, rule)`.
@@ -94,14 +90,6 @@ pub struct BrownoutController {
 }
 
 impl BrownoutController {
-    /// A controller at level 0 with the given policy.
-    pub fn new(cfg: BrownoutConfig) -> Self {
-        BrownoutController {
-            cfg,
-            ..Default::default()
-        }
-    }
-
     /// The current degradation level.
     pub fn level(&self) -> u32 {
         self.level
@@ -119,7 +107,7 @@ impl BrownoutController {
         match breached {
             Some(rule) => {
                 self.clean_streak = 0;
-                if self.level >= self.cfg.max_level {
+                if self.level >= MAX_LEVEL {
                     return None;
                 }
                 let from = self.level;
@@ -130,7 +118,7 @@ impl BrownoutController {
             }
             None => {
                 self.clean_streak += 1;
-                if self.level == 0 || self.clean_streak < self.cfg.step_down_windows {
+                if self.level == 0 || self.clean_streak < STEP_DOWN_WINDOWS {
                     return None;
                 }
                 self.clean_streak = 0;
@@ -155,52 +143,53 @@ mod tests {
 
     #[test]
     fn steps_up_on_breach_and_caps_at_max() {
-        let mut b = BrownoutController::new(BrownoutConfig {
-            max_level: 2,
-            step_down_windows: 3,
-        });
-        assert_eq!(
-            b.observe_window(10, Some("p99")),
-            Some((0, 1, "p99".into()))
-        );
-        assert_eq!(
-            b.observe_window(20, Some("p99")),
-            Some((1, 2, "p99".into()))
-        );
-        assert_eq!(b.observe_window(30, Some("p99")), None, "capped at max");
-        assert_eq!(b.level(), 2);
-        assert_eq!(b.transitions().len(), 2);
+        let mut b = BrownoutController::default();
+        for level in 1..=MAX_LEVEL {
+            assert_eq!(
+                b.observe_window(u64::from(level), Some("p99")),
+                Some((level - 1, level, "p99".into()))
+            );
+        }
+        assert_eq!(b.observe_window(10, Some("p99")), None, "capped at 3");
+        assert_eq!(b.level(), 3);
+        assert_eq!(b.transitions().len(), 3);
     }
 
     #[test]
-    fn restores_hysteretically_after_clean_streak() {
-        let mut b = BrownoutController::new(BrownoutConfig {
-            max_level: 3,
-            step_down_windows: 2,
-        });
+    fn restores_hysteretically_after_three_clean_windows() {
+        let mut b = BrownoutController::default();
         b.observe_window(1, Some("err"));
         assert_eq!(
             b.observe_window(2, None),
             None,
             "one clean window is not enough"
         );
-        assert_eq!(b.observe_window(3, None), Some((1, 0, "recovered".into())));
+        assert_eq!(b.observe_window(3, None), None, "nor are two");
+        assert_eq!(b.observe_window(4, None), Some((1, 0, "recovered".into())));
         assert_eq!(b.level(), 0);
-        assert_eq!(b.observe_window(4, None), None, "already at full service");
+        assert_eq!(b.observe_window(5, None), None, "already at full service");
     }
 
     #[test]
     fn breach_resets_the_clean_streak() {
-        let mut b = BrownoutController::new(BrownoutConfig {
-            max_level: 3,
-            step_down_windows: 2,
-        });
+        let mut b = BrownoutController::default();
         b.observe_window(1, Some("err"));
         b.observe_window(2, None);
-        b.observe_window(3, Some("err")); // streak back to zero, level 2
+        b.observe_window(3, None);
+        b.observe_window(4, Some("err")); // streak back to zero, level 2
         assert_eq!(b.level(), 2);
-        assert_eq!(b.observe_window(4, None), None);
-        assert_eq!(b.observe_window(5, None), Some((2, 1, "recovered".into())));
+        assert_eq!(b.observe_window(5, None), None);
+        assert_eq!(b.observe_window(6, None), None);
+        assert_eq!(b.observe_window(7, None), Some((2, 1, "recovered".into())));
+    }
+
+    #[test]
+    fn sheds_classes_strictly_below_the_level() {
+        let mut s = OverloadState::default();
+        assert!(!s.sheds(0), "level 0 sheds nothing");
+        s.brownout_level = 2;
+        assert!(s.sheds(0) && s.sheds(1));
+        assert!(!s.sheds(2) && !s.sheds(255));
     }
 
     #[test]

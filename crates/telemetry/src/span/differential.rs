@@ -271,7 +271,6 @@ fn stream(seed: u64) -> TraceLog {
             24 + rng.below(64) as usize
         },
         sample_n: [1, 1, 2, 4][rng.below(4) as usize],
-        sample_seed: seed,
         ..TraceConfig::default()
     });
     let chans: [Rc<str>; 3] = ["network".into(), "ctl".into(), "q\"\\\n\u{1}é".into()];

@@ -318,7 +318,7 @@ impl KeyShape {
     }
 
     /// True for a tuple, false for a bare scalar.
-    pub fn is_tuple(self) -> bool {
+    pub(crate) fn is_tuple(self) -> bool {
         self.arity > 0
     }
 

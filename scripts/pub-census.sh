@@ -8,8 +8,10 @@
 # own definition and a test or two is surface without a caller: make it
 # crate-private, delete it, or find the caller that keeps it. Same-named
 # functions in two places share one count, and a name in a comment
-# counts, so a row is a lead to read, not a verdict. Informational:
-# prints, never fails a build. Run from the root of the repository.
+# counts, so a row is a lead to read, not a verdict. The script itself
+# only prints; CI fails when the row count (the last line) rises above
+# its ratchet in .github/workflows/ci.yml. Run from the root of the
+# repository.
 set -euo pipefail
 
 max=${1:-3}

@@ -36,6 +36,7 @@
 //! `List`, `Call` and `Flush` are the instruction kinds the coverage
 //! assertion leaves out).
 
+use netsim::digest::Fnv;
 use netsim::rng::SplitMix64;
 use planp::apps::corpus::CORPUS;
 use planp::apps::plans::{bundled_plans, resolve_asp};
@@ -50,6 +51,7 @@ use planp::vm::prims::eval;
 use planp::vm::value::{Value, VmError};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
+use std::hash::Hasher;
 use std::rc::Rc;
 
 // ---- the generator ---------------------------------------------------------
@@ -982,12 +984,11 @@ fn typed_trees_are_those_of_the_pinned_commit() {
         }
     }
     texts.extend((0..1_500).map(|seed| program(seed, 1 + (seed % 4) as u32).0));
-    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut h = Fnv::default();
     for src in &texts {
-        for b in typed_tree(src).bytes() {
-            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(typed_tree(src).as_bytes());
     }
+    let digest = h.finish();
     assert_eq!(
         digest, TYPED_TREE_DIGEST,
         "a typed tree moved: {digest:#018x}"

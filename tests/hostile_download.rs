@@ -16,8 +16,10 @@ use planp::analysis::Policy;
 use planp::apps::corpus::CORPUS;
 use planp::apps::plans::{bundled_plans, resolve_asp, RELAY_PAIR_PLAN};
 use planp::lang::{compile_front, parse_plan, LangError};
+use planp::netsim::digest::Fnv;
 use planp::netsim::rng::SplitMix64;
 use planp::runtime::{load, load_plan};
+use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Mutants of each text whose front-end verdict is in the digest.
@@ -33,35 +35,26 @@ const FRONT_DIGEST: u64 = 0xcedb_21f5_9a8a_49b2;
 
 const POLICIES: [fn() -> Policy; 3] = [Policy::strict, Policy::no_delivery, Policy::authenticated];
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn verdict<T>(&mut self, src: &str, r: &Result<T, LangError>) {
-        match r {
-            Ok(_) => self.bytes(b"ok;"),
-            Err(e) => {
-                let stray = e.message.starts_with("unexpected character")
-                    && src
-                        .as_bytes()
-                        .get(e.span.start as usize)
-                        .is_some_and(|&b| b >= 0x80);
-                if stray {
-                    self.bytes(format!("stray@{};", e.span.start).as_bytes());
-                } else {
-                    self.bytes(
-                        format!(
-                            "{}:{}@{}..{};",
-                            e.phase, e.message, e.span.start, e.span.end
-                        )
-                        .as_bytes(),
-                    );
-                }
+/// Feeds the front end's verdict on `src` into `h`.
+fn verdict<T>(h: &mut Fnv, src: &str, r: &Result<T, LangError>) {
+    match r {
+        Ok(_) => h.write(b"ok;"),
+        Err(e) => {
+            let stray = e.message.starts_with("unexpected character")
+                && src
+                    .as_bytes()
+                    .get(e.span.start as usize)
+                    .is_some_and(|&b| b >= 0x80);
+            if stray {
+                h.write(format!("stray@{};", e.span.start).as_bytes());
+            } else {
+                h.write(
+                    format!(
+                        "{}:{}@{}..{};",
+                        e.phase, e.message, e.span.start, e.span.end
+                    )
+                    .as_bytes(),
+                );
             }
         }
     }
@@ -99,8 +92,8 @@ fn download(src: &str, digest: Option<&mut Fnv>) {
     let front = compile_front(src);
     let plan = parse_plan(src);
     if let Some(d) = digest {
-        d.verdict(src, &front);
-        d.verdict(src, &plan);
+        verdict(d, src, &front);
+        verdict(d, src, &plan);
     }
     for policy in POLICIES {
         let _ = load(src, policy());
@@ -118,7 +111,7 @@ fn no_mutant_of_a_bundled_text_panics_the_download_path() {
     texts.extend(bundled_plans());
     assert_eq!(texts.len(), 25 + 7, "16 clean + 9 buggy ASPs, 7 plans");
 
-    let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut digest = Fnv::default();
     for (ti, &(name, text)) in texts.iter().enumerate() {
         download(text, None);
         for m in 0..MUTANTS {
@@ -132,9 +125,9 @@ fn no_mutant_of_a_bundled_text_panics_the_download_path() {
             }
         }
     }
+    let digest = digest.finish();
     assert_eq!(
-        digest.0, FRONT_DIGEST,
-        "a front-end message or span moved: {:#018x}",
-        digest.0
+        digest, FRONT_DIGEST,
+        "a front-end message or span moved: {digest:#018x}"
     );
 }

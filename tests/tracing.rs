@@ -5,6 +5,7 @@
 //! both exporters are byte-stable across same-seed runs, and every
 //! export is byte-for-byte what commit 181a903 wrote.
 
+use netsim::digest::Fnv;
 use planp_apps::audio::{run_audio_traced, Adaptation, AudioConfig, AUDIO_ROUTER_ASP};
 use planp_apps::http::{run_http_traced, ClusterMode, HttpConfig};
 use planp_apps::mpeg::{run_mpeg_traced, MpegConfig};
@@ -13,6 +14,7 @@ use planp_runtime::load;
 use planp_telemetry::{
     chrome_trace, prometheus, MetricsSnapshot, SpanOrigin, Telemetry, TraceConfig, TraceForest,
 };
+use std::hash::Hasher;
 
 fn audio_cfg() -> AudioConfig {
     AudioConfig::constant_load(Adaptation::AspJit, 9450, 15)
@@ -182,10 +184,9 @@ const EXPORT_PINS: [(&str, [(usize, u64); 4]); 4] = [
 ];
 
 fn len_and_fnv1a(s: &str) -> (usize, u64) {
-    let digest = s.bytes().fold(0xCBF2_9CE4_8422_2325, |h: u64, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    });
-    (s.len(), digest)
+    let mut h = Fnv::default();
+    h.write(s.as_bytes());
+    (s.len(), h.finish())
 }
 
 #[test]
