@@ -15,6 +15,6 @@ pub use asp::{
 };
 pub use client::HttpClientApp;
 pub use native::NativeHttpGateway;
-pub use scenario::{run_http, run_http_traced, ClusterMode, HttpConfig, HttpResult};
+pub use scenario::{http_sim, run_http, run_http_traced, ClusterMode, HttpConfig, HttpResult};
 pub use server::{HttpServerApp, HTTP_PORT};
 pub use trace::{Trace, TraceSpec};

@@ -25,7 +25,7 @@ use super::native::NativeHttpGateway;
 use super::server::HttpServerApp;
 use super::trace::{Trace, TraceSpec};
 use netsim::packet::addr;
-use netsim::{CpuModel, FaultAction, FaultPlan, LinkSpec, Sim, SimTime};
+use netsim::{CpuModel, FaultAction, FaultPlan, LinkSpec, NodeId, Sim, SimTime};
 use planp_analysis::Policy;
 use planp_runtime::{install_planp, load, Engine, LayerConfig};
 use planp_telemetry::{MetricsSnapshot, Telemetry, TraceConfig};
@@ -141,6 +141,62 @@ pub fn run_http_traced(
     cfg: &HttpConfig,
     trace: TraceConfig,
 ) -> (HttpResult, Telemetry, MetricsSnapshot) {
+    let (mut sim, gw) = http_sim(cfg, trace);
+    sim.run_until(SimTime::from_secs(cfg.duration_s));
+
+    let horizon = cfg.duration_s as f64;
+    let window = horizon - cfg.warmup_s;
+    let (completed, in_window) = match sim.series.get("http_done") {
+        Some(s) => (s.sum() as u64, s.sum_between(cfg.warmup_s, horizon)),
+        None => (0, 0.0),
+    };
+    let lat = sim.series.get("http_latency_ms");
+    let mean_latency_ms = lat
+        .and_then(|s| s.avg_between(cfg.warmup_s, horizon))
+        .unwrap_or(0.0);
+    let p50_latency_ms = lat
+        .and_then(|s| s.percentile_between(cfg.warmup_s, horizon, 0.5))
+        .unwrap_or(0.0);
+    let p95_latency_ms = lat
+        .and_then(|s| s.percentile_between(cfg.warmup_s, horizon, 0.95))
+        .unwrap_or(0.0);
+    let per_server = [SERVER0_ADDR, SERVER1_ADDR, SERVER2_ADDR]
+        .iter()
+        .map(|&a| {
+            let label = netsim::packet::addr_to_string(a);
+            let count = sim
+                .series
+                .get(&format!("served_{label}"))
+                .map(|s| s.sum_between(cfg.warmup_s, horizon))
+                .unwrap_or(0.0);
+            (label, count)
+        })
+        .collect();
+    let metrics = sim.metrics_snapshot();
+    let telemetry = std::mem::take(&mut sim.telemetry);
+    (
+        HttpResult {
+            req_per_sec: in_window / window,
+            completed,
+            mean_latency_ms,
+            p50_latency_ms,
+            p95_latency_ms,
+            failed: 0,
+            gw_cpu_drops: sim.node(gw).cpu_drops,
+            per_server,
+        },
+        telemetry,
+        metrics,
+    )
+}
+
+/// The cluster of `cfg`, built and ready to run (apps added, nothing
+/// run yet), with event tracing per `trace`; and the gateway's node.
+///
+/// # Panics
+///
+/// Panics if the shipped gateway ASP fails verification.
+pub fn http_sim(cfg: &HttpConfig, trace: TraceConfig) -> (Sim, NodeId) {
     let mut sim = Sim::new(cfg.seed);
     sim.telemetry.trace.configure(trace);
 
@@ -292,52 +348,7 @@ pub fn run_http_traced(
         sim.apply_fault_plan(FaultPlan::new().at(at, FaultAction::CrashNode { node: s1 }));
     }
 
-    sim.run_until(SimTime::from_secs(cfg.duration_s));
-
-    let horizon = cfg.duration_s as f64;
-    let window = horizon - cfg.warmup_s;
-    let (completed, in_window) = match sim.series.get("http_done") {
-        Some(s) => (s.sum() as u64, s.sum_between(cfg.warmup_s, horizon)),
-        None => (0, 0.0),
-    };
-    let lat = sim.series.get("http_latency_ms");
-    let mean_latency_ms = lat
-        .and_then(|s| s.avg_between(cfg.warmup_s, horizon))
-        .unwrap_or(0.0);
-    let p50_latency_ms = lat
-        .and_then(|s| s.percentile_between(cfg.warmup_s, horizon, 0.5))
-        .unwrap_or(0.0);
-    let p95_latency_ms = lat
-        .and_then(|s| s.percentile_between(cfg.warmup_s, horizon, 0.95))
-        .unwrap_or(0.0);
-    let per_server = [SERVER0_ADDR, SERVER1_ADDR, SERVER2_ADDR]
-        .iter()
-        .map(|&a| {
-            let label = netsim::packet::addr_to_string(a);
-            let count = sim
-                .series
-                .get(&format!("served_{label}"))
-                .map(|s| s.sum_between(cfg.warmup_s, horizon))
-                .unwrap_or(0.0);
-            (label, count)
-        })
-        .collect();
-    let metrics = sim.metrics_snapshot();
-    let telemetry = std::mem::take(&mut sim.telemetry);
-    (
-        HttpResult {
-            req_per_sec: in_window / window,
-            completed,
-            mean_latency_ms,
-            p50_latency_ms,
-            p95_latency_ms,
-            failed: 0,
-            gw_cpu_drops: sim.node(gw).cpu_drops,
-            per_server,
-        },
-        telemetry,
-        metrics,
-    )
+    (sim, gw)
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! by what they printed.
 //!
 //! Each part feeds what it holds into one [`Fnv`]: the clock and the
-//! event queue, the links, the nodes, the fault state, the instruments
+//! event queue, the links, the nodes with their apps and hooks, the
+//! fault state, the instruments
 //! and the metrics registry, which is where the PLAN-P layer and the
 //! cluster gateway count and what the health monitor judges. What only
 //! observes the run stays out: the trace log,
@@ -65,7 +66,10 @@ impl Sim {
     /// A digest of everything the simulation carries forward: the
     /// clock, the `(at, seq)` and contents of every queued event, the
     /// links' queues, transmissions and counters, the nodes' counters,
-    /// routes, rng states, CPU queues and `down` flags, the fault rng,
+    /// routes, rng states, CPU queues and `down` flags, what each app
+    /// and packet hook feeds of its own state ([`crate::App::digest`],
+    /// [`crate::PacketHook::digest`]: the PLAN-P layer's protocol and
+    /// channel states), the fault rng,
     /// partition and counters, the monitor's and brownout controller's
     /// state, and every counter and histogram of the metrics registry.
     /// Two runs of one seed agree on it at every point they both reach;
