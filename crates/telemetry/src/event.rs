@@ -906,6 +906,7 @@ impl TraceLog {
     }
 
     /// The enabled categories.
+    #[inline]
     pub fn categories(&self) -> Category {
         self.enabled
     }

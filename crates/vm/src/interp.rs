@@ -7,7 +7,7 @@
 //! [`crate::jit`] is its specialization, and the two are differential-
 //! tested against each other.
 
-use crate::env::{packet_parts, ChanRef, NetEnv};
+use crate::env::{packet_parts, ChanRef, NetEnv, Outgoing};
 use crate::ops::{eval_binop, eval_unop};
 use crate::prims;
 use crate::value::{Value, VmError};
@@ -290,7 +290,10 @@ impl<'p> Interp<'p> {
                 pkt,
             } => {
                 let v = self.eval(pkt, globals, names, net)?;
-                net.send_remote(self.chan_ref(chan, *overload)?, packet_parts(&v)?);
+                net.send_remote(
+                    self.chan_ref(chan, *overload)?,
+                    Outgoing::Shared(packet_parts(&v)?),
+                );
                 Ok(Value::Unit)
             }
             TExprKind::OnNeighbor {
@@ -304,7 +307,11 @@ impl<'p> Interp<'p> {
                     return Err(VmError::trap("OnNeighbor host not a host"));
                 };
                 let v = self.eval(pkt, globals, names, net)?;
-                net.send_neighbor(self.chan_ref(chan, *overload)?, h, packet_parts(&v)?);
+                net.send_neighbor(
+                    self.chan_ref(chan, *overload)?,
+                    h,
+                    Outgoing::Shared(packet_parts(&v)?),
+                );
                 Ok(Value::Unit)
             }
         }

@@ -469,7 +469,9 @@ fn impl_for(sig: &PrimSig) -> PrimFn {
             Ok(Value::Unit)
         },
         "deliver" => |a, env| {
-            env.deliver(crate::env::packet_parts(&a[0])?);
+            env.deliver(crate::env::Outgoing::Shared(crate::env::packet_parts(
+                &a[0],
+            )?));
             Ok(Value::Unit)
         },
         other => panic!("primitive `{other}` has a signature but no implementation"),

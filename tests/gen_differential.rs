@@ -26,7 +26,13 @@
 //! sites, the table writes (`(inserted, entries)`, what the runtime's
 //! `state_inserts`/`state_entries` counters are fed) and, after every
 //! packet, the table's contents: its size and a lookup of every probe
-//! key through the primitives, and its entries.
+//! key through the primitives, and its entries. Each program is also
+//! verified, and every dispatch on every entry must stay within the
+//! verifier's per-dispatch bounds of the overload: steps, `OnRemote` +
+//! `OnNeighbor` sends and fresh table inserts. The bytecode entries hand
+//! their sends a packet they may move from where a send is the last
+//! read of `p` (`MockEnv` moves it), so a send marked wrongly shows as a
+//! later read of an emptied register.
 //!
 //! A program is a function of `(seed, depth)` alone. A failure is
 //! shrunk by regenerating the same seed at smaller depths and prints
@@ -38,12 +44,13 @@
 
 use netsim::digest::Fnv;
 use netsim::rng::SplitMix64;
+use planp::analysis::{verify, Policy};
 use planp::apps::corpus::CORPUS;
 use planp::apps::plans::{bundled_plans, resolve_asp};
 use planp::lang::tast::TProgram;
 use planp::lang::{compile_front, parse_plan};
 use planp::runtime::convert::{packet_to_parts, value_to_packet};
-use planp::vm::env::MockEnv;
+use planp::vm::env::{MockEnv, SendKind};
 use planp::vm::interp::Interp;
 use planp::vm::jit;
 use planp::vm::pkthdr::{addr, IpHdr, TcpHdr, UdpHdr};
@@ -739,6 +746,8 @@ struct Seen {
     raised: u64,
     effects: u64,
     table_writes: u64,
+    /// Dispatches whose steps met the static step bound exactly.
+    at_bound: u64,
 }
 
 fn same<T: PartialEq + Debug>(what: &str, interp: &T, bytecode: &T) -> Result<(), String> {
@@ -785,6 +794,10 @@ fn check(seed: u64, depth: u32) -> Result<Seen, String> {
     };
     let mut states = [init(ssi)?, init(ssj)?, init(ssr)?];
     let probes = probe_keys();
+    // The verifier's per-dispatch bounds of the one overload.
+    let report = verify(&prog, Policy::authenticated());
+    let bound = report.cost.channels[0].bound;
+    let inserts = report.state_effects.inserts_for(0);
 
     let mut rng = SplitMix64::new(seed ^ 0xD15_9A7C);
     let mut seen = Seen {
@@ -793,6 +806,7 @@ fn check(seed: u64, depth: u32) -> Result<Seen, String> {
         raised: 0,
         effects: 0,
         table_writes: 0,
+        at_bound: 0,
     };
     for n in 0..8 {
         let pkt = packet(&parts, &mut rng);
@@ -810,11 +824,35 @@ fn check(seed: u64, depth: u32) -> Result<Seen, String> {
         let ri = interp.run_channel(0, &gi, ps, ss, pkt.clone(), ei);
         let (ps, ss) = states[1].clone();
         let rj = compiled.run_channel(0, &gj, ps, ss, pkt, ej);
-        let (ps, ss) = states[2].clone();
+        let (mut ps, mut ss) = states[2].clone();
         let rr = compiled
             .load_packet(0, |regs| packet_to_parts(&wire, shape, regs))
             .ok_or_else(|| fail(format!("packet {n} does not decode against its own shape")))?
-            .run(&gj, ps, ss, er);
+            .run(&gj, &mut ps, &mut ss, er)
+            .map(|()| (ps, ss));
+        // What each engine observed is within what the verifier bounds
+        // per dispatch of the overload, on every path, raising or not.
+        for (engine, env) in [
+            ("interpreter", &*ei),
+            ("run_channel", &*ej),
+            ("load_packet", &*er),
+        ] {
+            // The send bound counts `OnRemote` and `OnNeighbor`.
+            let sends = env.send_sites.iter().filter(|s| s.0 != SendKind::Deliver);
+            let observed = [
+                ("steps", env.steps, bound.steps),
+                ("sends", sends.count() as u64, bound.sends),
+                ("fresh inserts", env.insert_count(), inserts),
+            ];
+            for (what, seen, bound) in observed {
+                if seen > bound {
+                    return Err(fail(format!(
+                        "packet {n}, {engine}: {seen} {what} over the static bound {bound}"
+                    )));
+                }
+            }
+        }
+        seen.at_bound += u64::from(ei.steps == bound.steps);
 
         let shown =
             |r: &Result<(Value, Value), VmError>| r.clone().map(|(ps, ss)| format!("{ps} {ss}"));
@@ -919,6 +957,7 @@ fn generated_programs_agree_on_all_three_entries() {
     };
     let mut emitted: BTreeMap<&str, u64> = BTreeMap::new();
     let (mut dispatches, mut raised, mut effects, mut writes) = (0, 0, 0, 0);
+    let mut at_bound = 0;
     for seed in 0..programs {
         let depth = 1 + (seed % 4) as u32;
         let seen = check_caught(seed, depth).unwrap_or_else(|why| {
@@ -933,10 +972,11 @@ fn generated_programs_agree_on_all_three_entries() {
         raised += seen.raised;
         effects += seen.effects;
         writes += seen.table_writes;
+        at_bound += seen.at_bound;
     }
     println!(
         "{programs} programs, {dispatches} dispatches: {raised} raised, {effects} effects, \
-         {writes} table writes"
+         {writes} table writes, {at_bound} at the static step bound"
     );
     println!("programs per instruction kind: {emitted:?}");
     for kind in TYPED.iter().chain(GENERIC) {
@@ -949,6 +989,12 @@ fn generated_programs_agree_on_all_three_entries() {
     assert!(raised * 2 < dispatches, "{raised} of {dispatches} raised");
     assert!(effects > dispatches / 2, "{effects} effects");
     assert!(writes > dispatches / 10, "{writes} table writes");
+    // Every dispatch stayed within the verifier's bounds (`check`), and
+    // the step bound is exact often enough that one off by one shows.
+    assert!(
+        at_bound * 20 > dispatches,
+        "{at_bound} dispatches at the step bound"
+    );
 }
 
 /// FNV-1a over the typed tree of every corpus ASP, every ASP a bundled
