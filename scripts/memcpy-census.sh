@@ -8,9 +8,9 @@
 # inline and calls libc above that, so a row whose length is
 # size_of::<Packet>() (default 112; it was 144 = 0x90 in every one of
 # these functions before the packet was thinned) means the packet grew
-# back over the threshold. Informational: prints, never fails a build —
-# codegen facts stay out of gates. The size pins in
-# crates/netsim/src/packet.rs are the gate.
+# back over the threshold. The script only prints; CI fails when its
+# last line counts any call, or no packet-path function at all (the size
+# pins in crates/netsim/src/packet.rs hold the type's own size).
 set -euo pipefail
 
 bin=${1:?usage: memcpy-census.sh <binary> [packet-bytes]}
@@ -31,7 +31,7 @@ BEGIN {
     paths = "Sim>?::(arrive|process_arrival|deliver_local|deliver_to_app)>:$" \
         "|NodeApi::send>:$|enqueue_on_link>:$|PacketSlab::(put|take)>:$" \
         "|(PlanpLayer|ClusterGateway|NativeHttpGateway) as netsim::node::PacketHook>::on_packet>:$" \
-        "|SimNetEnv::outgoing>:$|SimNetEnv as planp_vm::env::NetEnv>::send_remote>:$"
+        "|SimNetEnv::emit>:$|SimNetEnv as planp_vm::env::NetEnv>::send_remote>:$"
 }
 # A function header: `00000000001c7010 <netsim::ip::<impl netsim::sim::Sim>::arrive>:`
 /^[0-9a-f]+ <.*>:$/ {
