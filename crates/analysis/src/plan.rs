@@ -59,7 +59,8 @@ pub struct PlanNode {
 
 /// The static topology a plan is verified against: nodes, adjacency,
 /// and the expected end-to-end paths. Runtime bridges
-/// `netsim::TopoSpec` into this shape (analysis stays simulator-free).
+/// `netsim::TopoSpec` into this shape: the verifier reads no simulator
+/// type (of `netsim`, analysis uses only `rng::Seedless`).
 #[derive(Debug, Clone)]
 pub struct PlanTopology {
     /// Topology registry name; must match the plan's `topology` line.

@@ -9,35 +9,31 @@
 //! precomputes both: per channel name its overloads, and per transport
 //! kind the `network` overloads that can match at all; and per overload
 //! its [`Decoder`]. Decoding is the match: a packet is decoded at most
-//! once per candidate, straight into the form the engine runs it from.
+//! once per candidate, straight into the compiled program's registers,
+//! which either engine then runs it from.
 
-use crate::convert::{packet_to_value, Decoder};
+use crate::convert::Decoder;
 use crate::loader::LoadedProgram;
 use netsim::packet::{Packet, Transport};
-use planp_lang::tast::TProgram;
 use planp_lang::types::TransportKind;
 use planp_vm::jit::PacketFrame;
-use planp_vm::value::Value;
 use std::rc::Rc;
 
 /// Which channel overloads an arriving packet is offered to, in order —
 /// section 2.3's dispatch, decided from the program once at its first
-/// install. Every node installed from the program holds a clone, which
-/// shares the lists and reaches them as directly as an owned `Vec`.
-#[derive(Clone)]
+/// install and shared with the rest of the image's shape.
 pub(crate) struct DispatchTable {
     /// Per transport kind of the packet ([`transport_slot`]): the
     /// `network` overloads of that kind, in declaration order. An
     /// overload of another kind never decodes, so skipping it changes
     /// nothing.
-    untagged: [Rc<[usize]>; 3],
+    untagged: [Vec<usize>; 3],
     /// Every channel name with its overloads in declaration order. A
     /// handful of names, compared by pointer first: a tag set by a node
     /// installed from the same image *is* the string stored here.
-    tagged: Rc<[(Rc<str>, Vec<usize>)]>,
-    /// Per channel overload, how the bytecode engine's registers are
-    /// filled from a packet.
-    decoders: Rc<[Decoder]>,
+    tagged: Vec<(Rc<str>, Vec<usize>)>,
+    /// Per channel overload, how a packet is read into the registers.
+    decoders: Vec<Decoder>,
 }
 
 fn transport_slot(kind: TransportKind) -> usize {
@@ -62,16 +58,16 @@ impl DispatchTable {
             }
         }
         DispatchTable {
-            untagged: untagged.map(Rc::from),
-            tagged: tagged.into(),
+            untagged,
+            tagged,
             decoders: (image.prog.channels.iter())
                 .map(|ch| Decoder::new(&ch.shape))
                 .collect(),
         }
     }
 
-    /// True if a match for the bytecode engine on channel `idx` moved
-    /// the packet's payload into its registers ([`Decoder::load`]).
+    /// True if a match on channel `idx` moved the packet's payload into
+    /// the registers ([`Decoder::load`]).
     pub(crate) fn moves_payload(&self, idx: usize) -> bool {
         self.decoders[idx].moves_payload()
     }
@@ -96,9 +92,9 @@ impl DispatchTable {
     }
 }
 
-/// Finds the channel that should process `pkt` for the bytecode engine
-/// and loads the packet into `frame`: the first candidate whose shape
-/// fits. A payload that is one `blob` moves into the frame's registers
+/// Finds the channel that should process `pkt` and loads the packet
+/// into `frame`: the first candidate whose shape fits. A payload that
+/// is one `blob` moves into the frame's registers
 /// ([`DispatchTable::moves_payload`]).
 pub(crate) fn load_frame(
     table: &DispatchTable,
@@ -112,29 +108,18 @@ pub(crate) fn load_frame(
     })
 }
 
-/// Finds the channel that should process `pkt` for the interpreter and
-/// decodes the packet into the tuple it binds by name, sharing the
-/// payload.
-pub(crate) fn decode(
-    table: &DispatchTable,
-    prog: &TProgram,
-    pkt: &Packet,
-) -> Option<(usize, Value)> {
-    table.candidates(pkt).iter().find_map(|&idx| {
-        let shape = &prog.channels[idx].shape;
-        Some((idx, packet_to_value(pkt, shape)?))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::packet_to_value;
     use crate::loader::load;
     use bytes::Bytes;
     use netsim::packet::{addr, ChannelTag, IpHdr, TcpHdr};
     use netsim::rng::SplitMix64;
     use planp_analysis::Policy;
+    use planp_lang::tast::TProgram;
     use planp_lang::types::Type;
+    use planp_vm::value::Value;
 
     /// The definition the table must agree with: the tagged overload,
     /// or the `network` overloads in declaration order, each offered
@@ -154,19 +139,14 @@ mod tests {
         }
     }
 
-    /// Both engines' decodes pick the channel the definition picks and
-    /// hold equal components, or all three decline.
+    /// The table's decode picks the channel the definition picks and
+    /// holds equal components, or both decline.
     fn assert_agrees(image: &LoadedProgram, table: &DispatchTable, pkt: &Packet) {
         let want = by_declaration_order(&image.prog, pkt);
         let (mut frame, mut taken) = (image.compiled.frame(), pkt.clone());
         let loaded = load_frame(table, &mut frame, &mut taken);
         let loaded = loaded.map(|idx| (idx, Value::tuple(frame.packet().to_vec())));
-        assert_eq!(loaded, want, "bytecode engine on {pkt:?}");
-        assert_eq!(
-            decode(table, &image.prog, pkt),
-            want,
-            "interpreter on {pkt:?}"
-        );
+        assert_eq!(loaded, want, "{pkt:?}");
     }
 
     fn with_transport(kind: TransportKind, payload: Vec<u8>) -> Packet {

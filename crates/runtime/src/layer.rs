@@ -10,16 +10,18 @@
 //! a PLAN-P router "operates seamlessly within existing networks".
 //!
 //! Which overloads a packet can match, and how each reads a packet, is
-//! worked out at install (`crate::dispatch`); per packet the layer
-//! decodes the components of the first that fits straight into the
-//! engine's registers (a blob payload by move), the engine sends from
-//! its registers (by move where the send is the packet's last read),
-//! and `SimNetEnv` builds the outgoing packet from that slice — no
-//! tuple, no allocation, no name lookup and no reference count of the
-//! payload touched in between.
+//! worked out at an image's first install (`crate::dispatch`) and shared
+//! by every node installed from it. Per packet the layer decodes the
+//! components of the first overload that fits straight into the
+//! compiled program's registers (a blob payload by move), for either
+//! engine. The bytecode engine sends from its registers (by move where
+//! the send is the packet's last read), and `SimNetEnv` builds the
+//! outgoing packet from that slice — no tuple, no allocation, no name
+//! lookup and no reference count of the payload touched in between. The
+//! interpreter binds `p` to a tuple of the same registers.
 
 use crate::convert::{packet_headers, packet_payload, parts_to_packet};
-use crate::dispatch::{decode, load_frame, DispatchTable};
+use crate::dispatch::{load_frame, DispatchTable};
 use crate::loader::{load, LoadedProgram};
 use bytes::Bytes;
 use netsim::digest::Fnv;
@@ -118,7 +120,8 @@ pub struct LayerConfig {
     ///    forwarding; a packet without one is top priority.
     ///
     /// Both read only simulation time and packet bytes, so two runs
-    /// shed byte-identical packet sets. Off by default.
+    /// shed byte-identical packet sets. A timer wake-up is not traffic
+    /// and is never shed. Off by default.
     ///
     /// [`OverloadState::sheds`]: planp_telemetry::OverloadState::sheds
     pub admission: bool,
@@ -129,7 +132,7 @@ pub struct LayerConfig {
 #[derive(Debug, Clone)]
 pub struct PlanpHandle {
     /// Each channel name's counters, once.
-    chans: Vec<ChanCounters>,
+    chans: Rc<[ChanCounters]>,
     fallback: CounterId,
     /// Accumulated `print`/`println` output.
     pub output: Rc<RefCell<String>>,
@@ -146,7 +149,7 @@ impl PlanpHandle {
             passed: m.get_id(self.fallback),
             ..LayerStats::default()
         };
-        for c in &self.chans {
+        for c in self.chans.iter() {
             s.matched += m.get_id(c.dispatch);
             s.errors += m.get_id(c.errors);
             s.dropped += m.get_id(c.dropped);
@@ -165,7 +168,7 @@ impl PlanpHandle {
 /// (`node.<n>.chan.<c>.<what>`), resolved once at install so the packet
 /// path never formats or hashes a metric name — each count is an array
 /// add. Overloads sharing a name resolve to the same slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct ChanCounters {
     dispatch: CounterId,
     errors: CounterId,
@@ -235,9 +238,9 @@ impl NodeNames {
 /// The half of an installed layer that is the same on every node, built
 /// once per image at its first install ([`LoadedProgram::shape`]) and
 /// never by `load`: what each overload is and may cost, its profile
-/// scope's shape, and the dispatch table. A node clones the handles it
-/// reads per packet into its own [`ChanMeta`], so dispatch reaches them
-/// as directly as before.
+/// scope's shape, and the dispatch table. Every node installed from the
+/// image holds it by `Rc` and reads it per packet; a node keeps only
+/// its own counters and profile scopes beside it.
 pub(crate) struct ProgramShape {
     /// Per channel overload, indexed like the program's channels.
     chans: Vec<ChanShape>,
@@ -245,21 +248,27 @@ pub(crate) struct ProgramShape {
     names: Vec<ChanName>,
     table: DispatchTable,
     /// The composed entry bound over every table, if the state analysis
-    /// proved one.
+    /// proved one: what the live entry total is checked against.
     entry_bound: Option<u64>,
-    /// What the live entry total is checked against (u64::MAX when some
-    /// table is unbounded or the image carries no state report).
-    static_entry_bound: u64,
 }
 
-/// One channel overload of [`ProgramShape`]: the fields of [`ChanMeta`]
-/// that are the same on every node, and the shape of its profile scope.
+/// One channel overload of [`ProgramShape`].
 struct ChanShape {
+    /// This overload's `{name, overload}` record, built here once around
+    /// the program's one handle of the name (`TChannel::name`): a send
+    /// to it clones the handle into the packet's lineage.
     ident: ChannelTag,
-    tagged: bool,
+    /// The tag a send to this overload puts on the packet: its `ident`,
+    /// except on `network`, whose traffic stays untagged so PLAN-P
+    /// routers interoperate with plain IP.
+    tag: Option<ChannelTag>,
     /// Index of the overload's name in [`ProgramShape::names`].
     name: usize,
+    /// Static worst-case step bound of this overload's body, from the
+    /// verifier's cost analysis.
     static_bound: u64,
+    /// Static worst-case fresh inserts per dispatch of this overload,
+    /// from the verifier's state analysis.
     static_insert_bound: u64,
     scope: Rc<ScopeShape>,
 }
@@ -312,20 +321,13 @@ impl ProgramShape {
                 .iter()
                 .filter(|c| c.chan == ch.name && c.overload == ch.overload)
                 .map(|c| (c.pattern.to_string(), c.sites.clone(), c.label.clone()));
+            let ident = ChannelTag::new(ch.name.clone(), ch.overload);
             chans.push(ChanShape {
-                ident: ChannelTag::new(ch.name.clone(), ch.overload),
-                tagged: &*ch.name != "network",
+                tag: (&*ch.name != "network").then(|| ident.clone()),
+                ident,
                 name,
-                static_bound: if report.cost.channels.is_empty() {
-                    u64::MAX
-                } else {
-                    steps
-                },
-                static_insert_bound: if report.state_effects.channels.is_empty() {
-                    u64::MAX
-                } else {
-                    inserts
-                },
+                static_bound: steps,
+                static_insert_bound: inserts,
                 scope: Rc::new(ScopeShape::new(
                     &ch.name,
                     ch.overload,
@@ -335,49 +337,12 @@ impl ProgramShape {
                 )),
             });
         }
-        let entry_bound = report.state_effects.entry_bound();
         ProgramShape {
             chans,
             names,
             table: DispatchTable::new(image),
-            entry_bound,
-            static_entry_bound: if report.state_effects.channels.is_empty() {
-                u64::MAX
-            } else {
-                entry_bound.unwrap_or(u64::MAX)
-            },
+            entry_bound: report.state_effects.entry_bound(),
         }
-    }
-}
-
-/// What the packet path needs of one channel overload, resolved once at
-/// install time.
-struct ChanMeta {
-    /// This overload's `{name, overload}` record, built here once around
-    /// the program's one handle of the name (`TChannel::name`): a send
-    /// to it clones the handle into the packet's lineage and, for a
-    /// tagged channel, into its tag.
-    ident: ChannelTag,
-    /// Sends to this channel carry its tag. `network` traffic stays
-    /// untagged so PLAN-P routers interoperate with plain IP.
-    tagged: bool,
-    c: ChanCounters,
-    /// Static worst-case step bound of this overload's body, from the
-    /// verifier's cost analysis (u64::MAX when the image carries no
-    /// bound, disabling the cross-check).
-    static_bound: u64,
-    /// Static worst-case fresh inserts per dispatch of this overload,
-    /// from the verifier's state analysis (u64::MAX when the image
-    /// carries no state report, disabling the cross-check).
-    static_insert_bound: u64,
-    /// This overload's scope in the telemetry profile registry.
-    profile_scope: ScopeId,
-}
-
-impl ChanMeta {
-    /// The tag a send to this channel puts on the packet.
-    fn tag(&self) -> Option<ChannelTag> {
-        self.tagged.then(|| self.ident.clone())
     }
 }
 
@@ -402,7 +367,8 @@ impl TimerWake {
 pub struct PlanpLayer {
     prog: Rc<TProgram>,
     compiled: Rc<CompiledProgram>,
-    table: DispatchTable,
+    /// What every node installed from the image shares.
+    shape: Rc<ProgramShape>,
     /// What a fired `setTimer` re-enters the program with, if the
     /// program declares a `timer` channel.
     timer: Option<TimerWake>,
@@ -411,21 +377,23 @@ pub struct PlanpLayer {
     proto: Value,
     chan_states: Vec<Value>,
     output: Rc<RefCell<String>>,
-    chan_meta: Vec<ChanMeta>,
+    /// This node's counters per channel name, indexed like
+    /// [`ProgramShape::names`]; shared with every handle.
+    counters: Rc<[ChanCounters]>,
+    /// This node's scope in the telemetry profile registry per channel
+    /// overload, indexed like the program's channels.
+    scopes: Vec<ScopeId>,
     /// Handle for packets falling back to standard IP processing.
     c_fallback: CounterId,
     /// Live total table entries across the program's tables (fresh
     /// inserts minus evictions, tracked through every channel run),
-    /// checked against `static_entry_bound`.
+    /// checked against [`ProgramShape::entry_bound`].
     state_entries: u64,
     /// High-water mark of the live entry total already published to the
     /// `state_entries` metric (counters are monotonic, so the metric
     /// tracks the peak).
     state_entries_peak: u64,
     c_state_entries: CounterId,
-    /// Static composed entry bound over every table (u64::MAX when some
-    /// table is unbounded or the image carries no state report).
-    static_entry_bound: u64,
 }
 
 impl PlanpLayer {
@@ -453,163 +421,118 @@ impl PlanpLayer {
         for i in 0..n_chans {
             chan_states.push(compiled.init_channel_state(i, &globals, &mut env)?);
         }
-        // The node's own counters, one set per channel name, and its
-        // profile scopes, one per overload over the program's shared
-        // shapes (idempotent by scope key, so redeploys keep their
-        // profiles).
-        let shape = image.shape();
+        // The node's own counters, one set per channel name in
+        // declaration order, and its profile scopes, one per overload
+        // over the program's shared shapes (idempotent by scope key, so
+        // redeploys keep their profiles).
+        let shape = image.shape().clone();
         let metrics = &mut telemetry.metrics;
-        let profile = &mut telemetry.profile;
         let mut names = NodeNames::new(node_name);
-        let mut chan_meta: Vec<ChanMeta> = Vec::with_capacity(shape.chans.len());
-        for ch in &shape.chans {
-            // A name's counters are registered at its first overload and
-            // shared by the others.
-            let earlier = shape.chans[..chan_meta.len()].iter();
-            let c = match earlier.zip(&chan_meta).find(|(o, _)| o.name == ch.name) {
-                Some((_, cm)) => cm.c,
-                None => ChanCounters::register(metrics, &mut names, &shape.names[ch.name].name),
-            };
-            chan_meta.push(ChanMeta {
-                ident: ch.ident.clone(),
-                tagged: ch.tagged,
-                c,
-                static_bound: ch.static_bound,
-                static_insert_bound: ch.static_insert_bound,
-                profile_scope: profile.declare(node_name, &ch.scope),
-            });
-        }
-        let timer = chan_meta
-            .iter()
-            .find(|cm| &*cm.ident.chan == "timer")
-            .map(|cm| TimerWake {
-                tag: cm.ident.clone(),
+        let counters = (shape.names.iter())
+            .map(|n| ChanCounters::register(metrics, &mut names, &n.name))
+            .collect();
+        let scopes = (shape.chans.iter())
+            .map(|ch| telemetry.profile.declare(node_name, &ch.scope))
+            .collect();
+        let timer = (shape.chans.iter())
+            .find(|ch| &*ch.ident.chan == "timer")
+            .map(|ch| TimerWake {
+                tag: ch.ident.clone(),
                 key: 0,
                 payload: TimerWake::payload_of(0),
             });
         Ok(PlanpLayer {
             prog: image.prog.clone(),
             compiled,
-            table: shape.table.clone(),
+            shape,
             timer,
             config,
             globals,
             proto,
             chan_states,
             output: Rc::new(RefCell::new(String::new())),
-            chan_meta,
+            counters,
+            scopes,
             c_fallback: metrics.register_counter(names.name(&["planp.fallback_ip"])),
             state_entries: 0,
             state_entries_peak: 0,
             c_state_entries: metrics.register_counter(names.name(&["planp.state_entries"])),
-            static_entry_bound: shape.static_entry_bound,
         })
     }
 
     /// The shared handle (counters + print output).
     pub fn handle(&self) -> PlanpHandle {
-        let mut chans: Vec<ChanCounters> = Vec::new();
-        for cm in &self.chan_meta {
-            if !chans.contains(&cm.c) {
-                chans.push(cm.c);
-            }
-        }
         PlanpHandle {
-            chans,
+            chans: self.counters.clone(),
             fallback: self.c_fallback,
             output: self.output.clone(),
         }
     }
-}
 
-impl PacketHook for PlanpLayer {
-    fn on_packet(
-        &mut self,
-        api: &mut NodeApi<'_>,
-        mut pkt: Packet,
-        meta: &ArrivalMeta,
-    ) -> HookVerdict {
-        if meta.overheard && !self.config.process_overheard {
-            return HookVerdict::Pass(pkt);
-        }
-        // UDP traffic on the management port goes straight to standard
-        // processing: the deployment plane stays out of the program's
-        // reach.
-        if pkt.udp_hdr().is_some_and(|u| u.dport == MANAGEMENT_PORT) {
-            api.trace_dispatch(&pkt, None, DispatchOutcome::Bypass);
-            return HookVerdict::Pass(pkt);
-        }
+    /// Offers `pkt` to the program's channels and runs the one it
+    /// matches on the configured engine, first through admission if
+    /// `admission` is set. Inlined into both callers, so the packet path
+    /// stays one function (`scripts/memcpy-census.sh` reads `on_packet`).
+    #[inline(always)]
+    fn dispatch(&mut self, api: &mut NodeApi<'_>, mut pkt: Packet, admission: bool) -> HookVerdict {
         // Admission reads the priority class before a match moves the
         // payload into the engine's registers.
-        let prio = (self.config.admission).then(|| pkt.payload.first().copied().unwrap_or(u8::MAX));
-        // The bytecode engine's match loads the packet into a frame of
-        // the program's register file, where it then runs; the
-        // interpreter's is the tuple it binds.
+        let prio = admission.then(|| pkt.payload.first().copied().unwrap_or(u8::MAX));
+        // The match loads the packet into a frame of the compiled
+        // program's register file, for either engine: the bytecode
+        // engine runs there, the interpreter binds `p` to a tuple of the
+        // registers.
+        let shape = &*self.shape;
         let mut frame = self.compiled.frame();
-        let matched = match self.config.engine {
-            Engine::Jit => load_frame(&self.table, &mut frame, &mut pkt).map(|idx| (idx, None)),
-            Engine::Interp => {
-                let tuple = decode(&self.table, &self.prog, &pkt);
-                tuple.map(|(idx, tuple)| (idx, Some(tuple)))
-            }
-        };
-        let Some((idx, tuple)) = matched else {
+        let Some(idx) = load_frame(&shape.table, &mut frame, &mut pkt) else {
             api.trace_dispatch(&pkt, None, DispatchOutcome::NoMatch);
             api.telemetry().metrics.inc_id(self.c_fallback);
             return HookVerdict::Pass(pkt);
         };
-        let cm = &self.chan_meta[idx];
+        let ch = &shape.chans[idx];
+        let (c, scope) = (&self.counters[ch.name], self.scopes[idx]);
         // Admission control runs after channel match (so only ASP
         // traffic is gated) but before the engine dispatch.
         if let Some(prio) = prio {
             if pkt.lineage.expired(api.now().as_nanos()) {
-                api.telemetry().metrics.inc_id(cm.c.deadline_expired);
+                api.telemetry().metrics.inc_id(c.deadline_expired);
                 api.node_drop(&pkt, DropReason::DeadlineExpired);
                 return HookVerdict::Handled;
             }
             if api.telemetry().overload.sheds(prio) {
-                api.telemetry().metrics.inc_id(cm.c.shed);
+                api.telemetry().metrics.inc_id(c.shed);
                 api.node_drop(&pkt, DropReason::Shed);
                 return HookVerdict::Handled;
             }
         }
         let tel = api.telemetry();
-        tel.metrics.inc_id(cm.c.dispatch);
+        tel.metrics.inc_id(c.dispatch);
         // The profiler's sampling decision also counts the dispatch, so
         // skipped work is accounted rather than silently dropped.
-        let profiling = tel.profile.should_profile(cm.profile_scope);
+        let profiling = tel.profile.should_profile(scope);
         let mut env = SimNetEnv {
             host: api.addr(),
             api,
-            chans: &self.chan_meta,
+            chans: &shape.chans,
             output: &self.output,
             emitted: 0,
             vm_steps: 0,
-            profiling: profiling.then_some(cm.profile_scope),
+            profiling: profiling.then_some(scope),
             cur: &pkt,
             inserts: 0,
             entries_delta: 0,
         };
-        // What fail-open forwards if the run raises before it emits: the
-        // payload the decoder moved into the engine's registers, which
-        // only a send (that then emitted) moves on.
-        let mut payload = None;
+        // The states are updated in place, and only by a run that
+        // returned.
         let (ps, ss) = (&mut self.proto, &mut self.chan_states[idx]);
-        let result = match tuple {
-            // The states are updated in place, and only by a run that
-            // returned.
-            None => {
-                let out = frame.run(&self.globals, ps, ss, &mut env);
-                if out.is_err() && env.emitted == 0 && self.table.moves_payload(idx) {
-                    if let Some(Value::Blob(bytes)) = frame.packet().last() {
-                        payload = Some(bytes.clone());
-                    }
-                }
-                out
+        let result = match self.config.engine {
+            Engine::Jit => frame.run(&self.globals, ps, ss, &mut env),
+            Engine::Interp => {
+                let p = Value::tuple(frame.packet().to_vec());
+                Interp::new(&self.prog)
+                    .run_channel(idx, &self.globals, ps.clone(), ss.clone(), p, &mut env)
+                    .map(|(new_ps, new_ss)| (*ps, *ss) = (new_ps, new_ss))
             }
-            Some(tuple) => Interp::new(&self.prog)
-                .run_channel(idx, &self.globals, ps.clone(), ss.clone(), tuple, &mut env)
-                .map(|(new_ps, new_ss)| (*ps, *ss) = (new_ps, new_ss)),
         };
         let SimNetEnv {
             api,
@@ -625,16 +548,16 @@ impl PacketHook for PlanpLayer {
         // the profile, then the trace.
         let tel = api.telemetry();
         let m = &mut tel.metrics;
-        m.add_id(cm.c.vm_steps, vm_steps);
-        if vm_steps > cm.static_bound {
-            m.inc_id(cm.c.cost_bound_exceeded);
+        m.add_id(c.vm_steps, vm_steps);
+        if vm_steps > ch.static_bound {
+            m.inc_id(c.cost_bound_exceeded);
         }
         // State accounting mirrors the step accounting: table mutations
         // already happened (tables are shared cells), so they count on
         // error paths too, and the live entry total and per-run inserts
         // are cross-checked against the static state bounds.
         if inserts > 0 {
-            m.add_id(cm.c.state_inserts, inserts);
+            m.add_id(c.state_inserts, inserts);
         }
         if entries_delta != 0 {
             self.state_entries = self.state_entries.saturating_add_signed(entries_delta);
@@ -646,19 +569,20 @@ impl PacketHook for PlanpLayer {
                 self.state_entries_peak = self.state_entries;
             }
         }
-        if inserts > cm.static_insert_bound || self.state_entries > self.static_entry_bound {
-            m.inc_id(cm.c.state_bound_exceeded);
+        let over_entries = shape.entry_bound.is_some_and(|b| self.state_entries > b);
+        if inserts > ch.static_insert_bound || over_entries {
+            m.inc_id(c.state_bound_exceeded);
         }
         let outcome = match &result {
             // The channel ate the packet without re-emitting or
             // delivering anything: an intentional drop.
             Ok(_) if emitted == 0 => {
-                m.inc_id(cm.c.dropped);
+                m.inc_id(c.dropped);
                 DispatchOutcome::Consumed
             }
             Ok(_) => DispatchOutcome::Matched,
             Err(_) => {
-                m.inc_id(cm.c.errors);
+                m.inc_id(c.errors);
                 DispatchOutcome::Error
             }
         };
@@ -668,15 +592,15 @@ impl PacketHook for PlanpLayer {
         // both engines charge the aggregate on error paths too, so the
         // Σ per-site == aggregate invariant still holds).
         if profiling {
-            m.inc_id(cm.c.profiled);
-            tel.profile.record(cm.profile_scope, vm_steps);
+            m.inc_id(c.profiled);
+            tel.profile.record(scope, vm_steps);
         } else {
-            m.inc_id(cm.c.profile_skipped);
+            m.inc_id(c.profile_skipped);
         }
         // One test for both of the dispatch's packet-path events.
         if tel.trace.categories().0 & (Category::VM.0 | Category::DISPATCH.0) != 0 {
-            api.trace_vm_run(&pkt, &cm.ident.chan, vm_steps);
-            api.trace_dispatch(&pkt, Some(&cm.ident.chan), outcome);
+            api.trace_vm_run(&pkt, &ch.ident.chan, vm_steps);
+            api.trace_dispatch(&pkt, Some(&ch.ident.chan), outcome);
         }
         match result {
             Ok(()) => HookVerdict::Handled,
@@ -688,7 +612,7 @@ impl PacketHook for PlanpLayer {
                     },
                     VmError::Trap(m) => format!("trap: {m}").into(),
                 };
-                api.trace_exception(&pkt, &cm.ident.chan, exn);
+                api.trace_exception(&pkt, &ch.ident.chan, exn);
                 if emitted > 0 {
                     // The program already re-sent or delivered something;
                     // passing the original through as well would duplicate
@@ -697,15 +621,35 @@ impl PacketHook for PlanpLayer {
                 } else {
                     // Fail open: a misbehaving program must not take the
                     // router down; the packet, whole, gets standard
-                    // processing.
+                    // processing. A payload the match moved into the
+                    // frame is still there: only a send that then emitted
+                    // moves it on.
                     api.telemetry().metrics.inc_id(self.c_fallback);
-                    if let Some(bytes) = payload {
-                        pkt.payload = bytes;
+                    if shape.table.moves_payload(idx) {
+                        if let Some(Value::Blob(bytes)) = frame.packet().last() {
+                            pkt.payload = bytes.clone();
+                        }
                     }
                     HookVerdict::Pass(pkt)
                 }
             }
         }
+    }
+}
+
+impl PacketHook for PlanpLayer {
+    fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: Packet, meta: &ArrivalMeta) -> HookVerdict {
+        if meta.overheard && !self.config.process_overheard {
+            return HookVerdict::Pass(pkt);
+        }
+        // UDP traffic on the management port goes straight to standard
+        // processing: the deployment plane stays out of the program's
+        // reach.
+        if pkt.udp_hdr().is_some_and(|u| u.dport == MANAGEMENT_PORT) {
+            api.trace_dispatch(&pkt, None, DispatchOutcome::Bypass);
+            return HookVerdict::Pass(pkt);
+        }
+        self.dispatch(api, pkt, self.config.admission)
     }
 
     fn on_timer(&mut self, api: &mut NodeApi<'_>, key: u64) {
@@ -724,14 +668,12 @@ impl PacketHook for PlanpLayer {
         let mut pkt = Packet::udp(me, me, 0, 0, timer.payload.clone());
         pkt.tag = Some(timer.tag.clone());
         api.stamp(&mut pkt);
-        // Run the ordinary dispatch path. A `Pass` verdict means the
-        // program declined the synthetic packet; it has nowhere to go,
-        // so it is discarded.
-        let meta = ArrivalMeta {
-            via: None,
-            overheard: false,
-        };
-        let _ = self.on_packet(api, pkt, &meta);
+        // Run the ordinary dispatch path. A wake-up is not traffic, so it
+        // bypasses admission, as management traffic does: its payload's
+        // first byte is the key's, not a priority class. A `Pass`
+        // verdict means the program declined the synthetic packet; it
+        // has nowhere to go, so it is discarded.
+        let _ = self.dispatch(api, pkt, false);
     }
 
     /// Feeds the protocol state, every channel state, the live and
@@ -794,9 +736,9 @@ struct SimNetEnv<'a, 'b> {
     api: &'a mut NodeApi<'b>,
     /// The node's address (`thisHost`).
     host: u32,
-    /// The installed channels, indexed like the program's: a send's
-    /// tag and lineage name come from here.
-    chans: &'a [ChanMeta],
+    /// The program's channel overloads: a send's tag and lineage name
+    /// come from here.
+    chans: &'a [ChanShape],
     output: &'a Rc<RefCell<String>>,
     /// Sends/deliveries performed by the current channel run (used to
     /// decide whether a failed run may still fall back to standard
@@ -859,7 +801,7 @@ impl SimNetEnv<'_, '_> {
             return;
         }
         ip.ttl -= 1;
-        let cm = &self.chans[to.index as usize];
+        let ch = &self.chans[to.index as usize];
         let origin = match hop {
             Hop::Remote => SpanOrigin::Remote,
             Hop::Neighbor(_) => SpanOrigin::Neighbor,
@@ -868,9 +810,9 @@ impl SimNetEnv<'_, '_> {
             ip,
             transport,
             payload: packet_payload(pkt, at),
-            tag: cm.tag(),
+            tag: ch.tag.clone(),
             id: 0,
-            lineage: self.child_lineage(origin, Some(cm.ident.clone())),
+            lineage: self.child_lineage(origin, Some(ch.ident.clone())),
         };
         self.emitted += 1;
         match hop {
@@ -1277,13 +1219,14 @@ mod tests {
             let mut telemetry = Telemetry::default();
             let layer = PlanpLayer::new(&image, LayerConfig::default(), 1, "n", &mut telemetry)
                 .unwrap_or_else(|e| panic!("{path}: {e}"));
-            for (idx, (ch, cm)) in image.prog.channels.iter().zip(&layer.chan_meta).enumerate() {
+            let chans = image.prog.channels.iter().zip(&layer.shape.chans);
+            for (idx, (ch, shape)) in chans.enumerate() {
                 let parts = parts_of(&ch.shape);
                 let built = |tag| {
                     let parts = Outgoing::Shared(&parts);
                     parts_to_packet(parts, tag, Lineage::default()).expect("a packet")
                 };
-                let (sent, fresh) = (built(cm.tag()), built(per_send(ch)));
+                let (sent, fresh) = (built(shape.tag.clone()), built(per_send(ch)));
                 assert_eq!(sent, fresh, "{path}: channel {}#{}", ch.name, ch.overload);
                 assert_eq!(
                     format!("{:?}", sent.tag),
@@ -1292,28 +1235,20 @@ mod tests {
                 );
                 // The lineage names the channel whether or not it tags.
                 assert_eq!(
-                    (&*cm.ident.chan, cm.ident.overload),
+                    (&*shape.ident.chan, shape.ident.overload),
                     (&*ch.name, ch.overload)
                 );
                 if let Some(tag) = &sent.tag {
                     tagged_sends += 1;
                     // The handle is the image's name, not a copy of it.
                     assert!(Rc::ptr_eq(&tag.chan, &ch.name));
-                    // Either packet reaches the overload it was sent to,
-                    // on both engines.
-                    for engine in [Engine::Jit, Engine::Interp] {
-                        let at = |pkt: &Packet| match engine {
-                            Engine::Jit => {
-                                let mut frame = layer.compiled.frame();
-                                load_frame(&layer.table, &mut frame, &mut pkt.clone())
-                            }
-                            Engine::Interp => {
-                                decode(&layer.table, &layer.prog, pkt).map(|(i, _)| i)
-                            }
-                        };
-                        assert_eq!(at(&sent), Some(idx), "{path}: {engine:?}");
-                        assert_eq!(at(&fresh), Some(idx), "{path}: {engine:?}");
-                    }
+                    // Either packet reaches the overload it was sent to.
+                    let at = |pkt: &Packet| {
+                        let mut frame = layer.compiled.frame();
+                        load_frame(&layer.shape.table, &mut frame, &mut pkt.clone())
+                    };
+                    assert_eq!(at(&sent), Some(idx), "{path}");
+                    assert_eq!(at(&fresh), Some(idx), "{path}");
                 }
             }
         }
@@ -1456,6 +1391,66 @@ mod tests {
         // Timer dispatches count as matched channel runs.
         assert_eq!(handle.stats(&sim.telemetry).matched, 10);
         assert_eq!(handle.stats(&sim.telemetry).errors, 0);
+    }
+
+    #[test]
+    fn timer_wake_ups_bypass_admission() {
+        // The reliable relay's receiver re-NACKs a gap from its timer
+        // until the gap closes. A wake-up's payload is its key, whose
+        // first byte would read as priority class 0: admitted like
+        // traffic, brownout level 1 sheds it and the timer stops for
+        // good. The data is sent as class 1 (its sequence numbers' top
+        // byte), so the level admits it.
+        struct Gap {
+            dst: u32,
+            nacks: Rc<RefCell<u64>>,
+        }
+        impl netsim::App for Gap {
+            fn on_start(&mut self, api: &mut NodeApi<'_>) {
+                let base = 1i64 << 56;
+                for seq in [base, base + 2] {
+                    let payload = Bytes::copy_from_slice(&seq.to_be_bytes());
+                    api.send(Packet::udp(api.addr(), self.dst, 5555, 5555, payload));
+                }
+            }
+            fn on_packet(&mut self, _api: &mut NodeApi<'_>, pkt: Packet) {
+                if pkt.udp_hdr().is_some_and(|u| u.dport == 5556) {
+                    *self.nacks.borrow_mut() += 1;
+                }
+            }
+        }
+        let src = include_str!("../../../asps/reliable_relay.planp");
+        let image = load(src, Policy::authenticated()).expect("program loads");
+        for engine in [Engine::Jit, Engine::Interp] {
+            let mut sim = Sim::new(3);
+            let a = sim.add_host("a", addr(10, 0, 0, 1));
+            let b = sim.add_host("b", addr(10, 0, 0, 2));
+            sim.add_link(LinkSpec::ethernet_10(), &[a, b]);
+            sim.compute_routes();
+            let config = LayerConfig {
+                engine,
+                admission: true,
+                ..LayerConfig::default()
+            };
+            let handle = install_planp(&mut sim, b, &image, config).expect("install");
+            sim.telemetry.overload.brownout_level = 1;
+            let nacks = Rc::new(RefCell::new(0));
+            let dst = addr(10, 0, 0, 2);
+            let gap = Gap {
+                dst,
+                nacks: nacks.clone(),
+            };
+            sim.add_app(a, Box::new(gap));
+            sim.run_until(SimTime::from_secs(1));
+            let st = handle.stats(&sim.telemetry);
+            assert_eq!(st.shed, 0, "{engine:?}");
+            // The sequence numbers start far above the expected 0, so
+            // each data packet NACKs the gap and arms a timer that then
+            // re-NACKs every 20 ms, all second long.
+            let ticks = sim.telemetry.metrics.counter("node.b.chan.timer.dispatch");
+            assert!(ticks >= 90, "{engine:?}: {ticks} timer dispatches");
+            assert!(*nacks.borrow() >= ticks, "{engine:?}: {nacks:?} NACKs");
+        }
     }
 
     #[test]
@@ -1756,18 +1751,6 @@ channel network(ps : unit, ss : unit, p : ip*udp*char*int) is
 channel network(ps : unit, ss : unit, p : ip*udp*char*bool) is
   (print("bool:"); print(#4 p); OnRemote(network, p); (ps, ss))
 "#;
-        let image = load(src, Policy::no_delivery()).unwrap();
-        let mut sim = Sim::new(3);
-        let a = sim.add_host("a", addr(10, 0, 0, 1));
-        let r = sim.add_router("r", addr(10, 0, 0, 254));
-        let b = sim.add_host("b", addr(10, 0, 1, 1));
-        sim.add_link(LinkSpec::ethernet_10(), &[a, r]);
-        sim.add_link(LinkSpec::ethernet_10(), &[r, b]);
-        sim.compute_routes();
-        let handle = install_planp(&mut sim, r, &image, LayerConfig::default()).unwrap();
-        let got = Rc::new(RefCell::new(Vec::new()));
-        sim.add_app(b, Box::new(Sink { got: got.clone() }));
-
         struct Two {
             dst: u32,
         }
@@ -1783,16 +1766,32 @@ channel network(ps : unit, ss : unit, p : ip*udp*char*bool) is
             }
             fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {}
         }
-        sim.add_app(
-            a,
-            Box::new(Two {
-                dst: addr(10, 0, 1, 1),
-            }),
-        );
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(&*handle.output.borrow(), "int:7bool:true");
-        assert_eq!(got.borrow().len(), 2);
-        assert_eq!(handle.stats(&sim.telemetry).matched, 2);
+        let image = load(src, Policy::no_delivery()).unwrap();
+        let mut counters = Vec::new();
+        for engine in [Engine::Jit, Engine::Interp] {
+            let mut sim = Sim::new(3);
+            let a = sim.add_host("a", addr(10, 0, 0, 1));
+            let r = sim.add_router("r", addr(10, 0, 0, 254));
+            let b = sim.add_host("b", addr(10, 0, 1, 1));
+            sim.add_link(LinkSpec::ethernet_10(), &[a, r]);
+            sim.add_link(LinkSpec::ethernet_10(), &[r, b]);
+            sim.compute_routes();
+            let config = LayerConfig {
+                engine,
+                ..LayerConfig::default()
+            };
+            let handle = install_planp(&mut sim, r, &image, config).unwrap();
+            let got = Rc::new(RefCell::new(Vec::new()));
+            sim.add_app(b, Box::new(Sink { got: got.clone() }));
+            let dst = addr(10, 0, 1, 1);
+            sim.add_app(a, Box::new(Two { dst }));
+            sim.run_until(SimTime::from_secs(1));
+            assert_eq!(&*handle.output.borrow(), "int:7bool:true", "{engine:?}");
+            assert_eq!(got.borrow().len(), 2, "{engine:?}");
+            assert_eq!(handle.stats(&sim.telemetry).matched, 2, "{engine:?}");
+            counters.push(sim.metrics_snapshot().counters);
+        }
+        assert_eq!(counters[0], counters[1], "both engines count alike");
     }
 
     #[test]

@@ -70,13 +70,13 @@ pub struct LoadedProgram {
     pub lines: usize,
     /// What every node installed from this program shares, built at
     /// the first install (the download path itself never needs it).
-    shape: OnceCell<ProgramShape>,
+    shape: OnceCell<Rc<ProgramShape>>,
 }
 
 impl LoadedProgram {
     /// The half of an installed layer that is the same on every node.
-    pub(crate) fn shape(&self) -> &ProgramShape {
-        self.shape.get_or_init(|| ProgramShape::new(self))
+    pub(crate) fn shape(&self) -> &Rc<ProgramShape> {
+        self.shape.get_or_init(|| Rc::new(ProgramShape::new(self)))
     }
 }
 

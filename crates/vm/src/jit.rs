@@ -12,7 +12,7 @@
 //!   global, or a field of a tuple in a slot;
 //! * a channel's packet parameter is **one register per component** of
 //!   its shape (`ip`, transport header, payload parts), filled by the
-//!   caller ([`CompiledProgram::load_packet`]): `udpDst(#2 p)` reads a
+//!   caller ([`PacketFrame::load`]): `udpDst(#2 p)` reads a
 //!   register, `OnRemote(c, p)` and `deliver(p)` send straight from the
 //!   registers — and hand them over to be moved from where the send is
 //!   the last read of `p` on every path ([`Outgoing::Owned`], decided
@@ -736,8 +736,8 @@ impl CompiledProgram {
     }
 
     /// Runs channel `idx` on a packet tuple, returning `(ps', ss')`:
-    /// [`load_packet`](Self::load_packet) fed with the tuple's
-    /// components, then [`PacketFrame::run`].
+    /// [`PacketFrame::load`] fed with the tuple's components, then
+    /// [`PacketFrame::run`].
     ///
     /// # Errors
     ///
@@ -752,38 +752,24 @@ impl CompiledProgram {
         net: &mut dyn NetEnv,
     ) -> Result<(Value, Value), VmError> {
         let parts = packet_parts(&pkt)?;
-        let mut frame = self
-            .load_packet(idx, |regs| {
-                let fits = regs.len() == parts.len();
-                if fits {
-                    regs.clone_from_slice(parts);
-                }
-                fits
-            })
-            .ok_or_else(|| {
-                VmError::trap(format!(
-                    "channel {idx} takes {} packet components, got {}",
-                    self.channels[idx].pkt.1,
-                    parts.len()
-                ))
-            })?;
+        let mut frame = self.frame();
+        let fits = frame.load(idx, |regs| {
+            let fits = regs.len() == parts.len();
+            if fits {
+                regs.clone_from_slice(parts);
+            }
+            fits
+        });
+        if !fits {
+            return Err(VmError::trap(format!(
+                "channel {idx} takes {} packet components, got {}",
+                self.channels[idx].pkt.1,
+                parts.len()
+            )));
+        }
         let (mut ps, mut ss) = (ps, ss);
         frame.run(globals, &mut ps, &mut ss, net)?;
         Ok((ps, ss))
-    }
-
-    /// Opens channel `idx`'s frame and lets `fill` write the packet
-    /// straight into its registers ([`PacketFrame::load`]). `None` when
-    /// `fill` declines (the packet does not match): nothing ran and
-    /// nothing was charged.
-    #[inline]
-    pub fn load_packet(
-        &self,
-        idx: usize,
-        fill: impl FnOnce(&mut [Value]) -> bool,
-    ) -> Option<PacketFrame<'_>> {
-        let mut frame = self.frame();
-        frame.load(idx, fill).then_some(frame)
     }
 
     /// A frame of this program with no packet in it yet: the register
@@ -889,9 +875,8 @@ impl CompiledProgram {
 }
 
 /// A channel's frame with a packet in its registers, ready to run; see
-/// [`CompiledProgram::frame`] and [`CompiledProgram::load_packet`].
-/// Holds the program's register file and hands it back when dropped,
-/// run or not.
+/// [`CompiledProgram::frame`] and [`PacketFrame::load`]. Holds the
+/// program's register file and hands it back when dropped, run or not.
 pub struct PacketFrame<'p> {
     prog: &'p CompiledProgram,
     /// The channel loaded last (`usize::MAX` before the first load).
@@ -2800,7 +2785,7 @@ mod tests {
         let (_, cp) = both("channel network(ps : int, ss : unit, p : ip*udp*blob) is (ps, ss)");
         let mut env = MockEnv::new(0);
         // Declined by the filler: nothing ran, nothing was charged.
-        assert!(cp.load_packet(0, |regs| regs.len() != 3).is_none());
+        assert!(!cp.frame().load(0, |regs| regs.len() != 3));
         let short = Value::tuple(vec![Value::Ip(IpHdr::new(1, 2, IpHdr::PROTO_UDP))]);
         for bad in [short, Value::Int(1)] {
             let r = cp.run_channel(0, &[], Value::Int(0), Value::Unit, bad, &mut env);
@@ -2808,15 +2793,15 @@ mod tests {
         }
         assert_eq!((env.steps, cp.steps()), (0, 0));
         // Filled in place, it runs like the tuple-fed entry.
-        let mut frame = cp
-            .load_packet(0, |regs| {
-                let Value::Tuple(parts) = udp_packet(1, 2, b"x") else {
-                    unreachable!()
-                };
-                regs.clone_from_slice(&parts);
-                true
-            })
-            .expect("three components");
+        let mut frame = cp.frame();
+        let loaded = frame.load(0, |regs| {
+            let Value::Tuple(parts) = udp_packet(1, 2, b"x") else {
+                unreachable!()
+            };
+            regs.clone_from_slice(&parts);
+            true
+        });
+        assert!(loaded, "three components");
         assert_eq!(frame.packet().len(), 3);
         let (mut ps, mut ss) = (Value::Int(4), Value::Unit);
         frame.run(&[], &mut ps, &mut ss, &mut env).unwrap();

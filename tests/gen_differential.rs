@@ -20,7 +20,8 @@
 //! are also used whole (which must stay built).
 //!
 //! Each program meets eight packets on the interpreter, on the
-//! tuple-fed `run_channel` and on the register-fed `load_packet` entry;
+//! tuple-fed `run_channel` and on a register-fed frame
+//! (`CompiledProgram::frame` + `PacketFrame::load`, as the layer runs it);
 //! the three must agree on the result (or the error's identity), the
 //! effects, the step total, the per-site trail *in order*, the send
 //! sites, the table writes (`(inserted, entries)`, what the runtime's
@@ -825,17 +826,20 @@ fn check(seed: u64, depth: u32) -> Result<Seen, String> {
         let (ps, ss) = states[1].clone();
         let rj = compiled.run_channel(0, &gj, ps, ss, pkt, ej);
         let (mut ps, mut ss) = states[2].clone();
-        let rr = compiled
-            .load_packet(0, |regs| packet_to_parts(&wire, shape, regs))
-            .ok_or_else(|| fail(format!("packet {n} does not decode against its own shape")))?
-            .run(&gj, &mut ps, &mut ss, er)
-            .map(|()| (ps, ss));
+        let mut frame = compiled.frame();
+        if !frame.load(0, |regs| packet_to_parts(&wire, shape, regs)) {
+            return Err(fail(format!(
+                "packet {n} does not decode against its own shape"
+            )));
+        }
+        let rr = frame.run(&gj, &mut ps, &mut ss, er).map(|()| (ps, ss));
+        drop(frame);
         // What each engine observed is within what the verifier bounds
         // per dispatch of the overload, on every path, raising or not.
         for (engine, env) in [
             ("interpreter", &*ei),
             ("run_channel", &*ej),
-            ("load_packet", &*er),
+            ("register-fed", &*er),
         ] {
             // The send bound counts `OnRemote` and `OnNeighbor`.
             let sends = env.send_sites.iter().filter(|s| s.0 != SendKind::Deliver);
@@ -856,8 +860,10 @@ fn check(seed: u64, depth: u32) -> Result<Seen, String> {
 
         let shown =
             |r: &Result<(Value, Value), VmError>| r.clone().map(|(ps, ss)| format!("{ps} {ss}"));
-        for (entry, got, env, col) in [("run_channel", &rj, &*ej, 1), ("load_packet", &rr, &*er, 2)]
-        {
+        for (entry, got, env, col) in [
+            ("run_channel", &rj, &*ej, 1),
+            ("register-fed", &rr, &*er, 2),
+        ] {
             let ctx = |what: &str| format!("packet {n}, {entry}: {what}");
             same(&ctx("results"), &shown(&ri), &shown(got))
                 .and_then(|()| same(&ctx("step totals"), &ei.steps, &env.steps))
@@ -887,7 +893,7 @@ fn check(seed: u64, depth: u32) -> Result<Seen, String> {
         // What a table holds after the packet, whether the dispatch
         // raised or not (a write before a raise stays written).
         let view = table_view(&states[0].1, &probes);
-        for (entry, env, col) in [("run_channel", &*ej, 1), ("load_packet", &*er, 2)] {
+        for (entry, env, col) in [("run_channel", &*ej, 1), ("register-fed", &*er, 2)] {
             let ctx = |what: &str| format!("packet {n}, {entry}: {what}");
             same(&ctx("table writes"), &ei.table_writes, &env.table_writes)
                 .and_then(|()| same(&ctx("tables"), &view, &table_view(&states[col].1, &probes)))

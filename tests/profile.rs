@@ -388,11 +388,12 @@ fn every_bundled_asp_is_engine_identical_on_200_seeded_packets() {
                 &mut j.env,
             );
             let (mut ps, mut ss) = (r.ps.clone(), r.ss[idx].clone());
-            let rr = compiled
-                .load_packet(idx, |regs| packet_to_parts(&wire, shape, regs))
-                .expect("a packet's wire form decodes against its own shape")
-                .run(&r.globals, &mut ps, &mut ss, &mut r.env)
-                .map(|()| (ps, ss));
+            let mut frame = compiled.frame();
+            let loaded = frame.load(idx, |regs| packet_to_parts(&wire, shape, regs));
+            assert!(loaded, "a packet's wire form decodes against its own shape");
+            let rr = frame.run(&r.globals, &mut ps, &mut ss, &mut r.env);
+            let rr = rr.map(|()| (ps, ss));
+            drop(frame);
             failed += u64::from(ri.is_err());
             for (tier, got, engine) in [("tuple-fed", rj, &mut j), ("register-fed", rr, &mut r)] {
                 let ctx = format!("{name} channel {idx} packet {n}, {tier}");
