@@ -3,9 +3,12 @@
 
 use super::asp::{format, AUDIO_PORT};
 use bytes::{BufMut, Bytes, BytesMut};
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::{App, NodeApi};
 use std::cell::RefCell;
+use std::fmt::Write as _;
+use std::hash::Hash;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -65,6 +68,10 @@ impl App for AudioSource {
         let pkt = Packet::udp(api.addr(), self.group, AUDIO_PORT, AUDIO_PORT, payload);
         api.send(pkt);
         api.set_timer(FRAME_INTERVAL, 0);
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        (self.group, self.seq).hash(h);
     }
 }
 
@@ -185,6 +192,12 @@ impl App for AudioClient {
         self.bytes_this_second = 0;
         api.set_timer(Duration::from_secs(1), 1);
     }
+
+    fn digest(&self, h: &mut Fnv) {
+        let last = (self.next_seq, self.last_arrival_ms, self.last_fmt);
+        (last, self.bytes_this_second).hash(h);
+        let _ = write!(h, "{:?}", self.stats.borrow());
+    }
 }
 
 /// One phase of background load.
@@ -260,6 +273,10 @@ impl App for LoadGen {
         }
         api.set_timer(BURST_INTERVAL, 0);
     }
+
+    // Nothing carried forward: the schedule is fixed at construction and
+    // the jitter draws from the node's rng, which the node digest feeds.
+    fn digest(&self, _: &mut Fnv) {}
 }
 
 /// A do-nothing sink for generated load.
@@ -267,6 +284,9 @@ pub struct NullSink;
 
 impl App for NullSink {
     fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {}
+
+    // Stateless: it drops what it receives.
+    fn digest(&self, _: &mut Fnv) {}
 }
 
 #[cfg(test)]

@@ -5,9 +5,11 @@
 
 use super::asp::{format, AUDIO_PORT};
 use bytes::{BufMut, BytesMut};
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::{ArrivalMeta, HookVerdict, NodeApi, PacketHook};
 use planp_vm::audio;
+use std::hash::Hash;
 
 /// Thresholds mirroring the ASP's `hiThresh`/`loThresh`.
 const HI_THRESH: i64 = 80;
@@ -79,6 +81,10 @@ impl PacketHook for NativeAudioRouter {
         api.send(pkt);
         HookVerdict::Handled
     }
+
+    fn digest(&self, h: &mut Fnv) {
+        self.degraded.hash(h);
+    }
 }
 
 /// Native client-side restoration (the counterpart of
@@ -118,6 +124,9 @@ impl PacketHook for NativeAudioClient {
         api.deliver_local(pkt);
         HookVerdict::Handled
     }
+
+    // Stateless: each frame is restored on its own.
+    fn digest(&self, _: &mut Fnv) {}
 }
 
 #[cfg(test)]

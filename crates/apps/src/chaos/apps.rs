@@ -10,11 +10,14 @@
 
 use super::asp::{DATA_PORT, NACK_PORT};
 use bytes::Bytes;
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::rng::Seedless;
 use netsim::{App, NodeApi};
 use planp_telemetry::CounterId;
 use std::cell::RefCell;
+use std::fmt::Write as _;
+use std::hash::Hash;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -119,6 +122,11 @@ impl App for SeqSource {
         // up where the crash left it.
         api.set_timer(self.interval, 0);
     }
+
+    fn digest(&self, h: &mut Fnv) {
+        (self.next, self.tail_resends).hash(h);
+        let _ = write!(h, "{:?}", self.stats.borrow());
+    }
 }
 
 /// Counters kept by [`SeqCollector`].
@@ -186,5 +194,12 @@ impl App for SeqCollector {
         } else {
             stats.duplicates += 1;
         }
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        let mut seen: Vec<u64> = self.seen.iter().copied().collect();
+        seen.sort_unstable();
+        seen.hash(h);
+        let _ = write!(h, "{:?}", self.stats.borrow());
     }
 }

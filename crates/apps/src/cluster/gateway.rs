@@ -38,6 +38,7 @@
 //! [`OverloadState::brownout_level`]: planp_telemetry::OverloadState
 
 use super::scenario::CLUSTER_PORT;
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::{ArrivalMeta, HookVerdict, NodeApi, PacketHook};
 use planp_telemetry::{BreakerState, Category, CounterId, DropReason, Telemetry, TraceEvent};
@@ -482,6 +483,11 @@ impl PacketHook for ClusterGateway {
     fn on_timer(&mut self, api: &mut NodeApi<'_>, _key: u64) {
         self.sweep(api);
         api.set_hook_timer(SWEEP, 0);
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        let _ = write!(h, "{:?}{:?}", self.backends, self.pending);
+        let _ = write!(h, "{} {:?}", self.sweep_armed, self.stats.borrow());
     }
 }
 

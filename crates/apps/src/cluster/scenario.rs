@@ -31,6 +31,7 @@
 //! and the JIT, since engine choice never shifts simulated time).
 
 use super::gateway::{BackendSpec, ClusterGateway};
+use netsim::digest::Fnv;
 use netsim::node::CpuModel;
 use netsim::packet::{addr, Packet};
 use netsim::{App, FaultPlan, LinkSpec, NodeApi, Sim, SimTime, Watch};
@@ -280,6 +281,10 @@ impl App for ClusterClient {
         let jitter = api.rand_below(interval / 16 + 1);
         api.set_timer(Duration::from_nanos(interval + jitter), 0);
     }
+
+    fn digest(&self, h: &mut Fnv) {
+        let _ = write!(h, "{} {:?}", self.sent, self.stats.borrow());
+    }
 }
 
 /// Stateless responder: echoes the request id and send timestamp back
@@ -304,6 +309,9 @@ impl App for ClusterBackend {
         let out = Packet::udp(api.addr(), pkt.ip.src, CLUSTER_PORT, hdr.sport, resp.into());
         api.send(out);
     }
+
+    // Stateless: each request is answered on its own.
+    fn digest(&self, _: &mut Fnv) {}
 }
 
 /// What one cluster run produced.

@@ -9,9 +9,11 @@
 
 use super::server::HTTP_PORT;
 use super::trace::Trace;
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::tcp::{TcpConfig, TcpEvents, TcpSocket};
 use netsim::{App, NodeApi, SimTime};
+use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -199,6 +201,17 @@ impl App for HttpClientApp {
             }
         }
         api.set_timer(TICK, 0);
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        let _ = write!(h, "{} {:?} {:?} ", self.port_next, self.sock, self.expected);
+        let _ = write!(
+            h,
+            "{:?} {} {:?} ",
+            self.buf, self.sent_request, self.started
+        );
+        let _ = write!(h, "{} {} ", self.completed, self.failed);
+        self.trace.digest(h);
     }
 }
 

@@ -2,9 +2,11 @@
 //! baseline the paper compares the ASP against in figure 8.
 
 use super::asp::{SERVER0_ADDR, SERVER1_ADDR, VIRTUAL_ADDR};
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::rng::Seedless;
 use netsim::{ArrivalMeta, HookVerdict, NodeApi, PacketHook};
+use std::hash::Hash;
 
 /// Native gateway hook: identical balancing logic, hand-written.
 #[derive(Debug)]
@@ -77,6 +79,12 @@ impl PacketHook for NativeHttpGateway {
             return HookVerdict::Handled;
         }
         HookVerdict::Pass(pkt)
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        let mut conns: Vec<_> = self.conns.iter().collect();
+        conns.sort_unstable();
+        (conns, self.next, self.assigned).hash(h);
     }
 }
 

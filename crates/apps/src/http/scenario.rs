@@ -312,6 +312,9 @@ pub fn http_sim(cfg: &HttpConfig, trace: TraceConfig) -> (Sim, NodeId) {
                     api.send(pkt);
                 }
             }
+
+            // Nothing carried forward: one timer sends one fixed transfer.
+            fn digest(&self, _: &mut netsim::digest::Fnv) {}
         }
         sim.add_app(
             client_hosts[0],

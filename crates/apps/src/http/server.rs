@@ -14,11 +14,13 @@
 //! ```
 
 use super::trace::Trace;
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::rng::Seedless;
 use netsim::tcp::{ConnKey, TcpConfig, TcpEvents, TcpSocket};
 use netsim::{App, NodeApi};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -235,6 +237,21 @@ impl App for HttpServerApp {
         Self::flush(api, ev);
         let ev = conn.sock.close(now);
         Self::flush(api, ev);
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        for (key, conn) in &self.conns {
+            let _ = write!(
+                h,
+                "{key:?} {:?} {:?} {:?} ",
+                conn.sock, conn.state, conn.buf
+            );
+        }
+        let mut tokens: Vec<_> = self.tokens.iter().collect();
+        tokens.sort_unstable();
+        let _ = write!(h, "{:?} {} {} ", self.backlog, self.active, self.next_token);
+        let _ = write!(h, "{tokens:?} {} ", self.served);
+        self.trace.digest(h);
     }
 }
 

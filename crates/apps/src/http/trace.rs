@@ -6,8 +6,10 @@
 //! the trace defeats caching the same way a real trace does while
 //! remaining seeded and reproducible.
 
+use netsim::digest::Fnv;
 use netsim::rng::SplitMix64;
 use std::cell::Cell;
+use std::hash::Hash;
 use std::rc::Rc;
 
 /// The shared trace: per-document sizes and the request sequence.
@@ -65,6 +67,12 @@ impl Default for TraceSpec {
 }
 
 impl Trace {
+    /// Feeds what a replay has drawn so far: the generator state and
+    /// the position in the pass (the sizes and the CDF are fixed).
+    pub(crate) fn digest(&self, h: &mut Fnv) {
+        (self.rng.get(), self.cursor.get()).hash(h);
+    }
+
     /// Generates a trace from `spec` with the given seed.
     pub fn generate(spec: &TraceSpec, seed: u64) -> Rc<Trace> {
         let n_docs = spec.n_docs.max(1);

@@ -11,11 +11,13 @@
 
 use super::asp::{CAPTURE_CTL_PORT, MONITOR_QUERY_PORT, MPEG_CTL_PORT};
 use bytes::{BufMut, Bytes, BytesMut};
+use netsim::digest::Fnv;
 use netsim::packet::{Packet, UdpHdr};
 use netsim::tcp::{ConnKey, TcpConfig, TcpEvents, TcpSocket};
 use netsim::{App, NodeApi, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -36,6 +38,7 @@ pub struct MpegServerStats {
     pub streams: u64,
 }
 
+#[derive(Debug)]
 struct StreamState {
     client: u32,
     port: u16,
@@ -193,6 +196,11 @@ impl App for MpegServerApp {
         } else {
             api.set_timer(FRAME_INTERVAL, FRAME_KEY);
         }
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        let _ = write!(h, "{:?}{:?}", self.conns, self.streams);
+        let _ = write!(h, "{} {:?}", self.ticking, self.stats.borrow());
     }
 }
 
@@ -411,6 +419,12 @@ impl App for MpegClientApp {
             }
             _ => {}
         }
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        let _ = write!(h, "{:?} {:?} {:?} ", self.phase, self.ctl, self.ctl_buf);
+        let _ = write!(h, "{:?} {} ", self.query_sent, self.watched_seq);
+        let _ = write!(h, "{:?}", self.stats.borrow());
     }
 }
 

@@ -34,11 +34,14 @@
 
 use crate::layer::{install_in_node, LayerConfig, PlanpHandle, MANAGEMENT_PORT};
 use bytes::{BufMut, Bytes, BytesMut};
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::{App, NodeApi};
 use planp_analysis::Policy;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
+use std::hash::Hash;
 use std::rc::Rc;
 
 /// Unfinished transfers a node holds at once.
@@ -234,6 +237,13 @@ impl App for DeployService {
                 Self::reply(api, sender, format!("ERR {first}\n"));
             }
         }
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        for t in &self.transfers {
+            (t.key, &t.chunks, t.last).hash(h);
+        }
+        let _ = write!(h, "{:?}", self.log.borrow());
     }
 }
 

@@ -27,6 +27,7 @@ use crate::loader::load;
 use crate::recovery::{RecoveryLog, RecoveryService};
 use crate::replay::{ReplayReport, LOOP_FACTOR, REPLAY_PACKETS};
 use bytes::Bytes;
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::{App, NodeApi, NodeId, Sim, SimTime, TopoSpec};
 use planp_analysis::plan::{PlanAsp, PlanCheck, PlanNode, PlanReport, PlanTopology};
@@ -34,6 +35,7 @@ use planp_analysis::Policy;
 use planp_lang::{compile_front, parse_plan, LangError};
 use std::cell::RefCell;
 use std::fmt;
+use std::hash::Hash;
 use std::rc::Rc;
 
 /// Why a plan failed to load.
@@ -276,6 +278,10 @@ impl App for PathProbe {
     }
     fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {
         *self.got.borrow_mut() += 1;
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        self.got.borrow().hash(h);
     }
 }
 

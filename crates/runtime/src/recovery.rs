@@ -17,10 +17,12 @@
 //! handle for tests and operators.
 
 use crate::layer::{install_in_node, LayerConfig, PlanpHandle};
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::{App, NodeApi};
 use planp_analysis::Policy;
 use std::cell::RefCell;
+use std::hash::Hash;
 use std::rc::Rc;
 
 /// What the service did, observable by tests and operators.
@@ -107,6 +109,12 @@ impl App for RecoveryService {
                     .inc(&format!("node.{name}.recovery.failures"));
             }
         }
+    }
+
+    // The installed layer is the node's hook, which digests itself.
+    fn digest(&self, h: &mut Fnv) {
+        let log = self.log.borrow();
+        (log.redeploys, log.failures).hash(h);
     }
 }
 

@@ -25,11 +25,13 @@
 use crate::layer::{install_planp, LayerConfig};
 use crate::loader::{load, LoadError};
 use bytes::Bytes;
+use netsim::digest::Fnv;
 use netsim::packet::Packet;
 use netsim::{App, NodeApi, Sim, SimTime, TopoSpec};
 use planp_analysis::{Policy, WitnessKind};
 use planp_telemetry::{Category, TraceConfig, TraceForest};
 use std::cell::RefCell;
+use std::hash::Hash;
 use std::rc::Rc;
 
 /// Number of probe packets the replay sends.
@@ -92,6 +94,9 @@ impl App for Probe {
         }
     }
     fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {}
+
+    // Nothing carried forward: the burst is sent once, at start-up.
+    fn digest(&self, _: &mut Fnv) {}
 }
 
 struct Count {
@@ -101,6 +106,10 @@ struct Count {
 impl App for Count {
     fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {
         *self.got.borrow_mut() += 1;
+    }
+
+    fn digest(&self, h: &mut Fnv) {
+        self.got.borrow().hash(h);
     }
 }
 

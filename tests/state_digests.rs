@@ -1,7 +1,9 @@
 //! `Sim::state_digest` of two PLAN-P scenarios after `run_until`, pinned
 //! at the commit that made the PLAN-P layer feed its protocol state,
 //! channel states (tables entry by entry), entry totals and timer key
-//! into it. A change to how the layer moves packets, counts or profiles
+//! into it, and re-pinned when every app and hook fed its own (the
+//! sequence source and collector, the HTTP clients, servers and trace
+//! cursor). A change to how the layer moves packets, counts or profiles
 //! must leave where a run *is* unchanged; a one-entry change to a
 //! channel's table moves the digest (`layer.rs`,
 //! `a_planted_table_entry_moves_the_state_digest`).
@@ -52,7 +54,7 @@ fn http_gateway(mode: ClusterMode) -> Sim {
 fn relay_grid_state_digest_is_pinned() {
     let got = [Engine::Jit, Engine::Interp].map(|e| relay_grid(e).state_digest());
     // The engines agree on where the grid is.
-    let want = [0xaceb_a1ec_e306_82eb_u64, 0xaceb_a1ec_e306_82eb];
+    let want = [0x97e7_ce20_d703_7165_u64, 0x97e7_ce20_d703_7165];
     assert_eq!(got, want, "[jit, interp]: {got:#018x?}");
 }
 
@@ -61,6 +63,6 @@ fn http_gateway_state_digest_is_pinned() {
     let modes = [ClusterMode::AspGateway, ClusterMode::InterpGateway];
     let got = modes.map(|m| http_gateway(m).state_digest());
     // The interpreted gateway's CPU is slower, so its run differs.
-    let want = [0x63ea_e0b7_435d_2771_u64, 0x5fd1_b916_0454_3707];
+    let want = [0x2976_096f_470a_f448_u64, 0xf6d0_da73_8ca9_06f8];
     assert_eq!(got, want, "[jit, interp]: {got:#018x?}");
 }
