@@ -266,6 +266,42 @@ impl Sim {
         self.monitor_tick();
     }
 
+    /// Runs the next event due at or before `t`, if there is one, and
+    /// returns what it was; `None` leaves the simulation as it is. Unlike
+    /// [`Sim::run_until`], nothing is settled after the event, so two
+    /// runs stepped alike can be compared event by event (what
+    /// [`crate::diverge`] does once it has narrowed a divergence to one
+    /// instant).
+    pub fn step_until(&mut self, t: SimTime) -> Option<String> {
+        self.ensure_started();
+        let ev = self.sched.pop_due(t)?;
+        let what = self.describe(&ev.kind);
+        (self.now, self.now_seq) = (ev.at, ev.seq);
+        self.process(ev.kind);
+        self.monitor_tick();
+        Some(format!("t={} ns: {what}", ev.at.as_nanos()))
+    }
+
+    fn describe(&self, kind: &EvKind) -> String {
+        let name = |n: u32| &self.nodes[n as usize].name;
+        match kind {
+            EvKind::Arrive { node, via, .. } => match via {
+                Some(l) => format!("arrival at {} over link {l}", name(*node)),
+                None => format!("arrival at {}", name(*node)),
+            },
+            EvKind::ArriveAll { link, from, .. } => {
+                format!("arrival over link {link} from {}", name(*from))
+            }
+            EvKind::TxDone { link } => format!("transmission done on link {link}"),
+            EvKind::Timer { node, app, key } => {
+                format!("timer {key} of app {app} on {}", name(*node))
+            }
+            EvKind::HookTimer { node, key } => format!("hook timer {key} on {}", name(*node)),
+            EvKind::CpuDone { node, .. } => format!("CPU done on {}", name(*node)),
+            EvKind::Fault(action) => format!("fault {action:?}"),
+        }
+    }
+
     /// Drains every remaining event (use with care — load generators that
     /// re-arm forever will never drain) and returns how many it ran. The
     /// count is logical, like `sim.events_processed`: a completion that
