@@ -27,7 +27,7 @@
 //! Exit status: 0 when every gate holds, 1 otherwise, 2 on usage or
 //! I/O errors.
 
-use crate::{chaos, cluster, health, lint, modelcheck, obs, plan, profile, state, trace};
+use crate::{chaos, cluster, gen, health, lint, modelcheck, obs, plan, profile, state, trace};
 use crate::{corpus_sources, render_diff, Cli, CliArgs, Report, Sub};
 use planp_apps::corpus::{CorpusAsp, CORPUS};
 use std::path::Path;
@@ -126,6 +126,22 @@ pub const GATES: &[Gate] = &[
     }),
     pinned("state", "state-report.json", "STATE_BASELINE.txt", || {
         state::report(corpus_sources(), true)
+    }),
+    // A fixed budget of generated programs through the three-column
+    // differential; run twice like every gate, so a generator that is
+    // not a function of its seed fails here.
+    gate("gen", "gen-report.txt", || {
+        Ok(match gen::run(gen::GATE_PROGRAMS) {
+            Ok(tally) => Report {
+                stdout: tally.render(),
+                ..Report::default()
+            },
+            Err(why) => Report {
+                stderr: why + "\n",
+                failed: true,
+                ..Report::default()
+            },
+        })
     }),
     pinned(
         "profile",
