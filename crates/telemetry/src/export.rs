@@ -19,6 +19,7 @@
 use crate::json::{push_escaped, push_str, push_u64, Seq};
 use crate::metrics::MetricsSnapshot;
 use crate::span::{Span, TraceForest};
+#[allow(clippy::disallowed_types)] // `slot_of` below, lookup-only
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -69,6 +70,7 @@ pub fn chrome_trace(forest: &TraceForest, nodes: &[String]) -> String {
     // per node that appears in it. `slot_of` is looked up, never
     // iterated.
     let mut traces: Vec<u64> = Vec::new();
+    #[allow(clippy::disallowed_types)] // lookup-only: `entry` by trace id, never iterated
     let mut slot_of: HashMap<u64, usize> = HashMap::new();
     let mut threads: Vec<(usize, u32)> = Vec::with_capacity(forest.spans().count());
     for s in forest.spans() {

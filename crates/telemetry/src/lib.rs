@@ -29,8 +29,6 @@
 //! Everything here is simulation-clock based; no wall-clock reads, no
 //! hashing with randomized state, no platform-dependent formatting.
 
-#![allow(clippy::disallowed_types)] // not yet audited, ROADMAP item 2
-
 pub mod event;
 pub mod export;
 pub mod flight;

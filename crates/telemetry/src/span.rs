@@ -24,7 +24,9 @@
 use crate::event::{SpanOrigin, TraceEvent, TraceLog};
 use crate::metrics::Histogram;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+#[allow(clippy::disallowed_types)] // the two maps of `from_events`, lookup-only
+use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -104,9 +106,11 @@ impl TraceForest {
         // span is found by position. The first id out of turn (a caller's
         // merged log) moves the lookups to this map of id → position, and
         // the vector is sorted once at the end.
+        #[allow(clippy::disallowed_types)] // lookup-only: `get`/`insert` by id, never iterated
         let mut unsorted: Option<HashMap<u64, usize>> = None;
         // FIFO of enqueue times per (link, pkt): a retransmitting pkt
         // matches its link_tx events in order.
+        #[allow(clippy::disallowed_types)] // lookup-only: `entry` by (link, pkt), never iterated
         let mut pending: HashMap<(u32, u64), VecDeque<u64>> = HashMap::new();
         for ev in events {
             let Some(pkt) = ev.pkt() else { continue };
