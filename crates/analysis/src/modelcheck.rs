@@ -182,7 +182,7 @@ pub fn model_check(prog: &TProgram, sum: &ProgramSummary) -> ModelCheckReport {
         src_orig: true,
     });
     // An edge is labelled with the send site that fired.
-    let graph = explore(entries, DEFAULT_STATE_BUDGET, |s: State, out| {
+    let graph = explore(entries, DEFAULT_STATE_BUDGET, 0, |s: State, out| {
         for (si, site) in sum.channels[s.channel].sites.iter().enumerate() {
             let dest2 = match site.pkt_dest {
                 DestAbs::Unchanged => s.dest,

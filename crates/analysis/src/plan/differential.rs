@@ -343,7 +343,9 @@ fn generate(seed: u64, compiled: &mut Compiled) -> Case {
     }
 
     let plan = parse_plan(&plan_src).unwrap_or_else(|e| panic!("{e}\n{plan_src}"));
-    let topo = PlanTopology::new("gen", nodes, adj, paths);
+    let pairs = adj.iter().enumerate();
+    let pairs = pairs.flat_map(|(k, row)| row.iter().map(move |&v| (k, v)));
+    let topo = PlanTopology::new("gen", nodes, Rows::new(adj.len(), pairs), paths);
     let check = PlanCheck::new(plan, topo, asps).unwrap_or_else(|e| panic!("{e}\n{plan_src}"));
     Case { plan_src, check }
 }

@@ -490,7 +490,7 @@ fn product_check_oracle(
         })
         .collect();
 
-    let graph = explore(entries, DEFAULT_STATE_BUDGET, |s: PState, succs| {
+    let graph = explore(entries, DEFAULT_STATE_BUDGET, 0, |s: PState, succs| {
         let node_addr = topo.nodes[s.node].addr;
         let tag_name = tags[s.tag as usize].clone();
 
@@ -537,14 +537,14 @@ fn product_check_oracle(
                                 Some(t) => hop_toward(s.node, t).into_iter().collect(),
                                 None => Vec::new(), // undeliverable
                             },
-                            PVal::Unknown => topo.adj[s.node].clone(),
+                            PVal::Unknown => topo.adj[s.node].to_vec(),
                         },
                         SendKind::Neighbor => match site.dest {
                             DestAbs::Const(a) => match topo.node_by_addr_oracle(a) {
                                 Some(m) if topo.adj[s.node].contains(&m) => vec![m],
-                                _ => topo.adj[s.node].clone(),
+                                _ => topo.adj[s.node].to_vec(),
                             },
-                            _ => topo.adj[s.node].clone(),
+                            _ => topo.adj[s.node].to_vec(),
                         },
                     };
                     for t in nexts {
