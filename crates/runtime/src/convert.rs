@@ -27,7 +27,11 @@ use planp_vm::value::{Value, VmError};
 /// that already holds a header of its kind (what the last packet left in
 /// a register) is overwritten in place: no value is built, moved in and
 /// dropped.
-#[inline]
+///
+/// Always inlined: `load_frame` runs it on every dispatch, and when the
+/// inliner left it out of line there (after code elsewhere in this crate
+/// moved), `http_gateway` served 1–7% fewer requests a second.
+#[inline(always)]
 fn headers(kind: TransportKind, pkt: &Packet, out: &mut [Value]) -> Option<usize> {
     match (kind, &pkt.transport) {
         (TransportKind::Tcp, Transport::Tcp(h)) => match &mut out[1] {
