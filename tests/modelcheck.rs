@@ -5,7 +5,9 @@
 use planp::analysis::modelcheck::{model_check, Verdict};
 use planp::analysis::summary::summarize;
 use planp::analysis::{verify, Policy};
-use planp::runtime::replay_asp;
+use planp::netsim::digest::Fnv;
+use planp::runtime::{replay_asp, replay_asp_traced, replay_plan, ReplayReport};
+use std::hash::Hasher;
 
 fn asp_dir() -> std::path::PathBuf {
     std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/asps"))
@@ -134,4 +136,118 @@ fn modelcheck_baseline_is_current() {
         .expect("the registry gates the model checker");
     let report = planp_bench::check::check([gate], &asp_dir(), false, None).expect("gate runs");
     assert!(!report.failed, "{}{}", report.stdout, report.stderr);
+}
+
+/// One replay report as a pin line.
+fn report_line(r: &ReplayReport) -> String {
+    format!(
+        "sent={} dispatches={} delivered={} dropped={} errors={} loop={} drop={} exception={}",
+        r.sent,
+        r.dispatches,
+        r.delivered,
+        r.dropped,
+        r.errors,
+        r.confirmed_loop,
+        r.confirmed_drop,
+        r.confirmed_exception
+    )
+}
+
+/// Every corpus ASP with a model-checker witness, replayed with its
+/// span trees: the report, and an FNV-1a digest of the rendered trees.
+const ASP_REPLAY_PINS: &[(&str, &str, u64)] = &[
+    ("mpeg_capture", DROPPED, 0x3cac_84d6_057b_90d5),
+    ("mpeg_monitor", DROPPED, 0xeaf6_3a07_a845_bfb9),
+    (
+        "reliable_relay",
+        "sent=4 dispatches=8 delivered=4 dropped=0 errors=0 loop=false drop=false exception=false",
+        0xfa17_ff1c_802a_6caa,
+    ),
+    (
+        "bounce_pingpong",
+        "sent=4 dispatches=256 delivered=0 dropped=0 errors=0 loop=true drop=false exception=false",
+        0x00d5_ea93_42e9_0173,
+    ),
+    (
+        "neighbor_pingpong",
+        "sent=4 dispatches=260 delivered=0 dropped=4 errors=0 loop=true drop=true exception=false",
+        0xcf0a_9bf4_fc1d_7aff,
+    ),
+    ("silent_drop", DROPPED, 0x9d8d_3667_63a1_e5ad),
+];
+
+/// Each probe dispatched once at the first router and dropped there.
+const DROPPED: &str =
+    "sent=4 dispatches=4 delivered=0 dropped=4 errors=0 loop=false drop=true exception=false";
+
+/// Every bundled plan's concrete replay.
+const PLAN_REPLAY_PINS: &[(&str, &str)] = &[
+    (
+        "buggy_bounce",
+        "sent=8 dispatches=512 delivered=0 dropped=0 errors=0 loop=true drop=false exception=false",
+    ),
+    (
+        "buggy_shuttle",
+        "sent=8 dispatches=512 delivered=0 dropped=0 errors=0 loop=true drop=false exception=false",
+    ),
+    (
+        "http_cluster",
+        "sent=24 dispatches=0 delivered=24 dropped=0 errors=0 loop=false drop=false exception=false",
+    ),
+    (
+        "obs_grid",
+        "sent=512 dispatches=3072 delivered=512 dropped=0 errors=0 loop=true drop=false exception=false",
+    ),
+    (
+        "relay_chain_fragile",
+        "sent=4 dispatches=20 delivered=4 dropped=0 errors=0 loop=true drop=false exception=false",
+    ),
+    (
+        "relay_chain_reliable",
+        "sent=4 dispatches=20 delivered=4 dropped=0 errors=0 loop=true drop=false exception=false",
+    ),
+    (
+        "relay_pair",
+        "sent=8 dispatches=16 delivered=8 dropped=0 errors=0 loop=false drop=false exception=false",
+    ),
+];
+
+/// The numbers of every counterexample replay, pinned: `planp check`
+/// compares a replay only with itself run twice, and the baselines pin
+/// verdicts, so nothing else notices a replay that counts differently.
+#[test]
+fn replays_are_pinned() {
+    let mut asps = Vec::new();
+    for asp in planp::apps::corpus::CORPUS {
+        let src = asp.file_text();
+        let prog = planp::lang::compile_front(src).expect("corpus ASP compiles");
+        if model_check(&prog, &summarize(&prog)).witnesses.is_empty() {
+            continue;
+        }
+        let (rep, tree) = replay_asp_traced(src).expect("corpus ASP replays");
+        let mut h = Fnv::default();
+        h.write(tree.as_bytes());
+        asps.push((asp.name, report_line(&rep), h.finish()));
+    }
+    let want: Vec<_> = ASP_REPLAY_PINS
+        .iter()
+        .map(|&(n, r, d)| (n, r.to_string(), d))
+        .collect();
+    assert_eq!(asps, want, "got {asps:#x?}");
+
+    let plans: Vec<_> = planp::apps::plans::bundled_plans()
+        .into_iter()
+        .map(|(name, _)| {
+            let image = planp::apps::plans::load_bundled_plan(name).expect("bundled plan loads");
+            (
+                name,
+                report_line(&replay_plan(&image).expect("plan replays")),
+            )
+        })
+        .collect();
+    let want: Vec<_> = PLAN_REPLAY_PINS
+        .iter()
+        .map(|&(n, r)| (n, r.to_string()))
+        .collect();
+    assert_eq!(plans, want, "got {plans:#?}");
 }
