@@ -20,22 +20,18 @@
 //! topology is built for real, the (by hypothesis unsafe) ASPs are
 //! installed as authenticated downloads, and probe bursts along every
 //! plan path either loop — dispatch counts exploding past
-//! [`LOOP_FACTOR`] × sent — or don't.
+//! [`LOOP_FACTOR`](crate::LOOP_FACTOR) × sent — or don't.
 
 use crate::layer::{install_planp, LayerConfig, PlanpHandle};
 use crate::loader::load;
 use crate::recovery::{RecoveryLog, RecoveryService};
-use crate::replay::{ReplayReport, LOOP_FACTOR, REPLAY_PACKETS};
-use bytes::Bytes;
-use netsim::digest::Fnv;
-use netsim::packet::Packet;
-use netsim::{App, NodeApi, NodeId, Sim, SimTime, TopoSpec};
+use crate::replay::{replay_on, ReplayReport};
+use netsim::{NodeId, Sim, TopoSpec};
 use planp_analysis::plan::{PlanAsp, PlanCheck, PlanNode, PlanReport, PlanTopology};
 use planp_analysis::Policy;
 use planp_lang::{compile_front, parse_plan, LangError};
 use std::cell::RefCell;
 use std::fmt;
-use std::hash::Hash;
 use std::rc::Rc;
 
 /// Why a plan failed to load.
@@ -260,110 +256,40 @@ pub fn install_plan(
     Ok(logs)
 }
 
-/// One probe endpoint: fires [`REPLAY_PACKETS`] at each of its path
-/// egresses at start-up and counts whatever planned traffic reaches it.
-struct PathProbe {
-    dsts: Vec<u32>,
-    got: Rc<RefCell<u64>>,
-}
-
-impl App for PathProbe {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for &dst in &self.dsts {
-            for i in 0..REPLAY_PACKETS {
-                let pkt = Packet::udp(api.addr(), dst, 1000, 2000, Bytes::from(vec![i as u8; 32]));
-                api.send(pkt);
-            }
-        }
-    }
-    fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {
-        *self.got.borrow_mut() += 1;
-    }
-
-    fn digest(&self, h: &mut Fnv) {
-        self.got.borrow().hash(h);
-    }
-}
-
 /// Replays a plan concretely: builds the plan's own topology, installs
 /// every placement as an authenticated download (the plan is by
 /// hypothesis unsafe — that is what is being demonstrated), sends a
 /// probe burst along every plan path, and reports what the network
 /// observed. A plan-level loop witness is confirmed when dispatches
-/// reach [`LOOP_FACTOR`] × packets sent.
+/// reach [`LOOP_FACTOR`](crate::LOOP_FACTOR) × packets sent.
 ///
 /// # Errors
 ///
 /// Fails if a placement's ASP does not load even under the
 /// authenticated policy.
 pub fn replay_plan(image: &PlanImage) -> Result<ReplayReport, String> {
-    let mut sim = Sim::new(7);
-    let ids = image.topo.build(&mut sim);
-
-    // A later placement on a node replaces the earlier one's hook, and
-    // one node's layers share its counters: read each node once, through
-    // the layer that runs there.
-    let mut handles: Vec<(usize, PlanpHandle)> = Vec::new();
-    for p in &image.placements {
-        let loaded = load(&p.source, Policy::authenticated())
-            .map_err(|e| format!("ASP `{}`: {e}", p.asp))?;
-        let handle = install_planp(&mut sim, ids[p.node], &loaded, LayerConfig::default())
-            .map_err(|e| format!("install `{}` on `{}`: {e}", p.asp, p.node_name))?;
-        handles.retain(|(node, _)| *node != p.node);
-        handles.push((p.node, handle));
-    }
-
-    // One endpoint app per node that originates or terminates a path.
-    let mut endpoints: Vec<(usize, Vec<u32>)> = Vec::new();
-    for &(ingress, egress) in &image.topo.paths {
-        let dst = image.topo.nodes[egress].addr;
-        match endpoints.iter_mut().find(|(n, _)| *n == ingress) {
-            Some((_, dsts)) => dsts.push(dst),
-            None => endpoints.push((ingress, vec![dst])),
+    let (report, _) = replay_on(&image.topo, &image.topo.paths, false, |sim, ids| {
+        // A later placement on a node replaces the earlier one's hook,
+        // and one node's layers share its counters: read each node once,
+        // through the layer that runs there.
+        let mut handles: Vec<(usize, PlanpHandle)> = Vec::new();
+        for p in &image.placements {
+            let loaded = load(&p.source, Policy::authenticated())
+                .map_err(|e| format!("ASP `{}`: {e}", p.asp))?;
+            let handle = install_planp(sim, ids[p.node], &loaded, LayerConfig::default())
+                .map_err(|e| format!("install `{}` on `{}`: {e}", p.asp, p.node_name))?;
+            handles.retain(|(node, _)| *node != p.node);
+            handles.push((p.node, handle));
         }
-        if !endpoints.iter().any(|(n, _)| *n == egress) {
-            endpoints.push((egress, Vec::new()));
-        }
-    }
-    let got = Rc::new(RefCell::new(0u64));
-    let mut sent = 0u64;
-    for (node, dsts) in endpoints {
-        sent += REPLAY_PACKETS * dsts.len() as u64;
-        sim.add_app(
-            ids[node],
-            Box::new(PathProbe {
-                dsts,
-                got: got.clone(),
-            }),
-        );
-    }
-    sim.run_until(SimTime::from_secs(5));
-
-    let mut dispatches = 0;
-    let mut dropped = 0;
-    let mut errors = 0;
-    for (_, h) in &handles {
-        let s = h.stats(&sim.telemetry);
-        dispatches += s.matched;
-        dropped += s.dropped;
-        errors += s.errors;
-    }
-    let delivered = *got.borrow();
-    Ok(ReplayReport {
-        sent,
-        dispatches,
-        delivered,
-        dropped,
-        errors,
-        confirmed_loop: dispatches >= LOOP_FACTOR * sent,
-        confirmed_drop: delivered == 0 && dropped > 0,
-        confirmed_exception: errors > 0,
-    })
+        Ok::<_, String>(handles.into_iter().map(|(_, h)| h).collect())
+    })?;
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::SimTime;
 
     // Inline copies of the bundled sources: the runtime crate sits
     // below `planp-apps`, so it cannot reach the embedded bundle.

@@ -21,16 +21,21 @@
 //!   routers counted intentional drops;
 //! * an **exception** witness is confirmed when channel executions
 //!   failed with an uncaught exception.
+//!
+//! Plan-level witnesses replay through the same harness
+//! ([`crate::replay_plan`]), over the plan's own topology and paths; a
+//! lone ASP is the one-deploy case, placed on `relay_pair`'s relays and
+//! probed along its first path.
 
-use crate::layer::{install_planp, LayerConfig};
+use crate::layer::{install_planp, LayerConfig, PlanpHandle};
 use crate::loader::{load, LoadError};
 use bytes::Bytes;
 use netsim::digest::Fnv;
 use netsim::packet::Packet;
-use netsim::{App, NodeApi, Sim, SimTime, TopoSpec};
+use netsim::{App, NodeApi, NodeId, Sim, SimTime, TopoSpec};
 use planp_analysis::{Policy, WitnessKind};
 use planp_telemetry::{Category, TraceConfig, TraceForest};
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::hash::Hash;
 use std::rc::Rc;
 
@@ -45,16 +50,16 @@ pub const LOOP_FACTOR: u64 = 4;
 /// What happened when the ASP's traffic ran through the simulator.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayReport {
-    /// Probe packets sent from `ha`.
+    /// Probe packets sent from the path ingresses (`ha`).
     pub sent: u64,
-    /// Channel dispatches summed over both routers.
+    /// Channel dispatches summed over the hooked nodes (both routers).
     pub dispatches: u64,
-    /// Probe packets that arrived at `hb`.
+    /// Probe packets that arrived at a path egress (`hb`).
     pub delivered: u64,
-    /// Intentional drops summed over both routers.
+    /// Intentional drops summed over the hooked nodes.
     pub dropped: u64,
     /// Failed channel executions (uncaught exception / trap) summed
-    /// over both routers.
+    /// over the hooked nodes.
     pub errors: u64,
     /// Dispatches reached [`LOOP_FACTOR`] × sent — the packets looped.
     pub confirmed_loop: bool,
@@ -76,46 +81,111 @@ impl ReplayReport {
     }
 }
 
-struct Probe {
-    dst: u32,
+/// One probe endpoint: fires [`REPLAY_PACKETS`] at each of its path
+/// egresses at start-up and, at a path egress, counts whatever reaches
+/// it.
+struct PathProbe {
+    dsts: Vec<u32>,
+    got: Option<Rc<Cell<u64>>>,
 }
 
-impl App for Probe {
+impl App for PathProbe {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for i in 0..REPLAY_PACKETS {
-            let pkt = Packet::udp(
-                api.addr(),
-                self.dst,
-                1000,
-                2000,
-                Bytes::from(vec![i as u8; 32]),
-            );
-            api.send(pkt);
+        for &dst in &self.dsts {
+            for i in 0..REPLAY_PACKETS {
+                let pkt = Packet::udp(api.addr(), dst, 1000, 2000, Bytes::from(vec![i as u8; 32]));
+                api.send(pkt);
+            }
         }
     }
-    fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {}
-
-    // Nothing carried forward: the burst is sent once, at start-up.
-    fn digest(&self, _: &mut Fnv) {}
-}
-
-struct Count {
-    got: Rc<RefCell<u64>>,
-}
-
-impl App for Count {
     fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {
-        *self.got.borrow_mut() += 1;
+        if let Some(got) = &self.got {
+            got.set(got.get() + 1);
+        }
     }
 
     fn digest(&self, h: &mut Fnv) {
-        self.got.borrow().hash(h);
+        self.got.as_ref().map(|g| g.get()).hash(h);
     }
 }
 
+/// The replay harness under [`replay_asp_traced`] and
+/// [`crate::replay_plan`]: builds `topo` on a fresh simulator, lets
+/// `install` put the programs on its nodes (returning one handle per
+/// hooked node), sends a probe burst along each of `paths`, runs 5 s
+/// and reports what the network observed. With `trace`, the probes'
+/// span trees come back rendered; without, the string is empty.
+pub(crate) fn replay_on<E>(
+    topo: &TopoSpec,
+    paths: &[(usize, usize)],
+    trace: bool,
+    install: impl FnOnce(&mut Sim, &[NodeId]) -> Result<Vec<PlanpHandle>, E>,
+) -> Result<(ReplayReport, String), E> {
+    let mut sim = Sim::new(7);
+    if trace {
+        sim.telemetry.trace.configure(TraceConfig {
+            categories: Category::SPAN
+                .union(Category::VM)
+                .union(Category::LINK)
+                .union(Category::DELIVER)
+                .union(Category::DROP),
+            ..TraceConfig::default()
+        });
+    }
+    let ids = topo.build(&mut sim);
+    let handles = install(&mut sim, &ids)?;
+
+    // One endpoint app per node that originates or terminates a path.
+    let mut endpoints: Vec<(usize, Vec<u32>, bool)> = Vec::new();
+    for &(ingress, egress) in paths {
+        let dst = topo.nodes[egress].addr;
+        match endpoints.iter_mut().find(|(n, ..)| *n == ingress) {
+            Some((_, dsts, _)) => dsts.push(dst),
+            None => endpoints.push((ingress, vec![dst], false)),
+        }
+        match endpoints.iter_mut().find(|(n, ..)| *n == egress) {
+            Some((.., counts)) => *counts = true,
+            None => endpoints.push((egress, Vec::new(), true)),
+        }
+    }
+    let got = Rc::new(Cell::new(0));
+    let mut sent = 0;
+    for (node, dsts, counts) in endpoints {
+        sent += REPLAY_PACKETS * dsts.len() as u64;
+        let got = counts.then(|| got.clone());
+        sim.add_app(ids[node], Box::new(PathProbe { dsts, got }));
+    }
+    sim.run_until(SimTime::from_secs(5));
+
+    let (mut dispatches, mut dropped, mut errors) = (0, 0, 0);
+    for h in &handles {
+        let s = h.stats(&sim.telemetry);
+        dispatches += s.matched;
+        dropped += s.dropped;
+        errors += s.errors;
+    }
+    let delivered = got.get();
+    let tree = if trace {
+        TraceForest::from_log(&sim.telemetry.trace).render(&sim.telemetry.nodes)
+    } else {
+        String::new()
+    };
+    let report = ReplayReport {
+        sent,
+        dispatches,
+        delivered,
+        dropped,
+        errors,
+        confirmed_loop: dispatches >= LOOP_FACTOR * sent,
+        confirmed_drop: delivered == 0 && dropped > 0,
+        confirmed_exception: errors > 0,
+    };
+    Ok((report, tree))
+}
+
 /// Loads `source` as an authenticated download, installs it on both
-/// routers of the two-router path, replays the probe burst, and reports
-/// what the simulated network observed.
+/// routers of the two-router path, replays the probe burst from `ha`
+/// to `hb`, and reports what the simulated network observed.
 pub fn replay_asp(source: &str) -> Result<ReplayReport, LoadError> {
     replay_asp_traced(source).map(|(report, _)| report)
 }
@@ -127,63 +197,18 @@ pub fn replay_asp(source: &str) -> Result<ReplayReport, LoadError> {
 /// exception as a span with no children.
 pub fn replay_asp_traced(source: &str) -> Result<(ReplayReport, String), LoadError> {
     let image = load(source, Policy::authenticated())?;
-
-    let mut sim = Sim::new(7);
-    sim.telemetry.trace.configure(TraceConfig {
-        categories: Category::SPAN
-            .union(Category::VM)
-            .union(Category::LINK)
-            .union(Category::DELIVER)
-            .union(Category::DROP),
-        ..TraceConfig::default()
-    });
-    // The registry's `relay_pair`: the structure the witness was found on.
+    // The registry's `relay_pair`: the structure the witness was found
+    // on, probed one way, the program placed on both relays.
     let topo = TopoSpec::relay_pair();
-    let ids = topo.build(&mut sim);
-    let (ha, hb) = topo.paths[0];
-
-    // `load` compiled the image; what can still fail is an initializer
-    // that raises when the node evaluates it.
-    let handles = topo
-        .slice("relays")
-        .into_iter()
-        .map(|r| install_planp(&mut sim, ids[r], &image, LayerConfig::default()))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(LoadError::Install)?;
-
-    let got = Rc::new(RefCell::new(0u64));
-    sim.add_app(ids[hb], Box::new(Count { got: got.clone() }));
-    sim.add_app(
-        ids[ha],
-        Box::new(Probe {
-            dst: topo.nodes[hb].addr,
-        }),
-    );
-    sim.run_until(SimTime::from_secs(5));
-
-    let (mut dispatches, mut dropped, mut errors) = (0, 0, 0);
-    for h in &handles {
-        let s = h.stats(&sim.telemetry);
-        dispatches += s.matched;
-        dropped += s.dropped;
-        errors += s.errors;
-    }
-    let delivered = *got.borrow();
-    let forest = TraceForest::from_log(&sim.telemetry.trace);
-    let tree = forest.render(&sim.telemetry.nodes);
-    Ok((
-        ReplayReport {
-            sent: REPLAY_PACKETS,
-            dispatches,
-            delivered,
-            dropped,
-            errors,
-            confirmed_loop: dispatches >= LOOP_FACTOR * REPLAY_PACKETS,
-            confirmed_drop: delivered == 0 && dropped > 0,
-            confirmed_exception: errors > 0,
-        },
-        tree,
-    ))
+    replay_on(&topo, &topo.paths[..1], true, |sim, ids| {
+        // `load` compiled the image; what can still fail is an
+        // initializer that raises when the node evaluates it.
+        topo.slice("relays")
+            .into_iter()
+            .map(|r| install_planp(sim, ids[r], &image, LayerConfig::default()))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(LoadError::Install)
+    })
 }
 
 #[cfg(test)]
