@@ -24,7 +24,6 @@
 //! business (`perf/`); only `fig3` reads a clock here.
 
 #![warn(missing_docs)]
-#![allow(clippy::disallowed_types)] // not yet audited, ROADMAP item 2
 
 /// `println!` into a report's stdout text.
 macro_rules! outln {
