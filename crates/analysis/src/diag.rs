@@ -10,6 +10,7 @@
 //! identical input).
 
 use planp_lang::span::{line_col, Span};
+use planp_telemetry::json::push_str;
 use std::fmt;
 
 /// How serious a diagnostic is.
@@ -107,20 +108,20 @@ impl Diagnostic {
     pub fn write_json(&self, src: &str, out: &mut String) {
         let lc = line_col(src, self.span.start);
         out.push_str("{\"code\":");
-        push_json_str(out, self.code);
+        push_str(out, self.code);
         out.push_str(",\"severity\":");
-        push_json_str(out, &self.severity.to_string());
+        push_str(out, &self.severity.to_string());
         out.push_str(&format!(
             ",\"line\":{},\"col\":{},\"start\":{},\"end\":{},\"message\":",
             lc.line, lc.col, self.span.start, self.span.end
         ));
-        push_json_str(out, &self.message);
+        push_str(out, &self.message);
         out.push_str(",\"notes\":[");
         for (i, n) in self.notes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(out, n);
+            push_str(out, n);
         }
         out.push_str("]}");
     }
@@ -169,23 +170,6 @@ pub fn render_snippet(src: &str, span: Span) -> Option<String> {
     Some(out)
 }
 
-/// Appends `s` as a JSON string literal (quotes and escapes included).
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,13 +202,6 @@ mod tests {
             "{\"code\":\"L001\",\"severity\":\"warning\",\"line\":1,\"col\":1,\"start\":0,\"end\":15,\
              \"message\":\"unused `val` binding `x`\",\"notes\":[\"remove it or reference it\"]}"
         );
-    }
-
-    #[test]
-    fn json_escapes_specials() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]

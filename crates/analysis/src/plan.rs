@@ -881,11 +881,11 @@ impl PlanReport {
     /// `transitions`, `budget`, `exhausted`, `installs`, `paths`,
     /// `state`, `witnesses`, `diagnostics`.
     pub fn write_json(&self, src: &str, out: &mut String) {
-        use crate::diag::push_json_str;
+        use planp_telemetry::json::push_str;
         out.push_str("{\"plan\":");
-        push_json_str(out, &self.plan);
+        push_str(out, &self.plan);
         out.push_str(",\"topology\":");
-        push_json_str(out, &self.topology);
+        push_str(out, &self.topology);
         out.push_str(&format!(
             ",\"accepted\":{},\"joint\":\"{}\",\"states\":{},\"transitions\":{},\
              \"budget\":{},\"exhausted\":{}",
@@ -902,9 +902,9 @@ impl PlanReport {
                 out.push(',');
             }
             out.push_str("{\"node\":");
-            push_json_str(out, node);
+            push_str(out, node);
             out.push_str(",\"asp\":");
-            push_json_str(out, asp);
+            push_str(out, asp);
             out.push('}');
         }
         out.push_str("],\"paths\":[");
@@ -913,9 +913,9 @@ impl PlanReport {
                 out.push(',');
             }
             out.push_str("{\"from\":");
-            push_json_str(out, &b.from);
+            push_str(out, &b.from);
             out.push_str(",\"to\":");
-            push_json_str(out, &b.to);
+            push_str(out, &b.to);
             out.push_str(&format!(",\"hops\":{},\"steps\":{}}}", b.hops, b.steps));
         }
         out.push_str("],\"state\":[");
@@ -924,7 +924,7 @@ impl PlanReport {
                 out.push(',');
             }
             out.push_str("{\"node\":");
-            push_json_str(out, &ns.node);
+            push_str(out, &ns.node);
             match ns.entries {
                 Some(e) => out.push_str(&format!(",\"entries\":{e}}}")),
                 None => out.push_str(",\"entries\":null}"),

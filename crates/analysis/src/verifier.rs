@@ -270,7 +270,7 @@ impl VerifyReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            crate::diag::push_json_str(out, &c.name);
+            planp_telemetry::json::push_str(out, &c.name);
             let _ = write!(
                 out,
                 ",\"overload\":{},\"steps\":{},\"sends\":{}}}",

@@ -47,7 +47,7 @@
 //! I/O errors.
 
 use crate::{bundled_asps, Cli, CliArgs, Report, Sub};
-use planp_analysis::diag::push_json_str;
+use planp_telemetry::json::push_str;
 use planp_telemetry::{ProfileRegistry, TraceConfig};
 
 /// `planp profile`.
@@ -184,11 +184,11 @@ fn heatmap_json(scenarios: &[ScenarioProfile]) -> String {
             }
             first = false;
             out.push_str("{\"scenario\":");
-            push_json_str(&mut out, s.name);
+            push_str(&mut out, s.name);
             out.push_str(",\"scope\":");
-            push_json_str(&mut out, &row.scope);
+            push_str(&mut out, &row.scope);
             out.push_str(",\"label\":");
-            push_json_str(&mut out, &row.label);
+            push_str(&mut out, &row.label);
             let _ = write!(
                 out,
                 ",\"site\":{},\"observed\":{},\"bound\":{},\"dispatches\":{},\
@@ -209,7 +209,7 @@ fn write_json(asps: &[AspProfile], scenarios: &[ScenarioProfile], out: &mut Stri
             out.push(',');
         }
         out.push_str("{\"name\":");
-        push_json_str(out, a.name);
+        push_str(out, a.name);
         let _ = write!(
             out,
             ",\"chans\":{},\"sites\":{},\"bound\":{},\"candidates\":{}}}",
@@ -222,7 +222,7 @@ fn write_json(asps: &[AspProfile], scenarios: &[ScenarioProfile], out: &mut Stri
             out.push(',');
         }
         out.push_str("{\"name\":");
-        push_json_str(out, s.name);
+        push_str(out, s.name);
         out.push_str(",\"profile\":");
         out.push_str(&s.profile.to_json());
         out.push('}');
