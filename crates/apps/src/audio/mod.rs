@@ -14,4 +14,4 @@ pub use asp::{
     AUDIO_ROUTER_QUEUE_ASP,
 };
 pub use native::{NativeAudioClient, NativeAudioRouter};
-pub use scenario::{run_audio, run_audio_traced, Adaptation, AudioConfig, AudioResult};
+pub use scenario::{audio_sim, run_audio, run_audio_traced, Adaptation, AudioConfig, AudioResult};

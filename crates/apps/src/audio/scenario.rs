@@ -166,6 +166,20 @@ pub fn run_audio_traced(
     cfg: &AudioConfig,
     trace: TraceConfig,
 ) -> (AudioResult, Telemetry, MetricsSnapshot) {
+    let (mut sim, read) = audio_sim(cfg, trace);
+    sim.run_until(SimTime::from_secs(cfg.duration_s));
+    read(sim)
+}
+
+/// The audio run of `cfg`, ready to run with tracing per `trace`, and
+/// the reader of [`run_audio_traced`]'s outputs once it has run.
+pub fn audio_sim(
+    cfg: &AudioConfig,
+    trace: TraceConfig,
+) -> (
+    Sim,
+    impl FnOnce(Sim) -> (AudioResult, Telemetry, MetricsSnapshot),
+) {
     let group = addr(224, 1, 2, 3);
     let mut sim = Sim::new(cfg.seed);
     sim.telemetry.trace.configure(trace);
@@ -291,34 +305,19 @@ pub fn run_audio_traced(
         ));
     }
 
-    sim.run_until(SimTime::from_secs(cfg.duration_s));
-
-    let rx_kbps = sim
-        .series
-        .get("audio_rx_kbps")
-        .map(|s| s.points.clone())
-        .unwrap_or_default();
-    let rx_kbps_b = sim
-        .series
-        .get("audio_rx_kbps_b")
-        .map(|s| s.points.clone())
-        .unwrap_or_default();
-    let segment_drops = sim.link(segment).drops;
-    let stats = stats.borrow().clone();
-    let stats_b = stats_b.map(|s| s.borrow().clone());
-    let metrics = sim.metrics_snapshot();
-    let telemetry = std::mem::take(&mut sim.telemetry);
-    (
-        AudioResult {
-            rx_kbps,
-            stats,
-            segment_drops,
-            stats_b,
-            rx_kbps_b,
-        },
-        telemetry,
-        metrics,
-    )
+    let read = move |sim: Sim| {
+        let series = |name| sim.series.get(name).map(|s| s.points.clone());
+        let result = AudioResult {
+            rx_kbps: series("audio_rx_kbps").unwrap_or_default(),
+            stats: stats.borrow().clone(),
+            segment_drops: sim.link(segment).drops,
+            stats_b: stats_b.map(|s| s.borrow().clone()),
+            rx_kbps_b: series("audio_rx_kbps_b").unwrap_or_default(),
+        };
+        let metrics = sim.metrics_snapshot();
+        (result, sim.telemetry, metrics)
+    };
+    (sim, read)
 }
 
 #[cfg(test)]

@@ -12,5 +12,6 @@ pub use asp::{
     AUDIO_ROUTER_CHAOS_ASP, DATA_PORT, FRAGILE_RELAY_ASP, NACK_PORT, RELIABLE_RELAY_ASP,
 };
 pub use scenario::{
-    chaos_slo_rules, run_relay_chaos, ChaosHealth, RelayChaosConfig, RelayChaosResult, RelayKind,
+    chaos_slo_rules, relay_chaos_sim, run_relay_chaos, ChaosHealth, RelayChaosConfig,
+    RelayChaosResult, RelayKind,
 };

@@ -24,4 +24,4 @@ pub mod gateway;
 pub mod scenario;
 
 pub use gateway::{BackendSpec, ClusterGateway, GatewayStats};
-pub use scenario::{run_cluster, ClusterConfig, ClusterResult, CLUSTER_PORT};
+pub use scenario::{cluster_sim, run_cluster, ClusterConfig, ClusterResult, CLUSTER_PORT};

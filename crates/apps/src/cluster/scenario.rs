@@ -420,6 +420,14 @@ impl ClusterResult {
 /// Panics if the forwarder ASP fails to verify or install (it is a
 /// bundled constant, so this means the toolchain itself is broken).
 pub fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
+    let (mut sim, read) = cluster_sim(cfg);
+    sim.run_until(SimTime::from_secs(cfg.duration_s));
+    read(sim)
+}
+
+/// The cluster run of `cfg`, ready to run (crashes scheduled), and the
+/// reader of [`run_cluster`]'s result once it has run.
+pub fn cluster_sim(cfg: &ClusterConfig) -> (Sim, impl FnOnce(Sim) -> ClusterResult) {
     let mut sim = Sim::new(cfg.seed);
     sim.telemetry.trace.configure(cfg.trace);
 
@@ -533,64 +541,65 @@ pub fn run_cluster(cfg: &ClusterConfig) -> ClusterResult {
     mon.dump_on_breach = vec![gw.0 as u32];
     sim.instruments.watch = Some(Watch::new(mon, Some(BrownoutController::default())));
 
-    sim.run_until(SimTime::from_secs(cfg.duration_s));
+    let read = move |mut sim: Sim| {
+        let watch = sim.instruments.watch.take().expect("installed above");
+        let (mon, brownout) = (watch.monitor, watch.brownout.expect("installed above"));
+        let mut brownout_log = String::new();
+        let mut max_brownout = 0;
+        for (t_ns, from, to, rule) in brownout.transitions() {
+            max_brownout = max_brownout.max(*to);
+            let _ = writeln!(brownout_log, "t_ns={t_ns} {from} -> {to} rule={rule}");
+        }
+        let corpse_drops = sim
+            .nodes()
+            .enumerate()
+            .filter(|(i, _)| crash_targets.contains(i))
+            .map(|(_, n)| n.dropped)
+            .sum();
 
-    let watch = sim.instruments.watch.take().expect("installed above");
-    let (mon, brownout) = (watch.monitor, watch.brownout.expect("installed above"));
-    let mut brownout_log = String::new();
-    let mut max_brownout = 0;
-    for (t_ns, from, to, rule) in brownout.transitions() {
-        max_brownout = max_brownout.max(*to);
-        let _ = writeln!(brownout_log, "t_ns={t_ns} {from} -> {to} rule={rule}");
-    }
-    let corpse_drops = sim
-        .nodes()
-        .enumerate()
-        .filter(|(i, _)| crash_targets.contains(i))
-        .map(|(_, n)| n.dropped)
-        .sum();
-
-    let g = gw_stats.borrow();
-    let c = client_stats.borrow();
-    let layer = handle.stats(&sim.telemetry);
-    let gw_count = |what: &str| sim.telemetry.metrics.counter(&format!("gw.{what}"));
-    let admitted = gw_count("admitted");
-    ClusterResult {
-        sent: c.sent,
-        admitted,
-        completed: c.completed,
-        completed_by_class: c.completed_by_class,
-        delivery_admitted: c.completed as f64 / admitted.max(1) as f64,
-        agg_shed: layer.shed,
-        agg_expired: layer.deadline_expired,
-        shed_brownout: gw_count("shed_brownout"),
-        shed_saturated: gw_count("shed_saturated"),
-        shed_queue: gw_count("shed_queue"),
-        gw_expired: gw_count("expired"),
-        timeouts: gw_count("timeouts"),
-        probes: gw_count("probes"),
-        opens: g.opens(),
-        sent_while_broken: g.sent_while_broken,
-        transitions_log: g.transitions_log(),
-        brownout_log,
-        max_brownout,
-        final_brownout: brownout.level(),
-        latency_p50_ns: c.latency.percentile(50),
-        latency_p99_ns: c.latency.percentile(99),
-        latency_p999_ns: c.latency.percentile_permille(999),
-        corpse_drops,
-        crashes: sim.nodes().map(|n| n.crashes).sum(),
-        total_node_drops: sim.total_node_drops,
-        sum_node_drops: sim.nodes().map(|n| n.dropped + n.cpu_drops + n.shed).sum(),
-        total_link_drops: sim.total_link_drops,
-        sum_link_drops: sim.links().map(|l| l.drops).sum(),
-        sum_fault_drops: sim.links().map(|l| l.fault_drops).sum(),
-        breaches: mon.breaches(),
-        health_report: mon.render_report(),
-        flight: sim.telemetry.flight.render_dumps(&sim.telemetry.nodes),
-        snapshot: sim.metrics_snapshot(),
-        events_elided: sim.events_elided(),
-    }
+        let g = gw_stats.borrow();
+        let c = client_stats.borrow();
+        let layer = handle.stats(&sim.telemetry);
+        let gw_count = |what: &str| sim.telemetry.metrics.counter(&format!("gw.{what}"));
+        let admitted = gw_count("admitted");
+        ClusterResult {
+            sent: c.sent,
+            admitted,
+            completed: c.completed,
+            completed_by_class: c.completed_by_class,
+            delivery_admitted: c.completed as f64 / admitted.max(1) as f64,
+            agg_shed: layer.shed,
+            agg_expired: layer.deadline_expired,
+            shed_brownout: gw_count("shed_brownout"),
+            shed_saturated: gw_count("shed_saturated"),
+            shed_queue: gw_count("shed_queue"),
+            gw_expired: gw_count("expired"),
+            timeouts: gw_count("timeouts"),
+            probes: gw_count("probes"),
+            opens: g.opens(),
+            sent_while_broken: g.sent_while_broken,
+            transitions_log: g.transitions_log(),
+            brownout_log,
+            max_brownout,
+            final_brownout: brownout.level(),
+            latency_p50_ns: c.latency.percentile(50),
+            latency_p99_ns: c.latency.percentile(99),
+            latency_p999_ns: c.latency.percentile_permille(999),
+            corpse_drops,
+            crashes: sim.nodes().map(|n| n.crashes).sum(),
+            total_node_drops: sim.total_node_drops,
+            sum_node_drops: sim.nodes().map(|n| n.dropped + n.cpu_drops + n.shed).sum(),
+            total_link_drops: sim.total_link_drops,
+            sum_link_drops: sim.links().map(|l| l.drops).sum(),
+            sum_fault_drops: sim.links().map(|l| l.fault_drops).sum(),
+            breaches: mon.breaches(),
+            health_report: mon.render_report(),
+            flight: sim.telemetry.flight.render_dumps(&sim.telemetry.nodes),
+            snapshot: sim.metrics_snapshot(),
+            events_elided: sim.events_elided(),
+        }
+    };
+    (sim, read)
 }
 
 #[cfg(test)]

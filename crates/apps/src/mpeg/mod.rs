@@ -10,4 +10,4 @@ pub use apps::{MpegClientApp, MpegClientStats, MpegServerApp, MpegServerStats};
 pub use asp::{
     CAPTURE_CTL_PORT, MONITOR_QUERY_PORT, MPEG_CAPTURE_ASP, MPEG_CTL_PORT, MPEG_MONITOR_ASP,
 };
-pub use scenario::{run_mpeg, run_mpeg_traced, MpegConfig, MpegResult};
+pub use scenario::{mpeg_sim, run_mpeg, run_mpeg_traced, MpegConfig, MpegResult};

@@ -82,6 +82,20 @@ pub fn run_mpeg_traced(
     cfg: &MpegConfig,
     trace: TraceConfig,
 ) -> (MpegResult, Telemetry, MetricsSnapshot) {
+    let (mut sim, read) = mpeg_sim(cfg, trace);
+    sim.run_until(SimTime::ZERO + cfg.duration);
+    read(sim)
+}
+
+/// The multipoint run of `cfg`, ready to run with tracing per `trace`,
+/// and the reader of [`run_mpeg_traced`]'s outputs once it has run.
+pub fn mpeg_sim(
+    cfg: &MpegConfig,
+    trace: TraceConfig,
+) -> (
+    Sim,
+    impl FnOnce(Sim) -> (MpegResult, Telemetry, MetricsSnapshot),
+) {
     let mut sim = Sim::new(cfg.seed);
     sim.telemetry.trace.configure(trace);
 
@@ -153,16 +167,16 @@ pub fn run_mpeg_traced(
         ));
     }
 
-    sim.run_until(SimTime::ZERO + cfg.duration);
-
-    let result = MpegResult {
-        server: server_stats.borrow().clone(),
-        clients: client_stats.iter().map(|s| s.borrow().clone()).collect(),
-        uplink_bytes: sim.link(uplink).tx_bytes,
+    let read = move |sim: Sim| {
+        let result = MpegResult {
+            server: server_stats.borrow().clone(),
+            clients: client_stats.iter().map(|s| s.borrow().clone()).collect(),
+            uplink_bytes: sim.link(uplink).tx_bytes,
+        };
+        let metrics = sim.metrics_snapshot();
+        (result, sim.telemetry, metrics)
     };
-    let metrics = sim.metrics_snapshot();
-    let telemetry = std::mem::take(&mut sim.telemetry);
-    (result, telemetry, metrics)
+    (sim, read)
 }
 
 #[cfg(test)]

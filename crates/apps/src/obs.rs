@@ -13,12 +13,14 @@
 //! compact-metrics threshold, so the snapshot also exercises the
 //! `nodes.*`/`links.*` sums.
 
-use crate::chaos::apps::{SeqCollector, SeqSource};
+use crate::chaos::apps::{SeqCollector, SeqCollectorStats, SeqSource};
 use crate::chaos::FRAGILE_RELAY_ASP;
 use netsim::{Sim, SimTime, TopoSpec};
 use planp_analysis::Policy;
 use planp_runtime::{install_planp, load, LayerConfig};
 use planp_telemetry::{MetricsSnapshot, Telemetry, TraceConfig, TraceForest, TraceOverhead};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// Source pacing between datagrams.
@@ -93,6 +95,26 @@ pub struct ObsGridResult {
 /// Panics if the bundled fragile relay ASP fails to verify or install
 /// (a build error, not a runtime condition).
 pub fn run_obs_grid(cfg: &ObsGridConfig) -> ObsGridResult {
+    let (mut sim, collectors) = obs_grid_sim(cfg);
+    sim.run_until(SimTime::from_secs(cfg.duration_s));
+
+    let forest = TraceForest::from_log(&sim.telemetry.trace);
+    ObsGridResult {
+        nodes: cfg.nodes(),
+        expected: cfg.chains as u64 * cfg.packets,
+        unique: collectors.iter().map(|s| s.borrow().unique).sum(),
+        overhead: sim.telemetry.trace.overhead(),
+        roots: forest.roots().len(),
+        orphans: forest.orphans().len(),
+        spans: forest.spans().count(),
+        snapshot: sim.metrics_snapshot(),
+        telemetry: sim.telemetry,
+    }
+}
+
+/// The grid of `cfg`, ready to run, and each chain's collector
+/// statistics in chain order.
+pub fn obs_grid_sim(cfg: &ObsGridConfig) -> (Sim, Vec<Rc<RefCell<SeqCollectorStats>>>) {
     let mut sim = Sim::new(cfg.seed);
     sim.telemetry.trace.configure(cfg.trace);
 
@@ -111,23 +133,7 @@ pub fn run_obs_grid(cfg: &ObsGridConfig) -> ObsGridResult {
         collectors.push(col.stats.clone());
         sim.add_app(ids[dst], Box::new(col));
     }
-
-    sim.run_until(SimTime::from_secs(cfg.duration_s));
-
-    let snapshot = sim.metrics_snapshot();
-    let overhead = sim.telemetry.trace.overhead();
-    let forest = TraceForest::from_log(&sim.telemetry.trace);
-    ObsGridResult {
-        nodes: cfg.nodes(),
-        expected: cfg.chains as u64 * cfg.packets,
-        unique: collectors.iter().map(|s| s.borrow().unique).sum(),
-        overhead,
-        roots: forest.roots().len(),
-        orphans: forest.orphans().len(),
-        spans: forest.spans().count(),
-        snapshot,
-        telemetry: sim.telemetry,
-    }
+    (sim, collectors)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! planp diverge relay_grid --seed 11
-//! planp diverge http
+//! planp diverge cluster
 //! ```
 //!
 //! The runs are compared by `Sim::state_digest` at `run_until` times
@@ -14,26 +14,33 @@
 //! maps, so a map iterated in `RandomState` order shows as a divergence
 //! here even when the printed outputs happen to agree.
 //!
-//! Scenarios:
+//! Each scenario is built by the `planp_apps` builder its `run_*`
+//! runs (default seed: the configuration's own):
 //!
-//! * `relay_grid` — 2 chains × 3 relays of the fragile relay ASP, 40
-//!   sequenced datagrams per chain, to 1 s (default seed 11);
-//! * `http` — Fig. 8's cluster behind the gateway ASP, 8 clients, to
-//!   3 s (default seed: the scenario's).
+//! * `relay_grid` — `obs_grid_sim`: 2 chains × 3 fragile relays, 40
+//!   datagrams a chain, to 1 s (default seed 11);
+//! * `http` — `http_sim`: Fig. 8's gateway ASP, 8 clients, to 3 s;
+//! * `audio` — `audio_sim`: the JIT'd audio ASPs under 9.45 Mb/s of
+//!   load from 5 s, to 20 s;
+//! * `mpeg` — `mpeg_sim`: three viewers sharing one stream, to 22 s;
+//! * `chaos` — `relay_chaos_sim`: the reliable relay chain at 2 % loss,
+//!   `r2` down from 0.25 s to 0.55 s, health monitor on, to 5 s;
+//! * `cluster` — `cluster_sim`: the flash crowd's smoke shape, to 3 s.
 
 use crate::{Cli, CliArgs, Report, Sub};
 use netsim::diverge::first_divergence;
-use netsim::{Sim, SimTime, TopoSpec};
-use planp_analysis::Policy;
-use planp_apps::chaos::{SeqCollector, SeqSource, FRAGILE_RELAY_ASP};
+use netsim::{Sim, SimTime};
+use planp_apps::audio::{audio_sim, Adaptation, AudioConfig};
+use planp_apps::chaos::{relay_chaos_sim, RelayChaosConfig, RelayKind};
+use planp_apps::cluster::{cluster_sim, ClusterConfig};
 use planp_apps::http::{http_sim, ClusterMode, HttpConfig};
-use planp_runtime::{install_planp, load, LayerConfig};
+use planp_apps::mpeg::{mpeg_sim, MpegConfig};
+use planp_apps::obs::{obs_grid_sim, ObsGridConfig};
 use planp_telemetry::TraceConfig;
-use std::time::Duration;
 
 const HELP: &str = "planp diverge: run a scenario twice, report where the runs first differ
 
-usage: planp diverge <relay_grid|http> [--seed N]
+usage: planp diverge <relay_grid|http|audio|mpeg|chaos|cluster> [--seed N]
 
   --seed N    simulation seed (default: the scenario's)
   -h, --help  this text
@@ -57,48 +64,59 @@ pub(crate) const SUB: Sub = Sub {
 /// The first comparison; later ones double it.
 const FIRST: SimTime = SimTime(1_000_000);
 
-/// 2 chains × 3 relays of the fragile relay ASP, 40 datagrams a chain.
-fn relay_grid(seed: u64) -> Sim {
-    let mut sim = Sim::new(seed);
-    let image = load(FRAGILE_RELAY_ASP, Policy::no_delivery()).expect("fragile relay verifies");
-    let topo = TopoSpec::obs_grid(2, 3);
-    let ids = topo.build(&mut sim);
-    for r in topo.slice("relays") {
-        install_planp(&mut sim, ids[r], &image, LayerConfig::default()).expect("install relay");
-    }
-    for &(src, dst) in &topo.paths {
-        let source = SeqSource::new(topo.nodes[dst].addr, 40, Duration::from_millis(2));
-        sim.add_app(ids[src], Box::new(source));
-        sim.add_app(ids[dst], Box::new(SeqCollector::new()));
-    }
-    sim
-}
-
-fn http(seed: Option<u64>) -> HttpConfig {
-    let mut cfg = HttpConfig::new(ClusterMode::AspGateway, 8);
-    cfg.duration_s = 3;
-    cfg.seed = seed.unwrap_or(cfg.seed);
-    cfg
-}
+/// The scenarios, in the order the usage lists them.
+const SCENARIOS: [&str; 6] = ["relay_grid", "http", "audio", "mpeg", "chaos", "cluster"];
 
 fn run(args: &CliArgs) -> Result<Report, String> {
     let seed: Option<u64> = args.number("--seed", "seed")?;
+    let names = SCENARIOS.join(", ");
     let scenario = match args.positionals.as_slice() {
         [s] => s.as_str(),
-        [] => return Err("name a scenario: relay_grid or http (try --help)".to_string()),
+        [] => return Err(format!("name a scenario: {names} (try --help)")),
         _ => return Err("more than one scenario (try --help)".to_string()),
     };
+    let untraced = TraceConfig::default;
+    let diverge =
+        |build: &dyn Fn() -> Sim, secs| first_divergence(build, FIRST, SimTime::from_secs(secs));
     let found = match scenario {
         "relay_grid" => {
-            let seed = seed.unwrap_or(11);
-            first_divergence(&|| relay_grid(seed), FIRST, SimTime::from_secs(1))
+            let cfg = ObsGridConfig {
+                chains: 2,
+                hops: 3,
+                packets: 40,
+                seed: seed.unwrap_or(11),
+                ..ObsGridConfig::new(untraced())
+            };
+            diverge(&|| obs_grid_sim(&cfg).0, cfg.duration_s)
         }
         "http" => {
-            let cfg = http(seed);
-            let until = SimTime::from_secs(cfg.duration_s);
-            first_divergence(&|| http_sim(&cfg, TraceConfig::default()).0, FIRST, until)
+            let mut cfg = HttpConfig::new(ClusterMode::AspGateway, 8);
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            diverge(&|| http_sim(&cfg, untraced()).0, 3)
         }
-        other => return Err(format!("unknown scenario {other:?} (relay_grid, http)")),
+        "audio" => {
+            let mut cfg = AudioConfig::constant_load(Adaptation::AspJit, 9450, 20);
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            diverge(&|| audio_sim(&cfg, untraced()).0, cfg.duration_s)
+        }
+        "mpeg" => {
+            let mut cfg = MpegConfig::new(3, true);
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            diverge(&|| mpeg_sim(&cfg, untraced()).0, cfg.duration.as_secs())
+        }
+        "chaos" => {
+            let mut cfg = RelayChaosConfig::loss(RelayKind::Reliable, 0.02);
+            cfg.crash_relay = Some((0.25, 0.55));
+            cfg.monitor_ms = Some(100);
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            diverge(&|| relay_chaos_sim(&cfg).0, cfg.duration_s)
+        }
+        "cluster" => {
+            let mut cfg = ClusterConfig::smoke();
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            diverge(&|| cluster_sim(&cfg).0, cfg.duration_s)
+        }
+        other => return Err(format!("unknown scenario {other:?} ({names})")),
     };
     let mut report = Report::default();
     let ms = |t: SimTime| t.as_nanos() as f64 / 1e6;
@@ -129,20 +147,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_relay_grid_does_not_diverge() {
-        let argv = ["relay_grid".to_string()];
-        let report = run(&SUB.cli.parse_from(&argv).unwrap()).unwrap();
-        assert!(!report.failed, "{}", report.stdout);
-        assert_eq!(
-            report.stdout,
-            "relay_grid: the two runs agree at every comparison (1 ms, doubling)\n"
-        );
+    fn every_scenario_agrees_with_itself() {
+        for name in SCENARIOS {
+            let report = run(&SUB.cli.parse_from(&[name.to_string()]).unwrap()).unwrap();
+            assert!(!report.failed, "{}", report.stdout);
+            assert_eq!(
+                report.stdout,
+                format!("{name}: the two runs agree at every comparison (1 ms, doubling)\n")
+            );
+        }
     }
 
     #[test]
     fn an_unknown_scenario_is_a_usage_error() {
         let argv = ["nope".to_string()];
         let e = run(&SUB.cli.parse_from(&argv).unwrap()).unwrap_err();
-        assert!(e.starts_with("unknown scenario"), "{e}");
+        assert_eq!(
+            e,
+            "unknown scenario \"nope\" (relay_grid, http, audio, mpeg, chaos, cluster)"
+        );
     }
 }

@@ -12,30 +12,53 @@ use netsim::{Sim, SimTime, TopoSpec};
 use planp_analysis::Policy;
 use planp_apps::chaos::{SeqCollector, SeqSource, FRAGILE_RELAY_ASP};
 use planp_apps::http::{http_sim, ClusterMode, HttpConfig};
+use planp_apps::obs::{obs_grid_sim, ObsGridConfig};
 use planp_runtime::{install_planp, load, Engine, LayerConfig};
 use planp_telemetry::TraceConfig;
 use std::time::Duration;
 
 /// 2 chains × 3 relays of the fragile relay ASP, 40 datagrams per
-/// chain, run to 1 s.
+/// chain, seed 11.
+fn grid_config() -> ObsGridConfig {
+    ObsGridConfig {
+        chains: 2,
+        hops: 3,
+        packets: 40,
+        seed: 11,
+        ..ObsGridConfig::new(TraceConfig::default())
+    }
+}
+
+/// The grid of [`grid_config`] with its relays on `engine`, run to 1 s.
+/// The JIT grid is the scenario's own builder; the interpreter grid
+/// makes the same calls with the engine switched.
 fn relay_grid(engine: Engine) -> Sim {
-    let mut sim = Sim::new(11);
-    let image = load(FRAGILE_RELAY_ASP, Policy::no_delivery()).expect("fragile relay verifies");
-    let topo = TopoSpec::obs_grid(2, 3);
-    let ids = topo.build(&mut sim);
-    let config = LayerConfig {
-        engine,
-        ..LayerConfig::default()
+    let cfg = grid_config();
+    let mut sim = match engine {
+        Engine::Jit => obs_grid_sim(&cfg).0,
+        Engine::Interp => {
+            let mut sim = Sim::new(cfg.seed);
+            let image =
+                load(FRAGILE_RELAY_ASP, Policy::no_delivery()).expect("fragile relay verifies");
+            let topo = TopoSpec::obs_grid(cfg.chains, cfg.hops);
+            let ids = topo.build(&mut sim);
+            let config = LayerConfig {
+                engine,
+                ..LayerConfig::default()
+            };
+            for r in topo.slice("relays") {
+                install_planp(&mut sim, ids[r], &image, config).expect("install relay ASP");
+            }
+            for &(src, dst) in &topo.paths {
+                let source =
+                    SeqSource::new(topo.nodes[dst].addr, cfg.packets, Duration::from_millis(2));
+                sim.add_app(ids[src], Box::new(source));
+                sim.add_app(ids[dst], Box::new(SeqCollector::new()));
+            }
+            sim
+        }
     };
-    for r in topo.slice("relays") {
-        install_planp(&mut sim, ids[r], &image, config).expect("install relay ASP");
-    }
-    for &(src, dst) in &topo.paths {
-        let source = SeqSource::new(topo.nodes[dst].addr, 40, Duration::from_millis(2));
-        sim.add_app(ids[src], Box::new(source));
-        sim.add_app(ids[dst], Box::new(SeqCollector::new()));
-    }
-    sim.run_until(SimTime::from_secs(1));
+    sim.run_until(SimTime::from_secs(cfg.duration_s));
     sim
 }
 
