@@ -12,9 +12,11 @@ use planp_apps::mpeg::{run_mpeg_traced, MpegConfig};
 use planp_apps::obs::{run_obs_grid, ObsGridConfig};
 use planp_runtime::load;
 use planp_telemetry::{
-    chrome_trace, prometheus, MetricsSnapshot, SpanOrigin, Telemetry, TraceConfig, TraceForest,
+    chrome_trace, prometheus, Histogram, MetricsSnapshot, ProfileRegistry, ScopeShape, SpanOrigin,
+    Telemetry, TraceConfig, TraceForest,
 };
 use std::hash::Hasher;
+use std::rc::Rc;
 
 fn audio_cfg() -> AudioConfig {
     AudioConfig::constant_load(Adaptation::AspJit, 9450, 15)
@@ -214,5 +216,167 @@ fn exports_match_the_bytes_of_commit_181a903() {
         ]
         .map(|export| len_and_fnv1a(&export));
         assert_eq!(got, pins, "{name} (chrome, render, jsonl, prom): {got:#X?}");
+    }
+}
+
+/// A snapshot that takes every branch of the Prometheus series mapping:
+/// channel, node and link names, a `link` name whose index is not all
+/// digits, names that sanitize to one series (counters and histograms),
+/// multibyte characters, and label values holding `\`, `"` and a
+/// newline.
+fn awkward_snapshot() -> MetricsSnapshot {
+    let mut snap = MetricsSnapshot::default();
+    for (i, name) in [
+        "node.gw.chan.network.dispatch",
+        "node.r1.chan.network.dispatch",
+        "node.r1.chan.c\"h.vm_steps",
+        "node.gw.chan.network",
+        "node.a.delivered",
+        "node.b.delivered",
+        "node.r2.recovery.redeploys",
+        "node.a.x-y",
+        "node.a.x.y",
+        "node.é.délivré",
+        "node.a\\b.delivered",
+        "node.q\"x.delivered",
+        "node.l\nf.delivered",
+        "node.solo",
+        "link3.fault_drops",
+        "link12.fault_drops",
+        "link3x.fault_drops",
+        "link.bare",
+        "link_bare",
+        "sim.packets",
+        "sim_packets",
+        "sim→packets",
+        "planp",
+        "",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        snap.set_counter(name, 10 + i as u64);
+    }
+    for (i, name) in [
+        "link0.queue_depth",
+        "link1.queue_depth",
+        "lat/ns",
+        "lat_ns",
+        "node.gw.chan.network.steps",
+        "node.r\"1.hop_ns",
+        "node.r1.hop_ns",
+        "node.a.delivered",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut h = Histogram::new();
+        for v in 0..=(3 * i as u64) {
+            h.observe(v * v + i as u64);
+        }
+        snap.set_histogram(name, &h);
+    }
+    snap
+}
+
+/// A profile registry with two nodes over two shapes: site and block
+/// charges (some still pending in the difference array), a site no
+/// shape declares, a sampled-out dispatch, a recorded mismatch, labels
+/// that need JSON escapes, and candidates over observed, unobserved
+/// and undeclared sites.
+fn awkward_profile() -> ProfileRegistry {
+    let net = Rc::new(ScopeShape::new(
+        "network",
+        0,
+        [
+            (10, "1:1:if".to_string(), 2),
+            (20, "2:3:prim.tcpDst".to_string(), 1),
+            (35, "3:5:\"quoted\"\\".to_string(), 4),
+            (90, "9:1:never".to_string(), 7),
+        ],
+        [
+            (
+                "hdr_compare_branch".to_string(),
+                vec![10, 20],
+                "1:1".to_string(),
+            ),
+            ("table_forward".to_string(), vec![30, 90], "3:1".to_string()),
+        ],
+        &[10, 20, 30, 10, 35],
+    ));
+    let mon = Rc::new(ScopeShape::new(
+        "mön",
+        2,
+        [(5, "1:2:seq".to_string(), 3)],
+        [],
+        &[],
+    ));
+    let mut reg = ProfileRegistry::default();
+    let gw = reg.declare("gw", &net);
+    let r1 = reg.declare("r\"1", &net);
+    let m = reg.declare("gw", &mon);
+    for (id, blocks, steps) in [
+        (gw, &[(0u32, 3u32), (3, 2)][..], 5),
+        (gw, &[(2, 1)][..], 1),
+        (r1, &[(0, 5)][..], 5),
+        (r1, &[(1, 1)][..], 2),
+    ] {
+        assert!(reg.should_profile(id));
+        reg.charge_blocks(id, &[10, 20, 30, 10, 35], blocks, 1);
+        reg.record(id, steps);
+    }
+    assert!(reg.should_profile(m));
+    reg.charge_site(m, 5, 2);
+    reg.charge_site(m, 6, 1);
+    reg.record(m, 3);
+    reg.set_sample(2);
+    assert!(!reg.should_profile(m));
+    reg
+}
+
+/// `(len, FNV-1a)` of `prometheus`, `ProfileRegistry::to_json`,
+/// `collapsed_flame`, `render_heatmap` and `superinstruction_report`,
+/// in that order, for a traced 16 × 6 observability grid and for
+/// [`awkward_snapshot`] with [`awkward_profile`]: the bytes the
+/// exporters wrote before they were rewritten to write into their
+/// output alone.
+const METRIC_EXPORT_PINS: [(&str, [(usize, u64); 5]); 2] = [
+    (
+        "grid 16x6",
+        [
+            (99_784, 0xBFEB_C106_7102_433D),
+            (216_748, 0x681A_E7C4_0746_BB44),
+            (72_432, 0xA645_2556_D1DE_FE35),
+            (327_162, 0x6718_BC6E_9839_9015),
+            (12_744, 0x73A6_B075_6638_95C5),
+        ],
+    ),
+    ("awkward", [(4_313, 0x376B_2AE8_F33A_0EE2), (1_334, 0x7066_9DC9_FA2D_4E78), (314, 0x9D69_BE8E_CCAA_FFC2), (1_254, 0xD280_07F7_95B2_A420), (250, 0xD5F1_062A_02B9_36BB)]),
+];
+
+#[test]
+fn metric_and_profile_exports_match_their_pinned_bytes() {
+    let grid = run_obs_grid(&ObsGridConfig {
+        chains: 16,
+        hops: 6,
+        ..ObsGridConfig::new(roomy())
+    });
+    let runs = [
+        (grid.snapshot, grid.telemetry.profile),
+        (awkward_snapshot(), awkward_profile()),
+    ];
+    for ((snap, profile), (name, pins)) in runs.iter().zip(METRIC_EXPORT_PINS) {
+        let got = [
+            prometheus(snap),
+            profile.to_json(),
+            profile.collapsed_flame(),
+            profile.render_heatmap(),
+            profile.superinstruction_report(),
+        ]
+        .map(|export| len_and_fnv1a(&export));
+        assert_eq!(
+            got, pins,
+            "{name} (prom, profile json, flame, heatmap, candidates): {got:#X?}"
+        );
     }
 }
