@@ -17,11 +17,10 @@
 //!   `_max` gauges.
 
 use crate::json::{push_escaped, push_str, push_u64, Seq};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{HistogramSummary, MetricsSnapshot};
 use crate::span::{Span, TraceForest};
 #[allow(clippy::disallowed_types)] // `slot_of` below, lookup-only
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Appends `key` (punctuation included) and then `v` in decimal.
 fn num(out: &mut String, key: &str, v: u64) {
@@ -157,35 +156,34 @@ pub fn chrome_trace(forest: &TraceForest, nodes: &[String]) -> String {
     out
 }
 
-/// Maps a raw segment to the Prometheus metric-name charset
-/// `[a-zA-Z0-9_:]` (dots and anything else become underscores).
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
+/// Maps one character of a raw segment to the Prometheus metric-name
+/// charset `[a-zA-Z0-9_:]` (dots and anything else become underscores).
+fn sanitize(c: char) -> char {
+    if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
+        c
+    } else {
+        '_'
+    }
 }
 
-/// Escapes a label value per the exposition format.
-fn escape_label(v: &str) -> String {
-    let mut s = String::with_capacity(v.len());
+/// Appends a label value escaped per the exposition format.
+fn escape_label(out: &mut String, v: &str) {
+    if !v.bytes().any(|b| matches!(b, b'\\' | b'"' | b'\n')) {
+        out.push_str(v);
+        return;
+    }
     for c in v.chars() {
         match c {
-            '\\' => s.push_str("\\\\"),
-            '"' => s.push_str("\\\""),
-            '\n' => s.push_str("\\n"),
-            c => s.push(c),
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
         }
     }
-    s
 }
 
-/// Splits a registry name into a scrape-valid metric name plus labels:
+/// A registry name as a scrape-valid metric name plus labels, borrowed
+/// from the name:
 ///
 /// * `node.<n>.chan.<c>.<what>` → `planp_chan_<what>{chan="<c>",node="<n>"}`
 /// * `node.<n>.<what>`          → `planp_node_<what>{node="<n>"}`
@@ -196,114 +194,234 @@ fn escape_label(v: &str) -> String {
 /// yields a handful of metric families instead of 100k metric names —
 /// and dotted tails like `recovery.redeploys` sanitize to underscores,
 /// which is what makes the output scrape-valid.
-fn prom_series(name: &str) -> (String, Vec<(&'static str, String)>) {
-    if let Some(rest) = name.strip_prefix("node.") {
-        if let Some((node, what)) = rest.split_once('.') {
-            if let Some(chan_rest) = what.strip_prefix("chan.") {
-                if let Some((chan, leaf)) = chan_rest.split_once('.') {
-                    return (
-                        format!("planp_chan_{}", sanitize(leaf)),
-                        vec![("chan", chan.to_string()), ("node", node.to_string())],
-                    );
-                }
-            }
-            return (
-                format!("planp_node_{}", sanitize(what)),
-                vec![("node", node.to_string())],
-            );
-        }
-    }
-    if let Some(rest) = name.strip_prefix("link") {
-        if let Some((idx, what)) = rest.split_once('.') {
-            if !idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit()) {
-                return (
-                    format!("planp_link_{}", sanitize(what)),
-                    vec![("link", idx.to_string())],
-                );
-            }
-        }
-    }
-    (format!("planp_{}", sanitize(name)), Vec::new())
+struct PromSeries<'a> {
+    /// The start of the metric name, written as it is.
+    family: &'static str,
+    /// The rest of the metric name, written through [`sanitize`].
+    what: &'a str,
+    /// The labels, in key order: the first `labeled` are set.
+    labels: [(&'static str, &'a str); 2],
+    labeled: usize,
 }
 
-/// The label set of one exported series.
-type LabelSet = Vec<(&'static str, String)>;
+impl<'a> PromSeries<'a> {
+    fn of(name: &'a str) -> Self {
+        let series = |family, what, labels: &[(&'static str, &'a str)]| {
+            let mut s = PromSeries {
+                family,
+                what,
+                labels: [("", ""); 2],
+                labeled: labels.len(),
+            };
+            s.labels[..labels.len()].copy_from_slice(labels);
+            s
+        };
+        if let Some(rest) = name.strip_prefix("node.") {
+            if let Some((node, what)) = rest.split_once('.') {
+                if let Some(chan_rest) = what.strip_prefix("chan.") {
+                    if let Some((chan, leaf)) = chan_rest.split_once('.') {
+                        return series("planp_chan_", leaf, &[("chan", chan), ("node", node)]);
+                    }
+                }
+                return series("planp_node_", what, &[("node", node)]);
+            }
+        }
+        if let Some(rest) = name.strip_prefix("link") {
+            if let Some((idx, what)) = rest.split_once('.') {
+                if !idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit()) {
+                    return series("planp_link_", what, &[("link", idx)]);
+                }
+            }
+        }
+        series("planp_", name, &[])
+    }
 
-fn render_labels(labels: &[(&'static str, String)], extra: Option<(&str, &str)>) -> String {
-    if labels.is_empty() && extra.is_none() {
-        return String::new();
+    /// An upper bound on the bytes of `name`'s key in [`prometheus`]
+    /// (metric, NUL, labels): a sanitized character takes no more
+    /// bytes than the raw one, an escaped one two.
+    fn bound(name: &str) -> usize {
+        3 * name.len() + 32
     }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape_label(v)));
+
+    fn push_metric(&self, out: &mut String) {
+        out.push_str(self.family);
+        if self.what.chars().all(|c| sanitize(c) == c) {
+            out.push_str(self.what);
+        } else {
+            out.extend(self.what.chars().map(sanitize));
+        }
     }
-    format!("{{{}}}", parts.join(","))
+
+    /// Appends `{k="v",...}`, or nothing for a series without labels.
+    fn push_labels(&self, out: &mut String) {
+        for (i, (k, v)) in self.labels[..self.labeled].iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            out.push_str(k);
+            out.push_str("=\"");
+            escape_label(out, v);
+            out.push('"');
+        }
+        if self.labeled > 0 {
+            out.push('}');
+        }
+    }
+}
+
+/// One exported series: where its key sits in the key buffer of
+/// [`prometheus`], its position in the snapshot, and its value.
+///
+/// The key is the metric name, a NUL, and the rendered labels. No
+/// character of a metric name sorts before NUL, so the keys sort as
+/// the pairs (metric, labels) do, in one comparison.
+struct Keyed<T> {
+    /// Start, NUL and end of the key.
+    key: (usize, usize, usize),
+    at: usize,
+    value: T,
+}
+
+impl<T> Keyed<T> {
+    fn key<'k>(&self, keys: &'k str) -> &'k str {
+        &keys[self.key.0..self.key.2]
+    }
+
+    fn metric<'k>(&self, keys: &'k str) -> &'k str {
+        &keys[self.key.0..self.key.1]
+    }
+
+    fn labels<'k>(&self, keys: &'k str) -> &'k str {
+        &keys[self.key.1 + 1..self.key.2]
+    }
+}
+
+/// The series of `named`, their names and labels rendered into `keys`,
+/// sorted by (metric, labels) and then by snapshot order.
+fn sorted_series<'a, T>(
+    keys: &mut String,
+    named: impl ExactSizeIterator<Item = (&'a String, T)>,
+) -> Vec<Keyed<T>> {
+    let mut series = Vec::with_capacity(named.len());
+    for (at, (name, value)) in named.enumerate() {
+        let s = PromSeries::of(name);
+        let start = keys.len();
+        s.push_metric(keys);
+        let nul = keys.len();
+        keys.push('\0');
+        s.push_labels(keys);
+        series.push(Keyed {
+            key: (start, nul, keys.len()),
+            at,
+            value,
+        });
+    }
+    let k = keys.as_str();
+    series.sort_unstable_by(|a, b| (a.key(k), a.at).cmp(&(b.key(k), b.at)));
+    series
+}
+
+/// Appends `# TYPE <metric><suffix> <kind>`.
+fn type_line(out: &mut String, metric: &str, suffix: &str, kind: &str) {
+    out.push_str("# TYPE ");
+    out.push_str(metric);
+    out.push_str(suffix);
+    out.push(' ');
+    out.push_str(kind);
+    out.push('\n');
+}
+
+/// Appends `<metric><suffix><labels> <v>`, with `quantile="<q>"` added
+/// last to the labels when `quantile` is given.
+fn sample(
+    out: &mut String,
+    metric: &str,
+    suffix: &str,
+    labels: &str,
+    quantile: Option<&str>,
+    v: u64,
+) {
+    out.push_str(metric);
+    out.push_str(suffix);
+    match quantile {
+        None => out.push_str(labels),
+        Some(q) => {
+            match labels.strip_suffix('}') {
+                Some(open) => {
+                    out.push_str(open);
+                    out.push(',');
+                }
+                None => out.push('{'),
+            }
+            out.push_str("quantile=\"");
+            out.push_str(q);
+            out.push_str("\"}");
+        }
+    }
+    out.push(' ');
+    push_u64(out, v);
+    out.push('\n');
 }
 
 /// Renders a snapshot in the Prometheus text exposition format.
 ///
 /// Series are grouped into metric families (one `# TYPE` line per
 /// family, series sorted by label set) and every name is mapped through
-/// `prom_series`, so the output is scrape-valid: metric names match
+/// [`PromSeries`], so the output is scrape-valid: metric names match
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*` and per-node / per-link / per-channel
-/// identity lives in labels. Byte-stable for identical snapshots.
+/// identity lives in labels. When two counter names map to one series,
+/// the later name in snapshot order gives its value; two histograms
+/// both appear. Byte-stable for identical snapshots.
+///
+/// Every series' name and labels are rendered once, into one buffer,
+/// and the series sorted by them: besides its output, an export
+/// allocates that buffer and the two sorted lists.
 pub fn prometheus(snap: &MetricsSnapshot) -> String {
-    use std::collections::BTreeMap;
+    let names = snap.counters.keys().chain(snap.histograms.keys());
+    let mut keys = String::with_capacity(names.map(|n| PromSeries::bound(n)).sum());
+    let counters = sorted_series(&mut keys, snap.counters.iter().map(|(n, &v)| (n, v)));
+    let histograms = sorted_series(&mut keys, snap.histograms.iter());
+    let keys = keys.as_str();
     let mut out = String::new();
 
-    // Counters: family → (label string → value).
-    let mut families: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
-    for (name, v) in &snap.counters {
-        let (metric, labels) = prom_series(name);
-        families
-            .entry(metric)
-            .or_default()
-            .insert(render_labels(&labels, None), *v);
-    }
-    for (metric, series) in &families {
-        let _ = writeln!(out, "# TYPE {metric} counter");
-        for (labels, v) in series {
-            let _ = writeln!(out, "{metric}{labels} {v}");
+    let mut family = None;
+    for (i, s) in counters.iter().enumerate() {
+        if counters
+            .get(i + 1)
+            .is_some_and(|next| next.key(keys) == s.key(keys))
+        {
+            continue;
         }
+        let metric = s.metric(keys);
+        if family != Some(metric) {
+            type_line(&mut out, metric, "", "counter");
+            family = Some(metric);
+        }
+        sample(&mut out, metric, "", s.labels(keys), None, s.value);
     }
 
-    // Histograms: family → (sorted label vec → summary).
-    type HistFamily<'a> = Vec<(LabelSet, &'a crate::metrics::HistogramSummary)>;
-    let mut hfams: BTreeMap<String, HistFamily<'_>> = BTreeMap::new();
-    for (name, h) in &snap.histograms {
-        let (metric, labels) = prom_series(name);
-        hfams.entry(metric).or_default().push((labels, h));
-    }
-    for (metric, series) in &mut hfams {
-        series.sort_by_key(|(labels, _)| render_labels(labels, None));
-        let _ = writeln!(out, "# TYPE {metric} summary");
-        for (labels, h) in series.iter() {
+    for series in histograms.chunk_by(|a, b| a.metric(keys) == b.metric(keys)) {
+        let metric = series[0].metric(keys);
+        type_line(&mut out, metric, "", "summary");
+        for s in series {
+            let (labels, h) = (s.labels(keys), s.value);
             for (q, v) in [
                 ("0.5", h.p50),
                 ("0.9", h.p90),
                 ("0.99", h.p99),
                 ("0.999", h.p999),
             ] {
-                let l = render_labels(labels, Some(("quantile", q)));
-                let _ = writeln!(out, "{metric}{l} {v}");
+                sample(&mut out, metric, "", labels, Some(q), v);
             }
-            let l = render_labels(labels, None);
-            let _ = writeln!(out, "{metric}_sum{l} {}", h.sum);
-            let _ = writeln!(out, "{metric}_count{l} {}", h.count);
+            sample(&mut out, metric, "_sum", labels, None, h.sum);
+            sample(&mut out, metric, "_count", labels, None, h.count);
         }
-        let _ = writeln!(out, "# TYPE {metric}_min gauge");
-        for (labels, h) in series.iter() {
-            let l = render_labels(labels, None);
-            let _ = writeln!(out, "{metric}_min{l} {}", h.min);
-        }
-        let _ = writeln!(out, "# TYPE {metric}_max gauge");
-        for (labels, h) in series.iter() {
-            let l = render_labels(labels, None);
-            let _ = writeln!(out, "{metric}_max{l} {}", h.max);
-        }
+        let mut gauge = |suffix, of: fn(&HistogramSummary) -> u64| {
+            type_line(&mut out, metric, suffix, "gauge");
+            for s in series {
+                sample(&mut out, metric, suffix, s.labels(keys), None, of(s.value));
+            }
+        };
+        gauge("_min", |h| h.min);
+        gauge("_max", |h| h.max);
     }
     out
 }

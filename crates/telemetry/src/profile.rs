@@ -40,7 +40,7 @@
 //! dialect as `TraceConfig::parse_sample`), deterministic per scope.
 //! Skipped dispatches are counted, never silently dropped.
 
-use crate::json::{push_key, push_str};
+use crate::json::{push_escaped, push_str, push_u64, Seq};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -52,6 +52,45 @@ struct SiteMeta {
     label: String,
     /// Static step bound per dispatch.
     bound: u64,
+    /// The site's row of [`ProfileRegistry::to_json`] less its observed
+    /// steps, which go at `observed_at`: everything in the row but
+    /// that count is the same in every scope of the shape, so it is
+    /// written once.
+    json: String,
+    observed_at: usize,
+}
+
+impl SiteMeta {
+    fn new(site: u32, label: String, bound: u64) -> Self {
+        let mut json = String::new();
+        push_row_head(&mut json, site);
+        let observed_at = json.len();
+        push_row_tail(&mut json, bound, &label);
+        SiteMeta {
+            label,
+            bound,
+            json,
+            observed_at,
+        }
+    }
+}
+
+/// Appends the start of a site's `to_json` row, up to its observed
+/// steps: `{"site":<site>,"observed":`.
+fn push_row_head(out: &mut String, site: u32) {
+    out.push_str("{\"site\":");
+    push_u64(out, u64::from(site));
+    out.push_str(",\"observed\":");
+}
+
+/// Appends the rest of a site's `to_json` row after its observed
+/// steps: `,"bound":<bound>,"label":<label>}`.
+fn push_row_tail(out: &mut String, bound: u64, label: &str) {
+    out.push_str(",\"bound\":");
+    push_u64(out, bound);
+    out.push_str(",\"label\":");
+    push_str(out, label);
+    out.push('}');
 }
 
 /// A static superinstruction candidate attached to a scope.
@@ -108,7 +147,7 @@ impl ScopeShape {
     ) -> Self {
         let meta: BTreeMap<u32, SiteMeta> = sites
             .into_iter()
-            .map(|(site, label, bound)| (site, SiteMeta { label, bound }))
+            .map(|(site, label, bound)| (site, SiteMeta::new(site, label, bound)))
             .collect();
         let ids: Vec<u32> = meta.keys().copied().collect();
         let slot = |site: &u32| match ids.binary_search(site) {
@@ -167,39 +206,31 @@ pub struct ScopeProfile {
 impl ScopeProfile {
     /// The registry key of this scope.
     pub fn key(&self) -> String {
-        scope_key(&self.node, &self.shape.chan, self.shape.overload)
+        let mut key = String::new();
+        self.push_key(&mut key, String::push_str);
+        key
+    }
+
+    /// Appends the registry key, each part through `push`.
+    fn push_key(&self, out: &mut String, push: fn(&mut String, &str)) {
+        push_scope_key(out, &self.node, &self.shape.chan, self.shape.overload, push);
     }
 
     /// Observed steps per site, ascending, observed sites only
     /// (recorded dispatches only) — the map view of the dense counters.
     pub fn sites(&self) -> BTreeMap<u32, u64> {
-        let (counts, stray) = self.totals();
-        let declared = self.shape.ids.iter().copied().zip(counts);
-        declared.filter(|&(_, n)| n > 0).chain(stray).collect()
+        let totals = Totals::of(self);
+        let declared = self.shape.ids.iter().copied().zip(totals.counts);
+        declared
+            .filter(|&(_, n)| n > 0)
+            .chain(totals.stray)
+            .collect()
     }
 
     /// Observed sites missing from the static site table (must stay
     /// zero: every site a dispatch can charge is statically known).
     pub fn unknown_sites(&self) -> u64 {
-        self.totals().1.len() as u64
-    }
-
-    /// `counts` and `stray` with the block charges still in `diff`
-    /// added in: the running sum of `diff` at a position is what the
-    /// blocks charged there.
-    fn totals(&self) -> (Vec<u64>, BTreeMap<u32, u64>) {
-        let (mut counts, mut stray) = (self.counts.clone(), self.stray.clone());
-        let mut here = 0i64;
-        for (slot, d) in self.shape.block_index.iter().zip(&self.diff) {
-            here += d;
-            if here != 0 {
-                match *slot {
-                    Ok(i) => counts[i as usize] += here as u64,
-                    Err(site) => *stray.entry(site).or_insert(0) += here as u64,
-                }
-            }
-        }
-        (counts, stray)
+        Totals::of(self).stray.len() as u64
     }
 
     /// Replaces the shape, carrying observations over: what the blocks
@@ -215,29 +246,6 @@ impl ScopeProfile {
         }
     }
 
-    /// Every site of this scope — declared (observed or not) and
-    /// stray — ascending, as `(site, observed, label, bound)`.
-    fn site_rows(&self) -> Vec<(u32, u64, &str, u64)> {
-        let (counts, stray) = self.totals();
-        let declared = self.shape.meta.iter().zip(counts);
-        let mut rows: Vec<_> = declared
-            .map(|((&site, m), n)| (site, n, m.label.as_str(), m.bound))
-            .collect();
-        rows.extend(stray.into_iter().map(|(site, n)| (site, n, "unknown", 0)));
-        rows.sort_unstable_by_key(|r| r.0);
-        rows
-    }
-
-    /// Observed steps over the sites of a pattern.
-    fn observed(&self, sites: &[u32]) -> u64 {
-        let (counts, stray) = self.totals();
-        let of = |site: &u32| match self.shape.ids.binary_search(site) {
-            Ok(i) => counts[i],
-            Err(_) => stray.get(site).copied().unwrap_or(0),
-        };
-        sites.iter().map(of).sum()
-    }
-
     fn add(&mut self, site: u32, n: u64) {
         match self.shape.ids.binary_search(&site) {
             Ok(i) => self.counts[i] += n,
@@ -246,8 +254,124 @@ impl ScopeProfile {
     }
 }
 
-fn scope_key(node: &str, chan: &str, overload: u32) -> String {
-    format!("node.{node}.chan.{chan}#{overload}")
+/// Appends `node.<node>.chan.<chan>#<overload>`, each part through
+/// `push` (`String::push_str`, or `json::push_escaped` inside a JSON
+/// string).
+fn push_scope_key(
+    out: &mut String,
+    node: &str,
+    chan: &str,
+    overload: u32,
+    push: fn(&mut String, &str),
+) {
+    out.push_str("node.");
+    push(out, node);
+    out.push_str(".chan.");
+    push(out, chan);
+    out.push('#');
+    push_u64(out, u64::from(overload));
+}
+
+/// One scope's observed steps with the block charges still in its
+/// `diff` added in — the one pass every export takes over a scope,
+/// into buffers it reuses from scope to scope.
+#[derive(Debug, Default)]
+struct Totals {
+    /// Observed steps per declared site, parallel to `shape.ids`.
+    counts: Vec<u64>,
+    /// Observed steps of undeclared sites, ascending by site.
+    stray: Vec<(u32, u64)>,
+}
+
+impl Totals {
+    fn of(s: &ScopeProfile) -> Self {
+        let mut totals = Totals::default();
+        totals.fill(s);
+        totals
+    }
+
+    /// Recomputes the totals for `s`: the running sum of `diff` at a
+    /// position is what the blocks charged there.
+    fn fill(&mut self, s: &ScopeProfile) {
+        self.counts.clear();
+        self.counts.extend_from_slice(&s.counts);
+        self.stray.clear();
+        self.stray
+            .extend(s.stray.iter().map(|(&site, &n)| (site, n)));
+        let mut here = 0i64;
+        for (slot, d) in s.shape.block_index.iter().zip(&s.diff) {
+            here += d;
+            if here != 0 {
+                match *slot {
+                    Ok(i) => self.counts[i as usize] += here as u64,
+                    Err(site) => match self.stray.binary_search_by_key(&site, |e| e.0) {
+                        Ok(j) => self.stray[j].1 += here as u64,
+                        Err(j) => self.stray.insert(j, (site, here as u64)),
+                    },
+                }
+            }
+        }
+    }
+
+    /// Observed steps over `sites`.
+    fn observed(&self, shape: &ScopeShape, sites: &[u32]) -> u64 {
+        let of = |site: &u32| match shape.ids.binary_search(site) {
+            Ok(i) => self.counts[i],
+            Err(_) => match self.stray.binary_search_by_key(site, |e| e.0) {
+                Ok(j) => self.stray[j].1,
+                Err(_) => 0,
+            },
+        };
+        sites.iter().map(of).sum()
+    }
+
+    /// Every site of the scope — declared (observed or not) and stray —
+    /// ascending: the declared and the stray sites are each ascending
+    /// and never share a site, so this merges the two.
+    fn rows<'a>(&'a self, shape: &'a ScopeShape) -> impl Iterator<Item = Row<'a>> {
+        let declared = shape.meta.iter().zip(&self.counts);
+        let mut declared = declared
+            .map(|((&site, m), &observed)| Row {
+                site,
+                observed,
+                meta: Some(m),
+            })
+            .peekable();
+        let mut stray = self
+            .stray
+            .iter()
+            .map(|&(site, observed)| Row {
+                site,
+                observed,
+                meta: None,
+            })
+            .peekable();
+        std::iter::from_fn(move || match (declared.peek(), stray.peek()) {
+            (Some(d), Some(s)) if s.site < d.site => stray.next(),
+            (Some(_), _) => declared.next(),
+            (None, _) => stray.next(),
+        })
+    }
+}
+
+/// One site of a scope as the exports list it.
+struct Row<'a> {
+    site: u32,
+    /// Observed steps (recorded dispatches only).
+    observed: u64,
+    /// What the shape declares of the site; `None` for a site it does
+    /// not declare, listed with the label `unknown` and bound 0.
+    meta: Option<&'a SiteMeta>,
+}
+
+impl Row<'_> {
+    fn label(&self) -> &str {
+        self.meta.map_or("unknown", |m| &m.label)
+    }
+
+    fn bound(&self) -> u64 {
+        self.meta.map_or(0, |m| m.bound)
+    }
 }
 
 /// One row of the utilization heatmap.
@@ -302,7 +426,14 @@ impl ProfileRegistry {
     /// same scope and keeps the accumulated profile under the new shape.
     pub fn declare(&mut self, node: &str, shape: &Rc<ScopeShape>) -> ScopeId {
         let next = self.scopes.len();
-        let key = scope_key(node, &shape.chan, shape.overload);
+        let mut key = String::new();
+        push_scope_key(
+            &mut key,
+            node,
+            &shape.chan,
+            shape.overload,
+            String::push_str,
+        );
         let i = *self.index.entry(key).or_insert(next);
         if i < next {
             self.scopes[i].redeclare(shape);
@@ -399,21 +530,37 @@ impl ProfileRegistry {
         self.scopes.iter().map(|s| s.mismatches).sum()
     }
 
+    /// Calls `f` with every scope, in key order, and its totals: the
+    /// one pass over the scopes' counters that the exports share.
+    fn each_scope<'a>(&'a self, mut f: impl FnMut(&'a ScopeProfile, &Totals)) {
+        let mut totals = Totals::default();
+        for s in self.scopes() {
+            totals.fill(s);
+            f(s, &totals);
+        }
+    }
+
     /// Flamegraph collapsed-stack lines, one per observed site:
     /// `planp;<node>;<chan>#<ov>;<site-label> <steps>`. Scopes in key
     /// order, sites ascending — byte-stable. Feed to
     /// `flamegraph.pl` / speedscope / inferno unchanged.
     pub fn collapsed_flame(&self) -> String {
         let mut out = String::new();
-        for s in self.scopes() {
-            for (_, steps, label, _) in s.site_rows().into_iter().filter(|r| r.1 > 0) {
-                let _ = writeln!(
-                    out,
-                    "planp;{};{}#{};{label} {steps}",
-                    s.node, s.shape.chan, s.shape.overload
-                );
+        self.each_scope(|s, totals| {
+            for r in totals.rows(&s.shape).filter(|r| r.observed > 0) {
+                out.push_str("planp;");
+                out.push_str(&s.node);
+                out.push(';');
+                out.push_str(&s.shape.chan);
+                out.push('#');
+                push_u64(&mut out, u64::from(s.shape.overload));
+                out.push(';');
+                out.push_str(r.label());
+                out.push(' ');
+                push_u64(&mut out, r.observed);
+                out.push('\n');
             }
-        }
+        });
         out
     }
 
@@ -421,19 +568,21 @@ impl ProfileRegistry {
     /// site`, in (scope key, site) order.
     pub fn heatmap(&self) -> Vec<HeatmapRow> {
         let mut rows = Vec::new();
-        for s in self.scopes() {
+        self.each_scope(|s, totals| {
+            let scope = s.key();
             // Every statically known site appears, observed or not;
             // observed-but-unknown sites appear with bound 0.
-            for (site, observed, label, bound) in s.site_rows() {
+            for r in totals.rows(&s.shape) {
+                let (observed, bound) = (r.observed, r.bound());
                 let denom = bound.saturating_mul(s.dispatches);
                 let permille = observed
                     .saturating_mul(1000)
                     .checked_div(denom)
                     .unwrap_or(0);
                 rows.push(HeatmapRow {
-                    scope: s.key(),
-                    site,
-                    label: label.to_string(),
+                    scope: scope.clone(),
+                    site: r.site,
+                    label: r.label().to_string(),
                     observed,
                     bound,
                     dispatches: s.dispatches,
@@ -442,7 +591,7 @@ impl ProfileRegistry {
                     slack: s.dispatches > 0 && denom > 0 && permille <= 100,
                 });
             }
-        }
+        });
         rows
     }
 
@@ -480,14 +629,14 @@ impl ProfileRegistry {
     /// by scope key, then anchor label). The input artifact for the
     /// bytecode/superinstruction tier.
     pub fn superinstruction_report(&self) -> String {
-        let mut ranked: Vec<(u64, String, String, String)> = Vec::new();
-        for s in self.scopes() {
+        let mut ranked: Vec<(u64, String, &str, &str)> = Vec::new();
+        self.each_scope(|s, totals| {
             for p in &s.shape.patterns {
-                let observed = s.observed(&p.sites);
-                ranked.push((observed, s.key(), p.label.clone(), p.pattern.clone()));
+                let observed = totals.observed(&s.shape, &p.sites);
+                ranked.push((observed, s.key(), &p.label, &p.pattern));
             }
-        }
-        ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        });
+        ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(b.2)));
         let mut out = String::new();
         for (i, (observed, scope, label, pattern)) in ranked.iter().enumerate() {
             let _ = writeln!(
@@ -502,57 +651,61 @@ impl ProfileRegistry {
     /// The whole registry as one byte-stable JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"sample_n\":");
-        let _ = write!(out, "{}", self.sample_n);
-        let _ = write!(out, ",\"mismatches\":{}", self.mismatches());
+        push_u64(&mut out, u64::from(self.sample_n));
+        out.push_str(",\"mismatches\":");
+        push_u64(&mut out, self.mismatches());
         out.push_str(",\"scopes\":[");
-        for (i, s) in self.scopes().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut scopes = Seq::new();
+        self.each_scope(|s, totals| {
+            scopes.sep(&mut out);
+            out.push_str("{\"scope\":\"");
+            s.push_key(&mut out, push_escaped);
+            for (key, v) in [
+                ("\",\"dispatches\":", s.dispatches),
+                (",\"skipped\":", s.skipped),
+                (",\"steps\":", s.steps),
+                (",\"mismatches\":", s.mismatches),
+            ] {
+                out.push_str(key);
+                push_u64(&mut out, v);
             }
-            out.push('{');
-            push_key(&mut out, "scope");
-            push_str(&mut out, &s.key());
-            let _ = write!(
-                out,
-                ",\"dispatches\":{},\"skipped\":{},\"steps\":{},\"mismatches\":{}",
-                s.dispatches, s.skipped, s.steps, s.mismatches
-            );
             out.push_str(",\"sites\":[");
-            for (j, (site, observed, label, bound)) in s.site_rows().into_iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+            let mut sites = Seq::new();
+            for r in totals.rows(&s.shape) {
+                sites.sep(&mut out);
+                match r.meta {
+                    Some(m) => {
+                        out.push_str(&m.json[..m.observed_at]);
+                        push_u64(&mut out, r.observed);
+                        out.push_str(&m.json[m.observed_at..]);
+                    }
+                    None => {
+                        push_row_head(&mut out, r.site);
+                        push_u64(&mut out, r.observed);
+                        push_row_tail(&mut out, 0, r.label());
+                    }
                 }
-                let _ = write!(
-                    out,
-                    "{{\"site\":{site},\"observed\":{observed},\"bound\":{bound}"
-                );
-                out.push(',');
-                push_key(&mut out, "label");
-                push_str(&mut out, label);
-                out.push('}');
             }
             out.push_str("],\"patterns\":[");
-            for (j, p) in s.shape.patterns.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('{');
-                push_key(&mut out, "pattern");
+            let mut patterns = Seq::new();
+            for p in &s.shape.patterns {
+                patterns.sep(&mut out);
+                out.push_str("{\"pattern\":");
                 push_str(&mut out, &p.pattern);
-                out.push(',');
-                push_key(&mut out, "label");
+                out.push_str(",\"label\":");
                 push_str(&mut out, &p.label);
                 out.push_str(",\"sites\":[");
-                for (k, site) in p.sites.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{site}");
+                let mut sites = Seq::new();
+                for &site in &p.sites {
+                    sites.sep(&mut out);
+                    push_u64(&mut out, u64::from(site));
                 }
-                let _ = write!(out, "],\"observed\":{}}}", s.observed(&p.sites));
+                out.push_str("],\"observed\":");
+                push_u64(&mut out, totals.observed(&s.shape, &p.sites));
+                out.push('}');
             }
             out.push_str("]}");
-        }
+        });
         out.push_str("]}");
         out
     }

@@ -1,13 +1,18 @@
-//! The exporters allocate for their output, not per span or per event:
-//! `chrome_trace` makes the same handful of allocator calls for 2 000
-//! spans as for 8 000 (its metadata index and the output grow by
-//! doubling, nothing else allocates), and `to_jsonl` only grows its
-//! output. Counted with the `#[global_allocator]` of the runtime's
-//! `alloc_free_dispatch` test; this is what keeps a `format!` or a
-//! `to_string` per number from coming back, where a wall-clock
-//! assertion would be flaky.
+//! The exporters allocate for their output, not per span, event,
+//! series or site: `chrome_trace` makes the same handful of allocator
+//! calls for 2 000 spans as for 8 000 (its metadata index and the
+//! output grow by doubling, nothing else allocates), `to_jsonl` only
+//! grows its output, and `prometheus`, `ProfileRegistry::to_json` and
+//! `collapsed_flame` make the same few calls beside their output's
+//! doublings for 500 series or scopes as for 2 000. Counted with the
+//! `#[global_allocator]` of the runtime's `alloc_free_dispatch` test;
+//! this is what keeps a `format!` or a `to_string` per number or per
+//! line from coming back, where a wall-clock assertion would be flaky.
 
-use planp_telemetry::{chrome_trace, SpanOrigin, TraceConfig, TraceEvent, TraceForest, TraceLog};
+use planp_telemetry::{
+    chrome_trace, prometheus, Histogram, MetricsSnapshot, ProfileRegistry, ScopeShape, SpanOrigin,
+    TraceConfig, TraceEvent, TraceForest, TraceLog,
+};
 use std::rc::Rc;
 
 #[path = "../../runtime/tests/counting_alloc/mod.rs"]
@@ -118,4 +123,87 @@ fn to_jsonl_allocates_only_for_its_output() {
         "{calls} calls for {} bytes",
         out.len()
     );
+}
+
+/// The allocator calls of `export` beyond the doublings that grow a
+/// string from empty to its output's length.
+fn beyond_doublings(export: impl FnOnce() -> String) -> i64 {
+    let (calls, out) = calls_of(export);
+    let doublings = out.len().next_power_of_two().trailing_zeros();
+    calls as i64 - i64::from(doublings)
+}
+
+/// `series` exported series, a quarter of each kind: a node, a
+/// channel and a link counter and a node histogram. Names are padded
+/// to one length, so four times the series is four times the output.
+fn snapshot(series: usize) -> MetricsSnapshot {
+    let mut snap = MetricsSnapshot::default();
+    let mut h = Histogram::new();
+    for v in [3, 40, 500] {
+        h.observe(v);
+    }
+    for i in 0..series / 4 {
+        snap.set_counter(format!("node.n{i:04}.delivered"), i as u64);
+        snap.set_counter(format!("node.n{i:04}.chan.network.dispatch"), 7);
+        snap.set_counter(format!("link{i:04}.tx_packets"), 1 << 20);
+        snap.set_histogram(format!("node.n{i:04}.hop_ns"), &h);
+    }
+    snap
+}
+
+/// `scopes` scopes of one shape, each with block charges still pending
+/// and a site its shape does not declare.
+fn profile(scopes: usize) -> ProfileRegistry {
+    let pool = [10, 20, 30, 10, 40];
+    let shape = Rc::new(ScopeShape::new(
+        "network",
+        0,
+        [
+            (10, "1:1:if".to_string(), 2),
+            (20, "2:3:prim.tcpDst".to_string(), 1),
+            (40, "4:1:send".to_string(), 1),
+        ],
+        [("table_forward".to_string(), vec![10, 40], "1:1".to_string())],
+        &pool,
+    ));
+    let mut reg = ProfileRegistry::default();
+    for i in 0..scopes {
+        let id = reg.declare(&format!("n{i:04}"), &shape);
+        assert!(reg.should_profile(id));
+        reg.charge_blocks(id, &pool, &[(0, 5)], 1);
+        reg.record(id, 5);
+    }
+    reg
+}
+
+#[test]
+fn prometheus_allocates_nothing_per_series() {
+    let (small, large) = (snapshot(500), snapshot(2_000));
+    let few = beyond_doublings(|| prometheus(&small));
+    let many = beyond_doublings(|| prometheus(&large));
+    // Its key buffer and the sorted counters and histograms.
+    assert!(
+        few <= 3 && many == few,
+        "{few} allocator calls beyond the output's doublings for 500 series, {many} for 2 000"
+    );
+}
+
+#[test]
+fn profile_exports_allocate_nothing_per_scope() {
+    let (small, large) = (profile(500), profile(2_000));
+    for (name, export) in [
+        (
+            "to_json",
+            ProfileRegistry::to_json as fn(&ProfileRegistry) -> String,
+        ),
+        ("collapsed_flame", ProfileRegistry::collapsed_flame),
+    ] {
+        let few = beyond_doublings(|| export(&small));
+        let many = beyond_doublings(|| export(&large));
+        // The totals' two buffers, grown once to a scope's size.
+        assert!(
+            few <= 2 && many == few,
+            "{name}: {few} allocator calls beyond the output's doublings for 500 scopes, {many} for 2 000"
+        );
+    }
 }
