@@ -70,6 +70,9 @@ pub struct HttpServerApp {
     tokens: std::collections::HashMap<u64, ConnKey, Seedless>,
     /// Requests fully served (diagnostics).
     pub served: u64,
+    /// The time series a served request is recorded in,
+    /// `served_<address>`: named once, at start.
+    served_series: String,
 }
 
 /// Timer key for the periodic TCP tick.
@@ -87,6 +90,7 @@ impl HttpServerApp {
             next_token: 0,
             tokens: Default::default(),
             served: 0,
+            served_series: String::new(),
         }
     }
 
@@ -129,6 +133,7 @@ impl HttpServerApp {
 
 impl App for HttpServerApp {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        self.served_series = format!("served_{}", netsim::packet::addr_to_string(api.addr()));
         api.set_timer(TICK, TICK_KEY);
     }
 
@@ -183,8 +188,7 @@ impl App for HttpServerApp {
             self.conns.remove(&key);
             self.active -= 1;
             self.served += 1;
-            let name = format!("served_{}", netsim::packet::addr_to_string(api.addr()));
-            api.record(&name, 1.0);
+            api.record(&self.served_series, 1.0);
         }
         self.schedule(api);
     }
@@ -250,6 +254,7 @@ impl App for HttpServerApp {
         let mut tokens: Vec<_> = self.tokens.iter().collect();
         tokens.sort_unstable();
         let _ = write!(h, "{:?} {} {} ", self.backlog, self.active, self.next_token);
+        // `served_series` is named from the node's address: not run state.
         let _ = write!(h, "{tokens:?} {} ", self.served);
         self.trace.digest(h);
     }
