@@ -365,7 +365,7 @@ fn sample(
 ///
 /// Series are grouped into metric families (one `# TYPE` line per
 /// family, series sorted by label set) and every name is mapped through
-/// [`PromSeries`], so the output is scrape-valid: metric names match
+/// `PromSeries`, so the output is scrape-valid: metric names match
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*` and per-node / per-link / per-channel
 /// identity lives in labels. When two counter names map to one series,
 /// the later name in snapshot order gives its value; two histograms

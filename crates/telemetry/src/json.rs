@@ -20,13 +20,6 @@ pub fn push_str(out: &mut String, s: &str) {
 /// that does is ASCII, so a run always ends on a `char` boundary.
 pub fn push_escaped(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    // Most strings need no escape: one branch-free pass finds that.
-    if !s.bytes().fold(false, |esc, b| {
-        esc | (b < 0x20) | (b == b'"') | (b == b'\\')
-    }) {
-        out.push_str(s);
-        return;
-    }
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         let esc = match b {

@@ -14,10 +14,11 @@
 //! dense array parallel to its declared sites, and a block charge —
 //! a run of consecutive positions of the compiled program's site pool
 //! the shape indexes — is two adds into a difference array over those
-//! positions, whatever the block's length. The prefix sums are taken,
-//! and the per-site map view ([`ScopeProfile::sites`]) built, when an
-//! export reads them. Everything downstream is a deterministic join of
-//! observed and static:
+//! positions, whatever the block's length. The prefix sums are taken
+//! when something reads the counters: once per scope by an export, into
+//! buffers it reuses from scope to scope, or into the per-site map view
+//! ([`ScopeProfile::sites`]). Everything downstream is a deterministic
+//! join of observed and static:
 //!
 //! * [`ProfileRegistry::collapsed_flame`] — flamegraph collapsed-stack
 //!   lines (`planp;node;chan#ov;site-label count`);
@@ -206,14 +207,7 @@ pub struct ScopeProfile {
 impl ScopeProfile {
     /// The registry key of this scope.
     pub fn key(&self) -> String {
-        let mut key = String::new();
-        self.push_key(&mut key, String::push_str);
-        key
-    }
-
-    /// Appends the registry key, each part through `push`.
-    fn push_key(&self, out: &mut String, push: fn(&mut String, &str)) {
-        push_scope_key(out, &self.node, &self.shape.chan, self.shape.overload, push);
+        scope_key(&self.node, &self.shape.chan, self.shape.overload)
     }
 
     /// Observed steps per site, ascending, observed sites only
@@ -252,6 +246,12 @@ impl ScopeProfile {
             Err(_) => *self.stray.entry(site).or_insert(0) += n,
         }
     }
+}
+
+fn scope_key(node: &str, chan: &str, overload: u32) -> String {
+    let mut key = String::with_capacity(node.len() + chan.len() + 20);
+    push_scope_key(&mut key, node, chan, overload, String::push_str);
+    key
 }
 
 /// Appends `node.<node>.chan.<chan>#<overload>`, each part through
@@ -426,14 +426,7 @@ impl ProfileRegistry {
     /// same scope and keeps the accumulated profile under the new shape.
     pub fn declare(&mut self, node: &str, shape: &Rc<ScopeShape>) -> ScopeId {
         let next = self.scopes.len();
-        let mut key = String::new();
-        push_scope_key(
-            &mut key,
-            node,
-            &shape.chan,
-            shape.overload,
-            String::push_str,
-        );
+        let key = scope_key(node, &shape.chan, shape.overload);
         let i = *self.index.entry(key).or_insert(next);
         if i < next {
             self.scopes[i].redeclare(shape);
@@ -659,7 +652,8 @@ impl ProfileRegistry {
         self.each_scope(|s, totals| {
             scopes.sep(&mut out);
             out.push_str("{\"scope\":\"");
-            s.push_key(&mut out, push_escaped);
+            let (chan, overload) = (&s.shape.chan, s.shape.overload);
+            push_scope_key(&mut out, &s.node, chan, overload, push_escaped);
             for (key, v) in [
                 ("\",\"dispatches\":", s.dispatches),
                 (",\"skipped\":", s.skipped),
