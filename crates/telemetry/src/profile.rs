@@ -42,6 +42,7 @@
 //! Skipped dispatches are counted, never silently dropped.
 
 use crate::json::{push_escaped, push_str, push_u64, Seq};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -54,25 +55,24 @@ struct SiteMeta {
     /// Static step bound per dispatch.
     bound: u64,
     /// The site's row of [`ProfileRegistry::to_json`] less its observed
-    /// steps, which go at `observed_at`: everything in the row but
-    /// that count is the same in every scope of the shape, so it is
-    /// written once.
-    json: String,
-    observed_at: usize,
+    /// steps, which go at the `usize`: everything in the row but that
+    /// count is the same in every scope of the shape, so the first
+    /// export that needs it writes it, once.
+    json: OnceCell<(String, usize)>,
 }
 
 impl SiteMeta {
-    fn new(site: u32, label: String, bound: u64) -> Self {
-        let mut json = String::new();
-        push_row_head(&mut json, site);
-        let observed_at = json.len();
-        push_row_tail(&mut json, bound, &label);
-        SiteMeta {
-            label,
-            bound,
-            json,
-            observed_at,
-        }
+    /// The JSON row of this site, `site`, before and after its
+    /// observed steps.
+    fn json_row(&self, site: u32) -> (&str, &str) {
+        let (row, at) = self.json.get_or_init(|| {
+            let mut row = String::with_capacity(64 + self.label.len());
+            push_row_head(&mut row, site);
+            let at = row.len();
+            push_row_tail(&mut row, self.bound, &self.label);
+            (row, at)
+        });
+        row.split_at(*at)
     }
 }
 
@@ -148,7 +148,10 @@ impl ScopeShape {
     ) -> Self {
         let meta: BTreeMap<u32, SiteMeta> = sites
             .into_iter()
-            .map(|(site, label, bound)| (site, SiteMeta::new(site, label, bound)))
+            .map(|(site, label, bound)| {
+                let json = OnceCell::new();
+                (site, SiteMeta { label, bound, json })
+            })
             .collect();
         let ids: Vec<u32> = meta.keys().copied().collect();
         let slot = |site: &u32| match ids.binary_search(site) {
@@ -540,14 +543,24 @@ impl ProfileRegistry {
     pub fn collapsed_flame(&self) -> String {
         let mut out = String::new();
         self.each_scope(|s, totals| {
+            // The scope's frames, `planp;<node>;<chan>#<ov>;`: written
+            // on its first line, copied on the others.
+            let mut frames = None;
             for r in totals.rows(&s.shape).filter(|r| r.observed > 0) {
-                out.push_str("planp;");
-                out.push_str(&s.node);
-                out.push(';');
-                out.push_str(&s.shape.chan);
-                out.push('#');
-                push_u64(&mut out, u64::from(s.shape.overload));
-                out.push(';');
+                match frames.clone() {
+                    Some(at) => out.extend_from_within(at),
+                    None => {
+                        let start = out.len();
+                        out.push_str("planp;");
+                        out.push_str(&s.node);
+                        out.push(';');
+                        out.push_str(&s.shape.chan);
+                        out.push('#');
+                        push_u64(&mut out, u64::from(s.shape.overload));
+                        out.push(';');
+                        frames = Some(start..out.len());
+                    }
+                }
                 out.push_str(r.label());
                 out.push(' ');
                 push_u64(&mut out, r.observed);
@@ -669,9 +682,10 @@ impl ProfileRegistry {
                 sites.sep(&mut out);
                 match r.meta {
                     Some(m) => {
-                        out.push_str(&m.json[..m.observed_at]);
+                        let (head, tail) = m.json_row(r.site);
+                        out.push_str(head);
                         push_u64(&mut out, r.observed);
-                        out.push_str(&m.json[m.observed_at..]);
+                        out.push_str(tail);
                     }
                     None => {
                         push_row_head(&mut out, r.site);
