@@ -351,7 +351,16 @@ const METRIC_EXPORT_PINS: [(&str, [(usize, u64); 5]); 2] = [
             (12_744, 0x73A6_B075_6638_95C5),
         ],
     ),
-    ("awkward", [(4_313, 0x376B_2AE8_F33A_0EE2), (1_334, 0x7066_9DC9_FA2D_4E78), (314, 0x9D69_BE8E_CCAA_FFC2), (1_254, 0xD280_07F7_95B2_A420), (250, 0xD5F1_062A_02B9_36BB)]),
+    (
+        "awkward",
+        [
+            (4_313, 0x376B_2AE8_F33A_0EE2),
+            (1_334, 0x7066_9DC9_FA2D_4E78),
+            (314, 0x9D69_BE8E_CCAA_FFC2),
+            (1_254, 0xD280_07F7_95B2_A420),
+            (250, 0xD5F1_062A_02B9_36BB),
+        ],
+    ),
 ];
 
 #[test]
