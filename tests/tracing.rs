@@ -337,9 +337,9 @@ fn awkward_profile() -> ProfileRegistry {
 /// `(len, FNV-1a)` of `prometheus`, `ProfileRegistry::to_json`,
 /// `collapsed_flame`, `render_heatmap` and `superinstruction_report`,
 /// in that order, for a traced 16 × 6 observability grid and for
-/// [`awkward_snapshot`] with [`awkward_profile`]: the bytes the
-/// exporters wrote before they were rewritten to write into their
-/// output alone.
+/// [`awkward_snapshot`] with [`awkward_profile`]: the bytes of commit
+/// 1ee5b49, whose exporters built a `String` per series and per site,
+/// so the writers that replaced them are held to those bytes.
 const METRIC_EXPORT_PINS: [(&str, [(usize, u64); 5]); 2] = [
     (
         "grid 16x6",
