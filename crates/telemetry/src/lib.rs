@@ -15,8 +15,8 @@
 //!   which `write_json`, `pkt` and `est_bytes` all read.
 //! * [`MetricsRegistry`] — named counters (one slot each, bumped by
 //!   name or through a pre-resolved [`CounterId`]) and
-//!   power-of-two-bucket [`Histogram`]s, keyed by `BTreeMap` so every
-//!   export is deterministically ordered.
+//!   power-of-two-bucket [`Histogram`]s, every export of them in name
+//!   order.
 //! * [`ProfileRegistry`] — per-site VM step profiles joined against the
 //!   static per-site cost bounds: collapsed-flame, utilization-heatmap
 //!   and superinstruction-candidate exports, with `1/N` sampling and a
