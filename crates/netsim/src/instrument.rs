@@ -7,10 +7,11 @@ use crate::link::Link;
 use crate::node::Node;
 use crate::sim::Sim;
 use crate::time::SimTime;
+use planp_telemetry::json::push_u64;
 use planp_telemetry::{
     BrownoutController, Category, HealthMonitor, Histogram, MetricsSnapshot, TraceEvent,
 };
-use std::fmt::Write;
+use std::collections::BTreeMap;
 use std::hash::Hash;
 use std::rc::Rc;
 use std::slice;
@@ -170,103 +171,184 @@ impl Sim {
     /// - `sim.fault_*` — the [`FaultStats`](crate::FaultStats)
     ///   counters, once any fault has been configured (so clean runs
     ///   keep their key set)
+    ///
+    /// A key written here replaces a registry entry of the same name.
+    /// The keys are made in name order (links by the decimal string of
+    /// their index, then nodes by name, each one's leaves
+    /// alphabetically, then `sim.*`) and merged with the registry's,
+    /// which come in name order too.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.telemetry.metrics.snapshot();
+        let (nodes, links) = (self.nodes.len(), self.links.len());
+        let mut counters = Vec::with_capacity(6 * nodes + 4 * links + 20);
+        let mut histograms = Vec::new();
         let qdepth = &self.instruments.link_qdepth;
-        if self.nodes.len() > COMPACT_METRICS_THRESHOLD {
+        if nodes > COMPACT_METRICS_THRESHOLD {
             // Saturating `nodes.*` / `links.*` sums: a 100k-node
             // snapshot stays a handful of keys instead of 500k.
-            snap.set_counter("nodes.count", self.nodes.len() as u64);
-            put_counters(&mut snap, &mut "nodes.".into(), &NODE_COUNTERS, &self.nodes);
-            snap.set_counter("links.count", self.links.len() as u64);
-            put_counters(&mut snap, &mut "links.".into(), &LINK_COUNTERS, &self.links);
+            counters.push(("links.count".into(), links as u64));
+            put_counters(&mut counters, "links.", &LINK_COUNTERS, &self.links);
+            counters.push(("nodes.count".into(), nodes as u64));
+            put_counters(&mut counters, "nodes.", &NODE_COUNTERS, &self.nodes);
             let mut depth = Histogram::new();
             qdepth.iter().for_each(|h| depth.merge(h));
             if depth.count() > 0 {
-                snap.set_histogram("links.queue_depth", &depth);
+                histograms.push(("links.queue_depth".into(), depth.summary()));
             }
         } else {
-            let mut key = String::new();
-            for n in &self.nodes {
-                key.clear();
-                let _ = write!(key, "node.{}.", n.name);
-                put_counters(&mut snap, &mut key, &NODE_COUNTERS, slice::from_ref(n));
-            }
-            for (i, (l, h)) in self.links.iter().zip(qdepth).enumerate() {
-                key.clear();
-                let _ = write!(key, "link{i}.");
-                put_counters(&mut snap, &mut key, &LINK_COUNTERS, slice::from_ref(l));
-                if h.count() > 0 {
-                    snap.set_histogram(format!("link{i}.queue_depth"), h);
+            let mut prefix = String::new();
+            for i in decimal_order(links) {
+                prefix.clear();
+                prefix.push_str("link");
+                push_u64(&mut prefix, i as u64);
+                prefix.push('.');
+                let link = slice::from_ref(&self.links[i]);
+                put_counters(&mut counters, &prefix, &LINK_COUNTERS, link);
+                if qdepth[i].count() > 0 {
+                    histograms.push((key(&prefix, "queue_depth"), qdepth[i].summary()));
                 }
             }
+            // Later nodes first, so of two nodes of one name the later
+            // one's counters are kept, as when each key overwrote.
+            let mut by_name: Vec<&Node> = self.nodes.iter().rev().collect();
+            by_name.sort_by(|a, b| a.name.cmp(&b.name));
+            for n in by_name {
+                prefix.clear();
+                prefix.push_str("node.");
+                prefix.push_str(&n.name);
+                prefix.push('.');
+                put_counters(&mut counters, &prefix, &NODE_COUNTERS, slice::from_ref(n));
+            }
         }
-        snap.set_counter("sim.link_drops_total", self.total_link_drops);
-        snap.set_counter("sim.node_drops_total", self.total_node_drops);
-        snap.set_counter("sim.events_processed", self.events_processed);
-        snap.set_counter("sim.packets", self.next_pkt_id);
-        snap.set_counter("sim.trace_recorded", self.telemetry.trace.recorded());
-        snap.set_counter("sim.trace_evicted", self.telemetry.trace.evicted());
-        if self.instruments.hop_latency.count() > 0 {
-            snap.set_histogram("sim.hop_latency_ns", &self.instruments.hop_latency);
-        }
+        let sim_keys = counters.len();
+        let mut sim = |name: &str, v: u64| counters.push((key("sim.", name), v));
+        sim("link_drops_total", self.total_link_drops);
+        sim("node_drops_total", self.total_node_drops);
+        sim("events_processed", self.events_processed);
+        sim("packets", self.next_pkt_id);
+        sim("trace_recorded", self.telemetry.trace.recorded());
+        sim("trace_evicted", self.telemetry.trace.evicted());
         let oh = self.telemetry.trace.overhead();
         if oh.sample_n > 1 || oh.sampled_out > 0 || oh.downgrades > 0 {
-            snap.set_counter("sim.trace_sampled_out", oh.sampled_out);
-            snap.set_counter("sim.trace_downgrades", u64::from(oh.downgrades));
-            snap.set_counter("sim.trace_sample_n", u64::from(oh.sample_n));
-            snap.set_counter("sim.trace_est_bytes", oh.est_bytes);
+            sim("trace_sampled_out", oh.sampled_out);
+            sim("trace_downgrades", u64::from(oh.downgrades));
+            sim("trace_sample_n", u64::from(oh.sample_n));
+            sim("trace_est_bytes", oh.est_bytes);
         }
         if self.faults.enabled {
             let f = &self.faults.stats;
-            snap.set_counter("sim.fault_loss_drops", f.loss_drops);
-            snap.set_counter("sim.fault_corrupted", f.corrupted);
-            snap.set_counter("sim.fault_duplicated", f.duplicated);
-            snap.set_counter("sim.fault_jittered", f.jittered);
-            snap.set_counter("sim.fault_link_down_drops", f.link_down_drops);
-            snap.set_counter("sim.fault_partition_drops", f.partition_drops);
-            snap.set_counter("sim.fault_crashes", f.crashes);
-            snap.set_counter("sim.fault_restarts", f.restarts);
+            sim("fault_loss_drops", f.loss_drops);
+            sim("fault_corrupted", f.corrupted);
+            sim("fault_duplicated", f.duplicated);
+            sim("fault_jittered", f.jittered);
+            sim("fault_link_down_drops", f.link_down_drops);
+            sim("fault_partition_drops", f.partition_drops);
+            sim("fault_crashes", f.crashes);
+            sim("fault_restarts", f.restarts);
         }
-        snap
+        counters[sim_keys..].sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if self.instruments.hop_latency.count() > 0 {
+            let hop = self.instruments.hop_latency.summary();
+            histograms.push(("sim.hop_latency_ns".into(), hop));
+        }
+        let metrics = &self.telemetry.metrics;
+        let theirs = metrics.histograms().map(|(name, h)| (name, h.summary()));
+        MetricsSnapshot {
+            counters: merge(counters, metrics.counters()),
+            histograms: merge(histograms, theirs),
+        }
     }
 }
 
-/// A counter of the snapshot and where to read it. A node's and a
-/// link's first three are always reported, the rest only when nonzero.
-type Counter<T> = (&'static str, fn(&T) -> u64);
+/// A counter of the snapshot, whether it is reported at zero, and where
+/// to read it; in name order.
+type Counter<T> = (&'static str, bool, fn(&T) -> u64);
 const NODE_COUNTERS: [Counter<Node>; 6] = [
-    ("delivered", |n| n.delivered),
-    ("dropped", |n| n.dropped),
-    ("cpu_drops", |n| n.cpu_drops),
-    ("crashes", |n| n.crashes),
-    ("state_lost", |n| n.state_lost),
-    ("shed", |n| n.shed),
+    ("cpu_drops", true, |n| n.cpu_drops),
+    ("crashes", false, |n| n.crashes),
+    ("delivered", true, |n| n.delivered),
+    ("dropped", true, |n| n.dropped),
+    ("shed", false, |n| n.shed),
+    ("state_lost", false, |n| n.state_lost),
 ];
 const LINK_COUNTERS: [Counter<Link>; 4] = [
-    ("tx_packets", |l| l.tx_packets),
-    ("tx_bytes", |l| l.tx_bytes),
-    ("drops", |l| l.drops),
-    ("fault_drops", |l| l.fault_drops),
+    ("drops", true, |l| l.drops),
+    ("fault_drops", false, |l| l.fault_drops),
+    ("tx_bytes", true, |l| l.tx_bytes),
+    ("tx_packets", true, |l| l.tx_packets),
 ];
 
-/// Writes each of `counters` summed (saturating) over `items` — one
-/// node or link, or all of them — under `key` and its name.
+/// Pushes each of `counters` summed (saturating) over `items` — one
+/// node or link, or all of them — under `prefix` and its name.
 fn put_counters<T>(
-    snap: &mut MetricsSnapshot,
-    key: &mut String,
+    out: &mut Vec<(String, u64)>,
+    prefix: &str,
     counters: &[Counter<T>],
     items: &[T],
 ) {
-    let prefix = key.len();
-    for (i, (name, get)) in counters.iter().enumerate() {
+    for &(name, always, get) in counters {
         let v = items.iter().fold(0u64, |sum, x| sum.saturating_add(get(x)));
-        if i < 3 || v > 0 {
-            key.truncate(prefix);
-            key.push_str(name);
-            snap.set_counter(key.as_str(), v);
+        if always || v > 0 {
+            out.push((key(prefix, name), v));
         }
     }
+}
+
+/// `prefix` then `name`, in a `String` of exactly their length.
+fn key(prefix: &str, name: &str) -> String {
+    let mut key = String::with_capacity(prefix.len() + name.len());
+    key.push_str(prefix);
+    key.push_str(name);
+    key
+}
+
+/// `0..n` in the order of their decimal strings (`0, 1, 10, 11, 2, …`):
+/// a walk of the decimal trie, each number before its tenfold.
+fn decimal_order(n: usize) -> impl Iterator<Item = usize> {
+    let mut next = (n > 0).then_some(0);
+    std::iter::from_fn(move || {
+        let i = next?;
+        next = if i == 0 {
+            (n > 1).then_some(1)
+        } else if i * 10 < n {
+            Some(i * 10)
+        } else {
+            // Up the trie until a number has a next sibling below `n`.
+            let mut j = i;
+            while j % 10 == 9 || j + 1 >= n {
+                j /= 10;
+                if j == 0 {
+                    break;
+                }
+            }
+            (j > 0).then_some(j + 1)
+        };
+        Some(i)
+    })
+}
+
+/// The simulator's entries and the registry's (`theirs`, in name order)
+/// as one map, the simulator's kept of two with one name. Node names
+/// that sort apart from their keys (`a` against `a.b` or `a-b`), or two
+/// nodes of one name, cost a sort first; otherwise this is one merge.
+fn merge<'a, V>(
+    mut mine: Vec<(String, V)>,
+    theirs: impl IntoIterator<Item = (&'a str, V)>,
+) -> BTreeMap<String, V> {
+    if !mine.is_sorted_by(|a, b| a.0 < b.0) {
+        mine.sort_by(|a, b| a.0.cmp(&b.0));
+        mine.dedup_by(|later, first| later.0 == first.0);
+    }
+    let mut theirs = theirs.into_iter().peekable();
+    let mut out = Vec::with_capacity(mine.len() + theirs.size_hint().0);
+    for entry in mine {
+        while let Some((name, v)) = theirs.next_if(|t| t.0 < entry.0.as_str()) {
+            out.push((name.to_owned(), v));
+        }
+        theirs.next_if(|t| t.0 == entry.0);
+        out.push(entry);
+    }
+    out.extend(theirs.map(|(name, v)| (name.to_owned(), v)));
+    out.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -305,5 +387,14 @@ mod tests {
         assert!(!snap.counters.contains_key("links.fault_drops"));
         assert_eq!(snap.histograms["links.queue_depth"].count, tx);
         assert!(!snap.counters.contains_key("node.h1.delivered"));
+    }
+
+    #[test]
+    fn decimal_order_is_the_order_of_the_strings() {
+        for n in 0..1_200 {
+            let mut want: Vec<usize> = (0..n).collect();
+            want.sort_by_key(|i| i.to_string());
+            assert_eq!(decimal_order(n).collect::<Vec<_>>(), want, "n = {n}");
+        }
     }
 }
