@@ -99,7 +99,10 @@ impl SeriesStore {
     /// *next* window. Record at the start of each measurement interval
     /// so adjacent windows never double-count.
     pub fn record(&mut self, name: &str, t: f64, v: f64) {
-        self.series.entry(name.to_string()).or_default().push(t, v);
+        match self.series.get_mut(name) {
+            Some(series) => series.push(t, v),
+            None => self.series.entry(name.to_owned()).or_default().push(t, v),
+        }
     }
 
     /// Returns a series by name.
