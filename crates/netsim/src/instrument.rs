@@ -179,10 +179,13 @@ impl Sim {
     /// which come in name order too.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let (nodes, links) = (self.nodes.len(), self.links.len());
-        let mut counters = Vec::with_capacity(6 * nodes + 4 * links + 20);
+        let compact = nodes > COMPACT_METRICS_THRESHOLD;
+        // At most: every leaf of every node and link, and every `sim.*`.
+        let most = if compact { 14 } else { 6 * nodes + 4 * links } + 18;
+        let mut counters = Vec::with_capacity(most);
         let mut histograms = Vec::new();
         let qdepth = &self.instruments.link_qdepth;
-        if nodes > COMPACT_METRICS_THRESHOLD {
+        if compact {
             // Saturating `nodes.*` / `links.*` sums: a 100k-node
             // snapshot stays a handful of keys instead of 500k.
             counters.push(("links.count".into(), links as u64));
@@ -219,33 +222,34 @@ impl Sim {
                 put_counters(&mut counters, &prefix, &NODE_COUNTERS, slice::from_ref(n));
             }
         }
-        let sim_keys = counters.len();
-        let mut sim = |name: &str, v: u64| counters.push((key("sim.", name), v));
-        sim("link_drops_total", self.total_link_drops);
-        sim("node_drops_total", self.total_node_drops);
-        sim("events_processed", self.events_processed);
-        sim("packets", self.next_pkt_id);
-        sim("trace_recorded", self.telemetry.trace.recorded());
-        sim("trace_evicted", self.telemetry.trace.evicted());
-        let oh = self.telemetry.trace.overhead();
-        if oh.sample_n > 1 || oh.sampled_out > 0 || oh.downgrades > 0 {
-            sim("trace_sampled_out", oh.sampled_out);
-            sim("trace_downgrades", u64::from(oh.downgrades));
-            sim("trace_sample_n", u64::from(oh.sample_n));
-            sim("trace_est_bytes", oh.est_bytes);
+        let (oh, f) = (self.telemetry.trace.overhead(), &self.faults.stats);
+        let sampled = oh.sample_n > 1 || oh.sampled_out > 0 || oh.downgrades > 0;
+        let faults = self.faults.enabled;
+        // In name order, each with whether it is reported.
+        for (name, v, shown) in [
+            ("events_processed", self.events_processed, true),
+            ("fault_corrupted", f.corrupted, faults),
+            ("fault_crashes", f.crashes, faults),
+            ("fault_duplicated", f.duplicated, faults),
+            ("fault_jittered", f.jittered, faults),
+            ("fault_link_down_drops", f.link_down_drops, faults),
+            ("fault_loss_drops", f.loss_drops, faults),
+            ("fault_partition_drops", f.partition_drops, faults),
+            ("fault_restarts", f.restarts, faults),
+            ("link_drops_total", self.total_link_drops, true),
+            ("node_drops_total", self.total_node_drops, true),
+            ("packets", self.next_pkt_id, true),
+            ("trace_downgrades", u64::from(oh.downgrades), sampled),
+            ("trace_est_bytes", oh.est_bytes, sampled),
+            ("trace_evicted", self.telemetry.trace.evicted(), true),
+            ("trace_recorded", self.telemetry.trace.recorded(), true),
+            ("trace_sample_n", u64::from(oh.sample_n), sampled),
+            ("trace_sampled_out", oh.sampled_out, sampled),
+        ] {
+            if shown {
+                counters.push((key("sim.", name), v));
+            }
         }
-        if self.faults.enabled {
-            let f = &self.faults.stats;
-            sim("fault_loss_drops", f.loss_drops);
-            sim("fault_corrupted", f.corrupted);
-            sim("fault_duplicated", f.duplicated);
-            sim("fault_jittered", f.jittered);
-            sim("fault_link_down_drops", f.link_down_drops);
-            sim("fault_partition_drops", f.partition_drops);
-            sim("fault_crashes", f.crashes);
-            sim("fault_restarts", f.restarts);
-        }
-        counters[sim_keys..].sort_unstable_by(|a, b| a.0.cmp(&b.0));
         if self.instruments.hop_latency.count() > 0 {
             let hop = self.instruments.hop_latency.summary();
             histograms.push(("sim.hop_latency_ns".into(), hop));
@@ -327,7 +331,7 @@ fn decimal_order(n: usize) -> impl Iterator<Item = usize> {
 }
 
 /// The simulator's entries and the registry's (`theirs`, in name order)
-/// as one map, the simulator's kept of two with one name. Node names
+/// as one map; of two entries with one name, the simulator's. Node names
 /// that sort apart from their keys (`a` against `a.b` or `a-b`), or two
 /// nodes of one name, cost a sort first; otherwise this is one merge.
 fn merge<'a, V>(

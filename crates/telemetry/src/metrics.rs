@@ -262,7 +262,7 @@ impl Names {
     fn push(&mut self, name: &str, hash: u32, shown: bool) -> u32 {
         let at = self.slots.len() as u32;
         self.text.push_str(name);
-        let end = self.text.len() as u32;
+        let end = u32::try_from(self.text.len()).expect("metric names fit in 4 GiB");
         self.slots.push(Slot { end, hash, shown });
         if self.slots.len() * 2 > self.index.len() {
             let len = (self.slots.len() * 2).next_power_of_two().max(16);
