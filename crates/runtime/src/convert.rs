@@ -140,7 +140,8 @@ pub fn packet_to_value(pkt: &Packet, shape: &PacketShape) -> Option<Value> {
 /// # Errors
 ///
 /// Traps on components that do not start with an `ip` header
-/// (unreachable for checked programs).
+/// (unreachable for checked programs), and on a payload with no wire
+/// form (a string over 65 535 bytes).
 pub fn parts_to_packet(
     pkt: Outgoing<'_>,
     tag: Option<ChannelTag>,
@@ -150,7 +151,8 @@ pub fn parts_to_packet(
     Ok(Packet {
         ip,
         transport,
-        payload: packet_payload(pkt, at),
+        payload: packet_payload(pkt, at)
+            .ok_or_else(|| VmError::trap("payload with no wire form"))?,
         tag,
         id: 0,
         lineage,
@@ -182,16 +184,17 @@ pub(crate) fn packet_headers(parts: &[Value]) -> Result<(IpHdr, Transport, usize
 /// The payload of the packet `pkt` stands for, whose payload components
 /// start at `at`. One blob is already the wire bytes and is handed
 /// through: moved out of components the engine owns no more
-/// ([`Outgoing::Owned`]), shared otherwise. Anything else is encoded.
+/// ([`Outgoing::Owned`]), shared otherwise. Anything else is encoded:
+/// `None` if a component has no wire form ([`encode_payload`]).
 #[inline]
-pub(crate) fn packet_payload(mut pkt: Outgoing<'_>, at: usize) -> Bytes {
+pub(crate) fn packet_payload(mut pkt: Outgoing<'_>, at: usize) -> Option<Bytes> {
     match &mut pkt {
         Outgoing::Owned(parts) => match &mut parts[at..] {
-            [Value::Blob(bytes)] => std::mem::take(bytes),
+            [Value::Blob(bytes)] => Some(std::mem::take(bytes)),
             rest => encode_payload(rest),
         },
         Outgoing::Shared(parts) => match &parts[at..] {
-            [Value::Blob(bytes)] => bytes.clone(),
+            [Value::Blob(bytes)] => Some(bytes.clone()),
             rest => encode_payload(rest),
         },
     }
@@ -202,8 +205,8 @@ pub(crate) fn packet_payload(mut pkt: Outgoing<'_>, at: usize) -> Bytes {
 ///
 /// # Errors
 ///
-/// Traps on values that are not packet tuples (unreachable for checked
-/// programs).
+/// Traps as [`parts_to_packet`] does, and on values that are not packet
+/// tuples (unreachable for checked programs).
 pub fn value_to_packet(v: &Value, tag: Option<ChannelTag>) -> Result<Packet, VmError> {
     parts_to_packet(Outgoing::Shared(packet_parts(v)?), tag, Lineage::default())
 }
@@ -236,7 +239,7 @@ mod tests {
     fn encoded(v: &Value) -> Packet {
         let Value::Tuple(parts) = v else { panic!() };
         let mut pkt = value_to_packet(v, None).unwrap();
-        pkt.payload = encode_payload(&parts[2..]);
+        pkt.payload = encode_payload(&parts[2..]).unwrap();
         pkt
     }
 

@@ -786,19 +786,17 @@ impl SimNetEnv<'_, '_> {
     /// ([`Hop::Remote`]) or handed to a neighbor ([`Hop::Neighbor`]), or
     /// delivered here if that is where it is going. Built where it is
     /// handed on, so it is not copied out of a return value first.
-    fn emit(&mut self, to: ChanRef<'_>, pkt: Outgoing<'_>, hop: Hop) {
+    fn emit(&mut self, to: ChanRef<'_>, pkt: Outgoing<'_>, hop: Hop) -> Option<()> {
         // Run-time safety net mirroring IP's TTL, as discussed in
         // section 2.1 (the static proof makes this a backstop). The
         // packet being processed ends here, as it would in standard
         // forwarding: the drop is its terminal event. Checked before
         // anything is moved out of the engine's registers, so a send
         // that emits nothing leaves the packet whole.
-        let Ok((mut ip, transport, at)) = packet_headers(pkt.parts()) else {
-            return;
-        };
+        let (mut ip, transport, at) = packet_headers(pkt.parts()).ok()?;
         if ip.ttl == 0 {
             self.api.node_drop(self.cur, DropReason::TtlExpired);
-            return;
+            return None;
         }
         ip.ttl -= 1;
         let ch = &self.chans[to.index as usize];
@@ -806,10 +804,11 @@ impl SimNetEnv<'_, '_> {
             Hop::Remote => SpanOrigin::Remote,
             Hop::Neighbor(_) => SpanOrigin::Neighbor,
         };
+        let payload = packet_payload(pkt, at)?;
         let p = Packet {
             ip,
             transport,
-            payload: packet_payload(pkt, at),
+            payload,
             tag: ch.tag.clone(),
             id: 0,
             lineage: self.child_lineage(origin, Some(ch.ident.clone())),
@@ -822,6 +821,7 @@ impl SimNetEnv<'_, '_> {
             Hop::Neighbor(host) if host != self.host => self.api.send_to_neighbor(host, p),
             _ => self.api.deliver_local(p),
         }
+        Some(())
     }
 }
 

@@ -17,6 +17,7 @@
 //! | `string`  | 2-byte length + UTF-8 bytes     |
 //! | `blob`    | the uninterpreted rest (last)   |
 
+use crate::value::Value;
 use bytes::{BufMut, Bytes, BytesMut};
 use planp_lang::types::Type;
 
@@ -25,8 +26,8 @@ pub use netsim::packet::{addr, addr_to_string, tcp_flags, IpHdr, TcpHdr, UdpHdr}
 /// Decodes `payload` against the payload component `types` of a packet
 /// shape. Returns `None` if the payload does not match (wrong length,
 /// bad bool, bad UTF-8…). The decoded values are in component order.
-pub fn decode_payload(types: &[Type], payload: &Bytes) -> Option<Vec<super::value::Value>> {
-    let mut out = vec![super::value::Value::Unit; types.len()];
+pub fn decode_payload(types: &[Type], payload: &Bytes) -> Option<Vec<Value>> {
+    let mut out = vec![Value::Unit; types.len()];
     decode_payload_into(types, payload, &mut out).then_some(out)
 }
 
@@ -38,20 +39,11 @@ pub fn decode_payload(types: &[Type], payload: &Bytes) -> Option<Vec<super::valu
 /// # Panics
 ///
 /// Panics if `out` has fewer slots than `types` has components.
-pub fn decode_payload_into(
-    types: &[Type],
-    payload: &Bytes,
-    out: &mut [super::value::Value],
-) -> bool {
+pub fn decode_payload_into(types: &[Type], payload: &Bytes, out: &mut [Value]) -> bool {
     decode_components(types, payload, &mut out[..types.len()]).is_some()
 }
 
-fn decode_components(
-    types: &[Type],
-    payload: &Bytes,
-    out: &mut [super::value::Value],
-) -> Option<()> {
-    use super::value::Value;
+fn decode_components(types: &[Type], payload: &Bytes, out: &mut [Value]) -> Option<()> {
     let mut off = 0usize;
     for (i, (t, slot)) in types.iter().zip(out).enumerate() {
         let last = i + 1 == types.len();
@@ -104,14 +96,11 @@ fn decode_components(
 }
 
 /// Encodes payload component values back into wire bytes. The inverse of
-/// [`decode_payload`] for values of valid payload types.
-///
-/// # Panics
-///
-/// Panics if a value is not a valid payload component (ruled out by the
-/// type checker for well-typed programs).
-pub fn encode_payload(values: &[super::value::Value]) -> Bytes {
-    use super::value::Value;
+/// [`decode_payload`] for values of valid payload types; `None` for a
+/// value with no wire form: a string longer than its 2-byte length can
+/// say (a program can build one), or a value that is not a payload
+/// component (ruled out by the type checker for well-typed programs).
+pub fn encode_payload(values: &[Value]) -> Option<Bytes> {
     let mut buf = BytesMut::new();
     for v in values {
         match v {
@@ -121,21 +110,18 @@ pub fn encode_payload(values: &[super::value::Value]) -> Bytes {
             Value::Int(n) => buf.put_i64(*n),
             Value::Host(h) => buf.put_u32(*h),
             Value::Str(s) => {
-                let bytes = s.as_bytes();
-                assert!(bytes.len() <= u16::MAX as usize, "string payload too long");
-                buf.put_u16(bytes.len() as u16);
-                buf.put_slice(bytes);
+                buf.put_u16(u16::try_from(s.len()).ok()?);
+                buf.put_slice(s.as_bytes());
             }
-            other => panic!("value {other:?} is not a payload component"),
+            _ => return None,
         }
     }
-    buf.freeze()
+    Some(buf.freeze())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     #[test]
     fn addr_round_trip() {
@@ -171,7 +157,7 @@ mod tests {
             Value::Str("hello".into()),
         ];
         let types = vec![Type::Char, Type::Int, Type::Host, Type::Bool, Type::Str];
-        let bytes = encode_payload(&vals);
+        let bytes = encode_payload(&vals).unwrap();
         let decoded = decode_payload(&types, &bytes).unwrap();
         assert_eq!(format!("{decoded:?}"), format!("{vals:?}"));
     }
@@ -180,7 +166,7 @@ mod tests {
     fn payload_with_trailing_blob() {
         let vals = vec![Value::Char('X'), Value::Blob(Bytes::from_static(b"rest"))];
         let types = vec![Type::Char, Type::Blob];
-        let bytes = encode_payload(&vals);
+        let bytes = encode_payload(&vals).unwrap();
         let decoded = decode_payload(&types, &bytes).unwrap();
         let Value::Blob(b) = &decoded[1] else {
             panic!()
@@ -193,7 +179,7 @@ mod tests {
         let types = vec![Type::Int];
         assert!(decode_payload(&types, &Bytes::from_static(b"abc")).is_none());
         // Trailing unconsumed bytes without a blob are a mismatch.
-        let bytes = encode_payload(&[Value::Int(1), Value::Int(2)]);
+        let bytes = encode_payload(&[Value::Int(1), Value::Int(2)]).unwrap();
         assert!(decode_payload(&types, &bytes).is_none());
     }
 

@@ -8,7 +8,8 @@
 //!   untagged, tagged with each of the program's own channels, with a
 //!   channel name the program does not have, and with an overload index
 //!   past the end of a name it does have — which must be offered to *no*
-//!   channel, not index out of bounds;
+//!   channel, not index out of bounds — and a send whose payload has no
+//!   wire form, which emits nothing;
 //! * **in-band deploy messages** through `DeployService::on_packet`: bad
 //!   magic, stray flags, a chunk index past `last`, duplicate chunks,
 //!   transfers that never finish, two transfers under one id, and the
@@ -268,6 +269,48 @@ fn no_payload_panics_an_installed_asp() {
         matched * 4 > offered,
         "{matched} of {offered} packets matched a channel"
     );
+}
+
+/// A send or delivery whose payload has no wire form emits nothing, on
+/// both engines, as one with bad headers does: a verified program can
+/// build a `string` longer than the 2-byte length its encoding carries
+/// (a 16-character literal doubled 12 times is 65 536 bytes).
+#[test]
+fn a_send_whose_payload_has_no_wire_form_emits_nothing() {
+    let doubled: String = (1..=12)
+        .map(|i| format!(" val m{i} : string = m{0} ^ m{0}", i - 1))
+        .collect();
+    let src = format!(
+        "channel sink(ps : int, ss : unit, p : ip*udp*string) is (deliver(p); (ps + 1, ss))\n\
+         channel network(ps : int, ss : unit, p : ip*udp*blob) is\n\
+         let val m0 : string = \"0123456789abcdef\"{doubled} in\n\
+           (OnRemote(sink, (#1 p, #2 p, m12)); deliver((#1 p, #2 p, m12)); (ps + 1, ss))\n\
+         end"
+    );
+    let image = load(&src, Policy::default()).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    const SENT: u32 = 8;
+    let runs = [Engine::Jit, Engine::Interp].map(|engine| {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let (mut sim, [a, r, b]) = line(0x57_0000 + engine as u64);
+            let config = LayerConfig {
+                engine,
+                ..LayerConfig::default()
+            };
+            let handle = install_planp(&mut sim, r, &image, config).expect("installs");
+            let packets = (0..SENT).map(|_| packet(TransportKind::Udp, B, 7000, vec![7; 8]));
+            sim.add_app(a, Feeder::new(packets.collect()));
+            sim.run_until(SimTime::ZERO + TICK * (SENT + 40));
+            let delivered = sim.node(r).delivered + sim.node(b).delivered;
+            (handle.stats(&sim.telemetry), delivered)
+        }));
+        let Ok((stats, delivered)) = run else {
+            panic!("{engine:?}: a send of an unencodable payload panicked the node");
+        };
+        assert_eq!(stats.matched, u64::from(SENT), "{engine:?}: {stats:?}");
+        assert_eq!(delivered, 0, "{engine:?}: nothing was emitted");
+        format!("{stats:?}")
+    });
+    assert_eq!(runs[0], runs[1], "both engines count the same");
 }
 
 /// Counts the service's replies by their first word.

@@ -463,7 +463,7 @@ fn payload_codec_round_trips() {
             Value::Str(s.as_str().into()),
         ];
         let types = vec![Type::Char, Type::Int, Type::Host, Type::Bool, Type::Str];
-        let bytes = encode_payload(&vals);
+        let bytes = encode_payload(&vals).expect("encodes");
         let decoded = decode_payload(&types, &bytes).expect("decodes");
         assert_eq!(decoded, vals, "case {case}");
     }
