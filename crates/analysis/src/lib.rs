@@ -61,6 +61,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod compose;
 pub mod cost;

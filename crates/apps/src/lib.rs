@@ -25,6 +25,7 @@
 //! * [`corpus`] — the one table of every PLAN-P program under `asps/`.
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 /// The PLAN-P file `asps/<name>.planp` as the `*_ASP` constants of the
 /// application modules carry it: behind the leading newline they had as

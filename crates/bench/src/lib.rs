@@ -24,6 +24,7 @@
 //! business (`perf/`); only `fig3` reads a clock here.
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 /// `println!` into a report's stdout text.
 macro_rules! outln {

@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod ast;
 pub mod error;

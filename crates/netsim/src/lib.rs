@@ -58,6 +58,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 mod datapath;
 pub mod digest;

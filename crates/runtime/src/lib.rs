@@ -47,6 +47,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod convert;
 pub mod deploy;

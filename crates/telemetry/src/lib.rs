@@ -29,6 +29,7 @@
 //! Everything here is simulation-clock based; no wall-clock reads, no
 //! hashing with randomized state, no platform-dependent formatting.
 
+#![deny(unreachable_pub)]
 pub mod event;
 pub mod export;
 pub mod flight;

@@ -48,6 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod audio;
 pub mod cost;

@@ -43,6 +43,7 @@
 //! assert_eq!(handle.stats(&sim.telemetry).errors, 0);
 //! ```
 
+#![deny(unreachable_pub)]
 pub use netsim;
 pub use planp_analysis as analysis;
 pub use planp_apps as apps;
