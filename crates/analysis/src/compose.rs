@@ -11,7 +11,7 @@
 //! (node, channel tag, destination value, source value)
 //! ```
 //!
-//! over a concrete [`PlanTopology`](crate::plan::PlanTopology), seeded with one in-flight packet
+//! over a concrete [`TopoSpec`](netsim::topo::TopoSpec), seeded with one in-flight packet
 //! per plan path (entering at the ingress's first hop — a node's own
 //! hook never sees the traffic it originates). A transition either
 //! *dispatches* the packet into a co-resident ASP channel whose name
@@ -151,7 +151,7 @@ pub fn product_check(check: &PlanCheck, install_spans: &[Span]) -> ComposeResult
         ..
     } = check;
     let tags = Tags::new(asps);
-    let mut hops = check.hops.borrow_mut();
+    let next = |from: usize, to: usize| check.next_hops.hop(from, to).map(|(n, _)| n);
 
     // One in-flight packet per plan path, entering at the ingress's
     // next hop with the path endpoints as concrete dest/src.
@@ -160,7 +160,7 @@ pub fn product_check(check: &PlanCheck, install_spans: &[Span]) -> ComposeResult
         .iter()
         .filter_map(|&(ingress, egress)| {
             Some(PState {
-                node: hops.hop(&topo.adj, ingress, egress)?,
+                node: next(ingress, egress)?,
                 tag: Tags::NETWORK,
                 dest: PVal::Addr(topo.nodes[egress].addr),
                 src: PVal::Addr(topo.nodes[ingress].addr),
@@ -173,7 +173,7 @@ pub fn product_check(check: &PlanCheck, install_spans: &[Span]) -> ComposeResult
     let sized = check.routes().flatten().map(|r| r.len() - 1).sum();
     let graph = explore(entries, DEFAULT_STATE_BUDGET, sized, |s: PState, succs| {
         let node_addr = topo.nodes[s.node].addr;
-        let neighbors = &topo.adj[s.node];
+        let neighbors = &check.next_hops.adj()[s.node];
 
         let mut dispatched = false;
         for &ii in &at_node[s.node] {
@@ -216,7 +216,7 @@ pub fn product_check(check: &PlanCheck, install_spans: &[Span]) -> ComposeResult
                         // Routed one hop, or undeliverable.
                         (SendKind::Remote, PVal::Addr(a), _) => {
                             let target = check.node_by_addr(a);
-                            Some(target.and_then(|t| hops.hop(&topo.adj, s.node, t)))
+                            Some(target.and_then(|t| next(s.node, t)))
                         }
                         (SendKind::Neighbor, _, DestAbs::Const(a)) => check
                             .node_by_addr(a)
@@ -238,7 +238,7 @@ pub fn product_check(check: &PlanCheck, install_spans: &[Span]) -> ComposeResult
                 PVal::Addr(a) if a == node_addr => {} // delivered
                 PVal::Addr(a) => {
                     let target = check.node_by_addr(a);
-                    if let Some(h) = target.and_then(|t| hops.hop(&topo.adj, s.node, t)) {
+                    if let Some(h) = target.and_then(|t| next(s.node, t)) {
                         succs.push((PState { node: h, ..s }, EdgeLabel::Transit, true));
                     }
                 }

@@ -84,10 +84,7 @@ pub use diag::{Diagnostic, Severity};
 pub use duplication::{compute_may_copy, DuplicationInfo};
 pub use lint::lint;
 pub use modelcheck::{model_check, ModelCheckReport, Verdict, DEFAULT_STATE_BUDGET};
-pub use plan::{
-    Install, NodeState, PathBudget, PlanAsp, PlanCheck, PlanNode, PlanPolicy, PlanReport,
-    PlanTopology,
-};
+pub use plan::{Install, NodeState, PathBudget, PlanAsp, PlanCheck, PlanPolicy, PlanReport};
 pub use profile::{
     site_bounds, superinstruction_candidates, ChannelSites, SiteInfo, SiteReport,
     SuperinstructionCandidate,

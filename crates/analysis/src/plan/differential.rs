@@ -14,6 +14,8 @@
 
 use super::*;
 use crate::modelcheck::Verdict;
+use netsim::topo::{TopoLink, TopoNode};
+use netsim::LinkSpec;
 use planp_lang::{compile_front, parse_plan};
 use std::collections::BTreeMap;
 
@@ -44,95 +46,114 @@ impl SplitMix64 {
     }
 }
 
-fn link(adj: &mut [Vec<usize>], a: usize, b: usize) {
-    if a != b && !adj[a].contains(&b) {
-        adj[a].push(b);
-        adj[b].push(a);
+/// An undirected graph as the generator draws it: each node's
+/// neighbours, and the edges in the order they were drawn (the links of
+/// the topology it becomes, so its adjacency rows are these rows).
+#[derive(Default)]
+struct Graph {
+    adj: Vec<Vec<usize>>,
+    edges: Vec<(usize, usize)>,
+}
+
+impl Graph {
+    fn new(n: usize) -> Self {
+        Graph {
+            adj: vec![Vec::new(); n],
+            edges: Vec::new(),
+        }
+    }
+
+    fn link(&mut self, a: usize, b: usize) {
+        if a != b && !self.adj[a].contains(&b) {
+            self.adj[a].push(b);
+            self.adj[b].push(a);
+            self.edges.push((a, b));
+        }
     }
 }
 
 /// An undirected graph of one of the generator's shapes. `big` asks for
 /// a ring long enough for a flood from a few hundred paths to spend the
 /// state budget.
-fn shape(rng: &mut SplitMix64, big: bool) -> Vec<Vec<usize>> {
+fn shape(rng: &mut SplitMix64, big: bool) -> Graph {
     if big {
         let n = 256;
-        let mut adj = vec![Vec::new(); n];
-        (0..n).for_each(|i| link(&mut adj, i, (i + 1) % n));
-        return adj;
+        let mut g = Graph::new(n);
+        (0..n).for_each(|i| g.link(i, (i + 1) % n));
+        return g;
     }
     match rng.below(6) {
         // A chain.
         0 => {
             let n = 3 + rng.below(8);
-            let mut adj = vec![Vec::new(); n];
-            (1..n).for_each(|i| link(&mut adj, i - 1, i));
-            adj
+            let mut g = Graph::new(n);
+            (1..n).for_each(|i| g.link(i - 1, i));
+            g
         }
         // Disjoint chains, the observability grid's shape.
         1 => {
             let (chains, len) = (2 + rng.below(4), 3 + rng.below(4));
-            let mut adj = vec![Vec::new(); chains * len];
+            let mut g = Graph::new(chains * len);
             for c in 0..chains {
-                (1..len).for_each(|i| link(&mut adj, c * len + i - 1, c * len + i));
+                (1..len).for_each(|i| g.link(c * len + i - 1, c * len + i));
             }
-            adj
+            g
         }
         // A mesh: several shortest paths between most pairs.
         2 => {
             let (w, h) = (2 + rng.below(4), 2 + rng.below(3));
-            let mut adj = vec![Vec::new(); w * h];
+            let mut g = Graph::new(w * h);
             for y in 0..h {
                 for x in 0..w {
                     if x + 1 < w {
-                        link(&mut adj, y * w + x, y * w + x + 1);
+                        g.link(y * w + x, y * w + x + 1);
                     }
                     if y + 1 < h {
-                        link(&mut adj, y * w + x, (y + 1) * w + x);
+                        g.link(y * w + x, (y + 1) * w + x);
                     }
                 }
             }
-            adj
+            g
         }
         // A random tree.
         3 => {
             let n = 4 + rng.below(12);
-            let mut adj = vec![Vec::new(); n];
+            let mut g = Graph::new(n);
             for i in 1..n {
                 let parent = rng.below(i);
-                link(&mut adj, parent, i);
+                g.link(parent, i);
             }
-            adj
+            g
         }
         // Shared segments (cliques) strung together by one node each.
         4 => {
             let segments = 2 + rng.below(3);
-            let mut adj: Vec<Vec<usize>> = Vec::new();
+            let mut g = Graph::default();
             let mut gate = None;
             for _ in 0..segments {
-                let first = adj.len();
+                let first = g.adj.len();
                 let size = 2 + rng.below(4);
-                adj.resize(first + size, Vec::new());
+                g.adj.resize(first + size, Vec::new());
                 for a in first..first + size {
                     for b in a + 1..first + size {
-                        link(&mut adj, a, b);
+                        g.link(a, b);
                     }
                 }
-                if let Some(g) = gate {
-                    link(&mut adj, g, first);
+                if let Some(last) = gate {
+                    g.link(last, first);
                 }
                 gate = Some(first + size - 1);
             }
-            adj
+            g
         }
         // Two components, one of them with a cycle.
         _ => {
             let (a, b) = (3 + rng.below(4), 3 + rng.below(4));
-            let mut adj = vec![Vec::new(); a + b];
-            (1..a).for_each(|i| link(&mut adj, i - 1, i));
-            (1..b).for_each(|i| link(&mut adj, a + i - 1, a + i));
-            link(&mut adj, a, a + b - 1);
-            adj
+            let mut g = Graph::new(a + b);
+            (1..a).for_each(|i| g.link(i - 1, i));
+            (1..b).for_each(|i| g.link(a + i - 1, a + i));
+            g.link(a, a + b - 1);
+            g
         }
     }
 }
@@ -241,8 +262,8 @@ fn generate(seed: u64, compiled: &mut Compiled) -> Case {
     let mut rng = SplitMix64(seed);
     // One case in ten floods a 256-node ring from hundreds of paths.
     let big = seed % 10 == 9;
-    let adj = shape(&mut rng, big);
-    let n = adj.len();
+    let graph = shape(&mut rng, big);
+    let n = graph.adj.len();
 
     let mut addrs: Vec<u32> = (0..n as u32)
         .map(|i| (10 << 24) | ((i >> 8) << 16) | ((i & 255) << 8) | 1)
@@ -259,10 +280,11 @@ fn generate(seed: u64, compiled: &mut Compiled) -> Case {
         list(&["all", "edge"]),
         list(&["all", "core"]),
     ];
-    let nodes: Vec<PlanNode> = (0..n)
-        .map(|i| PlanNode {
+    let nodes: Vec<TopoNode> = (0..n)
+        .map(|i| TopoNode {
             name: format!("n{i}").into(),
             addr: addrs[i],
+            router: true,
             slices: rng.pick(&lists).clone(),
         })
         .collect();
@@ -343,9 +365,18 @@ fn generate(seed: u64, compiled: &mut Compiled) -> Case {
     }
 
     let plan = parse_plan(&plan_src).unwrap_or_else(|e| panic!("{e}\n{plan_src}"));
-    let pairs = adj.iter().enumerate();
-    let pairs = pairs.flat_map(|(k, row)| row.iter().map(move |&v| (k, v)));
-    let topo = PlanTopology::new("gen", nodes, Rows::new(adj.len(), pairs), paths);
+    let links = (0..graph.edges.len()).map(|l| TopoLink {
+        spec: LinkSpec::ethernet_10(),
+        ends: 2 * l..2 * l + 2,
+    });
+    let topo = TopoSpec {
+        name: "gen".into(),
+        nodes,
+        links: links.collect(),
+        link_ends: graph.edges.iter().flat_map(|&(a, b)| [a, b]).collect(),
+        extra_routes: Vec::new(),
+        paths,
+    };
     let check = PlanCheck::new(plan, topo, asps).unwrap_or_else(|e| panic!("{e}\n{plan_src}"));
     Case { plan_src, check }
 }
@@ -364,7 +395,7 @@ fn a_case_is_a_function_of_its_seed() {
     );
     assert_eq!(a.plan_src, b.plan_src);
     assert_eq!(a.check.installs, b.check.installs);
-    assert_eq!(a.check.topo.adj, b.check.topo.adj);
+    assert_eq!(a.check.topo.adjacency(), b.check.topo.adjacency());
     assert_eq!(a.check.topo.paths, b.check.topo.paths);
 }
 
@@ -378,7 +409,7 @@ fn generated_deployments_verify_as_they_did_at_1d322cc() {
         let ctx = || {
             format!(
                 "seed {seed}\n{plan_src}adj {:?}\npaths {:?}\naddrs {:?}",
-                check.topo.adj,
+                check.topo.adjacency(),
                 check.topo.paths,
                 check
                     .topo

@@ -1,18 +1,28 @@
-//! The plan verifier as it stood at commit 1d322cc, kept verbatim
-//! (names are shared strings now; nothing else differs) as the
-//! reference `differential.rs` holds [`PlanCheck::verify`] to: every
-//! route searched three times over a full-width table, installs scanned
-//! per route hop and per node, a node found by address with a linear
-//! scan, one next-hop table of every node per routed-to target, a tag
-//! `String` per explored state.
+//! The plan verifier as it stood at commit 1d322cc, kept verbatim as
+//! the reference `differential.rs` holds [`PlanCheck::verify`] to:
+//! every route searched three times over a full-width table, installs
+//! scanned per route hop and per node, a node found by address with a
+//! linear scan, one next-hop table of every node per routed-to target,
+//! a tag `String` per explored state. Two things differ: names are
+//! shared strings, and a next hop follows the rule the simulator
+//! forwards by (`toward_oracle`), not the search parent of 1d322cc,
+//! which on a tie between shortest paths routed where no packet goes.
 
 use super::*;
 use crate::compose::{ComposeResult, EdgeLabel, PState, PVal};
 use crate::explore::explore;
 use crate::summary::{DestAbs, SendKind};
 use crate::witness::WitnessHop;
+use std::collections::VecDeque;
 
-impl PlanTopology {
+/// The 1d322cc verifier's topology queries, asked of the spec itself.
+trait OracleTopo {
+    fn node_by_addr_oracle(&self, a: u32) -> Option<usize>;
+    fn toward_oracle(&self, target: usize) -> Vec<Option<usize>>;
+    fn route_oracle(&self, from: usize, to: usize) -> Option<Vec<usize>>;
+}
+
+impl OracleTopo for TopoSpec {
     /// The node holding address `a`, if any.
     fn node_by_addr_oracle(&self, a: u32) -> Option<usize> {
         self.nodes.iter().position(|n| n.addr == a)
@@ -20,22 +30,29 @@ impl PlanTopology {
 
     /// Per-node next hop toward `target` under shortest-path (BFS)
     /// routing — `None` for unreachable nodes and for `target` itself.
+    /// A node's next hop is the first neighbour in its own adjacency
+    /// row whose distance to `target` is one less than its own (the
+    /// rule the simulator forwards by; at 1d322cc it was whichever
+    /// neighbour the search from `target` reached the node from).
     fn toward_oracle(&self, target: usize) -> Vec<Option<usize>> {
-        let mut next = vec![None; self.nodes.len()];
-        let mut seen = vec![false; self.nodes.len()];
-        let mut q = VecDeque::new();
-        seen[target] = true;
-        q.push_back(target);
+        let adj = self.adjacency();
+        let mut dist = vec![None; self.nodes.len()];
+        dist[target] = Some(0);
+        let mut q = VecDeque::from([target]);
         while let Some(u) = q.pop_front() {
-            for &v in &self.adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    next[v] = Some(u);
+            for &v in &adj[u] {
+                if dist[v].is_none() {
+                    dist[v] = dist[u].map(|d: usize| d + 1);
                     q.push_back(v);
                 }
             }
         }
-        next
+        (0..self.nodes.len())
+            .map(|v| {
+                let closer = dist[v]?.checked_sub(1)?;
+                adj[v].iter().copied().find(|&u| dist[u] == Some(closer))
+            })
+            .collect()
     }
 
     /// The full route `from → … → to` (inclusive), or `None` if
@@ -55,7 +72,7 @@ impl PlanTopology {
 impl PlanCheck {
     /// The placement half of `PlanCheck::new`: every deploy's install
     /// points, `one(..)` resolved by route coverage.
-    pub(crate) fn placement_oracle(plan: &PlanAst, topo: &PlanTopology) -> Vec<Install> {
+    pub(crate) fn placement_oracle(plan: &PlanAst, topo: &TopoSpec) -> Vec<Install> {
         // Route coverage: how many plan paths route *through* each node
         // (ingress excluded — a node's hook never sees the traffic it
         // originates).
@@ -450,12 +467,13 @@ impl PlanCheck {
 /// topology's plan paths. `install_spans` (parallel to `installs`)
 /// anchor witness hops at the responsible plan-source `deploy` lines.
 fn product_check_oracle(
-    topo: &PlanTopology,
+    topo: &TopoSpec,
     asps: &[PlanAsp],
     installs: &[Install],
     install_spans: &[Span],
 ) -> ComposeResult {
     let n_nodes = topo.nodes.len();
+    let adj = topo.adjacency();
     let mut tags: Vec<String> = vec!["network".to_string()];
     #[allow(clippy::disallowed_types)] // lookup-only: `get`/`insert` by tag name, never iterated
     let mut tag_ix: std::collections::HashMap<String, u32> = Default::default();
@@ -537,14 +555,14 @@ fn product_check_oracle(
                                 Some(t) => hop_toward(s.node, t).into_iter().collect(),
                                 None => Vec::new(), // undeliverable
                             },
-                            PVal::Unknown => topo.adj[s.node].to_vec(),
+                            PVal::Unknown => adj[s.node].to_vec(),
                         },
                         SendKind::Neighbor => match site.dest {
                             DestAbs::Const(a) => match topo.node_by_addr_oracle(a) {
-                                Some(m) if topo.adj[s.node].contains(&m) => vec![m],
-                                _ => topo.adj[s.node].to_vec(),
+                                Some(m) if adj[s.node].contains(&m) => vec![m],
+                                _ => adj[s.node].to_vec(),
                             },
-                            _ => topo.adj[s.node].to_vec(),
+                            _ => adj[s.node].to_vec(),
                         },
                     };
                     for t in nexts {
@@ -575,7 +593,7 @@ fn product_check_oracle(
                     }
                 }
                 PVal::Unknown => {
-                    for &m in &topo.adj[s.node] {
+                    for &m in &adj[s.node] {
                         succs.push((PState { node: m, ..s }, EdgeLabel::Transit, true));
                     }
                 }

@@ -113,7 +113,7 @@ pub(crate) fn run(args: &CliArgs) -> Result<Report, String> {
             let load_us = median_us(|| load_bundled_plan(name));
             vec![
                 name.to_string(),
-                image.topo.nodes.len().to_string(),
+                image.check.topo.nodes.len().to_string(),
                 image.placements.len().to_string(),
                 image.report.states.to_string(),
                 format!("{load_us:.1}"),

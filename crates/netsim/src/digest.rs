@@ -14,6 +14,7 @@
 //! iterated are fed in sorted key order. The digest is computed only
 //! when asked and is never written into a byte-stable output.
 
+use crate::link::NodeId;
 use crate::packet::Packet;
 use crate::sim::Sim;
 use std::hash::{Hash, Hasher};
@@ -128,9 +129,10 @@ impl Sim {
         for (i, link) in self.links.iter().enumerate() {
             visit(&|| format!("link {i}"), &|h| link.digest(slab, h));
         }
-        for node in &self.nodes {
+        for (i, node) in self.nodes.iter().enumerate() {
             let name = &node.name;
-            visit(&|| format!("node {name}"), &|h| node.digest(slab, h));
+            let feed = |h: &mut Fnv| node.digest(self.unicast_routes(NodeId(i)), slab, h);
+            visit(&|| format!("node {name}"), &feed);
             for (j, app) in node.apps.iter().enumerate() {
                 if let Some(app) = app {
                     visit(&|| format!("node {name} app {j}"), &|h| app.digest(h));

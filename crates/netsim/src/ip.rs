@@ -194,7 +194,7 @@ impl Sim {
                 return;
             }
             fwd.ip.ttl -= 1;
-            match self.nodes[node.0].routes.get(&fwd.ip.dst).copied() {
+            match self.route(node, fwd.ip.dst) {
                 Some((link, next_hop)) => {
                     self.trace_forward(node, &fwd, link);
                     self.enqueue_on_link(link, node, Some(next_hop), fwd)
@@ -304,7 +304,7 @@ impl Sim {
             let pkt = self.sched.packets.put(pkt);
             self.sched.arrive(self.now, None, node, pkt, None, false);
         } else {
-            match self.nodes[node.0].routes.get(&pkt.ip.dst).copied() {
+            match self.route(node, pkt.ip.dst) {
                 Some((link, next_hop)) => self.enqueue_on_link(link, node, Some(next_hop), pkt),
                 None => self.drop_at_node(node, &pkt, DropReason::NoRoute),
             }

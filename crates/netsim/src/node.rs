@@ -27,6 +27,9 @@ pub struct CpuModel {
     pub queue_cap: usize,
 }
 
+/// A unicast route's next step: the link and the node across it.
+pub(crate) type Hop = (LinkId, NodeId);
+
 /// A simulated host or router.
 pub struct Node {
     /// Human-readable name (for traces and diagnostics).
@@ -37,9 +40,10 @@ pub struct Node {
     /// forwarded; hosts drop them.
     pub forwarding: bool,
     pub(crate) ifaces: Vec<LinkId>,
-    /// Unicast routes: destination address → (link, next hop).
-    #[allow(clippy::disallowed_types)] // lookup-only: `get`/`insert`, never iterated
-    pub(crate) routes: std::collections::HashMap<u32, (LinkId, NodeId)>,
+    /// Unicast route overrides ([`Sim::add_route`]): destination
+    /// address → (link, next hop), consulted before the computed routes.
+    #[allow(clippy::disallowed_types)] // iterated only to be sorted, for the digest
+    pub(crate) routes: std::collections::HashMap<u32, Hop>,
     /// Multicast routes: group → outgoing links.
     #[allow(clippy::disallowed_types)] // lookup-only: `get`/`entry`, never iterated
     pub(crate) mcast_routes: std::collections::HashMap<u32, Vec<LinkId>>,
@@ -123,12 +127,13 @@ impl Node {
         }
     }
 
-    /// Feeds the node's routes, counters, rng, CPU queue and `down`
-    /// flag; its apps and hook feed their own state
-    /// ([`App::digest`], [`PacketHook::digest`]).
-    pub(crate) fn digest(&self, slab: &PacketSlab, h: &mut Fnv) {
+    /// Feeds the node's unicast routes (`routes`, from
+    /// [`Sim::unicast_routes`]), its multicast routes, counters, rng,
+    /// CPU queue and `down` flag; its apps and hook feed their own
+    /// state ([`App::digest`], [`PacketHook::digest`]).
+    pub(crate) fn digest(&self, routes: Vec<(u32, Hop)>, slab: &PacketSlab, h: &mut Fnv) {
         (self.addr, self.forwarding, &self.ifaces).hash(h);
-        digest::sorted(self.routes.iter(), h);
+        digest::sorted(routes.into_iter(), h);
         digest::sorted(self.mcast_routes.iter(), h);
         digest::sorted(self.subscriptions.iter().map(|g| (g, ())), h);
         (
@@ -417,8 +422,8 @@ impl<'a> NodeApi<'a> {
     /// The outgoing link toward `dst`.
     fn route_link(&self, dst: u32) -> Option<LinkId> {
         let node = &self.sim.nodes[self.node.0];
-        match node.routes.get(&dst) {
-            Some(&(l, _)) => Some(l),
+        match self.sim.route(self.node, dst) {
+            Some((l, _)) => Some(l),
             // Multicast groups route via the multicast table; fall back
             // to the first interface (hosts with one NIC).
             None => (node.mcast_routes.get(&dst))

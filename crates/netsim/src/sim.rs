@@ -10,10 +10,12 @@
 use crate::fault::Faults;
 use crate::instrument::Instruments;
 use crate::link::{Link, LinkId, LinkSpec, NodeId};
-use crate::node::{App, Node, NodeApi, PacketHook};
+use crate::node::{App, Hop, Node, NodeApi, PacketHook};
+use crate::rng::Seedless;
 use crate::sched::{EvKind, Scheduler};
 use crate::stats::SeriesStore;
 use crate::time::SimTime;
+use crate::topo::{adjacency, NextHops};
 use planp_telemetry::{Category, FlightEvent, FlightKind, Histogram, Telemetry, TraceEvent};
 
 /// The simulator: nodes, links, the event queue, and measurement series.
@@ -27,9 +29,13 @@ pub struct Sim {
     pub(crate) sched: Scheduler,
     pub(crate) nodes: Vec<Node>,
     pub(crate) links: Vec<Link>,
-    /// Which node owns an address.
-    #[allow(clippy::disallowed_types)] // lookup-only: `get`/`insert`, never iterated
-    pub(crate) addr_map: std::collections::HashMap<u32, NodeId>,
+    /// Which node owns an address: the one hash probe of a routed hop.
+    #[allow(clippy::disallowed_types)] // lookup-only: `get`/`insert`, iterated only sorted
+    pub(crate) addr_map: std::collections::HashMap<u32, NodeId, Seedless>,
+    /// Unicast routes over the graph [`Sim::compute_routes`] froze.
+    pub(crate) routes: NextHops,
+    /// The link of each entry of `routes`' adjacency.
+    pub(crate) route_links: Vec<LinkId>,
     /// Named measurement series recorded during the run.
     pub series: SeriesStore,
     pub(crate) started: bool,
@@ -73,6 +79,8 @@ impl Sim {
             nodes: Vec::new(),
             links: Vec::new(),
             addr_map: Default::default(),
+            routes: NextHops::default(),
+            route_links: Vec::new(),
             series: SeriesStore::default(),
             started: false,
             seed,
@@ -138,42 +146,41 @@ impl Sim {
         id
     }
 
-    /// Computes shortest-path unicast routes between every pair of nodes
-    /// (hop-count BFS over the node/link graph). Call after the topology
-    /// is complete.
+    /// Freezes the node/link graph as it stands for shortest-path
+    /// (hop-count) unicast routing by [`NextHops`]'s rule; a
+    /// destination's routes are worked out at its first lookup. Call
+    /// after the topology is complete: a link added later changes no
+    /// route.
     pub fn compute_routes(&mut self) {
-        let n = self.nodes.len();
-        // Adjacency: node → (link, neighbor).
-        let mut adj: Vec<Vec<(LinkId, NodeId)>> = vec![Vec::new(); n];
-        for (li, link) in self.links.iter().enumerate() {
-            for &a in &link.nodes {
-                for &b in &link.nodes {
-                    if a != b {
-                        adj[a.0].push((LinkId(li), b));
-                    }
-                }
-            }
+        let links = self.links.iter().map(|l| &l.nodes[..]);
+        let adj = adjacency(self.nodes.len(), links, |n: NodeId| n.0);
+        let pairs = (0..self.nodes.len()).flat_map(|a| adj[a].iter().map(move |&b| (a, b)));
+        let first_link = |(a, b)| self.common_link(NodeId(a), NodeId(b)).expect("linked");
+        self.route_links = pairs.map(first_link).collect();
+        self.routes = NextHops::new(adj);
+    }
+
+    /// The unicast route at `node` toward `dst`: the link and the next
+    /// hop. An [`add_route`](Sim::add_route) override comes first.
+    #[inline]
+    pub(crate) fn route(&self, node: NodeId, dst: u32) -> Option<Hop> {
+        if let Some(&hop) = self.nodes[node.0].routes.get(&dst) {
+            return Some(hop);
         }
-        for src in 0..n {
-            // BFS from src recording the first hop toward each node; a
-            // node is reached once it has one (src never does).
-            let mut first_hop: Vec<Option<(LinkId, NodeId)>> = vec![None; n];
-            let mut q = std::collections::VecDeque::from([src]);
-            while let Some(u) = q.pop_front() {
-                for &(l, v) in &adj[u] {
-                    if v.0 != src && first_hop[v.0].is_none() {
-                        first_hop[v.0] = if u == src { Some((l, v)) } else { first_hop[u] };
-                        q.push_back(v.0);
-                    }
-                }
-            }
-            for (dst, hop) in first_hop.into_iter().enumerate() {
-                if let Some(hop) = hop {
-                    let dst_addr = self.nodes[dst].addr;
-                    self.nodes[src].routes.insert(dst_addr, hop);
-                }
-            }
-        }
+        let to = self.addr_map.get(&dst)?;
+        let (next, entry) = self.routes.hop(node.0, to.0)?;
+        Some((self.route_links[entry], NodeId(next)))
+    }
+
+    /// Every unicast route at `node`, one per destination address, in
+    /// no order: each [`add_route`](Sim::add_route) override, and the
+    /// route toward each other node the frozen graph reaches from it.
+    pub(crate) fn unicast_routes(&self, node: NodeId) -> Vec<(u32, Hop)> {
+        let overrides = &self.nodes[node.0].routes;
+        let others = (self.nodes.iter()).filter(|d| !overrides.contains_key(&d.addr));
+        (overrides.iter().map(|(&a, &hop)| (a, hop)))
+            .chain(others.filter_map(|d| Some((d.addr, self.route(node, d.addr)?))))
+            .collect()
     }
 
     /// Adds an explicit route: at `node`, packets for `dst_addr` go

@@ -14,11 +14,19 @@
 //! The registry ([`TopoSpec::named`]) covers the topologies the bundled
 //! experiments use: the two-router replay path, the chaos relay chain,
 //! the HTTP cluster, and the 1024-node observability grid.
+//!
+//! Routing is stated once, as [`NextHops`]: toward a destination, a
+//! node's next hop is the first entry of its own adjacency row that is
+//! one step closer. The simulator forwards by it and the plan verifier
+//! checks it, so where shortest paths tie both take the same one. Ties
+//! follow the sender's row, the order its links were made in: the first
+//! neighbour on a shortest path, what a search from the sender finds.
 
 use crate::link::LinkSpec;
 use crate::packet::addr;
 use crate::sim::Sim;
 use crate::NodeId;
+use std::cell::{Cell, RefCell};
 use std::ops::{Index, Range};
 use std::rc::Rc;
 use std::time::Duration;
@@ -132,6 +140,131 @@ impl Index<usize> for Rows {
     #[inline]
     fn index(&self, k: usize) -> &[usize] {
         &self.items[self.start[k]..self.start[k + 1]]
+    }
+}
+
+/// The undirected adjacency of `n` nodes joined by `links`, each the
+/// list of its endpoints (`index` names an endpoint's node): a
+/// multi-node segment joins every attached pair. A row lists its
+/// neighbours in the order the links reach them, each once.
+pub(crate) fn adjacency<'a, E: Copy + 'a>(
+    n: usize,
+    links: impl Iterator<Item = &'a [E]> + Clone,
+    index: impl Fn(E) -> usize + Copy,
+) -> Rows {
+    let pairs = links.flat_map(move |ends| {
+        let to = move |a| ends.iter().map(move |&b| (index(a), index(b)));
+        ends.iter().flat_map(move |&a| to(a))
+    });
+    let mut adj = Rows::new(n, pairs.filter(|(a, b)| a != b));
+    adj.dedup_rows();
+    adj
+}
+
+/// Marks a slot of [`NextHops`] that holds nothing.
+const NONE: u32 = u32::MAX;
+
+/// Shortest-path next hops over a symmetric adjacency: the one routing
+/// rule the simulator forwards by and the plan verifier checks (see the
+/// module doc). A destination's table, per node of its component the
+/// position of its next hop among the adjacency's entries, is built at
+/// its first lookup.
+#[derive(Debug, Clone, Default)]
+pub struct NextHops {
+    adj: Rows,
+    /// Per destination, where its table starts in `tables.hops` once
+    /// built (`usize::MAX` before).
+    toward: Vec<Cell<usize>>,
+    tables: RefCell<Tables>,
+}
+
+/// Every built table of a [`NextHops`], one after the other; each
+/// node's component (named by the first destination searched in it)
+/// and its slot in that component's tables; and the scratch of a
+/// search: distances from its destination ([`NONE`] between searches)
+/// and the nodes reached, in order.
+#[derive(Debug, Clone, Default)]
+struct Tables {
+    hops: Vec<u32>,
+    place: Vec<(u32, u32)>,
+    dist: Vec<u32>,
+    queue: Vec<u32>,
+}
+
+impl NextHops {
+    /// Routes over `adj`, whose rows must be symmetric.
+    pub fn new(adj: Rows) -> Self {
+        let size = adj.items.len().max(adj.start.len());
+        assert!(size < NONE as usize, "u32 numbers every node and entry");
+        let toward = vec![Cell::new(usize::MAX); adj.start.len().saturating_sub(1)];
+        let tables = RefCell::default();
+        NextHops {
+            adj,
+            toward,
+            tables,
+        }
+    }
+
+    /// The adjacency the routes run over.
+    pub fn adj(&self) -> &Rows {
+        &self.adj
+    }
+
+    /// The next hop from `from` toward `to`: the neighbour, and where
+    /// its entry sits among the adjacency's entries (row by row, in
+    /// order). `None` for `to` itself, where `to` cannot be reached,
+    /// and for a node the adjacency does not have.
+    #[inline]
+    pub fn hop(&self, from: usize, to: usize) -> Option<(usize, usize)> {
+        let start = match self.toward.get(to)?.get() {
+            usize::MAX => self.search(to),
+            start => start,
+        };
+        let tables = self.tables.borrow();
+        let &(_, slot) = (tables.place.get(from)).filter(|p| p.0 == tables.place[to].0)?;
+        let entry = tables.hops[start + slot as usize];
+        (entry != NONE).then(|| (self.adj.items[entry as usize], entry as usize))
+    }
+
+    /// Builds the table toward `to` and returns where it starts: one
+    /// breadth-first search from `to`, then each node reached takes the
+    /// first entry of its row that is one step closer.
+    #[cold]
+    fn search(&self, to: usize) -> usize {
+        let n = self.toward.len();
+        let t = &mut *self.tables.borrow_mut();
+        t.place.resize(n, (NONE, NONE));
+        t.dist.resize(n, NONE);
+        t.dist[to] = 0;
+        t.queue.clear();
+        t.queue.push(to as u32);
+        let mut head = 0;
+        while let Some(&u) = t.queue.get(head) {
+            head += 1;
+            for &v in &self.adj[u as usize] {
+                if t.dist[v] == NONE {
+                    t.dist[v] = t.dist[u as usize] + 1;
+                    t.queue.push(v as u32);
+                }
+            }
+        }
+        if t.place[to].0 == NONE {
+            for (slot, &v) in t.queue.iter().enumerate() {
+                t.place[v as usize] = (to as u32, slot as u32);
+            }
+        }
+        let start = t.hops.len();
+        t.hops.resize(start + t.queue.len(), NONE);
+        for &v in &t.queue[1..] {
+            let v = v as usize;
+            let mut entries = self.adj.start[v]..self.adj.start[v + 1];
+            let entry = entries.find(|&e| t.dist[self.adj.items[e]] == t.dist[v] - 1);
+            let entry = entry.expect("a reached node has a neighbour a step closer");
+            t.hops[start + t.place[v].1 as usize] = entry as u32;
+        }
+        t.queue.iter().for_each(|&v| t.dist[v as usize] = NONE);
+        self.toward[to].set(start);
+        start
     }
 }
 
@@ -358,25 +491,10 @@ impl TopoSpec {
     /// Undirected adjacency over node indices, one row per node: a
     /// multi-node segment link connects every attached pair. A row
     /// lists its neighbours in the order the links reach them, each
-    /// once.
+    /// once. The simulator's routes run over the same rows.
     pub fn adjacency(&self) -> Rows {
-        let pairs = self
-            .links
-            .iter()
-            .map(|l| l.ends.len() * l.ends.len().saturating_sub(1));
-        let mut pairs = Vec::with_capacity(pairs.sum());
-        for link in &self.links {
-            let ends = self.ends(link);
-            for (i, &a) in ends.iter().enumerate() {
-                for &b in &ends[i + 1..] {
-                    pairs.push((a, b));
-                    pairs.push((b, a));
-                }
-            }
-        }
-        let mut adj = Rows::new(self.nodes.len(), pairs.iter().copied());
-        adj.dedup_rows();
-        adj
+        let links = self.links.iter().map(|l| self.ends(l));
+        adjacency(self.nodes.len(), links, |i| i)
     }
 
     /// Instantiates the topology in `sim`: nodes in order, then links
@@ -411,6 +529,125 @@ impl TopoSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+    use crate::LinkId;
+    use std::collections::BTreeMap;
+
+    /// Random graphs the route property test draws; ten times as many
+    /// in an optimized build.
+    const GRAPHS: u64 = if cfg!(debug_assertions) { 300 } else { 3_000 };
+
+    /// `Sim::compute_routes` as it stood before routes were worked out
+    /// per destination, kept verbatim (but for the table it fills,
+    /// returned here) as the reference the simulator's routes are held
+    /// to: one BFS per source, each node's first hop inherited from
+    /// the node that reached it.
+    #[allow(clippy::needless_range_loop)] // the loop as it stood
+    fn compute_routes_oracle(sim: &Sim) -> Vec<BTreeMap<u32, (LinkId, NodeId)>> {
+        let mut routes = vec![BTreeMap::new(); sim.nodes.len()];
+        let n = sim.nodes.len();
+        // Adjacency: node → (link, neighbor).
+        let mut adj: Vec<Vec<(LinkId, NodeId)>> = vec![Vec::new(); n];
+        for (li, link) in sim.links.iter().enumerate() {
+            for &a in &link.nodes {
+                for &b in &link.nodes {
+                    if a != b {
+                        adj[a.0].push((LinkId(li), b));
+                    }
+                }
+            }
+        }
+        for src in 0..n {
+            // BFS from src recording the first hop toward each node; a
+            // node is reached once it has one (src never does).
+            let mut first_hop: Vec<Option<(LinkId, NodeId)>> = vec![None; n];
+            let mut q = std::collections::VecDeque::from([src]);
+            while let Some(u) = q.pop_front() {
+                for &(l, v) in &adj[u] {
+                    if v.0 != src && first_hop[v.0].is_none() {
+                        first_hop[v.0] = if u == src { Some((l, v)) } else { first_hop[u] };
+                        q.push_back(v.0);
+                    }
+                }
+            }
+            for (dst, hop) in first_hop.into_iter().enumerate() {
+                if let Some(hop) = hop {
+                    let dst_addr = sim.nodes[dst].addr;
+                    routes[src].insert(dst_addr, hop);
+                }
+            }
+        }
+        routes
+    }
+
+    /// A seeded graph of 2–41 routers: point-to-point links, shared
+    /// segments of three to five nodes, links laid twice between one
+    /// pair, and sometimes too few links to join every node.
+    fn random_graph(seed: u64) -> Sim {
+        let mut rng = SplitMix64::new(seed);
+        let mut below = |n: usize| rng.next_below(n as u64) as usize;
+        let n = 2 + below(40);
+        let mut sim = Sim::new(seed);
+        let ids: Vec<NodeId> = (0..n)
+            .map(|i| sim.add_router("r", addr(10, 0, (i >> 8) as u8, i as u8)))
+            .collect();
+        let mut ends = Vec::new();
+        for _ in 0..below(2 * n + 2) {
+            ends.clear();
+            let size = (if below(5) == 0 { 3 + below(3) } else { 2 }).min(n);
+            while ends.len() < size {
+                let v = ids[below(n)];
+                if !ends.contains(&v) {
+                    ends.push(v);
+                }
+            }
+            sim.add_link(LinkSpec::ethernet_10(), &ends);
+            if below(6) == 0 {
+                sim.add_link(LinkSpec::ethernet_10(), &ends[..2]);
+            }
+        }
+        sim
+    }
+
+    #[test]
+    fn routes_are_the_per_source_searches_routes() {
+        let (mut pairs, mut routed, mut segments, mut parallel) = (0, 0, 0, 0);
+        for seed in 0..GRAPHS {
+            let mut sim = random_graph(seed);
+            sim.compute_routes();
+            let want = compute_routes_oracle(&sim);
+            for (src, want) in want.iter().enumerate() {
+                for dst in &sim.nodes {
+                    let got = sim.route(NodeId(src), dst.addr);
+                    assert_eq!(
+                        got,
+                        want.get(&dst.addr).copied(),
+                        "seed {seed}: {src} → {}",
+                        dst.addr
+                    );
+                    pairs += 1;
+                    routed += usize::from(got.is_some());
+                }
+            }
+            segments += usize::from(sim.links.iter().any(|l| l.nodes.len() > 2));
+            let mut joined: Vec<_> = sim
+                .links
+                .iter()
+                .map(|l| (l.nodes[0].0, l.nodes[1].0))
+                .collect();
+            joined.sort();
+            parallel += usize::from(joined.windows(2).any(|w| w[0] == w[1]));
+        }
+        println!("{pairs} (src, dst) pairs, {routed} routed");
+        // The graphs reach what a route can get wrong: ties on shared
+        // segments and between parallel links, and no route at all.
+        let graphs = GRAPHS as usize;
+        assert!(
+            segments > graphs / 2 && parallel > graphs / 2,
+            "{segments}, {parallel}"
+        );
+        assert!(routed > pairs / 2 && routed < pairs, "{routed} of {pairs}");
+    }
 
     #[test]
     fn registry_resolves_all_names() {

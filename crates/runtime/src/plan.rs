@@ -27,7 +27,7 @@ use crate::loader::load;
 use crate::recovery::{RecoveryLog, RecoveryService};
 use crate::replay::{replay_on, ReplayReport};
 use netsim::{NodeId, Sim, TopoSpec};
-use planp_analysis::plan::{PlanAsp, PlanCheck, PlanNode, PlanReport, PlanTopology};
+use planp_analysis::plan::{PlanAsp, PlanCheck, PlanReport};
 use planp_analysis::Policy;
 use planp_lang::{compile_front, parse_plan, LangError};
 use std::cell::RefCell;
@@ -96,32 +96,14 @@ pub struct PlanImage {
     pub name: String,
     /// The plan source text (for rendering reports against).
     pub source: String,
-    /// The topology spec the plan deploys over.
-    pub topo: TopoSpec,
     /// The placed checker — kept so installs can re-verify at plan
-    /// scope, each through a handle on this one.
+    /// scope, each through a handle on this one. Its `topo` is the
+    /// topology spec the plan deploys over.
     pub check: Rc<PlanCheck>,
     /// The verification result.
     pub report: PlanReport,
     /// Resolved install points with their sources and policies.
     pub placements: Vec<Placement>,
-}
-
-/// Bridges a simulator topology spec into the analysis-side model.
-pub(crate) fn plan_topology(spec: &TopoSpec) -> PlanTopology {
-    PlanTopology::new(
-        spec.name.clone(),
-        spec.nodes
-            .iter()
-            .map(|n| PlanNode {
-                name: n.name.clone(),
-                addr: n.addr,
-                slices: n.slices.clone(),
-            })
-            .collect(),
-        spec.adjacency(),
-        spec.paths.clone(),
-    )
 }
 
 fn program_policy(name: &str) -> Option<Policy> {
@@ -172,7 +154,7 @@ pub fn load_plan(
         sources.push((Rc::<str>::from(source), policy));
     }
 
-    let check = Rc::new(PlanCheck::new(ast, plan_topology(&topo), asps).map_err(PlanError::Check)?);
+    let check = Rc::new(PlanCheck::new(ast, topo, asps).map_err(PlanError::Check)?);
     let report = check.verify();
     let placements = check
         .installs
@@ -181,7 +163,7 @@ pub fn load_plan(
             let (source, policy) = &sources[i.deploy];
             Placement {
                 node: i.node,
-                node_name: topo.nodes[i.node].name.clone(),
+                node_name: check.topo.nodes[i.node].name.clone(),
                 asp: check.asps[i.deploy].name.clone(),
                 source: source.clone(),
                 policy: *policy,
@@ -192,7 +174,6 @@ pub fn load_plan(
     Ok(PlanImage {
         name: check.plan.name.clone(),
         source: src.to_string(),
-        topo,
         check,
         report,
         placements,
@@ -200,7 +181,7 @@ pub fn load_plan(
 }
 
 /// Installs an accepted plan over a live simulator whose nodes were
-/// created by `image.topo.build(sim)` (so `ids` is parallel to the
+/// created by `image.check.topo.build(sim)` (so `ids` is parallel to the
 /// topology's nodes). Each install point gets a [`RecoveryService`]
 /// whose preflight re-runs the *plan-level* verifier, so crash
 /// recoveries re-check the composition, not just the local program.
@@ -268,7 +249,8 @@ pub fn install_plan(
 /// Fails if a placement's ASP does not load even under the
 /// authenticated policy.
 pub fn replay_plan(image: &PlanImage) -> Result<ReplayReport, String> {
-    let (report, _) = replay_on(&image.topo, &image.topo.paths, false, |sim, ids| {
+    let topo = &image.check.topo;
+    let (report, _) = replay_on(topo, &topo.paths, false, |sim, ids| {
         // A later placement on a node replaces the earlier one's hook,
         // and one node's layers share its counters: read each node once,
         // through the layer that runs there.
@@ -336,7 +318,7 @@ mod tests {
         assert_eq!(placed, vec![("r1", "forwarder"), ("r2", "forwarder")]);
 
         let mut sim = Sim::new(5);
-        let ids = image.topo.build(&mut sim);
+        let ids = image.check.topo.build(&mut sim);
         let logs = install_plan(&mut sim, &image, &ids, LayerConfig::default()).expect("installs");
         assert_eq!(logs.len(), image.placements.len());
         sim.run_until(SimTime::from_secs(1));
@@ -357,7 +339,7 @@ mod tests {
         );
 
         let mut sim = Sim::new(5);
-        let ids = image.topo.build(&mut sim);
+        let ids = image.check.topo.build(&mut sim);
         let err = install_plan(&mut sim, &image, &ids, LayerConfig::default())
             .expect_err("rejected plans must not install");
         assert!(err.contains("rejected"), "{err}");

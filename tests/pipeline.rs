@@ -472,7 +472,7 @@ fn ttl_backstop_catches_authenticated_bouncers() {
 
     // ha (10.0.0.1) — r1 — r2 — hb (10.0.3.1), as the plan deploys it.
     let mut sim = Sim::new(2);
-    let ids = plan.topo.build(&mut sim);
+    let ids = plan.check.topo.build(&mut sim);
     let (a, r1, r2, b) = (ids[0], ids[1], ids[2], ids[3]);
     let h1 = install_planp(&mut sim, r1, &img_b, LayerConfig::default()).unwrap();
     let h2 = install_planp(&mut sim, r2, &img_a, LayerConfig::default()).unwrap();
