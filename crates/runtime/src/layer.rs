@@ -516,6 +516,7 @@ impl PlanpLayer {
             chans: &shape.chans,
             output: &self.output,
             emitted: 0,
+            unbuilt: false,
             vm_steps: 0,
             profiling: profiling.then_some(scope),
             cur: &pkt,
@@ -537,6 +538,7 @@ impl PlanpLayer {
         let SimNetEnv {
             api,
             emitted,
+            unbuilt,
             vm_steps,
             inserts,
             entries_delta,
@@ -575,7 +577,8 @@ impl PlanpLayer {
         }
         let outcome = match &result {
             // The channel ate the packet without re-emitting or
-            // delivering anything: an intentional drop.
+            // delivering anything: an intentional drop, unless a send
+            // built nothing (`unbuilt`, recorded as a node drop below).
             Ok(_) if emitted == 0 => {
                 m.inc_id(c.dropped);
                 DispatchOutcome::Consumed
@@ -601,6 +604,12 @@ impl PlanpLayer {
         if tel.trace.categories().0 & (Category::VM.0 | Category::DISPATCH.0) != 0 {
             api.trace_vm_run(&pkt, &ch.ident.chan, vm_steps);
             api.trace_dispatch(&pkt, Some(&ch.ident.chan), outcome);
+        }
+        if unbuilt && outcome == DispatchOutcome::Consumed {
+            // The packet ends here because what the program made of it
+            // could not be put on the wire: its terminal drop, like the
+            // TTL backstop's in `emit`.
+            api.node_drop(&pkt, DropReason::NoWireForm);
         }
         match result {
             Ok(()) => HookVerdict::Handled,
@@ -744,6 +753,9 @@ struct SimNetEnv<'a, 'b> {
     /// decide whether a failed run may still fall back to standard
     /// processing without duplicating the packet).
     emitted: u32,
+    /// A send or delivery of the current channel run built no packet:
+    /// what it named has no wire form.
+    unbuilt: bool,
     /// VM steps charged by the current channel run.
     vm_steps: u64,
     /// The packet being processed. Every packet this run emits is its
@@ -793,7 +805,10 @@ impl SimNetEnv<'_, '_> {
         // forwarding: the drop is its terminal event. Checked before
         // anything is moved out of the engine's registers, so a send
         // that emits nothing leaves the packet whole.
-        let (mut ip, transport, at) = packet_headers(pkt.parts()).ok()?;
+        let Ok((mut ip, transport, at)) = packet_headers(pkt.parts()) else {
+            self.unbuilt = true;
+            return None;
+        };
         if ip.ttl == 0 {
             self.api.node_drop(self.cur, DropReason::TtlExpired);
             return None;
@@ -804,7 +819,10 @@ impl SimNetEnv<'_, '_> {
             Hop::Remote => SpanOrigin::Remote,
             Hop::Neighbor(_) => SpanOrigin::Neighbor,
         };
-        let payload = packet_payload(pkt, at)?;
+        let Some(payload) = packet_payload(pkt, at) else {
+            self.unbuilt = true;
+            return None;
+        };
         let p = Packet {
             ip,
             transport,
@@ -876,6 +894,8 @@ impl NetEnv for SimNetEnv<'_, '_> {
         if let Ok(p) = parts_to_packet(pkt, None, lineage) {
             self.emitted += 1;
             self.api.deliver_local(p);
+        } else {
+            self.unbuilt = true;
         }
     }
 

@@ -132,12 +132,17 @@ pub enum DropReason {
     /// The packet's lineage deadline had already passed at ingress, so
     /// it was dropped before burning further hops or CPU.
     DeadlineExpired,
+    /// A packet program handled the packet, but every send or delivery
+    /// it made built nothing: the headers or payload it named have no
+    /// wire form (a string longer than its length prefix can say, a
+    /// tuple without headers).
+    NoWireForm,
 }
 
 impl DropReason {
     /// All reasons, in [`DropReason::index`] order. New reasons are
     /// appended so existing flight-recorder detail codes stay stable.
-    pub const ALL: [DropReason; 10] = [
+    pub const ALL: [DropReason; 11] = [
         DropReason::NodeDown,
         DropReason::CpuOverflow,
         DropReason::TtlExpired,
@@ -148,6 +153,7 @@ impl DropReason {
         DropReason::Partitioned,
         DropReason::Shed,
         DropReason::DeadlineExpired,
+        DropReason::NoWireForm,
     ];
 
     /// Stable lowercase name used in exports.
@@ -163,6 +169,7 @@ impl DropReason {
             DropReason::Partitioned => "partitioned",
             DropReason::Shed => "shed",
             DropReason::DeadlineExpired => "deadline_expired",
+            DropReason::NoWireForm => "no_wire_form",
         }
     }
 

@@ -30,6 +30,7 @@ use planp::runtime::{
     deploy_packets, install_planp, load, uninstall_packet, DeployService, Engine, LayerConfig,
     MANAGEMENT_PORT, MAX_TRANSFERS,
 };
+use planp::telemetry::{Category, DropReason, TraceConfig, TraceEvent};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -274,7 +275,8 @@ fn no_payload_panics_an_installed_asp() {
 /// A send or delivery whose payload has no wire form emits nothing, on
 /// both engines, as one with bad headers does: a verified program can
 /// build a `string` longer than the 2-byte length its encoding carries
-/// (a 16-character literal doubled 12 times is 65 536 bytes).
+/// (a 16-character literal doubled 12 times is 65 536 bytes). The
+/// packet it was made from ends there, with one `no_wire_form` drop.
 #[test]
 fn a_send_whose_payload_has_no_wire_form_emits_nothing() {
     let doubled: String = (1..=12)
@@ -297,17 +299,27 @@ fn a_send_whose_payload_has_no_wire_form_emits_nothing() {
                 ..LayerConfig::default()
             };
             let handle = install_planp(&mut sim, r, &image, config).expect("installs");
+            sim.telemetry.trace.configure(TraceConfig {
+                categories: Category::DROP,
+                ..TraceConfig::default()
+            });
             let packets = (0..SENT).map(|_| packet(TransportKind::Udp, B, 7000, vec![7; 8]));
             sim.add_app(a, Feeder::new(packets.collect()));
             sim.run_until(SimTime::ZERO + TICK * (SENT + 40));
             let delivered = sim.node(r).delivered + sim.node(b).delivered;
-            (handle.stats(&sim.telemetry), delivered)
+            let drops = (sim.telemetry.trace.events())
+                .filter(|e| matches!(e, TraceEvent::NodeDrop { node, reason: DropReason::NoWireForm, .. } if *node == r.0 as u32))
+                .count();
+            (handle.stats(&sim.telemetry), delivered, drops, sim.total_node_drops)
         }));
-        let Ok((stats, delivered)) = run else {
+        let Ok((stats, delivered, drops, all_drops)) = run else {
             panic!("{engine:?}: a send of an unencodable payload panicked the node");
         };
         assert_eq!(stats.matched, u64::from(SENT), "{engine:?}: {stats:?}");
         assert_eq!(delivered, 0, "{engine:?}: nothing was emitted");
+        // Each packet ends at the relay, and says why: one drop apiece.
+        assert_eq!(drops, SENT as usize, "{engine:?}: no_wire_form drops");
+        assert_eq!(all_drops, u64::from(SENT), "{engine:?}: and no other drop");
         format!("{stats:?}")
     });
     assert_eq!(runs[0], runs[1], "both engines count the same");
