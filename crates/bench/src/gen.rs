@@ -676,13 +676,8 @@ fn table_view(ss: &Value, probes: &[Value]) -> Option<Vec<String>> {
         let got = eval(prim("tblGet"), &args, &mut env);
         view.push(format!("{k}: {has:?} {got:?}"));
     }
-    let mut entries: Vec<String> = t
-        .borrow()
-        .iter()
-        .map(|(k, v)| format!("{k:?} = {v}"))
-        .collect();
-    entries.sort();
-    view.extend(entries);
+    let entries = t.borrow().entries();
+    view.extend(entries.iter().map(|(k, v)| format!("{k:?} = {v}")));
     Some(view)
 }
 

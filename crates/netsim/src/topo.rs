@@ -388,10 +388,24 @@ impl TopoSpec {
     /// default registry entry is the standard 128 × 6 = 1024-node
     /// grid). Slices: `sources`, `relays`, `dsts`.
     ///
+    /// Chain `c`'s nodes are on `10+c/256 . c%256 . h`: the source at
+    /// `h = 0`, relay `h` at `h + 1`, the destination at `hops + 1`, so a
+    /// chain has at most 254 relays, and chains past 255 carry into the
+    /// first octet, up to 62 976 of them.
+    ///
     /// Every table is sized up front, and each node name is written into
     /// one reused buffer (a chain's relays share its `c{c}r` prefix) and
     /// copied into its own single allocation.
     pub fn obs_grid(chains: usize, hops: usize) -> TopoSpec {
+        assert!(
+            hops < 255,
+            "obs_grid: {hops} relays a chain, above the third octet's 254"
+        );
+        assert!(
+            chains <= 246 << 8,
+            "obs_grid: {chains} chains, above the 62976 the first octet holds"
+        );
+        let at = |c: usize, h: usize, last| addr(10 + (c >> 8) as u8, c as u8, h as u8, last);
         let mut t = TopoSpec::empty("obs_grid", chains * (hops + 2), chains * (hops + 1), chains);
         let (sources, relays, dsts) =
             (slices(&["sources"]), slices(&["relays"]), slices(&["dsts"]));
@@ -400,7 +414,7 @@ impl TopoSpec {
             name.clear();
             name.push('s');
             push_decimal(&mut name, c);
-            let src = t.host(&*name, addr(10, c as u8, 0, 1), &sources);
+            let src = t.host(&*name, at(c, 0, 1), &sources);
             name.clear();
             name.push('c');
             push_decimal(&mut name, c);
@@ -410,14 +424,14 @@ impl TopoSpec {
             for h in 0..hops {
                 name.truncate(relay_prefix);
                 push_decimal(&mut name, h);
-                let r = t.router(&*name, addr(10, c as u8, h as u8 + 1, 254), &relays);
+                let r = t.router(&*name, at(c, h + 1, 254), &relays);
                 t.link(LinkSpec::ethernet_100(), &[prev, r]);
                 prev = r;
             }
             name.clear();
             name.push('d');
             push_decimal(&mut name, c);
-            let dst = t.host(&*name, addr(10, c as u8, hops as u8 + 1, 1), &dsts);
+            let dst = t.host(&*name, at(c, hops + 1, 1), &dsts);
             t.link(LinkSpec::ethernet_100(), &[prev, dst]);
             t.paths.push((src, dst));
         }
@@ -680,6 +694,55 @@ mod tests {
         assert_eq!(t.nodes.len(), 128 * 8);
         assert_eq!(t.slice("relays").len(), 128 * 6);
         assert_eq!(t.paths.len(), 128);
+    }
+
+    #[test]
+    fn obs_grid_past_255_chains_keeps_addresses_apart_and_routes() {
+        use crate::packet::Packet;
+        use crate::{App, NodeApi};
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        struct Count(Rc<Cell<u32>>);
+        impl App for Count {
+            fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        struct Send(u32);
+        impl App for Send {
+            fn on_start(&mut self, api: &mut NodeApi<'_>) {
+                api.send(Packet::udp(
+                    api.addr(),
+                    self.0,
+                    1000,
+                    2000,
+                    bytes::Bytes::new(),
+                ));
+            }
+            fn on_packet(&mut self, _api: &mut NodeApi<'_>, _pkt: Packet) {}
+        }
+
+        let t = TopoSpec::obs_grid(300, 6);
+        let addrs: std::collections::BTreeSet<u32> = t.nodes.iter().map(|n| n.addr).collect();
+        assert_eq!(addrs.len(), t.nodes.len(), "every address once");
+        // Chains below 256 keep their addresses; chain 299 carries.
+        assert_eq!(t.nodes[8 * 255 + 7].addr, addr(10, 255, 7, 1));
+        assert_eq!(t.nodes[8 * 299].addr, addr(11, 43, 0, 1));
+        let mut sim = Sim::new(1);
+        let ids = t.build(&mut sim);
+        let (src, dst) = t.paths[299];
+        let got = Rc::new(Cell::new(0));
+        sim.add_app(ids[dst], Box::new(Count(got.clone())));
+        sim.add_app(ids[src], Box::new(Send(t.nodes[dst].addr)));
+        sim.run_to_idle(10_000);
+        assert_eq!(got.get(), 1, "chain 299's packet arrives");
+    }
+
+    #[test]
+    #[should_panic(expected = "above the third octet's 254")]
+    fn obs_grid_refuses_more_hops_than_the_third_octet_holds() {
+        TopoSpec::obs_grid(1, 255);
     }
 
     #[test]

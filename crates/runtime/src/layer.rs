@@ -37,9 +37,10 @@ use planp_vm::cost::STEPS_PER_NODE;
 use planp_vm::env::{ChanRef, NetEnv, Outgoing};
 use planp_vm::interp::Interp;
 use planp_vm::jit::CompiledProgram;
+use planp_vm::table::digest_value;
 use planp_vm::value::{Value, VmError};
 use std::cell::RefCell;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::rc::Rc;
 
 /// Which evaluator executes channel bodies.
@@ -698,47 +699,6 @@ impl PacketHook for PlanpLayer {
     }
 }
 
-/// Feeds `v` by structure. A table's map is looked up and never
-/// iterated by an engine, so its iteration order is the hasher's: its
-/// entries are fed as `(key digest, value digest)` pairs, sorted.
-fn digest_value(v: &Value, h: &mut Fnv) {
-    let of = |feed: &dyn Fn(&mut Fnv)| {
-        let mut h = Fnv::default();
-        feed(&mut h);
-        h.finish()
-    };
-    match v {
-        Value::Int(n) => (0u8, n).hash(h),
-        Value::Bool(b) => (1u8, b).hash(h),
-        Value::Char(c) => (2u8, c).hash(h),
-        Value::Unit => 3u8.hash(h),
-        Value::Host(a) => (4u8, a).hash(h),
-        Value::Str(s) => (5u8, &**s).hash(h),
-        Value::Blob(b) => (6u8, &b[..]).hash(h),
-        Value::Tuple(items) => {
-            (7u8, items.len()).hash(h);
-            items.iter().for_each(|item| digest_value(item, h));
-        }
-        Value::List(items) => {
-            (8u8, items.len()).hash(h);
-            items.iter().for_each(|item| digest_value(item, h));
-        }
-        Value::Table(t) => {
-            let mut entries: Vec<(u64, u64)> = (t.borrow().iter())
-                .map(|(k, v)| {
-                    let key = of(&|h| format!("{k:?}").hash(h));
-                    (key, of(&|h| digest_value(v, h)))
-                })
-                .collect();
-            entries.sort_unstable();
-            (9u8, entries).hash(h);
-        }
-        Value::Ip(hdr) => (10u8, hdr).hash(h),
-        Value::Tcp(hdr) => (11u8, hdr).hash(h),
-        Value::Udp(hdr) => (12u8, hdr).hash(h),
-    }
-}
-
 /// The [`NetEnv`] a PLAN-P program sees while running on a simulated
 /// node.
 struct SimNetEnv<'a, 'b> {
@@ -1376,7 +1336,7 @@ mod tests {
         assert_ne!(sim.state_digest(), before, "a planted entry");
         table.borrow_mut().remove(&planted);
         assert_eq!(sim.state_digest(), before, "and taken out again");
-        let only = table.borrow().keys().next().cloned().expect("one entry");
+        let (only, _) = table.borrow().entries().swap_remove(0);
         table.borrow_mut().insert(only, Value::Int(7));
         assert_ne!(sim.state_digest(), before, "an entry's value changed");
     }

@@ -58,6 +58,7 @@ pub mod jit;
 pub mod ops;
 pub mod pkthdr;
 pub mod prims;
+pub mod table;
 pub mod value;
 
 pub use env::{ChanRef, Effect, MockEnv, NetEnv, SendKind};

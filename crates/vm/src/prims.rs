@@ -18,7 +18,8 @@
 use crate::audio;
 use crate::env::NetEnv;
 use crate::pkthdr::{tcp_flags, IpHdr, TcpHdr, UdpHdr};
-use crate::value::{exn, new_table, Key, ScalarTy, TableRef, Value, VmError};
+use crate::table::{new_table, TableRef};
+use crate::value::{exn, Key, ScalarTy, Value, VmError};
 use bytes::Bytes;
 use planp_lang::prims::{table as sig_table, Access, Field, PrimId, PrimSig};
 use planp_lang::types::Type;
@@ -212,7 +213,7 @@ fn want_table(v: &Value) -> Result<&TableRef, VmError> {
 /// table.
 #[inline]
 pub fn tbl_get(t: &Value, k: &Key) -> Result<Value, VmError> {
-    let entry = want_table(t)?.borrow().get(k).cloned();
+    let entry = want_table(t)?.borrow().get(k);
     entry.ok_or(VmError::Exn(exn::NOT_FOUND))
 }
 
@@ -234,7 +235,7 @@ pub fn tbl_has(t: &Value, k: &Key) -> Result<bool, VmError> {
 #[inline]
 pub fn tbl_set(t: &Value, k: Key, v: Value, env: &mut dyn NetEnv) -> Result<(), VmError> {
     let mut m = want_table(t)?.borrow_mut();
-    let fresh = m.insert(k, v).is_none();
+    let fresh = m.insert(k, v);
     let entries = m.len() as u64;
     drop(m);
     env.note_table_write(i64::from(fresh), entries);
@@ -249,7 +250,7 @@ pub fn tbl_set(t: &Value, k: Key, v: Value, env: &mut dyn NetEnv) -> Result<(), 
 #[inline]
 pub fn tbl_del(t: &Value, k: &Key, env: &mut dyn NetEnv) -> Result<(), VmError> {
     let mut m = want_table(t)?.borrow_mut();
-    let removed = m.remove(k).is_some();
+    let removed = m.remove(k);
     let entries = m.len() as u64;
     drop(m);
     env.note_table_write(-i64::from(removed), entries);

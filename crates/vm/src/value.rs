@@ -1,11 +1,10 @@
 //! Run-time values of PLAN-P programs.
 
 use crate::pkthdr::{addr_to_string, IpHdr, TcpHdr, UdpHdr};
+use crate::table::{new_table, TableRef};
 use bytes::Bytes;
-use netsim::rng::Seedless;
 use planp_lang::tast::ExnId;
 use planp_lang::types::Type;
-use std::cell::RefCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -68,23 +67,6 @@ impl PartialEq for Value {
             _ => self.struct_eq(other).unwrap_or(false),
         }
     }
-}
-
-/// The map behind a [`TableRef`]. The engines look it up and write it
-/// but never iterate it (`<table:N entries>` is the only read of the
-/// whole), so its [`Seedless`] hash cannot move an output — it makes a
-/// lookup a few multiplies instead of a SipHash round.
-#[allow(clippy::disallowed_types)] // lookup-only: `get`/`insert`/`remove`/`len`/`clear`, never iterated
-pub type TableMap = std::collections::HashMap<Key, Value, Seedless>;
-
-/// Shared, mutable hash table used for channel and protocol state.
-pub type TableRef = Rc<RefCell<TableMap>>;
-
-/// Creates an empty state table.
-pub fn new_table(capacity: usize) -> TableRef {
-    Rc::new(RefCell::new(TableMap::with_capacity_and_hasher(
-        capacity, Seedless,
-    )))
 }
 
 impl Value {
@@ -251,9 +233,21 @@ impl ScalarTy {
         VmError::trap(format!("expected {self:?}, got {v:?}"))
     }
 
+    /// The value of this type whose word is `w`, as [`ScalarTy::word`]
+    /// made it (a `char` that is no code point, which no word of one is,
+    /// reads as `'\0'`).
+    pub(crate) fn value(self, w: u64) -> Value {
+        match self {
+            ScalarTy::Int => Value::Int(w as i64),
+            ScalarTy::Bool => Value::Bool(w != 0),
+            ScalarTy::Char => Value::Char(char::from_u32(w as u32).unwrap_or_default()),
+            ScalarTy::Host => Value::Host(w as u32),
+        }
+    }
+
     /// The scalar class of `v` and its word, as [`ScalarTy::read`]
     /// unwraps it.
-    fn word(v: &Value) -> Option<(ScalarTy, u64)> {
+    pub(crate) fn word(v: &Value) -> Option<(ScalarTy, u64)> {
         let ty = match v {
             Value::Int(_) => ScalarTy::Int,
             Value::Bool(_) => ScalarTy::Bool,
@@ -474,7 +468,7 @@ pub mod exn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::rng::SplitMix64;
+    use netsim::rng::{Seedless, SplitMix64};
     use std::hash::BuildHasher;
 
     #[test]
@@ -602,22 +596,6 @@ mod tests {
         assert!(matches!(Key::of(&edges[0].1), Key::Boxed(_)));
         assert!(matches!(Key::of(&edges[1].0), Key::Boxed(_)));
         assert_ne!(Key::of(&edges[3].0), Key::of(&edges[3].1));
-    }
-
-    #[test]
-    fn connection_keys_fill_the_control_byte() {
-        // hashbrown files an entry under the hash's top 7 bits; 65 536
-        // sequential `(host, port)` keys must spread over them.
-        let mut seen = [false; 128];
-        for i in 0..65_536u32 {
-            let key = Value::tuple(vec![
-                Value::Host(0x0A00_0000 + (i >> 8)),
-                Value::Int(i64::from(1024 + (i & 0xFF))),
-            ]);
-            seen[(Seedless.hash_one(Key::of(&key)) >> 57) as usize] = true;
-        }
-        let filled = seen.iter().filter(|&&s| s).count();
-        assert!(filled >= 120, "{filled} of 128 control-byte values");
     }
 
     #[test]
