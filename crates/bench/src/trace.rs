@@ -183,12 +183,15 @@ fn event_log(
             outln!(out, "{ev}");
         }
     }
+    let bytes = telemetry.trace.held_bytes();
     outln!(
         report.stderr,
-        "{} events recorded, {} evicted, {} held, {} printed",
+        "{} events recorded, {} evicted, {} held in {} bytes ({:.1} B/event), {} printed",
         telemetry.trace.recorded(),
         telemetry.trace.evicted(),
         held,
+        bytes,
+        bytes as f64 / held.max(1) as f64,
         held - skip
     );
     if telemetry.trace.sample_n() > 1 {

@@ -582,7 +582,7 @@ fn chaos_mix_digest(seed: u64) -> u64 {
                 kind,
                 node: Some(n),
                 ..
-            } if &**kind == "crash" && *n == r2_id => Some(*t_ns),
+            } if &*kind == "crash" && n == r2_id => Some(t_ns),
             _ => None,
         })
         .expect("r2 crashed");
@@ -592,9 +592,9 @@ fn chaos_mix_digest(seed: u64) -> u64 {
             t_ns, node, reason, ..
         } = e
         {
-            if *node == r2_id && !on_the_wire.contains(reason) {
+            if node == r2_id && !on_the_wire.contains(&reason) {
                 traced += 1;
-                if *reason == DropReason::NodeDown && *t_ns == crashed_at {
+                if reason == DropReason::NodeDown && t_ns == crashed_at {
                     lost_in_crash += 1;
                 }
             }

@@ -1670,7 +1670,7 @@ mod tests {
                 .trace
                 .events()
                 .filter_map(|e| match e {
-                    TraceEvent::NodeDrop { node, reason, .. } => Some((*node, *reason)),
+                    TraceEvent::NodeDrop { node, reason, .. } => Some((node, reason)),
                     _ => None,
                 })
                 .collect();

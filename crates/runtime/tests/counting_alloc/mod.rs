@@ -13,6 +13,13 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes those calls asked for (a `realloc` its whole new size).
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not yet freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Moves this thread's live bytes by `delta`.
+fn live_by(delta: i64) {
+    LIVE.with(|n| n.set(n.get() + delta));
 }
 
 /// Counts one call asking for `size` bytes.
@@ -30,15 +37,18 @@ pub struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live_by(layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_by(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        live_by(new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`; the size is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -48,6 +58,13 @@ unsafe impl GlobalAlloc for Counting {
 #[allow(dead_code)] // not every test that includes this file reads it
 pub fn calls() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes this thread has allocated and not freed (a block freed by
+/// another thread is not seen).
+#[allow(dead_code)] // not every test that includes this file reads it
+pub fn live() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 /// Bytes asked for by this thread's allocator calls so far.

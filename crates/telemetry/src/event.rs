@@ -6,7 +6,7 @@
 //! ever constructed — tracing off costs one branch per site.
 
 use crate::json::{push_key, push_str, push_u64, Seq};
-use std::collections::VecDeque;
+use crate::ring::Ring;
 use std::fmt;
 use std::rc::Rc;
 
@@ -410,10 +410,6 @@ pub enum TraceEvent {
     },
 }
 
-// A full ring holds `capacity` of these: most of the traced benchmark
-// workload's 56 MB peak RSS is its 262 144-slot log.
-const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 56);
-
 /// One field of an event, as [`TraceEvent::describe`] hands it to a
 /// reader.
 enum Val<'a> {
@@ -436,8 +432,43 @@ enum Val<'a> {
     OptText(Option<&'a str>),
 }
 
+/// The one table of events: a row per variant with its wire tag, the
+/// fixed part of [`TraceEvent::est_bytes`], and every field in
+/// declaration order with the kind of value it holds (`time` is the
+/// event's `t_ns`, `pkt` the packet it concerns). `event_table!(m!(a))`
+/// expands to `m! { a; rows }`: [`TraceEvent::describe`] reads the rows,
+/// and so do the ring's encoder and decoder (`ring.rs`), so a new event
+/// is a variant, a row here, an arm of `Display`, and its place in
+/// `category` and `t_ns`.
+macro_rules! event_table {
+    ($m:ident!($($args:tt)*)) => {
+        $m! { $($args)*;
+            LinkEnqueue "link_enqueue" 88 { t_ns: time, link: num, from: num, pkt: pkt, bytes: num, qlen: num }
+            LinkTx "link_tx" 72 { t_ns: time, link: num, from: num, pkt: pkt, bytes: num }
+            LinkDrop "link_drop" 60 { t_ns: time, link: num, from: num, pkt: pkt }
+            Forward "forward" 70 { t_ns: time, node: num, pkt: pkt, link: num, ttl: num }
+            Deliver "deliver" 62 { t_ns: time, node: num, pkt: pkt, app: num }
+            NodeDrop "node_drop" 76 { t_ns: time, node: num, pkt: pkt, reason: name }
+            Dispatch "dispatch" 84 { t_ns: time, node: num, pkt: pkt, chan: opt_text, outcome: name }
+            Exception "exception" 76 { t_ns: time, node: num, pkt: pkt, chan: text, exn: text }
+            TimerFire "timer_fire" 64 { t_ns: time, node: num, app: num, key: num }
+            SpanStart "span_start" 110 {
+                t_ns: time, node: num, pkt: pkt, trace: num, parent: num, origin: name, chan: opt_text
+            }
+            VmRun "vm_run" 74 { t_ns: time, node: num, pkt: pkt, chan: text, steps: num }
+            Fault "fault" 72 { t_ns: time, kind: text, node: opt_num, link: opt_num, pkt: pkt_or_none }
+            SampleDowngrade "sample_downgrade" 70 { t_ns: time, from_n: num, to_n: num, kept: num }
+            Health "health" 78 { t_ns: time, rule: text, ok: flag, value: num, threshold: num }
+            Brownout "brownout" 80 { t_ns: time, from_level: num, to_level: num, rule: text }
+            Breaker "breaker" 92 { t_ns: time, node: num, backend: text, from: name, to: name }
+        }
+    };
+}
+pub(crate) use event_table;
+
 /// The body of [`TraceEvent::describe`]: one arm per row of its table.
 macro_rules! describe {
+    (@val time $f:ident) => { Val::Num(*$f) };
     (@val num $f:ident) => { Val::Num(u64::from(*$f)) };
     (@val pkt $f:ident) => { Val::Pkt(*$f) };
     (@val pkt_or_none $f:ident) => { Val::PktOrNone(*$f) };
@@ -501,39 +532,19 @@ impl TraceEvent {
         }
     }
 
-    /// The one description of every variant, read by [`write_json`],
-    /// [`est_bytes`] and [`pkt`]: `visit` is handed the wire tag as the
-    /// `type` field and then every field under its own name — the JSON
-    /// key *is* the field's name, in declaration order — as the [`Val`]
-    /// kind the row gives it. Returns the row's number, the fixed part of
-    /// [`est_bytes`]. A new event is a variant, a row here, an arm of
-    /// `Display`, and its place in `category` and `t_ns`.
+    /// Every variant as its row of `event_table!` describes it, read
+    /// by [`write_json`], [`est_bytes`] and [`pkt`]: `visit` is handed
+    /// the wire tag as the `type` field and then every field under its
+    /// own name — the JSON key *is* the field's name, in declaration
+    /// order — as the [`Val`] kind the row gives it. Returns the row's
+    /// number, the fixed part of [`est_bytes`].
     ///
     /// [`write_json`]: TraceEvent::write_json
     /// [`est_bytes`]: TraceEvent::est_bytes
     /// [`pkt`]: TraceEvent::pkt
     #[inline]
     fn describe(&self, mut visit: impl FnMut(&'static str, Val<'_>)) -> u64 {
-        describe! { self, visit;
-            LinkEnqueue "link_enqueue" 88 { t_ns: num, link: num, from: num, pkt: pkt, bytes: num, qlen: num }
-            LinkTx "link_tx" 72 { t_ns: num, link: num, from: num, pkt: pkt, bytes: num }
-            LinkDrop "link_drop" 60 { t_ns: num, link: num, from: num, pkt: pkt }
-            Forward "forward" 70 { t_ns: num, node: num, pkt: pkt, link: num, ttl: num }
-            Deliver "deliver" 62 { t_ns: num, node: num, pkt: pkt, app: num }
-            NodeDrop "node_drop" 76 { t_ns: num, node: num, pkt: pkt, reason: name }
-            Dispatch "dispatch" 84 { t_ns: num, node: num, pkt: pkt, chan: opt_text, outcome: name }
-            Exception "exception" 76 { t_ns: num, node: num, pkt: pkt, chan: text, exn: text }
-            TimerFire "timer_fire" 64 { t_ns: num, node: num, app: num, key: num }
-            SpanStart "span_start" 110 {
-                t_ns: num, node: num, pkt: pkt, trace: num, parent: num, origin: name, chan: opt_text
-            }
-            VmRun "vm_run" 74 { t_ns: num, node: num, pkt: pkt, chan: text, steps: num }
-            Fault "fault" 72 { t_ns: num, kind: text, node: opt_num, link: opt_num, pkt: pkt_or_none }
-            SampleDowngrade "sample_downgrade" 70 { t_ns: num, from_n: num, to_n: num, kept: num }
-            Health "health" 78 { t_ns: num, rule: text, ok: flag, value: num, threshold: num }
-            Brownout "brownout" 80 { t_ns: num, from_level: num, to_level: num, rule: text }
-            Breaker "breaker" 92 { t_ns: num, node: num, backend: text, from: name, to: name }
-        }
+        event_table!(describe!(self, visit))
     }
 
     /// The packet id, if the event concerns a packet.
@@ -853,7 +864,8 @@ pub struct TraceOverhead {
     pub sample_n: u32,
 }
 
-/// A bounded ring buffer of trace events.
+/// A bounded ring buffer of trace events, held as bytes (`ring.rs`)
+/// and decoded when read.
 ///
 /// Determinism contract: with the same configuration and the same
 /// deterministic event source, `to_jsonl` produces byte-identical
@@ -862,7 +874,7 @@ pub struct TraceOverhead {
 pub struct TraceLog {
     enabled: Category,
     capacity: usize,
-    buf: VecDeque<TraceEvent>,
+    ring: Ring,
     recorded: u64,
     evicted: u64,
     /// Current sampling denominator (doubles on budget downgrades).
@@ -886,7 +898,7 @@ impl TraceLog {
         TraceLog {
             enabled: cfg.categories,
             capacity: cfg.capacity.max(1),
-            buf: VecDeque::new(),
+            ring: Ring::default(),
             recorded: 0,
             evicted: 0,
             sample_n: cfg.sample_n.max(1),
@@ -906,10 +918,11 @@ impl TraceLog {
         self.sample_n = cfg.sample_n.max(1);
         self.budget = cfg.budget;
         self.next_budget_mark = self.recorded + cfg.budget;
-        while self.buf.len() > self.capacity {
-            self.buf.pop_front();
+        while self.ring.len() > self.capacity {
+            self.ring.pop_front();
             self.evicted += 1;
         }
+        self.ring.drop_spares();
     }
 
     /// The enabled categories.
@@ -968,48 +981,60 @@ impl TraceLog {
         // Budget check: each crossing of another `budget` kept events
         // doubles the sampling denominator, recorded as a meta event.
         if self.budget > 0 && self.recorded >= self.next_budget_mark {
-            self.next_budget_mark += self.budget;
-            let from_n = self.sample_n.max(1);
-            if from_n < (1 << 20) {
-                let to_n = from_n * 2;
-                self.sample_n = to_n;
-                self.downgrades += 1;
-                if self.wants(Category::META) {
-                    self.record(TraceEvent::SampleDowngrade {
-                        t_ns,
-                        from_n,
-                        to_n,
-                        kept: self.recorded,
-                    });
-                }
+            self.downgrade(t_ns);
+        }
+    }
+
+    /// Doubles the sampling denominator at a budget crossing.
+    #[cold]
+    fn downgrade(&mut self, t_ns: u64) {
+        self.next_budget_mark += self.budget;
+        let from_n = self.sample_n.max(1);
+        if from_n < (1 << 20) {
+            let to_n = from_n * 2;
+            self.sample_n = to_n;
+            self.downgrades += 1;
+            if self.wants(Category::META) {
+                self.record(TraceEvent::SampleDowngrade {
+                    t_ns,
+                    from_n,
+                    to_n,
+                    kept: self.recorded,
+                });
             }
         }
     }
 
     /// Unconditional ring insert with accounting.
+    #[inline]
     fn record(&mut self, ev: TraceEvent) {
-        self.est_bytes += ev.est_bytes();
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
+        self.est_bytes += self.ring.push(ev);
+        if self.ring.len() > self.capacity {
+            self.ring.pop_front();
             self.evicted += 1;
         }
-        self.buf.push_back(ev);
         self.recorded += 1;
     }
 
-    /// Events currently held, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
+    /// Events currently held, oldest first, each decoded from the ring.
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.ring.events()
     }
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// True if nothing is held.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.len() == 0
+    }
+
+    /// Bytes the held events take: the ring's blocks in use and the
+    /// text of its name table.
+    pub fn held_bytes(&self) -> usize {
+        self.ring.held_bytes()
     }
 
     /// Total events recorded over the log's lifetime (including evicted).
@@ -1054,7 +1079,7 @@ impl TraceLog {
     /// trailing newline when non-empty). Byte-stable for identical logs.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for ev in &self.buf {
+        for ev in self.events() {
             ev.write_json(&mut out);
             out.push('\n');
         }
@@ -1063,7 +1088,7 @@ impl TraceLog {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn ev(t: u64) -> TraceEvent {
@@ -1190,7 +1215,7 @@ mod tests {
         let downs: Vec<_> = log
             .events()
             .filter_map(|e| match e {
-                TraceEvent::SampleDowngrade { from_n, to_n, .. } => Some((*from_n, *to_n)),
+                TraceEvent::SampleDowngrade { from_n, to_n, .. } => Some((from_n, to_n)),
                 _ => None,
             })
             .collect();
@@ -1208,7 +1233,7 @@ mod tests {
     }
 
     /// `(event, JSON line, Display line, est_bytes, category, t_ns, pkt)`.
-    type Golden = (
+    pub(crate) type Golden = (
         TraceEvent,
         &'static str,
         &'static str,
@@ -1224,7 +1249,7 @@ mod tests {
     /// run at commit 9a66515, where `write_json`, `est_bytes`, `pkt`,
     /// `category`, `t_ns` and `Display` each listed the variants on
     /// their own; they hold the one description to those bytes.
-    fn golden() -> Vec<Golden> {
+    pub(crate) fn golden() -> Vec<Golden> {
         vec![
             (
                 TraceEvent::LinkEnqueue {

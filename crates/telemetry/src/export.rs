@@ -59,7 +59,9 @@ pub fn chrome_trace(forest: &TraceForest, nodes: &[String]) -> String {
     // reservation is a block glibc serves from the heap once its mmap
     // threshold has adapted, where a freed one can strand the next
     // (DESIGN.md, "Reading a trace": peak RSS 56 → 78 MB in 2 of 18
-    // benchmark runs, for 2 ms of a 22 ms export).
+    // benchmark runs, for 2 ms of a 22 ms export). This string is
+    // 23 MB of the traced benchmark's 44 MB peak once the event log is
+    // held as bytes (EXPERIMENTS.md, "What holding a trace costs").
     let mut out = String::from("{\"traceEvents\":[");
     let mut seq = Seq::new();
 

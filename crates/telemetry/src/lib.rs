@@ -38,6 +38,7 @@ pub mod metrics;
 pub mod monitor;
 pub mod overload;
 pub mod profile;
+mod ring;
 pub mod span;
 
 pub use event::{

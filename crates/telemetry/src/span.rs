@@ -23,6 +23,7 @@
 
 use crate::event::{SpanOrigin, TraceEvent, TraceLog};
 use crate::metrics::Histogram;
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 #[allow(clippy::disallowed_types)] // the two maps of `from_events`, lookup-only
 use std::collections::HashMap;
@@ -98,8 +99,9 @@ impl TraceForest {
         TraceForest::from_events(log.events())
     }
 
-    /// Rebuilds span trees from any event sequence in time order.
-    pub fn from_events<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> TraceForest {
+    /// Rebuilds span trees from any event sequence in time order, owned
+    /// (as [`TraceLog::events`] decodes them) or borrowed.
+    pub fn from_events<E: Borrow<TraceEvent>>(events: impl IntoIterator<Item = E>) -> TraceForest {
         let mut f = TraceForest::default();
         // The simulator stamps packet ids in ascending order, so spans
         // appended as their `SpanStart` arrives are sorted and a packet's
@@ -113,6 +115,7 @@ impl TraceForest {
         #[allow(clippy::disallowed_types)] // lookup-only: `entry` by (link, pkt), never iterated
         let mut pending: HashMap<(u32, u64), VecDeque<u64>> = HashMap::new();
         for ev in events {
+            let ev = ev.borrow();
             let Some(pkt) = ev.pkt() else { continue };
             let mut at = match &unsorted {
                 None => position(&f.spans, pkt, f.spans.len()),
@@ -160,7 +163,7 @@ impl TraceForest {
                 TraceEvent::LinkTx { t_ns, link, .. } => {
                     if let Entry::Occupied(mut q) = pending.entry((*link, pkt)) {
                         if let Some(enqueued) = q.get_mut().pop_front() {
-                            f.hop_latency.observe(t_ns - enqueued);
+                            f.hop_latency.observe(t_ns.saturating_sub(enqueued));
                         }
                         if q.get().is_empty() {
                             q.remove();

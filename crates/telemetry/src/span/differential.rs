@@ -429,7 +429,7 @@ fn forest_and_chrome_export_match_the_replaced_algorithms() {
     for seed in 0..600 {
         let log = stream(seed);
         let new = TraceForest::from_log(&log);
-        let old = from_events_oracle(log.events()).into_forest();
+        let old = from_events_oracle(log.events().collect::<Vec<_>>().iter()).into_forest();
 
         assert_eq!(
             format!("{:?}", new.spans),
@@ -463,7 +463,7 @@ fn forest_and_chrome_export_match_the_replaced_algorithms() {
         let starts: Vec<u64> = log
             .events()
             .filter_map(|e| match e {
-                TraceEvent::SpanStart { pkt, .. } => Some(*pkt),
+                TraceEvent::SpanStart { pkt, .. } => Some(pkt),
                 _ => None,
             })
             .collect();
